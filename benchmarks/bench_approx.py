@@ -37,7 +37,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.base import CountingDistance
 from repro.distance.batch import one_vs_many
 from repro.distance.eged import MetricEGED
-from repro.search import SketchIndex, approx_knn
+from repro.search import SearchRequest, SketchIndex, approx_knn
 
 SCALE = os.environ.get("BENCH_APPROX_SCALE", "default").lower()
 SMOKE = SCALE == "smoke"
@@ -89,7 +89,9 @@ def _curve(n: int) -> dict:
         t0 = time.perf_counter()
         for q, expected in zip(queries, truth):
             counting.reset()
-            hits = approx_knn(sketch, counting, q, K, budget)
+            hits = approx_knn(
+                sketch, counting,
+                SearchRequest.knn(q, K, search_budget=budget))
             spent.append(counting.calls)
             got = {og.og_id for _, og, _ in hits}
             recalls.append(len(got & expected) / K)

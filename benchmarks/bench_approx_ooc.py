@@ -176,7 +176,7 @@ def _run_child(store_path, mode, queries_npz, budget) -> dict:
 
 def _recall_and_cost(store, ogs, queries, budget) -> tuple[float, float]:
     """PR 7 gate, measured on the streamed sketch itself."""
-    from repro.search import approx_knn
+    from repro.search import SearchRequest, approx_knn
 
     counting = CountingDistance(MetricEGED())
     sketch = store.load_sketch(distance=counting, mmap=True)
@@ -188,7 +188,8 @@ def _recall_and_cost(store, ogs, queries, budget) -> tuple[float, float]:
         expected = {f"clip-{i}"
                     for i in np.argsort(dists, kind="stable")[:K]}
         counting.reset()
-        hits = approx_knn(sketch, counting, q, K, budget)
+        hits = approx_knn(sketch, counting,
+                          SearchRequest.knn(q, K, search_budget=budget))
         spent.append(counting.calls)
         got = {ref for _, _, ref in hits}
         recalls.append(len(got & expected) / K)

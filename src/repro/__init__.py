@@ -58,7 +58,13 @@ from repro.parallel import DistanceExecutor, ordered_chunk_map
 from repro.pipeline import PipelineConfig, VideoPipeline
 from repro.query import Query, QueryResult
 from repro.resilience import FaultInjector, FaultPolicy, RetryPolicy
-from repro.search import SketchConfig, SketchIndex, approx_knn
+from repro.search import (
+    SearchRequest,
+    SearchResult,
+    SketchConfig,
+    SketchIndex,
+    approx_knn,
+)
 from repro.serving import (
     IndexSnapshot,
     IngestService,
@@ -76,7 +82,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "DistanceExecutor",
@@ -99,6 +105,8 @@ __all__ = [
     "RetryPolicy",
     "STRGIndex",
     "STRGIndexConfig",
+    "SearchRequest",
+    "SearchResult",
     "ServiceConfig",
     "ShardedIndex",
     "ShardedIndexConfig",

@@ -33,6 +33,13 @@ from repro.errors import IndexStateError, InvalidParameterError
 from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
+from repro.search.request import (
+    SearchRequest,
+    SearchResult,
+    TopK,
+    hit_key,
+)
+from repro.search.sketch import SketchIndex, approx_knn
 
 #: Guards lazy sketch construction.  Module-level (not per-index) so a
 #: frozen, deep-copied serving snapshot stays ``copy.deepcopy``-able —
@@ -421,65 +428,72 @@ class STRGIndex:
 
     # -- search (Algorithm 3) ---------------------------------------------------
 
-    def knn(self, query: ObjectGraph | np.ndarray, k: int,
-            background: BackgroundGraph | None = None,
-            n_probe: int | None = None,
-            search_budget: int | None = None
-            ) -> list[tuple[float, ObjectGraph, Any]]:
-        """k nearest OGs to the query, as ``(distance, og, clip_ref)``.
+    def search(self, request: SearchRequest) -> SearchResult:
+        """Answer one :class:`~repro.search.request.SearchRequest`.
 
-        Follows Algorithm 3: match the query BG at the root (skipped when
-        no background is supplied — then every cluster node is searched),
-        rank clusters by metric centroid distance, and scan each leaf
-        outward from ``Key_q`` pruning with ``|Key - Key_q| > kth_best``
-        (a valid lower bound because ``EGED_M`` is a metric).
-
-        ``k = 0`` legally yields ``[]`` and ``k`` larger than the corpus
-        returns every OG, ranked — neither is an error.
+        Exact k-NN follows Algorithm 3: match the query BG at the root
+        (skipped when no background is supplied — then every cluster
+        node is searched), rank clusters by metric centroid distance,
+        and scan each leaf outward from ``Key_q`` pruning with ``|Key -
+        Key_q| > kth_best`` (a valid lower bound because ``EGED_M`` is a
+        metric).
 
         ``n_probe`` bounds how many nearest clusters are scanned:
-        ``None`` (default) gives exact k-NN; ``1`` is the literal
-        Algorithm 3, which descends only the best-matching cluster —
-        faster and *cluster-faithful* (results share the query's cluster),
-        the behaviour behind the paper's precision/recall advantage in
+        ``None`` gives exact k-NN; ``1`` is the literal Algorithm 3,
+        which descends only the best-matching cluster — faster and
+        *cluster-faithful* (results share the query's cluster), the
+        behaviour behind the paper's precision/recall advantage in
         Figure 7(c).
 
         ``search_budget`` switches to the two-stage *approximate* tier
         (``repro.search``, see ``docs/SEARCH.md``): candidate generation
         over per-OG sketches followed by an exact rerank spending at
-        most ``search_budget`` distance evaluations.  The default
-        (``None``) keeps the exact path bit-identical to before the
-        knob existed.  The budgeted path searches the whole corpus
-        (background routing and ``n_probe`` apply to the exact path
-        only); a budget of at least ``len(index) + num_pivots``
-        degenerates to exact results.
+        most ``search_budget`` distance evaluations.  That path searches
+        the whole corpus (background routing and ``n_probe`` apply to
+        the exact path only); a budget of at least ``len(index) +
+        num_pivots`` degenerates to exact results.  A monolithic index
+        has one bound, so ``prune_bound`` and ``degrade`` change nothing
+        here.
         """
-        if k < 0:
-            raise InvalidParameterError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return []
-        if n_probe is not None and n_probe < 1:
-            raise InvalidParameterError(f"n_probe must be >= 1, got {n_probe}")
-        if search_budget is not None and search_budget < 1:
-            raise InvalidParameterError(
-                f"search_budget must be >= 1, got {search_budget}"
-            )
+        if request.k == 0:
+            return SearchResult([])
         if not self.root:
             raise IndexStateError("cannot search an empty STRG-Index")
-        if search_budget is not None:
-            return self._approx_knn(query, k, search_budget)
-        with OBS.span("index.knn", k=k, n_probe=n_probe) as sp:
-            OBS.count("index.knn_queries")
-            best = self._knn(query, k, background, n_probe)
-            sp.set(hits=len(best))
-            return best
+        if request.kind == "range":
+            with OBS.span("index.range_query", radius=request.radius) as sp:
+                hits = self._range_query(request.query, request.radius,
+                                         request.background)
+                sp.set(hits=len(hits))
+        elif request.search_budget is not None:
+            hits = approx_knn(self.sketch_tier(), self.metric_distance,
+                              request)
+        else:
+            with OBS.span("index.knn", k=request.k,
+                          n_probe=request.n_probe) as sp:
+                OBS.count("index.knn_queries")
+                hits = self._knn(request.query, request.k,
+                                 request.background, request.n_probe)
+                sp.set(hits=len(hits))
+        return SearchResult(hits)
 
-    def _approx_knn(self, query, k: int, search_budget: int
+    def knn(self, query: ObjectGraph | np.ndarray, k: int,
+            background: BackgroundGraph | None = None,
+            n_probe: int | None = None,
+            search_budget: int | None = None
+            ) -> list[tuple[float, ObjectGraph, Any]]:
+        """k nearest OGs to the query, as ``(distance, og, clip_ref)``
+        (sugar for :meth:`search`)."""
+        return self.search(SearchRequest.knn(
+            query, k, background=background, n_probe=n_probe,
+            search_budget=search_budget)).hits
+
+    def range_query(self, query, radius: float,
+                    background: BackgroundGraph | None = None
                     ) -> list[tuple[float, ObjectGraph, Any]]:
-        from repro.search.sketch import approx_knn
-
-        return approx_knn(self.sketch_tier(), self.metric_distance,
-                          query, k, search_budget)
+        """All OGs within ``radius`` of the query (sugar for
+        :meth:`search`)."""
+        return self.search(SearchRequest.range(
+            query, radius, background=background)).hits
 
     def sketch_tier(self):
         """The :class:`~repro.search.sketch.SketchIndex` for this corpus.
@@ -502,8 +516,6 @@ class STRGIndex:
         sketch = self._sketches
         if sketch is not None:
             return sketch
-        from repro.search.sketch import SketchIndex
-
         with _SKETCH_BUILD_LOCK:
             if self._sketches is None:
                 records = [
@@ -524,22 +536,12 @@ class STRGIndex:
     def _knn(self, query: ObjectGraph | np.ndarray, k: int,
              background: BackgroundGraph | None,
              n_probe: int | None) -> list[tuple[float, ObjectGraph, Any]]:
-        if background is not None:
-            matched = self._match_root(background)
-            root_records = [matched] if matched is not None else list(self.root)
-        else:
-            root_records = list(self.root)
-
         # Rank candidate clusters (these distance evaluations are part of
         # the query cost).  Exact search ranks by the metric distance the
         # pruning bound needs; probed search follows Algorithm 3, which
         # picks the similar centroid with the *non-metric* EGED (step 3)
         # before computing the metric key (step 4).
-        records = [
-            record
-            for root_record in root_records
-            for record in root_record.cluster_node
-        ]
+        records = self.cluster_records(background)
         ranked: list[tuple[float, ClusterRecord]] = []
         if records:
             if n_probe is not None:
@@ -557,17 +559,7 @@ class STRGIndex:
                 (float(key_qs[int(i)]), records[int(i)]) for i in order
             ]
 
-        best: list[tuple[float, ObjectGraph, Any]] = []
-
-        def kth_best() -> tuple[float, float]:
-            # (distance, og_id) of the current k-th hit.  Ordering by the
-            # pair makes tie-breaking deterministic: equal distances are
-            # resolved by og_id, so a sharded search over the same corpus
-            # returns bit-identical answers regardless of scan order.
-            if len(best) == k:
-                return (best[-1][0], best[-1][1].og_id)
-            return (float("inf"), float("inf"))
-
+        best = TopK(k)
         for key_q, record in ranked:
             leaf = record.leaf
             if len(leaf) == 0:
@@ -575,11 +567,11 @@ class STRGIndex:
             # Whole-cluster prune: nearest possible member is
             # max(key_q - max_key, 0).  Strict >: a candidate whose lower
             # bound ties the k-th distance can still win on og_id.
-            if key_q - leaf.max_key() > kth_best()[0]:
+            if key_q - leaf.max_key() > best.bound:
                 OBS.count("index.clusters_pruned")
                 continue
-            self._scan_leaf(leaf, query, key_q, k, best, kth_best)
-        return best
+            self._scan_leaf(leaf, query, key_q, best)
+        return best.hits
 
     def _evaluate(self, query, og: ObjectGraph) -> float:
         """Query-to-candidate metric distance for a returned hit.
@@ -596,8 +588,8 @@ class STRGIndex:
             return float(one_vs_many(self.metric_distance, query, [og])[0])
         return float(self.metric_distance(query, og))
 
-    def _scan_leaf(self, leaf: LeafNode, query, key_q: float, k: int,
-                   best: list, kth_best) -> None:
+    def _scan_leaf(self, leaf: LeafNode, query, key_q: float,
+                   best: TopK) -> None:
         """Expand outward from the query key position in a sorted leaf."""
         OBS.count("index.leaf_scans")
         keys = leaf.keys
@@ -617,7 +609,7 @@ class STRGIndex:
                 idx = right
                 right += 1
             gap = abs(keys[idx] - key_q)
-            if gap > kth_best()[0]:
+            if gap > best.bound:
                 # All remaining records in this direction are farther in
                 # key space; if both directions exceed, we are done.
                 if go_left:
@@ -626,39 +618,15 @@ class STRGIndex:
                     right = n
                 continue
             record = records[idx]
-            d = self._evaluate(query, record.og)
-            if (d, record.og.og_id) < kth_best():
-                entry = (d, record.og, record.clip_ref)
-                bisect.insort(best, entry, key=lambda e: (e[0], e[1].og_id))
-                if len(best) > k:
-                    best.pop()
-
-    def range_query(self, query, radius: float,
-                    background: BackgroundGraph | None = None
-                    ) -> list[tuple[float, ObjectGraph, Any]]:
-        """All OGs within ``radius`` of the query."""
-        if radius < 0:
-            raise InvalidParameterError(f"radius must be >= 0, got {radius}")
-        if not self.root:
-            raise IndexStateError("cannot search an empty STRG-Index")
-        with OBS.span("index.range_query", radius=radius) as sp:
-            results = self._range_query(query, radius, background)
-            sp.set(hits=len(results))
-            return results
+            best.offer(self._evaluate(query, record.og), record.og,
+                       record.clip_ref)
 
     def _range_query(self, query, radius: float,
                      background: BackgroundGraph | None
                      ) -> list[tuple[float, ObjectGraph, Any]]:
-        if background is not None:
-            matched = self._match_root(background)
-            root_records = [matched] if matched is not None else list(self.root)
-        else:
-            root_records = list(self.root)
         results: list[tuple[float, ObjectGraph, Any]] = []
-        for root_record in root_records:
-            records = list(root_record.cluster_node)
-            if not records:
-                continue
+        records = self.cluster_records(background)
+        if records:
             key_qs = self._keys_to_centroids(
                 query, [r.centroid for r in records]
             )
@@ -669,7 +637,7 @@ class STRGIndex:
                     d = self._evaluate(query, leaf_record.og)
                     if d <= radius:
                         results.append((d, leaf_record.og, leaf_record.clip_ref))
-        return sorted(results, key=lambda item: (item[0], item[1].og_id))
+        return sorted(results, key=hit_key)
 
     # -- introspection -----------------------------------------------------------
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -43,21 +42,6 @@ from repro.observability.registry import CacheStats as _CacheStats
 
 #: Default bound on memoized pairs (~50 MB of keys + floats).
 DEFAULT_MAX_ENTRIES = 262_144
-
-
-def __getattr__(name: str):
-    # CacheStats moved to repro.observability.registry (the blessed home
-    # for telemetry types); keep the old import path working with a nudge.
-    if name == "CacheStats":
-        warnings.warn(
-            "repro.distance.cache.CacheStats moved to "
-            "repro.observability.registry; cache counters are also "
-            "available via repro.observability.metrics()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _CacheStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def series_digest(series: np.ndarray) -> bytes:

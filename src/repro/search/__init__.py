@@ -6,9 +6,12 @@ shortlist with the exact batched EGED_M kernel under a hard budget of
 distance evaluations.  See ``docs/SEARCH.md`` for the sketch format and
 budget semantics; the usual entry point is the ``search_budget=``
 parameter of ``db.knn`` / ``STRGIndex.knn`` rather than this module
-directly.
+directly.  ``repro.search.request`` holds the search contract every
+layer speaks (``SearchRequest`` in, ``SearchResult`` out; see
+``docs/API.md``).
 """
 
+from repro.search.request import SearchRequest, SearchResult
 from repro.search.sketch import (
     SketchConfig,
     SketchIndex,
@@ -18,6 +21,8 @@ from repro.search.sketch import (
 )
 
 __all__ = [
+    "SearchRequest",
+    "SearchResult",
     "SketchConfig",
     "SketchIndex",
     "approx_knn",

@@ -73,6 +73,7 @@ from repro.distance.bounds import gap_mass, pivot_lower_bounds
 from repro.errors import InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
+from repro.search.request import SearchRequest, TopK
 
 #: Relative slack for rerank pruning comparisons, absorbing the batched
 #: kernel's ~1e-12 float asymmetry (same role as ShardedIndexConfig's
@@ -881,28 +882,26 @@ class SketchIndex:
         return bound, vote
 
 
-def approx_knn(sketch: SketchIndex, distance,
-               query: ObjectGraph | np.ndarray, k: int, search_budget: int,
+def approx_knn(sketch: SketchIndex, distance, request: SearchRequest,
                executor: Any = None, scan_workers: int | None = None
                ) -> list[tuple[float, ObjectGraph, Any]]:
     """Two-stage approximate k-NN over a :class:`SketchIndex`.
 
-    At most ``search_budget`` exact distance evaluations are spent in
-    total (pivot distances + rerank), floored at ``k + num_pivots`` so a
-    degenerate budget still returns ``k`` hits.  With ``search_budget >=
-    len(sketch) + num_pivots`` the search degenerates to an exact full
-    scan: every row is shortlisted and pruning is bound-exact.  Hits are
-    ``(distance, og, clip_ref)`` sorted by ``(distance, og_id)`` — the
-    same contract as the exact paths, and bit-identical whether the
-    sketch rows live in RAM or stream from the store's mmap columns.
+    ``request`` is a k-NN :class:`~repro.search.request.SearchRequest`
+    carrying a ``search_budget``.  At most that many exact distance
+    evaluations are spent in total (pivot distances + rerank), floored
+    at ``k + num_pivots`` so a degenerate budget still returns ``k``
+    hits.  With ``search_budget >= len(sketch) + num_pivots`` the search
+    degenerates to an exact full scan: every row is shortlisted and
+    pruning is bound-exact.  Hits are ``(distance, og, clip_ref)`` sorted
+    by ``(distance, og_id)`` — the same contract as the exact paths, and
+    bit-identical whether the sketch rows live in RAM or stream from the
+    store's mmap columns.
     """
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if search_budget < 1:
-        raise InvalidParameterError(
-            f"search_budget must be >= 1, got {search_budget}"
-        )
-    series = as_series(query)
+    k, search_budget = request.k, request.search_budget
+    if k == 0:
+        return []
+    series = request.series
     n = len(sketch)
     with OBS.span("search.approx_knn", k=k, budget=search_budget) as sp:
         OBS.count("search.knn_queries")
@@ -917,19 +916,13 @@ def approx_knn(sketch: SketchIndex, distance,
         idx = idx[order]
         lbs = lbs[order]
 
-        best: list[tuple[float, ObjectGraph, Any]] = []
-
-        def kth() -> tuple[float, float]:
-            if len(best) == k:
-                return (best[-1][0], best[-1][1].og_id)
-            return (float("inf"), float("inf"))
-
+        best = TopK(k)
         evaluated = 0
         pruned = 0
         start = 0
         batch = sketch.config.rerank_batch
         while start < len(idx):
-            bound = kth()[0]
+            bound = best.bound
             slack = (0.0 if math.isinf(bound)
                      else PRUNE_SLACK * (1.0 + abs(bound)))
             if lbs[start] > bound + slack:
@@ -948,32 +941,14 @@ def approx_knn(sketch: SketchIndex, distance,
                 dists = one_vs_many(distance, series, items)
             evaluated += len(chunk)
             for i, d in zip(chunk, dists):
-                d = float(d)
-                og, ref = sketch.row_record(int(i))
-                if (d, og.og_id) < kth():
-                    _insort(best, (d, og, ref))
-                    if len(best) > k:
-                        best.pop()
+                best.offer(float(d), *sketch.row_record(int(i)))
             start = stop
         OBS.count("search.distances_computed", evaluated + pivot_evals)
         OBS.count("search.candidates_pruned", pruned)
         OBS.count("search.distances_saved",
                   max(0, n - evaluated - pivot_evals))
-        sp.set(hits=len(best), evaluated=evaluated, pruned=pruned)
-        return best
-
-
-def _insort(best: list, entry: tuple) -> None:
-    """Insert ``entry`` into ``best`` ordered by ``(distance, og_id)``."""
-    key = (entry[0], entry[1].og_id)
-    lo, hi = 0, len(best)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (best[mid][0], best[mid][1].og_id) < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    best.insert(lo, entry)
+        sp.set(hits=len(best.hits), evaluated=evaluated, pruned=pruned)
+        return best.hits
 
 
 def sketch_meta_json(sketch: SketchIndex) -> str:

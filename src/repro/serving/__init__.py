@@ -43,18 +43,9 @@ from repro.serving.loadgen import (
 )
 from repro.serving.net import NetConfig, NetFrontend, request_json
 from repro.serving.service import QueryResponse, QueryService, ServiceConfig
-from repro.serving.sharding import (
-    ShardedIndex,
-    ShardedIndexConfig,
-    ShardedSearchResult,
-)
+from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 from repro.serving.snapshot import IndexSnapshot, LiveIndex, LiveIndexConfig
-from repro.serving.workers import (
-    RemoteHit,
-    RemoteSearchResult,
-    WorkerPool,
-    WorkerPoolConfig,
-)
+from repro.serving.workers import RemoteHit, WorkerPool, WorkerPoolConfig
 
 __all__ = [
     "IndexSnapshot",
@@ -71,11 +62,9 @@ __all__ = [
     "QueryResponse",
     "QueryService",
     "RemoteHit",
-    "RemoteSearchResult",
     "ServiceConfig",
     "ShardedIndex",
     "ShardedIndexConfig",
-    "ShardedSearchResult",
     "WorkerPool",
     "WorkerPoolConfig",
     "request_json",

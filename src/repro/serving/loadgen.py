@@ -32,6 +32,7 @@ from repro.errors import (
     InvalidParameterError,
     ServiceOverloadError,
 )
+from repro.search.request import SearchRequest
 from repro.serving.service import QueryService
 
 
@@ -224,8 +225,9 @@ def run_open_loop(service: QueryService,
         report.requests_sent += 1
         sent += 1
         try:
-            outstanding.append(service.submit_knn(
-                query, k, deadline=deadline, search_budget=search_budget))
+            outstanding.append(service.submit(SearchRequest.knn(
+                query, k, search_budget=search_budget, degrade=True),
+                deadline))
         except ServiceOverloadError:
             _record(report, lock, "rejected")
 

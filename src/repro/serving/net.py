@@ -61,6 +61,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.observability import OBS, export_metrics_prometheus
+from repro.search.request import SearchRequest
 
 #: Largest accepted request body (an /ingest clip dominates).
 MAX_BODY_BYTES = 64 << 20
@@ -433,61 +434,46 @@ class NetFrontend:
                 400, f"'query' is not a numeric trajectory: {exc}")
 
     @staticmethod
-    def _as_int(value: Any, name: str) -> int:
-        """Coerce a client-supplied field to int; bad input is a 400."""
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise _HttpError(
-                400, f"'{name}' must be an integer, got {value!r}")
-
-    @staticmethod
     def _as_float(value: Any, name: str) -> float:
+        """Coerce a client-supplied field to float; bad input is a 400."""
         try:
             return float(value)
         except (TypeError, ValueError):
             raise _HttpError(
                 400, f"'{name}' must be a number, got {value!r}")
 
-    def _query_response(self, result: Any, started: float
-                        ) -> dict[str, Any]:
-        return {
+    async def _answer(self, search: SearchRequest, deadline: Any
+                      ) -> tuple[int, Any, str]:
+        """Run a validated request on the pool; 200 + the JSON answer."""
+        started = time.perf_counter()
+        result = await self._admit_and_run(
+            lambda: self.pool.search(search), deadline)
+        return 200, {
             "snapshot": self.pool.snapshot_version,
             "hits": [hit.as_dict() for hit in result.hits],
             "degraded": result.degraded,
             "failed_shards": result.failed_shards,
             "latency": time.perf_counter() - started,
-        }
+        }, "application/json"
 
     async def _handle_knn(self, request: dict[str, Any]
                           ) -> tuple[int, Any, str]:
         query = self._parse_query(request)
         if "k" not in request:
             raise _HttpError(400, "missing required field 'k'")
-        k = self._as_int(request["k"], "k")
-        budget = request.get("search_budget")
-        if budget is not None:
-            budget = self._as_int(budget, "search_budget")
-        degrade = bool(request.get("degrade", True))
-        started = time.perf_counter()
-        result = await self._admit_and_run(
-            lambda: self.pool.knn(
-                query, k, search_budget=budget, degrade=degrade),
-            request.get("deadline"))
-        return 200, self._query_response(result, started), "application/json"
+        return await self._answer(SearchRequest.knn(
+            query, request["k"],
+            search_budget=request.get("search_budget"),
+            degrade=request.get("degrade", True)), request.get("deadline"))
 
     async def _handle_range(self, request: dict[str, Any]
                             ) -> tuple[int, Any, str]:
         query = self._parse_query(request)
         if "radius" not in request:
             raise _HttpError(400, "missing required field 'radius'")
-        radius = self._as_float(request["radius"], "radius")
-        degrade = bool(request.get("degrade", True))
-        started = time.perf_counter()
-        result = await self._admit_and_run(
-            lambda: self.pool.range_query(query, radius, degrade=degrade),
-            request.get("deadline"))
-        return 200, self._query_response(result, started), "application/json"
+        return await self._answer(SearchRequest.range(
+            query, request["radius"],
+            degrade=request.get("degrade", True)), request.get("deadline"))
 
     async def _handle_query(self, request: dict[str, Any]
                             ) -> tuple[int, Any, str]:

@@ -42,6 +42,7 @@ from repro.errors import (
 )
 from repro.graph.decomposition import BackgroundGraph
 from repro.observability import OBS
+from repro.search.request import SearchRequest
 from repro.serving.snapshot import IndexSnapshot, LiveIndex
 
 _SHUTDOWN = object()  # queue sentinel that stops a worker
@@ -104,23 +105,19 @@ class QueryResponse:
 
 @dataclass
 class _Request:
-    kind: str  # "knn" | "range"
-    query: Any
-    arg: Any  # k for knn, radius for range
-    background: BackgroundGraph | None
+    search: SearchRequest
     deadline: float | None  # absolute time.monotonic() cutoff
     enqueued: float
     future: Future
-    search_budget: int | None = None  # knn only: approximate-tier budget
 
 
 class QueryService:
     """Concurrent query frontend over a :class:`LiveIndex`.
 
     Workers start in the constructor; use as a context manager (or call
-    :meth:`shutdown`) to stop them.  ``submit_knn``/``submit_range``
-    return :class:`concurrent.futures.Future` objects resolving to
-    :class:`QueryResponse`; ``knn``/``range_query`` are their blocking
+    :meth:`shutdown`) to stop them.  :meth:`submit` returns a
+    :class:`concurrent.futures.Future` resolving to a
+    :class:`QueryResponse`; ``knn``/``range_query`` are its blocking
     conveniences.
     """
 
@@ -142,43 +139,14 @@ class QueryService:
 
     # -- submission -----------------------------------------------------------
 
-    def submit_knn(self, query, k: int,
-                   background: BackgroundGraph | None = None,
-                   deadline: float | None = None,
-                   search_budget: int | None = None) -> Future:
-        """Enqueue a k-NN request; rejects instead of blocking when full.
+    def submit(self, request: SearchRequest,
+               deadline: float | None = None) -> Future:
+        """Enqueue a request; rejects instead of blocking when full.
 
-        ``search_budget`` routes the request through the approximate
-        sketch tier with that many exact distance evaluations (see
-        ``docs/SEARCH.md``); ``None`` keeps the exact path.
+        ``deadline`` is in seconds from now (default: the service's
+        ``default_deadline``).  Set ``degrade=True`` on the request to
+        get partial hits instead of an error when a shard is lost.
         """
-        return self._submit("knn", query, k, background, deadline,
-                            search_budget=search_budget)
-
-    def submit_range(self, query, radius: float,
-                     background: BackgroundGraph | None = None,
-                     deadline: float | None = None) -> Future:
-        """Enqueue a range request; rejects instead of blocking when full."""
-        return self._submit("range", query, radius, background, deadline)
-
-    def knn(self, query, k: int,
-            background: BackgroundGraph | None = None,
-            deadline: float | None = None,
-            search_budget: int | None = None) -> QueryResponse:
-        """Submit a k-NN request and block for its response."""
-        return self.submit_knn(query, k, background, deadline,
-                               search_budget=search_budget).result()
-
-    def range_query(self, query, radius: float,
-                    background: BackgroundGraph | None = None,
-                    deadline: float | None = None) -> QueryResponse:
-        """Submit a range request and block for its response."""
-        return self.submit_range(query, radius, background, deadline).result()
-
-    def _submit(self, kind: str, query, arg,
-                background: BackgroundGraph | None,
-                deadline: float | None,
-                search_budget: int | None = None) -> Future:
         if self._stopped:
             raise ServiceStoppedError(
                 "query service is stopped; no new requests accepted"
@@ -190,14 +158,13 @@ class QueryService:
                 f"deadline must be > 0 seconds, got {deadline}"
             )
         now = time.monotonic()
-        request = _Request(
-            kind=kind, query=query, arg=arg, background=background,
+        queued = _Request(
+            search=request, enqueued=now, future=Future(),
             deadline=None if deadline is None else now + deadline,
-            enqueued=now, future=Future(), search_budget=search_budget,
         )
         with self._admission_lock:
             try:
-                self._queue.put_nowait(request)
+                self._queue.put_nowait(queued)
             except queue.Full:
                 # Expired requests still queued are dead weight: fail
                 # them now (they'd only bounce off a worker later) and
@@ -208,10 +175,27 @@ class QueryService:
                         f"admission queue full ({self.config.queue_depth} "
                         "deep); retry later or shed load upstream"
                     ) from None
-                self._queue.put(request)
+                self._queue.put(queued)
         OBS.count("serving.requests_accepted")
         OBS.gauge("serving.queue_depth", self._queue.qsize())
-        return request.future
+        return queued.future
+
+    def knn(self, query, k: int,
+            background: BackgroundGraph | None = None,
+            deadline: float | None = None,
+            search_budget: int | None = None) -> QueryResponse:
+        """Submit a degradable k-NN request and block for its response."""
+        return self.submit(SearchRequest.knn(
+            query, k, background=background, search_budget=search_budget,
+            degrade=True), deadline).result()
+
+    def range_query(self, query, radius: float,
+                    background: BackgroundGraph | None = None,
+                    deadline: float | None = None) -> QueryResponse:
+        """Submit a degradable range request and block for its response."""
+        return self.submit(SearchRequest.range(
+            query, radius, background=background, degrade=True),
+            deadline).result()
 
     def _purge_expired(self) -> int:
         """Fail queued requests whose deadline already lapsed; returns
@@ -271,14 +255,7 @@ class QueryService:
             return
         snapshot: IndexSnapshot = self.live.snapshot
         try:
-            if request.kind == "knn":
-                result = snapshot.knn_detailed(
-                    request.query, request.arg, request.background,
-                    search_budget=request.search_budget,
-                )
-            else:
-                result = snapshot.range_query_detailed(
-                    request.query, request.arg, request.background)
+            result = snapshot.search(request.search)
             latency = time.monotonic() - request.enqueued
             if (request.deadline is not None
                     and time.monotonic() > request.deadline):

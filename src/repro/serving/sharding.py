@@ -38,7 +38,7 @@ from __future__ import annotations
 import copy
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -57,6 +57,13 @@ from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.resilience.faults import maybe_fail
+from repro.search.request import (
+    SearchRequest,
+    SearchResult,
+    TopK,
+    hit_key,
+    split_budget,
+)
 
 #: Supported placement strategies.
 PLACEMENTS = ("affine", "hash")
@@ -114,22 +121,6 @@ class ShardedIndexConfig:
             raise InvalidParameterError(
                 f"prune_slack must be >= 0, got {self.prune_slack}"
             )
-
-
-@dataclass
-class ShardedSearchResult:
-    """Scatter-gather outcome: hits plus degradation telemetry.
-
-    ``hits`` are ``(distance, og, clip_ref)`` tuples sorted by
-    ``(distance, og_id)``.  When a shard fails mid-search (fault
-    injection, or a real per-shard backend error) the degraded-read path
-    sets ``degraded`` and lists the ``failed_shards`` whose candidates
-    are missing from ``hits``.
-    """
-
-    hits: list[tuple[float, ObjectGraph, Any]]
-    degraded: bool = False
-    failed_shards: list[int] = field(default_factory=list)
 
 
 class _ClusterCache:
@@ -197,6 +188,38 @@ class ShardedIndex:
         self._bounds_lock = threading.Lock()
 
     # -- construction ---------------------------------------------------------
+
+    @classmethod
+    def from_shards(cls, shards: Sequence[STRGIndex],
+                    serving_config: dict[str, Any] | None = None,
+                    pivots: Sequence[np.ndarray] | None = None
+                    ) -> "ShardedIndex":
+        """An index over already-built shards (a loaded snapshot, or a
+        worker's partition of one).
+
+        ``serving_config`` is a persisted :meth:`serving_config`;
+        ``index`` and ``num_shards`` are taken from the shards themselves.  ``pivots`` may outnumber the shards: a
+        partition keeps every corpus pivot, since pivots only serve
+        triangle pruning and more reference points mean tighter bounds.
+        """
+        index = cls(ShardedIndexConfig(**{
+            **(serving_config or {}),
+            "num_shards": len(shards), "index": shards[0].config,
+        }))
+        index.shards = list(shards)
+        index.metric_distance = shards[0].metric_distance
+        index.cluster_distance = shards[0].cluster_distance
+        if pivots is not None:
+            index.pivots = [np.asarray(p, dtype=np.float64) for p in pivots]
+        index.refresh_bounds()
+        return index
+
+    def serving_config(self) -> dict[str, Any]:
+        """The persisted half of the config — what :meth:`from_shards`
+        takes back (the per-shard ``index`` config travels with the
+        shards)."""
+        return {f.name: getattr(self.config, f.name)
+                for f in fields(self.config) if f.name != "index"}
 
     @property
     def num_shards(self) -> int:
@@ -428,24 +451,21 @@ class ShardedIndex:
 
     # -- search ---------------------------------------------------------------
 
-    def knn(self, query: ObjectGraph | np.ndarray, k: int,
-            background: BackgroundGraph | None = None,
-            search_budget: int | None = None,
-            prune_bound: float | None = None
-            ) -> list[tuple[float, ObjectGraph, Any]]:
-        """Exact k-NN over all shards, as ``(distance, og, clip_ref)``.
+    def search(self, request: SearchRequest) -> SearchResult:
+        """Answer one request by scatter-gather over all shards.
 
-        Bit-identical to the monolithic ``STRGIndex.knn`` over the same
-        corpus (ties broken by og_id).  ``k = 0`` yields ``[]``; ``k``
-        beyond the corpus returns everything.  Shard failures propagate;
-        use :meth:`knn_detailed` for degraded partial reads.
+        Exact answers are bit-identical to the monolithic
+        ``STRGIndex.search`` over the same corpus (ties broken by
+        og_id).  A shard raising
+        :class:`~repro.errors.ShardUnavailableError` (e.g. under fault
+        injection) propagates unless ``request.degrade`` is set; then it
+        is skipped and the result carries the surviving hits with
+        ``degraded=True``.
 
         With ``search_budget`` set, each shard runs its *approximate*
-        sketch tier (see ``docs/SEARCH.md``) with the budget split
-        proportionally to shard sizes (floored at ``k`` per shard, so
-        the split can overshoot the global budget by at most
-        ``num_shards * k`` evaluations), and the per-shard top-k lists
-        are merged by ``(distance, og_id)``.
+        sketch tier (see ``docs/SEARCH.md``) on its
+        :func:`~repro.search.request.split_budget` share, and the
+        per-shard top-k lists are merged by ``(distance, og_id)``.
 
         ``prune_bound`` is an externally-known upper bound on the k-th
         nearest distance (e.g. the k-th hit of another partition of the
@@ -454,69 +474,54 @@ class ShardedIndex:
         result exact; it exists so distributed callers (the
         ``serving.workers`` pool) can share one global bound across
         partitions the way this index shares one bound across shards.
+        ``n_probe`` applies to the monolithic exact path only.
         """
-        return self._search_knn(query, k, background, degrade=False,
-                                search_budget=search_budget,
-                                prune_bound=prune_bound).hits
-
-    def knn_detailed(self, query: ObjectGraph | np.ndarray, k: int,
-                     background: BackgroundGraph | None = None,
-                     search_budget: int | None = None,
-                     prune_bound: float | None = None
-                     ) -> ShardedSearchResult:
-        """k-NN with per-shard failure degradation.
-
-        A shard raising :class:`~repro.errors.ShardUnavailableError`
-        (e.g. under fault injection) is skipped; the result carries the
-        surviving hits with ``degraded=True``.
-        """
-        return self._search_knn(query, k, background, degrade=True,
-                                search_budget=search_budget,
-                                prune_bound=prune_bound)
-
-    def _search_knn(self, query, k: int,
-                    background: BackgroundGraph | None,
-                    degrade: bool,
-                    search_budget: int | None = None,
-                    prune_bound: float | None = None) -> ShardedSearchResult:
-        if k < 0:
-            raise InvalidParameterError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return ShardedSearchResult([])
-        if search_budget is not None and search_budget < 1:
-            raise InvalidParameterError(
-                f"search_budget must be >= 1, got {search_budget}"
-            )
-        if prune_bound is not None and not prune_bound >= 0.0:
-            raise InvalidParameterError(
-                f"prune_bound must be >= 0, got {prune_bound}"
-            )
+        if request.k == 0:
+            return SearchResult([])
         if len(self) == 0:
             raise IndexStateError("cannot search an empty sharded index")
-        with OBS.span("serving.knn", k=k, shards=self.num_shards,
-                      budget=search_budget) as sp:
+        if request.kind == "range":
+            with OBS.span("serving.range_query",
+                          radius=request.radius) as sp:
+                result = self._range_scatter(request)
+                sp.set(hits=len(result.hits), degraded=result.degraded)
+                return result
+        with OBS.span("serving.knn", k=request.k, shards=self.num_shards,
+                      budget=request.search_budget) as sp:
             OBS.count("serving.knn_queries")
-            if search_budget is not None:
-                result = self._approx_scatter(query, k, background,
-                                              search_budget, degrade)
+            if request.search_budget is not None:
+                result = self._approx_scatter(request)
             else:
-                result = self._scatter_gather(query, k, background, degrade,
-                                              prune_bound)
+                result = self._scatter_gather(request)
             sp.set(hits=len(result.hits), degraded=result.degraded)
             return result
 
-    def _approx_scatter(self, query, k: int,
-                        background: BackgroundGraph | None,
-                        search_budget: int, degrade: bool
-                        ) -> ShardedSearchResult:
-        """Budgeted scatter: each shard searches its own sketch tier.
+    def knn(self, query: ObjectGraph | np.ndarray, k: int,
+            background: BackgroundGraph | None = None,
+            search_budget: int | None = None
+            ) -> list[tuple[float, ObjectGraph, Any]]:
+        """k-NN over all shards, as ``(distance, og, clip_ref)`` (sugar
+        for :meth:`search`; shard failures propagate)."""
+        return self.search(SearchRequest.knn(
+            query, k, background=background,
+            search_budget=search_budget)).hits
 
-        The budget is divided proportionally to shard sizes so a shard
-        holding half the corpus gets half the evaluations; every live
-        shard gets at least ``k`` so it can always fill a top-k list.
+    def range_query(self, query, radius: float,
+                    background: BackgroundGraph | None = None
+                    ) -> list[tuple[float, ObjectGraph, Any]]:
+        """All OGs within ``radius``, merged across shards (sugar for
+        :meth:`search`)."""
+        return self.search(SearchRequest.range(
+            query, radius, background=background)).hits
+
+    def _live_shards(self, degrade: bool) -> tuple[list[int], list[int]]:
+        """Ordinals of the non-empty shards to search, and of those lost.
+
+        The shard fault-injection point fires here, before any kernel
+        work: a failed shard contributes nothing and the search degrades
+        to partial results (or raises, on the strict path).
         """
-        total = len(self)
-        hits: list[tuple[float, ObjectGraph, Any]] = []
+        live: list[int] = []
         failed: list[int] = []
         for s, shard in enumerate(self.shards):
             if len(shard) == 0:
@@ -529,37 +534,31 @@ class ShardedIndex:
                 OBS.count("serving.shards_failed")
                 failed.append(s)
                 continue
-            share = max(k, math.ceil(search_budget * len(shard) / total))
-            hits.extend(shard.knn(query, k, background,
-                                  search_budget=share))
-        hits.sort(key=lambda h: (h[0], h[1].og_id))
-        return ShardedSearchResult(hits[:k], bool(failed), failed)
+            live.append(s)
+        return live, failed
+
+    def _approx_scatter(self, request: SearchRequest) -> SearchResult:
+        """Budgeted scatter: each shard searches its own sketch tier."""
+        live, failed = self._live_shards(request.degrade)
+        shares = split_budget(request.search_budget, self.shard_sizes(),
+                              request.k)
+        hits: list[tuple[float, ObjectGraph, Any]] = []
+        for s in live:
+            hits.extend(self.shards[s].search(
+                replace(request, search_budget=shares[s])).hits)
+        hits.sort(key=hit_key)
+        return SearchResult(hits[:request.k], bool(failed), failed)
 
     def _gather(self, background: BackgroundGraph | None, degrade: bool
                 ) -> tuple[list[tuple[ClusterRecord, _ClusterCache]],
                            list[int]]:
-        """Collect ``(cluster_record, scan_cache)`` pairs from live shards.
-
-        The shard fault-injection point fires here, before any kernel
-        work: a failed shard contributes no clusters and the search
-        degrades to partial results (or raises, on the strict path).
-        """
+        """Collect ``(cluster_record, scan_cache)`` pairs from live shards."""
         bounds = self._fresh_bounds()
         clusters: list[tuple[ClusterRecord, _ClusterCache]] = []
-        failed: list[int] = []
-        for s, shard in enumerate(self.shards):
-            if len(shard) == 0:
-                continue
-            try:
-                maybe_fail("serving.shard", shard=s)
-            except ShardUnavailableError:
-                if not degrade:
-                    raise
-                OBS.count("serving.shards_failed")
-                failed.append(s)
-                continue
+        live, failed = self._live_shards(degrade)
+        for s in live:
             sb = bounds[s]
-            for record in shard.cluster_records(background):
+            for record in self.shards[s].cluster_records(background):
                 if len(record.leaf) == 0:
                     continue
                 cache = sb.by_record.get(id(record)) if sb is not None \
@@ -608,24 +607,36 @@ class ShardedIndex:
             return batch[n_pivots:], batch[:n_pivots]
         return one_vs_many(self.metric_distance, series, centroids), None
 
-    def _scatter_gather(self, query, k: int,
-                        background: BackgroundGraph | None,
-                        degrade: bool,
-                        prune_bound: float | None = None
-                        ) -> ShardedSearchResult:
-        series = as_series(query)
-        clusters, failed = self._gather(background, degrade)
+    def _distances(self, series: np.ndarray, items: list) -> np.ndarray:
+        if self.executor is not None:
+            return self.executor.one_vs_many(self.metric_distance, series,
+                                             items)
+        return one_vs_many(self.metric_distance, series, items)
+
+    @staticmethod
+    def _prunable(cache: _ClusterCache, key_q: float,
+                  pivot_qs: np.ndarray | None, limit: float) -> bool:
+        """Whether no member of the cluster can lie within ``limit``."""
+        if key_q - cache.max_key > limit:
+            return True
+        if pivot_qs is not None and cache.centroid_pd is not None:
+            # Triangle bound via the pivot fleet: every member o of this
+            # cluster has d(q, o) >= |d(q,P) - d(P,c)| - max_key for each
+            # pivot P; take the tightest.
+            return float(np.max(np.abs(pivot_qs - cache.centroid_pd))) \
+                - cache.max_key > limit
+        return False
+
+    def _scatter_gather(self, request: SearchRequest) -> SearchResult:
+        series = request.series
+        clusters, failed = self._gather(request.background, request.degrade)
         if not clusters:
-            return ShardedSearchResult([], bool(failed), failed)
+            return SearchResult([], bool(failed), failed)
         key_qs, pivot_qs = self._rank(series, clusters)
 
-        best: list[tuple[float, ObjectGraph, Any]] = []
-        external = float("inf") if prune_bound is None else float(prune_bound)
-
-        def kth() -> tuple[float, float]:
-            if len(best) == k:
-                return (best[-1][0], best[-1][1].og_id)
-            return (float("inf"), float("inf"))
+        best = TopK(request.k)
+        external = (math.inf if request.prune_bound is None
+                    else float(request.prune_bound))
 
         def cut() -> float:
             # Pruning-only bound: the local kth candidate, tightened by
@@ -633,7 +644,7 @@ class ShardedIndex:
             # *pruned* against it (strictly, beyond the slack), so ties
             # at the bound survive and the result stays exact for any
             # valid upper bound on the true kth distance.
-            return min(kth()[0], external)
+            return min(best.bound, external)
 
         def flush(pending: list[tuple[float, LeafRecord, np.ndarray]]) -> None:
             # Evaluate pending candidates best-first in ``eval_batch``
@@ -657,19 +668,10 @@ class ShardedIndex:
                               len(pending) - start)
                     break
                 chunk = pending[start:stop]
-                items = [srs for _, _, srs in chunk]
-                if self.executor is not None:
-                    dists = self.executor.one_vs_many(self.metric_distance,
-                                                      series, items)
-                else:
-                    dists = one_vs_many(self.metric_distance, series, items)
+                dists = self._distances(series, [srs for _, _, srs in chunk])
                 OBS.count("serving.candidates_evaluated", len(chunk))
                 for (_, rec, _), d in zip(chunk, dists):
-                    d = float(d)
-                    if (d, rec.og.og_id) < kth():
-                        _insort(best, (d, rec.og, rec.clip_ref))
-                        if len(best) > k:
-                            best.pop()
+                    best.offer(float(d), rec.og, rec.clip_ref)
                 start = stop
             pending.clear()
 
@@ -688,22 +690,39 @@ class ShardedIndex:
             key_q = float(key_qs[int(i)])
             bound = cut()
             slack = self._slack(bound)
-            if key_q - cache.max_key > bound + slack:
+            if self._prunable(cache, key_q, pivot_qs, bound + slack):
                 OBS.count("serving.clusters_pruned")
                 continue
-            if pivot_qs is not None and cache.centroid_pd is not None:
-                # Triangle bound via the pivot fleet: every member o of
-                # this cluster has d(q, o) >= |d(q,P) - d(P,c)| - max_key
-                # for each pivot P; take the tightest.
-                lb = float(np.max(np.abs(pivot_qs - cache.centroid_pd))) \
-                    - cache.max_key
-                if lb > bound + slack:
-                    OBS.count("serving.clusters_pruned")
-                    continue
             self._window(record, cache, key_q, pivot_qs, bound, slack,
                          pending)
         flush(pending)
-        return ShardedSearchResult(best, bool(failed), failed)
+        return SearchResult(best.hits, bool(failed), failed)
+
+    def _range_scatter(self, request: SearchRequest) -> SearchResult:
+        radius = request.radius
+        series = request.series
+        clusters, failed = self._gather(request.background, request.degrade)
+        hits: list[tuple[float, ObjectGraph, Any]] = []
+        if clusters:
+            key_qs, pivot_qs = self._rank(series, clusters)
+            slack = self._slack(radius)
+            pending: list[tuple[float, LeafRecord, np.ndarray]] = []
+            for (record, cache), key_q in zip(clusters, key_qs):
+                key_q = float(key_q)
+                if self._prunable(cache, key_q, pivot_qs, radius + slack):
+                    OBS.count("serving.clusters_pruned")
+                    continue
+                self._window(record, cache, key_q, pivot_qs, radius, slack,
+                             pending)
+            if pending:
+                dists = self._distances(series,
+                                        [srs for _, _, srs in pending])
+                OBS.count("serving.candidates_evaluated", len(pending))
+                for (_, rec, _), d in zip(pending, dists):
+                    if float(d) <= radius:
+                        hits.append((float(d), rec.og, rec.clip_ref))
+        hits.sort(key=hit_key)
+        return SearchResult(hits, bool(failed), failed)
 
     def _window(self, record: ClusterRecord, cache: _ClusterCache,
                 key_q: float, pivot_qs: np.ndarray | None, bound: float,
@@ -742,80 +761,6 @@ class ShardedIndex:
             for lb, i in zip(lbs, idx)
         )
 
-    def range_query(self, query, radius: float,
-                    background: BackgroundGraph | None = None
-                    ) -> list[tuple[float, ObjectGraph, Any]]:
-        """All OGs within ``radius``, merged across shards."""
-        return self._search_range(query, radius, background,
-                                  degrade=False).hits
-
-    def range_query_detailed(self, query, radius: float,
-                             background: BackgroundGraph | None = None
-                             ) -> ShardedSearchResult:
-        """Range query with per-shard failure degradation."""
-        return self._search_range(query, radius, background, degrade=True)
-
-    def _search_range(self, query, radius: float,
-                      background: BackgroundGraph | None,
-                      degrade: bool) -> ShardedSearchResult:
-        if radius < 0:
-            raise InvalidParameterError(f"radius must be >= 0, got {radius}")
-        if len(self) == 0:
-            raise IndexStateError("cannot search an empty sharded index")
-        with OBS.span("serving.range_query", radius=radius) as sp:
-            series = as_series(query)
-            clusters, failed = self._gather(background, degrade)
-            hits: list[tuple[float, ObjectGraph, Any]] = []
-            if clusters:
-                key_qs, pivot_qs = self._rank(series, clusters)
-                slack = self._slack(radius)
-                pending: list[tuple[float, LeafRecord, np.ndarray]] = []
-                for (record, cache), key_q in zip(clusters, key_qs):
-                    key_q = float(key_q)
-                    if key_q - cache.max_key > radius + slack:
-                        OBS.count("serving.clusters_pruned")
-                        continue
-                    if pivot_qs is not None \
-                            and cache.centroid_pd is not None:
-                        lb = float(np.max(np.abs(
-                            pivot_qs - cache.centroid_pd))) - cache.max_key
-                        if lb > radius + slack:
-                            OBS.count("serving.clusters_pruned")
-                            continue
-                    self._window(record, cache, key_q, pivot_qs, radius,
-                                 slack, pending)
-                if pending:
-                    items = [srs for _, _, srs in pending]
-                    if self.executor is not None:
-                        dists = self.executor.one_vs_many(
-                            self.metric_distance, series, items)
-                    else:
-                        dists = one_vs_many(self.metric_distance, series,
-                                            items)
-                    OBS.count("serving.candidates_evaluated", len(pending))
-                    for (_, rec, _), d in zip(pending, dists):
-                        if float(d) <= radius:
-                            hits.append((float(d), rec.og, rec.clip_ref))
-            hits.sort(key=lambda h: (h[0], h[1].og_id))
-            sp.set(hits=len(hits), degraded=bool(failed))
-            return ShardedSearchResult(hits, bool(failed), failed)
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path) -> str:
-        """Persist shards + placement; see
-        :func:`repro.storage.serialize.save_sharded_index`."""
-        from repro.storage.serialize import save_sharded_index
-
-        return save_sharded_index(path, self)
-
-    @classmethod
-    def load(cls, path) -> "ShardedIndex":
-        """Load an index saved by :meth:`save`."""
-        from repro.storage.serialize import load_sharded_index
-
-        return load_sharded_index(path)
-
     # -- introspection --------------------------------------------------------
 
     def object_graphs(self) -> Iterator[ObjectGraph]:
@@ -848,16 +793,3 @@ class ShardedIndex:
             f"ShardedIndex(shards={self.num_shards}, "
             f"placement={self.config.placement!r}, ogs={len(self)})"
         )
-
-
-def _insort(best: list, entry: tuple) -> None:
-    """Insert ``entry`` into ``best`` ordered by ``(distance, og_id)``."""
-    key = (entry[0], entry[1].og_id)
-    lo, hi = 0, len(best)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (best[mid][0], best[mid][1].og_id) < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    best.insert(lo, entry)

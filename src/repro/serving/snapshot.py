@@ -24,13 +24,12 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from repro.errors import InvalidParameterError, StorageError
 from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
-from repro.serving.sharding import ShardedIndex, ShardedSearchResult
+from repro.search.request import SearchRequest, SearchResult
+from repro.serving.sharding import ShardedIndex
 
 logger = logging.getLogger(__name__)
 
@@ -61,45 +60,8 @@ class IndexSnapshot:
     def __len__(self) -> int:
         return len(self.index)
 
-    def knn(self, query: ObjectGraph | np.ndarray, k: int,
-            background: BackgroundGraph | None = None,
-            search_budget: int | None = None
-            ) -> list[tuple[float, ObjectGraph, Any]]:
-        if search_budget is None:
-            return self.index.knn(query, k, background)
-        return self.index.knn(query, k, background,
-                              search_budget=search_budget)
-
-    def knn_detailed(self, query: ObjectGraph | np.ndarray, k: int,
-                     background: BackgroundGraph | None = None,
-                     search_budget: int | None = None
-                     ) -> ShardedSearchResult:
-        """Degraded-read k-NN (uniform over sharded/monolithic indexes).
-
-        ``search_budget`` is forwarded only when set, so indexes that
-        predate the approximate tier (or test doubles without the
-        keyword) keep working on the default exact path.
-        """
-        if hasattr(self.index, "knn_detailed"):
-            if search_budget is None:
-                return self.index.knn_detailed(query, k, background)
-            return self.index.knn_detailed(query, k, background,
-                                           search_budget=search_budget)
-        return ShardedSearchResult(self.knn(query, k, background,
-                                            search_budget))
-
-    def range_query(self, query, radius: float,
-                    background: BackgroundGraph | None = None
-                    ) -> list[tuple[float, ObjectGraph, Any]]:
-        return self.index.range_query(query, radius, background)
-
-    def range_query_detailed(self, query, radius: float,
-                             background: BackgroundGraph | None = None
-                             ) -> ShardedSearchResult:
-        if hasattr(self.index, "range_query_detailed"):
-            return self.index.range_query_detailed(query, radius, background)
-        return ShardedSearchResult(self.index.range_query(query, radius,
-                                                          background))
+    def search(self, request: SearchRequest) -> SearchResult:
+        return self.index.search(request)
 
     def __repr__(self) -> str:
         return f"IndexSnapshot(version={self.version}, ogs={len(self)})"
@@ -211,26 +173,21 @@ class LiveIndex:
     def version(self) -> int:
         return self._snapshot.version
 
+    def search(self, request: SearchRequest) -> SearchResult:
+        """Answer from the snapshot published when the call starts."""
+        return self._snapshot.search(request)
+
     def knn(self, query, k: int,
             background: BackgroundGraph | None = None,
             search_budget: int | None = None):
-        return self._snapshot.knn(query, k, background, search_budget)
-
-    def knn_detailed(self, query, k: int,
-                     background: BackgroundGraph | None = None,
-                     search_budget: int | None = None
-                     ) -> ShardedSearchResult:
-        return self._snapshot.knn_detailed(query, k, background,
-                                           search_budget)
+        return self.search(SearchRequest.knn(
+            query, k, background=background,
+            search_budget=search_budget)).hits
 
     def range_query(self, query, radius: float,
                     background: BackgroundGraph | None = None):
-        return self._snapshot.range_query(query, radius, background)
-
-    def range_query_detailed(self, query, radius: float,
-                             background: BackgroundGraph | None = None
-                             ) -> ShardedSearchResult:
-        return self._snapshot.range_query_detailed(query, radius, background)
+        return self.search(SearchRequest.range(
+            query, radius, background=background)).hits
 
     def __len__(self) -> int:
         return len(self._snapshot)

@@ -25,9 +25,9 @@ shard, row)``.  That reproduces the in-process scatter-gather
 (chunk-invariant), and shards are opened in ascending ordinal order so
 every tie-break — worker-local og_id and the coordinator merge — is
 the same ``(shard, row)`` order a freshly loaded snapshot mints og_ids
-in.  The budgeted approximate path runs per shard with the
-coordinator-computed proportional budget split, mirroring
-``ShardedIndex._approx_scatter`` exactly.
+in.  The budgeted approximate path runs per shard on the coordinator's
+:func:`~repro.search.request.split_budget` shares — the same split the
+in-process ``ShardedIndex`` makes.
 
 Failover.  ``replicas=R`` spawns R processes per worker *slot*; a
 request round-robins across a slot's live replicas (spare capacity,
@@ -51,16 +51,13 @@ under ``rebalance_ratio`` — workers re-open the moved shard store
 from __future__ import annotations
 
 import hashlib
-import math
 import multiprocessing as mp
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Sequence
-
-import numpy as np
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.errors import (
     IndexStateError,
@@ -69,6 +66,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.observability import OBS
+from repro.search.request import SearchRequest, SearchResult, split_budget
 
 #: Sub-store directory of shard ``i`` inside a sharded columnar store.
 SHARD_DIR = "shard-{ordinal}"
@@ -122,17 +120,15 @@ class _ShardSet:
         self._combined: Any = None
         self._fast: frozenset[int] = frozenset()
         self._loc: dict[int, tuple[int, int]] = {}
-        self._serving: dict[str, Any] | None = None
-        self._pivots: list[np.ndarray] | None = None
+        self._sharding: tuple[dict[str, Any] | None, list | None] = (
+            None, None)
         self.reload()
 
     # -- lifecycle ------------------------------------------------------
 
     def reload(self) -> None:
         """(Re)open every assigned shard, ascending ordinal order."""
-        self._serving = None
-        self._pivots = None
-        self._read_root()
+        self._sharding = self._read_root()
         self.shards = {
             o: _open_shard(self.store_path, self.rels[o], self.mmap)
             for o in sorted(self.rels)
@@ -160,27 +156,19 @@ class _ShardSet:
 
     # -- combined-index assembly ----------------------------------------
 
-    def _read_root(self) -> None:
-        """Pick up serving config + shard pivots from the root manifest."""
-        from repro.storage.columnar import ColumnarStore, _unpack_ragged
+    def _read_root(self) -> tuple[dict[str, Any] | None, list | None]:
+        """Serving config + shard pivots of a sharded root store."""
+        from repro.storage.columnar import ColumnarStore
 
-        manifest = ColumnarStore(self.store_path, normalize=False).manifest()
+        store = ColumnarStore(self.store_path, normalize=False)
+        manifest = store.manifest()
         if manifest.get("kind") != "sharded":
-            return
-        self._serving = dict(manifest["serving_config"])
-        if not manifest.get("has_pivots"):
-            return
+            return None, None
         try:
-            values = np.load(
-                os.path.join(self.store_path, "pivot_values.npy"),
-                allow_pickle=False)
-            offsets = np.load(
-                os.path.join(self.store_path, "pivot_offsets.npy"),
-                allow_pickle=False)
-            self._pivots = [np.asarray(p, dtype=np.float64)
-                            for p in _unpack_ragged(values, offsets)]
-        except (OSError, ValueError, EOFError):
-            self._pivots = None  # pivots only prune; never required
+            return store.read_sharding(manifest)
+        except StorageError:
+            # Pivots only prune; never required.
+            return dict(manifest["serving_config"]), None
 
     def _refresh(self) -> None:
         ordered = sorted(self.shards)
@@ -194,55 +182,38 @@ class _ShardSet:
         self._combined = self._assemble(live) if live else None
 
     def _assemble(self, ordinals: list[int]) -> Any:
-        from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
+        from repro.serving.sharding import ShardedIndex
 
-        indexes = [self.shards[o][0] for o in ordinals]
-        params = dict(self._serving or {})
-        params["num_shards"] = len(indexes)
-        config = ShardedIndexConfig(index=indexes[0].config, **params)
-        combined = ShardedIndex(config)
-        combined.shards = indexes
-        combined.metric_distance = indexes[0].metric_distance
-        combined.cluster_distance = indexes[0].cluster_distance
-        if self._pivots is not None:
-            # The FULL corpus pivot fleet, not just the assigned shards'
-            # pivots: pivots only serve triangle pruning, and more
-            # reference points mean tighter bounds — a subset worker
-            # prunes as hard as the whole in-process index would.
-            combined.pivots = list(self._pivots)
-        combined.refresh_bounds()
-        combined.frozen = True
-        return combined
+        # The FULL corpus pivot fleet, not just the assigned shards'
+        # pivots: a subset worker prunes as hard as the whole
+        # in-process index would.
+        return ShardedIndex.from_shards(
+            [self.shards[o][0] for o in ordinals], *self._sharding).freeze()
 
     # -- search ---------------------------------------------------------
 
-    def search(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Run one knn/range request; hits as ``(d, shard, row, ref)``."""
-        op = request["op"]
-        query = request["query"]
-        arg = request["arg"]
-        shares = request.get("shares")
-        requested = list(request["shards"])
+    def search(self, request: SearchRequest,
+               shares: dict[int, int | None]) -> dict[str, Any]:
+        """Run one request over the shards keyed in ``shares`` (ordinal
+        -> that shard's budget share, ``None`` on the exact path); hits
+        as ``(d, shard, row, ref)``."""
+        requested = list(shares)
         missing = [o for o in requested if o not in self.shards]
         if missing:
             raise ShardUnavailableError(
                 f"shard(s) {missing} are not assigned to this worker",
                 details={"shards": missing, "assigned": sorted(self.shards)})
         live = [o for o in requested if len(self.shards[o][0]) > 0]
-        if (shares is None and self._combined is not None
+        if (request.search_budget is None and self._combined is not None
                 and frozenset(live) == self._fast):
-            return self._search_combined(op, query, arg, requested, live,
-                                         request.get("bound"))
-        return self._search_per_shard(op, query, arg, shares, requested)
+            return self._search_combined(request, requested, live)
+        return self._search_per_shard(request, shares)
 
-    def _search_combined(self, op: str, query: Any, arg: Any,
-                         requested: list[int], live: list[int],
-                         bound: float | None) -> dict[str, Any]:
+    def _search_combined(self, request: SearchRequest,
+                         requested: list[int], live: list[int]
+                         ) -> dict[str, Any]:
         started = time.perf_counter()
-        if op == "knn":
-            found = self._combined.knn(query, arg, prune_bound=bound)
-        else:
-            found = self._combined.range_query(query, arg)
+        found = self._combined.search(request).hits
         elapsed = time.perf_counter() - started
         # The shared-bound search is one pass, so per-shard busy time is
         # attributed proportionally to shard size — slot totals stay
@@ -255,25 +226,17 @@ class _ShardSet:
         hits = [(float(d), *loc[og.og_id], ref) for d, og, ref in found]
         return {"hits": hits, "busy": busy}
 
-    def _search_per_shard(self, op: str, query: Any, arg: Any,
-                          shares: dict[int, int] | None,
-                          requested: list[int]) -> dict[str, Any]:
+    def _search_per_shard(self, request: SearchRequest,
+                          shares: dict[int, int | None]) -> dict[str, Any]:
         hits: list[tuple[float, int, int, Any]] = []
         busy: dict[int, float] = {}
-        for ordinal in requested:
+        for ordinal, share in shares.items():
             index, row_of = self.shards[ordinal]
             if len(index) == 0:
                 busy[ordinal] = 0.0
                 continue
             started = time.perf_counter()
-            if op == "knn":
-                share = None if shares is None else shares.get(ordinal)
-                if share is None:
-                    found = index.knn(query, arg)
-                else:
-                    found = index.knn(query, arg, search_budget=share)
-            else:
-                found = index.range_query(query, arg)
+            found = index.search(replace(request, search_budget=share)).hits
             busy[ordinal] = time.perf_counter() - started
             hits.extend(
                 (float(d), ordinal, row_of[og.og_id], ref)
@@ -332,7 +295,7 @@ def _worker_main(store_path: str, assignment: list[tuple[int, str]],
                 shard_set.close(ordinal)
                 conn.send(("ok", {"shard": ordinal}))
             elif op == "search":
-                conn.send(("ok", shard_set.search(message[1])))
+                conn.send(("ok", shard_set.search(*message[1:])))
             else:
                 raise InvalidParameterError(f"unknown worker op {op!r}")
         except BaseException as exc:  # noqa: BLE001 — relayed to coordinator
@@ -424,15 +387,6 @@ class RemoteHit:
                 "row": self.row, "clip_ref": self.clip_ref}
 
 
-@dataclass
-class RemoteSearchResult:
-    """Scatter outcome across worker processes (+ degradation)."""
-
-    hits: list[RemoteHit]
-    degraded: bool = False
-    failed_shards: list[int] = field(default_factory=list)
-
-
 class _WorkerHandle:
     """One live worker process: pipe, lock, and supervision state."""
 
@@ -488,14 +442,7 @@ class WorkerPool:
                 f"no columnar snapshot at {store.path} (write one with "
                 "db.save(format='columnar') or `repro convert`)")
         self.store = store
-        manifest = store.manifest()
-        if manifest["kind"] == "sharded":
-            self._shard_rels = {
-                ordinal: name
-                for ordinal, name in enumerate(manifest["shards"])
-            }
-        else:
-            self._shard_rels = {0: ""}
+        self._shard_rels = self._read_shard_rels()
         self.num_shards = len(self._shard_rels)
         slots = self.config.workers or self.num_shards
         self.num_slots = min(slots, self.num_shards)
@@ -525,6 +472,14 @@ class WorkerPool:
         self.snapshot_version = self._manifest_digest()
 
     # -- lifecycle ------------------------------------------------------------
+
+    def _read_shard_rels(self) -> dict[int, str]:
+        """Shard ordinal -> sub-store path relative to the store root
+        (a monolithic store is served as shard 0 at the root itself)."""
+        manifest = self.store.manifest()
+        if manifest["kind"] == "sharded":
+            return dict(enumerate(manifest["shards"]))
+        return {0: ""}
 
     def _manifest_digest(self) -> str:
         with open(os.path.join(self.store.path, "manifest.json"),
@@ -749,8 +704,8 @@ class WorkerPool:
         return ([h for h in rotated if h.alive]
                 + [h for h in rotated if not h.alive])
 
-    def _exchange(self, slot: int, request: dict[str, Any]
-                  ) -> dict[str, Any]:
+    def _exchange(self, slot: int, request: SearchRequest,
+                  shares: dict[int, int | None]) -> dict[str, Any]:
         """Send one request to a slot, failing over across replicas."""
         last_error: BaseException | None = None
         for handle in self._live_candidates(slot):
@@ -760,7 +715,7 @@ class WorkerPool:
                     handle.alive = False
                     continue
                 try:
-                    handle.conn.send(("search", request))
+                    handle.conn.send(("search", request, shares))
                     if not handle.conn.poll(self.config.request_timeout):
                         # The reply will eventually land on this pipe;
                         # retire the handle so nothing mis-reads it.
@@ -793,18 +748,18 @@ class WorkerPool:
                      "cause": type(last_error).__name__
                      if last_error else "no_replicas"})
 
-    def _probe_bound(self, query: np.ndarray, k: int) -> float | None:
+    def _probe_bound(self, request: SearchRequest) -> float | None:
         """Cheap global upper bound on the kth distance, for the fan-out.
 
         One rotating slot answers a minimal budgeted (sketch-tier)
         request first; the kth smallest of its hits — real corpus
         distances — bounds the true global kth from above, and every
-        worker in the fan-out then prunes against it
-        (``ShardedIndex.knn(prune_bound=...)``).  This restores the
-        one-shared-bound economics of the in-process scatter across
-        process boundaries: without it, N workers each search with only
-        their local bound and together do several times the kernel work
-        of one combined search.  Purely an optimization — a failed
+        worker in the fan-out then prunes against it (the request's
+        ``prune_bound``).  This restores the one-shared-bound economics
+        of the in-process scatter across process boundaries: without
+        it, N workers each search with only their local bound and
+        together do several times the kernel work of one combined
+        search.  Purely an optimization — a failed
         probe (dead slot, sketch tier error) falls back to an unbounded
         fan-out, and a valid bound never changes results.
         """
@@ -819,11 +774,11 @@ class WorkerPool:
             return None  # a single slot already shares its bound internally
         self._probe_rr += 1
         slot = slots[self._probe_rr % len(slots)]
-        shards = [o for o in assignment[slot] if sizes.get(o, 0) > 0]
-        request = {"op": "knn", "query": query, "arg": k,
-                   "shards": shards, "shares": {o: k for o in shards}}
+        k = request.k
         try:
-            payload = self._exchange(slot, request)
+            payload = self._exchange(
+                slot, replace(request, search_budget=k),
+                {o: k for o in assignment[slot] if sizes.get(o, 0) > 0})
         except Exception:  # noqa: BLE001 — probe is best-effort
             OBS.count("net.probe_failures")
             return None
@@ -832,29 +787,22 @@ class WorkerPool:
             return None
         return float(distances[k - 1])
 
-    def _scatter(self, op: str, query: np.ndarray, arg: Any,
-                 shares: dict[int, int] | None, degrade: bool,
-                 bound: float | None = None) -> RemoteSearchResult:
+    def _scatter(self, request: SearchRequest,
+                 shares: dict[int, int | None], degrade: bool
+                 ) -> SearchResult:
+        """Fan ``request`` out to the slots owning the shards in
+        ``shares`` and merge their hits by ``(distance, shard, row)``."""
         if self._scatter_pool is None:
             raise IndexStateError(
                 "worker pool is not started (call start() first)")
         with self._state_lock:
             assignment = [list(shards) for shards in self.assignment]
-            sizes = dict(self.shard_sizes)
-        requests: list[tuple[int, dict[str, Any]]] = []
+        futures = []
         for slot in range(self.num_slots):
-            shards = [o for o in assignment[slot] if sizes.get(o, 0) > 0]
-            if not shards:
-                continue
-            requests.append((slot, {
-                "op": op, "query": query, "arg": arg, "shards": shards,
-                "shares": shares, "bound": bound,
-            }))
-        futures = [
-            (slot, request,
-             self._scatter_pool.submit(self._exchange, slot, request))
-            for slot, request in requests
-        ]
+            part = {o: shares[o] for o in assignment[slot] if o in shares}
+            if part:
+                futures.append((part, self._scatter_pool.submit(
+                    self._exchange, slot, request, part)))
         hits: list[tuple[float, int, int, Any]] = []
         failed: list[int] = []
         retry: list[int] = []
@@ -867,11 +815,11 @@ class WorkerPool:
                     stats["queries"] += 1
                     stats["busy_seconds"] += float(busy)
 
-        for slot, request, future in futures:
+        for part, future in futures:
             try:
                 payload = future.result()
             except ShardUnavailableError:
-                retry.extend(request["shards"])
+                retry.extend(part)
                 continue
             absorb(payload)
         # The assignment snapshot may go stale mid-flight (a rebalance
@@ -895,11 +843,9 @@ class WorkerPool:
                 if slot < 0:  # pragma: no cover - shard left the pool
                     failed.extend(shards)
                     continue
-                request = {"op": op, "query": query, "arg": arg,
-                           "shards": shards, "shares": shares,
-                           "bound": bound}
                 try:
-                    payload = self._exchange(slot, request)
+                    payload = self._exchange(
+                        slot, request, {o: shares[o] for o in shards})
                 except ShardUnavailableError as exc:
                     last_error = exc
                     retry.extend(shards)
@@ -911,7 +857,7 @@ class WorkerPool:
             OBS.count("net.shards_failed", len(retry))
             failed.extend(retry)
         hits.sort(key=lambda h: (h[0], h[1], h[2]))
-        return RemoteSearchResult(
+        return SearchResult(
             [RemoteHit(*h) for h in hits], bool(failed), sorted(failed))
 
     # -- search ---------------------------------------------------------------
@@ -919,64 +865,60 @@ class WorkerPool:
     def __len__(self) -> int:
         return sum(self.shard_sizes.values())
 
-    def knn(self, query: Any, k: int, *,
-            search_budget: int | None = None,
-            degrade: bool = True) -> RemoteSearchResult:
-        """Exact (or budgeted-approximate) k-NN across all worker shards.
+    def search(self, request: SearchRequest) -> SearchResult:
+        """Answer one request across all worker shards.
 
         Bit-identical to the in-process ``ShardedIndex`` over the same
         snapshot: same distances (chunk-invariant kernels), same order
         (``(distance, shard, row)`` merge = its ``(distance, og_id)``
-        tie-break).  ``degrade=True`` (default) serves partial results
-        when a slot has no live worker; ``degrade=False`` raises
-        :class:`~repro.errors.ShardUnavailableError` instead.
+        tie-break).  Hits are :class:`RemoteHit` records.  With
+        ``request.degrade`` a slot with no live worker yields partial
+        results; without it
+        :class:`~repro.errors.ShardUnavailableError` is raised instead.
         """
-        from repro.distance.base import as_series
-
-        if k < 0:
-            raise InvalidParameterError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return RemoteSearchResult([])
-        if search_budget is not None and search_budget < 1:
-            raise InvalidParameterError(
-                f"search_budget must be >= 1, got {search_budget}")
-        total = len(self)
-        if total == 0:
+        if request.k == 0:
+            return SearchResult([])
+        with self._state_lock:
+            sizes = {o: n for o, n in self.shard_sizes.items() if n > 0}
+        if not sizes:
             raise IndexStateError("cannot search an empty worker pool")
-        shares = None
-        if search_budget is not None:
-            # Mirror ShardedIndex._approx_scatter: proportional to shard
-            # size, floored at k so every shard can fill a top-k list.
-            shares = {
-                ordinal: max(k, math.ceil(search_budget * size / total))
-                for ordinal, size in self.shard_sizes.items() if size > 0
-            }
-        series = as_series(query)
-        with OBS.span("net.knn", k=k, budget=search_budget) as sp:
+        # Only the trajectory crosses the pipe, never an OG graph; a
+        # lost slot is this coordinator's to degrade, not the worker's.
+        wire = replace(request, query=request.series, degrade=False)
+        shares: dict[int, int | None] = dict.fromkeys(sizes)
+        if request.kind == "range":
+            with OBS.span("net.range_query", radius=request.radius) as sp:
+                OBS.count("net.range_queries")
+                result = self._scatter(wire, shares, request.degrade)
+                sp.set(hits=len(result.hits), degraded=result.degraded)
+                return result
+        with OBS.span("net.knn", k=request.k,
+                      budget=request.search_budget) as sp:
             OBS.count("net.knn_queries")
-            bound = self._probe_bound(series, k) if shares is None else None
-            result = self._scatter("knn", series, k, shares, degrade,
-                                   bound=bound)
-            result.hits = result.hits[:k]
+            if request.search_budget is None:
+                wire = replace(wire, prune_bound=self._probe_bound(wire))
+            else:
+                shares = dict(zip(sizes, split_budget(
+                    request.search_budget, list(sizes.values()),
+                    request.k)))
+            result = self._scatter(wire, shares, request.degrade)
+            result.hits = result.hits[:request.k]
             sp.set(hits=len(result.hits), degraded=result.degraded)
             return result
+
+    def knn(self, query: Any, k: int, *,
+            search_budget: int | None = None,
+            degrade: bool = True) -> SearchResult:
+        """Exact (or budgeted) k-NN, degradable by default (sugar for
+        :meth:`search`)."""
+        return self.search(SearchRequest.knn(
+            query, k, search_budget=search_budget, degrade=degrade))
 
     def range_query(self, query: Any, radius: float, *,
-                    degrade: bool = True) -> RemoteSearchResult:
-        """All OGs within ``radius``, merged across worker shards."""
-        from repro.distance.base import as_series
-
-        if radius < 0:
-            raise InvalidParameterError(
-                f"radius must be >= 0, got {radius}")
-        if len(self) == 0:
-            raise IndexStateError("cannot search an empty worker pool")
-        with OBS.span("net.range_query", radius=radius) as sp:
-            OBS.count("net.range_queries")
-            result = self._scatter("range", as_series(query), radius,
-                                   None, degrade)
-            sp.set(hits=len(result.hits), degraded=result.degraded)
-            return result
+                    degrade: bool = True) -> SearchResult:
+        """All OGs within ``radius`` (sugar for :meth:`search`)."""
+        return self.search(SearchRequest.range(query, radius,
+                                               degrade=degrade))
 
     # -- maintenance ----------------------------------------------------------
 
@@ -1000,12 +942,7 @@ class WorkerPool:
         snapshot.
         """
         with OBS.span("net.pool_reload"):
-            manifest = self.store.manifest()
-            if manifest["kind"] == "sharded":
-                new_rels = {ordinal: name
-                            for ordinal, name in enumerate(manifest["shards"])}
-            else:
-                new_rels = {0: ""}
+            new_rels = self._read_shard_rels()
             if new_rels != self._shard_rels:
                 raise StorageError(
                     f"snapshot reload changed the shard set "
@@ -1199,7 +1136,6 @@ class WorkerPool:
 
 __all__ = [
     "RemoteHit",
-    "RemoteSearchResult",
     "WorkerPool",
     "WorkerPoolConfig",
 ]

@@ -4,14 +4,7 @@ The supported entry point is :func:`open_store` — it negotiates the
 on-disk format (columnar ``.strg`` directory, checksummed v2 NPZ, or
 sharded NPZ) and returns one uniform reader/writer protocol.  See
 ``docs/STORAGE.md`` for the formats and the migration guide.
-
-The historical per-format functions (``save_index`` / ``load_index`` /
-``save_sharded_index`` / ``load_sharded_index``) remain importable from
-this package as deprecated shims; internal code uses
-``repro.storage.serialize`` directly.
 """
-
-import warnings
 
 from repro.storage.columnar import ColumnarStore, is_columnar_store
 from repro.storage.database import VideoDatabase
@@ -29,31 +22,6 @@ from repro.storage.store import (
     snapshot_exists,
     store_path,
 )
-
-_DEPRECATED = {
-    "save_index": "open_store(path, format='npz').write_index(index)",
-    "load_index": "open_store(path).load_index()",
-    "save_sharded_index": "open_store(path, format='npz').write_index(index)",
-    "load_sharded_index": "open_store(path).load_index()",
-}
-
-
-def __getattr__(name: str):
-    # PR 3 pattern (cf. repro.distance.cache): keep the old surface
-    # importable, with a DeprecationWarning nudging at the facade.
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"repro.storage.{name} is deprecated; use "
-            f"repro.storage.{_DEPRECATED[name]} — the facade negotiates "
-            "columnar vs NPZ vs sharded-NPZ snapshots uniformly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.storage import serialize
-
-        return getattr(serialize, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "FORMATS",

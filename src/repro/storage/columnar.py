@@ -503,7 +503,6 @@ class ColumnarStore:
                                         normalize=False)
             shard_store.write_index(shard)
             shard_names.append(name)
-        config = index.config
         pivots = index.pivots if index.pivots is not None else []
         pivot_flat, pivot_offsets = _pack_ragged(list(pivots))
         files = {}
@@ -519,16 +518,7 @@ class ColumnarStore:
             "kind": _KIND_SHARDED,
             "num_shards": len(index.shards),
             "has_pivots": index.pivots is not None,
-            "serving_config": {
-                "num_shards": config.num_shards,
-                "placement": config.placement,
-                "coarse_sample_size": config.coarse_sample_size,
-                "coarse_iterations": config.coarse_iterations,
-                "balance_factor": config.balance_factor,
-                "seed": config.seed,
-                "eval_batch": config.eval_batch,
-                "prune_slack": config.prune_slack,
-            },
+            "serving_config": index.serving_config(),
             "shards": shard_names,
             "files": files,
         }, "storage.write")
@@ -662,8 +652,29 @@ class ColumnarStore:
                          "cause": type(exc).__name__},
             ) from exc
 
+    def read_sharding(self, manifest: dict[str, Any], mmap: bool = False
+                      ) -> tuple[dict[str, Any], list[np.ndarray] | None]:
+        """``(serving_config, pivots)`` of a sharded root store — what
+        :meth:`ShardedIndex.from_shards` needs besides the shards."""
+        try:
+            serving = dict(manifest["serving_config"])
+            if not manifest["has_pivots"]:
+                return serving, None
+            values = np.load(
+                os.path.join(self.path, "pivot_values.npy"),
+                mmap_mode="r" if mmap else None, allow_pickle=False)
+            offsets = np.load(
+                os.path.join(self.path, "pivot_offsets.npy"),
+                allow_pickle=False)
+            return serving, _unpack_ragged(values, offsets)
+        except (OSError, ValueError, EOFError, TypeError, KeyError) as exc:
+            raise IndexCorruptionError(
+                f"cannot read sharded store {self.path}: {exc}",
+                details={"path": self.path, "cause": type(exc).__name__},
+            ) from exc
+
     def _load_sharded(self, manifest: dict[str, Any], mmap: bool) -> Any:
-        from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
+        from repro.serving.sharding import ShardedIndex
 
         shards = []
         for name in manifest["shards"]:
@@ -675,32 +686,14 @@ class ColumnarStore:
                 f"sharded store {self.path} lists no shards",
                 details={"path": self.path},
             )
+        serving, pivots = self.read_sharding(manifest, mmap)
         try:
-            pivot_values = np.load(
-                os.path.join(self.path, "pivot_values.npy"),
-                mmap_mode="r" if mmap else None, allow_pickle=False)
-            pivot_offsets = np.load(
-                os.path.join(self.path, "pivot_offsets.npy"),
-                allow_pickle=False)
-            config = ShardedIndexConfig(index=shards[0].config,
-                                        **manifest["serving_config"])
-        except (OSError, ValueError, EOFError, TypeError, KeyError) as exc:
+            index = ShardedIndex.from_shards(shards, serving, pivots)
+        except (TypeError, InvalidParameterError) as exc:
             raise IndexCorruptionError(
                 f"cannot read sharded store {self.path}: {exc}",
                 details={"path": self.path, "cause": type(exc).__name__},
             ) from exc
-        index = ShardedIndex(config)
-        index.shards = shards
-        index.metric_distance = shards[0].metric_distance
-        index.cluster_distance = shards[0].cluster_distance
-        if manifest["has_pivots"]:
-            index.pivots = [
-                np.asarray(p, dtype=np.float64)
-                for p in _unpack_ragged(pivot_values, pivot_offsets)
-            ]
-        else:
-            index.pivots = None
-        index.refresh_bounds()
         self._reset_rows()
         return index
 

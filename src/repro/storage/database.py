@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -43,6 +42,8 @@ from repro.resilience.policy import (
     quarantine_record,
 )
 from repro.resilience.retry import RetryPolicy
+from repro.search.request import SearchRequest
+from repro.search.sketch import approx_knn
 from repro.storage.serialize import npz_path  # noqa: F401  (re-exported for callers)
 from repro.storage.store import open_store
 from repro.video.frames import VideoSegment
@@ -381,31 +382,27 @@ class VideoDatabase:
         ``None`` keeps the exact path, bit-identical to databases
         predating the knob.
         """
-        if k == 0:
-            return []
-        if search_budget is not None and not self.index_loaded:
-            # Lazy mmap open + budgeted query: stream the sketch tier
-            # straight from the store's columns.  Results are
-            # bit-identical to the materialized index's budgeted path,
-            # but resident memory stays O(shortlist) instead of
-            # O(corpus) — the tree is never built.
-            sketch = self._ooc_sketch_tier()
-            if sketch is not None:
-                from repro.search.sketch import approx_knn
-
-                og = (example if isinstance(example, ObjectGraph)
-                      else ObjectGraph.from_values(
-                          np.asarray(example, dtype=float)))
-                hits = approx_knn(sketch, sketch.replay_distance, og, k,
-                                  search_budget)
-                return [QueryHit(d, match, ref) for d, match, ref in hits]
-        self._require_index()
         og = (example if isinstance(example, ObjectGraph)
               else ObjectGraph.from_values(np.asarray(example, dtype=float)))
-        if search_budget is None:
-            hits = self.index.knn(og, k)
+        request = SearchRequest.knn(og, k, search_budget=search_budget)
+        if request.k == 0:
+            return []
+        # Lazy mmap open + budgeted query: stream the sketch tier
+        # straight from the store's columns.  Results are bit-identical
+        # to the materialized index's budgeted path, but resident memory
+        # stays O(shortlist) instead of O(corpus) — the tree is never
+        # built.
+        sketch = (self._ooc_sketch_tier()
+                  if search_budget is not None and not self.index_loaded
+                  else None)
+        if sketch is not None:
+            hits = approx_knn(sketch, sketch.replay_distance, request)
         else:
-            hits = self.index.knn(og, k, search_budget=search_budget)
+            self._require_index()
+            # Through the index's ``knn`` sugar, not ``search``: that is
+            # the entry point benchmarks/e2e times per layer.
+            hits = self.index.knn(og, request.k,
+                                  search_budget=request.search_budget)
         return [QueryHit(d, match, ref) for d, match, ref in hits]
 
     def query(self) -> "Query":
@@ -417,16 +414,6 @@ class VideoDatabase:
         from repro.query import Query
 
         return Query(self)
-
-    def query_trajectory(self, values: np.ndarray, k: int = 5) -> list[QueryHit]:
-        """Deprecated alias of :meth:`knn` (kept for older callers)."""
-        warnings.warn(
-            "VideoDatabase.query_trajectory is deprecated; use "
-            "VideoDatabase.knn (or db.query().example(...).run())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.knn(values, k)
 
     def query_by_motion(self, direction: float | None = None,
                         direction_tolerance: float = math.pi / 4,
@@ -478,7 +465,7 @@ class VideoDatabase:
                             ) -> list[QueryHit]:
         """Find trajectories *containing* a motion similar to ``values``.
 
-        Unlike :meth:`query_trajectory` (whole-trajectory similarity),
+        Unlike :meth:`knn` (whole-trajectory similarity),
         this scores each stored OG by the best EGED_M match of any of its
         windows, so a short query motion is found inside longer tracks.
         Linear scan (window matching has no metric key).

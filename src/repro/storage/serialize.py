@@ -583,19 +583,9 @@ def save_sharded_index(path: str | os.PathLike, index) -> str:
     """
     for ordinal, shard in enumerate(index.shards):
         save_index(_shard_path(path, ordinal), shard)
-    config = index.config
     pivots = index.pivots if index.pivots is not None else []
     pivot_flat, pivot_offsets = _pack_ragged(list(pivots))
-    config_json = json.dumps({
-        "num_shards": config.num_shards,
-        "placement": config.placement,
-        "coarse_sample_size": config.coarse_sample_size,
-        "coarse_iterations": config.coarse_iterations,
-        "balance_factor": config.balance_factor,
-        "seed": config.seed,
-        "eval_batch": config.eval_batch,
-        "prune_slack": config.prune_slack,
-    })
+    config_json = json.dumps(index.serving_config())
     try:
         return _atomic_savez(path, dict(
             kind=np.array(_SHARDED_KIND),
@@ -612,7 +602,7 @@ def save_sharded_index(path: str | os.PathLike, index) -> str:
 
 def load_sharded_index(path: str | os.PathLike):
     """Load a sharded index written by :func:`save_sharded_index`."""
-    from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
+    from repro.serving.sharding import ShardedIndex
 
     data = _verified_load(path)
     try:
@@ -632,12 +622,5 @@ def load_sharded_index(path: str | os.PathLike):
             details={"path": npz_path(path), "cause": type(exc).__name__},
         ) from exc
     shards = [load_index(_shard_path(path, i)) for i in range(num_shards)]
-    config = ShardedIndexConfig(index=shards[0].config, **serving_kwargs)
-    index = ShardedIndex(config)
-    index.shards = shards
-    index.metric_distance = shards[0].metric_distance
-    index.cluster_distance = shards[0].cluster_distance
-    index.pivots = ([np.asarray(p, dtype=np.float64) for p in pivots]
-                    if has_pivots else None)
-    index.refresh_bounds()
-    return index
+    return ShardedIndex.from_shards(shards, serving_kwargs,
+                                    pivots if has_pivots else None)

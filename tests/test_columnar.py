@@ -413,16 +413,6 @@ class TestFacade:
         with pytest.raises(StorageError):
             convert(tmp_path / "ghost.npz")
 
-    def test_deprecated_names_warn_but_work(self, tmp_path):
-        import repro.storage as storage
-
-        index, _ = build_index()
-        with pytest.warns(DeprecationWarning, match="open_store"):
-            storage.save_index(tmp_path / "legacy.npz", index)
-        with pytest.warns(DeprecationWarning):
-            loaded = storage.load_index(tmp_path / "legacy.npz")
-        assert len(loaded) == len(index)
-
 
 class TestLiveIndexPersistence:
     def make_live(self, tmp_path):

@@ -32,7 +32,8 @@ from repro.serving import (
     WorkerPoolConfig,
 )
 from repro.serving.net import request_json
-from repro.serving.workers import RemoteHit, RemoteSearchResult
+from repro.search.request import SearchResult
+from repro.serving.workers import RemoteHit
 
 K = 5
 RADIUS = 60.0
@@ -102,22 +103,6 @@ class TestWorkerPoolParity:
                 approx = pool.knn(query, K, search_budget=24)
                 assert hits_of(approx) == expected_knn(
                     reference, query, K, budget=24)
-
-    def test_k_edges_and_validation(self, store_path, reference, queries):
-        with WorkerPool(store_path, WorkerPoolConfig(workers=2)) as pool:
-            query = queries[0]
-            assert pool.knn(query, 0).hits == []
-            everything = pool.knn(query, NUM_OGS + 50)
-            assert len(everything.hits) == NUM_OGS
-            assert hits_of(everything) == expected_knn(
-                reference, query, NUM_OGS + 50)
-            assert pool.range_query(query, 0.0).hits == []
-            with pytest.raises(InvalidParameterError):
-                pool.knn(query, -1)
-            with pytest.raises(InvalidParameterError):
-                pool.knn(query, K, search_budget=0)
-            with pytest.raises(InvalidParameterError):
-                pool.range_query(query, -1.0)
 
     def test_monolithic_store_served_as_one_shard(self, tmp_path, corpus,
                                                   queries):
@@ -530,12 +515,11 @@ class _StubPool:
         self.release.set()
         self.assignment = [[0]]
 
-    def knn(self, query, k, *, search_budget=None, degrade=True):
+    def search(self, request):
+        if request.kind == "range":
+            return SearchResult([])
         self.release.wait(5.0)
-        return RemoteSearchResult([RemoteHit(1.0, 0, 0, "clip-0")])
-
-    def range_query(self, query, radius, *, degrade=True):
-        return RemoteSearchResult([])
+        return SearchResult([RemoteHit(1.0, 0, 0, "clip-0")])
 
     def health(self):
         return {"status": "ok", "workers_alive": 1, "workers": []}

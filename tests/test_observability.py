@@ -283,13 +283,6 @@ class TestInstrumentation:
 
 
 class TestDeprecationShims:
-    def test_cache_stats_moved(self):
-        import repro.distance.cache as cache_mod
-
-        with pytest.warns(DeprecationWarning, match="CacheStats moved"):
-            shimmed = cache_mod.CacheStats
-        assert shimmed is CacheStats
-
     def test_blessed_import_paths_do_not_warn(self, recwarn):
         import warnings
 

@@ -24,6 +24,7 @@ from repro.graph.object_graph import ObjectGraph
 from repro.observability import MetricsRegistry, Tracer
 from repro.query import Query
 from repro.search import (
+    SearchRequest,
     SketchConfig,
     approx_knn,
     sketch_from_meta,
@@ -249,10 +250,11 @@ class TestApproxKnn:
     def test_approx_knn_direct_validation(self, small):
         index, ogs = small
         sketch = index.sketch_tier()
+        assert approx_knn(sketch, index.metric_distance,
+                          SearchRequest.knn(ogs[0], 0, search_budget=10)) == []
         with pytest.raises(InvalidParameterError):
-            approx_knn(sketch, index.metric_distance, ogs[0], 0, 10)
-        with pytest.raises(InvalidParameterError):
-            approx_knn(sketch, index.metric_distance, ogs[0], 5, 0)
+            approx_knn(sketch, index.metric_distance,
+                       SearchRequest.knn(ogs[0], 5, search_budget=0))
 
 
 class TestSketchMaintenance:
@@ -345,18 +347,10 @@ class TestShardedBudget:
         approx = set(ids(index.knn(q, 10, search_budget=72)))
         assert len(exact & approx) / 10 >= 0.9
 
-    def test_k_edge_cases(self, sharded):
-        index, ogs = sharded
-        assert index.knn(ogs[0], 0) == []
-        assert index.knn(ogs[0], 0, search_budget=10) == []
-        with pytest.raises(InvalidParameterError):
-            index.knn(ogs[0], -1)
-        with pytest.raises(InvalidParameterError):
-            index.knn(ogs[0], 5, search_budget=0)
-
     def test_detailed_carries_budget(self, sharded):
         index, ogs = sharded
-        result = index.knn_detailed(ogs[0], 5, search_budget=60)
+        result = index.search(SearchRequest.knn(
+            ogs[0], 5, search_budget=60, degrade=True))
         assert len(result.hits) == 5
         assert not result.degraded
 

@@ -32,10 +32,21 @@ from repro.distance.bounds import pivot_lower_bounds
 from repro.distance.eged import MetricEGED
 from repro.errors import InvalidParameterError, StorageError
 from repro.graph.object_graph import ObjectGraph
-from repro.search import SketchConfig, SketchIndex, approx_knn
+from repro.search import (
+    SearchRequest,
+    SketchConfig,
+    SketchIndex,
+    approx_knn,
+)
 from repro.serving import ShardedIndex, ShardedIndexConfig
 from repro.storage.columnar import ColumnarStore
 from repro.storage.database import VideoDatabase
+
+
+def budgeted_knn(sketch, distance, query, k, budget, **kwargs):
+    return approx_knn(sketch, distance,
+                      SearchRequest.knn(query, k, search_budget=budget),
+                      **kwargs)
 
 
 def corpus(n=120, seed=0):
@@ -168,8 +179,8 @@ class TestTombstoneParity:
         assert lazy.pivot_dists.tolist() == eager.pivot_dists.tolist()
         assert lazy.sig.tolist() == eager.sig.tolist()
         for q in corpus(3, seed=77):
-            got = approx_knn(lazy, distance, q, 5, 40)
-            want = approx_knn(eager, distance, q, 5, 40)
+            got = budgeted_knn(lazy, distance, q, 5, 40)
+            want = budgeted_knn(eager, distance, q, 5, 40)
             assert hit_sig(got) == hit_sig(want)
             assert [og.og_id for _, og, _ in got] \
                 == [og.og_id for _, og, _ in want]
@@ -225,7 +236,7 @@ class TestStoreAttachedSketch:
         sketch = store.load_sketch(mmap=True)
         assert sketch is not None and len(sketch) == len(ogs)
         for q in corpus(4, seed=19):
-            ooc = approx_knn(sketch, sketch.replay_distance, q, 5, 30)
+            ooc = budgeted_knn(sketch, sketch.replay_distance, q, 5, 30)
             assert hit_sig(ooc) == hit_sig(index.knn(q, 5, search_budget=30))
 
     def test_mmap_and_ram_sketches_bit_identical(self, tmp_path):
@@ -236,8 +247,8 @@ class TestStoreAttachedSketch:
         assert np.array_equal(mm.pivot_dists, ram.pivot_dists)
         assert np.array_equal(mm.sig, ram.sig)
         for q in corpus(3, seed=23):
-            assert hit_sig(approx_knn(mm, mm.replay_distance, q, 5, 28)) \
-                == hit_sig(approx_knn(ram, ram.replay_distance, q, 5, 28))
+            assert hit_sig(budgeted_knn(mm, mm.replay_distance, q, 5, 28)) \
+                == hit_sig(budgeted_knn(ram, ram.replay_distance, q, 5, 28))
 
     def test_delta_replay_and_tombstones(self, tmp_path):
         from repro.serving.snapshot import _BufferedWrite
@@ -259,7 +270,7 @@ class TestStoreAttachedSketch:
         assert len(sketch) == len(index)
         assert sketch.dead_rows == 2
         for q in extra[:2] + ogs[:2]:
-            assert hit_sig(approx_knn(sketch, sketch.replay_distance,
+            assert hit_sig(budgeted_knn(sketch, sketch.replay_distance,
                                       q, 5, 30)) \
                 == hit_sig(index.knn(q, 5, search_budget=30))
 
@@ -272,7 +283,7 @@ class TestStoreAttachedSketch:
         sketch.add(sketch.replay_distance, extra, ["a", "b", "c"])
         assert sketch._pd is base  # mmap base untouched by the add
         assert len(sketch) == len(ogs) + 3
-        got = approx_knn(sketch, sketch.replay_distance, extra[0], 1,
+        got = budgeted_knn(sketch, sketch.replay_distance, extra[0], 1,
                          len(sketch) + 20)
         assert got[0][2] == "a"
 
@@ -298,8 +309,8 @@ class TestStoreAttachedSketch:
         sketch.config.block_rows = 16
         distance = sketch.replay_distance
         for q in corpus(2, seed=83):
-            serial = approx_knn(sketch, distance, q, 5, 30)
-            fanned = approx_knn(sketch, distance, q, 5, 30, scan_workers=2)
+            serial = budgeted_knn(sketch, distance, q, 5, 30)
+            fanned = budgeted_knn(sketch, distance, q, 5, 30, scan_workers=2)
             assert hit_sig(serial) == hit_sig(fanned)
 
     def test_parallel_scan_with_tail_and_tombstones(self, tmp_path):
@@ -312,8 +323,8 @@ class TestStoreAttachedSketch:
         for row in (2, 30, 77):
             assert sketch.remove(row)  # og_id == row ordinal here
         q = corpus(1, seed=87)[0]
-        assert hit_sig(approx_knn(sketch, distance, q, 5, 26)) \
-            == hit_sig(approx_knn(sketch, distance, q, 5, 26,
+        assert hit_sig(budgeted_knn(sketch, distance, q, 5, 26)) \
+            == hit_sig(budgeted_knn(sketch, distance, q, 5, 26,
                                   scan_workers=3))
 
 

@@ -29,7 +29,8 @@ from repro.serving import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.serving.sharding import ShardedSearchResult
+from repro.search.request import SearchRequest, SearchResult
+from repro.storage.store import open_store
 
 K = 5
 RADIUS = 60.0
@@ -154,9 +155,9 @@ class TestPersistence:
         index = _sharded(corpus[:48], 3, placement)
         expected = [index.knn(q, K) for q in queries]
         path = tmp_path / "serving-idx"
-        index.save(path)
+        open_store(path, format="npz").write_index(index)
         assert is_sharded_snapshot(path)
-        loaded = ShardedIndex.load(path)
+        loaded = open_store(path).load_index()
         assert len(loaded) == len(index)
         assert loaded.config.placement == placement
         for exp, query in zip(expected, queries):
@@ -177,7 +178,8 @@ class TestDegradedReads:
         index = _sharded(corpus, 2, "hash")
         lost = {og.og_id for og in index.shards[0].object_graphs()}
         with injected(FaultInjector().inject("serving.shard", at={0})):
-            result = index.knn_detailed(queries[0], K)
+            result = index.search(
+                SearchRequest.knn(queries[0], K, degrade=True))
         assert result.degraded
         assert result.failed_shards == [0]
         assert len(result.hits) == K
@@ -194,7 +196,8 @@ class TestDegradedReads:
         index = _sharded(corpus, 2, "hash")
         clean = index.range_query(queries[0], RADIUS)
         with injected(FaultInjector().inject("serving.shard", at={0})):
-            result = index.range_query_detailed(queries[0], RADIUS)
+            result = index.search(
+                SearchRequest.range(queries[0], RADIUS, degrade=True))
         assert result.degraded and result.failed_shards == [0]
         assert len(result.hits) <= len(clean)
 
@@ -233,8 +236,8 @@ class TestLiveIndex:
         import copy
 
         live = LiveIndex(copy.deepcopy(mono))
-        hits = live.knn_detailed(queries[0], K)
-        assert isinstance(hits, ShardedSearchResult)
+        hits = live.search(SearchRequest.knn(queries[0], K, degrade=True))
+        assert isinstance(hits, SearchResult)
         assert not hits.degraded and len(hits.hits) == K
 
 
@@ -253,13 +256,10 @@ class _BlockingIndex:
     def __len__(self):
         return 1
 
-    def knn_detailed(self, query, k, background=None):
+    def search(self, request):
         self.entered.set()
         assert self.release.wait(10.0), "test never released the stub"
-        return ShardedSearchResult(hits=[(0.0, query, None)])
-
-    def range_query_detailed(self, query, radius, background=None):
-        return self.knn_detailed(query, radius, background)
+        return SearchResult(hits=[(0.0, request.query, None)])
 
 
 class TestQueryService:
@@ -279,11 +279,12 @@ class TestQueryService:
         live = LiveIndex(stub)
         service = QueryService(live, ServiceConfig(workers=1, queue_depth=1))
         try:
-            first = service.submit_knn(corpus[0], 1)
+            first = service.submit(SearchRequest.knn(corpus[0], 1))
             assert stub.entered.wait(5.0)
-            second = service.submit_knn(corpus[1], 1)  # fills the queue
+            # fills the queue
+            second = service.submit(SearchRequest.knn(corpus[1], 1))
             with pytest.raises(ServiceOverloadError):
-                service.submit_knn(corpus[2], 1)
+                service.submit(SearchRequest.knn(corpus[2], 1))
         finally:
             stub.release.set()
             service.shutdown()
@@ -294,9 +295,10 @@ class TestQueryService:
         service = QueryService(LiveIndex(stub),
                                ServiceConfig(workers=1, queue_depth=4))
         try:
-            blocker = service.submit_knn(corpus[0], 1)
+            blocker = service.submit(SearchRequest.knn(corpus[0], 1))
             assert stub.entered.wait(5.0)
-            doomed = service.submit_knn(corpus[1], 1, deadline=0.01)
+            doomed = service.submit(SearchRequest.knn(corpus[1], 1),
+                                    deadline=0.01)
             threading.Event().wait(0.05)  # let the deadline lapse
         finally:
             stub.release.set()
@@ -311,7 +313,8 @@ class TestQueryService:
         service = QueryService(LiveIndex(stub),
                                ServiceConfig(workers=1, queue_depth=4))
         try:
-            doomed = service.submit_knn(corpus[0], 1, deadline=0.2)
+            doomed = service.submit(SearchRequest.knn(corpus[0], 1),
+                                    deadline=0.2)
             assert stub.entered.wait(5.0)  # executing before expiry check
             threading.Event().wait(0.4)  # deadline lapses mid-execution
         finally:
@@ -326,13 +329,14 @@ class TestQueryService:
         service = QueryService(LiveIndex(stub),
                                ServiceConfig(workers=1, queue_depth=1))
         try:
-            blocker = service.submit_knn(corpus[0], 1)
+            blocker = service.submit(SearchRequest.knn(corpus[0], 1))
             assert stub.entered.wait(5.0)
-            doomed = service.submit_knn(corpus[1], 1, deadline=0.01)
+            doomed = service.submit(SearchRequest.knn(corpus[1], 1),
+                                    deadline=0.01)
             threading.Event().wait(0.05)  # doomed expires while queued
             # The queue is full, but the expired request is dead weight:
             # it is failed on the spot and the live request admitted.
-            third = service.submit_knn(corpus[2], 1)
+            third = service.submit(SearchRequest.knn(corpus[2], 1))
         finally:
             stub.release.set()
             service.shutdown()
@@ -360,7 +364,7 @@ class TestQueryService:
         service = QueryService(LiveIndex(stub),
                                ServiceConfig(workers=1, queue_depth=4))
         try:
-            grinding = service.submit_knn(corpus[0], 1)
+            grinding = service.submit(SearchRequest.knn(corpus[0], 1))
             assert stub.entered.wait(5.0)
             # The worker is mid-request and will not finish inside the
             # budget: shutdown returns anyway and flags the straggler.
@@ -466,7 +470,7 @@ class TestServingCLI:
 
         index = _sharded(corpus[:24], 2, "hash")
         path = tmp_path / "served"
-        index.save(path)
+        open_store(path, format="npz").write_index(index)
         assert main(["serve", str(path), "--rate", "20", "--duration",
                      "0.3", "--workers", "1", "-k", "3"]) == 0
         out = capsys.readouterr().out

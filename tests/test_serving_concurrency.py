@@ -14,6 +14,7 @@ from repro.distance.batch import one_vs_many
 from repro.distance.cache import DistanceCache
 from repro.distance.eged import MetricEGED
 from repro.observability.registry import MetricsRegistry
+from repro.search.request import SearchRequest
 from repro.serving import (
     LiveIndex,
     QueryService,
@@ -84,7 +85,8 @@ class TestSnapshotIsolation:
             # Versions are monotone per reader: a later request never
             # lands on an older snapshot.
             assert seen == sorted(seen)
-        final = live.knn_detailed(incoming[-1], 1)
+        final = live.search(
+            SearchRequest.knn(incoming[-1], 1, degrade=True))
         assert final.hits[0][1].og_id == incoming[-1].og_id
 
     def test_compactions_serialize(self, corpus):

@@ -260,18 +260,6 @@ class TestVideoDatabase:
         assert len(hits) == 1
         assert hits[0].distance >= 0.0
 
-    def test_query_trajectory_deprecated_alias(self, tiny_video):
-        db = VideoDatabase()
-        db.ingest(tiny_video)
-        trajectory = np.stack([
-            np.linspace(5, 90, 12), np.full(12, 40.0)
-        ], axis=1)
-        with pytest.warns(DeprecationWarning, match="query_trajectory"):
-            hits = db.query_trajectory(trajectory, k=1)
-        assert [h.og.og_id for h in hits] == [
-            h.og.og_id for h in db.knn(trajectory, k=1)
-        ]
-
     def test_query_clip(self, tiny_video):
         db = VideoDatabase()
         db.ingest(tiny_video)
