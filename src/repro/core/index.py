@@ -11,6 +11,7 @@ search skip distance evaluations — the effect Figure 7(b) measures.
 from __future__ import annotations
 
 import bisect
+import copy
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -41,9 +42,8 @@ from repro.search.request import (
 )
 from repro.search.sketch import SketchIndex, approx_knn
 
-#: Guards lazy sketch construction.  Module-level (not per-index) so a
-#: frozen, deep-copied serving snapshot stays ``copy.deepcopy``-able —
-#: an index never owns an uncopyable lock object.
+#: Guards lazy sketch construction.  Module-level (not per-index):
+#: building is rare, and an index that owns no lock stays picklable.
 _SKETCH_BUILD_LOCK = threading.Lock()
 
 
@@ -120,11 +120,32 @@ class STRGIndex:
 
         Freezing is how the serving layer guarantees snapshot isolation:
         readers share a frozen index while writers accumulate into a new
-        one.  Returns ``self`` for chaining.  There is no unfreeze — build
-        a new index (or deep-copy this one) to mutate again.
+        one.  Returns ``self`` for chaining.  There is no unfreeze —
+        :meth:`clone` this index to mutate again.
         """
         self.frozen = True
         return self
+
+    def clone(self) -> "STRGIndex":
+        """A mutable copy that shares everything a write never touches.
+
+        Copied: what insert/delete/split mutate in place — the ``root``
+        list, one wrapper per root and cluster record, each leaf's
+        sorted lists, the sketch tier's mask and row list.  Shared: leaf
+        records, OGs, centroids, clip refs, backgrounds, config and
+        distances, which nothing writes after insertion.  O(clusters +
+        pointer copies); a frozen original is untouched by writes to it.
+        """
+        dup = copy.copy(self)
+        dup.root = [RootRecord(r.record_id, r.background,
+                               r.cluster_node.clone()) for r in self.root]
+        dup.frozen = False
+        # New record wrappers: caches keyed by record identity (the
+        # serving layer's scan caches) must not match the clone.
+        dup.mutations += 1
+        if self._sketches is not None:
+            dup._sketches = self._sketches.clone()
+        return dup
 
     def _check_mutable(self) -> None:
         if self.frozen:

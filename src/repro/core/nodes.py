@@ -48,6 +48,13 @@ class LeafNode:
         self._keys.insert(pos, record.key)
         self._records.insert(pos, record)
 
+    def clone(self) -> "LeafNode":
+        """A leaf with its own lists over the same (immutable) records."""
+        dup = LeafNode()
+        dup._records = list(self._records)
+        dup._keys = list(self._keys)
+        return dup
+
     def remove(self, og_id: int) -> LeafRecord | None:
         """Remove (and return) the record holding the OG with ``og_id``.
 
@@ -107,6 +114,15 @@ class ClusterNode:
         self._next_id += 1
         self.records.append(record)
         return record
+
+    def clone(self) -> "ClusterNode":
+        """A node with fresh record wrappers and leaves; the centroid
+        arrays and leaf records behind them are shared."""
+        dup = ClusterNode()
+        dup.records = [ClusterRecord(r.record_id, r.centroid, r.leaf.clone())
+                       for r in self.records]
+        dup._next_id = self._next_id
+        return dup
 
     def remove(self, record: ClusterRecord) -> None:
         """Remove a cluster record (used when a leaf splits)."""

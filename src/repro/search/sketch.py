@@ -51,13 +51,14 @@ store-attached sketches keep the mask and leave compaction to the
 store's segment merge.
 
 Sketches hold no reference to a distance object: the owning index
-passes its metric into every call, so deep-copied indexes (serving
+passes its metric into every call, so cloned indexes (serving
 snapshots) keep sharing one distance instance and counting wrappers
 count every evaluation in one place.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import OrderedDict
@@ -191,6 +192,9 @@ class _EagerRows:
     def compact(self, keep: np.ndarray) -> None:
         self.records = [self.records[int(i)] for i in keep]
 
+    def clone(self) -> "_EagerRows":
+        return _EagerRows(self.records)
+
 
 class LazyRows:
     """Rows materialized on demand from a row-addressed store reader.
@@ -239,6 +243,13 @@ class LazyRows:
             "store-attached sketch rows cannot be compacted in place; "
             "the owning store's segment merge reclaims tombstones"
         )
+
+    def clone(self) -> "LazyRows":
+        """Own tail list; the reader and its row cache (a memo of
+        immutable attached rows) stay shared."""
+        dup = copy.copy(self)
+        dup._tail = list(self._tail)
+        return dup
 
 
 # -- blocked-scan primitives ------------------------------------------------
@@ -538,6 +549,19 @@ class SketchIndex:
         self._scan_paths = dict(scan_paths) if scan_paths else None
 
     # -- maintenance -------------------------------------------------------
+
+    def clone(self) -> "SketchIndex":
+        """A sketch that grows and tombstones independently.
+
+        Row arrays, pivots and bbox are shared — :meth:`add` and
+        :meth:`compact_tombstones` rebind them, never write in place;
+        only the mask :meth:`remove` writes and the row list are copied.
+        """
+        dup = copy.copy(self)
+        dup._rows = self._rows.clone()
+        if self._dead is not None:
+            dup._dead = self._dead.copy()
+        return dup
 
     def add(self, distance, ogs: Sequence[ObjectGraph],
             clip_refs: Sequence[Any] | None = None, *,

@@ -251,7 +251,7 @@ class ShardedIndex:
                 members = [og for og, a in zip(ogs, assignment) if a == s]
                 member_refs = [r for r, a in zip(refs, assignment) if a == s]
                 if members:
-                    self.shards[s].build(members, background, member_refs)
+                    self._writable(s).build(members, background, member_refs)
             self.refresh_bounds()
 
     def _place(self, ogs: Sequence[ObjectGraph]) -> list[int]:
@@ -331,12 +331,23 @@ class ShardedIndex:
         else:
             dists = self._pivot_distances([og])[0]
             target = int(np.argmin(dists))
-        self.shards[target].insert(og, background, clip_ref)
+        self._writable(target).insert(og, background, clip_ref)
 
     def delete(self, og_id: int) -> bool:
         """Remove the OG with ``og_id`` from whichever shard holds it."""
         self._check_mutable()
-        return any(shard.delete(og_id) for shard in self.shards)
+        for s, shard in enumerate(self.shards):
+            if any(og.og_id == og_id for og in shard.object_graphs()):
+                return self._writable(s).delete(og_id)
+        return False
+
+    def _writable(self, s: int) -> STRGIndex:
+        """Shard ``s`` — its own clone, from the first write on, when it
+        was a frozen shard shared with the index this one was cloned
+        from.  Shards no write reaches stay shared, scan caches too."""
+        if self.shards[s].frozen:
+            self.shards[s] = self.shards[s].clone()
+        return self.shards[s]
 
     def freeze(self) -> "ShardedIndex":
         """Freeze every shard (and this wrapper) for snapshot publishing."""
@@ -346,24 +357,19 @@ class ShardedIndex:
         return self
 
     def clone(self) -> "ShardedIndex":
-        """A deep, *mutable* copy sharing no state with this index.
+        """A mutable copy sharing every frozen shard until it is written.
 
         The copy-on-write path of the serving snapshot manager: clone the
         published (frozen) index, apply buffered writes to the clone, and
-        publish it as the next snapshot.
+        publish it as the next snapshot.  :meth:`_writable` clones a
+        shard on its first write and the scan caches carry over, so
+        :meth:`refresh_bounds` re-sweeps written shards only.  (A shard
+        not yet frozen could change under the copy: cloned right away.)
         """
-        dup = ShardedIndex.__new__(ShardedIndex)
-        dup.config = self.config
-        dup.shards = copy.deepcopy(self.shards)
-        for shard in dup.shards:
-            shard.frozen = False
-        dup.metric_distance = dup.shards[0].metric_distance
-        dup.cluster_distance = dup.shards[0].cluster_distance
-        dup.pivots = ([p.copy() for p in self.pivots]
-                      if self.pivots is not None else None)
-        dup.executor = self.executor
+        dup = copy.copy(self)
+        dup.shards = [shard if shard.frozen else shard.clone()
+                      for shard in self.shards]
         dup.frozen = False
-        dup._bounds = None
         dup._bounds_lock = threading.Lock()
         return dup
 

@@ -57,3 +57,36 @@ def tiny_video():
         make_vehicle((40, 200, 40)), name="car-left",
     ))
     return scene.render(12, fps=10.0, name="tiny")
+
+
+@pytest.fixture(scope="session")
+def attach_lazy_sketch():
+    """Swap an index's sketch tier for a store-style attached one.
+
+    Returns ``attach(index)``: the same rows, but bound the way
+    ``ColumnarStore.load_sketch`` binds them — frozen base arrays
+    (``owned=False``: adds go to the tail, deletes stay tombstones) and
+    a :class:`~repro.search.sketch.LazyRows` provider over a
+    row-addressed reader — without needing a store on disk.
+    """
+    from repro.search.sketch import LazyRows, SketchIndex
+
+    class ListReader:
+        def __init__(self, pairs):
+            self.pairs = pairs
+
+        def record(self, row):
+            return self.pairs[row]
+
+    def attach(index):
+        eager = index.sketch_tier()
+        pairs = [eager.row_record(row) for row in range(len(eager))]
+        lazy = SketchIndex(eager.config)
+        lazy.pivots, lazy.bbox = eager.pivots, eager.bbox
+        lazy.attach_rows(eager.og_ids, eager.pivot_dists, eager.sig,
+                         LazyRows(ListReader(pairs), len(pairs)),
+                         owned=False)
+        index._sketches = lazy
+        return index
+
+    return attach
