@@ -2,9 +2,11 @@
 
 The acceptance benchmark for the store-streamed sketch tier
 (``ColumnarStore.load_sketch`` + the blocked candidate scan, see
-``docs/SEARCH.md``).  For each corpus size it builds one columnar
-snapshot with a persisted sketch, then measures in fresh subprocesses
-(so each mode pays its own pages, never the builder's):
+``docs/SEARCH.md``).  For each corpus size and store shape — a
+monolithic store, and the 2-shard store the serving recipes write — it
+builds one columnar snapshot with a persisted sketch, then measures in
+fresh subprocesses (so each mode pays its own pages, never the
+builder's):
 
 - **in-RAM** — eager ``open_database(mmap=False)``: the tree, every OG
   and the sketch arrays all resident; budgeted queries run against the
@@ -19,11 +21,11 @@ Gates (all assertions, run before any number is archived):
 - the out-of-core child never materializes the tree;
 - the PR 7 recall gate still holds on the streamed sketch
   (>= 90% recall@10 at <= 10% of the exact scan's evaluations);
-- at the largest corpus, the out-of-core mode's **anonymous** RSS
-  growth (``RssAnon`` — heap pages the process owns, which the OS
-  cannot reclaim without swap) is <= ``RSS_GATE_FRACTION`` of the
-  in-RAM mode's, with an absolute floor absorbing allocator noise at
-  small scales.
+- at the largest corpus, for both store shapes, the out-of-core mode's
+  **anonymous** RSS growth (``RssAnon`` — heap pages the process owns,
+  which the OS cannot reclaim without swap) is <= ``RSS_GATE_FRACTION``
+  of the in-RAM mode's, with an absolute floor absorbing allocator
+  noise at small scales.
 
 The gate is on *anonymous* memory deliberately.  The in-RAM mode's
 footprint is entirely anonymous (every OG, the tree and the sketch live
@@ -67,6 +69,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.base import CountingDistance
 from repro.distance.batch import one_vs_many
 from repro.distance.eged import MetricEGED
+from repro.serving import ShardedIndex, ShardedIndexConfig
 from repro.storage.columnar import ColumnarStore
 
 SCALE = os.environ.get("BENCH_APPROX_OOC_SCALE", "default").lower()
@@ -74,6 +77,8 @@ SMOKE = SCALE == "smoke"
 
 SIZES = {"smoke": (4_000,), "default": (20_000,), "full": (100_000,),
          "xl": (100_000, 1_000_000)}.get(SCALE, (20_000,))
+#: Store shapes measured at every size (``None`` = monolithic).
+SHARDS = (None, 2)
 NUM_QUERIES = 6 if SMOKE else 8
 K = 10
 #: Per-query budget as a fraction of the corpus (the PR 7 gate point).
@@ -144,14 +149,17 @@ def _workload(n: int, seed: int = 0):
     return ogs, queries
 
 
-def _build_store(tmp_path, n: int, ogs, queries):
+def _build_store(tmp_path, n: int, shards: int | None, ogs, queries):
     """Columnar snapshot with the sketch tier persisted."""
-    index = STRGIndex(STRGIndexConfig(n_clusters=8, em_iterations=2))
+    config = STRGIndexConfig(n_clusters=8, em_iterations=2)
+    index = (STRGIndex(config) if shards is None else
+             ShardedIndex(ShardedIndexConfig(num_shards=shards,
+                                             index=config)))
     t0 = time.perf_counter()
     index.build(ogs, clip_refs=[f"clip-{i}" for i in range(n)])
     build_s = time.perf_counter() - t0
     index.knn(queries[0], K, search_budget=max(K, int(0.02 * n)))
-    store = ColumnarStore(tmp_path / f"ooc-{n}")
+    store = ColumnarStore(tmp_path / f"ooc-{n}-{shards or 1}")
     store.write_index(index)
     return store, index, build_s
 
@@ -176,11 +184,14 @@ def _run_child(store_path, mode, queries_npz, budget) -> dict:
 
 def _recall_and_cost(store, ogs, queries, budget) -> tuple[float, float]:
     """PR 7 gate, measured on the streamed sketch itself."""
-    from repro.search import SearchRequest, approx_knn
+    from repro.search import SearchRequest, SketchIndex, approx_knn
+    from repro.search.request import budgeted_scatter
 
     counting = CountingDistance(MetricEGED())
-    sketch = store.load_sketch(distance=counting, mmap=True)
-    assert sketch is not None
+    sketches = store.load_sketch(distance=counting, mmap=True)
+    assert sketches is not None
+    if isinstance(sketches, SketchIndex):   # monolithic: one part
+        sketches = [sketches]
     series = [np.asarray(og.values, dtype=np.float64) for og in ogs]
     recalls, spent = [], []
     for q in queries:
@@ -188,17 +199,19 @@ def _recall_and_cost(store, ogs, queries, budget) -> tuple[float, float]:
         expected = {f"clip-{i}"
                     for i in np.argsort(dists, kind="stable")[:K]}
         counting.reset()
-        hits = approx_knn(sketch, counting,
-                          SearchRequest.knn(q, K, search_budget=budget))
+        hits = budgeted_scatter(
+            SearchRequest.knn(q, K, search_budget=budget),
+            [len(sketch) for sketch in sketches],
+            lambda p, share: approx_knn(sketches[p], counting, share))
         spent.append(counting.calls)
         got = {ref for _, _, ref in hits}
         recalls.append(len(got & expected) / K)
     return float(np.mean(recalls)), float(np.mean(spent)) / len(ogs)
 
 
-def _point(tmp_path, n: int) -> dict:
+def _point(tmp_path, n: int, shards: int | None) -> dict:
     ogs, queries = _workload(n)
-    store, index, build_s = _build_store(tmp_path, n, ogs, queries)
+    store, index, build_s = _build_store(tmp_path, n, shards, ogs, queries)
     budget = max(K, int(round(BUDGET_FRACTION * n)))
 
     # -- correctness gates before any timing ---------------------------
@@ -223,6 +236,7 @@ def _point(tmp_path, n: int) -> dict:
     keep = ("open_s", "query_s", "rss_kb", "anon_kb", "file_kb")
     return {
         "num_ogs": n,
+        "shards": shards or 1,
         "num_queries": len(queries),
         "k": K,
         "budget": budget,
@@ -237,13 +251,14 @@ def _point(tmp_path, n: int) -> dict:
 
 def bench_approx_ooc_report(tmp_path):
     """RSS + recall/cost of out-of-core vs in-RAM budgeted search."""
-    points = [_point(tmp_path, n) for n in SIZES]
+    points = [_point(tmp_path, n, shards)
+              for n in SIZES for shards in SHARDS]
 
     lines = [f"out-of-core approximate search (scale={SCALE}, k={K}, "
              f"budget={BUDGET_FRACTION:.0%} of corpus; anon = heap pages "
              "owned by the process, mmap = reclaimable file-backed cache)"]
     rows = [
-        [p["num_ogs"], f"{p['recall_at_10']:.2f}",
+        [p["num_ogs"], p["shards"], f"{p['recall_at_10']:.2f}",
          f"{p['cost_fraction']:.1%}",
          f"{p['inram']['anon_kb'] / 1024:.1f}",
          f"{p['ooc']['anon_kb'] / 1024:.1f}",
@@ -254,7 +269,8 @@ def bench_approx_ooc_report(tmp_path):
         for p in points
     ]
     lines.extend(format_table(
-        ["corpus", "recall@10", "cost", "RAM anon MB", "OOC anon MB",
+        ["corpus", "shards", "recall@10", "cost", "RAM anon MB",
+         "OOC anon MB",
          "OOC mmap MB", "anon ratio", "RAM ms/q", "OOC ms/q"], rows))
     record_result("BENCH_approx_ooc", lines,
                   data={"scale": SCALE,
@@ -266,13 +282,16 @@ def bench_approx_ooc_report(tmp_path):
         assert p["recall_at_10"] >= GATE_RECALL, (
             f"{p['num_ogs']} OGs: recall@10 {p['recall_at_10']:.2f} "
             f"(need >= {GATE_RECALL:.0%})")
-        assert p["cost_fraction"] <= BUDGET_FRACTION + 1e-9, (
+        # split_budget rounds every shard's share up: <= 1 evaluation each.
+        assert p["cost_fraction"] <= (BUDGET_FRACTION + 1e-9
+                                      + p["shards"] / p["num_ogs"]), (
             f"{p['num_ogs']} OGs: spent {p['cost_fraction']:.1%} of the "
             f"exact scan (budget {BUDGET_FRACTION:.0%})")
-    largest = max(points, key=lambda p: p["num_ogs"])
-    allowed = max(RSS_GATE_FRACTION * largest["inram"]["anon_kb"],
-                  RSS_FLOOR_KB)
-    assert largest["ooc"]["anon_kb"] <= allowed, (
-        f"{largest['num_ogs']} OGs: out-of-core anonymous RSS grew "
-        f"{largest['ooc']['anon_kb']} KB vs {largest['inram']['anon_kb']} "
-        f"KB in-RAM (allowed {allowed:.0f} KB)")
+    for largest in (p for p in points if p["num_ogs"] == max(SIZES)):
+        allowed = max(RSS_GATE_FRACTION * largest["inram"]["anon_kb"],
+                      RSS_FLOOR_KB)
+        assert largest["ooc"]["anon_kb"] <= allowed, (
+            f"{largest['num_ogs']} OGs, {largest['shards']} shard(s): "
+            f"out-of-core anonymous RSS grew {largest['ooc']['anon_kb']} "
+            f"KB vs {largest['inram']['anon_kb']} KB in-RAM "
+            f"(allowed {allowed:.0f} KB)")

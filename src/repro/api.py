@@ -65,7 +65,10 @@ def open_database(path: str | os.PathLike | None = None, *,
         never materialize the tree at all — the sketch tier streams
         from the store's mmap'd columns and only shortlist series are
         fetched (see ``docs/SEARCH.md``), so resident memory scales
-        with the shortlist, not the corpus.
+        with the shortlist, not the corpus.  Sharded stores answer the
+        same way, one attached sketch per shard; exact and range
+        queries, and stores saved without a sketch tier, materialize
+        on first use.
         ``True`` requires mmap (NPZ archives raise, pointing at
         ``repro convert``); ``False`` forces the eager full copy into
         RAM.

@@ -530,9 +530,9 @@ class STRGIndex:
         (zero-copy views under ``load_index(mmap=True)``), skipping the
         pivot sweep; fully out-of-core budgeted search — sketch scan
         and shortlist fetch both streamed from the store, no tree at
-        all — lives one layer up, in
-        :meth:`repro.storage.columnar.ColumnarStore.load_sketch` and
-        lazy :func:`repro.open_database` (see ``docs/SEARCH.md``).
+        all, on monolithic and sharded stores alike — lives one layer
+        up, in :meth:`repro.storage.columnar.ColumnarStore.load_sketch`
+        and lazy :func:`repro.open_database` (see ``docs/SEARCH.md``).
         """
         sketch = self._sketches
         if sketch is not None:

@@ -356,9 +356,10 @@ def _scan_ranges(payload: dict, start: int, ranges: list) -> list:
                     rows = rows[keep]
                     b_pd = b_pd[keep]
                     b_sig = b_sig[keep] if b_sig is not None else None
-            # Store-attached sketches number rows 0..n-1, so the row
-            # ordinal doubles as the og_id tie-break key.
-            b, v, _ = _block_winners(rows, rows, np.asarray(b_pd), b_sig,
+            # Store-attached sketches number og_ids consecutively from
+            # an id base, so the row ordinal gives the tie-break key.
+            b, v, _ = _block_winners(rows, rows + payload["id_base"],
+                                     np.asarray(b_pd), b_sig,
                                      qd, qsig, m_bound, m_vote)
             if b is not None:
                 bound = _merge_top(m_bound, bound, b)
@@ -878,6 +879,7 @@ class SketchIndex:
             "pivot_dists": paths["pivot_dists"],
             "sig": paths["sig"],
             "rows": n_base,
+            "id_base": int(self._ids[0]),
             "qd": qd,
             "qsig": qsig,
             "m_bound": m_bound,

@@ -38,7 +38,7 @@ from __future__ import annotations
 import copy
 import math
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -61,8 +61,8 @@ from repro.search.request import (
     SearchRequest,
     SearchResult,
     TopK,
+    budgeted_scatter,
     hit_key,
-    split_budget,
 )
 
 #: Supported placement strategies.
@@ -546,14 +546,10 @@ class ShardedIndex:
     def _approx_scatter(self, request: SearchRequest) -> SearchResult:
         """Budgeted scatter: each shard searches its own sketch tier."""
         live, failed = self._live_shards(request.degrade)
-        shares = split_budget(request.search_budget, self.shard_sizes(),
-                              request.k)
-        hits: list[tuple[float, ObjectGraph, Any]] = []
-        for s in live:
-            hits.extend(self.shards[s].search(
-                replace(request, search_budget=shares[s])).hits)
-        hits.sort(key=hit_key)
-        return SearchResult(hits[:request.k], bool(failed), failed)
+        hits = budgeted_scatter(
+            request, self.shard_sizes(),
+            lambda s, share: self.shards[s].search(share).hits, live)
+        return SearchResult(hits, bool(failed), failed)
 
     def _gather(self, background: BackgroundGraph | None, degrade: bool
                 ) -> tuple[list[tuple[ClusterRecord, _ClusterCache]],

@@ -61,6 +61,7 @@ on-disk log never mentions them; the store keeps an in-process
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import logging
@@ -79,6 +80,7 @@ from repro.errors import (
     InvalidParameterError,
     StorageError,
 )
+from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.resilience.faults import maybe_fail, maybe_truncate
 from repro.storage.serialize import (
@@ -610,8 +612,6 @@ class ColumnarStore:
 
     def _replay_delta(self, index: Any, segment: dict[str, Any],
                       row_ogs: list, dead: set[int], mmap: bool) -> None:
-        from repro.graph.object_graph import ObjectGraph
-
         arrays = self._load_segment_arrays(segment, mmap)
         meta = self._read_segment_meta(segment)
         try:
@@ -705,7 +705,8 @@ class ColumnarStore:
         Resolves global row ordinals to zero-copy offsets-table slices
         of the (optionally mmap'd) segment columns — see
         :class:`ColumnarRowReader`.  Sharded stores have no global row
-        space; open the shard stores individually.
+        space (raises ``StorageError``); open the shard stores
+        individually, as :meth:`load_sketch` does.
         """
         manifest = self._read_manifest()
         self._check_sizes(manifest)
@@ -731,132 +732,161 @@ class ColumnarStore:
         (recomputing pivot distances with ``distance`` — default: the
         stored config's ``MetricEGED``) into the sketch's in-RAM tail,
         and the result is cross-checked against the committed tombstone
-        bitmap.  Returns ``None`` when the store holds no persisted
-        sketch (callers fall back to materializing the index); raises
-        ``StorageError`` for sharded stores.
-        """
-        from repro.distance.eged import MetricEGED
-        from repro.search.sketch import LazyRows, sketch_from_meta
+        bitmap.
 
+        A sharded root returns a *list*: one such sketch per non-empty
+        shard, in shard order.  Shard ``s`` numbers its og_ids from the
+        row count of the shards before it, so ids are unique across the
+        list and ``(distance, og_id)`` ties resolve shard-then-row — the
+        order the materialized ``ShardedIndex`` gets by minting ids in
+        load order.
+
+        Returns ``None`` when the store (or any non-empty shard of it)
+        holds no persisted sketch; callers fall back to materializing
+        the index.
+        """
         with OBS.span("storage.columnar.load_sketch", mmap=mmap):
             manifest = self._read_manifest()
             self._check_sizes(manifest)
-            if manifest["kind"] != _KIND_INDEX:
-                raise StorageError(
-                    f"sharded store {self.path} has no single sketch "
-                    "tier; open the shard stores individually")
-            segments = manifest["segments"]
-            if not segments or segments[0].get("kind") != "base":
-                raise IndexCorruptionError(
-                    f"store {self.path} has no base segment",
-                    details={"path": self.path,
-                             "segments": [s["name"] for s in segments]},
-                )
-            base = segments[0]
-            meta = self._read_segment_meta(base)
-            sketch_meta = meta.get("sketch_meta")
-            if sketch_meta is None:
-                return None
-            base_rows = int(base["rows"])
+            if manifest["kind"] == _KIND_INDEX:
+                return self._attach_sketch(manifest, distance, mmap, 0)
+            sketches = []
+            id_base = 0
+            for name in manifest["shards"]:
+                shard = ColumnarStore(os.path.join(self.path, name),
+                                      normalize=False)
+                shard_manifest = shard._read_manifest()
+                shard._check_sizes(shard_manifest)
+                if (shard_manifest["rows_total"]
+                        > shard_manifest["rows_dead"]):
+                    sketch = shard._attach_sketch(shard_manifest, distance,
+                                                  mmap, id_base)
+                    if sketch is None:
+                        return None
+                    sketches.append(sketch)
+                id_base += shard_manifest["rows_total"]
+            return sketches
+
+    def _attach_sketch(self, manifest: dict[str, Any], distance: Any,
+                       mmap: bool, id_base: int) -> Any:
+        """The store-attached sketch of one index store, its og_ids
+        numbered from ``id_base`` (see :meth:`load_sketch`)."""
+        from repro.distance.eged import MetricEGED
+        from repro.search.sketch import LazyRows, sketch_from_meta
+
+        segments = manifest["segments"]
+        if not segments or segments[0].get("kind") != "base":
+            raise IndexCorruptionError(
+                f"store {self.path} has no base segment",
+                details={"path": self.path,
+                         "segments": [s["name"] for s in segments]},
+            )
+        base = segments[0]
+        meta = self._read_segment_meta(base)
+        sketch_meta = meta.get("sketch_meta")
+        if sketch_meta is None:
+            return None
+        base_rows = int(base["rows"])
+        try:
+            sketch = sketch_from_meta(sketch_meta)
+        except (KeyError, ValueError, TypeError,
+                json.JSONDecodeError) as exc:
+            raise IndexCorruptionError(
+                f"corrupt sketch meta in {self.path}: {exc}",
+                details={"path": self.path,
+                         "cause": type(exc).__name__},
+            ) from exc
+        pivot_cols = self._load_columns(
+            base, ("sketch_pivot_values", "sketch_pivot_offsets"),
+            mmap=False)
+        sketch.pivots = [
+            np.asarray(p, dtype=np.float64)
+            for p in _unpack_ragged(pivot_cols["sketch_pivot_values"],
+                                    pivot_cols["sketch_pivot_offsets"])
+        ]
+        cols = self._load_columns(
+            base, ("sketch_pivot_dists", "sketch_sig"), mmap)
+        pd = cols["sketch_pivot_dists"]
+        sig = cols["sketch_sig"]
+        if (pd.shape != (base_rows, len(sketch.pivots))
+                or sig.shape != (base_rows,
+                                 sketch.config.sig_length)):
+            raise IndexCorruptionError(
+                f"sketch columns of {self.path} do not match the "
+                f"base segment ({pd.shape}/{sig.shape} vs "
+                f"{base_rows} rows)",
+                details={"path": self.path, "rows": base_rows,
+                         "pivot_dists": list(pd.shape),
+                         "sig": list(sig.shape)},
+            )
+        reader = ColumnarRowReader(self, manifest, mmap, id_base)
+        seg_dir = os.path.join(self.path, base["name"])
+        sketch.attach_rows(
+            np.arange(id_base, id_base + base_rows, dtype=np.int64),
+            pd, sig,
+            LazyRows(reader, base_rows),
+            owned=False,
+            scan_paths={
+                "pivot_dists": os.path.join(seg_dir,
+                                            "sketch_pivot_dists.npy"),
+                "sig": os.path.join(seg_dir, "sketch_sig.npy"),
+            },
+        )
+        if distance is None:
+            distance = MetricEGED(meta["config"]["metric_gap"])
+        next_row = base_rows
+        for segment in segments[1:]:
+            seg_meta = self._read_segment_meta(segment)
+            ins_rows: list[int] = []
+            dels: list[int] = []
             try:
-                sketch = sketch_from_meta(sketch_meta)
+                for op in seg_meta["ops"]:
+                    code, operand = op[0], int(op[1])
+                    if code == "i":
+                        ins_rows.append(next_row)
+                        next_row += 1
+                    elif code == "d":
+                        dels.append(operand)
+                    else:
+                        raise ValueError(f"unknown op code {code!r}")
             except (KeyError, ValueError, TypeError,
-                    json.JSONDecodeError) as exc:
+                    IndexError) as exc:
                 raise IndexCorruptionError(
-                    f"corrupt sketch meta in {self.path}: {exc}",
+                    f"cannot replay delta segment {segment['name']} "
+                    f"of {self.path}: {exc}",
                     details={"path": self.path,
+                             "segment": segment["name"],
                              "cause": type(exc).__name__},
                 ) from exc
-            pivot_cols = self._load_columns(
-                base, ("sketch_pivot_values", "sketch_pivot_offsets"),
-                mmap=False)
-            sketch.pivots = [
-                np.asarray(p, dtype=np.float64)
-                for p in _unpack_ragged(pivot_cols["sketch_pivot_values"],
-                                        pivot_cols["sketch_pivot_offsets"])
-            ]
-            cols = self._load_columns(
-                base, ("sketch_pivot_dists", "sketch_sig"), mmap)
-            pd = cols["sketch_pivot_dists"]
-            sig = cols["sketch_sig"]
-            if (pd.shape != (base_rows, len(sketch.pivots))
-                    or sig.shape != (base_rows,
-                                     sketch.config.sig_length)):
-                raise IndexCorruptionError(
-                    f"sketch columns of {self.path} do not match the "
-                    f"base segment ({pd.shape}/{sig.shape} vs "
-                    f"{base_rows} rows)",
-                    details={"path": self.path, "rows": base_rows,
-                             "pivot_dists": list(pd.shape),
-                             "sig": list(sig.shape)},
-                )
-            reader = ColumnarRowReader(self, manifest, mmap)
-            seg_dir = os.path.join(self.path, base["name"])
-            sketch.attach_rows(
-                np.arange(base_rows, dtype=np.int64), pd, sig,
-                LazyRows(reader, base_rows),
-                owned=False,
-                scan_paths={
-                    "pivot_dists": os.path.join(seg_dir,
-                                                "sketch_pivot_dists.npy"),
-                    "sig": os.path.join(seg_dir, "sketch_sig.npy"),
-                },
-            )
-            if distance is None:
-                distance = MetricEGED(meta["config"]["metric_gap"])
-            next_row = base_rows
-            for segment in segments[1:]:
-                seg_meta = self._read_segment_meta(segment)
-                ins_rows: list[int] = []
-                dels: list[int] = []
-                try:
-                    for op in seg_meta["ops"]:
-                        code, operand = op[0], int(op[1])
-                        if code == "i":
-                            ins_rows.append(next_row)
-                            next_row += 1
-                        elif code == "d":
-                            dels.append(operand)
-                        else:
-                            raise ValueError(f"unknown op code {code!r}")
-                except (KeyError, ValueError, TypeError,
-                        IndexError) as exc:
+            if ins_rows:
+                # Same-batch inserts land before the batch's deletes;
+                # a delete can only name an already-appended row, so
+                # batching per segment preserves the op-order state.
+                pairs = [reader.record(row) for row in ins_rows]
+                sketch.add(distance, [og for og, _ in pairs],
+                           [ref for _, ref in pairs])
+            for row in dels:
+                if not sketch.remove(id_base + row):
                     raise IndexCorruptionError(
-                        f"cannot replay delta segment {segment['name']} "
-                        f"of {self.path}: {exc}",
+                        f"delta segment {segment['name']} of "
+                        f"{self.path} deletes unknown row {row}",
                         details={"path": self.path,
                                  "segment": segment["name"],
-                                 "cause": type(exc).__name__},
-                    ) from exc
-                if ins_rows:
-                    # Same-batch inserts land before the batch's deletes;
-                    # a delete can only name an already-appended row, so
-                    # batching per segment preserves the op-order state.
-                    pairs = [reader.record(row) for row in ins_rows]
-                    sketch.add(distance, [og for og, _ in pairs],
-                               [ref for _, ref in pairs])
-                for row in dels:
-                    if not sketch.remove(row):
-                        raise IndexCorruptionError(
-                            f"delta segment {segment['name']} of "
-                            f"{self.path} deletes unknown row {row}",
-                            details={"path": self.path,
-                                     "segment": segment["name"],
-                                     "row": row},
-                        )
-            live = manifest["rows_total"] - manifest["rows_dead"]
-            if next_row != manifest["rows_total"] or len(sketch) != live:
-                raise IndexCorruptionError(
-                    f"sketch replay of {self.path} disagrees with the "
-                    f"manifest ({len(sketch)} live rows vs {live})",
-                    details={"path": self.path, "live": len(sketch),
-                             "manifest": live,
-                             "rows": next_row,
-                             "rows_total": manifest["rows_total"]},
-                )
-            sketch.replay_distance = distance
-            OBS.count("storage.columnar.sketch_loads")
-            return sketch
+                                 "row": row},
+                    )
+        live = manifest["rows_total"] - manifest["rows_dead"]
+        if next_row != manifest["rows_total"] or len(sketch) != live:
+            raise IndexCorruptionError(
+                f"sketch replay of {self.path} disagrees with the "
+                f"manifest ({len(sketch)} live rows vs {live})",
+                details={"path": self.path, "live": len(sketch),
+                         "manifest": live,
+                         "rows": next_row,
+                         "rows_total": manifest["rows_total"]},
+            )
+        sketch.replay_distance = distance
+        OBS.count("storage.columnar.sketch_loads")
+        return sketch
 
     # -- incremental append -----------------------------------------------
 
@@ -1149,15 +1179,18 @@ class ColumnarRowReader:
     load lazily on first touch, so a reader over a million-row store
     costs a few manifest stats until a row is actually read.
 
-    Records are ``ObjectGraph``s minted with ``og_id = row ordinal`` —
-    the one identity that is stable across processes — which is what
-    keeps out-of-core rerank tie-breaking bit-identical to the
-    materialized index (whose fresh og_ids are minted in the same row
-    order).
+    Records are ``ObjectGraph``s minted with ``og_id = id_base + row
+    ordinal`` — the one identity that is stable across processes —
+    which is what keeps out-of-core rerank tie-breaking bit-identical
+    to the materialized index (whose fresh og_ids are minted in the
+    same row order).  ``id_base`` is 0 for a store read on its own; a
+    shard of a sharded store gets the row count of the shards before
+    it, so og_ids (``ObjectGraph`` equality and hashing are by og_id)
+    stay unique across the shards' readers.
     """
 
     def __init__(self, store: ColumnarStore, manifest: dict[str, Any],
-                 mmap: bool = True):
+                 mmap: bool = True, id_base: int = 0):
         if manifest["kind"] != _KIND_INDEX:
             raise StorageError(
                 f"sharded store {store.path} has no global row space")
@@ -1170,20 +1203,20 @@ class ColumnarRowReader:
             )
         self._store = store
         self._mmap = bool(mmap)
+        self._id_base = int(id_base)
         self._segments = list(segments)
-        self._columns: list[dict[str, np.ndarray] | None] = (
-            [None] * len(segments))
+        self._columns: list[tuple | None] = [None] * len(segments)
         self._refs: list[list | None] = [None] * len(segments)
-        starts = np.zeros(len(segments) + 1, dtype=np.int64)
-        for i, segment in enumerate(segments):
-            starts[i + 1] = starts[i] + int(segment["rows"])
+        starts = [0]
+        for segment in segments:
+            starts.append(starts[-1] + int(segment["rows"]))
         self._starts = starts
         self._rows_total = int(manifest["rows_total"])
-        if int(starts[-1]) != self._rows_total:
+        if starts[-1] != self._rows_total:
             raise IndexCorruptionError(
                 f"segment row counts of {store.path} sum to "
-                f"{int(starts[-1])}, manifest says {self._rows_total}",
-                details={"path": store.path, "sum": int(starts[-1]),
+                f"{starts[-1]}, manifest says {self._rows_total}",
+                details={"path": store.path, "sum": starts[-1],
                          "manifest": self._rows_total},
             )
         self._dead = store._load_tombstones(manifest)
@@ -1205,17 +1238,22 @@ class ColumnarRowReader:
         if not 0 <= row < self._rows_total:
             raise InvalidParameterError(
                 f"row {row} out of range [0, {self._rows_total})")
-        part = int(np.searchsorted(self._starts, row, side="right")) - 1
-        return part, row - int(self._starts[part])
+        part = bisect.bisect_right(self._starts, row) - 1
+        return part, row - self._starts[part]
 
-    def _part_columns(self, part: int) -> dict[str, np.ndarray]:
+    def _part_columns(self, part: int) -> tuple:
+        """``(values, offsets, frames, labels)`` of one segment.
+
+        Held as base-class ``ndarray`` views of the maps: still
+        zero-copy, but a slice skips ``np.memmap``'s per-``__getitem__``
+        subclass bookkeeping (3x the cost of the slice itself).
+        """
         columns = self._columns[part]
         if columns is None:
-            columns = self._store._load_columns(
-                self._segments[part],
-                ("og_values", "og_offsets", "og_frames", "og_labels"),
-                self._mmap,
-            )
+            names = ("og_values", "og_offsets", "og_frames", "og_labels")
+            loaded = self._store._load_columns(self._segments[part], names,
+                                               self._mmap)
+            columns = tuple(loaded[name].view(np.ndarray) for name in names)
             self._columns[part] = columns
         return columns
 
@@ -1230,31 +1268,25 @@ class ColumnarRowReader:
     def series(self, row: int) -> np.ndarray:
         """Zero-copy ``(n, d)`` float64 trajectory slice of one row."""
         part, local = self._locate(int(row))
-        columns = self._part_columns(part)
-        offsets = columns["og_offsets"]
-        lo, hi = int(offsets[local]), int(offsets[local + 1])
-        return columns["og_values"][lo:hi]
+        values, offsets, _, _ = self._part_columns(part)
+        return values[offsets[local]:offsets[local + 1]]
 
     def record(self, row: int) -> tuple[Any, Any]:
-        """``(og, clip_ref)`` of one row, ``og_id`` = the row ordinal."""
-        from repro.graph.object_graph import ObjectGraph
-
+        """``(og, clip_ref)`` of one row, ``og_id = id_base + row``."""
         row = int(row)
         part, local = self._locate(row)
-        columns = self._part_columns(part)
-        offsets = columns["og_offsets"]
-        lo, hi = int(offsets[local]), int(offsets[local + 1])
+        values, offsets, frames_flat, labels = self._part_columns(part)
+        lo, hi = offsets[local], offsets[local + 1]
         frames = None
-        frames_flat = columns["og_frames"]
-        if frames_flat.shape[0] == int(offsets[-1]):
+        if frames_flat.shape[0] == offsets[-1]:
             frames = frames_flat[lo:hi]
-        label = int(columns["og_labels"][local])
+        label = int(labels[local])
         refs = self._part_refs(part)
         og = ObjectGraph(
-            values=columns["og_values"][lo:hi],
+            values=values[lo:hi],
             frames=frames,
             label=None if label < 0 else label,
-            og_id=row,
+            og_id=self._id_base + row,
         )
         return og, (refs[local] if local < len(refs) else None)
 

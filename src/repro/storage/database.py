@@ -42,8 +42,8 @@ from repro.resilience.policy import (
     quarantine_record,
 )
 from repro.resilience.retry import RetryPolicy
-from repro.search.request import SearchRequest
-from repro.search.sketch import approx_knn
+from repro.search.request import SearchRequest, budgeted_scatter
+from repro.search.sketch import SketchIndex, approx_knn
 from repro.storage.serialize import npz_path  # noqa: F401  (re-exported for callers)
 from repro.storage.store import open_store
 from repro.video.frames import VideoSegment
@@ -109,7 +109,7 @@ class VideoDatabase:
         #: Store backing a lazy (mmap) open — lets budgeted queries run
         #: against the out-of-core sketch tier without ever
         #: materializing the tree.  ``_ooc_sketch`` caches the attached
-        #: sketch (``False`` once probing found none).
+        #: sketches, one per shard (``False`` once probing found none).
         self._store = None
         self._store_mmap = False
         self._ooc_sketch: Any = None
@@ -392,11 +392,14 @@ class VideoDatabase:
         # to the materialized index's budgeted path, but resident memory
         # stays O(shortlist) instead of O(corpus) — the tree is never
         # built.
-        sketch = (self._ooc_sketch_tier()
-                  if search_budget is not None and not self.index_loaded
-                  else None)
-        if sketch is not None:
-            hits = approx_knn(sketch, sketch.replay_distance, request)
+        sketches = (self._ooc_sketch_tier()
+                    if search_budget is not None and not self.index_loaded
+                    else None)
+        if sketches is not None:
+            hits = budgeted_scatter(
+                request, [len(sketch) for sketch in sketches],
+                lambda p, share: approx_knn(
+                    sketches[p], sketches[p].replay_distance, share))
         else:
             self._require_index()
             # Through the index's ``knn`` sugar, not ``search``: that is
@@ -502,12 +505,14 @@ class VideoDatabase:
             raise IndexStateError("database is empty; ingest video first")
 
     def _ooc_sketch_tier(self):
-        """Store-attached sketch for budgeted queries on a lazy open.
+        """Store-attached sketches for budgeted queries on a lazy open.
 
-        Returns the cached out-of-core :class:`SketchIndex`, probing
-        the backing store once; ``None`` when unavailable (no columnar
-        store, no persisted sketch, sharded store, corruption) — the
-        caller then materializes the index and uses the classic path.
+        Returns the cached out-of-core :class:`SketchIndex` list — one
+        per non-empty shard, a monolithic store being the one-part case
+        — probing the backing store once; ``None`` when unavailable (no
+        columnar store, a part without a persisted sketch, nothing
+        stored, corruption) — the caller then materializes the index
+        and uses the classic path.
         """
         if self._ooc_sketch is not None:
             return self._ooc_sketch or None
@@ -517,18 +522,18 @@ class VideoDatabase:
             self._ooc_sketch = False
             return None
         try:
-            sketch = store.load_sketch(mmap=True)
+            sketches = store.load_sketch(mmap=True)
         except StorageError as exc:
             logger.info(
                 "out-of-core sketch unavailable for %s (%s: %s); "
                 "budgeted queries will materialize the index",
                 store.path, type(exc).__name__, exc)
-            sketch = None
-        if sketch is None or len(sketch) == 0:
-            self._ooc_sketch = False
-            return None
-        self._ooc_sketch = sketch
-        return sketch
+            sketches = None
+        if isinstance(sketches, SketchIndex):   # monolithic: one part
+            sketches = [sketches]
+        sketches = [sketch for sketch in sketches or () if len(sketch)]
+        self._ooc_sketch = sketches or False
+        return sketches or None
 
     # -- introspection / persistence -----------------------------------------------
 
@@ -616,7 +621,8 @@ class VideoDatabase:
         budgeted queries (``knn(..., search_budget=N)``) run fully
         out-of-core: the sketch tier streams from the store's mmap'd
         columns and only the shortlist's series are fetched, so the
-        tree is never built (see ``docs/SEARCH.md``).
+        tree is never built — on monolithic and sharded stores alike
+        (see ``docs/SEARCH.md``).
         ``**kwargs`` are the constructor's resilience options
         (``fault_policy``, ``retry_policy``, ``journal_path``, ...).
         """

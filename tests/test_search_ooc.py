@@ -7,8 +7,9 @@ with ``==``, orders compared as lists):
   shortlist at *any* block size (property-tested at 1, 7, 64, n);
 - ``knn(search_budget=N)`` is bit-identical between in-RAM and mmap
   sketch modes at every layer — SketchIndex, ColumnarStore.load_sketch,
-  VideoDatabase (sketch-only path, tree never built), ShardedIndex at
-  1/2/4 shards, and the PR 9 worker pool;
+  VideoDatabase (sketch-only path, tree never built, monolithic and
+  2/4-shard stores under both placements), ShardedIndex at 1/2/4
+  shards, and the PR 9 worker pool;
 - tombstoned deletion equals eager physical deletion under interleaved
   add/remove;
 - the row-addressed reader returns the same records the materialized
@@ -215,15 +216,21 @@ class TestTombstoneParity:
         assert len(sketch) == len(ogs) - 1
 
 
-def store_with_sketch(tmp_path, ogs, name="corpus", shards=None):
-    """Columnar snapshot whose sketch tier was built before saving."""
+def store_with_sketch(tmp_path, ogs, name="corpus", shards=None,
+                      placement="affine", sketched=None):
+    """Columnar snapshot whose sketch tier was built before saving
+    (``sketched``: on these shards only)."""
     if shards is None:
         index = STRGIndex(STRGIndexConfig(n_clusters=4))
     else:
         index = ShardedIndex(ShardedIndexConfig(
-            num_shards=shards, index=STRGIndexConfig(n_clusters=4)))
+            num_shards=shards, placement=placement,
+            index=STRGIndexConfig(n_clusters=4)))
     index.build(ogs, clip_refs=[f"clip-{i}" for i in range(len(ogs))])
-    index.knn(ogs[0], 3, search_budget=24)  # builds + persists the sketch
+    if sketched is None:
+        index.knn(ogs[0], 3, search_budget=24)  # builds + persists the sketch
+    for s in sketched or ():
+        index.shards[s].sketch_tier()
     store = ColumnarStore(tmp_path / name)
     store.write_index(index)
     return store, index
@@ -295,12 +302,17 @@ class TestStoreAttachedSketch:
         assert store.load_sketch() is None
 
     def test_sharded_store_raises(self, tmp_path):
+        """A sharded root has no global row space — but it has a sketch
+        tier: one attached sketch per shard, og_ids numbered through."""
         ogs = corpus(40, seed=71)
-        store, _ = store_with_sketch(tmp_path, ogs, name="sh", shards=2)
-        with pytest.raises(StorageError):
-            store.load_sketch()
+        store, index = store_with_sketch(tmp_path, ogs, name="sh", shards=2)
         with pytest.raises(StorageError):
             store.row_reader()
+        sketches = store.load_sketch()
+        assert [len(s) for s in sketches] == index.shard_sizes()
+        ids = np.concatenate([s.og_ids for s in sketches])
+        assert ids.tolist() == list(range(len(ogs)))
+        assert sketches[1].row_record(0)[0].og_id == len(sketches[0])
 
     def test_parallel_scan_matches_serial(self, tmp_path):
         ogs = corpus(120, seed=81)
@@ -388,10 +400,40 @@ class TestRowReader:
             rows.compact(np.arange(3))
 
 
+#: Store shapes the database must answer out of core: ``(shards,
+#: placement)``, ``None`` = monolithic.
+STORE_SHAPES = [(None, "affine"), (2, "affine"), (2, "hash"),
+                (4, "affine"), (4, "hash")]
+
+
+def pairs_computed(fn, queries):
+    """``distance.pairs_computed`` (the paper's cost unit, §6.3) spent
+    by ``fn`` over ``queries``."""
+    from repro import observability
+
+    observability.configure(enabled=True, reset_state=True)
+    try:
+        for q in queries:
+            fn(q)
+        return observability.metrics().get("distance.pairs_computed", 0)
+    finally:
+        observability.configure(enabled=False, reset_state=True)
+
+
+def twins(values):
+    """Two OGs with the same trajectory; the one minted first (smaller
+    og_id) is hash-placed on shard 1 of 2, the other on shard 0."""
+    first = ObjectGraph.from_values(values)
+    if first.og_id % 2 == 0:
+        first = ObjectGraph.from_values(values)
+    return first, ObjectGraph.from_values(values)
+
+
 class TestDatabaseOutOfCore:
-    def make_db(self, tmp_path, n=90, budgeted=True):
+    def make_db(self, tmp_path, n=90, budgeted=True, shards=None,
+                placement="affine"):
         ogs = corpus(n, seed=13)
-        db = VideoDatabase()
+        db = VideoDatabase(shards=shards, placement=placement)
         db.ingest_object_graphs(ogs)
         if budgeted:
             db.knn(ogs[0], 3, search_budget=24)  # persistable sketch
@@ -414,6 +456,82 @@ class TestDatabaseOutOfCore:
         assert opened.index_loaded
         assert exact == db_sig(db.knn(ogs[0], 5))
         assert db_sig(opened.knn(ogs[1], 5, search_budget=30)) == want[1]
+
+    @pytest.mark.parametrize("shards,placement", STORE_SHAPES)
+    def test_any_store_shape_answers_out_of_core(self, tmp_path, shards,
+                                                 placement):
+        import repro
+
+        db, ogs = self.make_db(tmp_path, shards=shards, placement=placement)
+        queries = corpus(4, seed=19) + ogs[:2]
+        opened = repro.open_database(tmp_path / "db", create=False)
+        loaded = ColumnarStore(tmp_path / "db").load_index(mmap=True)
+        for q in queries:
+            hits = opened.knn(q, 5, search_budget=30)
+            assert db_sig(hits) == db_sig(db.knn(q, 5, search_budget=30))
+            assert db_sig(hits) == hit_sig(
+                loaded.knn(q, 5, search_budget=30))
+            assert len({h.og.og_id for h in hits}) == len(hits) == 5
+        # Same candidates, same evaluations: the paper's cost unit
+        # cannot tell the two paths apart.
+        assert pairs_computed(
+            lambda q: opened.knn(q, 5, search_budget=30), queries) \
+            == pairs_computed(
+                lambda q: loaded.knn(q, 5, search_budget=30), queries)
+        # A budget covering every part's rows and pivots is exact.
+        generous = len(ogs) * (1 + SketchConfig().num_pivots)
+        for q in queries[:3]:
+            assert db_sig(opened.knn(q, 5, search_budget=generous)) \
+                == db_sig(db.knn(q, 5))
+        assert not opened.index_loaded
+
+    def test_cross_shard_tie_resolves_shard_then_row(self, tmp_path):
+        """The same trajectory stored in two shards: an exact tie in
+        distance, broken by og_id — which out of core is shard-then-row,
+        the order the materialized index mints ids in."""
+        import repro
+
+        first, second = twins(corpus(1, seed=97)[0].values)
+        ogs = corpus(30, seed=98) + [first, second]
+        store, _ = store_with_sketch(tmp_path, ogs, name="tie", shards=2,
+                                     placement="hash")
+        first_ref, second_ref = "clip-30", "clip-31"
+        opened = repro.open_database(store.path, create=False)
+        hits = opened.knn(first, 4, search_budget=40)
+        assert not opened.index_loaded
+        assert [h.distance for h in hits[:2]] == [0.0, 0.0]
+        # ``second`` went to shard 0, so it outranks its older twin.
+        assert [h.clip_ref for h in hits[:2]] == [second_ref, first_ref]
+        assert hits[0].og.og_id < hits[1].og.og_id
+        assert hits[0].og != hits[1].og
+        assert db_sig(hits) == hit_sig(
+            store.load_index(mmap=True).knn(first, 4, search_budget=40))
+
+    def test_empty_shard_is_skipped(self, tmp_path):
+        import repro
+
+        even = [og for og in corpus(80, seed=99) if og.og_id % 2 == 0]
+        store, index = store_with_sketch(tmp_path, even, name="gap",
+                                         shards=2, placement="hash")
+        assert index.shard_sizes() == [len(even), 0]
+        assert [len(s) for s in store.load_sketch()] == [len(even)]
+        opened = repro.open_database(store.path, create=False)
+        for q in corpus(3, seed=100):
+            assert db_sig(opened.knn(q, 5, search_budget=30)) \
+                == hit_sig(index.knn(q, 5, search_budget=30))
+        assert not opened.index_loaded
+
+    def test_shard_without_sketch_falls_back(self, tmp_path):
+        import repro
+
+        ogs = corpus(60, seed=101)
+        store, index = store_with_sketch(tmp_path, ogs, name="half",
+                                         shards=2, sketched=[0])
+        assert store.load_sketch() is None
+        opened = repro.open_database(store.path, create=False)
+        got = db_sig(opened.knn(ogs[0], 5, search_budget=30))
+        assert opened.index_loaded  # fell back to materialization
+        assert got == hit_sig(index.knn(ogs[0], 5, search_budget=30))
 
     def test_snapshot_without_sketch_falls_back(self, tmp_path):
         import repro
