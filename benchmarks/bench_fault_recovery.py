@@ -108,7 +108,7 @@ def bench_fault_recovery(benchmark, tmp_path_factory):
 
         # Crash recovery: snapshot + journal replay cost.
         workdir = tmp_path_factory.mktemp("fault_recovery")
-        path = workdir / "index.npz"
+        path = workdir / "index.strg"
         db = VideoDatabase(retry_policy=retry,
                            journal_path=str(path) + ".journal")
         db.ingest_many(segments[: NUM_SEGMENTS // 2])

@@ -80,8 +80,7 @@ def bench_net_report():
     build_seconds = time.perf_counter() - t0
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = open_store(os.path.join(tmp, "corpus.strg"),
-                           format="columnar")
+        store = open_store(os.path.join(tmp, "corpus.strg"))
         store.write_index(index)
         reference = open_store(store.path).load_index(mmap=True)
         expected = {

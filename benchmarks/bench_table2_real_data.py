@@ -38,7 +38,6 @@ def table2():
         simulate_stream_ogs,
         stream_frame_count,
     )
-    from repro.graph.decomposition import decompose
     from repro.pipeline import PipelineConfig, VideoPipeline
 
     rows = {}

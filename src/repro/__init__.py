@@ -4,7 +4,7 @@ Large Video Databases* (Lee, Oh, Hwang — SIGMOD 2005).
 The blessed public surface is small (see ``docs/API.md``):
 
     >>> import repro
-    >>> db = repro.open_database("corpus.npz")
+    >>> db = repro.open_database("corpus")
     >>> db.ingest(video_segment)
     >>> hits = db.knn(example_trajectory, k=5)
     >>> repro.observability.configure(enabled=True)   # tracing + metrics
@@ -26,9 +26,10 @@ The package mirrors the paper's pipeline:
   BIC-driven node split and k-NN search.
 - :mod:`repro.datasets` — the paper's synthetic workload (48 motion
   patterns, Pelleg+Vlachos style) and simulated surveillance streams.
-- :mod:`repro.storage` — the ``open_store`` snapshot facade (columnar
-  memory-mapped store + checksummed NPZ archives, see ``docs/STORAGE.md``)
-  and the ``VideoDatabase`` facade.
+- :mod:`repro.storage` — ``open_store`` and the columnar memory-mapped
+  ``.strg`` snapshot store (see ``docs/STORAGE.md``; 2.x NPZ archives
+  import through ``strg-index convert``), and the ``VideoDatabase``
+  facade.
 - :mod:`repro.resilience` — fault injection, retry/backoff policies,
   quarantine, ingest journaling and crash recovery.
 - :mod:`repro.parallel` — multi-process fan-out: distance jobs
@@ -82,7 +83,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "DistanceExecutor",

@@ -7,11 +7,11 @@ one function in front of all of them::
 
     import repro
 
-    db = repro.open_database("corpus.npz")      # load or create
+    db = repro.open_database("corpus")          # load or create corpus.strg/
     db.ingest(video)
     hits = db.knn(example, k=5)                 # similarity search
     rows = db.query().velocity(minimum=2.0).run()   # attribute search
-    db.save()                                   # back to corpus.npz
+    db.save()                                   # back to corpus.strg/
 
 ``open_database`` always returns a
 :class:`~repro.storage.database.VideoDatabase`; the older constructors
@@ -43,12 +43,14 @@ def open_database(path: str | os.PathLike | None = None, *,
     Parameters
     ----------
     path:
-        Snapshot location — a columnar ``.strg`` store directory, a
-        checksummed ``.npz`` archive, or a sharded NPZ meta archive (the
-        format is autodetected, see ``docs/STORAGE.md``).  When a
-        snapshot exists there, it is opened; otherwise a fresh database
-        is created *bound* to that path, so a later ``db.save()`` needs
-        no argument.  ``None`` gives an unbound in-memory database.
+        Store location — a columnar ``.strg`` directory, monolithic or
+        sharded; a suffix-less path means ``<path>.strg/`` (see
+        ``docs/STORAGE.md``).  When a store exists there, it is opened;
+        otherwise a fresh database is created *bound* to that path, so
+        a later ``db.save()`` needs no argument.  A 2.x ``.npz``
+        archive at the path raises ``StorageError`` naming
+        ``strg-index convert`` instead of opening empty beside it.
+        ``None`` gives an unbound in-memory database.
     config:
         :class:`~repro.pipeline.PipelineConfig` for the extraction
         pipeline and index (used both for fresh databases and as the
@@ -57,10 +59,10 @@ def open_database(path: str | os.PathLike | None = None, *,
         With ``create=False`` a missing snapshot raises
         ``FileNotFoundError`` instead of creating an empty database.
     mmap:
-        ``"auto"`` (default) memory-maps trajectory columns read-only
-        when the snapshot format supports it (columnar stores), making
-        the open O(1): the tree materializes lazily on first query and
-        trajectory bytes stay on disk until a query faults them in.
+        ``"auto"`` (default) and ``True`` memory-map trajectory columns
+        read-only, making the open O(1): the tree materializes lazily
+        on first query and trajectory bytes stay on disk until a query
+        faults them in.
         On such an open, budgeted queries (``knn(..., search_budget=N)``)
         never materialize the tree at all — the sketch tier streams
         from the store's mmap'd columns and only shortlist series are
@@ -68,10 +70,7 @@ def open_database(path: str | os.PathLike | None = None, *,
         with the shortlist, not the corpus.  Sharded stores answer the
         same way, one attached sketch per shard; exact and range
         queries, and stores saved without a sketch tier, materialize
-        on first use.
-        ``True`` requires mmap (NPZ archives raise, pointing at
-        ``repro convert``); ``False`` forces the eager full copy into
-        RAM.
+        on first use.  ``False`` forces the eager full copy into RAM.
     **kwargs:
         Forwarded to :class:`~repro.storage.database.VideoDatabase`
         (``fault_policy``, ``retry_policy``, ``drop_tolerance``,
@@ -84,12 +83,9 @@ def open_database(path: str | os.PathLike | None = None, *,
         return VideoDatabase(config, **kwargs)
     store = open_store(path)
     if store.exists():
-        use_mmap = store.supports_mmap if mmap == "auto" else bool(mmap)
-        # Only a format that can actually mmap loads lazily; forcing
-        # mmap on one that cannot must fail now, not at first query.
-        lazy = use_mmap and store.supports_mmap
-        return VideoDatabase.load(store.path, config, mmap=use_mmap,
-                                  lazy=lazy, **kwargs)
+        # Mapped opens ("auto" included) are lazy: O(1) until first touch.
+        return VideoDatabase.load(store.path, config, mmap=mmap,
+                                  lazy=bool(mmap), **kwargs)
     if not create:
         raise FileNotFoundError(
             f"no database snapshot at {store.path} (pass create=True to "

@@ -7,16 +7,16 @@ Subcommands::
     strg-index ingest OUT          # fault-tolerant batch ingest + journal
     strg-index recover INDEX       # inspect crash-recovery state
     strg-index query  INDEX        # k-NN query with a synthetic trajectory
-    strg-index convert SRC [DST]   # migrate a snapshot between formats
+    strg-index convert SRC [DST]   # import a 2.x NPZ archive into a store
     strg-index bench               # tiny smoke benchmark
     strg-index serve  INDEX        # drive the query service on an index
     strg-index bench-load          # closed-loop load benchmark at N shards
 
-Snapshot paths accept either store format — a checksummed ``.npz``
-archive or a memory-mappable columnar ``.strg/`` directory
-(``--store-format`` pins the format where a command writes one; see
-``docs/STORAGE.md``).  Every subcommand prints human-readable progress
-to stdout.
+Snapshot paths name a memory-mappable columnar ``.strg/`` store (a
+suffix-less path means ``<path>.strg/``; see ``docs/STORAGE.md``).  A
+2.x ``.npz`` archive is refused everywhere except ``convert``, which
+imports it.  Every subcommand prints human-readable progress to stdout;
+a storage error prints to stderr and exits 3.
 """
 
 from __future__ import annotations
@@ -56,14 +56,6 @@ def _report_observability(args: argparse.Namespace) -> None:
     if metrics_out:
         observability.export_metrics_prometheus(metrics_out)
         print(f"metrics written to {metrics_out}")
-
-
-def _add_store_format_option(sub: argparse.ArgumentParser,
-                             help: str) -> None:
-    from repro.storage.store import FORMATS
-
-    sub.add_argument("--store-format", default="auto", choices=FORMATS,
-                     help=help)
 
 
 def _add_observe_options(sub: argparse.ArgumentParser) -> None:
@@ -109,7 +101,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     n = db.ingest(video)
     print(f"ingested {video!r}: {n} OGs")
     print(f"stats: {db.stats()}")
-    db.save(args.output, format=args.store_format)
+    db.save(args.output)
     print(f"index saved to {db.path}")
     return 0
 
@@ -124,11 +116,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         print(f"unknown stream {args.stream!r}; choose from {sorted(STREAMS)}",
               file=sys.stderr)
         return 2
-    from repro.storage.store import store_path
+    from repro.storage.store import open_store
 
     observe = _start_observability(args)
-    journal = args.journal or (
-        store_path(args.output, args.store_format) + ".journal")
+    journal = args.journal or open_store(args.output).path + ".journal"
     db = VideoDatabase(fault_policy=args.fault_policy, journal_path=journal)
     rng = np.random.default_rng(args.seed)
     videos = []
@@ -149,7 +140,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         return 3
     print(f"ingested {report['segments']} segment(s), "
           f"{report['ogs']} OGs, {report['quarantined']} quarantined")
-    db.save(args.output, format=args.store_format)
+    db.save(args.output)
     print(f"index saved to {db.path} (journal: {journal})")
     print(f"health: {db.health()}")
     if observe:
@@ -188,14 +179,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.datasets.patterns import pattern_by_id
 
     observe = _start_observability(args)
-    index_path = args.index
-    if args.store_format != "auto":
-        from repro.storage.store import store_path
-
-        index_path = store_path(args.index, args.store_format)
-    mmap_mode = {"auto": "auto", "always": True, "never": False}[
-        getattr(args, "mmap", "auto")]
-    db = open_database(index_path, create=False, mmap=mmap_mode)
+    db = open_database(args.index, create=False,
+                       mmap=args.mmap != "never")
     pattern = pattern_by_id(args.pattern)
     trajectory = pattern.generate(32)
     hits = db.knn(trajectory, k=args.k, search_budget=args.search_budget)
@@ -213,25 +198,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    from repro.errors import InvalidParameterError, StorageError
-    from repro.storage.store import convert, open_store
+    from repro.storage.store import convert
 
-    source = open_store(args.source)
     started = time.perf_counter()
-    try:
-        dest = convert(args.source, args.dest, format=args.format,
-                       verify=not args.no_verify)
-    except (StorageError, InvalidParameterError) as exc:
-        print(f"conversion failed: {exc}", file=sys.stderr)
-        return 3
+    dest = convert(args.source, args.dest)
     elapsed = time.perf_counter() - started
-    print(f"converted {source.path} ({source.format}) -> "
-          f"{dest.path} ({dest.format}) in {elapsed:.2f}s")
-    if not args.no_verify:
-        report = dest.describe()
-        print(f"verified: {report}")
-    print("the source snapshot is untouched; delete it once the "
-          "destination is in service")
+    print(f"imported {args.source} -> columnar store {dest.path} "
+          f"in {elapsed:.2f}s")
+    print(f"verified: {dest.describe()}")
+    print("the source archive is untouched; delete it once the "
+          "store is in service")
     return 0
 
 
@@ -314,7 +290,6 @@ def _serve_http(args: argparse.Namespace) -> int:
         WorkerPoolConfig,
         run_http_open_loop,
     )
-    from repro.storage.columnar import ColumnarStore
     from repro.storage.store import open_store
 
     observe = _start_observability(args)
@@ -328,10 +303,10 @@ def _serve_http(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     store = open_store(args.index)
-    if not isinstance(store, ColumnarStore) or not store.exists():
-        print(f"--http serves worker processes memory-mapping a columnar "
-              f".strg store; {store.path} is not one. Migrate with "
-              f"`strg-index convert {args.index}` first.", file=sys.stderr)
+    if not store.exists():
+        print(f"--http serves worker processes memory-mapping a written "
+              f".strg store; there is none at {store.path}",
+              file=sys.stderr)
         return 2
     pool = WorkerPool(store.path, WorkerPoolConfig(
         workers=args.workers, replicas=args.replicas))
@@ -409,7 +384,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config=IngestServiceConfig(
                 queue_depth=args.ingest_queue_depth,
                 job_timeout=args.ingest_timeout,
-                store_format=args.store_format,
             ))
     print(f"serving {live!r} with {args.workers} worker(s); "
           f"driving {args.rate:.0f} req/s for {args.duration:.1f}s"
@@ -507,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("output", help="output snapshot path")
     build.add_argument("--stream", default="Traffic1")
     build.add_argument("--frames", type=int, default=60)
-    _add_store_format_option(
-        build, "snapshot format written (auto = by suffix, NPZ default)")
     build.set_defaults(func=_cmd_build)
 
     ingest = sub.add_parser(
@@ -530,15 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="frame-parallel segmentation workers per "
                              "segment (results are identical at any "
                              "worker count; default serial)")
-    _add_store_format_option(
-        ingest, "snapshot format written (auto = by suffix, NPZ default)")
     _add_observe_options(ingest)
     ingest.set_defaults(func=_cmd_ingest)
 
     recover = sub.add_parser(
         "recover", help="inspect snapshot + journal after a crash"
     )
-    recover.add_argument("index", help="index NPZ path")
+    recover.add_argument("index", help="index store path (.strg)")
     recover.add_argument("--journal", default=None,
                          help="journal path (default: <index>.journal)")
     recover.add_argument("--limit", type=int, default=10,
@@ -546,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover.set_defaults(func=_cmd_recover)
 
     query = sub.add_parser("query", help="k-NN query a saved index")
-    query.add_argument("index", help="index snapshot path (NPZ or .strg)")
+    query.add_argument("index", help="index store path (.strg)")
     query.add_argument("--pattern", type=int, default=0)
     query.add_argument("-k", type=int, default=5)
     query.add_argument("--search-budget", type=int, default=None,
@@ -555,31 +525,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "sketch-tier search; omit for exact)")
     query.add_argument("--mmap", default="auto",
                        choices=("auto", "always", "never"),
-                       help="memory-map the snapshot instead of copying it "
-                            "into RAM (columnar stores only). With "
-                            "--search-budget, mmap mode answers straight "
-                            "from the store's sketch columns without "
-                            "materializing the tree (out-of-core search); "
-                            "'always' fails on formats that cannot mmap, "
-                            "'never' forces the eager in-RAM load")
-    _add_store_format_option(
-        query, "pin the snapshot format instead of autodetecting")
+                       help="memory-map the store instead of copying it "
+                            "into RAM. With --search-budget, mmap mode "
+                            "answers straight from the store's sketch "
+                            "columns without materializing the tree "
+                            "(out-of-core search); 'never' forces the "
+                            "eager in-RAM load")
     _add_observe_options(query)
     query.set_defaults(func=_cmd_query)
 
     convert = sub.add_parser(
-        "convert", help="migrate a snapshot between store formats"
+        "convert", help="import a 2.x NPZ archive into a columnar store"
     )
-    convert.add_argument("source", help="existing snapshot (NPZ or .strg)")
+    convert.add_argument("source", help="2.x NPZ archive (monolithic or "
+                                        "sharded meta archive)")
     convert.add_argument("dest", nargs="?", default=None,
-                         help="destination path (default: next to the "
-                              "source, e.g. corpus.npz -> corpus.strg/)")
-    convert.add_argument("--format", default="columnar",
-                         choices=["columnar", "npz"],
-                         help="destination format (default: columnar)")
-    convert.add_argument("--no-verify", action="store_true",
-                         help="skip the deep integrity pass on the "
-                              "destination")
+                         help="destination store path (default: next to "
+                              "the source, corpus.npz -> corpus.strg/)")
     convert.set_defaults(func=_cmd_convert)
 
     bench = sub.add_parser("bench", help="smoke benchmark vs M-tree")
@@ -594,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     shots.set_defaults(func=_cmd_shots)
 
     motion = sub.add_parser("motion", help="motion-attribute query on a saved index")
-    motion.add_argument("index", help="index NPZ path")
+    motion.add_argument("index", help="index store path (.strg)")
     motion.add_argument("--direction", type=float, default=None,
                         help="heading in degrees (0 = east)")
     motion.add_argument("--min-velocity", type=float, default=None)
@@ -607,14 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the query service over a saved index"
     )
     serve.add_argument("index",
-                       help="index snapshot path (NPZ or .strg; "
-                            "monolithic or sharded)")
+                       help="index store path (.strg; monolithic or "
+                            "sharded)")
     serve.add_argument("--shards", type=int, default=None,
                        help="reshard a monolithic snapshot across N shards")
     serve.add_argument("--http", default=None, metavar="HOST:PORT",
                        help="serve over HTTP with worker *processes* "
-                            "memory-mapping the columnar snapshot "
-                            "(requires a .strg store; port 0 = ephemeral)")
+                            "memory-mapping the store (port 0 = "
+                            "ephemeral)")
     serve.add_argument("--replicas", type=int, default=1,
                        help="worker processes per shard slot in --http "
                             "mode (2+ keeps shards served through a "
@@ -646,9 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--state-dir", default=None,
                        help="journal/spool/checkpoint directory "
                             "(enables crash recovery)")
-    _add_store_format_option(
-        serve, "checkpoint snapshot format for --state-dir (columnar "
-               "checkpoints append O(delta) segments)")
     _add_observe_options(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -672,9 +631,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``strg-index`` console script."""
+    from repro.errors import StorageError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StorageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

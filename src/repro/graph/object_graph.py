@@ -38,21 +38,6 @@ def _next_og_id() -> int:
         return n
 
 
-def claim_og_ids(minimum: int) -> None:
-    """Advance the global OG id counter so future ids are ``>= minimum``.
-
-    Loading a persisted corpus restores its stored og_ids verbatim;
-    without this, a freshly started process would mint new OGs whose ids
-    collide with loaded ones (OG identity, deletion and knn tie-breaking
-    are all keyed by og_id).  ``repro.storage.serialize`` calls this
-    after every load, so recovered databases can keep ingesting safely.
-    """
-    global _OG_NEXT_ID
-    with _OG_ID_LOCK:
-        if minimum > _OG_NEXT_ID:
-            _OG_NEXT_ID = minimum
-
-
 @dataclass
 class ObjectRegionGraph:
     """Trajectory of a single tracked region.

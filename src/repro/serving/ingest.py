@@ -79,7 +79,7 @@ from repro.resilience.policy import (
 )
 from repro.resilience.retry import RetryPolicy
 from repro.serving.snapshot import LiveIndex, _BufferedWrite
-from repro.storage.store import FORMATS, open_store
+from repro.storage.store import open_store, require_columnar
 from repro.video.frames import VideoSegment
 
 _SHUTDOWN = object()   # queue sentinel: worker exits unconditionally
@@ -88,11 +88,8 @@ _RETIRE = object()     # queue sentinel: worker exits if pool is above min
 #: Journal file name inside a service's ``state_dir``.
 JOURNAL_NAME = "ingest.journal"
 #: Snapshot base name inside a service's ``state_dir``; ``open_store``
-#: resolves it to ``index.npz`` or ``index.strg/`` by format.
+#: resolves it to the ``index.strg/`` store.
 SNAPSHOT_BASE = "index"
-#: Historical NPZ snapshot file name (the ``store_format="auto"``
-#: default for fresh state dirs, kept for backwards compatibility).
-SNAPSHOT_NAME = "index.npz"
 #: Spool directory name inside a service's ``state_dir``.
 SPOOL_DIR = "spool"
 
@@ -163,13 +160,10 @@ class IngestServiceConfig:
     ``checkpoint_every``   snapshot + journal checkpoint after this many
                            indexed jobs (``None`` = only on demand);
                            requires a ``state_dir`` / snapshot path.
-    ``store_format``       snapshot store format for the state dir
-                           (``"auto"`` | ``"columnar"`` | ``"npz"``).
-                           ``"auto"`` reopens whatever exists and
-                           defaults fresh state dirs to NPZ; columnar
-                           stores checkpoint as O(delta) appended
-                           segments instead of full rewrites (see
-                           ``docs/STORAGE.md``).
+    ``store_format``       always ``"columnar"`` (the only store
+                           format; a call-site compatibility constant
+                           for ``benchmarks/e2e``, see
+                           ``repro.storage.store.require_columnar``).
     ``watchdog_interval``  seconds between watchdog ticks (timeouts,
                            gauges, worker scaling).
     ``clip_workers``       frame-parallel workers *inside* each job
@@ -184,7 +178,7 @@ class IngestServiceConfig:
         default_factory=lambda: RetryPolicy(max_attempts=2, base_delay=0.02))
     retry_budget: int | None = 64
     checkpoint_every: int | None = 4
-    store_format: str = "auto"
+    store_format: str = "columnar"
     watchdog_interval: float = 0.05
     clip_workers: int | None = None
 
@@ -209,10 +203,7 @@ class IngestServiceConfig:
         if self.retry_budget is not None and self.retry_budget < 0:
             raise InvalidParameterError(
                 f"retry_budget must be >= 0 or None, got {self.retry_budget}")
-        if self.store_format not in FORMATS:
-            raise InvalidParameterError(
-                f"store_format must be one of {FORMATS}, "
-                f"got {self.store_format!r}")
+        require_columnar(self.store_format, "store_format")
         if self.watchdog_interval <= 0:
             raise InvalidParameterError(
                 f"watchdog_interval must be > 0, got {self.watchdog_interval}")
@@ -256,10 +247,9 @@ class IngestService:
     :meth:`shutdown`) to stop them.  With a ``state_dir`` the service is
     durable: uploads spool to ``state_dir/spool/``, state transitions
     journal to ``state_dir/ingest.journal`` and checkpoints snapshot to
-    ``state_dir/index.npz`` (or ``index.strg/`` with
-    ``store_format="columnar"``, where checkpoints append O(delta)
-    segments) — :meth:`recover` rebuilds an equivalent service after a
-    crash.  Without one it is a fast in-memory pipeline with the same
+    the ``state_dir/index.strg/`` store — one full write, then O(delta)
+    appended segments — :meth:`recover` rebuilds an equivalent service
+    after a crash.  Without one it is a fast in-memory pipeline with the same
     admission/retry/timeout behavior.
 
     ``database`` optionally binds a
@@ -287,15 +277,16 @@ class IngestService:
         self._store_dirty = False
         self._pending_writes: list[_BufferedWrite] = []
         if self.state_dir is not None:
+            # Before anything is created: a 2.x state dir (index.npz)
+            # must raise here, not gain a journal and an empty store.
+            self._store = open_store(
+                os.path.join(self.state_dir, SNAPSHOT_BASE))
+            self.snapshot_path = self._store.path
             os.makedirs(self.state_dir, exist_ok=True)
             self._spool_dir = os.path.join(self.state_dir, SPOOL_DIR)
             os.makedirs(self._spool_dir, exist_ok=True)
             self._journal = IngestJournal(
                 os.path.join(self.state_dir, JOURNAL_NAME))
-            self._store = open_store(
-                os.path.join(self.state_dir, SNAPSHOT_BASE),
-                format=self.config.store_format)
-            self.snapshot_path = self._store.path
 
         self._queue: queue.Queue = queue.Queue()
         #: Guards backlog/in-flight accounting and wakes backpressured
@@ -601,7 +592,7 @@ class IngestService:
     def _track_writes(self, ogs, background, refs) -> None:
         """Remember a committed batch for O(delta) checkpointing."""
         if self._store is None or self._store_dirty \
-                or not getattr(self._store, "supports_append", False):
+                or not self._store.supports_append:
             return
         self._pending_writes.extend(
             _BufferedWrite("insert", og=og, background=background,
@@ -613,11 +604,11 @@ class IngestService:
 
     def _checkpoint_locked(self) -> None:
         index = self.live.snapshot.index
-        # On a columnar store a bound checkpoint appends only the
-        # writes committed since the last one; the NPZ store (and the
-        # first checkpoint of a fresh store) rewrites the snapshot.
-        # After a failure the delta may no longer match the on-disk
-        # state, so resynchronize with a full write (writes=None).
+        # A bound checkpoint appends only the writes committed since the
+        # last one; the first checkpoint of a fresh store (and every
+        # one of a sharded index) rewrites the snapshot.  After a
+        # failure the delta may no longer match the on-disk state, so
+        # resynchronize with a full write (writes=None).
         writes = None if self._store_dirty else self._pending_writes
         try:
             self._store.checkpoint(index, writes)
@@ -637,9 +628,7 @@ class IngestService:
             return
         self._pending_writes = []
         self._store_dirty = False
-        maybe_merge = getattr(self._store, "maybe_merge", None)
-        if maybe_merge is not None:
-            maybe_merge(background=True)
+        self._store.maybe_merge(background=True)
         self._append_journal({
             "event": "checkpoint", "path": self._store.path,
             "ogs": len(index),
@@ -796,9 +785,8 @@ class IngestService:
                 workers = list(self._workers)
             for worker in workers:
                 worker.join()
-            join_merges = getattr(self._store, "join_merges", None)
-            if join_merges is not None:
-                join_merges()
+            if self._store is not None:
+                self._store.join_merges()
         if self._journal is not None:
             with self._journal_lock:
                 self._journal.close()
@@ -829,8 +817,10 @@ class IngestService:
                 database: Any = None) -> "IngestService":
         """Rebuild a service from its ``state_dir`` after a crash.
 
-        Loads the last checkpointed snapshot (if any survives integrity
-        checks), replays the journal, and re-submits every job that was
+        Loads the last checkpointed snapshot — if it survives the
+        store's deep integrity pass (``verify()``: every file re-hashed,
+        so a bit-rotted snapshot is replayed over, not served) —
+        replays the journal, and re-submits every job that was
         not durably indexed — ``QUEUED``/``RUNNING`` jobs and jobs
         ``INDEXED`` after the last checkpoint — from their spooled
         uploads, in original submission order.  Quarantine decisions are
@@ -844,14 +834,13 @@ class IngestService:
         records, truncated = read_journal(journal_path)
         replay = replay_jobs(records)
 
-        store = open_store(
-            state / SNAPSHOT_BASE,
-            format=config.store_format if config is not None else "auto")
+        store = open_store(state / SNAPSHOT_BASE)
         index = None
         snapshot_error: str | None = None
         snapshot_loaded = False
         if store.exists():
             try:
+                store.verify()
                 index = store.load_index()
                 snapshot_loaded = True
             except StorageError as exc:

@@ -58,7 +58,6 @@ from repro.errors import (
     ServiceOverloadError,
     ServiceStoppedError,
     ShardUnavailableError,
-    StorageError,
 )
 from repro.observability import OBS, export_metrics_prometheus
 from repro.search.request import SearchRequest
@@ -151,6 +150,7 @@ class NetFrontend:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
+        self._connections: set[asyncio.Task] = set()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self.requests_served = 0
@@ -175,6 +175,13 @@ class NetFrontend:
     async def _stop_async(self) -> None:
         if self._server is not None:
             self._server.close()
+            # An idle keep-alive socket parks its handler in readline():
+            # cancel and await every connection task so none outlives
+            # the loop (each closes its socket — the client sees EOF).
+            tasks = list(self._connections)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self._executor is not None:
@@ -239,6 +246,11 @@ class NetFrontend:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        # Tracked until fully done (socket closed, not just past its
+        # last request), so _stop_async can cancel and await it.
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         try:
             while True:
                 try:
@@ -264,11 +276,17 @@ class NetFrontend:
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # Only _stop_async cancels a handler.  End normally (here
+            # and below): the streams done-callback of Python 3.11 logs
+            # an error for a task that finishes cancelled.
+            pass
         finally:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (ConnectionResetError, BrokenPipeError, OSError,
+                    asyncio.CancelledError):
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):

@@ -118,11 +118,11 @@ class LiveIndex:
     def attach_store(self, store: Any, write: bool = True) -> None:
         """Persist every future compaction to ``store`` automatically.
 
-        ``store`` is any ``open_store()`` result.  On a columnar store
-        each compaction batch lands as one O(delta) appended segment
-        (with a background merge folding segments when the dead-row
-        fraction crosses the store's threshold); on an NPZ store every
-        compaction rewrites the archive.  With ``write=True`` the
+        ``store`` is an ``open_store()`` result.  Each compaction batch
+        lands as one O(delta) appended segment (with a background merge
+        folding segments when the dead-row fraction crosses the store's
+        threshold); a sharded index rewrites its store.  With
+        ``write=True`` the
         current snapshot is written immediately, so the store is
         readable from the moment of attachment.
 
@@ -142,9 +142,7 @@ class LiveIndex:
             writes = None if self._store_dirty else batch
             self._store.checkpoint(published.index, writes)
             self._store_dirty = False
-            maybe_merge = getattr(self._store, "maybe_merge", None)
-            if maybe_merge is not None:
-                maybe_merge(background=True)
+            self._store.maybe_merge(background=True)
         except (StorageError, OSError) as exc:
             # Divergence guard: until a full write succeeds, appending
             # further deltas would replay to the wrong tree.

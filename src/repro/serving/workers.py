@@ -412,11 +412,10 @@ class _WorkerHandle:
 class WorkerPool:
     """Shard-serving process fleet over one columnar snapshot.
 
-    ``path`` must hold a columnar store (``.strg/``) — the format whose
-    raw ``.npy`` segments many processes can memory-map read-only.  NPZ
-    archives cannot be served this way; convert first (``repro
-    convert``).  A sharded store yields one logical shard per
-    ``shard-i`` sub-store; a monolithic store is served as one shard.
+    ``path`` must hold a written store (``.strg/``), whose raw ``.npy``
+    segments many processes memory-map read-only.  A sharded store
+    yields one logical shard per ``shard-i`` sub-store; a monolithic
+    store is served as one shard.
 
     Use as a context manager, or call :meth:`start` / :meth:`shutdown`.
     All search methods are thread-safe and may be called concurrently
@@ -426,21 +425,13 @@ class WorkerPool:
 
     def __init__(self, path: str | os.PathLike,
                  config: WorkerPoolConfig | None = None):
-        from repro.storage.columnar import ColumnarStore
         from repro.storage.store import open_store
 
         self.config = config or WorkerPoolConfig()
         store = open_store(path)
-        if not isinstance(store, ColumnarStore):
-            raise StorageError(
-                f"{store.path} is not a columnar store: worker processes "
-                "memory-map raw .npy shard columns. Migrate with `repro "
-                f"convert {store.path}` first."
-            )
         if not store.exists():
             raise StorageError(
-                f"no columnar snapshot at {store.path} (write one with "
-                "db.save(format='columnar') or `repro convert`)")
+                f"no snapshot at {store.path} (write one with db.save())")
         self.store = store
         self._shard_rels = self._read_shard_rels()
         self.num_shards = len(self._shard_rels)
@@ -515,7 +506,7 @@ class WorkerPool:
         process = self._ctx.Process(
             target=_worker_main,
             args=(self.store.path, assignment, child_conn,
-                  self.config.mmap and self.store.supports_mmap,
+                  self.config.mmap,
                   handle.name),
             name=f"strg-{handle.name}", daemon=True)
         process.start()

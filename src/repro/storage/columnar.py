@@ -1,12 +1,9 @@
-"""Columnar, memory-mapped snapshot store — the out-of-core tier.
+"""Columnar, memory-mapped snapshot store — the one on-disk format.
 
-NPZ archives (``serialize.py``) are compressed zip members: loading one
-decompresses and *copies* every array into RAM, and updating one rewrites
-the whole file.  That caps corpus size at memory and makes every
-compaction O(corpus).  This module stores the same flat structured
-arrays — trajectories plus an offsets table, node attributes, sketch
-rows, background tables — as raw ``.npy`` files that ``numpy`` can
-memory-map read-only, so
+An index persists as the flat structured arrays of
+:func:`~repro.storage.serialize.index_to_arrays` — trajectories plus an
+offsets table, node attributes, sketch rows, background tables — each
+a raw ``.npy`` file that ``numpy`` can memory-map read-only, so
 
 - *cold open* is O(1): ``open_database()`` reads one small JSON manifest
   and stats the data files; trajectory bytes stay on disk until a query
@@ -35,11 +32,10 @@ Layout — one directory per store, conventionally ``<name>.strg/``::
         og_values.npy  og_offsets.npy  ...  bg_*.npy
 
 Commit protocol.  A segment directory is written completely (every file
-fsynced) *before* the manifest is atomically replaced to reference it —
-mirroring ``_atomic_savez``.  A crash mid-append leaves an orphan
-segment directory and the previous manifest: the store opens at its
-last committed state and the orphan is garbage-collected by the next
-append.  The manifest records byte size and SHA-256 per file; opening
+fsynced) *before* the manifest is atomically replaced (temp + fsync +
+rename) to reference it.  A crash mid-write leaves an orphan segment
+directory and the previous manifest: the store opens at its last
+committed state and the orphan is garbage-collected by the next write.  The manifest records byte size and SHA-256 per file; opening
 verifies sizes (catching truncation in O(#files) stats — full hashing
 would defeat the O(1) open and is available via :meth:`verify`).
 
@@ -105,7 +101,7 @@ _KIND_SHARDED = "sharded"
 
 
 def columnar_path(path: str | os.PathLike) -> str:
-    """Normalize a store path the way :func:`npz_path` does for NPZ.
+    """Normalize a store path: a suffix-less path means ``<path>.strg``.
 
     Appends ``.strg`` unless the path already carries the suffix or
     already names a store directory (has a manifest), so suffix-less
@@ -151,9 +147,6 @@ class ColumnarStore:
     serialize on an internal lock.  Readers (``load_index``) are
     lock-free — they only ever see committed manifests.
     """
-
-    format = "columnar"
-    supports_mmap = True
 
     #: Fold segments into a fresh base once this fraction of rows is dead.
     merge_dead_fraction = 0.25
@@ -460,41 +453,57 @@ class ColumnarStore:
         shard, shards written first, manifest last).  Also serves as the
         *merge* target: rewriting an existing store folds all segments
         into a new base and garbage-collects the old ones.  Returns the
-        store path.
+        store path; an I/O failure raises ``StorageError`` and leaves
+        the previously committed snapshot (if any) intact.
         """
         with self._mutate_lock, OBS.span("storage.columnar.write"):
-            if getattr(index, "shards", None) is not None:
-                return self._write_sharded(index)
-            arrays, meta = index_to_arrays(index)
+            try:
+                if getattr(index, "shards", None) is not None:
+                    return self._write_sharded(index)
+                return self._write_base(index)
+            except OSError as exc:
+                raise StorageError(
+                    f"cannot write index to {self.path}: {exc}") from exc
+
+    def _write_base(self, index: Any) -> str:
+        arrays, meta = index_to_arrays(index)
+        try:
             manifest = self._read_manifest() if self.exists() else None
-            if manifest is not None and manifest["kind"] != _KIND_INDEX:
-                ordinal = 0
-            else:
-                ordinal = manifest["next_segment"] if manifest else 0
-            os.makedirs(self.path, exist_ok=True)
-            name = f"seg-{ordinal:06d}"
-            rows = len(meta["refs"])
-            segment = self._write_segment(name, arrays, dict(meta, kind="base",
-                                                             rows=rows))
-            segment.update(kind="base", rows=rows)
-            self._commit_manifest({
-                "format": COLUMNAR_FORMAT,
-                "format_version": COLUMNAR_VERSION,
-                "kind": _KIND_INDEX,
-                "next_segment": ordinal + 1,
-                "rows_total": rows,
-                "rows_dead": 0,
-                "segments": [segment],
-                "tombstones": None,
-            }, "storage.write")
-            self._collect_garbage(self._read_manifest())
-            self._row_of = {og.og_id: i
-                            for i, (og, _) in enumerate(leaf_ogs(index))}
-            self._rows = rows
-            self._dead = set()
-            self._bound = True
-            OBS.count("storage.columnar.writes")
-            return self.path
+        except IndexCorruptionError:
+            # An unreadable manifest commits nothing worth protecting;
+            # a full write must be able to replace it (crash recovery).
+            manifest = None
+        if manifest is not None and manifest["kind"] != _KIND_INDEX:
+            ordinal = 0
+        else:
+            ordinal = manifest["next_segment"] if manifest else 0
+        os.makedirs(self.path, exist_ok=True)
+        name = f"seg-{ordinal:06d}"
+        rows = len(meta["refs"])
+        segment = self._write_segment(name, arrays, dict(meta, kind="base",
+                                                         rows=rows))
+        segment.update(kind="base", rows=rows)
+        self._commit_manifest({
+            "format": COLUMNAR_FORMAT,
+            "format_version": COLUMNAR_VERSION,
+            "kind": _KIND_INDEX,
+            "next_segment": ordinal + 1,
+            "rows_total": rows,
+            "rows_dead": 0,
+            "segments": [segment],
+            "tombstones": None,
+        }, "storage.write")
+        self._collect_garbage(self._read_manifest())
+        if maybe_truncate("storage.write",
+                          os.path.join(self.path, name, "og_values.npy")):
+            logger.warning("injected truncation in segment %s", name)
+        self._row_of = {og.og_id: i
+                        for i, (og, _) in enumerate(leaf_ogs(index))}
+        self._rows = rows
+        self._dead = set()
+        self._bound = True
+        OBS.count("storage.columnar.writes")
+        return self.path
 
     def _write_sharded(self, index: Any) -> str:
         os.makedirs(self.path, exist_ok=True)
@@ -1009,9 +1018,8 @@ class ColumnarStore:
         With ``writes`` (the batch applied since the last checkpoint)
         and a bound existing store, appends one O(delta) segment;
         otherwise falls back to a full ``write_index`` (first
-        checkpoint, or a store this process has not loaded).  The NPZ
-        store exposes the same method, always doing the full rewrite —
-        callers like ``IngestService`` stay format-agnostic.
+        checkpoint, a sharded index, or a store this process has not
+        loaded).
         """
         with self._mutate_lock:
             if writes is not None and self._bound and self.exists() \
@@ -1041,8 +1049,7 @@ class ColumnarStore:
         replays to (e.g. the snapshot just published by
         ``LiveIndex.compact``) — is written directly, keeping the
         process-local og_id row bindings.  Without it the store
-        materializes itself from disk first (offline compaction, e.g.
-        ``repro convert --merge``).
+        materializes itself from disk first (offline compaction).
         """
         with self._mutate_lock:
             if not self.exists():
@@ -1116,7 +1123,8 @@ class ColumnarStore:
         """Full integrity pass: re-hash every file against the manifest.
 
         This is the O(corpus) deep check that the O(1) open deliberately
-        skips; ``repro convert`` runs it after every migration.  Returns
+        skips; ``convert`` runs it after every import and crash recovery
+        before trusting a snapshot.  Returns
         ``{"files": n, "bytes": n}`` or raises ``IndexCorruptionError``.
         """
         manifest = self._read_manifest()
@@ -1148,7 +1156,6 @@ class ColumnarStore:
         manifest = self._read_manifest()
         info: dict[str, Any] = {
             "path": self.path,
-            "format": self.format,
             "kind": manifest["kind"],
         }
         if manifest["kind"] == _KIND_SHARDED:

@@ -44,7 +44,6 @@ from repro.resilience.policy import (
 from repro.resilience.retry import RetryPolicy
 from repro.search.request import SearchRequest, budgeted_scatter
 from repro.search.sketch import SketchIndex, approx_knn
-from repro.storage.serialize import npz_path  # noqa: F401  (re-exported for callers)
 from repro.storage.store import open_store
 from repro.video.frames import VideoSegment
 
@@ -509,16 +508,15 @@ class VideoDatabase:
 
         Returns the cached out-of-core :class:`SketchIndex` list — one
         per non-empty shard, a monolithic store being the one-part case
-        — probing the backing store once; ``None`` when unavailable (no
-        columnar store, a part without a persisted sketch, nothing
+        — probing the backing store once; ``None`` when unavailable (not
+        a lazy mmap open, a part without a persisted sketch, nothing
         stored, corruption) — the caller then materializes the index
         and uses the classic path.
         """
         if self._ooc_sketch is not None:
             return self._ooc_sketch or None
         store = self._store
-        if (store is None or not self._store_mmap
-                or not hasattr(store, "load_sketch")):
+        if store is None or not self._store_mmap:
             self._ooc_sketch = False
             return None
         try:
@@ -573,17 +571,14 @@ class VideoDatabase:
             "journal": None if self._journal is None else self._journal.path,
         }
 
-    def save(self, path: str | os.PathLike | None = None,
-             format: str = "auto") -> None:
+    def save(self, path: str | os.PathLike | None = None) -> None:
         """Persist the index atomically and journal a checkpoint.
 
         ``path`` defaults to the database's bound :attr:`path` (set by
-        :func:`repro.open_database` / :meth:`load`).  ``format`` picks
-        the snapshot format — ``"columnar"`` (memory-mappable ``.strg``
-        store), ``"npz"`` (checksummed v2 archive), or ``"auto"``
-        (whatever exists at the path; NPZ for a fresh suffix-less
-        path).  Every format commits atomically — temp + fsync + rename
-        — so a crash mid-save leaves any previous snapshot intact.
+        :func:`repro.open_database` / :meth:`load`); a suffix-less path
+        means ``<path>.strg/``.  The store's manifest is replaced last
+        and atomically — temp + fsync + rename — so a crash mid-save
+        leaves any previous snapshot intact.
         """
         if path is None:
             path = self.path
@@ -593,16 +588,15 @@ class VideoDatabase:
                 "bound path (open it with repro.open_database(path))"
             )
         self._require_index()
-        store = open_store(path, format=format)
+        store = open_store(path)
         store.write_index(self.index)
         self.path = store.path
         self._journal_append({"event": "checkpoint",
                               "path": store.path,
-                              "format": store.format,
                               "ogs": len(self.index),
                               "segments": len(self._ingested)})
-        logger.info("saved %s snapshot to %s (%d OGs)", store.format,
-                    store.path, len(self.index))
+        logger.info("saved snapshot to %s (%d OGs)", store.path,
+                    len(self.index))
 
     @classmethod
     def load(cls, path: str | os.PathLike,
@@ -610,29 +604,32 @@ class VideoDatabase:
              mmap: bool | str = False,
              lazy: bool = False,
              **kwargs) -> "VideoDatabase":
-        """Restore a database from a saved snapshot (any format).
+        """Restore a database from a saved store.
 
-        ``mmap`` — ``True`` maps trajectory columns read-only instead of
-        copying them into RAM (columnar stores only; NPZ archives raise
-        with a pointer at ``repro convert``); ``"auto"`` maps when the
-        format supports it.  ``lazy=True`` defers tree materialization
-        until :attr:`index` is first touched, making the open itself
-        O(1).  With ``lazy=True`` and mmap enabled on a columnar store,
-        budgeted queries (``knn(..., search_budget=N)``) run fully
-        out-of-core: the sketch tier streams from the store's mmap'd
-        columns and only the shortlist's series are fetched, so the
-        tree is never built — on monolithic and sharded stores alike
-        (see ``docs/SEARCH.md``).
+        ``mmap`` — ``True`` (or ``"auto"``) maps trajectory columns
+        read-only instead of copying them into RAM.  ``lazy=True``
+        defers tree materialization until :attr:`index` is first
+        touched, making the open itself O(1).  With ``lazy=True`` and
+        mmap enabled, budgeted queries (``knn(..., search_budget=N)``)
+        run fully out-of-core: the sketch tier streams from the store's
+        mmap'd columns and only the shortlist's series are fetched, so
+        the tree is never built — on monolithic and sharded stores
+        alike (see ``docs/SEARCH.md``).
         ``**kwargs`` are the constructor's resilience options
         (``fault_policy``, ``retry_policy``, ``journal_path``, ...).
         """
         db = cls(config, **kwargs)
         store = open_store(path)
-        if lazy and not store.exists():
-            # The lazy path must fail at open time, not at first touch.
-            raise StorageError(
-                f"cannot read {store.path}: no snapshot found")
-        use_mmap = store.supports_mmap if mmap == "auto" else bool(mmap)
+        use_mmap = bool(mmap)   # "auto" maps too: every store can
+        if lazy:
+            # One manifest read: a missing or corrupt store fails at
+            # open time, not at first touch, and the database knows its
+            # sharding before the tree exists.
+            manifest = store.manifest()
+            if manifest["kind"] == "sharded":
+                db.shards = manifest["num_shards"]
+                db.placement = manifest.get("serving_config", {}).get(
+                    "placement", db.placement)
 
         def materialize():
             index = store.load_index(mmap=use_mmap)
@@ -657,8 +654,10 @@ class VideoDatabase:
                 config: PipelineConfig | None = None) -> "VideoDatabase":
         """Reconstruct state after a crash from snapshot + journal.
 
-        Loads the last complete snapshot at ``path`` (if any survives
-        integrity checks) and replays the ingest journal (default:
+        Loads the last complete snapshot at ``path`` — if it survives
+        the store's deep integrity pass (every file re-hashed against
+        the manifest, so bit rot is caught here, not served) — and
+        replays the ingest journal (default:
         ``<path>.journal``) to find segments that were ingested after
         the last checkpoint — i.e. work the snapshot does not contain.
         The result's ``recovery`` attribute is a
@@ -668,13 +667,15 @@ class VideoDatabase:
         Raises :class:`~repro.errors.RecoveryError` when neither a
         usable snapshot nor a journal exists.
         """
-        target = open_store(path).path
+        store = open_store(path)
+        target = store.path
         journal_path = (os.fspath(journal_path) if journal_path is not None
                         else target + ".journal")
         records, truncated = read_journal(journal_path)
         snapshot_error: str | None = None
         db: "VideoDatabase | None" = None
         try:
+            store.verify()
             db = cls.load(target, config)
             snapshot_loaded = True
         except StorageError as exc:

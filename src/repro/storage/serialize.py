@@ -1,21 +1,23 @@
-"""Serialization of Object Graphs and whole STRG-Index trees.
+"""The column codec of the store, and the read-only 2.x NPZ archive reader.
 
-OG sets are stored in a single NPZ (ragged sequences are flattened with an
-offset table).  Indexes are stored as NPZ too: the tree shape (root ->
-cluster -> leaf membership) is encoded in integer arrays alongside the
-centroid/OG payloads and the per-root Background Graphs (node attributes
-plus spatial edges), so a loaded index answers queries — including
-background-routed ones — identically.
+**Codec.**  :func:`index_to_arrays` flattens an STRG-Index — tree shape
+(root -> cluster -> leaf membership) as integer arrays, centroid/OG
+payloads as ragged columns with offset tables, per-root Background
+Graphs, the sketch tier — and :func:`index_from_arrays` rebuilds it, so
+a loaded index answers queries (including background-routed ones)
+identically.  :mod:`repro.storage.columnar` stores exactly these
+columns as ``.npy`` files.
 
-Persistence is crash-safe (see ``docs/RESILIENCE.md``):
-
-- every write goes to a temp file in the destination directory, is
-  fsync'd, then atomically renamed over the target — an interrupted save
-  leaves the previous complete snapshot untouched;
-- every archive embeds a format-version header and a SHA-256 digest of
-  its payload arrays, verified on load.  Truncation, bit flips and
-  unknown versions raise :class:`~repro.errors.IndexCorruptionError`
-  instead of returning a silently wrong index.
+**Archive reader.**  Through v2.0.0 the same columns were also written
+as one checksummed NPZ archive (plus ``<base>.shard<i>.npz`` for a
+sharded index), and that was the default format.  Nothing writes it any
+more; :func:`load_index` / :func:`load_sharded_index` remain so that
+:func:`repro.storage.store.convert` — their only caller — can import
+those archives.  Every archive embeds a format-version header and a
+SHA-256 digest of its payload arrays, verified on load: truncation, bit
+flips and unknown versions raise
+:class:`~repro.errors.IndexCorruptionError` instead of returning a
+silently wrong index.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import zipfile
 import zlib
 from typing import Any, Sequence
@@ -36,27 +37,22 @@ from repro.core.nodes import LeafRecord, RootRecord
 from repro.errors import IndexCorruptionError, StorageError
 from repro.graph.attributes import NodeAttributes
 from repro.graph.decomposition import BackgroundGraph
-from repro.graph.object_graph import ObjectGraph, claim_og_ids
+from repro.graph.object_graph import ObjectGraph
 from repro.graph.rag import RegionAdjacencyGraph
-from repro.resilience.faults import maybe_fail, maybe_truncate
+from repro.resilience.faults import maybe_fail
 
 logger = logging.getLogger(__name__)
 
-#: Current on-disk format.  Version 1 is the pre-checksum format (no
-#: header keys); it is still readable but gets no integrity verification.
+#: Newest archive version the reader accepts.  Version 1 is the
+#: pre-checksum format (no header keys): readable, but unverified.
 FORMAT_VERSION = 2
 
 _HEADER_KEYS = ("__format_version__", "__checksum__")
 
 
 def npz_path(path: str | os.PathLike) -> str:
-    """Normalize ``path`` the way :func:`numpy.savez_compressed` does.
-
-    NumPy appends ``.npz`` when the suffix is missing; doing the same
-    normalization once — and using it for writing, reading and error
-    messages — keeps ``save(path)`` / ``load(path)`` round-trips working
-    for suffix-less paths.
-    """
+    """The archive file a 2.x ``save(path)`` wrote: ``path`` with
+    ``.npz`` appended unless already there (what NumPy's writer did)."""
     p = os.fspath(path)
     return p if p.endswith(".npz") else p + ".npz"
 
@@ -75,42 +71,8 @@ def _payload_digest(arrays: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def _atomic_savez(path: str | os.PathLike,
-                  arrays: dict[str, np.ndarray]) -> str:
-    """Write ``arrays`` (plus integrity header) atomically; return path.
-
-    The ``storage.write`` injection point fires after the temp file is
-    complete but *before* the rename — exactly the window in which a
-    crash must not corrupt the destination.
-    """
-    target = npz_path(path)
-    arrays = dict(arrays)
-    arrays["__format_version__"] = np.int64(FORMAT_VERSION)
-    arrays["__checksum__"] = np.array(_payload_digest(arrays))
-    directory = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(target) + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        maybe_fail("storage.write", path=target)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        raise
-    if maybe_truncate("storage.write", target):
-        logger.warning("injected truncation of %s", target)
-    return target
-
-
 def _verified_load(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """Load an NPZ written by :func:`_atomic_savez` and verify integrity.
+    """Load a 2.x NPZ archive and verify its integrity header.
 
     Raises :class:`StorageError` for a missing file and
     :class:`IndexCorruptionError` for anything unreadable or failing the
@@ -169,61 +131,8 @@ def _unpack_ragged(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def save_object_graphs(path: str | os.PathLike,
-                       ogs: Sequence[ObjectGraph]) -> None:
-    """Persist a set of OGs (values, frames, labels, ids) as NPZ."""
-    try:
-        flat, offsets = _pack_ragged([og.values for og in ogs])
-        frames_flat = (
-            np.concatenate([og.frames for og in ogs])
-            if ogs else np.zeros(0, dtype=np.int64)
-        )
-        labels = np.array(
-            [-1 if og.label is None else og.label for og in ogs],
-            dtype=np.int64,
-        )
-        ids = np.array([og.og_id for og in ogs], dtype=np.int64)
-        _atomic_savez(path, dict(values=flat, offsets=offsets,
-                                 frames=frames_flat, labels=labels, ids=ids))
-    except OSError as exc:
-        raise StorageError(
-            f"cannot write OGs to {npz_path(path)}: {exc}"
-        ) from exc
-
-
-def load_object_graphs(path: str | os.PathLike) -> list[ObjectGraph]:
-    """Load OGs written by :func:`save_object_graphs`."""
-    data = _verified_load(path)
-    try:
-        values = _unpack_ragged(data["values"], data["offsets"])
-        frames = _unpack_ragged(
-            data["frames"].reshape(-1, 1), data["offsets"]
-        )
-        labels = data["labels"]
-        ids = data["ids"]
-    except (KeyError, ValueError, IndexError) as exc:
-        raise IndexCorruptionError(
-            f"cannot read OGs from {npz_path(path)}: {exc}",
-            details={"path": npz_path(path), "cause": type(exc).__name__},
-        ) from exc
-    ogs = []
-    for v, f, label, og_id in zip(values, frames, labels, ids):
-        og = ObjectGraph(
-            values=v,
-            frames=f.ravel().astype(np.int64),
-            label=None if label < 0 else int(label),
-            og_id=int(og_id),
-        )
-        ogs.append(og)
-    if ogs:
-        # Restored ids must never collide with ids minted later in this
-        # process (identity, delete and knn ties are keyed by og_id).
-        claim_og_ids(max(og.og_id for og in ogs) + 1)
-    return ogs
-
-
 def _pack_backgrounds(roots: Sequence[RootRecord]) -> dict[str, np.ndarray]:
-    """Flatten the per-root Background Graphs into NPZ-friendly arrays.
+    """Flatten the per-root Background Graphs into flat numeric arrays.
 
     Roots with ``background=None`` are encoded with a frame count of -1.
     Node ids are re-serialized positionally; edges reference positions.
@@ -286,7 +195,7 @@ def _pack_sketch(index: STRGIndex,
     """Sketch-tier columns for a snapshot (empty when unbuilt).
 
     Returns the numeric ``sketch_*`` arrays plus the JSON meta string.
-    Rows are stored in the same order as the archive's leaf records
+    Rows are stored in the same order as the snapshot's leaf records
     (``ogs``), because og_ids are not stable across a save/load round
     trip — position is.  A sketch that lost sync with the index (should
     not happen; defensive) is dropped and will be rebuilt on demand.
@@ -321,7 +230,7 @@ def _unpack_sketch(data, sketch_meta: str, index: STRGIndex,
                    path: str | os.PathLike):
     """Rebuild the sketch tier from a snapshot's ``sketch_*`` arrays.
 
-    ``loaded`` is the ``(og, clip_ref)`` list in archive order — the
+    ``loaded`` is the ``(og, clip_ref)`` list in stored row order — the
     order :func:`_pack_sketch` wrote its rows in.  Anything off about
     the payload logs a warning and returns ``None`` (the lazy
     rebuild-on-demand fallback), never a corrupt sketch.
@@ -351,7 +260,7 @@ def _unpack_sketch(data, sketch_meta: str, index: STRGIndex,
             "sketch tier will be rebuilt on first budgeted query",
             os.fspath(path), type(exc).__name__, exc)
         return None
-    # The arrays may be zero-copy views over an mmap'd archive; the
+    # The arrays may be zero-copy views over mmap'd store columns; the
     # tree's OG objects are already materialized, so rows stay eager
     # (owned: later inserts grow the arrays with RAM semantics).
     og_ids = np.array([og.og_id for og, _ in loaded], dtype=np.int64)
@@ -363,9 +272,9 @@ def _unpack_sketch(data, sketch_meta: str, index: STRGIndex,
 def leaf_ogs(index: STRGIndex) -> list[tuple[ObjectGraph, Any]]:
     """``(og, clip_ref)`` pairs in the stable leaf-iteration order.
 
-    This is *the* row order of every snapshot format: NPZ archives and
-    columnar segments both number rows by it, and sketch arrays are
-    persisted positionally against it.
+    This is *the* stored row order: columnar segments (and the 2.x
+    archives) number rows by it, and sketch arrays are persisted
+    positionally against it.
     """
     return [
         (leaf_record.og, leaf_record.clip_ref)
@@ -379,9 +288,8 @@ def index_to_arrays(index: STRGIndex
                     ) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
     """Flatten an STRG-Index into numeric columns + JSON-able meta.
 
-    The columns are the flat structured arrays shared by every snapshot
-    format (NPZ archives, columnar segments): trajectories plus an
-    offsets table, per-row labels/keys/cluster ordinals, centroid and
+    The columns are the flat structured arrays a columnar segment
+    stores, one ``.npy`` file each: trajectories plus an offsets table, per-row labels/keys/cluster ordinals, centroid and
     background tables, and — when built — the sketch tier.  ``meta``
     carries everything non-numeric: the index config, per-row clip
     refs, root count and the sketch meta JSON.
@@ -503,30 +411,8 @@ def index_from_arrays(arrays, meta: dict[str, Any],
     return index
 
 
-def save_index(path: str | os.PathLike, index: STRGIndex) -> None:
-    """Persist an STRG-Index tree (structure + payloads) as NPZ.
-
-    A built sketch tier (``index.sketch_tier()``) rides along in
-    ``sketch_*`` arrays; archives written before the approximate tier
-    existed simply lack those keys and get a lazy rebuild on load.
-    """
-    try:
-        arrays, meta = index_to_arrays(index)
-        npz = dict(arrays)
-        npz["num_roots"] = np.int64(meta["num_roots"])
-        npz["config"] = np.array(json.dumps(meta["config"]))
-        npz["refs"] = np.array(json.dumps(meta["refs"], default=str))
-        if meta["sketch_meta"] is not None:
-            npz["sketch_meta"] = np.array(meta["sketch_meta"])
-        _atomic_savez(path, npz)
-    except OSError as exc:
-        raise StorageError(
-            f"cannot write index to {npz_path(path)}: {exc}"
-        ) from exc
-
-
 def load_index(path: str | os.PathLike) -> STRGIndex:
-    """Load an index written by :func:`save_index`."""
+    """Load a monolithic 2.x index archive."""
     data = _verified_load(path)
     try:
         meta = {
@@ -545,13 +431,12 @@ def load_index(path: str | os.PathLike) -> STRGIndex:
         ) from exc
 
 
-# -- sharded indexes ----------------------------------------------------------
+# -- sharded archives ---------------------------------------------------------
 #
-# A sharded index persists as one *meta* archive at ``path`` (placement,
+# A 2.x sharded index is one *meta* archive at ``path`` (placement,
 # pivots, serving config, and a ``kind`` marker distinguishing it from a
 # monolithic snapshot) plus one ordinary index archive per shard at
-# ``<base>.shard<i>.npz``.  Every file goes through the same atomic
-# write + checksum machinery as the monolithic format.
+# ``<base>.shard<i>.npz``, each with its own version + checksum header.
 
 _SHARDED_KIND = "sharded_index"
 
@@ -574,34 +459,8 @@ def is_sharded_snapshot(path: str | os.PathLike) -> bool:
         return False
 
 
-def save_sharded_index(path: str | os.PathLike, index) -> str:
-    """Persist a :class:`~repro.serving.sharding.ShardedIndex`.
-
-    Writes ``<base>.shard<i>.npz`` per shard (via :func:`save_index`)
-    and the meta archive last, so a crash mid-save never leaves a meta
-    file pointing at missing shards.  Returns the meta archive path.
-    """
-    for ordinal, shard in enumerate(index.shards):
-        save_index(_shard_path(path, ordinal), shard)
-    pivots = index.pivots if index.pivots is not None else []
-    pivot_flat, pivot_offsets = _pack_ragged(list(pivots))
-    config_json = json.dumps(index.serving_config())
-    try:
-        return _atomic_savez(path, dict(
-            kind=np.array(_SHARDED_KIND),
-            num_shards=np.int64(len(index.shards)),
-            has_pivots=np.int64(index.pivots is not None),
-            pivot_values=pivot_flat, pivot_offsets=pivot_offsets,
-            serving_config=np.array(config_json),
-        ))
-    except OSError as exc:
-        raise StorageError(
-            f"cannot write sharded index to {npz_path(path)}: {exc}"
-        ) from exc
-
-
 def load_sharded_index(path: str | os.PathLike):
-    """Load a sharded index written by :func:`save_sharded_index`."""
+    """Load a sharded 2.x archive (meta archive + one per shard)."""
     from repro.serving.sharding import ShardedIndex
 
     data = _verified_load(path)

@@ -1,227 +1,85 @@
-"""Format-negotiating snapshot facade — ``open_store()``.
+"""``open_store()`` — the one snapshot store — and the 2.x NPZ importer.
 
-Three on-disk snapshot formats coexist:
-
-- ``columnar`` — a ``<name>.strg/`` directory of raw memory-mappable
-  ``.npy`` segments (:mod:`repro.storage.columnar`), monolithic or
-  sharded;
-- ``npz`` — one checksummed v2 NPZ archive
-  (:func:`repro.storage.serialize.save_index`);
-- ``sharded-npz`` — a meta NPZ plus ``<base>.shard<i>.npz`` per shard.
-
-:func:`open_store` autodetects which one a path holds (or should hold)
-and returns a store object with one uniform protocol::
-
-    store = open_store("corpus")          # finds corpus.strg/ or corpus.npz
-    index = store.load_index(mmap=True)   # mmap only where supported
-    store.write_index(index)              # full snapshot write
-    store.append(writes)                  # O(delta), columnar only
-    store.checkpoint(index, writes)       # cheapest valid durability step
-    store.verify()                        # deep integrity pass
-
-Every store exposes ``format``, ``supports_mmap``, ``supports_append``,
-``exists()`` and ``describe()``, so callers (``VideoDatabase``,
-``IngestService``, the CLI) never branch on file extensions again.
+Every layer reads and writes the columnar ``<name>.strg/`` store
+(:mod:`repro.storage.columnar`); a suffix-less path means
+``<path>.strg/``.  The checksummed NPZ archives that were the default
+through v2.0.0 are read by exactly one function, :func:`convert`
+(``strg-index convert SRC [DST]``).  Every other entry point goes
+through :func:`open_store`, which refuses an archive — or a path an
+archive sits at while no store does — with a pointer at ``convert``
+rather than bind an empty store beside it (``docs/STORAGE.md``,
+*Migrating 2.x archives*).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Sequence
 
 from repro.errors import InvalidParameterError, StorageError
 from repro.storage import serialize
-from repro.storage.columnar import (
-    STORE_SUFFIX,
-    ColumnarStore,
-    columnar_path,
-    is_columnar_store,
-)
-
-#: Formats accepted by ``open_store`` / ``db.save`` / ``--store-format``.
-FORMATS = ("auto", "columnar", "npz")
+from repro.storage.columnar import ColumnarStore
 
 
-class NpzStore:
-    """The checksummed v2 NPZ format behind the uniform store protocol.
+def require_columnar(value: str, name: str = "format") -> None:
+    """Validate a ``format=`` / ``store_format=`` argument.
 
-    Wraps :func:`~repro.storage.serialize.save_index` /
-    :func:`~repro.storage.serialize.load_index` and their sharded
-    variants.  NPZ members are zip-compressed, so this format can never
-    memory-map (``load_index(mmap=True)`` fails with a pointer at
-    ``repro convert``) and never append (``checkpoint`` always rewrites
-    the whole archive).
+    ``"columnar"`` is the only store format.  The two parameters survive
+    as single-valued constants because the frozen ``benchmarks/e2e``
+    spells them out; the next ``[benchmark]`` PR deletes them.
     """
-
-    supports_mmap = False
-    supports_append = False
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = serialize.npz_path(path)
-
-    def exists(self) -> bool:
-        return os.path.isfile(self.path)
-
-    @property
-    def is_sharded(self) -> bool:
-        return serialize.is_sharded_snapshot(self.path)
-
-    @property
-    def format(self) -> str:
-        return "sharded-npz" if self.is_sharded else "npz"
-
-    def load_index(self, mmap: bool = False) -> Any:
-        if mmap:
-            raise StorageError(
-                f"{self.path} is an NPZ archive: compressed members "
-                "cannot be memory-mapped. Migrate with `repro convert "
-                f"{self.path}` (or store.write via format='columnar') "
-                "to get zero-copy mmap loads."
-            )
-        if self.is_sharded:
-            return serialize.load_sharded_index(self.path)
-        return serialize.load_index(self.path)
-
-    def write_index(self, index: Any) -> str:
-        if getattr(index, "shards", None) is not None:
-            return serialize.save_sharded_index(self.path, index)
-        serialize.save_index(self.path, index)
-        return self.path
-
-    def append(self, writes: Sequence[Any]) -> None:
-        raise StorageError(
-            f"{self.path} is an NPZ archive: the format has no "
-            "incremental append. Use checkpoint() for a full rewrite, "
-            f"or migrate with `repro convert {self.path}`."
-        )
-
-    def checkpoint(self, index: Any,
-                   writes: Sequence[Any] | None = None) -> None:
-        """Full-rewrite durability step (NPZ has no cheaper one)."""
-        self.write_index(index)
-
-    def verify(self) -> dict[str, Any]:
-        """Checksum-verify the archive (and shard archives) in full."""
-        files = [self.path]
-        if self.is_sharded:
-            data = serialize._verified_load(self.path)
-            files += [serialize._shard_path(self.path, i)
-                      for i in range(int(data["num_shards"]))]
-        total = 0
-        for target in files:
-            serialize._verified_load(target)
-            total += os.path.getsize(target)
-        return {"files": len(files), "bytes": total}
-
-    def describe(self) -> dict[str, Any]:
-        info: dict[str, Any] = {"path": self.path, "format": self.format}
-        if self.exists():
-            info["bytes"] = os.path.getsize(self.path)
-        return info
-
-    def __repr__(self) -> str:
-        return f"NpzStore({self.path!r})"
-
-
-def detect_format(path: str | os.PathLike) -> str | None:
-    """The snapshot format present at ``path``, or ``None``.
-
-    Checks the columnar manifest first (a directory can shadow an
-    archive of the same stem), then the NPZ archive, distinguishing
-    ``"columnar"`` / ``"sharded-npz"`` / ``"npz"``.
-    """
-    if is_columnar_store(path):
-        return "columnar"
-    store = NpzStore(path)
-    if store.exists():
-        return store.format
-    return None
-
-
-def snapshot_exists(path: str | os.PathLike) -> bool:
-    """Whether any supported snapshot format exists at ``path``."""
-    return detect_format(path) is not None
+    if value != "columnar":
+        raise InvalidParameterError(
+            f"{name} must be 'columnar' (the only store format), "
+            f"got {value!r}")
 
 
 def open_store(path: str | os.PathLike,
-               format: str = "auto") -> ColumnarStore | NpzStore:
-    """Open (or target) the snapshot at ``path`` behind one protocol.
+               format: str = "columnar") -> ColumnarStore:
+    """The columnar store at ``path`` (existing, or to be written).
 
-    ``format="auto"`` resolves an *existing* snapshot by content — the
-    columnar manifest, then the NPZ archive.  When nothing exists yet,
-    the suffix decides what a subsequent ``write_index`` will create:
-    ``.strg`` means columnar, anything else the (default) NPZ format —
-    matching what every pre-existing caller wrote.  Pass
-    ``format="columnar"`` / ``"npz"`` to pin the format explicitly.
+    Raises :class:`~repro.errors.StorageError` naming ``strg-index
+    convert`` when ``path`` ends in ``.npz``, or when a 2.x archive
+    exists at ``npz_path(path)`` and no store does — the database there
+    is not empty, it is unconverted.
     """
-    if format not in FORMATS:
-        raise InvalidParameterError(
-            f"unknown store format {format!r} (expected one of {FORMATS})")
-    if format == "columnar":
-        return ColumnarStore(path)
-    if format == "npz":
-        return NpzStore(path)
-    detected = detect_format(path)
-    if detected == "columnar":
-        return ColumnarStore(path)
-    if detected is not None:
-        return NpzStore(path)
-    if os.fspath(path).endswith(STORE_SUFFIX):
-        return ColumnarStore(path)
-    return NpzStore(path)
-
-
-def store_path(path: str | os.PathLike, format: str = "auto") -> str:
-    """The normalized on-disk location ``open_store`` would use."""
-    store = open_store(path, format)
-    return store.path
+    require_columnar(format)
+    path = os.fspath(path)
+    store = ColumnarStore(path)
+    archive = serialize.npz_path(path)
+    if path.endswith(".npz") or (
+            not store.exists() and os.path.isfile(archive)):
+        raise StorageError(
+            f"{archive} is a 2.x NPZ archive, which this version only "
+            f"imports: run `strg-index convert {path}` and open the "
+            ".strg store it writes")
+    return store
 
 
 def convert(source: str | os.PathLike,
-            dest: str | os.PathLike | None = None,
-            format: str = "columnar",
-            verify: bool = True) -> ColumnarStore | NpzStore:
-    """Migrate a snapshot between formats (default: NPZ → columnar).
+            dest: str | os.PathLike | None = None) -> ColumnarStore:
+    """Import a 2.x NPZ archive (monolithic or sharded) into a store.
 
-    Loads the source through its own format, writes the destination
-    with the target format's atomic commit protocol (temp + fsync +
-    rename, like ``_atomic_savez``), and — with ``verify=True`` — runs
-    the destination's deep integrity pass before returning it.
-    ``dest=None`` converts in place next to the source (``corpus.npz``
-    → ``corpus.strg/`` and vice versa); the source is left untouched.
+    Loads ``source`` through the archive reader — version and SHA-256
+    checked, so a damaged archive raises
+    :class:`~repro.errors.IndexCorruptionError` — writes it with the
+    store's manifest commit protocol and re-hashes the result
+    (:meth:`ColumnarStore.verify`).  ``dest=None`` writes next to the
+    source (``corpus.npz`` → ``corpus.strg/``); the archive is left
+    untouched.
     """
-    source_store = open_store(source)
-    if not source_store.exists():
-        raise StorageError(f"cannot convert {os.fspath(source)!s}: "
-                           "no snapshot found")
-    if dest is None:
-        base = source_store.path
-        for suffix in (".npz", STORE_SUFFIX):
-            if base.endswith(suffix):
-                base = base[:-len(suffix)]
-                break
-        dest = base
-    dest_store = open_store(dest, format)
-    if os.path.abspath(str(dest_store.path)) \
-            == os.path.abspath(str(source_store.path)):
+    archive = serialize.npz_path(source)
+    if not os.path.isfile(archive):
+        raise StorageError(f"cannot convert {archive}: no NPZ archive found")
+    if dest is not None and os.fspath(dest).endswith(".npz"):
         raise InvalidParameterError(
-            f"convert source and destination are both "
-            f"{source_store.path}: nothing to do")
-    index = source_store.load_index()
-    dest_store.write_index(index)
-    if verify:
-        dest_store.verify()
-    return dest_store
+            f"convert destination {os.fspath(dest)} names an NPZ archive; "
+            "the only format written is the columnar .strg store")
+    store = ColumnarStore(archive[:-len(".npz")] if dest is None else dest)
+    load = (serialize.load_sharded_index
+            if serialize.is_sharded_snapshot(archive) else serialize.load_index)
+    store.write_index(load(archive))
+    store.verify()
+    return store
 
 
-__all__ = [
-    "FORMATS",
-    "ColumnarStore",
-    "NpzStore",
-    "columnar_path",
-    "convert",
-    "detect_format",
-    "open_store",
-    "snapshot_exists",
-    "store_path",
-]
+__all__ = ["ColumnarStore", "convert", "open_store", "require_columnar"]

@@ -21,7 +21,7 @@ from repro.storage.database import VideoDatabase
 @pytest.fixture(scope="module")
 def populated(tmp_path_factory, tiny_video):
     """A database with one ingested segment, saved to disk."""
-    path = tmp_path_factory.mktemp("facade") / "corpus.npz"
+    path = tmp_path_factory.mktemp("facade") / "corpus.strg"
     db = repro.open_database(path)
     db.ingest(tiny_video)
     db.save()
@@ -37,10 +37,10 @@ class TestOpenDatabase:
 
     def test_fresh_path_binds_for_later_save(self, tmp_path, tiny_video):
         db = repro.open_database(tmp_path / "new")
-        assert db.path == str(tmp_path / "new.npz")
+        assert db.path == str(tmp_path / "new.strg")
         db.ingest(tiny_video)
         db.save()                       # no argument: uses the bound path
-        assert (tmp_path / "new.npz").exists()
+        assert (tmp_path / "new.strg").is_dir()
 
     def test_round_trip(self, populated):
         path, original = populated
@@ -54,7 +54,7 @@ class TestOpenDatabase:
 
     def test_missing_with_create_false_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            repro.open_database(tmp_path / "absent.npz", create=False)
+            repro.open_database(tmp_path / "absent", create=False)
 
     def test_kwargs_forwarded(self):
         db = repro.open_database(fault_policy="fail-fast")

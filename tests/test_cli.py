@@ -17,14 +17,14 @@ class TestParser:
 
     def test_build_args(self):
         args = build_parser().parse_args(
-            ["build", "out.npz", "--stream", "Lab2", "--frames", "30"]
+            ["build", "out.strg", "--stream", "Lab2", "--frames", "30"]
         )
-        assert args.output == "out.npz"
+        assert args.output == "out.strg"
         assert args.stream == "Lab2"
         assert args.frames == 30
 
     def test_query_args(self):
-        args = build_parser().parse_args(["query", "idx.npz", "-k", "3"])
+        args = build_parser().parse_args(["query", "idx.strg", "-k", "3"])
         assert args.k == 3
 
 
@@ -38,7 +38,7 @@ class TestCommands:
         assert "5-NN" in out
 
     def test_build_and_query_roundtrip(self, tmp_path, capsys):
-        path = str(tmp_path / "idx.npz")
+        path = str(tmp_path / "idx.strg")
         code = main(["build", path, "--stream", "Traffic1", "--frames", "24"])
         assert code == 0
         assert "index saved" in capsys.readouterr().out
@@ -47,7 +47,7 @@ class TestCommands:
         assert "2-NN" in capsys.readouterr().out
 
     def test_build_unknown_stream(self, tmp_path, capsys):
-        code = main(["build", str(tmp_path / "x.npz"), "--stream", "Nope"])
+        code = main(["build", str(tmp_path / "x.strg"), "--stream", "Nope"])
         assert code == 2
 
     def test_bench_runs(self, capsys):
@@ -67,7 +67,7 @@ class TestCommands:
         assert main(["shots", "Nope"]) == 2
 
     def test_motion_query_roundtrip(self, tmp_path, capsys):
-        path = str(tmp_path / "idx.npz")
+        path = str(tmp_path / "idx.strg")
         assert main(["build", path, "--stream", "Traffic1",
                      "--frames", "24"]) == 0
         capsys.readouterr()

@@ -9,7 +9,7 @@ from repro.clustering.em import EMClustering, EMConfig
 from repro.clustering.evaluation import clustering_error_rate
 from repro.clustering.khm import KHMClustering, KHMConfig
 from repro.clustering.kmeans import KMeansClustering, KMeansConfig
-from repro.distance.eged import EGED, MetricEGED
+from repro.distance.eged import MetricEGED
 from repro.errors import ClusteringError, EmptySequenceError, InvalidParameterError
 
 

@@ -1,12 +1,16 @@
 """Columnar memory-mapped store and the ``open_store`` facade
 (docs/STORAGE.md): round trips, mmap bit-identity, incremental append
-+ replay, tombstones and merges, torn-write recovery, conversion, and
-the wiring through ``LiveIndex`` / ``IngestService`` / the CLI."""
++ replay, tombstones and merges, torn-write recovery, the one-format
+contract and the 2.x NPZ importer, and the wiring through
+``LiveIndex`` / ``IngestService`` / the CLI."""
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,19 +26,20 @@ from repro.resilience import FaultInjector, injected
 from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 from repro.serving.snapshot import LiveIndex, _BufferedWrite
 from repro.storage.columnar import ColumnarStore, is_columnar_store
-from repro.storage.serialize import (
-    index_to_arrays,
-    load_index,
-    save_index,
-)
-from repro.storage.store import (
-    NpzStore,
-    convert,
-    detect_format,
-    open_store,
-    snapshot_exists,
-    store_path,
-)
+from repro.storage.serialize import index_to_arrays
+from repro.storage.store import convert, open_store
+
+#: 2.x archives written by the last commit whose src/ could (see
+#: ``expected.json``'s provenance): the importer's only test input.
+LEGACY = Path(__file__).parent / "data" / "legacy_npz"
+
+
+def legacy_copy(tmp_path, name="mono.npz"):
+    """A scratch copy of one committed archive (sharded: all files)."""
+    stem = name[:-len(".npz")]
+    for source in LEGACY.glob(f"{stem}*.npz"):
+        shutil.copy(source, tmp_path / source.name)
+    return tmp_path / name
 
 
 def blob_ogs(k=3, n_per=5, seed=0, length_range=(5, 10)):
@@ -88,14 +93,12 @@ class TestColumnarRoundTrip:
         assert isinstance(first.values.base, np.memmap) \
             or isinstance(first.values, np.memmap)
 
-    def test_npz_columnar_npz_content_identical(self, tmp_path):
+    def test_stored_columns_identical_to_built_index(self, tmp_path):
         index, _ = build_index()
-        save_index(tmp_path / "a.npz", index)
-        convert(tmp_path / "a.npz", tmp_path / "b", format="columnar")
-        convert(tmp_path / "b.strg", tmp_path / "c", format="npz")
-        final = load_index(tmp_path / "c.npz")
-        before, meta_a = index_to_arrays(load_index(tmp_path / "a.npz"))
-        after, meta_c = index_to_arrays(final)
+        store = ColumnarStore(tmp_path / "a")
+        store.write_index(index)
+        before, meta_a = index_to_arrays(index)
+        after, meta_c = index_to_arrays(store.load_index())
         assert sorted(before) == sorted(after)
         for key, column in before.items():
             np.testing.assert_array_equal(after[key], column,
@@ -328,9 +331,8 @@ class TestCorruptionDetection:
         empty = tmp_path / "empty.strg"
         empty.mkdir()
         assert not is_columnar_store(empty)
-        assert detect_format(empty) is None
-        store = open_store(empty)  # suffix routes to columnar
-        assert isinstance(store, ColumnarStore)
+        store = open_store(empty)
+        assert not store.exists()
         with pytest.raises(IndexCorruptionError) as err:
             store.load_index()
         details = err.value.details
@@ -374,51 +376,179 @@ class TestCorruptionDetection:
 
 
 class TestFacade:
-    def test_autodetects_each_format(self, tmp_path):
-        index, _ = build_index()
-        save_index(tmp_path / "plain.npz", index)
-        ColumnarStore(tmp_path / "col").write_index(index)
-        assert detect_format(tmp_path / "plain") == "npz"
-        assert detect_format(tmp_path / "col") == "columnar"
-        assert detect_format(tmp_path / "nothing") is None
-        assert isinstance(open_store(tmp_path / "plain"), NpzStore)
-        assert isinstance(open_store(tmp_path / "col"), ColumnarStore)
-        assert snapshot_exists(tmp_path / "col")
-        assert not snapshot_exists(tmp_path / "nothing")
+    """The one-format contract of ``open_store`` and its callers."""
 
     def test_fresh_paths_resolve_by_suffix(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "new.strg"), ColumnarStore)
-        assert isinstance(open_store(tmp_path / "new"), NpzStore)
-        assert store_path(tmp_path / "new").endswith(".npz")
-        assert store_path(tmp_path / "new", "columnar").endswith(".strg")
+        # Suffix-less, .strg and existing-directory spellings: one store.
+        index, _ = build_index()
+        store = open_store(tmp_path / "new")
+        assert isinstance(store, ColumnarStore)
+        assert store.path == str(tmp_path / "new.strg")
+        assert open_store(tmp_path / "new.strg").path == store.path
+        store.write_index(index)
+        (tmp_path / "new.strg").rename(tmp_path / "renamed")
+        assert open_store(tmp_path / "renamed").path \
+            == str(tmp_path / "renamed")
+        assert open_store(tmp_path / "renamed").exists()
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(InvalidParameterError):
-            open_store(tmp_path / "x", format="parquet")
+        from repro.serving.ingest import IngestServiceConfig
 
-    def test_npz_store_refuses_mmap_with_guidance(self, tmp_path):
-        index, _ = build_index()
-        store = open_store(tmp_path / "x.npz", format="npz")
-        store.write_index(index)
-        with pytest.raises(StorageError, match="convert"):
-            store.load_index(mmap=True)
+        for bad in ("parquet", "npz", "auto"):
+            with pytest.raises(InvalidParameterError, match="columnar"):
+                open_store(tmp_path / "x", format=bad)
+            with pytest.raises(InvalidParameterError, match="columnar"):
+                IngestServiceConfig(store_format=bad)
+        assert isinstance(open_store(tmp_path / "x", format="columnar"),
+                          ColumnarStore)
+        assert IngestServiceConfig().store_format == "columnar"
+
+    @pytest.mark.parametrize("spelling", ["corpus.npz", "corpus"])
+    def test_archive_never_looks_empty(self, tmp_path, spelling):
+        """Every entry point beside a 2.x archive raises with the
+        convert hint — none binds an empty store next to it."""
+        import repro
+        from repro.serving.ingest import IngestService
+        from repro.storage.database import VideoDatabase
+
+        shutil.copy(LEGACY / "mono.npz", tmp_path / "corpus.npz")
+        path = tmp_path / spelling
+        db = VideoDatabase()
+        db.ingest_object_graphs(blob_ogs())
+        entry_points = [
+            lambda: open_store(path),
+            lambda: repro.open_database(path),
+            lambda: db.save(path),
+            lambda: VideoDatabase.load(path),
+            lambda: VideoDatabase.recover(path),
+        ]
+        for call in entry_points:
+            with pytest.raises(StorageError, match="strg-index convert"):
+                call()
+        # A v2 state dir (index.npz checkpoint) is not "no snapshot".
+        state = tmp_path / "state"
+        state.mkdir()
+        shutil.copy(LEGACY / "mono.npz", state / "index.npz")
+        live = LiveIndex(build_index()[0])
+        with pytest.raises(StorageError, match="strg-index convert"):
+            IngestService(live, state_dir=state)
+        with pytest.raises(StorageError, match="strg-index convert"):
+            IngestService.recover(state)
+        assert sorted(os.listdir(tmp_path)) == ["corpus.npz", "state"]
+        assert os.listdir(state) == ["index.npz"]
+
+    def test_converted_store_shadows_the_archive(self, tmp_path):
+        import repro
+
+        archive = legacy_copy(tmp_path)
+        convert(archive)
+        opened = repro.open_database(tmp_path / "mono", create=False)
+        assert opened.path == str(tmp_path / "mono.strg")
+        assert opened.stats()["ogs"] == 36
 
     def test_convert_rejects_identical_paths(self, tmp_path):
-        index, _ = build_index()
-        save_index(tmp_path / "x.npz", index)
+        archive = legacy_copy(tmp_path)
         with pytest.raises(InvalidParameterError):
-            convert(tmp_path / "x.npz", tmp_path / "x.npz", format="npz")
+            convert(archive, archive)
+        assert sorted(os.listdir(tmp_path)) == ["mono.npz"]
 
     def test_convert_missing_source_raises(self, tmp_path):
         with pytest.raises(StorageError):
             convert(tmp_path / "ghost.npz")
+        index, _ = build_index()
+        ColumnarStore(tmp_path / "col").write_index(index)
+        with pytest.raises(StorageError, match="no NPZ archive"):
+            convert(tmp_path / "col.strg")   # stores are not a source
+
+    def test_default_state_dir_checkpoints_append(self, tmp_path):
+        """A default ``IngestService(state_dir=...)`` checkpoints as
+        appended segments: one full write, then O(delta)."""
+        from repro import observability
+        from repro.serving.ingest import IngestService
+        from tests.test_ingest_service import (
+            _StubPipeline,
+            fast_config,
+            make_clip,
+        )
+
+        live = LiveIndex(STRGIndex(STRGIndexConfig(n_clusters=None,
+                                                   k_max=8)))
+        observability.configure(enabled=True, reset_state=True)
+        try:
+            with IngestService(live, _StubPipeline(),
+                               state_dir=tmp_path / "state",
+                               config=fast_config(checkpoint_every=1)
+                               ) as service:
+                for i, name in enumerate("abcd"):
+                    service.submit(make_clip(name, shade=17 * i),
+                                   job_id=f"job-{name}")
+                    service.drain(timeout=60.0)
+            counters = observability.metrics()
+        finally:
+            observability.configure(enabled=False, reset_state=True)
+        assert service.snapshot_path == str(tmp_path / "state" / "index.strg")
+        assert counters["storage.columnar.writes"] == 1
+        assert counters["storage.columnar.appends"] == 3
+
+
+class TestImporter:
+    """``convert`` — the one place 2.x NPZ archives are still read."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        with open(LEGACY / "expected.json", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("name", ["mono.npz", "sharded.npz"])
+    def test_converted_answers_match_recorded(self, tmp_path, expected,
+                                              name):
+        store = convert(legacy_copy(tmp_path, name))
+        assert store.path == str(tmp_path / name[:-len(".npz")]) + ".strg"
+        kind = "sharded" if name == "sharded.npz" else "index"
+        assert store.describe()["kind"] == kind
+        index = open_store(store.path).load_index(mmap=True)
+        assert len(index) == expected["num_ogs"]
+        got = [[[d, ref] for d, _, ref in
+                index.knn(np.asarray(query), expected["k"])]
+               for query in expected["queries"]]
+        assert got == expected["answers"][name]
+
+    def test_explicit_destination(self, tmp_path):
+        store = convert(legacy_copy(tmp_path), tmp_path / "elsewhere")
+        assert store.path == str(tmp_path / "elsewhere.strg")
+        assert (tmp_path / "mono.npz").exists()   # source untouched
+
+    @pytest.mark.parametrize("name", ["mono.npz", "sharded.shard1.npz"])
+    def test_truncated_archive_raises(self, tmp_path, name):
+        archive = legacy_copy(
+            tmp_path, "sharded.npz" if "shard" in name else name)
+        victim = tmp_path / name
+        with open(victim, "r+b") as fh:
+            fh.truncate(victim.stat().st_size // 2)
+        with pytest.raises(IndexCorruptionError):
+            convert(archive)
+        assert not is_columnar_store(str(archive)[:-len(".npz")])
+
+    @pytest.mark.parametrize("name", ["mono.npz", "sharded.shard0.npz"])
+    def test_byte_flipped_archive_raises(self, tmp_path, name):
+        archive = legacy_copy(
+            tmp_path, "sharded.npz" if "shard" in name else name)
+        victim = tmp_path / name
+        with zipfile.ZipFile(victim) as zf:   # aim at payload, not
+            member = zf.getinfo("og_values.npy")   # zip metadata
+        blob = bytearray(victim.read_bytes())
+        blob[member.header_offset + 30 + len(member.filename)
+             + member.compress_size // 2] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        with pytest.raises(IndexCorruptionError):
+            convert(archive)
 
 
 class TestLiveIndexPersistence:
     def make_live(self, tmp_path):
         index, ogs = build_index()
         live = LiveIndex(index)
-        store = open_store(tmp_path / "live", format="columnar")
+        store = open_store(tmp_path / "live")
         live.attach_store(store)
         return live, store, ogs
 
@@ -468,7 +598,7 @@ class TestIngestServiceColumnar:
                                                    k_max=8)))
         from repro.serving.ingest import IngestService
 
-        config = fast_config(store_format="columnar", **overrides)
+        config = fast_config(**overrides)
         return IngestService(live, _StubPipeline(),
                              state_dir=tmp_path / "state", config=config)
 
@@ -521,19 +651,19 @@ class TestIngestServiceColumnar:
 
 
 class TestDatabaseIntegration:
-    def build_db(self, tmp_path, fmt):
+    def build_db(self, tmp_path):
         from repro.storage.database import VideoDatabase
 
         db = VideoDatabase()
         ogs = blob_ogs()
         db.ingest_object_graphs(ogs)
-        db.save(tmp_path / "db", format=fmt)
+        db.save(tmp_path / "db")
         return db, ogs
 
     def test_save_format_columnar_and_lazy_open(self, tmp_path):
         import repro
 
-        db, ogs = self.build_db(tmp_path, "columnar")
+        db, ogs = self.build_db(tmp_path)
         assert db.path.endswith(".strg")
         opened = repro.open_database(tmp_path / "db", create=False)
         assert not opened.index_loaded  # mmap="auto" defers the build
@@ -543,25 +673,30 @@ class TestDatabaseIntegration:
         assert got == want
         assert opened.index_loaded
 
-    def test_npz_open_stays_eager_and_identical(self, tmp_path):
+    def test_mmap_false_open_stays_eager_and_identical(self, tmp_path):
         import repro
 
-        db, ogs = self.build_db(tmp_path, "npz")
-        assert db.path.endswith(".npz")
-        opened = repro.open_database(tmp_path / "db", create=False)
+        db, ogs = self.build_db(tmp_path)
+        opened = repro.open_database(tmp_path / "db", create=False,
+                                     mmap=False)
         assert opened.index_loaded
-        with pytest.raises(StorageError, match="convert"):
-            repro.open_database(tmp_path / "db", create=False, mmap=True)
+        first = next(opened.index.object_graphs())
+        assert not isinstance(first.values, np.memmap) \
+            and not isinstance(first.values.base, np.memmap)
+        got = [[(hit.distance, hit.clip_ref) for hit in opened.knn(q, 5)]
+               for q in ogs[:3]]
+        assert got == knn_signature(db.index, ogs[:3])
 
     def test_cli_convert_round_trip(self, tmp_path, capsys):
         from repro.cli import main
 
-        db, ogs = self.build_db(tmp_path, "npz")
-        src = str(tmp_path / "db.npz")
+        src = str(legacy_copy(tmp_path))
         assert main(["convert", src]) == 0
         out = capsys.readouterr().out
         assert "columnar" in out
-        dest = str(tmp_path / "db.strg")
+        dest = str(tmp_path / "mono.strg")
         assert is_columnar_store(dest)
         assert main(["query", dest, "-k", "2"]) == 0
         assert main(["convert", str(tmp_path / "missing.npz")]) == 3
+        assert main(["query", src, "-k", "2"]) == 3
+        assert "strg-index convert" in capsys.readouterr().err

@@ -486,7 +486,7 @@ class TestCLIWorkers:
     def test_ingest_workers_flag(self, tmp_path, capsys):
         from repro.cli import main
 
-        out = tmp_path / "idx.npz"
+        out = tmp_path / "idx.strg"
         code = main(["ingest", str(out), "--segments", "2", "--frames", "4",
                      "--workers", "2"])
         assert code == 0
@@ -496,5 +496,5 @@ class TestCLIWorkers:
     def test_parser_default_workers(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["ingest", "out.npz"])
+        args = build_parser().parse_args(["ingest", "out.strg"])
         assert args.workers is None

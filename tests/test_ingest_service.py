@@ -4,6 +4,8 @@ journaled crash recovery (docs/STREAMING.md)."""
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import threading
 import time
 from types import SimpleNamespace
@@ -12,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.errors import (
-    CorruptSegmentError,
     IngestOverloadError,
     IngestTimeoutError,
     InvalidParameterError,
@@ -374,7 +375,7 @@ class TestJournalReplay:
             self.job("a", "QUEUED", spool="a.npz"),
             self.job("a", "RUNNING"),
             self.job("a", "INDEXED"),
-            {"event": "checkpoint", "path": "index.npz"},
+            {"event": "checkpoint", "path": "index.strg"},
             self.job("b", "QUEUED", spool="b.npz"),
             self.job("b", "RUNNING"),
             self.job("b", "INDEXED"),
@@ -554,7 +555,7 @@ class TestCrashRecovery:
             service.drain(timeout=30.0)
         # Simulate INDEXED-but-not-durable with the payload gone: drop
         # the snapshot AND the spool file.
-        (state / "index.npz").unlink()
+        shutil.rmtree(state / "index.strg")
         (state / "spool" / "job-doomed.npz").unlink()
         recovered = IngestService.recover(
             state, pipeline=_StubPipeline(),
@@ -563,6 +564,52 @@ class TestCrashRecovery:
             assert recovered.recovery.lost_jobs == ["job-doomed"]
             assert recovered.quarantine[0].details["lost_payload"] is True
             assert len(recovered.live) == 0
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "manifest"])
+    def test_damaged_snapshot_is_replayed_not_served(self, tmp_path,
+                                                     damage):
+        """Recovery re-hashes the snapshot (``store.verify()``): bit rot
+        the O(1) open cannot see takes the replay branch, exactly once,
+        and the next checkpoint replaces the damaged store."""
+        names = ["a", "b", "c"]
+        expected = self.run_uninterrupted(tmp_path, names)
+        state = tmp_path / "state"
+        with IngestService(_fresh_live(), _StubPipeline(), state_dir=state,
+                           config=fast_config(max_workers=1)) as service:
+            for i, name in enumerate(names):
+                service.submit(make_clip(name, shade=11 * i),
+                               job_id=f"job-{name}")
+            service.drain(timeout=60.0)
+        store = state / "index.strg"
+        target = store / "seg-000000" / "og_values.npy"
+        if damage == "flip":
+            blob = bytearray(target.read_bytes())
+            blob[-1] ^= 0xFF          # last float of the base trajectories
+            target.write_bytes(bytes(blob))
+        elif damage == "truncate":
+            os.truncate(target, target.stat().st_size // 2)
+        else:
+            os.truncate(store / "manifest.json", 40)
+
+        recovered = IngestService.recover(
+            state, pipeline=_StubPipeline(),
+            config=fast_config(max_workers=1))
+        with recovered:
+            report = recovered.recovery
+            assert not report.snapshot_loaded
+            assert "IndexCorruptionError" in report.snapshot_error
+            assert report.completed_jobs == []
+            assert report.replayed_jobs == [f"job-{n}" for n in names]
+            recovered.drain(timeout=60.0)
+            assert index_contents(recovered.live) == expected
+            assert recovered.health()["checkpoint_errors"] == 0
+        again = IngestService.recover(
+            state, pipeline=_StubPipeline(),
+            config=fast_config(max_workers=1))
+        with again:
+            assert again.recovery.snapshot_loaded
+            assert len(again.recovery.completed_jobs) == 3
+            assert index_contents(again.live) == expected
 
     def test_recovery_with_real_pipeline_round_trips(self, tmp_path):
         state = tmp_path / "state"

@@ -60,7 +60,7 @@ def store_path(tmp_path_factory, corpus):
         index=STRGIndexConfig(n_clusters=4)))
     index.build(corpus, clip_refs=[f"clip-{i}" for i in range(len(corpus))])
     root = tmp_path_factory.mktemp("net-serving")
-    store = open_store(os.path.join(root, "corpus.strg"), format="columnar")
+    store = open_store(os.path.join(root, "corpus.strg"))
     store.write_index(index)
     return store.path
 
@@ -112,8 +112,7 @@ class TestWorkerPoolParity:
         mono = STRGIndex(STRGIndexConfig(n_clusters=4))
         for i, og in enumerate(corpus):
             mono.insert(og, clip_ref=f"clip-{i}")
-        store = open_store(os.path.join(tmp_path, "mono.strg"),
-                           format="columnar")
+        store = open_store(os.path.join(tmp_path, "mono.strg"))
         store.write_index(mono)
         loaded = open_store(store.path).load_index(mmap=True)
         with WorkerPool(store.path, WorkerPoolConfig(workers=3)) as pool:
@@ -286,7 +285,7 @@ def write_sharded_store(path, ogs, num_shards):
         num_shards=num_shards, placement="affine", eval_batch=16,
         index=STRGIndexConfig(n_clusters=4)))
     index.build(ogs, clip_refs=[f"clip-{i}" for i in range(len(ogs))])
-    store = open_store(path, format="columnar")
+    store = open_store(path)
     store.write_index(index)
     return store.path
 
@@ -605,6 +604,31 @@ class TestFrontendAdmissionAndDeadlines:
             assert status == 200 and health["ingest"] == {"queue_depth": 0}
 
 
+class TestFrontendStop:
+    def test_stop_cancels_idle_keep_alive_connections(self, caplog):
+        """stop() must cancel and await the handler of an idle
+        keep-alive socket, not close the loop under a pending task."""
+        import gc
+        import logging
+        import socket
+
+        frontend = NetFrontend(_StubPool(), config=NetConfig())
+        frontend.start_in_thread()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(("127.0.0.1", frontend.port),
+                                          timeout=10) as sock:
+                sock.sendall(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+                # The connection is now idle, parked in readline().
+                assert len(frontend._connections) == 1
+                frontend.stop()
+                assert sock.recv(65536) == b""       # EOF, not a hang
+            gc.collect()
+        assert not frontend._connections
+        assert "Task was destroyed but it is pending" not in caplog.text
+        assert not caplog.records
+
+
 class TestServeHttpCli:
     def test_serve_http_smoke(self, store_path, capsys):
         from repro.cli import main
@@ -624,17 +648,16 @@ class TestServeHttpCli:
         assert main(["serve", store_path, "--http", "nocolon"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
-    def test_serve_http_rejects_npz(self, corpus, tmp_path, capsys):
+    def test_serve_http_rejects_npz(self, tmp_path, capsys):
+        import shutil
+
         from repro.cli import main
-        from repro.storage.store import open_store
 
-        from repro.core.index import STRGIndex
-
-        mono = STRGIndex(STRGIndexConfig(n_clusters=4))
-        for og in corpus[:8]:
-            mono.insert(og)
-        store = open_store(os.path.join(tmp_path, "mono.npz"),
-                           format="npz")
-        store.write_index(mono)
-        assert main(["serve", store.path, "--http", "127.0.0.1:0"]) == 2
+        archive = os.path.join(tmp_path, "mono.npz")
+        shutil.copy(os.path.join(os.path.dirname(__file__), "data",
+                                 "legacy_npz", "mono.npz"), archive)
+        assert main(["serve", archive, "--http", "127.0.0.1:0"]) == 3
         assert "convert" in capsys.readouterr().err
+        assert main(["serve", os.path.join(tmp_path, "absent"),
+                     "--http", "127.0.0.1:0"]) == 2
+        assert "none at" in capsys.readouterr().err

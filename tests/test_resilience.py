@@ -32,7 +32,8 @@ from repro.resilience import (
     replay_pending,
 )
 from repro.storage.database import VideoDatabase
-from repro.storage.serialize import load_index, npz_path
+from repro.storage.serialize import npz_path
+from repro.storage.store import open_store
 from repro.video.synthesize import (
     Actor,
     BackgroundSpec,
@@ -42,6 +43,24 @@ from repro.video.synthesize import (
 )
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0)
+
+
+def load_index(path):
+    return open_store(path).load_index()
+
+
+def damage(path, how):
+    """Truncate, or flip one byte of, the store's base trajectories."""
+    target = os.path.join(path, "seg-000000", "og_values.npy")
+    if how == "truncate":
+        with open(target, "r+b") as fh:
+            fh.truncate(100)
+    else:
+        with open(target, "r+b") as fh:
+            fh.seek(os.path.getsize(target) // 2)
+            byte = fh.read(1)
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte[0] ^ 0xFF]))
 
 
 def tiny_segment(i: int, num_frames: int = 6):
@@ -343,7 +362,7 @@ class TestAcceptance50Segments:
 
 class TestCrashSafePersistence:
     def test_interrupted_save_keeps_previous_snapshot(self, tmp_path):
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.strg"
         db = VideoDatabase()
         db.ingest_object_graphs(blob_ogs(seed=1))
         db.save(path)
@@ -356,21 +375,24 @@ class TestCrashSafePersistence:
         # Previous complete snapshot is untouched.
         assert load_index(path).stats() == before
         # And no temp litter is left next to it.
-        assert os.listdir(tmp_path) == ["index.npz"]
+        assert os.listdir(tmp_path) == ["index.strg"]
+        assert not [name for name in os.listdir(path)
+                    if name.endswith(".tmp")]
 
     def test_interrupted_first_save_leaves_nothing(self, tmp_path):
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.strg"
         db = VideoDatabase()
         db.ingest_object_graphs(blob_ogs())
         with injected(FaultInjector().inject("storage.write", rate=1.0)):
             with pytest.raises(StorageError):
                 db.save(path)
-        assert not path.exists()
+        # Nothing committed: no manifest, so nothing is openable.
+        assert not open_store(path).exists()
         with pytest.raises(StorageError):
             load_index(path)
 
     def test_torn_write_detected_on_load(self, tmp_path):
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.strg"
         db = VideoDatabase()
         db.ingest_object_graphs(blob_ogs())
         injector = FaultInjector().inject("storage.write", kind="truncate",
@@ -381,7 +403,7 @@ class TestCrashSafePersistence:
             load_index(path)
 
     def test_injected_read_failure(self, tmp_path):
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.strg"
         db = VideoDatabase()
         db.ingest_object_graphs(blob_ogs())
         db.save(path)
@@ -392,7 +414,7 @@ class TestCrashSafePersistence:
 
 class TestJournalAndRecovery:
     def _build(self, tmp_path, n_before=2, n_after=1, quarantine_last=False):
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.strg"
         db = VideoDatabase(fault_policy="skip-and-quarantine",
                            journal_path=str(path) + ".journal")
         i = 0
@@ -447,8 +469,7 @@ class TestJournalAndRecovery:
 
     def test_recover_from_corrupt_snapshot_replays_everything(self, tmp_path):
         path, _ = self._build(tmp_path, n_before=2, n_after=1)
-        with open(path, "r+b") as fh:
-            fh.truncate(100)
+        damage(path, "truncate")
         recovered = VideoDatabase.recover(path)
         report = recovered.recovery
         assert not report.snapshot_loaded
@@ -456,15 +477,26 @@ class TestJournalAndRecovery:
         assert report.pending_segments == ["seg-000", "seg-001", "seg-002"]
         assert recovered.index is None
 
+    def test_recover_never_trusts_a_bit_rotted_snapshot(self, tmp_path):
+        # Sizes still match, so the O(1) open would serve the damaged
+        # trajectories; recovery re-hashes (store.verify()) first.
+        path, _ = self._build(tmp_path, n_before=2, n_after=1)
+        damage(path, "flip")
+        assert len(load_index(path)) > 0       # the open cannot tell
+        report = VideoDatabase.recover(path).recovery
+        assert not report.snapshot_loaded
+        assert "checksum mismatch" in report.snapshot_error
+        assert report.pending_segments == ["seg-000", "seg-001", "seg-002"]
+
     def test_recover_nothing_raises(self, tmp_path):
         with pytest.raises(RecoveryError) as excinfo:
-            VideoDatabase.recover(tmp_path / "void.npz")
-        assert excinfo.value.details["path"].endswith("void.npz")
+            VideoDatabase.recover(tmp_path / "void")
+        assert excinfo.value.details["path"].endswith("void.strg")
 
     def test_replay_pending_resets_at_checkpoint(self):
         records = [
             {"event": "segment", "segment": "a", "status": "ok"},
-            {"event": "checkpoint", "path": "x.npz"},
+            {"event": "checkpoint", "path": "x.strg"},
             {"event": "segment", "segment": "b", "status": "ok"},
             {"event": "segment", "segment": "c", "status": "quarantined"},
         ]
@@ -490,8 +522,8 @@ class TestPathNormalization:
     def test_suffixless_save_load_roundtrip(self, tmp_path):
         db = VideoDatabase()
         db.ingest_object_graphs(blob_ogs())
-        stem = tmp_path / "snapshot"         # no .npz suffix
+        stem = tmp_path / "snapshot"         # no .strg suffix
         db.save(stem)
-        assert (tmp_path / "snapshot.npz").exists()
+        assert (tmp_path / "snapshot.strg").is_dir()
         restored = VideoDatabase.load(stem)
         assert restored.stats()["ogs"] == db.stats()["ogs"]

@@ -38,7 +38,7 @@ from repro.serving import (
     ShardedIndexConfig,
 )
 from repro.storage.database import VideoDatabase
-from repro.storage.serialize import load_index, save_index
+from repro.storage.store import open_store
 
 
 def corpus(n=120, seed=0):
@@ -310,10 +310,10 @@ class TestSketchPersistence:
         index, ogs = small
         q = ogs[3]
         before = index.knn(q, 8, search_budget=30)
-        path = tmp_path / "index.npz"
-        save_index(path, index)
-        loaded = load_index(path)
-        assert loaded._sketches is not None  # came from the archive
+        store = open_store(tmp_path / "index")
+        store.write_index(index)
+        loaded = store.load_index()
+        assert loaded._sketches is not None  # came from the store
         after = loaded.knn(q, 8, search_budget=30)
         # og_ids are re-minted on load; compare by distance ordering.
         assert [d for d, _, _ in before] \
@@ -321,11 +321,11 @@ class TestSketchPersistence:
 
     def test_old_archive_without_sketch_falls_back(self, small, tmp_path):
         index, ogs = small
-        # Never touch the sketch tier -> the archive carries none.
+        # Never touch the sketch tier -> the store carries none.
         fresh = built_index(ogs)
-        path = tmp_path / "plain.npz"
-        save_index(path, fresh)
-        loaded = load_index(path)
+        store = open_store(tmp_path / "plain")
+        store.write_index(fresh)
+        loaded = store.load_index()
         assert loaded._sketches is None
         hits = loaded.knn(ogs[0], 8, search_budget=30)  # lazy rebuild
         assert len(hits) == 8

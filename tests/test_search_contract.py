@@ -76,8 +76,7 @@ class World:
                 num_shards=shards, placement="hash", index=config))
             index.build(self.ogs, clip_refs=self.refs)
             self.indexes[f"sharded{shards}"] = index
-        store = open_store(os.path.join(root, "contract.strg"),
-                           format="columnar")
+        store = open_store(os.path.join(root, "contract.strg"))
         store.write_index(self.indexes["sharded2"])
         self.live = LiveIndex(store.load_index())
         self.indexes["live"] = self.live

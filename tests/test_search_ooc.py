@@ -18,8 +18,6 @@ with ``==``, orders compared as lists):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -437,7 +435,7 @@ class TestDatabaseOutOfCore:
         db.ingest_object_graphs(ogs)
         if budgeted:
             db.knn(ogs[0], 3, search_budget=24)  # persistable sketch
-        db.save(tmp_path / "db", format="columnar")
+        db.save(tmp_path / "db")
         return db, ogs
 
     def test_budgeted_knn_never_builds_the_tree(self, tmp_path):
@@ -599,7 +597,7 @@ class TestCliMmapFlag:
         ogs = corpus(60, seed=47)
         db.ingest_object_graphs(ogs)
         db.knn(pattern_by_id(0).generate(32), 3, search_budget=24)
-        db.save(tmp_path / "db", format="columnar")
+        db.save(tmp_path / "db")
         path = str(tmp_path / "db.strg")
 
         def hit_lines(out):

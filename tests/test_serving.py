@@ -150,13 +150,11 @@ class TestShardedIndexBasics:
 class TestPersistence:
     @pytest.mark.parametrize("placement", ["hash", "affine"])
     def test_round_trip(self, corpus, queries, tmp_path, placement):
-        from repro.storage.serialize import is_sharded_snapshot
-
         index = _sharded(corpus[:48], 3, placement)
         expected = [index.knn(q, K) for q in queries]
         path = tmp_path / "serving-idx"
-        open_store(path, format="npz").write_index(index)
-        assert is_sharded_snapshot(path)
+        open_store(path).write_index(index)
+        assert open_store(path).describe()["kind"] == "sharded"
         loaded = open_store(path).load_index()
         assert len(loaded) == len(index)
         assert loaded.config.placement == placement
@@ -165,12 +163,10 @@ class TestPersistence:
             assert [d for d, _, _ in got] == [d for d, _, _ in exp]
 
     def test_monolithic_snapshot_not_sharded(self, mono, tmp_path):
-        from repro.storage.serialize import is_sharded_snapshot, save_index
-
         path = tmp_path / "mono"
-        save_index(path, mono)
-        assert not is_sharded_snapshot(path)
-        assert not is_sharded_snapshot(tmp_path / "missing")
+        open_store(path).write_index(mono)
+        assert open_store(path).describe()["kind"] == "index"
+        assert not open_store(tmp_path / "missing").exists()
 
 
 class TestDegradedReads:
@@ -470,7 +466,7 @@ class TestServingCLI:
 
         index = _sharded(corpus[:24], 2, "hash")
         path = tmp_path / "served"
-        open_store(path, format="npz").write_index(index)
+        open_store(path).write_index(index)
         assert main(["serve", str(path), "--rate", "20", "--duration",
                      "0.3", "--workers", "1", "-k", "3"]) == 0
         out = capsys.readouterr().out
@@ -478,10 +474,9 @@ class TestServingCLI:
 
     def test_serve_reshards_monolithic(self, mono, tmp_path, capsys):
         from repro.cli import main
-        from repro.storage.serialize import save_index
 
         path = tmp_path / "mono"
-        save_index(path, mono)
+        open_store(path).write_index(mono)
         assert main(["serve", str(path), "--shards", "2", "--rate", "20",
                      "--duration", "0.2", "-k", "3"]) == 0
         assert "resharding" in capsys.readouterr().out

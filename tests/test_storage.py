@@ -1,4 +1,8 @@
-"""Tests for serialization and the VideoDatabase facade."""
+"""Tests for index persistence, the 2.x archive reader's integrity
+checks, and the VideoDatabase facade."""
+
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +11,19 @@ from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.errors import IndexCorruptionError, IndexStateError, StorageError
 from repro.graph.object_graph import ObjectGraph
 from repro.storage.database import VideoDatabase
-from repro.storage.serialize import (
-    FORMAT_VERSION,
-    load_index,
-    load_object_graphs,
-    save_index,
-    save_object_graphs,
-)
+from repro.storage.serialize import FORMAT_VERSION
+from repro.storage.serialize import load_index as load_archive
+from repro.storage.store import open_store
+
+LEGACY = Path(__file__).parent / "data" / "legacy_npz"
+
+
+def save_index(path, index):
+    open_store(path).write_index(index)
+
+
+def load_index(path):
+    return open_store(path).load_index()
 
 
 def blob_ogs(k=3, n_per=5, seed=0):
@@ -31,31 +41,40 @@ def blob_ogs(k=3, n_per=5, seed=0):
 
 
 class TestObjectGraphSerialization:
+    """OG payloads (values, frames, labels) through the store's
+    row-addressed reader — no tree involved."""
+
     def test_roundtrip(self, tmp_path):
-        ogs = blob_ogs()
-        path = tmp_path / "ogs.npz"
-        save_object_graphs(path, ogs)
-        loaded = load_object_graphs(path)
-        assert len(loaded) == len(ogs)
-        for orig, back in zip(ogs, loaded):
+        from repro.storage.serialize import leaf_ogs
+
+        index = STRGIndex(STRGIndexConfig(n_clusters=3))
+        index.build(blob_ogs())
+        save_index(tmp_path / "ogs", index)
+        reader = open_store(tmp_path / "ogs").row_reader(mmap=False)
+        stored = [og for og, _ in leaf_ogs(index)]   # the row order
+        assert len(reader) == len(stored)
+        for row, orig in enumerate(stored):
+            back, _ = reader.record(row)
             np.testing.assert_allclose(back.values, orig.values)
+            np.testing.assert_array_equal(back.frames, orig.frames)
             assert back.label == orig.label
-            assert back.og_id == orig.og_id
 
     def test_unlabeled_roundtrip(self, tmp_path):
-        ogs = [ObjectGraph.from_values([[1.0, 2.0]])]
-        path = tmp_path / "ogs.npz"
-        save_object_graphs(path, ogs)
-        assert load_object_graphs(path)[0].label is None
+        index = STRGIndex(STRGIndexConfig(n_clusters=None, k_max=4))
+        index.insert(ObjectGraph.from_values([[1.0, 2.0]]))
+        save_index(tmp_path / "ogs", index)
+        og, _ = open_store(tmp_path / "ogs").row_reader().record(0)
+        assert og.label is None
 
     def test_empty_set(self, tmp_path):
-        path = tmp_path / "empty.npz"
-        save_object_graphs(path, [])
-        assert load_object_graphs(path) == []
+        index = STRGIndex(STRGIndexConfig(n_clusters=None, k_max=4))
+        save_index(tmp_path / "empty", index)
+        assert len(open_store(tmp_path / "empty").row_reader()) == 0
+        assert list(load_index(tmp_path / "empty").object_graphs()) == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
-            load_object_graphs(tmp_path / "nope.npz")
+            open_store(tmp_path / "nope").row_reader()
 
 
 class TestIndexSerialization:
@@ -63,7 +82,7 @@ class TestIndexSerialization:
         ogs = blob_ogs()
         index = STRGIndex(STRGIndexConfig(n_clusters=3))
         index.build(ogs, clip_refs=[f"c{i}" for i in range(len(ogs))])
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         save_index(path, index)
         loaded = load_index(path)
         assert loaded.stats() == index.stats()
@@ -72,7 +91,7 @@ class TestIndexSerialization:
         ogs = blob_ogs()
         index = STRGIndex(STRGIndexConfig(n_clusters=3))
         index.build(ogs)
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         save_index(path, index)
         loaded = load_index(path)
         orig_hits = index.knn(ogs[0], 5)
@@ -85,7 +104,7 @@ class TestIndexSerialization:
         ogs = blob_ogs(k=1, n_per=3)
         index = STRGIndex(STRGIndexConfig(n_clusters=1))
         index.build(ogs, clip_refs=["a", "b", "c"])
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         save_index(path, index)
         loaded = load_index(path)
         refs = {r.clip_ref
@@ -95,7 +114,7 @@ class TestIndexSerialization:
     def test_config_survives(self, tmp_path):
         index = STRGIndex(STRGIndexConfig(n_clusters=2, leaf_capacity=17))
         index.build(blob_ogs(k=2, n_per=3))
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         save_index(path, index)
         assert load_index(path).config.leaf_capacity == 17
 
@@ -111,7 +130,7 @@ class TestIndexSerialization:
         bg = BackgroundGraph(rag, frame_count=40)
         index = STRGIndex(STRGIndexConfig(n_clusters=2))
         index.build(blob_ogs(k=2, n_per=3), background=bg)
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         save_index(path, index)
         loaded = load_index(path)
         restored = loaded.root[0].background
@@ -133,7 +152,7 @@ class TestIndexSerialization:
         index = STRGIndex(STRGIndexConfig(n_clusters=1))
         index.build(blob_ogs(k=1, n_per=3, seed=1))          # no background
         index.build(blob_ogs(k=1, n_per=3, seed=2), background=bg)
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         save_index(path, index)
         loaded = load_index(path)
         assert loaded.root[0].background is None
@@ -142,13 +161,13 @@ class TestIndexSerialization:
 
 
 class TestCorruptionDetection:
-    """Persisted archives must fail loudly, never load silently wrong."""
+    """2.x archives must fail loudly in the importer's reader, never
+    load silently wrong (the columnar store's own drills live in
+    ``test_columnar.py::TestCorruptionDetection``)."""
 
     def _saved_index(self, tmp_path, name="index.npz"):
-        index = STRGIndex(STRGIndexConfig(n_clusters=3))
-        index.build(blob_ogs())
         path = tmp_path / name
-        save_index(path, index)
+        shutil.copy(LEGACY / "mono.npz", path)
         return path
 
     def test_truncated_npz_raises_typed_error(self, tmp_path):
@@ -157,7 +176,7 @@ class TestCorruptionDetection:
         with open(path, "r+b") as fh:
             fh.truncate(size // 2)
         with pytest.raises(IndexCorruptionError) as excinfo:
-            load_index(path)
+            load_archive(path)
         assert excinfo.value.details["path"].endswith("index.npz")
 
     @pytest.mark.parametrize("position", [0.1, 0.2, 0.3, 0.4, 0.5,
@@ -167,7 +186,7 @@ class TestCorruptionDetection:
         # those loads may succeed, but then MUST return the exact index.
         # Payload flips must raise the typed corruption error.
         path = self._saved_index(tmp_path)
-        reference = load_index(path)
+        reference = load_archive(path)
         size = path.stat().st_size
         offset = int(size * position)
         with open(path, "r+b") as fh:
@@ -176,7 +195,7 @@ class TestCorruptionDetection:
             fh.seek(offset)
             fh.write(bytes([byte[0] ^ 0xFF]))
         try:
-            loaded = load_index(path)
+            loaded = load_archive(path)
         except IndexCorruptionError:
             return
         assert loaded.stats() == reference.stats()
@@ -191,15 +210,7 @@ class TestCorruptionDetection:
         arrays["__format_version__"] = np.int64(FORMAT_VERSION + 99)
         np.savez_compressed(path, **arrays)
         with pytest.raises(IndexCorruptionError, match="version"):
-            load_index(path)
-
-    def test_corrupt_og_file_raises(self, tmp_path):
-        path = tmp_path / "ogs.npz"
-        save_object_graphs(path, blob_ogs())
-        with open(path, "r+b") as fh:
-            fh.truncate(60)
-        with pytest.raises(IndexCorruptionError):
-            load_object_graphs(path)
+            load_archive(path)
 
     def test_checksum_survives_clean_roundtrip(self, tmp_path):
         # The integrity header must not interfere with normal loads.
@@ -207,7 +218,7 @@ class TestCorruptionDetection:
         with np.load(path, allow_pickle=False) as data:
             assert "__checksum__" in data.files
             assert int(data["__format_version__"]) == FORMAT_VERSION
-        assert len(load_index(path)) == len(blob_ogs())
+        assert len(load_archive(path)) == 36
 
     def test_legacy_archive_without_header_still_loads(self, tmp_path):
         # Pre-resilience (v1) archives carry no header keys.
@@ -216,28 +227,22 @@ class TestCorruptionDetection:
             arrays = {name: np.array(data[name]) for name in data.files
                       if not name.startswith("__")}
         np.savez_compressed(path, **arrays)
-        index = load_index(path)
-        assert len(index) == len(blob_ogs())
+        index = load_archive(path)
+        assert len(index) == 36
 
 
 class TestPathHandling:
-    def test_suffixless_og_roundtrip(self, tmp_path):
-        ogs = blob_ogs(k=1, n_per=2)
-        stem = tmp_path / "ogs"                  # numpy will append .npz
-        save_object_graphs(stem, ogs)
-        assert (tmp_path / "ogs.npz").exists()
-        assert len(load_object_graphs(stem)) == len(ogs)
-
     def test_suffixless_index_roundtrip(self, tmp_path):
         index = STRGIndex(STRGIndexConfig(n_clusters=2))
         index.build(blob_ogs(k=2, n_per=3))
         stem = tmp_path / "nested" / "idx"
         stem.parent.mkdir()
         save_index(stem, index)
+        assert (tmp_path / "nested" / "idx.strg").is_dir()
         assert load_index(stem).stats() == index.stats()
 
     def test_error_messages_use_normalized_path(self, tmp_path):
-        with pytest.raises(StorageError, match=r"missing\.npz"):
+        with pytest.raises(StorageError, match=r"missing\.strg"):
             load_index(tmp_path / "missing")
 
 
@@ -284,14 +289,14 @@ class TestVideoDatabase:
     def test_save_load(self, tmp_path):
         db = VideoDatabase()
         db.ingest_object_graphs(blob_ogs())
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.strg"
         db.save(path)
         restored = VideoDatabase.load(path)
         assert restored.stats()["ogs"] == db.stats()["ogs"]
 
     def test_save_empty_rejected(self, tmp_path):
         with pytest.raises(IndexStateError):
-            VideoDatabase().save(tmp_path / "x.npz")
+            VideoDatabase().save(tmp_path / "x.strg")
 
     def test_ingest_with_shot_parsing(self, tiny_video):
         # Concatenate two scenes: the tiny video and an inverted-color
