@@ -8,7 +8,8 @@ rounds), unlike the figure benches which run expensive sweeps once.
 ``bench_batch_engine_report`` additionally compares the scalar per-pair
 loop against the vectorized batch kernels and the multi-process executor
 and archives a machine-readable ``benchmarks/results/BENCH_kernels.json``
-(ops/sec per variant, EM wall-clock, cache hit rates).
+(ops/sec per variant, one prepared-batch-vs-list row, EM wall-clock,
+cache hit rates).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ LENGTHS = (16, 32, 64)
 BATCH_N = 64
 BATCH_SIZE = 256
 SCALAR_SAMPLE = 48
+#: Queries sweeping the same batch in the prepared-vs-list row.
+PREPARED_QUERIES = 8
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +174,21 @@ def bench_one_vs_many_batched(benchmark, series_batch, kernel):
     assert out.shape == (64,) and np.all(out >= 0.0)
 
 
+@pytest.mark.parametrize("kernel", ["eged_adaptive", "eged_metric",
+                                    "dtw", "lcs"])
+def bench_one_vs_many_prepared(benchmark, series_batch, kernel):
+    """The same sweep over a batch prepared beforehand (the build
+    stages' shape: one ``PaddedBatch``, many queries) — bit-equal to
+    handing over the list."""
+    from repro.distance.batch import PaddedBatch, one_vs_many
+
+    distance, _ = _engine_distances()[kernel]
+    items = series_batch[:64]
+    prepared = PaddedBatch(items)
+    out = benchmark(one_vs_many, distance, series_batch[64], prepared)
+    assert np.array_equal(out, one_vs_many(distance, series_batch[64], items))
+
+
 def bench_one_vs_many_parallel(benchmark, series_batch):
     """The same sweep through the process-pool executor."""
     from repro.distance.eged import MetricEGED
@@ -206,9 +224,9 @@ def bench_batch_engine_report(series_batch):
     """
     from repro.clustering.em import EMClustering, EMConfig
     from repro.distance.base import Distance
-    from repro.distance.batch import pairwise_matrix
+    from repro.distance.batch import PaddedBatch, one_vs_many, pairwise_matrix
     from repro.distance.cache import DistanceCache, set_default_cache
-    from repro.distance.eged import EGED
+    from repro.distance.eged import EGED, MetricEGED
     from repro.parallel import DistanceExecutor
 
     items = series_batch
@@ -251,6 +269,32 @@ def bench_batch_engine_report(series_batch):
         rows.append([name, f"{scalar_ops:.0f}", f"{batch_ops:.0f}",
                      f"{parallel_ops:.0f}",
                      f"{batch_ops / scalar_ops:.1f}x"])
+
+    # Batch reuse: the build stages' shape — the same items swept by
+    # several queries, as a list each time vs one PaddedBatch.
+    metric = MetricEGED()
+    queries = items[:PREPARED_QUERIES]
+    listed = [one_vs_many(metric, q, items) for q in queries]
+    prepared = PaddedBatch(items)
+    for q, want in zip(queries, listed):
+        assert np.array_equal(one_vs_many(metric, q, prepared), want)
+    list_seconds = _best_of(
+        lambda: [one_vs_many(metric, q, items) for q in queries])
+
+    def _prepared_sweeps():
+        batch = PaddedBatch(items)
+        for q in queries:
+            one_vs_many(metric, q, batch)
+
+    prepared_seconds = _best_of(_prepared_sweeps)
+    report["prepared_batch"] = {
+        "kernel": "eged_metric",
+        "queries": len(queries),
+        "items": len(items),
+        "list_seconds": list_seconds,
+        "prepared_seconds": prepared_seconds,
+        "speedup": list_seconds / prepared_seconds,
+    }
 
     # EM wall-clock: the batched+cached engine vs a per-pair-only wrapper.
     class _ScalarOnly(Distance):
@@ -296,6 +340,12 @@ def bench_batch_engine_report(series_batch):
         rows,
     )
     lines.append("")
+    lines.append(
+        f"{len(queries)} sweeps of {len(items)} series: a list each time "
+        f"{list_seconds * 1e3:.1f} ms vs one PaddedBatch "
+        f"{prepared_seconds * 1e3:.1f} ms "
+        f"({list_seconds / prepared_seconds:.2f}x, results bit-equal)"
+    )
     lines.append(
         f"EM wall-clock: scalar {scalar_seconds:.2f}s vs batched "
         f"{batched_seconds:.2f}s "

@@ -46,6 +46,7 @@ from repro.clustering.base import (
 )
 from repro.clustering.centroid import weighted_mean_og
 from repro.distance.base import Distance
+from repro.distance.batch import PaddedBatch
 from repro.distance.eged import EGED
 from repro.errors import ClusteringError, InvalidParameterError
 from repro.observability import OBS
@@ -200,7 +201,9 @@ class EMClustering:
     def _fit_once(self, ogs: Sequence, seed: int) -> ClusteringResult:
         """One EM run from a single seed."""
         cfg = self.config
-        series = validate_inputs(ogs, cfg.n_clusters)
+        # Every sweep of the fit is a centroid against these same series:
+        # pad them, and hash them for the distance cache, once.
+        series = PaddedBatch(validate_inputs(ogs, cfg.n_clusters))
         rng = np.random.default_rng(seed)
         k = cfg.n_clusters
         m = len(series)

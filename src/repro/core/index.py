@@ -28,7 +28,7 @@ from repro.core.nodes import (
     RootRecord,
 )
 from repro.distance.base import Distance, as_series
-from repro.distance.batch import one_vs_many, supports_batch
+from repro.distance.batch import PaddedBatch, one_vs_many, supports_batch
 from repro.distance.eged import EGED, MetricEGED
 from repro.errors import IndexStateError, InvalidParameterError
 from repro.graph.decomposition import BackgroundGraph
@@ -231,9 +231,10 @@ class STRGIndex:
         if supports_batch(self.metric_distance):
             # Batched key computation: one DP sweep per (cluster, member
             # group) for EM-assigned OGs, and one sweep per centroid over
-            # the out-of-sample OGs (the O(K M) assignment of Section
-            # 6.3's build cost) — the same evaluations as the per-pair
-            # path, so CountingDistance totals are unchanged.
+            # the out-of-sample OGs, prepared once for all K of them (the
+            # O(K M) assignment of Section 6.3's build cost) — the same
+            # evaluations as the per-pair path, so CountingDistance
+            # totals are unchanged.
             og_series = [as_series(og) for og in ogs]
             keys = np.empty(len(ogs), dtype=np.float64)
             target = np.empty(len(ogs), dtype=np.int64)
@@ -251,9 +252,9 @@ class STRGIndex:
                     [og_series[j] for j in members],
                 )
             if unassigned:
+                rest = PaddedBatch([og_series[j] for j in unassigned])
                 cols = np.stack([
-                    one_vs_many(self.metric_distance, record.centroid,
-                                [og_series[j] for j in unassigned])
+                    one_vs_many(self.metric_distance, record.centroid, rest)
                     for record in records
                 ], axis=1)
                 best = np.argmin(cols, axis=1)

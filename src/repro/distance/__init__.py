@@ -15,6 +15,7 @@ from repro.distance.base import (
     check_metric_axioms,
 )
 from repro.distance.batch import (
+    PaddedBatch,
     batch_dtw,
     batch_eged,
     batch_erp,
@@ -50,6 +51,7 @@ __all__ = [
     "as_series",
     "pairwise_matrix",
     "check_metric_axioms",
+    "PaddedBatch",
     "batch_dtw",
     "batch_eged",
     "batch_erp",

@@ -10,6 +10,7 @@ accepted inputs (1-D arrays, lists of vectors, or any object exposing a
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 from typing import Any, Callable, Sequence
 
@@ -74,7 +75,9 @@ class Distance(abc.ABC):
 
     def compute_many(self, query: np.ndarray,
                      batch: Sequence[np.ndarray]) -> np.ndarray:
-        """Distances from ``query`` to every normalized series in ``batch``.
+        """Distances from ``query`` to every normalized series in ``batch``
+        (a list, or a :class:`repro.distance.batch.PaddedBatch` — which
+        iterates as one).
 
         The default is a per-pair loop with the ``(query, item)`` argument
         order preserved; the EGED/ERP/DTW/LCS kernels override it with the
@@ -239,3 +242,46 @@ def resample_series(a: np.ndarray, length: int) -> np.ndarray:
     dst = np.linspace(0.0, 1.0, length)
     cols = [np.interp(dst, src, a[:, k]) for k in range(a.shape[1])]
     return np.stack(cols, axis=1)
+
+
+@functools.lru_cache(maxsize=256)
+def _resample_plan(n: int, length: int) -> tuple[np.ndarray, ...]:
+    """The part of resampling ``n`` nodes to ``length`` that does not
+    depend on the values.  Per target position: the nodes left and right
+    of its segment (``src[j] <= dst < src[j + 1]``), the segment's width,
+    the offset into it, whether it sits on the left node, and whether it
+    is at the right end.  Read-only: every caller gets the same arrays.
+    """
+    src = np.linspace(0.0, 1.0, n)
+    dst = np.linspace(0.0, 1.0, length)
+    j = np.minimum(np.searchsorted(src, dst, side="right") - 1, n - 2)
+    x0 = src[j]
+    plan = (j, j + 1, (src[j + 1] - x0)[:, None], (dst - x0)[:, None],
+            (dst == x0)[:, None], dst >= src[-1])
+    for part in plan:
+        part.flags.writeable = False
+    return plan
+
+
+def resample_stack(stack: np.ndarray, length: int) -> np.ndarray:
+    """:func:`resample_series` of ``G`` equal-length series in one pass:
+    ``(G, n, d)`` to ``(G, length, d)``.
+
+    Bit for bit what ``np.interp`` returns per series and column: its
+    ``slope * (x - x0) + f0`` with ``slope = (f1 - f0) / (x1 - x0)``, the
+    left node itself where ``x == x0``, and the last node at the right
+    end.
+    """
+    if length < 1:
+        raise EmptySequenceError("target length must be >= 1")
+    n = stack.shape[1]
+    if n == length:
+        return stack
+    if n == 1:
+        return np.repeat(stack, length, axis=1)
+    left, right, width, offset, on_node, at_end = _resample_plan(n, length)
+    f0 = stack[:, left]
+    out = np.where(on_node, f0,
+                   (stack[:, right] - f0) / width * offset + f0)
+    out[:, at_end] = stack[:, -1:]
+    return out

@@ -36,7 +36,17 @@ Cells at column ``j`` only ever read columns ``<= j`` of the current and
 previous row, so the garbage computed in padded columns never reaches the
 cell ``(n, m_b)`` that is read out for a series of true length
 ``m_b <= M``.  Batches are processed in length-sorted chunks (bounded by
-:data:`MAX_CELLS` DP cells) to limit both padding waste and peak memory.
+:data:`ROW_PLANE_CELLS` cells of one DP row across the chunk) to limit
+padding waste and keep a chunk's tensors inside the L2 cache.
+
+Preparation
+-----------
+Normalising, dimension-checking, length-sorting and padding depend on
+the batch alone, not on the query, so they are one object: a
+:class:`PaddedBatch`.  Every sweep runs over one — a plain list handed
+to any entry point goes through the same constructor — and a caller
+that sweeps the same items with many queries (index build, sketch
+build, EM) prepares once and passes the batch instead of the list.
 
 The public entry points are :func:`one_vs_many` and
 :func:`pairwise_matrix`; they dispatch through
@@ -48,7 +58,8 @@ so asymmetric user distances keep their semantics.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+import hashlib
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,25 +76,25 @@ try:  # optional: ~2x faster node-norm tensors when SciPy is around
 except ImportError:  # pragma: no cover - exercised only without SciPy
     _cdist = None
 
-#: Upper bound on ``batch * n * M`` DP cells processed per chunk; keeps the
-#: cost tensors (the largest is ``(batch, n, M + 1)`` float64) around a few
-#: tens of megabytes.
-MAX_CELLS = 4_000_000
+#: Upper bound on ``batch * (M + 1)`` cells of one DP row plane per chunk.
+#: With the 10-20 node series of this corpus a chunk is ~200k DP cells and
+#: its cost tensors stay inside a 4 MiB L2; measured us/pair is flat from
+#: half to twice this value and 20-35 % worse once the tensors spill
+#: (``docs/PERFORMANCE.md``, *Row-scan batching*).  The bound does not
+#: depend on the query, so one :class:`PaddedBatch` serves every query.
+ROW_PLANE_CELLS = 12_288
 
 
-# -- padding / chunking -------------------------------------------------------
+# -- preparation --------------------------------------------------------------
 
 
-def _normalize_batch(query: SeriesLike, items: Sequence[SeriesLike]
-                     ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Coerce the query and every batch item to ``(n, d)`` series."""
-    a = as_series(query)
-    bs = []
-    for item in items:
-        b = as_series(item)
-        check_same_dim(a, b)
-        bs.append(b)
-    return a, bs
+def series_digest(series: np.ndarray) -> bytes:
+    """16-byte content hash of a normalized ``(n, d)`` series."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.int64(series.shape[0]).tobytes())
+    h.update(np.int64(series.shape[1]).tobytes())
+    h.update(np.ascontiguousarray(series).tobytes())
+    return h.digest()
 
 
 def _pad(series: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -97,27 +108,89 @@ def _pad(series: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
-def _chunked(kernel: Callable, a: np.ndarray, bs: list[np.ndarray],
-             *params) -> np.ndarray:
-    """Run ``kernel`` over length-sorted chunks of ``bs`` bounded by
-    :data:`MAX_CELLS` DP cells, scattering results back to input order."""
-    out = np.empty(len(bs), dtype=np.float64)
-    if not bs:
-        return out
-    n = a.shape[0]
-    order = sorted(range(len(bs)), key=lambda i: bs[i].shape[0])
-    pos = 0
-    while pos < len(order):
-        stop = pos + 1
-        while stop < len(order):
-            longest = bs[order[stop]].shape[0] + 1
-            if (stop - pos + 1) * n * longest > MAX_CELLS:
-                break
-            stop += 1
-        idx = order[pos:stop]
-        padded, lengths = _pad([bs[i] for i in idx])
+class PaddedBatch:
+    """A batch of series prepared once for any number of sweeps.
+
+    The items are coerced to ``(n, d)`` series and checked to share one
+    attribute dimension, sorted by length and right-padded into chunks
+    of at most :data:`ROW_PLANE_CELLS` row-plane cells.  As a sequence
+    it yields the normalized series in input order, so it stands in for
+    the list it was built from.  Chunk boundaries never change a result
+    bit: every pair's DP only reads its own rows of the padded tensor.
+
+    A batch is scratch state of the stage that built it — keep it a
+    local, never an attribute of an index, sketch or snapshot.
+    """
+
+    __slots__ = ("series", "chunks", "_digests")
+
+    def __init__(self, items: Sequence[SeriesLike]):
+        #: Normalized ``(n, d)`` series, input order.
+        self.series = series = [as_series(item) for item in items]
+        for s in series:
+            check_same_dim(series[0], s)
+        #: ``(idx, padded, lengths)`` per chunk: input positions, the
+        #: ``(B, M, d)`` zero-padded tensor and the true lengths.
+        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._digests: list[bytes] | None = None
+        order = sorted(range(len(series)), key=lambda i: series[i].shape[0])
+        pos = 0
+        while pos < len(order):
+            stop = pos + 1
+            while stop < len(order):
+                longest = series[order[stop]].shape[0] + 1
+                if (stop - pos + 1) * longest > ROW_PLANE_CELLS:
+                    break
+                stop += 1
+            idx = order[pos:stop]
+            self.chunks.append((np.array(idx, dtype=np.intp),
+                                *_pad([series[i] for i in idx])))
+            pos = stop
+
+    @classmethod
+    def of(cls, items: Sequence[SeriesLike],
+           query: np.ndarray) -> "PaddedBatch":
+        """``items`` prepared (itself, when it already is a batch) and
+        checked against the normalized ``query``'s attribute dimension."""
+        batch = items if isinstance(items, cls) else cls(items)
+        if batch.series:
+            check_same_dim(query, batch.series[0])
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.series)
+
+    def __getitem__(self, i):
+        return self.series[i]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.series)
+
+    def digests(self) -> list[bytes]:
+        """:func:`series_digest` of every series (computed on first use;
+        what :class:`~repro.distance.cache.DistanceCache` keys on)."""
+        if self._digests is None:
+            self._digests = [series_digest(s) for s in self.series]
+        return self._digests
+
+
+def _normalize_batch(query: SeriesLike, items: Sequence[SeriesLike]
+                     ) -> tuple[np.ndarray, PaddedBatch]:
+    """Coerce the query to an ``(n, d)`` series and the items to a
+    :class:`PaddedBatch` of the same attribute dimension."""
+    a = as_series(query)
+    return a, PaddedBatch.of(items, a)
+
+
+def _chunked(kernel: Callable, a: np.ndarray,
+             items: Sequence[SeriesLike], *params) -> np.ndarray:
+    """Run ``kernel`` for the normalized query ``a`` over every chunk of
+    ``items`` (a :class:`PaddedBatch`, or a list that becomes one),
+    scattering results back to input order."""
+    batch = PaddedBatch.of(items, a)
+    out = np.empty(len(batch), dtype=np.float64)
+    for idx, padded, lengths in batch.chunks:
         out[idx] = kernel(a, padded, lengths, *params)
-        pos = stop
     return out
 
 
@@ -296,11 +369,11 @@ def _lcs_kernel(a: np.ndarray, padded: np.ndarray, lengths: np.ndarray,
 def batch_erp(query: SeriesLike, items: Sequence[SeriesLike],
               gap: float | np.ndarray = 0.0) -> np.ndarray:
     """Unconstrained ERP (= metric EGED_M) of ``query`` against every item."""
-    a, bs = _normalize_batch(query, items)
+    a = as_series(query)
     g = np.broadcast_to(
         np.asarray(gap, dtype=np.float64), (a.shape[1],)
     ).astype(np.float64)
-    return _chunked(_erp_kernel, a, bs, g)
+    return _chunked(_erp_kernel, a, items, g)
 
 
 def batch_eged(query: SeriesLike, items: Sequence[SeriesLike],
@@ -314,8 +387,7 @@ def batch_eged(query: SeriesLike, items: Sequence[SeriesLike],
         raise InvalidParameterError(
             f"mode must be 'adaptive' or 'dtw', got {mode!r}"
         )
-    a, bs = _normalize_batch(query, items)
-    return _chunked(_eged_kernel, a, bs, mode)
+    return _chunked(_eged_kernel, as_series(query), items, mode)
 
 
 def batch_dtw(query: SeriesLike, items: Sequence[SeriesLike]) -> np.ndarray:
@@ -324,19 +396,19 @@ def batch_dtw(query: SeriesLike, items: Sequence[SeriesLike]) -> np.ndarray:
     Sakoe-Chiba-banded DTW is served by the scalar kernel (the band makes
     the reachable region differ per pair, defeating shared-row batching).
     """
-    a, bs = _normalize_batch(query, items)
-    return _chunked(_dtw_kernel, a, bs)
+    return _chunked(_dtw_kernel, as_series(query), items)
 
 
 def batch_lcs(query: SeriesLike, items: Sequence[SeriesLike],
               epsilon: float = 1.0, delta: int | None = None) -> np.ndarray:
     """LCS dissimilarity ``1 - |LCS| / min(n, m)`` of ``query`` against
     every item (exact — the LCS DP is integer arithmetic)."""
-    a, bs = _normalize_batch(query, items)
-    common = _chunked(_lcs_kernel, a, bs, epsilon, delta)
-    if len(bs) == 0:
+    a = as_series(query)
+    batch = PaddedBatch.of(items, a)
+    common = _chunked(_lcs_kernel, a, batch, epsilon, delta)
+    if len(batch) == 0:
         return common
-    mins = np.minimum(a.shape[0], np.array([b.shape[0] for b in bs]))
+    mins = np.minimum(a.shape[0], np.array([b.shape[0] for b in batch]))
     return 1.0 - common / mins
 
 
@@ -367,8 +439,7 @@ def one_vs_many(distance: Distance | Callable[[Any, Any], float],
     if OBS.enabled:
         OBS.count("distance.pairs_computed", len(items))
     if isinstance(distance, Distance):
-        a, bs = _normalize_batch(query, items)
-        return distance.compute_many(a, bs)
+        return distance.compute_many(*_normalize_batch(query, items))
     return np.array([float(distance(query, item)) for item in items],
                     dtype=np.float64)
 

@@ -27,7 +27,6 @@ clustering layer; swap or disable it with :func:`set_default_cache`.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -36,21 +35,12 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.distance.base import Distance, SeriesLike, as_series
-from repro.distance.batch import one_vs_many
+from repro.distance.batch import PaddedBatch, one_vs_many, series_digest
 from repro.errors import InvalidParameterError
 from repro.observability.registry import CacheStats as _CacheStats
 
 #: Default bound on memoized pairs (~50 MB of keys + floats).
 DEFAULT_MAX_ENTRIES = 262_144
-
-
-def series_digest(series: np.ndarray) -> bytes:
-    """16-byte content hash of a normalized ``(n, d)`` series."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.int64(series.shape[0]).tobytes())
-    h.update(np.int64(series.shape[1]).tobytes())
-    h.update(np.ascontiguousarray(series).tobytes())
-    return h.digest()
 
 
 @dataclass
@@ -86,7 +76,10 @@ class DistanceCache:
 
         Missing pairs are computed in one batched ``compute_many`` sweep
         and stored; distances without a ``cache_token`` (or plain
-        callables) are forwarded untouched.
+        callables) are forwarded untouched.  A
+        :class:`~repro.distance.batch.PaddedBatch` passed as ``items``
+        is hashed once however many queries probe it, and swept as it is
+        when every pair misses.
         """
         token = getattr(distance, "cache_token", None)
         if token is None:
@@ -94,14 +87,12 @@ class DistanceCache:
                 self.stats.bypasses += len(items)
             return one_vs_many(distance, query, items)
         a = as_series(query)
-        bs = [as_series(item) for item in items]
+        batch = PaddedBatch.of(items, a)
         qd = series_digest(a)
-        keys = []
-        for b in bs:
-            bd = series_digest(b)
-            # Canonical order — cache_token promises symmetry.
-            keys.append((token, qd, bd) if qd <= bd else (token, bd, qd))
-        out = np.empty(len(bs), dtype=np.float64)
+        # Canonical order — cache_token promises symmetry.
+        keys = [(token, qd, bd) if qd <= bd else (token, bd, qd)
+                for bd in batch.digests()]
+        out = np.empty(len(batch), dtype=np.float64)
         missing: list[int] = []
         with self._lock:
             for i, key in enumerate(keys):
@@ -111,12 +102,15 @@ class DistanceCache:
                 else:
                     self._store.move_to_end(key)
                     out[i] = value
-            self.stats.hits += len(bs) - len(missing)
+            self.stats.hits += len(batch) - len(missing)
             self.stats.misses += len(missing)
         if missing:
             # Kernels run unlocked: concurrent readers only serialise on
             # the probe/store bookkeeping above and below.
-            computed = one_vs_many(distance, a, [bs[i] for i in missing])
+            computed = one_vs_many(
+                distance, a,
+                batch if len(missing) == len(batch)
+                else [batch[i] for i in missing])
             with self._lock:
                 for i, value in zip(missing, computed):
                     out[i] = value

@@ -68,8 +68,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.distance.base import as_series, resample_series
-from repro.distance.batch import one_vs_many
+from repro.distance.base import as_series, resample_stack
+from repro.distance.batch import PaddedBatch, one_vs_many
 from repro.distance.bounds import gap_mass, pivot_lower_bounds
 from repro.errors import InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
@@ -459,16 +459,11 @@ class SketchIndex:
               config: SketchConfig | None = None) -> "SketchIndex":
         """Fit pivots + bbox on ``ogs`` and sketch every one of them."""
         sketch = cls(config)
-        ogs = list(ogs)
-        series = [as_series(og) for og in ogs]
-        sketch._fit(distance, series)
-        sketch.add(distance, ogs, clip_refs, _series=series)
+        sketch.add(distance, ogs, clip_refs)    # the first add fits
         return sketch
 
-    def _fit(self, distance, series: list[np.ndarray]) -> None:
+    def _fit(self, distance, series: Sequence[np.ndarray]) -> None:
         """Choose pivots (greedy farthest-point) and the signature bbox."""
-        if not series:
-            return
         planar = [self._planar(s) for s in series]
         stacked = np.concatenate(planar, axis=0)
         lo = stacked.min(axis=0)
@@ -482,7 +477,7 @@ class SketchIndex:
         if len(series) > cfg.pivot_sample_size:
             pick = rng.choice(len(series), size=cfg.pivot_sample_size,
                               replace=False)
-            sample = [series[int(i)] for i in sorted(pick)]
+            sample = PaddedBatch([series[int(i)] for i in sorted(pick)])
         else:
             sample = series
         # Deterministic seed: the series farthest from the empty
@@ -565,8 +560,7 @@ class SketchIndex:
         return dup
 
     def add(self, distance, ogs: Sequence[ObjectGraph],
-            clip_refs: Sequence[Any] | None = None, *,
-            _series: list[np.ndarray] | None = None) -> None:
+            clip_refs: Sequence[Any] | None = None) -> None:
         """Append sketch rows for ``ogs`` (pivots stay fixed)."""
         ogs = list(ogs)
         if not ogs:
@@ -576,8 +570,8 @@ class SketchIndex:
             raise InvalidParameterError(
                 f"{len(ogs)} OGs but {len(refs)} clip refs"
             )
-        series = (_series if _series is not None
-                  else [as_series(og) for og in ogs])
+        # Prepared once for the fit, every pivot sweep and the signatures.
+        series = PaddedBatch(ogs)
         if not self.pivots:
             # First rows of an initially-empty sketch: fit on them.
             self._fit(distance, series)
@@ -688,11 +682,12 @@ class SketchIndex:
     # -- signatures --------------------------------------------------------
 
     def _planar(self, series: np.ndarray) -> np.ndarray:
-        """First two value dims of a series (1-D values get y = 0)."""
-        if series.shape[1] >= 2:
-            return series[:, :2]
+        """First two value dims of a series, or of a stack of series
+        (1-D values get y = 0)."""
+        if series.shape[-1] >= 2:
+            return series[..., :2]
         return np.concatenate(
-            [series[:, :1], np.zeros((series.shape[0], 1))], axis=1
+            [series[..., :1], np.zeros(series.shape[:-1] + (1,))], axis=-1
         )
 
     def signature(self, series: np.ndarray) -> np.ndarray:
@@ -705,30 +700,40 @@ class SketchIndex:
         (callers hold one from :func:`as_series`; re-converting here
         was pure overhead).
         """
-        cfg = self.config
-        lo, hi = self.bbox if self.bbox is not None else (
-            np.zeros(2), np.ones(2)
-        )
         series = np.asarray(series, dtype=np.float64)
         if series.ndim == 1:
             series = series.reshape(-1, 1)
-        pts = resample_series(self._planar(series), cfg.sig_length)
-        frac = (pts - lo) / (hi - lo)
-        cells = np.clip((frac * cfg.grid).astype(np.int64), 0, cfg.grid - 1)
-        cell = cells[:, 0] * cfg.grid + cells[:, 1]
-        deltas = np.diff(pts, axis=0, prepend=pts[:1])
-        angles = np.arctan2(deltas[:, 1], deltas[:, 0])  # [-pi, pi]
-        sector = np.clip(
-            ((angles + math.pi) / (2.0 * math.pi)
-             * cfg.heading_sectors).astype(np.int64),
-            0, cfg.heading_sectors - 1,
-        )
-        return (cell * cfg.heading_sectors + sector).astype(np.int16)
+        return self._signatures([series])[0]
 
-    def _signatures(self, series: list[np.ndarray]) -> np.ndarray:
-        if not series:
-            return np.empty((0, self.config.sig_length), dtype=np.int16)
-        return np.stack([self.signature(s) for s in series])
+    def _signatures(self, series: Sequence[np.ndarray]) -> np.ndarray:
+        """:meth:`signature` rows of normalized series, one vectorised
+        pass per group of equal length."""
+        cfg = self.config
+        out = np.empty((len(series), cfg.sig_length), dtype=np.int16)
+        lo, hi = self.bbox if self.bbox is not None else (
+            np.zeros(2), np.ones(2)
+        )
+        groups: dict[int, list[int]] = {}
+        for row, s in enumerate(series):
+            groups.setdefault(s.shape[0], []).append(row)
+        for rows in groups.values():
+            pts = resample_stack(
+                self._planar(np.stack([series[i] for i in rows])),
+                cfg.sig_length,
+            )                                       # (G, sig_length, 2)
+            frac = (pts - lo) / (hi - lo)
+            cells = np.clip((frac * cfg.grid).astype(np.int64),
+                            0, cfg.grid - 1)
+            cell = cells[..., 0] * cfg.grid + cells[..., 1]
+            deltas = np.diff(pts, axis=1, prepend=pts[:, :1])
+            angles = np.arctan2(deltas[..., 1], deltas[..., 0])  # [-pi, pi]
+            sector = np.clip(
+                ((angles + math.pi) / (2.0 * math.pi)
+                 * cfg.heading_sectors).astype(np.int64),
+                0, cfg.heading_sectors - 1,
+            )
+            out[rows] = cell * cfg.heading_sectors + sector
+        return out
 
     # -- stage 1: candidate generation -------------------------------------
 

@@ -47,7 +47,7 @@ from repro.clustering.em import EMClustering, EMConfig
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.core.nodes import ClusterRecord, LeafRecord
 from repro.distance.base import Distance, as_series
-from repro.distance.batch import one_vs_many, supports_batch
+from repro.distance.batch import PaddedBatch, one_vs_many, supports_batch
 from repro.errors import (
     IndexStateError,
     InvalidParameterError,
@@ -246,21 +246,28 @@ class ShardedIndex:
         refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
         with OBS.span("serving.shard_build", ogs=len(ogs),
                       shards=self.num_shards):
-            assignment = self._place(ogs)
+            assignment, pivot_rows = self._place(ogs)
             for s in range(self.num_shards):
                 members = [og for og, a in zip(ogs, assignment) if a == s]
                 member_refs = [r for r, a in zip(refs, assignment) if a == s]
                 if members:
                     self._writable(s).build(members, background, member_refs)
-            self.refresh_bounds()
+            # Placement already holds d(pivot, og) for every OG of this
+            # build: the scan caches take those rows instead of a re-sweep.
+            self._refresh_bounds(
+                {} if pivot_rows is None else
+                {og.og_id: (og, row) for og, row in zip(ogs, pivot_rows)})
 
-    def _place(self, ogs: Sequence[ObjectGraph]) -> list[int]:
-        """Shard id per OG (fits affine pivots on the first build)."""
+    def _place(self, ogs: Sequence[ObjectGraph]
+               ) -> tuple[list[int], np.ndarray | None]:
+        """Shard id per OG (fits affine pivots on the first build) and
+        the pivot-distance rows affine placement chose them by."""
         if self.config.placement == "hash":
-            return [int(og.og_id) % self.num_shards for og in ogs]
+            return [int(og.og_id) % self.num_shards for og in ogs], None
         if self.pivots is None:
             self.pivots = self._fit_pivots(ogs)
-        return self._assign_affine(ogs)
+        pivot_rows = self._pivot_distances(ogs)
+        return self._assign_affine(pivot_rows), pivot_rows
 
     def _fit_pivots(self, ogs: Sequence[ObjectGraph]) -> list[np.ndarray]:
         """Coarse EM centroids used as shard pivots (one per shard)."""
@@ -287,25 +294,25 @@ class ShardedIndex:
         return pivots
 
     def _pivot_distances(self, ogs: Sequence[ObjectGraph]) -> np.ndarray:
-        """``(len(ogs), num_shards)`` matrix of pivot-first distances."""
-        series = [as_series(og) for og in ogs]
+        """``(len(ogs), num_pivots)`` matrix of pivot-first distances."""
+        batch = PaddedBatch(ogs)
         return np.stack(
-            [one_vs_many(self.metric_distance, pivot, series)
+            [one_vs_many(self.metric_distance, pivot, batch)
              for pivot in self.pivots],
             axis=1,
         )
 
-    def _assign_affine(self, ogs: Sequence[ObjectGraph]) -> list[int]:
-        """Nearest-pivot placement under the balance cap (deterministic)."""
-        cols = self._pivot_distances(ogs)
+    def _assign_affine(self, cols: np.ndarray) -> list[int]:
+        """Nearest-pivot placement under the balance cap (deterministic)
+        from the :meth:`_pivot_distances` rows of the OGs to place."""
         counts = [len(shard) for shard in self.shards]
         cap = max(1, math.ceil(
             self.config.balance_factor
-            * (len(ogs) + sum(counts)) / self.num_shards
+            * (len(cols) + sum(counts)) / self.num_shards
         ))
         order = np.argsort(cols, axis=1, kind="stable")
         assignment: list[int] = []
-        for j in range(len(ogs)):
+        for j in range(len(cols)):
             chosen = int(order[j, 0])
             for s in order[j]:
                 if counts[int(s)] < cap:
@@ -383,6 +390,11 @@ class ShardedIndex:
         has no pivots and caches only series/keys (searches stay exact,
         just without triangle filters).
         """
+        self._refresh_bounds({})
+
+    def _refresh_bounds(self, placed: dict[int, tuple]) -> None:
+        """:meth:`refresh_bounds`; ``placed`` is what :meth:`build` hands
+        over (see :meth:`_compute_shard_bounds`)."""
         with self._bounds_lock:
             previous = self._bounds or (None,) * self.num_shards
             bounds: list[_ShardBounds | None] = []
@@ -391,10 +403,20 @@ class ShardedIndex:
                 if prior is not None and prior.mutations == shard.mutations:
                     bounds.append(prior)
                     continue
-                bounds.append(self._compute_shard_bounds(s))
+                bounds.append(self._compute_shard_bounds(s, placed))
             self._bounds = tuple(bounds)
 
-    def _compute_shard_bounds(self, s: int) -> _ShardBounds:
+    def _compute_shard_bounds(self, s: int,
+                              placed: dict[int, tuple]) -> _ShardBounds:
+        """Scan caches of shard ``s``.
+
+        ``placed`` maps ``og_id`` to ``(og, pivot-distance row)`` for the
+        OGs the running build just placed: a member found there (the
+        same object, not merely the same id) takes its row; every other
+        member — inserted later, loaded, from an earlier build — is
+        swept.  Both are pivot-first ``one_vs_many`` values, so the
+        result does not depend on which way a row arrived.
+        """
         shard = self.shards[s]
         records = shard.cluster_records()
         if not records:
@@ -406,25 +428,32 @@ class ShardedIndex:
         centroid_pd = member_pd = None
         if self.pivots is not None:
             # One pivot-first sweep per pivot over every centroid and
-            # every member of the shard, split back per cluster.
+            # every member of the shard placement did not already key,
+            # split back per cluster.
             flat = [srs for members in member_series for srs in members]
             spans = []
             start = 0
             for members in member_series:
                 spans.append((start, start + len(members)))
                 start += len(members)
-            cpd_cols = []
-            mpd_cols = []
-            for pivot in self.pivots:
-                cpd_cols.append(one_vs_many(self.metric_distance, pivot,
-                                            centroid_series))
-                mpd_cols.append(
-                    one_vs_many(self.metric_distance, pivot, flat)
-                    if flat else np.empty(0)
-                )
-            centroid_pd = np.stack(cpd_cols, axis=1)
-            flat_pd = np.stack(mpd_cols, axis=1) if flat else \
-                np.empty((0, len(self.pivots)))
+            centroids = PaddedBatch(centroid_series)
+            centroid_pd = np.stack(
+                [one_vs_many(self.metric_distance, pivot, centroids)
+                 for pivot in self.pivots], axis=1)
+            flat_pd = np.empty((len(flat), len(self.pivots)))
+            todo = []
+            for i, og in enumerate(r.og for record in records
+                                   for r in record.leaf):
+                placed_og, row = placed.get(og.og_id, (None, None))
+                if placed_og is og:
+                    flat_pd[i] = row
+                else:
+                    todo.append(i)
+            if todo:
+                unkeyed = PaddedBatch([flat[i] for i in todo])
+                for p, pivot in enumerate(self.pivots):
+                    flat_pd[todo, p] = one_vs_many(self.metric_distance,
+                                                   pivot, unkeyed)
             member_pd = [flat_pd[lo:hi] for lo, hi in spans]
         by_record: dict[int, _ClusterCache] = {}
         for i, record in enumerate(records):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.distance.base import CountingDistance, Distance
 from repro.distance.batch import (
+    PaddedBatch,
     batch_dtw,
     batch_eged,
     batch_erp,
@@ -169,14 +170,21 @@ class TestBatchEquivalence:
         assert eged(r, t) == pytest.approx(7.0, abs=TOL)
 
     def test_chunking_is_bit_invariant(self, monkeypatch):
-        """Tiny cell budget (many chunks) must not change a single bit."""
+        """A row-plane bound of one cell (every chunk a single series)
+        must not change a single bit."""
         rng = np.random.default_rng(23)
         query = random_series(rng, 2)
         batch = [random_series(rng, 2) for _ in range(40)]
-        whole = batch_eged(query, batch, "adaptive")
-        monkeypatch.setattr("repro.distance.batch.MAX_CELLS", 64)
-        chunked = batch_eged(query, batch, "adaptive")
-        assert np.array_equal(whole, chunked)
+        kernels = (EGED(), EGED("dtw"), MetricEGED(0.5), DTW(),
+                   LCSDistance(2.0))
+        whole = [one_vs_many(d, query, batch) for d in kernels]
+        assert len(PaddedBatch(batch).chunks) == 1
+        monkeypatch.setattr("repro.distance.batch.ROW_PLANE_CELLS", 1)
+        prepared = PaddedBatch(batch)
+        assert len(prepared.chunks) == 40
+        for d, want in zip(kernels, whole):
+            assert np.array_equal(one_vs_many(d, query, batch), want)
+            assert np.array_equal(one_vs_many(d, query, prepared), want)
 
     def test_constrained_variants_fall_back_to_scalar(self):
         rng = np.random.default_rng(29)
