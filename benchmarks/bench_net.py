@@ -1,9 +1,10 @@
 """Process-worker serving vs the thread-pool service (BENCH_net).
 
-PR 4's ``QueryService`` fans shard work out on *threads*, so all
-shards timeshare one GIL; the ``WorkerPool`` + ``NetFrontend`` stack
-promotes shards to processes that memory-map one columnar snapshot.
-This bench drives the same corpus through both stacks:
+``QueryService`` over a ``LiveIndex`` runs shard work on its own
+*threads*, so all shards timeshare one GIL; over a ``WorkerPool`` the
+same front's threads only block on pipes while worker processes
+memory-map one columnar snapshot.  This bench drives the same corpus
+through the one front over both backends (the pool behind HTTP):
 
 1. **Parity** — an HTTP ``/knn`` answer must be bit-identical to the
    in-process ``ShardedIndex`` on the same snapshot, at every process
@@ -17,8 +18,9 @@ This bench drives the same corpus through both stacks:
 3. **Partitioned layout** — one extra point with 4 shard slots (each
    request fans out to every worker, coordinator-probed shared bound),
    the latency-oriented layout; recorded, not gated.
-4. **Baseline** — the PR 4 thread-pool service (4 threads, same index)
-   recorded alongside, so the artifact shows what processes buy.
+4. **Baseline** — the front over the in-process index (4 threads, same
+   snapshot) recorded alongside, so the artifact shows what processes
+   buy.
 
 Scale: BENCH_NET_SCALE=smoke (CI) serves 240 OGs for ~2 s per point;
 the full run serves 960 OGs for ~4 s per point.  The scaling gate only
@@ -100,7 +102,9 @@ def bench_net_report():
         for label, pool_config in layouts:
             with WorkerPool(store.path, pool_config) as pool:
                 with NetFrontend(pool, config=NetConfig(
-                        max_inflight=256)) as frontend:
+                        service=ServiceConfig(
+                            workers=8, queue_depth=256,
+                            default_deadline=30.0))) as frontend:
                     # Parity gate before any load: every query, over the
                     # wire, bit-identical to the in-process answer.
                     for i, q in enumerate(queries):
@@ -119,7 +123,7 @@ def bench_net_report():
                         rate=RATE, duration=DURATION,
                         concurrency=CONCURRENCY)
 
-        # PR 4 baseline: the same snapshot behind the thread service.
+        # Baseline: the same snapshot, the same front, in-process threads.
         with QueryService(LiveIndex(reference), ServiceConfig(
                 workers=4, queue_depth=256)) as service:
             threaded = run_open_loop(service, queries, k=K,

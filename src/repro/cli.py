@@ -281,117 +281,114 @@ def _cmd_motion(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_http(args: argparse.Namespace) -> int:
-    """``serve --http``: process workers + asyncio frontend over a store."""
-    from repro.serving import (
-        NetConfig,
-        NetFrontend,
-        WorkerPool,
-        WorkerPoolConfig,
-        run_http_open_loop,
-    )
-    from repro.storage.store import open_store
-
-    observe = _start_observability(args)
-    host, sep, port_text = args.http.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        port = -1
-    if not sep or not host or port < 0:
-        print(f"--http expects HOST:PORT, got {args.http!r}",
-              file=sys.stderr)
-        return 2
-    store = open_store(args.index)
-    if not store.exists():
-        print(f"--http serves worker processes memory-mapping a written "
-              f".strg store; there is none at {store.path}",
-              file=sys.stderr)
-        return 2
-    pool = WorkerPool(store.path, WorkerPoolConfig(
-        workers=args.workers, replicas=args.replicas))
-    print(f"starting {args.workers} worker slot(s) x {args.replicas} "
-          f"replica(s) over {store.path}...")
-    with pool:
-        print(f"serving {pool!r} (snapshot {pool.snapshot_version})")
-        frontend = NetFrontend(pool, config=NetConfig(
-            host=host, port=port, max_inflight=args.queue_depth,
-            default_deadline=args.deadline if args.deadline else 30.0))
-        with frontend:
-            print(f"listening on http://{host}:{frontend.port} "
-                  "(/knn /range /query /health /metrics)")
-            if args.duration > 0:
-                # Self-driven open-loop demo load, queries drawn from
-                # the corpus itself.
-                ref = store.load_index(mmap=True)
-                queries = [og for _, og in
-                           zip(range(64), ref.object_graphs())]
-                report = run_http_open_loop(
-                    host, frontend.port, queries, k=args.k,
-                    rate=args.rate, duration=args.duration,
-                    deadline=args.deadline,
-                    search_budget=args.search_budget)
-                print(report)
-            else:
-                print("serving until interrupted (Ctrl-C)...")
-                try:
-                    while True:
-                        time.sleep(1.0)
-                except KeyboardInterrupt:
-                    print("interrupted; shutting down")
-    if observe:
-        _report_observability(args)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.api import open_database
+    """One path: build a backend, put the one front on it (behind HTTP
+    with ``--http``), drive the load generator once."""
+    from contextlib import ExitStack
+    from functools import partial
+
     from repro.serving import (
         LiveIndex,
+        NetConfig,
+        NetFrontend,
         QueryService,
         ServiceConfig,
         ShardedIndex,
         ShardedIndexConfig,
+        WorkerPool,
+        WorkerPoolConfig,
+        run_http_open_loop,
         run_open_loop,
     )
 
-    if args.http is not None:
-        return _serve_http(args)
-
     observe = _start_observability(args)
-    db = open_database(args.index, create=False)
-    index = db.index
-    if args.shards is not None and getattr(index, "shards", None) is None:
-        # Monolithic snapshot + --shards: reshard its OGs in memory.
-        print(f"resharding {len(index)} OGs across {args.shards} shard(s)...")
-        sharded = ShardedIndex(ShardedIndexConfig(
-            num_shards=args.shards, index=index.config))
-        sharded.build(list(index.object_graphs()))
-        index = sharded
-    live = LiveIndex(index)
-    queries = [og for _, og in zip(range(64), live.snapshot.index.object_graphs())]
-    ingest_service = None
-    if args.ingest:
-        from repro.datasets.real import STREAMS, render_stream_segment
-        from repro.serving import IngestService, IngestServiceConfig
-
-        if args.ingest_stream not in STREAMS:
-            print(f"unknown stream {args.ingest_stream!r}; "
-                  f"choose from {sorted(STREAMS)}", file=sys.stderr)
+    http = args.http is not None
+    if http:
+        host, _, port_text = args.http.rpartition(":")
+        if not host or not port_text.isdigit():
+            print(f"--http expects HOST:PORT, got {args.http!r}",
+                  file=sys.stderr)
             return 2
-        ingest_service = IngestService(
-            live, db.pipeline, state_dir=args.state_dir,
-            config=IngestServiceConfig(
-                queue_depth=args.ingest_queue_depth,
-                job_timeout=args.ingest_timeout,
-            ))
-    print(f"serving {live!r} with {args.workers} worker(s); "
-          f"driving {args.rate:.0f} req/s for {args.duration:.1f}s"
-          + (f" while ingesting {args.ingest_jobs} clip(s)"
-             if ingest_service else ""))
-    with QueryService(live, ServiceConfig(
-            workers=args.workers, queue_depth=args.queue_depth,
-            default_deadline=args.deadline)) as service:
+    # Worker processes serve a written store read-only; a live index
+    # (needed to ingest, able to reshard in memory) runs in this process.
+    pooled = http and not args.ingest
+    ingest_service = None
+    if pooled:
+        from repro.storage.store import open_store
+
+        if args.shards is not None:
+            print("--shards reshards in memory, which the worker processes "
+                  "of --http cannot do; add --ingest to serve a live "
+                  "in-process index, or write a sharded store first",
+                  file=sys.stderr)
+            return 2
+        store = open_store(args.index)
+        if not store.exists():
+            print(f"--http serves worker processes memory-mapping a written "
+                  f".strg store; there is none at {store.path}",
+                  file=sys.stderr)
+            return 2
+        backend = WorkerPool(store.path, WorkerPoolConfig(
+            workers=args.workers, replicas=args.replicas))
+        corpus = store.load_index(mmap=True)
+        print(f"starting {args.workers} worker slot(s) x {args.replicas} "
+              f"replica(s) over {store.path}...")
+    else:
+        from repro.api import open_database
+
+        db = open_database(args.index, create=False)
+        corpus = db.index
+        if args.shards is not None and getattr(corpus, "shards", None) is None:
+            # Monolithic snapshot + --shards: reshard its OGs in memory.
+            print(f"resharding {len(corpus)} OGs across {args.shards} "
+                  "shard(s)...")
+            sharded = ShardedIndex(ShardedIndexConfig(
+                num_shards=args.shards, index=corpus.config))
+            sharded.build(list(corpus.object_graphs()))
+            corpus = sharded
+        backend = LiveIndex(corpus)
+        if args.ingest:
+            from repro.datasets.real import STREAMS, render_stream_segment
+            from repro.serving import IngestService, IngestServiceConfig
+
+            if args.ingest_stream not in STREAMS:
+                print(f"unknown stream {args.ingest_stream!r}; "
+                      f"choose from {sorted(STREAMS)}", file=sys.stderr)
+                return 2
+            ingest_service = IngestService(
+                backend, db.pipeline, state_dir=args.state_dir,
+                config=IngestServiceConfig(
+                    queue_depth=args.ingest_queue_depth,
+                    job_timeout=args.ingest_timeout,
+                ))
+    # Self-driven demo load: queries drawn from the corpus itself.
+    queries = [og for _, og in zip(range(64), corpus.object_graphs())]
+    defaults = NetConfig().service if http else ServiceConfig()
+    config = ServiceConfig(
+        # Over a pool the front's threads only block on worker pipes.
+        workers=defaults.workers if pooled else args.workers,
+        queue_depth=args.queue_depth,
+        default_deadline=args.deadline or defaults.default_deadline)
+    with ExitStack() as stack:
+        if pooled:
+            stack.enter_context(backend)
+        if http:
+            frontend = stack.enter_context(NetFrontend(
+                backend, ingest_service, NetConfig(
+                    host=host, port=int(port_text), service=config)))
+            print(f"serving {backend!r} (snapshot "
+                  f"{backend.health()['snapshot']})")
+            print(f"listening on http://{host}:{frontend.port} "
+                  "(/knn /range /query /health /metrics /ingest)")
+            drive = partial(run_http_open_loop, host, frontend.port,
+                            deadline=args.deadline)
+        else:
+            drive = partial(run_open_loop, stack.enter_context(
+                QueryService(backend, config)))
+            print(f"serving {backend!r} with {args.workers} worker(s); "
+                  f"driving {args.rate:.0f} req/s for {args.duration:.1f}s"
+                  + (f" while ingesting {args.ingest_jobs} clip(s)"
+                     if ingest_service else ""))
         if ingest_service is not None:
             # Submit the write load first (backpressured, workers drain
             # concurrently), then drive reads against the moving index.
@@ -402,10 +399,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     rng=rng)
                 video.name = f"{args.ingest_stream}-live-{i:04d}"
                 ingest_service.submit(video, backpressure=True)
-        report = run_open_loop(service, queries, k=args.k,
-                               rate=args.rate, duration=args.duration,
-                               search_budget=args.search_budget)
-    print(report)
+        if http and args.duration <= 0:
+            print("serving until interrupted (Ctrl-C)...", flush=True)
+            try:
+                while True:
+                    time.sleep(1.0)
+            except KeyboardInterrupt:
+                print("interrupted; shutting down")
+        else:
+            print(drive(queries, k=args.k, rate=args.rate,
+                        duration=args.duration,
+                        search_budget=args.search_budget))
     if ingest_service is not None:
         ingest_service.drain(timeout=120.0)
         health = ingest_service.health()

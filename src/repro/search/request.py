@@ -122,12 +122,18 @@ class SearchResult:
     clip_ref)`` tuples in process, ``RemoteHit`` records from a worker
     pool.  When a shard failed under ``degrade=True`` the result is
     flagged ``degraded`` and lists the ``failed_shards`` whose candidates
-    are missing.
+    are missing.  ``snapshot_version`` is stamped by the layer that owns
+    versions (``IndexSnapshot``: an int; ``WorkerPool``: its manifest
+    digest) from the same read that served the hits, and stays ``None``
+    below those layers; ``latency`` (seconds, queue wait + execution) is
+    set by ``QueryService``.
     """
 
     hits: list
     degraded: bool = False
     failed_shards: list[int] = field(default_factory=list)
+    snapshot_version: Any = None
+    latency: float = 0.0
 
 
 def hit_key(hit: tuple[float, Any, Any]) -> tuple[float, int]:

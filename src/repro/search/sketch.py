@@ -914,7 +914,7 @@ class SketchIndex:
 
 
 def approx_knn(sketch: SketchIndex, distance, request: SearchRequest,
-               executor: Any = None, scan_workers: int | None = None
+               scan_workers: int | None = None
                ) -> list[tuple[float, ObjectGraph, Any]]:
     """Two-stage approximate k-NN over a :class:`SketchIndex`.
 
@@ -966,10 +966,7 @@ def approx_knn(sketch: SketchIndex, distance, request: SearchRequest,
                 stop -= 1
             chunk = idx[start:stop]
             items = [sketch.row_series(int(i)) for i in chunk]
-            if executor is not None:
-                dists = executor.one_vs_many(distance, series, items)
-            else:
-                dists = one_vs_many(distance, series, items)
+            dists = one_vs_many(distance, series, items)
             evaluated += len(chunk)
             for i, d in zip(chunk, dists):
                 best.offer(float(d), *sketch.row_record(int(i)))

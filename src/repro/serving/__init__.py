@@ -10,9 +10,10 @@ Layers, bottom up:
   :class:`LiveIndex` give copy-on-write ingestion: readers query an
   immutable published snapshot while writes buffer and compact into the
   next one, swapped in atomically.
-- :mod:`repro.serving.service` — :class:`QueryService` fronts a live
-  index with worker threads, bounded admission, per-request deadlines
-  and graceful shutdown.
+- :mod:`repro.serving.service` — :class:`QueryService`, the one
+  serving front: worker threads, bounded admission, per-request
+  deadlines and graceful shutdown over any ``search(request)`` backend
+  (a :class:`LiveIndex` or a started :class:`WorkerPool`).
 - :mod:`repro.serving.ingest` — :class:`IngestService` is the write-side
   twin: a backpressured, journaled upload→queryable pipeline with
   crash-safe job recovery (see ``docs/STREAMING.md``).
@@ -21,9 +22,8 @@ Layers, bottom up:
   with replica failover, supervised restarts and hot-shard rebalancing
   (see ``docs/NETWORK.md``).
 - :mod:`repro.serving.net` — :class:`NetFrontend`, the asyncio
-  HTTP/JSON layer over a worker pool: ``/knn`` ``/range`` ``/query``
-  ``/health`` ``/metrics`` ``/ingest``, bounded admission and
-  per-request deadlines over the wire.
+  HTTP/JSON codec over a :class:`QueryService` it runs on its backend:
+  ``/knn`` ``/range`` ``/query`` ``/health`` ``/metrics`` ``/ingest``.
 - :mod:`repro.serving.loadgen` — closed-/open-loop load generators
   (in-process and HTTP) reporting throughput and p50/p95/p99 latency.
 """
@@ -42,7 +42,7 @@ from repro.serving.loadgen import (
     run_open_loop,
 )
 from repro.serving.net import NetConfig, NetFrontend, request_json
-from repro.serving.service import QueryResponse, QueryService, ServiceConfig
+from repro.serving.service import QueryService, ServiceConfig
 from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 from repro.serving.snapshot import IndexSnapshot, LiveIndex, LiveIndexConfig
 from repro.serving.workers import RemoteHit, WorkerPool, WorkerPoolConfig
@@ -59,7 +59,6 @@ __all__ = [
     "LoadReport",
     "NetConfig",
     "NetFrontend",
-    "QueryResponse",
     "QueryService",
     "RemoteHit",
     "ServiceConfig",

@@ -1,38 +1,34 @@
-"""Asyncio HTTP/JSON frontend over a :class:`~repro.serving.workers.WorkerPool`.
+"""Asyncio HTTP/JSON codec over the one serving front.
 
 One stdlib-only network layer (``asyncio.start_server`` + hand-rolled
-HTTP/1.1 framing — no web framework in the dependency set) so remote
-clients get the same answers, the same admission control and the same
-deadline semantics as in-process callers:
+HTTP/1.1 framing — no web framework in the dependency set).  A
+:class:`NetFrontend` decodes requests, submits them to the
+:class:`~repro.serving.service.QueryService` it runs over its backend
+and encodes the answers, so remote clients get the admission control
+and deadline semantics of in-process callers — it is the same code:
 
 ========================  ====================================================
 ``POST /knn``             exact / budgeted k-NN; body ``{"query", "k",
                           "search_budget"?, "deadline"?, "degrade"?}``
 ``POST /range``           range query; body ``{"query", "radius", ...}``
 ``POST /query``           envelope form: ``{"op": "knn"|"range", ...}``
-``GET  /health``          pool + ingest health (200 even when degraded —
-                          the body says so; monitors alert on content)
+``GET  /health``          backend + service + ingest health (200 even when
+                          degraded — the body says so)
 ``GET  /metrics``         Prometheus text from the process-wide registry
 ``POST /ingest``          proxy to :class:`~repro.serving.ingest.IngestService`
-                          (202 + job id; 501 when serving a frozen snapshot)
-``POST /admin/reload``    re-open the snapshot in every worker
-``POST /admin/rebalance`` run the hot-shard migration policy once
+                          (202 + job id; 501 without one)
+``POST /admin/reload``    re-open the snapshot in every worker (409 when
+                          its shard set changed; 501 without ``reload``)
+``POST /admin/rebalance`` run the hot-shard migration policy once (501
+                          without ``rebalance``)
 ========================  ====================================================
 
-Every query response is stamped with the coordinator's snapshot version
-(the manifest digest), so a client can detect when answers started
-coming from a newer snapshot mid-session.
-
-Admission is bounded exactly like ``QueryService``: at most
-``max_inflight`` requests are in flight; the next one is rejected with
-**503** before any work is queued (backpressure, not failure).
-Per-request deadlines ride ``asyncio.wait_for`` around the executor
-future — a lapsed deadline returns **504** with the phase recorded,
-and the stale result is discarded when it lands.
-
-The handlers themselves run on a small thread pool: the worker
-processes do the heavy kernel work, so frontend threads only block on
-pipe I/O — the asyncio loop never does.
+Every answer carries the ``snapshot`` version its hits were read from.
+``ServiceOverloadError`` / ``ServiceStoppedError`` map to **503**,
+``DeadlineExceededError`` to **504**.  The one thing this module adds to
+the service is the await-with-timeout on its future: a 504 leaves *at*
+the deadline while a worker thread may still be executing the request,
+whose late result is dropped.
 """
 
 from __future__ import annotations
@@ -40,9 +36,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -58,14 +52,18 @@ from repro.errors import (
     ServiceOverloadError,
     ServiceStoppedError,
     ShardUnavailableError,
+    StorageError,
 )
 from repro.observability import OBS, export_metrics_prometheus
 from repro.search.request import SearchRequest
+from repro.serving.service import QueryService, ServiceConfig
 
 #: Largest accepted request body (an /ingest clip dominates).
 MAX_BODY_BYTES = 64 << 20
+#: Longest ``stop()`` waits for the service's workers to drain.
+_STOP_TIMEOUT = 5.0
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
-            404: "Not Found", 405: "Method Not Allowed",
+            404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
             413: "Payload Too Large",
             500: "Internal Server Error", 501: "Not Implemented",
             503: "Service Unavailable", 504: "Gateway Timeout"}
@@ -73,31 +71,17 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
 
 @dataclass
 class NetConfig:
-    """Frontend sizing: where to listen and how much to admit.
+    """Where to listen, and the sizing of the front behind the socket.
 
     ``port=0`` binds an ephemeral port (tests); the bound port is
-    published as ``frontend.port`` once serving.  ``max_inflight`` is
-    the admission bound — requests past it get 503 immediately.
-    ``default_deadline`` applies when a request body carries none.
-    ``handler_threads`` sizes the executor that blocks on worker pipes.
+    published as ``frontend.port`` once serving.  ``service`` configures
+    the :class:`~repro.serving.service.QueryService` the frontend runs.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    max_inflight: int = 64
-    default_deadline: float = 30.0
-    handler_threads: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise InvalidParameterError(
-                f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.default_deadline <= 0:
-            raise InvalidParameterError(
-                f"default_deadline must be > 0, got {self.default_deadline}")
-        if self.handler_threads < 1:
-            raise InvalidParameterError(
-                f"handler_threads must be >= 1, got {self.handler_threads}")
+    service: ServiceConfig = field(default_factory=lambda: ServiceConfig(
+        workers=8, queue_depth=64, default_deadline=30.0))
 
 
 class _HttpError(Exception):
@@ -122,14 +106,31 @@ def _status_of(exc: BaseException) -> int:
     return 500
 
 
+def _unsupported(message: str) -> _HttpError:
+    """501: the route exists but this deployment lacks the capability."""
+    return _HttpError(501, message, type="UnsupportedOperation")
+
+
+def _encode_hit(hit: Any) -> dict[str, Any]:
+    """One hit as JSON: an in-process ``(distance, og, clip_ref)`` tuple,
+    or the fields of a worker pool's ``RemoteHit`` in declaration order
+    (``distance, shard, row, clip_ref``)."""
+    if isinstance(hit, tuple):
+        return {"distance": float(hit[0]), "og_id": hit[1].og_id,
+                "clip_ref": hit[2]}
+    return vars(hit)
+
+
 class NetFrontend:
     """The HTTP/JSON serving frontend.
 
-    ``pool`` is a started :class:`~repro.serving.workers.WorkerPool`
-    (owned by the caller — the frontend never shuts it down).
-    ``ingest`` is an optional
-    :class:`~repro.serving.ingest.IngestService`; without one,
-    ``POST /ingest`` answers 501.
+    ``backend`` answers ``search(request)`` — a started
+    :class:`~repro.serving.workers.WorkerPool` or a
+    :class:`~repro.serving.snapshot.LiveIndex` — and is the caller's:
+    the frontend never shuts it down.  Requests run through
+    ``frontend.service``, the :class:`~repro.serving.service.QueryService`
+    created by :meth:`start` and shut down by :meth:`stop`.  ``ingest``
+    is an optional :class:`~repro.serving.ingest.IngestService`.
 
     Two run modes:
 
@@ -140,21 +141,17 @@ class NetFrontend:
       until the socket is bound, then ``frontend.stop()``.
     """
 
-    def __init__(self, pool: Any, ingest: Any = None,
+    def __init__(self, backend: Any, ingest: Any = None,
                  config: NetConfig | None = None):
-        self.pool = pool
+        self.backend = backend
         self.ingest = ingest
         self.config = config or NetConfig()
         self.port: int | None = None
+        self.service: QueryService | None = None
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._connections: set[asyncio.Task] = set()
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        self.requests_served = 0
-        self.requests_rejected = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -163,12 +160,10 @@ class NetFrontend:
         if self._server is not None:
             return self
         self._loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.handler_threads,
-            thread_name_prefix="net-http")
         self._server = await asyncio.start_server(
             self._serve_connection, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        self.service = QueryService(self.backend, self.config.service)
         OBS.count("net.frontends_started")
         return self
 
@@ -184,9 +179,10 @@ class NetFrontend:
             await asyncio.gather(*tasks, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
+        if self.service is not None:
+            # Bounded: a worker stuck in the backend is left behind as a
+            # daemon straggler rather than hanging the caller.
+            self.service.shutdown(timeout=_STOP_TIMEOUT)
 
     def start_in_thread(self) -> "NetFrontend":
         """Run the frontend on a dedicated daemon thread + event loop."""
@@ -370,9 +366,9 @@ class NetFrontend:
         except ReproError as exc:
             status = _status_of(exc)
             payload = {"error": str(exc), "type": type(exc).__name__}
-            details = getattr(exc, "details", None)
-            if details:
-                payload["details"] = details
+            for extra in ("details", "phase"):
+                if getattr(exc, extra, None):
+                    payload[extra] = getattr(exc, extra)
             if status == 500:
                 OBS.count("net.http_internal_errors")
             return status, payload, "application/json"
@@ -392,52 +388,6 @@ class NetFrontend:
         if not isinstance(parsed, dict):
             raise _HttpError(400, "request body must be a JSON object")
         return parsed
-
-    # -- admission + execution ------------------------------------------------
-
-    async def _admit_and_run(self, fn, deadline: float | None
-                             ) -> Any:
-        """Run ``fn`` on the handler executor under admission + deadline."""
-        if deadline is None:
-            budget = self.config.default_deadline
-        else:
-            try:
-                budget = float(deadline)
-            except (TypeError, ValueError):
-                raise InvalidParameterError(
-                    f"'deadline' must be a number, got {deadline!r}")
-        if budget <= 0:
-            raise InvalidParameterError(
-                f"deadline must be > 0, got {budget}")
-        with self._inflight_lock:
-            if self._inflight >= self.config.max_inflight:
-                self.requests_rejected += 1
-                OBS.count("net.http_rejected")
-                raise ServiceOverloadError(
-                    f"frontend at max_inflight={self.config.max_inflight}: "
-                    "request rejected (retry with backoff)")
-            self._inflight += 1
-        loop = asyncio.get_running_loop()
-        try:
-            future = loop.run_in_executor(self._executor, fn)
-            try:
-                result = await asyncio.wait_for(
-                    asyncio.shield(future), timeout=budget)
-            except asyncio.TimeoutError:
-                OBS.count("net.http_deadline_exceeded")
-                raise DeadlineExceededError(
-                    f"request outran its {budget:.3f}s deadline",
-                    phase="execution") from None
-            self.requests_served += 1
-            return result
-        finally:
-            # The shielded future may still be running after a timeout;
-            # release the admission slot only when it actually finishes.
-            future.add_done_callback(lambda _f: self._release())
-
-    def _release(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
 
     # -- handlers -------------------------------------------------------------
 
@@ -462,16 +412,31 @@ class NetFrontend:
 
     async def _answer(self, search: SearchRequest, deadline: Any
                       ) -> tuple[int, Any, str]:
-        """Run a validated request on the pool; 200 + the JSON answer."""
-        started = time.perf_counter()
-        result = await self._admit_and_run(
-            lambda: self.pool.search(search), deadline)
+        """Submit a validated request to the service; 200 + the JSON
+        answer, or 504 at the deadline while the work is dropped."""
+        if deadline is not None:
+            deadline = self._as_float(deadline, "deadline")
+        future = self.service.submit(search, deadline)
+        if deadline is None:
+            deadline = self.service.config.default_deadline
+        try:
+            # On timeout wait_for cancels the future: a request still
+            # queued is skipped by the workers, one already executing
+            # runs on and its late result is dropped.
+            result = await asyncio.wait_for(
+                asyncio.wrap_future(future), timeout=deadline)
+        except asyncio.TimeoutError:
+            OBS.count("net.http_deadline_exceeded")
+            raise DeadlineExceededError(
+                f"request outran its {deadline:.3f}s deadline",
+                phase="queued" if future.cancelled() else "execution"
+            ) from None
         return 200, {
-            "snapshot": self.pool.snapshot_version,
-            "hits": [hit.as_dict() for hit in result.hits],
+            "snapshot": result.snapshot_version,
+            "hits": [_encode_hit(hit) for hit in result.hits],
             "degraded": result.degraded,
             "failed_shards": result.failed_shards,
-            "latency": time.perf_counter() - started,
+            "latency": result.latency,
         }, "application/json"
 
     async def _handle_knn(self, request: dict[str, Any]
@@ -505,13 +470,8 @@ class NetFrontend:
 
     async def _handle_health(self, request: dict[str, Any]
                              ) -> tuple[int, Any, str]:
-        health = self.pool.health()
-        health["frontend"] = {
-            "inflight": self._inflight,
-            "max_inflight": self.config.max_inflight,
-            "served": self.requests_served,
-            "rejected": self.requests_rejected,
-        }
+        health = self.backend.health()
+        health["service"] = self.service.health()
         if self.ingest is not None:
             health["ingest"] = self.ingest.health()
         return 200, health, "application/json"
@@ -524,8 +484,8 @@ class NetFrontend:
     async def _handle_ingest(self, request: dict[str, Any]
                              ) -> tuple[int, Any, str]:
         if self.ingest is None:
-            return 501, {"error": "this frontend serves a frozen snapshot "
-                         "(no ingest service attached)"}, "application/json"
+            raise _unsupported("this frontend serves a frozen snapshot "
+                               "(no ingest service attached)")
         from repro.video.frames import VideoSegment
 
         if "frames" not in request:
@@ -545,23 +505,31 @@ class NetFrontend:
 
     async def _handle_reload(self, request: dict[str, Any]
                              ) -> tuple[int, Any, str]:
-        loop = asyncio.get_running_loop()
-        version = await loop.run_in_executor(self._executor,
-                                             self.pool.reload)
+        reload = getattr(self.backend, "reload", None)
+        if reload is None:
+            raise _unsupported("this backend has no snapshot to reload")
+        try:
+            version = await asyncio.to_thread(reload)
+        except StorageError as exc:
+            # The operator's store no longer matches the running pool
+            # (shard set changed): their conflict to resolve, not a
+            # server fault.
+            raise _HttpError(409, str(exc), type="StorageError") from None
         return 200, {"snapshot": version}, "application/json"
 
     async def _handle_rebalance(self, request: dict[str, Any]
                                 ) -> tuple[int, Any, str]:
+        rebalance = getattr(self.backend, "rebalance", None)
+        if rebalance is None:
+            raise _unsupported("this backend has no shards to rebalance")
         ratio = request.get("ratio")
         if ratio is not None:
             ratio = self._as_float(ratio, "ratio")
-        loop = asyncio.get_running_loop()
-        moves = await loop.run_in_executor(
-            self._executor, lambda: self.pool.rebalance(ratio))
+        moves = await asyncio.to_thread(rebalance, ratio)
         return 200, {
             "moves": [{"shard": s, "from": a, "to": b}
                       for s, a, b in moves],
-            "assignment": [list(x) for x in self.pool.assignment],
+            "assignment": [list(x) for x in self.backend.assignment],
         }, "application/json"
 
 

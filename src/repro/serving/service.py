@@ -1,7 +1,11 @@
-"""Thread-pool query service with admission control and deadlines.
+"""The one serving front: admission control, deadlines, execution.
 
-:class:`QueryService` fronts a :class:`~repro.serving.snapshot.LiveIndex`
-with a bounded request queue and a pool of worker threads:
+:class:`QueryService` fronts any backend that answers
+``search(SearchRequest) -> SearchResult`` — a
+:class:`~repro.serving.LiveIndex` (the worker threads do the
+search) or a started :class:`~repro.serving.WorkerPool` (the
+worker threads block on its pipes) — with a bounded request queue and a
+pool of worker threads:
 
 - **Admission control** — requests beyond ``queue_depth`` are rejected
   immediately with :class:`~repro.errors.ServiceOverloadError` rather
@@ -16,13 +20,14 @@ with a bounded request queue and a pool of worker threads:
   it *executes* still runs to completion (index scans are not
   interruptible) but resolves with ``phase="execution"`` rather than a
   result nobody is waiting for.
-- **Snapshot isolation** — a worker resolves the published snapshot
-  once, at execution time, and serves the whole request from it.
-  Concurrent compactions swap the published snapshot for *later*
-  requests; in-flight ones are unaffected.
+- **Snapshot isolation** — the backend serves a whole request from one
+  snapshot and stamps the result with that snapshot's version; the
+  service never looks inside its backend.
 - **Graceful shutdown** — :meth:`drain` blocks until queued work
-  finishes; :meth:`shutdown` additionally stops the workers.  Requests
-  submitted after shutdown get :class:`~repro.errors.ServiceStoppedError`.
+  finishes; :meth:`shutdown` additionally stops the workers.  Stop and
+  admit are decided under one lock: a request is either refused with
+  :class:`~repro.errors.ServiceStoppedError` or queued ahead of every
+  stop sentinel, so an accepted request always resolves.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import (
@@ -42,8 +47,7 @@ from repro.errors import (
 )
 from repro.graph.decomposition import BackgroundGraph
 from repro.observability import OBS
-from repro.search.request import SearchRequest
-from repro.serving.snapshot import IndexSnapshot, LiveIndex
+from repro.search.request import SearchRequest, SearchResult
 
 _SHUTDOWN = object()  # queue sentinel that stops a worker
 
@@ -80,30 +84,6 @@ class ServiceConfig:
 
 
 @dataclass
-class QueryResponse:
-    """A served query: hits plus the serving metadata callers need to
-    interpret them (which snapshot answered, whether shards were lost)."""
-
-    hits: list[tuple[float, Any, Any]]
-    snapshot_version: int
-    degraded: bool = False
-    failed_shards: list[int] = field(default_factory=list)
-    latency: float = 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "hits": [
-                {"distance": d, "og_id": og.og_id, "clip_ref": ref}
-                for d, og, ref in self.hits
-            ],
-            "snapshot_version": self.snapshot_version,
-            "degraded": self.degraded,
-            "failed_shards": self.failed_shards,
-            "latency": self.latency,
-        }
-
-
-@dataclass
 class _Request:
     search: SearchRequest
     deadline: float | None  # absolute time.monotonic() cutoff
@@ -112,18 +92,19 @@ class _Request:
 
 
 class QueryService:
-    """Concurrent query frontend over a :class:`LiveIndex`.
+    """Concurrent query front over any ``search(request)`` backend.
 
     Workers start in the constructor; use as a context manager (or call
     :meth:`shutdown`) to stop them.  :meth:`submit` returns a
-    :class:`concurrent.futures.Future` resolving to a
-    :class:`QueryResponse`; ``knn``/``range_query`` are its blocking
-    conveniences.
+    :class:`concurrent.futures.Future` resolving to the backend's
+    :class:`~repro.search.request.SearchResult` with ``latency`` set;
+    ``knn``/``range_query`` are its blocking conveniences.  The backend
+    is the caller's: the service never starts or stops it.
     """
 
-    def __init__(self, live: LiveIndex,
+    def __init__(self, backend: Any,
                  config: ServiceConfig | None = None):
-        self.live = live
+        self.backend = backend
         self.config = config or ServiceConfig()
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_depth)
         self._admission_lock = threading.Lock()
@@ -147,10 +128,6 @@ class QueryService:
         ``default_deadline``).  Set ``degrade=True`` on the request to
         get partial hits instead of an error when a shard is lost.
         """
-        if self._stopped:
-            raise ServiceStoppedError(
-                "query service is stopped; no new requests accepted"
-            )
         if deadline is None:
             deadline = self.config.default_deadline
         if deadline is not None and deadline <= 0:
@@ -163,6 +140,10 @@ class QueryService:
             deadline=None if deadline is None else now + deadline,
         )
         with self._admission_lock:
+            if self._stopped:
+                raise ServiceStoppedError(
+                    "query service is stopped; no new requests accepted"
+                )
             try:
                 self._queue.put_nowait(queued)
             except queue.Full:
@@ -183,16 +164,16 @@ class QueryService:
     def knn(self, query, k: int,
             background: BackgroundGraph | None = None,
             deadline: float | None = None,
-            search_budget: int | None = None) -> QueryResponse:
-        """Submit a degradable k-NN request and block for its response."""
+            search_budget: int | None = None) -> SearchResult:
+        """Submit a degradable k-NN request and block for its result."""
         return self.submit(SearchRequest.knn(
             query, k, background=background, search_budget=search_budget,
             degrade=True), deadline).result()
 
     def range_query(self, query, radius: float,
                     background: BackgroundGraph | None = None,
-                    deadline: float | None = None) -> QueryResponse:
-        """Submit a degradable range request and block for its response."""
+                    deadline: float | None = None) -> SearchResult:
+        """Submit a degradable range request and block for its result."""
         return self.submit(SearchRequest.range(
             query, radius, background=background, degrade=True),
             deadline).result()
@@ -215,12 +196,13 @@ class QueryService:
             except queue.Empty:
                 break
             if (item is not _SHUTDOWN
-                    and item.deadline is not None and now > item.deadline
-                    and item.future.set_running_or_notify_cancel()):
-                OBS.count("serving.deadline_exceeded")
-                item.future.set_exception(DeadlineExceededError(
-                    f"deadline elapsed after {now - item.enqueued:.3f}s "
-                    "in queue", phase="queued"))
+                    and item.deadline is not None and now > item.deadline):
+                # False: the waiter already gave up and cancelled it.
+                if item.future.set_running_or_notify_cancel():
+                    OBS.count("serving.deadline_exceeded")
+                    item.future.set_exception(DeadlineExceededError(
+                        f"deadline elapsed after {now - item.enqueued:.3f}s "
+                        "in queue", phase="queued"))
                 purged += 1
                 self._queue.task_done()
             else:
@@ -253,9 +235,8 @@ class QueryService:
                 "in queue", phase="queued"
             ))
             return
-        snapshot: IndexSnapshot = self.live.snapshot
         try:
-            result = snapshot.search(request.search)
+            result = self.backend.search(request.search)
             latency = time.monotonic() - request.enqueued
             if (request.deadline is not None
                     and time.monotonic() > request.deadline):
@@ -267,13 +248,8 @@ class QueryService:
                 return
             OBS.observe("serving.latency", latency)
             OBS.count("serving.requests_served")
-            request.future.set_result(QueryResponse(
-                hits=result.hits,
-                snapshot_version=snapshot.version,
-                degraded=result.degraded,
-                failed_shards=list(result.failed_shards),
-                latency=latency,
-            ))
+            result.latency = latency
+            request.future.set_result(result)
         except BaseException as exc:  # noqa: BLE001 — relayed to the caller
             OBS.count("serving.request_errors")
             request.future.set_exception(exc)
@@ -304,10 +280,15 @@ class QueryService:
         if timeout is not None and timeout <= 0:
             raise InvalidParameterError(
                 f"timeout must be > 0 seconds, got {timeout}")
-        if not self._stopped:
+        # The flag flips under the admission lock, so every request
+        # submit() accepted is already queued; the sentinels go in after
+        # it (outside the lock: a full queue makes these puts wait).
+        with self._admission_lock:
+            stopping = not self._stopped
             self._stopped = True
+        if stopping:
             for _ in self._workers:
-                self._queue.put(_SHUTDOWN)  # after queued work
+                self._queue.put(_SHUTDOWN)
         if not wait:
             return
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -340,10 +321,6 @@ class QueryService:
                            and worker.is_alive()],
         }
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def __enter__(self) -> "QueryService":
         return self
 
@@ -358,4 +335,4 @@ class QueryService:
         )
 
 
-__all__ = ["QueryResponse", "QueryService", "ServiceConfig"]
+__all__ = ["QueryService", "ServiceConfig"]

@@ -166,8 +166,7 @@ class ShardedIndex:
 
     def __init__(self, config: ShardedIndexConfig | None = None,
                  metric_distance: Distance | Callable | None = None,
-                 cluster_distance: Distance | None = None,
-                 executor: Any = None):
+                 cluster_distance: Distance | None = None):
         self.config = config or ShardedIndexConfig()
         self.shards: list[STRGIndex] = [
             STRGIndex(self.config.index, metric_distance=metric_distance,
@@ -180,9 +179,6 @@ class ShardedIndex:
         #: Affine shard pivots (coarse centroids); ``None`` for hash
         #: placement or before the first build.
         self.pivots: list[np.ndarray] | None = None
-        #: Optional :class:`~repro.parallel.DistanceExecutor` for fanning
-        #: large candidate flushes out across worker processes.
-        self.executor = executor
         self.frozen = False
         self._bounds: tuple[_ShardBounds | None, ...] | None = None
         self._bounds_lock = threading.Lock()
@@ -638,12 +634,6 @@ class ShardedIndex:
             return batch[n_pivots:], batch[:n_pivots]
         return one_vs_many(self.metric_distance, series, centroids), None
 
-    def _distances(self, series: np.ndarray, items: list) -> np.ndarray:
-        if self.executor is not None:
-            return self.executor.one_vs_many(self.metric_distance, series,
-                                             items)
-        return one_vs_many(self.metric_distance, series, items)
-
     @staticmethod
     def _prunable(cache: _ClusterCache, key_q: float,
                   pivot_qs: np.ndarray | None, limit: float) -> bool:
@@ -699,7 +689,8 @@ class ShardedIndex:
                               len(pending) - start)
                     break
                 chunk = pending[start:stop]
-                dists = self._distances(series, [srs for _, _, srs in chunk])
+                dists = one_vs_many(self.metric_distance, series,
+                                    [srs for _, _, srs in chunk])
                 OBS.count("serving.candidates_evaluated", len(chunk))
                 for (_, rec, _), d in zip(chunk, dists):
                     best.offer(float(d), rec.og, rec.clip_ref)
@@ -746,8 +737,8 @@ class ShardedIndex:
                 self._window(record, cache, key_q, pivot_qs, radius, slack,
                              pending)
             if pending:
-                dists = self._distances(series,
-                                        [srs for _, _, srs in pending])
+                dists = one_vs_many(self.metric_distance, series,
+                                    [srs for _, _, srs in pending])
                 OBS.count("serving.candidates_evaluated", len(pending))
                 for (_, rec, _), d in zip(pending, dists):
                     if float(d) <= radius:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import InvalidParameterError, StorageError
 from repro.graph.decomposition import BackgroundGraph
@@ -54,7 +54,10 @@ class IndexSnapshot:
         return len(self.index)
 
     def search(self, request: SearchRequest) -> SearchResult:
-        return self.index.search(request)
+        """Answer from this snapshot, stamped with its version."""
+        result = self.index.search(request)
+        result.snapshot_version = self.version
+        return result
 
     def __repr__(self) -> str:
         return f"IndexSnapshot(version={self.version}, ogs={len(self)})"
@@ -183,6 +186,13 @@ class LiveIndex:
     def __len__(self) -> int:
         return len(self._snapshot)
 
+    def health(self) -> dict[str, Any]:
+        """What ``/health`` reports for an in-process backend."""
+        snapshot = self._snapshot
+        return {"status": "ok", "snapshot": snapshot.version,
+                "ogs": len(snapshot),
+                "pending_writes": self.pending_writes}
+
     # -- writes ---------------------------------------------------------------
 
     @property
@@ -278,13 +288,8 @@ class LiveIndex:
         )
 
 
-# Callable alias used by the query service: any function taking a
-# snapshot and returning a response payload.
-SnapshotReader = Callable[[IndexSnapshot], Any]
-
 __all__ = [
     "IndexSnapshot",
     "LiveIndex",
     "LiveIndexConfig",
-    "SnapshotReader",
 ]

@@ -382,10 +382,6 @@ class RemoteHit:
     row: int
     clip_ref: Any = None
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"distance": self.distance, "shard": self.shard,
-                "row": self.row, "clip_ref": self.clip_ref}
-
 
 class _WorkerHandle:
     """One live worker process: pipe, lock, and supervision state."""
@@ -782,10 +778,15 @@ class WorkerPool:
                  shares: dict[int, int | None], degrade: bool
                  ) -> SearchResult:
         """Fan ``request`` out to the slots owning the shards in
-        ``shares`` and merge their hits by ``(distance, shard, row)``."""
+        ``shares`` and merge their hits by ``(distance, shard, row)``,
+        stamped with the snapshot version published when it started."""
         if self._scatter_pool is None:
             raise IndexStateError(
                 "worker pool is not started (call start() first)")
+        # Read before the fan-out: reload() publishes a new digest only
+        # after every worker acked, so hits may come from a newer
+        # snapshot than the stamp, never from an older one.
+        version = self.snapshot_version
         with self._state_lock:
             assignment = [list(shards) for shards in self.assignment]
         futures = []
@@ -848,8 +849,8 @@ class WorkerPool:
             OBS.count("net.shards_failed", len(retry))
             failed.extend(retry)
         hits.sort(key=lambda h: (h[0], h[1], h[2]))
-        return SearchResult(
-            [RemoteHit(*h) for h in hits], bool(failed), sorted(failed))
+        return SearchResult([RemoteHit(*h) for h in hits], bool(failed),
+                            sorted(failed), version)
 
     # -- search ---------------------------------------------------------------
 
@@ -868,7 +869,7 @@ class WorkerPool:
         :class:`~repro.errors.ShardUnavailableError` is raised instead.
         """
         if request.k == 0:
-            return SearchResult([])
+            return SearchResult([], snapshot_version=self.snapshot_version)
         with self._state_lock:
             sizes = {o: n for o, n in self.shard_sizes.items() if n > 0}
         if not sizes:

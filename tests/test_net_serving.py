@@ -32,8 +32,8 @@ from repro.serving import (
     WorkerPoolConfig,
 )
 from repro.serving.net import request_json
-from repro.search.request import SearchResult
-from repro.serving.workers import RemoteHit
+
+from front_contract import FrontContract, HttpFront, StubBackend
 
 K = 5
 RADIUS = 60.0
@@ -301,6 +301,16 @@ class TestReload:
                 pool.reload()
             # A rejected reload must not move the published version.
             assert pool.snapshot_version == before
+            # Over HTTP the operator's store and the running pool
+            # disagree: a typed conflict, not a 500.
+            with NetFrontend(pool) as fe:
+                status, body = request_json(
+                    "127.0.0.1", fe.port, "POST", "/admin/reload", {})
+                assert status == 409 and body["type"] == "StorageError"
+                assert "shard set" in body["error"]
+                status, health = request_json(
+                    "127.0.0.1", fe.port, "GET", "/health")
+                assert status == 200 and health["snapshot"] == before
 
     def test_reload_publishes_version_only_after_acks(self, tmp_path,
                                                       corpus, queries):
@@ -314,9 +324,32 @@ class TestReload:
             # responses must keep carrying the version they are served
             # from, i.e. the old one.
             assert pool.snapshot_version == before
-            after = pool.reload()
+            assert pool.knn(queries[0], K).snapshot_version == before
+            # corpus[40] exists only in the new snapshot: an answer may
+            # carry the new digest only if it was read from it.
+            stamped: list[tuple[str, float]] = []
+            done = threading.Event()
+
+            def hammer():
+                while not done.is_set():
+                    got = pool.knn(corpus[40], 1)
+                    stamped.append((got.snapshot_version,
+                                    got.hits[0].distance))
+
+            reader = threading.Thread(target=hammer)
+            reader.start()
+            try:
+                after = pool.reload()
+                time.sleep(0.05)
+            finally:
+                done.set()
+                reader.join(timeout=30.0)
             assert after != before
             assert pool.snapshot_version == after
+            assert {version for version, _ in stamped} <= {before, after}
+            assert stamped[-1][0] == after
+            assert all(distance == 0.0 for version, distance in stamped
+                       if version == after)
             assert len(pool) == 48
             got = pool.knn(queries[0], K)
             assert not got.degraded and len(got.hits) == K
@@ -393,7 +426,7 @@ class TestHttpFrontend:
             status, body = self.post(frontend, "/knn", {
                 "query": query.values.tolist(), "k": K})
             assert status == 200
-            assert body["snapshot"] == frontend.pool.snapshot_version
+            assert body["snapshot"] == frontend.backend.snapshot_version
             assert not body["degraded"] and body["failed_shards"] == []
             assert body["latency"] > 0
             got = [(h["distance"], h["clip_ref"]) for h in body["hits"]]
@@ -428,7 +461,8 @@ class TestHttpFrontend:
         status, health = self.get(frontend, "/health")
         assert status == 200 and health["status"] == "ok"
         assert health["workers_alive"] == 2
-        assert health["frontend"]["max_inflight"] == 64
+        assert health["service"]["workers_alive"] == 8
+        assert not health["service"]["stopped"]
         status, text = self.get(frontend, "/metrics")
         assert status == 200 and isinstance(text, str) and text
 
@@ -500,34 +534,9 @@ class TestHttpFrontend:
             == [0, 1, 2, 3]
 
     def test_admin_reload_keeps_snapshot_version(self, frontend):
-        before = frontend.pool.snapshot_version
+        before = frontend.backend.snapshot_version
         status, body = self.post(frontend, "/admin/reload", {})
         assert status == 200 and body["snapshot"] == before
-
-
-class _StubPool:
-    """Minimal pool double for frontend-only behaviors (no processes)."""
-
-    def __init__(self):
-        self.snapshot_version = "stub0000"
-        self.release = threading.Event()
-        self.release.set()
-        self.assignment = [[0]]
-
-    def search(self, request):
-        if request.kind == "range":
-            return SearchResult([])
-        self.release.wait(5.0)
-        return SearchResult([RemoteHit(1.0, 0, 0, "clip-0")])
-
-    def health(self):
-        return {"status": "ok", "workers_alive": 1, "workers": []}
-
-    def reload(self):
-        return self.snapshot_version
-
-    def rebalance(self, ratio=None):
-        return []
 
 
 class _StubJob:
@@ -547,48 +556,15 @@ class _StubIngest:
         return {"queue_depth": 0}
 
 
-class TestFrontendAdmissionAndDeadlines:
-    def test_deadline_maps_to_504(self, queries):
-        pool = _StubPool()
-        pool.release.clear()  # knn blocks until released
-        with NetFrontend(pool, config=NetConfig(handler_threads=2)) as fe:
-            status, body = request_json(
-                "127.0.0.1", fe.port, "POST", "/knn",
-                {"query": [[0.0, 0.0]], "k": 1, "deadline": 0.05})
-            assert status == 504
-            assert body["type"] == "DeadlineExceededError"
-            pool.release.set()
+class TestFrontendAdmissionAndDeadlines(FrontContract):
+    """The front's contract over HTTP (503 / 504 / 400), plus the
+    routes only a frontend has."""
 
-    def test_admission_control_maps_to_503(self):
-        pool = _StubPool()
-        pool.release.clear()
-        config = NetConfig(max_inflight=1, handler_threads=4)
-        with NetFrontend(pool, config=config) as fe:
-            results = []
-
-            def slow():
-                results.append(request_json(
-                    "127.0.0.1", fe.port, "POST", "/knn",
-                    {"query": [[0.0, 0.0]], "k": 1}))
-
-            first = threading.Thread(target=slow)
-            first.start()
-            deadline = time.monotonic() + 5.0
-            while fe._inflight < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            status, body = request_json(
-                "127.0.0.1", fe.port, "POST", "/knn",
-                {"query": [[0.0, 0.0]], "k": 1})
-            assert status == 503
-            assert body["type"] == "ServiceOverloadError"
-            pool.release.set()
-            first.join(timeout=10.0)
-            assert results and results[0][0] == 200
-            assert fe.requests_rejected == 1
+    transport = HttpFront
 
     def test_ingest_proxy_accepts_jobs(self):
         frames = [[[[0, 0, 0]] * 4] * 4] * 2  # (2, 4, 4, 3) uint8
-        with NetFrontend(_StubPool(), ingest=_StubIngest(),
+        with NetFrontend(StubBackend(), ingest=_StubIngest(),
                          config=NetConfig()) as fe:
             status, body = request_json(
                 "127.0.0.1", fe.port, "POST", "/ingest",
@@ -604,6 +580,21 @@ class TestFrontendAdmissionAndDeadlines:
             assert status == 200 and health["ingest"] == {"queue_depth": 0}
 
 
+    def test_missing_capabilities_answer_501(self):
+        """Admin routes are capabilities of the backend, /ingest of the
+        deployment: absent, each answers a typed 501."""
+        with NetFrontend(StubBackend()) as fe:
+            for path in ("/admin/reload", "/admin/rebalance", "/ingest"):
+                status, body = request_json(
+                    "127.0.0.1", fe.port, "POST", path, {})
+                assert status == 501, path
+                assert body["type"] == "UnsupportedOperation"
+            status, health = request_json(
+                "127.0.0.1", fe.port, "GET", "/health")
+            assert status == 200 and health["status"] == "ok"
+            assert health["service"]["workers_alive"] == 8
+
+
 class TestFrontendStop:
     def test_stop_cancels_idle_keep_alive_connections(self, caplog):
         """stop() must cancel and await the handler of an idle
@@ -612,8 +603,14 @@ class TestFrontendStop:
         import logging
         import socket
 
-        frontend = NetFrontend(_StubPool(), config=NetConfig())
+        def service_threads():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("query-worker")]
+
+        frontend = NetFrontend(StubBackend(), config=NetConfig())
+        assert frontend.service is None and not service_threads()
         frontend.start_in_thread()
+        assert len(service_threads()) == 8
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             with socket.create_connection(("127.0.0.1", frontend.port),
                                           timeout=10) as sock:
@@ -624,7 +621,7 @@ class TestFrontendStop:
                 frontend.stop()
                 assert sock.recv(65536) == b""       # EOF, not a hang
             gc.collect()
-        assert not frontend._connections
+        assert not frontend._connections and not service_threads()
         assert "Task was destroyed but it is pending" not in caplog.text
         assert not caplog.records
 
@@ -661,3 +658,78 @@ class TestServeHttpCli:
         assert main(["serve", os.path.join(tmp_path, "absent"),
                      "--http", "127.0.0.1:0"]) == 2
         assert "none at" in capsys.readouterr().err
+
+    def test_serve_http_shards_needs_a_live_index(self, store_path, capsys):
+        from repro.cli import main
+
+        assert main(["serve", store_path, "--http", "127.0.0.1:0",
+                     "--shards", "2"]) == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_serve_http_ingest_makes_uploads_queryable(self, store_path):
+        """``serve --http --ingest``: a LiveIndex + IngestService behind
+        the one front — an uploaded clip is answered on the same port."""
+        import signal
+        import subprocess
+        import sys
+
+        from repro.pipeline import VideoPipeline
+        from repro.video.synthesize import (
+            Actor,
+            BackgroundSpec,
+            SceneRenderer,
+            linear_trajectory,
+            make_vehicle,
+        )
+
+        scene = SceneRenderer(BackgroundSpec(width=64, height=48,
+                                             base_color=(100, 100, 100)))
+        scene.add_actor(Actor(linear_trajectory((6.0, 20.0), (42.0, 20.0), 6),
+                              make_vehicle((200, 40, 40))))
+        video = scene.render(6, name="cam-7")
+        probe = VideoPipeline().process_clip(video).object_graphs[0]
+        knn = {"query": probe.values.tolist(), "k": 1}
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", store_path,
+             "--http", "127.0.0.1:0", "--ingest", "--ingest-jobs", "0",
+             "--duration", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        try:
+            port = None
+            for line in server.stdout:
+                if "listening on http://127.0.0.1:" in line:
+                    port = int(line.split("127.0.0.1:")[1].split()[0])
+                if "until interrupted" in line:
+                    break
+            assert port is not None, "server never came up"
+            status, before = request_json("127.0.0.1", port, "POST",
+                                          "/knn", knn)
+            assert status == 200 and before["hits"][0]["distance"] > 0
+            status, job = request_json(
+                "127.0.0.1", port, "POST", "/ingest",
+                {"frames": video.frames.tolist(), "name": "cam-7"})
+            assert status == 202 and job["clip"] == "cam-7"
+            deadline = time.monotonic() + 30.0
+            while True:
+                status, health = request_json("127.0.0.1", port, "GET",
+                                              "/health")
+                if health["ingest"]["indexed_jobs"] == 1:
+                    break
+                assert time.monotonic() < deadline, health
+                time.sleep(0.05)
+            status, after = request_json("127.0.0.1", port, "POST",
+                                         "/knn", knn)
+            assert status == 200 and after["snapshot"] > before["snapshot"]
+            hit = after["hits"][0]
+            assert hit["distance"] == 0.0
+            assert hit["clip_ref"]["video"] == "cam-7"
+        finally:
+            server.send_signal(signal.SIGINT)
+            out, _ = server.communicate(timeout=60.0)
+        assert server.returncode == 0, out
+        assert "1 job(s) indexed" in out

@@ -3,19 +3,14 @@ snapshots, the query service and the load generators."""
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.errors import (
-    DeadlineExceededError,
     IndexStateError,
     InvalidParameterError,
-    ServiceOverloadError,
-    ServiceStoppedError,
     ShardUnavailableError,
 )
 from repro.resilience import FaultInjector, injected
@@ -31,6 +26,8 @@ from repro.serving import (
 )
 from repro.search.request import SearchRequest, SearchResult
 from repro.storage.store import open_store
+
+from front_contract import FrontContract, FutureFront, StubBackend
 
 K = 5
 RADIUS = 60.0
@@ -237,128 +234,16 @@ class TestLiveIndex:
         assert not hits.degraded and len(hits.hits) == K
 
 
-class _BlockingIndex:
-    """Stub index whose queries block until released (service tests)."""
+class TestQueryService(FrontContract):
+    """The front's contract through in-process futures, plus the
+    service-only lifecycle behaviours."""
 
-    def __init__(self):
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        self.frozen = False
-
-    def freeze(self):
-        self.frozen = True
-        return self
-
-    def __len__(self):
-        return 1
-
-    def search(self, request):
-        self.entered.set()
-        assert self.release.wait(10.0), "test never released the stub"
-        return SearchResult(hits=[(0.0, request.query, None)])
-
-
-class TestQueryService:
-    def test_serves_real_queries(self, corpus, queries):
-        live = LiveIndex(_sharded(corpus[:32], 2, "affine"))
-        with QueryService(live, ServiceConfig(workers=2)) as service:
-            response = service.knn(queries[0], K)
-        assert len(response.hits) == K
-        assert response.snapshot_version == 1
-        assert not response.degraded and response.latency > 0
-        payload = response.as_dict()
-        assert payload["snapshot_version"] == 1
-        assert len(payload["hits"]) == K
-
-    def test_admission_control_rejects_when_full(self, corpus):
-        stub = _BlockingIndex()
-        live = LiveIndex(stub)
-        service = QueryService(live, ServiceConfig(workers=1, queue_depth=1))
-        try:
-            first = service.submit(SearchRequest.knn(corpus[0], 1))
-            assert stub.entered.wait(5.0)
-            # fills the queue
-            second = service.submit(SearchRequest.knn(corpus[1], 1))
-            with pytest.raises(ServiceOverloadError):
-                service.submit(SearchRequest.knn(corpus[2], 1))
-        finally:
-            stub.release.set()
-            service.shutdown()
-        assert first.result(5.0).hits and second.result(5.0).hits
-
-    def test_deadline_exceeded_in_queue(self, corpus):
-        stub = _BlockingIndex()
-        service = QueryService(LiveIndex(stub),
-                               ServiceConfig(workers=1, queue_depth=4))
-        try:
-            blocker = service.submit(SearchRequest.knn(corpus[0], 1))
-            assert stub.entered.wait(5.0)
-            doomed = service.submit(SearchRequest.knn(corpus[1], 1),
-                                    deadline=0.01)
-            threading.Event().wait(0.05)  # let the deadline lapse
-        finally:
-            stub.release.set()
-            service.shutdown()
-        assert blocker.result(5.0).hits
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            doomed.result(5.0)
-        assert excinfo.value.phase == "queued"
-
-    def test_deadline_exceeded_mid_execution(self, corpus):
-        stub = _BlockingIndex()
-        service = QueryService(LiveIndex(stub),
-                               ServiceConfig(workers=1, queue_depth=4))
-        try:
-            doomed = service.submit(SearchRequest.knn(corpus[0], 1),
-                                    deadline=0.2)
-            assert stub.entered.wait(5.0)  # executing before expiry check
-            threading.Event().wait(0.4)  # deadline lapses mid-execution
-        finally:
-            stub.release.set()
-            service.shutdown()
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            doomed.result(5.0)
-        assert excinfo.value.phase == "execution"
-
-    def test_full_queue_purges_expired_requests(self, corpus):
-        stub = _BlockingIndex()
-        service = QueryService(LiveIndex(stub),
-                               ServiceConfig(workers=1, queue_depth=1))
-        try:
-            blocker = service.submit(SearchRequest.knn(corpus[0], 1))
-            assert stub.entered.wait(5.0)
-            doomed = service.submit(SearchRequest.knn(corpus[1], 1),
-                                    deadline=0.01)
-            threading.Event().wait(0.05)  # doomed expires while queued
-            # The queue is full, but the expired request is dead weight:
-            # it is failed on the spot and the live request admitted.
-            third = service.submit(SearchRequest.knn(corpus[2], 1))
-        finally:
-            stub.release.set()
-            service.shutdown()
-        assert blocker.result(5.0).hits and third.result(5.0).hits
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            doomed.result(5.0)
-        assert excinfo.value.phase == "queued"
-
-    def test_stopped_service_rejects(self, corpus, queries):
-        live = LiveIndex(_sharded(corpus[:16], 1, "hash"))
-        service = QueryService(live, ServiceConfig(workers=1))
-        service.shutdown()
-        with pytest.raises(ServiceStoppedError):
-            service.knn(queries[0], 1)
-        service.shutdown()  # idempotent
-
-    def test_query_errors_relayed(self, corpus):
-        live = LiveIndex(_sharded(corpus[:16], 1, "hash"))
-        with QueryService(live, ServiceConfig(workers=1)) as service:
-            with pytest.raises(InvalidParameterError):
-                service.knn(corpus[0], -1)
+    transport = FutureFront
 
     def test_bounded_shutdown_reports_stragglers(self, corpus):
-        stub = _BlockingIndex()
-        service = QueryService(LiveIndex(stub),
-                               ServiceConfig(workers=1, queue_depth=4))
+        stub = StubBackend()
+        stub.release.clear()
+        service = QueryService(stub, ServiceConfig(workers=1, queue_depth=4))
         try:
             grinding = service.submit(SearchRequest.knn(corpus[0], 1))
             assert stub.entered.wait(5.0)
