@@ -165,13 +165,12 @@ def bench_fig7b_knn_distance_computations(benchmark, index_suite, query_ogs):
     record_result("fig7b_knn_distance_computations", format_table(
         ["k", "STRG-Index", "MT-RA", "MT-SA"], rows,
     ))
-    # The paper reports ~22% fewer evaluations than MT-RA on average.
-    mean_strg = np.mean(results["strg"])
-    mean_ra = np.mean(results["mt_ra"])
-    assert mean_strg < mean_ra
-    saving = 1.0 - mean_strg / mean_ra
+    # The paper reports ~22% fewer evaluations than MT-RA on average;
+    # EXPERIMENTS.md marks the claim reproduced from 15% up.
+    saving = 1.0 - np.mean(results["strg"]) / np.mean(results["mt_ra"])
     record_result("fig7b_saving_vs_mtra",
                   [f"mean saving vs MT-RA: {saving:.1%}"])
+    assert saving >= 0.15
 
 
 @pytest.fixture(scope="module")

@@ -75,7 +75,7 @@ def bench_net_report():
     queries = generate_synthetic_ogs(
         SyntheticConfig(num_ogs=NUM_QUERIES, seed=99))
     index = ShardedIndex(ShardedIndexConfig(
-        num_shards=NUM_SHARDS, placement="affine", eval_batch=32,
+        num_shards=NUM_SHARDS, placement="affine",
         index=STRGIndexConfig(n_clusters=CLUSTERS)))
     t0 = time.perf_counter()
     index.build(ogs, clip_refs=[f"clip-{i}" for i in range(len(ogs))])

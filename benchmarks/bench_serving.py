@@ -69,7 +69,7 @@ def bench_serving_report():
     try:
         for shards in SHARD_COUNTS:
             index = ShardedIndex(ShardedIndexConfig(
-                num_shards=shards, placement="affine", eval_batch=32,
+                num_shards=shards, placement="affine",
                 index=STRGIndexConfig(n_clusters=CLUSTERS),
             ))
             t0 = time.perf_counter()
@@ -126,7 +126,7 @@ def bench_serving_report():
         "scale": SCALE,
         "config": {
             "num_ogs": NUM_OGS, "num_queries": NUM_QUERIES, "k": K,
-            "clusters_per_shard": CLUSTERS, "eval_batch": 32,
+            "clusters_per_shard": CLUSTERS,
             "placement": "affine", "reps": REPS,
         },
         "results": results,

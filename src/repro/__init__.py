@@ -83,7 +83,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "DistanceExecutor",

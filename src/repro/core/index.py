@@ -10,7 +10,6 @@ search skip distance evaluations — the effect Figure 7(b) measures.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import threading
 from dataclasses import dataclass
@@ -23,10 +22,10 @@ from repro.clustering.em import EMClustering, EMConfig
 from repro.core.nodes import (
     ClusterNode,
     ClusterRecord,
-    LeafNode,
     LeafRecord,
     RootRecord,
 )
+from repro.core.scan import ClusterView, ScanViews, knn_scan, range_scan
 from repro.distance.base import Distance, as_series
 from repro.distance.batch import PaddedBatch, one_vs_many, supports_batch
 from repro.distance.eged import EGED, MetricEGED
@@ -34,17 +33,13 @@ from repro.errors import IndexStateError, InvalidParameterError
 from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
-from repro.search.request import (
-    SearchRequest,
-    SearchResult,
-    TopK,
-    hit_key,
-)
+from repro.search.request import SearchRequest, SearchResult
 from repro.search.sketch import SketchIndex, approx_knn
 
-#: Guards lazy sketch construction.  Module-level (not per-index):
-#: building is rare, and an index that owns no lock stays picklable.
-_SKETCH_BUILD_LOCK = threading.Lock()
+#: Guards lazy construction of the sketch tier and of the scan views.
+#: Module-level (not per-index): building is rare, and an index that owns
+#: no lock stays picklable.
+_LAZY_BUILD_LOCK = threading.Lock()
 
 
 @dataclass
@@ -100,8 +95,9 @@ class STRGIndex:
         self.root: list[RootRecord] = []
         self._next_root_id = 0
         #: Bumped on every structural change (build/insert/delete/split).
-        #: Readers that cache derived structures (e.g. the serving layer's
-        #: pivot bounds) compare this to detect staleness.
+        #: The scan views derived from the tree (this index's own, and a
+        #: sharded index's pivot-keyed ones) compare this to detect
+        #: staleness.
         self.mutations = 0
         #: Set by :meth:`freeze`; frozen indexes reject mutation, which is
         #: what lets published serving snapshots be shared across threads.
@@ -114,6 +110,16 @@ class STRGIndex:
         #: by :meth:`insert` / :meth:`delete` once built, persisted in
         #: snapshots, and rebuilt on demand when absent.
         self._sketches = None
+        #: Lazily-built :class:`~repro.core.scan.ScanViews` of the exact
+        #: and range scans, rebuilt when ``mutations`` has moved on.
+        #: Budgeted queries never build it.
+        self._views: ScanViews | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Everything but the scan views: they are derived state, keyed
+        by the identity of records that a copy (:meth:`clone`,
+        ``deepcopy``, a pickle round trip) replaces."""
+        return {**self.__dict__, "_views": None}
 
     def freeze(self) -> "STRGIndex":
         """Mark the index immutable (mutations raise ``IndexStateError``).
@@ -140,8 +146,9 @@ class STRGIndex:
         dup.root = [RootRecord(r.record_id, r.background,
                                r.cluster_node.clone()) for r in self.root]
         dup.frozen = False
-        # New record wrappers: caches keyed by record identity (the
-        # serving layer's scan caches) must not match the clone.
+        # New record wrappers: scan views are keyed by record identity
+        # and must not pass for the clone's (its own, or a sharded
+        # index's over it).
         dup.mutations += 1
         if self._sketches is not None:
             dup._sketches = self._sketches.clone()
@@ -329,15 +336,18 @@ class STRGIndex:
 
     def _keys_to_centroids(self, og, centroids: list[np.ndarray]
                            ) -> np.ndarray:
-        """Metric key of one OG/query against many centroids.
+        """Leaf key of an OG being inserted, against every centroid.
 
-        Batch-capable metrics run the kernel *centroid-first* — the same
-        direction :meth:`build` uses for the stored leaf keys — because
-        the vectorized DP is only mathematically (not bit-for-bit)
-        symmetric, and key lookups of already-indexed objects (e.g. a
-        ``range_query`` with radius 0) rely on exact key equality.
-        Other metrics keep the per-pair ``(og, centroid)`` call order,
-        matching their per-pair build path.
+        Batch-capable metrics run the kernel *centroid-first*, one
+        centroid per call — the direction :meth:`build` computes the
+        stored leaf keys in — because the vectorized DP is only
+        mathematically (not bit-for-bit) symmetric and an inserted OG
+        must get the key a rebuild would store (the store's ``keys``
+        column and every incremental ≡ rebuilt contract compare bits).
+        Queries do not come through here: the scan ranks all centroids
+        query-first in one sweep and absorbs the asymmetry in its prune
+        slack.  Other metrics keep the per-pair ``(og, centroid)`` call
+        order, matching their per-pair build path.
         """
         if supports_batch(self.metric_distance):
             series = as_series(og)
@@ -453,19 +463,21 @@ class STRGIndex:
     def search(self, request: SearchRequest) -> SearchResult:
         """Answer one :class:`~repro.search.request.SearchRequest`.
 
-        Exact k-NN follows Algorithm 3: match the query BG at the root
-        (skipped when no background is supplied — then every cluster
-        node is searched), rank clusters by metric centroid distance,
-        and scan each leaf outward from ``Key_q`` pruning with ``|Key -
-        Key_q| > kth_best`` (a valid lower bound because ``EGED_M`` is a
-        metric).
+        Exact k-NN is Algorithm 3 as :func:`repro.core.scan.knn_scan`
+        runs it: match the query BG at the root (skipped when no
+        background is supplied — then every cluster node is searched),
+        rank clusters by metric centroid distance, and scan each leaf
+        outward from ``Key_q`` pruning with ``|Key - Key_q| > kth_best``
+        (a valid lower bound because ``EGED_M`` is a metric).  A range
+        query is the same scan with the bound fixed at ``radius``.
 
         ``n_probe`` bounds how many nearest clusters are scanned:
         ``None`` gives exact k-NN; ``1`` is the literal Algorithm 3,
-        which descends only the best-matching cluster — faster and
-        *cluster-faithful* (results share the query's cluster), the
-        behaviour behind the paper's precision/recall advantage in
-        Figure 7(c).
+        which descends only the best-matching cluster — picked with the
+        *non-metric* EGED (step 3) before the metric key is computed
+        (step 4) — faster and *cluster-faithful* (results share the
+        query's cluster), the behaviour behind the paper's
+        precision/recall advantage in Figure 7(c).
 
         ``search_budget`` switches to the two-stage *approximate* tier
         (``repro.search``, see ``docs/SEARCH.md``): candidate generation
@@ -483,8 +495,9 @@ class STRGIndex:
             raise IndexStateError("cannot search an empty STRG-Index")
         if request.kind == "range":
             with OBS.span("index.range_query", radius=request.radius) as sp:
-                hits = self._range_query(request.query, request.radius,
-                                         request.background)
+                hits = range_scan(self.metric_distance, request.series,
+                                  self._cluster_views(request.background),
+                                  request.radius)
                 sp.set(hits=len(hits))
         elif request.search_budget is not None:
             hits = approx_knn(self.sketch_tier(), self.metric_distance,
@@ -493,8 +506,14 @@ class STRGIndex:
             with OBS.span("index.knn", k=request.k,
                           n_probe=request.n_probe) as sp:
                 OBS.count("index.knn_queries")
-                hits = self._knn(request.query, request.k,
-                                 request.background, request.n_probe)
+                views = self._cluster_views(request.background)
+                if request.n_probe is not None and views:
+                    probe = one_vs_many(self.cluster_distance, request.query,
+                                        [view.centroid for view in views])
+                    nearest = np.argsort(probe, kind="stable")
+                    views = [views[int(i)] for i in nearest[:request.n_probe]]
+                hits = knn_scan(self.metric_distance, request.series, views,
+                                request.k)
                 sp.set(hits=len(hits))
         return SearchResult(hits)
 
@@ -538,7 +557,7 @@ class STRGIndex:
         sketch = self._sketches
         if sketch is not None:
             return sketch
-        with _SKETCH_BUILD_LOCK:
+        with _LAZY_BUILD_LOCK:
             if self._sketches is None:
                 records = [
                     (leaf_record.og, leaf_record.clip_ref)
@@ -555,111 +574,25 @@ class STRGIndex:
                     )
             return self._sketches
 
-    def _knn(self, query: ObjectGraph | np.ndarray, k: int,
-             background: BackgroundGraph | None,
-             n_probe: int | None) -> list[tuple[float, ObjectGraph, Any]]:
-        # Rank candidate clusters (these distance evaluations are part of
-        # the query cost).  Exact search ranks by the metric distance the
-        # pruning bound needs; probed search follows Algorithm 3, which
-        # picks the similar centroid with the *non-metric* EGED (step 3)
-        # before computing the metric key (step 4).
-        records = self.cluster_records(background)
-        ranked: list[tuple[float, ClusterRecord]] = []
-        if records:
-            if n_probe is not None:
-                probe = one_vs_many(
-                    self.cluster_distance, query,
-                    [r.centroid for r in records],
-                )
-                order = np.argsort(probe, kind="stable")[:n_probe]
-                records = [records[int(i)] for i in order]
-            key_qs = self._keys_to_centroids(
-                query, [r.centroid for r in records]
-            )
-            order = np.argsort(key_qs, kind="stable")
-            ranked = [
-                (float(key_qs[int(i)]), records[int(i)]) for i in order
-            ]
+    def _cluster_views(self, background: BackgroundGraph | None
+                       ) -> list[ClusterView]:
+        """Scan views of the (BG-routed) non-empty clusters.
 
-        best = TopK(k)
-        for key_q, record in ranked:
-            leaf = record.leaf
-            if len(leaf) == 0:
-                continue
-            # Whole-cluster prune: nearest possible member is
-            # max(key_q - max_key, 0).  Strict >: a candidate whose lower
-            # bound ties the k-th distance can still win on og_id.
-            if key_q - leaf.max_key() > best.bound:
-                OBS.count("index.clusters_pruned")
-                continue
-            self._scan_leaf(leaf, query, key_q, best)
-        return best.hits
-
-    def _evaluate(self, query, og: ObjectGraph) -> float:
-        """Query-to-candidate metric distance for a returned hit.
-
-        Routed through the batched kernel (query-first, batch of one)
-        whenever the metric supports it: the kernel is bit-invariant to
-        batch composition, so the sharded serving layer — which evaluates
-        whole candidate windows in one batched sweep — returns distances
-        bit-identical to this per-record path.  Metrics without a batch
-        kernel (e.g. counting wrappers in tests) keep the plain scalar
-        call.
+        Built on the first exact or range read after a mutation: a
+        frozen serving snapshot builds them once, and concurrent readers
+        of one snapshot do not build them twice.
         """
-        if supports_batch(self.metric_distance):
-            return float(one_vs_many(self.metric_distance, query, [og])[0])
-        return float(self.metric_distance(query, og))
-
-    def _scan_leaf(self, leaf: LeafNode, query, key_q: float,
-                   best: TopK) -> None:
-        """Expand outward from the query key position in a sorted leaf."""
-        OBS.count("index.leaf_scans")
-        keys = leaf.keys
-        records = leaf.records
-        pos = bisect.bisect_left(keys, key_q)
-        left = pos - 1
-        right = pos
-        n = len(records)
-        while left >= 0 or right < n:
-            go_left = left >= 0 and (
-                right >= n or key_q - keys[left] <= keys[right] - key_q
-            )
-            if go_left:
-                idx = left
-                left -= 1
-            else:
-                idx = right
-                right += 1
-            gap = abs(keys[idx] - key_q)
-            if gap > best.bound:
-                # All remaining records in this direction are farther in
-                # key space; if both directions exceed, we are done.
-                if go_left:
-                    left = -1
-                else:
-                    right = n
-                continue
-            record = records[idx]
-            best.offer(self._evaluate(query, record.og), record.og,
-                       record.clip_ref)
-
-    def _range_query(self, query, radius: float,
-                     background: BackgroundGraph | None
-                     ) -> list[tuple[float, ObjectGraph, Any]]:
-        results: list[tuple[float, ObjectGraph, Any]] = []
-        records = self.cluster_records(background)
-        if records:
-            key_qs = self._keys_to_centroids(
-                query, [r.centroid for r in records]
-            )
-            for key_q, record in zip(key_qs, records):
-                for leaf_record in record.leaf:
-                    if abs(leaf_record.key - key_q) > radius:
-                        continue
-                    d = self._evaluate(query, leaf_record.og)
-                    if d <= radius:
-                        results.append((d, leaf_record.og, leaf_record.clip_ref))
-        return sorted(results, key=hit_key)
+        views = self._views
+        if views is None or views.mutations != self.mutations:
+            with _LAZY_BUILD_LOCK:
+                views = self._views
+                if views is None or views.mutations != self.mutations:
+                    views = self._views = ScanViews(self.mutations, {
+                        id(record): ClusterView(record)
+                        for record in self.cluster_records()})
+        return [views.by_record[id(record)]
+                for record in self.cluster_records(background)
+                if len(record.leaf)]
 
     # -- introspection -----------------------------------------------------------
 

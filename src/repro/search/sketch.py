@@ -62,7 +62,7 @@ import copy
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, Sequence
 
@@ -75,11 +75,6 @@ from repro.errors import InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.search.request import SearchRequest, TopK
-
-#: Relative slack for rerank pruning comparisons, absorbing the batched
-#: kernel's ~1e-12 float asymmetry (same role as ShardedIndexConfig's
-#: ``prune_slack``).  Raising it never loses true neighbors.
-PRUNE_SLACK = 1e-9
 
 #: Tombstones before an owned sketch is worth compacting (and the dead
 #: fraction that triggers it — mirrors the columnar merge policy).
@@ -98,8 +93,7 @@ class SketchConfig:
     alphabet (``grid**2 * heading_sectors`` symbols).  ``vote_share`` is
     the fraction of the candidate shortlist filled from the voting
     channel (the rest comes from the pivot-bound channel).
-    ``pivot_sample_size`` caps the farthest-point sweep during fitting;
-    ``rerank_batch`` is the kernel flush size of stage 2.
+    ``pivot_sample_size`` caps the farthest-point sweep during fitting.
     ``block_rows`` is the row-block size of the candidate scan — it
     bounds stage 1's working set when the arrays are mmap views and has
     no effect on results (the blocked scan is bit-identical to a global
@@ -112,7 +106,6 @@ class SketchConfig:
     heading_sectors: int = 8
     vote_share: float = 0.25
     pivot_sample_size: int = 256
-    rerank_batch: int = 64
     seed: int = 0
     block_rows: int = 4096
 
@@ -137,10 +130,6 @@ class SketchConfig:
             raise InvalidParameterError(
                 f"pivot_sample_size must be >= 1, got {self.pivot_sample_size}"
             )
-        if self.rerank_batch < 1:
-            raise InvalidParameterError(
-                f"rerank_batch must be >= 1, got {self.rerank_batch}"
-            )
         if self.block_rows < 1:
             raise InvalidParameterError(
                 f"block_rows must be >= 1, got {self.block_rows}"
@@ -154,7 +143,6 @@ class SketchConfig:
             "heading_sectors": self.heading_sectors,
             "vote_share": self.vote_share,
             "pivot_sample_size": self.pivot_sample_size,
-            "rerank_batch": self.rerank_batch,
             "seed": self.seed,
             "block_rows": self.block_rows,
         }
@@ -929,6 +917,10 @@ def approx_knn(sketch: SketchIndex, distance, request: SearchRequest,
     bit-identical whether the sketch rows live in RAM or stream from the
     store's mmap columns.
     """
+    # Imported here: importing ``repro.core`` imports the index, which
+    # imports this module.
+    from repro.core.scan import RERANK_WINDOW, evaluate_windowed
+
     k, search_budget = request.k, request.search_budget
     if k == 0:
         return []
@@ -944,33 +936,13 @@ def approx_knn(sketch: SketchIndex, distance, request: SearchRequest,
         # promising candidates seed the k-th best distance early, and
         # the sorted bounds make the prune a single prefix cut.
         order = np.lexsort((sketch.row_og_ids(idx), lbs))
-        idx = idx[order]
-        lbs = lbs[order]
-
+        shortlist = list(zip(lbs[order].tolist(), idx[order].tolist()))
         best = TopK(k)
-        evaluated = 0
-        pruned = 0
-        start = 0
-        batch = sketch.config.rerank_batch
-        while start < len(idx):
-            bound = best.bound
-            slack = (0.0 if math.isinf(bound)
-                     else PRUNE_SLACK * (1.0 + abs(bound)))
-            if lbs[start] > bound + slack:
-                # Sorted ascending: every remaining candidate is
-                # provably outside the current top-k.
-                pruned = len(idx) - start
-                break
-            stop = min(len(idx), start + batch)
-            while stop > start and lbs[stop - 1] > bound + slack:
-                stop -= 1
-            chunk = idx[start:stop]
-            items = [sketch.row_series(int(i)) for i in chunk]
-            dists = one_vs_many(distance, series, items)
-            evaluated += len(chunk)
-            for i, d in zip(chunk, dists):
-                best.offer(float(d), *sketch.row_record(int(i)))
-            start = stop
+        evaluated = evaluate_windowed(
+            distance, series, shortlist, best, RERANK_WINDOW,
+            lambda c: sketch.row_series(c[1]),
+            lambda c: sketch.row_record(c[1]))
+        pruned = len(shortlist) - evaluated
         OBS.count("search.distances_computed", evaluated + pivot_evals)
         OBS.count("search.candidates_pruned", pruned)
         OBS.count("search.distances_saved",
@@ -994,10 +966,14 @@ def sketch_from_meta(meta_json: str) -> SketchIndex:
 
     The caller fills pivots and rows (see
     :mod:`repro.storage.serialize`).  Metas written before the blocked
-    scan lack ``block_rows`` and get the default.
+    scan lack ``block_rows`` and get the default; a key that is not a
+    setting of this version is ignored (metas written through 4.0.0
+    carry the rerank window, now a constant of :mod:`repro.core.scan`).
     """
     meta = json.loads(meta_json)
-    cfg = dict(meta["config"])
+    settings = {f.name for f in fields(SketchConfig)}
+    cfg = {key: value for key, value in meta["config"].items()
+           if key in settings}
     cfg.setdefault("block_rows", SketchConfig.block_rows)
     sketch = SketchIndex(SketchConfig(**cfg))
     if meta.get("bbox_lo") is not None:

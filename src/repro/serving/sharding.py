@@ -20,17 +20,17 @@ sharded search never evaluates more candidates than a monolithic scan:
   sweep against the pivots turns those stored keys into triangle
   lower bounds: the more shards, the more reference points, the more
   candidates are discarded before the kernel ever sees them.
-- **Batched scans.**  Cluster ranking is one batched kernel invocation
-  across *all* shards (pivots included), and candidate windows are
-  accumulated across clusters and evaluated in large flushes — the
-  per-invocation overhead that dominates scalar scans is paid a handful
-  of times per query, not once per leaf.
+- **One scan.**  The search itself is :mod:`repro.core.scan` — the
+  routine the monolithic index runs over its own clusters — handed the
+  clusters of every live shard at once, with the pivot distances as
+  extra reference columns of each cluster view.  Cluster ranking is one
+  batched kernel invocation across *all* shards (pivots included) and
+  candidate windows accumulate across clusters and shards.
 
-Search is **exact**: every prune is justified by a metric lower bound
-(with a tiny relative slack absorbing the batched kernels' float
-asymmetry), and ties are broken by ``(distance, og_id)`` — so the hits,
-their order *and their float distances* are bit-identical to the
-monolithic index for any shard count.
+Search is **exact**: every prune is a metric lower bound, and ties are
+broken by ``(distance, og_id)`` — so the hits, their order *and their
+float distances* are those of the monolithic index, for any shard count,
+because the same routine produced them.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ import numpy as np
 
 from repro.clustering.em import EMClustering, EMConfig
 from repro.core.index import STRGIndex, STRGIndexConfig
-from repro.core.nodes import ClusterRecord, LeafRecord
-from repro.distance.base import Distance, as_series
-from repro.distance.batch import PaddedBatch, one_vs_many, supports_batch
+from repro.core.scan import ClusterView, ScanViews, knn_scan, range_scan
+from repro.distance.base import Distance
+from repro.distance.batch import PaddedBatch, one_vs_many
 from repro.errors import (
     IndexStateError,
     InvalidParameterError,
@@ -60,9 +60,7 @@ from repro.resilience.faults import maybe_fail
 from repro.search.request import (
     SearchRequest,
     SearchResult,
-    TopK,
     budgeted_scatter,
-    hit_key,
 )
 
 #: Supported placement strategies.
@@ -77,12 +75,7 @@ class ShardedIndexConfig:
     shards, so total cluster granularity scales with ``num_shards``).
     ``balance_factor`` caps a shard at ``balance_factor * M / num_shards``
     members during affine placement; overflow spills to the next-nearest
-    pivot.  ``eval_batch`` is the candidate-flush size of the scatter
-    scan: larger flushes amortize kernel-call overhead, smaller ones
-    tighten the pruning bound more often.  ``prune_slack`` is the
-    relative slack added to every pruning comparison to absorb the
-    batched kernels' float asymmetry — raising it never makes results
-    wrong, only scans slightly larger.
+    pivot.
     """
 
     num_shards: int = 4
@@ -92,8 +85,6 @@ class ShardedIndexConfig:
     coarse_iterations: int = 10
     balance_factor: float = 1.3
     seed: int = 0
-    eval_batch: int = 32
-    prune_slack: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -113,52 +104,6 @@ class ShardedIndexConfig:
             raise InvalidParameterError(
                 f"balance_factor must be >= 1.0, got {self.balance_factor}"
             )
-        if self.eval_batch < 1:
-            raise InvalidParameterError(
-                f"eval_batch must be >= 1, got {self.eval_batch}"
-            )
-        if self.prune_slack < 0.0:
-            raise InvalidParameterError(
-                f"prune_slack must be >= 0, got {self.prune_slack}"
-            )
-
-
-class _ClusterCache:
-    """Immutable per-cluster scan cache.
-
-    Everything the scatter scan needs without touching the OGs again:
-    normalized member series, their sorted keys, and — under affine
-    placement — the triangle-bound ingredients against every shard
-    pivot (``centroid_pd[p] = d(pivot_p, centroid)`` and
-    ``member_pd[i, p] = d(pivot_p, member_i)``).
-    """
-
-    __slots__ = ("centroid_series", "member_series", "keys", "max_key",
-                 "centroid_pd", "member_pd")
-
-    def __init__(self, centroid_series, member_series, keys, max_key,
-                 centroid_pd, member_pd):
-        self.centroid_series = centroid_series
-        self.member_series = member_series
-        self.keys = keys
-        self.max_key = max_key
-        self.centroid_pd = centroid_pd
-        self.member_pd = member_pd
-
-
-class _ShardBounds:
-    """Scan caches for one shard, keyed by cluster-record identity.
-
-    Valid only while the shard's mutation counter is unchanged; stale
-    caches are rebuilt lazily on the next search (searches stay exact
-    throughout — a rebuild changes cost, never results).
-    """
-
-    __slots__ = ("mutations", "by_record")
-
-    def __init__(self, mutations: int, by_record: dict[int, _ClusterCache]):
-        self.mutations = mutations
-        self.by_record = by_record
 
 
 class ShardedIndex:
@@ -180,7 +125,7 @@ class ShardedIndex:
         #: placement or before the first build.
         self.pivots: list[np.ndarray] | None = None
         self.frozen = False
-        self._bounds: tuple[_ShardBounds | None, ...] | None = None
+        self._bounds: tuple[ScanViews | None, ...] | None = None
         self._bounds_lock = threading.Lock()
 
     # -- construction ---------------------------------------------------------
@@ -194,13 +139,19 @@ class ShardedIndex:
         worker's partition of one).
 
         ``serving_config`` is a persisted :meth:`serving_config`;
-        ``index`` and ``num_shards`` are taken from the shards themselves.  ``pivots`` may outnumber the shards: a
-        partition keeps every corpus pivot, since pivots only serve
-        triangle pruning and more reference points mean tighter bounds.
+        ``index`` and ``num_shards`` are taken from the shards
+        themselves, and a key that is not a setting of this version is
+        ignored (stores written through 4.0.0 carry two scan-window
+        settings that became constants of :mod:`repro.core.scan`).
+        ``pivots`` may outnumber the shards: a partition keeps every corpus pivot,
+        since pivots only serve triangle pruning and more reference
+        points mean tighter bounds.
         """
+        settings = {f.name for f in fields(ShardedIndexConfig)}
+        kept = {key: value for key, value in (serving_config or {}).items()
+                if key in settings}
         index = cls(ShardedIndexConfig(**{
-            **(serving_config or {}),
-            "num_shards": len(shards), "index": shards[0].config,
+            **kept, "num_shards": len(shards), "index": shards[0].config,
         }))
         index.shards = list(shards)
         index.metric_distance = shards[0].metric_distance
@@ -249,7 +200,7 @@ class ShardedIndex:
                 if members:
                     self._writable(s).build(members, background, member_refs)
             # Placement already holds d(pivot, og) for every OG of this
-            # build: the scan caches take those rows instead of a re-sweep.
+            # build: the scan views take those rows instead of a re-sweep.
             self._refresh_bounds(
                 {} if pivot_rows is None else
                 {og.og_id: (og, row) for og, row in zip(ogs, pivot_rows)})
@@ -347,7 +298,7 @@ class ShardedIndex:
     def _writable(self, s: int) -> STRGIndex:
         """Shard ``s`` — its own clone, from the first write on, when it
         was a frozen shard shared with the index this one was cloned
-        from.  Shards no write reaches stay shared, scan caches too."""
+        from.  Shards no write reaches stay shared, scan views too."""
         if self.shards[s].frozen:
             self.shards[s] = self.shards[s].clone()
         return self.shards[s]
@@ -365,7 +316,7 @@ class ShardedIndex:
         The copy-on-write path of the serving snapshot manager: clone the
         published (frozen) index, apply buffered writes to the clone, and
         publish it as the next snapshot.  :meth:`_writable` clones a
-        shard on its first write and the scan caches carry over, so
+        shard on its first write and the scan views carry over, so
         :meth:`refresh_bounds` re-sweeps written shards only.  (A shard
         not yet frozen could change under the copy: cloned right away.)
         """
@@ -376,15 +327,15 @@ class ShardedIndex:
         dup._bounds_lock = threading.Lock()
         return dup
 
-    # -- scan caches ----------------------------------------------------------
+    # -- scan views -----------------------------------------------------------
 
     def refresh_bounds(self) -> None:
-        """(Re)compute the per-cluster scan caches and pivot bounds.
+        """(Re)compute the scan views of every shard a write reached.
 
         One batched sweep per shard and pivot keys every cluster
         centroid and member against every shard pivot.  Hash placement
-        has no pivots and caches only series/keys (searches stay exact,
-        just without triangle filters).
+        has no pivots and its views carry only the leaf keys (searches
+        stay exact, just without triangle filters).
         """
         self._refresh_bounds({})
 
@@ -393,7 +344,7 @@ class ShardedIndex:
         over (see :meth:`_compute_shard_bounds`)."""
         with self._bounds_lock:
             previous = self._bounds or (None,) * self.num_shards
-            bounds: list[_ShardBounds | None] = []
+            bounds: list[ScanViews | None] = []
             for s, shard in enumerate(self.shards):
                 prior = previous[s] if s < len(previous) else None
                 if prior is not None and prior.mutations == shard.mutations:
@@ -403,8 +354,8 @@ class ShardedIndex:
             self._bounds = tuple(bounds)
 
     def _compute_shard_bounds(self, s: int,
-                              placed: dict[int, tuple]) -> _ShardBounds:
-        """Scan caches of shard ``s``.
+                              placed: dict[int, tuple]) -> ScanViews:
+        """Scan views of shard ``s``, one reference column per pivot.
 
         ``placed`` maps ``og_id`` to ``(og, pivot-distance row)`` for the
         OGs the running build just placed: a member found there (the
@@ -415,57 +366,41 @@ class ShardedIndex:
         """
         shard = self.shards[s]
         records = shard.cluster_records()
-        if not records:
-            return _ShardBounds(shard.mutations, {})
-        centroid_series = [np.asarray(r.centroid, dtype=np.float64)
-                           for r in records]
-        member_series = [[as_series(r.og) for r in record.leaf]
-                         for record in records]
-        centroid_pd = member_pd = None
-        if self.pivots is not None:
-            # One pivot-first sweep per pivot over every centroid and
-            # every member of the shard placement did not already key,
-            # split back per cluster.
-            flat = [srs for members in member_series for srs in members]
-            spans = []
-            start = 0
-            for members in member_series:
-                spans.append((start, start + len(members)))
-                start += len(members)
-            centroids = PaddedBatch(centroid_series)
-            centroid_pd = np.stack(
-                [one_vs_many(self.metric_distance, pivot, centroids)
-                 for pivot in self.pivots], axis=1)
-            flat_pd = np.empty((len(flat), len(self.pivots)))
-            todo = []
-            for i, og in enumerate(r.og for record in records
-                                   for r in record.leaf):
-                placed_og, row = placed.get(og.og_id, (None, None))
-                if placed_og is og:
-                    flat_pd[i] = row
-                else:
-                    todo.append(i)
-            if todo:
-                unkeyed = PaddedBatch([flat[i] for i in todo])
-                for p, pivot in enumerate(self.pivots):
-                    flat_pd[todo, p] = one_vs_many(self.metric_distance,
-                                                   pivot, unkeyed)
-            member_pd = [flat_pd[lo:hi] for lo, hi in spans]
-        by_record: dict[int, _ClusterCache] = {}
-        for i, record in enumerate(records):
-            by_record[id(record)] = _ClusterCache(
-                centroid_series=centroid_series[i],
-                member_series=member_series[i],
-                keys=np.asarray(record.leaf.keys, dtype=np.float64),
-                max_key=record.leaf.max_key(),
-                centroid_pd=(centroid_pd[i] if centroid_pd is not None
-                             else None),
-                member_pd=(member_pd[i] if member_pd is not None else None),
-            )
-        return _ShardBounds(shard.mutations, by_record)
+        if self.pivots is None or not records:
+            return ScanViews(shard.mutations, {
+                id(record): ClusterView(record) for record in records})
+        # One pivot-first sweep per pivot over every centroid and every
+        # member of the shard placement did not already key, split back
+        # per cluster.
+        centroids = PaddedBatch([record.centroid for record in records])
+        centroid_pd = np.stack(
+            [one_vs_many(self.metric_distance, pivot, centroids)
+             for pivot in self.pivots], axis=1)
+        members = [r.og for record in records for r in record.leaf]
+        member_pd = np.empty((len(members), len(self.pivots)))
+        todo = []
+        for i, og in enumerate(members):
+            placed_og, row = placed.get(og.og_id, (None, None))
+            if placed_og is og:
+                member_pd[i] = row
+            else:
+                todo.append(i)
+        if todo:
+            unkeyed = PaddedBatch([members[i] for i in todo])
+            for p, pivot in enumerate(self.pivots):
+                member_pd[todo, p] = one_vs_many(self.metric_distance,
+                                                 pivot, unkeyed)
+        by_record: dict[int, ClusterView] = {}
+        start = 0
+        for record, pd in zip(records, centroid_pd):
+            stop = start + len(record.leaf)
+            by_record[id(record)] = ClusterView(record, pd,
+                                                member_pd[start:stop])
+            start = stop
+        return ScanViews(shard.mutations, by_record)
 
-    def _fresh_bounds(self) -> tuple[_ShardBounds | None, ...]:
-        """Current scan caches; recompute stale shards first."""
+    def _fresh_bounds(self) -> tuple[ScanViews | None, ...]:
+        """Current scan views; recompute stale shards first."""
         bounds = self._bounds
         if bounds is not None and len(bounds) == self.num_shards and all(
             b is not None and b.mutations == shard.mutations
@@ -474,11 +409,6 @@ class ShardedIndex:
             return bounds
         self.refresh_bounds()
         return self._bounds
-
-    def _slack(self, bound: float) -> float:
-        if not math.isfinite(bound):
-            return 0.0
-        return self.config.prune_slack * (1.0 + abs(bound))
 
     # -- search ---------------------------------------------------------------
 
@@ -577,211 +507,38 @@ class ShardedIndex:
         return SearchResult(hits, bool(failed), failed)
 
     def _gather(self, background: BackgroundGraph | None, degrade: bool
-                ) -> tuple[list[tuple[ClusterRecord, _ClusterCache]],
-                           list[int]]:
-        """Collect ``(cluster_record, scan_cache)`` pairs from live shards."""
+                ) -> tuple[list[ClusterView], list[int]]:
+        """Scan views of the (BG-routed) non-empty clusters of every
+        live shard, and the ordinals of the shards lost."""
         bounds = self._fresh_bounds()
-        clusters: list[tuple[ClusterRecord, _ClusterCache]] = []
+        views: list[ClusterView] = []
         live, failed = self._live_shards(degrade)
         for s in live:
-            sb = bounds[s]
+            by_record = bounds[s].by_record
             for record in self.shards[s].cluster_records(background):
                 if len(record.leaf) == 0:
                     continue
-                cache = sb.by_record.get(id(record)) if sb is not None \
-                    else None
-                if cache is None:
-                    # A record the cache pass missed (mutated mid-gather
-                    # on an unsynchronized writer): scan it uncached.
-                    cache = self._uncached(record)
-                clusters.append((record, cache))
-        return clusters, failed
-
-    def _uncached(self, record: ClusterRecord) -> _ClusterCache:
-        return _ClusterCache(
-            centroid_series=np.asarray(record.centroid, dtype=np.float64),
-            member_series=[as_series(r.og) for r in record.leaf],
-            keys=np.asarray(record.leaf.keys, dtype=np.float64),
-            max_key=record.leaf.max_key(),
-            centroid_pd=None,
-            member_pd=None,
-        )
-
-    def _rank(self, series: np.ndarray, clusters: list
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Query distances to every centroid and pivot, in one sweep.
-
-        Returns ``(key_qs, pivot_qs)``.  Pivots piggyback on the cluster
-        ranking batch so the whole scatter pays a single fixed kernel
-        invocation.  Metrics without a batch kernel fall back to per-pair
-        calls in ``(query, centroid)`` order (keeps counting wrappers'
-        bookkeeping deterministic); pivots are skipped on that path.
-        """
-        centroids = [cache.centroid_series for _, cache in clusters]
-        if not supports_batch(self.metric_distance):
-            key_qs = np.array(
-                [float(self.metric_distance(series, c)) for c in centroids],
-                dtype=np.float64,
-            )
-            return key_qs, None
-        if self.pivots is not None:
-            # The pivot fleet may be larger than num_shards: a partition
-            # of the corpus (serving.workers) keeps every corpus pivot
-            # for pruning even when it serves a subset of the shards.
-            n_pivots = len(self.pivots)
-            batch = one_vs_many(self.metric_distance, series,
-                                list(self.pivots) + centroids)
-            return batch[n_pivots:], batch[:n_pivots]
-        return one_vs_many(self.metric_distance, series, centroids), None
-
-    @staticmethod
-    def _prunable(cache: _ClusterCache, key_q: float,
-                  pivot_qs: np.ndarray | None, limit: float) -> bool:
-        """Whether no member of the cluster can lie within ``limit``."""
-        if key_q - cache.max_key > limit:
-            return True
-        if pivot_qs is not None and cache.centroid_pd is not None:
-            # Triangle bound via the pivot fleet: every member o of this
-            # cluster has d(q, o) >= |d(q,P) - d(P,c)| - max_key for each
-            # pivot P; take the tightest.
-            return float(np.max(np.abs(pivot_qs - cache.centroid_pd))) \
-                - cache.max_key > limit
-        return False
+                # A record the view pass missed (mutated mid-gather on
+                # an unsynchronized writer) is scanned on its keys alone.
+                views.append(by_record.get(id(record))
+                             or ClusterView(record))
+        return views, failed
 
     def _scatter_gather(self, request: SearchRequest) -> SearchResult:
-        series = request.series
-        clusters, failed = self._gather(request.background, request.degrade)
-        if not clusters:
-            return SearchResult([], bool(failed), failed)
-        key_qs, pivot_qs = self._rank(series, clusters)
-
-        best = TopK(request.k)
-        external = (math.inf if request.prune_bound is None
-                    else float(request.prune_bound))
-
-        def cut() -> float:
-            # Pruning-only bound: the local kth candidate, tightened by
-            # any caller-supplied global bound.  Candidates are only ever
-            # *pruned* against it (strictly, beyond the slack), so ties
-            # at the bound survive and the result stays exact for any
-            # valid upper bound on the true kth distance.
-            return min(best.bound, external)
-
-        def flush(pending: list[tuple[float, LeafRecord, np.ndarray]]) -> None:
-            # Evaluate pending candidates best-first in ``eval_batch``
-            # chunks, re-checking each survivor's stored lower bound
-            # against the bound as it tightens — candidates windowed
-            # under an older, looser bound are dropped without ever
-            # paying the kernel for them.
-            pending.sort(key=lambda c: c[0])
-            start = 0
-            while start < len(pending):
-                bound = cut()
-                slack = self._slack(bound)
-                stop = start
-                end = min(len(pending), start + self.config.eval_batch)
-                while stop < end and pending[stop][0] <= bound + slack:
-                    stop += 1
-                if stop == start:
-                    # Sorted by lower bound: everything further is
-                    # provably outside the current kth distance.
-                    OBS.count("serving.candidates_requeued_pruned",
-                              len(pending) - start)
-                    break
-                chunk = pending[start:stop]
-                dists = one_vs_many(self.metric_distance, series,
-                                    [srs for _, _, srs in chunk])
-                OBS.count("serving.candidates_evaluated", len(chunk))
-                for (_, rec, _), d in zip(chunk, dists):
-                    best.offer(float(d), rec.og, rec.clip_ref)
-                start = stop
-            pending.clear()
-
-        # Scan leaves in global key order: the nearest cluster anywhere
-        # in the fleet seeds the bound, and every later window is cut by
-        # it — one shared bound across all shards, exactly as the
-        # monolithic index shares one bound across its clusters.
-        # Candidates accumulate across clusters and are evaluated in
-        # ``eval_batch``-sized kernel flushes.
-        order = np.argsort(key_qs, kind="stable")
-        pending: list[tuple[float, LeafRecord, np.ndarray]] = []
-        for i in order:
-            if len(pending) >= self.config.eval_batch:
-                flush(pending)
-            record, cache = clusters[int(i)]
-            key_q = float(key_qs[int(i)])
-            bound = cut()
-            slack = self._slack(bound)
-            if self._prunable(cache, key_q, pivot_qs, bound + slack):
-                OBS.count("serving.clusters_pruned")
-                continue
-            self._window(record, cache, key_q, pivot_qs, bound, slack,
-                         pending)
-        flush(pending)
-        return SearchResult(best.hits, bool(failed), failed)
-
-    def _range_scatter(self, request: SearchRequest) -> SearchResult:
-        radius = request.radius
-        series = request.series
-        clusters, failed = self._gather(request.background, request.degrade)
-        hits: list[tuple[float, ObjectGraph, Any]] = []
-        if clusters:
-            key_qs, pivot_qs = self._rank(series, clusters)
-            slack = self._slack(radius)
-            pending: list[tuple[float, LeafRecord, np.ndarray]] = []
-            for (record, cache), key_q in zip(clusters, key_qs):
-                key_q = float(key_q)
-                if self._prunable(cache, key_q, pivot_qs, radius + slack):
-                    OBS.count("serving.clusters_pruned")
-                    continue
-                self._window(record, cache, key_q, pivot_qs, radius, slack,
-                             pending)
-            if pending:
-                dists = one_vs_many(self.metric_distance, series,
-                                    [srs for _, _, srs in pending])
-                OBS.count("serving.candidates_evaluated", len(pending))
-                for (_, rec, _), d in zip(pending, dists):
-                    if float(d) <= radius:
-                        hits.append((float(d), rec.og, rec.clip_ref))
-        hits.sort(key=hit_key)
+        # One bound across all shards, exactly as the monolithic index
+        # shares one bound across its clusters.
+        views, failed = self._gather(request.background, request.degrade)
+        hits = knn_scan(self.metric_distance, request.series, views,
+                        request.k, pivots=self.pivots or (),
+                        prune_bound=request.prune_bound, layer="serving")
         return SearchResult(hits, bool(failed), failed)
 
-    def _window(self, record: ClusterRecord, cache: _ClusterCache,
-                key_q: float, pivot_qs: np.ndarray | None, bound: float,
-                slack: float, pending: list) -> None:
-        """Append this leaf's surviving candidates to ``pending``.
-
-        Survivors pass every available 1-D metric projection: the stored
-        centroid key (``|key - key_q| <= bound``) and, under affine
-        placement, the key to *each* shard pivot.  Each candidate is
-        queued with its tightest lower bound so a later flush can
-        re-check it against the bound current *then*.
-        """
-        OBS.count("serving.leaf_scans")
-        keys = cache.keys
-        if math.isinf(bound):
-            idx = np.arange(len(keys))
-        else:
-            lo = int(np.searchsorted(keys, key_q - bound - slack,
-                                     side="left"))
-            hi = int(np.searchsorted(keys, key_q + bound + slack,
-                                     side="right"))
-            idx = np.arange(lo, hi)
-        if len(idx) == 0:
-            return
-        lbs = np.abs(keys[idx] - key_q)
-        if pivot_qs is not None and cache.member_pd is not None:
-            gaps = np.abs(cache.member_pd[idx] - pivot_qs).max(axis=1)
-            if not math.isinf(bound):
-                keep = gaps <= bound + slack
-                idx, lbs, gaps = idx[keep], lbs[keep], gaps[keep]
-            lbs = np.maximum(lbs, gaps)
-        records = record.leaf.records
-        members = cache.member_series
-        pending.extend(
-            (float(lb), records[int(i)], members[int(i)])
-            for lb, i in zip(lbs, idx)
-        )
+    def _range_scatter(self, request: SearchRequest) -> SearchResult:
+        views, failed = self._gather(request.background, request.degrade)
+        hits = range_scan(self.metric_distance, request.series, views,
+                          request.radius, pivots=self.pivots or (),
+                          layer="serving")
+        return SearchResult(hits, bool(failed), failed)
 
     # -- introspection --------------------------------------------------------
 

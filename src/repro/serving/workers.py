@@ -17,9 +17,9 @@ well under 4x.  This module promotes shards to worker processes:
   shutdown.
 
 Exactness.  Each worker serves its assigned shards through a
-worker-local :class:`~repro.serving.sharding.ShardedIndex` (one shared
-pruning bound, ``eval_batch``-sized kernel flushes), and the
-coordinator merges the per-worker exact top-k lists by ``(distance,
+worker-local :class:`~repro.serving.sharding.ShardedIndex` (one
+:func:`~repro.core.scan.knn_scan` over all of them, so one pruning
+bound), and the coordinator merges the per-worker exact top-k lists by ``(distance,
 shard, row)``.  That reproduces the in-process scatter-gather
 **bit-identically**: distances come from the same batched kernels
 (chunk-invariant), and shards are opened in ascending ordinal order so
@@ -91,11 +91,10 @@ class _ShardSet:
 
     Exact requests that cover every (non-empty) open shard run through
     one worker-local :class:`~repro.serving.sharding.ShardedIndex`
-    assembled over exactly those shards.  Its scatter-gather shares one
-    global pruning bound and flushes candidates through
-    ``eval_batch``-sized kernel calls — an order of magnitude faster
-    than looping ``STRGIndex.knn`` per shard, whose leaf scan evaluates
-    candidates one kernel call at a time.
+    assembled over exactly those shards: one scan over every shard's
+    clusters shares one pruning bound and the corpus pivot columns,
+    where a loop of ``STRGIndex.search`` per shard — the same scan, one
+    shard at a time — would start each shard from an infinite bound.
 
     Exactness is preserved: shards are (re)opened in ascending ordinal
     order, so worker-local og_ids are minted in ``(ordinal, row)``

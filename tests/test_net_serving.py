@@ -56,7 +56,7 @@ def store_path(tmp_path_factory, corpus):
     from repro.storage.store import open_store
 
     index = ShardedIndex(ShardedIndexConfig(
-        num_shards=4, placement="affine", eval_batch=16,
+        num_shards=4, placement="affine",
         index=STRGIndexConfig(n_clusters=4)))
     index.build(corpus, clip_refs=[f"clip-{i}" for i in range(len(corpus))])
     root = tmp_path_factory.mktemp("net-serving")
@@ -282,7 +282,7 @@ def write_sharded_store(path, ogs, num_shards):
     from repro.storage.store import open_store
 
     index = ShardedIndex(ShardedIndexConfig(
-        num_shards=num_shards, placement="affine", eval_batch=16,
+        num_shards=num_shards, placement="affine",
         index=STRGIndexConfig(n_clusters=4)))
     index.build(ogs, clip_refs=[f"clip-{i}" for i in range(len(ogs))])
     store = open_store(path)

@@ -282,14 +282,17 @@ class TestStoredColumnsAgainstOracle:
             bounds = built._bounds[s]
             assert bounds.mutations == shard.mutations
             for record in shard.cluster_records():
-                cache = bounds.by_record[id(record)]
-                assert list(cache.centroid_pd) == [
+                view = bounds.by_record[id(record)]
+                # Column 0 is the reference the leaf is keyed by (the
+                # centroid); one more column per shard pivot.
+                assert list(view.centroid_refs) == [0.0] + [
                     one(metric, pivot, record.centroid)
                     for pivot in built.pivots]
-                assert cache.member_pd.shape == (len(record.leaf), 2)
-                for leaf, row in zip(record.leaf, cache.member_pd):
-                    assert list(row) == [one(metric, pivot, leaf.og)
-                                         for pivot in built.pivots]
+                assert view.refs.shape == (len(record.leaf), 3)
+                for leaf, row in zip(record.leaf, view.refs):
+                    assert list(row) == [leaf.key] + [
+                        one(metric, pivot, leaf.og)
+                        for pivot in built.pivots]
 
     def test_no_batch_outlives_its_stage(self, built):
         for shard in built.shards:
@@ -324,9 +327,9 @@ class TestPlacementHandOff:
                             swept.shards[s].cluster_records()):
                 mine = handed._bounds[s].by_record[id(a)]
                 theirs = swept._bounds[s].by_record[id(b)]
-                assert np.array_equal(mine.member_pd, theirs.member_pd)
-                assert np.array_equal(mine.centroid_pd, theirs.centroid_pd)
-                assert np.array_equal(mine.keys, theirs.keys)
+                assert np.array_equal(mine.refs, theirs.refs)
+                assert np.array_equal(mine.centroid_refs,
+                                      theirs.centroid_refs)
 
     def test_members_not_handed_over_are_swept(self, corpus):
         """Inserts, a second build and a same-id stranger all get keyed
@@ -344,8 +347,8 @@ class TestPlacementHandOff:
         metric = index.metric_distance
         for s, bounds in enumerate(index._fresh_bounds()):
             for record in index.shards[s].cluster_records():
-                cache = bounds.by_record[id(record)]
-                for leaf, row in zip(record.leaf, cache.member_pd):
+                view = bounds.by_record[id(record)]
+                for leaf, row in zip(record.leaf, view.refs[:, 1:]):
                     assert list(row) == [one(metric, pivot, leaf.og)
                                          for pivot in index.pivots]
         assert len(index) == 242

@@ -1,0 +1,185 @@
+"""One copy of Algorithm 3 (``repro.core.scan``), pinned from both sides.
+
+- A ``ShardedIndex`` over one shard *is* that ``STRGIndex``: same hits,
+  same order, same float distances — for ``knn``, ``range_query``
+  (radius 0 on an indexed OG included) and with a background — under
+  hash placement (no pivots) and affine placement (pivot columns that may
+  only prune).  Under ``CountingDistance`` the hash-placed shard spends
+  exactly the evaluations the index does: same routine, no pivots.
+- At window 1 the routine is the paper's scalar leaf walk: on the
+  ``bench_fig7`` corpus it spends the evaluations that walk spent before
+  it was deleted (Fig. 7(b): 281.4 / 358.53 / 460.8 / 547.8).
+- Stores written by 4.0.0 still carry the three window settings this
+  routine replaced; both loaders drop them.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.index import STRGIndex, STRGIndexConfig
+from repro.core.scan import knn_scan
+from repro.datasets.patterns import ALL_PATTERNS
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
+from repro.distance.base import CountingDistance
+from repro.distance.eged import EGED, MetricEGED
+from repro.search.sketch import SketchConfig, sketch_from_meta
+from repro.serving import ShardedIndex
+from test_index_properties import random_ogs
+from test_strg_index import make_background
+
+PLACEMENTS = ["hash", "affine"]
+
+
+def one_shard(index: STRGIndex, placement: str, ogs) -> ShardedIndex:
+    """``index`` served as the only shard of a sharded index.  Any series
+    is a valid pivot (pivots only prune), so affine takes two members."""
+    pivots = [ogs[0].values, ogs[-1].values] if placement == "affine" \
+        else None
+    return ShardedIndex.from_shards([index], {"placement": placement},
+                                    pivots)
+
+
+def flat(hits):
+    return [(d, og.og_id, ref) for d, og, ref in hits]
+
+
+class TestOneShardIsTheIndex:
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12),
+           radius=st.floats(0.0, 400.0))
+    @settings(max_examples=25, deadline=None)
+    def test_knn_and_range(self, placement, seed, k, radius):
+        rng = np.random.default_rng(seed)
+        ogs = random_ogs(rng, 40)
+        index = STRGIndex(STRGIndexConfig(n_clusters=4, em_iterations=4,
+                                          seed=seed))
+        index.build(ogs[:36], clip_refs=list(range(36)))
+        for og in ogs[36:39]:
+            index.insert(og)
+        sharded = one_shard(index, placement, ogs)
+        outsider, member = ogs[39], ogs[int(rng.integers(0, 39))]
+        for query in (outsider, member):
+            assert flat(sharded.knn(query, k)) == flat(index.knn(query, k))
+            assert (flat(sharded.range_query(query, radius))
+                    == flat(index.range_query(query, radius)))
+        # Radius 0 still finds the indexed OG itself: its stored key was
+        # computed centroid-first, the query's key query-first.
+        itself = flat(index.range_query(member, 0.0))
+        assert (0.0, member.og_id) in [(d, og_id) for d, og_id, _ in itself]
+        assert flat(sharded.range_query(member, 0.0)) == itself
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 8),
+           radius=st.floats(0.0, 400.0))
+    @settings(max_examples=15, deadline=None)
+    def test_with_a_background(self, placement, seed, k, radius):
+        rng = np.random.default_rng(seed)
+        ogs = random_ogs(rng, 41)
+        red, blue = make_background((255, 0, 0)), make_background((0, 0, 255))
+        index = STRGIndex(STRGIndexConfig(n_clusters=3, em_iterations=4,
+                                          seed=seed))
+        index.build(ogs[:20], background=red)
+        index.build(ogs[20:40], background=blue)
+        assert len(index.root) == 2
+        sharded = one_shard(index, placement, ogs)
+        for background in (red, blue, None):
+            routed = index.knn(ogs[40], k, background=background)
+            assert flat(sharded.knn(ogs[40], k, background=background)) \
+                == flat(routed)
+            assert (flat(sharded.range_query(ogs[40], radius,
+                                             background=background))
+                    == flat(index.range_query(ogs[40], radius,
+                                              background=background)))
+        in_red = {og.og_id for og in ogs[:20]}
+        assert all(og.og_id in in_red
+                   for _, og, _ in index.knn(ogs[40], k, background=red))
+
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12),
+           radius=st.floats(0.0, 400.0))
+    @settings(max_examples=15, deadline=None)
+    def test_hash_shard_spends_the_same_evaluations(self, seed, k, radius):
+        rng = np.random.default_rng(seed)
+        ogs = random_ogs(rng, 49)
+        counter = CountingDistance(MetricEGED())
+        index = STRGIndex(STRGIndexConfig(n_clusters=4, em_iterations=4,
+                                          seed=seed),
+                          metric_distance=counter)
+        index.build(ogs[:48])
+        sharded = one_shard(index, "hash", ogs)
+        for ask in (lambda layer: layer.knn(ogs[48], k),
+                    lambda layer: layer.range_query(ogs[48], radius)):
+            counter.reset()
+            ask(index)
+            spent = counter.calls
+            counter.reset()
+            ask(sharded)
+            assert counter.calls == spent > 0
+
+
+def fig7_corpus(num: int, seed: int):
+    """``benchmarks/bench_fig7_indexing_power.py::_make_ogs``: 24 evenly
+    spread patterns at bench-friendly lengths, 10 % noise."""
+    step = len(ALL_PATTERNS) / 24
+    patterns = [dataclasses.replace(ALL_PATTERNS[int(i * step)],
+                                    length_range=(10, 20))
+                for i in range(24)]
+    return generate_synthetic_ogs(SyntheticConfig(
+        num_ogs=num, noise_fraction=0.10, seed=seed, patterns=patterns))
+
+
+def test_window_one_is_the_scalar_walk_of_fig7b():
+    """Evaluations per query of the deleted one-candidate-at-a-time walk
+    (``STRGIndex._scan_leaf``), as recorded at the commit that deleted
+    it; EXPERIMENTS.md's Fig. 7(b) series at the shipped window is a
+    fraction of a percent above these."""
+    counter = CountingDistance(MetricEGED())
+    index = STRGIndex(
+        STRGIndexConfig(n_clusters=24, em_iterations=5,
+                        cluster_sample_size=120, seed=0),
+        metric_distance=counter, cluster_distance=EGED())
+    index.build(fig7_corpus(1200, seed=3))
+    queries = fig7_corpus(15, seed=97)
+    views = index._cluster_views(None)
+    per_query = []
+    for k in (5, 10, 20, 30):
+        counter.reset()
+        walked = [knn_scan(counter, query.values, views, k, window=1)
+                  for query in queries]
+        per_query.append(counter.calls / len(queries))
+        for query, hits in zip(queries, walked):
+            assert flat(hits) == flat(index.knn(query, k))
+    assert per_query == pytest.approx([281.4, 358.5333, 460.8, 547.8],
+                                      abs=1e-3)
+
+
+class TestSettingsOfFourPointZeroStillLoad:
+    def test_from_shards_drops_the_window_settings(self):
+        ogs = random_ogs(np.random.default_rng(5), 16)
+        index = STRGIndex(STRGIndexConfig(n_clusters=2, em_iterations=3))
+        index.build(ogs)
+        written_by_4_0 = {
+            "num_shards": 1, "placement": "hash", "coarse_sample_size": 64,
+            "coarse_iterations": 10, "balance_factor": 1.5, "seed": 3,
+            "eval_batch": 16, "prune_slack": 1e-7,
+        }
+        sharded = ShardedIndex.from_shards([index], written_by_4_0)
+        assert sharded.config.balance_factor == 1.5
+        assert sharded.config.coarse_sample_size == 64
+        assert set(sharded.serving_config()) == (
+            set(written_by_4_0) - {"eval_batch", "prune_slack"})
+        assert flat(sharded.knn(ogs[0], 3)) == flat(index.knn(ogs[0], 3))
+
+    def test_sketch_meta_drops_rerank_batch(self):
+        config = {**SketchConfig(num_pivots=3, block_rows=128).to_dict(),
+                  "rerank_batch": 16}
+        sketch = sketch_from_meta(json.dumps(
+            {"config": config, "bbox_lo": [0.0, 0.0],
+             "bbox_hi": [4.0, 2.0]}))
+        assert sketch.config == SketchConfig(num_pivots=3, block_rows=128)
+        assert "rerank_batch" not in sketch.config.to_dict()
+        assert list(sketch.bbox[1]) == [4.0, 2.0]

@@ -75,7 +75,7 @@ class TestSketchConfig:
         {"vote_share": -0.1},
         {"vote_share": 1.5},
         {"pivot_sample_size": 0},
-        {"rerank_batch": 0},
+        {"block_rows": 0},
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidParameterError):

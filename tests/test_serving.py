@@ -95,8 +95,6 @@ class TestShardedIndexBasics:
             ShardedIndexConfig(num_shards=0)
         with pytest.raises(InvalidParameterError):
             ShardedIndexConfig(placement="mystery")
-        with pytest.raises(InvalidParameterError):
-            ShardedIndexConfig(eval_batch=0)
 
     def test_invalid_queries(self, sharded):
         # k=0 is a legal no-op (see docs/SEARCH.md); negative k is not.

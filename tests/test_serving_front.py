@@ -47,7 +47,7 @@ RADIUS = 60.0
 def store_path(tmp_path_factory):
     ogs = generate_synthetic_ogs(SyntheticConfig(num_ogs=96, seed=0))
     index = ShardedIndex(ShardedIndexConfig(
-        num_shards=2, placement="affine", eval_batch=16,
+        num_shards=2, placement="affine",
         index=STRGIndexConfig(n_clusters=4)))
     index.build(ogs, clip_refs=[f"clip-{i}" for i in range(len(ogs))])
     store = open_store(os.path.join(
