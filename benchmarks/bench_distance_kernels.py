@@ -6,15 +6,14 @@ cost model).  Uses pytest-benchmark's statistical timing (multiple
 rounds), unlike the figure benches which run expensive sweeps once.
 
 ``bench_batch_engine_report`` additionally compares the scalar per-pair
-loop against the vectorized batch kernels and the multi-process executor
-and archives a machine-readable ``benchmarks/results/BENCH_kernels.json``
-(ops/sec per variant, one prepared-batch-vs-list row, EM wall-clock,
-cache hit rates).
+loop against the vectorized batch kernels and archives a
+machine-readable ``benchmarks/results/BENCH_kernels.json`` (ops/sec per
+variant, one prepared-batch-vs-list row, EM wall-clock, cache hit
+rates).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -96,7 +95,7 @@ def bench_lower_bound_vs_full_distance(benchmark, series_pairs):
     assert result >= 0.0
 
 
-# -- batched / parallel variants ---------------------------------------------
+# -- batched variants --------------------------------------------------------
 
 def _seed_eged(a: np.ndarray, b: np.ndarray, mode: str = "adaptive") -> float:
     """The seed repo's ``_eged_dynamic``: cost matrices round-tripped
@@ -189,20 +188,6 @@ def bench_one_vs_many_prepared(benchmark, series_batch, kernel):
     assert np.array_equal(out, one_vs_many(distance, series_batch[64], items))
 
 
-def bench_one_vs_many_parallel(benchmark, series_batch):
-    """The same sweep through the process-pool executor."""
-    from repro.distance.eged import MetricEGED
-    from repro.parallel import DistanceExecutor
-
-    distance = MetricEGED()
-    with DistanceExecutor(workers=max(2, os.cpu_count() or 1),
-                          min_pairs=1) as ex:
-        ex.one_vs_many(distance, series_batch[0], series_batch[:8])  # warm up
-        out = benchmark(ex.one_vs_many, distance, series_batch[64],
-                        series_batch[:64])
-    assert out.shape == (64,)
-
-
 def _best_of(fn, repeats: int = 3) -> float:
     """Best wall-clock of ``repeats`` runs — the standard defence against
     scheduler jitter on a single-CPU container."""
@@ -215,7 +200,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def bench_batch_engine_report(series_batch):
-    """Scalar vs batch vs parallel throughput + EM wall-clock.
+    """Scalar vs batch throughput + EM wall-clock.
 
     Times each variant (best of three runs) at the n=64 / batch=256 scale
     (32 640 pairs for the full symmetric matrix), archives
@@ -227,18 +212,15 @@ def bench_batch_engine_report(series_batch):
     from repro.distance.batch import PaddedBatch, one_vs_many, pairwise_matrix
     from repro.distance.cache import DistanceCache, set_default_cache
     from repro.distance.eged import EGED, MetricEGED
-    from repro.parallel import DistanceExecutor
 
     items = series_batch
     n_pairs = len(items) * (len(items) - 1) // 2
-    workers = os.cpu_count() or 1
     report: dict = {
         "config": {
             "series_length": BATCH_N,
             "batch_size": len(items),
             "matrix_pairs": n_pairs,
             "scalar_sample_pairs": SCALAR_SAMPLE,
-            "workers": workers,
         },
         "kernels": {},
     }
@@ -255,19 +237,12 @@ def bench_batch_engine_report(series_batch):
         batch_ops = n_pairs / _best_of(
             lambda: pairwise_matrix(distance, items)
         )
-        with DistanceExecutor(workers=workers, min_pairs=1) as ex:
-            parallel_ops = n_pairs / _best_of(
-                lambda: pairwise_matrix(distance, items, executor=ex)
-            )
         report["kernels"][name] = {
             "scalar_ops_per_sec": scalar_ops,
             "batch_ops_per_sec": batch_ops,
-            "parallel_ops_per_sec": parallel_ops,
             "batch_speedup": batch_ops / scalar_ops,
-            "parallel_speedup": parallel_ops / scalar_ops,
         }
         rows.append([name, f"{scalar_ops:.0f}", f"{batch_ops:.0f}",
-                     f"{parallel_ops:.0f}",
                      f"{batch_ops / scalar_ops:.1f}x"])
 
     # Batch reuse: the build stages' shape — the same items swept by
@@ -335,8 +310,7 @@ def bench_batch_engine_report(series_batch):
     }
 
     lines = format_table(
-        ["kernel", "scalar ops/s", "batch ops/s", "parallel ops/s",
-         "batch speedup"],
+        ["kernel", "scalar ops/s", "batch ops/s", "batch speedup"],
         rows,
     )
     lines.append("")

@@ -42,7 +42,7 @@ from repro.serving import (
     ServiceConfig,
     ShardedIndex,
     ShardedIndexConfig,
-    run_closed_loop,
+    run_load,
 )
 
 SCALE = os.environ.get("BENCH_SERVING_SCALE", "full")
@@ -98,8 +98,8 @@ def bench_serving_report():
         best: dict[int, object] = {}
         for _ in range(REPS):
             for shards, service in services.items():
-                report = run_closed_loop(
-                    service, queries, k=K,
+                report = run_load(
+                    service.submit, queries, k=K,
                     num_requests=len(queries), concurrency=1,
                 )
                 assert report.responses == len(queries)

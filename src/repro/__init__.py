@@ -32,9 +32,8 @@ The package mirrors the paper's pipeline:
   facade.
 - :mod:`repro.resilience` — fault injection, retry/backoff policies,
   quarantine, ingest journaling and crash recovery.
-- :mod:`repro.parallel` — multi-process fan-out: distance jobs
-  (:class:`DistanceExecutor`) and ordered frame-parallel ingest
-  (:func:`ordered_chunk_map`).
+- :mod:`repro.parallel` — ordered frame-parallel ingest over a process
+  pool (:func:`ordered_chunk_map`).
 - :mod:`repro.observability` — tracing spans, a metrics registry
   (JSON / Prometheus exporters) and profiling hooks through every hot
   path, behind one ``configure(enabled=...)`` switch.
@@ -45,7 +44,7 @@ The package mirrors the paper's pipeline:
   snapshots with live swaps, a thread-pool query service with admission
   control and deadlines, a crash-safe streaming ingest service,
   multi-process shard workers over the mmap store behind an asyncio
-  HTTP/JSON frontend, and closed-/open-loop load generators (see
+  HTTP/JSON frontend, and one closed-/open-loop load runner (see
   ``docs/SERVING.md``, ``docs/STREAMING.md`` and ``docs/NETWORK.md``).
 """
 
@@ -55,7 +54,7 @@ from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.distance.eged import EGED, MetricEGED, eged
 from repro.graph.object_graph import ObjectGraph
 from repro.graph.strg import SpatioTemporalRegionGraph
-from repro.parallel import DistanceExecutor, ordered_chunk_map
+from repro.parallel import ordered_chunk_map
 from repro.pipeline import PipelineConfig, VideoPipeline
 from repro.query import Query, QueryResult
 from repro.resilience import FaultInjector, FaultPolicy, RetryPolicy
@@ -83,10 +82,9 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
-    "DistanceExecutor",
     "EGED",
     "FaultInjector",
     "FaultPolicy",

@@ -283,11 +283,11 @@ def _cmd_motion(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """One path: build a backend, put the one front on it (behind HTTP
-    with ``--http``), drive the load generator once."""
+    with ``--http``), drive the load runner once."""
     from contextlib import ExitStack
-    from functools import partial
 
     from repro.serving import (
+        HttpSender,
         LiveIndex,
         NetConfig,
         NetFrontend,
@@ -297,8 +297,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ShardedIndexConfig,
         WorkerPool,
         WorkerPoolConfig,
-        run_http_open_loop,
-        run_open_loop,
+        run_load,
     )
 
     observe = _start_observability(args)
@@ -380,11 +379,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"{backend.health()['snapshot']})")
             print(f"listening on http://{host}:{frontend.port} "
                   "(/knn /range /query /health /metrics /ingest)")
-            drive = partial(run_http_open_loop, host, frontend.port,
-                            deadline=args.deadline)
+            send = stack.enter_context(HttpSender(host, frontend.port))
         else:
-            drive = partial(run_open_loop, stack.enter_context(
-                QueryService(backend, config)))
+            send = stack.enter_context(QueryService(backend, config)).submit
             print(f"serving {backend!r} with {args.workers} worker(s); "
                   f"driving {args.rate:.0f} req/s for {args.duration:.1f}s"
                   + (f" while ingesting {args.ingest_jobs} clip(s)"
@@ -407,9 +404,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             except KeyboardInterrupt:
                 print("interrupted; shutting down")
         else:
-            print(drive(queries, k=args.k, rate=args.rate,
-                        duration=args.duration,
-                        search_budget=args.search_budget))
+            print(run_load(send, queries, k=args.k, rate=args.rate,
+                           duration=args.duration, deadline=args.deadline,
+                           search_budget=args.search_budget))
     if ingest_service is not None:
         ingest_service.drain(timeout=120.0)
         health = ingest_service.health()
@@ -435,7 +432,7 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
         ServiceConfig,
         ShardedIndex,
         ShardedIndexConfig,
-        run_closed_loop,
+        run_load,
     )
 
     observe = _start_observability(args)
@@ -452,9 +449,9 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
         build_s = time.perf_counter() - started
         with QueryService(LiveIndex(index), ServiceConfig(
                 workers=args.workers, queue_depth=args.queue_depth)) as svc:
-            report = run_closed_loop(svc, queries, k=args.k,
-                                     num_requests=args.requests,
-                                     concurrency=args.concurrency)
+            report = run_load(svc.submit, queries, k=args.k,
+                              num_requests=args.requests,
+                              concurrency=args.concurrency)
         throughput[shards] = report.throughput
         print(f"{shards} shard(s) (built in {build_s:.1f}s): {report}")
     if len(throughput) > 1:

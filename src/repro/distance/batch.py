@@ -446,18 +446,14 @@ def one_vs_many(distance: Distance | Callable[[Any, Any], float],
 
 def pairwise_matrix(distance: Distance | Callable[[Any, Any], float],
                     items: Sequence[SeriesLike],
-                    others: Sequence[SeriesLike] | None = None,
-                    executor: Any = None) -> np.ndarray:
+                    others: Sequence[SeriesLike] | None = None
+                    ) -> np.ndarray:
     """Dense distance matrix built row-by-row from batched sweeps.
 
     Mirrors :func:`repro.distance.base.pairwise_matrix` (symmetric
     self-distance matrix when ``others`` is omitted, with only the upper
-    triangle evaluated) but each row is a single batched DP.  Pass a
-    :class:`repro.parallel.DistanceExecutor` as ``executor`` to fan the
-    rows out across worker processes.
+    triangle evaluated) but each row is a single batched DP.
     """
-    if executor is not None:
-        return executor.pairwise_matrix(distance, items, others)
     if others is None:
         n = len(items)
         out = np.zeros((n, n), dtype=np.float64)

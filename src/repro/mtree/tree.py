@@ -122,8 +122,8 @@ class MTree:
         self._handle_overflow(path)
         return obj_id
 
-    def bulk_load(self, objects: list, object_ids: list | None = None,
-                  executor: Any = None) -> list:
+    def bulk_load(self, objects: list, object_ids: list | None = None
+                  ) -> list:
         """Bulk-construct an *empty* tree; returns the assigned ids.
 
         Recursive k-center partition: each level greedily picks up to
@@ -133,8 +133,7 @@ class MTree:
         leaf descent, so building from scratch is far cheaper than
         repeated :meth:`insert` while producing a tree with the same
         search invariants (covering radii bound members via the triangle
-        inequality).  Pass a :class:`repro.parallel.DistanceExecutor` to
-        fan the sweeps across worker processes.
+        inequality).
         """
         if self._size != 0:
             raise IndexStateError("bulk_load requires an empty M-tree")
@@ -149,22 +148,19 @@ class MTree:
                 )
         if not objs:
             return ids
-        self._root, _ = self._bulk_subtree(objs, ids, None, executor)
+        self._root, _ = self._bulk_subtree(objs, ids, None)
         self._size = len(objs)
         return ids
 
-    def _bulk_row(self, pivot: Any, objs: list,
-                  executor: Any = None) -> np.ndarray:
+    def _bulk_row(self, pivot: Any, objs: list) -> np.ndarray:
         """Distances from one pivot to many objects, batched if possible."""
         if supports_batch(self.distance):
-            if executor is not None:
-                return executor.one_vs_many(self.distance, pivot, objs)
             return one_vs_many(self.distance, pivot, objs)
         return np.array([float(self.distance(obj, pivot)) for obj in objs],
                         dtype=np.float64)
 
-    def _bulk_subtree(self, objs: list, ids: list, parent_pivot: Any,
-                      executor: Any) -> tuple[_Node, float]:
+    def _bulk_subtree(self, objs: list, ids: list, parent_pivot: Any
+                      ) -> tuple[_Node, float]:
         """Build a subtree; returns ``(node, covering_radius)`` with the
         radius measured from ``parent_pivot``."""
         n = len(objs)
@@ -174,21 +170,21 @@ class MTree:
             if parent_pivot is None:
                 dists = np.zeros(n, dtype=np.float64)
             else:
-                dists = self._bulk_row(parent_pivot, objs, executor)
+                dists = self._bulk_row(parent_pivot, objs)
             for obj, oid, d in zip(objs, ids, dists):
                 node.entries.append(_Entry(obj, oid, float(d)))
             return node, float(np.max(dists, initial=0.0))
         # Greedy farthest-point pivot selection (k-center seeding).
         first = int(self._rng.integers(n))
         pivot_idx = [first]
-        pivot_rows = [self._bulk_row(objs[first], objs, executor)]
+        pivot_rows = [self._bulk_row(objs[first], objs)]
         closest = pivot_rows[0].copy()
         while len(pivot_idx) < cap:
             nxt = int(np.argmax(closest))
             if closest[nxt] <= 0.0:
                 break  # every remaining object coincides with a pivot
             pivot_idx.append(nxt)
-            pivot_rows.append(self._bulk_row(objs[nxt], objs, executor))
+            pivot_rows.append(self._bulk_row(objs[nxt], objs))
             np.minimum(closest, pivot_rows[-1], out=closest)
         if len(pivot_idx) == 1:
             # All objects identical — distance cannot separate them, so
@@ -214,7 +210,7 @@ class MTree:
         if parent_pivot is None:
             pivot_d = np.zeros(len(group_list), dtype=np.float64)
         else:
-            pivot_d = self._bulk_row(parent_pivot, child_pivots, executor)
+            pivot_d = self._bulk_row(parent_pivot, child_pivots)
         node = _Node(is_leaf=False)
         radius = 0.0
         for (pi, members), child_pivot, d_parent in zip(
@@ -222,7 +218,7 @@ class MTree:
             child, child_radius = self._bulk_subtree(
                 [objs[int(i)] for i in members],
                 [ids[int(i)] for i in members],
-                child_pivot, executor,
+                child_pivot,
             )
             node.entries.append(
                 _RoutingEntry(child_pivot, child_radius, child,

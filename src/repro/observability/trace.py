@@ -13,10 +13,8 @@ operation.  Two export forms:
   wall/CPU milliseconds per span.
 
 The span stack is thread-local: concurrent threads each build their own
-trees, while :class:`~repro.parallel.DistanceExecutor` fan-out — which
-dispatches futures from the calling thread — nests its spans under the
-caller's active span.  Finished *root* spans accumulate on the tracer
-(bounded by ``max_roots``, oldest dropped first).
+trees.  Finished *root* spans accumulate on the tracer (bounded by
+``max_roots``, oldest dropped first).
 """
 
 from __future__ import annotations

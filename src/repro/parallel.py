@@ -1,53 +1,32 @@
-"""Process-level fan-out: distance jobs and ordered chunk maps.
+"""Ordered process-pool map over contiguous chunks.
 
-The batched kernels of :mod:`repro.distance.batch` already turn P
-Python-loop DPs into one NumPy-speed DP, but a single process still runs
-on one core.  :class:`DistanceExecutor` chunks big ``one_vs_many`` /
-``pairwise_matrix`` jobs across a ``ProcessPoolExecutor`` so multi-core
-machines scale the remaining NumPy work roughly linearly.
+:func:`ordered_chunk_map` maps a function over contiguous item chunks
+in worker processes and streams the results out in item order.  The
+ingestion pipeline uses it to segment frames and build RAGs in parallel
+while the sequential tracker consumes completed RAGs in frame order
+(``benchmarks/bench_ingest.py`` measures it).
 
-:func:`ordered_chunk_map` generalizes the same idea beyond distance
-work: an ordered process-pool ``map`` over contiguous item chunks,
-streaming results out in item order.  The ingestion pipeline uses it to
-segment frames and build RAGs in parallel while the sequential tracker
-consumes completed RAGs in frame order.
-
-Overhead model (why the thresholds exist)
------------------------------------------
 Spawning a pool costs tens of milliseconds and every task pickles its
-distance object and series chunk, so parallelism only pays when the DP
-work dwarfs that overhead:
+function and chunk, so the pool is only used when more than one core is
+usable; chunking never changes results, because ``fn`` sees the same
+``(start, chunk)`` slices on the serial path.
 
-- jobs smaller than ``min_pairs`` pair evaluations run serially;
-- each worker receives ``chunks_per_worker`` tasks so stragglers (longer
-  series sort into later chunks) rebalance;
-- ``workers=0`` (or ``1``) forces the serial path — results are
-  *bit-identical* either way, because every pair's DP only reads its own
-  rows of the padded batch, so chunk boundaries cannot change values.
-  Tests use ``workers=0`` for determinism of scheduling, not of results.
-
-The executor only fans out :class:`~repro.distance.base.Distance`
-instances (they pickle as plain attribute bags); bare callables fall back
-to the serial path, which preserves their argument order and closure
-state.
+Distance sweeps do not come through here: one process runs the batched
+kernels of :mod:`repro.distance.batch` (``one_vs_many`` /
+``pairwise_matrix``).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.distance.base import Distance, SeriesLike, as_series
-from repro.distance.batch import one_vs_many
 from repro.errors import InvalidParameterError
 from repro.observability import OBS
-
-#: Default lower bound on pair evaluations before a pool is worth it.
-MIN_PARALLEL_PAIRS = 512
 
 
 def usable_cpus() -> int:
@@ -68,9 +47,27 @@ def chunk_bounds(n: int, n_chunks: int) -> list[tuple[int, int]]:
             if hi > lo]
 
 
+#: In a pool worker: the flag its pool raises once nobody will read
+#: further chunks (set by the initializer below; None elsewhere).
+_abandoned = None
+
+
+def _adopt_flag(flag) -> None:
+    """Pool-worker initializer."""
+    global _abandoned
+    _abandoned = flag
+
+
 def _run_chunk(fn: Callable[[int, list], list], start: int,
                chunk: list) -> list:
-    """Worker task: apply a chunk function to one contiguous slice."""
+    """Worker task: apply a chunk function to one contiguous slice.
+
+    ``cancel_futures`` cannot reach the chunks the executor already
+    moved into its call queue (one per worker, plus one); the flag lets
+    those return at once instead of running for nobody.
+    """
+    if _abandoned.is_set():
+        return []
     return fn(start, chunk)
 
 
@@ -86,7 +83,9 @@ def ordered_chunk_map(fn: Callable[[int, list], list], items: Sequence,
     pickle.  All chunks are submitted to a process pool up front and
     results stream out in order as the leading chunk completes — so a
     sequential consumer (the :class:`~repro.graph.tracking.GraphTracker`)
-    overlaps with computation of the trailing chunks.
+    overlaps with computation of the trailing chunks.  When a chunk
+    raises, or the consumer closes the generator early, chunks that have
+    not started are cancelled; the ones in flight finish first.
 
     Chunking never changes results: ``fn`` sees the same ``(start,
     chunk)`` slices on the serial path, which is used when ``workers``
@@ -112,7 +111,11 @@ def ordered_chunk_map(fn: Callable[[int, list], list], items: Sequence,
     with OBS.span("parallel.map", items=n, mode="pool",
                   workers=max(2, effective)):
         slices = chunk_bounds(n, max(2, effective) * chunks_per_worker)
-        with ProcessPoolExecutor(max_workers=max(2, effective)) as pool:
+        abandoned = multiprocessing.Event()
+        pool = ProcessPoolExecutor(max_workers=max(2, effective),
+                                   initializer=_adopt_flag,
+                                   initargs=(abandoned,))
+        try:
             futures = [
                 pool.submit(_run_chunk, fn, start, list(items[start:stop]))
                 for start, stop in slices
@@ -122,164 +125,9 @@ def ordered_chunk_map(fn: Callable[[int, list], list], items: Sequence,
                 OBS.count("parallel.map_chunks", len(futures))
             for future in futures:
                 yield from future.result()
-
-
-def _worker_one_vs_many(distance: Distance, query: np.ndarray,
-                        chunk: list[np.ndarray]) -> np.ndarray:
-    """Worker task: one batched sweep over a chunk of series."""
-    return distance.compute_many(query, chunk)
-
-
-def _worker_rows(distance: Distance, items: list[np.ndarray],
-                 rows: list[int], symmetric: bool,
-                 others: list[np.ndarray] | None) -> list[np.ndarray]:
-    """Worker task: a set of matrix rows (upper-triangle tails when
-    ``symmetric``)."""
-    results = []
-    for i in rows:
-        targets = items[i + 1:] if symmetric else others
-        results.append(distance.compute_many(items[i], targets))
-    return results
-
-
-class DistanceExecutor:
-    """Fan distance jobs out across worker processes.
-
-    Parameters
-    ----------
-    workers:
-        Process count; ``None`` uses ``os.cpu_count()``, ``0`` or ``1``
-        disables the pool entirely (serial, deterministic scheduling).
-    min_pairs:
-        Smallest job (in pair evaluations) worth shipping to the pool.
-    chunks_per_worker:
-        Oversubscription factor for straggler rebalancing.
-
-    Usable as a context manager; the pool is created lazily on first
-    parallel job and torn down by :meth:`shutdown` / ``__exit__``.
-    """
-
-    def __init__(self, workers: int | None = None,
-                 min_pairs: int = MIN_PARALLEL_PAIRS,
-                 chunks_per_worker: int = 4):
-        if workers is not None and workers < 0:
-            raise InvalidParameterError(
-                f"workers must be >= 0, got {workers}"
-            )
-        if chunks_per_worker < 1:
-            raise InvalidParameterError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
-        self.workers = (os.cpu_count() or 1) if workers is None else workers
-        self.min_pairs = min_pairs
-        self.chunks_per_worker = chunks_per_worker
-        self._pool: ProcessPoolExecutor | None = None
-        # Serving worker threads share one executor; guard lazy pool
-        # creation/teardown so two threads can't race a double-create.
-        self._pool_lock = threading.Lock()
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def shutdown(self) -> None:
-        """Tear the worker pool down (jobs submitted later re-create it)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def __enter__(self) -> "DistanceExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def _serial(self, n_pairs: int, distance: Any) -> bool:
-        return (
-            self.workers <= 1
-            or n_pairs < self.min_pairs
-            or not isinstance(distance, Distance)
-        )
-
-    # -- jobs -----------------------------------------------------------------
-
-    def one_vs_many(self, distance: Distance | Callable[[Any, Any], float],
-                    query: SeriesLike,
-                    items: Sequence[SeriesLike]) -> np.ndarray:
-        """Parallel :func:`repro.distance.batch.one_vs_many`."""
-        if self._serial(len(items), distance):
-            with OBS.span("parallel.one_vs_many", items=len(items),
-                          mode="serial"):
-                return one_vs_many(distance, query, items)
-        with OBS.span("parallel.one_vs_many", items=len(items), mode="pool"):
-            a = as_series(query)
-            bs = [as_series(item) for item in items]
-            n_chunks = min(len(bs), self.workers * self.chunks_per_worker)
-            bounds = np.linspace(0, len(bs), n_chunks + 1).astype(int)
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(_worker_one_vs_many, distance, a, bs[lo:hi])
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            if OBS.enabled:
-                OBS.count("parallel.jobs")
-                OBS.count("parallel.chunks", len(futures))
-                OBS.count("distance.pairs_computed", len(bs))
-            return np.concatenate([f.result() for f in futures])
-
-    def pairwise_matrix(self, distance: Distance | Callable[[Any, Any], float],
-                        items: Sequence[SeriesLike],
-                        others: Sequence[SeriesLike] | None = None
-                        ) -> np.ndarray:
-        """Parallel :func:`repro.distance.batch.pairwise_matrix`.
-
-        Rows are dealt to tasks in a round-robin so the shrinking
-        upper-triangle tails of the symmetric case balance out.
-        """
-        from repro.distance.batch import pairwise_matrix as serial_pairwise
-
-        symmetric = others is None
-        n = len(items)
-        n_pairs = n * (n - 1) // 2 if symmetric else n * len(others)
-        if self._serial(n_pairs, distance):
-            with OBS.span("parallel.pairwise_matrix", pairs=n_pairs,
-                          mode="serial"):
-                return serial_pairwise(distance, items, others)
-        with OBS.span("parallel.pairwise_matrix", pairs=n_pairs, mode="pool"):
-            items_n = [as_series(item) for item in items]
-            others_n = None if symmetric else [as_series(o) for o in others]
-            row_count = n - 1 if symmetric else n
-            n_tasks = max(1, min(row_count,
-                                 self.workers * self.chunks_per_worker))
-            row_sets: list[list[int]] = [[] for _ in range(n_tasks)]
-            for i in range(row_count):
-                row_sets[i % n_tasks].append(i)
-            pool = self._ensure_pool()
-            futures = {
-                pool.submit(_worker_rows, distance, items_n, rows, symmetric,
-                            others_n): rows
-                for rows in row_sets if rows
-            }
-            if OBS.enabled:
-                OBS.count("parallel.jobs")
-                OBS.count("parallel.chunks", len(futures))
-                OBS.count("distance.pairs_computed", n_pairs)
-            if symmetric:
-                out = np.zeros((n, n), dtype=np.float64)
-                for future, rows in futures.items():
-                    for i, row in zip(rows, future.result()):
-                        out[i, i + 1:] = row
-                        out[i + 1:, i] = row
-                return out
-            out = np.empty((n, len(others)), dtype=np.float64)
-            for future, rows in futures.items():
-                for i, row in zip(rows, future.result()):
-                    out[i] = row
-            return out
+        finally:
+            # A raising chunk or a consumer that closes the generator
+            # must not wait for every queued chunk: cancel what has not
+            # started (a no-op once all results were yielded).
+            abandoned.set()
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -40,10 +40,9 @@ row-addressed read path.  Candidate generation runs as a blocked scan
 over fixed-size row blocks (exact per-block ``argpartition`` top-m per
 channel, streamed merge — bit-identical to one global lexsort at any
 block size), so query-time resident memory scales with the shortlist,
-not the corpus.  Store-attached sketches can optionally fan the block
-scan across processes with :func:`repro.parallel.ordered_chunk_map`;
-workers reopen the sketch columns as their own mmaps, so nothing
-corpus-sized is pickled.
+not the corpus.  The scan is one serial loop in the calling thread
+(docs/PERFORMANCE.md, *Sketch scan*, has the measurement against a
+per-query process fan-out).
 
 Deletions tombstone rows instead of rewriting the arrays; owned
 (in-RAM) sketches compact physically past a threshold, while
@@ -63,7 +62,6 @@ import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
@@ -286,10 +284,10 @@ def _merge_top(m: int, acc: tuple[np.ndarray, ...] | None,
 def _block_winners(rows: np.ndarray, ids: np.ndarray, pd: np.ndarray,
                    sig: np.ndarray | None, qd: np.ndarray | None,
                    qsig: np.ndarray | None, m_bound: int, m_vote: int
-                   ) -> tuple[tuple | None, tuple | None, np.ndarray]:
+                   ) -> tuple[tuple | None, tuple | None]:
     """Score one row block and cut its exact per-channel winners.
 
-    Returns ``(bound, vote, lbs)`` where ``bound`` is ``(lbs, ids,
+    Returns ``(bound, vote)`` where ``bound`` is ``(lbs, ids,
     rows)`` under key ``(lb, og_id)`` and ``vote`` is ``(neg_votes,
     lbs, ids, rows)`` under key ``(-votes, lb, og_id)`` — the same
     compound orders the monolithic lexsorts used.
@@ -306,55 +304,7 @@ def _block_winners(rows: np.ndarray, ids: np.ndarray, pd: np.ndarray,
         neg_votes = -((sig == qsig).sum(axis=1).astype(np.int64))
         sel = _exact_top(m_vote, (neg_votes, lbs, ids))
         vote = (neg_votes[sel], lbs[sel], ids[sel], rows[sel])
-    return bound, vote, lbs
-
-
-def _scan_ranges(payload: dict, start: int, ranges: list) -> list:
-    """Parallel-scan worker: winners for a list of base-row ranges.
-
-    Runs in a pool process: reopens the sketch columns as private mmaps
-    (``payload`` carries file paths, never arrays), scans each range in
-    ``block_rows`` blocks and returns one merged ``(bound, vote)``
-    winner pair per range — at most ``m`` rows each, so the pickled
-    results stay shortlist-sized.
-    """
-    del start  # ranges carry absolute row bounds already
-    pd = np.load(payload["pivot_dists"], mmap_mode="r")
-    sig = (np.load(payload["sig"], mmap_mode="r")
-           if payload["qsig"] is not None else None)
-    dead = payload["dead"]
-    if dead is not None:
-        dead = np.unpackbits(dead, count=payload["rows"]).astype(bool)
-    qd, qsig = payload["qd"], payload["qsig"]
-    m_bound, m_vote = payload["m_bound"], payload["m_vote"]
-    block = payload["block"]
-    out = []
-    for lo, hi in ranges:
-        bound = vote = None
-        for blo in range(lo, hi, block):
-            bhi = min(blo + block, hi)
-            rows = np.arange(blo, bhi, dtype=np.int64)
-            b_pd = pd[blo:bhi]
-            b_sig = sig[blo:bhi] if sig is not None else None
-            if dead is not None:
-                keep = np.flatnonzero(~dead[blo:bhi])
-                if keep.size == 0:
-                    continue
-                if keep.size < bhi - blo:
-                    rows = rows[keep]
-                    b_pd = b_pd[keep]
-                    b_sig = b_sig[keep] if b_sig is not None else None
-            # Store-attached sketches number og_ids consecutively from
-            # an id base, so the row ordinal gives the tie-break key.
-            b, v, _ = _block_winners(rows, rows + payload["id_base"],
-                                     np.asarray(b_pd), b_sig,
-                                     qd, qsig, m_bound, m_vote)
-            if b is not None:
-                bound = _merge_top(m_bound, bound, b)
-            if v is not None:
-                vote = _merge_top(m_vote, vote, v)
-        out.append((bound, vote))
-    return out
+    return bound, vote
 
 
 class SketchIndex:
@@ -391,7 +341,6 @@ class SketchIndex:
         self._dead: np.ndarray | None = None
         self._n_dead = 0
         self._owned = True
-        self._scan_paths: dict[str, Any] | None = None
         #: Set by ``ColumnarStore.load_sketch`` to the metric it bound
         #: for delta replay — a convenience for callers running the
         #: sketch-only query path without a materialized index.  The
@@ -490,17 +439,15 @@ class SketchIndex:
         self.pivots = pivots
 
     def attach_rows(self, og_ids: np.ndarray, pivot_dists: np.ndarray,
-                    sig: np.ndarray, rows: Any, *, owned: bool = False,
-                    scan_paths: dict[str, Any] | None = None) -> None:
+                    sig: np.ndarray, rows: Any, *, owned: bool = False
+                    ) -> None:
         """Bind backing arrays (possibly zero-copy mmap views) + records.
 
         ``rows`` is the row provider (:class:`_EagerRows` or
         :class:`LazyRows`) aligned with the arrays.  ``owned=True``
         means the arrays may be grown/compacted in place (RAM
         semantics); ``owned=False`` keeps them frozen — later adds go
-        to the owned tail and deletes stay tombstones.  ``scan_paths``
-        optionally names the on-disk ``.npy`` files behind the views so
-        the parallel block scan can reopen them in worker processes.
+        to the owned tail and deletes stay tombstones.
         """
         og_ids = np.asarray(og_ids, dtype=np.int64)
         pivot_dists = np.asarray(pivot_dists, dtype=np.float64)
@@ -530,7 +477,6 @@ class SketchIndex:
         self._dead = None
         self._n_dead = 0
         self._owned = bool(owned)
-        self._scan_paths = dict(scan_paths) if scan_paths else None
 
     # -- maintenance -------------------------------------------------------
 
@@ -751,8 +697,7 @@ class SketchIndex:
         yield from self._iter_part_blocks(len(self._ids), self._tail_ids,
                                           self._tail_pd, self._tail_sig)
 
-    def candidates(self, distance, series: np.ndarray, budget: int, k: int,
-                   *, scan_workers: int | None = None
+    def candidates(self, distance, series: np.ndarray, budget: int, k: int
                    ) -> tuple[np.ndarray, np.ndarray, int]:
         """Shortlist for an exact rerank under ``budget`` evaluations.
 
@@ -767,8 +712,7 @@ class SketchIndex:
         exact per-channel top-m (``argpartition`` + boundary-tie
         resolution) and a streamed ≤ 2m merge folds it into the global
         shortlist, so peak working memory is O(block + shortlist)
-        whatever the corpus size.  ``scan_workers`` optionally fans the
-        base-array scan across processes for store-attached sketches.
+        whatever the corpus size.
         """
         n = len(self)
         if n == 0:
@@ -795,7 +739,7 @@ class SketchIndex:
         # monolithic skip-chosen fill would pick.
         m_vote = shortlist if n_vote else 0
         qsig = self.signature(series) if n_vote else None
-        bound, vote = self._scan_top(qd, qsig, n_bound, m_vote, scan_workers)
+        bound, vote = self._scan_top(qd, qsig, n_bound, m_vote)
         if bound is not None:
             lbs_b, _, rows_b = bound
         else:
@@ -831,69 +775,13 @@ class SketchIndex:
         return np.concatenate(rows_parts), np.concatenate(lbs_parts)
 
     def _scan_top(self, qd: np.ndarray | None, qsig: np.ndarray | None,
-                  m_bound: int, m_vote: int, scan_workers: int | None
+                  m_bound: int, m_vote: int
                   ) -> tuple[tuple | None, tuple | None]:
-        if scan_workers is not None and scan_workers > 1:
-            result = self._scan_top_parallel(qd, qsig, m_bound, m_vote,
-                                             scan_workers)
-            if result is not None:
-                return result
+        """Merged per-channel winners of every block, base then tail."""
         bound = vote = None
         for rows, ids, pd, sig in self._iter_blocks():
-            b, v, _ = _block_winners(rows, ids, pd, sig, qd, qsig,
-                                     m_bound, m_vote)
-            if b is not None:
-                bound = _merge_top(m_bound, bound, b)
-            if v is not None:
-                vote = _merge_top(m_vote, vote, v)
-        return bound, vote
-
-    def _scan_top_parallel(self, qd: np.ndarray | None,
-                           qsig: np.ndarray | None, m_bound: int,
-                           m_vote: int, workers: int
-                           ) -> tuple[tuple | None, tuple | None] | None:
-        """Fan the base block scan across processes (mmap sketches only).
-
-        Each worker reopens the sketch columns from ``_scan_paths`` as
-        its own mmap — no corpus-sized pickling.  Tail rows (adds since
-        attachment) are folded in serially; returns None (caller falls
-        back to the serial scan) when the sketch is not store-attached.
-        """
-        from repro.parallel import chunk_bounds, ordered_chunk_map
-
-        paths = self._scan_paths
-        n_base = len(self._ids)
-        if paths is None or n_base == 0:
-            return None
-        dead_packed = None
-        if self._n_dead and bool(self._dead[:n_base].any()):
-            dead_packed = np.packbits(self._dead[:n_base])
-        payload = {
-            "pivot_dists": paths["pivot_dists"],
-            "sig": paths["sig"],
-            "rows": n_base,
-            "id_base": int(self._ids[0]),
-            "qd": qd,
-            "qsig": qsig,
-            "m_bound": m_bound,
-            "m_vote": m_vote,
-            "block": self.config.block_rows,
-            "dead": dead_packed,
-        }
-        # A few coarse ranges per worker: each pool task merges its
-        # blocks locally so only winner tuples travel back.
-        ranges = chunk_bounds(n_base, workers * 2)
-        bound = vote = None
-        for b, v in ordered_chunk_map(partial(_scan_ranges, payload),
-                                      ranges, workers=workers):
-            if b is not None:
-                bound = _merge_top(m_bound, bound, b)
-            if v is not None:
-                vote = _merge_top(m_vote, vote, v)
-        for rows, ids, pd, sig in self._iter_part_blocks(
-                n_base, self._tail_ids, self._tail_pd, self._tail_sig):
-            b, v, _ = _block_winners(rows, ids, pd, sig, qd, qsig,
-                                     m_bound, m_vote)
+            b, v = _block_winners(rows, ids, pd, sig, qd, qsig,
+                                  m_bound, m_vote)
             if b is not None:
                 bound = _merge_top(m_bound, bound, b)
             if v is not None:
@@ -901,8 +789,7 @@ class SketchIndex:
         return bound, vote
 
 
-def approx_knn(sketch: SketchIndex, distance, request: SearchRequest,
-               scan_workers: int | None = None
+def approx_knn(sketch: SketchIndex, distance, request: SearchRequest
                ) -> list[tuple[float, ObjectGraph, Any]]:
     """Two-stage approximate k-NN over a :class:`SketchIndex`.
 
@@ -929,8 +816,7 @@ def approx_knn(sketch: SketchIndex, distance, request: SearchRequest,
     with OBS.span("search.approx_knn", k=k, budget=search_budget) as sp:
         OBS.count("search.knn_queries")
         idx, lbs, pivot_evals = sketch.candidates(
-            distance, series, search_budget, k, scan_workers=scan_workers
-        )
+            distance, series, search_budget, k)
         OBS.count("search.candidates_generated", len(idx))
         # Rerank in ascending (lower bound, og_id) order: the most
         # promising candidates seed the k-th best distance early, and

@@ -24,8 +24,10 @@ Layers, bottom up:
 - :mod:`repro.serving.net` — :class:`NetFrontend`, the asyncio
   HTTP/JSON codec over a :class:`QueryService` it runs on its backend:
   ``/knn`` ``/range`` ``/query`` ``/health`` ``/metrics`` ``/ingest``.
-- :mod:`repro.serving.loadgen` — closed-/open-loop load generators
-  (in-process and HTTP) reporting throughput and p50/p95/p99 latency.
+- :mod:`repro.serving.loadgen` — :func:`run_load`, the closed-/open-loop
+  load runner over any ``send(request, deadline)`` transport
+  (``QueryService.submit`` in process, :class:`HttpSender` over the
+  wire), reporting throughput and client-observed p50/p95/p99 latency.
 """
 
 from repro.serving.ingest import (
@@ -35,19 +37,15 @@ from repro.serving.ingest import (
     IngestServiceConfig,
     JobState,
 )
-from repro.serving.loadgen import (
-    LoadReport,
-    run_closed_loop,
-    run_http_open_loop,
-    run_open_loop,
-)
-from repro.serving.net import NetConfig, NetFrontend, request_json
+from repro.serving.loadgen import LoadReport, run_load
+from repro.serving.net import HttpSender, NetConfig, NetFrontend, request_json
 from repro.serving.service import QueryService, ServiceConfig
 from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 from repro.serving.snapshot import IndexSnapshot, LiveIndex, LiveIndexConfig
 from repro.serving.workers import RemoteHit, WorkerPool, WorkerPoolConfig
 
 __all__ = [
+    "HttpSender",
     "IndexSnapshot",
     "IngestJob",
     "IngestRecoveryReport",
@@ -67,7 +65,5 @@ __all__ = [
     "WorkerPool",
     "WorkerPoolConfig",
     "request_json",
-    "run_closed_loop",
-    "run_http_open_loop",
-    "run_open_loop",
+    "run_load",
 ]

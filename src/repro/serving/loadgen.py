@@ -1,29 +1,35 @@
-"""Load generators for the query service.
+"""The load runner for the serving front.
 
-Two standard shapes:
+:func:`run_load` drives any transport through one callable,
+``send(request, deadline) -> Future[SearchResult]``:
+:meth:`QueryService.submit <repro.serving.service.QueryService.submit>`
+in process, an :class:`~repro.serving.net.HttpSender` over the wire.
+Two standard shapes, chosen by which pacing argument is given:
 
-- **Closed loop** (:func:`run_closed_loop`) — ``concurrency`` synthetic
-  clients, each submitting a request, waiting for the response, and
-  immediately submitting the next.  Offered load adapts to service
-  speed, so the service is never overloaded; this measures *capacity*
-  (max sustainable throughput) and best-case latency.
-- **Open loop** (:func:`run_open_loop`) — requests arrive on a fixed
-  schedule (``rate`` per second) regardless of completions, like
-  independent external clients.  When the service falls behind, the
-  queue fills and admission control rejects; this measures behaviour
-  *under* overload — tail latency, rejection rate, backpressure.
+- **Closed loop** (``concurrency=C``) — ``C`` requests are kept in
+  flight; a new one is sent when one completes.  Offered load adapts to
+  service speed, so the service is never overloaded; this measures
+  *capacity* (max sustainable throughput) and best-case latency.
+- **Open loop** (``rate=R``) — requests arrive on a fixed schedule
+  (``R`` per second) regardless of completions, like independent
+  external clients.  When the service falls behind, the queue fills and
+  admission control rejects; this measures behaviour *under* overload —
+  tail latency, rejection rate, backpressure.
 
-Both return a :class:`LoadReport` with throughput and p50/p95/p99
-latency, serialisable via :meth:`LoadReport.as_dict` for benchmark
-artifacts.
+Either runs for ``num_requests`` requests or ``duration`` seconds.  A
+request's latency is what its client saw, on every transport: from the
+call to ``send`` until the returned future is done.  The
+:class:`LoadReport` carries throughput and p50/p95/p99 latency,
+serialisable via :meth:`LoadReport.as_dict` for benchmark artifacts.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -33,7 +39,6 @@ from repro.errors import (
     ServiceOverloadError,
 )
 from repro.search.request import SearchRequest
-from repro.serving.service import QueryService
 
 
 @dataclass
@@ -41,7 +46,8 @@ class LoadReport:
     """Outcome of one load-generation run."""
 
     mode: str                       # "closed" | "open"
-    concurrency: int                # clients (closed) or offered rate (open)
+    concurrency: int = 0            # requests kept in flight (closed)
+    rate: float = 0.0               # offered requests/second (open)
     requests_sent: int = 0
     responses: int = 0
     rejected: int = 0               # ServiceOverloadError at admission
@@ -49,6 +55,12 @@ class LoadReport:
     errors: int = 0                 # any other failure
     duration: float = 0.0           # wall-clock seconds
     latencies: list[float] = field(default_factory=list, repr=False)
+
+    @property
+    def settled(self) -> int:
+        """Requests whose outcome is known, whatever it was."""
+        return (self.responses + self.rejected + self.deadline_exceeded
+                + self.errors)
 
     @property
     def throughput(self) -> float:
@@ -64,6 +76,7 @@ class LoadReport:
         return {
             "mode": self.mode,
             "concurrency": self.concurrency,
+            "rate": self.rate,
             "requests_sent": self.requests_sent,
             "responses": self.responses,
             "rejected": self.rejected,
@@ -90,252 +103,97 @@ class LoadReport:
         )
 
 
-def _record(report: LoadReport, lock: threading.Lock,
-            outcome: str, latency: float | None = None) -> None:
-    with lock:
-        if outcome == "ok":
-            report.responses += 1
-            if latency is not None:
-                report.latencies.append(latency)
-        elif outcome == "rejected":
-            report.rejected += 1
-        elif outcome == "deadline":
-            report.deadline_exceeded += 1
-        else:
-            report.errors += 1
+def run_load(send: Callable[[SearchRequest, float | None], Future],
+             queries: Sequence[Any],
+             k: int = 10,
+             *,
+             concurrency: int | None = None,
+             rate: float | None = None,
+             num_requests: int | None = None,
+             duration: float | None = None,
+             deadline: float | None = None,
+             search_budget: int | None = None) -> LoadReport:
+    """Drive ``send`` with degradable k-NN requests drawn round-robin
+    from ``queries``.
 
-
-def run_closed_loop(service: QueryService,
-                    queries: Sequence[Any],
-                    k: int = 10,
-                    *,
-                    num_requests: int | None = None,
-                    duration: float | None = None,
-                    concurrency: int = 1,
-                    deadline: float | None = None,
-                    search_budget: int | None = None) -> LoadReport:
-    """Drive ``service`` with ``concurrency`` request-wait-repeat clients.
-
-    Stops after ``num_requests`` total requests or ``duration`` seconds
-    (exactly one must be given).  Queries are drawn round-robin.
-    ``search_budget`` forwards to :meth:`QueryService.knn`, driving the
-    approximate sketch tier instead of the exact path.
+    Exactly one of ``concurrency`` (closed loop: that many requests in
+    flight) and ``rate`` (open loop: that many arrivals per second, sent
+    without waiting), and exactly one of ``num_requests`` and
+    ``duration`` (seconds), must be given.  ``deadline`` and
+    ``search_budget`` go into every request.  Returns once every request
+    sent has settled: a :class:`~repro.errors.ServiceOverloadError` —
+    raised by ``send`` or carried by its future — counts as rejected, a
+    :class:`~repro.errors.DeadlineExceededError` as deadline-exceeded,
+    anything else as an error.
     """
+    if (concurrency is None) == (rate is None):
+        raise InvalidParameterError(
+            "specify exactly one of concurrency / rate")
     if (num_requests is None) == (duration is None):
         raise InvalidParameterError(
-            "specify exactly one of num_requests / duration"
-        )
-    if num_requests is not None and num_requests < 1:
-        raise InvalidParameterError(
-            f"num_requests must be >= 1, got {num_requests}"
-        )
-    if concurrency < 1:
-        raise InvalidParameterError(
-            f"concurrency must be >= 1, got {concurrency}"
-        )
-    if not queries:
-        raise InvalidParameterError("queries must be non-empty")
-
-    report = LoadReport(mode="closed", concurrency=concurrency)
-    lock = threading.Lock()
-    counter = {"next": 0}
-    deadline_at = None
-
-    def take_ticket() -> int | None:
-        """Next global request ordinal, or None when the run is over."""
-        with lock:
-            ticket = counter["next"]
-            if num_requests is not None and ticket >= num_requests:
-                return None
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                return None
-            counter["next"] = ticket + 1
-            report.requests_sent += 1
-            return ticket
-
-    def client() -> None:
-        while True:
-            ticket = take_ticket()
-            if ticket is None:
-                return
-            query = queries[ticket % len(queries)]
-            t0 = time.monotonic()
-            try:
-                service.knn(query, k, deadline=deadline,
-                            search_budget=search_budget)
-                _record(report, lock, "ok", time.monotonic() - t0)
-            except ServiceOverloadError:
-                _record(report, lock, "rejected")
-            except DeadlineExceededError:
-                _record(report, lock, "deadline")
-            except Exception:  # noqa: BLE001 — load test keeps going
-                _record(report, lock, "error")
-
-    start = time.monotonic()
-    if duration is not None:
-        deadline_at = start + duration
-    clients = [threading.Thread(target=client, name=f"loadgen-{i}")
-               for i in range(concurrency)]
-    for thread in clients:
-        thread.start()
-    for thread in clients:
-        thread.join()
-    report.duration = time.monotonic() - start
-    return report
-
-
-def run_open_loop(service: QueryService,
-                  queries: Sequence[Any],
-                  k: int = 10,
-                  *,
-                  rate: float,
-                  duration: float,
-                  deadline: float | None = None,
-                  search_budget: int | None = None) -> LoadReport:
-    """Offer ``rate`` requests/second for ``duration`` seconds.
-
-    Arrivals are paced on a fixed schedule and submitted without
-    waiting; the run then collects all outstanding futures.  Unlike the
-    closed loop, offered load does not slow down when the service does —
-    expect rejections once ``rate`` exceeds capacity.
-    """
-    if rate <= 0:
-        raise InvalidParameterError(f"rate must be > 0, got {rate}")
-    if duration <= 0:
-        raise InvalidParameterError(f"duration must be > 0, got {duration}")
-    if not queries:
-        raise InvalidParameterError("queries must be non-empty")
-
-    report = LoadReport(mode="open", concurrency=int(rate))
-    lock = threading.Lock()
-    interval = 1.0 / rate
-    outstanding = []
-
-    start = time.monotonic()
-    sent = 0
-    while True:
-        now = time.monotonic()
-        if now - start >= duration:
-            break
-        due = start + sent * interval
-        if now < due:
-            time.sleep(min(due - now, 0.01))
-            continue
-        query = queries[sent % len(queries)]
-        report.requests_sent += 1
-        sent += 1
-        try:
-            outstanding.append(service.submit(SearchRequest.knn(
-                query, k, search_budget=search_budget, degrade=True),
-                deadline))
-        except ServiceOverloadError:
-            _record(report, lock, "rejected")
-
-    for future in outstanding:
-        try:
-            # Response latency is stamped at serve time (queue wait +
-            # execution), not at this late collection point.
-            response = future.result()
-            _record(report, lock, "ok", response.latency)
-        except DeadlineExceededError:
-            _record(report, lock, "deadline")
-        except Exception:  # noqa: BLE001 — load test keeps going
-            _record(report, lock, "error")
-    report.duration = time.monotonic() - start
-    return report
-
-
-def run_http_open_loop(host: str, port: int,
-                       queries: Sequence[Any],
-                       k: int = 10,
-                       *,
-                       rate: float,
-                       duration: float,
-                       concurrency: int = 8,
-                       deadline: float | None = None,
-                       search_budget: int | None = None) -> LoadReport:
-    """Open-loop load against a :class:`~repro.serving.net.NetFrontend`.
-
-    Same arrival model as :func:`run_open_loop` — requests are offered
-    at ``rate``/second regardless of completions — but over HTTP:
-    ``concurrency`` client threads drain a paced ticket schedule, each
-    holding its own keep-alive-free connection via
-    :func:`~repro.serving.net.request_json`.  503 counts as rejected,
-    504 as deadline-exceeded, matching the in-process report so the two
-    serving paths are directly comparable in one benchmark table.
-    """
-    from repro.serving.net import request_json
-
-    if rate <= 0:
-        raise InvalidParameterError(f"rate must be > 0, got {rate}")
-    if duration <= 0:
-        raise InvalidParameterError(f"duration must be > 0, got {duration}")
-    if concurrency < 1:
+            "specify exactly one of num_requests / duration")
+    if concurrency is not None and concurrency < 1:
         raise InvalidParameterError(
             f"concurrency must be >= 1, got {concurrency}")
+    if rate is not None and rate <= 0:
+        raise InvalidParameterError(f"rate must be > 0, got {rate}")
+    if num_requests is not None and num_requests < 1:
+        raise InvalidParameterError(
+            f"num_requests must be >= 1, got {num_requests}")
+    if duration is not None and duration <= 0:
+        raise InvalidParameterError(f"duration must be > 0, got {duration}")
     if not queries:
         raise InvalidParameterError("queries must be non-empty")
 
-    payloads = [np.asarray(getattr(q, "values", q),
-                           dtype=np.float64).tolist() for q in queries]
-    report = LoadReport(mode="http-open", concurrency=int(rate))
-    lock = threading.Lock()
-    interval = 1.0 / rate
-    start = time.monotonic()
-    stop_at = start + duration
-    counter = {"next": 0}
+    report = LoadReport(mode="open" if concurrency is None else "closed",
+                        concurrency=concurrency or 0, rate=rate or 0.0)
+    settled = threading.Condition()
 
-    def take_ticket() -> int | None:
-        """Next due arrival ordinal (paced), or None when time is up."""
-        while True:
-            now = time.monotonic()
-            if now >= stop_at:
-                return None
-            with lock:
-                ticket = counter["next"]
-                due = start + ticket * interval
-                if now >= due:
-                    counter["next"] = ticket + 1
-                    report.requests_sent += 1
-                    return ticket
-            time.sleep(min(due - now, 0.01))
-
-    def client() -> None:
-        while True:
-            ticket = take_ticket()
-            if ticket is None:
-                return
-            body = {"query": payloads[ticket % len(payloads)], "k": k}
-            if deadline is not None:
-                body["deadline"] = deadline
-            if search_budget is not None:
-                body["search_budget"] = search_budget
-            t0 = time.monotonic()
-            try:
-                status, _ = request_json(
-                    host, port, "POST", "/knn", body,
-                    timeout=(deadline or 30.0) + 10.0)
-            except Exception:  # noqa: BLE001 — load test keeps going
-                _record(report, lock, "error")
-                continue
-            if status == 200:
-                _record(report, lock, "ok", time.monotonic() - t0)
-            elif status == 503:
-                _record(report, lock, "rejected")
-            elif status == 504:
-                _record(report, lock, "deadline")
+    def settle(exc: BaseException | None, latency: float) -> None:
+        with settled:
+            if exc is None:
+                report.responses += 1
+                report.latencies.append(latency)
+            elif isinstance(exc, ServiceOverloadError):
+                report.rejected += 1
+            elif isinstance(exc, DeadlineExceededError):
+                report.deadline_exceeded += 1
             else:
-                _record(report, lock, "error")
+                report.errors += 1
+            settled.notify_all()
 
-    clients = [threading.Thread(target=client, name=f"http-loadgen-{i}")
-               for i in range(concurrency)]
-    for thread in clients:
-        thread.start()
-    for thread in clients:
-        thread.join()
+    start = time.monotonic()
+    stop_at = None if duration is None else start + duration
+    while num_requests is None or report.requests_sent < num_requests:
+        if rate is None:
+            with settled:
+                settled.wait_for(lambda: report.requests_sent
+                                 - report.settled < concurrency)
+        else:
+            due = start + report.requests_sent / rate
+            pause = (due if stop_at is None else min(due, stop_at)) \
+                - time.monotonic()
+            if pause > 0:
+                time.sleep(pause)
+        if stop_at is not None and time.monotonic() >= stop_at:
+            break
+        request = SearchRequest.knn(
+            queries[report.requests_sent % len(queries)], k,
+            search_budget=search_budget, degrade=True)
+        report.requests_sent += 1
+        sent_at = time.monotonic()
+        try:
+            future = send(request, deadline)
+        except Exception as exc:  # noqa: BLE001 — load test keeps going
+            settle(exc, 0.0)
+            continue
+        future.add_done_callback(
+            lambda done, sent_at=sent_at: settle(
+                done.exception(), time.monotonic() - sent_at))
+    with settled:
+        settled.wait_for(lambda: report.settled == report.requests_sent)
     report.duration = time.monotonic() - start
     return report
 
 
-__all__ = ["LoadReport", "run_closed_loop", "run_http_open_loop",
-           "run_open_loop"]
+__all__ = ["LoadReport", "run_load"]

@@ -36,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -55,7 +56,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.observability import OBS, export_metrics_prometheus
-from repro.search.request import SearchRequest
+from repro.search.request import SearchRequest, SearchResult
 from repro.serving.service import QueryService, ServiceConfig
 
 #: Largest accepted request body (an /ingest clip dominates).
@@ -534,7 +535,7 @@ class NetFrontend:
 
 
 # ---------------------------------------------------------------------------
-# client helper
+# client helpers
 # ---------------------------------------------------------------------------
 
 def request_json(host: str, port: int, method: str, path: str,
@@ -543,8 +544,9 @@ def request_json(host: str, port: int, method: str, path: str,
     """One HTTP exchange against a frontend (stdlib ``http.client``).
 
     Returns ``(status, body)`` — body decoded from JSON when the
-    response says so, raw text otherwise.  Shared by the tests, the
-    load generator and the CLI so none of them grow their own client.
+    response says so, raw text otherwise.  Shared by the tests,
+    :class:`HttpSender` and the CLI so none of them grow their own
+    client.
     """
     import http.client
 
@@ -563,8 +565,71 @@ def request_json(host: str, port: int, method: str, path: str,
         conn.close()
 
 
+class HttpSender:
+    """``QueryService.submit`` as seen from the other end of the socket:
+    ``sender(request, deadline)`` returns a future of the
+    :class:`~repro.search.request.SearchResult` a frontend answered.
+
+    ``connections`` threads each run one blocking exchange at a time; a
+    request waits for a free one inside its future.  A 503 resolves the
+    future with :class:`~repro.errors.ServiceOverloadError`, a 504 with
+    :class:`~repro.errors.DeadlineExceededError`, so a caller handles
+    both transports with the same ``except`` clauses.  Hits stay the
+    JSON objects the frontend encoded.
+    """
+
+    def __init__(self, host: str, port: int, connections: int = 8):
+        if connections < 1:
+            raise InvalidParameterError(
+                f"connections must be >= 1, got {connections}")
+        self.host = host
+        self.port = port
+        self._threads = ThreadPoolExecutor(
+            max_workers=connections, thread_name_prefix="http-sender")
+
+    def __call__(self, request: SearchRequest,
+                 deadline: float | None = None) -> Future:
+        return self._threads.submit(self._exchange, request, deadline)
+
+    def _exchange(self, request: SearchRequest,
+                  deadline: float | None) -> SearchResult:
+        fields = {"op": request.kind, "query": request.series.tolist(),
+                  "k": request.k, "radius": request.radius,
+                  "search_budget": request.search_budget,
+                  "degrade": request.degrade, "deadline": deadline}
+        status, body = request_json(
+            self.host, self.port, "POST", "/query",
+            {name: value for name, value in fields.items()
+             if value is not None},
+            timeout=(deadline or 30.0) + 10.0)
+        if status == 200:
+            return SearchResult(
+                body["hits"], degraded=body["degraded"],
+                failed_shards=body["failed_shards"],
+                snapshot_version=body["snapshot"], latency=body["latency"])
+        if not isinstance(body, dict):
+            body = {"error": body}
+        message = body.get("error", "")
+        if status == 503:
+            raise ServiceOverloadError(message)
+        if status == 504:
+            raise DeadlineExceededError(message, phase=body.get("phase"))
+        raise ReproError(f"HTTP {status}: {message}")
+
+    def close(self) -> None:
+        """Wait for the exchanges in flight, then stop the threads."""
+        self._threads.shutdown()
+
+    def __enter__(self) -> "HttpSender":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 __all__ = [
     "MAX_BODY_BYTES",
+    "HttpSender",
     "NetConfig",
     "NetFrontend",
     "request_json",

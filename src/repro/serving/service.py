@@ -23,9 +23,9 @@ pool of worker threads:
 - **Snapshot isolation** — the backend serves a whole request from one
   snapshot and stamps the result with that snapshot's version; the
   service never looks inside its backend.
-- **Graceful shutdown** — :meth:`drain` blocks until queued work
-  finishes; :meth:`shutdown` additionally stops the workers.  Stop and
-  admit are decided under one lock: a request is either refused with
+- **Graceful shutdown** — :meth:`shutdown` serves what is queued, then
+  stops the workers.  Stop and admit are decided under one lock: a
+  request is either refused with
   :class:`~repro.errors.ServiceStoppedError` or queued ahead of every
   stop sentinel, so an accepted request always resolves.
 """
@@ -181,11 +181,6 @@ class QueryService:
     def _purge_expired(self) -> int:
         """Fail queued requests whose deadline already lapsed; returns
         how many were purged.  Called with the admission lock held.
-
-        The ``task_done`` bookkeeping keeps :meth:`drain` exact: a purged
-        request's get is matched by its own ``task_done``; a kept (or
-        sentinel) item is re-enqueued before its matching ``task_done``,
-        leaving one outstanding unit for the worker that will serve it.
         """
         now = time.monotonic()
         purged = 0
@@ -204,12 +199,10 @@ class QueryService:
                         f"deadline elapsed after {now - item.enqueued:.3f}s "
                         "in queue", phase="queued"))
                 purged += 1
-                self._queue.task_done()
             else:
                 kept.append(item)
         for item in kept:
             self._queue.put(item)
-            self._queue.task_done()
         return purged
 
     # -- workers --------------------------------------------------------------
@@ -217,12 +210,9 @@ class QueryService:
     def _worker_loop(self) -> None:
         while True:
             item = self._queue.get()
-            try:
-                if item is _SHUTDOWN:
-                    return
-                self._serve(item)
-            finally:
-                self._queue.task_done()
+            if item is _SHUTDOWN:
+                return
+            self._serve(item)
 
     def _serve(self, request: _Request) -> None:
         if not request.future.set_running_or_notify_cancel():
@@ -255,14 +245,6 @@ class QueryService:
             request.future.set_exception(exc)
 
     # -- lifecycle ------------------------------------------------------------
-
-    def drain(self) -> None:
-        """Block until every queued request has been served.
-
-        The service keeps accepting new requests; this only waits for
-        the current backlog.
-        """
-        self._queue.join()
 
     def shutdown(self, wait: bool = True,
                  timeout: float | None = None) -> None:

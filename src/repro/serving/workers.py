@@ -11,8 +11,7 @@ well under 4x.  This module promotes shards to worker processes:
 - Requests and responses crossing the pipe are small: a query
   trajectory array one way, ``(distance, shard, row, clip_ref)``
   tuples the other.  No OG graphs are ever pickled per request.
-- The :class:`WorkerPool` coordinator reuses the lifecycle patterns of
-  :class:`~repro.parallel.DistanceExecutor` / ``ordered_chunk_map``:
+- The :class:`WorkerPool` coordinator owns the processes' lifecycle:
   spawn up front, health-check heartbeats, restart-on-crash, drain on
   shutdown.
 

@@ -829,18 +829,11 @@ class ColumnarStore:
                          "sig": list(sig.shape)},
             )
         reader = ColumnarRowReader(self, manifest, mmap, id_base)
-        seg_dir = os.path.join(self.path, base["name"])
         sketch.attach_rows(
             np.arange(id_base, id_base + base_rows, dtype=np.int64),
             pd, sig,
             LazyRows(reader, base_rows),
-            owned=False,
-            scan_paths={
-                "pivot_dists": os.path.join(seg_dir,
-                                            "sketch_pivot_dists.npy"),
-                "sig": os.path.join(seg_dir, "sketch_sig.npy"),
-            },
-        )
+            owned=False)
         if distance is None:
             distance = MetricEGED(meta["config"]["metric_gap"])
         next_row = base_rows

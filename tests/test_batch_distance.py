@@ -35,7 +35,6 @@ from repro.distance.lcs import LCSDistance, lcs_distance
 from repro.distance.lp import LpDistance
 from repro.errors import IndexStateError, InvalidParameterError
 from repro.mtree.tree import MTree, MTreeConfig
-from repro.parallel import DistanceExecutor
 from repro.query import Query
 
 TOL = 1e-9
@@ -342,62 +341,6 @@ class TestDistanceCache:
             DistanceCache(max_entries=0)
 
 
-# -- parallel executor --------------------------------------------------------
-
-class TestDistanceExecutor:
-    def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            DistanceExecutor(workers=-1)
-        with pytest.raises(InvalidParameterError):
-            DistanceExecutor(chunks_per_worker=0)
-
-    def test_small_jobs_stay_serial(self):
-        rng = np.random.default_rng(73)
-        with DistanceExecutor(workers=2, min_pairs=10_000) as ex:
-            ex.one_vs_many(MetricEGED(), random_series(rng, 1),
-                           [random_series(rng, 1) for _ in range(4)])
-            assert ex._pool is None  # below min_pairs: no pool spawned
-
-    def test_one_vs_many_parallel_parity(self):
-        rng = np.random.default_rng(79)
-        d = MetricEGED()
-        query = random_series(rng, 2)
-        items = [random_series(rng, 2) for _ in range(48)]
-        serial = DistanceExecutor(workers=0).one_vs_many(d, query, items)
-        with DistanceExecutor(workers=2, min_pairs=1,
-                              chunks_per_worker=3) as ex:
-            parallel = ex.one_vs_many(d, query, items)
-        # Chunk boundaries must not change a single bit.
-        assert np.array_equal(serial, parallel)
-        np.testing.assert_array_equal(serial, one_vs_many(d, query, items))
-
-    def test_pairwise_matrix_parallel_parity(self):
-        rng = np.random.default_rng(83)
-        d = EGED()
-        items = [random_series(rng, 1) for _ in range(20)]
-        serial = pairwise_matrix(d, items)
-        with DistanceExecutor(workers=2, min_pairs=1) as ex:
-            parallel = pairwise_matrix(d, items, executor=ex)
-        assert np.array_equal(serial, parallel)
-
-    def test_rectangular_parallel_parity(self):
-        rng = np.random.default_rng(89)
-        d = DTW()
-        items = [random_series(rng, 1) for _ in range(6)]
-        others = [random_series(rng, 1) for _ in range(9)]
-        serial = pairwise_matrix(d, items, others)
-        with DistanceExecutor(workers=2, min_pairs=1) as ex:
-            parallel = ex.pairwise_matrix(d, items, others)
-        assert np.array_equal(serial, parallel)
-
-    def test_plain_callable_falls_back_to_serial(self):
-        items = [np.full((n, 1), float(n)) for n in (1, 2, 3)]
-        with DistanceExecutor(workers=2, min_pairs=1) as ex:
-            out = ex.one_vs_many(lambda a, b: float(len(b)), items[0], items)
-            assert ex._pool is None
-        np.testing.assert_allclose(out, [1.0, 2.0, 3.0])
-
-
 # -- Query.run ranking --------------------------------------------------------
 
 class _SeriesIndex:
@@ -492,18 +435,6 @@ class TestMTreeBulkLoad:
         tree = MTree(MetricEGED())
         assert tree.bulk_load([]) == []
         assert len(tree) == 0
-
-    def test_bulk_load_with_executor(self):
-        rng = np.random.default_rng(109)
-        items = [random_series(rng, 1) for _ in range(25)]
-        plain = MTree(MetricEGED(), MTreeConfig(node_capacity=4, seed=3))
-        plain.bulk_load(items)
-        with DistanceExecutor(workers=0) as ex:
-            viaexec = MTree(MetricEGED(), MTreeConfig(node_capacity=4, seed=3))
-            viaexec.bulk_load(items, executor=ex)
-        query = random_series(rng, 1)
-        assert ([oid for _, oid, _ in plain.knn(query, 6)]
-                == [oid for _, oid, _ in viaexec.knn(query, 6)])
 
     def test_custom_distance_class_default_loop(self):
         """Distances without a batched kernel still bulk-load correctly."""

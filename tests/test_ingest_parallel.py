@@ -17,6 +17,8 @@ baselines) so the comparison target cannot drift.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,27 @@ class TestOrderedChunkMap:
             list(ordered_chunk_map(_chunk_that_raises, [1, 0, 2],
                                    workers=2, force_pool=True))
 
+    def test_worker_error_does_not_wait_for_queued_chunks(self):
+        # Chunk 0 fails at once with 7 half-second chunks behind it on 2
+        # workers: only the chunk already running may finish first.
+        started = time.monotonic()
+        with pytest.raises(ZeroDivisionError):
+            list(ordered_chunk_map(_slow_unless_first, list(range(8)),
+                                   workers=2, chunks_per_worker=4,
+                                   force_pool=True))
+        assert time.monotonic() - started < 2 * CHUNK_SECONDS
+        with pytest.raises(ZeroDivisionError):  # serial: raises as before
+            list(ordered_chunk_map(_slow_unless_first, [0], workers=1))
+
+    def test_closing_early_does_not_wait_for_queued_chunks(self):
+        started = time.monotonic()
+        results = ordered_chunk_map(_slow_unless_last, list(range(8)),
+                                    workers=2, chunks_per_worker=4,
+                                    force_pool=True)
+        assert next(results) == 0
+        results.close()
+        assert time.monotonic() - started < 2 * CHUNK_SECONDS
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             list(ordered_chunk_map(self._double, [1], workers=-1))
@@ -342,6 +365,22 @@ class TestOrderedChunkMap:
 
 def _chunk_that_raises(start, chunk):
     return [1 // x for x in chunk]
+
+
+CHUNK_SECONDS = 0.5
+
+
+def _slow_unless_first(start, chunk):
+    if start == 0:
+        raise ZeroDivisionError("poison clip")
+    time.sleep(CHUNK_SECONDS)
+    return list(chunk)
+
+
+def _slow_unless_last(start, chunk):
+    if start:
+        time.sleep(CHUNK_SECONDS)
+    return list(chunk)
 
 
 # --------------------------------------------------------------------------

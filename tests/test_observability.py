@@ -220,21 +220,6 @@ class TestInstrumentation:
         nested = {c.name for c in root.children}
         assert "clustering.em.fit" in nested
 
-    def test_executor_fanout_nests_under_caller_span(self):
-        from repro.distance.eged import MetricEGED
-        from repro.parallel import DistanceExecutor
-
-        obs.configure(enabled=True)
-        rng = np.random.default_rng(0)
-        items = [rng.normal(size=(8, 2)) for _ in range(6)]
-        with DistanceExecutor(workers=0) as executor:
-            with obs.span("caller"):
-                executor.one_vs_many(MetricEGED(), items[0], items[1:])
-        root = obs.tracer().roots[-1]
-        assert root.name == "caller"
-        assert [c.name for c in root.children] == ["parallel.one_vs_many"]
-        assert root.children[0].attrs["mode"] == "serial"
-
     def test_mtree_counts_node_visits(self):
         from repro.distance.eged import MetricEGED
         from repro.mtree.tree import MTree, MTreeConfig

@@ -42,10 +42,9 @@ from repro.storage.columnar import ColumnarStore
 from repro.storage.database import VideoDatabase
 
 
-def budgeted_knn(sketch, distance, query, k, budget, **kwargs):
+def budgeted_knn(sketch, distance, query, k, budget):
     return approx_knn(sketch, distance,
-                      SearchRequest.knn(query, k, search_budget=budget),
-                      **kwargs)
+                      SearchRequest.knn(query, k, search_budget=budget))
 
 
 def corpus(n=120, seed=0):
@@ -311,31 +310,6 @@ class TestStoreAttachedSketch:
         ids = np.concatenate([s.og_ids for s in sketches])
         assert ids.tolist() == list(range(len(ogs)))
         assert sketches[1].row_record(0)[0].og_id == len(sketches[0])
-
-    def test_parallel_scan_matches_serial(self, tmp_path):
-        ogs = corpus(120, seed=81)
-        store, _ = store_with_sketch(tmp_path, ogs, name="par")
-        sketch = store.load_sketch(mmap=True)
-        sketch.config.block_rows = 16
-        distance = sketch.replay_distance
-        for q in corpus(2, seed=83):
-            serial = budgeted_knn(sketch, distance, q, 5, 30)
-            fanned = budgeted_knn(sketch, distance, q, 5, 30, scan_workers=2)
-            assert hit_sig(serial) == hit_sig(fanned)
-
-    def test_parallel_scan_with_tail_and_tombstones(self, tmp_path):
-        ogs = corpus(90, seed=85)
-        store, _ = store_with_sketch(tmp_path, ogs, name="part")
-        sketch = store.load_sketch(mmap=True)
-        sketch.config.block_rows = 8
-        distance = sketch.replay_distance
-        sketch.add(distance, corpus(5, seed=86), list("abcde"))
-        for row in (2, 30, 77):
-            assert sketch.remove(row)  # og_id == row ordinal here
-        q = corpus(1, seed=87)[0]
-        assert hit_sig(budgeted_knn(sketch, distance, q, 5, 26)) \
-            == hit_sig(budgeted_knn(sketch, distance, q, 5, 26,
-                                  scan_workers=3))
 
 
 class TestRowReader:

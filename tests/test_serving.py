@@ -3,6 +3,10 @@ snapshots, the query service and the load generators."""
 
 from __future__ import annotations
 
+import threading
+import time
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -15,19 +19,21 @@ from repro.errors import (
 )
 from repro.resilience import FaultInjector, injected
 from repro.serving import (
+    HttpSender,
     LiveIndex,
     LiveIndexConfig,
+    NetConfig,
+    NetFrontend,
     QueryService,
     ServiceConfig,
     ShardedIndex,
     ShardedIndexConfig,
-    run_closed_loop,
-    run_open_loop,
+    run_load,
 )
 from repro.search.request import SearchRequest, SearchResult
 from repro.storage.store import open_store
 
-from front_contract import FrontContract, FutureFront, StubBackend
+from front_contract import QUERY, FrontContract, FutureFront, StubBackend
 
 K = 5
 RADIUS = 60.0
@@ -271,39 +277,117 @@ class TestQueryService(FrontContract):
         assert service.health()["stragglers"] == []
 
 
+@contextmanager
+def _sender(transport, backend, **sizing):
+    """``send(request, deadline)`` of one front over ``backend``: the
+    service's own ``submit``, or an ``HttpSender`` to a ``NetFrontend``."""
+    config = ServiceConfig(**sizing)
+    if transport == "submit":
+        with QueryService(backend, config) as service:
+            yield service.submit
+    else:
+        with NetFrontend(backend, config=NetConfig(service=config)) as front:
+            with HttpSender("127.0.0.1", front.port) as send:
+                yield send
+
+
+class _SlowStub(StubBackend):
+    """Answers in 20 ms: one worker serves 50 requests a second."""
+
+    def search(self, request):
+        time.sleep(0.02)
+        return super().search(request)
+
+
 class TestLoadGenerators:
     def test_closed_loop(self, corpus, queries):
         live = LiveIndex(_sharded(corpus[:32], 2, "affine"))
         with QueryService(live, ServiceConfig(workers=2)) as service:
-            report = run_closed_loop(service, queries, k=K,
-                                     num_requests=12, concurrency=2)
+            report = run_load(service.submit, queries, k=K,
+                              num_requests=12, concurrency=2)
         assert report.requests_sent == 12 and report.responses == 12
         assert report.rejected == 0 and report.errors == 0
         assert report.throughput > 0
         assert report.percentile(50) <= report.percentile(99)
         payload = report.as_dict()
         assert payload["latency"]["p99"] >= payload["latency"]["p50"]
+        assert payload["concurrency"] == 2 and payload["rate"] == 0.0
         assert "closed-loop" in str(report)
 
     def test_open_loop(self, corpus, queries):
         live = LiveIndex(_sharded(corpus[:32], 2, "affine"))
         with QueryService(live, ServiceConfig(workers=2)) as service:
-            report = run_open_loop(service, queries, k=K,
-                                   rate=100.0, duration=0.3)
+            report = run_load(service.submit, queries, k=K,
+                              rate=100.0, duration=0.3)
+            slow = run_load(service.submit, queries, k=K,
+                            rate=0.5, num_requests=1)
         assert report.requests_sent > 0
         assert report.responses + report.rejected + report.errors \
             + report.deadline_exceeded == report.requests_sent
+        assert report.rate == 100.0 and report.concurrency == 0
+        assert slow.rate == 0.5 and slow.responses == 1
 
     def test_parameter_validation(self, corpus, queries):
         live = LiveIndex(_sharded(corpus[:16], 1, "hash"))
         with QueryService(live, ServiceConfig(workers=1)) as service:
+            send = service.submit
+            for pacing in ({}, {"concurrency": 1, "rate": 10.0},
+                           {"concurrency": 0}, {"rate": 0.0}):
+                with pytest.raises(InvalidParameterError):
+                    run_load(send, queries, num_requests=4, **pacing)
+            for length in ({}, {"num_requests": 4, "duration": 1.0},
+                           {"num_requests": 0}, {"duration": 0.0}):
+                with pytest.raises(InvalidParameterError):
+                    run_load(send, queries, concurrency=1, **length)
             with pytest.raises(InvalidParameterError):
-                run_closed_loop(service, queries, num_requests=4,
-                                duration=1.0)
-            with pytest.raises(InvalidParameterError):
-                run_closed_loop(service, queries)
-            with pytest.raises(InvalidParameterError):
-                run_open_loop(service, queries, rate=0.0, duration=1.0)
+                run_load(send, [], concurrency=1, num_requests=4)
+
+    @pytest.mark.parametrize("transport", ["submit", "http"])
+    def test_closed_loop_sends_exactly_num_requests(self, transport):
+        with _sender(transport, StubBackend(), workers=2) as send:
+            report = run_load(send, [QUERY], k=1,
+                              num_requests=9, concurrency=3)
+        assert report.requests_sent == report.responses == 9
+        assert len(report.latencies) == 9
+
+    @pytest.mark.parametrize("transport", ["submit", "http"])
+    def test_open_loop_over_capacity_is_shed(self, transport):
+        with _sender(transport, _SlowStub(),
+                     workers=1, queue_depth=1) as send:
+            report = run_load(send, [QUERY], k=1, rate=400.0, duration=0.3)
+        assert report.rejected > 0 and report.responses > 0
+        assert report.errors == 0
+        assert report.responses + report.rejected + report.errors \
+            + report.deadline_exceeded == report.requests_sent
+
+    @pytest.mark.parametrize("transport", ["submit", "http"])
+    def test_blocked_backend_lands_in_deadline_exceeded(self, transport):
+        stub = StubBackend()
+        stub.release.clear()
+        unblock = threading.Timer(0.4, stub.release.set)
+        unblock.start()
+        try:
+            with _sender(transport, stub, workers=1) as send:
+                report = run_load(send, [QUERY], k=1, num_requests=1,
+                                  concurrency=1, deadline=0.1)
+        finally:
+            stub.release.set()
+            unblock.cancel()
+        assert report.deadline_exceeded == 1 and report.responses == 0
+
+    @pytest.mark.parametrize("transport", ["submit", "http"])
+    def test_latency_is_what_the_client_saw(self, transport):
+        # The stub answers at once, so a latency the server stamped
+        # would be near zero; the 50 ms this client spends before its
+        # request is even admitted must be in the number.
+        with _sender(transport, StubBackend(), workers=1) as send:
+            def late(request, deadline):
+                time.sleep(0.05)
+                return send(request, deadline)
+
+            report = run_load(late, [QUERY], k=1, rate=100.0,
+                              num_requests=3)
+        assert report.responses == 3 and min(report.latencies) >= 0.05
 
 
 class TestDatabaseIntegration:
