@@ -95,8 +95,7 @@ class STRGIndex:
         self.root: list[RootRecord] = []
         self._next_root_id = 0
         #: Bumped on every structural change (build/insert/delete/split).
-        #: The scan views derived from the tree (this index's own, and a
-        #: sharded index's pivot-keyed ones) compare this to detect
+        #: The scan views derived from the tree compare this to detect
         #: staleness.
         self.mutations = 0
         #: Set by :meth:`freeze`; frozen indexes reject mutation, which is
@@ -111,8 +110,8 @@ class STRGIndex:
         #: snapshots, and rebuilt on demand when absent.
         self._sketches = None
         #: Lazily-built :class:`~repro.core.scan.ScanViews` of the exact
-        #: and range scans, rebuilt when ``mutations`` has moved on.
-        #: Budgeted queries never build it.
+        #: and range scans, rebuilt when ``mutations`` has moved on or
+        #: another sketch is attached.  Budgeted queries never build it.
         self._views: ScanViews | None = None
 
     def __getstate__(self) -> dict[str, Any]:
@@ -147,8 +146,7 @@ class STRGIndex:
                                r.cluster_node.clone()) for r in self.root]
         dup.frozen = False
         # New record wrappers: scan views are keyed by record identity
-        # and must not pass for the clone's (its own, or a sharded
-        # index's over it).
+        # and must not pass for the clone's.
         dup.mutations += 1
         if self._sketches is not None:
             dup._sketches = self._sketches.clone()
@@ -454,7 +452,9 @@ class STRGIndex:
                 if len(cluster_node) == 0:
                     self.root.remove(root_record)
                 if self._sketches is not None:
-                    self._sketches.remove(og_id)
+                    # The row of the very OG the leaf dropped: another
+                    # indexed OG may carry the same og_id.
+                    self._sketches.remove(og_id, removed.og)
                 return True
         return False
 
@@ -468,8 +468,10 @@ class STRGIndex:
         background is supplied — then every cluster node is searched),
         rank clusters by metric centroid distance, and scan each leaf
         outward from ``Key_q`` pruning with ``|Key - Key_q| > kth_best``
-        (a valid lower bound because ``EGED_M`` is a metric).  A range
-        query is the same scan with the bound fixed at ``radius``.
+        (a valid lower bound because ``EGED_M`` is a metric) — and, when
+        the index holds a sketch tier, with the same bound over each
+        stored sketch pivot distance.  A range query is the same scan
+        with the bound fixed at ``radius``.
 
         ``n_probe`` bounds how many nearest clusters are scanned:
         ``None`` gives exact k-NN; ``1`` is the literal Algorithm 3,
@@ -540,7 +542,8 @@ class STRGIndex:
         """The :class:`~repro.search.sketch.SketchIndex` for this corpus.
 
         Built lazily on first use (one batched pivot sweep over every
-        leaf record) and maintained incrementally afterwards.  Safe on a
+        leaf record) and maintained incrementally afterwards; once held,
+        its pivot table also prunes the exact and range scans.  Safe on a
         frozen index: attaching the sketch is not a structural mutation,
         and the module-level build lock keeps concurrent readers of a
         shared serving snapshot from building it twice.
@@ -578,18 +581,27 @@ class STRGIndex:
                        ) -> list[ClusterView]:
         """Scan views of the (BG-routed) non-empty clusters.
 
-        Built on the first exact or range read after a mutation: a
-        frozen serving snapshot builds them once, and concurrent readers
-        of one snapshot do not build them twice.
+        Built on the first exact or range read after a mutation, or
+        after a sketch tier was attached: a frozen serving snapshot
+        builds them once, and concurrent readers of one snapshot do not
+        build them twice.  An index holding a sketch prunes with its
+        pivot table too; one without scans on the leaf keys alone
+        (the paper's Algorithm 3).
         """
+        sketch = self._sketches
+
+        def stale(views: ScanViews | None) -> bool:
+            return (views is None or views.mutations != self.mutations
+                    or views.sketch is not sketch)
+
         views = self._views
-        if views is None or views.mutations != self.mutations:
+        if stale(views):
             with _LAZY_BUILD_LOCK:
                 views = self._views
-                if views is None or views.mutations != self.mutations:
-                    views = self._views = ScanViews(self.mutations, {
-                        id(record): ClusterView(record)
-                        for record in self.cluster_records()})
+                if stale(views):
+                    views = self._views = ScanViews(
+                        self.metric_distance, self.cluster_records(),
+                        self.mutations, sketch)
         return [views.by_record[id(record)]
                 for record in self.cluster_records(background)
                 if len(record.leaf)]

@@ -10,14 +10,17 @@ metric lower bound (Theorem 2), so the answer is exact.
 
 A leaf key is the member's distance to one reference series, its
 centroid.  A :class:`ClusterView` generalises that to a *table* of
-reference distances per member: column 0 is the leaf key, and a caller
-that knows more reference series (the serving layer's shard pivots)
-appends one column per series.  ``|d(Q, R) - d(S, R)| <= d(Q, S)`` holds
-for every column, and the tightest one bounds the candidate
-(:func:`~repro.distance.bounds.pivot_lower_bounds`).
+reference distances per member: column 0 is the leaf key, and an index
+that holds a sketch tier appends one column per sketch pivot — the
+``pivot_dists`` rows the sketch already stores, so building a view
+evaluates only centroids against pivots.  ``|d(Q, R) - d(S, R)| <=
+d(Q, S)`` holds for every column, and the tightest one bounds the
+candidate (:func:`~repro.distance.bounds.pivot_lower_bounds`).  Each
+view names the reference series of its columns; the scan evaluates the
+query against every distinct set in the sweep that ranks the centroids.
 
 ``STRGIndex.search`` scans its own clusters, ``ShardedIndex.search`` the
-clusters of every live shard under one bound, and the budgeted rerank of
+views of every live shard under one bound, and the budgeted rerank of
 :func:`~repro.search.sketch.approx_knn` hands its sketch-bounded
 shortlist to the same :func:`evaluate_windowed` loop.
 """
@@ -32,7 +35,7 @@ import numpy as np
 
 from repro.core.nodes import ClusterRecord, LeafRecord
 from repro.distance.base import as_series
-from repro.distance.batch import one_vs_many
+from repro.distance.batch import PaddedBatch, one_vs_many
 from repro.distance.bounds import pivot_lower_bounds
 from repro.observability import OBS
 from repro.search.request import TopK, hit_key
@@ -63,21 +66,23 @@ class ClusterView:
     without touching the OGs again.
 
     ``refs[i, 0]`` is member ``i``'s leaf key (ascending) and ``refs[i,
-    1:]`` its distance to each extra reference series;
-    ``centroid_refs`` is the same row for the centroid itself, so its
-    column 0 is ``d(centroid, centroid) = 0``.
+    1:]`` its distance to each series of ``pivots``; ``centroid_refs``
+    is the same row for the centroid itself, so its column 0 is
+    ``d(centroid, centroid) = 0``.
     """
 
-    __slots__ = ("centroid", "records", "members", "refs", "centroid_refs",
-                 "max_key")
+    __slots__ = ("centroid", "records", "members", "pivots", "refs",
+                 "centroid_refs", "max_key")
 
     def __init__(self, record: ClusterRecord,
+                 pivots: Sequence[np.ndarray] = (),
                  centroid_pd: Sequence[float] = (),
                  member_pd: np.ndarray | None = None):
         leaf = record.leaf
         self.centroid = np.asarray(record.centroid, dtype=np.float64)
         self.records: list[LeafRecord] = list(leaf.records)
         self.members = [as_series(r.og) for r in self.records]
+        self.pivots = pivots
         keys = np.asarray(leaf.keys, dtype=np.float64).reshape(-1, 1)
         self.refs = (keys if member_pd is None
                      else np.hstack([keys, member_pd]))
@@ -88,13 +93,40 @@ class ClusterView:
 class ScanViews:
     """The :class:`ClusterView` of every cluster of one index, by
     cluster-record identity; valid while the index's ``mutations``
-    counter still reads :attr:`mutations`."""
+    counter still reads :attr:`mutations` and it holds :attr:`sketch`."""
 
-    __slots__ = ("mutations", "by_record")
+    __slots__ = ("mutations", "sketch", "by_record")
 
-    def __init__(self, mutations: int, by_record: dict[int, ClusterView]):
+    def __init__(self, distance, records: Sequence[ClusterRecord],
+                 mutations: int, sketch=None):
+        """Views of ``records``, with reference columns from ``sketch``.
+
+        Member rows are the sketch's stored pivot distances, matched to
+        each leaf member by object identity (og_ids can repeat); the one
+        kernel sweep is centroids x pivots.  Without a sketch — or one
+        missing a member's row — the views carry the leaf keys alone.
+        """
         self.mutations = mutations
-        self.by_record = by_record
+        self.sketch = sketch
+        self.by_record: dict[int, ClusterView] = {}
+        rows = None
+        if sketch is not None and sketch.pivots and records:
+            rows = sketch.rows_of(
+                [r.og for record in records for r in record.leaf])
+        if rows is None:
+            for record in records:
+                self.by_record[id(record)] = ClusterView(record)
+            return
+        member_pd, pivots = rows[0], sketch.pivots
+        centroids = PaddedBatch([record.centroid for record in records])
+        centroid_pd = np.stack([one_vs_many(distance, pivot, centroids)
+                                for pivot in pivots], axis=1)
+        start = 0
+        for record, pd in zip(records, centroid_pd):
+            stop = start + len(record.leaf)
+            self.by_record[id(record)] = ClusterView(
+                record, pivots, pd, member_pd[start:stop])
+            start = stop
 
 
 def evaluate_windowed(distance, series: np.ndarray, candidates: Sequence,
@@ -133,27 +165,35 @@ def evaluate_windowed(distance, series: np.ndarray, candidates: Sequence,
 
 
 def _rank_clusters(distance, series: np.ndarray,
-                   views: Sequence[ClusterView],
-                   pivots: Sequence[np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``Key_q`` per cluster, and the query's reference row (slot 0 is
-    filled per cluster, the rest are its pivot distances) — one sweep."""
+                   views: Sequence[ClusterView]
+                   ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``Key_q`` per cluster, and the query's reference row per view
+    (``Key_q``, then its distance to each of the view's pivots) — one
+    sweep over every distinct pivot set and every centroid."""
+    start: dict[int, int] = {}
+    pivots: list[np.ndarray] = []
+    for view in views:
+        if id(view.pivots) not in start:
+            start[id(view.pivots)] = len(pivots)
+            pivots.extend(view.pivots)
     swept = one_vs_many(distance, series,
                         [*pivots, *(view.centroid for view in views)])
-    q_refs = np.empty(1 + len(pivots))
-    q_refs[1:] = swept[:len(pivots)]
-    return swept[len(pivots):], q_refs
+    key_qs = swept[len(pivots):]
+    q_refs = []
+    for view, key_q in zip(views, key_qs):
+        first = start[id(view.pivots)]
+        q_refs.append(np.concatenate(
+            [[key_q], swept[first:first + len(view.pivots)]]))
+    return key_qs, q_refs
 
 
-def _leaf_window(view: ClusterView, q_refs: np.ndarray, bound: float,
+def _leaf_window(view: ClusterView, q: np.ndarray, bound: float,
                  layer: str, pending: list) -> None:
     """Queue the members of one cluster that no reference column rules
-    out at ``bound``, as ``(lower bound, leaf record, series)``."""
+    out at ``bound``, as ``(lower bound, leaf record, series)``; ``q``
+    is the query's reference row for this view."""
     slack = slack_at(bound)
     limit = bound + slack
-    # A view bounds with the columns it carries (one built without the
-    # pivot columns still has its keys).
-    q = q_refs[:view.refs.shape[1]]
     # Nearest possible member: d(q, o) >= |d(q, R) - d(R, c)| - max_key
     # for every reference R (the centroid itself gives key_q - max_key).
     # Strict >: a candidate whose bound ties the k-th distance can still
@@ -188,33 +228,31 @@ def _drain(distance, series: np.ndarray, pending: list, best: TopK,
 
 
 def knn_scan(distance, series: np.ndarray, views: Sequence[ClusterView],
-             k: int, *, pivots: Sequence[np.ndarray] = (),
-             prune_bound: float | None = None, window: int = EXACT_WINDOW,
-             layer: str = "index") -> list[tuple]:
+             k: int, *, prune_bound: float | None = None,
+             window: int = EXACT_WINDOW, layer: str = "index"
+             ) -> list[tuple]:
     """The ``k`` nearest members of ``views`` to ``series``, as sorted
     ``(distance, og, clip_ref)`` hits.
 
     Clusters are visited in ``Key_q`` order whatever index they belong
     to: the nearest one anywhere seeds the bound and every later window
     is cut by it.  Candidates accumulate across clusters until a
-    ``window`` of them is queued.  ``pivots`` are the extra reference
-    series of the views' ``refs`` columns; ``prune_bound`` only ever
-    prunes, so any valid upper bound on the true k-th distance leaves
-    the result exact.  Counters are reported under ``layer``.
+    ``window`` of them is queued.  ``prune_bound`` only ever prunes, so
+    any valid upper bound on the true k-th distance leaves the result
+    exact.  Counters are reported under ``layer``.
     """
     best = TopK(k)
     if not views:
         return best.hits
     external = math.inf if prune_bound is None else float(prune_bound)
-    key_qs, q_refs = _rank_clusters(distance, series, views, pivots)
+    key_qs, q_refs = _rank_clusters(distance, series, views)
     pending: list[tuple] = []
     evaluated = 0
     for i in np.argsort(key_qs, kind="stable"):
         if len(pending) >= window:
             evaluated += _drain(distance, series, pending, best, window,
                                 external)
-        q_refs[0] = key_qs[i]
-        _leaf_window(views[i], q_refs, min(best.bound, external), layer,
+        _leaf_window(views[i], q_refs[i], min(best.bound, external), layer,
                      pending)
     evaluated += _drain(distance, series, pending, best, window, external)
     OBS.count(f"{layer}.candidates_evaluated", evaluated)
@@ -222,17 +260,15 @@ def knn_scan(distance, series: np.ndarray, views: Sequence[ClusterView],
 
 
 def range_scan(distance, series: np.ndarray, views: Sequence[ClusterView],
-               radius: float, *, pivots: Sequence[np.ndarray] = (),
-               layer: str = "index") -> list[tuple]:
+               radius: float, *, layer: str = "index") -> list[tuple]:
     """Every member of ``views`` within ``radius`` of ``series``: the
     bound is known up front, so all windows go through one sweep."""
     hits: list[tuple] = []
     pending: list[tuple] = []
     if views:
-        key_qs, q_refs = _rank_clusters(distance, series, views, pivots)
-        for view, key_q in zip(views, key_qs):
-            q_refs[0] = key_q
-            _leaf_window(view, q_refs, radius, layer, pending)
+        _, q_refs = _rank_clusters(distance, series, views)
+        for view, q in zip(views, q_refs):
+            _leaf_window(view, q, radius, layer, pending)
     if pending:
         dists = one_vs_many(distance, series, [c[2] for c in pending])
         OBS.count(f"{layer}.candidates_evaluated", len(pending))

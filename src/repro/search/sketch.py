@@ -543,16 +543,17 @@ class SketchIndex:
         self._rows.append(list(zip(ogs, refs)))
         OBS.count("search.sketch_rows_added", len(ogs))
 
-    def remove(self, og_id: int) -> bool:
+    def remove(self, og_id: int, og: ObjectGraph | None = None) -> bool:
         """Tombstone the sketch row of ``og_id``; True when it existed.
 
-        O(n) to locate the row but O(1) to drop it — the three
-        full-array ``np.delete`` copies are gone.  Owned sketches
-        compact physically once tombstones pass the threshold;
+        With ``og`` given, the row of that very object: og_ids can
+        repeat, and the owning index must drop the row of the leaf it
+        dropped.  O(n) to locate the row but O(1) to drop it.  Owned
+        sketches compact physically once tombstones pass the threshold;
         store-attached sketches keep the mask (the store's segment
         merge reclaims the rows).
         """
-        row = self._find_live_row(og_id)
+        row = self._find_live_row(og_id, og)
         if row is None:
             return False
         if self._dead is None:
@@ -566,14 +567,31 @@ class SketchIndex:
             self.compact_tombstones()
         return True
 
-    def _find_live_row(self, og_id: int) -> int | None:
+    def _find_live_row(self, og_id: int,
+                       og: ObjectGraph | None = None) -> int | None:
         for offset, ids in ((0, self._ids),
                             (len(self._ids), self._tail_ids)):
             for hit in np.nonzero(ids == og_id)[0]:
                 raw = offset + int(hit)
-                if self._dead is None or not self._dead[raw]:
+                if self._dead is not None and self._dead[raw]:
+                    continue
+                if og is None or self._rows.record(raw)[0] is og:
                     return raw
         return None
+
+    def rows_of(self, ogs: Sequence[ObjectGraph]
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Stored ``(pivot_dists, sig)`` rows of these very objects, in
+        order — matched by identity, not og_id, which can repeat — or
+        ``None`` when one of them has no live row."""
+        live = (np.flatnonzero(~self._dead).tolist() if self._n_dead
+                else range(self._num_raw()))
+        row_of = {id(self._rows.record(raw)[0]): raw for raw in live}
+        rows = [row_of.get(id(og)) for og in ogs]
+        if any(row is None for row in rows):
+            return None
+        return (self._cat(self._pd, self._tail_pd)[rows],
+                self._cat(self._sig, self._tail_sig)[rows])
 
     def compact_tombstones(self) -> bool:
         """Physically drop tombstoned rows (owned sketches only)."""

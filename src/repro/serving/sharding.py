@@ -3,8 +3,8 @@
 The monolithic :class:`~repro.core.index.STRGIndex` answers one query at
 a time against one tree.  The serving layer partitions the corpus across
 N shards — each its own ``STRGIndex`` — and answers queries by
-scatter-gather with **one global bound shared across shards**, so a
-sharded search never evaluates more candidates than a monolithic scan:
+scatter-gather with **one global bound shared across shards**, so no
+shard starts from an infinite bound:
 
 - **Placement.**  ``"affine"`` (default) runs a coarse EM clustering and
   assigns each OG to the shard whose *pivot* (coarse centroid) is
@@ -15,17 +15,21 @@ sharded search never evaluates more candidates than a monolithic scan:
   :class:`~repro.core.index.STRGIndexConfig`, so the fleet's total
   cluster count — and with it the tightness of every leaf window —
   grows with the shard count.
-- **Pivot filters.**  Affine shards precompute each record's metric
-  distance to *every* shard pivot.  At query time a single batched
-  sweep against the pivots turns those stored keys into triangle
-  lower bounds: the more shards, the more reference points, the more
-  candidates are discarded before the kernel ever sees them.
+- **Pivot filters.**  A shard that holds a sketch tier — loaded with
+  it, or built by a budgeted read or ``sketch_tier()`` — stores each
+  record's distance to its own sketch pivots (``pivot_dists``).  The
+  exact scan reads those rows as extra reference columns, so one
+  batched sweep of the query against each such shard's pivots turns
+  them into triangle lower bounds — at a price of one evaluation per
+  pivot per live shard on every exact query.  A shard without a
+  sketch scans on its leaf keys alone, exactly as a sketch-less
+  ``STRGIndex`` does.  Placement pivots only place OGs.
 - **One scan.**  The search itself is :mod:`repro.core.scan` — the
   routine the monolithic index runs over its own clusters — handed the
-  clusters of every live shard at once, with the pivot distances as
-  extra reference columns of each cluster view.  Cluster ranking is one
-  batched kernel invocation across *all* shards (pivots included) and
-  candidate windows accumulate across clusters and shards.
+  scan views every live shard keeps of its clusters.  Cluster ranking
+  is one batched kernel invocation across *all* shards (their pivots
+  included) and candidate windows accumulate across clusters and
+  shards.
 
 Search is **exact**: every prune is a metric lower bound, and ties are
 broken by ``(distance, og_id)`` — so the hits, their order *and their
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import copy
 import math
-import threading
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator, Sequence
 
@@ -45,7 +48,7 @@ import numpy as np
 
 from repro.clustering.em import EMClustering, EMConfig
 from repro.core.index import STRGIndex, STRGIndexConfig
-from repro.core.scan import ClusterView, ScanViews, knn_scan, range_scan
+from repro.core.scan import ClusterView, knn_scan, range_scan
 from repro.distance.base import Distance
 from repro.distance.batch import PaddedBatch, one_vs_many
 from repro.errors import (
@@ -118,15 +121,14 @@ class ShardedIndex:
                       cluster_distance=cluster_distance)
             for _ in range(self.config.num_shards)
         ]
-        #: Shared metric (leaf keys, pivot keys and query evaluation).
+        #: Shared metric (leaf keys, pivot distances and query
+        #: evaluation).
         self.metric_distance = self.shards[0].metric_distance
         self.cluster_distance = self.shards[0].cluster_distance
         #: Affine shard pivots (coarse centroids); ``None`` for hash
         #: placement or before the first build.
         self.pivots: list[np.ndarray] | None = None
         self.frozen = False
-        self._bounds: tuple[ScanViews | None, ...] | None = None
-        self._bounds_lock = threading.Lock()
 
     # -- construction ---------------------------------------------------------
 
@@ -143,9 +145,9 @@ class ShardedIndex:
         themselves, and a key that is not a setting of this version is
         ignored (stores written through 4.0.0 carry two scan-window
         settings that became constants of :mod:`repro.core.scan`).
-        ``pivots`` may outnumber the shards: a partition keeps every corpus pivot,
-        since pivots only serve triangle pruning and more reference
-        points mean tighter bounds.
+        ``pivots`` are the affine placement pivots, kept so that later
+        inserts land where a build would put them; nothing is swept
+        here — each shard's scan views come from its own sketch table.
         """
         settings = {f.name for f in fields(ShardedIndexConfig)}
         kept = {key: value for key, value in (serving_config or {}).items()
@@ -158,7 +160,6 @@ class ShardedIndex:
         index.cluster_distance = shards[0].cluster_distance
         if pivots is not None:
             index.pivots = [np.asarray(p, dtype=np.float64) for p in pivots]
-        index.refresh_bounds()
         return index
 
     def serving_config(self) -> dict[str, Any]:
@@ -193,28 +194,20 @@ class ShardedIndex:
         refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
         with OBS.span("serving.shard_build", ogs=len(ogs),
                       shards=self.num_shards):
-            assignment, pivot_rows = self._place(ogs)
+            assignment = self._place(ogs)
             for s in range(self.num_shards):
                 members = [og for og, a in zip(ogs, assignment) if a == s]
                 member_refs = [r for r, a in zip(refs, assignment) if a == s]
                 if members:
                     self._writable(s).build(members, background, member_refs)
-            # Placement already holds d(pivot, og) for every OG of this
-            # build: the scan views take those rows instead of a re-sweep.
-            self._refresh_bounds(
-                {} if pivot_rows is None else
-                {og.og_id: (og, row) for og, row in zip(ogs, pivot_rows)})
 
-    def _place(self, ogs: Sequence[ObjectGraph]
-               ) -> tuple[list[int], np.ndarray | None]:
-        """Shard id per OG (fits affine pivots on the first build) and
-        the pivot-distance rows affine placement chose them by."""
+    def _place(self, ogs: Sequence[ObjectGraph]) -> list[int]:
+        """Shard id per OG (fits affine pivots on the first build)."""
         if self.config.placement == "hash":
-            return [int(og.og_id) % self.num_shards for og in ogs], None
+            return [int(og.og_id) % self.num_shards for og in ogs]
         if self.pivots is None:
             self.pivots = self._fit_pivots(ogs)
-        pivot_rows = self._pivot_distances(ogs)
-        return self._assign_affine(pivot_rows), pivot_rows
+        return self._assign_affine(self._pivot_distances(ogs))
 
     def _fit_pivots(self, ogs: Sequence[ObjectGraph]) -> list[np.ndarray]:
         """Coarse EM centroids used as shard pivots (one per shard)."""
@@ -274,7 +267,7 @@ class ShardedIndex:
     def insert(self, og: ObjectGraph,
                background: BackgroundGraph | None = None,
                clip_ref: Any = None) -> None:
-        """Insert one OG into its shard (bounds go stale until refresh)."""
+        """Insert one OG into its shard."""
         self._check_mutable()
         if len(self) == 0 and self.pivots is None \
                 and self.config.placement == "affine":
@@ -316,99 +309,16 @@ class ShardedIndex:
         The copy-on-write path of the serving snapshot manager: clone the
         published (frozen) index, apply buffered writes to the clone, and
         publish it as the next snapshot.  :meth:`_writable` clones a
-        shard on its first write and the scan views carry over, so
-        :meth:`refresh_bounds` re-sweeps written shards only.  (A shard
-        not yet frozen could change under the copy: cloned right away.)
+        shard on its first write; a shard no write reaches stays shared
+        with its scan views, so the next exact read rebuilds the views
+        of written shards only.  (A shard not yet frozen could change
+        under the copy: cloned right away.)
         """
         dup = copy.copy(self)
         dup.shards = [shard if shard.frozen else shard.clone()
                       for shard in self.shards]
         dup.frozen = False
-        dup._bounds_lock = threading.Lock()
         return dup
-
-    # -- scan views -----------------------------------------------------------
-
-    def refresh_bounds(self) -> None:
-        """(Re)compute the scan views of every shard a write reached.
-
-        One batched sweep per shard and pivot keys every cluster
-        centroid and member against every shard pivot.  Hash placement
-        has no pivots and its views carry only the leaf keys (searches
-        stay exact, just without triangle filters).
-        """
-        self._refresh_bounds({})
-
-    def _refresh_bounds(self, placed: dict[int, tuple]) -> None:
-        """:meth:`refresh_bounds`; ``placed`` is what :meth:`build` hands
-        over (see :meth:`_compute_shard_bounds`)."""
-        with self._bounds_lock:
-            previous = self._bounds or (None,) * self.num_shards
-            bounds: list[ScanViews | None] = []
-            for s, shard in enumerate(self.shards):
-                prior = previous[s] if s < len(previous) else None
-                if prior is not None and prior.mutations == shard.mutations:
-                    bounds.append(prior)
-                    continue
-                bounds.append(self._compute_shard_bounds(s, placed))
-            self._bounds = tuple(bounds)
-
-    def _compute_shard_bounds(self, s: int,
-                              placed: dict[int, tuple]) -> ScanViews:
-        """Scan views of shard ``s``, one reference column per pivot.
-
-        ``placed`` maps ``og_id`` to ``(og, pivot-distance row)`` for the
-        OGs the running build just placed: a member found there (the
-        same object, not merely the same id) takes its row; every other
-        member — inserted later, loaded, from an earlier build — is
-        swept.  Both are pivot-first ``one_vs_many`` values, so the
-        result does not depend on which way a row arrived.
-        """
-        shard = self.shards[s]
-        records = shard.cluster_records()
-        if self.pivots is None or not records:
-            return ScanViews(shard.mutations, {
-                id(record): ClusterView(record) for record in records})
-        # One pivot-first sweep per pivot over every centroid and every
-        # member of the shard placement did not already key, split back
-        # per cluster.
-        centroids = PaddedBatch([record.centroid for record in records])
-        centroid_pd = np.stack(
-            [one_vs_many(self.metric_distance, pivot, centroids)
-             for pivot in self.pivots], axis=1)
-        members = [r.og for record in records for r in record.leaf]
-        member_pd = np.empty((len(members), len(self.pivots)))
-        todo = []
-        for i, og in enumerate(members):
-            placed_og, row = placed.get(og.og_id, (None, None))
-            if placed_og is og:
-                member_pd[i] = row
-            else:
-                todo.append(i)
-        if todo:
-            unkeyed = PaddedBatch([members[i] for i in todo])
-            for p, pivot in enumerate(self.pivots):
-                member_pd[todo, p] = one_vs_many(self.metric_distance,
-                                                 pivot, unkeyed)
-        by_record: dict[int, ClusterView] = {}
-        start = 0
-        for record, pd in zip(records, centroid_pd):
-            stop = start + len(record.leaf)
-            by_record[id(record)] = ClusterView(record, pd,
-                                                member_pd[start:stop])
-            start = stop
-        return ScanViews(shard.mutations, by_record)
-
-    def _fresh_bounds(self) -> tuple[ScanViews | None, ...]:
-        """Current scan views; recompute stale shards first."""
-        bounds = self._bounds
-        if bounds is not None and len(bounds) == self.num_shards and all(
-            b is not None and b.mutations == shard.mutations
-            for b, shard in zip(bounds, self.shards)
-        ):
-            return bounds
-        self.refresh_bounds()
-        return self._bounds
 
     # -- search ---------------------------------------------------------------
 
@@ -510,18 +420,10 @@ class ShardedIndex:
                 ) -> tuple[list[ClusterView], list[int]]:
         """Scan views of the (BG-routed) non-empty clusters of every
         live shard, and the ordinals of the shards lost."""
-        bounds = self._fresh_bounds()
         views: list[ClusterView] = []
         live, failed = self._live_shards(degrade)
         for s in live:
-            by_record = bounds[s].by_record
-            for record in self.shards[s].cluster_records(background):
-                if len(record.leaf) == 0:
-                    continue
-                # A record the view pass missed (mutated mid-gather on
-                # an unsynchronized writer) is scanned on its keys alone.
-                views.append(by_record.get(id(record))
-                             or ClusterView(record))
+            views.extend(self.shards[s]._cluster_views(background))
         return views, failed
 
     def _scatter_gather(self, request: SearchRequest) -> SearchResult:
@@ -529,15 +431,14 @@ class ShardedIndex:
         # shares one bound across its clusters.
         views, failed = self._gather(request.background, request.degrade)
         hits = knn_scan(self.metric_distance, request.series, views,
-                        request.k, pivots=self.pivots or (),
-                        prune_bound=request.prune_bound, layer="serving")
+                        request.k, prune_bound=request.prune_bound,
+                        layer="serving")
         return SearchResult(hits, bool(failed), failed)
 
     def _range_scatter(self, request: SearchRequest) -> SearchResult:
         views, failed = self._gather(request.background, request.degrade)
         hits = range_scan(self.metric_distance, request.series, views,
-                          request.radius, pivots=self.pivots or (),
-                          layer="serving")
+                          request.radius, layer="serving")
         return SearchResult(hits, bool(failed), failed)
 
     # -- introspection --------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.search.request import SearchRequest, SearchResult
-from repro.serving.sharding import ShardedIndex
 
 logger = logging.getLogger(__name__)
 
@@ -270,8 +269,6 @@ class LiveIndex:
                                        write.clip_ref)
                     else:
                         working.delete(write.og_id)
-                if isinstance(working, ShardedIndex):
-                    working.refresh_bounds()
                 working.freeze()
                 published = IndexSnapshot(previous.version + 1, working)
                 self._snapshot = published

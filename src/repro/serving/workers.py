@@ -91,9 +91,9 @@ class _ShardSet:
     Exact requests that cover every (non-empty) open shard run through
     one worker-local :class:`~repro.serving.sharding.ShardedIndex`
     assembled over exactly those shards: one scan over every shard's
-    clusters shares one pruning bound and the corpus pivot columns,
-    where a loop of ``STRGIndex.search`` per shard — the same scan, one
-    shard at a time — would start each shard from an infinite bound.
+    clusters shares one pruning bound, where a loop of
+    ``STRGIndex.search`` per shard — the same scan, one shard at a time
+    — would start each shard from an infinite bound.
 
     Exactness is preserved: shards are (re)opened in ascending ordinal
     order, so worker-local og_ids are minted in ``(ordinal, row)``
@@ -118,15 +118,14 @@ class _ShardSet:
         self._combined: Any = None
         self._fast: frozenset[int] = frozenset()
         self._loc: dict[int, tuple[int, int]] = {}
-        self._sharding: tuple[dict[str, Any] | None, list | None] = (
-            None, None)
+        self._serving_config: dict[str, Any] | None = None
         self.reload()
 
     # -- lifecycle ------------------------------------------------------
 
     def reload(self) -> None:
         """(Re)open every assigned shard, ascending ordinal order."""
-        self._sharding = self._read_root()
+        self._serving_config = self._read_root()
         self.shards = {
             o: _open_shard(self.store_path, self.rels[o], self.mmap)
             for o in sorted(self.rels)
@@ -154,19 +153,15 @@ class _ShardSet:
 
     # -- combined-index assembly ----------------------------------------
 
-    def _read_root(self) -> tuple[dict[str, Any] | None, list | None]:
-        """Serving config + shard pivots of a sharded root store."""
+    def _read_root(self) -> dict[str, Any] | None:
+        """Serving config of a sharded root store.  A worker never
+        places an OG, so the placement pivots stay on disk."""
         from repro.storage.columnar import ColumnarStore
 
-        store = ColumnarStore(self.store_path, normalize=False)
-        manifest = store.manifest()
+        manifest = ColumnarStore(self.store_path, normalize=False).manifest()
         if manifest.get("kind") != "sharded":
-            return None, None
-        try:
-            return store.read_sharding(manifest)
-        except StorageError:
-            # Pivots only prune; never required.
-            return dict(manifest["serving_config"]), None
+            return None
+        return dict(manifest["serving_config"])
 
     def _refresh(self) -> None:
         ordered = sorted(self.shards)
@@ -182,11 +177,9 @@ class _ShardSet:
     def _assemble(self, ordinals: list[int]) -> Any:
         from repro.serving.sharding import ShardedIndex
 
-        # The FULL corpus pivot fleet, not just the assigned shards'
-        # pivots: a subset worker prunes as hard as the whole
-        # in-process index would.
         return ShardedIndex.from_shards(
-            [self.shards[o][0] for o in ordinals], *self._sharding).freeze()
+            [self.shards[o][0] for o in ordinals],
+            self._serving_config).freeze()
 
     # -- search ---------------------------------------------------------
 

@@ -197,8 +197,11 @@ def _pack_sketch(index: STRGIndex,
     Returns the numeric ``sketch_*`` arrays plus the JSON meta string.
     Rows are stored in the same order as the snapshot's leaf records
     (``ogs``), because og_ids are not stable across a save/load round
-    trip — position is.  A sketch that lost sync with the index (should
-    not happen; defensive) is dropped and will be rebuilt on demand.
+    trip — position is.  Each leaf record takes the row of that very
+    object: two indexed OGs may share an og_id, and the exact scan
+    prunes with these rows.  A sketch that lost sync with the index
+    (should not happen; defensive) is dropped and will be rebuilt on
+    demand.
     """
     sketch = getattr(index, "_sketches", None)
     if sketch is None or not sketch.pivots or len(sketch) != len(ogs):
@@ -209,19 +212,17 @@ def _pack_sketch(index: STRGIndex,
         return {}, None
     from repro.search.sketch import sketch_meta_json
 
-    row_of = {int(og_id): pos for pos, og_id in enumerate(sketch.og_ids)}
-    rows = [row_of.get(og.og_id) for og in ogs]
-    if any(row is None for row in rows):
+    rows = sketch.rows_of(ogs)
+    if rows is None:
         logger.warning("sketch tier missing rows for indexed OGs; "
                        "not persisting it")
         return {}, None
-    order = np.asarray(rows, dtype=np.int64)
     pivot_flat, pivot_offsets = _pack_ragged(sketch.pivots)
     return dict(
         sketch_pivot_values=pivot_flat,
         sketch_pivot_offsets=pivot_offsets,
-        sketch_pivot_dists=sketch.pivot_dists[order],
-        sketch_sig=sketch.sig[order],
+        sketch_pivot_dists=rows[0],
+        sketch_sig=rows[1],
     ), sketch_meta_json(sketch)
 
 

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import observability as obs
 from repro.core.index import STRGIndexConfig
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.base import CountingDistance, as_series, resample_stack
@@ -278,77 +277,30 @@ class TestStoredColumnsAgainstOracle:
 
     def test_shard_bounds(self, built):
         metric = built.metric_distance
-        for s, shard in enumerate(built.shards):
-            bounds = built._bounds[s]
-            assert bounds.mutations == shard.mutations
+        for shard in built.shards:
+            pivots = shard.sketch_tier().pivots
+            shard._cluster_views(None)
+            views = shard._views
+            assert views.mutations == shard.mutations
             for record in shard.cluster_records():
-                view = bounds.by_record[id(record)]
+                view = views.by_record[id(record)]
                 # Column 0 is the reference the leaf is keyed by (the
-                # centroid); one more column per shard pivot.
+                # centroid); one more column per sketch pivot, read from
+                # the sketch's stored rows.
+                assert view.pivots is pivots
                 assert list(view.centroid_refs) == [0.0] + [
-                    one(metric, pivot, record.centroid)
-                    for pivot in built.pivots]
-                assert view.refs.shape == (len(record.leaf), 3)
+                    one(metric, pivot, record.centroid) for pivot in pivots]
+                assert view.refs.shape == (len(record.leaf), 9)
                 for leaf, row in zip(record.leaf, view.refs):
                     assert list(row) == [leaf.key] + [
-                        one(metric, pivot, leaf.og)
-                        for pivot in built.pivots]
+                        one(metric, pivot, leaf.og) for pivot in pivots]
 
     def test_no_batch_outlives_its_stage(self, built):
         for shard in built.shards:
             assert b"PaddedBatch" not in pickle.dumps(shard)
             assert b"PaddedBatch" not in pickle.dumps(shard.sketch_tier())
-        assert b"PaddedBatch" not in pickle.dumps(
-            [(b.mutations, list(b.by_record.values()))
-             for b in built._bounds])
+            views = shard._cluster_views(None)
+            assert b"PaddedBatch" not in pickle.dumps(
+                (shard._views.mutations, views))
         assert not any(isinstance(v, PaddedBatch)
                        for v in vars(built).values())
-
-
-def counted_build(ogs) -> tuple[ShardedIndex, int]:
-    obs.configure(enabled=True, reset_state=True)
-    try:
-        index = build_sharded(ogs)
-        return index, obs.metrics()["distance.pairs_computed"]
-    finally:
-        obs.configure(enabled=False, reset_state=True)
-
-
-class TestPlacementHandOff:
-    def test_build_saves_exactly_n_times_shards(self, corpus, monkeypatch):
-        handed, pairs_handed = counted_build(corpus)
-        refresh = ShardedIndex._refresh_bounds
-        monkeypatch.setattr(ShardedIndex, "_refresh_bounds",
-                            lambda self, placed: refresh(self, {}))
-        swept, pairs_swept = counted_build(corpus)
-        assert pairs_swept - pairs_handed == N_OGS * handed.num_shards
-        for s in range(handed.num_shards):
-            for a, b in zip(handed.shards[s].cluster_records(),
-                            swept.shards[s].cluster_records()):
-                mine = handed._bounds[s].by_record[id(a)]
-                theirs = swept._bounds[s].by_record[id(b)]
-                assert np.array_equal(mine.refs, theirs.refs)
-                assert np.array_equal(mine.centroid_refs,
-                                      theirs.centroid_refs)
-
-    def test_members_not_handed_over_are_swept(self, corpus):
-        """Inserts, a second build and a same-id stranger all get keyed
-        by a sweep — a row is taken only for the very object placed."""
-        index = build_sharded(corpus[:200])
-        index.insert(corpus[300])
-        index.build(corpus[400:440])
-        stranger = ObjectGraph.from_values(corpus[0].values + 0.25)
-        stranger.og_id = corpus[0].og_id
-        index.build([stranger])
-        (home,) = [s for s, shard in enumerate(index.shards)
-                   if any(og is stranger for og in shard.object_graphs())]
-        assert any(og is corpus[0]
-                   for og in index.shards[home].object_graphs())
-        metric = index.metric_distance
-        for s, bounds in enumerate(index._fresh_bounds()):
-            for record in index.shards[s].cluster_records():
-                view = bounds.by_record[id(record)]
-                for leaf, row in zip(record.leaf, view.refs[:, 1:]):
-                    assert list(row) == [one(metric, pivot, leaf.og)
-                                         for pivot in index.pivots]
-        assert len(index) == 242

@@ -3,32 +3,45 @@
 - A ``ShardedIndex`` over one shard *is* that ``STRGIndex``: same hits,
   same order, same float distances — for ``knn``, ``range_query``
   (radius 0 on an indexed OG included) and with a background — under
-  hash placement (no pivots) and affine placement (pivot columns that may
-  only prune).  Under ``CountingDistance`` the hash-placed shard spends
-  exactly the evaluations the index does: same routine, no pivots.
+  hash and affine placement (placement pivots only place).  Under
+  ``CountingDistance`` the hash-placed shard spends exactly the
+  evaluations the index does: same routine, same views.
 - At window 1 the routine is the paper's scalar leaf walk: on the
   ``bench_fig7`` corpus it spends the evaluations that walk spent before
   it was deleted (Fig. 7(b): 281.4 / 358.53 / 460.8 / 547.8).
+- Every shard prunes with its own sketch pivot table: at 1, 2 and 4
+  shards, under either placement, whether the sketch was built, attached
+  the way a store attaches it, or loaded with the shard (eagerly or
+  memory-mapped), exact k-NN and range answers equal a brute-force
+  ranking through inserts, deletes, a BIC split and a same-id stranger
+  (a loaded index is written and loaded again while the stranger shares
+  its victim's og_id).  A loaded shard's views cost one evaluation per
+  centroid and pivot.
 - Stores written by 4.0.0 still carry the three window settings this
   routine replaced; both loaders drop them.
 """
 
 import dataclasses
 import json
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import observability as obs
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.core.scan import knn_scan
 from repro.datasets.patterns import ALL_PATTERNS
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
-from repro.distance.base import CountingDistance
+from repro.distance.base import CountingDistance, as_series
+from repro.distance.batch import one_vs_many
 from repro.distance.eged import EGED, MetricEGED
+from repro.graph.object_graph import ObjectGraph
 from repro.search.sketch import SketchConfig, sketch_from_meta
-from repro.serving import ShardedIndex
+from repro.serving import ShardedIndex, ShardedIndexConfig
+from repro.storage.store import open_store
 from test_index_properties import random_ogs
 from test_strg_index import make_background
 
@@ -36,8 +49,8 @@ PLACEMENTS = ["hash", "affine"]
 
 
 def one_shard(index: STRGIndex, placement: str, ogs) -> ShardedIndex:
-    """``index`` served as the only shard of a sharded index.  Any series
-    is a valid pivot (pivots only prune), so affine takes two members."""
+    """``index`` served as the only shard of a sharded index.  Placement
+    pivots only place, so affine takes any two members."""
     pivots = [ogs[0].values, ogs[-1].values] if placement == "affine" \
         else None
     return ShardedIndex.from_shards([index], {"placement": placement},
@@ -72,6 +85,8 @@ class TestOneShardIsTheIndex:
         itself = flat(index.range_query(member, 0.0))
         assert (0.0, member.og_id) in [(d, og_id) for d, og_id, _ in itself]
         assert flat(sharded.range_query(member, 0.0)) == itself
+        # Exact reads build no sketch: both layers scanned on keys alone.
+        assert index._sketches is None
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 8),
@@ -110,6 +125,10 @@ class TestOneShardIsTheIndex:
                                           seed=seed),
                           metric_distance=counter)
         index.build(ogs[:48])
+        # The pivot table both layers prune with, and the views over it,
+        # are built before counting: a query of either layer reuses them.
+        index.sketch_tier()
+        index._cluster_views(None)
         sharded = one_shard(index, "hash", ogs)
         for ask in (lambda layer: layer.knn(ogs[48], k),
                     lambda layer: layer.range_query(ogs[48], radius)):
@@ -119,6 +138,142 @@ class TestOneShardIsTheIndex:
             counter.reset()
             ask(sharded)
             assert counter.calls == spent > 0
+
+
+SKETCHES = ["built", "attached", "loaded", "mmap"]
+
+
+def sketched(index: ShardedIndex, how: str, attach_lazy_sketch, workdir: str
+             ) -> ShardedIndex:
+    """``index`` with a sketch tier on every non-empty shard, as ``how``
+    names: built in place, swapped for a store-style attached one, or
+    written to a store under ``workdir`` and loaded back with the
+    shards."""
+    for shard in index.shards:
+        if len(shard):
+            shard.sketch_tier()
+            if how == "attached":
+                attach_lazy_sketch(shard)
+    if how in ("loaded", "mmap"):
+        store = open_store(f"{workdir}/corpus")
+        store.write_index(index)
+        index = store.load_index(mmap=how == "mmap")
+        assert all(shard._sketches is not None
+                   for shard in index.shards if len(shard))
+    return index
+
+
+def brute(query, members) -> list[tuple[float, int]]:
+    """Every member as ``(distance, og_id)``, nearest first."""
+    dists = one_vs_many(MetricEGED(), as_series(query),
+                        [as_series(og) for og in members])
+    return sorted(zip(dists.tolist(), [og.og_id for og in members]))
+
+
+def ranked(hits) -> list[tuple[float, int]]:
+    return [(d, og.og_id) for d, og, _ in hits]
+
+
+def deleting(index: ShardedIndex, og_id: int) -> None:
+    """Delete by id; exactly one object holding it leaves the index."""
+    before = {id(og): og for og in index.object_graphs()}
+    assert index.delete(og_id)
+    after = {id(og) for og in index.object_graphs()}
+    (gone,) = set(before) - after
+    assert before[gone].og_id == og_id
+
+
+def answers_exactly(index: ShardedIndex, queries, k: int,
+                    radius: float) -> None:
+    """Exact k-NN and range answers equal the brute-force ranking."""
+    members = list(index.object_graphs())
+    for query in queries:
+        truth = brute(query, members)
+        assert ranked(index.knn(query, k)) == truth[:k]
+        assert ranked(index.range_query(query, radius)) == [
+            hit for hit in truth if hit[0] <= radius]
+
+
+class TestPivotTablePruning:
+    @pytest.mark.parametrize("how", SKETCHES)
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12),
+           radius=st.floats(0.0, 400.0))
+    @settings(max_examples=3, deadline=None)
+    def test_exact_answers_through_writes(self, shards, placement, how,
+                                          attach_lazy_sketch, seed, k,
+                                          radius):
+        rng = np.random.default_rng(seed)
+        ogs = random_ogs(rng, 64, n_blobs=6)
+        # One cluster per shard over several blobs: a leaf past capacity
+        # splits on its next insert.
+        index = ShardedIndex(ShardedIndexConfig(
+            num_shards=shards, placement=placement, seed=seed,
+            index=STRGIndexConfig(n_clusters=1, leaf_capacity=8,
+                                  em_iterations=4, seed=seed)))
+        index.build(ogs[:48])
+        with tempfile.TemporaryDirectory() as workdir:
+            index = sketched(index, how, attach_lazy_sketch, workdir)
+            for og in ogs[48:60]:
+                index.insert(og)
+            assert index.num_clusters() > len(
+                [shard for shard in index.shards if len(shard)])
+            members = list(index.object_graphs())
+            victim = members[int(rng.integers(len(members)))]
+            # A stranger from another blob under the victim's og_id: a
+            # pivot row matched by id instead of identity misbounds it.
+            stranger = ObjectGraph.from_values(next(
+                og for og in ogs[62:] if og.label != victim.label).values)
+            stranger.og_id = victim.og_id
+            index.insert(stranger)
+            if how in ("loaded", "mmap"):
+                # Written while the stranger shares the victim's og_id:
+                # each object must come back with its own stored row.
+                index = sketched(index, how, attach_lazy_sketch,
+                                 f"{workdir}/again")
+                members = [og for og in index.object_graphs()
+                           if not np.array_equal(og.values, stranger.values)]
+                (victim,) = [og for og in members
+                             if np.array_equal(og.values, victim.values)]
+            queries = (ogs[60], ogs[61], stranger, victim)
+            answers_exactly(index, queries, k, radius)
+            for pick in rng.choice(len(members), size=4, replace=False):
+                if members[int(pick)] is not victim:
+                    deleting(index, members[int(pick)].og_id)
+            deleting(index, victim.og_id)
+            answers_exactly(index, queries, k, radius)
+        # Every view pruned with its shard's pivot table, none on keys
+        # alone.
+        for shard in index.shards:
+            if len(shard):
+                pivots = shard._sketches.pivots
+                assert all(view.pivots is pivots
+                           and view.refs.shape[1] == 1 + len(pivots)
+                           for view in shard._cluster_views(None))
+
+    def test_loaded_views_cost_clusters_times_pivots(self, tmp_path):
+        ogs = random_ogs(np.random.default_rng(9), 96)
+        index = ShardedIndex(ShardedIndexConfig(
+            num_shards=2, placement="affine",
+            index=STRGIndexConfig(n_clusters=3, em_iterations=4)))
+        index.build(ogs)
+        for shard in index.shards:
+            shard.sketch_tier()
+        store = open_store(tmp_path / "corpus")
+        store.write_index(index)
+        obs.configure(enabled=True, reset_state=True)
+        try:
+            loaded = store.load_index()
+            assert obs.metrics().get("distance.pairs_computed", 0) == 0
+            for shard in loaded.shards:
+                spent = obs.metrics().get("distance.pairs_computed", 0)
+                shard._cluster_views(None)
+                assert (obs.metrics()["distance.pairs_computed"] - spent
+                        == shard.num_clusters()
+                        * len(shard._sketches.pivots))
+        finally:
+            obs.configure(enabled=False, reset_state=True)
 
 
 def fig7_corpus(num: int, seed: int):

@@ -117,12 +117,17 @@ class TestShardedIndexBasics:
 
     def test_insert_and_delete(self, corpus):
         index = _sharded(corpus[:32], 2, "hash")
+        for shard in index.shards:
+            shard.sketch_tier()
         extra = corpus[32]
         index.insert(extra)
-        index.refresh_bounds()
         assert len(index) == 33
         hits = index.knn(extra, 1)
         assert hits[0][1].og_id == extra.og_id
+        # The read rebuilt the written shard's views over its sketch.
+        for shard in index.shards:
+            assert shard._views.mutations == shard.mutations
+            assert shard._views.sketch is shard._sketches is not None
         assert index.delete(extra.og_id)
         assert not index.delete(extra.og_id)
         assert len(index) == 32

@@ -151,14 +151,18 @@ class TestSharded:
         live = LiveIndex(index)
         live.delete(same[0].og_id)
         before = live.compact().index
+        before.knn(corpus[0], 3)        # builds every shard's scan views
+        views = [shard._views for shard in before.shards]
         live.insert(corpus[100])
         live.delete(same[1].og_id)
         after = live.compact().index
+        after.knn(corpus[0], 3)
 
         assert after is not before and after.shards is not before.shards
         assert after.shards[1 - parity] is before.shards[1 - parity]
-        assert after._bounds[1 - parity] is before._bounds[1 - parity]
-        assert after._bounds[parity] is not before._bounds[parity]
+        assert after.shards[1 - parity]._views is views[1 - parity]
+        assert after.shards[parity]._views is not views[parity]
+        assert before.shards[parity]._views is views[parity]
         assert all(shard.frozen for shard in after.shards)
         _assert_tree_forked(before.shards[parity], after.shards[parity],
                             {same[1].og_id})
@@ -174,9 +178,10 @@ class TestSharded:
         victim = next(index.shards[1].object_graphs())
         assert index.delete(victim.og_id)
         assert (len(index), len(dup)) == (95, 96)
-        for shard, cache in zip(dup.shards, dup._fresh_bounds()):
+        for shard in dup.shards:
+            shard._cluster_views(None)
             assert ({id(r) for r in shard.cluster_records()}
-                    == set(cache.by_record))
+                    == set(shard._views.by_record))
 
     def test_delete_finds_its_shard_without_cloning_the_others(self, corpus):
         index = _sharded(corpus[:96], "affine").freeze()
@@ -193,31 +198,34 @@ class TestSharded:
     def test_one_insert_commit_sweeps_one_shard(self, corpus):
         """The commit's distance work is bounded by the written shard.
 
-        ``refresh_bounds`` keys every member and centroid of a stale
-        shard against every pivot; a commit that carried no scan cache
-        forward paid that for the whole corpus.
+        Placement (one pair per placement pivot), the insert's centroid
+        keys and its sketch row; then the next read rebuilds the scan
+        views of the written shard only, at one pair per centroid and
+        sketch pivot — member rows come from the sketch table.
         """
-        index = ShardedIndex(ShardedIndexConfig(
-            num_shards=2, placement="affine", index=NO_SPLIT))
-        index.build(corpus[:96])
+        index = _sharded(corpus[:96], "affine")
         live = LiveIndex(index)
         before = live.snapshot.index
-        pivots = len(before.pivots)
+        before.knn(corpus[0], 3)        # builds every shard's scan views
+        views = [shard._views for shard in before.shards]
         obs.configure(enabled=True, registry=MetricsRegistry(),
                       tracer=Tracer())
         try:
             live.insert(corpus[100])
             after = live.compact().index
-            pairs = obs.metrics()["distance.pairs_computed"]
+            commit = obs.metrics()["distance.pairs_computed"]
+            for shard in after.shards:
+                shard._cluster_views(None)
+            rebuild = obs.metrics()["distance.pairs_computed"] - commit
         finally:
             obs.configure(enabled=False, registry=MetricsRegistry(),
                           tracer=Tracer())
         (written,) = [s for s in range(2)
                       if after.shards[s] is not before.shards[s]]
         shard = after.shards[written]
-        # Placement (one pair per pivot), the insert's centroid keys,
-        # then one sweep of the written shard per pivot.
-        budget = (pivots + shard.num_clusters()
-                  + pivots * (len(shard) + shard.num_clusters()))
-        assert 0 < pairs <= budget < pivots * len(after)
-        assert after._bounds[1 - written] is before._bounds[1 - written]
+        sketch_pivots = len(shard.sketch_tier().pivots)
+        assert commit == (len(before.pivots) + shard.num_clusters()
+                          + sketch_pivots)
+        assert rebuild == shard.num_clusters() * sketch_pivots
+        assert after.shards[1 - written]._views is views[1 - written]
+        assert shard._views is not views[written]

@@ -300,6 +300,36 @@ class TestInsertAndSplit:
         assert [h[0] for h in hits] == pytest.approx(brute)
 
 
+def live_row_objects(sketch) -> set[int]:
+    """Identities of the OGs behind the sketch's live (untombstoned) rows."""
+    dead = (sketch._dead if sketch._dead is not None
+            else np.zeros(sketch._num_raw(), dtype=bool))
+    return {id(sketch.row_record(row)[0]) for row in np.flatnonzero(~dead)}
+
+
+class TestDeleteWithRepeatedIds:
+    def test_tree_and_sketch_drop_the_same_object(self):
+        """A delete by og_id drops one leaf; the sketch must tombstone
+        the row of that very OG, not the first row carrying the id."""
+        ogs = blob_ogs(k=4, n_per=40)
+        ogs = [ogs[i] for i in np.random.default_rng(0).permutation(160)]
+        victims, strangers = ogs[:120], ogs[120:]
+        index = STRGIndex(STRGIndexConfig(n_clusters=4, em_iterations=4))
+        index.build(victims)
+        index.sketch_tier()
+        pairs = list(zip(victims[::3], strangers))
+        for victim, stranger in pairs:
+            stranger.og_id = victim.og_id
+            index.insert(stranger)
+        for victim, stranger in pairs:
+            assert index.delete(victim.og_id)
+            leaves = {id(og) for og in index.object_graphs()}
+            assert live_row_objects(index._sketches) == leaves
+            hits = index.knn(stranger, 1, search_budget=60)
+            assert all(id(og) in leaves for _, og, _ in hits)
+        assert len(index) == len(index._sketches) == 120
+
+
 class TestBackgroundRouting:
     def test_similar_background_shares_root(self):
         ogs = blob_ogs(k=2, n_per=4)
