@@ -184,14 +184,12 @@ def _run_child(store_path, mode, queries_npz, budget) -> dict:
 
 def _recall_and_cost(store, ogs, queries, budget) -> tuple[float, float]:
     """PR 7 gate, measured on the streamed sketch itself."""
-    from repro.search import SearchRequest, SketchIndex, approx_knn
+    from repro.search import SearchRequest, approx_knn
     from repro.search.request import budgeted_scatter
 
     counting = CountingDistance(MetricEGED())
     sketches = store.load_sketch(distance=counting, mmap=True)
     assert sketches is not None
-    if isinstance(sketches, SketchIndex):   # monolithic: one part
-        sketches = [sketches]
     series = [np.asarray(og.values, dtype=np.float64) for og in ogs]
     recalls, spent = [], []
     for q in queries:

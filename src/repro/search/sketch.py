@@ -31,12 +31,15 @@ distances plus the rerank — never exceeds ``search_budget``.
 
 Out-of-core operation
 ---------------------
-The backing arrays (``og_ids``, ``pivot_dists``, ``sig``) need not be
-owned RAM copies: :meth:`SketchIndex.attach_rows` binds them to
-zero-copy views — typically the columnar store's mmap'd sketch columns
-(see ``ColumnarStore.load_sketch``) — together with a *row provider*
-that materializes ``(og, clip_ref)`` records lazily through the store's
-row-addressed read path.  Candidate generation runs as a blocked scan
+Every sketch has one layout: *base* arrays (``og_ids``,
+``pivot_dists``, ``sig``) that are never written in place — bound by
+:meth:`SketchIndex.attach_rows`, often as zero-copy views of a columnar
+store's mmap'd sketch columns — an owned *tail* every :meth:`add`
+appends to, and a tombstone mask.  One row provider,
+:class:`SketchRows`, returns each row's ``(og, clip_ref)`` record: the
+first rows may stream lazily from the store's row-addressed read path
+(see ``ColumnarStore.load_sketch``), the rest are held in memory.
+Candidate generation runs as a blocked scan
 over fixed-size row blocks (exact per-block ``argpartition`` top-m per
 channel, streamed merge — bit-identical to one global lexsort at any
 block size), so query-time resident memory scales with the shortlist,
@@ -44,10 +47,11 @@ not the corpus.  The scan is one serial loop in the calling thread
 (docs/PERFORMANCE.md, *Sketch scan*, has the measurement against a
 per-query process fan-out).
 
-Deletions tombstone rows instead of rewriting the arrays; owned
-(in-RAM) sketches compact physically past a threshold, while
-store-attached sketches keep the mask and leave compaction to the
-store's segment merge.
+Deletions tombstone rows instead of rewriting the arrays.  A sketch
+none of whose rows comes from a store reader compacts physically past
+a threshold (the surviving rows become its tail); a store-attached
+sketch keeps the mask and leaves compaction to the store's segment
+merge.
 
 Sketches hold no reference to a distance object: the owning index
 passes its metric into every call, so cloned indexes (serving
@@ -66,7 +70,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.distance.base import as_series, resample_stack
+from repro.distance.base import resample_stack
 from repro.distance.batch import PaddedBatch, one_vs_many
 from repro.distance.bounds import gap_mass, pivot_lower_bounds
 from repro.errors import InvalidParameterError
@@ -74,10 +78,14 @@ from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.search.request import SearchRequest, TopK
 
-#: Tombstones before an owned sketch is worth compacting (and the dead
-#: fraction that triggers it — mirrors the columnar merge policy).
+#: Tombstones before a sketch with no store-read rows is worth
+#: compacting (and the dead fraction that triggers it — mirrors the
+#: columnar merge policy).
 TOMBSTONE_COMPACT_MIN = 64
 TOMBSTONE_COMPACT_FRACTION = 0.25
+
+#: Store-read rows a sketch keeps materialized (LRU).
+ROW_CACHE_SIZE = 512
 
 
 @dataclass
@@ -146,95 +154,66 @@ class SketchConfig:
         }
 
 
-# -- row providers ----------------------------------------------------------
+# -- row provider -----------------------------------------------------------
 
 
-class _EagerRows:
-    """Row records held as in-RAM ``(og, clip_ref)`` pairs.
+class SketchRows:
+    """The ``(og, clip_ref)`` record of every raw sketch row.
 
-    The classic mode: :meth:`SketchIndex.build` and archive loads that
-    already materialized every OG use it.  Series are *not* stored —
-    ``series_at`` returns the OG's own float64 values view, so the old
-    duplicate ``series`` list is gone.
+    Rows ``[0, n_attached)`` are read on demand from an optional store
+    ``reader`` — ``record(row) -> (og, clip_ref)`` backed by
+    offsets-table slicing, see ``ColumnarStore.row_reader`` — through an
+    LRU of :data:`ROW_CACHE_SIZE` rows that keeps hot shortlist rows
+    warm across queries.  Every later row (all of them when there is no
+    reader: a built or tree-loaded sketch) sits in an in-memory list,
+    so those paths never touch the LRU.
     """
 
-    def __init__(self, records: list[tuple[ObjectGraph, Any]] | None = None):
-        self.records: list[tuple[ObjectGraph, Any]] = (
-            list(records) if records is not None else []
-        )
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def append(self, pairs: list[tuple[ObjectGraph, Any]]) -> None:
-        self.records.extend(pairs)
-
-    def record(self, row: int) -> tuple[ObjectGraph, Any]:
-        return self.records[row]
-
-    def series_at(self, row: int) -> np.ndarray:
-        return as_series(self.records[row][0])
-
-    def compact(self, keep: np.ndarray) -> None:
-        self.records = [self.records[int(i)] for i in keep]
-
-    def clone(self) -> "_EagerRows":
-        return _EagerRows(self.records)
-
-
-class LazyRows:
-    """Rows materialized on demand from a row-addressed store reader.
-
-    ``reader`` must expose ``record(row) -> (og, clip_ref)`` backed by
-    offsets-table slicing (no full-segment loads) — see
-    ``ColumnarStore.row_reader``.  A small LRU keeps hot shortlist rows
-    (and their series, via the OG's values view) warm across queries.
-    Rows appended after attachment (live adds) are kept eagerly in a
-    tail list, mirroring the sketch's own base/tail array split.
-    """
-
-    def __init__(self, reader: Any, n_attached: int, cache_size: int = 512):
-        self._reader = reader
+    def __init__(self, records: Sequence[tuple[ObjectGraph, Any]] = (),
+                 reader: Any = None, n_attached: int = 0):
+        self.reader = reader
         self._attached = int(n_attached)
         self._cache: OrderedDict[int, tuple[ObjectGraph, Any]] = OrderedDict()
-        self._cache_size = max(1, int(cache_size))
-        self._tail: list[tuple[ObjectGraph, Any]] = []
+        self._records: list[tuple[ObjectGraph, Any]] = list(records)
 
     def __len__(self) -> int:
-        return self._attached + len(self._tail)
+        return self._attached + len(self._records)
 
     def append(self, pairs: list[tuple[ObjectGraph, Any]]) -> None:
-        self._tail.extend(pairs)
+        self._records.extend(pairs)
 
     def record(self, row: int) -> tuple[ObjectGraph, Any]:
         if row >= self._attached:
-            return self._tail[row - self._attached]
+            return self._records[row - self._attached]
         pair = self._cache.get(row)
         if pair is not None:
             self._cache.move_to_end(row)
             return pair
-        pair = self._reader.record(row)
+        pair = self.reader.record(row)
         self._cache[row] = pair
-        if len(self._cache) > self._cache_size:
+        if len(self._cache) > ROW_CACHE_SIZE:
             self._cache.popitem(last=False)
         return pair
 
     def series_at(self, row: int) -> np.ndarray:
-        # The OG's values ARE the zero-copy series slice the reader cut
-        # out of the mmap'd og_values column.
+        # An OG's values are already its (n, d) float64 series; a
+        # store-read OG's are the zero-copy slice the reader cut out of
+        # the mmap'd og_values column.
         return self.record(row)[0].values
 
     def compact(self, keep: np.ndarray) -> None:
-        raise InvalidParameterError(
-            "store-attached sketch rows cannot be compacted in place; "
-            "the owning store's segment merge reclaims tombstones"
-        )
+        if self.reader is not None:
+            raise InvalidParameterError(
+                "store-attached sketch rows cannot be compacted in place; "
+                "the owning store's segment merge reclaims tombstones"
+            )
+        self._records = [self._records[int(i)] for i in keep]
 
-    def clone(self) -> "LazyRows":
-        """Own tail list; the reader and its row cache (a memo of
-        immutable attached rows) stay shared."""
+    def clone(self) -> "SketchRows":
+        """Own record list; the reader and its row cache (a memo of
+        immutable store rows) stay shared."""
         dup = copy.copy(self)
-        dup._tail = list(self._tail)
+        dup._records = list(self._records)
         return dup
 
 
@@ -314,11 +293,13 @@ class SketchIndex:
     ``pivot_dists[i]`` (distance to each pivot), ``sig[i]`` (quantized
     signature codes).  The public arrays are live views: tombstoned
     rows are already filtered out.  Internally rows live in a *base*
-    part — owned RAM arrays, or zero-copy mmap views bound by
-    :meth:`attach_rows` — plus an owned *tail* for rows appended after
-    attachment, so incremental adds never force the mmap base into RAM.
-    ``(og, clip_ref)`` records come from a row provider and may be
-    materialized lazily from the store's row-addressed read path.
+    part that is never written in place — RAM arrays or zero-copy mmap
+    views bound by :meth:`attach_rows` — then an owned *tail* every
+    :meth:`add` appends to, so incremental adds never force an mmap
+    base into RAM.  Raw rows are numbered base then tail.
+    ``(og, clip_ref)`` records come from a :class:`SketchRows` provider
+    and may be materialized lazily from the store's row-addressed read
+    path.
     """
 
     def __init__(self, config: SketchConfig | None = None):
@@ -331,16 +312,11 @@ class SketchIndex:
         #: Spatial bounding box (lo, hi) over the first two value dims,
         #: frozen at fit time; later values are clipped into it.
         self.bbox: tuple[np.ndarray, np.ndarray] | None = None
-        self._ids = np.empty(0, dtype=np.int64)
-        self._pd = np.empty((0, 0), dtype=np.float64)
-        self._sig = np.empty((0, self.config.sig_length), dtype=np.int16)
-        self._tail_ids = np.empty(0, dtype=np.int64)
-        self._tail_pd = np.empty((0, 0), dtype=np.float64)
-        self._tail_sig = np.empty((0, self.config.sig_length), dtype=np.int16)
-        self._rows: Any = _EagerRows()
+        self._ids, self._pd, self._sig = self._empty_part(0)
+        self._tail_ids, self._tail_pd, self._tail_sig = self._empty_part(0)
+        self._rows = SketchRows()
         self._dead: np.ndarray | None = None
         self._n_dead = 0
-        self._owned = True
         #: Set by ``ColumnarStore.load_sketch`` to the metric it bound
         #: for delta replay — a convenience for callers running the
         #: sketch-only query path without a materialized index.  The
@@ -368,6 +344,13 @@ class SketchIndex:
     def dead_rows(self) -> int:
         """Tombstoned rows awaiting compaction (0 on the clean path)."""
         return self._n_dead
+
+    def _empty_part(self, num_pivots: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(og_ids, pivot_dists, sig)`` arrays of zero rows."""
+        return (np.empty(0, dtype=np.int64),
+                np.empty((0, num_pivots), dtype=np.float64),
+                np.empty((0, self.config.sig_length), dtype=np.int16))
 
     @staticmethod
     def _cat(base: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -439,15 +422,12 @@ class SketchIndex:
         self.pivots = pivots
 
     def attach_rows(self, og_ids: np.ndarray, pivot_dists: np.ndarray,
-                    sig: np.ndarray, rows: Any, *, owned: bool = False
-                    ) -> None:
-        """Bind backing arrays (possibly zero-copy mmap views) + records.
+                    sig: np.ndarray, rows: SketchRows) -> None:
+        """Bind base arrays (possibly zero-copy mmap views) + records.
 
-        ``rows`` is the row provider (:class:`_EagerRows` or
-        :class:`LazyRows`) aligned with the arrays.  ``owned=True``
-        means the arrays may be grown/compacted in place (RAM
-        semantics); ``owned=False`` keeps them frozen — later adds go
-        to the owned tail and deletes stay tombstones.
+        ``rows`` is the :class:`SketchRows` provider aligned with the
+        arrays.  The base is never written: later adds go to the tail,
+        and compaction (only without a store reader) rebinds it.
         """
         og_ids = np.asarray(og_ids, dtype=np.int64)
         pivot_dists = np.asarray(pivot_dists, dtype=np.float64)
@@ -467,16 +447,12 @@ class SketchIndex:
             raise InvalidParameterError(
                 f"row provider has {len(rows)} rows, arrays have {n}"
             )
-        self._ids = og_ids
-        self._pd = pivot_dists
-        self._sig = sig_arr
-        self._tail_ids = np.empty(0, dtype=np.int64)
-        self._tail_pd = np.empty((0, pivot_dists.shape[1]), dtype=np.float64)
-        self._tail_sig = np.empty((0, self.config.sig_length), dtype=np.int16)
+        self._ids, self._pd, self._sig = og_ids, pivot_dists, sig_arr
+        self._tail_ids, self._tail_pd, self._tail_sig = self._empty_part(
+            pivot_dists.shape[1])
         self._rows = rows
         self._dead = None
         self._n_dead = 0
-        self._owned = bool(owned)
 
     # -- maintenance -------------------------------------------------------
 
@@ -517,25 +493,11 @@ class SketchIndex:
         ) if self.pivots else np.empty((len(ogs), 0))
         new_sig = self._signatures(series)
         new_ids = np.array([og.og_id for og in ogs], dtype=np.int64)
-        if self._owned:
-            if len(self._ids) == 0:
-                self._ids, self._pd, self._sig = new_ids, new_pd, new_sig
-            else:
-                self._ids = np.concatenate([self._ids, new_ids])
-                self._pd = np.concatenate([self._pd, new_pd])
-                self._sig = np.concatenate([self._sig, new_sig])
-        else:
-            # Attached base arrays are frozen (often mmap views):
-            # growth goes to the owned tail so the base never gets
-            # concatenated into RAM.
-            if len(self._tail_ids) == 0:
-                self._tail_ids, self._tail_pd, self._tail_sig = (
-                    new_ids, new_pd, new_sig
-                )
-            else:
-                self._tail_ids = np.concatenate([self._tail_ids, new_ids])
-                self._tail_pd = np.concatenate([self._tail_pd, new_pd])
-                self._tail_sig = np.concatenate([self._tail_sig, new_sig])
+        # The base is never written (often mmap views): growth goes to
+        # the owned tail, rebound rather than written in place.
+        self._tail_ids = self._cat(self._tail_ids, new_ids)
+        self._tail_pd = self._cat(self._tail_pd, new_pd)
+        self._tail_sig = self._cat(self._tail_sig, new_sig)
         if self._dead is not None:
             self._dead = np.concatenate(
                 [self._dead, np.zeros(len(ogs), dtype=bool)]
@@ -548,10 +510,10 @@ class SketchIndex:
 
         With ``og`` given, the row of that very object: og_ids can
         repeat, and the owning index must drop the row of the leaf it
-        dropped.  O(n) to locate the row but O(1) to drop it.  Owned
-        sketches compact physically once tombstones pass the threshold;
-        store-attached sketches keep the mask (the store's segment
-        merge reclaims the rows).
+        dropped.  O(n) to locate the row but O(1) to drop it.  Past the
+        tombstone threshold :meth:`compact_tombstones` runs, which a
+        store-attached sketch declines (the store's segment merge
+        reclaims its rows).
         """
         row = self._find_live_row(og_id, og)
         if row is None:
@@ -560,8 +522,7 @@ class SketchIndex:
             self._dead = np.zeros(self._num_raw(), dtype=bool)
         self._dead[row] = True
         self._n_dead += 1
-        if (self._owned
-                and self._n_dead >= TOMBSTONE_COMPACT_MIN
+        if (self._n_dead >= TOMBSTONE_COMPACT_MIN
                 and self._n_dead >= TOMBSTONE_COMPACT_FRACTION
                 * self._num_raw()):
             self.compact_tombstones()
@@ -594,16 +555,16 @@ class SketchIndex:
                 self._cat(self._sig, self._tail_sig)[rows])
 
     def compact_tombstones(self) -> bool:
-        """Physically drop tombstoned rows (owned sketches only)."""
-        if self._n_dead == 0 or not self._owned:
+        """Physically drop tombstoned rows into a fresh tail — only
+        when no row comes from a store reader."""
+        if self._n_dead == 0 or self._rows.reader is not None:
             return False
         keep = np.flatnonzero(~self._dead)
-        self._ids = self._cat(self._ids, self._tail_ids)[keep]
-        self._pd = self._cat(self._pd, self._tail_pd)[keep]
-        self._sig = self._cat(self._sig, self._tail_sig)[keep]
-        self._tail_ids = np.empty(0, dtype=np.int64)
-        self._tail_pd = np.empty((0, self._pd.shape[1]), dtype=np.float64)
-        self._tail_sig = np.empty((0, self.config.sig_length), dtype=np.int16)
+        self._tail_ids = self._cat(self._ids, self._tail_ids)[keep]
+        self._tail_pd = self._cat(self._pd, self._tail_pd)[keep]
+        self._tail_sig = self._cat(self._sig, self._tail_sig)[keep]
+        self._ids, self._pd, self._sig = self._empty_part(
+            self._tail_pd.shape[1])
         self._rows.compact(keep)
         self._dead = None
         self._n_dead = 0
@@ -615,8 +576,9 @@ class SketchIndex:
         """og_ids for raw row ordinals (candidate ``idx`` values)."""
         rows = np.asarray(rows, dtype=np.int64)
         n0 = len(self._ids)
-        if len(self._tail_ids) == 0:
-            return np.asarray(self._ids[rows], dtype=np.int64)
+        if n0 == 0 or len(self._tail_ids) == 0:
+            return np.asarray(self._cat(self._ids, self._tail_ids)[rows],
+                              dtype=np.int64)
         out = np.empty(len(rows), dtype=np.int64)
         in_base = rows < n0
         out[in_base] = self._ids[rows[in_base]]

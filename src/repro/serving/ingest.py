@@ -274,8 +274,9 @@ class IngestService:
         self._spool_dir: str | None = None
         self.snapshot_path: str | None = None
         self._store: Any = None
-        self._store_dirty = False
-        self._pending_writes: list[_BufferedWrite] = []
+        #: Writes committed since the last checkpoint; ``None`` once the
+        #: backlog overflowed (the next checkpoint writes in full).
+        self._pending_writes: list[_BufferedWrite] | None = []
         if self.state_dir is not None:
             # Before anything is created: a 2.x state dir (index.npz)
             # must raise here, not gain a journal and an empty store.
@@ -591,32 +592,27 @@ class IngestService:
 
     def _track_writes(self, ogs, background, refs) -> None:
         """Remember a committed batch for O(delta) checkpointing."""
-        if self._store is None or self._store_dirty \
-                or not self._store.supports_append:
+        if self._store is None or self._pending_writes is None:
             return
         self._pending_writes.extend(
             _BufferedWrite("insert", og=og, background=background,
                            clip_ref=ref)
             for og, ref in zip(ogs, refs))
         if len(self._pending_writes) > self.max_pending_writes:
-            self._pending_writes.clear()
-            self._store_dirty = True
+            self._pending_writes = None
 
     def _checkpoint_locked(self) -> None:
         index = self.live.snapshot.index
         # A bound checkpoint appends only the writes committed since the
-        # last one; the first checkpoint of a fresh store (and every
-        # one of a sharded index) rewrites the snapshot.  After a
-        # failure the delta may no longer match the on-disk state, so
-        # resynchronize with a full write (writes=None).
-        writes = None if self._store_dirty else self._pending_writes
+        # last one; the store rewrites the snapshot on its first
+        # checkpoint, for a sharded index, after a failed write (the
+        # delta may no longer match the disk) and after an overflow.
         try:
-            self._store.checkpoint(index, writes)
+            self._store.checkpoint(index, self._pending_writes)
         except (StorageError, OSError) as exc:
             # A failed checkpoint only delays durability: jobs stay
             # journaled as INDEXED-after-checkpoint and replay re-runs
             # them.  Keep serving; retry at the next commit.
-            self._store_dirty = True
             self._pending_writes = []
             self._checkpoint_errors += 1
             OBS.count("ingest.checkpoint_errors")
@@ -627,7 +623,6 @@ class IngestService:
                 "ingest checkpoint failed (will retry): %s", exc)
             return
         self._pending_writes = []
-        self._store_dirty = False
         self._store.maybe_merge(background=True)
         self._append_journal({
             "event": "checkpoint", "path": self._store.path,

@@ -276,6 +276,10 @@ class ShardedIndex:
         if self.config.placement == "hash":
             target = int(og.og_id) % self.num_shards
         else:
+            if self.pivots is None:
+                # Shards built elsewhere (from_shards without pivots):
+                # fit the pivots the first build would have.
+                self.pivots = self._fit_pivots(list(self.object_graphs()))
             dists = self._pivot_distances([og])[0]
             target = int(np.argmin(dists))
         self._writable(target).insert(og, background, clip_ref)

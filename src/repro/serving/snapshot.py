@@ -112,7 +112,6 @@ class LiveIndex:
         self._buffer_lock = threading.Lock()
         self._compact_lock = threading.Lock()
         self._store: Any = None
-        self._store_dirty = False
         OBS.gauge("serving.snapshot_version", 1)
 
     # -- durability -----------------------------------------------------------
@@ -129,26 +128,21 @@ class LiveIndex:
         readable from the moment of attachment.
 
         Persistence failures degrade durability, never serving: the
-        error is logged and counted, and the next successful compaction
-        writes a full snapshot to resynchronize the store.
+        error is logged and counted, and the store — unbound by the
+        failed write — takes the next compaction as a full snapshot to
+        resynchronize.
         """
         with self._compact_lock:
             self._store = store
-            self._store_dirty = False
             if write:
                 store.write_index(self._snapshot.index)
 
     def _persist_batch(self, batch: list[_BufferedWrite],
                        published: IndexSnapshot) -> None:
         try:
-            writes = None if self._store_dirty else batch
-            self._store.checkpoint(published.index, writes)
-            self._store_dirty = False
+            self._store.checkpoint(published.index, batch)
             self._store.maybe_merge(background=True)
         except (StorageError, OSError) as exc:
-            # Divergence guard: until a full write succeeds, appending
-            # further deltas would replay to the wrong tree.
-            self._store_dirty = True
             OBS.count("serving.persist_failures")
             logger.warning(
                 "could not persist compaction batch (%d writes) to %s: "

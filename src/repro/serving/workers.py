@@ -67,9 +67,6 @@ from repro.errors import (
 from repro.observability import OBS
 from repro.search.request import SearchRequest, SearchResult, split_budget
 
-#: Sub-store directory of shard ``i`` inside a sharded columnar store.
-SHARD_DIR = "shard-{ordinal}"
-
 
 # ---------------------------------------------------------------------------
 # worker process

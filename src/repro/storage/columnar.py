@@ -58,6 +58,7 @@ on-disk log never mentions them; the store keeps an in-process
 from __future__ import annotations
 
 import bisect
+import contextlib
 import hashlib
 import json
 import logging
@@ -80,6 +81,8 @@ from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.resilience.faults import maybe_fail, maybe_truncate
 from repro.storage.serialize import (
+    SKETCH_COLUMNS,
+    SKETCH_PAYLOAD_ERRORS,
     _pack_backgrounds,
     _pack_ragged,
     _unpack_backgrounds,
@@ -87,6 +90,7 @@ from repro.storage.serialize import (
     index_from_arrays,
     index_to_arrays,
     leaf_ogs,
+    read_sketch,
 )
 
 logger = logging.getLogger(__name__)
@@ -174,16 +178,6 @@ class ColumnarStore:
     def exists(self) -> bool:
         """Whether a committed manifest is present."""
         return os.path.isfile(self._manifest_path)
-
-    @property
-    def supports_append(self) -> bool:
-        """Sharded stores are write/load-only (no incremental append)."""
-        if not self.exists():
-            return True
-        try:
-            return self._read_manifest()["kind"] == _KIND_INDEX
-        except StorageError:
-            return True
 
     def _read_manifest(self) -> dict[str, Any]:
         maybe_fail("storage.read", path=self._manifest_path)
@@ -454,9 +448,11 @@ class ColumnarStore:
         *merge* target: rewriting an existing store folds all segments
         into a new base and garbage-collects the old ones.  Returns the
         store path; an I/O failure raises ``StorageError`` and leaves
-        the previously committed snapshot (if any) intact.
+        the previously committed snapshot (if any) intact — and this
+        store unbound, so the next :meth:`checkpoint` writes in full.
         """
-        with self._mutate_lock, OBS.span("storage.columnar.write"):
+        with self._mutate_lock, OBS.span("storage.columnar.write"), \
+                self._unbind_on_error():
             try:
                 if getattr(index, "shards", None) is not None:
                     return self._write_sharded(index)
@@ -464,6 +460,16 @@ class ColumnarStore:
             except OSError as exc:
                 raise StorageError(
                     f"cannot write index to {self.path}: {exc}") from exc
+
+    @contextlib.contextmanager
+    def _unbind_on_error(self):
+        """A write that raises may have left the disk anywhere between
+        the old state and the new: drop the row binding."""
+        try:
+            yield
+        except BaseException:
+            self._bound = False
+            raise
 
     def _write_base(self, index: Any) -> str:
         arrays, meta = index_to_arrays(index)
@@ -728,9 +734,11 @@ class ColumnarStore:
     def load_sketch(self, distance: Any = None, mmap: bool = True) -> Any:
         """Attach the persisted sketch tier straight from store columns.
 
-        The out-of-core approximate search entry point: returns a
-        store-attached ``SketchIndex`` whose base arrays are zero-copy
-        (optionally mmap) views of the base segment's ``sketch_*``
+        The out-of-core approximate search entry point: returns a list
+        of store-attached ``SketchIndex`` parts — the one part of a
+        monolithic store, or one per non-empty shard of a sharded root,
+        in shard order.  Each part's base arrays are zero-copy
+        (optionally mmap) views of its base segment's ``sketch_*``
         columns, with ``(og, clip_ref)`` records materialized lazily
         through the row-addressed read path — no tree, no O(corpus)
         resident memory.  Row ordinals double as og_ids, which keeps
@@ -743,22 +751,20 @@ class ColumnarStore:
         and the result is cross-checked against the committed tombstone
         bitmap.
 
-        A sharded root returns a *list*: one such sketch per non-empty
-        shard, in shard order.  Shard ``s`` numbers its og_ids from the
-        row count of the shards before it, so ids are unique across the
-        list and ``(distance, og_id)`` ties resolve shard-then-row — the
-        order the materialized ``ShardedIndex`` gets by minting ids in
-        load order.
+        Shard ``s`` numbers its og_ids from the row count of the shards
+        before it, so ids are unique across the list and ``(distance,
+        og_id)`` ties resolve shard-then-row — the order the
+        materialized ``ShardedIndex`` gets by minting ids in load order.
 
-        Returns ``None`` when the store (or any non-empty shard of it)
-        holds no persisted sketch; callers fall back to materializing
-        the index.
+        Returns ``None`` when a part holds no persisted sketch; callers
+        fall back to materializing the index.
         """
         with OBS.span("storage.columnar.load_sketch", mmap=mmap):
             manifest = self._read_manifest()
             self._check_sizes(manifest)
             if manifest["kind"] == _KIND_INDEX:
-                return self._attach_sketch(manifest, distance, mmap, 0)
+                sketch = self._attach_sketch(manifest, distance, mmap, 0)
+                return None if sketch is None else [sketch]
             sketches = []
             id_base = 0
             for name in manifest["shards"]:
@@ -781,7 +787,7 @@ class ColumnarStore:
         """The store-attached sketch of one index store, its og_ids
         numbered from ``id_base`` (see :meth:`load_sketch`)."""
         from repro.distance.eged import MetricEGED
-        from repro.search.sketch import LazyRows, sketch_from_meta
+        from repro.search.sketch import SketchRows
 
         segments = manifest["segments"]
         if not segments or segments[0].get("kind") != "base":
@@ -796,44 +802,21 @@ class ColumnarStore:
         if sketch_meta is None:
             return None
         base_rows = int(base["rows"])
+        reader = ColumnarRowReader(self, manifest, mmap, id_base)
+        # The pivots are a few series: read them, map the per-row columns.
+        columns = self._load_columns(base, SKETCH_COLUMNS[:2], mmap=False)
+        columns.update(self._load_columns(base, SKETCH_COLUMNS[2:], mmap))
         try:
-            sketch = sketch_from_meta(sketch_meta)
-        except (KeyError, ValueError, TypeError,
-                json.JSONDecodeError) as exc:
+            sketch = read_sketch(
+                columns, sketch_meta,
+                np.arange(id_base, id_base + base_rows, dtype=np.int64),
+                SketchRows(reader=reader, n_attached=base_rows))
+        except SKETCH_PAYLOAD_ERRORS as exc:
             raise IndexCorruptionError(
-                f"corrupt sketch meta in {self.path}: {exc}",
-                details={"path": self.path,
+                f"corrupt sketch tier in {self.path}: {exc}",
+                details={"path": self.path, "rows": base_rows,
                          "cause": type(exc).__name__},
             ) from exc
-        pivot_cols = self._load_columns(
-            base, ("sketch_pivot_values", "sketch_pivot_offsets"),
-            mmap=False)
-        sketch.pivots = [
-            np.asarray(p, dtype=np.float64)
-            for p in _unpack_ragged(pivot_cols["sketch_pivot_values"],
-                                    pivot_cols["sketch_pivot_offsets"])
-        ]
-        cols = self._load_columns(
-            base, ("sketch_pivot_dists", "sketch_sig"), mmap)
-        pd = cols["sketch_pivot_dists"]
-        sig = cols["sketch_sig"]
-        if (pd.shape != (base_rows, len(sketch.pivots))
-                or sig.shape != (base_rows,
-                                 sketch.config.sig_length)):
-            raise IndexCorruptionError(
-                f"sketch columns of {self.path} do not match the "
-                f"base segment ({pd.shape}/{sig.shape} vs "
-                f"{base_rows} rows)",
-                details={"path": self.path, "rows": base_rows,
-                         "pivot_dists": list(pd.shape),
-                         "sig": list(sig.shape)},
-            )
-        reader = ColumnarRowReader(self, manifest, mmap, id_base)
-        sketch.attach_rows(
-            np.arange(id_base, id_base + base_rows, dtype=np.int64),
-            pd, sig,
-            LazyRows(reader, base_rows),
-            owned=False)
         if distance is None:
             distance = MetricEGED(meta["config"]["metric_gap"])
         next_row = base_rows
@@ -902,8 +885,10 @@ class ColumnarStore:
         does not know (never persisted, or already dead) are no-ops,
         matching ``index.delete()`` returning ``False``.  Returns the
         new segment name, or ``None`` when the batch was all no-ops.
+        Raising unbinds the store: the caller drops the batch, so only
+        a full write can bring the disk back in line.
         """
-        with self._mutate_lock:
+        with self._mutate_lock, self._unbind_on_error():
             if not self.exists():
                 raise StorageError(
                     f"cannot append to {self.path}: store does not exist "
@@ -1011,8 +996,8 @@ class ColumnarStore:
         With ``writes`` (the batch applied since the last checkpoint)
         and a bound existing store, appends one O(delta) segment;
         otherwise falls back to a full ``write_index`` (first
-        checkpoint, a sharded index, or a store this process has not
-        loaded).
+        checkpoint, a sharded index, a store this process has not
+        loaded, or one whose last append or write failed).
         """
         with self._mutate_lock:
             if writes is not None and self._bound and self.exists() \

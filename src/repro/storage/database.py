@@ -43,7 +43,7 @@ from repro.resilience.policy import (
 )
 from repro.resilience.retry import RetryPolicy
 from repro.search.request import SearchRequest, budgeted_scatter
-from repro.search.sketch import SketchIndex, approx_knn
+from repro.search.sketch import approx_knn
 from repro.storage.store import open_store
 from repro.video.frames import VideoSegment
 
@@ -527,8 +527,6 @@ class VideoDatabase:
                 "budgeted queries will materialize the index",
                 store.path, type(exc).__name__, exc)
             sketches = None
-        if isinstance(sketches, SketchIndex):   # monolithic: one part
-            sketches = [sketches]
         sketches = [sketch for sketch in sketches or () if len(sketch)]
         self._ooc_sketch = sketches or False
         return sketches or None

@@ -226,48 +226,61 @@ def _pack_sketch(index: STRGIndex,
     ), sketch_meta_json(sketch)
 
 
-def _unpack_sketch(data, sketch_meta: str, index: STRGIndex,
+#: The columns :func:`_pack_sketch` writes (``sketch_meta`` rides in
+#: the segment meta).
+SKETCH_COLUMNS = ("sketch_pivot_values", "sketch_pivot_offsets",
+                  "sketch_pivot_dists", "sketch_sig")
+
+#: What a malformed sketch payload raises from :func:`read_sketch`
+#: (``ValueError`` covers bad JSON and shape mismatches).
+SKETCH_PAYLOAD_ERRORS = (KeyError, ValueError, TypeError)
+
+
+def read_sketch(columns, sketch_meta: str, og_ids: np.ndarray, rows):
+    """The sketch tier of one segment: its meta plus its
+    :data:`SKETCH_COLUMNS` (RAM copies or mmap views, bound zero-copy
+    as the sketch's base), row ``i`` being ``og_ids[i]`` with its
+    record at row ``i`` of the ``rows`` provider.
+
+    Raises one of :data:`SKETCH_PAYLOAD_ERRORS` when the payload is
+    malformed — a missing column, or arrays whose shape does not match
+    the rows; each caller applies its own failure policy.
+    """
+    from repro.search.sketch import sketch_from_meta
+
+    sketch = sketch_from_meta(sketch_meta)
+    sketch.pivots = [
+        np.asarray(p, dtype=np.float64)
+        for p in _unpack_ragged(columns["sketch_pivot_values"],
+                                columns["sketch_pivot_offsets"])
+    ]
+    sketch.attach_rows(og_ids, columns["sketch_pivot_dists"],
+                       columns["sketch_sig"], rows)
+    return sketch
+
+
+def _unpack_sketch(data, sketch_meta: str,
                    loaded: list[tuple[ObjectGraph, object]],
                    path: str | os.PathLike):
     """Rebuild the sketch tier from a snapshot's ``sketch_*`` arrays.
 
     ``loaded`` is the ``(og, clip_ref)`` list in stored row order — the
-    order :func:`_pack_sketch` wrote its rows in.  Anything off about
-    the payload logs a warning and returns ``None`` (the lazy
+    order :func:`_pack_sketch` wrote its rows in; the tree's OGs are
+    already materialized, so every record is held in memory.  Anything
+    off about the payload logs a warning and returns ``None`` (the lazy
     rebuild-on-demand fallback), never a corrupt sketch.
     """
-    from repro.search.sketch import _EagerRows, sketch_from_meta
+    from repro.search.sketch import SketchRows
 
+    og_ids = np.array([og.og_id for og, _ in loaded], dtype=np.int64)
     try:
-        sketch = sketch_from_meta(sketch_meta)
-        sketch.pivots = [
-            np.asarray(p, dtype=np.float64)
-            for p in _unpack_ragged(data["sketch_pivot_values"],
-                                    data["sketch_pivot_offsets"])
-        ]
-        pivot_dists = np.asarray(data["sketch_pivot_dists"],
-                                 dtype=np.float64)
-        sig = np.asarray(data["sketch_sig"], dtype=np.int16)
-        if (pivot_dists.shape != (len(loaded), len(sketch.pivots))
-                or sig.shape != (len(loaded), sketch.config.sig_length)):
-            raise ValueError(
-                f"sketch arrays {pivot_dists.shape}/{sig.shape} do not "
-                f"match {len(loaded)} leaf records"
-            )
-    except (KeyError, ValueError, TypeError,
-            json.JSONDecodeError) as exc:
+        return read_sketch(data, sketch_meta, og_ids, SketchRows(loaded))
+    except SKETCH_PAYLOAD_ERRORS as exc:
         logger.warning(
             "ignoring unreadable sketch payload in %s (%s: %s); the "
             "sketch tier will be rebuilt on first budgeted query",
             os.fspath(path), type(exc).__name__, exc)
         return None
-    # The arrays may be zero-copy views over mmap'd store columns; the
-    # tree's OG objects are already materialized, so rows stay eager
-    # (owned: later inserts grow the arrays with RAM semantics).
-    og_ids = np.array([og.og_id for og, _ in loaded], dtype=np.int64)
-    sketch.attach_rows(og_ids, pivot_dists, sig, _EagerRows(list(loaded)),
-                       owned=True)
-    return sketch
 
 
 def leaf_ogs(index: STRGIndex) -> list[tuple[ObjectGraph, Any]]:
@@ -407,8 +420,8 @@ def index_from_arrays(arrays, meta: dict[str, Any],
         loaded.append((og, ref))
     sketch_meta = meta.get("sketch_meta")
     if sketch_meta is not None:
-        index._sketches = _unpack_sketch(arrays, sketch_meta, index,
-                                         loaded, source)
+        index._sketches = _unpack_sketch(arrays, sketch_meta, loaded,
+                                         source)
     return index
 
 

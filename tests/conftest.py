@@ -64,12 +64,12 @@ def attach_lazy_sketch():
     """Swap an index's sketch tier for a store-style attached one.
 
     Returns ``attach(index)``: the same rows, but bound the way
-    ``ColumnarStore.load_sketch`` binds them — frozen base arrays
-    (``owned=False``: adds go to the tail, deletes stay tombstones) and
-    a :class:`~repro.search.sketch.LazyRows` provider over a
-    row-addressed reader — without needing a store on disk.
+    ``ColumnarStore.load_sketch`` binds them — base arrays plus a
+    :class:`~repro.search.sketch.SketchRows` provider over a
+    row-addressed reader (adds go to the tail, deletes stay
+    tombstones) — without needing a store on disk.
     """
-    from repro.search.sketch import LazyRows, SketchIndex
+    from repro.search.sketch import SketchIndex, SketchRows
 
     class ListReader:
         def __init__(self, pairs):
@@ -84,8 +84,8 @@ def attach_lazy_sketch():
         lazy = SketchIndex(eager.config)
         lazy.pivots, lazy.bbox = eager.pivots, eager.bbox
         lazy.attach_rows(eager.og_ids, eager.pivot_dists, eager.sig,
-                         LazyRows(ListReader(pairs), len(pairs)),
-                         owned=False)
+                         SketchRows(reader=ListReader(pairs),
+                                    n_attached=len(pairs)))
         index._sketches = lazy
         return index
 

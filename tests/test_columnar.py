@@ -148,7 +148,6 @@ class TestShardedColumnar:
         index.build(ogs)
         store = ColumnarStore(tmp_path / "sharded")
         store.write_index(index)
-        assert not store.supports_append
         with pytest.raises(StorageError, match="sharded"):
             store.append([_BufferedWrite("delete", og_id=1)])
 
@@ -566,25 +565,31 @@ class TestLiveIndexPersistence:
             == knn_signature(live.snapshot.index, extra[:2])
 
     def test_persist_failure_degrades_then_resyncs(self, tmp_path):
+        from repro import observability
+
         live, store, ogs = self.make_live(tmp_path)
-        boom = {"n": 0}
-        real_checkpoint = store.checkpoint
-
-        def flaky(index, writes=None):
-            if boom["n"] == 0:
-                boom["n"] += 1
-                raise StorageError("injected persistence failure")
-            return real_checkpoint(index, writes)
-
-        store.checkpoint = flaky
-        live.insert(blob_ogs(k=1, n_per=1, seed=11)[0], clip_ref="lost")
-        live.compact()  # persistence fails; serving unaffected
-        assert live._store_dirty
-        live.insert(blob_ogs(k=1, n_per=1, seed=12)[0], clip_ref="back")
-        live.compact()  # full resync
+        lost = blob_ogs(k=1, n_per=1, seed=11)[0]
+        injector = FaultInjector().inject("storage.append", rate=1.0)
+        with injected(injector):
+            live.insert(lost, clip_ref="lost")
+            live.compact()  # persistence fails; serving unaffected
+        assert injector.fired["storage.append"] == 1
+        assert knn_signature(live.snapshot.index, [lost], k=1) \
+            == [[(0.0, "lost")]]
+        observability.configure(enabled=True, reset_state=True)
+        try:
+            live.insert(blob_ogs(k=1, n_per=1, seed=12)[0], clip_ref="back")
+            live.compact()  # the unbound store resyncs with a full write
+            writes = observability.metrics().get("storage.columnar.writes")
+        finally:
+            observability.configure(enabled=False, reset_state=True)
+        assert writes == 1
         store.join_merges()
-        assert len(ColumnarStore(store.path).load_index()) \
-            == len(live.snapshot.index)
+        loaded = ColumnarStore(store.path).load_index()
+        assert len(loaded) == len(live.snapshot.index) == len(ogs) + 2
+        queries = [lost] + ogs[:3]
+        assert knn_signature(loaded, queries) \
+            == knn_signature(live.snapshot.index, queries)
 
 
 class TestIngestServiceColumnar:

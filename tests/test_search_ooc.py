@@ -29,7 +29,11 @@ from repro.distance.base import as_series
 from repro.distance.batch import one_vs_many
 from repro.distance.bounds import pivot_lower_bounds
 from repro.distance.eged import MetricEGED
-from repro.errors import InvalidParameterError, StorageError
+from repro.errors import (
+    IndexCorruptionError,
+    InvalidParameterError,
+    StorageError,
+)
 from repro.graph.object_graph import ObjectGraph
 from repro.search import (
     SearchRequest,
@@ -237,8 +241,8 @@ class TestStoreAttachedSketch:
     def test_load_sketch_matches_materialized_index(self, tmp_path):
         ogs = corpus(100, seed=11)
         store, index = store_with_sketch(tmp_path, ogs)
-        sketch = store.load_sketch(mmap=True)
-        assert sketch is not None and len(sketch) == len(ogs)
+        [sketch] = store.load_sketch(mmap=True)
+        assert len(sketch) == len(ogs)
         for q in corpus(4, seed=19):
             ooc = budgeted_knn(sketch, sketch.replay_distance, q, 5, 30)
             assert hit_sig(ooc) == hit_sig(index.knn(q, 5, search_budget=30))
@@ -246,8 +250,8 @@ class TestStoreAttachedSketch:
     def test_mmap_and_ram_sketches_bit_identical(self, tmp_path):
         ogs = corpus(100, seed=11)
         store, _ = store_with_sketch(tmp_path, ogs)
-        mm = store.load_sketch(mmap=True)
-        ram = store.load_sketch(mmap=False)
+        [mm] = store.load_sketch(mmap=True)
+        [ram] = store.load_sketch(mmap=False)
         assert np.array_equal(mm.pivot_dists, ram.pivot_dists)
         assert np.array_equal(mm.sig, ram.sig)
         for q in corpus(3, seed=23):
@@ -270,7 +274,7 @@ class TestStoreAttachedSketch:
             else:
                 index.delete(write.og_id)
         assert store.append(writes) is not None
-        sketch = store.load_sketch(mmap=True)
+        [sketch] = store.load_sketch(mmap=True)
         assert len(sketch) == len(index)
         assert sketch.dead_rows == 2
         for q in extra[:2] + ogs[:2]:
@@ -278,18 +282,61 @@ class TestStoreAttachedSketch:
                                       q, 5, 30)) \
                 == hit_sig(index.knn(q, 5, search_budget=30))
 
-    def test_live_adds_go_to_tail_not_mmap_base(self, tmp_path):
+    @pytest.mark.parametrize("form", ["load_sketch", "load_index"])
+    def test_live_adds_go_to_tail_not_mmap_base(self, tmp_path, form):
+        """Store-attached and tree-loaded sketches share one layout:
+        adds land in the tail, the mapped base stays the same object."""
+        import mmap as mmap_mod
+
         ogs = corpus(40, seed=51)
         store, _ = store_with_sketch(tmp_path, ogs, name="tail")
-        sketch = store.load_sketch(mmap=True)
-        base = sketch._pd
-        extra = corpus(3, seed=52)
-        sketch.add(sketch.replay_distance, extra, ["a", "b", "c"])
-        assert sketch._pd is base  # mmap base untouched by the add
+        extra, refs = corpus(3, seed=52), ["a", "b", "c"]
+        if form == "load_sketch":
+            [sketch] = store.load_sketch(mmap=True)
+            base = sketch._pd
+            sketch.add(sketch.replay_distance, extra, refs)
+
+            def search(q, k, budget):
+                return budgeted_knn(sketch, sketch.replay_distance, q, k,
+                                    budget)
+        else:
+            index = store.load_index(mmap=True)
+            sketch = index._sketches
+            base = sketch._pd
+            for og, ref in zip(extra, refs):
+                index.insert(og, None, ref)
+
+            def search(q, k, budget):
+                return index.knn(q, k, search_budget=budget)
+        mapped = base
+        while getattr(mapped, "base", None) is not None:
+            mapped = mapped.base
+        assert isinstance(mapped, (np.memmap, mmap_mod.mmap))
+        assert sketch._pd is base  # mmap base untouched by the adds
         assert len(sketch) == len(ogs) + 3
-        got = budgeted_knn(sketch, sketch.replay_distance, extra[0], 1,
-                         len(sketch) + 20)
+        got = search(extra[0], 1, len(sketch) + 20)
         assert got[0][2] == "a"
+
+    def test_bad_sketch_columns_follow_each_readers_policy(self, tmp_path,
+                                                          caplog):
+        """One reader of the ``sketch_*`` columns, two policies: a tree
+        load warns and rebuilds the tier, ``load_sketch`` raises."""
+        ogs = corpus(40, seed=53)
+        store, index = store_with_sketch(tmp_path, ogs, name="bad")
+        column = tmp_path / "bad.strg" / "seg-000000" / "sketch_sig.npy"
+        sig = np.load(column)
+        size = column.stat().st_size
+        np.save(column, sig.reshape(len(sig) * 2, -1))  # same bytes
+        assert column.stat().st_size == size
+        with pytest.raises(IndexCorruptionError, match="sketch tier"):
+            store.load_sketch()
+        with caplog.at_level("WARNING"):
+            loaded = store.load_index(mmap=True)
+        assert loaded._sketches is None
+        assert "unreadable sketch payload" in caplog.text
+        q = corpus(1, seed=54)[0]
+        assert hit_sig(loaded.knn(q, 5, search_budget=30)) \
+            == hit_sig(index.knn(q, 5, search_budget=30))
 
     def test_store_without_sketch_returns_none(self, tmp_path):
         index = STRGIndex(STRGIndexConfig(n_clusters=3))
@@ -357,12 +404,14 @@ class TestRowReader:
         assert not reader.is_alive(dead_row)
         assert reader.is_alive(int(np.flatnonzero(mask)[0]))
 
-    def test_lazy_rows_lru_caches_records(self, tmp_path):
-        from repro.search.sketch import LazyRows
+    def test_lazy_rows_lru_caches_records(self, tmp_path, monkeypatch):
+        from repro.search import sketch as sketch_mod
 
         ogs = corpus(25, seed=94)
         store, _ = store_with_sketch(tmp_path, ogs, name="lru")
-        rows = LazyRows(store.row_reader(), len(ogs), cache_size=2)
+        monkeypatch.setattr(sketch_mod, "ROW_CACHE_SIZE", 2)
+        rows = sketch_mod.SketchRows(reader=store.row_reader(),
+                                     n_attached=len(ogs))
         first = rows.record(0)
         assert rows.record(0) is first          # cache hit
         rows.record(1), rows.record(2)          # evicts row 0

@@ -132,6 +132,16 @@ class TestShardedIndexBasics:
         assert not index.delete(extra.og_id)
         assert len(index) == 32
 
+    def test_affine_insert_fits_missing_pivots(self, corpus):
+        built = STRGIndex(STRGIndexConfig(n_clusters=4))
+        built.build(corpus[:50])
+        index = ShardedIndex.from_shards([built])
+        assert index.config.placement == "affine" and index.pivots is None
+        index.insert(corpus[50])
+        assert len(index.pivots) == index.num_shards
+        assert len(index) == 51
+        assert index.knn(corpus[50], 1)[0][1].og_id == corpus[50].og_id
+
     def test_freeze_blocks_mutation(self, corpus):
         index = _sharded(corpus[:16], 2, "hash")
         index.freeze()

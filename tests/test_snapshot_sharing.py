@@ -91,11 +91,8 @@ def _assert_tree_forked(before: STRGIndex, after: STRGIndex,
     assert sk_b is not sk_a and sk_b._rows is not sk_a._rows
     assert sk_b._dead is not None and sk_b._dead is not sk_a._dead
     assert sk_b.pivots is sk_a.pivots
-    if hasattr(sk_a._rows, "records"):
-        assert sk_b._rows.records is not sk_a._rows.records
-    else:
-        assert sk_b._rows._tail is not sk_a._rows._tail
-        assert sk_b._ids is sk_a._ids        # attached base: never copied
+    assert sk_b._rows._records is not sk_a._rows._records
+    assert sk_b._ids is sk_a._ids        # the base: never copied
 
 
 class TestMonolithic:
