@@ -40,7 +40,7 @@ REPEATS = 5
 
 #: Span names the simulated run must cover, stage by stage.
 EXPECTED_STAGES = (
-    "ingest.segment",
+    "ingest.job",
     "pipeline.segmentation",
     "pipeline.tracking",
     "pipeline.decomposition",

@@ -17,11 +17,12 @@ one function in front of all of them::
 :class:`~repro.storage.database.VideoDatabase`; the older constructors
 remain supported and are thin layers over the same machinery.
 
-For continuous workloads, ``db.ingest_service(state_dir=...)`` upgrades
-the write path to the streaming
-:class:`~repro.serving.ingest.IngestService`: backpressured job
-submission, journaled crash recovery, and queries that keep serving
-while clips stream in (see ``docs/STREAMING.md``).
+Every write already runs through the database's
+:class:`~repro.serving.ingest.IngestService`; for continuous workloads
+``db.ingest_service(state_dir=...)`` hands that service back, configured
+for streaming: backpressured job submission, journaled crash recovery,
+and queries that keep serving while clips stream in (see
+``docs/STREAMING.md``).
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def open_database(path: str | os.PathLike | None = None, *,
     **kwargs:
         Forwarded to :class:`~repro.storage.database.VideoDatabase`
         (``fault_policy``, ``retry_policy``, ``drop_tolerance``,
-        ``journal_path``, ``shards``, ``placement``, ...).  With
+        ``state_dir``, ``shards``, ``placement``, ...).  With
         ``shards=N`` a fresh database maintains a sharded index (see
         ``docs/SERVING.md``); a sharded snapshot at ``path`` is
         detected and loaded as such automatically.

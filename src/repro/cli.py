@@ -4,8 +4,8 @@ Subcommands::
 
     strg-index demo                # synthetic end-to-end demo
     strg-index build  OUT          # build an index from a simulated stream
-    strg-index ingest OUT          # fault-tolerant batch ingest + journal
-    strg-index recover INDEX       # inspect crash-recovery state
+    strg-index ingest OUT          # fault-tolerant, journaled batch ingest
+    strg-index recover STATE_DIR   # exactly-once crash recovery
     strg-index query  INDEX        # k-NN query with a synthetic trajectory
     strg-index convert SRC [DST]   # import a 2.x NPZ archive into a store
     strg-index bench               # tiny smoke benchmark
@@ -116,11 +116,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         print(f"unknown stream {args.stream!r}; choose from {sorted(STREAMS)}",
               file=sys.stderr)
         return 2
-    from repro.storage.store import open_store
-
     observe = _start_observability(args)
-    journal = args.journal or open_store(args.output).path + ".journal"
-    db = VideoDatabase(fault_policy=args.fault_policy, journal_path=journal)
+    state_dir = args.state_dir or args.output + ".state"
+    db = VideoDatabase(fault_policy=args.fault_policy, state_dir=state_dir)
     rng = np.random.default_rng(args.seed)
     videos = []
     for i in range(args.segments):
@@ -140,8 +138,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         return 3
     print(f"ingested {report['segments']} segment(s), "
           f"{report['ogs']} OGs, {report['quarantined']} quarantined")
+    db.save()   # the checkpoint recovery starts from
     db.save(args.output)
-    print(f"index saved to {db.path} (journal: {journal})")
+    print(f"index saved to {db.path} (state: {state_dir})")
     print(f"health: {db.health()}")
     if observe:
         _report_observability(args)
@@ -153,7 +152,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.storage.database import VideoDatabase
 
     try:
-        db = VideoDatabase.recover(args.index, journal_path=args.journal)
+        db = VideoDatabase.recover(args.state_dir)
     except RecoveryError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return 3
@@ -165,12 +164,16 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         print(f"  snapshot error: {report.snapshot_error}")
     print(f"journal {report.journal_path}"
           + (" (torn tail skipped)" if report.journal_truncated else ""))
-    print(f"pending segments (ingested but not in snapshot): "
-          f"{len(report.pending_segments)}")
-    for name in report.pending_segments[: args.limit]:
-        print(f"  {name}")
-    if report.quarantined_segments:
-        print(f"quarantined during ingest: {report.quarantined_segments}")
+    for label, jobs in (("completed", report.completed_jobs),
+                        ("replayed", report.replayed_jobs),
+                        ("quarantined", report.quarantined_jobs),
+                        ("lost", report.lost_jobs)):
+        print(f"{label} jobs: {len(jobs)}")
+        for job_id in jobs[: args.limit]:
+            print(f"  {job_id}")
+    if report.replayed_jobs:
+        db.save()
+        print(f"checkpointed {len(db.index)} OGs")
     return 0
 
 
@@ -496,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "retry-then-skip"])
     ingest.add_argument("--fault-rate", type=float, default=0.0,
                         help="injected per-segment failure probability")
-    ingest.add_argument("--journal", default=None,
-                        help="journal path (default: <output>.journal)")
+    ingest.add_argument("--state-dir", default=None,
+                        help="journal/spool/checkpoint directory "
+                             "(default: <output>.state)")
     ingest.add_argument("--seed", type=int, default=0)
     ingest.add_argument("--workers", type=int, default=None,
                         help="frame-parallel segmentation workers per "
@@ -507,13 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(func=_cmd_ingest)
 
     recover = sub.add_parser(
-        "recover", help="inspect snapshot + journal after a crash"
+        "recover", help="replay an ingest state dir after a crash"
     )
-    recover.add_argument("index", help="index store path (.strg)")
-    recover.add_argument("--journal", default=None,
-                         help="journal path (default: <index>.journal)")
+    recover.add_argument("state_dir", help="ingest state directory")
     recover.add_argument("--limit", type=int, default=10,
-                         help="max pending segments listed")
+                         help="max job ids listed per kind")
     recover.set_defaults(func=_cmd_recover)
 
     query = sub.add_parser("query", help="k-NN query a saved index")

@@ -655,3 +655,25 @@ class STRGIndex:
             f"STRGIndex(backgrounds={s['root_records']}, "
             f"clusters={s['cluster_records']}, ogs={s['leaf_records']})"
         )
+
+
+def extend_index(index, ogs: Sequence[ObjectGraph],
+                 background: BackgroundGraph | None = None,
+                 clip_refs: Sequence[Any] | None = None) -> None:
+    """Add a batch of OGs that share one background to ``index``.
+
+    An empty index (monolithic or sharded) is *built* from the batch in
+    one pass (Algorithm 2); a populated one takes the OGs one
+    :meth:`~STRGIndex.insert` at a time (Section 5.3).  This is the one
+    home of that rule: ``VideoPipeline.process`` and every
+    ``LiveIndex`` compaction apply it, so an index grown clip by clip
+    stores the same columns whichever path grew it.
+    """
+    if not ogs:
+        return
+    refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
+    if len(index) == 0:
+        index.build(ogs, background, refs)
+        return
+    for og, ref in zip(ogs, refs):
+        index.insert(og, background, ref)

@@ -17,7 +17,7 @@ Design
 ------
 - A process-global :class:`~repro.observability.trace.Tracer` records
   nestable spans (wall time, CPU time, optional ``tracemalloc`` peaks)
-  for every pipeline stage: ``ingest.segment``,
+  for every pipeline stage: ``ingest.job``,
   ``pipeline.segmentation``, ``pipeline.tracking``,
   ``pipeline.decomposition``, ``index.build``, ``clustering.em.fit``,
   ``index.knn`` and friends.
@@ -25,7 +25,7 @@ Design
   :class:`~repro.observability.registry.MetricsRegistry` holds counters,
   gauges and histograms (``distance.pairs_computed``, ``cache.hits``,
   ``index.leaf_scans``, ``mtree.node_visits``, ``em.iterations``,
-  ``ingest.segments_quarantined`` ...), exportable as JSON and as
+  ``ingest.jobs_quarantined`` ...), exportable as JSON and as
   Prometheus text format.
 - Everything is **off by default**.  Disabled, every hook is a single
   attribute check — the instrumented kernels run at their PR 2 speed

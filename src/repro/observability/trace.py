@@ -1,7 +1,7 @@
 """Nestable spans: wall time, CPU time and optional ``tracemalloc`` peaks.
 
 A :class:`Span` measures one named region of the pipeline
-(``index.knn``, ``clustering.em.fit``, ``ingest.segment`` ...) and nests
+(``index.knn``, ``clustering.em.fit``, ``ingest.job`` ...) and nests
 under whatever span is active on the current thread, so a full
 ``ingest -> build -> knn`` run produces one tree per top-level
 operation.  Two export forms:

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.index import STRGIndex, STRGIndexConfig
+from repro.core.index import STRGIndex, STRGIndexConfig, extend_index
 from repro.errors import CorruptSegmentError, InvalidParameterError
 from repro.graph.decomposition import (
     DecompositionConfig,
@@ -26,8 +26,6 @@ from repro.graph.tracking import GraphTracker, TrackerConfig
 from repro.observability import OBS
 from repro.parallel import ordered_chunk_map
 from repro.resilience.faults import maybe_fail, maybe_transform
-from repro.resilience.policy import RECOVERABLE_ERRORS
-from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.video.frames import VideoSegment
 from repro.video.segmentation import GridSegmenter, Segmenter
 
@@ -78,15 +76,14 @@ class PipelineConfig:
 class ClipResult:
     """Outcome of one clip run through the extraction pipeline.
 
-    The unit every ingest surface shares — ``VideoDatabase.ingest``,
-    the streaming :class:`~repro.serving.ingest.IngestService` and ad-hoc
-    callers all consume the same (decomposition, refs, attempts) triple,
-    so indexing and journaling decisions are made once, here.
+    What :class:`~repro.serving.ingest.IngestService` commits (every
+    ``VideoDatabase.ingest`` runs through it) and what
+    :meth:`VideoPipeline.process` indexes: the decomposition plus one
+    clip ref per OG.
     """
 
     decomposition: STRGDecomposition
     refs: list[dict]
-    attempts: int = 1
 
     @property
     def object_graphs(self):
@@ -177,47 +174,23 @@ class VideoPipeline:
             return decompose(strg, self.config.decomposition)
 
     def process_clip(self, video: VideoSegment, *,
-                     retry_policy: RetryPolicy | None = None,
-                     on_retry=None,
                      workers: int | None = None,
                      force_pool: bool = False) -> ClipResult:
         """The reusable per-clip ingest entry point: decompose + refs.
 
-        Runs the full extraction (segment → track → decompose) and
-        returns a :class:`ClipResult` carrying the decomposition, one
-        clip ref per OG (``{"video": name, "og": id}``) and the number
-        of attempts used.  With ``retry_policy`` set, recoverable
-        per-clip failures (:data:`~repro.resilience.policy.RECOVERABLE_ERRORS`)
-        are retried under it — a retry re-runs the whole decomposition,
-        so refs always describe the final successful attempt.
-        ``on_retry(attempt, error, delay)`` is invoked before each
-        backoff sleep (telemetry).  The final failure propagates
-        unchanged; callers decide between fail-fast and quarantine.
+        Runs the full extraction (segment → track → decompose) once and
+        returns a :class:`ClipResult` carrying the decomposition and one
+        clip ref per OG (``{"video": name, "og": id}``).  Failures
+        propagate unchanged: retrying and quarantining a clip is
+        :class:`~repro.serving.ingest.IngestService`'s job.
         """
-        attempts = 1
-
-        def run():
-            return self.decompose(video, workers=workers,
-                                  force_pool=force_pool)
-
-        if retry_policy is None:
-            decomposition = run()
-        else:
-            def count(attempt, exc, delay):
-                nonlocal attempts
-                attempts = attempt + 1
-                if on_retry is not None:
-                    on_retry(attempt, exc, delay)
-
-            decomposition = call_with_retry(
-                run, retry_policy, retryable=RECOVERABLE_ERRORS,
-                on_retry=count,
-            )
+        decomposition = self.decompose(video, workers=workers,
+                                       force_pool=force_pool)
         refs = [
             {"video": video.name, "og": og.og_id}
             for og in decomposition.object_graphs
         ]
-        return ClipResult(decomposition, refs, attempts)
+        return ClipResult(decomposition, refs)
 
     def process(self, video: VideoSegment,
                 index: STRGIndex | None = None,
@@ -226,19 +199,14 @@ class VideoPipeline:
         """Decompose a segment and (build or extend) an STRG-Index.
 
         Returns the decomposition and the index.  When ``index`` is given,
-        the segment's OGs are inserted into it (background-matched at the
-        root level); otherwise a fresh index is built.  ``workers``
-        controls frame-parallel segmentation (see :meth:`build_strg`).
+        the segment's OGs extend it (see :func:`~repro.core.index.extend_index`:
+        background-matched inserts, or one build while it is empty);
+        otherwise a fresh index is built.  ``workers`` controls
+        frame-parallel segmentation (see :meth:`build_strg`).
         """
         clip = self.process_clip(video, workers=workers)
-        decomposition, refs = clip.decomposition, clip.refs
         if index is None:
             index = STRGIndex(self.config.index)
-            if decomposition.object_graphs:
-                index.build(decomposition.object_graphs,
-                            decomposition.background, refs)
-        else:
-            for og, ref in zip(decomposition.object_graphs, refs):
-                index.insert(og, decomposition.background, ref)
+        extend_index(index, clip.object_graphs, clip.background, clip.refs)
         self.index = index
-        return decomposition, index
+        return clip.decomposition, index

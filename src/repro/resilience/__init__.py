@@ -22,10 +22,8 @@ from repro.resilience.faults import (
 from repro.resilience.journal import (
     IngestJournal,
     JobReplay,
-    RecoveryReport,
     read_journal,
     replay_jobs,
-    replay_pending,
 )
 from repro.resilience.policy import (
     RECOVERABLE_ERRORS,
@@ -47,7 +45,6 @@ __all__ = [
     "IngestJournal",
     "JobReplay",
     "QuarantineRecord",
-    "RecoveryReport",
     "RECOVERABLE_ERRORS",
     "RetryPolicy",
     "active",
@@ -61,6 +58,5 @@ __all__ = [
     "quarantine_record",
     "read_journal",
     "replay_jobs",
-    "replay_pending",
     "uninstall",
 ]

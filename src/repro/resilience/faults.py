@@ -42,9 +42,10 @@ INJECTION_POINTS = (
     "storage.read",     # before a persisted file is opened
     "storage.append",   # before a delta segment's manifest commit
     "serving.shard",    # before a shard is scanned during scatter-gather
-    "ingest.accept",    # per job, during IngestService.submit admission
+    "ingest.accept",    # per job, during IngestService admission
     "ingest.process",   # per job attempt, before the clip pipeline runs
     "ingest.commit",    # per job, before OGs stream into the live index
+    "ingest.journal",   # per ingest journal record, before it is appended
 )
 
 #: Default exception raised per point when a ``raise`` fault fires.
@@ -82,6 +83,9 @@ _DEFAULT_ERRORS: dict[str, Callable[[str, int], Exception]] = {
     ),
     "ingest.commit": lambda point, n: OSError(
         f"injected commit failure at {point}#{n}"
+    ),
+    "ingest.journal": lambda point, n: OSError(
+        f"injected journal write failure at {point}#{n}"
     ),
 }
 

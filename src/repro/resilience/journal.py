@@ -1,10 +1,11 @@
 """Append-only ingest journal for crash recovery.
 
-Each ingested (or quarantined) segment appends one JSON line; every
-successful snapshot save appends a ``checkpoint`` line.  After a crash,
-:meth:`VideoDatabase.recover` replays the journal against the last valid
-snapshot: segments journaled *after* the last checkpoint were ingested
-but never persisted, so they are reported as pending for re-ingestion.
+:class:`~repro.serving.ingest.IngestService` — the one write path, which
+``VideoDatabase.ingest`` runs through too — appends one JSON line per job
+state transition (``QUEUED → RUNNING → INDEXED | QUARANTINED``) and one
+``checkpoint`` line per snapshot it persists.  After a crash,
+:func:`replay_jobs` folds the journal into the jobs the snapshot holds
+and the jobs :meth:`IngestService.recover` must re-run from the spool.
 
 Writes are flushed and fsync'd per record, so a crash can lose at most
 the line being written.  A torn final line (the classic
@@ -44,12 +45,6 @@ class IngestJournal:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "IngestJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def read_journal(path: str | os.PathLike) -> tuple[list[dict], bool]:
     """Read a journal, tolerating a torn tail.
@@ -83,32 +78,6 @@ def read_journal(path: str | os.PathLike) -> tuple[list[dict], bool]:
     except FileNotFoundError:
         return [], False
     return records, False
-
-
-@dataclass
-class RecoveryReport:
-    """Outcome of :meth:`VideoDatabase.recover`."""
-
-    snapshot_loaded: bool
-    snapshot_path: str
-    snapshot_ogs: int
-    snapshot_error: str | None
-    journal_path: str
-    journal_truncated: bool
-    pending_segments: list[str] = field(default_factory=list)
-    quarantined_segments: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "snapshot_loaded": self.snapshot_loaded,
-            "snapshot_path": self.snapshot_path,
-            "snapshot_ogs": self.snapshot_ogs,
-            "snapshot_error": self.snapshot_error,
-            "journal_path": self.journal_path,
-            "journal_truncated": self.journal_truncated,
-            "pending_segments": list(self.pending_segments),
-            "quarantined_segments": list(self.quarantined_segments),
-        }
 
 
 @dataclass
@@ -170,24 +139,3 @@ def replay_jobs(records: list[dict]) -> JobReplay:
                    if info.get("state") == "QUARANTINED"]
     return JobReplay(jobs_in_order=jobs, completed=durable,
                      pending=pending, quarantined=quarantined)
-
-
-def replay_pending(records: list[dict]) -> tuple[list[str], list[str]]:
-    """Split journal records into (pending, quarantined) segment names.
-
-    ``pending`` holds segments journaled as successfully ingested after
-    the last checkpoint — i.e. state the last snapshot does not contain.
-    """
-    pending: list[str] = []
-    quarantined: list[str] = []
-    for record in records:
-        event = record.get("event")
-        if event == "checkpoint":
-            pending.clear()
-        elif event == "segment":
-            name = str(record.get("segment"))
-            if record.get("status") == "ok":
-                pending.append(name)
-            else:
-                quarantined.append(name)
-    return pending, quarantined

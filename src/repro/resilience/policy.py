@@ -1,17 +1,22 @@
 """Fault policies and quarantine records for graceful-degradation ingest.
 
 A :class:`FaultPolicy` decides what ``VideoDatabase.ingest`` does when a
-segment fails with a *recoverable* error (:data:`RECOVERABLE_ERRORS`):
+segment fails with a *recoverable* error (:data:`RECOVERABLE_ERRORS`).
+Every policy runs the segment as one
+:class:`~repro.serving.ingest.IngestService` job, which is journaled as
+quarantined when it fails:
 
-- ``FAIL_FAST``        — propagate immediately (the pre-resilience
-  behavior; right for interactive debugging).
-- ``SKIP``             — quarantine the segment and keep ingesting.
+- ``FAIL_FAST``        — one attempt, then the error propagates (right
+  for interactive debugging).
+- ``SKIP``             — one attempt; the segment stays quarantined and
+  ingestion goes on.
 - ``RETRY_THEN_SKIP``  — retry the segment under the database's
   :class:`~repro.resilience.retry.RetryPolicy`, then quarantine.  The
   default: transient faults heal, persistent ones are contained.
 
-Programming errors (``TypeError``, ``KeyError``, ...) always propagate —
-quarantine is for degraded *input*, not broken code.
+Programming errors (``TypeError``, ``KeyError``, ...) always propagate
+from ``VideoDatabase.ingest`` — quarantine is for degraded *input*, not
+broken code.
 """
 
 from __future__ import annotations

@@ -22,14 +22,17 @@ Robustness machinery, in the order it fires:
 - **Journaled states** — every transition appends one durable JSONL
   record (``QUEUED → RUNNING → INDEXED | QUARANTINED``), and every
   snapshot save appends a ``checkpoint``.  After a crash,
-  :meth:`IngestService.recover` replays the journal: jobs ``INDEXED``
-  before the last checkpoint are durable and **never re-run** (idempotent
-  completion keyed by job id); everything else re-runs from its spooled
-  upload.  The index only persists via checkpoints, so replay can never
-  lose or double-index an OG.
-- **Retries** — recoverable per-job failures retry under the config's
-  :class:`~repro.resilience.retry.RetryPolicy`, bounded by a service-wide
-  ``retry_budget``.
+  :meth:`IngestService.recover` replays the journal: jobs the snapshot
+  holds — ``INDEXED`` before a checkpoint, or named by the snapshot's
+  clip refs — are durable and **never re-run** (idempotent completion
+  keyed by job id); everything else re-runs from its spooled upload.
+  The index only persists via checkpoints, so replay can never lose or
+  double-index an OG.
+- **Retries** — a job's attempts run through
+  :func:`~repro.resilience.retry.call_with_retry` under the config's
+  :class:`~repro.resilience.retry.RetryPolicy` (attempts, backoff and
+  ``total_timeout``), each retry spending a token of the service-wide
+  ``retry_budget``; the commit after them runs once.
 - **Watchdog timeouts** — a watchdog thread cancels jobs that outrun
   ``job_timeout``; workers observe the cancellation at stage boundaries
   and quarantine the job with :class:`~repro.errors.IngestTimeoutError`
@@ -37,8 +40,8 @@ Robustness machinery, in the order it fires:
 - **Worker scaling** — the watchdog grows the pool toward
   ``max_workers`` while the queue is deeper than the pool, and retires
   idle workers back to ``min_workers``.
-- **Fault points** — ``ingest.accept``, ``ingest.process`` and
-  ``ingest.commit`` are compiled in for
+- **Fault points** — ``ingest.accept``, ``ingest.process``,
+  ``ingest.commit`` and ``ingest.journal`` are compiled in for
   :class:`~repro.resilience.faults.FaultInjector` drills.
 
 ``health()`` exports queue depth, in-flight count, oldest-job age,
@@ -48,24 +51,29 @@ gauges in the observability registry.
 
 from __future__ import annotations
 
+import logging
 import os
 import queue
+import re
 import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
+from repro.core.index import STRGIndex
 from repro.errors import (
     IngestOverloadError,
     IngestTimeoutError,
     InvalidParameterError,
+    RecoveryError,
     ServiceStoppedError,
     StorageError,
 )
+from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
-from repro.pipeline import VideoPipeline
+from repro.pipeline import ClipResult, PipelineConfig, VideoPipeline
 from repro.resilience.faults import maybe_fail
 from repro.resilience.journal import (
     IngestJournal,
@@ -77,10 +85,13 @@ from repro.resilience.policy import (
     QuarantineRecord,
     quarantine_record,
 )
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.serving.snapshot import LiveIndex, _BufferedWrite
+from repro.storage.serialize import leaf_ogs
 from repro.storage.store import open_store, require_columnar
 from repro.video.frames import VideoSegment
+
+logger = logging.getLogger(__name__)
 
 _SHUTDOWN = object()   # queue sentinel: worker exits unconditionally
 _RETIRE = object()     # queue sentinel: worker exits if pool is above min
@@ -106,6 +117,10 @@ class JobState(str, Enum):
 #: States a job can never leave.
 TERMINAL_STATES = (JobState.INDEXED, JobState.QUARANTINED)
 
+#: Errors :meth:`IngestService.run` answers with a quarantined job rather
+#: than re-raising: bad input, and jobs that outran ``job_timeout``.
+QUARANTINE_ERRORS = RECOVERABLE_ERRORS + (IngestTimeoutError,)
+
 
 @dataclass
 class IngestJob:
@@ -123,6 +138,10 @@ class IngestJob:
     og_ids: list[int] = field(default_factory=list)
     error: str | None = None
     spool: str | None = None
+    #: Set by :meth:`IngestService.run` only, which keeps no handle on
+    #: its jobs: the committed clip, or the error that quarantined it.
+    clip: ClipResult | None = field(default=None, repr=False)
+    exception: BaseException | None = field(default=None, repr=False)
     cancel: threading.Event = field(default_factory=threading.Event)
     done: threading.Event = field(default_factory=threading.Event)
 
@@ -224,50 +243,31 @@ class IngestRecoveryReport:
     quarantined_jobs: list[str] = field(default_factory=list)
     lost_jobs: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "snapshot_loaded": self.snapshot_loaded,
-            "snapshot_path": self.snapshot_path,
-            "snapshot_ogs": self.snapshot_ogs,
-            "snapshot_error": self.snapshot_error,
-            "journal_path": self.journal_path,
-            "journal_truncated": self.journal_truncated,
-            "completed_jobs": list(self.completed_jobs),
-            "replayed_jobs": list(self.replayed_jobs),
-            "quarantined_jobs": list(self.quarantined_jobs),
-            "lost_jobs": list(self.lost_jobs),
-        }
-
 
 class IngestService:
     """Backpressured, journaled, crash-safe streaming ingest over a
     :class:`~repro.serving.snapshot.LiveIndex`.
 
-    Workers start in the constructor; use as a context manager (or call
-    :meth:`shutdown`) to stop them.  With a ``state_dir`` the service is
-    durable: uploads spool to ``state_dir/spool/``, state transitions
-    journal to ``state_dir/ingest.journal`` and checkpoints snapshot to
-    the ``state_dir/index.strg/`` store — one full write, then O(delta)
+    Worker threads and the watchdog start on the first :meth:`submit`;
+    :meth:`run` takes a job through the same states on the caller's
+    thread, so a service that only runs jobs (``VideoDatabase.ingest``
+    is built on it) owns no thread.  Use as a context manager (or call :meth:`shutdown`)
+    to stop them.  With a ``state_dir`` the service is durable: uploads
+    spool to ``state_dir/spool/``, state transitions journal to
+    ``state_dir/ingest.journal`` and checkpoints snapshot to the
+    ``state_dir/index.strg/`` store — one full write, then O(delta)
     appended segments — :meth:`recover` rebuilds an equivalent service
-    after a crash.  Without one it is a fast in-memory pipeline with the same
-    admission/retry/timeout behavior.
-
-    ``database`` optionally binds a
-    :class:`~repro.storage.database.VideoDatabase`: after every commit
-    its ``index`` attribute is repointed at the newest published
-    snapshot, so ``db.knn()`` callers see freshly ingested clips without
-    touching the service API.
+    after a crash.  Without one it is a fast in-memory pipeline with the
+    same admission/retry/timeout behavior.
     """
 
     def __init__(self, live: LiveIndex,
                  pipeline: VideoPipeline | None = None, *,
                  state_dir: str | os.PathLike | None = None,
-                 config: IngestServiceConfig | None = None,
-                 database: Any = None):
+                 config: IngestServiceConfig | None = None):
         self.live = live
         self.pipeline = pipeline or VideoPipeline()
         self.config = config or IngestServiceConfig()
-        self._database = database
 
         self.state_dir = None if state_dir is None else os.fspath(state_dir)
         self._journal: IngestJournal | None = None
@@ -311,14 +311,10 @@ class IngestService:
         self._stopped = False
 
         self._workers: list[threading.Thread] = []
-        self._workers_lock = threading.Lock()
+        self._workers_lock = threading.RLock()
         self._peak_workers = 0
-        for _ in range(self.config.min_workers):
-            self._spawn_worker()
         self._stop_watchdog = threading.Event()
-        self._watchdog = threading.Thread(
-            target=self._watchdog_loop, name="ingest-watchdog", daemon=True)
-        self._watchdog.start()
+        self._watchdog: threading.Thread | None = None
 
     # -- submission -----------------------------------------------------------
 
@@ -334,8 +330,69 @@ class IngestService:
         ``timeout`` elapses, then the same error).  Re-submitting a
         ``job_id`` that already completed durably is an idempotent no-op
         returning the completed handle: recovery and client retries can
-        never double-index a clip.
+        never double-index a clip.  The first accepted job starts the
+        worker threads and the watchdog.
         """
+        job, new = self._accept(video, job_id, queued=True,
+                                backpressure=backpressure, timeout=timeout)
+        if new:
+            self._start()
+            self._queue.put(job)
+            OBS.count("ingest.jobs_accepted")
+            OBS.gauge("ingest.queue_depth", self._backlog)
+        return job
+
+    def run(self, video: VideoSegment, *, job_id: str | None = None,
+            workers: int | None = None) -> IngestJob:
+        """Run one clip as a job on the caller's thread; return it finished.
+
+        The job takes a worker's path — journal records, attempts under
+        the retry policy and budget, quarantine, commit — without the
+        queue or any thread; ``workers`` overrides
+        ``config.clip_workers``.  It comes back ``INDEXED`` (``job.clip``
+        set) or ``QUARANTINED`` (``job.exception`` set); an error outside
+        :data:`QUARANTINE_ERRORS` is re-raised once the job is journaled
+        as quarantined, and so is the error of an ``INDEXED`` record that
+        could not be written (the OGs stay).  A ``job_id`` already
+        completed, queued or running is not run again: the call waits
+        for it instead.  The returned job is the caller's:
+        :meth:`job_status` forgets it.
+        """
+        job, new = self._accept(video, job_id)
+        if not new:
+            job.done.wait()
+            return job
+        with self._space:
+            self._in_flight += 1
+        try:
+            job.clip, job.exception = self._run_job(job, workers)
+        finally:
+            self._land()
+            with self._jobs_lock:
+                del self._jobs[job.job_id]
+        if job.exception is not None and (
+                job.state is JobState.INDEXED
+                or not isinstance(job.exception, QUARANTINE_ERRORS)):
+            raise job.exception
+        return job
+
+    def write(self, ogs: Sequence[ObjectGraph] = (), *,
+              deletes: Sequence[int] = ()) -> int:
+        """Commit writes no job made — pre-extracted OGs, deletes by og
+        id — in order with the jobs' commits; returns how many deletes
+        found their OG.  Unjournaled: they are durable from the next
+        checkpoint on."""
+        with self._commit_lock:
+            expected = len(self.live) + len(ogs)
+            self._write_locked(list(ogs), deletes=deletes)
+            return expected - len(self.live)
+
+    def _accept(self, video: VideoSegment, job_id: str | None, *,
+                queued: bool = False, backpressure: bool = False,
+                timeout: float | None = None) -> tuple[IngestJob, bool]:
+        """Admit ``video`` as a spooled, journaled ``QUEUED`` job:
+        ``(job, True)``, or ``(handle, False)`` when ``job_id`` is done,
+        queued or running.  ``queued`` claims a queue slot first."""
         if self._stopped:
             raise ServiceStoppedError(
                 "ingest service is stopped; no new jobs accepted")
@@ -347,18 +404,19 @@ class IngestService:
         existing = self._jobs.get(job_id)
         if job_id in self._completed:
             if existing is not None:
-                return existing
+                return existing, False
             done = IngestJob(job_id=job_id, clip_name=video.name, video=None,
                              submitted=time.monotonic(),
                              state=JobState.INDEXED)
             done.done.set()
             with self._jobs_lock:
                 self._jobs[job_id] = done
-            return done
+            return done, False
         if existing is not None and not existing.terminal:
-            return existing  # already queued or running
+            return existing, False  # already queued or running
 
-        self._acquire_slot(backpressure, timeout)
+        if queued:
+            self._acquire_slot(backpressure, timeout)
         try:
             job = IngestJob(job_id=job_id, clip_name=video.name, video=video,
                             submitted=time.monotonic())
@@ -367,7 +425,8 @@ class IngestService:
                 video.save_npz(spool)
                 job.spool = os.path.basename(spool)
         except BaseException:
-            self._release_slot()
+            if queued:
+                self._release_slot()
             raise
         with self._jobs_lock:
             self._jobs[job_id] = job
@@ -376,10 +435,7 @@ class IngestService:
             "clip": video.name, "frames": video.num_frames,
             "spool": job.spool,
         })
-        self._queue.put(job)
-        OBS.count("ingest.jobs_accepted")
-        OBS.gauge("ingest.queue_depth", self._backlog)
-        return job
+        return job, True
 
     def _acquire_slot(self, backpressure: bool,
                       timeout: float | None) -> None:
@@ -414,7 +470,25 @@ class IngestService:
             self._backlog -= 1
             self._space.notify_all()
 
+    def _land(self) -> None:
+        """A job left flight (finished, or its thread died)."""
+        with self._space:
+            self._in_flight -= 1
+            self._space.notify_all()
+
     # -- workers --------------------------------------------------------------
+
+    def _start(self) -> None:
+        """Start the worker pool and the watchdog, once."""
+        with self._workers_lock:
+            if self._watchdog is not None or self._stopped:
+                return
+            for _ in range(self.config.min_workers):
+                self._spawn_worker()
+            self._watchdog = threading.Thread(
+                target=self._watchdog_loop, name="ingest-watchdog",
+                daemon=True)
+            self._watchdog.start()
 
     def _spawn_worker(self) -> None:
         with self._workers_lock:
@@ -439,20 +513,21 @@ class IngestService:
                         OBS.gauge("ingest.workers", len(self._workers))
                         return
                 continue
-            self._release_slot()
-            if item.job_id in self._completed:
-                # Idempotent completion: a re-enqueued finished job is a
-                # no-op, never a second index insertion.
-                self._finish(item, JobState.INDEXED)
-                continue
+            # Off the queue and in flight in one step: a drain() woken
+            # in between would see neither and return before the job ran.
             with self._space:
+                self._backlog -= 1
                 self._in_flight += 1
+                self._space.notify_all()
             try:
-                self._run_job(item)
+                if item.job_id in self._completed:
+                    # Idempotent completion: a re-enqueued finished job
+                    # is a no-op, never a second index insertion.
+                    self._finish(item, JobState.INDEXED)
+                else:
+                    self._run_job(item)
             finally:
-                with self._space:
-                    self._in_flight -= 1
-                    self._space.notify_all()
+                self._land()
 
     def _remove_worker(self) -> None:
         with self._workers_lock:
@@ -461,58 +536,59 @@ class IngestService:
                 self._workers.remove(thread)
             OBS.gauge("ingest.workers", len(self._workers))
 
-    def _run_job(self, job: IngestJob) -> None:
+    def _run_job(self, job: IngestJob, workers: int | None = None
+                 ) -> tuple[ClipResult | None, Exception | None]:
+        """Take ``job`` to ``(clip, None)`` committed or ``(None, error)``
+        quarantined.  Every error quarantines: a long-running worker
+        must outlive any poison job, and the record keeps the type.
+
+        Only the attempts retry; the commit runs once.  A commit whose
+        INDEXED record fails returns ``(clip, error)``: its OGs stay
+        published, durable from the next checkpoint (whose clip refs
+        name the job) and re-run by recovery until then."""
         job.state = JobState.RUNNING
         job.started = time.monotonic()
         if self.config.job_timeout is not None:
             job.deadline = job.started + self.config.job_timeout
-        policy = self.config.retry_policy
-        delays = list(policy.delays())
-        attempt = 0
-        with OBS.span("ingest.job", job=job.job_id, clip=job.clip_name):
-            while True:
-                attempt += 1
-                job.attempts = attempt
-                self._append_journal({
-                    "event": "job", "job": job.job_id,
-                    "state": JobState.RUNNING.value, "attempt": attempt,
-                })
-                try:
-                    self._check_cancelled(job)
-                    maybe_fail("ingest.process", job=job.job_id)
-                    clip = self.pipeline.process_clip(
-                        job.video, workers=self.config.clip_workers)
-                    self._check_cancelled(job)
-                    maybe_fail("ingest.commit", job=job.job_id)
-                    self._commit(job, clip)
-                    return
-                except IngestTimeoutError as exc:
-                    self._quarantine_job(job, exc)
-                    return
-                except RECOVERABLE_ERRORS as exc:
-                    if (attempt >= policy.max_attempts
-                            or not self._take_retry_token()):
-                        self._quarantine_job(job, exc)
-                        return
-                    self._retries += 1
-                    OBS.count("ingest.job_retries")
-                    delay = delays[attempt - 1] if attempt - 1 < len(delays) \
-                        else 0.0
-                    if delay > 0:
-                        time.sleep(delay)
-                except Exception as exc:  # noqa: BLE001 - worker survival
-                    # Unlike batch ingest (which propagates programming
-                    # errors), a long-running worker must outlive any
-                    # single poison job; the error type is preserved in
-                    # the quarantine record for diagnosis.
-                    self._quarantine_job(job, exc)
-                    return
+        if workers is None:
+            workers = self.config.clip_workers
 
-    def _take_retry_token(self) -> bool:
-        budget = self.config.retry_budget
-        if budget is None:
-            return True
-        return self._retries < budget
+        def attempt() -> ClipResult:
+            job.attempts += 1
+            self._append_journal({
+                "event": "job", "job": job.job_id,
+                "state": JobState.RUNNING.value, "attempt": job.attempts,
+            })
+            self._check_cancelled(job)
+            maybe_fail("ingest.process", job=job.job_id)
+            clip = self.pipeline.process_clip(job.video, workers=workers)
+            self._check_cancelled(job)
+            maybe_fail("ingest.commit", job=job.job_id)
+            return clip
+
+        def spend_retry(attempt_no: int, exc: BaseException,
+                        delay: float) -> None:
+            budget = self.config.retry_budget
+            if budget is not None and self._retries >= budget:
+                raise exc
+            self._retries += 1
+            OBS.count("ingest.job_retries")
+
+        clip = None
+        with OBS.span("ingest.job", job=job.job_id, clip=job.clip_name):
+            try:
+                clip = call_with_retry(
+                    attempt, self.config.retry_policy,
+                    retryable=RECOVERABLE_ERRORS, on_retry=spend_retry)
+                self._commit(job, clip)
+                return clip, None
+            except Exception as exc:  # noqa: BLE001 - worker survival
+                if job.state is JobState.INDEXED:
+                    logger.error("job %r indexed, but not journaled: %s",
+                                 job.job_id, exc)
+                    return clip, exc
+                self._quarantine_job(job, exc)
+                return None, exc
 
     def _check_cancelled(self, job: IngestJob) -> None:
         """Raise if the watchdog cancelled the job or its budget lapsed.
@@ -531,7 +607,7 @@ class IngestService:
                          "timeout": self.config.job_timeout},
             )
 
-    def _commit(self, job: IngestJob, clip) -> None:
+    def _commit(self, job: IngestJob, clip: ClipResult) -> None:
         """Stream a processed clip's OGs into the live index, exactly once.
 
         Serialized across workers so journal order matches index content
@@ -543,24 +619,20 @@ class IngestService:
         with self._commit_lock:
             self._check_cancelled(job)
             ogs = clip.object_graphs
-            if ogs:
-                refs = [{"video": job.clip_name, "og": og.og_id,
-                         "job": job.job_id} for og in ogs]
-                self.live.bulk_insert(ogs, clip.background, refs)
-                self.live.compact()
-                self._track_writes(ogs, clip.background, refs)
-            if self._database is not None:
-                self._database.index = self.live.snapshot.index
+            self._write_locked(ogs, clip.background, [
+                dict(ref, job=job.job_id) for ref in clip.refs])
             job.og_ids = [og.og_id for og in ogs]
-            self._append_journal({
-                "event": "job", "job": job.job_id,
-                "state": JobState.INDEXED.value,
-                "clip": job.clip_name, "ogs": len(ogs),
-            })
             self._completed.add(job.job_id)
             self._indexed_jobs += 1
             self._indexed_since_checkpoint += 1
-            self._finish(job, JobState.INDEXED)
+            try:
+                self._append_journal({
+                    "event": "job", "job": job.job_id,
+                    "state": JobState.INDEXED.value,
+                    "clip": job.clip_name, "ogs": len(ogs),
+                })
+            finally:
+                self._finish(job, JobState.INDEXED)
             OBS.count("ingest.jobs_indexed")
             if job.freshness is not None:
                 self._last_freshness = job.freshness
@@ -570,13 +642,23 @@ class IngestService:
                     and self.snapshot_path is not None
                     and self._indexed_since_checkpoint
                     >= self.config.checkpoint_every):
-                self._checkpoint_locked()
+                try:
+                    self._checkpoint_locked()
+                except (StorageError, OSError) as exc:
+                    # A failed checkpoint only delays durability: jobs
+                    # stay journaled as INDEXED-after-checkpoint and
+                    # replay re-runs them.  Keep serving; retry at the
+                    # next commit.
+                    logger.warning(
+                        "ingest checkpoint failed (will retry): %s", exc)
 
     def checkpoint(self) -> None:
         """Snapshot the published index and journal the checkpoint.
 
         Jobs INDEXED before this call become durable: recovery will not
         re-run them.  Requires a ``state_dir`` (or ``snapshot_path``).
+        A failure raises here; the automatic checkpoints of
+        ``checkpoint_every`` log it and retry at the next commit.
         """
         if self.snapshot_path is None:
             raise StorageError(
@@ -590,14 +672,25 @@ class IngestService:
     #: disabled or keep failing).
     max_pending_writes = 4096
 
-    def _track_writes(self, ogs, background, refs) -> None:
-        """Remember a committed batch for O(delta) checkpointing."""
+    def _write_locked(self, ogs: Sequence[ObjectGraph],
+                      background=None, refs: Sequence[Any] | None = None,
+                      deletes: Sequence[int] = ()) -> None:
+        """Publish writes in one compaction and remember them for the
+        next O(delta) checkpoint (caller holds the commit lock)."""
+        refs = list(refs) if refs is not None else [None] * len(ogs)
+        if ogs:
+            self.live.bulk_insert(ogs, background, refs)
+        for og_id in deletes:
+            self.live.delete(og_id)
+        self.live.compact()
         if self._store is None or self._pending_writes is None:
             return
         self._pending_writes.extend(
             _BufferedWrite("insert", og=og, background=background,
                            clip_ref=ref)
             for og, ref in zip(ogs, refs))
+        self._pending_writes.extend(
+            _BufferedWrite("delete", og_id=og_id) for og_id in deletes)
         if len(self._pending_writes) > self.max_pending_writes:
             self._pending_writes = None
 
@@ -609,19 +702,12 @@ class IngestService:
         # delta may no longer match the disk) and after an overflow.
         try:
             self._store.checkpoint(index, self._pending_writes)
-        except (StorageError, OSError) as exc:
-            # A failed checkpoint only delays durability: jobs stay
-            # journaled as INDEXED-after-checkpoint and replay re-runs
-            # them.  Keep serving; retry at the next commit.
+        except (StorageError, OSError):
             self._pending_writes = []
             self._checkpoint_errors += 1
             OBS.count("ingest.checkpoint_errors")
             self._indexed_since_checkpoint = self.config.checkpoint_every or 1
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "ingest checkpoint failed (will retry): %s", exc)
-            return
+            raise
         self._pending_writes = []
         self._store.maybe_merge(background=True)
         self._append_journal({
@@ -631,9 +717,11 @@ class IngestService:
         self._indexed_since_checkpoint = 0
         OBS.count("ingest.checkpoints")
 
-    def _quarantine_job(self, job: IngestJob, exc: BaseException) -> None:
+    def _quarantine_job(self, job: IngestJob, exc: BaseException,
+                        **details: Any) -> None:
         record = quarantine_record(job.clip_name, exc, job.attempts)
         record.details.setdefault("job", job.job_id)
+        record.details.update(details)
         self.quarantine.append(record)
         job.error = f"{type(exc).__name__}: {exc}"
         self._append_journal({
@@ -644,6 +732,8 @@ class IngestService:
         })
         self._finish(job, JobState.QUARANTINED)
         OBS.count("ingest.jobs_quarantined")
+        logger.warning("quarantined job %r (clip %r) after %d attempt(s): %s",
+                       job.job_id, job.clip_name, job.attempts, exc)
 
     def _finish(self, job: IngestJob, state: JobState) -> None:
         job.state = state
@@ -757,6 +847,8 @@ class IngestService:
 
     def _append_journal(self, record: dict) -> None:
         if self._journal is not None:
+            maybe_fail("ingest.journal", job=record.get("job"),
+                       record=record.get("state", record["event"]))
             with self._journal_lock:
                 self._journal.append(record)
 
@@ -775,7 +867,8 @@ class IngestService:
             for _ in workers:
                 self._queue.put(_SHUTDOWN)
         if wait:
-            self._watchdog.join()
+            if self._watchdog is not None:
+                self._watchdog.join()
             with self._workers_lock:
                 workers = list(self._workers)
             for worker in workers:
@@ -805,24 +898,43 @@ class IngestService:
 
     # -- crash recovery -------------------------------------------------------
 
+    def replace(self, *, state_dir: str | os.PathLike | None = None,
+                config: IngestServiceConfig | None = None
+                ) -> "IngestService":
+        """Stop this service; return a new one over the same
+        ``LiveIndex`` and pipeline that keeps its bookkeeping — job ids
+        continue (both may journal to one ``state_dir``), completed jobs
+        stay no-ops, quarantine and counts carry over."""
+        self.shutdown()
+        successor = type(self)(self.live, self.pipeline,
+                               state_dir=state_dir, config=config)
+        successor._seq, successor._completed = self._seq, self._completed
+        successor.quarantine = self.quarantine
+        successor._indexed_jobs = self._indexed_jobs
+        return successor
+
     @classmethod
     def recover(cls, state_dir: str | os.PathLike, *,
                 pipeline: VideoPipeline | None = None,
                 config: IngestServiceConfig | None = None,
-                database: Any = None) -> "IngestService":
-        """Rebuild a service from its ``state_dir`` after a crash.
+                index: Any = None) -> "IngestService":
+        """Rebuild a service from its ``state_dir`` after a crash and
+        finish its work, exactly once.
 
-        Loads the last checkpointed snapshot — if it survives the
-        store's deep integrity pass (``verify()``: every file re-hashed,
-        so a bit-rotted snapshot is replayed over, not served) —
-        replays the journal, and re-submits every job that was
-        not durably indexed — ``QUEUED``/``RUNNING`` jobs and jobs
-        ``INDEXED`` after the last checkpoint — from their spooled
-        uploads, in original submission order.  Quarantine decisions are
-        preserved (poison jobs are *not* retried), and durably completed
-        job ids are remembered so replays and client re-submissions are
-        idempotent.  Jobs whose spool file is missing or unreadable are
-        quarantined as lost rather than failing recovery.
+        Loads the last snapshot that survives ``verify()`` (every file
+        re-hashed: bit rot is replayed over, not served) and re-runs,
+        with :meth:`run`, every journaled job it does not hold, from the
+        spool, in submission order — the call returns when they are
+        done; a replayed job that fails stays quarantined.  The snapshot
+        holds a job ``INDEXED`` before a checkpoint record, or one its
+        clip refs name (a crash between a snapshot write and its record
+        re-runs nothing).  Quarantine decisions stand, completed job ids
+        make re-submissions no-ops, new job ids continue after the
+        journaled ones, and a job whose spool is gone is quarantined as
+        lost.  ``index`` is the empty index replay starts from when no
+        snapshot survives (default: a monolithic ``STRGIndex``).  Raises
+        :class:`~repro.errors.RecoveryError` with neither a usable
+        snapshot nor a journal record.
         """
         state = Path(os.fspath(state_dir))
         journal_path = state / JOURNAL_NAME
@@ -830,36 +942,40 @@ class IngestService:
         replay = replay_jobs(records)
 
         store = open_store(state / SNAPSHOT_BASE)
-        index = None
+        loaded = None
         snapshot_error: str | None = None
-        snapshot_loaded = False
         if store.exists():
             try:
                 store.verify()
-                index = store.load_index()
-                snapshot_loaded = True
+                loaded = store.load_index()
             except StorageError as exc:
                 snapshot_error = f"{type(exc).__name__}: {exc}"
+        snapshot_loaded = loaded is not None
+        if not snapshot_loaded and not records:
+            raise RecoveryError(
+                f"nothing to recover in {state}: no valid snapshot and no "
+                f"journal records",
+                details={"path": os.fspath(state),
+                         "journal": os.fspath(journal_path),
+                         "snapshot_error": snapshot_error})
         pipeline = pipeline or VideoPipeline()
-        if index is None:
-            from repro.core.index import STRGIndex, STRGIndexConfig
+        if snapshot_loaded:
+            index = loaded
+        elif index is None:
+            index = STRGIndex(getattr(pipeline, "config",
+                                      PipelineConfig()).index)
+        snapshot_ogs = len(index)
 
-            pipeline_config = getattr(pipeline, "config", None)
-            index = STRGIndex(
-                pipeline_config.index if pipeline_config is not None
-                else STRGIndexConfig(n_clusters=None, k_max=8))
+        # No usable snapshot: nothing is durable, and journaled-INDEXED
+        # jobs re-run too (their OGs died with the process).
+        durable = (set(replay.completed) | _jobs_held_by(index)
+                   if snapshot_loaded else set())
+        pending = [info for info in replay.jobs_in_order
+                   if info["job"] not in durable
+                   and info.get("state") != JobState.QUARANTINED.value]
 
-        durable = set(replay.completed) if snapshot_loaded else set()
-        pending = list(replay.pending)
-        if not snapshot_loaded:
-            # No usable snapshot: nothing is durable; journaled-INDEXED
-            # jobs must re-run too (their OGs died with the process).
-            pending = [info for info in replay.jobs_in_order
-                       if info.get("state") != JobState.QUARANTINED.value]
-
-        live = LiveIndex(index)
-        service = cls(live, pipeline, state_dir=state_dir, config=config,
-                      database=database)
+        service = cls(LiveIndex(index), pipeline, state_dir=state_dir,
+                      config=config)
         if snapshot_loaded:
             # Reuse the store that loaded the snapshot: its row map is
             # bound to the recovered index, so the first post-recovery
@@ -867,47 +983,45 @@ class IngestService:
             service._store = store
             service.snapshot_path = store.path
         service._completed = set(durable)
+        service._seq = 1 + max(
+            (int(info["job"][4:]) for info in replay.jobs_in_order
+             if re.fullmatch(r"job-\d+", info["job"])), default=-1)
         for info in replay.quarantined:
-            record = QuarantineRecord(
+            service.quarantine.append(QuarantineRecord(
                 segment=str(info.get("clip", info.get("job"))),
                 error_type=str(info.get("error", "unknown")),
                 message=str(info.get("message", "")),
                 details={"job": str(info.get("job"))},
                 attempts=int(info.get("attempts", 1)),
-            )
-            service.quarantine.append(record)
-        if database is not None:
-            database.index = live.snapshot.index
+            ))
 
         replayed: list[str] = []
         lost: list[str] = []
         for info in pending:
             job_id = str(info.get("job"))
             spool_name = info.get("spool")
-            spool = (None if spool_name is None
-                     else os.path.join(os.fspath(state), SPOOL_DIR,
-                                       str(spool_name)))
-            video = None
-            if spool is not None and os.path.exists(spool):
-                try:
-                    video = VideoSegment.load_npz(spool)
-                except (StorageError, OSError, ValueError) as exc:
-                    service._note_lost_job(job_id, info, exc)
-                    lost.append(job_id)
-                    continue
-            if video is None:
-                service._note_lost_job(
-                    job_id, info,
-                    StorageError(f"spooled upload missing for {job_id!r}"))
+            try:
+                if spool_name is None:
+                    raise StorageError(
+                        f"spooled upload missing for {job_id!r}")
+                video = VideoSegment.load_npz(
+                    state / SPOOL_DIR / str(spool_name))
+            except (StorageError, OSError, ValueError) as exc:
+                service._quarantine_job(IngestJob(
+                    job_id, str(info.get("clip", job_id)), None,
+                    time.monotonic(), attempts=1), exc, lost_payload=True)
                 lost.append(job_id)
                 continue
-            service.submit(video, job_id=job_id, backpressure=True)
             replayed.append(job_id)
+            try:
+                service.run(video, job_id=job_id)
+            except Exception:  # noqa: BLE001 - logged and journaled
+                pass                # by run; the replay goes on
 
         service.recovery = IngestRecoveryReport(
             snapshot_loaded=snapshot_loaded,
             snapshot_path=store.path,
-            snapshot_ogs=len(index),
+            snapshot_ogs=snapshot_ogs,
             snapshot_error=snapshot_error,
             journal_path=os.fspath(journal_path),
             journal_truncated=truncated,
@@ -919,20 +1033,13 @@ class IngestService:
         )
         return service
 
-    def _note_lost_job(self, job_id: str, info: dict,
-                       exc: BaseException) -> None:
-        """Quarantine a replayed job whose upload payload is gone."""
-        record = quarantine_record(str(info.get("clip", job_id)), exc, 1)
-        record.details["job"] = job_id
-        record.details["lost_payload"] = True
-        self.quarantine.append(record)
-        self._append_journal({
-            "event": "job", "job": job_id,
-            "state": JobState.QUARANTINED.value,
-            "clip": info.get("clip"), "error": record.error_type,
-            "message": record.message, "attempts": 1,
-        })
-        OBS.count("ingest.jobs_quarantined")
+
+def _jobs_held_by(index: Any) -> set[str]:
+    """Ids of the jobs whose OGs ``index`` stores (their clip refs name
+    them)."""
+    trees = getattr(index, "shards", None) or [index]
+    return {ref["job"] for tree in trees for _, ref in leaf_ogs(tree)
+            if isinstance(ref, dict) and "job" in ref}
 
 
 __all__ = [

@@ -24,8 +24,10 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Sequence
 
+from repro.core.index import extend_index
 from repro.errors import InvalidParameterError, StorageError
 from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
@@ -257,12 +259,19 @@ class LiveIndex:
             with OBS.span("serving.compact", writes=len(batch)):
                 previous = self._snapshot
                 working = previous.index.clone()
-                for write in batch:
-                    if write.op == "insert":
-                        working.insert(write.og, write.background,
-                                       write.clip_ref)
+                # Consecutive inserts sharing a background are one batch:
+                # an empty index builds it (extend_index), as the same
+                # OGs indexed without a LiveIndex would be.
+                for (op, _), run in groupby(
+                        batch, key=lambda w: (w.op, id(w.background))):
+                    run = list(run)
+                    if op == "insert":
+                        extend_index(working, [w.og for w in run],
+                                     run[0].background,
+                                     [w.clip_ref for w in run])
                     else:
-                        working.delete(write.og_id)
+                        for write in run:
+                            working.delete(write.og_id)
                 working.freeze()
                 published = IndexSnapshot(previous.version + 1, working)
                 self._snapshot = published

@@ -20,27 +20,11 @@ import numpy as np
 
 from repro.core.index import STRGIndex
 from repro.core.size import index_size_bytes, strg_raw_size_bytes
-from repro.errors import (
-    IndexStateError,
-    IngestDegradedError,
-    RecoveryError,
-    StorageError,
-)
+from repro.errors import IndexStateError, IngestDegradedError, StorageError
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.pipeline import PipelineConfig, VideoPipeline
-from repro.resilience.journal import (
-    IngestJournal,
-    RecoveryReport,
-    read_journal,
-    replay_pending,
-)
-from repro.resilience.policy import (
-    RECOVERABLE_ERRORS,
-    FaultPolicy,
-    QuarantineRecord,
-    quarantine_record,
-)
+from repro.resilience.policy import FaultPolicy, QuarantineRecord
 from repro.resilience.retry import RetryPolicy
 from repro.search.request import SearchRequest, budgeted_scatter
 from repro.search.sketch import approx_knn
@@ -62,15 +46,22 @@ class QueryHit:
 class VideoDatabase:
     """A content-based video database built on the STRG-Index.
 
-    Ingestion is fault tolerant (see ``docs/RESILIENCE.md``): the
-    ``fault_policy`` decides whether a segment failing with a
-    recoverable error crashes the batch (``fail-fast``), is quarantined
-    (``skip-and-quarantine``), or is retried under ``retry_policy``
-    first (``retry-then-skip``, the default).  ``drop_tolerance`` bounds
-    the quarantined fraction — past it, ingestion escalates to
-    :class:`~repro.errors.IngestDegradedError`.  An optional
-    ``journal_path`` appends one JSONL record per segment plus one per
-    snapshot save, enabling :meth:`recover` after a crash.
+    Every write goes through one
+    :class:`~repro.serving.snapshot.LiveIndex` and, from the first write
+    on, one :class:`~repro.serving.ingest.IngestService` over it: each
+    :meth:`ingest` is a job :meth:`IngestService.run
+    <repro.serving.ingest.IngestService.run>` takes through journal,
+    retries, quarantine and commit on the caller's thread (see
+    ``docs/RESILIENCE.md``).  The ``fault_policy`` decides whether a
+    segment failing with a recoverable error crashes the batch
+    (``fail-fast``), is quarantined (``skip-and-quarantine``), or is
+    retried under ``retry_policy`` first (``retry-then-skip``, the
+    default); all three journal the failed job as quarantined.
+    ``drop_tolerance`` bounds the quarantined fraction — past it,
+    ingestion escalates to :class:`~repro.errors.IngestDegradedError`.
+    An optional ``state_dir`` makes the service durable (journal, spool
+    and ``index.strg`` snapshot; :meth:`save` checkpoints there), and
+    :meth:`recover` resumes it exactly once after a crash.
 
     With ``shards`` set, the database maintains a
     :class:`~repro.serving.sharding.ShardedIndex` of that many shards
@@ -84,12 +75,23 @@ class VideoDatabase:
                  retry_policy: RetryPolicy | None = None,
                  drop_tolerance: float = 0.5,
                  drop_grace: int = 8,
-                 journal_path: str | os.PathLike | None = None,
+                 state_dir: str | os.PathLike | None = None,
                  shards: int | None = None,
                  placement: str = "affine"):
+        from repro.serving.ingest import JOURNAL_NAME
+
+        if state_dir is not None \
+                and os.path.exists(os.path.join(state_dir, JOURNAL_NAME)):
+            raise StorageError(
+                f"{os.fspath(state_dir)} already holds an ingest journal; "
+                "resume it with VideoDatabase.recover(state_dir)")
         self.pipeline = VideoPipeline(config)
+        #: The index before the first write; from then on it lives in
+        #: the ingest service's LiveIndex.
         self._index: STRGIndex | None = None
         self._index_loader = None
+        self._service = None
+        self.state_dir = None if state_dir is None else os.fspath(state_dir)
         self.shards = shards
         self.placement = placement
         self._ingested: list[str] = []
@@ -99,12 +101,6 @@ class VideoDatabase:
                                                         base_delay=0.05)
         self.drop_tolerance = drop_tolerance
         self.drop_grace = drop_grace
-        self.quarantine: list[QuarantineRecord] = []
-        self._retries = 0
-        self._last_error: dict[str, Any] | None = None
-        self._journal = (IngestJournal(journal_path)
-                         if journal_path is not None else None)
-        self.recovery: RecoveryReport | None = None
         #: Store backing a lazy (mmap) open — lets budgeted queries run
         #: against the out-of-core sketch tier without ever
         #: materializing the tree.  ``_ooc_sketch`` caches the attached
@@ -112,36 +108,45 @@ class VideoDatabase:
         self._store = None
         self._store_mmap = False
         self._ooc_sketch: Any = None
-        #: Default snapshot location used by :meth:`save`; set by
-        #: :func:`repro.open_database`, :meth:`load` and :meth:`recover`.
+        #: Default export location used by :meth:`save`; set by
+        #: :func:`repro.open_database` and :meth:`load`.
         self.path: str | None = None
 
     # -- index binding -------------------------------------------------------
 
     @property
     def index(self) -> STRGIndex | None:
-        """The database's index, materialized on first touch.
+        """The database's index: the newest published snapshot's.
 
         A database opened with ``mmap`` (via :func:`repro.open_database`
         or :meth:`load`) defers tree materialization: ``open`` is O(1)
         — one manifest read — and the tree is built from the store's
         zero-copy views the first time anything touches ``db.index``.
         """
+        if self._service is not None:
+            return self._service.live.snapshot.index
         if self._index is None and self._index_loader is not None:
             loader, self._index_loader = self._index_loader, None
             with OBS.span("database.materialize"):
                 self._index = loader()
         return self._index
 
-    @index.setter
-    def index(self, value: STRGIndex | None) -> None:
-        self._index = value
-        self._index_loader = None
-
     @property
     def index_loaded(self) -> bool:
         """Whether the index is materialized (False while open is lazy)."""
-        return self._index is not None
+        return self._service is not None or self._index is not None
+
+    @property
+    def quarantine(self) -> list[QuarantineRecord]:
+        """The write path's quarantined segments, oldest first."""
+        return [] if self._service is None else self._service.quarantine
+
+    @property
+    def recovery(self):
+        """The :class:`~repro.serving.ingest.IngestRecoveryReport` of
+        :meth:`recover` (``None`` for a database that was not
+        recovered)."""
+        return None if self._service is None else self._service.recovery
 
     # -- ingestion -----------------------------------------------------------
 
@@ -157,63 +162,34 @@ class VideoDatabase:
         as its own segment, so scene changes land in separate root
         records.
 
-        ``workers > 1`` fans the segment's per-frame segmentation + RAG
-        construction out across worker processes (see
+        The segment is one :class:`~repro.serving.ingest.IngestService`
+        job, run on this thread: journaled, retried under the fault
+        policy, quarantined or committed.  Errors that are not bad input
+        propagate once the job is journaled as quarantined, and so does
+        a failure to journal the commit (the OGs stay indexed).
+
+        ``workers > 1`` fans per-frame segmentation out across worker
+        processes with identical hooks, journal and index contents (see
         :meth:`VideoPipeline.build_strg <repro.pipeline.VideoPipeline.build_strg>`).
-        Fault-injection points, quarantine decisions, journal ordering
-        and index contents are identical at every worker count: the
-        hooks fire in the coordinator, in frame order, before any
-        fan-out, and a retry re-runs the whole decomposition exactly as
-        the serial path does.
         """
         if parse_shots:
             from repro.video.shots import split_into_shots
 
             return sum(self.ingest(shot, workers=workers)
                        for shot in split_into_shots(video))
-        with OBS.span("ingest.segment", segment=video.name,
-                      workers=workers) as sp:
-            attempts = 1
-
-            def count_retry(attempt, exc, delay):
-                nonlocal attempts
-                attempts = attempt + 1
-                self._retries += 1
-                OBS.count("ingest.retries")
-                logger.info("segment %r attempt %d failed: %s",
-                            video.name, attempt, exc)
-
-            retry_policy = (self.retry_policy
-                            if self.fault_policy is FaultPolicy.RETRY_THEN_SKIP
-                            else None)
-            try:
-                clip = self.pipeline.process_clip(
-                    video, retry_policy=retry_policy,
-                    on_retry=count_retry, workers=workers,
-                )
-                decomposition = clip.decomposition
-            except RECOVERABLE_ERRORS as exc:
-                self._record_error(video.name, exc)
-                if self.fault_policy is FaultPolicy.FAIL_FAST:
-                    raise
-                OBS.count("ingest.segments_quarantined")
-                sp.set(status="quarantined")
-                self._quarantine(video.name, exc, attempts)
-                return 0
-            self._index_decomposition(video, decomposition)
-            self._ingested.append(video.name)
-            self._raw_strg_bytes += strg_raw_size_bytes(
-                decomposition.object_graphs,
-                decomposition.background,
-                video.num_frames,
-            )
-            n = len(decomposition.object_graphs)
-            OBS.count("ingest.segments_ok")
-            sp.set(status="ok", ogs=n)
-            self._journal_append({"event": "segment", "segment": video.name,
-                                  "ogs": n, "status": "ok"})
-            logger.debug("ingested segment %r: %d OGs", video.name, n)
-            return n
+        service = self._writer()
+        job = service.run(video, workers=workers)
+        if job.clip is None:
+            if self.fault_policy is FaultPolicy.FAIL_FAST:
+                raise job.exception
+            self._check_drop_tolerance(job)
+            return 0
+        self._ingested.append(video.name)
+        self._raw_strg_bytes += strg_raw_size_bytes(
+            job.clip.object_graphs, job.clip.background, video.num_frames)
+        logger.debug("ingested segment %r: %d OGs", video.name,
+                     len(job.og_ids))
+        return len(job.og_ids)
 
     def ingest_many(self, videos: Sequence[VideoSegment],
                     parse_shots: bool = False,
@@ -250,97 +226,91 @@ class VideoDatabase:
             index=self.pipeline.config.index,
         ))
 
-    def _index_decomposition(self, video: VideoSegment,
-                             decomposition) -> None:
-        """Insert a decomposition's OGs into the index (build on first)."""
-        refs = [
-            {"video": video.name, "og": og.og_id}
-            for og in decomposition.object_graphs
-        ]
-        if self.index is None:
-            self.index = self._make_index()
-            if decomposition.object_graphs:
-                self.index.build(decomposition.object_graphs,
-                                 decomposition.background, refs)
-        else:
-            for og, ref in zip(decomposition.object_graphs, refs):
-                self.index.insert(og, decomposition.background, ref)
+    def _service_config(self):
+        """The ingest service settings that implement the fault policy."""
+        from repro.serving.ingest import IngestServiceConfig
 
-    def _record_error(self, segment: str, exc: BaseException) -> None:
-        self._last_error = {
-            "segment": segment,
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "details": dict(getattr(exc, "details", {}) or {}),
-        }
+        return IngestServiceConfig(
+            retry_policy=(self.retry_policy
+                          if self.fault_policy is FaultPolicy.RETRY_THEN_SKIP
+                          else RetryPolicy(max_attempts=1)),
+            retry_budget=None, checkpoint_every=None)
 
-    def _quarantine(self, segment: str, exc: BaseException,
-                    attempts: int) -> None:
-        """Record a skipped segment and enforce the drop tolerance."""
-        record = quarantine_record(segment, exc, attempts)
-        self.quarantine.append(record)
-        self._journal_append({"event": "segment", "segment": segment,
-                              "ogs": 0, "status": "quarantined",
-                              "error": record.error_type})
-        logger.warning("quarantined segment %r after %d attempt(s): %s",
-                       segment, attempts, exc)
-        processed = len(self._ingested) + len(self.quarantine)
-        fraction = len(self.quarantine) / processed
-        if processed >= self.drop_grace and fraction > self.drop_tolerance:
+    def _writer(self):
+        """The database's ingest service, created on the first write
+        over a LiveIndex of the current (or a fresh) index."""
+        if self._service is None:
+            from repro.serving.ingest import IngestService
+            from repro.serving.snapshot import LiveIndex
+
+            index = self.index
+            self._bind(IngestService(
+                LiveIndex(self._make_index() if index is None else index),
+                self.pipeline, state_dir=self.state_dir,
+                config=self._service_config()))
+        return self._service
+
+    def _bind(self, service) -> None:
+        """Read and write through ``service`` from now on."""
+        self._service = service
+        self._index = None
+        self._index_loader = None
+        self.state_dir = service.state_dir
+        self._adopt_sharding(service.live.snapshot.index)
+
+    def _adopt_sharding(self, index) -> None:
+        if getattr(index, "shards", None) is not None:
+            self.shards = index.num_shards
+            self.placement = index.config.placement
+
+    def _check_drop_tolerance(self, job) -> None:
+        """Escalate once the quarantined fraction passes the tolerance."""
+        health = self._service.health()
+        quarantined = health["quarantined"]
+        processed = health["indexed_jobs"] + quarantined
+        if processed >= self.drop_grace \
+                and quarantined / processed > self.drop_tolerance:
             logger.error("ingest degraded: %d/%d segments quarantined",
-                         len(self.quarantine), processed)
+                         quarantined, processed)
             raise IngestDegradedError(
-                f"{len(self.quarantine)}/{processed} segments quarantined "
+                f"{quarantined}/{processed} segments quarantined "
                 f"(tolerance {self.drop_tolerance:.0%})",
                 details={
-                    "quarantined": len(self.quarantine),
+                    "quarantined": quarantined,
                     "processed": processed,
                     "tolerance": self.drop_tolerance,
-                    "last_segment": segment,
+                    "last_segment": job.clip_name,
                 },
-            ) from exc
-
-    def _journal_append(self, record: dict) -> None:
-        if self._journal is not None:
-            self._journal.append(record)
+            ) from job.exception
 
     def ingest_object_graphs(self, ogs: Sequence[ObjectGraph],
                              source: str = "external") -> int:
         """Index pre-extracted OGs (e.g. from a trajectory feed)."""
         if not ogs:
             return 0
-        if self.index is None:
-            self.index = self._make_index()
-            self.index.build(list(ogs))
-        else:
-            for og in ogs:
-                self.index.insert(og)
+        self._writer().write(ogs)
         self._ingested.append(source)
         return len(ogs)
 
     def ingest_service(self, *, state_dir: str | os.PathLike | None = None,
                        config=None):
-        """A streaming :class:`~repro.serving.ingest.IngestService` over
-        this database's index.
+        """Reconfigure the write path: a new
+        :class:`~repro.serving.ingest.IngestService` over this database's
+        ``LiveIndex`` replaces its current one, and is returned.
 
-        The service takes ownership of the write path: the current index
-        is frozen into the first published snapshot (direct
-        :meth:`ingest` calls will fail on the frozen index), and after
-        every committed job ``self.index`` is repointed at the newest
-        snapshot — so :meth:`knn` / :meth:`query_clip` always see the
-        freshest queryable state.  With ``state_dir`` the service
-        journals, spools and checkpoints there;
-        ``IngestService.recover(state_dir, database=db)`` rebuilds both
-        the service and the binding after a crash.
+        Streamed jobs (:meth:`~repro.serving.ingest.IngestService.submit`)
+        and :meth:`ingest` calls then share that service — its journal,
+        spool, retry settings and checkpoints under ``state_dir`` (by
+        default the database's) — and :meth:`knn` / :meth:`query_clip`
+        always see the newest published snapshot.  Job ids, the
+        quarantine and the counts carry over (see
+        :meth:`~repro.serving.ingest.IngestService.replace`).
         """
-        from repro.serving.ingest import IngestService
-        from repro.serving.snapshot import LiveIndex
-
-        if self.index is None:
-            self.index = self._make_index()
-        live = LiveIndex(self.index)
-        return IngestService(live, self.pipeline, state_dir=state_dir,
-                             config=config, database=self)
+        service = self._writer().replace(
+            state_dir=self.state_dir if state_dir is None else state_dir,
+            config=config)
+        self._bind(service)
+        return service
 
     # -- queries ----------------------------------------------------------------
 
@@ -459,9 +429,10 @@ class VideoDatabase:
         return matches
 
     def delete(self, og_id: int) -> bool:
-        """Remove one OG from the database's index."""
+        """Remove one OG from the database's index (``False`` when no
+        OG has that id)."""
         self._require_index()
-        return self.index.delete(og_id)
+        return self._writer().write(deletes=[og_id]) == 1
 
     def query_subtrajectory(self, values: np.ndarray, k: int = 5
                             ) -> list[QueryHit]:
@@ -493,11 +464,7 @@ class VideoDatabase:
         self._require_index()
         stale = [og.og_id for og in self.index.object_graphs()
                  if og.end_frame < frame]
-        removed = 0
-        for og_id in stale:
-            if self.index.delete(og_id):
-                removed += 1
-        return removed
+        return self._writer().write(deletes=stale) if stale else 0
 
     def _require_index(self) -> None:
         if self.index is None or len(self.index) == 0:
@@ -556,28 +523,47 @@ class VideoDatabase:
 
         Unlike :meth:`stats` (paper-facing size accounting), this is the
         surface an operator watches: how many segments made it in, how
-        many were quarantined and why, how often stages were retried.
+        many were quarantined and why, how often stages were retried —
+        the counts of the database's ingest service.
         """
+        quarantine = self.quarantine
+        counts = {} if self._service is None else self._service.health()
+        last = quarantine[-1] if quarantine else None
         return {
             "fault_policy": self.fault_policy.value,
             "segments_ingested": len(self._ingested),
             "ogs_indexed": 0 if self.index is None else len(self.index),
-            "quarantined": len(self.quarantine),
-            "quarantined_segments": [q.segment for q in self.quarantine],
-            "retries": self._retries,
-            "last_error": self._last_error,
-            "journal": None if self._journal is None else self._journal.path,
+            "quarantined": len(quarantine),
+            "quarantined_segments": [q.segment for q in quarantine],
+            "retries": counts.get("retries", 0),
+            "last_error": None if last is None else {
+                "segment": last.segment, "error_type": last.error_type,
+                "message": last.message, "details": last.details},
+            "journal": counts.get("journal"),
         }
 
     def save(self, path: str | os.PathLike | None = None) -> None:
-        """Persist the index atomically and journal a checkpoint.
+        """Persist the index atomically.
 
-        ``path`` defaults to the database's bound :attr:`path` (set by
-        :func:`repro.open_database` / :meth:`load`); a suffix-less path
-        means ``<path>.strg/``.  The store's manifest is replaced last
-        and atomically — temp + fsync + rename — so a crash mid-save
-        leaves any previous snapshot intact.
+        With a ``state_dir``, ``save()`` — or ``save`` of the state
+        dir's snapshot path — is the ingest service's
+        :meth:`~repro.serving.ingest.IngestService.checkpoint`: the
+        ``index.strg`` snapshot is written (O(delta) after the first
+        time) and journaled, so :meth:`recover` re-runs nothing it holds.
+        Any other path is a plain export.  ``path`` defaults to the
+        database's bound :attr:`path` (set by :func:`repro.open_database`
+        / :meth:`load`); a suffix-less path means ``<path>.strg/``.  The
+        store's manifest is replaced last and atomically — temp + fsync +
+        rename — so a crash mid-save leaves any previous snapshot intact.
         """
+        if self.state_dir is not None:
+            self._require_index()
+            service = self._writer()
+            if path is None or open_store(path).path == service.snapshot_path:
+                service.checkpoint()
+                logger.info("checkpointed %s (%d OGs)",
+                            service.snapshot_path, len(self.index))
+                return
         if path is None:
             path = self.path
         if path is None:
@@ -589,10 +575,6 @@ class VideoDatabase:
         store = open_store(path)
         store.write_index(self.index)
         self.path = store.path
-        self._journal_append({"event": "checkpoint",
-                              "path": store.path,
-                              "ogs": len(self.index),
-                              "segments": len(self._ingested)})
         logger.info("saved snapshot to %s (%d OGs)", store.path,
                     len(self.index))
 
@@ -614,7 +596,7 @@ class VideoDatabase:
         the tree is never built — on monolithic and sharded stores
         alike (see ``docs/SEARCH.md``).
         ``**kwargs`` are the constructor's resilience options
-        (``fault_policy``, ``retry_policy``, ``journal_path``, ...).
+        (``fault_policy``, ``retry_policy``, ``state_dir``, ...).
         """
         db = cls(config, **kwargs)
         store = open_store(path)
@@ -631,9 +613,7 @@ class VideoDatabase:
 
         def materialize():
             index = store.load_index(mmap=use_mmap)
-            if getattr(index, "shards", None) is not None:
-                db.shards = index.num_shards
-                db.placement = index.config.placement
+            db._adopt_sharding(index)
             return index
 
         if lazy:
@@ -641,72 +621,36 @@ class VideoDatabase:
             db._store = store
             db._store_mmap = use_mmap
         else:
-            db.index = materialize()
+            db._index = materialize()
         db._ingested.append(f"loaded:{os.fspath(path)}")
         db.path = store.path
         return db
 
     @classmethod
-    def recover(cls, path: str | os.PathLike,
-                journal_path: str | os.PathLike | None = None,
-                config: PipelineConfig | None = None) -> "VideoDatabase":
-        """Reconstruct state after a crash from snapshot + journal.
+    def recover(cls, state_dir: str | os.PathLike,
+                config: PipelineConfig | None = None,
+                **kwargs) -> "VideoDatabase":
+        """Resume a database's ingest ``state_dir`` after a crash.
 
-        Loads the last complete snapshot at ``path`` — if it survives
-        the store's deep integrity pass (every file re-hashed against
-        the manifest, so bit rot is caught here, not served) — and
-        replays the ingest journal (default:
-        ``<path>.journal``) to find segments that were ingested after
-        the last checkpoint — i.e. work the snapshot does not contain.
-        The result's ``recovery`` attribute is a
-        :class:`~repro.resilience.journal.RecoveryReport` whose
-        ``pending_segments`` the caller should re-ingest.
-
-        Raises :class:`~repro.errors.RecoveryError` when neither a
-        usable snapshot nor a journal exists.
+        :meth:`IngestService.recover
+        <repro.serving.ingest.IngestService.recover>` with this
+        database's pipeline, service settings and (sharded or not) empty
+        index, then bound to the database: the last snapshot that
+        survives the store's deep integrity pass is loaded, and every
+        journaled job it does not hold re-runs from the spool, exactly
+        once, before this returns — the caller re-ingests nothing.
+        Quarantine decisions stand.  ``db.recovery`` is the
+        :class:`~repro.serving.ingest.IngestRecoveryReport`;
+        ``**kwargs`` are the constructor's other options.  Raises
+        :class:`~repro.errors.RecoveryError` when neither a usable
+        snapshot nor a journal record exists.
         """
-        store = open_store(path)
-        target = store.path
-        journal_path = (os.fspath(journal_path) if journal_path is not None
-                        else target + ".journal")
-        records, truncated = read_journal(journal_path)
-        snapshot_error: str | None = None
-        db: "VideoDatabase | None" = None
-        try:
-            store.verify()
-            db = cls.load(target, config)
-            snapshot_loaded = True
-        except StorageError as exc:
-            snapshot_error = f"{type(exc).__name__}: {exc}"
-            snapshot_loaded = False
-            logger.warning("recover: snapshot %s unusable: %s", target, exc)
-        if not snapshot_loaded:
-            if not records:
-                raise RecoveryError(
-                    f"nothing to recover at {target}: no valid snapshot "
-                    f"and no journal records at {journal_path}",
-                    details={"path": target, "journal": journal_path,
-                             "snapshot_error": snapshot_error},
-                )
-            db = cls(config)
-        db.path = target
-        pending, quarantined = replay_pending(records)
-        if not snapshot_loaded:
-            # No snapshot survived: every journaled-ok segment is pending.
-            pending = [str(r.get("segment")) for r in records
-                       if r.get("event") == "segment"
-                       and r.get("status") == "ok"]
-        db._journal = IngestJournal(journal_path)
-        db.recovery = RecoveryReport(
-            snapshot_loaded=snapshot_loaded,
-            snapshot_path=target,
-            snapshot_ogs=0 if db.index is None else len(db.index),
-            snapshot_error=snapshot_error,
-            journal_path=journal_path,
-            journal_truncated=truncated,
-            pending_segments=pending,
-            quarantined_segments=quarantined,
-        )
-        logger.info("recovered from %s: snapshot=%s, %d pending segment(s)",
-                    target, snapshot_loaded, len(pending))
+        from repro.serving.ingest import IngestService
+
+        db = cls(config, **kwargs)
+        db._bind(IngestService.recover(
+            state_dir, pipeline=db.pipeline, config=db._service_config(),
+            index=db._make_index()))
+        logger.info("recovered %s: %d job(s) replayed", state_dir,
+                    len(db.recovery.replayed_jobs))
         return db

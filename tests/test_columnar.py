@@ -419,7 +419,6 @@ class TestFacade:
             lambda: repro.open_database(path),
             lambda: db.save(path),
             lambda: VideoDatabase.load(path),
-            lambda: VideoDatabase.recover(path),
         ]
         for call in entry_points:
             with pytest.raises(StorageError, match="strg-index convert"):
@@ -433,6 +432,8 @@ class TestFacade:
             IngestService(live, state_dir=state)
         with pytest.raises(StorageError, match="strg-index convert"):
             IngestService.recover(state)
+        with pytest.raises(StorageError, match="strg-index convert"):
+            VideoDatabase.recover(state)   # takes a state dir since 9.0
         assert sorted(os.listdir(tmp_path)) == ["corpus.npz", "state"]
         assert os.listdir(state) == ["index.npz"]
 

@@ -474,14 +474,15 @@ def _make_segments(count=4, frames=5):
 
 
 def _run_ingest(workers, tmp_path, tag, inject_rate=0.0):
+    state = tmp_path / f"state-{tag}"
     db = VideoDatabase(fault_policy="retry-then-skip", drop_tolerance=1.0,
-                       journal_path=tmp_path / f"journal-{tag}.jsonl")
+                       state_dir=state)
     injector = FaultInjector(seed=7)
     if inject_rate > 0:
         injector.inject("segmentation", rate=inject_rate, kind="corrupt")
     with injected(injector):
         report = db.ingest_many(_make_segments(), workers=workers)
-    journal = (tmp_path / f"journal-{tag}.jsonl").read_text()
+    journal = (state / "ingest.journal").read_text()
     quarantine = [rec.to_dict() for rec in db.quarantine]
     return db, report, journal, quarantine
 

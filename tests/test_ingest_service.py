@@ -234,6 +234,24 @@ class TestAdmissionControl:
             gate.set()
             service.shutdown()
 
+    def test_drain_waits_for_a_dequeued_job(self):
+        """A job taken off the queue is in flight at once: drain() must
+        not return in between (widened here by a slow slot release)."""
+        service = make_service()
+        release = service._release_slot
+
+        def slow_release():
+            release()
+            time.sleep(0.3)
+
+        service._release_slot = slow_release
+        try:
+            job = service.submit(make_clip("late-start"))
+            assert service.drain(timeout=30.0)
+            assert job.state is JobState.INDEXED
+        finally:
+            service.shutdown()
+
     def test_backpressure_timeout_raises_overload(self):
         gate = threading.Event()
         stub = _StubPipeline(gate=gate)
@@ -305,6 +323,19 @@ class TestFaultHandling:
                 job = service.submit(render_clip("no-budget"))
                 assert service.wait(job, timeout=60.0) is JobState.QUARANTINED
                 assert job.attempts == 1  # no token left, no second attempt
+
+    def test_retry_policy_total_timeout_bounds_attempts(self):
+        injector = FaultInjector().inject("ingest.process", rate=1.0)
+        policy = RetryPolicy(max_attempts=5, base_delay=0.2,
+                             total_timeout=0.1)
+        with injected(injector):
+            with make_service(retry_policy=policy,
+                              retry_budget=None) as service:
+                job = service.submit(make_clip("persistent"))
+                assert service.wait(job, timeout=30.0) \
+                    is JobState.QUARANTINED
+        # The first retry sleeps 0.2 s, past the 0.1 s deadline.
+        assert job.attempts <= 2
 
     def test_unexpected_error_contained_not_worker_fatal(self, tmp_path):
         class _BrokenPipeline(_StubPipeline):
@@ -657,9 +688,13 @@ class TestDatabaseIntegration:
             assert service.wait(job, timeout=60.0) is JobState.INDEXED
             # The database's read path tracks the newest snapshot.
             assert db.index is service.live.snapshot.index
+            # Both write paths stay open: db.ingest is a job of the
+            # same service.
+            assert db.ingest(render_clip("direct", x0=18.0)) >= 1
+            assert db.index is service.live.snapshot.index
             refs = {ref["video"] for _, _, ref in
                     db.index.knn(_probe(), 10)}
-            assert {"seed", "streamed"} <= refs
+            assert {"seed", "streamed", "direct"} <= refs
 
 
 def _fresh_live() -> LiveIndex:

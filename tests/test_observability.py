@@ -239,11 +239,11 @@ class TestInstrumentation:
         db = VideoDatabase()
         db.ingest(tiny_video)
         names = obs.tracer().span_names()
-        for expected in ("ingest.segment", "pipeline.segmentation",
+        for expected in ("ingest.job", "pipeline.segmentation",
                          "pipeline.tracking", "pipeline.decomposition",
                          "index.build"):
             assert expected in names, expected
-        assert obs.metrics()["ingest.segments_ok"] == 1
+        assert obs.metrics()["ingest.jobs_indexed"] == 1
 
     def test_quarantine_counter(self, tiny_video):
         from repro.resilience import FaultInjector, injected
@@ -255,7 +255,7 @@ class TestInstrumentation:
         db = VideoDatabase(fault_policy="skip-and-quarantine")
         with injected(injector):
             assert db.ingest(tiny_video) == 0
-        assert obs.metrics()["ingest.segments_quarantined"] == 1
+        assert obs.metrics()["ingest.jobs_quarantined"] == 1
 
     def test_disabled_hooks_record_nothing(self, tiny_video):
         from repro.storage.database import VideoDatabase

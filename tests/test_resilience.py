@@ -29,7 +29,7 @@ from repro.resilience import (
     call_with_retry,
     injected,
     read_journal,
-    replay_pending,
+    replay_jobs,
 )
 from repro.storage.database import VideoDatabase
 from repro.storage.serialize import npz_path
@@ -249,7 +249,9 @@ class TestFaultPolicies:
         with injected(FaultInjector().inject("segmentation", rate=1.0)):
             with pytest.raises(SegmentationError):
                 db.ingest(tiny_segment(0))
-        assert db.health()["quarantined"] == 0
+        # The failed job is journaled as quarantined before the error
+        # propagates, so recovery never re-runs it.
+        assert db.health()["quarantined"] == 1
         assert db.health()["last_error"]["error_type"] == "SegmentationError"
 
     def test_skip_quarantines_and_continues(self):
@@ -413,103 +415,118 @@ class TestCrashSafePersistence:
 
 
 class TestJournalAndRecovery:
+    """``VideoDatabase(state_dir=)`` journals every segment as an ingest
+    job; ``VideoDatabase.recover`` replays the jobs its snapshot lacks."""
+
     def _build(self, tmp_path, n_before=2, n_after=1, quarantine_last=False):
-        path = tmp_path / "db.strg"
+        state = tmp_path / "state"
         db = VideoDatabase(fault_policy="skip-and-quarantine",
-                           journal_path=str(path) + ".journal")
+                           state_dir=state)
         i = 0
         for _ in range(n_before):
             db.ingest(tiny_segment(i))
             i += 1
-        db.save(path)
+        db.save()                     # checkpoint: state/index.strg
         for _ in range(n_after):
             db.ingest(tiny_segment(i))
             i += 1
         if quarantine_last:
             with injected(FaultInjector().inject("decomposition", rate=1.0)):
                 db.ingest(tiny_segment(i))
-        return path, db
+        return state, db
 
     def test_journal_records_segments_and_checkpoints(self, tmp_path):
-        path, _ = self._build(tmp_path, quarantine_last=True)
-        records, truncated = read_journal(str(path) + ".journal")
+        state, _ = self._build(tmp_path, quarantine_last=True)
+        records, truncated = read_journal(state / "ingest.journal")
         assert not truncated
-        events = [r["event"] for r in records]
-        assert events == ["segment", "segment", "checkpoint",
-                          "segment", "segment"]
-        assert records[2]["segments"] == 2
-        assert records[-1]["status"] == "quarantined"
+        events = [r.get("state", r["event"]) for r in records]
+        assert events == ["QUEUED", "RUNNING", "INDEXED"] * 2 \
+            + ["checkpoint"] + ["QUEUED", "RUNNING", "INDEXED"] \
+            + ["QUEUED", "RUNNING", "QUARANTINED"]
+        assert records[6]["ogs"] == len(load_index(state / "index.strg"))
+        assert records[-1]["clip"] == "seg-003"
+        assert records[-1]["error"] == "CorruptSegmentError"
 
     def test_recover_reports_pending_after_checkpoint(self, tmp_path):
-        path, db = self._build(tmp_path, n_before=2, n_after=2)
-        recovered = VideoDatabase.recover(path)
+        state, db = self._build(tmp_path, n_before=2, n_after=2)
+        with pytest.raises(StorageError, match="recover"):
+            VideoDatabase(state_dir=state)   # a journal is resumed, not reused
+        recovered = VideoDatabase.recover(state)
         report = recovered.recovery
         assert report.snapshot_loaded
-        assert report.snapshot_ogs == len(load_index(path))
-        assert report.pending_segments == ["seg-002", "seg-003"]
+        assert report.snapshot_ogs == len(load_index(state / "index.strg"))
+        assert report.completed_jobs == ["job-000000", "job-000001"]
+        assert report.replayed_jobs == ["job-000002", "job-000003"]
         assert not report.journal_truncated
+        # Replayed before recover() returned: nothing to re-ingest.
+        assert len(recovered.index) == len(db.index)
         # The recovered database keeps journaling to the same file.
         recovered.ingest(tiny_segment(9))
         records, _ = read_journal(report.journal_path)
-        assert records[-1]["segment"] == "seg-009"
+        assert records[-1]["clip"] == "seg-009"
+        assert records[-1]["job"] == "job-000004"
 
     def test_recover_with_no_pending(self, tmp_path):
-        path, _ = self._build(tmp_path, n_before=2, n_after=0)
-        report = VideoDatabase.recover(path).recovery
-        assert report.pending_segments == []
+        state, _ = self._build(tmp_path, n_before=2, n_after=0)
+        report = VideoDatabase.recover(state).recovery
+        assert report.replayed_jobs == []
 
     def test_recover_tolerates_torn_journal_tail(self, tmp_path):
-        path, _ = self._build(tmp_path, n_before=1, n_after=1)
-        journal = str(path) + ".journal"
-        with open(journal, "a", encoding="utf-8") as fh:
-            fh.write('{"event": "segment", "segment": "torn')  # kill mid-append
-        recovered = VideoDatabase.recover(path)
+        state, _ = self._build(tmp_path, n_before=1, n_after=1)
+        with open(state / "ingest.journal", "a", encoding="utf-8") as fh:
+            fh.write('{"event": "job", "job": "torn')  # kill mid-append
+        recovered = VideoDatabase.recover(state)
         assert recovered.recovery.journal_truncated
-        assert recovered.recovery.pending_segments == ["seg-001"]
+        assert recovered.recovery.replayed_jobs == ["job-000001"]
 
     def test_recover_from_corrupt_snapshot_replays_everything(self, tmp_path):
-        path, _ = self._build(tmp_path, n_before=2, n_after=1)
-        damage(path, "truncate")
-        recovered = VideoDatabase.recover(path)
+        state, db = self._build(tmp_path, n_before=2, n_after=1)
+        damage(state / "index.strg", "truncate")
+        recovered = VideoDatabase.recover(state)
         report = recovered.recovery
         assert not report.snapshot_loaded
         assert "IndexCorruptionError" in report.snapshot_error
-        assert report.pending_segments == ["seg-000", "seg-001", "seg-002"]
-        assert recovered.index is None
+        assert report.replayed_jobs == ["job-000000", "job-000001",
+                                        "job-000002"]
+        assert len(recovered.index) == len(db.index)
 
     def test_recover_never_trusts_a_bit_rotted_snapshot(self, tmp_path):
         # Sizes still match, so the O(1) open would serve the damaged
         # trajectories; recovery re-hashes (store.verify()) first.
-        path, _ = self._build(tmp_path, n_before=2, n_after=1)
-        damage(path, "flip")
-        assert len(load_index(path)) > 0       # the open cannot tell
-        report = VideoDatabase.recover(path).recovery
+        state, _ = self._build(tmp_path, n_before=2, n_after=1)
+        damage(state / "index.strg", "flip")
+        assert len(load_index(state / "index.strg")) > 0  # the open cannot tell
+        report = VideoDatabase.recover(state).recovery
         assert not report.snapshot_loaded
         assert "checksum mismatch" in report.snapshot_error
-        assert report.pending_segments == ["seg-000", "seg-001", "seg-002"]
+        assert report.replayed_jobs == ["job-000000", "job-000001",
+                                        "job-000002"]
 
     def test_recover_nothing_raises(self, tmp_path):
         with pytest.raises(RecoveryError) as excinfo:
             VideoDatabase.recover(tmp_path / "void")
-        assert excinfo.value.details["path"].endswith("void.strg")
+        assert excinfo.value.details["path"].endswith("void")
 
     def test_replay_pending_resets_at_checkpoint(self):
-        records = [
-            {"event": "segment", "segment": "a", "status": "ok"},
+        def job(name, state):
+            return {"event": "job", "job": name, "state": state}
+
+        replay = replay_jobs([
+            job("a", "INDEXED"),
             {"event": "checkpoint", "path": "x.strg"},
-            {"event": "segment", "segment": "b", "status": "ok"},
-            {"event": "segment", "segment": "c", "status": "quarantined"},
-        ]
-        pending, quarantined = replay_pending(records)
-        assert pending == ["b"]
-        assert quarantined == ["c"]
+            job("b", "INDEXED"),
+            job("c", "QUARANTINED"),
+        ])
+        assert replay.completed == ["a"]
+        assert [info["job"] for info in replay.pending] == ["b"]
+        assert [info["job"] for info in replay.quarantined] == ["c"]
 
     def test_read_journal_missing_file(self, tmp_path):
         assert read_journal(tmp_path / "none.jsonl") == ([], False)
 
     def test_journal_lines_are_valid_json(self, tmp_path):
-        path, _ = self._build(tmp_path)
-        with open(str(path) + ".journal", encoding="utf-8") as fh:
+        state, _ = self._build(tmp_path)
+        with open(state / "ingest.journal", encoding="utf-8") as fh:
             for line in fh:
                 assert isinstance(json.loads(line), dict)
 
