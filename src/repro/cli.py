@@ -7,21 +7,23 @@ Subcommands::
     strg-index ingest OUT          # fault-tolerant, journaled batch ingest
     strg-index recover STATE_DIR   # exactly-once crash recovery
     strg-index query  INDEX        # k-NN query with a synthetic trajectory
-    strg-index convert SRC [DST]   # import a 2.x NPZ archive into a store
+    strg-index convert SRC [DST]   # import a 2.x archive or a 9.x store
     strg-index bench               # tiny smoke benchmark
     strg-index serve  INDEX        # drive the query service on an index
     strg-index bench-load          # closed-loop load benchmark at N shards
 
 Snapshot paths name a memory-mappable columnar ``.strg/`` store (a
 suffix-less path means ``<path>.strg/``; see ``docs/STORAGE.md``).  A
-2.x ``.npz`` archive is refused everywhere except ``convert``, which
-imports it.  Every subcommand prints human-readable progress to stdout;
-a storage error prints to stderr and exits 3.
+2.x ``.npz`` archive and a 9.x store (columnar format version 1) are
+refused everywhere except ``convert``, which imports them.  Every
+subcommand prints human-readable progress to stdout; a storage error
+prints to stderr and exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -201,6 +203,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    from repro.storage.columnar import ColumnarStore
     from repro.storage.store import convert
 
     started = time.perf_counter()
@@ -209,8 +212,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     print(f"imported {args.source} -> columnar store {dest.path} "
           f"in {elapsed:.2f}s")
     print(f"verified: {dest.describe()}")
-    print("the source archive is untouched; delete it once the "
-          "store is in service")
+    if os.path.realpath(ColumnarStore(args.source).path) \
+            != os.path.realpath(dest.path):       # not converted in place
+        print("the source is untouched; delete it once the store is in "
+              "service")
     return 0
 
 
@@ -538,13 +543,17 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(func=_cmd_query)
 
     convert = sub.add_parser(
-        "convert", help="import a 2.x NPZ archive into a columnar store"
+        "convert", help="import a 2.x NPZ archive or a 9.x store into a "
+                        "current columnar store"
     )
     convert.add_argument("source", help="2.x NPZ archive (monolithic or "
-                                        "sharded meta archive)")
+                                        "sharded meta archive) or 9.x "
+                                        ".strg store")
     convert.add_argument("dest", nargs="?", default=None,
-                         help="destination store path (default: next to "
-                              "the source, corpus.npz -> corpus.strg/)")
+                         help="destination store path (default: an "
+                              "archive converts next to itself, "
+                              "corpus.npz -> corpus.strg/; a 9.x store "
+                              "converts in place)")
     convert.set_defaults(func=_cmd_convert)
 
     bench = sub.add_parser("bench", help="smoke benchmark vs M-tree")

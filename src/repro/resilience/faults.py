@@ -10,8 +10,9 @@ whether each point fires, and how:
   simulated ``OSError`` during a write, ...).
 - ``kind="corrupt"``  — transform a value flowing through the point
   (e.g. replace a frame with garbage so downstream validation trips).
-- ``kind="truncate"`` — truncate the file a storage point just produced,
-  simulating a torn write / interrupted copy.
+- ``kind="truncate"`` — truncate the bytes a storage point just produced,
+  simulating a torn write / interrupted copy; with ``error=`` the fault
+  then raises it, i.e. the process dies mid-write.
 
 When no injector is installed every hook is a near-free no-op, so
 production ingest pays only a module-global ``None`` check.
@@ -38,9 +39,11 @@ INJECTION_POINTS = (
     "segmentation",     # per frame, before the segmenter runs
     "tracking",         # per segment, before STRG assembly
     "decomposition",    # per segment, before OG/BG decomposition
-    "storage.write",    # after the temp file is written, before rename
+    "storage.write",    # after the temp log is written, before rename
     "storage.read",     # before a persisted file is opened
-    "storage.append",   # before a delta segment's manifest commit
+    "storage.segment",  # per segment file, after its bytes, before fsync
+    "storage.append",   # before a delta segment's log record
+    "storage.log",      # after a log record is appended and fsynced
     "serving.shard",    # before a shard is scanned during scatter-gather
     "ingest.accept",    # per job, during IngestService admission
     "ingest.process",   # per job attempt, before the clip pipeline runs
@@ -67,7 +70,13 @@ _DEFAULT_ERRORS: dict[str, Callable[[str, int], Exception]] = {
     "storage.read": lambda point, n: OSError(
         f"injected I/O failure at {point}#{n}"
     ),
+    "storage.segment": lambda point, n: OSError(
+        f"injected I/O failure at {point}#{n}"
+    ),
     "storage.append": lambda point, n: OSError(
+        f"injected I/O failure at {point}#{n}"
+    ),
+    "storage.log": lambda point, n: OSError(
         f"injected I/O failure at {point}#{n}"
     ),
     "serving.shard": lambda point, n: ShardUnavailableError(
@@ -188,14 +197,20 @@ class FaultInjector:
             return value
         return (spec.transform or _default_corrupt)(value)
 
-    def truncate(self, point: str, path: str | os.PathLike) -> bool:
-        """Truncate ``path`` if a ``truncate`` fault fires at ``point``."""
+    def truncate(self, point: str, path: str | os.PathLike,
+                 start: int = 0) -> bool:
+        """Truncate the bytes of ``path`` past ``start`` (what the point
+        just wrote) if a ``truncate`` fault fires at ``point``; a spec
+        with an ``error`` raises it after tearing the write."""
         spec = self._next(point, ("truncate",))
         if spec is None:
             return False
         size = os.path.getsize(path)
         with open(path, "r+b") as fh:
-            fh.truncate(max(0, int(size * spec.truncate_to)))
+            fh.truncate(start + max(0, int((size - start)
+                                           * spec.truncate_to)))
+        if spec.error is not None:
+            raise spec.make_error(self.counts[point] - 1)
         return True
 
 
@@ -245,8 +260,10 @@ def maybe_transform(point: str, value: Any) -> Any:
     return value
 
 
-def maybe_truncate(point: str, path: str | os.PathLike) -> bool:
-    """Hook: truncate the file at ``path`` if the active injector says so."""
+def maybe_truncate(point: str, path: str | os.PathLike,
+                   start: int = 0) -> bool:
+    """Hook: truncate the file at ``path`` (past ``start``) if the active
+    injector says so."""
     if _ACTIVE is not None:
-        return _ACTIVE.truncate(point, path)
+        return _ACTIVE.truncate(point, path, start)
     return False

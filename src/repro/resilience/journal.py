@@ -1,4 +1,5 @@
-"""Append-only ingest journal for crash recovery.
+"""Append-only JSONL logs: the ingest journal, and the framing the
+columnar store's manifest log reuses.
 
 :class:`~repro.serving.ingest.IngestService` — the one write path, which
 ``VideoDatabase.ingest`` runs through too — appends one JSON line per job
@@ -7,11 +8,14 @@ state transition (``QUEUED → RUNNING → INDEXED | QUARANTINED``) and one
 :func:`replay_jobs` folds the journal into the jobs the snapshot holds
 and the jobs :meth:`IngestService.recover` must re-run from the spool.
 
-Writes are flushed and fsync'd per record, so a crash can lose at most
-the line being written.  A torn final line (the classic
-kill-mid-append artifact) is detected and skipped on read; garbage in
-the *middle* of the journal truncates the replay at that point — the
-records before it are still trusted.
+Framing (shared with :mod:`repro.storage.columnar`'s manifest log):
+one JSON object per line, each line flushed and fsync'd as it is
+appended, so a crash can lose at most the line being written.  A final
+line missing its newline is a *torn tail* (the classic kill-mid-append
+artifact): :func:`split_records` leaves it out.  What a reader does with
+a bad line before the tail is its own policy: the ingest journal
+truncates its replay there (the records before it are still trusted),
+the store raises.
 """
 
 from __future__ import annotations
@@ -30,15 +34,17 @@ class IngestJournal:
 
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
-        self._fh: IO[str] | None = None
+        self._fh: IO[bytes] | None = None
 
-    def append(self, record: dict) -> None:
-        """Durably append one record (flush + fsync)."""
+    def append(self, record: dict) -> int:
+        """Durably append one record (flush + fsync); returns its bytes."""
         if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(record, default=str) + "\n")
+            self._fh = open(self.path, "ab")
+        line = (json.dumps(record, default=str) + "\n").encode("utf-8")
+        self._fh.write(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        return len(line)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -46,37 +52,47 @@ class IngestJournal:
             self._fh = None
 
 
+def split_records(blob: bytes) -> tuple[list[bytes], int]:
+    """``(lines, end)``: the newline-terminated lines of a JSONL log and
+    the byte length they span.  ``blob[end:]`` is the torn tail."""
+    end = blob.rfind(b"\n") + 1
+    return blob[:end].splitlines(), end
+
+
+def parse_record(line: bytes) -> dict:
+    """One log line as a JSON object; ``ValueError`` if it is not."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError(f"not a JSON object: {line[:40]!r}")
+    return record
+
+
 def read_journal(path: str | os.PathLike) -> tuple[list[dict], bool]:
     """Read a journal, tolerating a torn tail.
 
     Returns ``(records, truncated)`` where ``truncated`` is True when a
-    malformed line stopped the replay early (records after it are
-    discarded).  A missing journal reads as ``([], False)``.
+    torn tail or a malformed line stopped the replay early (records
+    after it are discarded).  A missing journal reads as ``([], False)``.
     """
-    records: list[dict] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    logger.warning(
-                        "journal %s: malformed line %d; replay truncated",
-                        path, lineno + 1,
-                    )
-                    return records, True
-                if not isinstance(record, dict):
-                    logger.warning(
-                        "journal %s: non-object line %d; replay truncated",
-                        path, lineno + 1,
-                    )
-                    return records, True
-                records.append(record)
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except FileNotFoundError:
         return [], False
+    lines, end = split_records(blob)
+    records: list[dict] = []
+    for lineno, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            records.append(parse_record(line))
+        except ValueError:
+            logger.warning("journal %s: malformed line %d; replay truncated",
+                           path, lineno + 1)
+            return records, True
+    if end < len(blob):
+        logger.warning("journal %s: torn final line; replay truncated", path)
+        return records, True
     return records, False
 
 

@@ -123,10 +123,10 @@ class SearchResult:
     pool.  When a shard failed under ``degrade=True`` the result is
     flagged ``degraded`` and lists the ``failed_shards`` whose candidates
     are missing.  ``snapshot_version`` is stamped by the layer that owns
-    versions (``IndexSnapshot``: an int; ``WorkerPool``: its manifest
-    digest) from the same read that served the hits, and stays ``None``
-    below those layers; ``latency`` (seconds, queue wait + execution) is
-    set by ``QueryService``.
+    versions (``IndexSnapshot``: an int; ``WorkerPool``: its store's
+    committed version) from the same read that served the hits, and
+    stays ``None`` below those layers; ``latency`` (seconds, queue wait
+    + execution) is set by ``QueryService``.
     """
 
     hits: list

@@ -49,7 +49,6 @@ under ``rebalance_ratio`` — workers re-open the moved shard store
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing as mp
 import os
 import threading
@@ -396,8 +395,8 @@ class _WorkerHandle:
 class WorkerPool:
     """Shard-serving process fleet over one columnar snapshot.
 
-    ``path`` must hold a written store (``.strg/``), whose raw ``.npy``
-    segments many processes memory-map read-only.  A sharded store
+    ``path`` must hold a written store (``.strg/``), whose segment
+    files many processes memory-map read-only.  A sharded store
     yields one logical shard per ``shard-i`` sub-store; a monolithic
     store is served as one shard.
 
@@ -444,7 +443,7 @@ class WorkerPool:
             for ordinal in self._shard_rels
         }
         self.rebalances = 0
-        self.snapshot_version = self._manifest_digest()
+        self.snapshot_version = self.store.version()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -455,11 +454,6 @@ class WorkerPool:
         if manifest["kind"] == "sharded":
             return dict(enumerate(manifest["shards"]))
         return {0: ""}
-
-    def _manifest_digest(self) -> str:
-        with open(os.path.join(self.store.path, "manifest.json"),
-                  "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()[:12]
 
     def start(self) -> "WorkerPool":
         """Spawn every worker, wait for readiness, start the supervisor."""
@@ -905,8 +899,8 @@ class WorkerPool:
     def reload(self) -> str:
         """Re-open the snapshot in every worker (post-ingest refresh).
 
-        Returns the new snapshot version (manifest digest).  The
-        manifest is re-read first, and a reload that changes the
+        Returns the new snapshot version (:meth:`ColumnarStore.version`).
+        The store's log is re-read first, and a reload that changes the
         *shard set* (count or layout) is rejected with
         :class:`~repro.errors.StorageError` — shard-to-slot assignment
         is fixed at pool construction, so a new layout needs a pool
@@ -929,7 +923,7 @@ class WorkerPool:
                     f"({len(self._shard_rels)} shard(s) -> "
                     f"{len(new_rels)}): restart the worker pool to "
                     "serve the new layout")
-            version = self._manifest_digest()
+            version = self.store.version()
             for row in self._handles:
                 for handle in row:
                     if not handle.alive or handle.poisoned:

@@ -3,41 +3,64 @@
 An index persists as the flat structured arrays of
 :func:`~repro.storage.serialize.index_to_arrays` — trajectories plus an
 offsets table, node attributes, sketch rows, background tables — each
-a raw ``.npy`` file that ``numpy`` can memory-map read-only, so
+a raw column that ``numpy`` memory-maps read-only in place, so
 
-- *cold open* is O(1): ``open_database()`` reads one small JSON manifest
-  and stats the data files; trajectory bytes stay on disk until a query
-  faults them in;
+- *cold open* is O(1): ``open_database()`` reads one small log of JSON
+  records and stats the segment files; trajectory bytes stay on disk
+  until a query faults them in;
 - multiple shard *processes* map the same file and share page cache,
   with zero-copy views instead of per-process copies;
-- *compaction is incremental*: each ``append()`` writes one new delta
-  segment plus a tombstone bitmap — O(delta) bytes — and a background
-  merge folds segments back into a fresh base only once the dead-row
-  fraction crosses a threshold (amortized, LSM-style).
+- *commits are log-structured*: each ``append()`` writes one delta
+  segment file and appends one O(1)-byte record to the manifest log,
+  and a background merge folds segments back into a fresh base only
+  once the dead-row fraction crosses a threshold (amortized, LSM-style).
 
 Layout — one directory per store, conventionally ``<name>.strg/``::
 
     corpus.strg/
-      manifest.json          <- commit point (atomically replaced last)
-      tombstones-000002.npy  <- packed-bit dead-row bitmap (versioned)
-      seg-000000/            <- base segment: full tree snapshot
-        meta.json            <- index config, clip refs, sketch meta
-        og_values.npy        <- (sum n_i, d) trajectory rows
-        og_offsets.npy       <- int64 offsets table into og_values
-        og_frames.npy  og_labels.npy  keys.npy  leaf_of_og.npy
-        centroid_values.npy  centroid_offsets.npy  cluster_root.npy
-        bg_*.npy  sketch_*.npy
-      seg-000001/            <- delta segment: ordered op log + payloads
-        meta.json            <- {"ops": [["i", bg] | ["d", row], ...]}
-        og_values.npy  og_offsets.npy  ...  bg_*.npy
+      manifest.jsonl     <- the commit log: one checksummed JSON record
+                            per line — the base, then one per append
+      seg-000000.seg     <- base segment: a full tree snapshot
+      seg-000001.seg     <- delta segment: ordered op log + payload rows
 
-Commit protocol.  A segment directory is written completely (every file
-fsynced) *before* the manifest is atomically replaced (temp + fsync +
-rename) to reference it.  A crash mid-write leaves an orphan segment
-directory and the previous manifest: the store opens at its last
-committed state and the orphan is garbage-collected by the next write.  The manifest records byte size and SHA-256 per file; opening
-verifies sizes (catching truncation in O(#files) stats — full hashing
-would defeat the O(1) open and is available via :meth:`verify`).
+    seg-NNNNNN.seg = b"STRGSEG2" | u64 header length | header JSON |
+                     column | column | ...     (each column 64-aligned)
+      header: {"kind", "rows", "meta", "columns": [{"name", "dtype",
+               "shape", "offset", "sha256"}, ...]}
+      meta:   base  -> index config, clip refs, sketch meta
+              delta -> {"ops": [["i", bg] | ["d", row], ...], "refs"}
+
+    sharded.strg/
+      manifest.jsonl     <- one base record: shard names, serving config
+      seg-000000.seg     <- the placement pivots
+      shard-0/  shard-1/ <- one monolithic store each
+
+Log records.  The first record is the base (format, version, kind and
+its segment); every append adds ``{"seg", "rows", "bytes", "hsum",
+"dead"}`` — the delta's segment, its size, the SHA-256 prefix of its
+header and the rows its ``["d", row]`` ops kill, so the dead-row set is
+derived from the log.  Each record carries ``sum``, a SHA-256 prefix
+chained over the previous record's, and the last ``sum`` is the store's
+committed :meth:`ColumnarStore.version`.  Framing is the ingest
+journal's (:mod:`repro.resilience.journal`): one JSON object per line,
+flushed and fsynced per record.
+
+Commit protocol.  An append writes its segment file and fsyncs it,
+fsyncs the store directory (the new file's entry), then appends and
+fsyncs the log record — 3 fsyncs, one new file, O(1) log bytes.  A full
+write or a merge writes the base segment (file, then directory fsync),
+writes the one-record log to a temp file (fsync), renames it over the
+log and fsyncs the directory again; unreferenced segments are then
+garbage-collected.  A crash before the log record leaves an orphan
+segment the next write overwrites; a final log line without its newline
+is a torn tail — readers ignore it and the next writer truncates it.
+Any other bad record, and a segment whose size differs from its record
+(O(#segments) stats at open), raises ``IndexCorruptionError``; every
+column's SHA-256 is checked by :meth:`ColumnarStore.verify`.  The
+writer keeps the committed state in memory and only ``os.stat``s the
+log before appending.  A 9.x store (format version 1: ``manifest.json``
+plus a directory of ``.npy`` files per segment) is refused everywhere
+except :func:`repro.storage.store.convert`.
 
 Replay model.  The base segment is a full tree snapshot
 (:func:`~repro.storage.serialize.index_to_arrays`); each delta is the
@@ -59,15 +82,17 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import copy
 import hashlib
 import json
 import logging
 import os
 import shutil
+import struct
 import tempfile
 import threading
 from types import SimpleNamespace
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -80,6 +105,7 @@ from repro.errors import (
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.resilience.faults import maybe_fail, maybe_truncate
+from repro.resilience.journal import IngestJournal, parse_record, split_records
 from repro.storage.serialize import (
     SKETCH_COLUMNS,
     SKETCH_PAYLOAD_ERRORS,
@@ -96,52 +122,152 @@ from repro.storage.serialize import (
 logger = logging.getLogger(__name__)
 
 COLUMNAR_FORMAT = "strg-columnar"
-COLUMNAR_VERSION = 1
-MANIFEST_NAME = "manifest.json"
+COLUMNAR_VERSION = 2
+LOG_NAME = "manifest.jsonl"
+SEGMENT_SUFFIX = ".seg"
 STORE_SUFFIX = ".strg"
+#: The commit point of a 9.x (format version 1) store; only
+#: :func:`repro.storage.store.convert` reads what it names.
+V1_MANIFEST = "manifest.json"
 
 _KIND_INDEX = "index"
 _KIND_SHARDED = "sharded"
+_MAGIC = b"STRGSEG2"
+_PREFIX = len(_MAGIC) + 8          # magic + u64 header length
+_ALIGN = 64                        # column offsets, as .npy aligns data
+_SUM_HEX = 16                      # hex digits of a record / header sum
+_BASE_KEYS = ("format", "format_version", "kind", "seg", "rows", "bytes",
+              "hsum")
+_SHARDED_KEYS = ("num_shards", "shards", "serving_config", "has_pivots")
+_DELTA_KEYS = ("seg", "rows", "bytes", "hsum", "dead")
 
 
 def columnar_path(path: str | os.PathLike) -> str:
     """Normalize a store path: a suffix-less path means ``<path>.strg``.
 
     Appends ``.strg`` unless the path already carries the suffix or
-    already names a store directory (has a manifest), so suffix-less
-    ``save(path)`` / ``load(path)`` round-trips keep working.
+    already names a store directory (has a manifest log, or a 9.x
+    manifest), so suffix-less ``save(path)`` / ``load(path)`` round-trips
+    keep working.
     """
     p = os.fspath(path)
     if p.endswith(STORE_SUFFIX):
         return p
-    if os.path.isfile(os.path.join(p, MANIFEST_NAME)):
+    if any(os.path.isfile(os.path.join(p, name))
+           for name in (LOG_NAME, V1_MANIFEST)):
         return p
     return p + STORE_SUFFIX
 
 
 def is_columnar_store(path: str | os.PathLike) -> bool:
-    """True when ``path`` (after normalization) holds a store manifest."""
-    return os.path.isfile(os.path.join(columnar_path(path), MANIFEST_NAME))
+    """True when ``path`` (after normalization) holds a store log."""
+    return os.path.isfile(os.path.join(columnar_path(path), LOG_NAME))
 
 
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def is_v1_store(path: str | os.PathLike) -> bool:
+    """True when ``path`` holds a 9.x store that ``convert`` must
+    transcode (a v1 manifest and no log)."""
+    p = columnar_path(path)
+    return (os.path.isfile(os.path.join(p, V1_MANIFEST))
+            and not os.path.isfile(os.path.join(p, LOG_NAME)))
 
 
-def _fsync_write(path: str, writer) -> None:
-    """Write ``path`` via ``writer(fh)`` and fsync before closing."""
-    with open(path, "wb") as fh:
-        writer(fh)
-        fh.flush()
-        os.fsync(fh.fileno())
+def v1_refusal(path: str | os.PathLike) -> StorageError:
+    """The error every entry point but ``convert`` raises on a 9.x store."""
+    return StorageError(
+        f"{os.fspath(path)} is a 9.x store (columnar format version 1), "
+        f"which this version only converts: run `strg-index convert "
+        f"{os.fspath(path)}`")
 
 
-def _file_entry(path: str) -> dict[str, Any]:
-    return {"bytes": os.path.getsize(path), "sha256": _sha256_file(path)}
+def _short_sum(data: bytes | str) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()[:_SUM_HEX]
+
+
+def _record_sum(previous: str, record: dict[str, Any]) -> str:
+    """The chained checksum of one log record (its ``sum`` excluded)."""
+    body = json.dumps({k: v for k, v in record.items() if k != "sum"},
+                      sort_keys=True, separators=(",", ":"), default=str)
+    return _short_sum(previous + body)
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
+
+
+def _raw(array: np.ndarray) -> np.ndarray:
+    """The C-order bytes of ``array`` as a flat ``uint8`` view."""
+    return np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+
+
+def _fsync_dir(path: str) -> None:
+    """Make the directory entries created or renamed in ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _column_bytes(spec: dict[str, Any]) -> int:
+    return int(np.prod(spec["shape"], dtype=np.int64)) \
+        * np.dtype(spec["dtype"]).itemsize
+
+
+class _Committed:
+    """The committed state of one store, folded from its manifest log.
+
+    The writer publishes a new one per commit (:meth:`appended`), so
+    readers on other threads never see a half-applied append.
+    """
+
+    def __init__(self, records: list[dict[str, Any]], size: int,
+                 file_size: int, ino: int):
+        base = records[0]
+        self.base = base
+        self.kind = base["kind"]
+        self.size = size              # bytes of complete records
+        self.file_size = file_size    # ... plus a torn tail, if any
+        self.ino = ino
+        self.version = records[-1]["sum"]
+        self.shards: list[str] = list(base.get("shards", ()))
+        if self.kind == _KIND_SHARDED and len(records) > 1:
+            raise ValueError("a sharded root log holds one record")
+        self.segments = [dict(_entry(base), kind="base")]
+        self.rows_total = int(base["rows"])
+        dead: set[int] = set()
+        for record in records[1:]:
+            self.segments.append(dict(_entry(record), kind="delta"))
+            self.rows_total += int(record["rows"])
+            for row in map(int, record["dead"]):
+                if not 0 <= row < self.rows_total or row in dead:
+                    raise ValueError(f"record kills bad row {row}")
+                dead.add(row)
+        self.dead = frozenset(dead)
+
+    def appended(self, record: dict[str, Any], written: int
+                 ) -> "_Committed":
+        """The state after ``record`` (``written`` bytes) is appended."""
+        clone = copy.copy(self)
+        clone.size = clone.file_size = self.size + written
+        clone.version = record["sum"]
+        clone.segments = self.segments + [dict(_entry(record),
+                                               kind="delta")]
+        clone.rows_total = self.rows_total + int(record["rows"])
+        clone.dead = self.dead | frozenset(record["dead"])
+        return clone
+
+    def next_ordinal(self) -> int:
+        return int(self.segments[-1]["seg"][len("seg-"):]) + 1
+
+    def live_rows(self) -> int:
+        return self.rows_total - len(self.dead)
+
+
+def _entry(record: dict[str, Any]) -> dict[str, Any]:
+    return {key: record[key] for key in ("seg", "rows", "bytes", "hsum")}
 
 
 class ColumnarStore:
@@ -149,7 +275,7 @@ class ColumnarStore:
 
     Thread-safe for writers: ``write_index``/``append``/``merge``
     serialize on an internal lock.  Readers (``load_index``) are
-    lock-free — they only ever see committed manifests.
+    lock-free — they only ever see committed log records.
     """
 
     #: Fold segments into a fresh base once this fraction of rows is dead.
@@ -161,88 +287,180 @@ class ColumnarStore:
         self.path = columnar_path(path) if normalize else os.fspath(path)
         self._mutate_lock = threading.RLock()
         self._merge_thread: threading.Thread | None = None
+        self._state: _Committed | None = None
+        #: The append handle, and the inode of the log it was opened on.
+        self._log: IngestJournal | None = None
+        self._log_ino = -1
         self._reset_rows()
 
     def _reset_rows(self) -> None:
         self._row_of: dict[int, int] = {}   # live og_id -> global ordinal
-        self._rows = 0                       # rows ever appended
-        self._dead: set[int] = set()         # tombstoned ordinals
-        self._bound = False                  # row map reflects disk state
-
-    # -- manifest ---------------------------------------------------------
+        #: Version of the committed state the row map describes; ``None``
+        #: when the row map does not reflect the disk.
+        self._bound_version: str | None = None
 
     @property
-    def _manifest_path(self) -> str:
-        return os.path.join(self.path, MANIFEST_NAME)
+    def _bound(self) -> bool:
+        return self._bound_version is not None
+
+    # -- manifest log ------------------------------------------------------
+
+    @property
+    def _log_path(self) -> str:
+        return os.path.join(self.path, LOG_NAME)
+
+    def _segment_path(self, name: str) -> str:
+        return os.path.join(self.path, name + SEGMENT_SUFFIX)
 
     def exists(self) -> bool:
-        """Whether a committed manifest is present."""
-        return os.path.isfile(self._manifest_path)
+        """Whether a committed manifest log is present."""
+        return os.path.isfile(self._log_path)
 
-    def _read_manifest(self) -> dict[str, Any]:
-        maybe_fail("storage.read", path=self._manifest_path)
+    def _committed(self) -> _Committed:
+        """The committed state: the cached one while the log's size and
+        inode are unchanged (one ``os.stat``), else a fresh parse."""
+        state = self._state
+        if state is not None:
+            try:
+                st = os.stat(self._log_path)
+            except OSError:
+                st = None
+            if st is not None and st.st_size == state.file_size \
+                    and st.st_ino == state.ino:
+                return state
+        state = self._read_log()
+        self._state = state
+        return state
+
+    def _read_log(self) -> _Committed:
+        path = self._log_path
+        maybe_fail("storage.read", path=path)
         try:
-            with open(self._manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
+            with open(path, "rb") as fh:
+                blob = fh.read()
+                ino = os.fstat(fh.fileno()).st_ino
         except FileNotFoundError as exc:
+            if os.path.isfile(os.path.join(self.path, V1_MANIFEST)):
+                raise v1_refusal(self.path) from exc
             if os.path.isdir(self.path):
                 # The store directory exists but never reached its commit
                 # point: an interrupted first write (or a stray empty
                 # directory).  Data loss, not a missing store.
                 raise IndexCorruptionError(
                     f"store directory {self.path} has no committed "
-                    "manifest (empty or partially written)",
-                    details={"path": self.path,
-                             "missing": MANIFEST_NAME,
+                    "manifest log (empty or partially written)",
+                    details={"path": self.path, "missing": LOG_NAME,
                              "contents": sorted(os.listdir(self.path))[:16]},
                 ) from exc
-            raise StorageError(
-                f"cannot read {self._manifest_path}: {exc}") from exc
-        except (OSError, json.JSONDecodeError) as exc:
+            raise StorageError(f"cannot read {path}: {exc}") from exc
+        except OSError as exc:
             raise IndexCorruptionError(
-                f"corrupt store manifest {self._manifest_path}: {exc}",
-                details={"path": self._manifest_path,
-                         "cause": type(exc).__name__},
+                f"cannot read store log {path}: {exc}",
+                details={"path": path, "cause": type(exc).__name__},
             ) from exc
-        if manifest.get("format") != COLUMNAR_FORMAT:
+        lines, size = split_records(blob)
+        records: list[dict[str, Any]] = []
+        previous = ""
+        for number, line in enumerate(lines, 1):
+            try:
+                record = parse_record(line)
+            except ValueError as exc:
+                raise IndexCorruptionError(
+                    f"corrupt record {number} of store log {path}: {exc}",
+                    details={"path": path, "record": number,
+                             "cause": type(exc).__name__},
+                ) from exc
+            if record.get("sum") != _record_sum(previous, record):
+                raise IndexCorruptionError(
+                    f"checksum mismatch in record {number} of store log "
+                    f"{path}",
+                    details={"path": path, "record": number},
+                )
+            self._check_record(record, number)
+            previous = record["sum"]
+            records.append(record)
+        if not records:
             raise IndexCorruptionError(
-                f"{self._manifest_path} is not a columnar store manifest "
-                f"(format={manifest.get('format')!r})",
-                details={"path": self._manifest_path,
-                         "format": manifest.get("format")},
+                f"store log {path} holds no committed record",
+                details={"path": path, "bytes": len(blob)},
             )
-        version = manifest.get("format_version")
-        if version != COLUMNAR_VERSION:
+        try:
+            return _Committed(records, size, len(blob), ino)
+        except (KeyError, TypeError, ValueError) as exc:
             raise IndexCorruptionError(
-                f"unsupported columnar format version {version} in "
-                f"{self._manifest_path} (supported: {COLUMNAR_VERSION})",
-                details={"path": self._manifest_path, "version": version,
-                         "supported": COLUMNAR_VERSION},
-            )
-        kind = manifest.get("kind")
-        if kind == _KIND_SHARDED:
-            required = ("num_shards", "shards", "files")
+                f"malformed store log {path}: {exc}",
+                details={"path": path, "cause": type(exc).__name__},
+            ) from exc
+
+    def _check_record(self, record: dict[str, Any], number: int) -> None:
+        path = self._log_path
+        if number == 1:
+            if record.get("format") != COLUMNAR_FORMAT:
+                raise IndexCorruptionError(
+                    f"{path} is not a columnar store log "
+                    f"(format={record.get('format')!r})",
+                    details={"path": path, "format": record.get("format")},
+                )
+            version = record.get("format_version")
+            if version != COLUMNAR_VERSION:
+                raise IndexCorruptionError(
+                    f"unsupported columnar format version {version} in "
+                    f"{path} (supported: {COLUMNAR_VERSION})",
+                    details={"path": path, "version": version,
+                             "supported": COLUMNAR_VERSION},
+                )
+            required = _BASE_KEYS + (
+                _SHARDED_KEYS if record.get("kind") == _KIND_SHARDED else ())
         else:
-            required = ("kind", "segments", "next_segment",
-                        "rows_total", "rows_dead")
-        missing = [key for key in required if key not in manifest]
+            required = _DELTA_KEYS
+        missing = [key for key in required if key not in record]
         if missing:
             raise IndexCorruptionError(
-                f"incomplete store manifest {self._manifest_path}: "
+                f"incomplete record {number} of store log {path}: "
                 f"missing keys {missing} (partially written?)",
-                details={"path": self._manifest_path, "kind": kind,
-                         "missing": missing},
+                details={"path": path, "record": number,
+                         "kind": record.get("kind"), "missing": missing},
             )
-        return manifest
 
     def manifest(self) -> dict[str, Any]:
-        """The committed manifest, validated (a fresh copy per call)."""
-        return self._read_manifest()
+        """The committed state as a plain dict (a fresh copy per call).
 
-    def _check_sizes(self, manifest: dict[str, Any]) -> None:
-        """O(#files) truncation check: stat sizes against the manifest."""
-        for rel, entry in self._iter_file_entries(manifest):
-            target = os.path.join(self.path, rel)
+        ``kind`` is ``"index"`` (``segments``, ``rows_total``,
+        ``rows_dead``) or ``"sharded"`` (``num_shards``, ``shards``,
+        ``serving_config``, ``has_pivots``); ``version`` is
+        :meth:`version`'s value for this log alone.
+        """
+        state = self._committed()
+        info = {"format": COLUMNAR_FORMAT,
+                "format_version": COLUMNAR_VERSION,
+                "kind": state.kind, "version": state.version,
+                "segments": [dict(entry) for entry in state.segments]}
+        if state.kind == _KIND_SHARDED:
+            info.update((key, state.base[key]) for key in _SHARDED_KEYS)
+            info["serving_config"] = dict(info["serving_config"])
+            info["shards"] = list(info["shards"])
+        else:
+            info.update(rows_total=state.rows_total,
+                        rows_dead=len(state.dead))
+        return info
+
+    def version(self) -> str:
+        """The committed version: a digest that changes with every commit
+        (the chained sum of the last log record; a sharded root folds in
+        every shard's)."""
+        state = self._committed()
+        if state.kind != _KIND_SHARDED:
+            return state.version
+        return _short_sum(state.version + "".join(
+            self._shard(name).version() for name in state.shards))
+
+    def _shard(self, name: str) -> "ColumnarStore":
+        return ColumnarStore(os.path.join(self.path, name), normalize=False)
+
+    def _check_sizes(self, state: _Committed) -> None:
+        """O(#segments) truncation check: stat sizes against the log."""
+        for entry in state.segments:
+            target = self._segment_path(entry["seg"])
             try:
                 actual = os.path.getsize(target)
             except OSError as exc:
@@ -253,174 +471,183 @@ class ColumnarStore:
             if actual != entry["bytes"]:
                 raise IndexCorruptionError(
                     f"truncated store file {target}: "
-                    f"{actual} bytes on disk, manifest says {entry['bytes']}",
+                    f"{actual} bytes on disk, log says {entry['bytes']}",
                     details={"path": target, "actual": actual,
                              "expected": entry["bytes"]},
                 )
 
-    def _iter_file_entries(self, manifest: dict[str, Any]
-                           ) -> Iterable[tuple[str, dict[str, Any]]]:
-        for segment in manifest.get("segments", []):
-            for name, entry in segment["files"].items():
-                yield os.path.join(segment["name"], name), entry
-        for name, entry in manifest.get("files", {}).items():
-            yield name, entry
-        tomb = manifest.get("tombstones")
-        if tomb:
-            yield tomb["name"], tomb
+    def _open_checked(self) -> _Committed:
+        state = self._committed()
+        self._check_sizes(state)
+        return state
 
-    def _commit_manifest(self, manifest: dict[str, Any],
-                         fault_point: str) -> None:
-        """Atomically replace the manifest — the single commit point."""
-        os.makedirs(self.path, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path, prefix=MANIFEST_NAME + ".",
+    def _replace_log(self, records: list[dict[str, Any]],
+                     fault_point: str) -> _Committed:
+        """Atomically replace the log (temp + fsync, rename, directory
+        fsync) — the commit point of a full write."""
+        previous = ""
+        for record in records:
+            record["sum"] = previous = _record_sum(previous, record)
+        fd, tmp = tempfile.mkstemp(dir=self.path, prefix=LOG_NAME + ".",
                                    suffix=".tmp")
+        os.close(fd)
+        writer = IngestJournal(tmp)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=1, sort_keys=True,
-                          default=str)
-                fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            maybe_fail(fault_point, path=self._manifest_path)
-            os.replace(tmp, self._manifest_path)
+            size = sum(writer.append(record) for record in records)
+            writer.close()
+            maybe_fail(fault_point, path=self._log_path)
+            os.replace(tmp, self._log_path)
         except BaseException:
-            try:
+            writer.close()
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
             raise
+        _fsync_dir(self.path)
+        if self._log is not None:       # release the replaced file
+            self._log.close()
+            self._log, self._log_ino = None, -1
+        state = _Committed(records, size, size,
+                           os.stat(self._log_path).st_ino)
+        self._state = state
+        return state
+
+    def _append_record(self, state: _Committed, record: dict[str, Any]
+                       ) -> _Committed:
+        """Durably append one record to the log — the commit point of an
+        append."""
+        record["sum"] = _record_sum(state.version, record)
+        maybe_fail("storage.append", path=self._log_path)
+        if self._log_ino != state.ino:
+            # The log was replaced (a full write, here or elsewhere)
+            # since the handle was opened: append to the file there now.
+            if self._log is not None:
+                self._log.close()
+            self._log = IngestJournal(self._log_path)
+            self._log_ino = state.ino
+        start = state.size
+        state = state.appended(record, self._log.append(record))
+        self._state = state
+        maybe_truncate("storage.log", self._log_path, start=start)
+        maybe_fail("storage.log", path=self._log_path)
+        return state
 
     # -- segment I/O ------------------------------------------------------
 
-    def _write_segment(self, name: str, arrays: dict[str, np.ndarray],
-                       meta: dict[str, Any]) -> dict[str, Any]:
-        """Write one complete segment directory; return its manifest entry.
+    def _write_segment(self, ordinal: int, kind: str, rows: int,
+                       meta: dict[str, Any],
+                       arrays: dict[str, np.ndarray]) -> dict[str, Any]:
+        """Write one segment file, fsync it and the directory entry;
+        return its log fields (``seg``, ``rows``, ``bytes``, ``hsum``).
 
-        The directory is fully written and fsynced before the caller
-        commits a manifest referencing it.  A pre-existing directory of
-        the same name is an orphan from a crashed append — by definition
-        unreferenced — and is removed first.
+        A file of the same name is an orphan from a crashed write — by
+        definition unreferenced — and is overwritten.
         """
-        directory = os.path.join(self.path, name)
-        if os.path.isdir(directory):
-            logger.info("removing orphan segment %s", directory)
-            shutil.rmtree(directory)
-        os.makedirs(directory)
-        files: dict[str, dict[str, Any]] = {}
-        for column, array in arrays.items():
-            filename = f"{column}.npy"
-            target = os.path.join(directory, filename)
-            _fsync_write(target,
-                         lambda fh, a=array: np.save(fh, np.ascontiguousarray(a)))
-            files[filename] = _file_entry(target)
-        meta_target = os.path.join(directory, "meta.json")
-        payload = json.dumps(meta, sort_keys=True, default=str)
-        _fsync_write(meta_target, lambda fh: fh.write(payload.encode()))
-        files["meta.json"] = _file_entry(meta_target)
-        return {"name": name, "files": files}
+        columns, raws, offset = [], [], 0
+        for name, array in arrays.items():
+            raw = _raw(array)
+            offset = _aligned(offset)
+            columns.append({
+                "name": name, "dtype": array.dtype.str,
+                "shape": list(np.shape(array)), "offset": offset,
+                "sha256": hashlib.sha256(raw).hexdigest()})
+            raws.append((offset, raw))
+            offset += raw.nbytes
+        header = json.dumps({"kind": kind, "rows": rows, "meta": meta,
+                             "columns": columns},
+                            sort_keys=True, default=str).encode("utf-8")
+        data = _aligned(_PREFIX + len(header))
+        name = f"seg-{ordinal:06d}"
+        target = self._segment_path(name)
+        with open(target, "wb") as fh:
+            fh.write(_MAGIC + struct.pack("<Q", len(header)) + header)
+            for column_offset, raw in raws:
+                fh.write(b"\0" * (data + column_offset - fh.tell()))
+                fh.write(raw)
+            fh.flush()
+            size = fh.tell()
+            maybe_truncate("storage.segment", target)
+            os.fsync(fh.fileno())
+        _fsync_dir(self.path)
+        return {"seg": name, "rows": rows, "bytes": size,
+                "hsum": _short_sum(header)}
 
-    def _load_segment_arrays(self, segment: dict[str, Any],
-                             mmap: bool) -> dict[str, np.ndarray]:
-        directory = os.path.join(self.path, segment["name"])
-        arrays: dict[str, np.ndarray] = {}
-        mode = "r" if mmap else None
-        for filename in segment["files"]:
-            if not filename.endswith(".npy"):
-                continue
-            target = os.path.join(directory, filename)
-            try:
-                arrays[filename[:-len(".npy")]] = np.load(
-                    target, mmap_mode=mode, allow_pickle=False)
-            except (OSError, ValueError, EOFError) as exc:
-                raise IndexCorruptionError(
-                    f"corrupt store file {target}: {exc}",
-                    details={"path": target, "cause": type(exc).__name__},
-                ) from exc
-        return arrays
+    def _header(self, entry: dict[str, Any]) -> dict[str, Any]:
+        """One segment's header, checked against its log record."""
+        target = self._segment_path(entry["seg"])
+        try:
+            with open(target, "rb") as fh:
+                prefix = fh.read(_PREFIX)
+                if len(prefix) != _PREFIX or prefix[:len(_MAGIC)] != _MAGIC:
+                    raise ValueError("not a segment file (bad magic)")
+                (length,) = struct.unpack("<Q", prefix[len(_MAGIC):])
+                raw = fh.read(length)
+            if _short_sum(raw) != entry["hsum"]:
+                raise ValueError("header checksum mismatch")
+            header = json.loads(raw)
+            header["data"] = _aligned(_PREFIX + length)
+            header["index"] = {spec["name"]: spec
+                               for spec in header["columns"]}
+        except (OSError, ValueError, KeyError, TypeError,
+                struct.error) as exc:
+            raise IndexCorruptionError(
+                f"corrupt segment header {target}: {exc}",
+                details={"path": target, "segment": entry["seg"],
+                         "cause": type(exc).__name__},
+            ) from exc
+        return header
 
-    def _load_columns(self, segment: dict[str, Any],
-                      names: Sequence[str], mmap: bool
-                      ) -> dict[str, np.ndarray]:
-        """Load specific columns of one segment (not the whole directory).
+    def _columns(self, entry: dict[str, Any], header: dict[str, Any],
+                 names: Sequence[str] | None, mmap: bool
+                 ) -> dict[str, np.ndarray]:
+        """Columns of one segment (``names=None``: all of them).
 
-        The row-addressed read path uses this so touching one row never
-        materializes unrelated columns: with ``mmap=True`` each file is
-        opened as a read-only view, with ``mmap=False`` only the named
-        columns are copied into RAM.
+        With ``mmap=True`` each column is a read-only ``np.memmap`` at
+        its offset — zero-copy, pages fault in on touch; with
+        ``mmap=False`` only the named columns are read into RAM.
         """
-        directory = os.path.join(self.path, segment["name"])
-        mode = "r" if mmap else None
+        target = self._segment_path(entry["seg"])
+        wanted = list(header["index"]) if names is None else names
         out: dict[str, np.ndarray] = {}
-        for name in names:
-            filename = f"{name}.npy"
-            if filename not in segment["files"]:
-                raise IndexCorruptionError(
-                    f"segment {segment['name']} of {self.path} has no "
-                    f"column {filename}",
-                    details={"path": directory, "column": filename},
-                )
-            target = os.path.join(directory, filename)
-            try:
-                out[name] = np.load(target, mmap_mode=mode,
-                                    allow_pickle=False)
-            except (OSError, ValueError, EOFError) as exc:
-                raise IndexCorruptionError(
-                    f"corrupt store file {target}: {exc}",
-                    details={"path": target, "cause": type(exc).__name__},
-                ) from exc
+        try:
+            with contextlib.ExitStack() as stack:
+                fh = None if mmap else stack.enter_context(
+                    open(target, "rb"))
+                for name in wanted:
+                    spec = header["index"].get(name)
+                    if spec is None:
+                        raise IndexCorruptionError(
+                            f"segment {entry['seg']} of {self.path} has no "
+                            f"column {name}",
+                            details={"path": target, "column": name})
+                    dtype, shape = np.dtype(spec["dtype"]), \
+                        tuple(spec["shape"])
+                    offset = header["data"] + spec["offset"]
+                    nbytes = _column_bytes(spec)
+                    if nbytes == 0:
+                        out[name] = np.zeros(shape, dtype=dtype)
+                    elif mmap:
+                        out[name] = np.memmap(target, dtype=dtype, mode="r",
+                                              offset=offset, shape=shape)
+                    else:
+                        buf = bytearray(nbytes)
+                        fh.seek(offset)
+                        if fh.readinto(buf) != nbytes:
+                            raise ValueError(f"column {name} is cut short")
+                        out[name] = np.frombuffer(buf, dtype=dtype
+                                                  ).reshape(shape)
+        except (OSError, ValueError, TypeError) as exc:
+            raise IndexCorruptionError(
+                f"corrupt store file {target}: {exc}",
+                details={"path": target, "segment": entry["seg"],
+                         "cause": type(exc).__name__},
+            ) from exc
         return out
 
-    def _read_segment_meta(self, segment: dict[str, Any]) -> dict[str, Any]:
-        target = os.path.join(self.path, segment["name"], "meta.json")
-        try:
-            with open(target, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IndexCorruptionError(
-                f"corrupt segment meta {target}: {exc}",
-                details={"path": target, "cause": type(exc).__name__},
-            ) from exc
-
-    # -- tombstones -------------------------------------------------------
-
-    def _write_tombstones(self, ordinal: int, rows: int,
-                          dead: set[int]) -> dict[str, Any]:
-        name = f"tombstones-{ordinal:06d}.npy"
-        bits = np.zeros(rows, dtype=bool)
-        if dead:
-            bits[np.fromiter(dead, dtype=np.int64)] = True
-        target = os.path.join(self.path, name)
-        _fsync_write(target, lambda fh: np.save(fh, np.packbits(bits)))
-        entry = _file_entry(target)
-        entry["name"] = name
-        entry["rows"] = rows
-        return entry
-
-    def _load_tombstones(self, manifest: dict[str, Any]) -> set[int]:
-        tomb = manifest.get("tombstones")
-        if not tomb:
-            return set()
-        target = os.path.join(self.path, tomb["name"])
-        try:
-            packed = np.load(target, allow_pickle=False)
-        except (OSError, ValueError, EOFError) as exc:
-            raise IndexCorruptionError(
-                f"corrupt tombstone bitmap {target}: {exc}",
-                details={"path": target, "cause": type(exc).__name__},
-            ) from exc
-        bits = np.unpackbits(packed, count=int(tomb["rows"]))
-        return {int(i) for i in np.flatnonzero(bits)}
-
-    def _collect_garbage(self, manifest: dict[str, Any]) -> None:
-        """Drop files/directories the committed manifest no longer names."""
-        keep = {segment["name"] for segment in manifest.get("segments", [])}
-        keep.update(manifest.get("shards", []))
-        tomb = manifest.get("tombstones")
-        if tomb:
-            keep.add(tomb["name"])
-        keep.update(manifest.get("files", {}))
-        keep.add(MANIFEST_NAME)
+    def _collect_garbage(self, state: _Committed) -> None:
+        """Drop files/directories the committed log no longer names."""
+        keep = {entry["seg"] + SEGMENT_SUFFIX for entry in state.segments}
+        keep.update(state.shards)
+        keep.add(LOG_NAME)
         try:
             entries = os.listdir(self.path)
         except OSError:  # pragma: no cover - store dir vanished
@@ -443,8 +670,8 @@ class ColumnarStore:
         """Write ``index`` as a fresh store (one base segment, no deltas).
 
         Handles both monolithic ``STRGIndex`` and ``ShardedIndex`` (the
-        latter becomes a top-level manifest plus one nested store per
-        shard, shards written first, manifest last).  Also serves as the
+        latter becomes a root log plus one nested store per shard,
+        shards written first, root log last).  Also serves as the
         *merge* target: rewriting an existing store folds all segments
         into a new base and garbage-collects the old ones.  Returns the
         store path; an I/O failure raises ``StorageError`` and leaves
@@ -454,9 +681,11 @@ class ColumnarStore:
         with self._mutate_lock, OBS.span("storage.columnar.write"), \
                 self._unbind_on_error():
             try:
+                os.makedirs(self.path, exist_ok=True)
+                ordinal = self._next_base_ordinal()
                 if getattr(index, "shards", None) is not None:
-                    return self._write_sharded(index)
-                return self._write_base(index)
+                    return self._write_sharded(index, ordinal)
+                return self._write_base(index, ordinal)
             except OSError as exc:
                 raise StorageError(
                     f"cannot write index to {self.path}: {exc}") from exc
@@ -468,78 +697,60 @@ class ColumnarStore:
         try:
             yield
         except BaseException:
-            self._bound = False
+            self._bound_version = None
             raise
 
-    def _write_base(self, index: Any) -> str:
-        arrays, meta = index_to_arrays(index)
+    def _next_base_ordinal(self) -> int:
+        """A segment ordinal no committed record names."""
+        if not self.exists():
+            if os.path.isfile(os.path.join(self.path, V1_MANIFEST)):
+                raise v1_refusal(self.path)
+            return 0
         try:
-            manifest = self._read_manifest() if self.exists() else None
+            return self._committed().next_ordinal()
         except IndexCorruptionError:
-            # An unreadable manifest commits nothing worth protecting;
-            # a full write must be able to replace it (crash recovery).
-            manifest = None
-        if manifest is not None and manifest["kind"] != _KIND_INDEX:
-            ordinal = 0
-        else:
-            ordinal = manifest["next_segment"] if manifest else 0
-        os.makedirs(self.path, exist_ok=True)
-        name = f"seg-{ordinal:06d}"
+            # An unreadable log commits nothing worth protecting; a full
+            # write must be able to replace it (crash recovery).
+            return 0
+
+    def _write_base(self, index: Any, ordinal: int) -> str:
+        arrays, meta = index_to_arrays(index)
         rows = len(meta["refs"])
-        segment = self._write_segment(name, arrays, dict(meta, kind="base",
-                                                         rows=rows))
-        segment.update(kind="base", rows=rows)
-        self._commit_manifest({
-            "format": COLUMNAR_FORMAT,
-            "format_version": COLUMNAR_VERSION,
-            "kind": _KIND_INDEX,
-            "next_segment": ordinal + 1,
-            "rows_total": rows,
-            "rows_dead": 0,
-            "segments": [segment],
-            "tombstones": None,
-        }, "storage.write")
-        self._collect_garbage(self._read_manifest())
-        if maybe_truncate("storage.write",
-                          os.path.join(self.path, name, "og_values.npy")):
-            logger.warning("injected truncation in segment %s", name)
+        entry = self._write_segment(ordinal, "base", rows, meta, arrays)
+        state = self._replace_log([self._base_record(_KIND_INDEX, entry)],
+                                  "storage.write")
+        self._collect_garbage(state)
+        if maybe_truncate("storage.write", self._segment_path(entry["seg"])):
+            logger.warning("injected truncation in segment %s", entry["seg"])
         self._row_of = {og.og_id: i
                         for i, (og, _) in enumerate(leaf_ogs(index))}
-        self._rows = rows
-        self._dead = set()
-        self._bound = True
+        self._bound_version = state.version
         OBS.count("storage.columnar.writes")
         return self.path
 
-    def _write_sharded(self, index: Any) -> str:
-        os.makedirs(self.path, exist_ok=True)
+    @staticmethod
+    def _base_record(kind: str, entry: dict[str, Any], **extra: Any
+                     ) -> dict[str, Any]:
+        return dict(format=COLUMNAR_FORMAT, format_version=COLUMNAR_VERSION,
+                    kind=kind, **entry, **extra)
+
+    def _write_sharded(self, index: Any, ordinal: int) -> str:
         shard_names = []
-        for ordinal, shard in enumerate(index.shards):
-            name = f"shard-{ordinal}"
-            shard_store = ColumnarStore(os.path.join(self.path, name),
-                                        normalize=False)
-            shard_store.write_index(shard)
+        for number, shard in enumerate(index.shards):
+            name = f"shard-{number}"
+            self._shard(name).write_index(shard)
             shard_names.append(name)
         pivots = index.pivots if index.pivots is not None else []
         pivot_flat, pivot_offsets = _pack_ragged(list(pivots))
-        files = {}
-        for column, array in (("pivot_values", pivot_flat),
-                              ("pivot_offsets", pivot_offsets)):
-            target = os.path.join(self.path, f"{column}.npy")
-            _fsync_write(target,
-                         lambda fh, a=array: np.save(fh, np.ascontiguousarray(a)))
-            files[f"{column}.npy"] = _file_entry(target)
-        self._commit_manifest({
-            "format": COLUMNAR_FORMAT,
-            "format_version": COLUMNAR_VERSION,
-            "kind": _KIND_SHARDED,
-            "num_shards": len(index.shards),
-            "has_pivots": index.pivots is not None,
-            "serving_config": index.serving_config(),
-            "shards": shard_names,
-            "files": files,
-        }, "storage.write")
-        self._collect_garbage(self._read_manifest())
+        entry = self._write_segment(
+            ordinal, "root", 0, {},
+            {"pivot_values": pivot_flat, "pivot_offsets": pivot_offsets})
+        state = self._replace_log([self._base_record(
+            _KIND_SHARDED, entry, num_shards=len(index.shards),
+            has_pivots=index.pivots is not None,
+            serving_config=index.serving_config(), shards=shard_names)],
+            "storage.write")
+        self._collect_garbage(state)
         self._reset_rows()
         OBS.count("storage.columnar.writes")
         return self.path
@@ -555,43 +766,30 @@ class ColumnarStore:
         queries bit-identically to the live index that wrote the store.
         """
         with OBS.span("storage.columnar.load", mmap=mmap):
-            manifest = self._read_manifest()
-            self._check_sizes(manifest)
-            if manifest["kind"] == _KIND_SHARDED:
-                return self._load_sharded(manifest, mmap)
-            segments = manifest["segments"]
-            if not segments or segments[0]["kind"] != "base":
-                raise IndexCorruptionError(
-                    f"store {self.path} has no base segment",
-                    details={"path": self.path,
-                             "segments": [s["name"] for s in segments]},
-                )
-            index, row_ogs = self._materialize_base(segments[0], mmap)
+            state = self._open_checked()
+            if state.kind == _KIND_SHARDED:
+                return self._load_sharded(state, mmap)
+            index, row_ogs = self._materialize_base(state.segments[0], mmap)
             dead: set[int] = set()
-            for segment in segments[1:]:
-                self._replay_delta(index, segment, row_ogs, dead, mmap)
-            tombstoned = self._load_tombstones(manifest)
-            if tombstoned != dead or len(dead) != manifest["rows_dead"]:
+            for entry in state.segments[1:]:
+                self._replay_delta(index, entry, row_ogs, dead, mmap)
+            if dead != state.dead:
                 raise IndexCorruptionError(
-                    f"tombstone bitmap of {self.path} disagrees with the "
-                    f"delta log ({len(tombstoned)} bitmap vs {len(dead)} "
-                    "replayed dead rows)",
-                    details={"path": self.path, "bitmap": len(tombstoned),
-                             "replayed": len(dead),
-                             "manifest": manifest["rows_dead"]},
+                    f"dead rows of {self.path} disagree between the log "
+                    f"and the delta ops ({len(state.dead)} logged vs "
+                    f"{len(dead)} replayed)",
+                    details={"path": self.path, "logged": len(state.dead),
+                             "replayed": len(dead)},
                 )
-            if len(row_ogs) != manifest["rows_total"]:
+            if len(row_ogs) != state.rows_total:
                 raise IndexCorruptionError(
                     f"row count mismatch in {self.path}: replay produced "
-                    f"{len(row_ogs)} rows, manifest says "
-                    f"{manifest['rows_total']}",
+                    f"{len(row_ogs)} rows, the log says {state.rows_total}",
                     details={"path": self.path, "replayed": len(row_ogs),
-                             "manifest": manifest["rows_total"]},
+                             "logged": state.rows_total},
                 )
             self._row_of = {og.og_id: row for row, og in enumerate(row_ogs)}
-            self._rows = len(row_ogs)
-            self._dead = dead
-            self._bound = True
+            self._bound_version = state.version
             OBS.count("storage.columnar.loads")
             return index
 
@@ -610,28 +808,44 @@ class ColumnarStore:
                 "(call load_index() or write_index() first)")
         return dict(self._row_of)
 
-    def _materialize_base(self, segment: dict[str, Any], mmap: bool):
-        arrays = self._load_segment_arrays(segment, mmap)
-        meta = self._read_segment_meta(segment)
+    def _materialize_base(self, entry: dict[str, Any], mmap: bool):
+        header = self._header(entry)
+        arrays = self._columns(entry, header, None, mmap)
         try:
-            index = index_from_arrays(
-                arrays, meta,
-                source=os.path.join(self.path, segment["name"]))
+            index = index_from_arrays(arrays, header["meta"],
+                                      source=self._segment_path(entry["seg"]))
         except (KeyError, ValueError, IndexError, TypeError) as exc:
             raise IndexCorruptionError(
                 f"cannot materialize base segment of {self.path}: {exc}",
-                details={"path": self.path, "segment": segment["name"],
+                details={"path": self.path, "segment": entry["seg"],
                          "cause": type(exc).__name__},
             ) from exc
         return index, [og for og, _ in leaf_ogs(index)]
 
-    def _replay_delta(self, index: Any, segment: dict[str, Any],
-                      row_ogs: list, dead: set[int], mmap: bool) -> None:
-        arrays = self._load_segment_arrays(segment, mmap)
-        meta = self._read_segment_meta(segment)
+    def _delta_ops(self, entry: dict[str, Any], header: dict[str, Any]
+                   ) -> list[tuple[str, int]]:
+        """A delta's op log, validated: ``[(code, operand), ...]``."""
         try:
-            ops = meta["ops"]
-            refs = meta["refs"]
+            ops = [(op[0], int(op[1])) for op in header["meta"]["ops"]]
+            for code, _ in ops:
+                if code not in ("i", "d"):
+                    raise ValueError(f"unknown op code {code!r}")
+            return ops
+        except (KeyError, ValueError, TypeError, IndexError) as exc:
+            raise IndexCorruptionError(
+                f"cannot replay delta segment {entry['seg']} of "
+                f"{self.path}: {exc}",
+                details={"path": self.path, "segment": entry["seg"],
+                         "cause": type(exc).__name__},
+            ) from exc
+
+    def _replay_delta(self, index: Any, entry: dict[str, Any],
+                      row_ogs: list, dead: set[int], mmap: bool) -> None:
+        header = self._header(entry)
+        ops = self._delta_ops(entry, header)
+        arrays = self._columns(entry, header, None, mmap)
+        try:
+            refs = header["meta"]["refs"]
             values = _unpack_ragged(arrays["og_values"],
                                     arrays["og_offsets"])
             frames = _unpack_ragged(arrays["og_frames"],
@@ -640,8 +854,7 @@ class ColumnarStore:
             backgrounds = (_unpack_backgrounds(arrays)
                            if "bg_frames" in arrays else [])
             inserted = 0
-            for op in ops:
-                code, operand = op[0], int(op[1])
+            for code, operand in ops:
                 if code == "i":
                     og = ObjectGraph(
                         values=values[inserted],
@@ -654,54 +867,48 @@ class ColumnarStore:
                     index.insert(og, background, refs[inserted])
                     row_ogs.append(og)
                     inserted += 1
-                elif code == "d":
+                else:
                     index.delete(row_ogs[operand].og_id)
                     dead.add(operand)
-                else:
-                    raise ValueError(f"unknown op code {code!r}")
         except (KeyError, ValueError, IndexError, TypeError) as exc:
             raise IndexCorruptionError(
-                f"cannot replay delta segment {segment['name']} of "
+                f"cannot replay delta segment {entry['seg']} of "
                 f"{self.path}: {exc}",
-                details={"path": self.path, "segment": segment["name"],
+                details={"path": self.path, "segment": entry["seg"],
                          "cause": type(exc).__name__},
             ) from exc
 
-    def read_sharding(self, manifest: dict[str, Any], mmap: bool = False
+    def read_sharding(self, mmap: bool = False
                       ) -> tuple[dict[str, Any], list[np.ndarray] | None]:
         """``(serving_config, pivots)`` of a sharded root store — what
         :meth:`ShardedIndex.from_shards` needs besides the shards."""
+        state = self._committed()
         try:
-            serving = dict(manifest["serving_config"])
-            if not manifest["has_pivots"]:
+            serving = dict(state.base["serving_config"])
+            if not state.base["has_pivots"]:
                 return serving, None
-            values = np.load(
-                os.path.join(self.path, "pivot_values.npy"),
-                mmap_mode="r" if mmap else None, allow_pickle=False)
-            offsets = np.load(
-                os.path.join(self.path, "pivot_offsets.npy"),
-                allow_pickle=False)
-            return serving, _unpack_ragged(values, offsets)
-        except (OSError, ValueError, EOFError, TypeError, KeyError) as exc:
+            entry = state.segments[0]
+            columns = self._columns(entry, self._header(entry),
+                                    ("pivot_values", "pivot_offsets"), mmap)
+            return serving, _unpack_ragged(columns["pivot_values"],
+                                           columns["pivot_offsets"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise IndexCorruptionError(
                 f"cannot read sharded store {self.path}: {exc}",
                 details={"path": self.path, "cause": type(exc).__name__},
             ) from exc
 
-    def _load_sharded(self, manifest: dict[str, Any], mmap: bool) -> Any:
+    def _load_sharded(self, state: _Committed, mmap: bool) -> Any:
         from repro.serving.sharding import ShardedIndex
 
-        shards = []
-        for name in manifest["shards"]:
-            shard_store = ColumnarStore(os.path.join(self.path, name),
-                                        normalize=False)
-            shards.append(shard_store.load_index(mmap=mmap))
+        shards = [self._shard(name).load_index(mmap=mmap)
+                  for name in state.shards]
         if not shards:
             raise IndexCorruptionError(
                 f"sharded store {self.path} lists no shards",
                 details={"path": self.path},
             )
-        serving, pivots = self.read_sharding(manifest, mmap)
+        serving, pivots = self.read_sharding(mmap)
         try:
             index = ShardedIndex.from_shards(shards, serving, pivots)
         except (TypeError, InvalidParameterError) as exc:
@@ -723,13 +930,7 @@ class ColumnarStore:
         space (raises ``StorageError``); open the shard stores
         individually, as :meth:`load_sketch` does.
         """
-        manifest = self._read_manifest()
-        self._check_sizes(manifest)
-        if manifest["kind"] != _KIND_INDEX:
-            raise StorageError(
-                f"sharded store {self.path} has no global row space; "
-                "open the shard stores individually")
-        return ColumnarRowReader(self, manifest, mmap)
+        return ColumnarRowReader(self, self._open_checked(), mmap)
 
     def load_sketch(self, distance: Any = None, mmap: bool = True) -> Any:
         """Attach the persisted sketch tier straight from store columns.
@@ -748,8 +949,7 @@ class ColumnarStore:
         Delta segments replay through ``sketch.add``/``sketch.remove``
         (recomputing pivot distances with ``distance`` — default: the
         stored config's ``MetricEGED``) into the sketch's in-RAM tail,
-        and the result is cross-checked against the committed tombstone
-        bitmap.
+        and the result is cross-checked against the log's dead rows.
 
         Shard ``s`` numbers its og_ids from the row count of the shards
         before it, so ids are unique across the list and ``(distance,
@@ -760,52 +960,42 @@ class ColumnarStore:
         fall back to materializing the index.
         """
         with OBS.span("storage.columnar.load_sketch", mmap=mmap):
-            manifest = self._read_manifest()
-            self._check_sizes(manifest)
-            if manifest["kind"] == _KIND_INDEX:
-                sketch = self._attach_sketch(manifest, distance, mmap, 0)
+            state = self._open_checked()
+            if state.kind == _KIND_INDEX:
+                sketch = self._attach_sketch(state, distance, mmap, 0)
                 return None if sketch is None else [sketch]
             sketches = []
             id_base = 0
-            for name in manifest["shards"]:
-                shard = ColumnarStore(os.path.join(self.path, name),
-                                      normalize=False)
-                shard_manifest = shard._read_manifest()
-                shard._check_sizes(shard_manifest)
-                if (shard_manifest["rows_total"]
-                        > shard_manifest["rows_dead"]):
-                    sketch = shard._attach_sketch(shard_manifest, distance,
+            for name in state.shards:
+                shard = self._shard(name)
+                shard_state = shard._open_checked()
+                if shard_state.live_rows() > 0:
+                    sketch = shard._attach_sketch(shard_state, distance,
                                                   mmap, id_base)
                     if sketch is None:
                         return None
                     sketches.append(sketch)
-                id_base += shard_manifest["rows_total"]
+                id_base += shard_state.rows_total
             return sketches
 
-    def _attach_sketch(self, manifest: dict[str, Any], distance: Any,
+    def _attach_sketch(self, state: _Committed, distance: Any,
                        mmap: bool, id_base: int) -> Any:
         """The store-attached sketch of one index store, its og_ids
         numbered from ``id_base`` (see :meth:`load_sketch`)."""
         from repro.distance.eged import MetricEGED
         from repro.search.sketch import SketchRows
 
-        segments = manifest["segments"]
-        if not segments or segments[0].get("kind") != "base":
-            raise IndexCorruptionError(
-                f"store {self.path} has no base segment",
-                details={"path": self.path,
-                         "segments": [s["name"] for s in segments]},
-            )
-        base = segments[0]
-        meta = self._read_segment_meta(base)
+        base = state.segments[0]
+        header = self._header(base)
+        meta = header["meta"]
         sketch_meta = meta.get("sketch_meta")
         if sketch_meta is None:
             return None
         base_rows = int(base["rows"])
-        reader = ColumnarRowReader(self, manifest, mmap, id_base)
+        reader = ColumnarRowReader(self, state, mmap, id_base)
         # The pivots are a few series: read them, map the per-row columns.
-        columns = self._load_columns(base, SKETCH_COLUMNS[:2], mmap=False)
-        columns.update(self._load_columns(base, SKETCH_COLUMNS[2:], mmap))
+        columns = self._columns(base, header, SKETCH_COLUMNS[:2], mmap=False)
+        columns.update(self._columns(base, header, SKETCH_COLUMNS[2:], mmap))
         try:
             sketch = read_sketch(
                 columns, sketch_meta,
@@ -820,29 +1010,15 @@ class ColumnarStore:
         if distance is None:
             distance = MetricEGED(meta["config"]["metric_gap"])
         next_row = base_rows
-        for segment in segments[1:]:
-            seg_meta = self._read_segment_meta(segment)
+        for entry in state.segments[1:]:
             ins_rows: list[int] = []
             dels: list[int] = []
-            try:
-                for op in seg_meta["ops"]:
-                    code, operand = op[0], int(op[1])
-                    if code == "i":
-                        ins_rows.append(next_row)
-                        next_row += 1
-                    elif code == "d":
-                        dels.append(operand)
-                    else:
-                        raise ValueError(f"unknown op code {code!r}")
-            except (KeyError, ValueError, TypeError,
-                    IndexError) as exc:
-                raise IndexCorruptionError(
-                    f"cannot replay delta segment {segment['name']} "
-                    f"of {self.path}: {exc}",
-                    details={"path": self.path,
-                             "segment": segment["name"],
-                             "cause": type(exc).__name__},
-                ) from exc
+            for code, operand in self._delta_ops(entry, self._header(entry)):
+                if code == "i":
+                    ins_rows.append(next_row)
+                    next_row += 1
+                else:
+                    dels.append(operand)
             if ins_rows:
                 # Same-batch inserts land before the batch's deletes;
                 # a delete can only name an already-appended row, so
@@ -853,21 +1029,19 @@ class ColumnarStore:
             for row in dels:
                 if not sketch.remove(id_base + row):
                     raise IndexCorruptionError(
-                        f"delta segment {segment['name']} of "
+                        f"delta segment {entry['seg']} of "
                         f"{self.path} deletes unknown row {row}",
                         details={"path": self.path,
-                                 "segment": segment["name"],
-                                 "row": row},
+                                 "segment": entry["seg"], "row": row},
                     )
-        live = manifest["rows_total"] - manifest["rows_dead"]
-        if next_row != manifest["rows_total"] or len(sketch) != live:
+        live = state.live_rows()
+        if next_row != state.rows_total or len(sketch) != live:
             raise IndexCorruptionError(
                 f"sketch replay of {self.path} disagrees with the "
-                f"manifest ({len(sketch)} live rows vs {live})",
+                f"log ({len(sketch)} live rows vs {live})",
                 details={"path": self.path, "live": len(sketch),
-                         "manifest": live,
-                         "rows": next_row,
-                         "rows_total": manifest["rows_total"]},
+                         "logged": live, "rows": next_row,
+                         "rows_total": state.rows_total},
             )
         sketch.replay_distance = distance
         OBS.count("storage.columnar.sketch_loads")
@@ -893,8 +1067,8 @@ class ColumnarStore:
                 raise StorageError(
                     f"cannot append to {self.path}: store does not exist "
                     "(write_index() first)")
-            manifest = self._read_manifest()
-            if manifest["kind"] != _KIND_INDEX:
+            state = self._committed()
+            if state.kind != _KIND_INDEX:
                 raise StorageError(
                     f"cannot append to {self.path}: sharded columnar "
                     "stores are write/load-only — append to the shard "
@@ -904,10 +1078,20 @@ class ColumnarStore:
                     f"cannot append to {self.path}: store rows are not "
                     "bound to this process (call load_index() or "
                     "write_index() first)")
+            if state.version != self._bound_version:
+                raise StorageError(
+                    f"cannot append to {self.path}: the committed log "
+                    "moved since this process bound its rows (a failed "
+                    "or foreign commit); write the index in full")
+            if state.file_size != state.size:
+                # A torn tail from a crashed append: cut it off so the
+                # record lands on a line of its own.
+                os.truncate(self._log_path, state.size)
+                state.file_size = state.size
             with OBS.span("storage.columnar.append", writes=len(writes)):
-                return self._append_locked(manifest, writes)
+                return self._append_locked(state, writes)
 
-    def _append_locked(self, manifest: dict[str, Any],
+    def _append_locked(self, state: _Committed,
                        writes: Sequence[Any]) -> str | None:
         ops: list[list] = []
         insert_ogs: list[Any] = []
@@ -915,7 +1099,7 @@ class ColumnarStore:
         delta_backgrounds: list[Any] = []
         bg_ordinal: dict[int, int] = {}
         overlay: dict[int, int] = {}
-        rows = self._rows
+        rows = state.rows_total
         new_dead: list[int] = []
         for write in writes:
             if write.op == "insert":
@@ -936,7 +1120,7 @@ class ColumnarStore:
             elif write.op == "delete":
                 row = overlay.get(write.og_id,
                                   self._row_of.get(write.og_id))
-                if row is None or row in self._dead or row in new_dead:
+                if row is None or row in state.dead or row in new_dead:
                     continue
                 ops.append(["d", int(row)])
                 new_dead.append(int(row))
@@ -961,33 +1145,17 @@ class ColumnarStore:
             arrays.update(_pack_backgrounds([
                 SimpleNamespace(background=bg) for bg in delta_backgrounds
             ]))
-        ordinal = manifest["next_segment"]
-        name = f"seg-{ordinal:06d}"
-        segment = self._write_segment(name, arrays, {
-            "kind": "delta", "ops": ops, "refs": insert_refs,
-        })
-        segment.update(kind="delta", rows=len(insert_ogs))
-        dead = set(self._dead)
-        dead.update(new_dead)
-        tombstones = self._write_tombstones(ordinal, rows, dead)
-        manifest = dict(manifest)
-        manifest["segments"] = manifest["segments"] + [segment]
-        manifest["next_segment"] = ordinal + 1
-        manifest["rows_total"] = rows
-        manifest["rows_dead"] = len(dead)
-        manifest["tombstones"] = tombstones
-        self._commit_manifest(manifest, "storage.append")
-        self._collect_garbage(manifest)
-        if maybe_truncate(
-                "storage.append",
-                os.path.join(self.path, name, "og_values.npy")):
-            logger.warning("injected truncation in segment %s", name)
+        entry = self._write_segment(
+            state.next_ordinal(), "delta", len(insert_ogs),
+            {"ops": ops, "refs": insert_refs}, arrays)
+        state = self._append_record(state, dict(entry, dead=new_dead))
+        if maybe_truncate("storage.append", self._segment_path(entry["seg"])):
+            logger.warning("injected truncation in segment %s", entry["seg"])
         self._row_of.update(overlay)
-        self._rows = rows
-        self._dead = dead
+        self._bound_version = state.version
         OBS.count("storage.columnar.appends")
-        OBS.gauge("storage.columnar.segments", len(manifest["segments"]))
-        return name
+        OBS.gauge("storage.columnar.segments", len(state.segments))
+        return entry["seg"]
 
     def checkpoint(self, index: Any, writes: Sequence[Any] | None = None
                    ) -> str | None:
@@ -1012,13 +1180,13 @@ class ColumnarStore:
         """Whether segment count / dead-row fraction crossed the policy."""
         if not self.exists():
             return False
-        manifest = self._read_manifest()
-        if manifest["kind"] != _KIND_INDEX:
+        state = self._committed()
+        if state.kind != _KIND_INDEX:
             return False
-        if len(manifest["segments"]) > self.merge_max_segments:
+        if len(state.segments) > self.merge_max_segments:
             return True
-        total = max(manifest["rows_total"], 1)
-        return manifest["rows_dead"] / total > self.merge_dead_fraction
+        return len(state.dead) / max(state.rows_total, 1) \
+            > self.merge_dead_fraction
 
     def merge(self, index: Any = None) -> bool:
         """Fold every segment into a fresh base (O(corpus), amortized).
@@ -1098,53 +1266,69 @@ class ColumnarStore:
     # -- integrity / introspection ----------------------------------------
 
     def verify(self) -> dict[str, Any]:
-        """Full integrity pass: re-hash every file against the manifest.
+        """Full integrity pass: re-hash every column against its header.
 
         This is the O(corpus) deep check that the O(1) open deliberately
         skips; ``convert`` runs it after every import and crash recovery
-        before trusting a snapshot.  Returns
-        ``{"files": n, "bytes": n}`` or raises ``IndexCorruptionError``.
+        before trusting a snapshot.  A mismatch raises
+        ``IndexCorruptionError`` naming the segment and the column.
+        Returns ``{"files": n, "columns": n, "bytes": n}`` (the log
+        counts as a file).
         """
-        manifest = self._read_manifest()
-        self._check_sizes(manifest)
-        files = 0
-        total = 0
-        for rel, entry in self._iter_file_entries(manifest):
-            target = os.path.join(self.path, rel)
-            actual = _sha256_file(target)
-            if actual != entry["sha256"]:
-                raise IndexCorruptionError(
-                    f"checksum mismatch in {target}: payload was altered "
-                    "on disk",
-                    details={"path": target, "expected": entry["sha256"],
-                             "actual": actual},
-                )
+        state = self._open_checked()
+        files, columns, total = 1, 0, state.size
+        for entry in state.segments:
+            header = self._header(entry)
+            target = self._segment_path(entry["seg"])
+            with open(target, "rb") as fh:
+                for spec in header["columns"]:
+                    fh.seek(header["data"] + spec["offset"])
+                    digest = hashlib.sha256()
+                    left = _column_bytes(spec)
+                    while left > 0:
+                        chunk = fh.read(min(left, 1 << 20))
+                        if not chunk:
+                            break
+                        digest.update(chunk)
+                        left -= len(chunk)
+                    if digest.hexdigest() != spec["sha256"]:
+                        raise IndexCorruptionError(
+                            f"checksum mismatch in column {spec['name']} "
+                            f"of segment {entry['seg']} ({target}): "
+                            "payload was altered on disk",
+                            details={"path": target,
+                                     "segment": entry["seg"],
+                                     "column": spec["name"],
+                                     "expected": spec["sha256"],
+                                     "actual": digest.hexdigest()},
+                        )
+                    columns += 1
             files += 1
             total += entry["bytes"]
-        for name in manifest.get("shards", []):
-            shard = ColumnarStore(os.path.join(self.path, name),
-                                  normalize=False)
-            report = shard.verify()
+        for name in state.shards:
+            report = self._shard(name).verify()
             files += report["files"]
+            columns += report["columns"]
             total += report["bytes"]
-        return {"files": files, "bytes": total}
+        return {"files": files, "columns": columns, "bytes": total}
 
     def describe(self) -> dict[str, Any]:
         """Small stats dict for CLI/status output."""
-        manifest = self._read_manifest()
+        state = self._committed()
         info: dict[str, Any] = {
             "path": self.path,
-            "kind": manifest["kind"],
+            "kind": state.kind,
+            "version": self.version(),
         }
-        if manifest["kind"] == _KIND_SHARDED:
-            info["num_shards"] = manifest["num_shards"]
+        if state.kind == _KIND_SHARDED:
+            info["num_shards"] = len(state.shards)
             return info
         info.update(
-            segments=len(manifest["segments"]),
-            rows_total=manifest["rows_total"],
-            rows_dead=manifest["rows_dead"],
-            bytes=sum(entry["bytes"] for _, entry
-                      in self._iter_file_entries(manifest)),
+            segments=len(state.segments),
+            rows_total=state.rows_total,
+            rows_dead=len(state.dead),
+            bytes=state.size + sum(entry["bytes"]
+                                   for entry in state.segments),
         )
         return info
 
@@ -1160,9 +1344,9 @@ class ColumnarRowReader:
     resolve to ``(segment, local row)`` via a prefix-sum binary search.
     Series and frames come out as zero-copy offsets-table slices of the
     (optionally mmap'd) ``og_*`` columns: touching one row faults in
-    that row's pages, never a whole segment.  Segment columns and metas
-    load lazily on first touch, so a reader over a million-row store
-    costs a few manifest stats until a row is actually read.
+    that row's pages, never a whole segment.  Segment columns and
+    headers load lazily on first touch, so a reader over a million-row
+    store costs one log read until a row is actually read.
 
     Records are ``ObjectGraph``s minted with ``og_id = id_base + row
     ordinal`` — the one identity that is stable across processes —
@@ -1174,37 +1358,24 @@ class ColumnarRowReader:
     stay unique across the shards' readers.
     """
 
-    def __init__(self, store: ColumnarStore, manifest: dict[str, Any],
+    def __init__(self, store: ColumnarStore, state: _Committed,
                  mmap: bool = True, id_base: int = 0):
-        if manifest["kind"] != _KIND_INDEX:
+        if state.kind != _KIND_INDEX:
             raise StorageError(
-                f"sharded store {store.path} has no global row space")
-        segments = manifest["segments"]
-        if not segments or segments[0].get("kind") != "base":
-            raise IndexCorruptionError(
-                f"store {store.path} has no base segment",
-                details={"path": store.path,
-                         "segments": [s["name"] for s in segments]},
-            )
+                f"sharded store {store.path} has no global row space; "
+                "open the shard stores individually")
         self._store = store
         self._mmap = bool(mmap)
         self._id_base = int(id_base)
-        self._segments = list(segments)
-        self._columns: list[tuple | None] = [None] * len(segments)
-        self._refs: list[list | None] = [None] * len(segments)
+        self._segments = list(state.segments)
+        self._columns: list[tuple | None] = [None] * len(self._segments)
+        self._refs: list[list | None] = [None] * len(self._segments)
         starts = [0]
-        for segment in segments:
-            starts.append(starts[-1] + int(segment["rows"]))
+        for entry in self._segments:
+            starts.append(starts[-1] + int(entry["rows"]))
         self._starts = starts
-        self._rows_total = int(manifest["rows_total"])
-        if starts[-1] != self._rows_total:
-            raise IndexCorruptionError(
-                f"segment row counts of {store.path} sum to "
-                f"{starts[-1]}, manifest says {self._rows_total}",
-                details={"path": store.path, "sum": starts[-1],
-                         "manifest": self._rows_total},
-            )
-        self._dead = store._load_tombstones(manifest)
+        self._rows_total = state.rows_total
+        self._dead = state.dead
 
     def __len__(self) -> int:
         return self._rows_total
@@ -1226,29 +1397,27 @@ class ColumnarRowReader:
         part = bisect.bisect_right(self._starts, row) - 1
         return part, row - self._starts[part]
 
-    def _part_columns(self, part: int) -> tuple:
-        """``(values, offsets, frames, labels)`` of one segment.
+    def _load_part(self, part: int) -> None:
+        """Map ``(values, offsets, frames, labels)`` and read the refs of
+        one segment.
 
-        Held as base-class ``ndarray`` views of the maps: still
-        zero-copy, but a slice skips ``np.memmap``'s per-``__getitem__``
-        subclass bookkeeping (3x the cost of the slice itself).
+        Columns are held as base-class ``ndarray`` views of the maps:
+        still zero-copy, but a slice skips ``np.memmap``'s
+        per-``__getitem__`` subclass bookkeeping (3x the cost of the
+        slice itself).
         """
-        columns = self._columns[part]
-        if columns is None:
-            names = ("og_values", "og_offsets", "og_frames", "og_labels")
-            loaded = self._store._load_columns(self._segments[part], names,
-                                               self._mmap)
-            columns = tuple(loaded[name].view(np.ndarray) for name in names)
-            self._columns[part] = columns
-        return columns
+        entry = self._segments[part]
+        header = self._store._header(entry)
+        names = ("og_values", "og_offsets", "og_frames", "og_labels")
+        loaded = self._store._columns(entry, header, names, self._mmap)
+        self._refs[part] = header["meta"].get("refs") or []
+        self._columns[part] = tuple(loaded[name].view(np.ndarray)
+                                    for name in names)
 
-    def _part_refs(self, part: int) -> list:
-        refs = self._refs[part]
-        if refs is None:
-            meta = self._store._read_segment_meta(self._segments[part])
-            refs = meta.get("refs") or []
-            self._refs[part] = refs
-        return refs
+    def _part_columns(self, part: int) -> tuple:
+        if self._columns[part] is None:
+            self._load_part(part)
+        return self._columns[part]
 
     def series(self, row: int) -> np.ndarray:
         """Zero-copy ``(n, d)`` float64 trajectory slice of one row."""
@@ -1266,7 +1435,7 @@ class ColumnarRowReader:
         if frames_flat.shape[0] == offsets[-1]:
             frames = frames_flat[lo:hi]
         label = int(labels[local])
-        refs = self._part_refs(part)
+        refs = self._refs[part]
         og = ObjectGraph(
             values=values[lo:hi],
             frames=frames,
@@ -1283,4 +1452,5 @@ __all__ = [
     "ColumnarStore",
     "columnar_path",
     "is_columnar_store",
+    "is_v1_store",
 ]

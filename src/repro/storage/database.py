@@ -120,7 +120,7 @@ class VideoDatabase:
 
         A database opened with ``mmap`` (via :func:`repro.open_database`
         or :meth:`load`) defers tree materialization: ``open`` is O(1)
-        — one manifest read — and the tree is built from the store's
+        — one log read — and the tree is built from the store's
         zero-copy views the first time anything touches ``db.index``.
         """
         if self._service is not None:
@@ -553,8 +553,9 @@ class VideoDatabase:
         Any other path is a plain export.  ``path`` defaults to the
         database's bound :attr:`path` (set by :func:`repro.open_database`
         / :meth:`load`); a suffix-less path means ``<path>.strg/``.  The
-        store's manifest is replaced last and atomically — temp + fsync +
-        rename — so a crash mid-save leaves any previous snapshot intact.
+        store's manifest log is replaced last and atomically — temp +
+        fsync + rename + directory fsync — so a crash mid-save leaves any
+        previous snapshot intact.
         """
         if self.state_dir is not None:
             self._require_index()
@@ -602,7 +603,7 @@ class VideoDatabase:
         store = open_store(path)
         use_mmap = bool(mmap)   # "auto" maps too: every store can
         if lazy:
-            # One manifest read: a missing or corrupt store fails at
+            # One log read: a missing or corrupt store fails at
             # open time, not at first touch, and the database knows its
             # sharding before the tree exists.
             manifest = store.manifest()

@@ -6,7 +6,7 @@ payloads as ragged columns with offset tables, per-root Background
 Graphs, the sketch tier — and :func:`index_from_arrays` rebuilds it, so
 a loaded index answers queries (including background-routed ones)
 identically.  :mod:`repro.storage.columnar` stores exactly these
-columns as ``.npy`` files.
+columns, one segment file per snapshot or write batch.
 
 **Archive reader.**  Through v2.0.0 the same columns were also written
 as one checksummed NPZ archive (plus ``<base>.shard<i>.npz`` for a
@@ -303,10 +303,11 @@ def index_to_arrays(index: STRGIndex
     """Flatten an STRG-Index into numeric columns + JSON-able meta.
 
     The columns are the flat structured arrays a columnar segment
-    stores, one ``.npy`` file each: trajectories plus an offsets table, per-row labels/keys/cluster ordinals, centroid and
-    background tables, and — when built — the sketch tier.  ``meta``
-    carries everything non-numeric: the index config, per-row clip
-    refs, root count and the sketch meta JSON.
+    stores: trajectories plus an offsets table, per-row
+    labels/keys/cluster ordinals, centroid and background tables, and
+    — when built — the sketch tier.  ``meta`` carries everything
+    non-numeric: the index config, per-row clip refs, root count and
+    the sketch meta JSON.
     """
     ogs: list[ObjectGraph] = []
     keys: list[float] = []
@@ -370,7 +371,7 @@ def index_from_arrays(arrays, meta: dict[str, Any],
     """Rebuild an STRG-Index from :func:`index_to_arrays` output.
 
     ``arrays`` may be any mapping of name to array — in-RAM copies or
-    memory-mapped ``.npy`` views.  Values (and frames) are *sliced*,
+    memory-mapped column views.  Values (and frames) are *sliced*,
     never copied, so an index built over memory-mapped columns holds
     zero-copy views into the store file: pages fault in only when a
     query actually evaluates a trajectory.

@@ -28,10 +28,15 @@ from repro.serving.snapshot import LiveIndex, _BufferedWrite
 from repro.storage.columnar import ColumnarStore, is_columnar_store
 from repro.storage.serialize import index_to_arrays
 from repro.storage.store import convert, open_store
+from tests import store_layout
 
 #: 2.x archives written by the last commit whose src/ could (see
 #: ``expected.json``'s provenance): the importer's only test input.
 LEGACY = Path(__file__).parent / "data" / "legacy_npz"
+#: 9.x stores (columnar format version 1), likewise written by the last
+#: src/ that could: a monolithic store with three delta segments and
+#: two deletes, and a 2-shard store.
+LEGACY_V1 = Path(__file__).parent / "data" / "legacy_v1_strg"
 
 
 def legacy_copy(tmp_path, name="mono.npz"):
@@ -192,14 +197,14 @@ class TestAppendAndReplay:
         index, _ = build_index()
         store = ColumnarStore(tmp_path / "ck")
         store.checkpoint(index)  # first: full write
-        one = len(store._read_manifest()["segments"])
+        one = len(store_layout.segments(store))
         og = ObjectGraph.from_values([[0.0, 0.0], [1.0, 1.0]])
         index.insert(og, None, "late")
         store.checkpoint(index, [_BufferedWrite("insert", og=og,
                                                 clip_ref="late")])
-        manifest = store._read_manifest()
-        assert len(manifest["segments"]) == one + 1
-        assert manifest["segments"][-1]["kind"] == "delta"
+        segments = store_layout.segments(store)
+        assert len(segments) == one + 1
+        assert segments[-1]["kind"] == "delta"
         assert len(store.load_index()) == len(index)
 
 
@@ -215,7 +220,7 @@ class TestMerge:
         store.append(writes)
         assert store.needs_merge()
         assert store.merge(index)
-        manifest = store._read_manifest()
+        manifest = store.manifest()
         assert len(manifest["segments"]) == 1
         assert manifest["rows_dead"] == 0
         survivors = ogs[len(ogs) // 2:]
@@ -239,18 +244,15 @@ class TestMerge:
         index, _ = build_index(blob_ogs(k=4, n_per=8, seed=3))
         store = ColumnarStore(tmp_path / "odelta")
         store.write_index(index)
-        base_bytes = sum(entry["bytes"]
-                         for seg in store._read_manifest()["segments"]
-                         for entry in seg["files"].values())
+        base_bytes = sum(seg["bytes"]
+                         for seg in store_layout.segments(store))
         og = ObjectGraph.from_values([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         index.insert(og, None, "tiny")
         name = store.append([_BufferedWrite("insert", og=og,
                                             clip_ref="tiny")])
-        manifest = store._read_manifest()
-        delta = next(s for s in manifest["segments"] if s["name"] == name)
-        delta_bytes = sum(entry["bytes"]
-                          for entry in delta["files"].values())
-        assert delta_bytes < base_bytes / 5
+        delta = next(s for s in store_layout.segments(store)
+                     if s["seg"] == name)
+        assert delta["bytes"] < base_bytes / 5
 
 
 class TestCorruptionDetection:
@@ -262,38 +264,30 @@ class TestCorruptionDetection:
 
     def test_truncated_segment_raises_typed_error(self, tmp_path):
         store, _, _ = self.make_store(tmp_path)
-        manifest = store._read_manifest()
-        seg = manifest["segments"][0]["name"]
-        target = os.path.join(store.path, seg, "og_values.npy")
-        with open(target, "r+b") as fh:
-            fh.truncate(os.path.getsize(target) // 2)
+        store_layout.truncate_segment(store)
         with pytest.raises(IndexCorruptionError) as err:
             ColumnarStore(store.path).load_index()
         assert err.value.details
 
     def test_corrupt_manifest_raises_typed_error(self, tmp_path):
         store, _, _ = self.make_store(tmp_path)
-        with open(os.path.join(store.path, "manifest.json"), "w") as fh:
-            fh.write('{"format": "strg-columnar", "truncated')
+        store_layout.log_path(store).write_text(
+            '{"format": "strg-columnar", "truncated\n')
         with pytest.raises(IndexCorruptionError):
             ColumnarStore(store.path).load_index()
 
     def test_flipped_segment_byte_fails_verify(self, tmp_path):
         store, _, _ = self.make_store(tmp_path)
-        manifest = store._read_manifest()
-        seg = manifest["segments"][0]["name"]
-        target = os.path.join(store.path, seg, "og_values.npy")
-        blob = bytearray(open(target, "rb").read())
-        blob[len(blob) // 2] ^= 0xFF
-        open(target, "wb").write(bytes(blob))
+        store_layout.flip_column_byte(store, "og_values")
         with pytest.raises(IndexCorruptionError):
             ColumnarStore(store.path).verify()
 
     def test_row_count_mismatch_detected(self, tmp_path):
         store, _, _ = self.make_store(tmp_path)
-        manifest = store._read_manifest()
-        manifest["rows_total"] += 1
-        store._commit_manifest(manifest, "storage.write")
+
+        def one_more_row(records):
+            records[0]["rows"] += 1
+        store_layout.edit_log(store, one_more_row)
         with pytest.raises(IndexCorruptionError):
             ColumnarStore(store.path).load_index()
 
@@ -308,8 +302,8 @@ class TestCorruptionDetection:
                 store.append([_BufferedWrite("insert", og=og,
                                              clip_ref="lost")])
         assert injector.fired["storage.append"] == 1
-        # The manifest never committed: the store reopens at the
-        # pre-append state, ignoring the orphaned segment directory.
+        # The log record never landed: the store reopens at the
+        # pre-append state, ignoring the orphaned segment file.
         reopened = ColumnarStore(store.path)
         assert knn_signature(reopened.load_index(), ogs[:3]) == before
         reopened.verify()
@@ -325,7 +319,7 @@ class TestCorruptionDetection:
             ColumnarStore(store.path).load_index()
 
     def test_empty_store_dir_is_corruption_not_missing(self, tmp_path):
-        # A .strg directory without a committed manifest is an
+        # A .strg directory without a committed log is an
         # interrupted first write, not a store that never existed.
         empty = tmp_path / "empty.strg"
         empty.mkdir()
@@ -336,39 +330,38 @@ class TestCorruptionDetection:
             store.load_index()
         details = err.value.details
         assert details["path"] == store.path
-        assert details["missing"] == "manifest.json"
+        assert details["missing"] == "manifest.jsonl"
         assert details["contents"] == []
 
     def test_partially_written_dir_lists_contents(self, tmp_path):
         partial = tmp_path / "partial.strg"
-        seg = partial / "seg-000000"
-        seg.mkdir(parents=True)
-        (seg / "og_values.npy").write_bytes(b"\x93NUMPY-but-torn")
+        partial.mkdir()
+        (partial / "seg-000000.seg").write_bytes(b"STRGSEG2-but-torn")
         with pytest.raises(IndexCorruptionError) as err:
             open_store(partial).manifest()
         details = err.value.details
-        assert details["missing"] == "manifest.json"
-        assert details["contents"] == ["seg-000000"]
+        assert details["missing"] == "manifest.jsonl"
+        assert details["contents"] == ["seg-000000.seg"]
 
     def test_manifest_missing_keys_detected(self, tmp_path):
         store, _, _ = self.make_store(tmp_path)
-        manifest = store._read_manifest()
-        del manifest["segments"]
-        del manifest["rows_total"]
-        with open(os.path.join(store.path, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh)
+
+        def drop_keys(records):
+            del records[0]["seg"]
+            del records[0]["rows"]
+        store_layout.edit_log(store, drop_keys)
         with pytest.raises(IndexCorruptionError) as err:
             ColumnarStore(store.path).load_index()
         details = err.value.details
-        assert sorted(details["missing"]) == ["rows_total", "segments"]
+        assert sorted(details["missing"]) == ["rows", "seg"]
         assert "partially written" in str(err.value)
 
     def test_wrong_format_version_detected(self, tmp_path):
         store, _, _ = self.make_store(tmp_path)
-        manifest = store._read_manifest()
-        manifest["format_version"] = 999
-        with open(os.path.join(store.path, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh)
+
+        def bump(records):
+            records[0]["format_version"] = 999
+        store_layout.edit_log(store, bump)
         with pytest.raises(IndexCorruptionError) as err:
             ColumnarStore(store.path).load_index()
         assert err.value.details["version"] == 999
@@ -544,6 +537,114 @@ class TestImporter:
             convert(archive)
 
 
+class TestConvertV1:
+    """``convert`` — the one reader of 9.x (format version 1) stores."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        with open(LEGACY_V1 / "expected.json", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def v1_copy(tmp_path, name):
+        shutil.copytree(LEGACY_V1 / f"{name}.strg", tmp_path / f"{name}.strg")
+        return tmp_path / f"{name}.strg"
+
+    @staticmethod
+    def answers(index, expected, **kwargs):
+        return [[[d, ref] for d, _, ref in
+                 index.knn(np.asarray(query), expected["k"], **kwargs)]
+                for query in expected["queries"]]
+
+    @pytest.mark.parametrize("name", ["mono", "sharded"])
+    @pytest.mark.parametrize("in_place", [True, False],
+                             ids=["in-place", "to-dest"])
+    def test_converted_answers_match_recorded(self, tmp_path, expected,
+                                              name, in_place):
+        source = self.v1_copy(tmp_path, name)
+        dest = None if in_place else tmp_path / "out"
+        store = convert(source, dest)
+        assert store.path == str(source if in_place
+                                 else tmp_path / "out.strg")
+        assert store.describe()["kind"] == \
+            ("sharded" if name == "sharded" else "index")
+        for mmap in (True, False):
+            index = open_store(store.path).load_index(mmap=mmap)
+            assert len(index) == expected["num_ogs"][name]
+            assert self.answers(index, expected) == expected["answers"][name]
+            assert self.answers(index, expected,
+                                search_budget=expected["search_budget"]) \
+                == expected["budgeted"][name]
+        if in_place:   # nothing of the v1 layout is left behind
+            assert not list(Path(store.path).rglob("*.npy"))
+            assert not list(Path(store.path).rglob("manifest.json"))
+        else:
+            assert (source / "manifest.json").is_file()
+
+    def test_deltas_and_deletes_become_log_records(self, tmp_path):
+        store = convert(self.v1_copy(tmp_path, "mono"))
+        kinds = [seg["kind"] for seg in store_layout.segments(store)]
+        assert kinds == ["base", "delta", "delta", "delta"]
+        assert store.manifest()["rows_dead"] == 2
+        records = store_layout.log_records(store)
+        assert sum(len(record.get("dead", [])) for record in records) == 2
+        # Column bytes are copied, not re-encoded.
+        v1 = LEGACY_V1 / "mono.strg" / "seg-000000" / "og_values.npy"
+        target, offset, nbytes = store_layout.column_span(store, "og_values")
+        with open(target, "rb") as fh:
+            fh.seek(offset)
+            copied = fh.read(nbytes)
+        assert copied == np.load(v1).tobytes()
+
+    def test_every_other_entry_point_refuses_v1(self, tmp_path):
+        import repro
+        from repro.serving.ingest import IngestService
+        from repro.serving.workers import WorkerPool
+        from repro.storage.database import VideoDatabase
+
+        source = self.v1_copy(tmp_path, "mono")
+        hint = f"strg-index convert {source}"
+        for call in (lambda: open_store(source),
+                     lambda: open_store(tmp_path / "mono"),
+                     lambda: repro.open_database(source, create=False),
+                     lambda: VideoDatabase.load(source),
+                     lambda: WorkerPool(source),
+                     lambda: ColumnarStore(source).load_index(),
+                     lambda: ColumnarStore(source).write_index(
+                         build_index()[0])):
+            with pytest.raises(StorageError) as err:
+                call()
+            assert hint in str(err.value)
+        state = tmp_path / "state"
+        shutil.copytree(source, state / "index.strg")
+        with pytest.raises(StorageError, match="strg-index convert"):
+            IngestService(LiveIndex(build_index()[0]), state_dir=state)
+        with pytest.raises(StorageError, match="strg-index convert"):
+            IngestService.recover(state)
+        assert (source / "manifest.json").is_file()
+
+    def test_damaged_v1_column_raises(self, tmp_path):
+        source = self.v1_copy(tmp_path, "mono")
+        victim = source / "seg-000002" / "og_values.npy"
+        blob = bytearray(victim.read_bytes())
+        blob[-3] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        with pytest.raises(IndexCorruptionError, match="checksum"):
+            convert(source)
+        assert not is_columnar_store(source)
+
+    def test_cli_converts_then_queries(self, tmp_path, capsys):
+        from repro.cli import main
+
+        source = self.v1_copy(tmp_path, "sharded")
+        assert main(["query", str(source)]) == 3
+        assert "strg-index convert" in capsys.readouterr().err
+        assert main(["convert", str(source)]) == 0
+        assert "verified" in capsys.readouterr().out
+        assert main(["query", str(source), "-k", "3"]) == 0
+        assert capsys.readouterr().out.count("d=") == 3
+
+
 class TestLiveIndexPersistence:
     def make_live(self, tmp_path):
         index, ogs = build_index()
@@ -622,8 +723,8 @@ class TestIngestServiceColumnar:
         loaded = ColumnarStore(service.snapshot_path).load_index()
         assert len(loaded) == 3
         # After the first full checkpoint, later ones append deltas.
-        manifest = ColumnarStore(service.snapshot_path)._read_manifest()
-        assert any(seg["kind"] == "delta" for seg in manifest["segments"])
+        assert any(seg["kind"] == "delta"
+                   for seg in store_layout.segments(service.snapshot_path))
 
     def test_recover_from_columnar_state_dir(self, tmp_path):
         from tests.test_ingest_service import _StubPipeline, make_clip

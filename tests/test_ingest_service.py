@@ -38,6 +38,7 @@ from repro.video.synthesize import (
     linear_trajectory,
     make_vehicle,
 )
+from tests import store_layout
 
 
 def fast_config(**overrides) -> IngestServiceConfig:
@@ -612,15 +613,12 @@ class TestCrashRecovery:
                                job_id=f"job-{name}")
             service.drain(timeout=60.0)
         store = state / "index.strg"
-        target = store / "seg-000000" / "og_values.npy"
-        if damage == "flip":
-            blob = bytearray(target.read_bytes())
-            blob[-1] ^= 0xFF          # last float of the base trajectories
-            target.write_bytes(bytes(blob))
+        if damage == "flip":          # last float of the base trajectories
+            store_layout.flip_column_byte(store, "og_values", where=1.0)
         elif damage == "truncate":
-            os.truncate(target, target.stat().st_size // 2)
+            store_layout.truncate_segment(store)
         else:
-            os.truncate(store / "manifest.json", 40)
+            os.truncate(store_layout.log_path(store), 40)
 
         recovered = IngestService.recover(
             state, pipeline=_StubPipeline(),

@@ -41,6 +41,7 @@ from repro.video.synthesize import (
     linear_trajectory,
     make_vehicle,
 )
+from tests import store_layout
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0)
 
@@ -50,17 +51,12 @@ def load_index(path):
 
 
 def damage(path, how):
-    """Truncate, or flip one byte of, the store's base trajectories."""
-    target = os.path.join(path, "seg-000000", "og_values.npy")
+    """Truncate the store's base segment, or flip one byte of its
+    trajectories."""
     if how == "truncate":
-        with open(target, "r+b") as fh:
-            fh.truncate(100)
+        store_layout.truncate_segment(path, keep=100)
     else:
-        with open(target, "r+b") as fh:
-            fh.seek(os.path.getsize(target) // 2)
-            byte = fh.read(1)
-            fh.seek(-1, os.SEEK_CUR)
-            fh.write(bytes([byte[0] ^ 0xFF]))
+        store_layout.flip_column_byte(path, "og_values")
 
 
 def tiny_segment(i: int, num_frames: int = 6):

@@ -44,6 +44,7 @@ from repro.search import (
 from repro.serving import ShardedIndex, ShardedIndexConfig
 from repro.storage.columnar import ColumnarStore
 from repro.storage.database import VideoDatabase
+from tests import store_layout
 
 
 def budgeted_knn(sketch, distance, query, k, budget):
@@ -323,11 +324,13 @@ class TestStoreAttachedSketch:
         load warns and rebuilds the tier, ``load_sketch`` raises."""
         ogs = corpus(40, seed=53)
         store, index = store_with_sketch(tmp_path, ogs, name="bad")
-        column = tmp_path / "bad.strg" / "seg-000000" / "sketch_sig.npy"
-        sig = np.load(column)
-        size = column.stat().st_size
-        np.save(column, sig.reshape(len(sig) * 2, -1))  # same bytes
-        assert column.stat().st_size == size
+        def split_rows(header):           # same bytes, twice the rows
+            spec = next(c for c in header["columns"]
+                        if c["name"] == "sketch_sig")
+            rows, width = spec["shape"]
+            assert width % 2 == 0
+            spec["shape"] = [rows * 2, width // 2]
+        store_layout.rewrite_segment(tmp_path / "bad.strg", 0, split_rows)
         with pytest.raises(IndexCorruptionError, match="sketch tier"):
             store.load_sketch()
         with caplog.at_level("WARNING"):

@@ -23,6 +23,7 @@ from repro.serving.snapshot import LiveIndex
 from repro.storage.database import VideoDatabase
 from repro.storage.serialize import leaf_ogs
 from repro.storage.store import open_store
+from tests import store_layout
 from tests.test_resilience import tiny_segment
 
 
@@ -224,8 +225,9 @@ class TestJobFailures:
 
 def _store_digest(path) -> dict[str, str]:
     root = Path(open_store(path).path)
-    return {str(f.relative_to(root)): hashlib.sha256(f.read_bytes())
-            .hexdigest() for f in sorted(root.rglob("*")) if f.is_file()}
+    files = {str(f.relative_to(root)): hashlib.sha256(f.read_bytes())
+             .hexdigest() for f in sorted(root.rglob("*")) if f.is_file()}
+    return dict(files, **store_layout.column_digests(root))
 
 
 class TestFirstCompactionIsABuild:
