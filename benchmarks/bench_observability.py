@@ -46,7 +46,9 @@ EXPECTED_STAGES = (
     "pipeline.decomposition",
     "index.build",
     "clustering.em.fit",
-    "index.knn",
+    # A VideoDatabase holds a ShardedIndex (one shard by default): its
+    # query is the sharded scatter-gather's span.
+    "serving.knn",
 )
 
 
@@ -190,7 +192,7 @@ def bench_observability_report():
 
     assert not missing, f"simulated run missed stages: {missing}"
     assert snapshot["distance.pairs_computed"] > 0
-    assert snapshot["index.knn_queries"] >= 1
+    assert snapshot["serving.knn_queries"] >= 1
     assert disabled_pct < 3.0, (
         f"disabled observability costs {disabled_pct:.2f}% on the kernel "
         "sweep (budget: 3%)"

@@ -7,15 +7,15 @@ Subcommands::
     strg-index ingest OUT          # fault-tolerant, journaled batch ingest
     strg-index recover STATE_DIR   # exactly-once crash recovery
     strg-index query  INDEX        # k-NN query with a synthetic trajectory
-    strg-index convert SRC [DST]   # import a 2.x archive or a 9.x store
+    strg-index convert SRC [DST]   # import a 2.x archive, a 9.x or 10.x store
     strg-index bench               # tiny smoke benchmark
     strg-index serve  INDEX        # drive the query service on an index
     strg-index bench-load          # closed-loop load benchmark at N shards
 
 Snapshot paths name a memory-mappable columnar ``.strg/`` store (a
 suffix-less path means ``<path>.strg/``; see ``docs/STORAGE.md``).  A
-2.x ``.npz`` archive and a 9.x store (columnar format version 1) are
-refused everywhere except ``convert``, which imports them.  Every
+2.x ``.npz`` archive and 9.x / 10.x stores (columnar format versions 1
+and 2) are refused everywhere except ``convert``, which imports them.  Every
 subcommand prints human-readable progress to stdout; a storage error
 prints to stderr and exits 3.
 """
@@ -98,7 +98,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         print(f"unknown stream {args.stream!r}; choose from {sorted(STREAMS)}",
               file=sys.stderr)
         return 2
-    db = VideoDatabase()
+    db = VideoDatabase(shards=args.shards)
     video = render_stream_segment(args.stream, num_frames=args.frames)
     n = db.ingest(video)
     print(f"ingested {video!r}: {n} OGs")
@@ -301,8 +301,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         NetFrontend,
         QueryService,
         ServiceConfig,
-        ShardedIndex,
-        ShardedIndexConfig,
         WorkerPool,
         WorkerPoolConfig,
         run_load,
@@ -317,18 +315,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     # Worker processes serve a written store read-only; a live index
-    # (needed to ingest, able to reshard in memory) runs in this process.
+    # (needed to ingest) runs in this process.  Both serve the store's
+    # shards as written (`strg-index build --shards N` writes N).
     pooled = http and not args.ingest
     ingest_service = None
     if pooled:
         from repro.storage.store import open_store
 
-        if args.shards is not None:
-            print("--shards reshards in memory, which the worker processes "
-                  "of --http cannot do; add --ingest to serve a live "
-                  "in-process index, or write a sharded store first",
-                  file=sys.stderr)
-            return 2
         store = open_store(args.index)
         if not store.exists():
             print(f"--http serves worker processes memory-mapping a written "
@@ -345,14 +338,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         db = open_database(args.index, create=False)
         corpus = db.index
-        if args.shards is not None and getattr(corpus, "shards", None) is None:
-            # Monolithic snapshot + --shards: reshard its OGs in memory.
-            print(f"resharding {len(corpus)} OGs across {args.shards} "
-                  "shard(s)...")
-            sharded = ShardedIndex(ShardedIndexConfig(
-                num_shards=args.shards, index=corpus.config))
-            sharded.build(list(corpus.object_graphs()))
-            corpus = sharded
         backend = LiveIndex(corpus)
         if args.ingest:
             from repro.datasets.real import STREAMS, render_stream_segment
@@ -490,6 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("output", help="output snapshot path")
     build.add_argument("--stream", default="Traffic1")
     build.add_argument("--frames", type=int, default=60)
+    build.add_argument("--shards", type=int, default=1,
+                       help="shards of the written store (serve serves "
+                            "what the store holds)")
     build.set_defaults(func=_cmd_build)
 
     ingest = sub.add_parser(
@@ -543,16 +531,16 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(func=_cmd_query)
 
     convert = sub.add_parser(
-        "convert", help="import a 2.x NPZ archive or a 9.x store into a "
-                        "current columnar store"
+        "convert", help="import a 2.x NPZ archive, a 9.x or a 10.x store "
+                        "into a current columnar store"
     )
     convert.add_argument("source", help="2.x NPZ archive (monolithic or "
-                                        "sharded meta archive) or 9.x "
-                                        ".strg store")
+                                        "sharded meta archive), or 9.x or "
+                                        "10.x .strg store")
     convert.add_argument("dest", nargs="?", default=None,
                          help="destination store path (default: an "
                               "archive converts next to itself, "
-                              "corpus.npz -> corpus.strg/; a 9.x store "
+                              "corpus.npz -> corpus.strg/; an older store "
                               "converts in place)")
     convert.set_defaults(func=_cmd_convert)
 
@@ -581,10 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the query service over a saved index"
     )
     serve.add_argument("index",
-                       help="index store path (.strg; monolithic or "
-                            "sharded)")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="reshard a monolithic snapshot across N shards")
+                       help="index store path (.strg; served with the "
+                            "shards it holds)")
     serve.add_argument("--http", default=None, metavar="HOST:PORT",
                        help="serve over HTTP with worker *processes* "
                             "memory-mapping the store (port 0 = "

@@ -659,7 +659,7 @@ class STRGIndex:
 
 def extend_index(index, ogs: Sequence[ObjectGraph],
                  background: BackgroundGraph | None = None,
-                 clip_refs: Sequence[Any] | None = None) -> None:
+                 clip_refs: Sequence[Any] | None = None) -> list:
     """Add a batch of OGs that share one background to ``index``.
 
     An empty index (monolithic or sharded) is *built* from the batch in
@@ -667,13 +667,12 @@ def extend_index(index, ogs: Sequence[ObjectGraph],
     :meth:`~STRGIndex.insert` at a time (Section 5.3).  This is the one
     home of that rule: ``VideoPipeline.process`` and every
     ``LiveIndex`` compaction apply it, so an index grown clip by clip
-    stores the same columns whichever path grew it.
+    stores the same columns whichever path grew it.  On a
+    ``ShardedIndex`` it returns the shard each OG landed in.
     """
     if not ogs:
-        return
+        return []
     refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
     if len(index) == 0:
-        index.build(ogs, background, refs)
-        return
-    for og, ref in zip(ogs, refs):
-        index.insert(og, background, ref)
+        return index.build(ogs, background, refs)
+    return [index.insert(og, background, ref) for og, ref in zip(ogs, refs)]

@@ -42,6 +42,7 @@ INJECTION_POINTS = (
     "storage.write",    # after the temp log is written, before rename
     "storage.read",     # before a persisted file is opened
     "storage.segment",  # per segment file, after its bytes, before fsync
+    "storage.sync",     # before the store directory is fsynced
     "storage.append",   # before a delta segment's log record
     "storage.log",      # after a log record is appended and fsynced
     "serving.shard",    # before a shard is scanned during scatter-gather
@@ -71,6 +72,9 @@ _DEFAULT_ERRORS: dict[str, Callable[[str, int], Exception]] = {
         f"injected I/O failure at {point}#{n}"
     ),
     "storage.segment": lambda point, n: OSError(
+        f"injected I/O failure at {point}#{n}"
+    ),
+    "storage.sync": lambda point, n: OSError(
         f"injected I/O failure at {point}#{n}"
     ),
     "storage.append": lambda point, n: OSError(

@@ -62,7 +62,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.core.index import STRGIndex
 from repro.errors import (
     IngestOverloadError,
     IngestTimeoutError,
@@ -86,6 +85,7 @@ from repro.resilience.policy import (
     quarantine_record,
 )
 from repro.resilience.retry import RetryPolicy, call_with_retry
+from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 from repro.serving.snapshot import LiveIndex, _BufferedWrite
 from repro.storage.serialize import leaf_ogs
 from repro.storage.store import open_store, require_columnar
@@ -678,19 +678,17 @@ class IngestService:
         """Publish writes in one compaction and remember them for the
         next O(delta) checkpoint (caller holds the commit lock)."""
         refs = list(refs) if refs is not None else [None] * len(ogs)
-        if ogs:
-            self.live.bulk_insert(ogs, background, refs)
-        for og_id in deletes:
-            self.live.delete(og_id)
+        writes = [_BufferedWrite("insert", og=og, background=background,
+                                 clip_ref=ref)
+                  for og, ref in zip(ogs, refs)]
+        writes += [_BufferedWrite("delete", og_id=og_id)
+                   for og_id in deletes]
+        self.live.buffer(writes)
+        # The compaction records the shard of every insert on ``writes``.
         self.live.compact()
         if self._store is None or self._pending_writes is None:
             return
-        self._pending_writes.extend(
-            _BufferedWrite("insert", og=og, background=background,
-                           clip_ref=ref)
-            for og, ref in zip(ogs, refs))
-        self._pending_writes.extend(
-            _BufferedWrite("delete", og_id=og_id) for og_id in deletes)
+        self._pending_writes.extend(writes)
         if len(self._pending_writes) > self.max_pending_writes:
             self._pending_writes = None
 
@@ -698,8 +696,8 @@ class IngestService:
         index = self.live.snapshot.index
         # A bound checkpoint appends only the writes committed since the
         # last one; the store rewrites the snapshot on its first
-        # checkpoint, for a sharded index, after a failed write (the
-        # delta may no longer match the disk) and after an overflow.
+        # checkpoint, after a failed write (the delta may no longer
+        # match the disk) and after an overflow.
         try:
             self._store.checkpoint(index, self._pending_writes)
         except (StorageError, OSError):
@@ -932,7 +930,7 @@ class IngestService:
         make re-submissions no-ops, new job ids continue after the
         journaled ones, and a job whose spool is gone is quarantined as
         lost.  ``index`` is the empty index replay starts from when no
-        snapshot survives (default: a monolithic ``STRGIndex``).  Raises
+        snapshot survives (default: a one-shard ``ShardedIndex``).  Raises
         :class:`~repro.errors.RecoveryError` with neither a usable
         snapshot nor a journal record.
         """
@@ -962,8 +960,9 @@ class IngestService:
         if snapshot_loaded:
             index = loaded
         elif index is None:
-            index = STRGIndex(getattr(pipeline, "config",
-                                      PipelineConfig()).index)
+            index = ShardedIndex(ShardedIndexConfig(
+                num_shards=1, index=getattr(pipeline, "config",
+                                            PipelineConfig()).index))
         snapshot_ogs = len(index)
 
         # No usable snapshot: nothing is durable, and journaled-INDEXED
@@ -1037,8 +1036,7 @@ class IngestService:
 def _jobs_held_by(index: Any) -> set[str]:
     """Ids of the jobs whose OGs ``index`` stores (their clip refs name
     them)."""
-    trees = getattr(index, "shards", None) or [index]
-    return {ref["job"] for tree in trees for _, ref in leaf_ogs(tree)
+    return {ref["job"] for _, ref in leaf_ogs(index)
             if isinstance(ref, dict) and "job" in ref}
 
 

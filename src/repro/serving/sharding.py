@@ -35,6 +35,13 @@ Search is **exact**: every prune is a metric lower bound, and ties are
 broken by ``(distance, og_id)`` — so the hits, their order *and their
 float distances* are those of the monolithic index, for any shard count,
 because the same routine produced them.
+
+One shard is the monolithic index.  With ``num_shards=1`` placement is
+skipped — no pivots are fit and none is evaluated — so a one-shard
+build or insert spends exactly the evaluations of the ``STRGIndex`` it
+wraps and stores the same columns.  Every store holds a ``ShardedIndex``
+(:mod:`repro.storage.columnar`), and :meth:`ShardedIndex.of` is the one
+place an ``STRGIndex`` becomes the one-shard index over itself.
 """
 
 from __future__ import annotations
@@ -162,6 +169,15 @@ class ShardedIndex:
             index.pivots = [np.asarray(p, dtype=np.float64) for p in pivots]
         return index
 
+    @classmethod
+    def of(cls, index: "STRGIndex | ShardedIndex") -> "ShardedIndex":
+        """``index`` as a ``ShardedIndex``: itself, or — for an
+        ``STRGIndex`` — the one-shard index over it, whose writes land
+        in ``index`` itself unless it is frozen."""
+        if isinstance(index, STRGIndex):
+            return cls.from_shards([index])
+        return index
+
     def serving_config(self) -> dict[str, Any]:
         """The persisted half of the config — what :meth:`from_shards`
         takes back (the per-shard ``index`` config travels with the
@@ -182,8 +198,9 @@ class ShardedIndex:
 
     def build(self, ogs: Sequence[ObjectGraph],
               background: BackgroundGraph | None = None,
-              clip_refs: Sequence[Any] | None = None) -> None:
-        """Partition ``ogs`` across the shards and build each one."""
+              clip_refs: Sequence[Any] | None = None) -> list[int]:
+        """Partition ``ogs`` across the shards and build each one;
+        returns the shard each OG landed in."""
         if not ogs:
             raise IndexStateError("cannot build a sharded index from zero OGs")
         if clip_refs is not None and len(clip_refs) != len(ogs):
@@ -200,9 +217,13 @@ class ShardedIndex:
                 member_refs = [r for r, a in zip(refs, assignment) if a == s]
                 if members:
                     self._writable(s).build(members, background, member_refs)
+        return assignment
 
     def _place(self, ogs: Sequence[ObjectGraph]) -> list[int]:
-        """Shard id per OG (fits affine pivots on the first build)."""
+        """Shard id per OG (fits affine pivots on the first build; one
+        shard places nothing)."""
+        if self.num_shards == 1:
+            return [0] * len(ogs)
         if self.config.placement == "hash":
             return [int(og.og_id) % self.num_shards for og in ogs]
         if self.pivots is None:
@@ -266,23 +287,24 @@ class ShardedIndex:
 
     def insert(self, og: ObjectGraph,
                background: BackgroundGraph | None = None,
-               clip_ref: Any = None) -> None:
-        """Insert one OG into its shard."""
+               clip_ref: Any = None) -> int:
+        """Insert one OG into its shard; returns the shard's ordinal."""
         self._check_mutable()
-        if len(self) == 0 and self.pivots is None \
-                and self.config.placement == "affine":
-            self.build([og], background, [clip_ref])
-            return
-        if self.config.placement == "hash":
+        if self.num_shards == 1:
+            target = 0
+        elif self.config.placement == "hash":
             target = int(og.og_id) % self.num_shards
         else:
             if self.pivots is None:
+                if len(self) == 0:
+                    return self.build([og], background, [clip_ref])[0]
                 # Shards built elsewhere (from_shards without pivots):
                 # fit the pivots the first build would have.
                 self.pivots = self._fit_pivots(list(self.object_graphs()))
             dists = self._pivot_distances([og])[0]
             target = int(np.argmin(dists))
         self._writable(target).insert(og, background, clip_ref)
+        return target
 
     def delete(self, og_id: int) -> bool:
         """Remove the OG with ``og_id`` from whichever shard holds it."""

@@ -17,6 +17,11 @@ The serving layer separates reads from writes with an immutable
   containers a write mutates in place and shares the OGs, records and
   arrays behind them — frozen snapshots never write what they share —
   so a compaction costs O(clusters + pointer copies), not O(corpus).
+- A compaction applies its inserts through the index's placement
+  (:meth:`ShardedIndex.of <repro.serving.sharding.ShardedIndex.of>`:
+  an ``STRGIndex`` is the one-shard case) and records on each buffered
+  write the shard it landed in, so an attached store appends the batch
+  as one segment per written shard in O(delta).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.search.request import SearchRequest, SearchResult
+from repro.serving.sharding import ShardedIndex
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +46,8 @@ logger = logging.getLogger(__name__)
 class IndexSnapshot:
     """An immutable, versioned view of the index.
 
-    Wraps a frozen index (sharded or monolithic) and delegates reads.
+    Wraps a frozen index (a ``ShardedIndex``, or an ``STRGIndex`` as the
+    one-shard case) and delegates reads.
     Snapshots are cheap value objects: the expensive part — the frozen
     tree — is shared by reference and never mutated.
     """
@@ -66,13 +73,16 @@ class IndexSnapshot:
 
 @dataclass
 class _BufferedWrite:
-    """One buffered mutation, applied at the next compaction."""
+    """One buffered mutation, applied at the next compaction — which
+    records the ``shard`` an insert lands in, so a store append writes
+    it there without looking for it."""
 
     op: str  # "insert" | "delete"
     og: ObjectGraph | None = None
     background: BackgroundGraph | None = None
     clip_ref: Any = None
     og_id: int | None = None
+    shard: int = 0
 
 
 @dataclass
@@ -122,12 +132,11 @@ class LiveIndex:
         """Persist every future compaction to ``store`` automatically.
 
         ``store`` is an ``open_store()`` result.  Each compaction batch
-        lands as one O(delta) appended segment (with a background merge
-        folding segments when the dead-row fraction crosses the store's
-        threshold); a sharded index rewrites its store.  With
-        ``write=True`` the
-        current snapshot is written immediately, so the store is
-        readable from the moment of attachment.
+        lands as one O(delta) append — a segment per shard it wrote, one
+        log record — with a background merge folding segments when the
+        dead-row fraction crosses the store's threshold.  With
+        ``write=True`` the current snapshot is written immediately, so
+        the store is readable from the moment of attachment.
 
         Persistence failures degrade durability, never serving: the
         error is logged and counted, and the store — unbound by the
@@ -199,8 +208,8 @@ class LiveIndex:
                background: BackgroundGraph | None = None,
                clip_ref: Any = None) -> None:
         """Buffer one insert (visible after the next compaction)."""
-        self._append(_BufferedWrite("insert", og=og, background=background,
-                                    clip_ref=clip_ref))
+        self.buffer([_BufferedWrite("insert", og=og, background=background,
+                                    clip_ref=clip_ref)])
 
     def bulk_insert(self, ogs: Sequence[ObjectGraph],
                     background: BackgroundGraph | None = None,
@@ -211,23 +220,21 @@ class LiveIndex:
                 f"{len(ogs)} OGs but {len(clip_refs)} clip refs"
             )
         refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
-        writes = [
+        self.buffer([
             _BufferedWrite("insert", og=og, background=background,
                            clip_ref=ref)
             for og, ref in zip(ogs, refs)
-        ]
-        with self._buffer_lock:
-            self._buffer.extend(writes)
-            OBS.gauge("serving.write_buffer", len(self._buffer))
-        self._maybe_auto_compact()
+        ])
 
     def delete(self, og_id: int) -> None:
         """Buffer one delete (takes effect at the next compaction)."""
-        self._append(_BufferedWrite("delete", og_id=og_id))
+        self.buffer([_BufferedWrite("delete", og_id=og_id)])
 
-    def _append(self, write: _BufferedWrite) -> None:
+    def buffer(self, writes: Sequence[_BufferedWrite]) -> None:
+        """Buffer ``writes`` in order; the compaction that applies them
+        sets each insert's ``shard``."""
         with self._buffer_lock:
-            self._buffer.append(write)
+            self._buffer.extend(writes)
             OBS.gauge("serving.write_buffer", len(self._buffer))
         self._maybe_auto_compact()
 
@@ -259,6 +266,7 @@ class LiveIndex:
             with OBS.span("serving.compact", writes=len(batch)):
                 previous = self._snapshot
                 working = previous.index.clone()
+                placed = ShardedIndex.of(working)
                 # Consecutive inserts sharing a background are one batch:
                 # an empty index builds it (extend_index), as the same
                 # OGs indexed without a LiveIndex would be.
@@ -266,9 +274,11 @@ class LiveIndex:
                         batch, key=lambda w: (w.op, id(w.background))):
                     run = list(run)
                     if op == "insert":
-                        extend_index(working, [w.og for w in run],
-                                     run[0].background,
-                                     [w.clip_ref for w in run])
+                        shards = extend_index(placed, [w.og for w in run],
+                                              run[0].background,
+                                              [w.clip_ref for w in run])
+                        for write, shard in zip(run, shards):
+                            write.shard = shard
                     else:
                         for write in run:
                             working.delete(write.og_id)

@@ -71,16 +71,6 @@ from repro.search.request import SearchRequest, SearchResult, split_budget
 # worker process
 # ---------------------------------------------------------------------------
 
-def _open_shard(store_path: str, rel: str, mmap: bool):
-    """Load one shard index (+ its og_id->row map) inside a worker."""
-    from repro.storage.columnar import ColumnarStore
-
-    path = store_path if not rel else os.path.join(store_path, rel)
-    store = ColumnarStore(path, normalize=False)
-    index = store.load_index(mmap=mmap)
-    return index, store.row_ordinals()
-
-
 class _ShardSet:
     """Worker-local view of the assigned shards.
 
@@ -105,42 +95,35 @@ class _ShardSet:
     transiently while a rebalance moves a shard between slots).
     """
 
-    def __init__(self, store_path: str, assignment: list[tuple[int, str]],
-                 mmap: bool):
-        self.store_path = store_path
+    def __init__(self, store_path: str, assignment: list[int], mmap: bool):
+        from repro.storage.columnar import ColumnarStore
+
+        self.store = ColumnarStore(store_path)
         self.mmap = mmap
-        self.rels: dict[int, str] = {o: rel for o, rel in assignment}
-        self.shards: dict[int, tuple[Any, dict[int, int]]] = {}
+        #: Assigned ordinal -> (shard index, og_id -> row).
+        self.shards: dict[int, tuple[Any, dict[int, int]] | None] = \
+            dict.fromkeys(assignment)
         self._combined: Any = None
         self._fast: frozenset[int] = frozenset()
         self._loc: dict[int, tuple[int, int]] = {}
-        self._serving_config: dict[str, Any] | None = None
         self.reload()
 
     # -- lifecycle ------------------------------------------------------
 
     def reload(self) -> None:
-        """(Re)open every assigned shard, ascending ordinal order."""
-        self._serving_config = self._read_root()
-        self.shards = {
-            o: _open_shard(self.store_path, self.rels[o], self.mmap)
-            for o in sorted(self.rels)
-        }
+        """(Re)open every assigned shard, ascending ordinal order — so
+        worker-local og_ids are minted in (ordinal, row) order, the
+        tie-break invariant the combined index relies on."""
+        self.shards = {o: self.store.load_shard(o, mmap=self.mmap)
+                       for o in sorted(self.shards)}
         self._refresh()
 
-    def open(self, ordinal: int, rel: str) -> None:
-        self.rels[ordinal] = rel
-        # Full reopen keeps worker-local og_ids minted in (ordinal, row)
-        # order — the tie-break invariant the combined index relies on.
-        self.shards = {
-            o: _open_shard(self.store_path, self.rels[o], self.mmap)
-            for o in sorted(self.rels)
-        }
-        self._refresh()
+    def open(self, ordinal: int) -> None:
+        self.shards[ordinal] = None
+        self.reload()
 
     def close(self, ordinal: int) -> None:
         self.shards.pop(ordinal, None)
-        self.rels.pop(ordinal, None)
         # Dropping a shard preserves the relative mint order of the rest.
         self._refresh()
 
@@ -148,16 +131,6 @@ class _ShardSet:
         return {o: len(index) for o, (index, _) in self.shards.items()}
 
     # -- combined-index assembly ----------------------------------------
-
-    def _read_root(self) -> dict[str, Any] | None:
-        """Serving config of a sharded root store.  A worker never
-        places an OG, so the placement pivots stay on disk."""
-        from repro.storage.columnar import ColumnarStore
-
-        manifest = ColumnarStore(self.store_path, normalize=False).manifest()
-        if manifest.get("kind") != "sharded":
-            return None
-        return dict(manifest["serving_config"])
 
     def _refresh(self) -> None:
         ordered = sorted(self.shards)
@@ -171,11 +144,12 @@ class _ShardSet:
         self._combined = self._assemble(live) if live else None
 
     def _assemble(self, ordinals: list[int]) -> Any:
+        # A worker never places an OG: placement settings and pivots
+        # stay on disk.
         from repro.serving.sharding import ShardedIndex
 
         return ShardedIndex.from_shards(
-            [self.shards[o][0] for o in ordinals],
-            self._serving_config).freeze()
+            [self.shards[o][0] for o in ordinals]).freeze()
 
     # -- search ---------------------------------------------------------
 
@@ -232,16 +206,15 @@ class _ShardSet:
         return {"hits": hits, "busy": busy}
 
 
-def _worker_main(store_path: str, assignment: list[tuple[int, str]],
+def _worker_main(store_path: str, assignment: list[int],
                  conn, mmap: bool, name: str) -> None:
     """Process entry point: serve search requests over ``conn`` forever.
 
-    ``assignment`` is ``[(shard_ordinal, relative_store_path), ...]``;
-    an empty relative path means the store root itself (monolithic
-    snapshot served as shard 0).  The worker opens every assigned shard
-    read-only (memory-mapped when the format supports it), announces
-    readiness with the shard sizes, then answers one request at a time.
-    A lost pipe (coordinator gone) exits the process.
+    ``assignment`` lists the shard ordinals this worker serves.  The
+    worker opens each of them from the store read-only (memory-mapped
+    when asked), announces readiness with the shard sizes, then answers
+    one request at a time.  A lost pipe (coordinator gone) exits the
+    process.
     """
     try:
         shard_set = _ShardSet(store_path, assignment, mmap)
@@ -273,8 +246,8 @@ def _worker_main(store_path: str, assignment: list[tuple[int, str]],
                 shard_set.reload()
                 conn.send(("ok", {"sizes": shard_set.sizes()}))
             elif op == "open":
-                _, ordinal, rel = message
-                shard_set.open(ordinal, rel)
+                _, ordinal = message
+                shard_set.open(ordinal)
                 conn.send(("ok", {"shard": ordinal,
                                   "size": shard_set.sizes()[ordinal]}))
             elif op == "close":
@@ -396,9 +369,8 @@ class WorkerPool:
     """Shard-serving process fleet over one columnar snapshot.
 
     ``path`` must hold a written store (``.strg/``), whose segment
-    files many processes memory-map read-only.  A sharded store
-    yields one logical shard per ``shard-i`` sub-store; a monolithic
-    store is served as one shard.
+    files many processes memory-map read-only; each of its S shards is
+    one logical shard of the pool, opened by ordinal.
 
     Use as a context manager, or call :meth:`start` / :meth:`shutdown`.
     All search methods are thread-safe and may be called concurrently
@@ -416,13 +388,12 @@ class WorkerPool:
             raise StorageError(
                 f"no snapshot at {store.path} (write one with db.save())")
         self.store = store
-        self._shard_rels = self._read_shard_rels()
-        self.num_shards = len(self._shard_rels)
+        self.num_shards = store.manifest()["num_shards"]
         slots = self.config.workers or self.num_shards
         self.num_slots = min(slots, self.num_shards)
         #: ``assignment[slot]`` — shard ordinals this slot serves.
         self.assignment: list[list[int]] = [[] for _ in range(self.num_slots)]
-        for ordinal in sorted(self._shard_rels):
+        for ordinal in range(self.num_shards):
             self.assignment[ordinal % self.num_slots].append(ordinal)
         self._handles: list[list[_WorkerHandle]] = [
             [_WorkerHandle(slot, replica)
@@ -440,20 +411,12 @@ class WorkerPool:
         self.shard_sizes: dict[int, int] = {}
         self._shard_stats: dict[int, dict[str, float]] = {
             ordinal: {"queries": 0.0, "busy_seconds": 0.0}
-            for ordinal in self._shard_rels
+            for ordinal in range(self.num_shards)
         }
         self.rebalances = 0
         self.snapshot_version = self.store.version()
 
     # -- lifecycle ------------------------------------------------------------
-
-    def _read_shard_rels(self) -> dict[int, str]:
-        """Shard ordinal -> sub-store path relative to the store root
-        (a monolithic store is served as shard 0 at the root itself)."""
-        manifest = self.store.manifest()
-        if manifest["kind"] == "sharded":
-            return dict(enumerate(manifest["shards"]))
-        return {0: ""}
 
     def start(self) -> "WorkerPool":
         """Spawn every worker, wait for readiness, start the supervisor."""
@@ -479,8 +442,7 @@ class WorkerPool:
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
-        assignment = [(o, self._shard_rels[o])
-                      for o in self.assignment[handle.slot]]
+        assignment = list(self.assignment[handle.slot])
         process = self._ctx.Process(
             target=_worker_main,
             args=(self.store.path, assignment, child_conn,
@@ -916,13 +878,12 @@ class WorkerPool:
         snapshot.
         """
         with OBS.span("net.pool_reload"):
-            new_rels = self._read_shard_rels()
-            if new_rels != self._shard_rels:
+            num_shards = self.store.manifest()["num_shards"]
+            if num_shards != self.num_shards:
                 raise StorageError(
                     f"snapshot reload changed the shard set "
-                    f"({len(self._shard_rels)} shard(s) -> "
-                    f"{len(new_rels)}): restart the worker pool to "
-                    "serve the new layout")
+                    f"({self.num_shards} shard(s) -> {num_shards}): "
+                    "restart the worker pool to serve the new layout")
             version = self.store.version()
             for row in self._handles:
                 for handle in row:
@@ -1026,10 +987,9 @@ class WorkerPool:
         ``ShardUnavailableError`` and is retried against the updated
         assignment by :meth:`_scatter`.
         """
-        rel = self._shard_rels[shard]
         opened = 0
         for handle in self._handles[cold]:
-            if self._admin(handle, ("open", shard, rel)):
+            if self._admin(handle, ("open", shard)):
                 opened += 1
         if opened == 0:
             return False
@@ -1087,7 +1047,7 @@ class WorkerPool:
         }
         return {
             "status": "ok" if alive == len(workers) else
-            ("degraded" if served == set(self._shard_rels) else "partial"),
+            ("degraded" if len(served) == self.num_shards else "partial"),
             "snapshot": self.snapshot_version,
             "shards": self.num_shards,
             "slots": self.num_slots,

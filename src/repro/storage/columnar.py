@@ -1,81 +1,50 @@
 """Columnar, memory-mapped snapshot store — the one on-disk format.
 
 An index persists as the flat structured arrays of
-:func:`~repro.storage.serialize.index_to_arrays` — trajectories plus an
-offsets table, node attributes, sketch rows, background tables — each
-a raw column that ``numpy`` memory-maps read-only in place, so
+:func:`~repro.storage.serialize.index_to_arrays`, each a raw column
+that ``numpy`` memory-maps read-only in place: a cold open reads one
+small log and stats the segment files, shard processes share page
+cache, and commits are log-structured — an ``append()`` writes O(delta)
+and a background merge folds segments once the dead-row fraction
+crosses a threshold.  ``docs/STORAGE.md`` is the full description.
 
-- *cold open* is O(1): ``open_database()`` reads one small log of JSON
-  records and stats the segment files; trajectory bytes stay on disk
-  until a query faults them in;
-- multiple shard *processes* map the same file and share page cache,
-  with zero-copy views instead of per-process copies;
-- *commits are log-structured*: each ``append()`` writes one delta
-  segment file and appends one O(1)-byte record to the manifest log,
-  and a background merge folds segments back into a fresh base only
-  once the dead-row fraction crosses a threshold (amortized, LSM-style).
-
-Layout — one directory per store, conventionally ``<name>.strg/``::
+One store kind.  Every store holds S >= 1 shards of one
+:class:`~repro.serving.sharding.ShardedIndex` under one manifest log,
+every segment file flat in the store directory::
 
     corpus.strg/
-      manifest.jsonl     <- the commit log: one checksummed JSON record
-                            per line — the base, then one per append
-      seg-000000.seg     <- base segment: a full tree snapshot
-      seg-000001.seg     <- delta segment: ordered op log + payload rows
+      manifest.jsonl     <- one checksummed JSON record per commit
+      seg-000000.seg     <- base segment of shard 0 (a tree snapshot)
+      seg-000001.seg     <- base segment of shard 1
+      seg-000002.seg     <- the placement pivots, when there are any
+      seg-000003.seg     <- a delta of one shard: op log + payload rows
 
-    seg-NNNNNN.seg = b"STRGSEG2" | u64 header length | header JSON |
-                     column | column | ...     (each column 64-aligned)
-      header: {"kind", "rows", "meta", "columns": [{"name", "dtype",
-               "shape", "offset", "sha256"}, ...]}
-      meta:   base  -> index config, clip refs, sketch meta
-              delta -> {"ops": [["i", bg] | ["d", row], ...], "refs"}
+A monolithic ``STRGIndex`` is written as the one-shard index over
+itself (:meth:`ShardedIndex.of
+<repro.serving.sharding.ShardedIndex.of>`), and :meth:`ColumnarStore.
+load_index` always returns a ``ShardedIndex``.  The base record names
+one base segment per shard (``{"shard", "seg", "rows", "bytes",
+"hsum"}``), the pivots segment or ``null``, and the serving config;
+each later record names one delta per shard its commit wrote, with the
+shard rows its ``["d", row]`` ops kill.  Records chain a SHA-256
+``sum``; the last is :meth:`ColumnarStore.version`.
 
-    sharded.strg/
-      manifest.jsonl     <- one base record: shard names, serving config
-      seg-000000.seg     <- the placement pivots
-      shard-0/  shard-1/ <- one monolithic store each
+Commit protocol.  An append writes and fsyncs one segment per written
+shard, fsyncs the directory once, then appends and fsyncs one log
+record naming them all: k + 2 fsyncs for k shards, atomic across them.
+A full write or merge writes every base segment and the pivots, fsyncs
+the directory, then replaces the log (temp + fsync, rename, directory
+fsync).  A crash before the record leaves orphans no record names; a
+final line without its newline is a torn tail readers ignore and the
+next writer truncates.  9.x and 10.x stores (format versions 1 and 2)
+are refused everywhere except :func:`repro.storage.store.convert`.
 
-Log records.  The first record is the base (format, version, kind and
-its segment); every append adds ``{"seg", "rows", "bytes", "hsum",
-"dead"}`` — the delta's segment, its size, the SHA-256 prefix of its
-header and the rows its ``["d", row]`` ops kill, so the dead-row set is
-derived from the log.  Each record carries ``sum``, a SHA-256 prefix
-chained over the previous record's, and the last ``sum`` is the store's
-committed :meth:`ColumnarStore.version`.  Framing is the ingest
-journal's (:mod:`repro.resilience.journal`): one JSON object per line,
-flushed and fsynced per record.
-
-Commit protocol.  An append writes its segment file and fsyncs it,
-fsyncs the store directory (the new file's entry), then appends and
-fsyncs the log record — 3 fsyncs, one new file, O(1) log bytes.  A full
-write or a merge writes the base segment (file, then directory fsync),
-writes the one-record log to a temp file (fsync), renames it over the
-log and fsyncs the directory again; unreferenced segments are then
-garbage-collected.  A crash before the log record leaves an orphan
-segment the next write overwrites; a final log line without its newline
-is a torn tail — readers ignore it and the next writer truncates it.
-Any other bad record, and a segment whose size differs from its record
-(O(#segments) stats at open), raises ``IndexCorruptionError``; every
-column's SHA-256 is checked by :meth:`ColumnarStore.verify`.  The
-writer keeps the committed state in memory and only ``os.stat``s the
-log before appending.  A 9.x store (format version 1: ``manifest.json``
-plus a directory of ``.npy`` files per segment) is refused everywhere
-except :func:`repro.storage.store.convert`.
-
-Replay model.  The base segment is a full tree snapshot
-(:func:`~repro.storage.serialize.index_to_arrays`); each delta is the
-ordered write batch of one ``LiveIndex.compact()`` — inserts carrying
-their payload rows and background ordinal, deletes naming the global
-row ordinal they kill.  Loading materializes the base and replays the
-deltas through the same deterministic ``insert()``/``delete()`` code
-path a live index evolved through, so a reopened store answers
-knn/range queries bit-identically to the process that wrote it.
-
-Row ordinals.  Every insert — base rows in leaf-iteration order, then
-delta inserts in op order — gets the next global ordinal.  og_ids are
-*not* stable across processes (fresh ids are minted on load), so the
-on-disk log never mentions them; the store keeps an in-process
-``og_id -> ordinal`` map, rebuilt on every ``write_index``/``load_index``.
+Replay.  Loading materializes each shard's base and replays its deltas
+through the same deterministic ``insert()``/``delete()`` a live shard
+evolved through, so a reopened store answers bit-identically.  Rows are
+numbered per shard (base rows in leaf order, then delta inserts);
+og_ids never reach the disk — the store keeps an in-process ``og_id ->
+(shard, row)`` map, rebuilt by ``write_index``/``load_index``.
 """
 
 from __future__ import annotations
@@ -92,7 +61,7 @@ import struct
 import tempfile
 import threading
 from types import SimpleNamespace
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,6 +79,7 @@ from repro.storage.serialize import (
     SKETCH_COLUMNS,
     SKETCH_PAYLOAD_ERRORS,
     _pack_backgrounds,
+    _pack_ogs,
     _pack_ragged,
     _unpack_backgrounds,
     _unpack_ragged,
@@ -122,24 +92,25 @@ from repro.storage.serialize import (
 logger = logging.getLogger(__name__)
 
 COLUMNAR_FORMAT = "strg-columnar"
-COLUMNAR_VERSION = 2
+COLUMNAR_VERSION = 3
 LOG_NAME = "manifest.jsonl"
 SEGMENT_SUFFIX = ".seg"
 STORE_SUFFIX = ".strg"
 #: The commit point of a 9.x (format version 1) store; only
 #: :func:`repro.storage.store.convert` reads what it names.
 V1_MANIFEST = "manifest.json"
+#: Format versions only :func:`repro.storage.store.convert` reads, with
+#: the release line that wrote them.
+LEGACY_VERSIONS = {1: "9.x", 2: "10.x"}
 
-_KIND_INDEX = "index"
-_KIND_SHARDED = "sharded"
 _MAGIC = b"STRGSEG2"
 _PREFIX = len(_MAGIC) + 8          # magic + u64 header length
 _ALIGN = 64                        # column offsets, as .npy aligns data
 _SUM_HEX = 16                      # hex digits of a record / header sum
-_BASE_KEYS = ("format", "format_version", "kind", "seg", "rows", "bytes",
-              "hsum")
-_SHARDED_KEYS = ("num_shards", "shards", "serving_config", "has_pivots")
-_DELTA_KEYS = ("seg", "rows", "bytes", "hsum", "dead")
+_BASE_KEYS = ("format", "format_version", "serving_config", "pivots",
+              "segments")
+_ENTRY_KEYS = ("seg", "rows", "bytes", "hsum")
+_SEGMENT_KEYS = ("shard",) + _ENTRY_KEYS
 
 
 def columnar_path(path: str | os.PathLike) -> str:
@@ -164,20 +135,27 @@ def is_columnar_store(path: str | os.PathLike) -> bool:
     return os.path.isfile(os.path.join(columnar_path(path), LOG_NAME))
 
 
-def is_v1_store(path: str | os.PathLike) -> bool:
-    """True when ``path`` holds a 9.x store that ``convert`` must
-    transcode (a v1 manifest and no log)."""
+def stored_version(path: str | os.PathLike) -> int | None:
+    """The columnar format version of the store at ``path``, read from
+    the first log line (1 for a 9.x manifest); ``None`` when there is no
+    store or its first record is unreadable."""
     p = columnar_path(path)
-    return (os.path.isfile(os.path.join(p, V1_MANIFEST))
-            and not os.path.isfile(os.path.join(p, LOG_NAME)))
+    try:
+        with open(os.path.join(p, LOG_NAME), "rb") as fh:
+            return int(parse_record(fh.readline())["format_version"])
+    except FileNotFoundError:
+        return 1 if os.path.isfile(os.path.join(p, V1_MANIFEST)) else None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
-def v1_refusal(path: str | os.PathLike) -> StorageError:
-    """The error every entry point but ``convert`` raises on a 9.x store."""
+def legacy_refusal(path: str | os.PathLike, version: int) -> StorageError:
+    """The error every entry point but ``convert`` raises on a store of
+    an older format version."""
     return StorageError(
-        f"{os.fspath(path)} is a 9.x store (columnar format version 1), "
-        f"which this version only converts: run `strg-index convert "
-        f"{os.fspath(path)}`")
+        f"{os.fspath(path)} is a {LEGACY_VERSIONS[version]} store "
+        f"(columnar format version {version}), which this version only "
+        f"converts: run `strg-index convert {os.fspath(path)}`")
 
 
 def _short_sum(data: bytes | str) -> str:
@@ -193,6 +171,43 @@ def _record_sum(previous: str, record: dict[str, Any]) -> str:
     return _short_sum(previous + body)
 
 
+def read_log(path: str) -> tuple[list[dict[str, Any]], int, int]:
+    """``(records, size, file_size)`` of a manifest log: its complete,
+    checksum-chained records, the bytes they span and the file's size
+    (a torn tail makes the two differ).  A bad record raises
+    ``IndexCorruptionError``; the file is read as it is (``OSError``
+    propagates)."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    lines, size = split_records(blob)
+    records: list[dict[str, Any]] = []
+    previous = ""
+    for number, line in enumerate(lines, 1):
+        try:
+            record = parse_record(line)
+        except ValueError as exc:
+            raise _corrupt(f"corrupt record {number} of store log {path}: "
+                           f"{exc}", exc, path=path, record=number) from exc
+        if record.get("sum") != _record_sum(previous, record):
+            raise _corrupt(f"checksum mismatch in record {number} of store "
+                           f"log {path}", path=path, record=number)
+        previous = record["sum"]
+        records.append(record)
+    if not records:
+        raise _corrupt(f"store log {path} holds no committed record",
+                       path=path, bytes=len(blob))
+    return records, size, len(blob)
+
+
+def _corrupt(message: str, cause: BaseException | None = None,
+             **details: Any) -> IndexCorruptionError:
+    """An ``IndexCorruptionError`` whose ``details`` name the ``cause``'s
+    type beside the given fields."""
+    if cause is not None:
+        details["cause"] = type(cause).__name__
+    return IndexCorruptionError(message, details=details)
+
+
 def _aligned(offset: int) -> int:
     return -(-offset // _ALIGN) * _ALIGN
 
@@ -204,6 +219,7 @@ def _raw(array: np.ndarray) -> np.ndarray:
 
 def _fsync_dir(path: str) -> None:
     """Make the directory entries created or renamed in ``path`` durable."""
+    maybe_fail("storage.sync", path=path)
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -216,6 +232,35 @@ def _column_bytes(spec: dict[str, Any]) -> int:
         * np.dtype(spec["dtype"]).itemsize
 
 
+def _entry(record: dict[str, Any], **extra: Any) -> dict[str, Any]:
+    return dict({key: record[key] for key in _ENTRY_KEYS}, **extra)
+
+
+class _ShardLog(NamedTuple):
+    """One shard's committed segments (base first, then its deltas in log
+    order), its row count and its dead rows."""
+
+    segments: list[dict[str, Any]]
+    rows_total: int
+    dead: frozenset[int]
+
+    def extended(self, entry: dict[str, Any]) -> "_ShardLog":
+        """This shard after the delta ``entry`` (its log fields)."""
+        rows_total = self.rows_total + int(entry["rows"])
+        dead: set[int] = set()
+        for row in map(int, entry["dead"]):
+            if not 0 <= row < rows_total or row in self.dead or row in dead:
+                raise ValueError(f"record kills bad row {row}")
+            dead.add(row)
+        return _ShardLog(
+            self.segments + [_entry(entry, kind="delta",
+                                    shard=int(entry["shard"]))],
+            rows_total, self.dead | dead)
+
+    def live_rows(self) -> int:
+        return self.rows_total - len(self.dead)
+
+
 class _Committed:
     """The committed state of one store, folded from its manifest log.
 
@@ -226,65 +271,121 @@ class _Committed:
     def __init__(self, records: list[dict[str, Any]], size: int,
                  file_size: int, ino: int):
         base = records[0]
-        self.base = base
-        self.kind = base["kind"]
         self.size = size              # bytes of complete records
         self.file_size = file_size    # ... plus a torn tail, if any
         self.ino = ino
-        self.version = records[-1]["sum"]
-        self.shards: list[str] = list(base.get("shards", ()))
-        if self.kind == _KIND_SHARDED and len(records) > 1:
-            raise ValueError("a sharded root log holds one record")
-        self.segments = [dict(_entry(base), kind="base")]
-        self.rows_total = int(base["rows"])
-        dead: set[int] = set()
+        self.version = base["sum"]
+        self.serving_config = dict(base["serving_config"])
+        self.pivots = (None if base["pivots"] is None
+                       else _entry(base["pivots"], kind="pivots",
+                                   shard=None))
+        self.shards: list[_ShardLog] = []
+        for number, entry in enumerate(base["segments"]):
+            if int(entry["shard"]) != number:
+                raise ValueError(f"base segment {number} names shard "
+                                 f"{entry['shard']}")
+            self.shards.append(_ShardLog(
+                [_entry(entry, kind="base", shard=number)],
+                int(entry["rows"]), frozenset()))
+        if not self.shards:
+            raise ValueError("the base record names no shard")
         for record in records[1:]:
-            self.segments.append(dict(_entry(record), kind="delta"))
-            self.rows_total += int(record["rows"])
-            for row in map(int, record["dead"]):
-                if not 0 <= row < self.rows_total or row in dead:
-                    raise ValueError(f"record kills bad row {row}")
-                dead.add(row)
-        self.dead = frozenset(dead)
+            self._extend(record)
+
+    def _extend(self, record: dict[str, Any]) -> None:
+        for entry in record["segments"]:
+            shard = int(entry["shard"])
+            if not 0 <= shard < len(self.shards):
+                raise ValueError(f"record names unknown shard {shard}")
+            self.shards[shard] = self.shards[shard].extended(entry)
+        self.version = record["sum"]
 
     def appended(self, record: dict[str, Any], written: int
                  ) -> "_Committed":
         """The state after ``record`` (``written`` bytes) is appended."""
         clone = copy.copy(self)
         clone.size = clone.file_size = self.size + written
-        clone.version = record["sum"]
-        clone.segments = self.segments + [dict(_entry(record),
-                                               kind="delta")]
-        clone.rows_total = self.rows_total + int(record["rows"])
-        clone.dead = self.dead | frozenset(record["dead"])
+        clone.shards = list(self.shards)
+        clone._extend(record)
         return clone
 
+    def segments(self) -> list[dict[str, Any]]:
+        """Every committed segment, in log (= name) order."""
+        entries = [entry for log in self.shards for entry in log.segments]
+        if self.pivots is not None:
+            entries.append(self.pivots)
+        return sorted(entries, key=lambda entry: entry["seg"])
+
     def next_ordinal(self) -> int:
-        return int(self.segments[-1]["seg"][len("seg-"):]) + 1
+        return 1 + max(int(entry["seg"][len("seg-"):])
+                       for entry in self.segments())
+
+    def rows_total(self) -> int:
+        return sum(log.rows_total for log in self.shards)
+
+    def rows_dead(self) -> int:
+        return sum(len(log.dead) for log in self.shards)
 
     def live_rows(self) -> int:
-        return self.rows_total - len(self.dead)
+        return self.rows_total() - self.rows_dead()
 
 
-def _entry(record: dict[str, Any]) -> dict[str, Any]:
-    return {key: record[key] for key in ("seg", "rows", "bytes", "hsum")}
+class _Delta:
+    """One shard's share of an append: its ordered ops and the payload
+    of the rows they insert."""
+
+    def __init__(self, next_row: int):
+        self.next_row = next_row
+        self.ops: list[list] = []
+        self.ogs: list[ObjectGraph] = []
+        self.refs: list[Any] = []
+        self.backgrounds: list[Any] = []
+        self.dead: list[int] = []
+        self._bg_ordinal: dict[int, int] = {}
+
+    def insert(self, write: Any) -> int:
+        """Add one insert; returns the shard row it lands in."""
+        background = write.background
+        ordinal = -1
+        if background is not None:
+            ordinal = self._bg_ordinal.setdefault(id(background),
+                                                  len(self.backgrounds))
+            if ordinal == len(self.backgrounds):
+                self.backgrounds.append(background)
+        self.ops.append(["i", ordinal])
+        self.ogs.append(write.og)
+        self.refs.append(write.clip_ref)
+        self.next_row += 1
+        return self.next_row - 1
+
+    def delete(self, row: int) -> None:
+        self.ops.append(["d", row])
+        self.dead.append(row)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        arrays = _pack_ogs(self.ogs)
+        if self.backgrounds:
+            arrays.update(_pack_backgrounds([
+                SimpleNamespace(background=bg) for bg in self.backgrounds
+            ]))
+        return arrays
 
 
 class ColumnarStore:
-    """One columnar store directory (monolithic index or sharded).
+    """One columnar store directory: S >= 1 shards under one log.
 
     Thread-safe for writers: ``write_index``/``append``/``merge``
     serialize on an internal lock.  Readers (``load_index``) are
     lock-free — they only ever see committed log records.
     """
 
-    #: Fold segments into a fresh base once this fraction of rows is dead.
+    #: Fold segments into fresh bases once this fraction of rows is dead.
     merge_dead_fraction = 0.25
     #: ... or once this many segments accumulate (keeps replay bounded).
     merge_max_segments = 64
 
-    def __init__(self, path: str | os.PathLike, *, normalize: bool = True):
-        self.path = columnar_path(path) if normalize else os.fspath(path)
+    def __init__(self, path: str | os.PathLike):
+        self.path = columnar_path(path)
         self._mutate_lock = threading.RLock()
         self._merge_thread: threading.Thread | None = None
         self._state: _Committed | None = None
@@ -294,7 +395,8 @@ class ColumnarStore:
         self._reset_rows()
 
     def _reset_rows(self) -> None:
-        self._row_of: dict[int, int] = {}   # live og_id -> global ordinal
+        #: Live og_id -> (shard, row) of the bound index.
+        self._row_of: dict[int, tuple[int, int]] = {}
         #: Version of the committed state the row map describes; ``None``
         #: when the row map does not reflect the disk.
         self._bound_version: str | None = None
@@ -336,149 +438,99 @@ class ColumnarStore:
         path = self._log_path
         maybe_fail("storage.read", path=path)
         try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-                ino = os.fstat(fh.fileno()).st_ino
+            ino = os.stat(path).st_ino
+            records, size, file_size = read_log(path)
         except FileNotFoundError as exc:
             if os.path.isfile(os.path.join(self.path, V1_MANIFEST)):
-                raise v1_refusal(self.path) from exc
+                raise legacy_refusal(self.path, 1) from exc
             if os.path.isdir(self.path):
                 # The store directory exists but never reached its commit
                 # point: an interrupted first write (or a stray empty
                 # directory).  Data loss, not a missing store.
-                raise IndexCorruptionError(
+                raise _corrupt(
                     f"store directory {self.path} has no committed "
                     "manifest log (empty or partially written)",
-                    details={"path": self.path, "missing": LOG_NAME,
-                             "contents": sorted(os.listdir(self.path))[:16]},
-                ) from exc
+                    path=self.path, missing=LOG_NAME,
+                    contents=sorted(os.listdir(self.path))[:16]) from exc
             raise StorageError(f"cannot read {path}: {exc}") from exc
         except OSError as exc:
-            raise IndexCorruptionError(
-                f"cannot read store log {path}: {exc}",
-                details={"path": path, "cause": type(exc).__name__},
-            ) from exc
-        lines, size = split_records(blob)
-        records: list[dict[str, Any]] = []
-        previous = ""
-        for number, line in enumerate(lines, 1):
-            try:
-                record = parse_record(line)
-            except ValueError as exc:
-                raise IndexCorruptionError(
-                    f"corrupt record {number} of store log {path}: {exc}",
-                    details={"path": path, "record": number,
-                             "cause": type(exc).__name__},
-                ) from exc
-            if record.get("sum") != _record_sum(previous, record):
-                raise IndexCorruptionError(
-                    f"checksum mismatch in record {number} of store log "
-                    f"{path}",
-                    details={"path": path, "record": number},
-                )
+            raise _corrupt(f"cannot read store log {path}: {exc}", exc,
+                           path=path) from exc
+        for number, record in enumerate(records, 1):
             self._check_record(record, number)
-            previous = record["sum"]
-            records.append(record)
-        if not records:
-            raise IndexCorruptionError(
-                f"store log {path} holds no committed record",
-                details={"path": path, "bytes": len(blob)},
-            )
         try:
-            return _Committed(records, size, len(blob), ino)
+            return _Committed(records, size, file_size, ino)
         except (KeyError, TypeError, ValueError) as exc:
-            raise IndexCorruptionError(
-                f"malformed store log {path}: {exc}",
-                details={"path": path, "cause": type(exc).__name__},
-            ) from exc
+            raise _corrupt(f"malformed store log {path}: {exc}", exc,
+                           path=path) from exc
 
     def _check_record(self, record: dict[str, Any], number: int) -> None:
         path = self._log_path
         if number == 1:
             if record.get("format") != COLUMNAR_FORMAT:
-                raise IndexCorruptionError(
-                    f"{path} is not a columnar store log "
-                    f"(format={record.get('format')!r})",
-                    details={"path": path, "format": record.get("format")},
-                )
+                raise _corrupt(f"{path} is not a columnar store log "
+                               f"(format={record.get('format')!r})",
+                               path=path, format=record.get("format"))
             version = record.get("format_version")
+            if version in LEGACY_VERSIONS:
+                raise legacy_refusal(self.path, version)
             if version != COLUMNAR_VERSION:
-                raise IndexCorruptionError(
-                    f"unsupported columnar format version {version} in "
-                    f"{path} (supported: {COLUMNAR_VERSION})",
-                    details={"path": path, "version": version,
-                             "supported": COLUMNAR_VERSION},
-                )
-            required = _BASE_KEYS + (
-                _SHARDED_KEYS if record.get("kind") == _KIND_SHARDED else ())
-        else:
-            required = _DELTA_KEYS
-        missing = [key for key in required if key not in record]
+                raise _corrupt(f"unsupported columnar format version "
+                               f"{version} in {path} (supported: "
+                               f"{COLUMNAR_VERSION})", path=path,
+                               version=version, supported=COLUMNAR_VERSION)
+        required = _BASE_KEYS if number == 1 else ("segments",)
+        missing = {key for key in required if key not in record}
+        entries = record.get("segments")
+        if isinstance(entries, list):
+            needed = _SEGMENT_KEYS + (() if number == 1 else ("dead",))
+            missing.update(key for entry in entries for key in needed
+                           if not isinstance(entry, dict) or key not in entry)
         if missing:
-            raise IndexCorruptionError(
-                f"incomplete record {number} of store log {path}: "
-                f"missing keys {missing} (partially written?)",
-                details={"path": path, "record": number,
-                         "kind": record.get("kind"), "missing": missing},
-            )
+            raise _corrupt(f"incomplete record {number} of store log "
+                           f"{path}: missing keys {sorted(missing)} "
+                           "(partially written?)", path=path, record=number,
+                           missing=sorted(missing))
 
     def manifest(self) -> dict[str, Any]:
-        """The committed state as a plain dict (a fresh copy per call).
-
-        ``kind`` is ``"index"`` (``segments``, ``rows_total``,
-        ``rows_dead``) or ``"sharded"`` (``num_shards``, ``shards``,
-        ``serving_config``, ``has_pivots``); ``version`` is
-        :meth:`version`'s value for this log alone.
-        """
+        """The committed state as a fresh dict: ``num_shards``,
+        ``serving_config``, ``has_pivots``, the segments in log order
+        (``{"shard", "kind", "seg", "rows", "bytes", "hsum"}``), rows
+        summed over the shards, and :meth:`version`."""
         state = self._committed()
-        info = {"format": COLUMNAR_FORMAT,
+        return {"format": COLUMNAR_FORMAT,
                 "format_version": COLUMNAR_VERSION,
-                "kind": state.kind, "version": state.version,
-                "segments": [dict(entry) for entry in state.segments]}
-        if state.kind == _KIND_SHARDED:
-            info.update((key, state.base[key]) for key in _SHARDED_KEYS)
-            info["serving_config"] = dict(info["serving_config"])
-            info["shards"] = list(info["shards"])
-        else:
-            info.update(rows_total=state.rows_total,
-                        rows_dead=len(state.dead))
-        return info
+                "version": state.version,
+                "num_shards": len(state.shards),
+                "serving_config": dict(state.serving_config),
+                "has_pivots": state.pivots is not None,
+                "segments": [dict(entry) for entry in state.segments()],
+                "rows_total": state.rows_total(),
+                "rows_dead": state.rows_dead()}
 
     def version(self) -> str:
         """The committed version: a digest that changes with every commit
-        (the chained sum of the last log record; a sharded root folds in
-        every shard's)."""
-        state = self._committed()
-        if state.kind != _KIND_SHARDED:
-            return state.version
-        return _short_sum(state.version + "".join(
-            self._shard(name).version() for name in state.shards))
+        (the chained sum of the last log record)."""
+        return self._committed().version
 
-    def _shard(self, name: str) -> "ColumnarStore":
-        return ColumnarStore(os.path.join(self.path, name), normalize=False)
-
-    def _check_sizes(self, state: _Committed) -> None:
+    def _check_sizes(self, entries: Sequence[dict[str, Any]]) -> None:
         """O(#segments) truncation check: stat sizes against the log."""
-        for entry in state.segments:
+        for entry in entries:
             target = self._segment_path(entry["seg"])
             try:
                 actual = os.path.getsize(target)
             except OSError as exc:
-                raise IndexCorruptionError(
-                    f"store file missing: {target}: {exc}",
-                    details={"path": target, "cause": type(exc).__name__},
-                ) from exc
+                raise _corrupt(f"store file missing: {target}: {exc}", exc,
+                               path=target) from exc
             if actual != entry["bytes"]:
-                raise IndexCorruptionError(
-                    f"truncated store file {target}: "
-                    f"{actual} bytes on disk, log says {entry['bytes']}",
-                    details={"path": target, "actual": actual,
-                             "expected": entry["bytes"]},
-                )
+                raise _corrupt(f"truncated store file {target}: {actual} "
+                               f"bytes on disk, log says {entry['bytes']}",
+                               path=target, actual=actual,
+                               expected=entry["bytes"])
 
     def _open_checked(self) -> _Committed:
         state = self._committed()
-        self._check_sizes(state)
+        self._check_sizes(state.segments())
         return state
 
     def _replace_log(self, records: list[dict[str, Any]],
@@ -531,13 +583,22 @@ class ColumnarStore:
         maybe_fail("storage.log", path=self._log_path)
         return state
 
+    @staticmethod
+    def _base_record(serving_config: dict[str, Any],
+                     pivots: dict[str, Any] | None,
+                     segments: list[dict[str, Any]]) -> dict[str, Any]:
+        return dict(format=COLUMNAR_FORMAT, format_version=COLUMNAR_VERSION,
+                    serving_config=serving_config, pivots=pivots,
+                    segments=segments)
+
     # -- segment I/O ------------------------------------------------------
 
     def _write_segment(self, ordinal: int, kind: str, rows: int,
                        meta: dict[str, Any],
                        arrays: dict[str, np.ndarray]) -> dict[str, Any]:
-        """Write one segment file, fsync it and the directory entry;
-        return its log fields (``seg``, ``rows``, ``bytes``, ``hsum``).
+        """Write one segment file and fsync it (the caller fsyncs the
+        directory once per commit); return its log fields (``seg``,
+        ``rows``, ``bytes``, ``hsum``).
 
         A file of the same name is an orphan from a crashed write — by
         definition unreferenced — and is overwritten.
@@ -567,7 +628,6 @@ class ColumnarStore:
             size = fh.tell()
             maybe_truncate("storage.segment", target)
             os.fsync(fh.fileno())
-        _fsync_dir(self.path)
         return {"seg": name, "rows": rows, "bytes": size,
                 "hsum": _short_sum(header)}
 
@@ -589,11 +649,8 @@ class ColumnarStore:
                                for spec in header["columns"]}
         except (OSError, ValueError, KeyError, TypeError,
                 struct.error) as exc:
-            raise IndexCorruptionError(
-                f"corrupt segment header {target}: {exc}",
-                details={"path": target, "segment": entry["seg"],
-                         "cause": type(exc).__name__},
-            ) from exc
+            raise _corrupt(f"corrupt segment header {target}: {exc}", exc,
+                           path=target, segment=entry["seg"]) from exc
         return header
 
     def _columns(self, entry: dict[str, Any], header: dict[str, Any],
@@ -615,10 +672,9 @@ class ColumnarStore:
                 for name in wanted:
                     spec = header["index"].get(name)
                     if spec is None:
-                        raise IndexCorruptionError(
-                            f"segment {entry['seg']} of {self.path} has no "
-                            f"column {name}",
-                            details={"path": target, "column": name})
+                        raise _corrupt(f"segment {entry['seg']} of "
+                                       f"{self.path} has no column {name}",
+                                       path=target, column=name)
                     dtype, shape = np.dtype(spec["dtype"]), \
                         tuple(spec["shape"])
                     offset = header["data"] + spec["offset"]
@@ -636,17 +692,13 @@ class ColumnarStore:
                         out[name] = np.frombuffer(buf, dtype=dtype
                                                   ).reshape(shape)
         except (OSError, ValueError, TypeError) as exc:
-            raise IndexCorruptionError(
-                f"corrupt store file {target}: {exc}",
-                details={"path": target, "segment": entry["seg"],
-                         "cause": type(exc).__name__},
-            ) from exc
+            raise _corrupt(f"corrupt store file {target}: {exc}", exc,
+                           path=target, segment=entry["seg"]) from exc
         return out
 
     def _collect_garbage(self, state: _Committed) -> None:
         """Drop files/directories the committed log no longer names."""
-        keep = {entry["seg"] + SEGMENT_SUFFIX for entry in state.segments}
-        keep.update(state.shards)
+        keep = {entry["seg"] + SEGMENT_SUFFIX for entry in state.segments()}
         keep.add(LOG_NAME)
         try:
             entries = os.listdir(self.path)
@@ -664,28 +716,28 @@ class ColumnarStore:
             except OSError:  # pragma: no cover - best-effort cleanup
                 logger.warning("could not collect garbage %s", target)
 
-    # -- full write (base segment) ---------------------------------------
+    # -- full write (base segments) ----------------------------------------
 
     def write_index(self, index: Any) -> str:
-        """Write ``index`` as a fresh store (one base segment, no deltas).
+        """Write ``index`` as a fresh store: one base segment per shard
+        (an ``STRGIndex`` is the one-shard index over itself), the
+        placement pivots when there are any, then the one-record log.
 
-        Handles both monolithic ``STRGIndex`` and ``ShardedIndex`` (the
-        latter becomes a root log plus one nested store per shard,
-        shards written first, root log last).  Also serves as the
-        *merge* target: rewriting an existing store folds all segments
-        into a new base and garbage-collects the old ones.  Returns the
-        store path; an I/O failure raises ``StorageError`` and leaves
-        the previously committed snapshot (if any) intact — and this
-        store unbound, so the next :meth:`checkpoint` writes in full.
+        Also serves as the *merge* target: rewriting an existing store
+        folds all segments into new bases and garbage-collects the old
+        ones.  Returns the store path; an I/O failure raises
+        ``StorageError`` and leaves the previously committed snapshot
+        (if any) intact — and this store unbound, so the next
+        :meth:`checkpoint` writes in full.
         """
+        from repro.serving.sharding import ShardedIndex
+
+        sharded = ShardedIndex.of(index)
         with self._mutate_lock, OBS.span("storage.columnar.write"), \
                 self._unbind_on_error():
             try:
                 os.makedirs(self.path, exist_ok=True)
-                ordinal = self._next_base_ordinal()
-                if getattr(index, "shards", None) is not None:
-                    return self._write_sharded(index, ordinal)
-                return self._write_base(index, ordinal)
+                return self._write_base(sharded, self._next_base_ordinal())
             except OSError as exc:
                 raise StorageError(
                     f"cannot write index to {self.path}: {exc}") from exc
@@ -704,7 +756,7 @@ class ColumnarStore:
         """A segment ordinal no committed record names."""
         if not self.exists():
             if os.path.isfile(os.path.join(self.path, V1_MANIFEST)):
-                raise v1_refusal(self.path)
+                raise legacy_refusal(self.path, 1)
             return 0
         try:
             return self._committed().next_ordinal()
@@ -714,99 +766,124 @@ class ColumnarStore:
             return 0
 
     def _write_base(self, index: Any, ordinal: int) -> str:
-        arrays, meta = index_to_arrays(index)
-        rows = len(meta["refs"])
-        entry = self._write_segment(ordinal, "base", rows, meta, arrays)
-        state = self._replace_log([self._base_record(_KIND_INDEX, entry)],
-                                  "storage.write")
-        self._collect_garbage(state)
-        if maybe_truncate("storage.write", self._segment_path(entry["seg"])):
-            logger.warning("injected truncation in segment %s", entry["seg"])
-        self._row_of = {og.og_id: i
-                        for i, (og, _) in enumerate(leaf_ogs(index))}
-        self._bound_version = state.version
-        OBS.count("storage.columnar.writes")
-        return self.path
-
-    @staticmethod
-    def _base_record(kind: str, entry: dict[str, Any], **extra: Any
-                     ) -> dict[str, Any]:
-        return dict(format=COLUMNAR_FORMAT, format_version=COLUMNAR_VERSION,
-                    kind=kind, **entry, **extra)
-
-    def _write_sharded(self, index: Any, ordinal: int) -> str:
-        shard_names = []
+        entries: list[dict[str, Any]] = []
+        row_of: dict[int, tuple[int, int]] = {}
         for number, shard in enumerate(index.shards):
-            name = f"shard-{number}"
-            self._shard(name).write_index(shard)
-            shard_names.append(name)
-        pivots = index.pivots if index.pivots is not None else []
-        pivot_flat, pivot_offsets = _pack_ragged(list(pivots))
-        entry = self._write_segment(
-            ordinal, "root", 0, {},
-            {"pivot_values": pivot_flat, "pivot_offsets": pivot_offsets})
-        state = self._replace_log([self._base_record(
-            _KIND_SHARDED, entry, num_shards=len(index.shards),
-            has_pivots=index.pivots is not None,
-            serving_config=index.serving_config(), shards=shard_names)],
+            arrays, meta = index_to_arrays(shard)
+            entries.append(dict(shard=number, **self._write_segment(
+                ordinal + number, "base", len(meta["refs"]), meta, arrays)))
+            row_of.update((og.og_id, (number, row))
+                          for row, (og, _) in enumerate(leaf_ogs(shard)))
+        pivots = None
+        if index.pivots is not None:
+            flat, offsets = _pack_ragged(list(index.pivots))
+            pivots = self._write_segment(
+                ordinal + len(entries), "pivots", 0, {},
+                {"pivot_values": flat, "pivot_offsets": offsets})
+        _fsync_dir(self.path)
+        state = self._replace_log(
+            [self._base_record(index.serving_config(), pivots, entries)],
             "storage.write")
         self._collect_garbage(state)
-        self._reset_rows()
+        for entry in entries:
+            if maybe_truncate("storage.write",
+                              self._segment_path(entry["seg"])):
+                logger.warning("injected truncation in segment %s",
+                               entry["seg"])
+        self._row_of = row_of
+        self._bound_version = state.version
         OBS.count("storage.columnar.writes")
         return self.path
 
     # -- load -------------------------------------------------------------
 
     def load_index(self, mmap: bool = False) -> Any:
-        """Materialize the index: base snapshot + deterministic replay.
+        """Materialize the ``ShardedIndex``: every shard's base snapshot
+        plus the deterministic replay of its deltas.
 
         With ``mmap=True`` trajectory/centroid/sketch columns stay on
-        disk as read-only memory-mapped views — the tree holds zero-copy
-        slices and pages fault in per query.  The replayed tree answers
+        disk as read-only memory-mapped views — the trees hold zero-copy
+        slices and pages fault in per query.  The replayed index answers
         queries bit-identically to the live index that wrote the store.
         """
+        from repro.serving.sharding import ShardedIndex
+
         with OBS.span("storage.columnar.load", mmap=mmap):
             state = self._open_checked()
-            if state.kind == _KIND_SHARDED:
-                return self._load_sharded(state, mmap)
-            index, row_ogs = self._materialize_base(state.segments[0], mmap)
-            dead: set[int] = set()
-            for entry in state.segments[1:]:
-                self._replay_delta(index, entry, row_ogs, dead, mmap)
-            if dead != state.dead:
-                raise IndexCorruptionError(
-                    f"dead rows of {self.path} disagree between the log "
-                    f"and the delta ops ({len(state.dead)} logged vs "
-                    f"{len(dead)} replayed)",
-                    details={"path": self.path, "logged": len(state.dead),
-                             "replayed": len(dead)},
-                )
-            if len(row_ogs) != state.rows_total:
-                raise IndexCorruptionError(
-                    f"row count mismatch in {self.path}: replay produced "
-                    f"{len(row_ogs)} rows, the log says {state.rows_total}",
-                    details={"path": self.path, "replayed": len(row_ogs),
-                             "logged": state.rows_total},
-                )
-            self._row_of = {og.og_id: row for row, og in enumerate(row_ogs)}
+            shards = []
+            row_of: dict[int, tuple[int, int]] = {}
+            for number in range(len(state.shards)):
+                shard, row_ogs = self._load_shard(state, number, mmap)
+                shards.append(shard)
+                row_of.update((og.og_id, (number, row))
+                              for row, og in enumerate(row_ogs))
+            pivots = None
+            if state.pivots is not None:       # a few series: read them
+                columns = self._columns(state.pivots,
+                                        self._header(state.pivots),
+                                        ("pivot_values", "pivot_offsets"),
+                                        mmap=False)
+                pivots = _unpack_ragged(columns["pivot_values"],
+                                        columns["pivot_offsets"])
+            try:
+                index = ShardedIndex.from_shards(
+                    shards, state.serving_config, pivots)
+            except (TypeError, InvalidParameterError) as exc:
+                raise _corrupt(f"cannot read sharded store {self.path}: "
+                               f"{exc}", exc, path=self.path) from exc
+            self._row_of = row_of
             self._bound_version = state.version
             OBS.count("storage.columnar.loads")
             return index
 
-    def row_ordinals(self) -> dict[int, int]:
-        """Live ``og_id -> global row ordinal`` map of the bound index.
+    def load_shard(self, shard: int, mmap: bool = False
+                   ) -> tuple[Any, dict[int, int]]:
+        """One shard's ``STRGIndex`` and its ``og_id -> row`` map — a
+        worker's read of the shards it serves; the store stays unbound."""
+        state = self._open_checked()
+        self._shard_log(state, shard)
+        index, row_ogs = self._load_shard(state, shard, mmap)
+        return index, {og.og_id: row for row, og in enumerate(row_ogs)}
 
-        og_ids are minted per process and never stable across loads;
-        the row ordinal *is* stable — it names the record's position in
-        the on-disk column order, so it is the identity that crosses
-        process (and network) boundaries.  Only valid after
-        ``load_index``/``write_index`` bound this store to an index.
-        """
+    def _shard_log(self, state: _Committed, shard: int) -> _ShardLog:
+        if not 0 <= shard < len(state.shards):
+            raise InvalidParameterError(
+                f"store {self.path} has no shard {shard} "
+                f"(it holds {len(state.shards)})")
+        return state.shards[shard]
+
+    def _load_shard(self, state: _Committed, shard: int, mmap: bool):
+        """``(STRGIndex, og of every row)`` of one shard."""
+        log = state.shards[shard]
+        index, row_ogs = self._materialize_base(log.segments[0], mmap)
+        dead: set[int] = set()
+        for entry in log.segments[1:]:
+            self._replay_delta(index, entry, row_ogs, dead, mmap)
+        if dead != log.dead:
+            raise _corrupt(f"dead rows of shard {shard} of {self.path} "
+                           "disagree between the log and the delta ops "
+                           f"({len(log.dead)} logged vs {len(dead)} "
+                           "replayed)", path=self.path, shard=shard,
+                           logged=len(log.dead), replayed=len(dead))
+        if len(row_ogs) != log.rows_total:
+            raise _corrupt(f"row count mismatch in shard {shard} of "
+                           f"{self.path}: replay produced {len(row_ogs)} "
+                           f"rows, the log says {log.rows_total}",
+                           path=self.path, shard=shard,
+                           replayed=len(row_ogs), logged=log.rows_total)
+        return index, row_ogs
+
+    def row_ordinals(self, shard: int = 0) -> dict[int, int]:
+        """Live ``og_id -> row ordinal`` map of one shard of the bound
+        index (after ``load_index``/``write_index``).  The row ordinal,
+        unlike the og_id, is stable across processes: it is the
+        identity that crosses process and network boundaries."""
         if not self._bound:
             raise IndexStateError(
                 f"store {self.path} is not bound to an index "
                 "(call load_index() or write_index() first)")
-        return dict(self._row_of)
+        return {og_id: row for og_id, (number, row) in self._row_of.items()
+                if number == shard}
 
     def _materialize_base(self, entry: dict[str, Any], mmap: bool):
         header = self._header(entry)
@@ -815,11 +892,9 @@ class ColumnarStore:
             index = index_from_arrays(arrays, header["meta"],
                                       source=self._segment_path(entry["seg"]))
         except (KeyError, ValueError, IndexError, TypeError) as exc:
-            raise IndexCorruptionError(
-                f"cannot materialize base segment of {self.path}: {exc}",
-                details={"path": self.path, "segment": entry["seg"],
-                         "cause": type(exc).__name__},
-            ) from exc
+            raise _corrupt(f"cannot materialize base segment of "
+                           f"{self.path}: {exc}", exc, path=self.path,
+                           segment=entry["seg"]) from exc
         return index, [og for og, _ in leaf_ogs(index)]
 
     def _delta_ops(self, entry: dict[str, Any], header: dict[str, Any]
@@ -832,12 +907,9 @@ class ColumnarStore:
                     raise ValueError(f"unknown op code {code!r}")
             return ops
         except (KeyError, ValueError, TypeError, IndexError) as exc:
-            raise IndexCorruptionError(
-                f"cannot replay delta segment {entry['seg']} of "
-                f"{self.path}: {exc}",
-                details={"path": self.path, "segment": entry["seg"],
-                         "cause": type(exc).__name__},
-            ) from exc
+            raise _corrupt(f"cannot replay delta segment {entry['seg']} "
+                           f"of {self.path}: {exc}", exc, path=self.path,
+                           segment=entry["seg"]) from exc
 
     def _replay_delta(self, index: Any, entry: dict[str, Any],
                       row_ogs: list, dead: set[int], mmap: bool) -> None:
@@ -871,128 +943,69 @@ class ColumnarStore:
                     index.delete(row_ogs[operand].og_id)
                     dead.add(operand)
         except (KeyError, ValueError, IndexError, TypeError) as exc:
-            raise IndexCorruptionError(
-                f"cannot replay delta segment {entry['seg']} of "
-                f"{self.path}: {exc}",
-                details={"path": self.path, "segment": entry["seg"],
-                         "cause": type(exc).__name__},
-            ) from exc
-
-    def read_sharding(self, mmap: bool = False
-                      ) -> tuple[dict[str, Any], list[np.ndarray] | None]:
-        """``(serving_config, pivots)`` of a sharded root store — what
-        :meth:`ShardedIndex.from_shards` needs besides the shards."""
-        state = self._committed()
-        try:
-            serving = dict(state.base["serving_config"])
-            if not state.base["has_pivots"]:
-                return serving, None
-            entry = state.segments[0]
-            columns = self._columns(entry, self._header(entry),
-                                    ("pivot_values", "pivot_offsets"), mmap)
-            return serving, _unpack_ragged(columns["pivot_values"],
-                                           columns["pivot_offsets"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IndexCorruptionError(
-                f"cannot read sharded store {self.path}: {exc}",
-                details={"path": self.path, "cause": type(exc).__name__},
-            ) from exc
-
-    def _load_sharded(self, state: _Committed, mmap: bool) -> Any:
-        from repro.serving.sharding import ShardedIndex
-
-        shards = [self._shard(name).load_index(mmap=mmap)
-                  for name in state.shards]
-        if not shards:
-            raise IndexCorruptionError(
-                f"sharded store {self.path} lists no shards",
-                details={"path": self.path},
-            )
-        serving, pivots = self.read_sharding(mmap)
-        try:
-            index = ShardedIndex.from_shards(shards, serving, pivots)
-        except (TypeError, InvalidParameterError) as exc:
-            raise IndexCorruptionError(
-                f"cannot read sharded store {self.path}: {exc}",
-                details={"path": self.path, "cause": type(exc).__name__},
-            ) from exc
-        self._reset_rows()
-        return index
+            raise _corrupt(f"cannot replay delta segment {entry['seg']} "
+                           f"of {self.path}: {exc}", exc, path=self.path,
+                           segment=entry["seg"]) from exc
 
     # -- row-addressed reads + out-of-core sketch --------------------------
 
-    def row_reader(self, mmap: bool = True) -> "ColumnarRowReader":
-        """Row-addressed reads over the committed store (no tree load).
+    def row_reader(self, mmap: bool = True, shard: int = 0
+                   ) -> "ColumnarRowReader":
+        """Row-addressed reads over one shard of the committed store (no
+        tree load).
 
-        Resolves global row ordinals to zero-copy offsets-table slices
-        of the (optionally mmap'd) segment columns — see
-        :class:`ColumnarRowReader`.  Sharded stores have no global row
-        space (raises ``StorageError``); open the shard stores
-        individually, as :meth:`load_sketch` does.
+        Resolves the shard's row ordinals to zero-copy offsets-table
+        slices of the (optionally mmap'd) segment columns — see
+        :class:`ColumnarRowReader`.
         """
-        return ColumnarRowReader(self, self._open_checked(), mmap)
+        state = self._open_checked()
+        return ColumnarRowReader(self, self._shard_log(state, shard), mmap)
 
     def load_sketch(self, distance: Any = None, mmap: bool = True) -> Any:
         """Attach the persisted sketch tier straight from store columns.
 
-        The out-of-core approximate search entry point: returns a list
-        of store-attached ``SketchIndex`` parts — the one part of a
-        monolithic store, or one per non-empty shard of a sharded root,
-        in shard order.  Each part's base arrays are zero-copy
-        (optionally mmap) views of its base segment's ``sketch_*``
-        columns, with ``(og, clip_ref)`` records materialized lazily
-        through the row-addressed read path — no tree, no O(corpus)
-        resident memory.  Row ordinals double as og_ids, which keeps
-        rerank tie-breaking bit-identical to the materialized index
-        (fresh og_ids there are minted in the same row order).
-
-        Delta segments replay through ``sketch.add``/``sketch.remove``
-        (recomputing pivot distances with ``distance`` — default: the
-        stored config's ``MetricEGED``) into the sketch's in-RAM tail,
-        and the result is cross-checked against the log's dead rows.
-
-        Shard ``s`` numbers its og_ids from the row count of the shards
-        before it, so ids are unique across the list and ``(distance,
-        og_id)`` ties resolve shard-then-row — the order the
-        materialized ``ShardedIndex`` gets by minting ids in load order.
-
-        Returns ``None`` when a part holds no persisted sketch; callers
-        fall back to materializing the index.
+        The out-of-core approximate search entry point: one
+        store-attached ``SketchIndex`` per shard holding live rows, in
+        shard order — base arrays are zero-copy (optionally mmap) views
+        of the base segment's ``sketch_*`` columns, records materialize
+        lazily through the row reader, and deltas replay through
+        ``sketch.add``/``remove`` (pivot distances by ``distance``,
+        default the stored ``MetricEGED``) into the in-RAM tail,
+        cross-checked against the log's dead rows.  Shard ``s`` numbers
+        its og_ids (= row ordinals) from the row count of the shards
+        before it, so ``(distance, og_id)`` ties resolve shard-then-row,
+        as in the materialized index.  ``None`` when a part holds no
+        persisted sketch; callers then materialize the index.
         """
         with OBS.span("storage.columnar.load_sketch", mmap=mmap):
             state = self._open_checked()
-            if state.kind == _KIND_INDEX:
-                sketch = self._attach_sketch(state, distance, mmap, 0)
-                return None if sketch is None else [sketch]
             sketches = []
             id_base = 0
-            for name in state.shards:
-                shard = self._shard(name)
-                shard_state = shard._open_checked()
-                if shard_state.live_rows() > 0:
-                    sketch = shard._attach_sketch(shard_state, distance,
-                                                  mmap, id_base)
+            for log in state.shards:
+                if log.live_rows() > 0:
+                    sketch = self._attach_sketch(log, distance, mmap,
+                                                 id_base)
                     if sketch is None:
                         return None
                     sketches.append(sketch)
-                id_base += shard_state.rows_total
+                id_base += log.rows_total
             return sketches
 
-    def _attach_sketch(self, state: _Committed, distance: Any,
-                       mmap: bool, id_base: int) -> Any:
-        """The store-attached sketch of one index store, its og_ids
-        numbered from ``id_base`` (see :meth:`load_sketch`)."""
+    def _attach_sketch(self, log: _ShardLog, distance: Any, mmap: bool,
+                       id_base: int) -> Any:
+        """The store-attached sketch of one shard, its og_ids numbered
+        from ``id_base`` (see :meth:`load_sketch`)."""
         from repro.distance.eged import MetricEGED
         from repro.search.sketch import SketchRows
 
-        base = state.segments[0]
+        base = log.segments[0]
         header = self._header(base)
         meta = header["meta"]
         sketch_meta = meta.get("sketch_meta")
         if sketch_meta is None:
             return None
         base_rows = int(base["rows"])
-        reader = ColumnarRowReader(self, state, mmap, id_base)
+        reader = ColumnarRowReader(self, log, mmap, id_base)
         # The pivots are a few series: read them, map the per-row columns.
         columns = self._columns(base, header, SKETCH_COLUMNS[:2], mmap=False)
         columns.update(self._columns(base, header, SKETCH_COLUMNS[2:], mmap))
@@ -1002,15 +1015,12 @@ class ColumnarStore:
                 np.arange(id_base, id_base + base_rows, dtype=np.int64),
                 SketchRows(reader=reader, n_attached=base_rows))
         except SKETCH_PAYLOAD_ERRORS as exc:
-            raise IndexCorruptionError(
-                f"corrupt sketch tier in {self.path}: {exc}",
-                details={"path": self.path, "rows": base_rows,
-                         "cause": type(exc).__name__},
-            ) from exc
+            raise _corrupt(f"corrupt sketch tier in {self.path}: {exc}", exc,
+                           path=self.path, rows=base_rows) from exc
         if distance is None:
             distance = MetricEGED(meta["config"]["metric_gap"])
         next_row = base_rows
-        for entry in state.segments[1:]:
+        for entry in log.segments[1:]:
             ins_rows: list[int] = []
             dels: list[int] = []
             for code, operand in self._delta_ops(entry, self._header(entry)):
@@ -1028,39 +1038,32 @@ class ColumnarStore:
                            [ref for _, ref in pairs])
             for row in dels:
                 if not sketch.remove(id_base + row):
-                    raise IndexCorruptionError(
-                        f"delta segment {entry['seg']} of "
-                        f"{self.path} deletes unknown row {row}",
-                        details={"path": self.path,
-                                 "segment": entry["seg"], "row": row},
-                    )
-        live = state.live_rows()
-        if next_row != state.rows_total or len(sketch) != live:
-            raise IndexCorruptionError(
-                f"sketch replay of {self.path} disagrees with the "
-                f"log ({len(sketch)} live rows vs {live})",
-                details={"path": self.path, "live": len(sketch),
-                         "logged": live, "rows": next_row,
-                         "rows_total": state.rows_total},
-            )
+                    raise _corrupt(f"delta segment {entry['seg']} of "
+                                   f"{self.path} deletes unknown row {row}",
+                                   path=self.path, segment=entry["seg"],
+                                   row=row)
+        live = log.live_rows()
+        if next_row != log.rows_total or len(sketch) != live:
+            raise _corrupt(f"sketch replay of {self.path} disagrees with "
+                           f"the log ({len(sketch)} live rows vs {live})",
+                           path=self.path, live=len(sketch), logged=live,
+                           rows=next_row, rows_total=log.rows_total)
         sketch.replay_distance = distance
         OBS.count("storage.columnar.sketch_loads")
         return sketch
 
     # -- incremental append -----------------------------------------------
 
-    def append(self, writes: Sequence[Any]) -> str | None:
-        """Persist one ordered write batch as a delta segment — O(delta).
+    def append(self, writes: Sequence[Any]) -> list[str] | None:
+        """Persist one ordered write batch — one delta segment per
+        written shard, one log record — in O(delta).
 
-        ``writes`` is a sequence of objects with the ``_BufferedWrite``
-        shape (``op`` of ``"insert"``/``"delete"``, plus ``og``,
-        ``background``, ``clip_ref`` or ``og_id``) — exactly what one
-        ``LiveIndex.compact()`` applied.  Deletes of og_ids the store
-        does not know (never persisted, or already dead) are no-ops,
-        matching ``index.delete()`` returning ``False``.  Returns the
-        new segment name, or ``None`` when the batch was all no-ops.
-        Raising unbinds the store: the caller drops the batch, so only
-        a full write can bring the disk back in line.
+        ``writes`` have the ``_BufferedWrite`` shape (``op``, ``og``,
+        ``background``, ``clip_ref`` and the ``shard`` an insert landed
+        in, or ``og_id``): what one ``LiveIndex.compact()`` applied.
+        Deletes of og_ids the store does not hold are no-ops.  Returns
+        the new segment names, ``None`` when nothing was written.
+        Raising unbinds the store, so the next checkpoint writes in full.
         """
         with self._mutate_lock, self._unbind_on_error():
             if not self.exists():
@@ -1068,11 +1071,6 @@ class ColumnarStore:
                     f"cannot append to {self.path}: store does not exist "
                     "(write_index() first)")
             state = self._committed()
-            if state.kind != _KIND_INDEX:
-                raise StorageError(
-                    f"cannot append to {self.path}: sharded columnar "
-                    "stores are write/load-only — append to the shard "
-                    "stores or rewrite with write_index()")
             if not self._bound:
                 raise StorageError(
                     f"cannot append to {self.path}: store rows are not "
@@ -1092,84 +1090,70 @@ class ColumnarStore:
                 return self._append_locked(state, writes)
 
     def _append_locked(self, state: _Committed,
-                       writes: Sequence[Any]) -> str | None:
-        ops: list[list] = []
-        insert_ogs: list[Any] = []
-        insert_refs: list[Any] = []
-        delta_backgrounds: list[Any] = []
-        bg_ordinal: dict[int, int] = {}
-        overlay: dict[int, int] = {}
-        rows = state.rows_total
-        new_dead: list[int] = []
+                       writes: Sequence[Any]) -> list[str] | None:
+        deltas: dict[int, _Delta] = {}
+        overlay: dict[int, tuple[int, int]] = {}
         for write in writes:
             if write.op == "insert":
-                background = write.background
-                if background is None:
-                    ordinal = -1
-                else:
-                    ordinal = bg_ordinal.get(id(background), -2)
-                    if ordinal == -2:
-                        ordinal = len(delta_backgrounds)
-                        bg_ordinal[id(background)] = ordinal
-                        delta_backgrounds.append(background)
-                ops.append(["i", ordinal])
-                insert_ogs.append(write.og)
-                insert_refs.append(write.clip_ref)
-                overlay[write.og.og_id] = rows
-                rows += 1
+                shard = int(write.shard)
+                if not 0 <= shard < len(state.shards):
+                    raise StorageError(
+                        f"cannot append to {self.path}: a write landed in "
+                        f"shard {shard}, the store holds "
+                        f"{len(state.shards)}")
+                delta = deltas.setdefault(
+                    shard, _Delta(state.shards[shard].rows_total))
+                overlay[write.og.og_id] = (shard, delta.insert(write))
             elif write.op == "delete":
-                row = overlay.get(write.og_id,
-                                  self._row_of.get(write.og_id))
-                if row is None or row in state.dead or row in new_dead:
+                where = overlay.get(write.og_id,
+                                    self._row_of.get(write.og_id))
+                if where is None:
                     continue
-                ops.append(["d", int(row)])
-                new_dead.append(int(row))
+                shard, row = where
+                pending = deltas.get(shard)
+                if row in state.shards[shard].dead \
+                        or (pending is not None and row in pending.dead):
+                    continue
+                deltas.setdefault(
+                    shard, _Delta(state.shards[shard].rows_total)
+                ).delete(int(row))
             else:
                 raise InvalidParameterError(
                     f"unknown write op {write.op!r}")
-        if not ops:
+        if not deltas:
             return None
-        og_flat, og_offsets = _pack_ragged([og.values for og in insert_ogs])
-        frames_flat = (
-            np.concatenate([np.asarray(og.frames, dtype=np.int64)
-                            for og in insert_ogs])
-            if insert_ogs else np.zeros(0, dtype=np.int64)
-        )
-        labels = np.array(
-            [-1 if og.label is None else og.label for og in insert_ogs],
-            dtype=np.int64,
-        )
-        arrays = dict(og_values=og_flat, og_offsets=og_offsets,
-                      og_frames=frames_flat, og_labels=labels)
-        if delta_backgrounds:
-            arrays.update(_pack_backgrounds([
-                SimpleNamespace(background=bg) for bg in delta_backgrounds
-            ]))
-        entry = self._write_segment(
-            state.next_ordinal(), "delta", len(insert_ogs),
-            {"ops": ops, "refs": insert_refs}, arrays)
-        state = self._append_record(state, dict(entry, dead=new_dead))
-        if maybe_truncate("storage.append", self._segment_path(entry["seg"])):
-            logger.warning("injected truncation in segment %s", entry["seg"])
+        entries = []
+        ordinal = state.next_ordinal()
+        for shard in sorted(deltas):
+            delta = deltas[shard]
+            entries.append(dict(shard=shard, **self._write_segment(
+                ordinal, "delta", len(delta.ogs),
+                {"ops": delta.ops, "refs": delta.refs}, delta.arrays()),
+                dead=delta.dead))
+            ordinal += 1
+        _fsync_dir(self.path)
+        state = self._append_record(state, {"segments": entries})
+        for entry in entries:
+            if maybe_truncate("storage.append",
+                              self._segment_path(entry["seg"])):
+                logger.warning("injected truncation in segment %s",
+                               entry["seg"])
         self._row_of.update(overlay)
         self._bound_version = state.version
         OBS.count("storage.columnar.appends")
-        OBS.gauge("storage.columnar.segments", len(state.segments))
-        return entry["seg"]
+        OBS.gauge("storage.columnar.segments", len(state.segments()))
+        return [entry["seg"] for entry in entries]
 
     def checkpoint(self, index: Any, writes: Sequence[Any] | None = None
-                   ) -> str | None:
-        """Durability hook with the cheapest valid persistence step.
-
-        With ``writes`` (the batch applied since the last checkpoint)
-        and a bound existing store, appends one O(delta) segment;
-        otherwise falls back to a full ``write_index`` (first
-        checkpoint, a sharded index, a store this process has not
-        loaded, or one whose last append or write failed).
-        """
+                   ) -> list[str] | None:
+        """The cheapest valid persistence step: an append of ``writes``
+        (the batch applied since the last checkpoint) to a bound store
+        holding live rows; else a full ``write_index`` — a first
+        checkpoint, an unbound store, or an empty one (the live index
+        *builds* its first batch; a replay of inserts would not)."""
         with self._mutate_lock:
             if writes is not None and self._bound and self.exists() \
-                    and getattr(index, "shards", None) is None:
+                    and self._committed().live_rows() > 0:
                 return self.append(writes)
             self.write_index(index)
             return None
@@ -1181,15 +1165,14 @@ class ColumnarStore:
         if not self.exists():
             return False
         state = self._committed()
-        if state.kind != _KIND_INDEX:
-            return False
-        if len(state.segments) > self.merge_max_segments:
+        if sum(len(log.segments) for log in state.shards) \
+                > self.merge_max_segments:
             return True
-        return len(state.dead) / max(state.rows_total, 1) \
+        return state.rows_dead() / max(state.rows_total(), 1) \
             > self.merge_dead_fraction
 
     def merge(self, index: Any = None) -> bool:
-        """Fold every segment into a fresh base (O(corpus), amortized).
+        """Fold every segment into fresh bases (O(corpus), amortized).
 
         ``index`` — when the caller holds the live index the store state
         replays to (e.g. the snapshot just published by
@@ -1206,9 +1189,9 @@ class ColumnarStore:
                     OBS.count("storage.columnar.merges")
                     return True
                 # Offline fold: materialize committed state, rewrite it
-                # as the new base, then translate any live og_id
-                # bindings through (old ordinal -> fresh og -> new
-                # ordinal) so an attached writer can keep appending.
+                # as the new bases, then translate any live og_id
+                # bindings through (old row -> fresh og -> new row) so
+                # an attached writer can keep appending.
                 live = dict(self._row_of) if self._bound else None
                 materialized = self.load_index(mmap=False)
                 old_of_fresh = dict(self._row_of)
@@ -1275,9 +1258,19 @@ class ColumnarStore:
         Returns ``{"files": n, "columns": n, "bytes": n}`` (the log
         counts as a file).
         """
-        state = self._open_checked()
-        files, columns, total = 1, 0, state.size
-        for entry in state.segments:
+        state = self._committed()
+        entries = state.segments()
+        return {"files": 1 + len(entries),
+                "columns": self._verify_segments(entries),
+                "bytes": state.size + sum(entry["bytes"]
+                                          for entry in entries)}
+
+    def _verify_segments(self, entries: Sequence[dict[str, Any]]) -> int:
+        """Check the size, header and every column hash of ``entries``;
+        returns the number of columns checked."""
+        self._check_sizes(entries)
+        columns = 0
+        for entry in entries:
             header = self._header(entry)
             target = self._segment_path(entry["seg"])
             with open(target, "rb") as fh:
@@ -1292,90 +1285,61 @@ class ColumnarStore:
                         digest.update(chunk)
                         left -= len(chunk)
                     if digest.hexdigest() != spec["sha256"]:
-                        raise IndexCorruptionError(
+                        raise _corrupt(
                             f"checksum mismatch in column {spec['name']} "
                             f"of segment {entry['seg']} ({target}): "
-                            "payload was altered on disk",
-                            details={"path": target,
-                                     "segment": entry["seg"],
-                                     "column": spec["name"],
-                                     "expected": spec["sha256"],
-                                     "actual": digest.hexdigest()},
-                        )
+                            "payload was altered on disk", path=target,
+                            segment=entry["seg"], column=spec["name"],
+                            expected=spec["sha256"],
+                            actual=digest.hexdigest())
                     columns += 1
-            files += 1
-            total += entry["bytes"]
-        for name in state.shards:
-            report = self._shard(name).verify()
-            files += report["files"]
-            columns += report["columns"]
-            total += report["bytes"]
-        return {"files": files, "columns": columns, "bytes": total}
+        return columns
 
     def describe(self) -> dict[str, Any]:
         """Small stats dict for CLI/status output."""
         state = self._committed()
-        info: dict[str, Any] = {
+        entries = state.segments()
+        return {
             "path": self.path,
-            "kind": state.kind,
-            "version": self.version(),
+            "version": state.version,
+            "shards": len(state.shards),
+            "segments": len(entries),
+            "rows_total": state.rows_total(),
+            "rows_dead": state.rows_dead(),
+            "bytes": state.size + sum(entry["bytes"] for entry in entries),
         }
-        if state.kind == _KIND_SHARDED:
-            info["num_shards"] = len(state.shards)
-            return info
-        info.update(
-            segments=len(state.segments),
-            rows_total=state.rows_total,
-            rows_dead=len(state.dead),
-            bytes=state.size + sum(entry["bytes"]
-                                   for entry in state.segments),
-        )
-        return info
 
     def __repr__(self) -> str:
         return f"ColumnarStore({self.path!r})"
 
 
 class ColumnarRowReader:
-    """Row-addressed reads over a committed index store.
+    """Row-addressed reads over one shard of a committed store.
 
-    Global row ordinals — base rows in leaf-iteration order, then delta
-    inserts in op order, the same numbering ``row_ordinals()`` exposes —
-    resolve to ``(segment, local row)`` via a prefix-sum binary search.
-    Series and frames come out as zero-copy offsets-table slices of the
-    (optionally mmap'd) ``og_*`` columns: touching one row faults in
-    that row's pages, never a whole segment.  Segment columns and
-    headers load lazily on first touch, so a reader over a million-row
-    store costs one log read until a row is actually read.
-
-    Records are ``ObjectGraph``s minted with ``og_id = id_base + row
-    ordinal`` — the one identity that is stable across processes —
-    which is what keeps out-of-core rerank tie-breaking bit-identical
-    to the materialized index (whose fresh og_ids are minted in the
-    same row order).  ``id_base`` is 0 for a store read on its own; a
-    shard of a sharded store gets the row count of the shards before
-    it, so og_ids (``ObjectGraph`` equality and hashing are by og_id)
-    stay unique across the shards' readers.
+    Row ordinals (the numbering ``row_ordinals()`` exposes) resolve to
+    ``(segment, local row)`` by a prefix-sum binary search; series and
+    frames are zero-copy offsets-table slices of the (optionally
+    mmap'd) ``og_*`` columns, loaded lazily per segment.  Records are
+    ``ObjectGraph``s with ``og_id = id_base + row`` — stable across
+    processes, minted in the materialized index's order, and unique
+    across shards when ``id_base`` is the row count of the shards
+    before this one.
     """
 
-    def __init__(self, store: ColumnarStore, state: _Committed,
+    def __init__(self, store: ColumnarStore, log: _ShardLog,
                  mmap: bool = True, id_base: int = 0):
-        if state.kind != _KIND_INDEX:
-            raise StorageError(
-                f"sharded store {store.path} has no global row space; "
-                "open the shard stores individually")
         self._store = store
         self._mmap = bool(mmap)
         self._id_base = int(id_base)
-        self._segments = list(state.segments)
+        self._segments = list(log.segments)
         self._columns: list[tuple | None] = [None] * len(self._segments)
         self._refs: list[list | None] = [None] * len(self._segments)
         starts = [0]
         for entry in self._segments:
             starts.append(starts[-1] + int(entry["rows"]))
         self._starts = starts
-        self._rows_total = state.rows_total
-        self._dead = state.dead
+        self._rows_total = log.rows_total
+        self._dead = log.dead
 
     def __len__(self) -> int:
         return self._rows_total
@@ -1452,5 +1416,5 @@ __all__ = [
     "ColumnarStore",
     "columnar_path",
     "is_columnar_store",
-    "is_v1_store",
+    "stored_version",
 ]

@@ -18,7 +18,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.index import STRGIndex
 from repro.core.size import index_size_bytes, strg_raw_size_bytes
 from repro.errors import IndexStateError, IngestDegradedError, StorageError
 from repro.graph.object_graph import ObjectGraph
@@ -28,6 +27,7 @@ from repro.resilience.policy import FaultPolicy, QuarantineRecord
 from repro.resilience.retry import RetryPolicy
 from repro.search.request import SearchRequest, budgeted_scatter
 from repro.search.sketch import approx_knn
+from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 from repro.storage.store import open_store
 from repro.video.frames import VideoSegment
 
@@ -63,11 +63,11 @@ class VideoDatabase:
     and ``index.strg`` snapshot; :meth:`save` checkpoints there), and
     :meth:`recover` resumes it exactly once after a crash.
 
-    With ``shards`` set, the database maintains a
-    :class:`~repro.serving.sharding.ShardedIndex` of that many shards
-    instead of a monolithic tree — query results stay bit-identical,
-    and the index plugs straight into the serving layer
-    (``LiveIndex`` / ``QueryService``).
+    The database maintains a
+    :class:`~repro.serving.sharding.ShardedIndex` of ``shards`` shards
+    (default 1: the monolithic tree) — query results are bit-identical
+    at any shard count, and the index plugs straight into the serving
+    layer (``LiveIndex`` / ``QueryService``).
     """
 
     def __init__(self, config: PipelineConfig | None = None, *,
@@ -76,7 +76,7 @@ class VideoDatabase:
                  drop_tolerance: float = 0.5,
                  drop_grace: int = 8,
                  state_dir: str | os.PathLike | None = None,
-                 shards: int | None = None,
+                 shards: int = 1,
                  placement: str = "affine"):
         from repro.serving.ingest import JOURNAL_NAME
 
@@ -88,7 +88,7 @@ class VideoDatabase:
         self.pipeline = VideoPipeline(config)
         #: The index before the first write; from then on it lives in
         #: the ingest service's LiveIndex.
-        self._index: STRGIndex | None = None
+        self._index: ShardedIndex | None = None
         self._index_loader = None
         self._service = None
         self.state_dir = None if state_dir is None else os.fspath(state_dir)
@@ -115,7 +115,7 @@ class VideoDatabase:
     # -- index binding -------------------------------------------------------
 
     @property
-    def index(self) -> STRGIndex | None:
+    def index(self) -> ShardedIndex | None:
         """The database's index: the newest published snapshot's.
 
         A database opened with ``mmap`` (via :func:`repro.open_database`
@@ -214,12 +214,8 @@ class VideoDatabase:
             "ogs": ogs,
         }
 
-    def _make_index(self):
+    def _make_index(self) -> ShardedIndex:
         """A fresh index honouring the database's sharding settings."""
-        if self.shards is None:
-            return STRGIndex(self.pipeline.config.index)
-        from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
-
         return ShardedIndex(ShardedIndexConfig(
             num_shards=self.shards,
             placement=self.placement,
@@ -258,10 +254,9 @@ class VideoDatabase:
         self.state_dir = service.state_dir
         self._adopt_sharding(service.live.snapshot.index)
 
-    def _adopt_sharding(self, index) -> None:
-        if getattr(index, "shards", None) is not None:
-            self.shards = index.num_shards
-            self.placement = index.config.placement
+    def _adopt_sharding(self, index: ShardedIndex) -> None:
+        self.shards = index.num_shards
+        self.placement = index.config.placement
 
     def _check_drop_tolerance(self, job) -> None:
         """Escalate once the quarantined fraction passes the tolerance."""
@@ -494,7 +489,6 @@ class VideoDatabase:
                 "budgeted queries will materialize the index",
                 store.path, type(exc).__name__, exc)
             sketches = None
-        sketches = [sketch for sketch in sketches or () if len(sketch)]
         self._ooc_sketch = sketches or False
         return sketches or None
 
@@ -504,19 +498,18 @@ class VideoDatabase:
         """Database statistics, including the Eq. 9 vs Eq. 10 sizes."""
         if self.index is None:
             return {"segments": len(self._ingested), "ogs": 0}
-        trees = getattr(self.index, "shards", None) or [self.index]
-        out = {
+        index = self.index
+        return {
             "segments": len(self._ingested),
-            "ogs": len(self.index),
-            "clusters": self.index.num_clusters(),
-            "backgrounds": sum(len(tree.root) for tree in trees),
+            "ogs": len(index),
+            "clusters": index.num_clusters(),
+            "backgrounds": sum(len(tree.root) for tree in index.shards),
             "raw_strg_bytes": self._raw_strg_bytes,
-            "index_bytes": sum(index_size_bytes(tree) for tree in trees),
+            "index_bytes": sum(index_size_bytes(tree)
+                               for tree in index.shards),
+            "shards": index.num_shards,
+            "shard_sizes": index.shard_sizes(),
         }
-        if self.shards is not None:
-            out["shards"] = len(trees)
-            out["shard_sizes"] = self.index.shard_sizes()
-        return out
 
     def health(self) -> dict[str, Any]:
         """Operational telemetry: counts, quarantine and last error.
@@ -594,8 +587,8 @@ class VideoDatabase:
         mmap enabled, budgeted queries (``knn(..., search_budget=N)``)
         run fully out-of-core: the sketch tier streams from the store's
         mmap'd columns and only the shortlist's series are fetched, so
-        the tree is never built — on monolithic and sharded stores
-        alike (see ``docs/SEARCH.md``).
+        the tree is never built, one attached sketch per shard (see
+        ``docs/SEARCH.md``).
         ``**kwargs`` are the constructor's resilience options
         (``fault_policy``, ``retry_policy``, ``state_dir``, ...).
         """
@@ -607,10 +600,9 @@ class VideoDatabase:
             # open time, not at first touch, and the database knows its
             # sharding before the tree exists.
             manifest = store.manifest()
-            if manifest["kind"] == "sharded":
-                db.shards = manifest["num_shards"]
-                db.placement = manifest.get("serving_config", {}).get(
-                    "placement", db.placement)
+            db.shards = manifest["num_shards"]
+            db.placement = manifest["serving_config"].get(
+                "placement", db.placement)
 
         def materialize():
             index = store.load_index(mmap=use_mmap)
@@ -635,8 +627,8 @@ class VideoDatabase:
 
         :meth:`IngestService.recover
         <repro.serving.ingest.IngestService.recover>` with this
-        database's pipeline, service settings and (sharded or not) empty
-        index, then bound to the database: the last snapshot that
+        database's pipeline, service settings and empty index of its
+        ``shards``, then bound to the database: the last snapshot that
         survives the store's deep integrity pass is loaded, and every
         journaled job it does not hold re-runs from the spool, exactly
         once, before this returns — the caller re-ingests nothing.

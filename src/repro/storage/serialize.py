@@ -124,6 +124,18 @@ def _pack_ragged(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return flat, offsets.astype(np.int64)
 
 
+def _pack_ogs(ogs: Sequence[ObjectGraph]) -> dict[str, np.ndarray]:
+    """The ``og_*`` columns of ``ogs``: ragged values, labels, frames."""
+    og_flat, og_offsets = _pack_ragged([og.values for og in ogs])
+    frames = (np.concatenate([np.asarray(og.frames, dtype=np.int64)
+                              for og in ogs])
+              if ogs else np.zeros(0, dtype=np.int64))
+    labels = np.array([-1 if og.label is None else og.label for og in ogs],
+                      dtype=np.int64)
+    return dict(og_values=og_flat, og_offsets=og_offsets, og_labels=labels,
+                og_frames=frames)
+
+
 def _unpack_ragged(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
     """Inverse of :func:`_pack_ragged`."""
     return [
@@ -283,16 +295,20 @@ def _unpack_sketch(data, sketch_meta: str,
         return None
 
 
-def leaf_ogs(index: STRGIndex) -> list[tuple[ObjectGraph, Any]]:
-    """``(og, clip_ref)`` pairs in the stable leaf-iteration order.
+def leaf_ogs(index) -> list[tuple[ObjectGraph, Any]]:
+    """``(og, clip_ref)`` pairs in the stable leaf-iteration order, shard
+    by shard (an ``STRGIndex`` is one shard).
 
     This is *the* stored row order: columnar segments (and the 2.x
-    archives) number rows by it, and sketch arrays are persisted
-    positionally against it.
+    archives) number each shard's rows by it, and sketch arrays are
+    persisted positionally against it.
     """
+    from repro.serving.sharding import ShardedIndex
+
     return [
         (leaf_record.og, leaf_record.clip_ref)
-        for root_record in index.root
+        for shard in ShardedIndex.of(index).shards
+        for root_record in shard.root
         for cluster_record in root_record.cluster_node
         for leaf_record in cluster_record.leaf
     ]
@@ -326,22 +342,11 @@ def index_to_arrays(index: STRGIndex
                 leaf_of_og.append(cluster_ordinal)
                 refs.append(leaf_record.clip_ref)
             cluster_ordinal += 1
-    og_flat, og_offsets = _pack_ragged([og.values for og in ogs])
-    frames_flat = (
-        np.concatenate([np.asarray(og.frames, dtype=np.int64)
-                        for og in ogs])
-        if ogs else np.zeros(0, dtype=np.int64)
-    )
     cen_flat, cen_offsets = _pack_ragged(centroids)
-    labels = np.array(
-        [-1 if og.label is None else og.label for og in ogs],
-        dtype=np.int64,
-    )
     config = index.config
     sketch_arrays, sketch_meta = _pack_sketch(index, ogs)
     arrays = dict(
-        og_values=og_flat, og_offsets=og_offsets, og_labels=labels,
-        og_frames=frames_flat,
+        **_pack_ogs(ogs),
         keys=np.asarray(keys, dtype=np.float64),
         leaf_of_og=np.asarray(leaf_of_og, dtype=np.int64),
         centroid_values=cen_flat, centroid_offsets=cen_offsets,

@@ -131,26 +131,23 @@ def rewrite_segment(path, segment: int,
     target.write_bytes(bytes(out))
 
     def point(records):
-        records[segment].update(bytes=len(out), hsum=_short_sum(encoded))
+        for record in records:
+            for named in record["segments"] + [record.get("pivots") or {}]:
+                if named.get("seg") == entry["seg"]:
+                    named.update(bytes=len(out), hsum=_short_sum(encoded))
     edit_log(store, point)
 
 
 def column_digests(path) -> dict[str, str]:
-    """``{"<store-relative segment>:<column>": sha256}`` over every
-    committed column of a store and its shards."""
+    """``{"<segment>:<column>": sha256}`` over every committed column of
+    a store, its shards' segments and the pivots alike."""
     store = store_of(path)
-    root = Path(store.path)
     out: dict[str, str] = {}
-    manifest = store.manifest()
-    stores = [store] + [ColumnarStore(root / name, normalize=False)
-                        for name in manifest.get("shards", [])]
-    for part in stores:
-        for number, entry in enumerate(segments(part)):
-            for column in column_names(part, number):
-                target, offset, nbytes = column_span(part, column, number)
-                with open(target, "rb") as fh:
-                    fh.seek(offset)
-                    digest = hashlib.sha256(fh.read(nbytes)).hexdigest()
-                rel = Path(part.path).relative_to(root) / entry["seg"]
-                out[f"{rel}:{column}"] = digest
+    for number, entry in enumerate(segments(store)):
+        for column in column_names(store, number):
+            target, offset, nbytes = column_span(store, column, number)
+            with open(target, "rb") as fh:
+                fh.seek(offset)
+                digest = hashlib.sha256(fh.read(nbytes)).hexdigest()
+            out[f"{entry['seg']}:{column}"] = digest
     return out

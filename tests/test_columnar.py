@@ -6,6 +6,7 @@ contract and the 2.x NPZ importer, and the wiring through
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -37,6 +38,10 @@ LEGACY = Path(__file__).parent / "data" / "legacy_npz"
 #: src/ that could: a monolithic store with three delta segments and
 #: two deletes, and a 2-shard store.
 LEGACY_V1 = Path(__file__).parent / "data" / "legacy_v1_strg"
+#: 10.x stores (columnar format version 2), written by the last src/
+#: that could: a monolithic store with three delta segments and two
+#: deletes, and a 2-shard store of nested sub-stores.
+LEGACY_V2 = Path(__file__).parent / "data" / "legacy_v2_strg"
 
 
 def legacy_copy(tmp_path, name="mono.npz"):
@@ -85,7 +90,8 @@ class TestColumnarRoundTrip:
         assert store.path.endswith(".strg")
         for mmap in (False, True):
             loaded = ColumnarStore(store.path).load_index(mmap=mmap)
-            assert loaded.stats() == index.stats()
+            assert loaded.num_shards == 1
+            assert loaded.shards[0].stats() == index.stats()
             assert knn_signature(loaded, ogs[:4]) \
                 == knn_signature(index, ogs[:4])
 
@@ -103,7 +109,7 @@ class TestColumnarRoundTrip:
         store = ColumnarStore(tmp_path / "a")
         store.write_index(index)
         before, meta_a = index_to_arrays(index)
-        after, meta_c = index_to_arrays(store.load_index())
+        after, meta_c = index_to_arrays(store.load_index().shards[0])
         assert sorted(before) == sorted(after)
         for key, column in before.items():
             np.testing.assert_array_equal(after[key], column,
@@ -117,7 +123,7 @@ class TestColumnarRoundTrip:
         store = ColumnarStore(tmp_path / "sk")
         store.write_index(index)
         loaded = store.load_index()
-        assert loaded._sketches is not None
+        assert loaded.shards[0]._sketches is not None
         want = index.knn(ogs[0], 3, search_budget=8)
         got = loaded.knn(ogs[0], 3, search_budget=8)
         assert [d for d, _, _ in want] == [d for d, _, _ in got]
@@ -146,15 +152,23 @@ class TestShardedColumnar:
         assert [(d, ref) for d, _, ref in mapped.range_query(ogs[0], 30.0)] \
             == want
 
-    def test_sharded_store_rejects_append(self, tmp_path):
+    def test_sharded_store_appends_per_shard(self, tmp_path):
         ogs = blob_ogs(k=2, n_per=3)
         index = ShardedIndex(ShardedIndexConfig(
             num_shards=2, index=STRGIndexConfig(n_clusters=2)))
         index.build(ogs)
         store = ColumnarStore(tmp_path / "sharded")
         store.write_index(index)
-        with pytest.raises(StorageError, match="sharded"):
-            store.append([_BufferedWrite("delete", og_id=1)])
+        victim = next(index.shards[1].object_graphs()).og_id
+        index.delete(victim)
+        (name,) = store.append([_BufferedWrite("delete", og_id=victim)])
+        assert store_layout.segments(store)[-1] == dict(
+            store_layout.segments(store)[-1], seg=name, shard=1,
+            kind="delta")
+        assert store.manifest()["rows_dead"] == 1
+        loaded = ColumnarStore(store.path).load_index()
+        assert loaded.shard_sizes() == index.shard_sizes()
+        assert knn_signature(loaded, ogs[:3]) == knn_signature(index, ogs[:3])
 
 
 class TestAppendAndReplay:
@@ -248,8 +262,8 @@ class TestMerge:
                          for seg in store_layout.segments(store))
         og = ObjectGraph.from_values([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         index.insert(og, None, "tiny")
-        name = store.append([_BufferedWrite("insert", og=og,
-                                            clip_ref="tiny")])
+        (name,) = store.append([_BufferedWrite("insert", og=og,
+                                               clip_ref="tiny")])
         delta = next(s for s in store_layout.segments(store)
                      if s["seg"] == name)
         assert delta["bytes"] < base_bytes / 5
@@ -286,7 +300,7 @@ class TestCorruptionDetection:
         store, _, _ = self.make_store(tmp_path)
 
         def one_more_row(records):
-            records[0]["rows"] += 1
+            records[0]["segments"][0]["rows"] += 1
         store_layout.edit_log(store, one_more_row)
         with pytest.raises(IndexCorruptionError):
             ColumnarStore(store.path).load_index()
@@ -347,8 +361,8 @@ class TestCorruptionDetection:
         store, _, _ = self.make_store(tmp_path)
 
         def drop_keys(records):
-            del records[0]["seg"]
-            del records[0]["rows"]
+            del records[0]["segments"][0]["seg"]
+            del records[0]["segments"][0]["rows"]
         store_layout.edit_log(store, drop_keys)
         with pytest.raises(IndexCorruptionError) as err:
             ColumnarStore(store.path).load_index()
@@ -497,8 +511,8 @@ class TestImporter:
                                               name):
         store = convert(legacy_copy(tmp_path, name))
         assert store.path == str(tmp_path / name[:-len(".npz")]) + ".strg"
-        kind = "sharded" if name == "sharded.npz" else "index"
-        assert store.describe()["kind"] == kind
+        assert store.describe()["shards"] == (
+            2 if name == "sharded.npz" else 1)
         index = open_store(store.path).load_index(mmap=True)
         assert len(index) == expected["num_ogs"]
         got = [[[d, ref] for d, _, ref in
@@ -566,8 +580,10 @@ class TestConvertV1:
         store = convert(source, dest)
         assert store.path == str(source if in_place
                                  else tmp_path / "out.strg")
-        assert store.describe()["kind"] == \
-            ("sharded" if name == "sharded" else "index")
+        assert store.describe()["shards"] == (2 if name == "sharded" else 1)
+        # Straight to the current format, one log over flat segments.
+        assert store_layout.log_records(store)[0]["format_version"] == 3
+        assert not [p for p in Path(store.path).iterdir() if p.is_dir()]
         for mmap in (True, False):
             index = open_store(store.path).load_index(mmap=mmap)
             assert len(index) == expected["num_ogs"][name]
@@ -587,7 +603,8 @@ class TestConvertV1:
         assert kinds == ["base", "delta", "delta", "delta"]
         assert store.manifest()["rows_dead"] == 2
         records = store_layout.log_records(store)
-        assert sum(len(record.get("dead", [])) for record in records) == 2
+        assert sum(len(entry.get("dead", [])) for record in records
+                   for entry in record["segments"]) == 2
         # Column bytes are copied, not re-encoded.
         v1 = LEGACY_V1 / "mono.strg" / "seg-000000" / "og_values.npy"
         target, offset, nbytes = store_layout.column_span(store, "og_values")
@@ -639,6 +656,120 @@ class TestConvertV1:
         source = self.v1_copy(tmp_path, "sharded")
         assert main(["query", str(source)]) == 3
         assert "strg-index convert" in capsys.readouterr().err
+        assert main(["convert", str(source)]) == 0
+        assert "verified" in capsys.readouterr().out
+        assert main(["query", str(source), "-k", "3"]) == 0
+        assert capsys.readouterr().out.count("d=") == 3
+
+
+class TestConvertV2:
+    """``convert`` re-records 10.x (format version 2) logs into one log
+    over flat segment files, each copied byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        with open(LEGACY_V2 / "expected.json", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def v2_copy(tmp_path, name):
+        shutil.copytree(LEGACY_V2 / f"{name}.strg", tmp_path / f"{name}.strg")
+        return tmp_path / f"{name}.strg"
+
+    @staticmethod
+    def seg_digests(root) -> list[str]:
+        return sorted(hashlib.sha256(path.read_bytes()).hexdigest()
+                      for path in Path(root).rglob("*.seg"))
+
+    @pytest.mark.parametrize("name", ["mono", "sharded"])
+    @pytest.mark.parametrize("in_place", [True, False],
+                             ids=["in-place", "to-dest"])
+    def test_converted_answers_match_recorded(self, tmp_path, expected,
+                                              name, in_place):
+        source = self.v2_copy(tmp_path, name)
+        dest = None if in_place else tmp_path / "out"
+        store = convert(source, dest)
+        assert store.describe()["shards"] == (2 if name == "sharded" else 1)
+        assert store_layout.log_records(store)[0]["format_version"] == 3
+        for mmap in (True, False):
+            index = open_store(store.path).load_index(mmap=mmap)
+            assert len(index) == expected["num_ogs"][name]
+            assert TestConvertV1.answers(index, expected) \
+                == expected["answers"][name]
+            assert TestConvertV1.answers(
+                index, expected, search_budget=expected["search_budget"]) \
+                == expected["budgeted"][name]
+        # One flat directory: the log and the segment files.
+        names = sorted(os.listdir(store.path))
+        assert names[0] == "manifest.jsonl"
+        assert all(n.endswith(".seg") for n in names[1:])
+        if not in_place:
+            assert (source / "shard-0" if name == "sharded"
+                    else source / "seg-000003.seg").exists()
+
+    def test_segments_copied_byte_for_byte(self, tmp_path):
+        for name in ("mono", "sharded"):
+            source = self.v2_copy(tmp_path, name)
+            before = self.seg_digests(source)
+            store = convert(source, tmp_path / f"{name}-out")
+            assert self.seg_digests(store.path) == before
+        mono = ColumnarStore(tmp_path / "mono-out")
+        assert [(seg["shard"], seg["kind"])
+                for seg in store_layout.segments(mono)] \
+            == [(0, "base")] + [(0, "delta")] * 3
+        assert mono.manifest()["rows_dead"] == 2
+        sharded = ColumnarStore(tmp_path / "sharded-out")
+        assert [(seg["shard"], seg["kind"])
+                for seg in store_layout.segments(sharded)] \
+            == [(0, "base"), (1, "base"), (None, "pivots")]
+
+    def test_damaged_segment_raises_before_commit(self, tmp_path):
+        source = self.v2_copy(tmp_path, "sharded")
+        victim = source / "shard-1" / "seg-000000.seg"
+        blob = bytearray(victim.read_bytes())
+        blob[-3] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        with pytest.raises(IndexCorruptionError, match="checksum"):
+            convert(source)
+        assert store_layout.log_records(source)[0]["format_version"] == 2
+        assert (source / "shard-0" / "manifest.jsonl").is_file()
+
+    def test_every_other_entry_point_refuses_v2(self, tmp_path):
+        import repro
+        from repro.serving.ingest import IngestService
+        from repro.serving.workers import WorkerPool
+        from repro.storage.database import VideoDatabase
+
+        for name in ("mono", "sharded"):
+            source = self.v2_copy(tmp_path, name)
+            hint = f"strg-index convert {source}"
+            for call in (lambda: open_store(source),
+                         lambda: repro.open_database(source, create=False),
+                         lambda: VideoDatabase.load(source),
+                         lambda: WorkerPool(source),
+                         lambda: ColumnarStore(source).load_index(),
+                         lambda: ColumnarStore(source).load_sketch(),
+                         lambda: ColumnarStore(source).write_index(
+                             build_index()[0])):
+                with pytest.raises(StorageError) as err:
+                    call()
+                assert not isinstance(err.value, IndexCorruptionError)
+                assert hint in str(err.value)
+            state = tmp_path / f"state-{name}"
+            shutil.copytree(source, state / "index.strg")
+            with pytest.raises(StorageError, match="strg-index convert"):
+                IngestService(LiveIndex(build_index()[0]), state_dir=state)
+            with pytest.raises(StorageError, match="strg-index convert"):
+                IngestService.recover(state)
+            assert store_layout.log_records(source)[0]["format_version"] \
+                == 2
+
+    def test_cli_refuses_converts_then_queries(self, tmp_path, capsys):
+        from repro.cli import main
+
+        source = self.v2_copy(tmp_path, "sharded")
+        assert main(["query", str(source)]) == 3
+        assert f"strg-index convert {source}" in capsys.readouterr().err
         assert main(["convert", str(source)]) == 0
         assert "verified" in capsys.readouterr().out
         assert main(["query", str(source), "-k", "3"]) == 0

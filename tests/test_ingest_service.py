@@ -29,6 +29,7 @@ from repro.serving.ingest import (
     JobState,
 )
 from repro.serving.snapshot import LiveIndex
+from repro.storage.serialize import leaf_ogs
 from repro.video.frames import VideoSegment
 from repro.video.segmentation import GridSegmenter
 from repro.video.synthesize import (
@@ -450,15 +451,9 @@ def index_contents(live: LiveIndex) -> set[tuple[str, bytes]]:
     """Content signature of an index: (clip name, trajectory bytes) per
     indexed OG.  Process-local og ids are deliberately excluded — a
     recovered process mints different ids for identical content."""
-    index = live.snapshot.index
-    out = set()
-    for root_record in index.root:
-        for cluster_record in root_record.cluster_node:
-            for leaf_record in cluster_record.leaf:
-                ref = leaf_record.clip_ref or {}
-                out.add((str(ref.get("video", "")),
-                         np.round(leaf_record.og.values, 6).tobytes()))
-    return out
+    return {(str((ref or {}).get("video", "")),
+             np.round(og.values, 6).tobytes())
+            for og, ref in leaf_ogs(live.snapshot.index)}
 
 
 class TestCrashRecovery:

@@ -659,11 +659,15 @@ class TestServeHttpCli:
                      "--http", "127.0.0.1:0"]) == 2
         assert "none at" in capsys.readouterr().err
 
-    def test_serve_http_shards_needs_a_live_index(self, store_path, capsys):
+    def test_serve_has_no_shards_option(self, store_path, capsys):
+        """Both backends serve the shards the store holds; the count is
+        chosen when the store is written (``build --shards``)."""
         from repro.cli import main
 
-        assert main(["serve", store_path, "--http", "127.0.0.1:0",
-                     "--shards", "2"]) == 2
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", store_path, "--http", "127.0.0.1:0",
+                  "--shards", "2"])
+        assert exit_.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
     def test_serve_http_ingest_makes_uploads_queryable(self, store_path):

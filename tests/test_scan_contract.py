@@ -39,11 +39,13 @@ from repro.distance.base import CountingDistance, as_series
 from repro.distance.batch import one_vs_many
 from repro.distance.eged import EGED, MetricEGED
 from repro.graph.object_graph import ObjectGraph
-from repro.search.sketch import SketchConfig, sketch_from_meta
+from repro.search.request import SearchRequest, budgeted_scatter
+from repro.search.sketch import SketchConfig, approx_knn, sketch_from_meta
 from repro.serving import ShardedIndex, ShardedIndexConfig
 from repro.storage.store import open_store
 from test_index_properties import random_ogs
 from test_strg_index import make_background
+from tests import store_layout
 
 PLACEMENTS = ["hash", "affine"]
 
@@ -138,6 +140,102 @@ class TestOneShardIsTheIndex:
             counter.reset()
             ask(sharded)
             assert counter.calls == spent > 0
+
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_one_shard_places_nothing(self, tmp_path, placement):
+        """One shard fits no pivot and evaluates none: a build plus
+        inserts spends the ``STRGIndex``'s evaluations and stores its
+        columns, and so does an insert into ``from_shards([index])``."""
+        ogs = random_ogs(np.random.default_rng(3), 40)
+        config = STRGIndexConfig(n_clusters=4, em_iterations=4)
+        mono_counter = CountingDistance(MetricEGED())
+        mono = STRGIndex(config, metric_distance=mono_counter)
+        mono.build(ogs[:32], clip_refs=list(range(32)))
+        for i, og in enumerate(ogs[32:36], 32):
+            mono.insert(og, None, i)
+        counter = CountingDistance(MetricEGED())
+        sharded = ShardedIndex(ShardedIndexConfig(
+            num_shards=1, placement=placement, index=config),
+            metric_distance=counter)
+        assert sharded.build(ogs[:32], clip_refs=list(range(32))) == [0] * 32
+        assert [sharded.insert(og, None, i)
+                for i, og in enumerate(ogs[32:36], 32)] == [0] * 4
+        assert sharded.pivots is None
+        assert counter.calls == mono_counter.calls > 0
+        open_store(tmp_path / "mono").write_index(mono)
+        open_store(tmp_path / "sharded").write_index(sharded)
+        assert store_layout.column_digests(tmp_path / "sharded") \
+            == store_layout.column_digests(tmp_path / "mono")
+        # An index over shards built elsewhere fits nothing either.
+        wrapped = ShardedIndex.from_shards([mono], {"placement": placement})
+        spent = mono_counter.calls
+        mono_counter.reset()
+        assert [wrapped.insert(og) for og in ogs[36:]] == [0] * 4
+        assert wrapped.pivots is None
+        twin = STRGIndex(config, metric_distance=counter)
+        twin.build(ogs[:32], clip_refs=list(range(32)))
+        for i, og in enumerate(ogs[32:36], 32):
+            twin.insert(og, None, i)
+        counter.reset()
+        for og in ogs[36:]:
+            twin.insert(og)
+        assert mono_counter.calls == counter.calls > 0 and spent > 0
+
+    @pytest.mark.parametrize("how", ["built", "loaded", "mmap",
+                                     "out-of-core"])
+    @pytest.mark.parametrize("budget", ["below N", "at least N"])
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 10))
+    @settings(max_examples=4, deadline=None)
+    def test_budgeted_reads(self, how, budget, seed, k):
+        """A budgeted read of the one-shard index — built, loaded from a
+        store (eagerly or mapped) or answered out of core from the
+        store's sketch columns — is the ``STRGIndex``'s: same hits, same
+        evaluations."""
+        rng = np.random.default_rng(seed)
+        ogs = random_ogs(rng, 44)
+        index = STRGIndex(STRGIndexConfig(n_clusters=4, em_iterations=4,
+                                          seed=seed))
+        index.build(ogs[:40], clip_refs=list(range(40)))
+        index.sketch_tier()
+        search_budget = 12 if budget == "below N" else 40 + seed % 7
+        with tempfile.TemporaryDirectory() as workdir:
+            store = open_store(f"{workdir}/corpus")
+            store.write_index(index)
+            if how == "built":
+                served = ShardedIndex.of(index)
+            elif how in ("loaded", "mmap"):
+                served = store.load_index(mmap=how == "mmap")
+                assert served.num_shards == 1
+            else:
+                parts = store.load_sketch(mmap=True)
+                assert len(parts) == 1
+                served = None
+
+            def ask(layer, query):
+                if layer is None:
+                    request = SearchRequest.knn(query, k,
+                                                search_budget=search_budget)
+                    return budgeted_scatter(
+                        request, [len(part) for part in parts],
+                        lambda p, share: approx_knn(
+                            parts[p], parts[p].replay_distance, share))
+                return layer.knn(query, k, search_budget=search_budget)
+
+            for query in ogs[40:]:
+                spent = []
+                hits = []
+                for layer in (index, served):
+                    obs.configure(enabled=True, reset_state=True)
+                    try:
+                        found = ask(layer, query)
+                        spent.append(obs.metrics().get(
+                            "distance.pairs_computed", 0))
+                    finally:
+                        obs.configure(enabled=False, reset_state=True)
+                    hits.append([(d, ref) for d, _, ref in found])
+                assert hits[1] == hits[0]
+                assert spent[1] == spent[0] > 0
 
 
 SKETCHES = ["built", "attached", "loaded", "mmap"]

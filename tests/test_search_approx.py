@@ -313,7 +313,7 @@ class TestSketchPersistence:
         store = open_store(tmp_path / "index")
         store.write_index(index)
         loaded = store.load_index()
-        assert loaded._sketches is not None  # came from the store
+        assert loaded.shards[0]._sketches is not None  # came from the store
         after = loaded.knn(q, 8, search_budget=30)
         # og_ids are re-minted on load; compare by distance ordering.
         assert [d for d, _, _ in before] \
@@ -325,7 +325,7 @@ class TestSketchPersistence:
         fresh = built_index(ogs)
         store = open_store(tmp_path / "plain")
         store.write_index(fresh)
-        loaded = store.load_index()
+        (loaded,) = store.load_index().shards
         assert loaded._sketches is None
         hits = loaded.knn(ogs[0], 8, search_budget=30)  # lazy rebuild
         assert len(hits) == 8

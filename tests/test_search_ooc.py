@@ -29,11 +29,7 @@ from repro.distance.base import as_series
 from repro.distance.batch import one_vs_many
 from repro.distance.bounds import pivot_lower_bounds
 from repro.distance.eged import MetricEGED
-from repro.errors import (
-    IndexCorruptionError,
-    InvalidParameterError,
-    StorageError,
-)
+from repro.errors import IndexCorruptionError, InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
 from repro.search import (
     SearchRequest,
@@ -44,6 +40,7 @@ from repro.search import (
 from repro.serving import ShardedIndex, ShardedIndexConfig
 from repro.storage.columnar import ColumnarStore
 from repro.storage.database import VideoDatabase
+from repro.storage.serialize import leaf_ogs
 from tests import store_layout
 
 
@@ -302,7 +299,7 @@ class TestStoreAttachedSketch:
                                     budget)
         else:
             index = store.load_index(mmap=True)
-            sketch = index._sketches
+            sketch = index.shards[0]._sketches
             base = sketch._pd
             for og, ref in zip(extra, refs):
                 index.insert(og, None, ref)
@@ -335,7 +332,7 @@ class TestStoreAttachedSketch:
             store.load_sketch()
         with caplog.at_level("WARNING"):
             loaded = store.load_index(mmap=True)
-        assert loaded._sketches is None
+        assert loaded.shards[0]._sketches is None
         assert "unreadable sketch payload" in caplog.text
         q = corpus(1, seed=54)[0]
         assert hit_sig(loaded.knn(q, 5, search_budget=30)) \
@@ -348,13 +345,20 @@ class TestStoreAttachedSketch:
         store.write_index(index)
         assert store.load_sketch() is None
 
-    def test_sharded_store_raises(self, tmp_path):
-        """A sharded root has no global row space — but it has a sketch
-        tier: one attached sketch per shard, og_ids numbered through."""
+    def test_sharded_store_reads_per_shard(self, tmp_path):
+        """Rows are numbered per shard, each shard read from the one log;
+        the sketch tier is one attached sketch per shard, og_ids numbered
+        through."""
         ogs = corpus(40, seed=71)
         store, index = store_with_sketch(tmp_path, ogs, name="sh", shards=2)
-        with pytest.raises(StorageError):
-            store.row_reader()
+        sizes = index.shard_sizes()
+        for shard, size in enumerate(sizes):
+            reader = store.row_reader(shard=shard)
+            assert len(reader) == size
+            assert [reader.record(row)[1] for row in range(size)] \
+                == [ref for _, ref in leaf_ogs(index.shards[shard])]
+        with pytest.raises(InvalidParameterError):
+            store.row_reader(shard=2)
         sketches = store.load_sketch()
         assert [len(s) for s in sketches] == index.shard_sizes()
         ids = np.concatenate([s.og_ids for s in sketches])
@@ -426,7 +430,7 @@ class TestRowReader:
 
 #: Store shapes the database must answer out of core: ``(shards,
 #: placement)``, ``None`` = monolithic.
-STORE_SHAPES = [(None, "affine"), (2, "affine"), (2, "hash"),
+STORE_SHAPES = [(1, "affine"), (2, "affine"), (2, "hash"),
                 (4, "affine"), (4, "hash")]
 
 
@@ -454,7 +458,7 @@ def twins(values):
 
 
 class TestDatabaseOutOfCore:
-    def make_db(self, tmp_path, n=90, budgeted=True, shards=None,
+    def make_db(self, tmp_path, n=90, budgeted=True, shards=1,
                 placement="affine"):
         ogs = corpus(n, seed=13)
         db = VideoDatabase(shards=shards, placement=placement)

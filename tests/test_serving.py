@@ -133,14 +133,22 @@ class TestShardedIndexBasics:
         assert len(index) == 32
 
     def test_affine_insert_fits_missing_pivots(self, corpus):
-        built = STRGIndex(STRGIndexConfig(n_clusters=4))
-        built.build(corpus[:50])
-        index = ShardedIndex.from_shards([built])
+        shards = []
+        for part in (corpus[:25], corpus[25:50]):
+            built = STRGIndex(STRGIndexConfig(n_clusters=4))
+            built.build(part)
+            shards.append(built)
+        index = ShardedIndex.from_shards(shards)
         assert index.config.placement == "affine" and index.pivots is None
         index.insert(corpus[50])
-        assert len(index.pivots) == index.num_shards
+        assert len(index.pivots) == index.num_shards == 2
         assert len(index) == 51
         assert index.knn(corpus[50], 1)[0][1].og_id == corpus[50].og_id
+        # One shard has nothing to place: no pivots are fit.
+        single = ShardedIndex.from_shards([shards[0]])
+        assert single.insert(corpus[51]) == 0
+        assert single.pivots is None
+        assert single.knn(corpus[51], 1)[0][1].og_id == corpus[51].og_id
 
     def test_freeze_blocks_mutation(self, corpus):
         index = _sharded(corpus[:16], 2, "hash")
@@ -170,7 +178,7 @@ class TestPersistence:
         expected = [index.knn(q, K) for q in queries]
         path = tmp_path / "serving-idx"
         open_store(path).write_index(index)
-        assert open_store(path).describe()["kind"] == "sharded"
+        assert open_store(path).describe()["shards"] == 3
         loaded = open_store(path).load_index()
         assert len(loaded) == len(index)
         assert loaded.config.placement == placement
@@ -181,7 +189,10 @@ class TestPersistence:
     def test_monolithic_snapshot_not_sharded(self, mono, tmp_path):
         path = tmp_path / "mono"
         open_store(path).write_index(mono)
-        assert open_store(path).describe()["kind"] == "index"
+        # The monolithic index is the one-shard case of the one store.
+        assert open_store(path).describe()["shards"] == 1
+        assert open_store(path).load_index().shards[0].stats() \
+            == mono.stats()
         assert not open_store(tmp_path / "missing").exists()
 
 
@@ -454,11 +465,13 @@ class TestServingCLI:
         out = capsys.readouterr().out
         assert "open-loop" in out
 
-    def test_serve_reshards_monolithic(self, mono, tmp_path, capsys):
+    def test_build_shards_then_serve(self, tmp_path, capsys):
         from repro.cli import main
 
-        path = tmp_path / "mono"
-        open_store(path).write_index(mono)
-        assert main(["serve", str(path), "--shards", "2", "--rate", "20",
-                     "--duration", "0.2", "-k", "3"]) == 0
-        assert "resharding" in capsys.readouterr().out
+        path = str(tmp_path / "built")
+        assert main(["build", path, "--shards", "2", "--frames", "12"]) == 0
+        assert "'shards': 2" in capsys.readouterr().out
+        assert open_store(path).manifest()["num_shards"] == 2
+        assert main(["serve", path, "--rate", "20", "--duration", "0.2",
+                     "-k", "3"]) == 0
+        assert "open-loop" in capsys.readouterr().out

@@ -23,7 +23,9 @@ def save_index(path, index):
 
 
 def load_index(path):
-    return open_store(path).load_index()
+    """The one shard a store written from an ``STRGIndex`` holds."""
+    (shard,) = open_store(path).load_index().shards
+    return shard
 
 
 def blob_ogs(k=3, n_per=5, seed=0):

@@ -1,6 +1,7 @@
 """The log-structured commit of the columnar store (docs/STORAGE.md):
-what one append costs, the order its writes become durable in, and the
-integrity checks over segment columns and log records."""
+what one append costs — on one shard and on two — the order its writes
+become durable in, and the integrity checks over segment columns and
+log records."""
 
 from __future__ import annotations
 
@@ -10,11 +11,15 @@ import shutil
 import numpy as np
 import pytest
 
+from repro import observability
+from repro.core.index import STRGIndexConfig
 from repro.errors import IndexCorruptionError
 from repro.graph.attributes import NodeAttributes
 from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.graph.rag import RegionAdjacencyGraph
+from repro.serving.ingest import IngestService, IngestServiceConfig
+from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 from repro.serving.snapshot import LiveIndex, _BufferedWrite
 from repro.storage.columnar import ColumnarStore
 from repro.storage.store import open_store
@@ -40,8 +45,19 @@ def sketched_store(tmp_path, name="s"):
 def append_one(store, index, i: int, ref: str | None = None) -> str:
     og = one_og(i)
     index.insert(og, None, ref or f"r-{i:03d}")
-    return store.append([_BufferedWrite("insert", og=og,
-                                        clip_ref=ref or f"r-{i:03d}")])
+    (name,) = store.append([_BufferedWrite("insert", og=og,
+                                           clip_ref=ref or f"r-{i:03d}")])
+    return name
+
+
+def two_shards() -> ShardedIndex:
+    """A built 2-shard index placing by og_id parity, so OGs minted one
+    after the other land in different shards."""
+    index = ShardedIndex(ShardedIndexConfig(
+        num_shards=2, placement="hash", index=STRGIndexConfig(n_clusters=2)))
+    ogs = blob_ogs(k=2, n_per=6, seed=4)
+    index.build(ogs, clip_refs=[f"seed-{i}" for i in range(len(ogs))])
+    return index
 
 
 def fd_path(fd: int) -> str:
@@ -83,6 +99,85 @@ class TestAppendCost:
         created = set(os.listdir(store.path)) - before
         assert created == {"seg-000001.seg"}
         assert [kind for kind, _ in durable_ops] == ["fsync"] * 3
+
+    def test_one_insert_commit_on_two_shards(self, tmp_path, durable_ops):
+        live = LiveIndex(two_shards())
+        store = open_store(tmp_path / "live")
+        live.attach_store(store)
+        records = len(store_layout.log_records(store))
+        before = set(os.listdir(store.path))
+        durable_ops.clear()
+        live.insert(one_og(1), clip_ref="one")
+        live.compact()
+        store.join_merges()
+        assert len(set(os.listdir(store.path)) - before) == 1
+        assert [kind for kind, _ in durable_ops] == ["fsync"] * 3
+        assert len(store_layout.log_records(store)) == records + 1
+
+    def test_commit_on_both_shards_is_two_files_and_four_fsyncs(
+            self, tmp_path, durable_ops):
+        live = LiveIndex(two_shards())
+        store = open_store(tmp_path / "live")
+        live.attach_store(store)
+        root = os.path.realpath(store.path)
+        before = set(os.listdir(store.path))
+        durable_ops.clear()
+        live.bulk_insert([one_og(1), one_og(2)], clip_refs=["a", "b"])
+        live.compact()
+        store.join_merges()
+        created = sorted(set(os.listdir(store.path)) - before)
+        assert len(created) == 2
+        assert durable_ops == [
+            ("fsync", os.path.join(root, created[0])),
+            ("fsync", os.path.join(root, created[1])),
+            ("fsync", root),
+            ("fsync", os.path.join(root, "manifest.jsonl")),
+        ]
+        last = store_layout.log_records(store)[-1]
+        assert [entry["shard"] for entry in last["segments"]] == [0, 1]
+        loaded = ColumnarStore(store.path).load_index()
+        assert loaded.shard_sizes() == live.snapshot.index.shard_sizes()
+        assert knn_signature(loaded, [one_og(1), one_og(2)]) \
+            == knn_signature(live.snapshot.index, [one_og(1), one_og(2)])
+
+    def test_two_shard_checkpoint_appends(self, tmp_path, durable_ops):
+        service = IngestService(
+            LiveIndex(two_shards()), state_dir=tmp_path / "state",
+            config=IngestServiceConfig(checkpoint_every=None))
+        service.checkpoint()                     # the first: in full
+        root = os.path.realpath(service.snapshot_path)
+        before = set(os.listdir(root))
+        durable_ops.clear()
+        service.write([one_og(1)])
+        service.checkpoint()
+        service.shutdown()
+        (created,) = set(os.listdir(root)) - before
+        assert [path for _, path in durable_ops
+                if path.startswith(root)] == [
+            os.path.join(root, created), root,
+            os.path.join(root, "manifest.jsonl")]
+
+    def test_attached_store_is_written_once(self, tmp_path):
+        live = LiveIndex(two_shards())
+        store = open_store(tmp_path / "live")
+        observability.configure(enabled=True, reset_state=True)
+        try:
+            live.attach_store(store)
+            for i in range(1, 6):
+                live.bulk_insert([one_og(2 * i), one_og(2 * i + 1)],
+                                 clip_refs=[f"a{i}", f"b{i}"])
+                live.compact()
+                live.delete(next(live.snapshot.index.object_graphs()).og_id)
+                live.compact()
+            store.join_merges()
+            counts = observability.metrics()
+        finally:
+            observability.configure(enabled=False, reset_state=True)
+        assert counts["storage.columnar.writes"] == 1
+        assert counts["storage.columnar.appends"] == 10
+        loaded = ColumnarStore(store.path).load_index()
+        assert knn_signature(loaded, [one_og(3), one_og(8)]) \
+            == knn_signature(live.snapshot.index, [one_og(3), one_og(8)])
 
     def test_append_order_is_segment_directory_log(self, tmp_path,
                                                    durable_ops):
