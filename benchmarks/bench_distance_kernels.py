@@ -336,3 +336,53 @@ def bench_batch_engine_report(series_batch):
     assert batched_seconds < scalar_seconds, (
         "batched EM slower than the per-pair path"
     )
+
+
+#: ``(refs, items)`` of the reference-batched sweep rows: one insert
+#: keyed against 16 centroids, and 8 sketch pivots over a 64-OG commit.
+REF_SHAPES = ((16, 1), (8, 64))
+
+
+def bench_pairwise_matrix_refs():
+    """Every reference against every item: the per-ref loop of
+    ``one_vs_many`` sweeps vs one ``pairwise_matrix`` block.
+
+    Asserts the block is bit-equal to the loop and archives us/pair of
+    both under ``BENCH_kernels_refs`` in ``BENCH_kernels.json`` (best
+    of 20 runs each; untimed CI runs still check the bits).
+    """
+    from repro.distance.batch import one_vs_many, pairwise_matrix
+    from repro.distance.eged import MetricEGED
+
+    rng = np.random.default_rng(5)
+
+    def series():
+        return rng.normal(size=(int(rng.integers(10, 21)), 2)) * 20
+
+    metric = MetricEGED()
+    report, rows = {}, []
+    for num_refs, num_items in REF_SHAPES:
+        refs = [series() for _ in range(num_refs)]
+        items = [series() for _ in range(num_items)]
+
+        def loop():
+            return np.stack([one_vs_many(metric, ref, items)
+                             for ref in refs])
+
+        block = pairwise_matrix(metric, refs, items)
+        assert np.array_equal(block, loop())
+        pairs = num_refs * num_items
+        loop_us = 1e6 * _best_of(loop, repeats=20) / pairs
+        block_us = 1e6 * _best_of(
+            lambda: pairwise_matrix(metric, refs, items), repeats=20) / pairs
+        report[f"{num_refs}x{num_items}"] = {
+            "refs": num_refs, "items": num_items,
+            "loop_us_per_pair": loop_us, "block_us_per_pair": block_us,
+            "speedup": loop_us / block_us,
+        }
+        rows.append([f"{num_refs} x {num_items}", f"{loop_us:.1f}",
+                     f"{block_us:.1f}", f"{loop_us / block_us:.1f}x"])
+    lines = format_table(
+        ["refs x items", "loop us/pair", "block us/pair", "speedup"], rows)
+    record_result("BENCH_kernels_refs", lines, data=report,
+                  json_name="BENCH_kernels")

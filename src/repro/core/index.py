@@ -27,7 +27,7 @@ from repro.core.nodes import (
 )
 from repro.core.scan import ClusterView, ScanViews, knn_scan, range_scan
 from repro.distance.base import Distance, as_series
-from repro.distance.batch import PaddedBatch, one_vs_many, supports_batch
+from repro.distance.batch import one_vs_many, pairwise_matrix, supports_batch
 from repro.distance.eged import EGED, MetricEGED
 from repro.errors import IndexStateError, InvalidParameterError
 from repro.graph.decomposition import BackgroundGraph
@@ -235,11 +235,10 @@ class STRGIndex:
         ]
         if supports_batch(self.metric_distance):
             # Batched key computation: one DP sweep per (cluster, member
-            # group) for EM-assigned OGs, and one sweep per centroid over
-            # the out-of-sample OGs, prepared once for all K of them (the
-            # O(K M) assignment of Section 6.3's build cost) — the same
-            # evaluations as the per-pair path, so CountingDistance
-            # totals are unchanged.
+            # group) for EM-assigned OGs, and one centroids x OGs block
+            # for the out-of-sample OGs (the O(K M) assignment of Section
+            # 6.3's build cost) — the same evaluations as the per-pair
+            # path, so CountingDistance totals are unchanged.
             og_series = [as_series(og) for og in ogs]
             keys = np.empty(len(ogs), dtype=np.float64)
             target = np.empty(len(ogs), dtype=np.int64)
@@ -257,11 +256,11 @@ class STRGIndex:
                     [og_series[j] for j in members],
                 )
             if unassigned:
-                rest = PaddedBatch([og_series[j] for j in unassigned])
-                cols = np.stack([
-                    one_vs_many(self.metric_distance, record.centroid, rest)
-                    for record in records
-                ], axis=1)
+                cols = pairwise_matrix(
+                    self.metric_distance,
+                    [record.centroid for record in records],
+                    [og_series[j] for j in unassigned],
+                ).T
                 best = np.argmin(cols, axis=1)
                 keys[unassigned] = cols[np.arange(len(unassigned)), best]
                 target[unassigned] = best
@@ -336,9 +335,11 @@ class STRGIndex:
                            ) -> np.ndarray:
         """Leaf key of an OG being inserted, against every centroid.
 
-        Batch-capable metrics run the kernel *centroid-first*, one
-        centroid per call — the direction :meth:`build` computes the
-        stored leaf keys in — because the vectorized DP is only
+        Batch-capable metrics run the kernel *centroid-first* — the
+        direction :meth:`build` computes the stored leaf keys in — as one
+        reference-batched sweep of every centroid over the OG
+        (:func:`~repro.distance.batch.pairwise_matrix`, each row bit for
+        bit a one-centroid call), because the vectorized DP is only
         mathematically (not bit-for-bit) symmetric and an inserted OG
         must get the key a rebuild would store (the store's ``keys``
         column and every incremental ≡ rebuilt contract compare bits).
@@ -348,12 +349,8 @@ class STRGIndex:
         order, matching their per-pair build path.
         """
         if supports_batch(self.metric_distance):
-            series = as_series(og)
-            return np.array(
-                [float(one_vs_many(self.metric_distance, c, [series])[0])
-                 for c in centroids],
-                dtype=np.float64,
-            )
+            return pairwise_matrix(self.metric_distance, centroids,
+                                   [as_series(og)])[:, 0]
         return np.array(
             [float(self.metric_distance(og, c)) for c in centroids],
             dtype=np.float64,

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.nodes import ClusterRecord, LeafRecord
 from repro.distance.base import as_series
-from repro.distance.batch import PaddedBatch, one_vs_many
+from repro.distance.batch import one_vs_many, pairwise_matrix
 from repro.distance.bounds import pivot_lower_bounds
 from repro.observability import OBS
 from repro.search.request import TopK, hit_key
@@ -118,9 +118,8 @@ class ScanViews:
                 self.by_record[id(record)] = ClusterView(record)
             return
         member_pd, pivots = rows[0], sketch.pivots
-        centroids = PaddedBatch([record.centroid for record in records])
-        centroid_pd = np.stack([one_vs_many(distance, pivot, centroids)
-                                for pivot in pivots], axis=1)
+        centroid_pd = np.ascontiguousarray(pairwise_matrix(
+            distance, pivots, [record.centroid for record in records]).T)
         start = 0
         for record, pd in zip(records, centroid_pd):
             stop = start + len(record.leaf)

@@ -86,6 +86,19 @@ class Distance(abc.ABC):
         return np.array([self.compute(query, b) for b in batch],
                         dtype=np.float64)
 
+    def compute_matrix(self, refs: Sequence[np.ndarray],
+                       batch: Sequence[np.ndarray]) -> np.ndarray:
+        """``(len(refs), len(batch))`` distances: row ``q`` is
+        ``compute_many(refs[q], batch)``.
+
+        The default stacks one :meth:`compute_many` per ref; the metric
+        EGED overrides it with one reference-batched sweep
+        (:func:`repro.distance.batch.batch_erp_matrix`), bit for bit the
+        same rows.
+        """
+        return np.array([self.compute_many(r, batch) for r in refs],
+                        dtype=np.float64).reshape(len(refs), len(batch))
+
     #: Hashable identity of the distance function *and* its parameters,
     #: or ``None`` when results must not be memoized.  Distances exposing
     #: a token promise to be symmetric and deterministic, which is what
@@ -148,6 +161,12 @@ class CountingDistance(Distance):
         """
         self.calls += len(batch)
         return self.inner.compute_many(query, batch)
+
+    def compute_matrix(self, refs: Sequence[np.ndarray],
+                       batch: Sequence[np.ndarray]) -> np.ndarray:
+        """A block counts one call per pair, ``len(refs) * len(batch)``."""
+        self.calls += len(refs) * len(batch)
+        return self.inner.compute_matrix(refs, batch)
 
     def reset(self) -> None:
         """Zero the call counter."""

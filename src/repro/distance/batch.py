@@ -48,9 +48,25 @@ to any entry point goes through the same constructor — and a caller
 that sweeps the same items with many queries (index build, sketch
 build, EM) prepares once and passes the batch instead of the list.
 
+Reference batching
+------------------
+Keying an OG against every centroid, or sketching it against every
+pivot, is Q references x B items.  The ERP kernel takes the references
+as a leading axis: it stacks the Q row planes into one ``(Q * B, M +
+1)`` plane, advances it once per node of the longest reference (shorter
+ones zero-padded), and reads reference ``q``'s results out at its own
+last DP row ``n_q``.  Every cell is the same IEEE operation on the same
+operands as in a one-reference sweep, so each row of the block is bit
+for bit :func:`one_vs_many` — which *is* the one-reference case.  Per
+chunk of the items, references run in groups of at most
+``ROW_PLANE_CELLS // (B * (M + 1))`` (at least one) per kernel call: a
+full chunk (sketch build, bulk key assignment) still sweeps one
+reference at a time, while a one-OG insert sweeps all of them at once.
+
 The public entry points are :func:`one_vs_many` and
 :func:`pairwise_matrix`; they dispatch through
-:meth:`repro.distance.base.Distance.compute_many`, which the four kernel
+:meth:`repro.distance.base.Distance.compute_many` and
+:meth:`~repro.distance.base.Distance.compute_matrix`, which the kernel
 classes override to land here.  Distances without a batched kernel (or
 plain callables) fall back to a per-pair loop with unchanged call order,
 so asymmetric user distances keep their semantics.
@@ -182,6 +198,19 @@ def _normalize_batch(query: SeriesLike, items: Sequence[SeriesLike]
     return a, PaddedBatch.of(items, a)
 
 
+def _normalize_refs(refs: Sequence[SeriesLike],
+                    items: Sequence[SeriesLike]
+                    ) -> tuple[list[np.ndarray], PaddedBatch]:
+    """Coerce every ref to an ``(n, d)`` series and the items to a
+    :class:`PaddedBatch`, all of one attribute dimension."""
+    series = [as_series(r) for r in refs]
+    batch = items if isinstance(items, PaddedBatch) else PaddedBatch(items)
+    if batch.series:
+        for r in series:
+            check_same_dim(r, batch.series[0])
+    return series, batch
+
+
 def _chunked(kernel: Callable, a: np.ndarray,
              items: Sequence[SeriesLike], *params) -> np.ndarray:
     """Run ``kernel`` for the normalized query ``a`` over every chunk of
@@ -231,29 +260,71 @@ def _norms_to(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
 # -- kernels ------------------------------------------------------------------
 
 
-def _erp_kernel(a: np.ndarray, padded: np.ndarray, lengths: np.ndarray,
-                gap: np.ndarray) -> np.ndarray:
-    """Unconstrained ERP over one padded chunk."""
-    n = a.shape[0]
+def _row_major(refs: list[np.ndarray]) -> np.ndarray:
+    """``Q`` refs as ``(N * Q, d)`` DP rows: row ``i * Q + q`` is node
+    ``i`` of ref ``q``, zeros past its end (one ref is itself)."""
+    if len(refs) == 1:
+        return refs[0]
+    longest = max(ref.shape[0] for ref in refs)
+    rows = np.zeros((longest, len(refs), refs[0].shape[1]), dtype=np.float64)
+    for q, ref in enumerate(refs):
+        rows[:ref.shape[0], q] = ref
+    return rows.reshape(longest * len(refs), -1)
+
+
+def _erp_kernel(refs: list[np.ndarray], padded: np.ndarray,
+                lengths: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Unconstrained ERP of ``Q`` refs against one padded chunk.
+
+    The ``Q`` row planes are stacked into one ``(Q * B, M + 1)`` plane
+    (ref ``q`` owns rows ``q * B`` to ``q * B + B - 1``), the DP advances
+    it once per node of the longest ref, and ref ``q``'s results are read
+    out at its own last DP row.  Returns ``(Q, B)``.
+    """
+    q = len(refs)
+    ends = [ref.shape[0] for ref in refs]
+    n = max(ends)
     batch, big = padded.shape[0], padded.shape[1]
-    sub = _norms_to(padded, a)                       # (n, B, M)
-    gap_a = np.sqrt(np.sum((a - gap[None, :]) ** 2, axis=1))      # (n,)
+    rows = _row_major(refs)
+    sub = _norms_to(padded, rows).reshape(n, q * batch, big)
+    gap_a = np.sqrt(np.sum((rows - gap[None, :]) ** 2, axis=1))
     gap_b = np.sqrt(np.sum((padded - gap[None, None, :]) ** 2, axis=2))
     # Prefix sums of the insert weights double as DP row 0.
     c = np.zeros((batch, big + 1), dtype=np.float64)
     np.cumsum(gap_b, axis=1, out=c[:, 1:])
+    if q == 1:
+        # Scalar delete weights: a column operand would double the
+        # cost of the row adds over a full chunk.
+        gap_row = gap_col = gap_a
+    else:
+        gap_row = np.repeat(gap_a.reshape(n, q), batch, axis=1)
+        gap_col = gap_row[:, :, None]
+        c = np.tile(c, (q, 1))
     prev = c.copy()
     e = np.empty_like(prev)
     scan = np.empty_like(prev)
-    t1 = np.empty((batch, big), dtype=np.float64)
+    t1 = np.empty((q * batch, big), dtype=np.float64)
     t2 = np.empty_like(t1)
-    for i in range(n):
-        e[:, 0] = prev[:, 0] + gap_a[i]
-        np.add(prev[:, :-1], sub[i], out=t1)
-        np.add(prev[:, 1:], gap_a[i], out=t2)
-        np.minimum(t1, t2, out=e[:, 1:])
-        _row_scan_min(e, c, scan, prev)
-    return prev[np.arange(batch), lengths]
+    planes = prev.reshape(q, batch, big + 1)
+    out = np.empty((q, batch), dtype=np.float64)
+    cols = np.arange(batch)
+    lasts = sorted(set(ends))
+    row = 0
+    for last in lasts:
+        # Advance to the last DP row of the refs this long; read them out.
+        for i in range(row, last):
+            e[:, 0] = prev[:, 0] + gap_row[i]
+            np.add(prev[:, :-1], sub[i], out=t1)
+            np.add(prev[:, 1:], gap_col[i], out=t2)
+            np.minimum(t1, t2, out=e[:, 1:])
+            _row_scan_min(e, c, scan, prev)
+        if len(lasts) == 1:     # one length (always so for one ref):
+            out[:] = planes[:, cols, lengths]    # no gather over refs
+        else:
+            done = [r for r, end in enumerate(ends) if end == last]
+            out[done] = planes[np.array(done)[:, None], cols, lengths]
+        row = last
+    return out
 
 
 def _gap_states(padded: np.ndarray, lengths: np.ndarray,
@@ -368,12 +439,34 @@ def _lcs_kernel(a: np.ndarray, padded: np.ndarray, lengths: np.ndarray,
 
 def batch_erp(query: SeriesLike, items: Sequence[SeriesLike],
               gap: float | np.ndarray = 0.0) -> np.ndarray:
-    """Unconstrained ERP (= metric EGED_M) of ``query`` against every item."""
-    a = as_series(query)
+    """Unconstrained ERP (= metric EGED_M) of ``query`` against every item:
+    the one-ref case of :func:`batch_erp_matrix`."""
+    return batch_erp_matrix([query], items, gap)[0]
+
+
+def batch_erp_matrix(refs: Sequence[SeriesLike],
+                     items: Sequence[SeriesLike],
+                     gap: float | np.ndarray = 0.0) -> np.ndarray:
+    """Unconstrained ERP of every ref against every item, ``(Q, B)``.
+
+    Per chunk of the items' :class:`PaddedBatch`, the refs run in groups
+    of at most ``ROW_PLANE_CELLS // (B * (M + 1))`` (at least one) per
+    kernel call; row ``q`` is bit for bit ``batch_erp(refs[q], items)``.
+    """
+    refs, batch = _normalize_refs(refs, items)
+    if not refs:
+        return np.empty((0, len(batch)), dtype=np.float64)
     g = np.broadcast_to(
-        np.asarray(gap, dtype=np.float64), (a.shape[1],)
+        np.asarray(gap, dtype=np.float64), (refs[0].shape[1],)
     ).astype(np.float64)
-    return _chunked(_erp_kernel, a, items, g)
+    out = np.empty((len(refs), len(batch)), dtype=np.float64)
+    for idx, padded, lengths in batch.chunks:
+        group = max(1, ROW_PLANE_CELLS // (len(idx) * (padded.shape[1] + 1)))
+        for start in range(0, len(refs), group):
+            stop = min(start + group, len(refs))
+            out[start:stop, idx] = _erp_kernel(
+                refs[start:stop], padded, lengths, g)
+    return out
 
 
 def batch_eged(query: SeriesLike, items: Sequence[SeriesLike],
@@ -448,11 +541,17 @@ def pairwise_matrix(distance: Distance | Callable[[Any, Any], float],
                     items: Sequence[SeriesLike],
                     others: Sequence[SeriesLike] | None = None
                     ) -> np.ndarray:
-    """Dense distance matrix built row-by-row from batched sweeps.
+    """Dense distance matrix: row ``i`` is ``one_vs_many(distance,
+    items[i], others)``.
 
-    Mirrors :func:`repro.distance.base.pairwise_matrix` (symmetric
-    self-distance matrix when ``others`` is omitted, with only the upper
-    triangle evaluated) but each row is a single batched DP.
+    With ``others``, a :class:`~repro.distance.base.Distance` computes
+    the whole block through
+    :meth:`~repro.distance.base.Distance.compute_matrix` — one
+    reference-batched sweep for the metric EGED — over ``others``
+    prepared once.  Plain callables loop per row with the ``(item,
+    other)`` argument order preserved.  Without ``others``, the symmetric
+    self-distance matrix of ``items``, one batched sweep per row of the
+    upper triangle (mirrors :func:`repro.distance.base.pairwise_matrix`).
     """
     if others is None:
         n = len(items)
@@ -462,7 +561,14 @@ def pairwise_matrix(distance: Distance | Callable[[Any, Any], float],
             out[i, i + 1:] = row
             out[i + 1:, i] = row
         return out
-    out = np.empty((len(items), len(others)), dtype=np.float64)
-    for i, item in enumerate(items):
-        out[i] = one_vs_many(distance, item, others)
-    return out
+    if not isinstance(distance, Distance):
+        out = np.empty((len(items), len(others)), dtype=np.float64)
+        for i, item in enumerate(items):
+            out[i] = one_vs_many(distance, item, others)
+        return out
+    refs, batch = _normalize_refs(items, others)
+    if not refs:
+        return np.empty((0, len(batch)), dtype=np.float64)
+    if OBS.enabled:
+        OBS.count("distance.pairs_computed", len(refs) * len(batch))
+    return distance.compute_matrix(refs, batch)

@@ -173,6 +173,12 @@ class MetricEGED(Distance):
 
         return batch_erp(query, batch, self.gap)
 
+    def compute_matrix(self, refs: list[np.ndarray],
+                       batch: list[np.ndarray]) -> np.ndarray:
+        from repro.distance.batch import batch_erp_matrix
+
+        return batch_erp_matrix(refs, batch, self.gap)
+
     @property
     def cache_token(self):
         return ("erp", self.gap, None)

@@ -71,7 +71,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.distance.base import resample_stack
-from repro.distance.batch import PaddedBatch, one_vs_many
+from repro.distance.batch import PaddedBatch, one_vs_many, pairwise_matrix
 from repro.distance.bounds import gap_mass, pivot_lower_bounds
 from repro.errors import InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
@@ -485,12 +485,8 @@ class SketchIndex:
         if not self.pivots:
             # First rows of an initially-empty sketch: fit on them.
             self._fit(distance, series)
-        new_pd = np.stack(
-            [np.asarray(one_vs_many(distance, pivot, series),
-                        dtype=np.float64)
-             for pivot in self.pivots],
-            axis=1,
-        ) if self.pivots else np.empty((len(ogs), 0))
+        new_pd = np.ascontiguousarray(
+            pairwise_matrix(distance, self.pivots, series).T)
         new_sig = self._signatures(series)
         new_ids = np.array([og.og_id for og in ogs], dtype=np.int64)
         # The base is never written (often mmap views): growth goes to

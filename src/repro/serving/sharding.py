@@ -57,7 +57,7 @@ from repro.clustering.em import EMClustering, EMConfig
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.core.scan import ClusterView, knn_scan, range_scan
 from repro.distance.base import Distance
-from repro.distance.batch import PaddedBatch, one_vs_many
+from repro.distance.batch import pairwise_matrix
 from repro.errors import (
     IndexStateError,
     InvalidParameterError,
@@ -256,12 +256,7 @@ class ShardedIndex:
 
     def _pivot_distances(self, ogs: Sequence[ObjectGraph]) -> np.ndarray:
         """``(len(ogs), num_pivots)`` matrix of pivot-first distances."""
-        batch = PaddedBatch(ogs)
-        return np.stack(
-            [one_vs_many(self.metric_distance, pivot, batch)
-             for pivot in self.pivots],
-            axis=1,
-        )
+        return pairwise_matrix(self.metric_distance, self.pivots, ogs).T
 
     def _assign_affine(self, cols: np.ndarray) -> list[int]:
         """Nearest-pivot placement under the balance cap (deterministic)

@@ -8,11 +8,18 @@ cache, and serial-vs-parallel executor parity.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import observability
+from repro.distance import batch as batch_module
 from repro.distance.base import CountingDistance, Distance
 from repro.distance.batch import (
+    ROW_PLANE_CELLS,
     PaddedBatch,
     batch_dtw,
     batch_eged,
@@ -263,6 +270,126 @@ class TestDispatch:
                 assert mat[i, j] == pytest.approx(
                     d(items[i], others[j]), abs=TOL
                 )
+
+
+# -- reference batching -------------------------------------------------------
+
+def golden_corpus() -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """600 two-attribute series of 1-30 nodes and six refs of 1-30."""
+    rng = np.random.default_rng(2005)
+    corpus = [rng.normal(0.0, 40.0, (int(rng.integers(1, 31)), 2))
+              for _ in range(600)]
+    refs = [rng.normal(0.0, 40.0, (n, 2)) for n in (1, 4, 9, 17, 30, 12)]
+    return corpus, refs
+
+
+def sha256(arr: np.ndarray) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()
+
+
+def kernel_calls(monkeypatch) -> list[int]:
+    """Refs per ``_erp_kernel`` call, recorded from here on."""
+    calls: list[int] = []
+    kernel = batch_module._erp_kernel
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(batch_module, "_erp_kernel", counting)
+    return calls
+
+
+class TestReferenceBatching:
+    @given(seed=st.integers(0, 2**31 - 1),
+           ref_lengths=st.lists(st.integers(1, 20), min_size=1,
+                                max_size=12),
+           num_items=st.integers(1, 40),
+           flat=st.booleans(), gap=st.sampled_from([0.0, 1.5]),
+           prepared=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_is_the_one_ref_sweep(self, seed, ref_lengths,
+                                            num_items, flat, gap, prepared):
+        """Row ``q`` of the block equals ``one_vs_many(refs[q], items)``
+        bit for bit: refs of unequal length (1 node included), 1-D or
+        2-D values, any gap, items as a list or a ``PaddedBatch``."""
+        rng = np.random.default_rng(seed)
+
+        def series(n):
+            return rng.normal(0.0, 5.0, n if flat else (n, 2))
+
+        refs = [series(n) for n in ref_lengths]
+        items = [series(int(rng.integers(1, 21))) for _ in range(num_items)]
+        d = MetricEGED(gap)
+        block = pairwise_matrix(d, refs, PaddedBatch(items) if prepared
+                                else items)
+        assert block.shape == (len(refs), len(items))
+        for ref, row in zip(refs, block):
+            assert np.array_equal(row, one_vs_many(d, ref, items))
+
+    def test_refs_straddling_the_grouping_boundary(self, monkeypatch):
+        """One ref past what a kernel call may hold: two calls, same bits."""
+        rng = np.random.default_rng(47)
+        items = [rng.normal(size=(30, 2))] + [
+            random_series(rng, 2, max_len=30) for _ in range(39)]
+        group = ROW_PLANE_CELLS // (len(items) * 31)
+        refs = [random_series(rng, 2) for _ in range(group + 1)]
+        d = MetricEGED(0.5)
+        rows = [one_vs_many(d, ref, items) for ref in refs]
+        calls = kernel_calls(monkeypatch)
+        block = pairwise_matrix(d, refs, items)
+        assert calls == [group, 1]
+        assert np.array_equal(block, np.stack(rows))
+
+    def test_golden_bits(self):
+        """The ERP kernel's bits on a fixed corpus, as recorded before the
+        kernel took a reference axis (one-ref sweeps per row)."""
+        corpus, refs = golden_corpus()
+        d = MetricEGED()
+        assert sha256(one_vs_many(d, refs[3], corpus)) == (
+            "cc0532bccce16bee32229be2c6975ec9c3adf55d1e0bd09dbc07518464421aac")
+        assert sha256(pairwise_matrix(d, refs, corpus)) == (
+            "bd1d91d240debb9970e96b9c361cd212827b53fefe73c8fe6b11e9e0b8d742f8")
+        assert sha256(pairwise_matrix(d, refs, corpus[:24])) == (
+            "451dd76aa07594bdd0ef02fcba8fad4be71f9a3c21349d40ed4dd1c078bd24a4")
+
+    def test_small_blocks_are_one_kernel_call(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        refs = [random_series(rng, 2) for _ in range(16)]
+        items = [random_series(rng, 2)]
+        calls = kernel_calls(monkeypatch)
+        pairwise_matrix(MetricEGED(), refs, items)
+        assert calls == [16]
+
+    def test_block_counts_every_pair_once(self):
+        rng = np.random.default_rng(59)
+        refs = [random_series(rng, 2) for _ in range(5)]
+        items = [random_series(rng, 2) for _ in range(7)]
+        counter = CountingDistance(MetricEGED())
+        observability.configure(enabled=True, reset_state=True)
+        try:
+            pairwise_matrix(counter, refs, items)
+            pairs = observability.metrics()["distance.pairs_computed"]
+        finally:
+            observability.configure(enabled=False, reset_state=True)
+        assert counter.calls == pairs == 35
+
+    def test_default_hook_stacks_compute_many(self):
+        rng = np.random.default_rng(61)
+        refs = [random_series(rng, 1) for _ in range(3)]
+        items = [random_series(rng, 1) for _ in range(5)]
+        for d in (DTW(), EGED(), LCSDistance(2.0), ERP(band=2),
+                  CountingDistance(EGED())):
+            assert np.array_equal(
+                pairwise_matrix(d, refs, items),
+                np.stack([one_vs_many(d, ref, items) for ref in refs]))
+
+    def test_empty_sides(self):
+        rng = np.random.default_rng(67)
+        items = [random_series(rng, 2) for _ in range(3)]
+        assert pairwise_matrix(MetricEGED(), [], items).shape == (0, 3)
+        assert pairwise_matrix(MetricEGED(), items, []).shape == (3, 0)
 
 
 # -- memo cache ---------------------------------------------------------------

@@ -1,0 +1,92 @@
+"""Reference-batched sweeps: what a write evaluates, and in how many calls.
+
+Keying an OG against every centroid and sketching it against every pivot
+is one ``pairwise_matrix`` block per write.  The block must charge the
+Section 6.3 cost model exactly what the per-reference loops it replaced
+charged (the totals below were recorded with those loops), and an insert
+must reach the ERP kernel once per reference set, whatever K is.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import observability
+from repro.core.index import STRGIndex, STRGIndexConfig
+from repro.datasets.patterns import ALL_PATTERNS
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
+from repro.distance import batch
+from repro.distance.base import CountingDistance
+from repro.distance.batch import one_vs_many
+from repro.distance.eged import EGED, MetricEGED
+from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
+
+
+def corpus(num: int, seed: int):
+    return generate_synthetic_ogs(SyntheticConfig(
+        num_ogs=num, noise_fraction=0.10, seed=seed,
+        patterns=ALL_PATTERNS[:8]))
+
+
+def test_write_sequence_spends_the_recorded_evaluations():
+    """Build with an out-of-sample assignment, 40 inserts, the sketch
+    tier, then a 2-shard affine build and inserts: the metric and
+    cluster evaluations ``CountingDistance`` sees, and the pairs
+    ``observability`` counts, equal the per-reference loops' totals."""
+    ogs = corpus(160, seed=11)
+    metric = CountingDistance(MetricEGED())
+    cluster = CountingDistance(EGED())
+    observability.configure(enabled=True, reset_state=True)
+    try:
+        index = STRGIndex(
+            STRGIndexConfig(n_clusters=6, em_iterations=4,
+                            cluster_sample_size=40, seed=0),
+            metric_distance=metric, cluster_distance=cluster)
+        index.build(ogs[:80])
+        for og in ogs[80:120]:
+            index.insert(og)
+        index.sketch_tier()
+        sharded = ShardedIndex(
+            ShardedIndexConfig(
+                num_shards=2, placement="affine", coarse_sample_size=32,
+                coarse_iterations=4,
+                index=STRGIndexConfig(n_clusters=3, em_iterations=4,
+                                      seed=0)),
+            metric_distance=metric, cluster_distance=cluster)
+        sharded.build(ogs[:100])
+        for og in ogs[120:160]:
+            sharded.insert(og)
+        pairs = observability.metrics()["distance.pairs_computed"]
+    finally:
+        observability.configure(enabled=False, reset_state=True)
+    assert (metric.calls, cluster.calls, pairs) == (3019, 12263, 15282)
+
+
+@pytest.mark.parametrize("clusters", [8, 16])
+def test_one_insert_is_one_sweep_per_reference_set(monkeypatch, clusters):
+    """Centroid keys and sketch pivot columns of one insert are one ERP
+    kernel call each, at any K, and the key is the centroid-first one."""
+    ogs = corpus(12 * clusters + 1, seed=5)
+    index = STRGIndex(STRGIndexConfig(n_clusters=clusters, em_iterations=3,
+                                      leaf_capacity=64, seed=0))
+    index.build(ogs[:-1])
+    index.sketch_tier()
+    calls = []
+    kernel = batch._erp_kernel
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(batch, "_erp_kernel", counting)
+    index.insert(ogs[-1])
+    assert len(calls) <= 2
+    assert clusters in calls
+    monkeypatch.undo()
+    records = index.cluster_records()
+    stored = next(r for record in records for r in record.leaf
+                  if r.og is ogs[-1])
+    assert stored.key == min(
+        float(one_vs_many(MetricEGED(), record.centroid, [ogs[-1]])[0])
+        for record in records)
