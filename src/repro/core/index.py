@@ -11,9 +11,10 @@ search skip distance evaluations — the effect Figure 7(b) measures.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,6 +95,8 @@ class STRGIndex:
         self.cluster_distance = cluster_distance or EGED()
         self.root: list[RootRecord] = []
         self._next_root_id = 0
+        #: The row the next filed OG takes (see ``LeafRecord.row``).
+        self._next_row = 0
         #: Bumped on every structural change (build/insert/delete/split).
         #: The scan views derived from the tree compare this to detect
         #: staleness.
@@ -163,12 +166,13 @@ class STRGIndex:
 
     def build(self, ogs: Sequence[ObjectGraph],
               background: BackgroundGraph | None = None,
-              clip_refs: Sequence[Any] | None = None) -> RootRecord:
+              clip_refs: Sequence[Any] | None = None) -> list[int]:
         """Build the index tree for one video segment (Algorithm 2).
 
         Creates a root record for ``background``, clusters ``ogs`` with
         EM-EGED (cluster count from config or BIC), synthesizes centroid
-        OGs, and fills the leaf nodes with metric keys.
+        OGs, and fills the leaf nodes with metric keys.  Returns each
+        OG's row (the next rows, taken in leaf order).
 
         When ``cluster_sample_size`` is configured and smaller than the
         input, EM runs on a random sample and the remaining OGs are
@@ -189,14 +193,14 @@ class STRGIndex:
 
     def _build(self, ogs: Sequence[ObjectGraph],
                background: BackgroundGraph | None,
-               clip_refs: Sequence[Any] | None) -> RootRecord:
+               clip_refs: Sequence[Any] | None) -> list[int]:
         sample_size = self.config.cluster_sample_size
         rng = np.random.default_rng(self.config.seed)
         if sample_size is not None and sample_size < len(ogs):
             sample_idx = rng.choice(len(ogs), size=sample_size, replace=False)
-            sample = [ogs[int(i)] for i in sample_idx]
         else:
-            sample = list(ogs)
+            sample_idx = np.arange(len(ogs))
+        sample = [ogs[int(i)] for i in sample_idx]
 
         k = self.config.n_clusters
         if k is None:
@@ -221,18 +225,12 @@ class STRGIndex:
             for c in range(result.num_clusters)
         ]
 
-        sampled_cluster = {
-            og.og_id if isinstance(og, ObjectGraph) else id(og):
-                int(result.assignments[i])
-            for i, og in enumerate(sample)
-        }
+        # EM's cluster per input position; ``None`` outside the sample.
+        cluster_of: list[int | None] = [None] * len(ogs)
+        for i, j in enumerate(sample_idx):
+            cluster_of[int(j)] = int(result.assignments[i])
         refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
-        cluster_of = [
-            sampled_cluster.get(
-                og.og_id if isinstance(og, ObjectGraph) else id(og)
-            )
-            for og in ogs
-        ]
+        filed: list[LeafRecord] = []
         if supports_batch(self.metric_distance):
             # Batched key computation: one DP sweep per (cluster, member
             # group) for EM-assigned OGs, and one centroids x OGs block
@@ -265,9 +263,8 @@ class STRGIndex:
                 keys[unassigned] = cols[np.arange(len(unassigned)), best]
                 target[unassigned] = best
             for j, og in enumerate(ogs):
-                records[int(target[j])].leaf.insert(
-                    LeafRecord(float(keys[j]), og, refs[j])
-                )
+                filed.append(LeafRecord(float(keys[j]), og, refs[j]))
+                records[int(target[j])].leaf.insert(filed[-1])
         else:
             # Per-pair fallback preserving the (og, centroid) call order
             # for arbitrary (possibly asymmetric) metric callables.
@@ -282,20 +279,27 @@ class STRGIndex:
                     best = int(np.argmin(pairs))
                     record = records[best]
                     key = pairs[best]
-                record.leaf.insert(LeafRecord(key, og, refs[j]))
+                filed.append(LeafRecord(key, og, refs[j]))
+                record.leaf.insert(filed[-1])
         for record in list(records):
             if len(record.leaf) == 0:
                 root_record.cluster_node.remove(record)
+        for record in root_record.cluster_node:
+            for leaf_record in record.leaf:
+                leaf_record.row = self._next_row
+                self._next_row += 1
+        rows = [leaf_record.row for leaf_record in filed]
         if self._sketches is not None:
-            self._sketches.add(self.metric_distance, list(ogs), refs)
-        return root_record
+            self._sketches.add(self.metric_distance, list(ogs), refs, rows)
+        return rows
 
     # -- maintenance (Section 5.3) -------------------------------------------
 
     def insert(self, og: ObjectGraph,
                background: BackgroundGraph | None = None,
-               clip_ref: Any = None) -> None:
-        """Insert one OG, splitting its leaf if the BIC test demands it.
+               clip_ref: Any = None) -> int:
+        """Insert one OG, splitting its leaf if the BIC test demands it;
+        returns its row.
 
         The OG joins the root record whose BG best matches ``background``
         (or the only/first record when no background is given), then the
@@ -304,13 +308,9 @@ class STRGIndex:
         self._check_mutable()
         self.mutations += 1
         with OBS.span("index.insert"):
-            if not self.root:
-                self.build([og], background, [clip_ref])
-                return
-            root_record = self._match_root(background)
+            root_record = self._match_root(background) if self.root else None
             if root_record is None:
-                self.build([og], background, [clip_ref])
-                return
+                return self.build([og], background, [clip_ref])[0]
             cluster_node = root_record.cluster_node
             if len(cluster_node) == 0:
                 record = cluster_node.add(as_series(og).copy())
@@ -323,13 +323,17 @@ class STRGIndex:
                 best = int(np.argmin(dists))
                 record = records[best]
                 key = float(dists[best])
-            record.leaf.insert(LeafRecord(key, og, clip_ref))
+            row = self._next_row
+            self._next_row += 1
+            record.leaf.insert(LeafRecord(key, og, clip_ref, row))
             if self._sketches is not None:
                 # Splits never change membership, so appending one
                 # sketch row here keeps row set == leaf set exactly.
-                self._sketches.add(self.metric_distance, [og], [clip_ref])
+                self._sketches.add(self.metric_distance, [og], [clip_ref],
+                                   [row])
             if len(record.leaf) > self.config.leaf_capacity:
                 self._maybe_split(cluster_node, record)
+            return row
 
     def _keys_to_centroids(self, og, centroids: list[np.ndarray]
                            ) -> np.ndarray:
@@ -387,10 +391,10 @@ class STRGIndex:
 
         Fit EM with K=1 and K=2 on the leaf's OGs; split only when
         ``BIC(K=2) > BIC(K=1)``, replacing the cluster record with two new
-        records (and re-keying the members).
+        records (and re-keying the members, who keep their rows).
         """
-        ogs = record.leaf.object_graphs()
-        refs = [r.clip_ref for r in record.leaf]
+        filed = list(record.leaf)
+        ogs = [leaf_record.og for leaf_record in filed]
         scores = []
         results = []
         for k in (1, 2):
@@ -424,36 +428,40 @@ class STRGIndex:
                 keys = [self.metric_distance(og, new_record.centroid)
                         for og in member_ogs]
             for pos, j in enumerate(members):
-                new_record.leaf.insert(
-                    LeafRecord(float(keys[pos]), ogs[int(j)], refs[int(j)])
-                )
+                new_record.leaf.insert(dataclasses.replace(
+                    filed[int(j)], key=float(keys[pos])))
 
-    def delete(self, og_id: int) -> bool:
-        """Remove the OG with ``og_id`` from the index.
+    def delete(self, og_id: int) -> LeafRecord | None:
+        """Remove the first OG in leaf order labelled ``og_id`` (labels
+        may repeat; a row does not); returns its record, or ``None``."""
+        self._check_mutable()
+        record = self.record_of(og_id)
+        return None if record is None else self.delete_row(record.row)
+
+    def delete_row(self, row: int) -> LeafRecord | None:
+        """Remove the OG filed under ``row`` from the tree and the sketch.
 
         Empty cluster records (and then empty root records) are dropped,
         the maintenance counterpart of Section 5.3's note that centroids
         are "updated as the member OGs are changed such as inserting,
-        deleting".  Returns ``True`` when the OG was found.
+        deleting".  Returns the removed record, or ``None``.
         """
         self._check_mutable()
-        self.mutations += 1
         for root_record in list(self.root):
             cluster_node = root_record.cluster_node
             for record in list(cluster_node.records):
-                removed = record.leaf.remove(og_id)
+                removed = record.leaf.remove(row)
                 if removed is None:
                     continue
+                self.mutations += 1
                 if len(record.leaf) == 0:
                     cluster_node.remove(record)
                 if len(cluster_node) == 0:
                     self.root.remove(root_record)
                 if self._sketches is not None:
-                    # The row of the very OG the leaf dropped: another
-                    # indexed OG may carry the same og_id.
-                    self._sketches.remove(og_id, removed.og)
-                return True
-        return False
+                    self._sketches.remove(row)
+                return removed
+        return None
 
     # -- search (Algorithm 3) ---------------------------------------------------
 
@@ -559,18 +567,14 @@ class STRGIndex:
             return sketch
         with _LAZY_BUILD_LOCK:
             if self._sketches is None:
-                records = [
-                    (leaf_record.og, leaf_record.clip_ref)
-                    for root_record in self.root
-                    for cluster_record in root_record.cluster_node
-                    for leaf_record in cluster_record.leaf
-                ]
+                records = list(self.leaf_records())
                 with OBS.span("search.sketch_build", ogs=len(records)):
                     self._sketches = SketchIndex.build(
                         self.metric_distance,
-                        [og for og, _ in records],
-                        [ref for _, ref in records],
+                        [record.og for record in records],
+                        [record.clip_ref for record in records],
                         self.sketch_config,
+                        [record.row for record in records],
                     )
             return self._sketches
 
@@ -622,12 +626,20 @@ class STRGIndex:
             roots = list(self.root)
         return [record for root in roots for record in root.cluster_node]
 
-    def object_graphs(self):
-        """Iterate over every indexed OG (all roots, clusters, leaves)."""
+    def leaf_records(self) -> Iterator[LeafRecord]:
+        """Every leaf record, in leaf order (a full write's row order)."""
         for root_record in self.root:
             for cluster_record in root_record.cluster_node:
-                for leaf_record in cluster_record.leaf:
-                    yield leaf_record.og
+                yield from cluster_record.leaf
+
+    def record_of(self, og_id: int) -> LeafRecord | None:
+        """The first leaf record labelled ``og_id``, or ``None``."""
+        return next((record for record in self.leaf_records()
+                     if record.og.og_id == og_id), None)
+
+    def object_graphs(self):
+        """Iterate over every indexed OG (all roots, clusters, leaves)."""
+        return (leaf_record.og for leaf_record in self.leaf_records())
 
     def __len__(self) -> int:
         return sum(
@@ -664,8 +676,8 @@ def extend_index(index, ogs: Sequence[ObjectGraph],
     :meth:`~STRGIndex.insert` at a time (Section 5.3).  This is the one
     home of that rule: ``VideoPipeline.process`` and every
     ``LiveIndex`` compaction apply it, so an index grown clip by clip
-    stores the same columns whichever path grew it.  On a
-    ``ShardedIndex`` it returns the shard each OG landed in.
+    stores the same columns whichever path grew it.  It returns each
+    OG's ``(shard, row)`` (its row, on an ``STRGIndex``).
     """
     if not ogs:
         return []

@@ -24,7 +24,9 @@ from repro.graph.object_graph import ObjectGraph
 
 @dataclass
 class LeafRecord:
-    """One indexed OG: its metric key, the OG, and a clip reference.
+    """One indexed OG: its metric key, the OG, a clip reference and its
+    ``row`` — unique in its index, never reused, and what every lookup
+    finds the OG by (its ``og_id`` is a label that may repeat).
 
     ``clip_ref`` stands in for the paper's pointer to "the real video clip
     in a disk" — any application-level handle (path, offset, ...).
@@ -33,6 +35,7 @@ class LeafRecord:
     key: float
     og: ObjectGraph
     clip_ref: Any = None
+    row: int = -1
 
 
 class LeafNode:
@@ -55,13 +58,10 @@ class LeafNode:
         dup._keys = list(self._keys)
         return dup
 
-    def remove(self, og_id: int) -> LeafRecord | None:
-        """Remove (and return) the record holding the OG with ``og_id``.
-
-        Returns ``None`` when the leaf does not contain it.
-        """
+    def remove(self, row: int) -> LeafRecord | None:
+        """Remove (and return) the record of ``row``, or ``None``."""
         for pos, record in enumerate(self._records):
-            if record.og.og_id == og_id:
+            if record.row == row:
                 del self._records[pos]
                 del self._keys[pos]
                 return record
@@ -86,10 +86,6 @@ class LeafNode:
     def max_key(self) -> float:
         """Largest key (the leaf's covering radius around its centroid)."""
         return self._keys[-1] if self._keys else 0.0
-
-    def object_graphs(self) -> list[ObjectGraph]:
-        """The member OGs."""
-        return [r.og for r in self._records]
 
 
 @dataclass

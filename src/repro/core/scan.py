@@ -102,9 +102,9 @@ class ScanViews:
         """Views of ``records``, with reference columns from ``sketch``.
 
         Member rows are the sketch's stored pivot distances, matched to
-        each leaf member by object identity (og_ids can repeat); the one
-        kernel sweep is centroids x pivots.  Without a sketch — or one
-        missing a member's row — the views carry the leaf keys alone.
+        each leaf member by its row; the one kernel sweep is centroids x
+        pivots.  Without a sketch — or one missing a member's row — the
+        views carry the leaf keys alone.
         """
         self.mutations = mutations
         self.sketch = sketch
@@ -112,7 +112,7 @@ class ScanViews:
         rows = None
         if sketch is not None and sketch.pivots and records:
             rows = sketch.rows_of(
-                [r.og for record in records for r in record.leaf])
+                [r.row for record in records for r in record.leaf])
         if rows is None:
             for record in records:
                 self.by_record[id(record)] = ClusterView(record)

@@ -30,12 +30,13 @@ _OG_ID_LOCK = threading.Lock()
 _OG_NEXT_ID = 0
 
 
-def _next_og_id() -> int:
+def reserve_og_ids(count: int) -> int:
+    """The first of ``count`` og_ids no OG of this process is minted with."""
     global _OG_NEXT_ID
     with _OG_ID_LOCK:
-        n = _OG_NEXT_ID
-        _OG_NEXT_ID += 1
-        return n
+        first = _OG_NEXT_ID
+        _OG_NEXT_ID += count
+        return first
 
 
 @dataclass
@@ -149,7 +150,7 @@ class ObjectGraph:
     frames: np.ndarray | None = None
     sizes: np.ndarray | None = None
     label: int | None = None
-    og_id: int = field(default_factory=_next_og_id)
+    og_id: int = field(default_factory=lambda: reserve_og_ids(1))
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:

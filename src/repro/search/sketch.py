@@ -31,7 +31,7 @@ distances plus the rerank — never exceeds ``search_budget``.
 
 Out-of-core operation
 ---------------------
-Every sketch has one layout: *base* arrays (``og_ids``,
+Every sketch has one layout: *base* arrays (``row_ids``,
 ``pivot_dists``, ``sig``) that are never written in place — bound by
 :meth:`SketchIndex.attach_rows`, often as zero-copy views of a columnar
 store's mmap'd sketch columns — an owned *tail* every :meth:`add`
@@ -226,11 +226,12 @@ def _exact_top(m: int, keys: tuple[np.ndarray, ...]) -> np.ndarray:
     ``keys`` are aligned 1-D arrays, most-significant first.  An
     ``argpartition`` on the primary key prunes to at most ``m`` rows
     plus the primary-key ties at the boundary; the full compound sort
-    then runs only on that superset.  Because every caller ends its key
-    tuple with a unique og_id, the compound order is total — so the
-    selected set (and its order) is exactly the first ``m`` entries of
-    a global lexsort, which is what makes the blocked scan bit-identical
-    to the monolithic path.
+    then runs only on that superset.  Every caller ends its key tuple
+    with the row id, unique among a sketch's live rows (an index never
+    reuses a row), so the compound order is total — the selected set
+    (and its order) is exactly the first ``m`` entries of a global
+    lexsort, which is what makes the blocked scan bit-identical to the
+    monolithic path.
     """
     if m <= 0:
         return np.empty(0, dtype=np.intp)
@@ -267,8 +268,8 @@ def _block_winners(rows: np.ndarray, ids: np.ndarray, pd: np.ndarray,
     """Score one row block and cut its exact per-channel winners.
 
     Returns ``(bound, vote)`` where ``bound`` is ``(lbs, ids,
-    rows)`` under key ``(lb, og_id)`` and ``vote`` is ``(neg_votes,
-    lbs, ids, rows)`` under key ``(-votes, lb, og_id)`` — the same
+    rows)`` under key ``(lb, row id)`` and ``vote`` is ``(neg_votes,
+    lbs, ids, rows)`` under key ``(-votes, lb, row id)`` — the same
     compound orders the monolithic lexsorts used.
     """
     if qd is not None and pd.shape[1]:
@@ -289,10 +290,10 @@ def _block_winners(rows: np.ndarray, ids: np.ndarray, pd: np.ndarray,
 class SketchIndex:
     """Flat-array sketches over a corpus of Object Graphs.
 
-    Row ``i`` of every array describes the same OG: ``og_ids[i]``,
-    ``pivot_dists[i]`` (distance to each pivot), ``sig[i]`` (quantized
-    signature codes).  The public arrays are live views: tombstoned
-    rows are already filtered out.  Internally rows live in a *base*
+    Row ``i`` of every array describes the same OG: ``row_ids[i]`` (its
+    row in the owning index), ``pivot_dists[i]`` (distance to each
+    pivot), ``sig[i]`` (quantized signature codes).  The public arrays
+    are live views: tombstoned rows are already filtered out.  Internally rows live in a *base*
     part that is never written in place — RAM arrays or zero-copy mmap
     views bound by :meth:`attach_rows` — then an owned *tail* every
     :meth:`add` appends to, so incremental adds never force an mmap
@@ -326,8 +327,8 @@ class SketchIndex:
     # -- public array views ------------------------------------------------
 
     @property
-    def og_ids(self) -> np.ndarray:
-        """Live og_id per row (tombstoned rows filtered out)."""
+    def row_ids(self) -> np.ndarray:
+        """Live index row per raw row (tombstoned rows filtered out)."""
         return self._live(self._cat(self._ids, self._tail_ids))
 
     @property
@@ -347,7 +348,7 @@ class SketchIndex:
 
     def _empty_part(self, num_pivots: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(og_ids, pivot_dists, sig)`` arrays of zero rows."""
+        """``(row_ids, pivot_dists, sig)`` arrays of zero rows."""
         return (np.empty(0, dtype=np.int64),
                 np.empty((0, num_pivots), dtype=np.float64),
                 np.empty((0, self.config.sig_length), dtype=np.int16))
@@ -376,10 +377,11 @@ class SketchIndex:
     @classmethod
     def build(cls, distance, ogs: Sequence[ObjectGraph],
               clip_refs: Sequence[Any] | None = None,
-              config: SketchConfig | None = None) -> "SketchIndex":
+              config: SketchConfig | None = None,
+              rows: Sequence[int] | None = None) -> "SketchIndex":
         """Fit pivots + bbox on ``ogs`` and sketch every one of them."""
         sketch = cls(config)
-        sketch.add(distance, ogs, clip_refs)    # the first add fits
+        sketch.add(distance, ogs, clip_refs, rows)    # the first add fits
         return sketch
 
     def _fit(self, distance, series: Sequence[np.ndarray]) -> None:
@@ -421,7 +423,7 @@ class SketchIndex:
             )
         self.pivots = pivots
 
-    def attach_rows(self, og_ids: np.ndarray, pivot_dists: np.ndarray,
+    def attach_rows(self, row_ids: np.ndarray, pivot_dists: np.ndarray,
                     sig: np.ndarray, rows: SketchRows) -> None:
         """Bind base arrays (possibly zero-copy mmap views) + records.
 
@@ -429,10 +431,10 @@ class SketchIndex:
         arrays.  The base is never written: later adds go to the tail,
         and compaction (only without a store reader) rebinds it.
         """
-        og_ids = np.asarray(og_ids, dtype=np.int64)
+        row_ids = np.asarray(row_ids, dtype=np.int64)
         pivot_dists = np.asarray(pivot_dists, dtype=np.float64)
         sig_arr = np.asarray(sig, dtype=np.int16)
-        n = len(og_ids)
+        n = len(row_ids)
         if pivot_dists.shape != (n, len(self.pivots)):
             raise InvalidParameterError(
                 f"pivot_dists shape {pivot_dists.shape} does not match "
@@ -447,7 +449,7 @@ class SketchIndex:
             raise InvalidParameterError(
                 f"row provider has {len(rows)} rows, arrays have {n}"
             )
-        self._ids, self._pd, self._sig = og_ids, pivot_dists, sig_arr
+        self._ids, self._pd, self._sig = row_ids, pivot_dists, sig_arr
         self._tail_ids, self._tail_pd, self._tail_sig = self._empty_part(
             pivot_dists.shape[1])
         self._rows = rows
@@ -470,15 +472,21 @@ class SketchIndex:
         return dup
 
     def add(self, distance, ogs: Sequence[ObjectGraph],
-            clip_refs: Sequence[Any] | None = None) -> None:
-        """Append sketch rows for ``ogs`` (pivots stay fixed)."""
+            clip_refs: Sequence[Any] | None = None,
+            rows: Sequence[int] | None = None) -> None:
+        """Append sketch rows for ``ogs`` under their index ``rows``
+        (``None``: the rows after the largest; pivots stay fixed)."""
         ogs = list(ogs)
         if not ogs:
             return
         refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
-        if len(refs) != len(ogs):
+        if rows is None:
+            first = 1 + int(self._cat(self._ids, self._tail_ids).max(
+                initial=-1))
+            rows = range(first, first + len(ogs))
+        if not len(refs) == len(rows) == len(ogs):
             raise InvalidParameterError(
-                f"{len(ogs)} OGs but {len(refs)} clip refs"
+                f"{len(ogs)} OGs, {len(refs)} clip refs, {len(rows)} rows"
             )
         # Prepared once for the fit, every pivot sweep and the signatures.
         series = PaddedBatch(ogs)
@@ -488,7 +496,7 @@ class SketchIndex:
         new_pd = np.ascontiguousarray(
             pairwise_matrix(distance, self.pivots, series).T)
         new_sig = self._signatures(series)
-        new_ids = np.array([og.og_id for og in ogs], dtype=np.int64)
+        new_ids = np.asarray(rows, dtype=np.int64)
         # The base is never written (often mmap views): growth goes to
         # the owned tail, rebound rather than written in place.
         self._tail_ids = self._cat(self._tail_ids, new_ids)
@@ -501,22 +509,22 @@ class SketchIndex:
         self._rows.append(list(zip(ogs, refs)))
         OBS.count("search.sketch_rows_added", len(ogs))
 
-    def remove(self, og_id: int, og: ObjectGraph | None = None) -> bool:
-        """Tombstone the sketch row of ``og_id``; True when it existed.
-
-        With ``og`` given, the row of that very object: og_ids can
-        repeat, and the owning index must drop the row of the leaf it
-        dropped.  O(n) to locate the row but O(1) to drop it.  Past the
-        tombstone threshold :meth:`compact_tombstones` runs, which a
+    def remove(self, row: int) -> bool:
+        """Tombstone the sketch row of index row ``row``; True when it
+        was live.  O(n) to locate the raw row but O(1) to drop it.  Past
+        the tombstone threshold :meth:`compact_tombstones` runs, which a
         store-attached sketch declines (the store's segment merge
         reclaims its rows).
         """
-        row = self._find_live_row(og_id, og)
-        if row is None:
+        hits = np.flatnonzero(self._cat(self._ids, self._tail_ids) == row)
+        if self._n_dead:
+            hits = hits[~self._dead[hits]]
+        if not hits.size:
             return False
+        raw = int(hits[0])
         if self._dead is None:
             self._dead = np.zeros(self._num_raw(), dtype=bool)
-        self._dead[row] = True
+        self._dead[raw] = True
         self._n_dead += 1
         if (self._n_dead >= TOMBSTONE_COMPACT_MIN
                 and self._n_dead >= TOMBSTONE_COMPACT_FRACTION
@@ -524,31 +532,21 @@ class SketchIndex:
             self.compact_tombstones()
         return True
 
-    def _find_live_row(self, og_id: int,
-                       og: ObjectGraph | None = None) -> int | None:
-        for offset, ids in ((0, self._ids),
-                            (len(self._ids), self._tail_ids)):
-            for hit in np.nonzero(ids == og_id)[0]:
-                raw = offset + int(hit)
-                if self._dead is not None and self._dead[raw]:
-                    continue
-                if og is None or self._rows.record(raw)[0] is og:
-                    return raw
-        return None
-
-    def rows_of(self, ogs: Sequence[ObjectGraph]
+    def rows_of(self, rows: Sequence[int]
                 ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Stored ``(pivot_dists, sig)`` rows of these very objects, in
-        order — matched by identity, not og_id, which can repeat — or
-        ``None`` when one of them has no live row."""
-        live = (np.flatnonzero(~self._dead).tolist() if self._n_dead
-                else range(self._num_raw()))
-        row_of = {id(self._rows.record(raw)[0]): raw for raw in live}
-        rows = [row_of.get(id(og)) for og in ogs]
-        if any(row is None for row in rows):
+        """Stored ``(pivot_dists, sig)`` of these index rows, in order,
+        or ``None`` when one of them has no live sketch row."""
+        live = (np.flatnonzero(~self._dead) if self._n_dead
+                else np.arange(self._num_raw()))
+        ids = self._cat(self._ids, self._tail_ids)[live]
+        order = np.argsort(ids, kind="stable")
+        rows = np.asarray(rows, dtype=np.int64)
+        at = np.searchsorted(ids[order], rows)
+        if (at >= len(ids)).any() or (ids[order[at]] != rows).any():
             return None
-        return (self._cat(self._pd, self._tail_pd)[rows],
-                self._cat(self._sig, self._tail_sig)[rows])
+        raw = live[order[at]]
+        return (self._cat(self._pd, self._tail_pd)[raw],
+                self._cat(self._sig, self._tail_sig)[raw])
 
     def compact_tombstones(self) -> bool:
         """Physically drop tombstoned rows into a fresh tail — only
@@ -568,8 +566,8 @@ class SketchIndex:
 
     # -- row-addressed record access ---------------------------------------
 
-    def row_og_ids(self, rows: np.ndarray) -> np.ndarray:
-        """og_ids for raw row ordinals (candidate ``idx`` values)."""
+    def row_ids_at(self, rows: np.ndarray) -> np.ndarray:
+        """Index rows of raw rows (candidate ``idx`` values)."""
         rows = np.asarray(rows, dtype=np.int64)
         n0 = len(self._ids)
         if n0 == 0 or len(self._tail_ids) == 0:
@@ -705,8 +703,8 @@ class SketchIndex:
         # Channel 1 (primary): smallest triangle lower bound — the
         # candidates that *can* be nearest.  Channel 2: most matching
         # signature codes — temporal voting, rescuing candidates whose
-        # pivot geometry is uninformative.  Ties break on og_id so the
-        # shortlist is deterministic for any corpus order.
+        # pivot geometry is uninformative.  Ties break on the row id so
+        # the shortlist is deterministic for any corpus order.
         n_vote = min(shortlist, int(round(shortlist * self.config.vote_share)))
         n_bound = shortlist - n_vote
         # The vote channel tracks the top-``shortlist`` rows, not just
@@ -794,10 +792,10 @@ def approx_knn(sketch: SketchIndex, distance, request: SearchRequest
         idx, lbs, pivot_evals = sketch.candidates(
             distance, series, search_budget, k)
         OBS.count("search.candidates_generated", len(idx))
-        # Rerank in ascending (lower bound, og_id) order: the most
+        # Rerank in ascending (lower bound, row id) order: the most
         # promising candidates seed the k-th best distance early, and
         # the sorted bounds make the prune a single prefix cut.
-        order = np.lexsort((sketch.row_og_ids(idx), lbs))
+        order = np.lexsort((sketch.row_ids_at(idx), lbs))
         shortlist = list(zip(lbs[order].tolist(), idx[order].tolist()))
         best = TopK(k)
         evaluated = evaluate_windowed(

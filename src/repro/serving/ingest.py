@@ -684,7 +684,7 @@ class IngestService:
         writes += [_BufferedWrite("delete", og_id=og_id)
                    for og_id in deletes]
         self.live.buffer(writes)
-        # The compaction records the shard of every insert on ``writes``.
+        # The compaction stamps the (shard, row) of every write.
         self.live.compact()
         if self._store is None or self._pending_writes is None:
             return

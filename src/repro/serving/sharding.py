@@ -198,9 +198,10 @@ class ShardedIndex:
 
     def build(self, ogs: Sequence[ObjectGraph],
               background: BackgroundGraph | None = None,
-              clip_refs: Sequence[Any] | None = None) -> list[int]:
+              clip_refs: Sequence[Any] | None = None
+              ) -> list[tuple[int, int]]:
         """Partition ``ogs`` across the shards and build each one;
-        returns the shard each OG landed in."""
+        returns the ``(shard, row)`` each OG landed in."""
         if not ogs:
             raise IndexStateError("cannot build a sharded index from zero OGs")
         if clip_refs is not None and len(clip_refs) != len(ogs):
@@ -209,15 +210,17 @@ class ShardedIndex:
             )
         self._check_mutable()
         refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
+        rows: dict[int, int] = {}
         with OBS.span("serving.shard_build", ogs=len(ogs),
                       shards=self.num_shards):
             assignment = self._place(ogs)
             for s in range(self.num_shards):
-                members = [og for og, a in zip(ogs, assignment) if a == s]
-                member_refs = [r for r, a in zip(refs, assignment) if a == s]
+                members = [j for j, a in enumerate(assignment) if a == s]
                 if members:
-                    self._writable(s).build(members, background, member_refs)
-        return assignment
+                    rows.update(zip(members, self._writable(s).build(
+                        [ogs[j] for j in members], background,
+                        [refs[j] for j in members])))
+        return [(s, rows[j]) for j, s in enumerate(assignment)]
 
     def _place(self, ogs: Sequence[ObjectGraph]) -> list[int]:
         """Shard id per OG (fits affine pivots on the first build; one
@@ -282,8 +285,8 @@ class ShardedIndex:
 
     def insert(self, og: ObjectGraph,
                background: BackgroundGraph | None = None,
-               clip_ref: Any = None) -> int:
-        """Insert one OG into its shard; returns the shard's ordinal."""
+               clip_ref: Any = None) -> tuple[int, int]:
+        """Insert one OG into its shard; returns its ``(shard, row)``."""
         self._check_mutable()
         if self.num_shards == 1:
             target = 0
@@ -298,16 +301,18 @@ class ShardedIndex:
                 self.pivots = self._fit_pivots(list(self.object_graphs()))
             dists = self._pivot_distances([og])[0]
             target = int(np.argmin(dists))
-        self._writable(target).insert(og, background, clip_ref)
-        return target
+        return target, self._writable(target).insert(og, background, clip_ref)
 
-    def delete(self, og_id: int) -> bool:
-        """Remove the OG with ``og_id`` from whichever shard holds it."""
+    def delete(self, og_id: int) -> tuple[int, int] | None:
+        """Remove the first OG labelled ``og_id`` (shard by shard, leaf
+        order); returns its ``(shard, row)``, or ``None``."""
         self._check_mutable()
         for s, shard in enumerate(self.shards):
-            if any(og.og_id == og_id for og in shard.object_graphs()):
-                return self._writable(s).delete(og_id)
-        return False
+            record = shard.record_of(og_id)
+            if record is not None:
+                self._writable(s).delete_row(record.row)
+                return s, record.row
+        return None
 
     def _writable(self, s: int) -> STRGIndex:
         """Shard ``s`` — its own clone, from the first write on, when it

@@ -20,8 +20,8 @@ The serving layer separates reads from writes with an immutable
 - A compaction applies its inserts through the index's placement
   (:meth:`ShardedIndex.of <repro.serving.sharding.ShardedIndex.of>`:
   an ``STRGIndex`` is the one-shard case) and records on each buffered
-  write the shard it landed in, so an attached store appends the batch
-  as one segment per written shard in O(delta).
+  write the ``(shard, row)`` it landed in or removed, so an attached
+  store appends the batch as one segment per written shard in O(delta).
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class IndexSnapshot:
 @dataclass
 class _BufferedWrite:
     """One buffered mutation, applied at the next compaction — which
-    records the ``shard`` an insert lands in, so a store append writes
-    it there without looking for it."""
+    records the ``(shard, row)`` an insert lands in or a delete removes
+    (``row`` ``None``: nothing), so a store append finds it at once."""
 
     op: str  # "insert" | "delete"
     og: ObjectGraph | None = None
@@ -83,6 +83,7 @@ class _BufferedWrite:
     clip_ref: Any = None
     og_id: int | None = None
     shard: int = 0
+    row: int | None = None
 
 
 @dataclass
@@ -232,7 +233,7 @@ class LiveIndex:
 
     def buffer(self, writes: Sequence[_BufferedWrite]) -> None:
         """Buffer ``writes`` in order; the compaction that applies them
-        sets each insert's ``shard``."""
+        sets each one's ``shard`` and ``row``."""
         with self._buffer_lock:
             self._buffer.extend(writes)
             OBS.gauge("serving.write_buffer", len(self._buffer))
@@ -274,14 +275,15 @@ class LiveIndex:
                         batch, key=lambda w: (w.op, id(w.background))):
                     run = list(run)
                     if op == "insert":
-                        shards = extend_index(placed, [w.og for w in run],
+                        landed = extend_index(placed, [w.og for w in run],
                                               run[0].background,
                                               [w.clip_ref for w in run])
-                        for write, shard in zip(run, shards):
-                            write.shard = shard
+                        for write, (shard, row) in zip(run, landed):
+                            write.shard, write.row = shard, row
                     else:
                         for write in run:
-                            working.delete(write.og_id)
+                            write.shard, write.row = \
+                                placed.delete(write.og_id) or (0, None)
                 working.freeze()
                 published = IndexSnapshot(previous.version + 1, working)
                 self._snapshot = published

@@ -21,10 +21,11 @@ worker-local :class:`~repro.serving.sharding.ShardedIndex` (one
 bound), and the coordinator merges the per-worker exact top-k lists by ``(distance,
 shard, row)``.  That reproduces the in-process scatter-gather
 **bit-identically**: distances come from the same batched kernels
-(chunk-invariant), and shards are opened in ascending ordinal order so
-every tie-break — worker-local og_id and the coordinator merge — is
-the same ``(shard, row)`` order a freshly loaded snapshot mints og_ids
-in.  The budgeted approximate path runs per shard on the coordinator's
+(chunk-invariant), and worker-local og_ids are the store's
+``RowLabels``, increasing in ``(shard, row)``, so every tie-break —
+worker-local og_id and the coordinator merge — is the same
+``(shard, row)`` order.  The budgeted approximate path runs per shard
+on the coordinator's
 :func:`~repro.search.request.split_budget` shares — the same split the
 in-process ``ShardedIndex`` makes.
 
@@ -81,12 +82,12 @@ class _ShardSet:
     ``STRGIndex.search`` per shard — the same scan, one shard at a time
     — would start each shard from an infinite bound.
 
-    Exactness is preserved: shards are (re)opened in ascending ordinal
-    order, so worker-local og_ids are minted in ``(ordinal, row)``
-    order and the combined index's ``(distance, og_id)`` tie-break is
-    the restriction of the coordinator's global ``(distance, shard,
-    row)`` merge order — the worker's top-k therefore contains every
-    globally-ranked hit from its shards.
+    Exactness is preserved: the shards' og_ids are the
+    :class:`~repro.storage.columnar.RowLabels` of one committed version,
+    in ``(ordinal, row)`` order, so the combined index's ``(distance,
+    og_id)`` tie-break is the restriction of the coordinator's global
+    ``(distance, shard, row)`` merge order — the worker's top-k
+    therefore contains every globally-ranked hit from its shards.
 
     Budgeted (``search_budget``) requests keep the per-shard loop: the
     coordinator computes the global proportional budget split, and a
@@ -100,22 +101,24 @@ class _ShardSet:
 
         self.store = ColumnarStore(store_path)
         self.mmap = mmap
-        #: Assigned ordinal -> (shard index, og_id -> row).
-        self.shards: dict[int, tuple[Any, dict[int, int]] | None] = \
-            dict.fromkeys(assignment)
+        #: Assigned ordinal -> its shard index.
+        self.shards: dict[int, Any] = dict.fromkeys(assignment)
         self._combined: Any = None
         self._fast: frozenset[int] = frozenset()
-        self._loc: dict[int, tuple[int, int]] = {}
         self.reload()
 
     # -- lifecycle ------------------------------------------------------
 
     def reload(self) -> None:
-        """(Re)open every assigned shard, ascending ordinal order — so
-        worker-local og_ids are minted in (ordinal, row) order, the
-        tie-break invariant the combined index relies on."""
-        self.shards = {o: self.store.load_shard(o, mmap=self.mmap)
-                       for o in sorted(self.shards)}
+        """(Re)open every assigned shard from one committed version,
+        whose labels locate every hit's ``(shard, row)``."""
+        while True:
+            labels = self.store.row_labels()
+            shards = {o: self.store.load_shard(o, mmap=self.mmap)
+                      for o in sorted(self.shards)}
+            if self.store.version() == labels.version:
+                break
+        self.shards, self.labels = shards, labels
         self._refresh()
 
     def open(self, ordinal: int) -> None:
@@ -124,22 +127,15 @@ class _ShardSet:
 
     def close(self, ordinal: int) -> None:
         self.shards.pop(ordinal, None)
-        # Dropping a shard preserves the relative mint order of the rest.
         self._refresh()
 
     def sizes(self) -> dict[int, int]:
-        return {o: len(index) for o, (index, _) in self.shards.items()}
+        return {o: len(index) for o, index in self.shards.items()}
 
     # -- combined-index assembly ----------------------------------------
 
     def _refresh(self) -> None:
-        ordered = sorted(self.shards)
-        self._loc = {
-            og_id: (o, row)
-            for o in ordered
-            for og_id, row in self.shards[o][1].items()
-        }
-        live = [o for o in ordered if len(self.shards[o][0]) > 0]
+        live = [o for o in sorted(self.shards) if len(self.shards[o]) > 0]
         self._fast = frozenset(live)
         self._combined = self._assemble(live) if live else None
 
@@ -149,7 +145,7 @@ class _ShardSet:
         from repro.serving.sharding import ShardedIndex
 
         return ShardedIndex.from_shards(
-            [self.shards[o][0] for o in ordinals]).freeze()
+            [self.shards[o] for o in ordinals]).freeze()
 
     # -- search ---------------------------------------------------------
 
@@ -164,7 +160,7 @@ class _ShardSet:
             raise ShardUnavailableError(
                 f"shard(s) {missing} are not assigned to this worker",
                 details={"shards": missing, "assigned": sorted(self.shards)})
-        live = [o for o in requested if len(self.shards[o][0]) > 0]
+        live = [o for o in requested if len(self.shards[o]) > 0]
         if (request.search_budget is None and self._combined is not None
                 and frozenset(live) == self._fast):
             return self._search_combined(request, requested, live)
@@ -179,12 +175,12 @@ class _ShardSet:
         # The shared-bound search is one pass, so per-shard busy time is
         # attributed proportionally to shard size — slot totals stay
         # real measured time, which is what rebalancing keys on.
-        total = sum(len(self.shards[o][0]) for o in live)
+        total = sum(len(self.shards[o]) for o in live)
         busy = {o: 0.0 for o in requested}
         for o in live:
-            busy[o] = elapsed * len(self.shards[o][0]) / total
-        loc = self._loc
-        hits = [(float(d), *loc[og.og_id], ref) for d, og, ref in found]
+            busy[o] = elapsed * len(self.shards[o]) / total
+        locate = self.labels.locate
+        hits = [(float(d), *locate(og.og_id), ref) for d, og, ref in found]
         return {"hits": hits, "busy": busy}
 
     def _search_per_shard(self, request: SearchRequest,
@@ -192,17 +188,15 @@ class _ShardSet:
         hits: list[tuple[float, int, int, Any]] = []
         busy: dict[int, float] = {}
         for ordinal, share in shares.items():
-            index, row_of = self.shards[ordinal]
+            index = self.shards[ordinal]
             if len(index) == 0:
                 busy[ordinal] = 0.0
                 continue
             started = time.perf_counter()
             found = index.search(replace(request, search_budget=share)).hits
             busy[ordinal] = time.perf_counter() - started
-            hits.extend(
-                (float(d), ordinal, row_of[og.og_id], ref)
-                for d, og, ref in found
-            )
+            hits.extend((float(d), *self.labels.locate(og.og_id), ref)
+                        for d, og, ref in found)
         return {"hits": hits, "busy": busy}
 
 
@@ -333,8 +327,8 @@ class RemoteHit:
     """One k-NN/range hit served by a worker process.
 
     ``shard``/``row`` name the record by its durable identity — the
-    shard ordinal and the global row ordinal inside that shard's store
-    — because og_ids are minted per process and never cross the wire.
+    shard ordinal and the store row inside that shard — because og_ids
+    are labels one process gives and never cross the wire.
     """
 
     distance: float

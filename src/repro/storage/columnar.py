@@ -40,11 +40,12 @@ next writer truncates.  9.x and 10.x stores (format versions 1 and 2)
 are refused everywhere except :func:`repro.storage.store.convert`.
 
 Replay.  Loading materializes each shard's base and replays its deltas
-through the same deterministic ``insert()``/``delete()`` a live shard
-evolved through, so a reopened store answers bit-identically.  Rows are
-numbered per shard (base rows in leaf order, then delta inserts);
-og_ids never reach the disk — the store keeps an in-process ``og_id ->
-(shard, row)`` map, rebuilt by ``write_index``/``load_index``.
+through the same deterministic ``insert()``/``delete_row()`` a live
+shard evolved through, so a reopened store answers bit-identically.
+Rows are numbered per shard (base rows in leaf order, then delta
+inserts), and a loaded shard files each OG under its store row.
+og_ids never reach the disk (:class:`RowLabels`); a bound store maps
+``(shard, index row) -> store row`` where the two differ.
 """
 
 from __future__ import annotations
@@ -61,17 +62,16 @@ import struct
 import tempfile
 import threading
 from types import SimpleNamespace
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import (
     IndexCorruptionError,
-    IndexStateError,
     InvalidParameterError,
     StorageError,
 )
-from repro.graph.object_graph import ObjectGraph
+from repro.graph.object_graph import ObjectGraph, reserve_og_ids
 from repro.observability import OBS
 from repro.resilience.faults import maybe_fail, maybe_truncate
 from repro.resilience.journal import IngestJournal, parse_record, split_records
@@ -85,7 +85,6 @@ from repro.storage.serialize import (
     _unpack_ragged,
     index_from_arrays,
     index_to_arrays,
-    leaf_ogs,
     read_sketch,
 )
 
@@ -110,6 +109,7 @@ _SUM_HEX = 16                      # hex digits of a record / header sum
 _BASE_KEYS = ("format", "format_version", "serving_config", "pivots",
               "segments")
 _ENTRY_KEYS = ("seg", "rows", "bytes", "hsum")
+_BG_COLUMNS = ("bg_nodes", "bg_node_offsets", "bg_edges", "bg_frames")
 _SEGMENT_KEYS = ("shard",) + _ENTRY_KEYS
 
 
@@ -261,6 +261,35 @@ class _ShardLog(NamedTuple):
         return self.rows_total - len(self.dead)
 
 
+class RowLabels(NamedTuple):
+    """The og_ids every read of one committed version gives its rows in
+    this process: row ``r`` of shard ``s`` is ``base + starts[s] + r``,
+    ``base`` opening a block no other OG is minted from."""
+
+    version: str
+    base: int
+    starts: tuple[int, ...]     # rows before each shard, then the total
+
+    def first(self, shard: int) -> int:
+        """The label of row 0 of ``shard``."""
+        return self.base + self.starts[shard]
+
+    def locate(self, og_id: int) -> tuple[int, int]:
+        """``(shard, row)`` of the row labelled ``og_id``."""
+        offset = int(og_id) - self.base
+        if not 0 <= offset < self.starts[-1]:
+            raise InvalidParameterError(
+                f"og_id {og_id} labels no row of store version "
+                f"{self.version}")
+        shard = bisect.bisect_right(self.starts, offset) - 1
+        return shard, offset - self.starts[shard]
+
+
+#: Store path -> the labels of the newest version read in this process.
+_LABELS: dict[str, RowLabels] = {}
+_LABELS_LOCK = threading.Lock()
+
+
 class _Committed:
     """The committed state of one store, folded from its manifest log.
 
@@ -395,8 +424,8 @@ class ColumnarStore:
         self._reset_rows()
 
     def _reset_rows(self) -> None:
-        #: Live og_id -> (shard, row) of the bound index.
-        self._row_of: dict[int, tuple[int, int]] = {}
+        #: ``(shard, index row) -> store row`` where the two differ.
+        self._row_map: dict[tuple[int, int], int] = {}
         #: Version of the committed state the row map describes; ``None``
         #: when the row map does not reflect the disk.
         self._bound_version: str | None = None
@@ -767,13 +796,14 @@ class ColumnarStore:
 
     def _write_base(self, index: Any, ordinal: int) -> str:
         entries: list[dict[str, Any]] = []
-        row_of: dict[int, tuple[int, int]] = {}
+        row_map: dict[tuple[int, int], int] = {}
         for number, shard in enumerate(index.shards):
             arrays, meta = index_to_arrays(shard)
             entries.append(dict(shard=number, **self._write_segment(
                 ordinal + number, "base", len(meta["refs"]), meta, arrays)))
-            row_of.update((og.og_id, (number, row))
-                          for row, (og, _) in enumerate(leaf_ogs(shard)))
+            row_map.update(((number, record.row), stored) for stored, record
+                           in enumerate(shard.leaf_records())
+                           if record.row != stored)
         pivots = None
         if index.pivots is not None:
             flat, offsets = _pack_ragged(list(index.pivots))
@@ -790,7 +820,7 @@ class ColumnarStore:
                               self._segment_path(entry["seg"])):
                 logger.warning("injected truncation in segment %s",
                                entry["seg"])
-        self._row_of = row_of
+        self._row_map = row_map
         self._bound_version = state.version
         OBS.count("storage.columnar.writes")
         return self.path
@@ -810,13 +840,8 @@ class ColumnarStore:
 
         with OBS.span("storage.columnar.load", mmap=mmap):
             state = self._open_checked()
-            shards = []
-            row_of: dict[int, tuple[int, int]] = {}
-            for number in range(len(state.shards)):
-                shard, row_ogs = self._load_shard(state, number, mmap)
-                shards.append(shard)
-                row_of.update((og.og_id, (number, row))
-                              for row, og in enumerate(row_ogs))
+            shards = [self._load_shard(state, number, mmap)
+                      for number in range(len(state.shards))]
             pivots = None
             if state.pivots is not None:       # a few series: read them
                 columns = self._columns(state.pivots,
@@ -831,19 +856,33 @@ class ColumnarStore:
             except (TypeError, InvalidParameterError) as exc:
                 raise _corrupt(f"cannot read sharded store {self.path}: "
                                f"{exc}", exc, path=self.path) from exc
-            self._row_of = row_of
+            self._row_map = {}
             self._bound_version = state.version
             OBS.count("storage.columnar.loads")
             return index
 
-    def load_shard(self, shard: int, mmap: bool = False
-                   ) -> tuple[Any, dict[int, int]]:
-        """One shard's ``STRGIndex`` and its ``og_id -> row`` map — a
-        worker's read of the shards it serves; the store stays unbound."""
+    def load_shard(self, shard: int, mmap: bool = False) -> Any:
+        """One shard's ``STRGIndex`` — a worker's read of the shards it
+        serves; the store stays unbound."""
         state = self._open_checked()
         self._shard_log(state, shard)
-        index, row_ogs = self._load_shard(state, shard, mmap)
-        return index, {og.og_id: row for row, og in enumerate(row_ogs)}
+        return self._load_shard(state, shard, mmap)
+
+    def row_labels(self) -> RowLabels:
+        """How this process labels the rows of the committed version."""
+        return self._labels(self._committed())
+
+    def _labels(self, state: _Committed) -> RowLabels:
+        """One :class:`RowLabels` per store path and version."""
+        key = os.path.realpath(self.path)
+        with _LABELS_LOCK:
+            labels = _LABELS.get(key)
+            if labels is None or labels.version != state.version:
+                starts = tuple(np.cumsum(
+                    [0] + [log.rows_total for log in state.shards]).tolist())
+                labels = _LABELS[key] = RowLabels(
+                    state.version, reserve_og_ids(starts[-1]), starts)
+            return labels
 
     def _shard_log(self, state: _Committed, shard: int) -> _ShardLog:
         if not 0 <= shard < len(state.shards):
@@ -853,99 +892,76 @@ class ColumnarStore:
         return state.shards[shard]
 
     def _load_shard(self, state: _Committed, shard: int, mmap: bool):
-        """``(STRGIndex, og of every row)`` of one shard."""
+        """One shard's ``STRGIndex``: its base, then its deltas replayed."""
         log = state.shards[shard]
-        index, row_ogs = self._materialize_base(log.segments[0], mmap)
+        first = self._labels(state).first(shard)
+        index = self._materialize_base(log.segments[0], mmap, first)
+        reader = ColumnarRowReader(self, log, mmap, first)
         dead: set[int] = set()
-        for entry in log.segments[1:]:
-            self._replay_delta(index, entry, row_ogs, dead, mmap)
+        for ops in self._delta_ops(log):
+            for code, row, background in ops:
+                if code == "i":
+                    og, ref = reader.record(row)
+                    index.insert(og, background, ref)
+                elif index.delete_row(row) is None:
+                    raise _corrupt(f"a delta of {self.path} deletes dead "
+                                   f"row {row}", path=self.path, row=row)
+                else:
+                    dead.add(row)
         if dead != log.dead:
             raise _corrupt(f"dead rows of shard {shard} of {self.path} "
                            "disagree between the log and the delta ops "
                            f"({len(log.dead)} logged vs {len(dead)} "
                            "replayed)", path=self.path, shard=shard,
                            logged=len(log.dead), replayed=len(dead))
-        if len(row_ogs) != log.rows_total:
-            raise _corrupt(f"row count mismatch in shard {shard} of "
-                           f"{self.path}: replay produced {len(row_ogs)} "
-                           f"rows, the log says {log.rows_total}",
-                           path=self.path, shard=shard,
-                           replayed=len(row_ogs), logged=log.rows_total)
-        return index, row_ogs
+        return index
 
-    def row_ordinals(self, shard: int = 0) -> dict[int, int]:
-        """Live ``og_id -> row ordinal`` map of one shard of the bound
-        index (after ``load_index``/``write_index``).  The row ordinal,
-        unlike the og_id, is stable across processes: it is the
-        identity that crosses process and network boundaries."""
-        if not self._bound:
-            raise IndexStateError(
-                f"store {self.path} is not bound to an index "
-                "(call load_index() or write_index() first)")
-        return {og_id: row for og_id, (number, row) in self._row_of.items()
-                if number == shard}
-
-    def _materialize_base(self, entry: dict[str, Any], mmap: bool):
+    def _materialize_base(self, entry: dict[str, Any], mmap: bool,
+                          first: int):
         header = self._header(entry)
         arrays = self._columns(entry, header, None, mmap)
         try:
             index = index_from_arrays(arrays, header["meta"],
-                                      source=self._segment_path(entry["seg"]))
+                                      source=self._segment_path(entry["seg"]),
+                                      og_id_base=first)
+            if len(index) != int(entry["rows"]):
+                raise ValueError(f"{len(index)} rows, the log says "
+                                 f"{entry['rows']}")
+            return index
         except (KeyError, ValueError, IndexError, TypeError) as exc:
             raise _corrupt(f"cannot materialize base segment of "
                            f"{self.path}: {exc}", exc, path=self.path,
                            segment=entry["seg"]) from exc
-        return index, [og for og, _ in leaf_ogs(index)]
 
-    def _delta_ops(self, entry: dict[str, Any], header: dict[str, Any]
-                   ) -> list[tuple[str, int]]:
-        """A delta's op log, validated: ``[(code, operand), ...]``."""
-        try:
-            ops = [(op[0], int(op[1])) for op in header["meta"]["ops"]]
-            for code, _ in ops:
-                if code not in ("i", "d"):
-                    raise ValueError(f"unknown op code {code!r}")
-            return ops
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
-            raise _corrupt(f"cannot replay delta segment {entry['seg']} "
-                           f"of {self.path}: {exc}", exc, path=self.path,
-                           segment=entry["seg"]) from exc
-
-    def _replay_delta(self, index: Any, entry: dict[str, Any],
-                      row_ogs: list, dead: set[int], mmap: bool) -> None:
-        header = self._header(entry)
-        ops = self._delta_ops(entry, header)
-        arrays = self._columns(entry, header, None, mmap)
-        try:
-            refs = header["meta"]["refs"]
-            values = _unpack_ragged(arrays["og_values"],
-                                    arrays["og_offsets"])
-            frames = _unpack_ragged(arrays["og_frames"],
-                                    arrays["og_offsets"])
-            labels = arrays["og_labels"]
-            backgrounds = (_unpack_backgrounds(arrays)
-                           if "bg_frames" in arrays else [])
-            inserted = 0
-            for code, operand in ops:
-                if code == "i":
-                    og = ObjectGraph(
-                        values=values[inserted],
-                        frames=frames[inserted],
-                        label=(None if labels[inserted] < 0
-                               else int(labels[inserted])),
-                    )
-                    background = (backgrounds[operand]
-                                  if operand >= 0 else None)
-                    index.insert(og, background, refs[inserted])
-                    row_ogs.append(og)
-                    inserted += 1
-                else:
-                    index.delete(row_ogs[operand].og_id)
-                    dead.add(operand)
-        except (KeyError, ValueError, IndexError, TypeError) as exc:
-            raise _corrupt(f"cannot replay delta segment {entry['seg']} "
-                           f"of {self.path}: {exc}", exc, path=self.path,
-                           segment=entry["seg"]) from exc
+    def _delta_ops(self, log: _ShardLog) -> Iterator[list[tuple]]:
+        """Each delta's validated ops: ``("i", row, background)`` inserts
+        store row ``row``, ``("d", row, None)`` kills it."""
+        row = int(log.segments[0]["rows"])
+        for entry in log.segments[1:]:
+            header = self._header(entry)
+            ops, start = [], row
+            try:
+                backgrounds = _unpack_backgrounds(self._columns(
+                    entry, header, _BG_COLUMNS, mmap=False)) \
+                    if "bg_frames" in header["index"] else []
+                for code, operand in header["meta"]["ops"]:
+                    operand = int(operand)
+                    if code == "i":
+                        ops.append(("i", row, backgrounds[operand]
+                                    if operand >= 0 else None))
+                        row += 1
+                    elif code == "d":
+                        ops.append(("d", operand, None))
+                    else:
+                        raise ValueError(f"unknown op code {code!r}")
+                if row - start != int(entry["rows"]):
+                    raise ValueError(f"{row - start} inserts, the log "
+                                     f"says {entry['rows']}")
+            except (KeyError, ValueError, TypeError, IndexError) as exc:
+                raise _corrupt(f"cannot replay delta segment "
+                               f"{entry['seg']} of {self.path}: {exc}", exc,
+                               path=self.path, segment=entry["seg"]) from exc
+            yield ops
 
     # -- row-addressed reads + out-of-core sketch --------------------------
 
@@ -959,7 +975,8 @@ class ColumnarStore:
         :class:`ColumnarRowReader`.
         """
         state = self._open_checked()
-        return ColumnarRowReader(self, self._shard_log(state, shard), mmap)
+        return ColumnarRowReader(self, self._shard_log(state, shard), mmap,
+                                 self._labels(state).first(shard))
 
     def load_sketch(self, distance: Any = None, mmap: bool = True) -> Any:
         """Attach the persisted sketch tier straight from store columns.
@@ -971,30 +988,26 @@ class ColumnarStore:
         lazily through the row reader, and deltas replay through
         ``sketch.add``/``remove`` (pivot distances by ``distance``,
         default the stored ``MetricEGED``) into the in-RAM tail,
-        cross-checked against the log's dead rows.  Shard ``s`` numbers
-        its og_ids (= row ordinals) from the row count of the shards
-        before it, so ``(distance, og_id)`` ties resolve shard-then-row,
-        as in the materialized index.  ``None`` when a part holds no
+        cross-checked against the log's dead rows.  Records are labelled
+        as :meth:`load_index` labels them.  ``None`` when a part holds no
         persisted sketch; callers then materialize the index.
         """
         with OBS.span("storage.columnar.load_sketch", mmap=mmap):
             state = self._open_checked()
+            labels = self._labels(state)
             sketches = []
-            id_base = 0
-            for log in state.shards:
+            for number, log in enumerate(state.shards):
                 if log.live_rows() > 0:
                     sketch = self._attach_sketch(log, distance, mmap,
-                                                 id_base)
+                                                 labels.first(number))
                     if sketch is None:
                         return None
                     sketches.append(sketch)
-                id_base += log.rows_total
             return sketches
 
     def _attach_sketch(self, log: _ShardLog, distance: Any, mmap: bool,
-                       id_base: int) -> Any:
-        """The store-attached sketch of one shard, its og_ids numbered
-        from ``id_base`` (see :meth:`load_sketch`)."""
+                       first: int) -> Any:
+        """The store-attached sketch of one shard (:meth:`load_sketch`)."""
         from repro.distance.eged import MetricEGED
         from repro.search.sketch import SketchRows
 
@@ -1005,49 +1018,39 @@ class ColumnarStore:
         if sketch_meta is None:
             return None
         base_rows = int(base["rows"])
-        reader = ColumnarRowReader(self, log, mmap, id_base)
+        reader = ColumnarRowReader(self, log, mmap, first)
         # The pivots are a few series: read them, map the per-row columns.
         columns = self._columns(base, header, SKETCH_COLUMNS[:2], mmap=False)
         columns.update(self._columns(base, header, SKETCH_COLUMNS[2:], mmap))
         try:
             sketch = read_sketch(
                 columns, sketch_meta,
-                np.arange(id_base, id_base + base_rows, dtype=np.int64),
+                np.arange(base_rows, dtype=np.int64),
                 SketchRows(reader=reader, n_attached=base_rows))
         except SKETCH_PAYLOAD_ERRORS as exc:
             raise _corrupt(f"corrupt sketch tier in {self.path}: {exc}", exc,
                            path=self.path, rows=base_rows) from exc
         if distance is None:
             distance = MetricEGED(meta["config"]["metric_gap"])
-        next_row = base_rows
-        for entry in log.segments[1:]:
-            ins_rows: list[int] = []
-            dels: list[int] = []
-            for code, operand in self._delta_ops(entry, self._header(entry)):
-                if code == "i":
-                    ins_rows.append(next_row)
-                    next_row += 1
-                else:
-                    dels.append(operand)
-            if ins_rows:
+        for ops in self._delta_ops(log):
+            added = [row for code, row, _ in ops if code == "i"]
+            if added:
                 # Same-batch inserts land before the batch's deletes;
                 # a delete can only name an already-appended row, so
                 # batching per segment preserves the op-order state.
-                pairs = [reader.record(row) for row in ins_rows]
+                pairs = [reader.record(row) for row in added]
                 sketch.add(distance, [og for og, _ in pairs],
-                           [ref for _, ref in pairs])
-            for row in dels:
-                if not sketch.remove(id_base + row):
-                    raise _corrupt(f"delta segment {entry['seg']} of "
-                                   f"{self.path} deletes unknown row {row}",
-                                   path=self.path, segment=entry["seg"],
+                           [ref for _, ref in pairs], added)
+            for code, row, _ in ops:
+                if code == "d" and not sketch.remove(row):
+                    raise _corrupt(f"a delta of {self.path} deletes "
+                                   f"unknown row {row}", path=self.path,
                                    row=row)
         live = log.live_rows()
-        if next_row != log.rows_total or len(sketch) != live:
+        if len(sketch) != live:
             raise _corrupt(f"sketch replay of {self.path} disagrees with "
                            f"the log ({len(sketch)} live rows vs {live})",
-                           path=self.path, live=len(sketch), logged=live,
-                           rows=next_row, rows_total=log.rows_total)
+                           path=self.path, live=len(sketch), logged=live)
         sketch.replay_distance = distance
         OBS.count("storage.columnar.sketch_loads")
         return sketch
@@ -1059,11 +1062,12 @@ class ColumnarStore:
         written shard, one log record — in O(delta).
 
         ``writes`` have the ``_BufferedWrite`` shape (``op``, ``og``,
-        ``background``, ``clip_ref`` and the ``shard`` an insert landed
-        in, or ``og_id``): what one ``LiveIndex.compact()`` applied.
-        Deletes of og_ids the store does not hold are no-ops.  Returns
-        the new segment names, ``None`` when nothing was written.
-        Raising unbinds the store, so the next checkpoint writes in full.
+        ``background``, ``clip_ref``, and the ``shard`` and ``row`` an
+        insert landed in or a delete removed): what one
+        ``LiveIndex.compact()`` applied.  A delete of a row the store
+        does not hold live raises ``StorageError``.  Returns the new
+        segment names, ``None`` when nothing was written.  Raising
+        unbinds the store, so the next checkpoint writes in full.
         """
         with self._mutate_lock, self._unbind_on_error():
             if not self.exists():
@@ -1091,35 +1095,35 @@ class ColumnarStore:
 
     def _append_locked(self, state: _Committed,
                        writes: Sequence[Any]) -> list[str] | None:
+        # A failure unbinds the store; the next full write remaps it.
         deltas: dict[int, _Delta] = {}
-        overlay: dict[int, tuple[int, int]] = {}
+        row_map = self._row_map
         for write in writes:
-            if write.op == "insert":
-                shard = int(write.shard)
-                if not 0 <= shard < len(state.shards):
-                    raise StorageError(
-                        f"cannot append to {self.path}: a write landed in "
-                        f"shard {shard}, the store holds "
-                        f"{len(state.shards)}")
-                delta = deltas.setdefault(
-                    shard, _Delta(state.shards[shard].rows_total))
-                overlay[write.og.og_id] = (shard, delta.insert(write))
-            elif write.op == "delete":
-                where = overlay.get(write.og_id,
-                                    self._row_of.get(write.og_id))
-                if where is None:
-                    continue
-                shard, row = where
-                pending = deltas.get(shard)
-                if row in state.shards[shard].dead \
-                        or (pending is not None and row in pending.dead):
-                    continue
-                deltas.setdefault(
-                    shard, _Delta(state.shards[shard].rows_total)
-                ).delete(int(row))
-            else:
+            if write.op not in ("insert", "delete"):
                 raise InvalidParameterError(
                     f"unknown write op {write.op!r}")
+            if write.row is None and write.op == "delete":
+                continue                  # its label matched no OG
+            key = (int(write.shard), int(write.row))
+            if not 0 <= key[0] < len(state.shards):
+                raise StorageError(
+                    f"cannot append to {self.path}: a write names shard "
+                    f"{key[0]}, the store holds {len(state.shards)}")
+            log = state.shards[key[0]]
+            delta = deltas.setdefault(key[0], _Delta(log.rows_total))
+            if write.op == "insert":
+                row = delta.insert(write)
+                if row != key[1]:
+                    row_map[key] = row
+                continue
+            row = row_map.pop(key, key[1])
+            if not 0 <= row < delta.next_row or row in log.dead \
+                    or row in delta.dead:
+                raise StorageError(
+                    f"cannot append to {self.path}: a delete names row "
+                    f"{key[1]} of shard {key[0]}, which the store does "
+                    "not hold live")
+            delta.delete(row)
         if not deltas:
             return None
         entries = []
@@ -1138,7 +1142,6 @@ class ColumnarStore:
                               self._segment_path(entry["seg"])):
                 logger.warning("injected truncation in segment %s",
                                entry["seg"])
-        self._row_of.update(overlay)
         self._bound_version = state.version
         OBS.count("storage.columnar.appends")
         OBS.gauge("storage.columnar.segments", len(state.segments()))
@@ -1176,9 +1179,8 @@ class ColumnarStore:
 
         ``index`` — when the caller holds the live index the store state
         replays to (e.g. the snapshot just published by
-        ``LiveIndex.compact``) — is written directly, keeping the
-        process-local og_id row bindings.  Without it the store
-        materializes itself from disk first (offline compaction).
+        ``LiveIndex.compact``) — is written directly.  Without it the
+        store materializes itself from disk first (offline compaction).
         """
         with self._mutate_lock:
             if not self.exists():
@@ -1188,25 +1190,22 @@ class ColumnarStore:
                     self.write_index(index)
                     OBS.count("storage.columnar.merges")
                     return True
-                # Offline fold: materialize committed state, rewrite it
-                # as the new bases, then translate any live og_id
-                # bindings through (old row -> fresh og -> new row) so
-                # an attached writer can keep appending.
-                live = dict(self._row_of) if self._bound else None
+                # Offline fold: materialize committed state (rows = old
+                # store rows), rewrite it as the new bases, then carry a
+                # bound writer's map through (index row -> old store row
+                # -> new store row) so it can keep appending.
+                live = self._row_map if self._bound else None
                 materialized = self.load_index(mmap=False)
-                old_of_fresh = dict(self._row_of)
                 self.write_index(materialized)
                 if live is not None:
-                    new_of_old = {
-                        old: self._row_of[fresh]
-                        for fresh, old in old_of_fresh.items()
-                        if fresh in self._row_of
-                    }
-                    self._row_of = {
-                        og_id: new_of_old[old]
-                        for og_id, old in live.items()
-                        if old in new_of_old
-                    }
+                    # Old store row = materialized row; new = leaf position.
+                    owner = {(s, old): row for (s, row), old in live.items()}
+                    self._row_map = {
+                        (s, row): new
+                        for s, shard in enumerate(materialized.shards)
+                        for new, record in enumerate(shard.leaf_records())
+                        for row in [owner.get((s, record.row), record.row)]
+                        if row != new}
                 OBS.count("storage.columnar.merges")
                 return True
 
@@ -1316,21 +1315,18 @@ class ColumnarStore:
 class ColumnarRowReader:
     """Row-addressed reads over one shard of a committed store.
 
-    Row ordinals (the numbering ``row_ordinals()`` exposes) resolve to
-    ``(segment, local row)`` by a prefix-sum binary search; series and
-    frames are zero-copy offsets-table slices of the (optionally
-    mmap'd) ``og_*`` columns, loaded lazily per segment.  Records are
-    ``ObjectGraph``s with ``og_id = id_base + row`` — stable across
-    processes, minted in the materialized index's order, and unique
-    across shards when ``id_base`` is the row count of the shards
-    before this one.
+    Store rows resolve to ``(segment, local row)`` by a prefix-sum
+    binary search; series and frames are zero-copy offsets-table slices
+    of the (optionally mmap'd) ``og_*`` columns, loaded lazily per
+    segment.  Records are ``ObjectGraph``s labelled as by
+    :class:`RowLabels` (``first + row``).
     """
 
     def __init__(self, store: ColumnarStore, log: _ShardLog,
-                 mmap: bool = True, id_base: int = 0):
+                 mmap: bool, first: int):
         self._store = store
         self._mmap = bool(mmap)
-        self._id_base = int(id_base)
+        self._first = int(first)
         self._segments = list(log.segments)
         self._columns: list[tuple | None] = [None] * len(self._segments)
         self._refs: list[list | None] = [None] * len(self._segments)
@@ -1390,7 +1386,7 @@ class ColumnarRowReader:
         return values[offsets[local]:offsets[local + 1]]
 
     def record(self, row: int) -> tuple[Any, Any]:
-        """``(og, clip_ref)`` of one row, ``og_id = id_base + row``."""
+        """``(og, clip_ref)`` of one row, labelled ``first + row``."""
         row = int(row)
         part, local = self._locate(row)
         values, offsets, frames_flat, labels = self._part_columns(part)
@@ -1404,7 +1400,7 @@ class ColumnarRowReader:
             values=values[lo:hi],
             frames=frames,
             label=None if label < 0 else label,
-            og_id=self._id_base + row,
+            og_id=self._first + row,
         )
         return og, (refs[local] if local < len(refs) else None)
 
@@ -1414,6 +1410,7 @@ __all__ = [
     "COLUMNAR_VERSION",
     "ColumnarRowReader",
     "ColumnarStore",
+    "RowLabels",
     "columnar_path",
     "is_columnar_store",
     "stored_version",

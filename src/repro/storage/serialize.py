@@ -201,31 +201,27 @@ def _unpack_backgrounds(data) -> list[BackgroundGraph | None]:
     return backgrounds
 
 
-def _pack_sketch(index: STRGIndex,
-                 ogs: Sequence[ObjectGraph]
+def _pack_sketch(index: STRGIndex, rows: Sequence[int]
                  ) -> tuple[dict[str, np.ndarray], str | None]:
     """Sketch-tier columns for a snapshot (empty when unbuilt).
 
     Returns the numeric ``sketch_*`` arrays plus the JSON meta string.
-    Rows are stored in the same order as the snapshot's leaf records
-    (``ogs``), because og_ids are not stable across a save/load round
-    trip — position is.  Each leaf record takes the row of that very
-    object: two indexed OGs may share an og_id, and the exact scan
-    prunes with these rows.  A sketch that lost sync with the index
-    (should not happen; defensive) is dropped and will be rebuilt on
-    demand.
+    Sketch rows are stored in the snapshot's leaf-record order: ``rows``
+    are those records' index rows, each matched to its sketch row.  A
+    sketch that lost sync with the index (should not happen; defensive)
+    is dropped and will be rebuilt on demand.
     """
     sketch = getattr(index, "_sketches", None)
-    if sketch is None or not sketch.pivots or len(sketch) != len(ogs):
-        if sketch is not None and len(sketch) != len(ogs):
+    if sketch is None or not sketch.pivots or len(sketch) != len(rows):
+        if sketch is not None and len(sketch) != len(rows):
             logger.warning(
                 "sketch tier out of sync with index (%d rows vs %d OGs); "
-                "not persisting it", len(sketch), len(ogs))
+                "not persisting it", len(sketch), len(rows))
         return {}, None
     from repro.search.sketch import sketch_meta_json
 
-    rows = sketch.rows_of(ogs)
-    if rows is None:
+    stored = sketch.rows_of(rows)
+    if stored is None:
         logger.warning("sketch tier missing rows for indexed OGs; "
                        "not persisting it")
         return {}, None
@@ -233,8 +229,8 @@ def _pack_sketch(index: STRGIndex,
     return dict(
         sketch_pivot_values=pivot_flat,
         sketch_pivot_offsets=pivot_offsets,
-        sketch_pivot_dists=rows[0],
-        sketch_sig=rows[1],
+        sketch_pivot_dists=stored[0],
+        sketch_sig=stored[1],
     ), sketch_meta_json(sketch)
 
 
@@ -248,11 +244,11 @@ SKETCH_COLUMNS = ("sketch_pivot_values", "sketch_pivot_offsets",
 SKETCH_PAYLOAD_ERRORS = (KeyError, ValueError, TypeError)
 
 
-def read_sketch(columns, sketch_meta: str, og_ids: np.ndarray, rows):
+def read_sketch(columns, sketch_meta: str, row_ids: np.ndarray, rows):
     """The sketch tier of one segment: its meta plus its
     :data:`SKETCH_COLUMNS` (RAM copies or mmap views, bound zero-copy
-    as the sketch's base), row ``i`` being ``og_ids[i]`` with its
-    record at row ``i`` of the ``rows`` provider.
+    as the sketch's base), row ``i`` being index row ``row_ids[i]`` with
+    its record at row ``i`` of the ``rows`` provider.
 
     Raises one of :data:`SKETCH_PAYLOAD_ERRORS` when the payload is
     malformed — a missing column, or arrays whose shape does not match
@@ -266,7 +262,7 @@ def read_sketch(columns, sketch_meta: str, og_ids: np.ndarray, rows):
         for p in _unpack_ragged(columns["sketch_pivot_values"],
                                 columns["sketch_pivot_offsets"])
     ]
-    sketch.attach_rows(og_ids, columns["sketch_pivot_dists"],
+    sketch.attach_rows(row_ids, columns["sketch_pivot_dists"],
                        columns["sketch_sig"], rows)
     return sketch
 
@@ -277,16 +273,18 @@ def _unpack_sketch(data, sketch_meta: str,
     """Rebuild the sketch tier from a snapshot's ``sketch_*`` arrays.
 
     ``loaded`` is the ``(og, clip_ref)`` list in stored row order — the
-    order :func:`_pack_sketch` wrote its rows in; the tree's OGs are
-    already materialized, so every record is held in memory.  Anything
+    order :func:`_pack_sketch` wrote its rows in (= their tree rows);
+    the tree's OGs are already materialized, so every record is held in
+    memory.  Anything
     off about the payload logs a warning and returns ``None`` (the lazy
     rebuild-on-demand fallback), never a corrupt sketch.
     """
     from repro.search.sketch import SketchRows
 
-    og_ids = np.array([og.og_id for og, _ in loaded], dtype=np.int64)
     try:
-        return read_sketch(data, sketch_meta, og_ids, SketchRows(loaded))
+        return read_sketch(data, sketch_meta,
+                           np.arange(len(loaded), dtype=np.int64),
+                           SketchRows(loaded))
     except SKETCH_PAYLOAD_ERRORS as exc:
         logger.warning(
             "ignoring unreadable sketch payload in %s (%s: %s); the "
@@ -305,13 +303,9 @@ def leaf_ogs(index) -> list[tuple[ObjectGraph, Any]]:
     """
     from repro.serving.sharding import ShardedIndex
 
-    return [
-        (leaf_record.og, leaf_record.clip_ref)
-        for shard in ShardedIndex.of(index).shards
-        for root_record in shard.root
-        for cluster_record in root_record.cluster_node
-        for leaf_record in cluster_record.leaf
-    ]
+    return [(record.og, record.clip_ref)
+            for shard in ShardedIndex.of(index).shards
+            for record in shard.leaf_records()]
 
 
 def index_to_arrays(index: STRGIndex
@@ -326,6 +320,7 @@ def index_to_arrays(index: STRGIndex
     the sketch meta JSON.
     """
     ogs: list[ObjectGraph] = []
+    rows: list[int] = []
     keys: list[float] = []
     leaf_of_og: list[int] = []   # cluster record ordinal per leaf record
     centroids: list[np.ndarray] = []
@@ -338,13 +333,14 @@ def index_to_arrays(index: STRGIndex
             cluster_root.append(root_ordinal)
             for leaf_record in cluster_record.leaf:
                 ogs.append(leaf_record.og)
+                rows.append(leaf_record.row)
                 keys.append(leaf_record.key)
                 leaf_of_og.append(cluster_ordinal)
                 refs.append(leaf_record.clip_ref)
             cluster_ordinal += 1
     cen_flat, cen_offsets = _pack_ragged(centroids)
     config = index.config
-    sketch_arrays, sketch_meta = _pack_sketch(index, ogs)
+    sketch_arrays, sketch_meta = _pack_sketch(index, rows)
     arrays = dict(
         **_pack_ogs(ogs),
         keys=np.asarray(keys, dtype=np.float64),
@@ -372,8 +368,12 @@ def index_to_arrays(index: STRGIndex
 
 
 def index_from_arrays(arrays, meta: dict[str, Any],
-                      source: str = "<arrays>") -> STRGIndex:
+                      source: str = "<arrays>",
+                      og_id_base: int | None = None) -> STRGIndex:
     """Rebuild an STRG-Index from :func:`index_to_arrays` output.
+
+    Stored record ``i`` is filed under row ``i``, its OG labelled
+    ``og_id_base + i`` (default: a fresh og_id).
 
     ``arrays`` may be any mapping of name to array — in-RAM copies or
     memory-mapped column views.  Values (and frames) are *sliced*,
@@ -419,11 +419,13 @@ def index_from_arrays(arrays, meta: dict[str, Any],
         og = ObjectGraph(
             values=values, label=None if label < 0 else int(label),
             frames=(og_frames[i] if og_frames is not None else None),
+            **({} if og_id_base is None else {"og_id": og_id_base + i}),
         )
         record = cluster_records[int(leaf_of_og[i])]
         ref = refs[i] if i < len(refs) else None
-        record.leaf.insert(LeafRecord(float(keys[i]), og, ref))
+        record.leaf.insert(LeafRecord(float(keys[i]), og, ref, i))
         loaded.append((og, ref))
+    index._next_row = len(loaded)
     sketch_meta = meta.get("sketch_meta")
     if sketch_meta is not None:
         index._sketches = _unpack_sketch(arrays, sketch_meta, loaded,

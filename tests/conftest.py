@@ -83,7 +83,7 @@ def attach_lazy_sketch():
         pairs = [eager.row_record(row) for row in range(len(eager))]
         lazy = SketchIndex(eager.config)
         lazy.pivots, lazy.bbox = eager.pivots, eager.bbox
-        lazy.attach_rows(eager.og_ids, eager.pivot_dists, eager.sig,
+        lazy.attach_rows(eager.row_ids, eager.pivot_dists, eager.sig,
                          SketchRows(reader=ListReader(pairs),
                                     n_attached=len(pairs)))
         index._sketches = lazy

@@ -26,6 +26,23 @@ from repro.storage.columnar import (
 )
 
 
+def applied(index, writes: list) -> list:
+    """``writes`` (``_BufferedWrite``) applied to ``index`` one by one,
+    each stamped with the ``(shard, row)`` it landed in or removed, as
+    ``LiveIndex.compact`` stamps them: the batch ``ColumnarStore.append``
+    takes."""
+    from repro.serving.sharding import ShardedIndex
+
+    placed = ShardedIndex.of(index)
+    for write in writes:
+        if write.op == "insert":
+            write.shard, write.row = placed.insert(
+                write.og, write.background, write.clip_ref)
+        else:
+            write.shard, write.row = placed.delete(write.og_id) or (0, None)
+    return writes
+
+
 def store_of(path) -> ColumnarStore:
     return path if isinstance(path, ColumnarStore) else ColumnarStore(path)
 

@@ -160,8 +160,8 @@ class TestShardedColumnar:
         store = ColumnarStore(tmp_path / "sharded")
         store.write_index(index)
         victim = next(index.shards[1].object_graphs()).og_id
-        index.delete(victim)
-        (name,) = store.append([_BufferedWrite("delete", og_id=victim)])
+        (name,) = store.append(store_layout.applied(
+            index, [_BufferedWrite("delete", og_id=victim)]))
         assert store_layout.segments(store)[-1] == dict(
             store_layout.segments(store)[-1], seg=name, shard=1,
             kind="delta")
@@ -169,6 +169,59 @@ class TestShardedColumnar:
         loaded = ColumnarStore(store.path).load_index()
         assert loaded.shard_sizes() == index.shard_sizes()
         assert knn_signature(loaded, ogs[:3]) == knn_signature(index, ogs[:3])
+
+
+class TestRowLabels:
+    def test_every_read_labels_a_row_alike(self, tmp_path):
+        """A 2-shard store with a delta insert and a dead row: the five
+        read paths give every live row one label, and no label is an
+        og_id minted in the process before or after the reads."""
+        ogs = blob_ogs(k=2, n_per=6, seed=4)
+        index = ShardedIndex(ShardedIndexConfig(
+            num_shards=2, placement="hash",
+            index=STRGIndexConfig(n_clusters=2)))
+        index.build(ogs, clip_refs=[f"og-{i}" for i in range(len(ogs))])
+        for shard in index.shards:
+            shard.sketch_tier()
+        writer = ColumnarStore(tmp_path / "labels")
+        writer.write_index(index)
+        extra = ObjectGraph.from_values([[3.0, 1.0], [4.0, 2.0]])
+        writer.append(store_layout.applied(index, [
+            _BufferedWrite("insert", og=extra, clip_ref="extra"),
+            _BufferedWrite("delete", og_id=ogs[0].og_id)]))
+        minted = {og.og_id for og in ogs} | {extra.og_id}
+        store = ColumnarStore(writer.path)
+
+        def tree(shard, number):
+            return {(number, record.row): record.og.og_id
+                    for record in shard.leaf_records()}
+
+        reads = []
+        for mmap in (False, True):
+            loaded = store.load_index(mmap=mmap)
+            reads.append({key: label for number, shard
+                          in enumerate(loaded.shards)
+                          for key, label in tree(shard, number).items()})
+        reads.append({key: label for number in range(2)
+                      for key, label in tree(store.load_shard(number),
+                                             number).items()})
+        sketch, rows = {}, {}
+        for number, part in enumerate(store.load_sketch()):
+            reader = store.row_reader(shard=number)
+            every = np.arange(len(reader))
+            assert part.row_ids_at(every).tolist() == every.tolist()
+            for row in every[reader.alive_mask()].tolist():
+                sketch[(number, row)] = part.row_record(row)[0].og_id
+                rows[(number, row)] = reader.record(row)[0].og_id
+        reads += [sketch, rows]
+        assert len(reads[0]) == len(ogs)
+        assert all(read == reads[0] for read in reads[1:])
+        labels = set(reads[0].values())
+        assert len(labels) == len(ogs)
+        minted.add(ObjectGraph.from_values([[0.0, 0.0]]).og_id)
+        assert not labels & minted
+        assert reads[0] == {key: store.row_labels().first(key[0]) + key[1]
+                            for key in reads[0]}
 
 
 class TestAppendAndReplay:
@@ -181,12 +234,7 @@ class TestAppendAndReplay:
                   for i, og in enumerate(extra)]
         victim = ogs[2].og_id
         writes.append(_BufferedWrite("delete", og_id=victim))
-        for write in writes:
-            if write.op == "insert":
-                index.insert(write.og, None, write.clip_ref)
-            else:
-                index.delete(write.og_id)
-        assert store.append(writes) is not None
+        assert store.append(store_layout.applied(index, writes)) is not None
         loaded = store.load_index()
         queries = extra[:2] + ogs[:2]
         assert knn_signature(loaded, queries) \
@@ -197,7 +245,8 @@ class TestAppendAndReplay:
         index, _ = build_index()
         store = ColumnarStore(tmp_path / "noop")
         store.write_index(index)
-        assert store.append([_BufferedWrite("delete", og_id=10**9)]) is None
+        assert store.append(store_layout.applied(
+            index, [_BufferedWrite("delete", og_id=10**9)])) is None
         assert len(store.load_index()) == len(index)
 
     def test_append_requires_binding(self, tmp_path):
@@ -205,7 +254,7 @@ class TestAppendAndReplay:
         ColumnarStore(tmp_path / "b").write_index(index)
         fresh = ColumnarStore(tmp_path / "b")  # same dir, no row map
         with pytest.raises(StorageError, match="not.*bound|bound"):
-            fresh.append([_BufferedWrite("delete", og_id=0)])
+            fresh.append([_BufferedWrite("delete", og_id=0, row=0)])
 
     def test_checkpoint_appends_when_bound(self, tmp_path):
         index, _ = build_index()
@@ -213,9 +262,8 @@ class TestAppendAndReplay:
         store.checkpoint(index)  # first: full write
         one = len(store_layout.segments(store))
         og = ObjectGraph.from_values([[0.0, 0.0], [1.0, 1.0]])
-        index.insert(og, None, "late")
-        store.checkpoint(index, [_BufferedWrite("insert", og=og,
-                                                clip_ref="late")])
+        store.checkpoint(index, store_layout.applied(index, [
+            _BufferedWrite("insert", og=og, clip_ref="late")]))
         segments = store_layout.segments(store)
         assert len(segments) == one + 1
         assert segments[-1]["kind"] == "delta"
@@ -227,11 +275,9 @@ class TestMerge:
         index, ogs = build_index()
         store = ColumnarStore(tmp_path / "merge")
         store.write_index(index)
-        writes = []
-        for og in ogs[: len(ogs) // 2]:
-            index.delete(og.og_id)
-            writes.append(_BufferedWrite("delete", og_id=og.og_id))
-        store.append(writes)
+        store.append(store_layout.applied(index, [
+            _BufferedWrite("delete", og_id=og.og_id)
+            for og in ogs[: len(ogs) // 2]]))
         assert store.needs_merge()
         assert store.merge(index)
         manifest = store.manifest()
@@ -245,13 +291,13 @@ class TestMerge:
         index, ogs = build_index()
         store = ColumnarStore(tmp_path / "fold")
         store.write_index(index)
-        index.delete(ogs[0].og_id)
-        store.append([_BufferedWrite("delete", og_id=ogs[0].og_id)])
+        store.append(store_layout.applied(
+            index, [_BufferedWrite("delete", og_id=ogs[0].og_id)]))
         assert store.merge(index=None)  # fold committed state offline
-        # The live og_id binding must survive the fold: later deletes
+        # The live row binding must survive the fold: later deletes
         # through the same store still hit the right rows.
-        index.delete(ogs[1].og_id)
-        store.append([_BufferedWrite("delete", og_id=ogs[1].og_id)])
+        store.append(store_layout.applied(
+            index, [_BufferedWrite("delete", og_id=ogs[1].og_id)]))
         assert len(store.load_index()) == len(index)
 
     def test_incremental_append_moves_o_delta_bytes(self, tmp_path):
@@ -261,9 +307,8 @@ class TestMerge:
         base_bytes = sum(seg["bytes"]
                          for seg in store_layout.segments(store))
         og = ObjectGraph.from_values([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        index.insert(og, None, "tiny")
-        (name,) = store.append([_BufferedWrite("insert", og=og,
-                                               clip_ref="tiny")])
+        (name,) = store.append(store_layout.applied(
+            index, [_BufferedWrite("insert", og=og, clip_ref="tiny")]))
         delta = next(s for s in store_layout.segments(store)
                      if s["seg"] == name)
         assert delta["bytes"] < base_bytes / 5
@@ -313,8 +358,8 @@ class TestCorruptionDetection:
         injector = FaultInjector().inject("storage.append", rate=1.0)
         with injected(injector):
             with pytest.raises((StorageError, OSError)):
-                store.append([_BufferedWrite("insert", og=og,
-                                             clip_ref="lost")])
+                store.append(store_layout.applied(index, [
+                    _BufferedWrite("insert", og=og, clip_ref="lost")]))
         assert injector.fired["storage.append"] == 1
         # The log record never landed: the store reopens at the
         # pre-append state, ignoring the orphaned segment file.
@@ -328,7 +373,8 @@ class TestCorruptionDetection:
         injector = FaultInjector().inject(
             "storage.append", kind="truncate", rate=1.0)
         with injected(injector):
-            store.append([_BufferedWrite("insert", og=og, clip_ref="x")])
+            store.append(store_layout.applied(
+                index, [_BufferedWrite("insert", og=og, clip_ref="x")]))
         with pytest.raises(IndexCorruptionError):
             ColumnarStore(store.path).load_index()
 

@@ -266,10 +266,12 @@ class TestStoredColumnsAgainstOracle:
         for shard in built.shards:
             sketch = shard.sketch_tier()
             assert len(sketch) == len(shard) and len(sketch.pivots) == 8
+            records = list(shard.leaf_records())
             for row in range(len(sketch)):
                 og, _ = sketch.row_record(row)
                 series = as_series(og)
-                assert sketch.og_ids[row] == og.og_id
+                assert og is records[row].og
+                assert sketch.row_ids[row] == records[row].row
                 assert list(sketch.pivot_dists[row]) == [
                     one(metric, pivot, series) for pivot in sketch.pivots]
                 assert np.array_equal(sketch.sig[row],

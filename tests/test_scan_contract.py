@@ -41,7 +41,8 @@ from repro.distance.eged import EGED, MetricEGED
 from repro.graph.object_graph import ObjectGraph
 from repro.search.request import SearchRequest, budgeted_scatter
 from repro.search.sketch import SketchConfig, approx_knn, sketch_from_meta
-from repro.serving import ShardedIndex, ShardedIndexConfig
+from repro.serving import LiveIndex, ShardedIndex, ShardedIndexConfig
+from repro.storage.serialize import leaf_ogs
 from repro.storage.store import open_store
 from test_index_properties import random_ogs
 from test_strg_index import make_background
@@ -158,8 +159,9 @@ class TestOneShardIsTheIndex:
         sharded = ShardedIndex(ShardedIndexConfig(
             num_shards=1, placement=placement, index=config),
             metric_distance=counter)
-        assert sharded.build(ogs[:32], clip_refs=list(range(32))) == [0] * 32
-        assert [sharded.insert(og, None, i)
+        assert [shard for shard, _ in sharded.build(
+            ogs[:32], clip_refs=list(range(32)))] == [0] * 32
+        assert [sharded.insert(og, None, i)[0]
                 for i, og in enumerate(ogs[32:36], 32)] == [0] * 4
         assert sharded.pivots is None
         assert counter.calls == mono_counter.calls > 0
@@ -171,7 +173,7 @@ class TestOneShardIsTheIndex:
         wrapped = ShardedIndex.from_shards([mono], {"placement": placement})
         spent = mono_counter.calls
         mono_counter.reset()
-        assert [wrapped.insert(og) for og in ogs[36:]] == [0] * 4
+        assert [wrapped.insert(og)[0] for og in ogs[36:]] == [0] * 4
         assert wrapped.pivots is None
         twin = STRGIndex(config, metric_distance=counter)
         twin.build(ogs[:32], clip_refs=list(range(32)))
@@ -349,6 +351,54 @@ class TestPivotTablePruning:
                 assert all(view.pivots is pivots
                            and view.refs.shape[1] == 1 + len(pivots)
                            for view in shard._cluster_views(None))
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stranger_through_store_appends(self, tmp_path, shards,
+                                            placement):
+        """The same-id stranger through a store-attached ``LiveIndex``:
+        its insert and the delete of its label are appends, and the
+        store's replay drops the OG the live index dropped."""
+        rng = np.random.default_rng(7)
+        ogs = random_ogs(rng, 64, n_blobs=6)
+        index = ShardedIndex(ShardedIndexConfig(
+            num_shards=shards, placement=placement,
+            index=STRGIndexConfig(n_clusters=2, leaf_capacity=8,
+                                  em_iterations=4)))
+        index.build(ogs[:48], clip_refs=list(range(48)))
+        for shard in index.shards:
+            shard.sketch_tier()
+        live = LiveIndex(index)
+        store = open_store(tmp_path / "corpus")
+        live.attach_store(store)
+        for victim in ogs[3:48:9]:
+            stranger = ObjectGraph.from_values(next(
+                og for og in ogs[48:] if og.label != victim.label).values)
+            stranger.og_id = victim.og_id
+            live.insert(stranger, clip_ref=f"stranger-{victim.og_id}")
+            live.compact()
+            before = {id(og): og for og in live.snapshot.index
+                      .object_graphs()}
+            live.delete(victim.og_id)
+            live.compact()
+            (gone,) = set(before) - {
+                id(og) for og in live.snapshot.index.object_graphs()}
+            assert before[gone].og_id == victim.og_id
+        store.join_merges()
+        assert len(store_layout.segments(store)) > shards
+        served = live.snapshot.index
+        reopened = open_store(store.path).load_index()
+
+        def kept(index):
+            return sorted((og.values.tobytes(), ref)
+                          for og, ref in leaf_ogs(index))
+
+        assert kept(reopened) == kept(served)
+        queries = ogs[60:]
+        answers_exactly(reopened, queries, 5, 150.0)
+        for query in queries:
+            assert [(d, ref) for d, _, ref in reopened.knn(query, 5)] \
+                == [(d, ref) for d, _, ref in served.knn(query, 5)]
 
     def test_loaded_views_cost_clusters_times_pivots(self, tmp_path):
         ogs = random_ogs(np.random.default_rng(9), 96)

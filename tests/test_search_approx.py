@@ -165,11 +165,11 @@ class TestSketchIndex:
     def test_remove_keeps_alignment(self, small):
         index, ogs = small
         sketch = index.sketch_tier()
-        victim = ogs[5].og_id
+        victim = index.record_of(ogs[5].og_id).row
         before = len(sketch)
         sketch.remove(victim)
         assert len(sketch) == before - 1
-        assert victim not in set(sketch.og_ids.tolist())
+        assert victim not in set(sketch.row_ids.tolist())
         assert sketch.pivot_dists.shape[0] == len(sketch)
         assert sketch.sig.shape[0] == len(sketch)
 
@@ -262,11 +262,10 @@ class TestSketchMaintenance:
         index, ogs = small
         sketch = index.sketch_tier()
         extra = corpus(5, seed=42)
-        for og in extra:
-            index.insert(og)
+        rows = [index.insert(og) for og in extra]
         assert len(sketch) == len(ogs) + len(extra)
         # The maintained row must equal a from-scratch recomputation.
-        row = np.where(sketch.og_ids == extra[0].og_id)[0][0]
+        row = np.where(sketch.row_ids == rows[0])[0][0]
         series = np.asarray(extra[0].values, dtype=np.float64)
         expect_pd = np.array([index.metric_distance(series, p)
                               for p in sketch.pivots])
@@ -276,8 +275,9 @@ class TestSketchMaintenance:
     def test_delete_drops_row(self, small):
         index, ogs = small
         sketch = index.sketch_tier()
-        assert index.delete(ogs[4].og_id)
-        assert ogs[4].og_id not in set(sketch.og_ids.tolist())
+        removed = index.delete(ogs[4].og_id)
+        assert removed.og is ogs[4]
+        assert removed.row not in set(sketch.row_ids.tolist())
         hits = index.knn(ogs[0], 10, search_budget=40)
         assert ogs[4].og_id not in ids(hits)
 

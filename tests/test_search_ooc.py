@@ -76,10 +76,10 @@ def monolithic_candidates(sketch, distance, series, budget, k):
     no tombstones, so raw rows == live rows).
     """
     assert sketch.dead_rows == 0
-    og_ids = np.asarray(sketch.og_ids)
+    row_ids = np.asarray(sketch.row_ids)
     pd = np.asarray(sketch.pivot_dists)
     sig = np.asarray(sketch.sig)
-    n = len(og_ids)
+    n = len(row_ids)
     pivot_evals = len(sketch.pivots)
     qd = (np.asarray(one_vs_many(distance, series, sketch.pivots),
                      dtype=np.float64) if pivot_evals else None)
@@ -93,12 +93,12 @@ def monolithic_candidates(sketch, distance, series, budget, k):
         return rows, lbs, pivot_evals
     n_vote = min(shortlist, int(round(shortlist * sketch.config.vote_share)))
     n_bound = shortlist - n_vote
-    chosen = [int(i) for i in np.lexsort((og_ids, lbs))[:n_bound]]
+    chosen = [int(i) for i in np.lexsort((row_ids, lbs))[:n_bound]]
     taken = set(chosen)
     if n_vote:
         qsig = sketch.signature(series)
         votes = (sig == qsig).sum(axis=1)
-        for i in np.lexsort((og_ids, lbs, -votes)):
+        for i in np.lexsort((row_ids, lbs, -votes)):
             if len(chosen) >= shortlist:
                 break
             if int(i) not in taken:
@@ -169,13 +169,13 @@ class TestTombstoneParity:
         extra = corpus(12, seed=55)
         lazy = built_sketch(ogs, distance)
         eager = built_sketch(ogs, distance)
-        victims = [ogs[j].og_id for j in (3, 17, 44, 8, 60, 21)]
+        victims = [3, 17, 44, 8, 60, 21]     # rows of a built sketch
         self.interleave(lazy, distance, extra, victims, eager=False)
         self.interleave(eager, distance, extra, victims, eager=True)
         assert lazy.dead_rows == len(victims)
         assert eager.dead_rows == 0
         assert len(lazy) == len(eager)
-        assert lazy.og_ids.tolist() == eager.og_ids.tolist()
+        assert lazy.row_ids.tolist() == eager.row_ids.tolist()
         assert lazy.pivot_dists.tolist() == eager.pivot_dists.tolist()
         assert lazy.sig.tolist() == eager.sig.tolist()
         for q in corpus(3, seed=77):
@@ -196,10 +196,10 @@ class TestTombstoneParity:
             sketch_mod.TOMBSTONE_COMPACT_MIN = 4
             # Compaction needs both the count floor AND the dead
             # fraction (25% of 24 rows = 6).
-            for og in ogs[:5]:
-                assert sketch.remove(og.og_id)
+            for row in range(5):
+                assert sketch.remove(row)
             assert sketch.dead_rows == 5
-            assert sketch.remove(ogs[5].og_id)
+            assert sketch.remove(5)
             assert sketch.dead_rows == 0  # compacted in place
             assert len(sketch) == len(ogs) - 6
         finally:
@@ -210,8 +210,8 @@ class TestTombstoneParity:
         ogs = corpus(10, seed=1)
         sketch = built_sketch(ogs, distance)
         assert not sketch.remove(10**9)
-        assert sketch.remove(ogs[4].og_id)
-        assert not sketch.remove(ogs[4].og_id)
+        assert sketch.remove(4)
+        assert not sketch.remove(4)
         assert len(sketch) == len(ogs) - 1
 
 
@@ -266,12 +266,7 @@ class TestStoreAttachedSketch:
                   for i, og in enumerate(extra)]
         writes.append(_BufferedWrite("delete", og_id=ogs[5].og_id))
         writes.append(_BufferedWrite("delete", og_id=ogs[20].og_id))
-        for write in writes:
-            if write.op == "insert":
-                index.insert(write.og, None, write.clip_ref)
-            else:
-                index.delete(write.og_id)
-        assert store.append(writes) is not None
+        assert store.append(store_layout.applied(index, writes)) is not None
         [sketch] = store.load_sketch(mmap=True)
         assert len(sketch) == len(index)
         assert sketch.dead_rows == 2
@@ -347,8 +342,8 @@ class TestStoreAttachedSketch:
 
     def test_sharded_store_reads_per_shard(self, tmp_path):
         """Rows are numbered per shard, each shard read from the one log;
-        the sketch tier is one attached sketch per shard, og_ids numbered
-        through."""
+        the sketch tier is one attached sketch per shard over its store
+        rows, og_ids numbered through."""
         ogs = corpus(40, seed=71)
         store, index = store_with_sketch(tmp_path, ogs, name="sh", shards=2)
         sizes = index.shard_sizes()
@@ -361,9 +356,10 @@ class TestStoreAttachedSketch:
             store.row_reader(shard=2)
         sketches = store.load_sketch()
         assert [len(s) for s in sketches] == index.shard_sizes()
-        ids = np.concatenate([s.og_ids for s in sketches])
-        assert ids.tolist() == list(range(len(ogs)))
-        assert sketches[1].row_record(0)[0].og_id == len(sketches[0])
+        assert [s.row_ids.tolist() for s in sketches] \
+            == [list(range(size)) for size in sizes]
+        assert sketches[1].row_record(0)[0].og_id \
+            == sketches[0].row_record(0)[0].og_id + len(sketches[0])
 
 
 class TestRowReader:
@@ -372,13 +368,12 @@ class TestRowReader:
         store, index = store_with_sketch(tmp_path, ogs, name="rows")
         reader = store.row_reader(mmap=True)
         assert len(reader) == len(ogs)
-        ordinals = store.row_ordinals()
-        by_row = {row: og_id for og_id, row in ordinals.items()}
-        id_to_og = {og.og_id: og for og in ogs}
+        by_row = [og for og, _ in leaf_ogs(index)]      # the written rows
+        first = store.row_labels().first(0)
         for row in (0, 1, 17, len(ogs) - 1):
             og, ref = reader.record(row)
-            assert og.og_id == row
-            orig = id_to_og[by_row[row]]
+            assert og.og_id == first + row
+            orig = by_row[row]
             assert np.array_equal(og.values, orig.values)
             assert np.array_equal(reader.series(row), as_series(orig))
             assert ref == f"clip-{ogs.index(orig)}"
@@ -399,7 +394,8 @@ class TestRowReader:
 
         ogs = corpus(20, seed=93)
         store, index = store_with_sketch(tmp_path, ogs, name="alive")
-        store.append([_BufferedWrite("delete", og_id=ogs[4].og_id)])
+        store.append(store_layout.applied(
+            index, [_BufferedWrite("delete", og_id=ogs[4].og_id)]))
         reader = store.row_reader()
         with pytest.raises(InvalidParameterError):
             reader.record(-1)
@@ -631,8 +627,8 @@ class TestCliMmapFlag:
         path = str(tmp_path / "db.strg")
 
         def hit_lines(out):
-            # og_ids are process-local (row ordinals vs minted ids), so
-            # compare the portable fields: distance and clip ref.
+            # og_ids are process-local labels, so compare the portable
+            # fields: distance and clip ref.
             return [(line.split()[0], line.split()[-1])
                     for line in out.splitlines() if "d=" in line]
 

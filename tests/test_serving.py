@@ -146,7 +146,7 @@ class TestShardedIndexBasics:
         assert index.knn(corpus[50], 1)[0][1].og_id == corpus[50].og_id
         # One shard has nothing to place: no pivots are fit.
         single = ShardedIndex.from_shards([shards[0]])
-        assert single.insert(corpus[51]) == 0
+        assert single.insert(corpus[51])[0] == 0
         assert single.pivots is None
         assert single.knn(corpus[51], 1)[0][1].og_id == corpus[51].og_id
 

@@ -101,7 +101,7 @@ def _observe(index, query, radius) -> tuple:
         len(index),
         [(r.key, r.og.og_id, r.clip_ref) for tree in _trees(index)
          for cluster in tree.cluster_records() for r in cluster.leaf],
-        [tree.sketch_tier().og_ids.tolist() for tree in _trees(index)],
+        [tree.sketch_tier().row_ids.tolist() for tree in _trees(index)],
         sig(index.knn(query, K)),
         sig(index.knn(query, K, search_budget=BUDGET)),
         sig(index.range_query(query, radius)),

@@ -43,10 +43,8 @@ def sketched_store(tmp_path, name="s"):
 
 
 def append_one(store, index, i: int, ref: str | None = None) -> str:
-    og = one_og(i)
-    index.insert(og, None, ref or f"r-{i:03d}")
-    (name,) = store.append([_BufferedWrite("insert", og=og,
-                                           clip_ref=ref or f"r-{i:03d}")])
+    (name,) = store.append(store_layout.applied(index, [_BufferedWrite(
+        "insert", og=one_og(i), clip_ref=ref or f"r-{i:03d}")]))
     return name
 
 
@@ -244,12 +242,10 @@ class TestIntegrity:
         rag.add_node(1, NodeAttributes(300, (200.0, 0.0, 0.0), (20.0, 6.0)))
         rag.add_edge(0, 1)
         background = BackgroundGraph(rag, frame_count=40)
-        og = one_og(3)
-        index.insert(og, background, "with-bg")
-        index.delete(ogs[0].og_id)
-        store.append([_BufferedWrite("insert", og=og, background=background,
-                                     clip_ref="with-bg"),
-                      _BufferedWrite("delete", og_id=ogs[0].og_id)])
+        store.append(store_layout.applied(index, [
+            _BufferedWrite("insert", og=one_og(3), background=background,
+                           clip_ref="with-bg"),
+            _BufferedWrite("delete", og_id=ogs[0].og_id)]))
         return store
 
     @pytest.mark.parametrize("segment", [0, 1], ids=["base", "delta"])

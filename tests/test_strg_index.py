@@ -6,6 +6,7 @@ import pytest
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.core.nodes import LeafNode, LeafRecord
 from repro.core.size import index_size_bytes, strg_raw_size_bytes
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.base import CountingDistance
 from repro.distance.eged import MetricEGED
 from repro.errors import IndexStateError, InvalidParameterError
@@ -51,6 +52,31 @@ class TestLeafNode:
 
 
 class TestBuild:
+    @pytest.mark.parametrize("sample", [None, 64])
+    def test_repeated_labels_file_like_unique_ones(self, sample):
+        """EM's cluster goes by input position: a build whose input
+        repeats og_ids files every OG — membership, keys and rows — as
+        the same build with unique labels does."""
+        ogs = generate_synthetic_ogs(SyntheticConfig(num_ogs=200, seed=8))
+        config = STRGIndexConfig(n_clusters=6, em_iterations=4,
+                                 cluster_sample_size=sample)
+
+        def filed(index):
+            return [[(r.key, r.row, r.og.values.tobytes())
+                     for r in record.leaf]
+                    for record in index.cluster_records()]
+
+        unique = STRGIndex(config)
+        assert unique.build(ogs) == [unique.record_of(og.og_id).row
+                                     for og in ogs]
+        twins = [ObjectGraph(values=og.values, og_id=ogs[i - i % 2].og_id)
+                 for i, og in enumerate(ogs)]
+        repeated = STRGIndex(config)
+        repeated.build(twins)
+        assert filed(repeated) == filed(unique)
+        assert sorted(r.row for r in repeated.leaf_records()) \
+            == list(range(len(ogs)))
+
     def test_build_structure(self):
         ogs = blob_ogs(k=4)
         index = STRGIndex(STRGIndexConfig(n_clusters=4))

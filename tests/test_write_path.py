@@ -5,16 +5,26 @@
   once, through ``IngestService.recover`` and ``VideoDatabase.recover``.
 - A ``LiveIndex`` compaction into an empty index is the same ``build``
   the index would get without one, column for column.
+- A delete by og_id (a label that may repeat) drops one row, and the
+  store, a reopened index and a fresh process agree on which.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core.index import STRGIndex
+import repro
+from repro.core.index import STRGIndex, STRGIndexConfig
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.pipeline import PipelineConfig, VideoPipeline
 from repro.resilience import FaultInjector, RetryPolicy, injected
 from repro.serving.ingest import IngestService, IngestServiceConfig
@@ -255,3 +265,83 @@ class TestFirstCompactionIsABuild:
         digest = _store_digest(tmp_path / "built")
         assert len(digest) > 10
         assert _store_digest(tmp_path / "live") == digest
+
+
+def _sharded(shards: int, placement: str = "hash") -> ShardedIndex:
+    return ShardedIndex(ShardedIndexConfig(
+        num_shards=shards, placement=placement,
+        index=STRGIndexConfig(n_clusters=4, em_iterations=4)))
+
+
+def _by_shard(index) -> list[list[bytes]]:
+    """Every shard's OGs as sorted trajectory bytes (og ids are labels a
+    reload gives anew; the trajectories name the OGs)."""
+    return [sorted(og.values.tobytes() for og in shard.object_graphs())
+            for shard in ShardedIndex.of(index).shards]
+
+
+class TestDeletesByRow:
+    """A delete is resolved once, by the index, to a row; the store, the
+    sketch and a reopened index drop that row and no other."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_same_label_deletes_match_the_checkpoint(self, tmp_path,
+                                                     shards):
+        """OGs inserted under the labels of indexed OGs, then deleted by
+        label through ``IngestService`` checkpoints (full write, append,
+        append): the live index and the reopened store hold the same
+        OGs."""
+        ogs = generate_synthetic_ogs(SyntheticConfig(num_ogs=120, seed=3))
+        index = _sharded(shards)
+        index.build(ogs[:100], clip_refs=[f"og-{i}" for i in range(100)])
+        service = IngestService(LiveIndex(index),
+                                state_dir=tmp_path / "state")
+        service.checkpoint()
+        labelled = ogs[:100:5]
+        for twin, og in zip(ogs[100:], labelled):
+            twin.og_id = og.og_id
+        service.write(ogs[100:])
+        service.checkpoint()
+        assert service.write(deletes=[og.og_id for og in labelled]) == 20
+        service.checkpoint()
+        live = service.live.snapshot.index
+        stored = open_store(service.snapshot_path).load_index()
+        assert len(live) == len(stored) == 100
+        assert _by_shard(stored) == _by_shard(live)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_out_of_core_hit_deletes_that_og(self, tmp_path, shards):
+        """In a fresh process, a hit of a lazy mmap open's out-of-core
+        budgeted query, deleted by its og_id, removes that OG and only
+        that OG from the materialized index."""
+        ogs = generate_synthetic_ogs(SyntheticConfig(num_ogs=200, seed=5))
+        index = _sharded(shards)
+        index.build(ogs, clip_refs=[f"og-{i}" for i in range(len(ogs))])
+        for shard in index.shards:
+            shard.sketch_tier()
+        path = open_store(tmp_path / "corpus").write_index(index)
+        target = ogs[91]
+        np.save(tmp_path / "query.npy", target.values)
+        script = textwrap.dedent(f"""
+            import json, numpy as np, repro
+            db = repro.open_database({path!r}, mmap=True)
+            query = np.load({str(tmp_path / "query.npy")!r})
+            (hit,) = db.knn(query, 1, search_budget=50)
+            loaded = db.index_loaded
+            deleted = db.delete(hit.og.og_id)
+            print(json.dumps({{
+                "distance": hit.distance, "ref": hit.clip_ref,
+                "lazy": not loaded, "deleted": deleted,
+                "left": sorted(og.values.tobytes().hex()
+                               for og in db.index.object_graphs())}}))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        got = json.loads(out.stdout.splitlines()[-1])
+        assert got["distance"] == 0.0 and got["ref"] == "og-91"
+        assert got["lazy"] and got["deleted"]
+        assert got["left"] == sorted(og.values.tobytes().hex()
+                                     for og in ogs if og is not target)
