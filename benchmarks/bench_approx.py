@@ -90,7 +90,7 @@ def _curve(n: int) -> dict:
         for q, expected in zip(queries, truth):
             counting.reset()
             hits = approx_knn(
-                sketch, counting,
+                [sketch], counting,
                 SearchRequest.knn(q, K, search_budget=budget))
             spent.append(counting.calls)
             got = {og.og_id for _, og, _ in hits}

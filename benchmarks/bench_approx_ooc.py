@@ -185,7 +185,6 @@ def _run_child(store_path, mode, queries_npz, budget) -> dict:
 def _recall_and_cost(store, ogs, queries, budget) -> tuple[float, float]:
     """PR 7 gate, measured on the streamed sketch itself."""
     from repro.search import SearchRequest, approx_knn
-    from repro.search.request import budgeted_scatter
 
     counting = CountingDistance(MetricEGED())
     sketches = store.load_sketch(distance=counting, mmap=True)
@@ -197,10 +196,8 @@ def _recall_and_cost(store, ogs, queries, budget) -> tuple[float, float]:
         expected = {f"clip-{i}"
                     for i in np.argsort(dists, kind="stable")[:K]}
         counting.reset()
-        hits = budgeted_scatter(
-            SearchRequest.knn(q, K, search_budget=budget),
-            [len(sketch) for sketch in sketches],
-            lambda p, share: approx_knn(sketches[p], counting, share))
+        hits = approx_knn(sketches, counting,
+                          SearchRequest.knn(q, K, search_budget=budget))
         spent.append(counting.calls)
         got = {ref for _, _, ref in hits}
         recalls.append(len(got & expected) / K)

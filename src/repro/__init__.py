@@ -82,7 +82,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "EGED",

@@ -507,7 +507,7 @@ class STRGIndex:
                                   request.radius)
                 sp.set(hits=len(hits))
         elif request.search_budget is not None:
-            hits = approx_knn(self.sketch_tier(), self.metric_distance,
+            hits = approx_knn([self.sketch_tier()], self.metric_distance,
                               request)
         else:
             with OBS.span("index.knn", k=request.k,

@@ -14,8 +14,8 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -183,31 +183,13 @@ def split_budget(budget: int, sizes: Sequence[int], k: int) -> list[int]:
     A shard holding half the corpus gets half the evaluations; every
     shard gets at least ``k`` so it can always fill a top-k list (the
     split can therefore overshoot ``budget`` by at most ``len(sizes) *
-    k``).
+    k``).  The shares bound each shard's shortlist;
+    :func:`~repro.search.sketch.approx_knn` reranks all of them under
+    one k-th best distance.
     """
-    total = sum(sizes)
+    total = sum(sizes) or 1
     return [max(k, math.ceil(budget * size / total)) for size in sizes]
 
 
-def budgeted_scatter(request: SearchRequest, sizes: Sequence[int],
-                     search_part: Callable[[int, SearchRequest], list],
-                     parts: Iterable[int] | None = None) -> list:
-    """Budgeted k-NN over a partitioned corpus: split, scan, merge.
-
-    Part ``p`` holds ``sizes[p]`` OGs and answers ``search_part(p,
-    request)`` on its :func:`split_budget` share of the budget; the
-    per-part top-k lists are merged in :func:`hit_key` order and cut to
-    ``k``.  ``parts`` names the parts to scan (default: all) — a part
-    left out, e.g. a failed shard, keeps its share.
-    """
-    shares = split_budget(request.search_budget, sizes, request.k)
-    hits: list = []
-    for p in (range(len(sizes)) if parts is None else parts):
-        hits.extend(search_part(p, replace(request,
-                                           search_budget=shares[p])))
-    hits.sort(key=hit_key)
-    return hits[:request.k]
-
-
-__all__ = ["SearchRequest", "SearchResult", "TopK", "budgeted_scatter",
-           "hit_key", "split_budget"]
+__all__ = ["SearchRequest", "SearchResult", "TopK", "hit_key",
+           "split_budget"]

@@ -27,7 +27,10 @@ without touching the kernel (the bound is exact, so pruning never costs
 recall — only the shortlist cut can).
 
 The *total* number of exact distance evaluations per query — the pivot
-distances plus the rerank — never exceeds ``search_budget``.
+distances plus the rerank — never exceeds ``search_budget``.  A
+partitioned corpus (one sketch per shard) splits the budget into
+per-part shares that bound each part's shortlist; the merged shortlists
+are reranked once, under one k-th best distance.
 
 Out-of-core operation
 ---------------------
@@ -76,7 +79,7 @@ from repro.distance.bounds import gap_mass, pivot_lower_bounds
 from repro.errors import InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
-from repro.search.request import SearchRequest, TopK
+from repro.search.request import SearchRequest, TopK, split_budget
 
 #: Tombstones before a sketch with no store-read rows is worth
 #: compacting (and the dead fraction that triggers it — mirrors the
@@ -671,7 +674,8 @@ class SketchIndex:
         yield from self._iter_part_blocks(len(self._ids), self._tail_ids,
                                           self._tail_pd, self._tail_sig)
 
-    def candidates(self, distance, series: np.ndarray, budget: int, k: int
+    def candidates(self, distance, series: np.ndarray, budget: int, k: int,
+                   qd: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray, int]:
         """Shortlist for an exact rerank under ``budget`` evaluations.
 
@@ -680,7 +684,10 @@ class SketchIndex:
         evaluations stage 1 already spent (one per pivot).  The
         shortlist size is ``max(k, budget - pivot_evals)`` — stage 1's
         own exact work is paid out of the same budget the rerank draws
-        from.
+        from.  ``qd`` is the query's distance to each pivot when the
+        caller already swept them (:func:`approx_knn` sweeps every
+        part's pivots at once); it is charged to ``pivot_evals`` all the
+        same.
 
         The scan is blocked: each ``block_rows`` slice contributes its
         exact per-channel top-m (``argpartition`` + boundary-tie
@@ -693,9 +700,11 @@ class SketchIndex:
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.float64), 0)
         pivot_evals = len(self.pivots)
-        qd = (np.asarray(one_vs_many(distance, series, self.pivots),
-                         dtype=np.float64)
-              if pivot_evals else None)
+        if not pivot_evals:
+            qd = None
+        elif qd is None:
+            qd = np.asarray(one_vs_many(distance, series, self.pivots),
+                            dtype=np.float64)
         shortlist = max(k, budget - pivot_evals)
         if shortlist >= n:
             rows, lbs = self._scan_full(qd)
@@ -763,20 +772,32 @@ class SketchIndex:
         return bound, vote
 
 
-def approx_knn(sketch: SketchIndex, distance, request: SearchRequest
+def approx_knn(parts: Sequence[SketchIndex], distance,
+               request: SearchRequest, shares: Sequence[int] | None = None
                ) -> list[tuple[float, ObjectGraph, Any]]:
-    """Two-stage approximate k-NN over a :class:`SketchIndex`.
+    """Two-stage approximate k-NN over the sketches of a corpus.
 
-    ``request`` is a k-NN :class:`~repro.search.request.SearchRequest`
-    carrying a ``search_budget``.  At most that many exact distance
-    evaluations are spent in total (pivot distances + rerank), floored
-    at ``k + num_pivots`` so a degenerate budget still returns ``k``
-    hits.  With ``search_budget >= len(sketch) + num_pivots`` the search
-    degenerates to an exact full scan: every row is shortlisted and
-    pruning is bound-exact.  Hits are ``(distance, og, clip_ref)`` sorted
-    by ``(distance, og_id)`` — the same contract as the exact paths, and
-    bit-identical whether the sketch rows live in RAM or stream from the
-    store's mmap columns.
+    ``parts`` are the sketches of a partitioned corpus — one per shard;
+    a monolithic index is the one-part case — and ``shares`` each
+    part's evaluation budget, by default the
+    :func:`~repro.search.request.split_budget` of
+    ``request.search_budget`` over the parts' sizes.  Each part
+    shortlists its own rows under its share
+    (:meth:`SketchIndex.candidates`; one kernel sweep evaluates the
+    query against every part's pivots), and the merged shortlists are
+    reranked in one pass, in ascending ``(lower bound, part, row id)``
+    order, under one k-th best distance: the nearest candidate found in
+    any part prunes every other part.
+
+    A part spends at most its share (pivot distances + its shortlist),
+    floored at ``k + num_pivots`` so a degenerate budget still returns
+    ``k`` hits.  With a share of at least ``len(part) + num_pivots``
+    every row of the part is shortlisted, so covering every part makes
+    the search an exact full scan (pruning is bound-exact).  Hits are
+    ``(distance, og, clip_ref)`` sorted by ``(distance, og_id)`` — the
+    exact top-k of the union of the shortlists, the same contract as the
+    exact paths, and bit-identical whether the sketch rows live in RAM
+    or stream from the store's mmap columns.
     """
     # Imported here: importing ``repro.core`` imports the index, which
     # imports this module.
@@ -785,28 +806,53 @@ def approx_knn(sketch: SketchIndex, distance, request: SearchRequest
     k, search_budget = request.k, request.search_budget
     if k == 0:
         return []
+    if shares is None:
+        shares = split_budget(search_budget,
+                              [len(sketch) for sketch in parts], k)
+    live = [(sketch, share) for sketch, share in zip(parts, shares)
+            if len(sketch)]
+    if not live:
+        return []
     series = request.series
-    n = len(sketch)
-    with OBS.span("search.approx_knn", k=k, budget=search_budget) as sp:
+    with OBS.span("search.approx_knn", k=k, budget=search_budget,
+                  parts=len(live)) as sp:
         OBS.count("search.knn_queries")
-        idx, lbs, pivot_evals = sketch.candidates(
-            distance, series, search_budget, k)
-        OBS.count("search.candidates_generated", len(idx))
-        # Rerank in ascending (lower bound, row id) order: the most
-        # promising candidates seed the k-th best distance early, and
-        # the sorted bounds make the prune a single prefix cut.
-        order = np.lexsort((sketch.row_ids_at(idx), lbs))
-        shortlist = list(zip(lbs[order].tolist(), idx[order].tolist()))
+        pivots = [pivot for sketch, _ in live for pivot in sketch.pivots]
+        swept = np.asarray(one_vs_many(distance, series, pivots)
+                           if pivots else [], dtype=np.float64)
+        lbs, part_of, row_ids, raw = [], [], [], []
+        pivot_evals = start = 0
+        for part, (sketch, share) in enumerate(live):
+            stop = start + len(sketch.pivots)
+            idx, part_lbs, spent = sketch.candidates(
+                distance, series, share, k, qd=swept[start:stop])
+            start = stop
+            pivot_evals += spent
+            lbs.append(part_lbs)
+            part_of.append(np.full(len(idx), part, dtype=np.int64))
+            row_ids.append(sketch.row_ids_at(idx))
+            raw.append(idx)
+        lbs, part_of, raw = (np.concatenate(lbs), np.concatenate(part_of),
+                             np.concatenate(raw))
+        # Rerank in ascending (lower bound, part, row id) order: the most
+        # promising candidates of every part seed the one k-th best
+        # distance early, and the sorted bounds make the prune a single
+        # prefix cut.
+        order = np.lexsort((np.concatenate(row_ids), part_of, lbs))
+        shortlist = list(zip(lbs[order].tolist(), part_of[order].tolist(),
+                             raw[order].tolist()))
+        OBS.count("search.candidates_generated", len(shortlist))
         best = TopK(k)
         evaluated = evaluate_windowed(
             distance, series, shortlist, best, RERANK_WINDOW,
-            lambda c: sketch.row_series(c[1]),
-            lambda c: sketch.row_record(c[1]))
+            lambda c: live[c[1]][0].row_series(c[2]),
+            lambda c: live[c[1]][0].row_record(c[2]))
         pruned = len(shortlist) - evaluated
         OBS.count("search.distances_computed", evaluated + pivot_evals)
         OBS.count("search.candidates_pruned", pruned)
         OBS.count("search.distances_saved",
-                  max(0, n - evaluated - pivot_evals))
+                  max(0, sum(len(sketch) for sketch, _ in live)
+                      - evaluated - pivot_evals))
         sp.set(hits=len(best.hits), evaluated=evaluated, pruned=pruned)
         return best.hits
 

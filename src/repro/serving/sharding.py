@@ -67,11 +67,8 @@ from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.resilience.faults import maybe_fail
-from repro.search.request import (
-    SearchRequest,
-    SearchResult,
-    budgeted_scatter,
-)
+from repro.search.request import SearchRequest, SearchResult, split_budget
+from repro.search.sketch import approx_knn
 
 #: Supported placement strategies.
 PLACEMENTS = ("affine", "hash")
@@ -359,10 +356,11 @@ class ShardedIndex:
         is skipped and the result carries the surviving hits with
         ``degraded=True``.
 
-        With ``search_budget`` set, each shard runs its *approximate*
-        sketch tier (see ``docs/SEARCH.md``) on its
-        :func:`~repro.search.request.split_budget` share, and the
-        per-shard top-k lists are merged by ``(distance, og_id)``.
+        With ``search_budget`` set, each shard's *approximate* sketch
+        tier (see ``docs/SEARCH.md``) shortlists its
+        :func:`~repro.search.request.split_budget` share, and one
+        :func:`~repro.search.sketch.approx_knn` rerank ranks every
+        shortlist under one k-th best distance.
 
         ``prune_bound`` is an externally-known upper bound on the k-th
         nearest distance (e.g. the k-th hit of another partition of the
@@ -435,11 +433,15 @@ class ShardedIndex:
         return live, failed
 
     def _approx_scatter(self, request: SearchRequest) -> SearchResult:
-        """Budgeted scatter: each shard searches its own sketch tier."""
+        """Budgeted search: every live shard's sketch shortlists its
+        share, and one rerank under one bound ranks them all.  A failed
+        shard keeps its share of the split."""
         live, failed = self._live_shards(request.degrade)
-        hits = budgeted_scatter(
-            request, self.shard_sizes(),
-            lambda s, share: self.shards[s].search(share).hits, live)
+        shares = split_budget(request.search_budget, self.shard_sizes(),
+                              request.k)
+        hits = approx_knn([self.shards[s].sketch_tier() for s in live],
+                          self.metric_distance, request,
+                          [shares[s] for s in live])
         return SearchResult(hits, bool(failed), failed)
 
     def _gather(self, background: BackgroundGraph | None, degrade: bool

@@ -24,10 +24,12 @@ shard, row)``.  That reproduces the in-process scatter-gather
 (chunk-invariant), and worker-local og_ids are the store's
 ``RowLabels``, increasing in ``(shard, row)``, so every tie-break —
 worker-local og_id and the coordinator merge — is the same
-``(shard, row)`` order.  The budgeted approximate path runs per shard
-on the coordinator's
-:func:`~repro.search.request.split_budget` shares — the same split the
-in-process ``ShardedIndex`` makes.
+``(shard, row)`` order.  The budgeted approximate path is one
+:func:`~repro.search.sketch.approx_knn` rerank per worker over its
+shards' sketches, each shortlisting the coordinator's
+:func:`~repro.search.request.split_budget` share — the same split the
+in-process ``ShardedIndex`` makes; the coordinator merges the
+workers' top-k lists.
 
 Failover.  ``replicas=R`` spawns R processes per worker *slot*; a
 request round-robins across a slot's live replicas (spare capacity,
@@ -56,7 +58,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import (
     IndexStateError,
@@ -66,6 +68,7 @@ from repro.errors import (
 )
 from repro.observability import OBS
 from repro.search.request import SearchRequest, SearchResult, split_budget
+from repro.search.sketch import approx_knn
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +92,13 @@ class _ShardSet:
     ``(distance, shard, row)`` merge order — the worker's top-k
     therefore contains every globally-ranked hit from its shards.
 
-    Budgeted (``search_budget``) requests keep the per-shard loop: the
-    coordinator computes the global proportional budget split, and a
-    worker-local re-split over a subset would diverge from it.  The
-    same loop also serves requests for a strict shard subset (seen
-    transiently while a rebalance moves a shard between slots).
+    Budgeted (``search_budget``) requests are one
+    :func:`~repro.search.sketch.approx_knn` rerank over the requested
+    shards' sketches, each shortlisting the share the coordinator's
+    global proportional split gave it (a worker-local re-split over a
+    subset would diverge from it).  Exact requests for a strict shard
+    subset (seen transiently while a rebalance moves a shard between
+    slots) loop over the shards one at a time.
     """
 
     def __init__(self, store_path: str, assignment: list[int], mmap: bool):
@@ -161,16 +166,22 @@ class _ShardSet:
                 f"shard(s) {missing} are not assigned to this worker",
                 details={"shards": missing, "assigned": sorted(self.shards)})
         live = [o for o in requested if len(self.shards[o]) > 0]
-        if (request.search_budget is None and self._combined is not None
-                and frozenset(live) == self._fast):
-            return self._search_combined(request, requested, live)
-        return self._search_per_shard(request, shares)
+        if not live:
+            return {"hits": [], "busy": dict.fromkeys(requested, 0.0)}
+        if request.search_budget is not None:
+            distance = self.shards[live[0]].metric_distance
+            return self._search_combined(requested, live, lambda: approx_knn(
+                [self.shards[o].sketch_tier() for o in live], distance,
+                request, [shares[o] for o in live]))
+        if self._combined is not None and frozenset(live) == self._fast:
+            return self._search_combined(
+                requested, live, lambda: self._combined.search(request).hits)
+        return self._search_per_shard(request, requested)
 
-    def _search_combined(self, request: SearchRequest,
-                         requested: list[int], live: list[int]
-                         ) -> dict[str, Any]:
+    def _search_combined(self, requested: list[int], live: list[int],
+                         search: Callable[[], list]) -> dict[str, Any]:
         started = time.perf_counter()
-        found = self._combined.search(request).hits
+        found = search()
         elapsed = time.perf_counter() - started
         # The shared-bound search is one pass, so per-shard busy time is
         # attributed proportionally to shard size — slot totals stay
@@ -184,16 +195,16 @@ class _ShardSet:
         return {"hits": hits, "busy": busy}
 
     def _search_per_shard(self, request: SearchRequest,
-                          shares: dict[int, int | None]) -> dict[str, Any]:
+                          requested: list[int]) -> dict[str, Any]:
         hits: list[tuple[float, int, int, Any]] = []
         busy: dict[int, float] = {}
-        for ordinal, share in shares.items():
+        for ordinal in requested:
             index = self.shards[ordinal]
             if len(index) == 0:
                 busy[ordinal] = 0.0
                 continue
             started = time.perf_counter()
-            found = index.search(replace(request, search_budget=share)).hits
+            found = index.search(request).hits
             busy[ordinal] = time.perf_counter() - started
             hits.extend((float(d), *self.labels.locate(og.og_id), ref)
                         for d, og, ref in found)

@@ -359,6 +359,21 @@ class _Committed:
         return self.rows_total() - self.rows_dead()
 
 
+def _builds(live: int, writes: Sequence[Any]) -> bool:
+    """Whether an insert of ``writes``, applied in order to an index of
+    ``live`` OGs, finds it empty — the live index then *builds* the
+    batch (``extend_index``), which an append of inserts cannot
+    replay."""
+    for write in writes:
+        if write.op == "insert":
+            if live == 0:
+                return True
+            live += 1
+        elif write.row is not None:
+            live -= 1
+    return False
+
+
 class _Delta:
     """One shard's share of an append: its ordered ops and the payload
     of the rows they insert."""
@@ -1150,13 +1165,14 @@ class ColumnarStore:
     def checkpoint(self, index: Any, writes: Sequence[Any] | None = None
                    ) -> list[str] | None:
         """The cheapest valid persistence step: an append of ``writes``
-        (the batch applied since the last checkpoint) to a bound store
-        holding live rows; else a full ``write_index`` — a first
-        checkpoint, an unbound store, or an empty one (the live index
-        *builds* its first batch; a replay of inserts would not)."""
+        (the batch applied since the last checkpoint) to a bound store;
+        else a full ``write_index`` — a first checkpoint, an unbound
+        store, or a batch with an insert that found the index empty
+        (the live index *builds* such a batch; a replay of inserts
+        would not)."""
         with self._mutate_lock:
             if writes is not None and self._bound and self.exists() \
-                    and self._committed().live_rows() > 0:
+                    and not _builds(self._committed().live_rows(), writes):
                 return self.append(writes)
             self.write_index(index)
             return None

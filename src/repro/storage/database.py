@@ -25,7 +25,7 @@ from repro.observability import OBS
 from repro.pipeline import PipelineConfig, VideoPipeline
 from repro.resilience.policy import FaultPolicy, QuarantineRecord
 from repro.resilience.retry import RetryPolicy
-from repro.search.request import SearchRequest, budgeted_scatter
+from repro.search.request import SearchRequest
 from repro.search.sketch import approx_knn
 from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 from repro.storage.store import open_store
@@ -360,10 +360,8 @@ class VideoDatabase:
                     if search_budget is not None and not self.index_loaded
                     else None)
         if sketches is not None:
-            hits = budgeted_scatter(
-                request, [len(sketch) for sketch in sketches],
-                lambda p, share: approx_knn(
-                    sketches[p], sketches[p].replay_distance, share))
+            hits = approx_knn(sketches, sketches[0].replay_distance,
+                              request)
         else:
             self._require_index()
             # Through the index's ``knn`` sugar, not ``search``: that is

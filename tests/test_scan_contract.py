@@ -39,7 +39,7 @@ from repro.distance.base import CountingDistance, as_series
 from repro.distance.batch import one_vs_many
 from repro.distance.eged import EGED, MetricEGED
 from repro.graph.object_graph import ObjectGraph
-from repro.search.request import SearchRequest, budgeted_scatter
+from repro.search.request import SearchRequest
 from repro.search.sketch import SketchConfig, approx_knn, sketch_from_meta
 from repro.serving import LiveIndex, ShardedIndex, ShardedIndexConfig
 from repro.storage.serialize import leaf_ogs
@@ -218,10 +218,8 @@ class TestOneShardIsTheIndex:
                 if layer is None:
                     request = SearchRequest.knn(query, k,
                                                 search_budget=search_budget)
-                    return budgeted_scatter(
-                        request, [len(part) for part in parts],
-                        lambda p, share: approx_knn(
-                            parts[p], parts[p].replay_distance, share))
+                    return approx_knn(parts, parts[0].replay_distance,
+                                      request)
                 return layer.knn(query, k, search_budget=search_budget)
 
             for query in ogs[40:]:

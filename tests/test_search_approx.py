@@ -250,10 +250,10 @@ class TestApproxKnn:
     def test_approx_knn_direct_validation(self, small):
         index, ogs = small
         sketch = index.sketch_tier()
-        assert approx_knn(sketch, index.metric_distance,
+        assert approx_knn([sketch], index.metric_distance,
                           SearchRequest.knn(ogs[0], 0, search_budget=10)) == []
         with pytest.raises(InvalidParameterError):
-            approx_knn(sketch, index.metric_distance,
+            approx_knn([sketch], index.metric_distance,
                        SearchRequest.knn(ogs[0], 5, search_budget=0))
 
 

@@ -45,7 +45,7 @@ from tests import store_layout
 
 
 def budgeted_knn(sketch, distance, query, k, budget):
-    return approx_knn(sketch, distance,
+    return approx_knn([sketch], distance,
                       SearchRequest.knn(query, k, search_budget=budget))
 
 

@@ -7,6 +7,8 @@
   the index would get without one, column for column.
 - A delete by og_id (a label that may repeat) drops one row, and the
   store, a reopened index and a fresh process agree on which.
+- A batch that empties the index before it inserts is a build in the
+  store too.
 """
 
 from __future__ import annotations
@@ -278,6 +280,43 @@ def _by_shard(index) -> list[list[bytes]]:
     reload gives anew; the trajectories name the OGs)."""
     return [sorted(og.values.tobytes() for og in shard.object_graphs())
             for shard in ShardedIndex.of(index).shards]
+
+
+def _leaves(index) -> list[list[list[bytes]]]:
+    """Every shard's leaves as sorted lists of trajectory bytes, sorted."""
+    return [sorted(sorted(r.og.values.tobytes() for r in record.leaf)
+                   for record in shard.cluster_records())
+            for shard in ShardedIndex.of(index).shards]
+
+
+class TestEmptyingBatchIsABuild:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_delete_everything_then_insert_matches_the_store(self, tmp_path,
+                                                             shards):
+        """A compaction that deletes every OG of a store-bound index and
+        then inserts *builds* the inserts into the emptied index; the
+        store files them in the same leaves with the same columns."""
+        ogs = generate_synthetic_ogs(SyntheticConfig(num_ogs=90, seed=13))
+        config = STRGIndexConfig(n_clusters=3, em_iterations=4)
+        index = (STRGIndex(config) if shards == 1 else ShardedIndex(
+            ShardedIndexConfig(num_shards=shards, placement="hash",
+                               index=config)))
+        index.build(ogs[:40], clip_refs=[f"og-{i}" for i in range(40)])
+        live = LiveIndex(index)
+        live.attach_store(open_store(tmp_path / "corpus"))
+        for og in ogs[:40]:
+            live.delete(og.og_id)
+        live.bulk_insert(ogs[40:], None,
+                         [f"og-{i}" for i in range(40, len(ogs))])
+        live.compact()
+        served = live.snapshot.index
+        reopened = open_store(tmp_path / "corpus").load_index()
+        assert len(reopened) == len(served) == 50
+        assert _leaves(reopened) == _leaves(served)
+        open_store(tmp_path / "served").write_index(served)
+        open_store(tmp_path / "reopened").write_index(reopened)
+        assert store_layout.column_digests(tmp_path / "reopened") \
+            == store_layout.column_digests(tmp_path / "served")
 
 
 class TestDeletesByRow:
