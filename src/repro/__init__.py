@@ -61,7 +61,6 @@ from repro.resilience import FaultInjector, FaultPolicy, RetryPolicy
 from repro.search import (
     SearchRequest,
     SearchResult,
-    SketchConfig,
     SketchIndex,
     approx_knn,
 )
@@ -82,7 +81,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "EGED",
@@ -109,7 +108,6 @@ __all__ = [
     "ServiceConfig",
     "ShardedIndex",
     "ShardedIndexConfig",
-    "SketchConfig",
     "SketchIndex",
     "SpatioTemporalRegionGraph",
     "VideoDatabase",

@@ -59,7 +59,6 @@ class STRGIndexConfig:
     k_max: int = 15
     em_iterations: int = 25
     cluster_sample_size: int | None = None
-    metric_gap: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -86,11 +85,8 @@ class STRGIndex:
                  cluster_distance: Distance | None = None):
         self.config = config or STRGIndexConfig()
         #: Metric distance for leaf keys and query evaluation (EGED_M).
-        self.metric_distance = (
-            metric_distance
-            if metric_distance is not None
-            else MetricEGED(self.config.metric_gap)
-        )
+        self.metric_distance = (MetricEGED() if metric_distance is None
+                                else metric_distance)
         #: Non-metric distance for clustering (EGED).
         self.cluster_distance = cluster_distance or EGED()
         self.root: list[RootRecord] = []
@@ -104,9 +100,6 @@ class STRGIndex:
         #: Set by :meth:`freeze`; frozen indexes reject mutation, which is
         #: what lets published serving snapshots be shared across threads.
         self.frozen = False
-        #: Tuning for the approximate tier's sketches (``None`` uses the
-        #: :class:`~repro.search.sketch.SketchConfig` defaults).
-        self.sketch_config = None
         #: Lazily-built :class:`~repro.search.sketch.SketchIndex` backing
         #: budgeted (``search_budget=``) queries; maintained incrementally
         #: by :meth:`insert` / :meth:`delete` once built, persisted in
@@ -573,7 +566,6 @@ class STRGIndex:
                         self.metric_distance,
                         [record.og for record in records],
                         [record.clip_ref for record in records],
-                        self.sketch_config,
                         [record.row for record in records],
                     )
             return self._sketches

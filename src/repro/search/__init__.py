@@ -13,7 +13,6 @@ layer speaks (``SearchRequest`` in, ``SearchResult`` out; see
 
 from repro.search.request import SearchRequest, SearchResult
 from repro.search.sketch import (
-    SketchConfig,
     SketchIndex,
     approx_knn,
     sketch_from_meta,
@@ -23,7 +22,6 @@ from repro.search.sketch import (
 __all__ = [
     "SearchRequest",
     "SearchResult",
-    "SketchConfig",
     "SketchIndex",
     "approx_knn",
     "sketch_from_meta",

@@ -68,7 +68,6 @@ import copy
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -91,70 +90,25 @@ TOMBSTONE_COMPACT_FRACTION = 0.25
 ROW_CACHE_SIZE = 512
 
 
-@dataclass
-class SketchConfig:
-    """Tuning of the per-OG sketches.
-
-    ``num_pivots`` reference series for the triangle bounds (each costs
-    one exact distance per query, paid out of the budget).
-    ``sig_length`` nodes per resampled signature; ``grid`` spatial cells
-    per axis and ``heading_sectors`` direction buckets define the code
-    alphabet (``grid**2 * heading_sectors`` symbols).  ``vote_share`` is
-    the fraction of the candidate shortlist filled from the voting
-    channel (the rest comes from the pivot-bound channel).
-    ``pivot_sample_size`` caps the farthest-point sweep during fitting.
-    ``block_rows`` is the row-block size of the candidate scan — it
-    bounds stage 1's working set when the arrays are mmap views and has
-    no effect on results (the blocked scan is bit-identical to a global
-    sort at any block size).
-    """
-
-    num_pivots: int = 8
-    sig_length: int = 16
-    grid: int = 4
-    heading_sectors: int = 8
-    vote_share: float = 0.25
-    pivot_sample_size: int = 256
-    seed: int = 0
-    block_rows: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.num_pivots < 1:
-            raise InvalidParameterError(
-                f"num_pivots must be >= 1, got {self.num_pivots}"
-            )
-        if self.sig_length < 1:
-            raise InvalidParameterError(
-                f"sig_length must be >= 1, got {self.sig_length}"
-            )
-        if self.grid < 1 or self.heading_sectors < 1:
-            raise InvalidParameterError(
-                "grid and heading_sectors must be >= 1"
-            )
-        if not 0.0 <= self.vote_share <= 1.0:
-            raise InvalidParameterError(
-                f"vote_share must be in [0, 1], got {self.vote_share}"
-            )
-        if self.pivot_sample_size < 1:
-            raise InvalidParameterError(
-                f"pivot_sample_size must be >= 1, got {self.pivot_sample_size}"
-            )
-        if self.block_rows < 1:
-            raise InvalidParameterError(
-                f"block_rows must be >= 1, got {self.block_rows}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "num_pivots": self.num_pivots,
-            "sig_length": self.sig_length,
-            "grid": self.grid,
-            "heading_sectors": self.heading_sectors,
-            "vote_share": self.vote_share,
-            "pivot_sample_size": self.pivot_sample_size,
-            "seed": self.seed,
-            "block_rows": self.block_rows,
-        }
+#: Reference series per sketch for the triangle bounds; each costs one
+#: exact distance per query, paid out of the budget (Section 6.3).
+NUM_PIVOTS = 8
+#: Nodes per resampled signature.
+SIG_LENGTH = 16
+#: Spatial grid cells per axis and heading sectors: the vote channel's
+#: code alphabet is ``GRID**2 * HEADING_SECTORS`` symbols.
+GRID = 4
+HEADING_SECTORS = 8
+#: Fraction of the candidate shortlist filled from the voting channel
+#: (the rest comes from the pivot-bound channel).
+VOTE_SHARE = 0.25
+#: Cap on the farthest-point pivot sweep's sample, and its seed.
+PIVOT_SAMPLE_SIZE = 256
+PIVOT_SEED = 0
+#: Row-block size of the candidate scan: it bounds stage 1's working
+#: set when the arrays are mmap views and has no effect on results (the
+#: blocked scan is bit-identical to a global sort at any block size).
+BLOCK_ROWS = 4096
 
 
 # -- row provider -----------------------------------------------------------
@@ -306,8 +260,7 @@ class SketchIndex:
     path.
     """
 
-    def __init__(self, config: SketchConfig | None = None):
-        self.config = config or SketchConfig()
+    def __init__(self):
         #: Fixed reference series chosen at fit time.  Immutable after
         #: fitting: incremental adds reuse them, which is what makes a
         #: maintained sketch bit-identical to one rebuilt with the same
@@ -336,12 +289,12 @@ class SketchIndex:
 
     @property
     def pivot_dists(self) -> np.ndarray:
-        """Live pivot-distance matrix, shape ``(len(self), num_pivots)``."""
+        """Live pivot-distance matrix, one column per pivot."""
         return self._live(self._cat(self._pd, self._tail_pd))
 
     @property
     def sig(self) -> np.ndarray:
-        """Live signature codes, shape ``(len(self), sig_length)`` int16."""
+        """Live signature codes, shape ``(len(self), SIG_LENGTH)`` int16."""
         return self._live(self._cat(self._sig, self._tail_sig))
 
     @property
@@ -354,7 +307,7 @@ class SketchIndex:
         """``(row_ids, pivot_dists, sig)`` arrays of zero rows."""
         return (np.empty(0, dtype=np.int64),
                 np.empty((0, num_pivots), dtype=np.float64),
-                np.empty((0, self.config.sig_length), dtype=np.int16))
+                np.empty((0, SIG_LENGTH), dtype=np.int16))
 
     @staticmethod
     def _cat(base: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -380,10 +333,9 @@ class SketchIndex:
     @classmethod
     def build(cls, distance, ogs: Sequence[ObjectGraph],
               clip_refs: Sequence[Any] | None = None,
-              config: SketchConfig | None = None,
               rows: Sequence[int] | None = None) -> "SketchIndex":
         """Fit pivots + bbox on ``ogs`` and sketch every one of them."""
-        sketch = cls(config)
+        sketch = cls()
         sketch.add(distance, ogs, clip_refs, rows)    # the first add fits
         return sketch
 
@@ -397,10 +349,9 @@ class SketchIndex:
         hi = np.where(span <= 0, lo + 1.0, hi)
         self.bbox = (lo.astype(np.float64), hi.astype(np.float64))
 
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        if len(series) > cfg.pivot_sample_size:
-            pick = rng.choice(len(series), size=cfg.pivot_sample_size,
+        rng = np.random.default_rng(PIVOT_SEED)
+        if len(series) > PIVOT_SAMPLE_SIZE:
+            pick = rng.choice(len(series), size=PIVOT_SAMPLE_SIZE,
                               replace=False)
             sample = PaddedBatch([series[int(i)] for i in sorted(pick)])
         else:
@@ -414,7 +365,7 @@ class SketchIndex:
         closest = np.asarray(
             one_vs_many(distance, pivots[0], sample), dtype=np.float64
         )
-        while len(pivots) < min(cfg.num_pivots, len(sample)):
+        while len(pivots) < min(NUM_PIVOTS, len(sample)):
             nxt = int(np.argmax(closest))
             if closest[nxt] <= 0.0:
                 break  # every remaining sample coincides with a pivot
@@ -443,10 +394,10 @@ class SketchIndex:
                 f"pivot_dists shape {pivot_dists.shape} does not match "
                 f"{n} rows x {len(self.pivots)} pivots"
             )
-        if sig_arr.shape != (n, self.config.sig_length):
+        if sig_arr.shape != (n, SIG_LENGTH):
             raise InvalidParameterError(
                 f"sig shape {sig_arr.shape} does not match "
-                f"{n} rows x sig_length {self.config.sig_length}"
+                f"{n} rows x sig_length {SIG_LENGTH}"
             )
         if len(rows) != n:
             raise InvalidParameterError(
@@ -602,7 +553,7 @@ class SketchIndex:
         )
 
     def signature(self, series: np.ndarray) -> np.ndarray:
-        """Quantized trajectory codes, shape ``(sig_length,)`` int16.
+        """Quantized trajectory codes, shape ``(SIG_LENGTH,)`` int16.
 
         Each resampled node becomes ``cell * heading_sectors + sector``
         where ``cell`` is its spatial grid cell (bbox-relative) and
@@ -619,8 +570,7 @@ class SketchIndex:
     def _signatures(self, series: Sequence[np.ndarray]) -> np.ndarray:
         """:meth:`signature` rows of normalized series, one vectorised
         pass per group of equal length."""
-        cfg = self.config
-        out = np.empty((len(series), cfg.sig_length), dtype=np.int16)
+        out = np.empty((len(series), SIG_LENGTH), dtype=np.int16)
         lo, hi = self.bbox if self.bbox is not None else (
             np.zeros(2), np.ones(2)
         )
@@ -630,20 +580,19 @@ class SketchIndex:
         for rows in groups.values():
             pts = resample_stack(
                 self._planar(np.stack([series[i] for i in rows])),
-                cfg.sig_length,
-            )                                       # (G, sig_length, 2)
+                SIG_LENGTH,
+            )                                       # (G, SIG_LENGTH, 2)
             frac = (pts - lo) / (hi - lo)
-            cells = np.clip((frac * cfg.grid).astype(np.int64),
-                            0, cfg.grid - 1)
-            cell = cells[..., 0] * cfg.grid + cells[..., 1]
+            cells = np.clip((frac * GRID).astype(np.int64), 0, GRID - 1)
+            cell = cells[..., 0] * GRID + cells[..., 1]
             deltas = np.diff(pts, axis=1, prepend=pts[:, :1])
             angles = np.arctan2(deltas[..., 1], deltas[..., 0])  # [-pi, pi]
             sector = np.clip(
                 ((angles + math.pi) / (2.0 * math.pi)
-                 * cfg.heading_sectors).astype(np.int64),
-                0, cfg.heading_sectors - 1,
+                 * HEADING_SECTORS).astype(np.int64),
+                0, HEADING_SECTORS - 1,
             )
-            out[rows] = cell * cfg.heading_sectors + sector
+            out[rows] = cell * HEADING_SECTORS + sector
         return out
 
     # -- stage 1: candidate generation -------------------------------------
@@ -651,7 +600,7 @@ class SketchIndex:
     def _iter_part_blocks(self, offset: int, ids: np.ndarray,
                           pd: np.ndarray, sig: np.ndarray):
         """Fixed-size blocks of one array part, tombstones filtered."""
-        block = self.config.block_rows
+        block = BLOCK_ROWS
         for lo in range(0, len(ids), block):
             hi = min(lo + block, len(ids))
             rows = np.arange(offset + lo, offset + hi, dtype=np.int64)
@@ -689,7 +638,7 @@ class SketchIndex:
         part's pivots at once); it is charged to ``pivot_evals`` all the
         same.
 
-        The scan is blocked: each ``block_rows`` slice contributes its
+        The scan is blocked: each :data:`BLOCK_ROWS` slice contributes its
         exact per-channel top-m (``argpartition`` + boundary-tie
         resolution) and a streamed ≤ 2m merge folds it into the global
         shortlist, so peak working memory is O(block + shortlist)
@@ -714,7 +663,7 @@ class SketchIndex:
         # signature codes — temporal voting, rescuing candidates whose
         # pivot geometry is uninformative.  Ties break on the row id so
         # the shortlist is deterministic for any corpus order.
-        n_vote = min(shortlist, int(round(shortlist * self.config.vote_share)))
+        n_vote = min(shortlist, int(round(shortlist * VOTE_SHARE)))
         n_bound = shortlist - n_vote
         # The vote channel tracks the top-``shortlist`` rows, not just
         # top-``n_vote``: the bound channel claims at most n_bound of
@@ -790,8 +739,8 @@ def approx_knn(parts: Sequence[SketchIndex], distance,
     any part prunes every other part.
 
     A part spends at most its share (pivot distances + its shortlist),
-    floored at ``k + num_pivots`` so a degenerate budget still returns
-    ``k`` hits.  With a share of at least ``len(part) + num_pivots``
+    floored at ``k`` plus its pivot count so a degenerate budget still returns
+    ``k`` hits.  With a share of at least ``len(part)`` plus its pivot count
     every row of the part is shortlisted, so covering every part makes
     the search an exact full scan (pruning is bound-exact).  Hits are
     ``(distance, og, clip_ref)`` sorted by ``(distance, og_id)`` — the
@@ -858,10 +807,9 @@ def approx_knn(parts: Sequence[SketchIndex], distance,
 
 
 def sketch_meta_json(sketch: SketchIndex) -> str:
-    """Serializable sketch metadata (config + bbox) for persistence."""
+    """Serializable sketch metadata (the bbox) for persistence."""
     lo, hi = sketch.bbox if sketch.bbox is not None else (None, None)
     return json.dumps({
-        "config": sketch.config.to_dict(),
         "bbox_lo": None if lo is None else [float(v) for v in lo],
         "bbox_hi": None if hi is None else [float(v) for v in hi],
     })
@@ -871,17 +819,26 @@ def sketch_from_meta(meta_json: str) -> SketchIndex:
     """Empty :class:`SketchIndex` restored from :func:`sketch_meta_json`.
 
     The caller fills pivots and rows (see
-    :mod:`repro.storage.serialize`).  Metas written before the blocked
-    scan lack ``block_rows`` and get the default; a key that is not a
-    setting of this version is ignored (metas written through 4.0.0
-    carry the rerank window, now a constant of :mod:`repro.core.scan`).
+    :mod:`repro.storage.serialize`).  Metas written through 13.x also
+    record the sketch settings under ``config``.  Those settings decide
+    how a query's codes and bounds line up with the stored rows, so a
+    value other than this module's constant raises ``ValueError`` (a
+    malformed payload), never silently honoured.  A key that is not a
+    former setting is ignored (metas written through 4.0.0 carry the
+    rerank window, now a constant of :mod:`repro.core.scan`).
     """
     meta = json.loads(meta_json)
-    settings = {f.name for f in fields(SketchConfig)}
-    cfg = {key: value for key, value in meta["config"].items()
-           if key in settings}
-    cfg.setdefault("block_rows", SketchConfig.block_rows)
-    sketch = SketchIndex(SketchConfig(**cfg))
+    settings = {
+        "num_pivots": NUM_PIVOTS, "sig_length": SIG_LENGTH, "grid": GRID,
+        "heading_sectors": HEADING_SECTORS, "vote_share": VOTE_SHARE,
+        "pivot_sample_size": PIVOT_SAMPLE_SIZE, "seed": PIVOT_SEED,
+        "block_rows": BLOCK_ROWS,
+    }
+    for key, value in meta.get("config", {}).items():
+        if key in settings and value != settings[key]:
+            raise ValueError(f"the sketch was stored with {key}={value!r}; "
+                             f"this version sketches with {settings[key]!r}")
+    sketch = SketchIndex()
     if meta.get("bbox_lo") is not None:
         sketch.bbox = (
             np.asarray(meta["bbox_lo"], dtype=np.float64),

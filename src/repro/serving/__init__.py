@@ -41,7 +41,7 @@ from repro.serving.loadgen import LoadReport, run_load
 from repro.serving.net import HttpSender, NetConfig, NetFrontend, request_json
 from repro.serving.service import QueryService, ServiceConfig
 from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
-from repro.serving.snapshot import IndexSnapshot, LiveIndex, LiveIndexConfig
+from repro.serving.snapshot import IndexSnapshot, LiveIndex
 from repro.serving.workers import RemoteHit, WorkerPool, WorkerPoolConfig
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "IngestServiceConfig",
     "JobState",
     "LiveIndex",
-    "LiveIndexConfig",
     "LoadReport",
     "NetConfig",
     "NetFrontend",

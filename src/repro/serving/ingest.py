@@ -185,8 +185,6 @@ class IngestServiceConfig:
                            ``repro.storage.store.require_columnar``).
     ``watchdog_interval``  seconds between watchdog ticks (timeouts,
                            gauges, worker scaling).
-    ``clip_workers``       frame-parallel workers *inside* each job
-                           (see ``VideoPipeline.build_strg``).
     """
 
     queue_depth: int = 64
@@ -199,7 +197,6 @@ class IngestServiceConfig:
     checkpoint_every: int | None = 4
     store_format: str = "columnar"
     watchdog_interval: float = 0.05
-    clip_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -348,8 +345,9 @@ class IngestService:
 
         The job takes a worker's path — journal records, attempts under
         the retry policy and budget, quarantine, commit — without the
-        queue or any thread; ``workers`` overrides
-        ``config.clip_workers``.  It comes back ``INDEXED`` (``job.clip``
+        queue or any thread; ``workers`` frame-parallel processes run
+        the clip (``None``: serially, as a queued job does; see
+        ``VideoPipeline.build_strg``).  It comes back ``INDEXED`` (``job.clip``
         set) or ``QUARANTINED`` (``job.exception`` set); an error outside
         :data:`QUARANTINE_ERRORS` is re-raised once the job is journaled
         as quarantined, and so is the error of an ``INDEXED`` record that
@@ -550,8 +548,6 @@ class IngestService:
         job.started = time.monotonic()
         if self.config.job_timeout is not None:
             job.deadline = job.started + self.config.job_timeout
-        if workers is None:
-            workers = self.config.clip_workers
 
         def attempt() -> ClipResult:
             job.attempts += 1

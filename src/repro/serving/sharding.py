@@ -73,6 +73,14 @@ from repro.search.sketch import approx_knn
 #: Supported placement strategies.
 PLACEMENTS = ("affine", "hash")
 
+#: Affine placement: the coarse EM fit that chooses the shard pivots
+#: samples this many OGs and runs this many iterations.
+COARSE_SAMPLE_SIZE = 128
+COARSE_ITERATIONS = 10
+#: Affine placement caps a shard at ``BALANCE_FACTOR * M / num_shards``
+#: members; overflow spills to the next-nearest pivot.
+BALANCE_FACTOR = 1.3
+
 
 @dataclass
 class ShardedIndexConfig:
@@ -80,17 +88,11 @@ class ShardedIndexConfig:
 
     ``index`` configures every per-shard ``STRGIndex`` (identical across
     shards, so total cluster granularity scales with ``num_shards``).
-    ``balance_factor`` caps a shard at ``balance_factor * M / num_shards``
-    members during affine placement; overflow spills to the next-nearest
-    pivot.
     """
 
     num_shards: int = 4
     placement: str = "affine"
     index: STRGIndexConfig = field(default_factory=STRGIndexConfig)
-    coarse_sample_size: int = 128
-    coarse_iterations: int = 10
-    balance_factor: float = 1.3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,14 +104,6 @@ class ShardedIndexConfig:
             raise InvalidParameterError(
                 f"unknown placement {self.placement!r}; "
                 f"expected one of {PLACEMENTS}"
-            )
-        if self.coarse_sample_size < 2:
-            raise InvalidParameterError(
-                f"coarse_sample_size must be >= 2, got {self.coarse_sample_size}"
-            )
-        if self.balance_factor < 1.0:
-            raise InvalidParameterError(
-                f"balance_factor must be >= 1.0, got {self.balance_factor}"
             )
 
 
@@ -148,7 +142,10 @@ class ShardedIndex:
         ``index`` and ``num_shards`` are taken from the shards
         themselves, and a key that is not a setting of this version is
         ignored (stores written through 4.0.0 carry two scan-window
-        settings that became constants of :mod:`repro.core.scan`).
+        settings that became constants of :mod:`repro.core.scan`, and
+        stores written through 13.x the three placement settings that
+        became :data:`COARSE_SAMPLE_SIZE`, :data:`COARSE_ITERATIONS` and
+        :data:`BALANCE_FACTOR`).
         ``pivots`` are the affine placement pivots, kept so that later
         inserts land where a build would put them; nothing is swept
         here — each shard's scan views come from its own sketch table.
@@ -234,14 +231,14 @@ class ShardedIndex:
         """Coarse EM centroids used as shard pivots (one per shard)."""
         rng = np.random.default_rng(self.config.seed)
         sample: Sequence[ObjectGraph] = ogs
-        if self.config.coarse_sample_size < len(ogs):
-            idx = rng.choice(len(ogs), size=self.config.coarse_sample_size,
+        if COARSE_SAMPLE_SIZE < len(ogs):
+            idx = rng.choice(len(ogs), size=COARSE_SAMPLE_SIZE,
                              replace=False)
             sample = [ogs[int(i)] for i in sorted(idx)]
         k = min(self.num_shards, len(sample))
         em = EMClustering(
             EMConfig(n_clusters=k,
-                     max_iterations=self.config.coarse_iterations,
+                     max_iterations=COARSE_ITERATIONS,
                      seed=self.config.seed),
             distance=self.cluster_distance,
         )
@@ -263,9 +260,7 @@ class ShardedIndex:
         from the :meth:`_pivot_distances` rows of the OGs to place."""
         counts = [len(shard) for shard in self.shards]
         cap = max(1, math.ceil(
-            self.config.balance_factor
-            * (len(cols) + sum(counts)) / self.num_shards
-        ))
+            BALANCE_FACTOR * (len(cols) + sum(counts)) / self.num_shards))
         order = np.argsort(cols, axis=1, kind="stable")
         assignment: list[int] = []
         for j in range(len(cols)):

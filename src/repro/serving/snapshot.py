@@ -86,27 +86,6 @@ class _BufferedWrite:
     row: int | None = None
 
 
-@dataclass
-class LiveIndexConfig:
-    """Compaction policy for a :class:`LiveIndex`.
-
-    ``auto_compact_threshold`` triggers a synchronous compaction from
-    the writer's thread once that many writes are buffered (``None``
-    leaves compaction entirely to explicit :meth:`LiveIndex.compact`
-    calls).
-    """
-
-    auto_compact_threshold: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.auto_compact_threshold is not None \
-                and self.auto_compact_threshold < 1:
-            raise InvalidParameterError(
-                "auto_compact_threshold must be >= 1 or None, "
-                f"got {self.auto_compact_threshold}"
-            )
-
-
 class LiveIndex:
     """A queryable index with copy-on-write ingestion.
 
@@ -116,9 +95,7 @@ class LiveIndex:
     short buffer lock, compactions serialize among themselves.
     """
 
-    def __init__(self, index: Any,
-                 config: LiveIndexConfig | None = None):
-        self.config = config or LiveIndexConfig()
+    def __init__(self, index: Any):
         index.freeze()
         self._snapshot = IndexSnapshot(1, index)
         self._buffer: list[_BufferedWrite] = []
@@ -237,12 +214,6 @@ class LiveIndex:
         with self._buffer_lock:
             self._buffer.extend(writes)
             OBS.gauge("serving.write_buffer", len(self._buffer))
-        self._maybe_auto_compact()
-
-    def _maybe_auto_compact(self) -> None:
-        threshold = self.config.auto_compact_threshold
-        if threshold is not None and len(self._buffer) >= threshold:
-            self.compact()
 
     # -- compaction -----------------------------------------------------------
 
@@ -303,5 +274,4 @@ class LiveIndex:
 __all__ = [
     "IndexSnapshot",
     "LiveIndex",
-    "LiveIndexConfig",
 ]

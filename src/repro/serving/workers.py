@@ -78,12 +78,13 @@ from repro.search.sketch import approx_knn
 class _ShardSet:
     """Worker-local view of the assigned shards.
 
-    Exact requests that cover every (non-empty) open shard run through
-    one worker-local :class:`~repro.serving.sharding.ShardedIndex`
-    assembled over exactly those shards: one scan over every shard's
-    clusters shares one pruning bound, where a loop of
-    ``STRGIndex.search`` per shard — the same scan, one shard at a time
-    — would start each shard from an infinite bound.
+    An exact request runs through one worker-local
+    :class:`~repro.serving.sharding.ShardedIndex` assembled over exactly
+    the requested live shards — every open shard, or a strict subset of
+    them while a rebalance moves a shard between slots — and cached for
+    the set last seen.  Assembling one sweeps nothing (each shard keeps
+    its own scan views), and its one scan over every shard's clusters
+    shares one pruning bound.
 
     Exactness is preserved: the shards' og_ids are the
     :class:`~repro.storage.columnar.RowLabels` of one committed version,
@@ -96,9 +97,7 @@ class _ShardSet:
     :func:`~repro.search.sketch.approx_knn` rerank over the requested
     shards' sketches, each shortlisting the share the coordinator's
     global proportional split gave it (a worker-local re-split over a
-    subset would diverge from it).  Exact requests for a strict shard
-    subset (seen transiently while a rebalance moves a shard between
-    slots) loop over the shards one at a time.
+    subset would diverge from it).
     """
 
     def __init__(self, store_path: str, assignment: list[int], mmap: bool):
@@ -108,8 +107,8 @@ class _ShardSet:
         self.mmap = mmap
         #: Assigned ordinal -> its shard index.
         self.shards: dict[int, Any] = dict.fromkeys(assignment)
-        self._combined: Any = None
-        self._fast: frozenset[int] = frozenset()
+        #: ``(ordinals, index)`` of the last exact request's shards.
+        self._combined: tuple[list[int], Any] | None = None
         self.reload()
 
     # -- lifecycle ------------------------------------------------------
@@ -124,7 +123,7 @@ class _ShardSet:
             if self.store.version() == labels.version:
                 break
         self.shards, self.labels = shards, labels
-        self._refresh()
+        self._combined = None
 
     def open(self, ordinal: int) -> None:
         self.shards[ordinal] = None
@@ -132,25 +131,21 @@ class _ShardSet:
 
     def close(self, ordinal: int) -> None:
         self.shards.pop(ordinal, None)
-        self._refresh()
+        self._combined = None
 
     def sizes(self) -> dict[int, int]:
         return {o: len(index) for o, index in self.shards.items()}
 
-    # -- combined-index assembly ----------------------------------------
-
-    def _refresh(self) -> None:
-        live = [o for o in sorted(self.shards) if len(self.shards[o]) > 0]
-        self._fast = frozenset(live)
-        self._combined = self._assemble(live) if live else None
-
-    def _assemble(self, ordinals: list[int]) -> Any:
-        # A worker never places an OG: placement settings and pivots
-        # stay on disk.
+    def _assembled(self, ordinals: list[int]) -> Any:
+        """The frozen ``ShardedIndex`` over ``ordinals``.  A worker
+        never places an OG: placement settings and pivots stay on
+        disk."""
         from repro.serving.sharding import ShardedIndex
 
-        return ShardedIndex.from_shards(
-            [self.shards[o] for o in ordinals]).freeze()
+        if self._combined is None or self._combined[0] != ordinals:
+            self._combined = (ordinals, ShardedIndex.from_shards(
+                [self.shards[o] for o in ordinals]).freeze())
+        return self._combined[1]
 
     # -- search ---------------------------------------------------------
 
@@ -173,10 +168,9 @@ class _ShardSet:
             return self._search_combined(requested, live, lambda: approx_knn(
                 [self.shards[o].sketch_tier() for o in live], distance,
                 request, [shares[o] for o in live]))
-        if self._combined is not None and frozenset(live) == self._fast:
-            return self._search_combined(
-                requested, live, lambda: self._combined.search(request).hits)
-        return self._search_per_shard(request, requested)
+        index = self._assembled(sorted(live))
+        return self._search_combined(
+            requested, live, lambda: index.search(request).hits)
 
     def _search_combined(self, requested: list[int], live: list[int],
                          search: Callable[[], list]) -> dict[str, Any]:
@@ -192,22 +186,6 @@ class _ShardSet:
             busy[o] = elapsed * len(self.shards[o]) / total
         locate = self.labels.locate
         hits = [(float(d), *locate(og.og_id), ref) for d, og, ref in found]
-        return {"hits": hits, "busy": busy}
-
-    def _search_per_shard(self, request: SearchRequest,
-                          requested: list[int]) -> dict[str, Any]:
-        hits: list[tuple[float, int, int, Any]] = []
-        busy: dict[int, float] = {}
-        for ordinal in requested:
-            index = self.shards[ordinal]
-            if len(index) == 0:
-                busy[ordinal] = 0.0
-                continue
-            started = time.perf_counter()
-            found = index.search(request).hits
-            busy[ordinal] = time.perf_counter() - started
-            hits.extend((float(d), *self.labels.locate(og.og_id), ref)
-                        for d, og, ref in found)
         return {"hits": hits, "busy": busy}
 
 
@@ -288,8 +266,6 @@ class WorkerPoolConfig:
                             served through a single crash.
     ``mmap``                memory-map shard columns read-only (always
                             possible on columnar stores).
-    ``start_method``        multiprocessing start method; ``"spawn"``
-                            keeps workers clean of coordinator threads.
     ``heartbeat_interval``  seconds between supervisor health sweeps.
     ``start_timeout``       seconds to wait for a worker to load its
                             shards and report ready.
@@ -305,7 +281,6 @@ class WorkerPoolConfig:
     workers: int | None = None
     replicas: int = 1
     mmap: bool = True
-    start_method: str = "spawn"
     heartbeat_interval: float = 1.0
     start_timeout: float = 120.0
     request_timeout: float = 120.0
@@ -319,9 +294,6 @@ class WorkerPoolConfig:
         if self.replicas < 1:
             raise InvalidParameterError(
                 f"replicas must be >= 1, got {self.replicas}")
-        if self.start_method not in ("spawn", "fork", "forkserver"):
-            raise InvalidParameterError(
-                f"unknown start_method {self.start_method!r}")
         for name in ("heartbeat_interval", "start_timeout",
                      "request_timeout"):
             if getattr(self, name) <= 0:
@@ -405,7 +377,8 @@ class WorkerPool:
              for replica in range(self.config.replicas)]
             for slot in range(self.num_slots)
         ]
-        self._ctx = mp.get_context(self.config.start_method)
+        # Spawned: a fresh interpreter is clean of coordinator threads.
+        self._ctx = mp.get_context("spawn")
         self._scatter_pool: ThreadPoolExecutor | None = None
         self._supervisor: threading.Thread | None = None
         self._stop = threading.Event()

@@ -34,7 +34,12 @@ import numpy as np
 
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.core.nodes import LeafRecord, RootRecord
-from repro.errors import IndexCorruptionError, StorageError
+from repro.distance.eged import MetricEGED
+from repro.errors import (
+    IndexCorruptionError,
+    InvalidParameterError,
+    StorageError,
+)
 from repro.graph.attributes import NodeAttributes
 from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
@@ -251,8 +256,9 @@ def read_sketch(columns, sketch_meta: str, row_ids: np.ndarray, rows):
     its record at row ``i`` of the ``rows`` provider.
 
     Raises one of :data:`SKETCH_PAYLOAD_ERRORS` when the payload is
-    malformed — a missing column, or arrays whose shape does not match
-    the rows; each caller applies its own failure policy.
+    malformed — a missing column, arrays whose shape does not match
+    the rows, or recorded sketch settings other than this version's
+    constants; each caller applies its own failure policy.
     """
     from repro.search.sketch import sketch_from_meta
 
@@ -308,6 +314,20 @@ def leaf_ogs(index) -> list[tuple[ObjectGraph, Any]]:
             for record in shard.leaf_records()]
 
 
+def recorded_gap(metric: Any) -> float:
+    """The gap of the ``MetricEGED`` an index keys with (read through a
+    ``CountingDistance``) — the one metric a store can name, and what
+    it records as ``metric_gap``.  Any other metric raises
+    ``InvalidParameterError``: a reload would key and answer with a
+    metric other than the one behind the stored keys."""
+    inner = getattr(metric, "inner", metric)
+    if not isinstance(inner, MetricEGED):
+        raise InvalidParameterError(
+            f"a store records its index's metric as a MetricEGED gap; "
+            f"cannot store an index keyed by {metric!r}")
+    return inner.gap
+
+
 def index_to_arrays(index: STRGIndex
                     ) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
     """Flatten an STRG-Index into numeric columns + JSON-able meta.
@@ -316,8 +336,9 @@ def index_to_arrays(index: STRGIndex
     stores: trajectories plus an offsets table, per-row
     labels/keys/cluster ordinals, centroid and background tables, and
     — when built — the sketch tier.  ``meta`` carries everything
-    non-numeric: the index config, per-row clip refs, root count and
-    the sketch meta JSON.
+    non-numeric: the index config with the gap of the index's metric
+    (:func:`recorded_gap`), per-row clip refs, root count and the sketch
+    meta JSON.
     """
     ogs: list[ObjectGraph] = []
     rows: list[int] = []
@@ -358,7 +379,7 @@ def index_to_arrays(index: STRGIndex
             "n_clusters": config.n_clusters,
             "k_max": config.k_max,
             "em_iterations": config.em_iterations,
-            "metric_gap": config.metric_gap,
+            "metric_gap": recorded_gap(index.metric_distance),
             "seed": config.seed,
         },
         "refs": refs,
@@ -395,6 +416,7 @@ def index_from_arrays(arrays, meta: dict[str, Any],
     cluster_root = arrays["cluster_root"]
     num_roots = int(meta["num_roots"])
     config_kwargs = dict(meta["config"])
+    gap = float(config_kwargs.pop("metric_gap"))
     refs = meta["refs"]
     og_frames = None
     if "og_frames" in arrays:
@@ -406,7 +428,8 @@ def index_from_arrays(arrays, meta: dict[str, Any],
     else:
         backgrounds = [None] * num_roots
 
-    index = STRGIndex(STRGIndexConfig(**config_kwargs))
+    index = STRGIndex(STRGIndexConfig(**config_kwargs),
+                      metric_distance=MetricEGED(gap))
     roots = [RootRecord(i, backgrounds[i]) for i in range(num_roots)]
     index.root = roots
     index._next_root_id = num_roots

@@ -81,7 +81,7 @@ def attach_lazy_sketch():
     def attach(index):
         eager = index.sketch_tier()
         pairs = [eager.row_record(row) for row in range(len(eager))]
-        lazy = SketchIndex(eager.config)
+        lazy = SketchIndex()
         lazy.pivots, lazy.bbox = eager.pivots, eager.bbox
         lazy.attach_rows(eager.row_ids, eager.pivot_dists, eager.sig,
                          SketchRows(reader=ListReader(pairs),

@@ -33,15 +33,14 @@ from repro.core.scan import RERANK_WINDOW, evaluate_windowed
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.batch import one_vs_many
 from repro.search.request import SearchRequest, TopK, split_budget
-from repro.search.sketch import SketchConfig
+from repro.search.sketch import NUM_PIVOTS
 from repro.serving import ShardedIndex, ShardedIndexConfig
 from repro.storage.store import open_store
 
 N = 240
-PIVOTS = SketchConfig().num_pivots
-BUDGETS = {"below k + P": lambda k: k + PIVOTS - 1,
+BUDGETS = {"below k + P": lambda k: k + NUM_PIVOTS - 1,
            "200": lambda k: 200,
-           "N + P": lambda k: N + PIVOTS}
+           "N + P": lambda k: N + NUM_PIVOTS}
 QUERIES = generate_synthetic_ogs(SyntheticConfig(num_ogs=12, seed=404))
 
 
@@ -197,4 +196,4 @@ def test_a_query_counts_once_over_every_part():
     assert metrics["search.candidates_generated"] == shortlisted
     assert metrics["search.candidates_pruned"] \
         == shortlisted - (metrics["search.distances_computed"]
-                          - 2 * PIVOTS)
+                          - 2 * NUM_PIVOTS)

@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from repro.core.index import STRGIndex, STRGIndexConfig
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
+from repro.distance.base import CountingDistance
+from repro.distance.eged import EGED, MetricEGED
 from repro.errors import (
     IndexCorruptionError,
     InvalidParameterError,
@@ -133,6 +136,53 @@ class TestColumnarRoundTrip:
         store = ColumnarStore(tmp_path / "empty")
         store.write_index(index)
         assert len(store.load_index()) == 0
+
+
+class TestStoredMetric:
+    """A store records the metric behind its keys and pivot distances
+    (a ``MetricEGED`` gap, read through a counting wrapper), reloads
+    with that metric, and refuses a metric it cannot name."""
+
+    @pytest.mark.parametrize("counted", [False, True])
+    def test_a_gapped_metric_reloads_with_identical_hits(self, tmp_path,
+                                                         counted):
+        ogs = generate_synthetic_ogs(SyntheticConfig(num_ogs=200, seed=3))
+        metric = MetricEGED(5.0)
+        index = STRGIndex(STRGIndexConfig(n_clusters=4),
+                          metric_distance=(CountingDistance(metric)
+                                           if counted else metric))
+        index.build(ogs, clip_refs=[f"og-{i}" for i in range(len(ogs))])
+        index.sketch_tier()
+        store = open_store(tmp_path / "gap")
+        store.write_index(index)
+        loaded = store.load_index(mmap=True)
+        assert loaded.metric_distance.gap == 5.0
+
+        def hits(found):
+            return [(float(d), ref) for d, _, ref in found]
+        for q in (ogs[7], ogs[55], ogs[120]):
+            assert hits(loaded.knn(q, 5)) == hits(index.knn(q, 5))
+            assert hits(loaded.knn(q, 5, search_budget=40)) \
+                == hits(index.knn(q, 5, search_budget=40))
+        [sketch] = store.load_sketch()
+        assert sketch.replay_distance.gap == 5.0
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_metric_the_store_cannot_name_is_refused(self, tmp_path,
+                                                       shards):
+        ogs = generate_synthetic_ogs(SyntheticConfig(num_ogs=60, seed=3))
+        config = STRGIndexConfig(n_clusters=3)
+        if shards == 1:
+            index = STRGIndex(config, metric_distance=EGED())
+        else:
+            index = ShardedIndex(ShardedIndexConfig(
+                num_shards=2, placement="hash", index=config),
+                metric_distance=EGED())
+        index.build(ogs)
+        store = open_store(tmp_path / "eged")
+        with pytest.raises(InvalidParameterError, match="MetricEGED"):
+            store.write_index(index)
+        assert not store.exists()
 
 
 class TestShardedColumnar:

@@ -278,6 +278,44 @@ class TestTimeoutPoisoning:
                 assert hits_of(again) == expected_knn(reference, query, K)
 
 
+class TestShardSubset:
+    """Mid-rebalance a worker is asked for a strict subset of its
+    shards; the exact request runs through one index over just those
+    shards, in process here."""
+
+    def test_exact_subset_request_is_the_top_k_of_those_shards(
+            self, store_path, queries):
+        from repro.distance.batch import one_vs_many
+        from repro.search.request import SearchRequest
+        from repro.serving.workers import _ShardSet
+        from repro.storage.store import open_store
+
+        store = open_store(store_path)
+        labels = store.row_labels()
+        shard_set = _ShardSet(store_path, [0, 1, 2, 3], mmap=True)
+        subset = [store.load_shard(s) for s in (1, 3)]
+        records = [record for index in subset
+                   for record in index.leaf_records()]
+        metric = subset[0].metric_distance
+        for query in queries:
+            found = one_vs_many(metric, query.values,
+                                [record.og.values for record in records])
+            brute = sorted(
+                (float(d), *labels.locate(record.og.og_id), record.clip_ref)
+                for d, record in zip(found, records))
+            for k in (1, K, 40):
+                reply = shard_set.search(SearchRequest.knn(query, k),
+                                         {3: None, 1: None})
+                merged = sorted(reply["hits"],
+                                key=lambda h: (h[0], h[1], h[2]))
+                assert merged == brute[:k]
+                assert set(reply["busy"]) == {1, 3}
+        combined = shard_set._combined[1]
+        assert combined.num_shards == 2
+        shard_set.search(SearchRequest.knn(queries[0], K), {1: None, 3: None})
+        assert shard_set._combined[1] is combined
+
+
 def write_sharded_store(path, ogs, num_shards):
     from repro.storage.store import open_store
 

@@ -32,7 +32,8 @@ from repro.distance.erp import ERP
 from repro.distance.lcs import LCSDistance
 from repro.errors import DimensionMismatchError
 from repro.graph.object_graph import ObjectGraph
-from repro.search.sketch import SketchConfig, SketchIndex
+from repro.search import sketch as sketch_mod
+from repro.search.sketch import SketchIndex
 from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 
 KERNELS = [EGED("adaptive"), EGED("dtw"), MetricEGED(0.5), ERP(gap=1.0),
@@ -139,33 +140,34 @@ def reference_resample(a: np.ndarray, length: int) -> np.ndarray:
 
 def reference_signature(sketch: SketchIndex, series: np.ndarray) -> np.ndarray:
     """The per-series signature body the length-group pass replaced."""
-    cfg = sketch.config
     lo, hi = sketch.bbox if sketch.bbox is not None else (
         np.zeros(2), np.ones(2))
     planar = series[:, :2] if series.shape[1] >= 2 else np.concatenate(
         [series[:, :1], np.zeros((series.shape[0], 1))], axis=1)
-    pts = reference_resample(planar, cfg.sig_length)
+    pts = reference_resample(planar, sketch_mod.SIG_LENGTH)
     frac = (pts - lo) / (hi - lo)
-    cells = np.clip((frac * cfg.grid).astype(np.int64), 0, cfg.grid - 1)
-    cell = cells[:, 0] * cfg.grid + cells[:, 1]
+    grid, sectors = sketch_mod.GRID, sketch_mod.HEADING_SECTORS
+    cells = np.clip((frac * grid).astype(np.int64), 0, grid - 1)
+    cell = cells[:, 0] * grid + cells[:, 1]
     deltas = np.diff(pts, axis=0, prepend=pts[:1])
     angles = np.arctan2(deltas[:, 1], deltas[:, 0])
     sector = np.clip(
         ((angles + math.pi) / (2.0 * math.pi)
-         * cfg.heading_sectors).astype(np.int64),
-        0, cfg.heading_sectors - 1)
-    return (cell * cfg.heading_sectors + sector).astype(np.int16)
+         * sectors).astype(np.int64),
+        0, sectors - 1)
+    return (cell * sectors + sector).astype(np.int16)
 
 
 class TestSignatures:
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_length_groups_match_per_series_interp(self, dim):
+    def test_length_groups_match_per_series_interp(self, dim, monkeypatch):
+        monkeypatch.setattr(sketch_mod, "NUM_PIVOTS", 2)
         rng = np.random.default_rng(17 + dim)
         series = [rng.normal(size=(n, dim)) * 40
                   for n in range(1, 41) for _ in range(3)]
         order = rng.permutation(len(series))
         series = [series[int(i)] for i in order]
-        sketch = SketchIndex(SketchConfig(num_pivots=2))
+        sketch = SketchIndex()
         sketch.add(MetricEGED(),            # fits pivots and the bbox
                    [ObjectGraph.from_values(s) for s in series[:12]])
         want = np.stack([reference_signature(sketch, s) for s in series])
@@ -174,9 +176,10 @@ class TestSignatures:
         for s, row in zip(series[:10], want):
             assert np.array_equal(sketch.signature(s), row)
 
-    def test_degenerate_bbox_and_unfitted_sketch(self):
+    def test_degenerate_bbox_and_unfitted_sketch(self, monkeypatch):
+        monkeypatch.setattr(sketch_mod, "NUM_PIVOTS", 1)
         flat = [np.full((n, 2), 3.0) for n in (1, 2, 5, 16, 23)]
-        sketch = SketchIndex(SketchConfig(num_pivots=1))
+        sketch = SketchIndex()
         unfitted = np.stack([reference_signature(sketch, s) for s in flat])
         assert np.array_equal(sketch._signatures(flat), unfitted)
         # A bbox of span 0 is widened to hi = lo + 1.
@@ -184,7 +187,7 @@ class TestSignatures:
         assert np.array_equal(sketch.bbox[1] - sketch.bbox[0], np.ones(2))
         want = np.stack([reference_signature(sketch, s) for s in flat])
         assert np.array_equal(sketch.sig, want)
-        assert sketch._signatures([]).shape == (0, sketch.config.sig_length)
+        assert sketch._signatures([]).shape == (0, sketch_mod.SIG_LENGTH)
 
     def test_resample_stack_is_np_interp(self):
         rng = np.random.default_rng(23)

@@ -20,6 +20,7 @@ from repro.distance import batch
 from repro.distance.base import CountingDistance
 from repro.distance.batch import one_vs_many
 from repro.distance.eged import EGED, MetricEGED
+from repro.serving import sharding
 from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 
 
@@ -29,12 +30,14 @@ def corpus(num: int, seed: int):
         patterns=ALL_PATTERNS[:8]))
 
 
-def test_write_sequence_spends_the_recorded_evaluations():
+def test_write_sequence_spends_the_recorded_evaluations(monkeypatch):
     """Build with an out-of-sample assignment, 40 inserts, the sketch
     tier, then a 2-shard affine build and inserts: the metric and
     cluster evaluations ``CountingDistance`` sees, and the pairs
     ``observability`` counts, equal the per-reference loops' totals."""
     ogs = corpus(160, seed=11)
+    monkeypatch.setattr(sharding, "COARSE_SAMPLE_SIZE", 32)
+    monkeypatch.setattr(sharding, "COARSE_ITERATIONS", 4)
     metric = CountingDistance(MetricEGED())
     cluster = CountingDistance(EGED())
     observability.configure(enabled=True, reset_state=True)
@@ -49,8 +52,7 @@ def test_write_sequence_spends_the_recorded_evaluations():
         index.sketch_tier()
         sharded = ShardedIndex(
             ShardedIndexConfig(
-                num_shards=2, placement="affine", coarse_sample_size=32,
-                coarse_iterations=4,
+                num_shards=2, placement="affine",
                 index=STRGIndexConfig(n_clusters=3, em_iterations=4,
                                       seed=0)),
             metric_distance=metric, cluster_distance=cluster)

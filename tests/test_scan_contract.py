@@ -40,7 +40,7 @@ from repro.distance.batch import one_vs_many
 from repro.distance.eged import EGED, MetricEGED
 from repro.graph.object_graph import ObjectGraph
 from repro.search.request import SearchRequest
-from repro.search.sketch import SketchConfig, approx_knn, sketch_from_meta
+from repro.search.sketch import approx_knn, sketch_from_meta
 from repro.serving import LiveIndex, ShardedIndex, ShardedIndexConfig
 from repro.storage.serialize import leaf_ogs
 from repro.storage.store import open_store
@@ -469,18 +469,16 @@ class TestSettingsOfFourPointZeroStillLoad:
             "eval_batch": 16, "prune_slack": 1e-7,
         }
         sharded = ShardedIndex.from_shards([index], written_by_4_0)
-        assert sharded.config.balance_factor == 1.5
-        assert sharded.config.coarse_sample_size == 64
-        assert set(sharded.serving_config()) == (
-            set(written_by_4_0) - {"eval_batch", "prune_slack"})
+        assert sharded.serving_config() == {
+            "num_shards": 1, "placement": "hash", "seed": 3}
         assert flat(sharded.knn(ogs[0], 3)) == flat(index.knn(ogs[0], 3))
 
     def test_sketch_meta_drops_rerank_batch(self):
-        config = {**SketchConfig(num_pivots=3, block_rows=128).to_dict(),
-                  "rerank_batch": 16}
+        # A 4.0.0 meta: the rerank batch, and no block size yet.
+        config = {"num_pivots": 8, "sig_length": 16, "grid": 4,
+                  "heading_sectors": 8, "vote_share": 0.25,
+                  "pivot_sample_size": 256, "seed": 0, "rerank_batch": 16}
         sketch = sketch_from_meta(json.dumps(
             {"config": config, "bbox_lo": [0.0, 0.0],
              "bbox_hi": [4.0, 2.0]}))
-        assert sketch.config == SketchConfig(num_pivots=3, block_rows=128)
-        assert "rerank_batch" not in sketch.config.to_dict()
         assert list(sketch.bbox[1]) == [4.0, 2.0]

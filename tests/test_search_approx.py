@@ -7,6 +7,8 @@ k>corpus contract, incremental sketch maintenance under writes, snapshot
 persistence, and the pinned recall/cost gate from ``docs/SEARCH.md``.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,11 +27,11 @@ from repro.observability import MetricsRegistry, Tracer
 from repro.query import Query
 from repro.search import (
     SearchRequest,
-    SketchConfig,
     approx_knn,
     sketch_from_meta,
     sketch_meta_json,
 )
+from repro.search import sketch as sketch_mod
 from repro.serving import (
     LiveIndex,
     QueryService,
@@ -62,10 +64,24 @@ def small():
 
 
 class TestSketchConfig:
+    """The sketch settings are constants of :mod:`repro.search.sketch`.
+    A sketch meta written through 13.x records them; a recorded value
+    other than the constant (the values the retired ``SketchConfig``
+    refused among them) makes the meta malformed."""
+
+    RECORDED_13X = {"num_pivots": 8, "sig_length": 16, "grid": 4,
+                    "heading_sectors": 8, "vote_share": 0.25,
+                    "pivot_sample_size": 256, "seed": 0, "block_rows": 4096}
+
+    @staticmethod
+    def meta(config):
+        return json.dumps({"config": config, "bbox_lo": [0.0, 0.0],
+                           "bbox_hi": [1.0, 1.0]})
+
     def test_defaults_valid(self):
-        cfg = SketchConfig()
-        assert cfg.num_pivots >= 1
-        assert cfg.to_dict()["num_pivots"] == cfg.num_pivots
+        # Every 13.x store recorded the defaults: the constants.
+        sketch = sketch_from_meta(self.meta(self.RECORDED_13X))
+        assert list(sketch.bbox[1]) == [1.0, 1.0]
 
     @pytest.mark.parametrize("kwargs", [
         {"num_pivots": 0},
@@ -78,8 +94,9 @@ class TestSketchConfig:
         {"block_rows": 0},
     ])
     def test_invalid_parameters(self, kwargs):
-        with pytest.raises(InvalidParameterError):
-            SketchConfig(**kwargs)
+        [(name, _)] = kwargs.items()
+        with pytest.raises(ValueError, match=name):
+            sketch_from_meta(self.meta({**self.RECORDED_13X, **kwargs}))
 
 
 class TestPivotLowerBounds:
@@ -133,12 +150,11 @@ class TestSketchIndex:
     def test_build_shapes(self, small):
         index, ogs = small
         sketch = index.sketch_tier()
-        cfg = sketch.config
         assert len(sketch) == len(ogs)
         assert sketch.pivot_dists.shape == (len(ogs), len(sketch.pivots))
-        assert sketch.sig.shape == (len(ogs), cfg.sig_length)
+        assert sketch.sig.shape == (len(ogs), sketch_mod.SIG_LENGTH)
         assert sketch.sig.dtype == np.int16
-        assert 1 <= len(sketch.pivots) <= cfg.num_pivots
+        assert 1 <= len(sketch.pivots) <= sketch_mod.NUM_PIVOTS
 
     def test_sketch_tier_cached(self, small):
         index, _ = small
@@ -151,14 +167,13 @@ class TestSketchIndex:
         sig2 = sketch.signature(ogs[0].values)
         assert np.array_equal(sig1, sig2)
         assert np.all(sig1 >= 0)
-        cfg = sketch.config
-        assert np.all(sig1 < cfg.grid * cfg.grid * cfg.heading_sectors)
+        assert np.all(sig1 < sketch_mod.GRID ** 2
+                      * sketch_mod.HEADING_SECTORS)
 
     def test_meta_round_trip(self, small):
         index, _ = small
         sketch = index.sketch_tier()
         clone = sketch_from_meta(sketch_meta_json(sketch))
-        assert clone.config == sketch.config
         assert np.allclose(clone.bbox[0], sketch.bbox[0])
         assert np.allclose(clone.bbox[1], sketch.bbox[1])
 

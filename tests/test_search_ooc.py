@@ -18,6 +18,8 @@ with ``==``, orders compared as lists):
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,12 +33,8 @@ from repro.distance.bounds import pivot_lower_bounds
 from repro.distance.eged import MetricEGED
 from repro.errors import IndexCorruptionError, InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
-from repro.search import (
-    SearchRequest,
-    SketchConfig,
-    SketchIndex,
-    approx_knn,
-)
+from repro.search import SearchRequest, SketchIndex, approx_knn
+from repro.search import sketch as sketch_mod
 from repro.serving import ShardedIndex, ShardedIndexConfig
 from repro.storage.columnar import ColumnarStore
 from repro.storage.database import VideoDatabase
@@ -53,10 +51,9 @@ def corpus(n=120, seed=0):
     return generate_synthetic_ogs(SyntheticConfig(num_ogs=n, seed=seed))
 
 
-def built_sketch(ogs, distance, **cfg):
+def built_sketch(ogs, distance):
     refs = [f"clip-{i}" for i in range(len(ogs))]
-    return SketchIndex.build(distance, ogs, refs,
-                             SketchConfig(**cfg))
+    return SketchIndex.build(distance, ogs, refs)
 
 
 def hit_sig(hits):
@@ -91,7 +88,7 @@ def monolithic_candidates(sketch, distance, series, budget, k):
     if shortlist >= n:
         rows = np.arange(n, dtype=np.int64)
         return rows, lbs, pivot_evals
-    n_vote = min(shortlist, int(round(shortlist * sketch.config.vote_share)))
+    n_vote = min(shortlist, int(round(shortlist * sketch_mod.VOTE_SHARE)))
     n_bound = shortlist - n_vote
     chosen = [int(i) for i in np.lexsort((row_ids, lbs))[:n_bound]]
     taken = set(chosen)
@@ -110,12 +107,13 @@ def monolithic_candidates(sketch, distance, series, budget, k):
 
 class TestBlockedScanParity:
     @pytest.mark.parametrize("block_rows", [1, 7, 64, None])
-    def test_matches_monolithic_oracle(self, block_rows):
+    def test_matches_monolithic_oracle(self, block_rows, monkeypatch):
         distance = MetricEGED(1.0)
         ogs = corpus(90, seed=3)
         sketch = built_sketch(ogs, distance)
         n = len(sketch)
-        sketch.config.block_rows = n if block_rows is None else block_rows
+        monkeypatch.setattr(sketch_mod, "BLOCK_ROWS",
+                            n if block_rows is None else block_rows)
         for q in corpus(4, seed=91):
             series = as_series(q)
             for budget, k in ((20, 5), (45, 3), (n + 100, 5), (8, 7)):
@@ -134,23 +132,22 @@ class TestBlockedScanParity:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 60))
         ogs = corpus(n, seed=seed % 997)
-        sketch = built_sketch(ogs, distance, vote_share=vote_share,
-                              num_pivots=int(rng.integers(1, 5)))
-        series = as_series(corpus(1, seed=seed % 991)[0])
-        results = []
-        for block in (1, 7, 64, len(sketch)):
-            sketch.config.block_rows = max(1, block)
-            idx, lbs, evals = sketch.candidates(distance, series, budget, 5)
-            results.append((idx.tolist(), lbs.tolist(), evals))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sketch_mod, "VOTE_SHARE", vote_share)
+            patch.setattr(sketch_mod, "NUM_PIVOTS", int(rng.integers(1, 5)))
+            sketch = built_sketch(ogs, distance)
+            series = as_series(corpus(1, seed=seed % 991)[0])
+            results = []
+            for block in (1, 7, 64, len(sketch)):
+                patch.setattr(sketch_mod, "BLOCK_ROWS", max(1, block))
+                idx, lbs, evals = sketch.candidates(distance, series,
+                                                    budget, 5)
+                results.append((idx.tolist(), lbs.tolist(), evals))
+            oracle = monolithic_candidates(sketch, distance, series,
+                                           budget, 5)
         assert all(r == results[0] for r in results[1:])
-        oracle = monolithic_candidates(sketch, distance, series, budget, 5)
         assert results[0] == (oracle[0].tolist(), oracle[1].tolist(),
                               oracle[2])
-
-    def test_block_rows_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SketchConfig(block_rows=0)
-        assert SketchConfig().to_dict()["block_rows"] >= 1
 
 
 class TestTombstoneParity:
@@ -186,8 +183,6 @@ class TestTombstoneParity:
                 == [og.og_id for _, og, _ in want]
 
     def test_owned_sketch_autocompacts_past_threshold(self):
-        from repro.search import sketch as sketch_mod
-
         distance = MetricEGED(1.0)
         ogs = corpus(24, seed=9)
         sketch = built_sketch(ogs, distance)
@@ -333,6 +328,48 @@ class TestStoreAttachedSketch:
         assert hit_sig(loaded.knn(q, 5, search_budget=30)) \
             == hit_sig(index.knn(q, 5, search_budget=30))
 
+    #: The sketch settings a 13.x store recorded in its sketch meta.
+    RECORDED_13X = {"num_pivots": 8, "sig_length": 16, "grid": 4,
+                    "heading_sectors": 8, "vote_share": 0.25,
+                    "pivot_sample_size": 256, "seed": 0, "block_rows": 4096}
+
+    @pytest.mark.parametrize("setting, value", [
+        (None, None), ("num_pivots", 3)])
+    def test_recorded_sketch_settings_must_be_the_constants(
+            self, tmp_path, caplog, setting, value):
+        """A 13.x sketch meta that recorded the constants reads as
+        before; one that recorded another value is a malformed payload:
+        ``load_sketch`` raises and a tree load warns and rebuilds the
+        tier, answering like a fresh build."""
+        ogs = corpus(40, seed=57)
+        store, index = store_with_sketch(tmp_path, ogs, name="s")
+        recorded = dict(self.RECORDED_13X)
+        if setting is not None:
+            recorded[setting] = value
+
+        def record(header):
+            meta = json.loads(header["meta"]["sketch_meta"])
+            header["meta"]["sketch_meta"] = json.dumps(
+                {**meta, "config": recorded})
+        store_layout.rewrite_segment(tmp_path / "s.strg", 0, record)
+        queries = corpus(3, seed=58)
+        if setting is None:
+            [sketch] = store.load_sketch()
+            for q in queries:
+                assert hit_sig(budgeted_knn(sketch, sketch.replay_distance,
+                                            q, 5, 30)) \
+                    == hit_sig(index.knn(q, 5, search_budget=30))
+            return
+        with pytest.raises(IndexCorruptionError, match=setting):
+            store.load_sketch()
+        with caplog.at_level("WARNING"):
+            loaded = store.load_index(mmap=True)
+        assert loaded.shards[0]._sketches is None
+        assert "unreadable sketch payload" in caplog.text
+        for q in queries:
+            assert hit_sig(loaded.knn(q, 5, search_budget=30)) \
+                == hit_sig(index.knn(q, 5, search_budget=30))
+
     def test_store_without_sketch_returns_none(self, tmp_path):
         index = STRGIndex(STRGIndexConfig(n_clusters=3))
         index.build(corpus(30, seed=61))  # no budgeted query -> no sketch
@@ -408,8 +445,6 @@ class TestRowReader:
         assert reader.is_alive(int(np.flatnonzero(mask)[0]))
 
     def test_lazy_rows_lru_caches_records(self, tmp_path, monkeypatch):
-        from repro.search import sketch as sketch_mod
-
         ogs = corpus(25, seed=94)
         store, _ = store_with_sketch(tmp_path, ogs, name="lru")
         monkeypatch.setattr(sketch_mod, "ROW_CACHE_SIZE", 2)
@@ -503,7 +538,7 @@ class TestDatabaseOutOfCore:
             == pairs_computed(
                 lambda q: loaded.knn(q, 5, search_budget=30), queries)
         # A budget covering every part's rows and pivots is exact.
-        generous = len(ogs) * (1 + SketchConfig().num_pivots)
+        generous = len(ogs) * (1 + sketch_mod.NUM_PIVOTS)
         for q in queries[:3]:
             assert db_sig(opened.knn(q, 5, search_budget=generous)) \
                 == db_sig(db.knn(q, 5))

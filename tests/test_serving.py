@@ -21,7 +21,6 @@ from repro.resilience import FaultInjector, injected
 from repro.serving import (
     HttpSender,
     LiveIndex,
-    LiveIndexConfig,
     NetConfig,
     NetFrontend,
     QueryService,
@@ -249,12 +248,6 @@ class TestLiveIndex:
         before = live.snapshot
         assert live.compact() is before
 
-    def test_auto_compact(self, corpus):
-        live = LiveIndex(_sharded(corpus[:16], 2, "hash"),
-                         LiveIndexConfig(auto_compact_threshold=4))
-        live.bulk_insert(corpus[16:20])
-        assert live.version == 2 and len(live) == 20
-
     def test_monolithic_index_works_too(self, mono, queries):
         import copy
 
@@ -439,8 +432,6 @@ class TestDatabaseIntegration:
             ServiceConfig(queue_depth=0)
         with pytest.raises(InvalidParameterError):
             ServiceConfig(default_deadline=0.0)
-        with pytest.raises(InvalidParameterError):
-            LiveIndexConfig(auto_compact_threshold=0)
 
 
 class TestServingCLI:
