@@ -81,7 +81,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = [
     "EGED",

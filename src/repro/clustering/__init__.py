@@ -13,23 +13,20 @@
   distortion, and precision/recall for retrieval results.
 """
 
-from repro.clustering.centroid import weighted_mean_og, synthesize_centroid
+from repro.clustering.centroid import weighted_mean_og
 from repro.clustering.base import ClusteringResult
 from repro.clustering.em import EMClustering, EMConfig
 from repro.clustering.kmeans import KMeansClustering, KMeansConfig
 from repro.clustering.khm import KHMClustering, KHMConfig
 from repro.clustering.bic import bic_score, bic_curve, select_num_clusters
-from repro.clustering.xmeans import XMeansClustering, XMeansConfig
 from repro.clustering.evaluation import (
     clustering_error_rate,
     distortion,
     precision_recall,
 )
-from repro.clustering.silhouette import silhouette_samples, silhouette_score
 
 __all__ = [
     "weighted_mean_og",
-    "synthesize_centroid",
     "ClusteringResult",
     "EMClustering",
     "EMConfig",
@@ -40,11 +37,7 @@ __all__ = [
     "bic_score",
     "bic_curve",
     "select_num_clusters",
-    "XMeansClustering",
-    "XMeansConfig",
     "clustering_error_rate",
     "distortion",
     "precision_recall",
-    "silhouette_samples",
-    "silhouette_score",
 ]

@@ -63,10 +63,6 @@ class ClusteringResult:
         """Indices of OGs assigned to cluster ``k``."""
         return np.where(self.assignments == k)[0]
 
-    def total_seconds(self) -> float:
-        """Total clustering wall-clock time."""
-        return float(sum(self.iteration_seconds))
-
 
 def validate_inputs(ogs: Sequence, k: int) -> list[np.ndarray]:
     """Normalize the input OGs to value series and validate ``K``."""

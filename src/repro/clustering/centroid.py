@@ -75,9 +75,3 @@ def weighted_mean_og(series: Sequence[np.ndarray],
         acc += wi * resample_series(a, length)
     return acc / total
 
-
-def synthesize_centroid(series: Sequence[np.ndarray],
-                        weights: Sequence[float] | None = None) -> np.ndarray:
-    """Alias of :func:`weighted_mean_og` with the default target length —
-    the operation Section 5.2 calls "synthesize a centroid OG"."""
-    return weighted_mean_og(series, weights)

@@ -41,11 +41,6 @@ class MotionPattern:
     object_size: float
     length_range: tuple[int, int] = (24, 48)
 
-    def path_length(self) -> float:
-        """Total Euclidean length of the waypoint polyline."""
-        pts = np.asarray(self.waypoints, dtype=np.float64)
-        return float(np.sum(np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))))
-
     def generate(self, length: int) -> np.ndarray:
         """Sample ``length`` positions along the path, shape ``(length, 2)``."""
         if length < 1:

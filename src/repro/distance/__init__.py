@@ -3,8 +3,8 @@
 The central contribution is :class:`~repro.distance.eged.EGED` (Definition 9
 of the paper) with its metric specialization (Theorem 2).  The module also
 implements every baseline the paper evaluates against: Dynamic Time Warping,
-Longest Common Subsequence, Edit distance with Real Penalty, plain edit
-distance and the Lp norms.
+Longest Common Subsequence, Edit distance with Real Penalty and the Lp
+norms.
 """
 
 from repro.distance.base import (
@@ -34,13 +34,8 @@ from repro.distance.lp import LpDistance, lp_distance
 from repro.distance.dtw import DTW, dtw
 from repro.distance.lcs import LCSDistance, lcs_length, lcs_distance
 from repro.distance.erp import ERP, erp
-from repro.distance.edit import EditDistance, edit_distance
 from repro.distance.eged import EGED, MetricEGED, eged
-from repro.distance.bounds import (
-    gap_mass,
-    eged_metric_lower_bound,
-    NormIndex,
-)
+from repro.distance.bounds import gap_mass, eged_metric_lower_bound
 from repro.distance.edr import EDRDistance, edr, edr_distance
 from repro.distance.frechet import FrechetDistance, discrete_frechet
 from repro.distance.subsequence import SubsequenceMatch, eged_subsequence
@@ -72,14 +67,11 @@ __all__ = [
     "lcs_distance",
     "ERP",
     "erp",
-    "EditDistance",
-    "edit_distance",
     "EGED",
     "MetricEGED",
     "eged",
     "gap_mass",
     "eged_metric_lower_bound",
-    "NormIndex",
     "EDRDistance",
     "edr",
     "edr_distance",

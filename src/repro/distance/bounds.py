@@ -60,31 +60,3 @@ def pivot_lower_bounds(query_pd: np.ndarray,
         return np.zeros(corpus_pd.shape[0], dtype=np.float64)
     return np.abs(corpus_pd - query_pd.reshape(1, -1)).max(axis=1)
 
-
-class NormIndex:
-    """Precomputed gap masses for a collection, for batch pre-filtering.
-
-    Typical use: before running exact k-NN over a candidate list, discard
-    every candidate whose lower bound already exceeds the current k-th
-    best distance.
-    """
-
-    def __init__(self, items, gap: float | np.ndarray = 0.0):
-        self.items = list(items)
-        self.gap = gap
-        self._masses = np.array(
-            [gap_mass(item, gap) for item in self.items], dtype=np.float64
-        )
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def lower_bounds(self, query: SeriesLike) -> np.ndarray:
-        """Lower bound of the distance from ``query`` to every item."""
-        return np.abs(self._masses - gap_mass(query, self.gap))
-
-    def candidates_within(self, query: SeriesLike, radius: float
-                          ) -> list[int]:
-        """Indices whose lower bound does not exceed ``radius``."""
-        bounds = self.lower_bounds(query)
-        return [int(i) for i in np.where(bounds <= radius)[0]]

@@ -37,12 +37,6 @@ class NodeAttributes:
         if self.size < 1:
             raise InvalidParameterError(f"region size must be >= 1, got {self.size}")
 
-    def as_vector(self) -> np.ndarray:
-        """Flat feature vector ``[size, r, g, b, cx, cy]`` (float64)."""
-        return np.array(
-            [self.size, *self.color, *self.centroid], dtype=np.float64
-        )
-
     def color_distance(self, other: "NodeAttributes") -> float:
         """Euclidean distance between mean colors."""
         a = np.asarray(self.color, dtype=np.float64)

@@ -151,16 +151,6 @@ class SpatioTemporalRegionGraph:
                 sub.add_temporal_edge(src, dst, attrs)
         return sub
 
-    def is_linear_chain(self) -> bool:
-        """Whether this graph is an ORG-shaped chain: no spatial edges and
-        every node having at most one temporal predecessor/successor."""
-        if any(rag.number_of_edges() for rag in self._rags):
-            return False
-        for key in self.nodes():
-            if len(self.successors(key)) > 1 or len(self.predecessors(key)) > 1:
-                return False
-        return True
-
     def size_bytes(self) -> int:
         """Approximate footprint of the raw STRG — Equation (9)'s left side.
 

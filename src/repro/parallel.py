@@ -29,6 +29,11 @@ from repro.errors import InvalidParameterError
 from repro.observability import OBS
 
 
+#: Chunks handed to each pool worker: more than one lets a worker that
+#: finishes early take another slice.
+CHUNKS_PER_WORKER = 2
+
+
 def usable_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware)."""
     try:
@@ -72,9 +77,7 @@ def _run_chunk(fn: Callable[[int, list], list], start: int,
 
 
 def ordered_chunk_map(fn: Callable[[int, list], list], items: Sequence,
-                      *, workers: int | None = None,
-                      chunks_per_worker: int = 2,
-                      force_pool: bool = False):
+                      *, workers: int | None = None):
     """Map ``fn`` over contiguous chunks of ``items``, yielding per-item
     results **in item order**.
 
@@ -90,29 +93,22 @@ def ordered_chunk_map(fn: Callable[[int, list], list], items: Sequence,
     Chunking never changes results: ``fn`` sees the same ``(start,
     chunk)`` slices on the serial path, which is used when ``workers``
     (resolved against :func:`usable_cpus`) is 1 — or when the machine
-    only exposes one core, where a pool is pure overhead.  ``force_pool``
-    overrides that guard so tests can exercise the pool path anywhere.
+    only exposes one core, where a pool is pure overhead.
     """
-    if chunks_per_worker < 1:
-        raise InvalidParameterError(
-            f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-        )
     if workers is not None and workers < 0:
         raise InvalidParameterError(f"workers must be >= 0, got {workers}")
     n = len(items)
     requested = usable_cpus() if workers in (None, 0) else workers
-    effective = requested if force_pool else min(requested, usable_cpus())
-    use_pool = n > 1 and (effective > 1 or (force_pool and requested > 1))
-    if not use_pool:
+    effective = min(requested, usable_cpus())
+    if n <= 1 or effective <= 1:
         with OBS.span("parallel.map", items=n, mode="serial"):
             for start, stop in chunk_bounds(n, max(1, requested)):
                 yield from fn(start, list(items[start:stop]))
         return
-    with OBS.span("parallel.map", items=n, mode="pool",
-                  workers=max(2, effective)):
-        slices = chunk_bounds(n, max(2, effective) * chunks_per_worker)
+    with OBS.span("parallel.map", items=n, mode="pool", workers=effective):
+        slices = chunk_bounds(n, effective * CHUNKS_PER_WORKER)
         abandoned = multiprocessing.Event()
-        pool = ProcessPoolExecutor(max_workers=max(2, effective),
+        pool = ProcessPoolExecutor(max_workers=effective,
                                    initializer=_adopt_flag,
                                    initargs=(abandoned,))
         try:

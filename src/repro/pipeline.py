@@ -105,9 +105,8 @@ class VideoPipeline:
         #: pipeline like any other queryable source).
         self.index: STRGIndex | None = None
 
-    def build_strg(self, video: VideoSegment,
-                   workers: int | None = None,
-                   force_pool: bool = False) -> SpatioTemporalRegionGraph:
+    def build_strg(self, video: VideoSegment, workers: int | None = None
+                   ) -> SpatioTemporalRegionGraph:
         """Segment every frame and assemble the STRG (Sections 2.1-2.2).
 
         The ``segmentation`` (per frame) and ``tracking`` (per segment)
@@ -122,17 +121,14 @@ class VideoPipeline:
         Results are **bit-identical** at any worker count: every fault
         hook fires in this process, in frame order, *before* the fan-out
         (same hook/RNG sequence as serial), and the pure per-frame
-        kernels are chunking-invariant.  ``force_pool`` exercises the
-        pool even on single-core machines (for tests — a pool there is
-        overhead, not speedup).
+        kernels are chunking-invariant.
         """
         if workers is not None and workers < 0:
             raise InvalidParameterError(
                 f"workers must be >= 0, got {workers}"
             )
         n = video.num_frames
-        parallel = (workers is not None and workers > 1) or force_pool
-        if not parallel:
+        if workers is None or workers <= 1:
             with OBS.span("pipeline.segmentation", segment=video.name,
                           frames=n):
                 rags = []
@@ -160,22 +156,19 @@ class VideoPipeline:
             maybe_fail("tracking", segment=video.name)
             rag_stream = ordered_chunk_map(
                 partial(_segment_chunk, self.config.segmenter), frames,
-                workers=workers, force_pool=force_pool,
-            )
+                workers=workers)
             return self._tracker.track_stream(rag_stream)
 
-    def decompose(self, video: VideoSegment,
-                  workers: int | None = None,
-                  force_pool: bool = False) -> STRGDecomposition:
+    def decompose(self, video: VideoSegment, workers: int | None = None
+                  ) -> STRGDecomposition:
         """Full decomposition of a segment into OGs + BG (Section 2.3)."""
-        strg = self.build_strg(video, workers=workers, force_pool=force_pool)
+        strg = self.build_strg(video, workers=workers)
         with OBS.span("pipeline.decomposition", segment=video.name):
             maybe_fail("decomposition", segment=video.name)
             return decompose(strg, self.config.decomposition)
 
     def process_clip(self, video: VideoSegment, *,
-                     workers: int | None = None,
-                     force_pool: bool = False) -> ClipResult:
+                     workers: int | None = None) -> ClipResult:
         """The reusable per-clip ingest entry point: decompose + refs.
 
         Runs the full extraction (segment → track → decompose) once and
@@ -184,8 +177,7 @@ class VideoPipeline:
         propagate unchanged: retrying and quarantining a clip is
         :class:`~repro.serving.ingest.IngestService`'s job.
         """
-        decomposition = self.decompose(video, workers=workers,
-                                       force_pool=force_pool)
+        decomposition = self.decompose(video, workers=workers)
         refs = [
             {"video": video.name, "og": og.og_id}
             for og in decomposition.object_graphs

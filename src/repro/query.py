@@ -161,22 +161,6 @@ class Query:
 
         return self.where(predicate)
 
-    def through_region(self, x0: float, y0: float, x1: float, y1: float
-                       ) -> "Query":
-        """Trajectory has at least one node inside the rectangle."""
-        if x0 > x1 or y0 > y1:
-            raise InvalidParameterError("empty region")
-
-        def predicate(og: ObjectGraph) -> bool:
-            xy = og.values[:, :2]
-            inside = (
-                (xy[:, 0] >= x0) & (xy[:, 0] <= x1)
-                & (xy[:, 1] >= y0) & (xy[:, 1] <= y1)
-            )
-            return bool(inside.any())
-
-        return self.where(predicate)
-
     def limit(self, k: int) -> "Query":
         """Cap the number of results (``0`` legally yields no results)."""
         if k < 0:

@@ -31,11 +31,7 @@ from repro.resilience.policy import (
     QuarantineRecord,
     quarantine_record,
 )
-from repro.resilience.retry import (
-    RetryPolicy,
-    backoff_schedule,
-    call_with_retry,
-)
+from repro.resilience.retry import RetryPolicy, call_with_retry
 
 __all__ = [
     "INJECTION_POINTS",
@@ -48,7 +44,6 @@ __all__ = [
     "RECOVERABLE_ERRORS",
     "RetryPolicy",
     "active",
-    "backoff_schedule",
     "call_with_retry",
     "injected",
     "install",

@@ -70,11 +70,6 @@ class RetryPolicy:
             delay *= self.multiplier
 
 
-def backoff_schedule(policy: RetryPolicy) -> list[float]:
-    """Materialized delay schedule of ``policy`` (for tests/telemetry)."""
-    return list(policy.delays())
-
-
 def call_with_retry(fn: Callable[[], T],
                     policy: RetryPolicy | None = None, *,
                     retryable: tuple[type[BaseException], ...] = (Exception,),

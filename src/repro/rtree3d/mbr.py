@@ -43,10 +43,6 @@ class MBR3:
             out *= hi - lo
         return out
 
-    def margin(self) -> float:
-        """Sum of edge lengths."""
-        return sum(hi - lo for lo, hi in zip(self.mins, self.maxs))
-
     def union(self, other: "MBR3") -> "MBR3":
         """Smallest box covering both."""
         return MBR3(

@@ -41,6 +41,14 @@ def _integer(value: Any, name: str) -> int:
             f"{name} must be an integer, got {value!r}") from None
 
 
+def _flag(value: Any, name: str) -> bool:
+    """``value`` if it is a ``bool``; strings and numbers are rejected
+    rather than coerced (``"false"`` is truthy)."""
+    if not isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class SearchRequest:
     """One k-NN or range query, validated at construction.
@@ -90,7 +98,7 @@ class SearchRequest:
         _check_query(query)
         return cls("knn", query, k=k, background=background,
                    n_probe=n_probe, search_budget=search_budget,
-                   prune_bound=prune_bound, degrade=bool(degrade))
+                   prune_bound=prune_bound, degrade=_flag(degrade, "degrade"))
 
     @classmethod
     def range(cls, query: Any, radius: float, *, background: Any = None,
@@ -106,7 +114,7 @@ class SearchRequest:
                 f"radius must be >= 0, got {radius}")
         _check_query(query)
         return cls("range", query, radius=radius, background=background,
-                   degrade=bool(degrade))
+                   degrade=_flag(degrade, "degrade"))
 
     @property
     def series(self) -> np.ndarray:

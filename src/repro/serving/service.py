@@ -77,7 +77,7 @@ class ServiceConfig:
             raise InvalidParameterError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
             )
-        if self.default_deadline is not None and self.default_deadline <= 0:
+        if self.default_deadline is not None and not self.default_deadline > 0:
             raise InvalidParameterError(
                 f"default_deadline must be > 0, got {self.default_deadline}"
             )
@@ -130,7 +130,7 @@ class QueryService:
         """
         if deadline is None:
             deadline = self.config.default_deadline
-        if deadline is not None and deadline <= 0:
+        if deadline is not None and not deadline > 0:
             raise InvalidParameterError(
                 f"deadline must be > 0 seconds, got {deadline}"
             )

@@ -6,7 +6,7 @@ this package provides:
 
 - :mod:`repro.video.frames` — ``VideoSegment`` containers over numpy
   ``(T, H, W, 3)`` arrays with NPZ persistence.
-- :mod:`repro.video.color` — RGB/LUV/grayscale conversions.
+- :mod:`repro.video.color` — RGB to CIE L*u*v* conversion.
 - :mod:`repro.video.segmentation` — a pure-numpy mean-shift segmenter
   (EDISON substitute) and a fast quantizing segmenter for large sweeps.
 - :mod:`repro.video.regions` — region statistics, adjacency extraction and
@@ -17,7 +17,7 @@ this package provides:
 """
 
 from repro.video.frames import VideoSegment
-from repro.video.color import rgb_to_luv, rgb_to_gray
+from repro.video.color import rgb_to_luv
 from repro.video.segmentation import (
     MeanShiftSegmenter,
     GridSegmenter,
@@ -33,11 +33,7 @@ from repro.video.shots import (
     detect_shot_boundaries,
     split_into_shots,
 )
-from repro.video.visualize import (
-    render_label_image,
-    render_trajectories,
-    describe_rag,
-)
+from repro.video.visualize import render_trajectories
 from repro.video.synthesize import (
     Actor,
     BackgroundSpec,
@@ -51,7 +47,6 @@ from repro.video.synthesize import (
 __all__ = [
     "VideoSegment",
     "rgb_to_luv",
-    "rgb_to_gray",
     "MeanShiftSegmenter",
     "GridSegmenter",
     "Segmenter",
@@ -68,7 +63,5 @@ __all__ = [
     "ShotDetectorConfig",
     "detect_shot_boundaries",
     "split_into_shots",
-    "render_label_image",
     "render_trajectories",
-    "describe_rag",
 ]

@@ -23,12 +23,6 @@ _UN = 4.0 * _WHITE[0] / (_WHITE[0] + 15.0 * _WHITE[1] + 3.0 * _WHITE[2])
 _VN = 9.0 * _WHITE[1] / (_WHITE[0] + 15.0 * _WHITE[1] + 3.0 * _WHITE[2])
 
 
-def rgb_to_gray(image: np.ndarray) -> np.ndarray:
-    """Luma grayscale (Rec. 601 weights), same dtype range as input."""
-    img = np.asarray(image, dtype=np.float64)
-    return img[..., 0] * 0.299 + img[..., 1] * 0.587 + img[..., 2] * 0.114
-
-
 def rgb_to_luv(image: np.ndarray) -> np.ndarray:
     """Convert an ``(..., 3)`` uint8/float RGB image to CIE-LUV (float64).
 

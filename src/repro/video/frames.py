@@ -48,11 +48,6 @@ class VideoSegment:
         """Frame width in pixels."""
         return self.frames.shape[2]
 
-    @property
-    def duration_seconds(self) -> float:
-        """Wall-clock duration implied by the frame rate."""
-        return self.num_frames / self.fps
-
     def frame(self, index: int) -> np.ndarray:
         """The ``(H, W, 3)`` frame at ``index``."""
         return self.frames[index]

@@ -1,9 +1,8 @@
 """Terminal-friendly visualization helpers.
 
-The paper's Figures 1-3 show frames, segmentations and STRGs; these
-helpers give a dependency-free approximation for REPL and example use:
-ASCII renderings of label images and trajectory sets, and a one-line
-textual summary of a RAG.
+The paper's Figures 1-3 show frames, segmentations and STRGs; this
+module gives a dependency-free approximation for REPL and example use:
+an ASCII rendering of a set of trajectories.
 """
 
 from __future__ import annotations
@@ -13,33 +12,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.graph.rag import RegionAdjacencyGraph
 
-#: Glyphs cycled over regions / trajectories.
+#: Glyphs cycled over trajectories.
 _GLYPHS = "#@%*+=o·:ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def render_label_image(labels: np.ndarray, max_width: int = 72) -> str:
-    """ASCII rendering of a segmentation label image.
-
-    Each region id gets a glyph; the image is downsampled to fit
-    ``max_width`` columns.
-    """
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise InvalidParameterError(
-            f"label image must be 2-D, got shape {labels.shape}"
-        )
-    h, w = labels.shape
-    step = max(1, int(np.ceil(w / max_width)))
-    sampled = labels[::step * 2, ::step]  # terminal cells are ~2x tall
-    ids = {int(v): i for i, v in enumerate(np.unique(sampled))}
-    lines = []
-    for row in sampled:
-        lines.append("".join(
-            _GLYPHS[ids[int(v)] % len(_GLYPHS)] for v in row
-        ))
-    return "\n".join(lines)
 
 
 def render_trajectories(ogs: Sequence, width: int = 64, height: int = 24,
@@ -75,20 +50,3 @@ def render_trajectories(ogs: Sequence, width: int = 64, height: int = 24,
                 canvas[row][col] = "S" if j == 0 else glyph
     return "\n".join("".join(row) for row in canvas)
 
-
-def describe_rag(rag: RegionAdjacencyGraph, top: int = 5) -> list[str]:
-    """Textual summary of a RAG: counts plus its largest regions."""
-    lines = [
-        f"RAG(frame={rag.frame_index}): {len(rag)} regions, "
-        f"{rag.number_of_edges()} spatial edges"
-    ]
-    by_size = sorted(rag.nodes(), key=lambda n: -rag.node_attrs(n).size)
-    for node in by_size[:top]:
-        attrs = rag.node_attrs(node)
-        r, g, b = (int(c) for c in attrs.color)
-        lines.append(
-            f"  region {node}: {attrs.size} px, color=({r},{g},{b}), "
-            f"centroid=({attrs.centroid[0]:.1f}, {attrs.centroid[1]:.1f}), "
-            f"degree={rag.degree(node)}"
-        )
-    return lines

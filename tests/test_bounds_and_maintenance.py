@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.index import STRGIndex, STRGIndexConfig
-from repro.distance.bounds import NormIndex, eged_metric_lower_bound, gap_mass
+from repro.distance.bounds import eged_metric_lower_bound, gap_mass
 from repro.distance.eged import MetricEGED
 from repro.errors import IndexStateError
 from repro.graph.object_graph import ObjectGraph
@@ -58,27 +58,6 @@ class TestLowerBound:
         a = rng.normal(size=(6, 1))
         b = rng.normal(size=(9, 1))
         assert eged_metric_lower_bound(a, b, gap=5.0) <= d(a, b) + 1e-9
-
-
-class TestNormIndex:
-    def test_prefilter_keeps_all_true_neighbors(self, rng):
-        d = MetricEGED()
-        items = [rng.normal(size=(int(rng.integers(3, 9)), 2)) * 10
-                 for _ in range(30)]
-        norm_index = NormIndex(items)
-        query = rng.normal(size=(5, 2)) * 10
-        radius = 40.0
-        survivors = set(norm_index.candidates_within(query, radius))
-        truth = {i for i, item in enumerate(items) if d(query, item) <= radius}
-        assert truth <= survivors  # no false dismissals
-
-    def test_prefilter_discards_something(self, rng):
-        items = [np.full((4, 2), v) for v in (0.0, 1000.0)]
-        norm_index = NormIndex(items)
-        assert norm_index.candidates_within(np.zeros((4, 2)), 10.0) == [0]
-
-    def test_len(self):
-        assert len(NormIndex([np.zeros((2, 2))])) == 1
 
 
 class TestIndexDeletion:

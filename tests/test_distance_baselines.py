@@ -1,4 +1,4 @@
-"""Tests for the DTW / LCS / ERP / edit-distance / Lp baselines."""
+"""Tests for the DTW / LCS / ERP / Lp baselines."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.distance.base import check_metric_axioms
 from repro.distance.dtw import DTW, dtw
-from repro.distance.edit import EditDistance, edit_distance
 from repro.distance.erp import ERP, erp
 from repro.distance.lcs import LCSDistance, lcs_distance, lcs_length
 from repro.distance.lp import LpDistance, lp_distance
@@ -175,37 +174,6 @@ class TestERP:
     def test_negative_band_rejected(self):
         with pytest.raises(ValueError):
             erp(np.ones((2, 1)), np.ones((2, 1)), band=-1)
-
-
-class TestEditDistance:
-    def test_identical_zero(self):
-        a = np.arange(5, dtype=float).reshape(-1, 1)
-        assert edit_distance(a, a) == 0
-
-    def test_classic_levenshtein(self):
-        # "kitten" -> "sitting" analogue with numeric codes: distance 3.
-        kitten = np.array([10, 8, 19, 19, 4, 13], dtype=float).reshape(-1, 1)
-        sitting = np.array([18, 8, 19, 19, 8, 13, 6], dtype=float).reshape(-1, 1)
-        assert edit_distance(kitten, sitting) == 3
-
-    def test_length_difference_lower_bound(self, rng):
-        a = rng.normal(size=(3, 1))
-        b = rng.normal(size=(9, 1))
-        assert edit_distance(a, b) >= 6
-
-    def test_tolerance_reduces_distance(self):
-        a = np.array([[0.0], [1.0]])
-        b = np.array([[0.3], [1.3]])
-        assert edit_distance(a, b, tolerance=0.0) == 2
-        assert edit_distance(a, b, tolerance=0.5) == 0
-
-    def test_metric_flag(self):
-        assert EditDistance(0.0).is_metric
-        assert not EditDistance(1.0).is_metric
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            edit_distance(np.ones((1, 1)), np.ones((1, 1)), tolerance=-1.0)
 
 
 class TestLp:

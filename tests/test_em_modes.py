@@ -67,15 +67,13 @@ class TestCustomDistances:
 
     def test_distance_names(self):
         from repro.distance import (
-            DTW, EGED, EditDistance, ERP, LCSDistance, LpDistance,
-            MetricEGED,
+            DTW, EGED, ERP, LCSDistance, LpDistance, MetricEGED,
         )
         names = {
             EGED().name, MetricEGED().name, DTW().name,
-            LCSDistance().name, ERP().name, EditDistance().name,
-            LpDistance().name,
+            LCSDistance().name, ERP().name, LpDistance().name,
         }
-        assert len(names) == 7  # all distinct, human-readable identifiers
+        assert len(names) == 6  # all distinct, human-readable identifiers
 
 
 class TestDeterminism:

@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.parallel
 from repro.errors import InvalidParameterError
 from repro.graph.tracking import GraphTracker
 from repro.parallel import chunk_bounds, ordered_chunk_map, usable_cpus
@@ -300,6 +301,13 @@ class TestMeanShiftFilter:
         assert new.max() >= 0
 
 
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Let the pool run at the requested width on any host (the guard
+    that keeps a one-core machine serial reads ``usable_cpus``)."""
+    monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 8)
+
+
 class TestOrderedChunkMap:
     @staticmethod
     def _double(start, chunk):
@@ -311,35 +319,37 @@ class TestOrderedChunkMap:
         assert out == [(i, 2 * i) for i in range(20)]
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_pool_matches_serial(self, workers):
+    def test_pool_matches_serial(self, workers, many_cpus):
         items = list(range(23))
         serial = list(ordered_chunk_map(self._double, items, workers=1))
         pooled = list(ordered_chunk_map(self._double, items,
-                                        workers=workers, force_pool=True))
+                                        workers=workers))
         assert pooled == serial
 
-    def test_worker_error_propagates(self):
+    def test_worker_error_propagates(self, many_cpus):
         with pytest.raises(ZeroDivisionError):
             list(ordered_chunk_map(_chunk_that_raises, [1, 0, 2],
-                                   workers=2, force_pool=True))
+                                   workers=2))
 
-    def test_worker_error_does_not_wait_for_queued_chunks(self):
+    def test_worker_error_does_not_wait_for_queued_chunks(
+            self, many_cpus, monkeypatch):
         # Chunk 0 fails at once with 7 half-second chunks behind it on 2
         # workers: only the chunk already running may finish first.
+        monkeypatch.setattr(repro.parallel, "CHUNKS_PER_WORKER", 4)
         started = time.monotonic()
         with pytest.raises(ZeroDivisionError):
             list(ordered_chunk_map(_slow_unless_first, list(range(8)),
-                                   workers=2, chunks_per_worker=4,
-                                   force_pool=True))
+                                   workers=2))
         assert time.monotonic() - started < 2 * CHUNK_SECONDS
         with pytest.raises(ZeroDivisionError):  # serial: raises as before
             list(ordered_chunk_map(_slow_unless_first, [0], workers=1))
 
-    def test_closing_early_does_not_wait_for_queued_chunks(self):
+    def test_closing_early_does_not_wait_for_queued_chunks(
+            self, many_cpus, monkeypatch):
+        monkeypatch.setattr(repro.parallel, "CHUNKS_PER_WORKER", 4)
         started = time.monotonic()
         results = ordered_chunk_map(_slow_unless_last, list(range(8)),
-                                    workers=2, chunks_per_worker=4,
-                                    force_pool=True)
+                                    workers=2)
         assert next(results) == 0
         results.close()
         assert time.monotonic() - started < 2 * CHUNK_SECONDS
@@ -347,8 +357,6 @@ class TestOrderedChunkMap:
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             list(ordered_chunk_map(self._double, [1], workers=-1))
-        with pytest.raises(InvalidParameterError):
-            list(ordered_chunk_map(self._double, [1], chunks_per_worker=0))
 
     def test_empty_items(self):
         assert list(ordered_chunk_map(self._double, [], workers=4)) == []
@@ -429,15 +437,15 @@ class TestParallelPipeline:
         b = tracker.track_stream(iter(rags))
         assert _strg_signature(a) == _strg_signature(b)
 
-    def test_workers_do_not_change_strg(self, traffic_video):
+    def test_workers_do_not_change_strg(self, traffic_video, monkeypatch):
         serial = VideoPipeline().build_strg(traffic_video)
         w2 = VideoPipeline().build_strg(traffic_video, workers=2)
-        pooled = VideoPipeline().build_strg(traffic_video, workers=3,
-                                            force_pool=True)
+        monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 8)
+        pooled = VideoPipeline().build_strg(traffic_video, workers=3)
         assert _strg_signature(serial) == _strg_signature(w2)
         assert _strg_signature(serial) == _strg_signature(pooled)
 
-    def test_workers_do_not_change_meanshift_strg(self):
+    def test_workers_do_not_change_meanshift_strg(self, many_cpus):
         from repro.datasets.real import render_stream_segment
 
         video = render_stream_segment("Traffic1", num_frames=3,
@@ -446,8 +454,7 @@ class TestParallelPipeline:
             spatial_bandwidth=2, range_bandwidth=10.0, max_iterations=2,
             min_region_size=16))
         serial = VideoPipeline(config).build_strg(video)
-        pooled = VideoPipeline(config).build_strg(video, workers=2,
-                                                  force_pool=True)
+        pooled = VideoPipeline(config).build_strg(video, workers=2)
         assert _strg_signature(serial) == _strg_signature(pooled)
 
     def test_negative_workers_rejected(self, traffic_video):

@@ -531,6 +531,7 @@ class TestHttpFrontend:
             {"query": query, "k": None},
             {"query": query, "k": K, "search_budget": "lots"},
             {"query": query, "k": K, "deadline": "soon"},
+            {"query": query, "k": K, "deadline": float("nan")},
         ):
             status, body = self.post(frontend, "/knn", payload)
             assert status == 400, (payload, body)

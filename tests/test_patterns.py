@@ -97,10 +97,6 @@ class TestPatternGeneration:
             length = p.sample_length(rng)
             assert p.length_range[0] <= length <= p.length_range[1]
 
-    def test_path_length_positive(self):
-        for p in ALL_PATTERNS:
-            assert p.path_length() > 0
-
     def test_distinct_patterns_have_distinct_paths(self):
         paths = [p.generate(16).tobytes() for p in ALL_PATTERNS]
         assert len(set(paths)) == 48

@@ -58,11 +58,6 @@ class TestPredicates:
         early = Query(database).between_frames(0, 50).run()
         assert {r.og.label for r in early} == {0, 1}
 
-    def test_through_region(self, db):
-        database, _ = db
-        top_left = Query(database).through_region(0, 0, 30, 30).run()
-        assert [r.og.label for r in top_left] == [0]
-
     def test_chained_predicates_intersect(self, db):
         database, _ = db
         hits = (Query(database)
@@ -156,5 +151,3 @@ class TestValidation:
         database, _ = db
         with pytest.raises(InvalidParameterError):
             Query(database).between_frames(10, 5)
-        with pytest.raises(InvalidParameterError):
-            Query(database).through_region(5, 5, 0, 0)

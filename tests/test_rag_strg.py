@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import GraphStructureError
@@ -23,12 +22,6 @@ def node(size=10, color=(100, 100, 100), centroid=(0.0, 0.0)):
 
 
 class TestNodeAttributes:
-    def test_vector_layout(self):
-        attrs = node(5, (1, 2, 3), (4.0, 6.0))
-        np.testing.assert_array_equal(
-            attrs.as_vector(), [5, 1, 2, 3, 4.0, 6.0]
-        )
-
     def test_invalid_size(self):
         with pytest.raises(InvalidParameterError):
             NodeAttributes(size=0, color=(0, 0, 0), centroid=(0, 0))
@@ -236,12 +229,6 @@ class TestTemporalSubgraph:
         strg = self.build()
         with pytest.raises(GraphStructureError):
             strg.temporal_subgraph([(0, 99)])
-
-    def test_org_shape_detection(self):
-        strg = self.build()
-        chain = strg.temporal_subgraph([(0, 0), (1, 0), (2, 0)])
-        assert chain.is_linear_chain()
-        assert not strg.is_linear_chain()  # has spatial edges
 
     def test_attrs_preserved(self):
         strg = self.build()

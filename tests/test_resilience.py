@@ -25,7 +25,6 @@ from repro.resilience import (
     FaultInjector,
     FaultPolicy,
     RetryPolicy,
-    backoff_schedule,
     call_with_retry,
     injected,
     read_journal,
@@ -89,18 +88,17 @@ class TestRetryPolicy:
     def test_backoff_schedule_is_capped_exponential(self):
         policy = RetryPolicy(max_attempts=5, base_delay=1.0, multiplier=2.0,
                              max_delay=5.0, jitter=0.0)
-        assert backoff_schedule(policy) == [1.0, 2.0, 4.0, 5.0]
+        assert list(policy.delays()) == [1.0, 2.0, 4.0, 5.0]
 
     def test_jittered_schedule_deterministic_under_seed(self):
         policy = RetryPolicy(max_attempts=6, base_delay=0.1, jitter=0.5,
                              seed=42)
-        first = backoff_schedule(policy)
-        second = backoff_schedule(policy)
+        first = list(policy.delays())
+        second = list(policy.delays())
         assert first == second
         assert any(a != b for a, b in zip(
-            first, backoff_schedule(RetryPolicy(max_attempts=6,
-                                                base_delay=0.1, jitter=0.5,
-                                                seed=43))
+            first, RetryPolicy(max_attempts=6, base_delay=0.1, jitter=0.5,
+                               seed=43).delays()
         ))
 
     def test_succeeds_after_transient_failures(self):

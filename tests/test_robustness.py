@@ -13,7 +13,6 @@ from repro.graph.decomposition import DecompositionConfig
 from repro.pipeline import PipelineConfig, VideoPipeline
 from repro.resilience import FaultInjector, RetryPolicy, injected
 from repro.storage.database import VideoDatabase
-from repro.video.background_model import BackgroundSubtractionSegmenter
 from repro.video.segmentation import GridSegmenter, MeanShiftSegmenter
 from repro.video.synthesize import (
     Actor,
@@ -71,15 +70,6 @@ class TestSensorNoise:
         rightward = max(ogs, key=lambda og: og.values[-1, 0] - og.values[0, 0])
         assert rightward.values[-1, 0] - rightward.values[0, 0] > 30.0
 
-    def test_background_subtraction_survives_noise(self):
-        video = render_mover(noise_std=5.0)
-        segmenter = BackgroundSubtractionSegmenter(
-            threshold=40.0, min_region_size=16
-        ).fit(video)
-        pipeline = pipeline_with(segmenter)
-        ogs = pipeline.decompose(video).object_graphs
-        assert len(ogs) >= 1
-
 
 class TestLightingDrift:
     def test_slow_drift_does_not_cut_track(self):
@@ -119,12 +109,8 @@ class TestCameraJitter:
 
 
 def _segmenters():
-    """The two fast segmenters, as (name, factory(video)) pairs."""
-    return [
-        ("grid", lambda video: GridSegmenter(min_region_size=10)),
-        ("bgsub", lambda video: BackgroundSubtractionSegmenter(
-            threshold=40.0, min_region_size=16).fit(video)),
-    ]
+    """The fast segmenter, as (name, factory(video)) pairs."""
+    return [("grid", lambda video: GridSegmenter(min_region_size=10))]
 
 
 #: (scenario name, injector factory) — the degraded-input scenarios a

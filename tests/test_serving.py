@@ -432,6 +432,11 @@ class TestDatabaseIntegration:
             ServiceConfig(queue_depth=0)
         with pytest.raises(InvalidParameterError):
             ServiceConfig(default_deadline=0.0)
+        with pytest.raises(InvalidParameterError):
+            ServiceConfig(default_deadline=float("nan"))
+        with QueryService(StubBackend(), ServiceConfig(workers=1)) as service:
+            with pytest.raises(InvalidParameterError):
+                service.submit(SearchRequest.knn(QUERY, 1), float("nan"))
 
 
 class TestServingCLI:

@@ -24,8 +24,6 @@ INVENTORY = {
         "n_clusters", "max_iterations", "p", "tolerance", "seed"),
     "repro.clustering.kmeans.KMeansConfig": (
         "n_clusters", "max_iterations", "seed"),
-    "repro.clustering.xmeans.XMeansConfig": (
-        "k_min", "k_max", "max_iterations", "min_cluster_size", "seed"),
     "repro.core.index.STRGIndexConfig": (
         "leaf_capacity", "bg_similarity_threshold", "n_clusters", "k_max",
         "em_iterations", "cluster_sample_size", "seed"),
@@ -84,4 +82,4 @@ def test_settings_match_the_inventory():
 
 
 def test_inventory_size():
-    assert (len(INVENTORY), sum(map(len, INVENTORY.values()))) == (17, 81)
+    assert (len(INVENTORY), sum(map(len, INVENTORY.values()))) == (16, 76)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError, SegmentationError, StorageError
-from repro.video.color import rgb_to_gray, rgb_to_luv
+from repro.video.color import rgb_to_luv
 from repro.video.frames import VideoSegment
 from repro.video.regions import (
     rag_from_labels,
@@ -29,7 +29,6 @@ class TestVideoSegment:
         assert seg.num_frames == 5
         assert seg.height == 10
         assert seg.width == 20
-        assert seg.duration_seconds == pytest.approx(0.2)
 
     def test_invalid_shape(self):
         with pytest.raises(InvalidParameterError):
@@ -77,10 +76,6 @@ class TestVideoSegment:
 
 
 class TestColor:
-    def test_gray_weights(self):
-        white = np.full((1, 1, 3), 255, dtype=np.uint8)
-        assert rgb_to_gray(white)[0, 0] == pytest.approx(255.0)
-
     def test_luv_white_point(self):
         white = np.full((1, 1, 3), 255, dtype=np.uint8)
         luv = rgb_to_luv(white)

@@ -4,32 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.graph.attributes import NodeAttributes
 from repro.graph.object_graph import ObjectGraph
-from repro.graph.rag import RegionAdjacencyGraph
-from repro.video.visualize import (
-    describe_rag,
-    render_label_image,
-    render_trajectories,
-)
-
-
-class TestRenderLabelImage:
-    def test_distinct_regions_distinct_glyphs(self):
-        labels = np.zeros((4, 8), dtype=int)
-        labels[:, 4:] = 1
-        art = render_label_image(labels)
-        glyphs = set(art.replace("\n", ""))
-        assert len(glyphs) == 2
-
-    def test_downsamples_wide_images(self):
-        labels = np.zeros((10, 500), dtype=int)
-        art = render_label_image(labels, max_width=50)
-        assert max(len(line) for line in art.split("\n")) <= 72
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(InvalidParameterError):
-            render_label_image(np.zeros((2, 2, 3)))
+from repro.video.visualize import render_trajectories
 
 
 class TestRenderTrajectories:
@@ -69,20 +45,3 @@ class TestRenderTrajectories:
         with pytest.raises(InvalidParameterError):
             render_trajectories([og], width=1, height=1)
 
-
-class TestDescribeRag:
-    def test_summary_lines(self):
-        rag = RegionAdjacencyGraph(frame_index=3)
-        rag.add_node(0, NodeAttributes(500, (10, 20, 30), (5.0, 5.0)))
-        rag.add_node(1, NodeAttributes(100, (200, 0, 0), (20.0, 5.0)))
-        rag.add_edge(0, 1)
-        lines = describe_rag(rag)
-        assert "2 regions" in lines[0]
-        assert "1 spatial edges" in lines[0]
-        assert "region 0" in lines[1]  # largest first
-
-    def test_top_limits_output(self):
-        rag = RegionAdjacencyGraph()
-        for i in range(10):
-            rag.add_node(i, NodeAttributes(10 + i, (0, 0, 0), (float(i), 0.0)))
-        assert len(describe_rag(rag, top=3)) == 4
