@@ -27,7 +27,7 @@ The package mirrors the paper's pipeline:
 - :mod:`repro.datasets` — the paper's synthetic workload (48 motion
   patterns, Pelleg+Vlachos style) and simulated surveillance streams.
 - :mod:`repro.storage` — ``open_store`` and the columnar memory-mapped
-  ``.strg`` snapshot store (see ``docs/STORAGE.md``; 2.x NPZ archives
+  ``.strg`` snapshot store (see ``docs/STORAGE.md``; 10.x stores
   import through ``strg-index convert``), and the ``VideoDatabase``
   facade.
 - :mod:`repro.resilience` — fault injection, retry/backoff policies,
@@ -81,7 +81,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 __all__ = [
     "EGED",

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 
 from repro.pipeline import PipelineConfig
-from repro.storage.database import VideoDatabase
+from repro.storage.database import VideoDatabase, _mmap_flag
 from repro.storage.store import open_store
 
 
@@ -49,8 +49,9 @@ def open_database(path: str | os.PathLike | None = None, *,
         ``docs/STORAGE.md``).  When a store exists there, it is opened;
         otherwise a fresh database is created *bound* to that path, so
         a later ``db.save()`` needs no argument.  A 2.x ``.npz``
-        archive at the path raises ``StorageError`` naming
-        ``strg-index convert`` instead of opening empty beside it.
+        archive or an older store at the path raises ``StorageError``
+        naming ``strg-index convert`` instead of opening empty beside
+        it.
         ``None`` gives an unbound in-memory database.
     config:
         :class:`~repro.pipeline.PipelineConfig` for the extraction
@@ -71,7 +72,8 @@ def open_database(path: str | os.PathLike | None = None, *,
         with the shortlist, not the corpus.  Sharded stores answer the
         same way, one attached sketch per shard; exact and range
         queries, and stores saved without a sketch tier, materialize
-        on first use.  ``False`` forces the eager full copy into RAM.
+        on first use.  ``False`` forces the eager full copy into RAM;
+        any other value raises ``InvalidParameterError``.
     **kwargs:
         Forwarded to :class:`~repro.storage.database.VideoDatabase`
         (``fault_policy``, ``retry_policy``, ``drop_tolerance``,
@@ -80,13 +82,12 @@ def open_database(path: str | os.PathLike | None = None, *,
         ``docs/SERVING.md``); a sharded snapshot at ``path`` is
         detected and loaded as such automatically.
     """
+    _mmap_flag(mmap)
     if path is None:
         return VideoDatabase(config, **kwargs)
     store = open_store(path)
     if store.exists():
-        # Mapped opens ("auto" included) are lazy: O(1) until first touch.
-        return VideoDatabase.load(store.path, config, mmap=mmap,
-                                  lazy=bool(mmap), **kwargs)
+        return VideoDatabase.load(store.path, config, mmap=mmap, **kwargs)
     if not create:
         raise FileNotFoundError(
             f"no database snapshot at {store.path} (pass create=True to "

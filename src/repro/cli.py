@@ -7,17 +7,18 @@ Subcommands::
     strg-index ingest OUT          # fault-tolerant, journaled batch ingest
     strg-index recover STATE_DIR   # exactly-once crash recovery
     strg-index query  INDEX        # k-NN query with a synthetic trajectory
-    strg-index convert SRC [DST]   # import a 2.x archive, a 9.x or 10.x store
+    strg-index convert SRC [DST]   # import a 10.x store
     strg-index bench               # tiny smoke benchmark
     strg-index serve  INDEX        # drive the query service on an index
     strg-index bench-load          # closed-loop load benchmark at N shards
 
 Snapshot paths name a memory-mappable columnar ``.strg/`` store (a
 suffix-less path means ``<path>.strg/``; see ``docs/STORAGE.md``).  A
-2.x ``.npz`` archive and 9.x / 10.x stores (columnar format versions 1
-and 2) are refused everywhere except ``convert``, which imports them.  Every
-subcommand prints human-readable progress to stdout; a storage error
-prints to stderr and exits 3.
+10.x store (columnar format version 2) is refused everywhere except
+``convert``, which imports it; a 2.x ``.npz`` archive or a 9.x store
+(format version 1) is refused everywhere, naming release 15.0.0, whose
+``convert`` still reads it.  Every subcommand prints human-readable
+progress to stdout; a storage error prints to stderr and exits 3.
 """
 
 from __future__ import annotations
@@ -531,17 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(func=_cmd_query)
 
     convert = sub.add_parser(
-        "convert", help="import a 2.x NPZ archive, a 9.x or a 10.x store "
-                        "into a current columnar store"
+        "convert", help="import a 10.x store into a current columnar "
+                        "store (2.x NPZ archives and 9.x stores: run "
+                        "release 15.0.0's convert)"
     )
-    convert.add_argument("source", help="2.x NPZ archive (monolithic or "
-                                        "sharded meta archive), or 9.x or "
-                                        "10.x .strg store")
+    convert.add_argument("source", help="10.x .strg store")
     convert.add_argument("dest", nargs="?", default=None,
-                         help="destination store path (default: an "
-                              "archive converts next to itself, "
-                              "corpus.npz -> corpus.strg/; an older store "
-                              "converts in place)")
+                         help="destination store path (default: convert "
+                              "in place)")
     convert.set_defaults(func=_cmd_convert)
 
     bench = sub.add_parser("bench", help="smoke benchmark vs M-tree")

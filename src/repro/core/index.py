@@ -26,7 +26,7 @@ from repro.core.nodes import (
     LeafRecord,
     RootRecord,
 )
-from repro.core.scan import ClusterView, ScanViews, knn_scan, range_scan
+from repro.core.scan import ClusterView, ScanViews, knn_scan, probe, range_scan
 from repro.distance.base import Distance, as_series
 from repro.distance.batch import one_vs_many, pairwise_matrix, supports_batch
 from repro.distance.eged import EGED, MetricEGED
@@ -506,12 +506,9 @@ class STRGIndex:
             with OBS.span("index.knn", k=request.k,
                           n_probe=request.n_probe) as sp:
                 OBS.count("index.knn_queries")
-                views = self._cluster_views(request.background)
-                if request.n_probe is not None and views:
-                    probe = one_vs_many(self.cluster_distance, request.query,
-                                        [view.centroid for view in views])
-                    nearest = np.argsort(probe, kind="stable")
-                    views = [views[int(i)] for i in nearest[:request.n_probe]]
+                views = probe(self.cluster_distance, request.query,
+                              self._cluster_views(request.background),
+                              request.n_probe)
                 hits = knn_scan(self.metric_distance, request.series, views,
                                 request.k)
                 sp.set(hits=len(hits))

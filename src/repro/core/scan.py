@@ -226,6 +226,17 @@ def _drain(distance, series: np.ndarray, pending: list, best: TopK,
     return done
 
 
+def probe(distance, query, views: Sequence[ClusterView],
+          n_probe: int | None) -> Sequence[ClusterView]:
+    """The ``n_probe`` views whose centroids lie nearest ``query`` under
+    ``distance``, nearest first (ties in view order); every view when
+    ``n_probe`` is ``None``."""
+    if n_probe is None or not views:
+        return views
+    dists = one_vs_many(distance, query, [view.centroid for view in views])
+    return [views[int(i)] for i in np.argsort(dists, kind="stable")[:n_probe]]
+
+
 def knn_scan(distance, series: np.ndarray, views: Sequence[ClusterView],
              k: int, *, prune_bound: float | None = None,
              window: int = EXACT_WINDOW, layer: str = "index"

@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.clustering.em import EMClustering, EMConfig
 from repro.core.index import STRGIndex, STRGIndexConfig
-from repro.core.scan import ClusterView, knn_scan, range_scan
+from repro.core.scan import ClusterView, knn_scan, probe, range_scan
 from repro.distance.base import Distance
 from repro.distance.batch import pairwise_matrix
 from repro.errors import (
@@ -364,7 +364,9 @@ class ShardedIndex:
         result exact; it exists so distributed callers (the
         ``serving.workers`` pool) can share one global bound across
         partitions the way this index shares one bound across shards.
-        ``n_probe`` applies to the monolithic exact path only.
+        ``n_probe`` scans the ``n_probe`` nearest clusters across every
+        live shard, as :meth:`STRGIndex.search
+        <repro.core.index.STRGIndex.search>` does across its own.
         """
         if request.k == 0:
             return SearchResult([])
@@ -439,27 +441,29 @@ class ShardedIndex:
                           [shares[s] for s in live])
         return SearchResult(hits, bool(failed), failed)
 
-    def _gather(self, background: BackgroundGraph | None, degrade: bool
+    def _gather(self, request: SearchRequest
                 ) -> tuple[list[ClusterView], list[int]]:
         """Scan views of the (BG-routed) non-empty clusters of every
-        live shard, and the ordinals of the shards lost."""
+        live shard — the ``n_probe`` nearest of them all when set — and
+        the ordinals of the shards lost."""
         views: list[ClusterView] = []
-        live, failed = self._live_shards(degrade)
+        live, failed = self._live_shards(request.degrade)
         for s in live:
-            views.extend(self.shards[s]._cluster_views(background))
-        return views, failed
+            views.extend(self.shards[s]._cluster_views(request.background))
+        return probe(self.cluster_distance, request.query, views,
+                     request.n_probe), failed
 
     def _scatter_gather(self, request: SearchRequest) -> SearchResult:
         # One bound across all shards, exactly as the monolithic index
         # shares one bound across its clusters.
-        views, failed = self._gather(request.background, request.degrade)
+        views, failed = self._gather(request)
         hits = knn_scan(self.metric_distance, request.series, views,
                         request.k, prune_bound=request.prune_bound,
                         layer="serving")
         return SearchResult(hits, bool(failed), failed)
 
     def _range_scatter(self, request: SearchRequest) -> SearchResult:
-        views, failed = self._gather(request.background, request.degrade)
+        views, failed = self._gather(request)
         hits = range_scan(self.metric_distance, request.series, views,
                           request.radius, layer="serving")
         return SearchResult(hits, bool(failed), failed)

@@ -789,7 +789,14 @@ class WorkerPool:
         ``request.degrade`` a slot with no live worker yields partial
         results; without it
         :class:`~repro.errors.ShardUnavailableError` is raised instead.
+        ``n_probe`` raises :class:`~repro.errors.InvalidParameterError`:
+        each worker sees only its own shards' clusters, so none can pick
+        the nearest across the pool.
         """
+        if request.n_probe is not None:
+            raise InvalidParameterError(
+                "n_probe is not supported by a worker pool: each worker "
+                "sees only its own shards' clusters")
         if request.k == 0:
             return SearchResult([], snapshot_version=self.snapshot_version)
         with self._state_lock:

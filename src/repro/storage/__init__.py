@@ -2,7 +2,7 @@
 
 The supported entry point is :func:`open_store` — every layer reads and
 writes the columnar ``.strg`` store it returns.  :func:`convert` imports
-the NPZ archives that were the default through v2.0.0.  See
+the stores 10.x releases wrote.  See
 ``docs/STORAGE.md`` for the layout and the migration guide.
 """
 

@@ -36,8 +36,9 @@ A full write or merge writes every base segment and the pivots, fsyncs
 the directory, then replaces the log (temp + fsync, rename, directory
 fsync).  A crash before the record leaves orphans no record names; a
 final line without its newline is a torn tail readers ignore and the
-next writer truncates.  9.x and 10.x stores (format versions 1 and 2)
-are refused everywhere except :func:`repro.storage.store.convert`.
+next writer truncates.  10.x stores (format version 2) are refused
+everywhere except :func:`repro.storage.store.convert`; 9.x stores
+(format version 1) everywhere, naming the release that converts them.
 
 Replay.  Loading materializes each shard's base and replays its deltas
 through the same deterministic ``insert()``/``delete_row()`` a live
@@ -95,12 +96,15 @@ COLUMNAR_VERSION = 3
 LOG_NAME = "manifest.jsonl"
 SEGMENT_SUFFIX = ".seg"
 STORE_SUFFIX = ".strg"
-#: The commit point of a 9.x (format version 1) store; only
-#: :func:`repro.storage.store.convert` reads what it names.
+#: The commit point of a 9.x (format version 1) store: detected by
+#: name so that no entry point binds an empty store over one, never read.
 V1_MANIFEST = "manifest.json"
 #: Format versions only :func:`repro.storage.store.convert` reads, with
 #: the release line that wrote them.
-LEGACY_VERSIONS = {1: "9.x", 2: "10.x"}
+LEGACY_VERSIONS = {2: "10.x"}
+#: The last release whose ``convert`` reads 2.x NPZ archives and 9.x
+#: stores; the store it writes opens here unchanged.
+RETIRED_CONVERTER = "15.0.0 (commit a97a69f)"
 
 _MAGIC = b"STRGSEG2"
 _PREFIX = len(_MAGIC) + 8          # magic + u64 header length
@@ -150,12 +154,26 @@ def stored_version(path: str | os.PathLike) -> int | None:
 
 
 def legacy_refusal(path: str | os.PathLike, version: int) -> StorageError:
-    """The error every entry point but ``convert`` raises on a store of
-    an older format version."""
+    """The error an entry point raises on a store of an older format
+    version: every one but ``convert`` on a 10.x store, every one on a
+    9.x store (:func:`retired_refusal`)."""
+    if version not in LEGACY_VERSIONS:
+        return retired_refusal(
+            path, f"a 9.x store (columnar format version {version})")
     return StorageError(
         f"{os.fspath(path)} is a {LEGACY_VERSIONS[version]} store "
         f"(columnar format version {version}), which this version only "
         f"converts: run `strg-index convert {os.fspath(path)}`")
+
+
+def retired_refusal(path: str | os.PathLike, layout: str) -> StorageError:
+    """The error every entry point, ``convert`` included, raises on a
+    ``layout`` this version no longer reads: a 2.x NPZ archive or a 9.x
+    store."""
+    return StorageError(
+        f"{os.fspath(path)} is {layout}, which this version no longer "
+        f"reads: run `strg-index convert {os.fspath(path)}` with release "
+        f"{RETIRED_CONVERTER} and open the .strg store it writes here")
 
 
 def _short_sum(data: bytes | str) -> str:

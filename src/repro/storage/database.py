@@ -19,7 +19,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.size import index_size_bytes, strg_raw_size_bytes
-from repro.errors import IndexStateError, IngestDegradedError, StorageError
+from repro.errors import (
+    IndexStateError,
+    IngestDegradedError,
+    InvalidParameterError,
+    StorageError,
+)
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.pipeline import PipelineConfig, VideoPipeline
@@ -32,6 +37,18 @@ from repro.storage.store import open_store
 from repro.video.frames import VideoSegment
 
 logger = logging.getLogger(__name__)
+
+
+def _mmap_flag(mmap: bool | str) -> bool:
+    """Whether an ``mmap=`` argument maps the store: ``True`` and
+    ``"auto"`` do (every store can), ``False`` does not.  Anything else
+    raises rather than being coerced (``"false"`` is truthy)."""
+    if isinstance(mmap, bool):
+        return mmap
+    if isinstance(mmap, str) and mmap == "auto":
+        return True
+    raise InvalidParameterError(
+        f"mmap must be True, False or 'auto', got {mmap!r}")
 
 
 @dataclass
@@ -106,7 +123,6 @@ class VideoDatabase:
         #: materializing the tree.  ``_ooc_sketch`` caches the attached
         #: sketches, one per shard (``False`` once probing found none).
         self._store = None
-        self._store_mmap = False
         self._ooc_sketch: Any = None
         #: Default export location used by :meth:`save`; set by
         #: :func:`repro.open_database` and :meth:`load`.
@@ -390,36 +406,29 @@ class VideoDatabase:
         """Attribute query over the indexed trajectories.
 
         Filters: moving ``direction`` (radians, matched within
-        ``direction_tolerance``), velocity band, minimum duration in
-        frames, and a spatial ``(x0, y0, x1, y1)`` region the trajectory's
+        ``direction_tolerance``; an OG that never moved has no heading
+        and matches none), velocity band, minimum duration in frames,
+        and a spatial ``(x0, y0, x1, y1)`` region the trajectory's
         bounding box must intersect.  This is the "various queries on
-        moving objects" surface the paper's introduction motivates.
+        moving objects" surface the paper's introduction motivates,
+        spelled as :meth:`query` predicates.
         """
-        from repro.graph.attributes import angle_difference
-
         self._require_index()
-        matches = []
-        for og in self.index.object_graphs():
-            if min_duration is not None and og.duration() < min_duration:
-                continue
-            velocity = og.mean_velocity()
-            if min_velocity is not None and velocity < min_velocity:
-                continue
-            if max_velocity is not None and velocity > max_velocity:
-                continue
-            if direction is not None:
-                deltas = np.diff(og.values[:, :2], axis=0)
-                total = deltas.sum(axis=0)
-                heading = math.atan2(total[1], total[0])
-                if angle_difference(heading, direction) > direction_tolerance:
-                    continue
-            if region is not None:
+        query = self.query()
+        if direction is not None:
+            query.heading(direction, direction_tolerance)
+        if min_velocity is not None or max_velocity is not None:
+            query.velocity(min_velocity, max_velocity)
+        if min_duration is not None:
+            query.duration(minimum=min_duration)
+        if region is not None:
+            qx0, qy0, qx1, qy1 = region
+
+            def intersects(og: ObjectGraph) -> bool:
                 x0, y0, x1, y1 = og.bounding_box()
-                qx0, qy0, qx1, qy1 = region
-                if x1 < qx0 or qx1 < x0 or y1 < qy0 or qy1 < y0:
-                    continue
-            matches.append(og)
-        return matches
+                return not (x1 < qx0 or qx1 < x0 or y1 < qy0 or qy1 < y0)
+            query.where(intersects)
+        return [hit.og for hit in query.run()]
 
     def delete(self, og_id: int) -> bool:
         """Remove one OG from the database's index (``False`` when no
@@ -476,7 +485,7 @@ class VideoDatabase:
         if self._ooc_sketch is not None:
             return self._ooc_sketch or None
         store = self._store
-        if store is None or not self._store_mmap:
+        if store is None:
             self._ooc_sketch = False
             return None
         try:
@@ -574,26 +583,26 @@ class VideoDatabase:
     def load(cls, path: str | os.PathLike,
              config: PipelineConfig | None = None,
              mmap: bool | str = False,
-             lazy: bool = False,
              **kwargs) -> "VideoDatabase":
         """Restore a database from a saved store.
 
         ``mmap`` — ``True`` (or ``"auto"``) maps trajectory columns
-        read-only instead of copying them into RAM.  ``lazy=True``
-        defers tree materialization until :attr:`index` is first
-        touched, making the open itself O(1).  With ``lazy=True`` and
-        mmap enabled, budgeted queries (``knn(..., search_budget=N)``)
-        run fully out-of-core: the sketch tier streams from the store's
-        mmap'd columns and only the shortlist's series are fetched, so
-        the tree is never built, one attached sketch per shard (see
-        ``docs/SEARCH.md``).
+        read-only instead of copying them into RAM and makes the open
+        lazy: O(1), the tree materializing when :attr:`index` is first
+        touched.  Budgeted queries (``knn(..., search_budget=N)``) on
+        such an open run fully out-of-core: the sketch tier streams from
+        the store's mmap'd columns and only the shortlist's series are
+        fetched, so the tree is never built, one attached sketch per
+        shard (see ``docs/SEARCH.md``).  ``False`` loads eagerly into
+        RAM; any other value raises
+        :class:`~repro.errors.InvalidParameterError`.
         ``**kwargs`` are the constructor's resilience options
         (``fault_policy``, ``retry_policy``, ``state_dir``, ...).
         """
+        mapped = _mmap_flag(mmap)
         db = cls(config, **kwargs)
         store = open_store(path)
-        use_mmap = bool(mmap)   # "auto" maps too: every store can
-        if lazy:
+        if mapped:
             # One log read: a missing or corrupt store fails at
             # open time, not at first touch, and the database knows its
             # sharding before the tree exists.
@@ -603,14 +612,13 @@ class VideoDatabase:
                 "placement", db.placement)
 
         def materialize():
-            index = store.load_index(mmap=use_mmap)
+            index = store.load_index(mmap=mapped)
             db._adopt_sharding(index)
             return index
 
-        if lazy:
+        if mapped:
             db._index_loader = materialize
             db._store = store
-            db._store_mmap = use_mmap
         else:
             db._index = materialize()
         db._ingested.append(f"loaded:{os.fspath(path)}")

@@ -1,33 +1,18 @@
-"""The column codec of the store, and the read-only 2.x NPZ archive reader.
+"""The column codec of the store.
 
-**Codec.**  :func:`index_to_arrays` flattens an STRG-Index — tree shape
-(root -> cluster -> leaf membership) as integer arrays, centroid/OG
-payloads as ragged columns with offset tables, per-root Background
-Graphs, the sketch tier — and :func:`index_from_arrays` rebuilds it, so
-a loaded index answers queries (including background-routed ones)
-identically.  :mod:`repro.storage.columnar` stores exactly these
-columns, one segment file per snapshot or write batch.
-
-**Archive reader.**  Through v2.0.0 the same columns were also written
-as one checksummed NPZ archive (plus ``<base>.shard<i>.npz`` for a
-sharded index), and that was the default format.  Nothing writes it any
-more; :func:`load_index` / :func:`load_sharded_index` remain so that
-:func:`repro.storage.store.convert` — their only caller — can import
-those archives.  Every archive embeds a format-version header and a
-SHA-256 digest of its payload arrays, verified on load: truncation, bit
-flips and unknown versions raise
-:class:`~repro.errors.IndexCorruptionError` instead of returning a
-silently wrong index.
+:func:`index_to_arrays` flattens an STRG-Index — tree shape (root ->
+cluster -> leaf membership) as integer arrays, centroid/OG payloads as
+ragged columns with offset tables, per-root Background Graphs, the
+sketch tier — and :func:`index_from_arrays` rebuilds it, so a loaded
+index answers queries (including background-routed ones) identically.
+:mod:`repro.storage.columnar` stores exactly these columns, one segment
+file per snapshot or write batch.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import os
-import zipfile
-import zlib
 from typing import Any, Sequence
 
 import numpy as np
@@ -35,88 +20,13 @@ import numpy as np
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.core.nodes import LeafRecord, RootRecord
 from repro.distance.eged import MetricEGED
-from repro.errors import (
-    IndexCorruptionError,
-    InvalidParameterError,
-    StorageError,
-)
+from repro.errors import InvalidParameterError
 from repro.graph.attributes import NodeAttributes
 from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.graph.rag import RegionAdjacencyGraph
-from repro.resilience.faults import maybe_fail
 
 logger = logging.getLogger(__name__)
-
-#: Newest archive version the reader accepts.  Version 1 is the
-#: pre-checksum format (no header keys): readable, but unverified.
-FORMAT_VERSION = 2
-
-_HEADER_KEYS = ("__format_version__", "__checksum__")
-
-
-def npz_path(path: str | os.PathLike) -> str:
-    """The archive file a 2.x ``save(path)`` wrote: ``path`` with
-    ``.npz`` appended unless already there (what NumPy's writer did)."""
-    p = os.fspath(path)
-    return p if p.endswith(".npz") else p + ".npz"
-
-
-def _payload_digest(arrays: dict[str, np.ndarray]) -> str:
-    """SHA-256 over names, dtypes, shapes and bytes of payload arrays."""
-    digest = hashlib.sha256()
-    for name in sorted(arrays):
-        if name in _HEADER_KEYS:
-            continue
-        array = np.ascontiguousarray(arrays[name])
-        digest.update(name.encode())
-        digest.update(str(array.dtype).encode())
-        digest.update(str(array.shape).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
-def _verified_load(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """Load a 2.x NPZ archive and verify its integrity header.
-
-    Raises :class:`StorageError` for a missing file and
-    :class:`IndexCorruptionError` for anything unreadable or failing the
-    checksum / version checks.
-    """
-    target = npz_path(path)
-    maybe_fail("storage.read", path=target)
-    try:
-        with np.load(target, allow_pickle=False) as data:
-            arrays = {name: np.array(data[name]) for name in data.files}
-    except FileNotFoundError as exc:
-        raise StorageError(f"cannot read {target}: {exc}") from exc
-    except (zipfile.BadZipFile, zlib.error, OSError, EOFError,
-            KeyError, ValueError) as exc:
-        raise IndexCorruptionError(
-            f"corrupt archive {target}: {exc}",
-            details={"path": target, "cause": type(exc).__name__},
-        ) from exc
-    if "__format_version__" not in arrays:
-        # Legacy (version 1) archive: readable, but carries no checksum.
-        logger.info("loading legacy (v1) archive %s without verification",
-                    target)
-        return arrays
-    version = int(arrays["__format_version__"])
-    if not 1 <= version <= FORMAT_VERSION:
-        raise IndexCorruptionError(
-            f"unsupported format version {version} in {target} "
-            f"(supported: 1..{FORMAT_VERSION})",
-            details={"path": target, "version": version,
-                     "supported": FORMAT_VERSION},
-        )
-    expected = str(arrays["__checksum__"])
-    actual = _payload_digest(arrays)
-    if actual != expected:
-        raise IndexCorruptionError(
-            f"checksum mismatch in {target}: payload was altered on disk",
-            details={"path": target, "expected": expected, "actual": actual},
-        )
-    return arrays
 
 
 def _pack_ragged(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -303,9 +213,9 @@ def leaf_ogs(index) -> list[tuple[ObjectGraph, Any]]:
     """``(og, clip_ref)`` pairs in the stable leaf-iteration order, shard
     by shard (an ``STRGIndex`` is one shard).
 
-    This is *the* stored row order: columnar segments (and the 2.x
-    archives) number each shard's rows by it, and sketch arrays are
-    persisted positionally against it.
+    This is *the* stored row order: columnar segments number each
+    shard's rows by it, and sketch arrays are persisted positionally
+    against it.
     """
     from repro.serving.sharding import ShardedIndex
 
@@ -403,7 +313,7 @@ def index_from_arrays(arrays, meta: dict[str, Any],
     query actually evaluates a trajectory.
 
     Raises ``KeyError``/``ValueError``/``IndexError`` on malformed
-    payloads — callers wrap these in the format-appropriate
+    payloads — callers wrap these in an
     :class:`~repro.errors.IndexCorruptionError`.
     """
     og_values = _unpack_ragged(arrays["og_values"], arrays["og_offsets"])
@@ -418,6 +328,8 @@ def index_from_arrays(arrays, meta: dict[str, Any],
     config_kwargs = dict(meta["config"])
     gap = float(config_kwargs.pop("metric_gap"))
     refs = meta["refs"]
+    # A 9.x base that 15.0.0 converted was copied column for column and
+    # may lack frames and backgrounds.
     og_frames = None
     if "og_frames" in arrays:
         frames_flat = arrays["og_frames"]
@@ -454,77 +366,3 @@ def index_from_arrays(arrays, meta: dict[str, Any],
         index._sketches = _unpack_sketch(arrays, sketch_meta, loaded,
                                          source)
     return index
-
-
-def load_index(path: str | os.PathLike) -> STRGIndex:
-    """Load a monolithic 2.x index archive."""
-    data = _verified_load(path)
-    try:
-        meta = {
-            "num_roots": int(data["num_roots"]),
-            "config": json.loads(str(data["config"])),
-            "refs": json.loads(str(data["refs"])),
-            "sketch_meta": (str(data["sketch_meta"])
-                            if "sketch_meta" in data else None),
-        }
-        return index_from_arrays(data, meta, source=npz_path(path))
-    except (KeyError, ValueError, IndexError,
-            json.JSONDecodeError) as exc:
-        raise IndexCorruptionError(
-            f"cannot read index from {npz_path(path)}: {exc}",
-            details={"path": npz_path(path), "cause": type(exc).__name__},
-        ) from exc
-
-
-# -- sharded archives ---------------------------------------------------------
-#
-# A 2.x sharded index is one *meta* archive at ``path`` (placement,
-# pivots, serving config, and a ``kind`` marker distinguishing it from a
-# monolithic snapshot) plus one ordinary index archive per shard at
-# ``<base>.shard<i>.npz``, each with its own version + checksum header.
-
-_SHARDED_KIND = "sharded_index"
-
-
-def _shard_path(path: str | os.PathLike, ordinal: int) -> str:
-    base = npz_path(path)[:-len(".npz")]
-    return f"{base}.shard{ordinal}.npz"
-
-
-def is_sharded_snapshot(path: str | os.PathLike) -> bool:
-    """True when ``path`` holds a sharded-index meta archive."""
-    target = npz_path(path)
-    if not os.path.exists(target):
-        return False
-    try:
-        with np.load(target, allow_pickle=False) as data:
-            return "kind" in data.files and str(data["kind"]) == _SHARDED_KIND
-    except (zipfile.BadZipFile, zlib.error, OSError, EOFError,
-            KeyError, ValueError):
-        return False
-
-
-def load_sharded_index(path: str | os.PathLike):
-    """Load a sharded 2.x archive (meta archive + one per shard)."""
-    from repro.serving.sharding import ShardedIndex
-
-    data = _verified_load(path)
-    try:
-        if str(data["kind"]) != _SHARDED_KIND:
-            raise IndexCorruptionError(
-                f"{npz_path(path)} is not a sharded-index archive "
-                f"(kind={str(data['kind'])!r})",
-                details={"path": npz_path(path)},
-            )
-        num_shards = int(data["num_shards"])
-        has_pivots = bool(int(data["has_pivots"]))
-        pivots = _unpack_ragged(data["pivot_values"], data["pivot_offsets"])
-        serving_kwargs = json.loads(str(data["serving_config"]))
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise IndexCorruptionError(
-            f"cannot read sharded index from {npz_path(path)}: {exc}",
-            details={"path": npz_path(path), "cause": type(exc).__name__},
-        ) from exc
-    shards = [load_index(_shard_path(path, i)) for i in range(num_shards)]
-    return ShardedIndex.from_shards(shards, serving_kwargs,
-                                    pivots if has_pivots else None)

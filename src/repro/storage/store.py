@@ -2,43 +2,42 @@
 
 Every layer reads and writes the columnar ``<name>.strg/`` store
 (:mod:`repro.storage.columnar`); a suffix-less path means
-``<path>.strg/``.  Three older formats are read by exactly one function,
-:func:`convert` (``strg-index convert SRC [DST]``): the checksummed NPZ
-archives that were the default through v2.0.0, 9.x stores (columnar
-format version 1: a ``manifest.json`` and one directory of ``.npy``
-files per segment) and 10.x stores (format version 2: a sharded store
-nests one sub-store per shard).  Every other entry point goes through
-:func:`open_store`, which refuses each — or a path an archive sits at
-while no store does — with a pointer at ``convert`` rather than bind an
-empty store beside it (``docs/STORAGE.md``, *Converting older stores*).
+``<path>.strg/``.  One older format is read by exactly one function,
+:func:`convert` (``strg-index convert SRC [DST]``): 10.x stores (format
+version 2, where a sharded store nests one sub-store per shard).  Every
+other entry point goes through :func:`open_store`, which refuses them
+with a pointer at ``convert`` rather than bind an empty store beside
+one.  Two older layouts are refused everywhere, ``convert`` included,
+with a pointer at release 15.0.0, whose ``convert`` still reads them:
+the NPZ archives that were the default through v2.0.0 (a path an
+archive sits at while no store does counts too) and 9.x stores (format
+version 1: a ``manifest.json`` and one directory of ``.npy`` files per
+segment).  ``docs/STORAGE.md``, *Converting older stores*, is the
+recipe.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import os
 import re
 import shutil
-
-import numpy as np
 
 from repro.errors import (
     InvalidParameterError,
     StorageError,
 )
-from repro.storage import serialize
 from repro.storage.columnar import (
+    COLUMNAR_VERSION,
     LEGACY_VERSIONS,
     LOG_NAME,
     SEGMENT_SUFFIX,
-    V1_MANIFEST,
     ColumnarStore,
     _corrupt,
     _fsync_dir,
     legacy_refusal,
     read_log,
+    retired_refusal,
     stored_version,
 )
 
@@ -60,72 +59,58 @@ def open_store(path: str | os.PathLike,
                format: str = "columnar") -> ColumnarStore:
     """The columnar store at ``path`` (existing, or to be written).
 
-    Raises :class:`~repro.errors.StorageError` naming ``strg-index
-    convert`` when ``path`` holds a 9.x or 10.x store, ends in ``.npz``,
-    or when a 2.x archive exists at ``npz_path(path)`` and no store does
-    — the database there is not empty, it is unconverted.
+    Raises :class:`~repro.errors.StorageError` when ``path`` holds a 9.x
+    or 10.x store, ends in ``.npz``, or when a 2.x archive exists at
+    ``<path>.npz`` and no store does — the database there is not empty,
+    it is unconverted.  The message names ``strg-index convert`` and,
+    for a layout only release 15.0.0 reads, that release.
     """
     require_columnar(format)
     path = os.fspath(path)
     store = ColumnarStore(path)
     version = stored_version(store.path)
-    if version in LEGACY_VERSIONS:
+    if version is not None and version < COLUMNAR_VERSION:
         raise legacy_refusal(store.path, version)
-    archive = serialize.npz_path(path)
-    if path.endswith(".npz") or (
-            not store.exists() and os.path.isfile(archive)):
-        raise StorageError(
-            f"{archive} is a 2.x NPZ archive, which this version only "
-            f"imports: run `strg-index convert {path}` and open the "
-            ".strg store it writes")
+    archive = path if path.endswith(".npz") else path + ".npz"
+    if archive == path or (not store.exists() and os.path.isfile(archive)):
+        raise retired_refusal(archive, "a 2.x NPZ archive")
     return store
 
 
 def convert(source: str | os.PathLike,
             dest: str | os.PathLike | None = None) -> ColumnarStore:
-    """Import a 2.x NPZ archive, a 9.x or a 10.x store into a current
-    store, re-hashed by :meth:`ColumnarStore.verify`.
+    """Import a 10.x store into a current store, re-hashed by
+    :meth:`ColumnarStore.verify`.
 
-    A 9.x or 10.x store (monolithic or sharded) becomes one flat store
-    under one log, segment by segment: a 10.x segment file is copied
-    byte for byte, a 9.x segment's SHA-256-checked ``.npy`` columns are
-    copied into one segment file.  ``dest=None`` converts in place; the
-    new log is the commit point, so an interrupted conversion can simply
-    run again.  An NPZ archive is loaded (version and SHA-256 checked)
-    and written; ``dest=None`` writes ``corpus.npz`` to
-    ``corpus.strg/`` and leaves the archive untouched.  A damaged
-    source raises :class:`~repro.errors.IndexCorruptionError`.
+    A 10.x store (monolithic or sharded) becomes one flat store under
+    one log, each segment file copied byte for byte.  ``dest=None``
+    converts in place; the new log is the commit point, so an
+    interrupted conversion can simply run again.  A damaged source
+    raises :class:`~repro.errors.IndexCorruptionError`; a 2.x archive or
+    a 9.x store raises :class:`~repro.errors.StorageError` naming
+    release 15.0.0, whose ``convert`` writes a store this version opens.
     """
     if dest is not None and os.fspath(dest).endswith(".npz"):
         raise InvalidParameterError(
             f"convert destination {os.fspath(dest)} names an NPZ archive; "
             "the only format written is the columnar .strg store")
-    version = stored_version(source)
-    if version in LEGACY_VERSIONS:
-        origin = ColumnarStore(source).path
-        store = ColumnarStore(origin if dest is None else dest)
-        _transcode(origin, store, version)
-        store.verify()
-        return store
-    archive = serialize.npz_path(source)
-    if not os.path.isfile(archive):
+    if stored_version(source) not in LEGACY_VERSIONS:
+        open_store(source)   # refuses a 2.x archive or a 9.x store
         raise StorageError(
-            f"cannot convert {os.fspath(source)}: no NPZ archive, 9.x or "
-            "10.x store found")
-    store = ColumnarStore(archive[:-len(".npz")] if dest is None else dest)
-    load = (serialize.load_sharded_index
-            if serialize.is_sharded_snapshot(archive) else serialize.load_index)
-    store.write_index(load(archive))
+            f"cannot convert {os.fspath(source)}: no 10.x store found")
+    origin = ColumnarStore(source).path
+    store = ColumnarStore(origin if dest is None else dest)
+    _transcode(origin, store)
     store.verify()
     return store
 
 
-def _transcode(source: str, dest: ColumnarStore, version: int) -> None:
-    """Rewrite the legacy store at ``source`` as ``dest`` (may be the
+def _transcode(source: str, dest: ColumnarStore) -> None:
+    """Rewrite the 10.x store at ``source`` as ``dest`` (may be the
     same directory).
 
-    The reader of each version returns ``(shards, pivots, serving)``:
-    per shard its segments in log order as ``(kind, write, dead)``, where
+    :func:`_read_legacy` returns ``(shards, pivots, serving)``: per
+    shard its segments in log order as ``(kind, write, dead)``, where
     ``write(ordinal)`` puts the segment into ``dest`` under that ordinal
     and returns its log fields; ``pivots`` is such a ``write`` or
     ``None``.  Bases come first, then the pivots, then every delta as a
@@ -133,7 +118,7 @@ def _transcode(source: str, dest: ColumnarStore, version: int) -> None:
     """
     os.makedirs(dest.path, exist_ok=True)
     try:
-        shards, pivots, serving = _read_legacy(source, version, dest)
+        shards, pivots, serving = _read_legacy(source, dest)
         segments = [(kind, shard, write, dead)
                     for shard, listed in enumerate(shards)
                     for kind, write, dead in listed]
@@ -148,8 +133,8 @@ def _transcode(source: str, dest: ColumnarStore, version: int) -> None:
                                dead=dead)]}
             for kind, shard, write, dead in segments if kind != "base"]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise _corrupt(f"malformed {LEGACY_VERSIONS[version]} store "
-                       f"{source}: {exc}", exc, path=source) from exc
+        raise _corrupt(f"malformed 10.x store {source}: {exc}", exc,
+                       path=source) from exc
     written = entries + [entry for record in records[1:]
                          for entry in record["segments"]]
     dest._verify_segments(written + ([pivot_entry] if pivot_entry else []))
@@ -165,50 +150,39 @@ def _free_ordinal(path: str) -> int:
     return max(used, default=-1) + 1
 
 
-def _read_legacy(source: str, version: int, dest: ColumnarStore):
-    """``(shards, pivots, serving)`` of the 9.x or 10.x store at
-    ``source`` (see :func:`_transcode`).  Both versions hold a
-    monolithic store, or a sharded root naming one monolithic sub-store
-    per shard plus its pivots, under the same keys in the root's 9.x
-    manifest or 10.x base record."""
-    root, segments = _legacy_store(source, version, dest)
+def _read_legacy(source: str, dest: ColumnarStore):
+    """``(shards, pivots, serving)`` of the 10.x store at ``source``
+    (see :func:`_transcode`): a monolithic store, or a sharded root
+    whose base record names one monolithic sub-store per shard plus its
+    pivots."""
+    root, segments = _legacy_store(source, dest)
     if root["kind"] != "sharded":
         return [segments], None, {}
-    shards = [_legacy_store(os.path.join(source, name), version, dest)[1]
+    shards = [_legacy_store(os.path.join(source, name), dest)[1]
               for name in root["shards"]]
-    pivots = None
-    if root["has_pivots"]:
-        pivots = _v2_copier(source, root, dest) if version == 2 else (
-            lambda ordinal: dest._write_segment(
-                ordinal, "pivots", 0, {}, _v1_columns(source, root["files"])))
+    pivots = _v2_copier(source, root, dest) if root["has_pivots"] else None
     return shards, pivots, dict(root["serving_config"])
 
 
-def _legacy_store(directory: str, version: int, dest: ColumnarStore):
-    """``(root, segments)`` of one 9.x or 10.x store: its manifest or
-    base record, and — unless it is a sharded root — its segments as
-    ``(kind, write, dead)`` in log order."""
-    if version == 1:
-        root = _v1_read(os.path.join(directory, V1_MANIFEST), json.load)
-        segments = [_v1_segment(directory, segment, dest)
-                    for segment in root.get("segments", ())]
-    else:
-        path = os.path.join(directory, LOG_NAME)
-        try:
-            records, _, _ = read_log(path)
-        except OSError as exc:
-            raise _corrupt(f"cannot read 10.x store log {path}: {exc}", exc,
-                           path=path) from exc
-        root = records[0]
-        segments = [] if root["kind"] == "sharded" else [
-            ("delta" if number else "base", _v2_copier(directory, record, dest),
-             [int(row) for row in record.get("dead", ())])
-            for number, record in enumerate(records)]
-    if root.get("format_version") != version:
-        raise _corrupt(f"{directory} is not a {LEGACY_VERSIONS[version]} "
-                       f"store (format_version="
+def _legacy_store(directory: str, dest: ColumnarStore):
+    """``(root, segments)`` of one 10.x store: its base record, and —
+    unless it is a sharded root — its segments as ``(kind, write,
+    dead)`` in log order."""
+    path = os.path.join(directory, LOG_NAME)
+    try:
+        records, _, _ = read_log(path)
+    except OSError as exc:
+        raise _corrupt(f"cannot read 10.x store log {path}: {exc}", exc,
+                       path=path) from exc
+    root = records[0]
+    if root.get("format_version") != 2:
+        raise _corrupt(f"{directory} is not a 10.x store (format_version="
                        f"{root.get('format_version')!r})",
                        path=directory, version=root.get("format_version"))
+    segments = [] if root["kind"] == "sharded" else [
+        ("delta" if number else "base", _v2_copier(directory, record, dest),
+         [int(row) for row in record.get("dead", ())])
+        for number, record in enumerate(records)]
     return root, segments
 
 
@@ -229,46 +203,6 @@ def _v2_copier(directory: str, record: dict, dest: ColumnarStore):
         return {"seg": name, "rows": int(record["rows"]),
                 "bytes": int(record["bytes"]), "hsum": record["hsum"]}
     return write
-
-
-def _v1_segment(directory: str, segment: dict, dest: ColumnarStore):
-    """``(kind, write, dead)`` of one 9.x segment directory."""
-    folder = os.path.join(directory, segment["name"])
-    meta = _v1_read(os.path.join(folder, "meta.json"), json.load)
-    kind = segment["kind"]
-    if kind != "base":
-        meta = {"ops": meta["ops"], "refs": meta["refs"]}
-
-    def write(ordinal: int) -> dict:
-        return dest._write_segment(ordinal, kind, int(segment["rows"]), meta,
-                                   _v1_columns(folder, segment["files"]))
-    return kind, write, [int(op[1]) for op in meta.get("ops", ())
-                         if op[0] == "d"]
-
-
-def _v1_read(path: str, reader):
-    try:
-        with open(path, "rb") as fh:
-            return reader(fh)
-    except (OSError, ValueError) as exc:
-        raise _corrupt(f"cannot read 9.x store file {path}: {exc}", exc,
-                       path=path) from exc
-
-
-def _v1_columns(directory: str, files: dict) -> dict[str, np.ndarray]:
-    """The ``.npy`` columns a v1 manifest lists, SHA-256 checked."""
-    columns = {}
-    for filename, entry in sorted(files.items()):
-        if not filename.endswith(".npy"):
-            continue
-        target = os.path.join(directory, filename)
-        blob = _v1_read(target, lambda fh: fh.read())
-        if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
-            raise _corrupt(f"checksum mismatch in 9.x store file {target}",
-                           path=target, expected=entry["sha256"])
-        columns[filename[:-len(".npy")]] = _v1_read(
-            target, lambda fh: np.load(fh, allow_pickle=False))
-    return columns
 
 
 __all__ = ["ColumnarStore", "convert", "open_store", "require_columnar"]

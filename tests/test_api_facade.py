@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.core.index import STRGIndex, STRGIndexConfig
-from repro.errors import StorageError
+from repro.errors import InvalidParameterError, StorageError
 from repro.query import Query
 from repro.storage.database import VideoDatabase
 
@@ -64,6 +64,19 @@ class TestOpenDatabase:
         db = repro.open_database()
         with pytest.raises(StorageError):
             db.save()
+
+    @pytest.mark.parametrize("mmap", ["false", "no", 1, None])
+    def test_mmap_is_true_false_or_auto(self, populated, tmp_path, mmap):
+        """Any other value raises instead of being coerced ("false" is
+        truthy and used to map the store)."""
+        path, _ = populated
+        for call in (lambda: repro.open_database(path, mmap=mmap),
+                     lambda: repro.open_database(tmp_path / "x", mmap=mmap),
+                     lambda: VideoDatabase.load(path, mmap=mmap)):
+            with pytest.raises(InvalidParameterError, match="mmap"):
+                call()
+        assert repro.open_database(path, mmap=False).index_loaded
+        assert not repro.open_database(path, mmap="auto").index_loaded
 
 
 class TestUniformQuerySources:

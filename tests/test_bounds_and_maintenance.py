@@ -128,6 +128,20 @@ class TestMotionQueries:
         assert rightward in east
         assert leftward not in east
 
+    def test_objects_that_never_moved_have_no_heading(self):
+        db, rightward, *_ = self.make_db()
+        parked = ObjectGraph.from_values(np.full((10, 2), 40.0))
+        one_node = ObjectGraph.from_values(np.array([[50.0, 50.0]]))
+        db.ingest_object_graphs([parked, one_node])
+        for direction in (0.0, np.pi / 2, np.pi, -np.pi / 2):
+            for tolerance in (np.pi / 4, np.pi):
+                hits = db.query_by_motion(direction=direction,
+                                          direction_tolerance=tolerance)
+                assert parked not in hits and one_node not in hits
+                assert hits == [r.og for r in db.query().heading(
+                    direction, tolerance).run()]
+        assert rightward in db.query_by_motion(direction=0.0)
+
     def test_velocity_band(self):
         db, rightward, leftward, slow = self.make_db()
         fast = db.query_by_motion(min_velocity=2.0)

@@ -1,16 +1,16 @@
 """Columnar memory-mapped store and the ``open_store`` facade
 (docs/STORAGE.md): round trips, mmap bit-identity, incremental append
 + replay, tombstones and merges, torn-write recovery, the one-format
-contract and the 2.x NPZ importer, and the wiring through
-``LiveIndex`` / ``IngestService`` / the CLI."""
+contract, the 10.x importer and the refusal of every older layout, and
+the wiring through ``LiveIndex`` / ``IngestService`` / the CLI."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import re
 import shutil
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -34,25 +34,25 @@ from repro.storage.serialize import index_to_arrays
 from repro.storage.store import convert, open_store
 from tests import store_layout
 
-#: 2.x archives written by the last commit whose src/ could (see
-#: ``expected.json``'s provenance): the importer's only test input.
-LEGACY = Path(__file__).parent / "data" / "legacy_npz"
-#: 9.x stores (columnar format version 1), likewise written by the last
-#: src/ that could: a monolithic store with three delta segments and
-#: two deletes, and a 2-shard store.
-LEGACY_V1 = Path(__file__).parent / "data" / "legacy_v1_strg"
+#: The release every refusal of a 2.x archive or a 9.x store names.
+RETIRED = "15.0.0 (commit a97a69f)"
 #: 10.x stores (columnar format version 2), written by the last src/
 #: that could: a monolithic store with three delta segments and two
 #: deletes, and a 2-shard store of nested sub-stores.
 LEGACY_V2 = Path(__file__).parent / "data" / "legacy_v2_strg"
 
 
-def legacy_copy(tmp_path, name="mono.npz"):
-    """A scratch copy of one committed archive (sharded: all files)."""
-    stem = name[:-len(".npz")]
-    for source in LEGACY.glob(f"{stem}*.npz"):
-        shutil.copy(source, tmp_path / source.name)
-    return tmp_path / name
+def stub_archive(path):
+    """A stand-in 2.x NPZ archive: detection reads names only."""
+    path.write_bytes(b"")
+    return path
+
+
+def stub_v1_store(path):
+    """A stand-in 9.x store: a directory holding only ``manifest.json``."""
+    path.mkdir(parents=True)
+    (path / "manifest.json").write_bytes(b"")
+    return path
 
 
 def blob_ogs(k=3, n_per=5, seed=0, length_range=(5, 10)):
@@ -506,14 +506,17 @@ class TestFacade:
         assert IngestServiceConfig().store_format == "columnar"
 
     @pytest.mark.parametrize("spelling", ["corpus.npz", "corpus"])
-    def test_archive_never_looks_empty(self, tmp_path, spelling):
-        """Every entry point beside a 2.x archive raises with the
-        convert hint — none binds an empty store next to it."""
+    def test_archive_never_looks_empty(self, tmp_path, capsys, spelling):
+        """Every entry point beside a 2.x archive, ``convert`` included,
+        raises naming the release that converts it — none binds an
+        empty store next to it or writes anything."""
         import repro
+        from repro.cli import main
         from repro.serving.ingest import IngestService
+        from repro.serving.workers import WorkerPool
         from repro.storage.database import VideoDatabase
 
-        shutil.copy(LEGACY / "mono.npz", tmp_path / "corpus.npz")
+        stub_archive(tmp_path / "corpus.npz")
         path = tmp_path / spelling
         db = VideoDatabase()
         db.ingest_object_graphs(blob_ogs())
@@ -522,35 +525,44 @@ class TestFacade:
             lambda: repro.open_database(path),
             lambda: db.save(path),
             lambda: VideoDatabase.load(path),
+            lambda: WorkerPool(path),
+            lambda: convert(path),
+            lambda: convert(path, tmp_path / "out"),
         ]
         for call in entry_points:
-            with pytest.raises(StorageError, match="strg-index convert"):
+            with pytest.raises(StorageError) as err:
                 call()
-        # A v2 state dir (index.npz checkpoint) is not "no snapshot".
+            assert "strg-index convert" in str(err.value)
+            assert RETIRED in str(err.value)
+        for command in (["query", str(path)], ["convert", str(path)]):
+            assert main(command) == 3
+            assert RETIRED in capsys.readouterr().err
+        # A 2.x state dir (index.npz checkpoint) is not "no snapshot".
         state = tmp_path / "state"
         state.mkdir()
-        shutil.copy(LEGACY / "mono.npz", state / "index.npz")
+        stub_archive(state / "index.npz")
         live = LiveIndex(build_index()[0])
-        with pytest.raises(StorageError, match="strg-index convert"):
-            IngestService(live, state_dir=state)
-        with pytest.raises(StorageError, match="strg-index convert"):
-            IngestService.recover(state)
-        with pytest.raises(StorageError, match="strg-index convert"):
-            VideoDatabase.recover(state)   # takes a state dir since 9.0
+        for call in (lambda: IngestService(live, state_dir=state),
+                     lambda: IngestService.recover(state),
+                     # takes a state dir since 9.0
+                     lambda: VideoDatabase.recover(state)):
+            with pytest.raises(StorageError, match=re.escape(RETIRED)):
+                call()
         assert sorted(os.listdir(tmp_path)) == ["corpus.npz", "state"]
         assert os.listdir(state) == ["index.npz"]
 
     def test_converted_store_shadows_the_archive(self, tmp_path):
         import repro
 
-        archive = legacy_copy(tmp_path)
-        convert(archive)
+        stub_archive(tmp_path / "mono.npz")
+        index, _ = build_index()
+        ColumnarStore(tmp_path / "mono.strg").write_index(index)
         opened = repro.open_database(tmp_path / "mono", create=False)
         assert opened.path == str(tmp_path / "mono.strg")
-        assert opened.stats()["ogs"] == 36
+        assert opened.stats()["ogs"] == len(index)
 
     def test_convert_rejects_identical_paths(self, tmp_path):
-        archive = legacy_copy(tmp_path)
+        archive = stub_archive(tmp_path / "mono.npz")
         with pytest.raises(InvalidParameterError):
             convert(archive, archive)
         assert sorted(os.listdir(tmp_path)) == ["mono.npz"]
@@ -560,7 +572,7 @@ class TestFacade:
             convert(tmp_path / "ghost.npz")
         index, _ = build_index()
         ColumnarStore(tmp_path / "col").write_index(index)
-        with pytest.raises(StorageError, match="no NPZ archive"):
+        with pytest.raises(StorageError, match="no 10.x store"):
             convert(tmp_path / "col.strg")   # stores are not a source
 
     def test_default_state_dir_checkpoints_append(self, tmp_path):
@@ -594,71 +606,9 @@ class TestFacade:
         assert counters["storage.columnar.appends"] == 3
 
 
-class TestImporter:
-    """``convert`` — the one place 2.x NPZ archives are still read."""
-
-    @pytest.fixture(scope="class")
-    def expected(self):
-        with open(LEGACY / "expected.json", encoding="utf-8") as fh:
-            return json.load(fh)
-
-    @pytest.mark.parametrize("name", ["mono.npz", "sharded.npz"])
-    def test_converted_answers_match_recorded(self, tmp_path, expected,
-                                              name):
-        store = convert(legacy_copy(tmp_path, name))
-        assert store.path == str(tmp_path / name[:-len(".npz")]) + ".strg"
-        assert store.describe()["shards"] == (
-            2 if name == "sharded.npz" else 1)
-        index = open_store(store.path).load_index(mmap=True)
-        assert len(index) == expected["num_ogs"]
-        got = [[[d, ref] for d, _, ref in
-                index.knn(np.asarray(query), expected["k"])]
-               for query in expected["queries"]]
-        assert got == expected["answers"][name]
-
-    def test_explicit_destination(self, tmp_path):
-        store = convert(legacy_copy(tmp_path), tmp_path / "elsewhere")
-        assert store.path == str(tmp_path / "elsewhere.strg")
-        assert (tmp_path / "mono.npz").exists()   # source untouched
-
-    @pytest.mark.parametrize("name", ["mono.npz", "sharded.shard1.npz"])
-    def test_truncated_archive_raises(self, tmp_path, name):
-        archive = legacy_copy(
-            tmp_path, "sharded.npz" if "shard" in name else name)
-        victim = tmp_path / name
-        with open(victim, "r+b") as fh:
-            fh.truncate(victim.stat().st_size // 2)
-        with pytest.raises(IndexCorruptionError):
-            convert(archive)
-        assert not is_columnar_store(str(archive)[:-len(".npz")])
-
-    @pytest.mark.parametrize("name", ["mono.npz", "sharded.shard0.npz"])
-    def test_byte_flipped_archive_raises(self, tmp_path, name):
-        archive = legacy_copy(
-            tmp_path, "sharded.npz" if "shard" in name else name)
-        victim = tmp_path / name
-        with zipfile.ZipFile(victim) as zf:   # aim at payload, not
-            member = zf.getinfo("og_values.npy")   # zip metadata
-        blob = bytearray(victim.read_bytes())
-        blob[member.header_offset + 30 + len(member.filename)
-             + member.compress_size // 2] ^= 0xFF
-        victim.write_bytes(bytes(blob))
-        with pytest.raises(IndexCorruptionError):
-            convert(archive)
-
-
 class TestConvertV1:
-    """``convert`` — the one reader of 9.x (format version 1) stores."""
-
-    @pytest.fixture(scope="class")
-    def expected(self):
-        with open(LEGACY_V1 / "expected.json", encoding="utf-8") as fh:
-            return json.load(fh)
-
-    @staticmethod
-    def v1_copy(tmp_path, name):
-        shutil.copytree(LEGACY_V1 / f"{name}.strg", tmp_path / f"{name}.strg")
-        return tmp_path / f"{name}.strg"
+    """9.x (format version 1) stores are refused everywhere, ``convert``
+    included, naming the release that converts them."""
 
     @staticmethod
     def answers(index, expected, **kwargs):
@@ -666,96 +616,41 @@ class TestConvertV1:
                  index.knn(np.asarray(query), expected["k"], **kwargs)]
                 for query in expected["queries"]]
 
-    @pytest.mark.parametrize("name", ["mono", "sharded"])
-    @pytest.mark.parametrize("in_place", [True, False],
-                             ids=["in-place", "to-dest"])
-    def test_converted_answers_match_recorded(self, tmp_path, expected,
-                                              name, in_place):
-        source = self.v1_copy(tmp_path, name)
-        dest = None if in_place else tmp_path / "out"
-        store = convert(source, dest)
-        assert store.path == str(source if in_place
-                                 else tmp_path / "out.strg")
-        assert store.describe()["shards"] == (2 if name == "sharded" else 1)
-        # Straight to the current format, one log over flat segments.
-        assert store_layout.log_records(store)[0]["format_version"] == 3
-        assert not [p for p in Path(store.path).iterdir() if p.is_dir()]
-        for mmap in (True, False):
-            index = open_store(store.path).load_index(mmap=mmap)
-            assert len(index) == expected["num_ogs"][name]
-            assert self.answers(index, expected) == expected["answers"][name]
-            assert self.answers(index, expected,
-                                search_budget=expected["search_budget"]) \
-                == expected["budgeted"][name]
-        if in_place:   # nothing of the v1 layout is left behind
-            assert not list(Path(store.path).rglob("*.npy"))
-            assert not list(Path(store.path).rglob("manifest.json"))
-        else:
-            assert (source / "manifest.json").is_file()
-
-    def test_deltas_and_deletes_become_log_records(self, tmp_path):
-        store = convert(self.v1_copy(tmp_path, "mono"))
-        kinds = [seg["kind"] for seg in store_layout.segments(store)]
-        assert kinds == ["base", "delta", "delta", "delta"]
-        assert store.manifest()["rows_dead"] == 2
-        records = store_layout.log_records(store)
-        assert sum(len(entry.get("dead", [])) for record in records
-                   for entry in record["segments"]) == 2
-        # Column bytes are copied, not re-encoded.
-        v1 = LEGACY_V1 / "mono.strg" / "seg-000000" / "og_values.npy"
-        target, offset, nbytes = store_layout.column_span(store, "og_values")
-        with open(target, "rb") as fh:
-            fh.seek(offset)
-            copied = fh.read(nbytes)
-        assert copied == np.load(v1).tobytes()
-
-    def test_every_other_entry_point_refuses_v1(self, tmp_path):
+    def test_every_other_entry_point_refuses_v1(self, tmp_path, capsys):
         import repro
+        from repro.cli import main
         from repro.serving.ingest import IngestService
         from repro.serving.workers import WorkerPool
         from repro.storage.database import VideoDatabase
 
-        source = self.v1_copy(tmp_path, "mono")
+        source = stub_v1_store(tmp_path / "mono.strg")
         hint = f"strg-index convert {source}"
         for call in (lambda: open_store(source),
                      lambda: open_store(tmp_path / "mono"),
                      lambda: repro.open_database(source, create=False),
                      lambda: VideoDatabase.load(source),
                      lambda: WorkerPool(source),
+                     lambda: convert(source),
+                     lambda: convert(source, tmp_path / "out"),
                      lambda: ColumnarStore(source).load_index(),
                      lambda: ColumnarStore(source).write_index(
                          build_index()[0])):
             with pytest.raises(StorageError) as err:
                 call()
             assert hint in str(err.value)
+            assert RETIRED in str(err.value)
+        for command in (["query", str(source)], ["convert", str(source)]):
+            assert main(command) == 3
+            assert RETIRED in capsys.readouterr().err
         state = tmp_path / "state"
-        shutil.copytree(source, state / "index.strg")
-        with pytest.raises(StorageError, match="strg-index convert"):
+        stub_v1_store(state / "index.strg")
+        with pytest.raises(StorageError, match=re.escape(RETIRED)):
             IngestService(LiveIndex(build_index()[0]), state_dir=state)
-        with pytest.raises(StorageError, match="strg-index convert"):
+        with pytest.raises(StorageError, match=re.escape(RETIRED)):
             IngestService.recover(state)
-        assert (source / "manifest.json").is_file()
-
-    def test_damaged_v1_column_raises(self, tmp_path):
-        source = self.v1_copy(tmp_path, "mono")
-        victim = source / "seg-000002" / "og_values.npy"
-        blob = bytearray(victim.read_bytes())
-        blob[-3] ^= 0xFF
-        victim.write_bytes(bytes(blob))
-        with pytest.raises(IndexCorruptionError, match="checksum"):
-            convert(source)
-        assert not is_columnar_store(source)
-
-    def test_cli_converts_then_queries(self, tmp_path, capsys):
-        from repro.cli import main
-
-        source = self.v1_copy(tmp_path, "sharded")
-        assert main(["query", str(source)]) == 3
-        assert "strg-index convert" in capsys.readouterr().err
-        assert main(["convert", str(source)]) == 0
-        assert "verified" in capsys.readouterr().out
-        assert main(["query", str(source), "-k", "3"]) == 0
-        assert capsys.readouterr().out.count("d=") == 3
+        assert sorted(os.listdir(tmp_path)) == ["mono.strg", "state"]
+        assert os.listdir(source) == ["manifest.json"]
+        assert os.listdir(state) == ["index.strg"]
 
 
 class TestConvertV2:
@@ -1024,13 +919,13 @@ class TestDatabaseIntegration:
     def test_cli_convert_round_trip(self, tmp_path, capsys):
         from repro.cli import main
 
-        src = str(legacy_copy(tmp_path))
-        assert main(["convert", src]) == 0
+        src = str(TestConvertV2.v2_copy(tmp_path, "mono"))
+        assert main(["query", src, "-k", "2"]) == 3
+        assert "strg-index convert" in capsys.readouterr().err
+        assert main(["convert", src, str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "columnar" in out
-        dest = str(tmp_path / "mono.strg")
+        dest = str(tmp_path / "out.strg")
         assert is_columnar_store(dest)
         assert main(["query", dest, "-k", "2"]) == 0
         assert main(["convert", str(tmp_path / "missing.npz")]) == 3
-        assert main(["query", src, "-k", "2"]) == 3
-        assert "strg-index convert" in capsys.readouterr().err

@@ -685,15 +685,19 @@ class TestServeHttpCli:
         assert "HOST:PORT" in capsys.readouterr().err
 
     def test_serve_http_rejects_npz(self, tmp_path, capsys):
-        import shutil
-
         from repro.cli import main
 
         archive = os.path.join(tmp_path, "mono.npz")
-        shutil.copy(os.path.join(os.path.dirname(__file__), "data",
-                                 "legacy_npz", "mono.npz"), archive)
-        assert main(["serve", archive, "--http", "127.0.0.1:0"]) == 3
-        assert "convert" in capsys.readouterr().err
+        open(archive, "wb").close()   # detection reads names only
+        v1_store = os.path.join(tmp_path, "old.strg")
+        os.mkdir(v1_store)
+        open(os.path.join(v1_store, "manifest.json"), "wb").close()
+        for path in (archive, v1_store):
+            assert main(["serve", path, "--http", "127.0.0.1:0"]) == 3
+            err = capsys.readouterr().err
+            assert "strg-index convert" in err and "15.0.0" in err
+        assert sorted(os.listdir(tmp_path)) == ["mono.npz", "old.strg"]
+        assert os.listdir(v1_store) == ["manifest.json"]
         assert main(["serve", os.path.join(tmp_path, "absent"),
                      "--http", "127.0.0.1:0"]) == 2
         assert "none at" in capsys.readouterr().err

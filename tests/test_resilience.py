@@ -31,7 +31,6 @@ from repro.resilience import (
     replay_jobs,
 )
 from repro.storage.database import VideoDatabase
-from repro.storage.serialize import npz_path
 from repro.storage.store import open_store
 from repro.video.synthesize import (
     Actor,
@@ -526,9 +525,14 @@ class TestJournalAndRecovery:
 
 
 class TestPathNormalization:
-    def test_npz_path_appends_suffix_once(self):
-        assert npz_path("a/b/index") == "a/b/index.npz"
-        assert npz_path("a/b/index.npz") == "a/b/index.npz"
+    def test_npz_path_appends_suffix_once(self, tmp_path):
+        # The archive beside a suffix-less path is <path>.npz, and a
+        # path already ending in .npz names itself.
+        (tmp_path / "index.npz").write_bytes(b"")
+        for spelling in ("index", "index.npz"):
+            with pytest.raises(StorageError) as err:
+                open_store(tmp_path / spelling)
+            assert f"{tmp_path / 'index.npz'} is a 2.x" in str(err.value)
 
     def test_suffixless_save_load_roundtrip(self, tmp_path):
         db = VideoDatabase()

@@ -422,6 +422,68 @@ class TestPivotTablePruning:
             obs.configure(enabled=False, reset_state=True)
 
 
+class TestNProbe:
+    """``n_probe`` scans the nearest clusters across every live shard,
+    picked by one ``repro.core.scan.probe`` for both index kinds."""
+
+    K = 80
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(3)
+        ogs = random_ogs(rng, 301, n_blobs=8)
+        mono = STRGIndex(STRGIndexConfig(n_clusters=8, em_iterations=4,
+                                         seed=3))
+        mono.build(ogs[:300])
+        sharded = ShardedIndex(ShardedIndexConfig(
+            num_shards=2, placement="hash", seed=3,
+            index=STRGIndexConfig(n_clusters=8, em_iterations=4, seed=3)))
+        sharded.build(ogs[:300])
+        return mono, sharded, ogs[300]
+
+    @pytest.mark.parametrize("n_probe", [1, 3])
+    def test_one_shard_is_the_index(self, corpus, n_probe):
+        mono, _, query = corpus
+        request = SearchRequest.knn(query, self.K, n_probe=n_probe)
+        probed = flat(mono.search(request).hits)
+        assert probed != flat(mono.knn(query, self.K))
+        assert flat(ShardedIndex.of(mono).search(request).hits) == probed
+
+    def test_one_probe_stays_in_the_nearest_cluster(self, corpus):
+        _, sharded, query = corpus
+        views = [view for shard in sharded.shards
+                 for view in shard._cluster_views(None)]
+        assert len({id(view) for view in views}) > 8   # clusters of both
+        dists = one_vs_many(sharded.cluster_distance, query,
+                            [view.centroid for view in views])
+        nearest = views[int(np.argmin(dists))]
+        members = [record.og for record in nearest.records]
+        hits = sharded.search(SearchRequest.knn(query, self.K,
+                                                n_probe=1)).hits
+        assert {og.og_id for _, og, _ in hits} <= \
+            {og.og_id for og in members}
+        assert [og.og_id for _, og, _ in hits] == [
+            og_id for _, og_id in brute(query, members)[:self.K]]
+
+    def test_probing_every_cluster_is_exact(self, corpus):
+        _, sharded, query = corpus
+        exact = flat(sharded.knn(query, self.K))
+        for n_probe in (sharded.num_clusters(), sharded.num_clusters() + 5):
+            assert flat(sharded.search(SearchRequest.knn(
+                query, self.K, n_probe=n_probe)).hits) == exact
+
+    def test_worker_pool_refuses_n_probe(self, corpus, tmp_path):
+        from repro.errors import InvalidParameterError
+        from repro.serving.workers import WorkerPool
+
+        _, sharded, query = corpus
+        store = open_store(tmp_path / "pool")
+        store.write_index(sharded)
+        pool = WorkerPool(store.path)   # never started: no worker runs
+        with pytest.raises(InvalidParameterError, match="n_probe"):
+            pool.search(SearchRequest.knn(query, 5, n_probe=1))
+
+
 def fig7_corpus(num: int, seed: int):
     """``benchmarks/bench_fig7_indexing_power.py::_make_ogs``: 24 evenly
     spread patterns at bench-friendly lengths, 10 % noise."""

@@ -1,21 +1,13 @@
-"""Tests for index persistence, the 2.x archive reader's integrity
-checks, and the VideoDatabase facade."""
-
-import shutil
-from pathlib import Path
+"""Tests for index persistence and the VideoDatabase facade."""
 
 import numpy as np
 import pytest
 
 from repro.core.index import STRGIndex, STRGIndexConfig
-from repro.errors import IndexCorruptionError, IndexStateError, StorageError
+from repro.errors import IndexStateError, StorageError
 from repro.graph.object_graph import ObjectGraph
 from repro.storage.database import VideoDatabase
-from repro.storage.serialize import FORMAT_VERSION
-from repro.storage.serialize import load_index as load_archive
 from repro.storage.store import open_store
-
-LEGACY = Path(__file__).parent / "data" / "legacy_npz"
 
 
 def save_index(path, index):
@@ -160,77 +152,6 @@ class TestIndexSerialization:
         assert loaded.root[0].background is None
         assert loaded.root[1].background is not None
         assert loaded.root[1].background.frame_count == 7
-
-
-class TestCorruptionDetection:
-    """2.x archives must fail loudly in the importer's reader, never
-    load silently wrong (the columnar store's own drills live in
-    ``test_columnar.py::TestCorruptionDetection``)."""
-
-    def _saved_index(self, tmp_path, name="index.npz"):
-        path = tmp_path / name
-        shutil.copy(LEGACY / "mono.npz", path)
-        return path
-
-    def test_truncated_npz_raises_typed_error(self, tmp_path):
-        path = self._saved_index(tmp_path)
-        size = path.stat().st_size
-        with open(path, "r+b") as fh:
-            fh.truncate(size // 2)
-        with pytest.raises(IndexCorruptionError) as excinfo:
-            load_archive(path)
-        assert excinfo.value.details["path"].endswith("index.npz")
-
-    @pytest.mark.parametrize("position", [0.1, 0.2, 0.3, 0.4, 0.5,
-                                          0.6, 0.7, 0.8, 0.9])
-    def test_flipped_byte_never_loads_silently_wrong(self, tmp_path, position):
-        # Some offsets land in benign zip metadata (timestamps, attrs):
-        # those loads may succeed, but then MUST return the exact index.
-        # Payload flips must raise the typed corruption error.
-        path = self._saved_index(tmp_path)
-        reference = load_archive(path)
-        size = path.stat().st_size
-        offset = int(size * position)
-        with open(path, "r+b") as fh:
-            fh.seek(offset)
-            byte = fh.read(1)
-            fh.seek(offset)
-            fh.write(bytes([byte[0] ^ 0xFF]))
-        try:
-            loaded = load_archive(path)
-        except IndexCorruptionError:
-            return
-        assert loaded.stats() == reference.stats()
-        for og_ref, og_new in zip(reference.object_graphs(),
-                                  loaded.object_graphs()):
-            np.testing.assert_array_equal(og_ref.values, og_new.values)
-
-    def test_wrong_version_header_raises(self, tmp_path):
-        path = self._saved_index(tmp_path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: np.array(data[name]) for name in data.files}
-        arrays["__format_version__"] = np.int64(FORMAT_VERSION + 99)
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(IndexCorruptionError, match="version"):
-            load_archive(path)
-
-    def test_checksum_survives_clean_roundtrip(self, tmp_path):
-        # The integrity header must not interfere with normal loads.
-        path = self._saved_index(tmp_path)
-        with np.load(path, allow_pickle=False) as data:
-            assert "__checksum__" in data.files
-            assert int(data["__format_version__"]) == FORMAT_VERSION
-        assert len(load_archive(path)) == 36
-
-    def test_legacy_archive_without_header_still_loads(self, tmp_path):
-        # Pre-resilience (v1) archives carry no header keys.
-        path = self._saved_index(tmp_path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: np.array(data[name]) for name in data.files
-                      if not name.startswith("__")}
-        np.savez_compressed(path, **arrays)
-        index = load_archive(path)
-        assert len(index) == 36
 
 
 class TestPathHandling:
