@@ -19,8 +19,8 @@ Layers, bottom up:
   crash-safe job recovery (see ``docs/STREAMING.md``).
 - :mod:`repro.serving.workers` — :class:`WorkerPool` promotes shards to
   long-lived worker *processes* memory-mapping one columnar snapshot,
-  with replica failover, supervised restarts and hot-shard rebalancing
-  (see ``docs/NETWORK.md``).
+  with a shard-to-slot assignment fixed for the pool's life, replica
+  failover and supervised restarts (see ``docs/NETWORK.md``).
 - :mod:`repro.serving.net` — :class:`NetFrontend`, the asyncio
   HTTP/JSON codec over a :class:`QueryService` it runs on its backend:
   ``/knn`` ``/range`` ``/query`` ``/health`` ``/metrics`` ``/ingest``.

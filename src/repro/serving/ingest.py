@@ -103,6 +103,16 @@ JOURNAL_NAME = "ingest.journal"
 SNAPSHOT_BASE = "index"
 #: Spool directory name inside a service's ``state_dir``.
 SPOOL_DIR = "spool"
+#: A client's ``job_id``: it names the job's spool file, so it is 1-128
+#: characters from ``[A-Za-z0-9._-]`` and does not start with ``.``.
+_JOB_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,127}")
+
+
+def _check_job_id(job_id: Any) -> None:
+    if not (isinstance(job_id, str) and _JOB_ID.fullmatch(job_id)):
+        raise InvalidParameterError(
+            "job_id must be 1-128 characters from [A-Za-z0-9._-] that do "
+            f"not start with '.', got {job_id!r:.80}")
 
 
 class JobState(str, Enum):
@@ -398,6 +408,8 @@ class IngestService:
             with self._jobs_lock:
                 job_id = f"job-{self._seq:06d}"
                 self._seq += 1
+        else:
+            _check_job_id(job_id)
         maybe_fail("ingest.accept", job=job_id)
         existing = self._jobs.get(job_id)
         if job_id in self._completed:
@@ -924,9 +936,10 @@ class IngestService:
         clip refs name (a crash between a snapshot write and its record
         re-runs nothing).  Quarantine decisions stand, completed job ids
         make re-submissions no-ops, new job ids continue after the
-        journaled ones, and a job whose spool is gone is quarantined as
-        lost.  ``index`` is the empty index replay starts from when no
-        snapshot survives (default: a one-shard ``ShardedIndex``).  Raises
+        journaled ones, and a job whose spool is gone, or whose id breaks
+        the ``job_id`` rule, is quarantined as lost.  ``index`` is the
+        empty index replay starts from when no snapshot survives
+        (default: a one-shard ``ShardedIndex``).  Raises
         :class:`~repro.errors.RecoveryError` with neither a usable
         snapshot nor a journal record.
         """
@@ -996,6 +1009,7 @@ class IngestService:
             job_id = str(info.get("job"))
             spool_name = info.get("spool")
             try:
+                _check_job_id(job_id)  # it names the spool file
                 if spool_name is None:
                     raise StorageError(
                         f"spooled upload missing for {job_id!r}")

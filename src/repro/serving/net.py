@@ -19,8 +19,6 @@ and deadline semantics of in-process callers — it is the same code:
                           (202 + job id; 501 without one)
 ``POST /admin/reload``    re-open the snapshot in every worker (409 when
                           its shard set changed; 501 without ``reload``)
-``POST /admin/rebalance`` run the hot-shard migration policy once (501
-                          without ``rebalance``)
 ========================  ====================================================
 
 Every answer carries the ``snapshot`` version its hits were read from.
@@ -110,6 +108,20 @@ def _status_of(exc: BaseException) -> int:
 def _unsupported(message: str) -> _HttpError:
     """501: the route exists but this deployment lacks the capability."""
     return _HttpError(501, message, type="UnsupportedOperation")
+
+
+def _as_frames(value: Any) -> np.ndarray:
+    """A client's nested ``frames`` list as a uint8 array: every value
+    must be an integer in [0, 255], or the request is a 400."""
+    try:
+        frames = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"'frames' is not a video: {exc}")
+    if frames.size and not (frames.dtype.kind in "iu" and frames.min() >= 0
+                            and frames.max() <= 255):
+        raise InvalidParameterError(
+            f"'frames' must hold integers in [0, 255] (got {frames.dtype})")
+    return frames.astype(np.uint8)
 
 
 def _encode_hit(hit: Any) -> dict[str, Any]:
@@ -350,7 +362,6 @@ class NetFrontend:
             ("POST", "/query"): self._handle_query,
             ("POST", "/ingest"): self._handle_ingest,
             ("POST", "/admin/reload"): self._handle_reload,
-            ("POST", "/admin/rebalance"): self._handle_rebalance,
         }
         handler = routes.get((method, path))
         if handler is None:
@@ -492,11 +503,7 @@ class NetFrontend:
         if "frames" not in request:
             raise _HttpError(400, "missing required field 'frames' "
                              "(nested list of shape (T, H, W, 3))")
-        try:
-            frames = np.asarray(request["frames"], dtype=np.uint8)
-        except (TypeError, ValueError) as exc:
-            raise _HttpError(400, f"'frames' is not a uint8 video: {exc}")
-        video = VideoSegment(frames,
+        video = VideoSegment(_as_frames(request["frames"]),
                              fps=self._as_float(request.get("fps", 10.0),
                                                 "fps"),
                              name=str(request.get("name", "http-clip")))
@@ -517,21 +524,6 @@ class NetFrontend:
             # server fault.
             raise _HttpError(409, str(exc), type="StorageError") from None
         return 200, {"snapshot": version}, "application/json"
-
-    async def _handle_rebalance(self, request: dict[str, Any]
-                                ) -> tuple[int, Any, str]:
-        rebalance = getattr(self.backend, "rebalance", None)
-        if rebalance is None:
-            raise _unsupported("this backend has no shards to rebalance")
-        ratio = request.get("ratio")
-        if ratio is not None:
-            ratio = self._as_float(ratio, "ratio")
-        moves = await asyncio.to_thread(rebalance, ratio)
-        return 200, {
-            "moves": [{"shard": s, "from": a, "to": b}
-                      for s, a, b in moves],
-            "assignment": [list(x) for x in self.backend.assignment],
-        }, "application/json"
 
 
 # ---------------------------------------------------------------------------

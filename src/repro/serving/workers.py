@@ -40,14 +40,8 @@ semantics of ``serving.shard`` — partial results flagged
 ``degraded=True`` with the missing shards listed — until the
 supervisor respawns a worker.
 
-Rebalancing.  Every response carries per-shard busy time, accumulated
-into per-shard query counters (the same signal affine placement
-concentrates: hot locality islands burn more kernel time).  When the
-pool multiplexes more shards than worker slots,
-:meth:`WorkerPool.rebalance` migrates the coldest shard off the
-hottest slot onto the coldest slot until the busy-time ratio drops
-under ``rebalance_ratio`` — workers re-open the moved shard store
-(an mmap, so the move ships no data).
+Assignment.  Shard ``s`` is served by slot ``s mod W``, fixed when the
+pool is constructed; only a pool restart serves a new layout.
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import (
     IndexStateError,
@@ -80,11 +74,10 @@ class _ShardSet:
 
     An exact request runs through one worker-local
     :class:`~repro.serving.sharding.ShardedIndex` assembled over exactly
-    the requested live shards — every open shard, or a strict subset of
-    them while a rebalance moves a shard between slots — and cached for
-    the set last seen.  Assembling one sweeps nothing (each shard keeps
-    its own scan views), and its one scan over every shard's clusters
-    shares one pruning bound.
+    the requested live shards — a strict subset of the assigned ones
+    when some are empty — and cached for the set last seen.  Assembling
+    one sweeps nothing (each shard keeps its own scan views), and its one
+    scan over every shard's clusters shares one pruning bound.
 
     Exactness is preserved: the shards' og_ids are the
     :class:`~repro.storage.columnar.RowLabels` of one committed version,
@@ -125,14 +118,6 @@ class _ShardSet:
         self.shards, self.labels = shards, labels
         self._combined = None
 
-    def open(self, ordinal: int) -> None:
-        self.shards[ordinal] = None
-        self.reload()
-
-    def close(self, ordinal: int) -> None:
-        self.shards.pop(ordinal, None)
-        self._combined = None
-
     def sizes(self) -> dict[int, int]:
         return {o: len(index) for o, index in self.shards.items()}
 
@@ -162,31 +147,17 @@ class _ShardSet:
                 details={"shards": missing, "assigned": sorted(self.shards)})
         live = [o for o in requested if len(self.shards[o]) > 0]
         if not live:
-            return {"hits": [], "busy": dict.fromkeys(requested, 0.0)}
+            return {"hits": []}
         if request.search_budget is not None:
-            distance = self.shards[live[0]].metric_distance
-            return self._search_combined(requested, live, lambda: approx_knn(
-                [self.shards[o].sketch_tier() for o in live], distance,
-                request, [shares[o] for o in live]))
-        index = self._assembled(sorted(live))
-        return self._search_combined(
-            requested, live, lambda: index.search(request).hits)
-
-    def _search_combined(self, requested: list[int], live: list[int],
-                         search: Callable[[], list]) -> dict[str, Any]:
-        started = time.perf_counter()
-        found = search()
-        elapsed = time.perf_counter() - started
-        # The shared-bound search is one pass, so per-shard busy time is
-        # attributed proportionally to shard size — slot totals stay
-        # real measured time, which is what rebalancing keys on.
-        total = sum(len(self.shards[o]) for o in live)
-        busy = {o: 0.0 for o in requested}
-        for o in live:
-            busy[o] = elapsed * len(self.shards[o]) / total
+            found = approx_knn(
+                [self.shards[o].sketch_tier() for o in live],
+                self.shards[live[0]].metric_distance,
+                request, [shares[o] for o in live])
+        else:
+            found = self._assembled(sorted(live)).search(request).hits
         locate = self.labels.locate
-        hits = [(float(d), *locate(og.og_id), ref) for d, og, ref in found]
-        return {"hits": hits, "busy": busy}
+        return {"hits": [(float(d), *locate(og.og_id), ref)
+                         for d, og, ref in found]}
 
 
 def _worker_main(store_path: str, assignment: list[int],
@@ -228,15 +199,6 @@ def _worker_main(store_path: str, assignment: list[int],
             elif op == "reload":
                 shard_set.reload()
                 conn.send(("ok", {"sizes": shard_set.sizes()}))
-            elif op == "open":
-                _, ordinal = message
-                shard_set.open(ordinal)
-                conn.send(("ok", {"shard": ordinal,
-                                  "size": shard_set.sizes()[ordinal]}))
-            elif op == "close":
-                _, ordinal = message
-                shard_set.close(ordinal)
-                conn.send(("ok", {"shard": ordinal}))
             elif op == "search":
                 conn.send(("ok", shard_set.search(*message[1:])))
             else:
@@ -273,9 +235,6 @@ class WorkerPoolConfig:
                             before declaring it dead.
     ``restart``             respawn crashed workers from the
                             supervisor sweep.
-    ``rebalance_ratio``     busy-time ratio (hottest/coldest slot)
-                            above which :meth:`WorkerPool.rebalance`
-                            migrates shards.
     """
 
     workers: int | None = None
@@ -285,7 +244,6 @@ class WorkerPoolConfig:
     start_timeout: float = 120.0
     request_timeout: float = 120.0
     restart: bool = True
-    rebalance_ratio: float = 2.0
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
@@ -299,10 +257,6 @@ class WorkerPoolConfig:
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(
                     f"{name} must be > 0, got {getattr(self, name)}")
-        if self.rebalance_ratio < 1.0:
-            raise InvalidParameterError(
-                f"rebalance_ratio must be >= 1.0, got "
-                f"{self.rebalance_ratio}")
 
 
 @dataclass
@@ -368,7 +322,8 @@ class WorkerPool:
         self.num_shards = store.manifest()["num_shards"]
         slots = self.config.workers or self.num_shards
         self.num_slots = min(slots, self.num_shards)
-        #: ``assignment[slot]`` — shard ordinals this slot serves.
+        #: ``assignment[slot]`` — shard ordinals this slot serves, fixed
+        #: for the pool's life.
         self.assignment: list[list[int]] = [[] for _ in range(self.num_slots)]
         for ordinal in range(self.num_shards):
             self.assignment[ordinal % self.num_slots].append(ordinal)
@@ -387,11 +342,6 @@ class WorkerPool:
         self._probe_rr = 0
         self._state_lock = threading.Lock()
         self.shard_sizes: dict[int, int] = {}
-        self._shard_stats: dict[int, dict[str, float]] = {
-            ordinal: {"queries": 0.0, "busy_seconds": 0.0}
-            for ordinal in range(self.num_shards)
-        }
-        self.rebalances = 0
         self.snapshot_version = self.store.version()
 
     # -- lifecycle ------------------------------------------------------------
@@ -420,12 +370,10 @@ class WorkerPool:
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
-        assignment = list(self.assignment[handle.slot])
         process = self._ctx.Process(
             target=_worker_main,
-            args=(self.store.path, assignment, child_conn,
-                  self.config.mmap,
-                  handle.name),
+            args=(self.store.path, self.assignment[handle.slot], child_conn,
+                  self.config.mmap, handle.name),
             name=f"strg-{handle.name}", daemon=True)
         process.start()
         child_conn.close()
@@ -506,7 +454,7 @@ class WorkerPool:
         if handle.poisoned:
             handle.alive = False
         elif process is not None and process.is_alive():
-            # A busy worker (lock held by a scatter) is alive by
+            # A worker whose lock a scatter holds is alive by
             # definition; only ping the idle ones.
             if handle.lock.acquire(blocking=False):
                 try:
@@ -640,17 +588,10 @@ class WorkerPool:
                     OBS.count("net.worker_failures")
                     continue
             if kind == "error":
-                if isinstance(payload, ShardUnavailableError):
-                    # This replica doesn't (currently) hold a requested
-                    # shard — e.g. it is mid-rebalance.  Another replica
-                    # of the slot may still serve it.
-                    last_error = payload
-                    continue
                 raise payload
             handle.last_seen = time.monotonic()
             return payload
-        with self._state_lock:
-            shards = list(self.assignment[slot])
+        shards = list(self.assignment[slot])
         raise ShardUnavailableError(
             f"no live worker for slot {slot} (shards {shards})",
             details={"slot": slot, "shards": shards,
@@ -673,11 +614,10 @@ class WorkerPool:
         fan-out, and a valid bound never changes results.
         """
         with self._state_lock:
-            assignment = [list(shards) for shards in self.assignment]
             sizes = dict(self.shard_sizes)
         slots = [
-            s for s in range(self.num_slots)
-            if any(sizes.get(o, 0) > 0 for o in assignment[s])
+            s for s, shards in enumerate(self.assignment)
+            if any(sizes.get(o, 0) > 0 for o in shards)
         ]
         if len(slots) < 2:
             return None  # a single slot already shares its bound internally
@@ -687,7 +627,7 @@ class WorkerPool:
         try:
             payload = self._exchange(
                 slot, replace(request, search_budget=k),
-                {o: k for o in assignment[slot] if sizes.get(o, 0) > 0})
+                {o: k for o in self.assignment[slot] if sizes.get(o, 0) > 0})
         except Exception:  # noqa: BLE001 — probe is best-effort
             OBS.count("net.probe_failures")
             return None
@@ -709,67 +649,23 @@ class WorkerPool:
         # after every worker acked, so hits may come from a newer
         # snapshot than the stamp, never from an older one.
         version = self.snapshot_version
-        with self._state_lock:
-            assignment = [list(shards) for shards in self.assignment]
         futures = []
-        for slot in range(self.num_slots):
-            part = {o: shares[o] for o in assignment[slot] if o in shares}
+        for slot, shards in enumerate(self.assignment):
+            part = {o: shares[o] for o in shards if o in shares}
             if part:
                 futures.append((part, self._scatter_pool.submit(
                     self._exchange, slot, request, part)))
         hits: list[tuple[float, int, int, Any]] = []
         failed: list[int] = []
-        retry: list[int] = []
-
-        def absorb(payload: dict[str, Any]) -> None:
-            hits.extend(payload["hits"])
-            with self._state_lock:
-                for ordinal, busy in payload["busy"].items():
-                    stats = self._shard_stats[int(ordinal)]
-                    stats["queries"] += 1
-                    stats["busy_seconds"] += float(busy)
-
         for part, future in futures:
             try:
-                payload = future.result()
+                hits.extend(future.result()["hits"])
             except ShardUnavailableError:
-                retry.extend(part)
-                continue
-            absorb(payload)
-        # The assignment snapshot may go stale mid-flight (a rebalance
-        # moved a shard off the slot we asked): re-resolve each missed
-        # shard's current owner and retry.  A bounded number of rounds,
-        # because a multi-move rebalance pass can invalidate the first
-        # retry's resolution too.
-        last_error: ShardUnavailableError | None = None
-        for _ in range(4):
-            if not retry:
-                break
-            with self._state_lock:
-                owner = {o: slot
-                         for slot, shards in enumerate(self.assignment)
-                         for o in shards}
-            regrouped: dict[int, list[int]] = {}
-            for shard in retry:
-                regrouped.setdefault(owner.get(shard, -1), []).append(shard)
-            retry = []
-            for slot, shards in sorted(regrouped.items()):
-                if slot < 0:  # pragma: no cover - shard left the pool
-                    failed.extend(shards)
-                    continue
-                try:
-                    payload = self._exchange(
-                        slot, request, {o: shares[o] for o in shards})
-                except ShardUnavailableError as exc:
-                    last_error = exc
-                    retry.extend(shards)
-                    continue
-                absorb(payload)
-        if retry:
-            if not degrade and last_error is not None:
-                raise last_error
-            OBS.count("net.shards_failed", len(retry))
-            failed.extend(retry)
+                if not degrade:
+                    raise
+                failed.extend(part)
+        if failed:
+            OBS.count("net.shards_failed", len(failed))
         hits.sort(key=lambda h: (h[0], h[1], h[2]))
         return SearchResult([RemoteHit(*h) for h in hits], bool(failed),
                             sorted(failed), version)
@@ -891,125 +787,10 @@ class WorkerPool:
             self.snapshot_version = version
             return version
 
-    def shard_stats(self) -> dict[int, dict[str, float]]:
-        """Per-shard query counters since the last rebalance."""
-        with self._state_lock:
-            return {o: dict(s) for o, s in self._shard_stats.items()}
-
-    def slot_loads(self) -> list[float]:
-        """Busy seconds per worker slot (sum over its shards)."""
-        with self._state_lock:
-            stats = {o: dict(s) for o, s in self._shard_stats.items()}
-            assignment = [list(shards) for shards in self.assignment]
-        return [
-            sum(stats[o]["busy_seconds"] for o in shards)
-            for shards in assignment
-        ]
-
-    def rebalance(self, ratio: float | None = None
-                  ) -> list[tuple[int, int, int]]:
-        """Migrate shards from hot slots to cold ones.
-
-        Policy: while the hottest slot's busy time exceeds ``ratio``
-        times the coldest slot's *and* the hottest slot serves more
-        than one shard, move its coldest shard to the coldest slot.
-        Returns the moves as ``(shard, from_slot, to_slot)``; counters
-        reset afterwards so the next window measures the new layout.
-        Only meaningful when shards outnumber slots — with one shard
-        per slot there is nothing to migrate.
-        """
-        ratio = self.config.rebalance_ratio if ratio is None else ratio
-        if ratio < 1.0:
-            raise InvalidParameterError(
-                f"ratio must be >= 1.0, got {ratio}")
-        moves: list[tuple[int, int, int]] = []
-        if self.num_slots < 2:
-            return moves
-        with self._state_lock:
-            stats = {o: dict(s) for o, s in self._shard_stats.items()}
-            assignment = [list(shards) for shards in self.assignment]
-        loads = [
-            sum(stats[o]["busy_seconds"] for o in shards)
-            for shards in assignment
-        ]
-        while True:
-            hot = max(range(self.num_slots), key=lambda s: loads[s])
-            cold = min(range(self.num_slots), key=lambda s: loads[s])
-            if hot == cold or len(assignment[hot]) <= 1:
-                break
-            if loads[hot] <= ratio * max(loads[cold], 1e-12):
-                break
-            shard = min(assignment[hot],
-                        key=lambda o: (stats[o]["busy_seconds"], o))
-            if not self._move_shard(shard, hot, cold):
-                break
-            assignment[hot].remove(shard)
-            assignment[cold].append(shard)
-            moves.append((shard, hot, cold))
-            loads[hot] -= stats[shard]["busy_seconds"]
-            loads[cold] += stats[shard]["busy_seconds"]
-        if moves:
-            self.rebalances += len(moves)
-            OBS.count("net.shards_rebalanced", len(moves))
-            with self._state_lock:
-                for entry in self._shard_stats.values():
-                    entry["queries"] = 0.0
-                    entry["busy_seconds"] = 0.0
-        return moves
-
-    def _move_shard(self, shard: int, hot: int, cold: int) -> bool:
-        """Open ``shard`` on every replica of ``cold``, close on ``hot``.
-
-        Open-before-close on each worker, so a crash mid-move leaves the
-        shard served by at least one slot.  A move that cannot open the
-        shard on any cold replica is abandoned (returns ``False``).
-
-        The assignment swap happens under ``_state_lock`` *between* the
-        open and the close: a concurrent scatter either snapshots the
-        old owner (which still has the shard open until the close below)
-        or the new one (already open).  A request built on the old
-        snapshot that loses the race with the close gets a worker-side
-        ``ShardUnavailableError`` and is retried against the updated
-        assignment by :meth:`_scatter`.
-        """
-        opened = 0
-        for handle in self._handles[cold]:
-            if self._admin(handle, ("open", shard)):
-                opened += 1
-        if opened == 0:
-            return False
-        with self._state_lock:
-            self.assignment[hot].remove(shard)
-            self.assignment[cold].append(shard)
-            self.assignment[cold].sort()
-        for handle in self._handles[hot]:
-            self._admin(handle, ("close", shard))
-        return True
-
-    def _admin(self, handle: _WorkerHandle, message: tuple) -> bool:
-        """One fire-and-check admin exchange with a worker."""
-        if not handle.alive or handle.poisoned:
-            return False
-        with handle.lock:
-            try:
-                handle.conn.send(message)
-                if not handle.conn.poll(self.config.start_timeout):
-                    self._poison(handle)
-                    return False
-                kind, payload = handle.conn.recv()
-            except (OSError, EOFError, BrokenPipeError):
-                handle.alive = False
-                return False
-        if kind == "error":
-            raise payload
-        return True
-
     # -- introspection --------------------------------------------------------
 
     def health(self) -> dict[str, Any]:
         """Operational telemetry: what an operator (or /health) watches."""
-        with self._state_lock:
-            assignment = [list(shards) for shards in self.assignment]
         workers = []
         for row in self._handles:
             for handle in row:
@@ -1022,11 +803,11 @@ class WorkerPool:
                     "alive": bool(handle.alive and process is not None
                                   and process.is_alive()),
                     "restarts": handle.restarts,
-                    "shards": list(assignment[handle.slot]),
+                    "shards": list(self.assignment[handle.slot]),
                 })
         alive = sum(1 for w in workers if w["alive"])
         served = {
-            o for slot, shards in enumerate(assignment)
+            o for slot, shards in enumerate(self.assignment)
             for o in shards
             if any(w["alive"] for w in workers if w["slot"] == slot)
         }
@@ -1042,8 +823,7 @@ class WorkerPool:
             "shards_served": sorted(served),
             "shard_sizes": {str(o): n
                             for o, n in sorted(self.shard_sizes.items())},
-            "rebalances": self.rebalances,
-            "assignment": assignment,
+            "assignment": [list(shards) for shards in self.assignment],
         }
 
     def __repr__(self) -> str:

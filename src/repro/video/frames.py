@@ -27,8 +27,9 @@ class VideoSegment:
             )
         if frames.shape[0] == 0:
             raise InvalidParameterError("video segment must contain frames")
-        if fps <= 0:
-            raise InvalidParameterError(f"fps must be positive, got {fps}")
+        if not 0 < fps < float("inf"):
+            raise InvalidParameterError(
+                f"fps must be positive and finite, got {fps}")
         self.frames = frames.astype(np.uint8, copy=False)
         self.fps = float(fps)
         self.name = name

@@ -156,6 +156,23 @@ class TestSubmitAndIndex:
             with pytest.raises(InvalidParameterError):
                 service.wait("missing")
 
+    @pytest.mark.parametrize("job_id", [
+        "../../escaped", "a/b", ".hidden", "", "x" * 129, {"a": 1}, 7])
+    def test_job_id_rule(self, tmp_path, job_id):
+        """A client's job id names its spool file: anything but 1-128
+        characters from ``[A-Za-z0-9._-]`` not starting with ``.`` is
+        refused before anything is spooled or journaled."""
+        with make_service(tmp_path / "a") as service:
+            with pytest.raises(InvalidParameterError, match="job_id"):
+                service.run(make_clip("bad"), job_id=job_id)
+            with pytest.raises(InvalidParameterError, match="job_id"):
+                service.submit(make_clip("bad"), job_id=job_id)
+            assert service.health()["indexed_jobs"] == 0
+        assert list(tmp_path.rglob("*.npz")) == []
+        with make_service(tmp_path / "b") as service:
+            job = service.run(make_clip("ok"), job_id="A-z_0." + "9" * 122)
+            assert job.state is JobState.INDEXED
+
     def test_completed_resubmission_is_noop(self, tmp_path):
         with make_service(tmp_path) as service:
             job = service.submit(make_clip("once"), job_id="dup")
@@ -591,6 +608,33 @@ class TestCrashRecovery:
             assert recovered.recovery.lost_jobs == ["job-doomed"]
             assert recovered.quarantine[0].details["lost_payload"] is True
             assert len(recovered.live) == 0
+
+    def test_journaled_bad_job_id_quarantined(self, tmp_path):
+        """A journal written before the ``job_id`` rule may name a job
+        whose id escapes the spool directory: recovery quarantines it
+        as lost and writes nothing outside the state directory."""
+        from repro.resilience import IngestJournal
+
+        state = tmp_path / "a" / "state"
+        (state / "spool").mkdir(parents=True)
+        make_clip("escapee").save_npz(str(state / "spool" / "escaped.npz"))
+        journal = IngestJournal(state / "ingest.journal")
+        journal.append({"event": "job", "job": "../../escaped",
+                        "state": "QUEUED", "clip": "escapee", "frames": 4,
+                        "spool": "escaped.npz"})
+        journal.close()
+        recovered = IngestService.recover(
+            state, pipeline=_StubPipeline(),
+            config=fast_config(max_workers=1))
+        with recovered:
+            assert recovered.recovery.lost_jobs == ["../../escaped"]
+            assert recovered.recovery.replayed_jobs == []
+            assert recovered.quarantine[0].error_type == \
+                "InvalidParameterError"
+            assert len(recovered.live) == 0
+        assert [p.relative_to(tmp_path).as_posix()
+                for p in tmp_path.rglob("*.npz")] == [
+            "a/state/spool/escaped.npz"]
 
     @pytest.mark.parametrize("damage", ["flip", "truncate", "manifest"])
     def test_damaged_snapshot_is_replayed_not_served(self, tmp_path,

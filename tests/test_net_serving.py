@@ -21,6 +21,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.errors import (
     IndexStateError,
     InvalidParameterError,
+    ShardUnavailableError,
     StorageError,
 )
 from repro.serving import (
@@ -130,8 +131,6 @@ class TestWorkerPoolParity:
             WorkerPoolConfig(workers=0)
         with pytest.raises(InvalidParameterError):
             WorkerPoolConfig(replicas=0)
-        with pytest.raises(InvalidParameterError):
-            WorkerPoolConfig(rebalance_ratio=0.5)
 
     def test_unstarted_pool_raises(self, store_path, queries):
         pool = WorkerPool(store_path, WorkerPoolConfig(workers=1))
@@ -162,6 +161,31 @@ class TestFailover:
             health = pool.health()
             assert health["status"] in ("degraded", "partial")
 
+    def test_dead_slot_is_asked_once_per_request(self, store_path, queries):
+        """A slot with no live replica fails its shards on its one
+        exchange per request, degraded or raising."""
+        config = WorkerPoolConfig(workers=2, restart=False,
+                                  heartbeat_interval=30.0)
+        with WorkerPool(store_path, config) as pool:
+            pool.kill_worker(0)
+            asked: list[int] = []
+            exchange = pool._exchange
+
+            def counted(slot, request, shares):
+                asked.append(slot)
+                return exchange(slot, request, shares)
+
+            pool._exchange = counted
+            for query in queries:
+                got = pool.knn(query, K, search_budget=24)
+                assert got.failed_shards == sorted(pool.assignment[0])
+                got = pool.range_query(query, RADIUS)
+                assert got.failed_shards == sorted(pool.assignment[0])
+            assert asked.count(0) == 2 * len(queries)
+            with pytest.raises(ShardUnavailableError):
+                pool.knn(queries[0], K, search_budget=24, degrade=False)
+            assert asked.count(0) == 2 * len(queries) + 1
+
     def test_replica_failover_is_not_degraded(self, store_path, reference,
                                               queries):
         config = WorkerPoolConfig(workers=1, replicas=2, restart=False,
@@ -186,53 +210,6 @@ class TestFailover:
                 got = pool.knn(query, K)
                 assert not got.degraded
                 assert hits_of(got) == expected_knn(reference, query, K)
-
-
-class TestRebalance:
-    def test_moves_cold_shard_off_hot_slot(self, store_path, reference,
-                                           queries):
-        with WorkerPool(store_path, WorkerPoolConfig(workers=2)) as pool:
-            # 4 shards over 2 slots: [0, 2] and [1, 3].  Inject skewed
-            # busy time: slot 0 hot (shard 0 hottest), slot 1 near-idle.
-            with pool._state_lock:
-                pool._shard_stats[0]["busy_seconds"] = 10.0
-                pool._shard_stats[2]["busy_seconds"] = 4.0
-                pool._shard_stats[1]["busy_seconds"] = 0.1
-                pool._shard_stats[3]["busy_seconds"] = 0.1
-            before = [list(s) for s in pool.assignment]
-            moves = pool.rebalance(ratio=2.0)
-            assert moves == [(2, 0, 1)]  # coldest shard of the hot slot
-            assert pool.assignment[0] == [0]
-            assert sorted(pool.assignment[1]) == [1, 2, 3]
-            assert pool.assignment != before
-            assert pool.rebalances == 1
-            # Counters reset so the next window measures the new layout.
-            assert all(s["busy_seconds"] == 0.0
-                       for s in pool.shard_stats().values())
-            # Results still bit-identical after the migration.
-            for query in queries:
-                got = pool.knn(query, K)
-                assert not got.degraded
-                assert hits_of(got) == expected_knn(reference, query, K)
-
-    def test_balanced_load_moves_nothing(self, store_path):
-        with WorkerPool(store_path, WorkerPoolConfig(workers=2)) as pool:
-            with pool._state_lock:
-                for stats in pool._shard_stats.values():
-                    stats["busy_seconds"] = 1.0
-            assert pool.rebalance(ratio=2.0) == []
-            with pytest.raises(InvalidParameterError):
-                pool.rebalance(ratio=0.9)
-
-    def test_slot_loads_tracks_busy_time(self, store_path, queries):
-        with WorkerPool(store_path, WorkerPoolConfig(workers=2)) as pool:
-            for query in queries:
-                pool.knn(query, K)
-            loads = pool.slot_loads()
-            assert len(loads) == 2
-            assert all(load > 0.0 for load in loads)
-            stats = pool.shard_stats()
-            assert all(s["queries"] > 0 for s in stats.values())
 
 
 class TestTimeoutPoisoning:
@@ -279,9 +256,10 @@ class TestTimeoutPoisoning:
 
 
 class TestShardSubset:
-    """Mid-rebalance a worker is asked for a strict subset of its
-    shards; the exact request runs through one index over just those
-    shards, in process here."""
+    """The coordinator sends a worker only its non-empty shards, so a
+    worker whose assigned shards include empty ones is asked for a
+    strict subset of them; the exact request runs through one index
+    over just those shards, in process here."""
 
     def test_exact_subset_request_is_the_top_k_of_those_shards(
             self, store_path, queries):
@@ -309,7 +287,6 @@ class TestShardSubset:
                 merged = sorted(reply["hits"],
                                 key=lambda h: (h[0], h[1], h[2]))
                 assert merged == brute[:k]
-                assert set(reply["busy"]) == {1, 3}
         combined = shard_set._combined[1]
         assert combined.num_shards == 2
         shard_set.search(SearchRequest.knn(queries[0], K), {1: None, 3: None})
@@ -391,57 +368,6 @@ class TestReload:
             assert len(pool) == 48
             got = pool.knn(queries[0], K)
             assert not got.degraded and len(got.hits) == K
-
-
-class TestRebalanceConcurrency:
-    def test_queries_stay_correct_through_moves(self, store_path,
-                                                reference, queries):
-        """Rebalance races a live query stream without degrading it.
-
-        A scatter that loses the race with a shard move gets a
-        worker-side ShardUnavailableError and must retry against the
-        updated assignment — never report the moved shard failed.
-        """
-        with WorkerPool(store_path, WorkerPoolConfig(workers=2)) as pool:
-            stop = threading.Event()
-            failures: list = []
-
-            def stream(query):
-                expected = expected_knn(reference, query, K)
-                while not stop.is_set():
-                    got = pool.knn(query, K)
-                    if got.degraded or hits_of(got) != expected:
-                        failures.append(
-                            (got.degraded, got.failed_shards))
-                        return
-
-            threads = [threading.Thread(target=stream, args=(q,))
-                       for q in queries[:2]]
-            for thread in threads:
-                thread.start()
-            try:
-                for _ in range(6):
-                    # Make the slot with the most shards hot (one hot
-                    # shard, cold rest) so every pass migrates.
-                    with pool._state_lock:
-                        counts = [len(s) for s in pool.assignment]
-                        hot = max(range(len(counts)),
-                                  key=lambda i: counts[i])
-                        for slot, shards in enumerate(pool.assignment):
-                            for j, o in enumerate(shards):
-                                pool._shard_stats[o]["busy_seconds"] = (
-                                    10.0 if slot == hot and j == 0
-                                    else 0.1)
-                    assert pool.rebalance(ratio=2.0)
-                    time.sleep(0.05)
-            finally:
-                stop.set()
-                for thread in threads:
-                    thread.join(timeout=60.0)
-            assert failures == []
-            # Every shard still has exactly one owner.
-            owners = sorted(o for slot in pool.assignment for o in slot)
-            assert owners == [0, 1, 2, 3]
 
 
 class TestHttpFrontend:
@@ -538,9 +464,6 @@ class TestHttpFrontend:
         status, body = self.post(frontend, "/range",
                                  {"query": query, "radius": "wide"})
         assert status == 400 and "radius" in body["error"]
-        status, body = self.post(frontend, "/admin/rebalance",
-                                 {"ratio": "big"})
-        assert status == 400 and "ratio" in body["error"]
 
     def test_malformed_content_length_is_400(self, frontend):
         import socket
@@ -565,12 +488,9 @@ class TestHttpFrontend:
             reply = sock.recv(65536)
         assert reply.startswith(b"HTTP/1.1 413 ")
 
-    def test_admin_rebalance_endpoint(self, frontend):
+    def test_shard_assignment_has_no_admin_route(self, frontend):
         status, body = self.post(frontend, "/admin/rebalance", {})
-        assert status == 200
-        assert body["moves"] == []  # no load yet -> nothing to move
-        assert sorted(o for slot in body["assignment"] for o in slot) \
-            == [0, 1, 2, 3]
+        assert status == 404 and "no route" in body["error"]
 
     def test_admin_reload_keeps_snapshot_version(self, frontend):
         before = frontend.backend.snapshot_version
@@ -619,11 +539,43 @@ class TestFrontendAdmissionAndDeadlines(FrontContract):
             assert status == 200 and health["ingest"] == {"queue_depth": 0}
 
 
+    @pytest.mark.parametrize("extra", [
+        {"job_id": "../../escaped"},
+        {"job_id": ".hidden"},
+        {"job_id": "x" * 129},
+        {"job_id": {"a": 1}},
+        {"frames": [[[[300, 0, 0]]]]},
+        {"frames": [[[[-1, 0, 0]]]]},
+        {"frames": [[[[1.5, 0, 0]]]]},
+        {"frames": [[[["a", 0, 0]]]]},
+        {"fps": "nan"},
+        {"fps": float("inf")},
+    ], ids=repr)
+    def test_hostile_ingest_bodies_are_400(self, tmp_path, extra):
+        """An upload the service must not take is a typed 400: a job id
+        that would name a spool file outside the spool directory, or is
+        no string at all; frame values that are not uint8; a fps that is
+        not a finite positive number.  None of them spools anything."""
+        from repro.core.index import STRGIndex
+        from repro.serving import IngestService, LiveIndex
+
+        frames = [[[[0, 0, 0]] * 4] * 4] * 2  # (2, 4, 4, 3) uint8
+        state = tmp_path / "a" / "state"
+        with IngestService(LiveIndex(STRGIndex()), state_dir=state) as ingest:
+            with NetFrontend(StubBackend(), ingest=ingest) as fe:
+                status, body = request_json(
+                    "127.0.0.1", fe.port, "POST", "/ingest",
+                    {"frames": frames, **extra})
+        assert status == 400, body
+        assert body["type"] == "InvalidParameterError"
+        assert next(iter(extra)) in body["error"]
+        assert list(tmp_path.rglob("*.npz")) == []
+
     def test_missing_capabilities_answer_501(self):
         """Admin routes are capabilities of the backend, /ingest of the
         deployment: absent, each answers a typed 501."""
         with NetFrontend(StubBackend()) as fe:
-            for path in ("/admin/reload", "/admin/rebalance", "/ingest"):
+            for path in ("/admin/reload", "/ingest"):
                 status, body = request_json(
                     "127.0.0.1", fe.port, "POST", path, {})
                 assert status == 501, path

@@ -51,7 +51,7 @@ INVENTORY = {
         "num_shards", "placement", "index", "seed"),
     "repro.serving.workers.WorkerPoolConfig": (
         "workers", "replicas", "mmap", "heartbeat_interval",
-        "start_timeout", "request_timeout", "restart", "rebalance_ratio"),
+        "start_timeout", "request_timeout", "restart"),
     "repro.video.shots.ShotDetectorConfig": (
         "bins", "threshold", "min_shot_length"),
 }
@@ -82,4 +82,4 @@ def test_settings_match_the_inventory():
 
 
 def test_inventory_size():
-    assert (len(INVENTORY), sum(map(len, INVENTORY.values()))) == (16, 76)
+    assert (len(INVENTORY), sum(map(len, INVENTORY.values()))) == (16, 75)

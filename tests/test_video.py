@@ -39,8 +39,9 @@ class TestVideoSegment:
             VideoSegment(np.zeros((0, 4, 4, 3), dtype=np.uint8))
 
     def test_invalid_fps(self):
-        with pytest.raises(InvalidParameterError):
-            VideoSegment(np.zeros((1, 4, 4, 3), dtype=np.uint8), fps=0)
+        for fps in (0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="fps"):
+                VideoSegment(np.zeros((1, 4, 4, 3), dtype=np.uint8), fps=fps)
 
     def test_slice(self):
         frames = np.arange(4 * 2 * 2 * 3, dtype=np.uint8).reshape(4, 2, 2, 3)
