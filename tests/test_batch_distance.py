@@ -24,6 +24,7 @@ from repro.distance.batch import (
     batch_dtw,
     batch_eged,
     batch_erp,
+    batch_erp_matrix,
     batch_lcs,
     one_vs_many,
     pairwise_matrix,
@@ -353,6 +354,55 @@ class TestReferenceBatching:
             "bd1d91d240debb9970e96b9c361cd212827b53fefe73c8fe6b11e9e0b8d742f8")
         assert sha256(pairwise_matrix(d, refs, corpus[:24])) == (
             "451dd76aa07594bdd0ef02fcba8fad4be71f9a3c21349d40ed4dd1c078bd24a4")
+
+    @pytest.mark.parametrize("case, digest", [
+        ("eged_adaptive",
+         "82655607f9f990abe2669f8da46224a2259587a1785fb257e731fbdf7f630076"),
+        ("eged_dtw",
+         "ab9f2f70b1151628e6252a58cd6c041bd9013b68e4203b85a43f70d9c287c117"),
+        ("dtw",
+         "ab9f2f70b1151628e6252a58cd6c041bd9013b68e4203b85a43f70d9c287c117"),
+        ("lcs",
+         "2faa1e73f366077bc8f4806d73a1bf9c2027b5cd74ec93528a98b23cfd961d49"),
+        ("lcs_delta",
+         "603e5463348ddc8cbb97f743804cfbc61d68ada3d2ac5bd064803ba3b6639588"),
+        ("window_32",
+         "0d5b043bf886a6986696e2d8150dfd7d6e3cb9941a5346c21e030a5107423186"),
+        ("window_64",
+         "18c852fd98b4c090107861f9862a302a79afc4abcf9afa0b59d406fa570fe723"),
+        ("erp_gap_1.5",
+         "6c0d43fc1fb98d0cd7ef4ccaab98dca786d1b02d05e96b2e58a515ef77f468f8"),
+        ("erp_1d",
+         "5d4b24907b70e283a626501dbd1421af70ce716dc5a1636df4732b81ce9f7017"),
+        ("erp_vector_gap",
+         "7eddb008d94eedef6e9f044a3f7bf5932f856bafc6ebdf7fbb2a4bcc401cbd90"),
+    ])
+    def test_golden_bits_every_kernel(self, case, digest):
+        """Every batched kernel's bits on the golden corpus, recorded on
+        the row-major ``(B, M + 1)`` DP planes: 600 items span several
+        chunks; the 32- and 64-item windows are one chunk each (the
+        shape of an exact-scan and a rerank window)."""
+        corpus, refs = golden_corpus()
+        cases = {
+            "eged_adaptive": lambda: one_vs_many(EGED(), refs[3], corpus),
+            "eged_dtw": lambda: one_vs_many(EGED("dtw"), refs[3], corpus),
+            "dtw": lambda: one_vs_many(DTW(), refs[3], corpus),
+            "lcs": lambda: one_vs_many(LCSDistance(20.0), refs[3], corpus),
+            "lcs_delta": lambda: one_vs_many(LCSDistance(20.0, 3), refs[3],
+                                             corpus),
+            "window_32": lambda: one_vs_many(MetricEGED(), refs[4],
+                                             corpus[:32]),
+            "window_64": lambda: one_vs_many(MetricEGED(), refs[4],
+                                             corpus[:64]),
+            "erp_gap_1.5": lambda: pairwise_matrix(MetricEGED(1.5), refs,
+                                                   corpus),
+            "erp_1d": lambda: pairwise_matrix(
+                MetricEGED(), [r[:, 0] for r in refs],
+                [s[:, 0] for s in corpus]),
+            "erp_vector_gap": lambda: batch_erp_matrix(
+                refs, corpus, np.array([1.5, -0.5])),
+        }
+        assert sha256(cases[case]()) == digest
 
     def test_small_blocks_are_one_kernel_call(self, monkeypatch):
         rng = np.random.default_rng(53)
