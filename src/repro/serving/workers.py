@@ -295,6 +295,13 @@ class _WorkerHandle:
         self.restarts = 0
         self.last_seen = 0.0
 
+    @property
+    def running(self) -> bool:
+        """Marked alive *and* its OS process running: a just-killed
+        worker whose death the supervisor has not noticed is not."""
+        process = self.process
+        return self.alive and process is not None and process.is_alive()
+
 
 class WorkerPool:
     """Shard-serving process fleet over one columnar snapshot.
@@ -534,18 +541,11 @@ class WorkerPool:
             handle.process.join(timeout=5.0)
 
     def await_healthy(self, timeout: float = 60.0) -> bool:
-        """Block until every worker is alive again (post-drill barrier).
-
-        "Alive" means both the coordinator's flag *and* the OS process —
-        a just-killed worker whose death the supervisor has not noticed
-        yet does not count.
-        """
+        """Block until every worker is :attr:`~_WorkerHandle.running`
+        again (post-drill barrier)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if all(handle.alive
-                   and handle.process is not None
-                   and handle.process.is_alive()
-                   for row in self._handles for handle in row):
+            if all(handle.running for row in self._handles for handle in row):
                 return True
             time.sleep(0.05)
         return False
@@ -609,15 +609,17 @@ class WorkerPool:
         of the in-process scatter across process boundaries: without
         it, N workers each search with only their local bound and
         together do several times the kernel work of one combined
-        search.  Purely an optimization — a failed
-        probe (dead slot, sketch tier error) falls back to an unbounded
-        fan-out, and a valid bound never changes results.
+        search.  Only slots with a live replica are probed.  Purely an
+        optimization — a failed probe (a worker dying mid-probe, sketch
+        tier error) falls back to an unbounded fan-out, and a valid
+        bound never changes results.
         """
         with self._state_lock:
             sizes = dict(self.shard_sizes)
         slots = [
             s for s, shards in enumerate(self.assignment)
             if any(sizes.get(o, 0) > 0 for o in shards)
+            and any(h.running for h in self._handles[s])
         ]
         if len(slots) < 2:
             return None  # a single slot already shares its bound internally
@@ -800,8 +802,7 @@ class WorkerPool:
                     "slot": handle.slot,
                     "replica": handle.replica,
                     "pid": None if process is None else process.pid,
-                    "alive": bool(handle.alive and process is not None
-                                  and process.is_alive()),
+                    "alive": handle.running,
                     "restarts": handle.restarts,
                     "shards": list(self.assignment[handle.slot]),
                 })

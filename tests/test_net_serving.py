@@ -186,6 +186,45 @@ class TestFailover:
                 pool.knn(queries[0], K, search_budget=24, degrade=False)
             assert asked.count(0) == 2 * len(queries) + 1
 
+    def test_probe_skips_a_dead_slot(self, store_path):
+        """The prune-bound probe goes only to slots with a live replica:
+        3 slots over 4 shards, one killed, 8 exact queries."""
+        from repro import observability
+
+        queries = generate_synthetic_ogs(SyntheticConfig(num_ogs=8, seed=7))
+        config = WorkerPoolConfig(workers=3, restart=False,
+                                  heartbeat_interval=30.0)
+        with WorkerPool(store_path, config) as pool:
+            lost = sorted(pool.assignment[0])
+            wanted = []
+            for query in queries:
+                full = pool.knn(query, NUM_OGS)
+                wanted.append([(h.distance, h.shard, h.row, h.clip_ref)
+                               for h in full.hits if h.shard not in lost][:K])
+            pool.kill_worker(0)
+            probes: list[int] = []
+            exchange = pool._exchange
+
+            def counted(slot, request, shares):
+                if request.search_budget is not None:  # only probes
+                    probes.append(slot)
+                return exchange(slot, request, shares)
+
+            pool._exchange = counted
+            observability.configure(enabled=True, reset_state=True)
+            try:
+                for query, want in zip(queries, wanted):
+                    got = pool.knn(query, K)
+                    assert got.failed_shards == lost
+                    assert [(h.distance, h.shard, h.row, h.clip_ref)
+                            for h in got.hits] == want
+                failures = observability.metrics().get(
+                    "net.probe_failures", 0)
+            finally:
+                observability.configure(enabled=False, reset_state=True)
+            assert len(probes) == len(queries) and 0 not in probes
+            assert failures == 0
+
     def test_replica_failover_is_not_degraded(self, store_path, reference,
                                               queries):
         config = WorkerPoolConfig(workers=1, replicas=2, restart=False,
