@@ -1013,8 +1013,12 @@ class IngestService:
                 if spool_name is None:
                     raise StorageError(
                         f"spooled upload missing for {job_id!r}")
-                video = VideoSegment.load_npz(
-                    state / SPOOL_DIR / str(spool_name))
+                if spool_name != f"{job_id}.npz":
+                    # The service only ever spools ``<job_id>.npz``.
+                    raise StorageError(
+                        f"journaled spool {spool_name!r} of {job_id!r} is "
+                        f"not {job_id}.npz")
+                video = VideoSegment.load_npz(state / SPOOL_DIR / spool_name)
             except (StorageError, OSError, ValueError) as exc:
                 service._quarantine_job(IngestJob(
                     job_id, str(info.get("clip", job_id)), None,

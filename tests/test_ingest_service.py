@@ -636,6 +636,36 @@ class TestCrashRecovery:
                 for p in tmp_path.rglob("*.npz")] == [
             "a/state/spool/escaped.npz"]
 
+    def test_journaled_foreign_spool_quarantined(self, tmp_path,
+                                                 monkeypatch):
+        """A journal naming any spool but ``<job_id>.npz`` loses the
+        job: recovery reads no payload, least of all one outside
+        ``state/spool/``."""
+        from repro.resilience import IngestJournal
+
+        state = tmp_path / "a" / "state"
+        (state / "spool").mkdir(parents=True)
+        make_clip("outsider").save_npz(str(tmp_path / "outside.npz"))
+        journal = IngestJournal(state / "ingest.journal")
+        journal.append({"event": "job", "job": "job-x", "state": "QUEUED",
+                        "clip": "outsider", "frames": 4,
+                        "spool": "../../outside.npz"})
+        journal.close()
+        loaded: list[str] = []
+        load = VideoSegment.load_npz.__func__
+        monkeypatch.setattr(VideoSegment, "load_npz", classmethod(
+            lambda cls, path: (loaded.append(os.fspath(path)),
+                               load(cls, path))[1]))
+        recovered = IngestService.recover(
+            state, pipeline=_StubPipeline(),
+            config=fast_config(max_workers=1))
+        with recovered:
+            assert recovered.recovery.lost_jobs == ["job-x"]
+            assert recovered.recovery.replayed_jobs == []
+            assert recovered.quarantine[0].error_type == "StorageError"
+            assert len(recovered.live) == 0
+        assert loaded == []
+
     @pytest.mark.parametrize("damage", ["flip", "truncate", "manifest"])
     def test_damaged_snapshot_is_replayed_not_served(self, tmp_path,
                                                      damage):
