@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import format_table, record_result
+from repro.core.scan import EXACT_WINDOW, RERANK_WINDOW
 
 LENGTHS = (16, 32, 64)
 
@@ -186,6 +187,25 @@ def bench_one_vs_many_prepared(benchmark, series_batch, kernel):
     prepared = PaddedBatch(items)
     out = benchmark(one_vs_many, distance, series_batch[64], prepared)
     assert np.array_equal(out, one_vs_many(distance, series_batch[64], items))
+
+
+@pytest.mark.parametrize("window", [EXACT_WINDOW, RERANK_WINDOW])
+def bench_one_vs_many_window(benchmark, window):
+    """One query-path sweep: the metric EGED from a query to one window
+    of 10-20-node candidates handed over as a list — the call shape of
+    the exact scan (``EXACT_WINDOW``) and the budgeted rerank
+    (``RERANK_WINDOW``), preparation included."""
+    from repro.distance.batch import one_vs_many
+    from repro.distance.eged import MetricEGED
+    from repro.distance.erp import erp
+
+    rng = np.random.default_rng(9)
+    items = [rng.normal(size=(int(rng.integers(10, 21)), 2)) * 20
+             for _ in range(window)]
+    query = rng.normal(size=(15, 2)) * 20
+    out = benchmark(one_vs_many, MetricEGED(), query, items)
+    np.testing.assert_allclose(out, [erp(query, b) for b in items],
+                               rtol=0, atol=1e-9)
 
 
 def _best_of(fn, repeats: int = 3) -> float:

@@ -27,8 +27,12 @@ def as_series(x: SeriesLike) -> np.ndarray:
 
     Accepts a 1-D array (interpreted as scalar-valued nodes, ``d = 1``),
     a 2-D array, a sequence of vectors, or any object with a ``values``
-    attribute.  Raises :class:`EmptySequenceError` for empty input.
+    attribute.  Raises :class:`EmptySequenceError` for empty input.  A
+    non-empty 2-D float64 ndarray is returned as it is.
     """
+    if (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 2
+            and x.shape[0]):
+        return x
     values = getattr(x, "values", x)
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:

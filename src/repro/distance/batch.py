@@ -23,42 +23,49 @@ left transition into cell ``j``:
            = C[j] + min_{k <= j} (E[k] - C[k]),   C[j] = w[1] + ... + w[j]
 
 which is one ``cumsum`` plus one ``np.minimum.accumulate`` over the whole
-``(batch, row)`` plane.  For LCS the weight is zero and min becomes max,
-so the scan is exact integer arithmetic; for the real-valued kernels the
+row plane.  For LCS the weight is zero and min becomes max, so the scan
+is exact integer arithmetic; for the real-valued kernels the
 re-association of the sums introduces rounding differences of order
-``1e-12`` relative to the scalar kernels (well inside the 1e-9 equivalence
-tolerance the test suite enforces).
+``1e-12`` relative to the scalar kernels (well inside the 1e-9
+equivalence tolerance the test suite enforces).
+
+The planes are column-major, ``(M + 1, B)``: the scan runs down axis 0
+and every per-row operand is contiguous along the batch.  An ERP or
+EGED row is six NumPy calls — one full-row add of the delete weight,
+the substitution add, a ``minimum`` and the three-call scan.
 
 Padding
 -------
-Series are right-padded with zeros to the batch maximum length ``M``.
-Cells at column ``j`` only ever read columns ``<= j`` of the current and
-previous row, so the garbage computed in padded columns never reaches the
-cell ``(n, m_b)`` that is read out for a series of true length
-``m_b <= M``.  Batches are processed in length-sorted chunks (bounded by
-:data:`ROW_PLANE_CELLS` cells of one DP row across the chunk) to limit
-padding waste and keep a chunk's tensors inside the L2 cache.
+Series are zero-padded to the batch maximum length ``M``.  Cells at DP
+column ``j`` only ever read columns ``<= j`` of the current and previous
+row, so the garbage computed in padded columns never reaches the cell
+``(n, m_b)`` that is read out for a series of true length ``m_b <= M``.
+Chunks of at most :data:`ROW_PLANE_CELLS` cells of one DP row keep a
+chunk's tensors inside the L2 cache; a batch of several chunks is
+length-sorted first to limit padding waste.
 
 Preparation
 -----------
-Normalising, dimension-checking, length-sorting and padding depend on
-the batch alone, not on the query, so they are one object: a
+Normalising, dimension-checking, chunking and padding depend on the
+batch alone, not on the query, so they are one object: a
 :class:`PaddedBatch`.  Every sweep runs over one — a plain list handed
 to any entry point goes through the same constructor — and a caller
 that sweeps the same items with many queries (index build, sketch
-build, EM) prepares once and passes the batch instead of the list.
+build, EM) prepares once and passes the batch instead of the list.  A
+batch that fits one chunk — every query window does — is padded in
+input order, with no sort.
 
 Reference batching
 ------------------
 Keying an OG against every centroid, or sketching it against every
 pivot, is Q references x B items.  The ERP kernel takes the references
-as a leading axis: it stacks the Q row planes into one ``(Q * B, M +
-1)`` plane, advances it once per node of the longest reference (shorter
-ones zero-padded), and reads reference ``q``'s results out at its own
-last DP row ``n_q``.  Every cell is the same IEEE operation on the same
-operands as in a one-reference sweep, so each row of the block is bit
-for bit :func:`one_vs_many` — which *is* the one-reference case.  Per
-chunk of the items, references run in groups of at most
+as a leading axis: it stacks the Q planes side by side into one ``(M +
+1, Q * B)`` plane, advances it once per node of the longest reference
+(shorter ones zero-padded), and reads reference ``q``'s results out at
+its own last DP row ``n_q``.  Every cell is the same IEEE operation on
+the same operands as in a one-reference sweep, so each row of the block
+is bit for bit :func:`one_vs_many` — which *is* the one-reference case.
+Per chunk of the items, references run in groups of at most
 ``ROW_PLANE_CELLS // (B * (M + 1))`` (at least one) per kernel call: a
 full chunk (sketch build, bulk key assignment) still sweeps one
 reference at a time, while a one-OG insert sweeps all of them at once.
@@ -115,12 +122,13 @@ def series_digest(series: np.ndarray) -> bytes:
 
 def _pad(series: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad a list of ``(m_i, d)`` series with zeros to a common
-    length; returns the ``(B, M, d)`` tensor and the true lengths."""
+    length ``M``; returns the column-major ``(M, B, d)`` tensor (node
+    ``j`` of series ``b`` at ``[j, b]``) and the true lengths."""
     lengths = np.array([s.shape[0] for s in series], dtype=np.int64)
-    big = int(lengths.max())
-    out = np.zeros((len(series), big, series[0].shape[1]), dtype=np.float64)
-    for i, s in enumerate(series):
-        out[i, : s.shape[0]] = s
+    out = np.zeros((int(lengths.max()), len(series), series[0].shape[1]),
+                   dtype=np.float64)
+    for b, s in enumerate(series):
+        out[:s.shape[0], b] = s
     return out, lengths
 
 
@@ -128,11 +136,14 @@ class PaddedBatch:
     """A batch of series prepared once for any number of sweeps.
 
     The items are coerced to ``(n, d)`` series and checked to share one
-    attribute dimension, sorted by length and right-padded into chunks
-    of at most :data:`ROW_PLANE_CELLS` row-plane cells.  As a sequence
-    it yields the normalized series in input order, so it stands in for
-    the list it was built from.  Chunk boundaries never change a result
-    bit: every pair's DP only reads its own rows of the padded tensor.
+    attribute dimension, then right-padded into column-major chunks of
+    at most :data:`ROW_PLANE_CELLS` row-plane cells: the whole batch in
+    input order when it fits one chunk (every query window does), else
+    length-sorted first to limit padding waste.  As a sequence it yields
+    the normalized series in input order, so it stands in for the list
+    it was built from.  Chunk boundaries and item order never change a
+    result bit: every pair's DP only reads its own column of the padded
+    tensor.
 
     A batch is scratch state of the stage that built it — keep it a
     local, never an attribute of an index, sketch or snapshot.
@@ -146,9 +157,14 @@ class PaddedBatch:
         for s in series:
             check_same_dim(series[0], s)
         #: ``(idx, padded, lengths)`` per chunk: input positions, the
-        #: ``(B, M, d)`` zero-padded tensor and the true lengths.
+        #: ``(M, B, d)`` zero-padded tensor and the true lengths.
         self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._digests: list[bytes] | None = None
+        big = max((s.shape[0] for s in series), default=0)
+        if series and len(series) * (big + 1) <= ROW_PLANE_CELLS:
+            # One chunk (every query window): input order, no sort.
+            self.chunks.append((np.arange(len(series)), *_pad(series)))
+            return
         order = sorted(range(len(series)), key=lambda i: series[i].shape[0])
         pos = 0
         while pos < len(order):
@@ -165,12 +181,13 @@ class PaddedBatch:
 
     @classmethod
     def of(cls, items: Sequence[SeriesLike],
-           query: np.ndarray) -> "PaddedBatch":
+           *queries: np.ndarray) -> "PaddedBatch":
         """``items`` prepared (itself, when it already is a batch) and
-        checked against the normalized ``query``'s attribute dimension."""
+        checked against every normalized query's attribute dimension."""
         batch = items if isinstance(items, cls) else cls(items)
         if batch.series:
-            check_same_dim(query, batch.series[0])
+            for query in queries:
+                check_same_dim(query, batch.series[0])
         return batch
 
     def __len__(self) -> int:
@@ -190,27 +207,6 @@ class PaddedBatch:
         return self._digests
 
 
-def _normalize_batch(query: SeriesLike, items: Sequence[SeriesLike]
-                     ) -> tuple[np.ndarray, PaddedBatch]:
-    """Coerce the query to an ``(n, d)`` series and the items to a
-    :class:`PaddedBatch` of the same attribute dimension."""
-    a = as_series(query)
-    return a, PaddedBatch.of(items, a)
-
-
-def _normalize_refs(refs: Sequence[SeriesLike],
-                    items: Sequence[SeriesLike]
-                    ) -> tuple[list[np.ndarray], PaddedBatch]:
-    """Coerce every ref to an ``(n, d)`` series and the items to a
-    :class:`PaddedBatch`, all of one attribute dimension."""
-    series = [as_series(r) for r in refs]
-    batch = items if isinstance(items, PaddedBatch) else PaddedBatch(items)
-    if batch.series:
-        for r in series:
-            check_same_dim(r, batch.series[0])
-    return series, batch
-
-
 def _chunked(kernel: Callable, a: np.ndarray,
              items: Sequence[SeriesLike], *params) -> np.ndarray:
     """Run ``kernel`` for the normalized query ``a`` over every chunk of
@@ -225,30 +221,30 @@ def _chunked(kernel: Callable, a: np.ndarray,
 
 def _row_scan_min(e: np.ndarray, c: np.ndarray, scan: np.ndarray,
                   out: np.ndarray) -> None:
-    """Min-plus prefix scan: ``cur[j] = min(E[j], cur[j-1] + w[j])`` with
-    ``c`` the prefix sums of the left-transition weights ``w``.  Runs
-    entirely in the preallocated ``scan``/``out`` buffers."""
+    """Min-plus prefix scan down axis 0: ``cur[j] = min(E[j], cur[j-1] +
+    w[j])`` with ``c`` the prefix sums of the left-transition weights
+    ``w``, entirely in the preallocated ``scan``/``out`` buffers."""
     np.subtract(e, c, out=scan)
-    np.minimum.accumulate(scan, axis=1, out=scan)
+    np.minimum.accumulate(scan, axis=0, out=scan)
     np.add(c, scan, out=out)
 
 
 def _norms_to(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Batched L2 norms in DP-row-major layout.
+    """Batched L2 norms in the kernels' column-major layout.
 
-    ``points`` is ``(B, M, d)`` and ``ref`` is ``(R, d)``; the result is
-    ``(R, B, M)`` — the reference (DP row) axis first, so the per-row
-    slices taken inside the kernels are contiguous.  Both paths compute
+    ``points`` is ``(M, B, d)`` and ``ref`` is ``(R, d)``; the result is
+    ``(R, M, B)`` — the reference (DP row) axis first, so the per-row
+    planes the kernels take are contiguous.  Both paths compute
     ``sqrt(sum_k (p_k - r_k)^2)`` directly (no expanded ``|p|^2 + |r|^2 -
     2 p.r`` form, whose cancellation would blow the 1e-9 scalar-equivalence
     tolerance); SciPy's C loop is ~2x the NumPy path, which accumulates the
-    squared differences one attribute dimension at a time so no ``(B, M,
-    R, d)`` intermediate is ever materialized.
+    squared differences one attribute dimension at a time so no ``(R, M,
+    B, d)`` intermediate is ever materialized.
     """
     if _cdist is not None:
-        batch, big, dim = points.shape
-        return _cdist(ref, points.reshape(batch * big, dim)).reshape(
-            ref.shape[0], batch, big
+        big, batch, dim = points.shape
+        return _cdist(ref, points.reshape(big * batch, dim)).reshape(
+            ref.shape[0], big, batch
         )
     out = np.square(points[None, :, :, 0] - ref[:, None, None, 0])
     for k in range(1, ref.shape[1]):
@@ -260,7 +256,7 @@ def _norms_to(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
 # -- kernels ------------------------------------------------------------------
 
 
-def _row_major(refs: list[np.ndarray]) -> np.ndarray:
+def _node_major(refs: list[np.ndarray]) -> np.ndarray:
     """``Q`` refs as ``(N * Q, d)`` DP rows: row ``i * Q + q`` is node
     ``i`` of ref ``q``, zeros past its end (one ref is itself)."""
     if len(refs) == 1:
@@ -276,36 +272,39 @@ def _erp_kernel(refs: list[np.ndarray], padded: np.ndarray,
                 lengths: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """Unconstrained ERP of ``Q`` refs against one padded chunk.
 
-    The ``Q`` row planes are stacked into one ``(Q * B, M + 1)`` plane
-    (ref ``q`` owns rows ``q * B`` to ``q * B + B - 1``), the DP advances
-    it once per node of the longest ref, and ref ``q``'s results are read
-    out at its own last DP row.  Returns ``(Q, B)``.
+    The ``Q`` planes are stacked side by side into one ``(M + 1, Q * B)``
+    plane (ref ``q`` owns columns ``q * B`` to ``q * B + B - 1``), the DP
+    advances it once per node of the longest ref, and ref ``q``'s
+    results are read out at its own last DP row.  Returns ``(Q, B)``.
     """
     q = len(refs)
     ends = [ref.shape[0] for ref in refs]
     n = max(ends)
-    batch, big = padded.shape[0], padded.shape[1]
-    rows = _row_major(refs)
-    sub = _norms_to(padded, rows).reshape(n, q * batch, big)
-    gap_a = np.sqrt(np.sum((rows - gap[None, :]) ** 2, axis=1))
-    gap_b = np.sqrt(np.sum((padded - gap[None, None, :]) ** 2, axis=2))
+    big, batch = padded.shape[0], padded.shape[1]
+    rows = _node_major(refs)
+    sub = _norms_to(padded, rows)                    # (n * Q, M, B)
+    gap_a = np.sqrt(np.sum((rows - gap) ** 2, axis=1))
+    gap_b = np.sqrt(np.sum((padded - gap) ** 2, axis=2))
     # Prefix sums of the insert weights double as DP row 0.
-    c = np.zeros((batch, big + 1), dtype=np.float64)
-    np.cumsum(gap_b, axis=1, out=c[:, 1:])
+    c = np.zeros((big + 1, batch), dtype=np.float64)
+    np.cumsum(gap_b, axis=0, out=c[1:])
     if q == 1:
-        # Scalar delete weights: a column operand would double the
-        # cost of the row adds over a full chunk.
-        gap_row = gap_col = gap_a
+        gap_row = gap_a         # one scalar delete weight per DP row
+        rowshape = (big, batch)
     else:
+        # sub[i]: nodes i of the refs against every item node, read as
+        # an (M, Q, B) view (a transposed copy costs more than it saves).
+        sub = sub.reshape(n, q, big, batch).transpose(0, 2, 1, 3)
         gap_row = np.repeat(gap_a.reshape(n, q), batch, axis=1)
-        gap_col = gap_row[:, :, None]
-        c = np.tile(c, (q, 1))
+        c = np.tile(c, (1, q))
+        rowshape = (big, q, batch)
     prev = c.copy()
     e = np.empty_like(prev)
     scan = np.empty_like(prev)
-    t1 = np.empty((q * batch, big), dtype=np.float64)
-    t2 = np.empty_like(t1)
-    planes = prev.reshape(q, batch, big + 1)
+    t1 = np.empty(rowshape, dtype=np.float64)
+    head = prev[:-1].reshape(rowshape)
+    e_tail = e[1:].reshape(rowshape)
+    planes = prev.reshape(big + 1, q, batch)
     out = np.empty((q, batch), dtype=np.float64)
     cols = np.arange(batch)
     lasts = sorted(set(ends))
@@ -313,39 +312,38 @@ def _erp_kernel(refs: list[np.ndarray], padded: np.ndarray,
     for last in lasts:
         # Advance to the last DP row of the refs this long; read them out.
         for i in range(row, last):
-            e[:, 0] = prev[:, 0] + gap_row[i]
-            np.add(prev[:, :-1], sub[i], out=t1)
-            np.add(prev[:, 1:], gap_col[i], out=t2)
-            np.minimum(t1, t2, out=e[:, 1:])
+            np.add(prev, gap_row[i], out=e)
+            np.add(head, sub[i], out=t1)
+            np.minimum(t1, e_tail, out=e_tail)
             _row_scan_min(e, c, scan, prev)
-        if len(lasts) == 1:     # one length (always so for one ref):
-            out[:] = planes[:, cols, lengths]    # no gather over refs
+        if len(lasts) == 1:     # one length (always so for one ref)
+            out[:] = planes[lengths, :, cols].T
         else:
             done = [r for r, end in enumerate(ends) if end == last]
-            out[done] = planes[np.array(done)[:, None], cols, lengths]
+            out[done] = planes[lengths, :, cols].T[done]
         row = last
     return out
 
 
 def _gap_states(padded: np.ndarray, lengths: np.ndarray,
                 mode: str) -> np.ndarray:
-    """Batched :func:`repro.distance.eged._gap_values`: per-item gap
-    reference values for alignment states ``0..m_i`` of each series."""
+    """Batched :func:`repro.distance.eged._gap_values`, ``(M + 1, B, d)``:
+    per-item gap values for alignment states ``0..m_b`` of each series."""
     from repro.distance.eged import ADAPTIVE
 
-    batch, big, dim = padded.shape
-    # Zero-init: states past ``m_i`` are never read by the DP, but they do
+    big, batch, dim = padded.shape
+    # Zero-init: states past ``m_b`` are never read by the DP, but they do
     # flow through the batched norm, so they must stay finite.
-    out = np.zeros((batch, big + 1, dim), dtype=np.float64)
-    out[:, 0] = padded[:, 0]
+    out = np.zeros((big + 1, batch, dim), dtype=np.float64)
+    out[0] = padded[0]
     if mode == ADAPTIVE:
         if big > 1:
-            out[:, 1:big] = (padded[:, :-1] + padded[:, 1:]) / 2.0
-        # State m_i clamps to the last *true* node, not the padding.
-        rows = np.arange(batch)
-        out[rows, lengths] = padded[rows, lengths - 1]
+            out[1:big] = (padded[:-1] + padded[1:]) / 2.0
+        # State m_b clamps to the last *true* node, not the padding.
+        cols = np.arange(batch)
+        out[lengths, cols] = padded[lengths - 1, cols]
     else:
-        out[:, 1:] = padded
+        out[1:] = padded
     return out
 
 
@@ -355,64 +353,62 @@ def _eged_kernel(a: np.ndarray, padded: np.ndarray, lengths: np.ndarray,
     from repro.distance.eged import _gap_values
 
     n = a.shape[0]
-    batch, big = padded.shape[0], padded.shape[1]
-    sub = _norms_to(padded, a)                       # (n, B, M)
+    big, batch = padded.shape[0], padded.shape[1]
+    sub = _norms_to(padded, a)                       # (n, M, B)
     mid_a = _gap_values(a, mode)                     # (n + 1, d)
-    mid_b = _gap_states(padded, lengths, mode)       # (B, M + 1, d)
-    # del_cost[i, b, j]: gap a[i] while b has consumed j nodes.
-    del_cost = _norms_to(mid_b, a)                   # (n, B, M + 1)
-    # ins_cost[i, b, j]: gap b[j] while a has consumed i nodes.
-    ins_cost = _norms_to(padded, mid_a)              # (n + 1, B, M)
+    mid_b = _gap_states(padded, lengths, mode)       # (M + 1, B, d)
+    # del_cost[i, j, b]: gap a[i] while b has consumed j nodes.
+    del_cost = _norms_to(mid_b, a)                   # (n, M + 1, B)
+    # ins_cost[i, j, b]: gap b[j] while a has consumed i nodes.
+    ins_cost = _norms_to(padded, mid_a)              # (n + 1, M, B)
 
     # ins_cum[i]: the insert-only DP row for ``a`` consumed up to i — one
     # vectorized prefix sum for all n+1 rows instead of n+1 in-loop calls.
-    ins_cum = np.zeros((n + 1, batch, big + 1), dtype=np.float64)
-    np.cumsum(ins_cost, axis=2, out=ins_cum[:, :, 1:])
+    ins_cum = np.zeros((n + 1, big + 1, batch), dtype=np.float64)
+    np.cumsum(ins_cost, axis=1, out=ins_cum[:, 1:])
 
     prev = ins_cum[0].copy()
     e = np.empty_like(prev)
     scan = np.empty_like(prev)
-    t1 = np.empty((batch, big), dtype=np.float64)
-    t2 = np.empty_like(t1)
+    t1 = np.empty((big, batch), dtype=np.float64)
+    head, e_tail = prev[:-1], e[1:]
     for i in range(n):
-        c = ins_cum[i + 1]
-        e[:, 0] = prev[:, 0] + del_cost[i][:, 0]
-        np.add(prev[:, :-1], sub[i], out=t1)
-        np.add(prev[:, 1:], del_cost[i][:, 1:], out=t2)
-        np.minimum(t1, t2, out=e[:, 1:])
-        _row_scan_min(e, c, scan, prev)
-    return prev[np.arange(batch), lengths]
+        np.add(prev, del_cost[i], out=e)
+        np.add(head, sub[i], out=t1)
+        np.minimum(t1, e_tail, out=e_tail)
+        _row_scan_min(e, ins_cum[i + 1], scan, prev)
+    return prev[lengths, np.arange(batch)]
 
 
 def _dtw_kernel(a: np.ndarray, padded: np.ndarray,
                 lengths: np.ndarray) -> np.ndarray:
     """Unconstrained DTW over one padded chunk."""
     n = a.shape[0]
-    batch, big = padded.shape[0], padded.shape[1]
-    cost = _norms_to(padded, a)                      # (n, B, M)
-    prev = np.full((batch, big + 1), np.inf)
-    prev[:, 0] = 0.0
+    big, batch = padded.shape[0], padded.shape[1]
+    cost = _norms_to(padded, a)                      # (n, M, B)
+    # s[i]: DP row i's left-transition prefix sums, all in one call.
+    s = np.zeros((n, big + 1, batch), dtype=np.float64)
+    np.cumsum(cost, axis=1, out=s[:, 1:])
+    prev = np.full((big + 1, batch), np.inf)
+    prev[0] = 0.0
     v = np.empty_like(prev)
-    v[:, 0] = np.inf
-    s = np.zeros_like(prev)
+    v[0] = np.inf
     scan = np.empty_like(prev)
-    t1 = np.empty((batch, big), dtype=np.float64)
+    head, tail, v_tail = prev[:-1], prev[1:], v[1:]
     for i in range(n):
-        crow = cost[i]
-        np.cumsum(crow, axis=1, out=s[:, 1:])
-        np.minimum(prev[:, :-1], prev[:, 1:], out=t1)
-        np.add(crow, t1, out=v[:, 1:])
-        _row_scan_min(v, s, scan, prev)
-    return prev[np.arange(batch), lengths]
+        np.minimum(head, tail, out=v_tail)
+        np.add(cost[i], v_tail, out=v_tail)
+        _row_scan_min(v, s[i], scan, prev)
+    return prev[lengths, np.arange(batch)]
 
 
 def _lcs_kernel(a: np.ndarray, padded: np.ndarray, lengths: np.ndarray,
                 epsilon: float, delta: int | None) -> np.ndarray:
     """LCS *length* (exact integer DP) over one padded chunk."""
     n = a.shape[0]
-    batch, big = padded.shape[0], padded.shape[1]
-    # match[i, b, j]: nodes a[i] and b[j] agree within epsilon in every
-    # attribute dimension (row-major in i, accumulated per dimension).
+    big, batch = padded.shape[0], padded.shape[1]
+    # match[i, j, b]: nodes a[i] and b[j] agree within epsilon in every
+    # attribute dimension (accumulated per dimension).
     match = (
         np.abs(padded[None, :, :, 0] - a[:, None, None, 0]) <= epsilon
     )
@@ -422,16 +418,18 @@ def _lcs_kernel(a: np.ndarray, padded: np.ndarray, lengths: np.ndarray,
         )
     if delta is not None:
         ii, jj = np.indices((n, big))
-        match &= (np.abs(ii - jj) <= delta)[:, None, :]
-    prev = np.zeros((batch, big + 1), dtype=np.int64)
+        match &= (np.abs(ii - jj) <= delta)[:, :, None]
+    # An LCS row never falls along j and rises by at most one per step,
+    # so ``max(prev[j], prev[j-1] + match)`` is the match-or-keep cell.
+    prev = np.zeros((big + 1, batch), dtype=np.int64)
     e = np.zeros_like(prev)
-    t1 = np.empty((batch, big), dtype=np.int64)
+    t1 = np.empty((big, batch), dtype=np.int64)
+    head, tail, e_tail = prev[:-1], prev[1:], e[1:]
     for i in range(n):
-        np.add(prev[:, :-1], 1, out=t1)
-        np.copyto(e[:, 1:], prev[:, 1:])
-        np.copyto(e[:, 1:], t1, where=match[i])
-        np.maximum.accumulate(e, axis=1, out=prev)
-    return prev[np.arange(batch), lengths].astype(np.float64)
+        np.add(head, match[i], out=t1)
+        np.maximum(tail, t1, out=e_tail)
+        np.maximum.accumulate(e, axis=0, out=prev)
+    return prev[lengths, np.arange(batch)].astype(np.float64)
 
 
 # -- batched entry points per kernel -----------------------------------------
@@ -453,15 +451,14 @@ def batch_erp_matrix(refs: Sequence[SeriesLike],
     of at most ``ROW_PLANE_CELLS // (B * (M + 1))`` (at least one) per
     kernel call; row ``q`` is bit for bit ``batch_erp(refs[q], items)``.
     """
-    refs, batch = _normalize_refs(refs, items)
+    refs = [as_series(r) for r in refs]
+    batch = PaddedBatch.of(items, *refs)
     if not refs:
         return np.empty((0, len(batch)), dtype=np.float64)
-    g = np.broadcast_to(
-        np.asarray(gap, dtype=np.float64), (refs[0].shape[1],)
-    ).astype(np.float64)
+    g = np.asarray(gap, dtype=np.float64)
     out = np.empty((len(refs), len(batch)), dtype=np.float64)
     for idx, padded, lengths in batch.chunks:
-        group = max(1, ROW_PLANE_CELLS // (len(idx) * (padded.shape[1] + 1)))
+        group = max(1, ROW_PLANE_CELLS // (len(idx) * (padded.shape[0] + 1)))
         for start in range(0, len(refs), group):
             stop = min(start + group, len(refs))
             out[start:stop, idx] = _erp_kernel(
@@ -499,8 +496,6 @@ def batch_lcs(query: SeriesLike, items: Sequence[SeriesLike],
     a = as_series(query)
     batch = PaddedBatch.of(items, a)
     common = _chunked(_lcs_kernel, a, batch, epsilon, delta)
-    if len(batch) == 0:
-        return common
     mins = np.minimum(a.shape[0], np.array([b.shape[0] for b in batch]))
     return 1.0 - common / mins
 
@@ -532,7 +527,8 @@ def one_vs_many(distance: Distance | Callable[[Any, Any], float],
     if OBS.enabled:
         OBS.count("distance.pairs_computed", len(items))
     if isinstance(distance, Distance):
-        return distance.compute_many(*_normalize_batch(query, items))
+        a = as_series(query)
+        return distance.compute_many(a, PaddedBatch.of(items, a))
     return np.array([float(distance(query, item)) for item in items],
                     dtype=np.float64)
 
@@ -566,7 +562,8 @@ def pairwise_matrix(distance: Distance | Callable[[Any, Any], float],
         for i, item in enumerate(items):
             out[i] = one_vs_many(distance, item, others)
         return out
-    refs, batch = _normalize_refs(items, others)
+    refs = [as_series(r) for r in items]
+    batch = PaddedBatch.of(others, *refs)
     if not refs:
         return np.empty((0, len(batch)), dtype=np.float64)
     if OBS.enabled:
