@@ -37,7 +37,7 @@ from conftest import format_table, record_result
 
 from repro import observability
 from repro.core.index import STRGIndexConfig
-from repro.core.scan import ClusterView, knn_scan
+from repro.core.scan import ScanViews, knn_scan
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.base import as_series
 from repro.serving import (
@@ -71,8 +71,10 @@ def evaluations_per_query(index: ShardedIndex, queries,
                           keys_only: bool) -> float:
     """``distance.pairs_computed`` per exact k-NN query: through the
     index, or over the same shards' clusters on their leaf keys alone."""
-    views = [ClusterView(record) for shard in index.shards
-             for record in shard.cluster_records() if len(record.leaf)]
+    views = [view for shard in index.shards
+             for view in ScanViews(index.metric_distance,
+                                   shard.cluster_records(), 0)
+             .by_record.values() if len(view.refs)]
     observability.configure(enabled=True, reset_state=True)
     try:
         for query in queries:

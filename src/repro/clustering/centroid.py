@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.distance.base import as_series, resample_series
+from repro.distance.base import as_series, resample_stack
 from repro.errors import EmptySequenceError, InvalidParameterError
 
 
@@ -68,10 +68,15 @@ def weighted_mean_og(series: Sequence[np.ndarray],
     lengths = np.array([a.shape[0] for a in arrays])
     if length is None:
         length = _weighted_median_length(lengths, w)
-    acc = np.zeros((length, arrays[0].shape[1]), dtype=np.float64)
-    for a, wi in zip(arrays, w):
-        if wi == 0.0:
-            continue
-        acc += wi * resample_series(a, length)
-    return acc / total
+    # Resample the weighted members one stack per distinct length, then
+    # sum them in member order over a leading zero slab: the additions
+    # (and the sign of a zero) are those of ``acc += w_i * member_i``.
+    keep = np.flatnonzero(w)
+    terms = np.zeros((len(keep) + 1, length, arrays[0].shape[1]))
+    for n in np.unique(lengths[keep]):
+        at = np.flatnonzero(lengths[keep] == n)
+        terms[1 + at] = resample_stack(
+            np.stack([arrays[i] for i in keep[at]]), length)
+    terms[1:] *= w[keep, None, None]
+    return np.add.accumulate(terms, axis=0, out=terms)[-1] / total
 

@@ -464,12 +464,14 @@ class STRGIndex:
         Exact k-NN is Algorithm 3 as :func:`repro.core.scan.knn_scan`
         runs it: match the query BG at the root (skipped when no
         background is supplied — then every cluster node is searched),
-        rank clusters by metric centroid distance, and scan each leaf
-        outward from ``Key_q`` pruning with ``|Key - Key_q| > kth_best``
-        (a valid lower bound because ``EGED_M`` is a metric) — and, when
-        the index holds a sketch tier, with the same bound over each
-        stored sketch pivot distance.  A range query is the same scan
-        with the bound fixed at ``radius``.
+        measure the query against every centroid, and evaluate the
+        members of every cluster best-first by their tightest lower
+        bound — ``|Key - Key_q|`` (valid because ``EGED_M`` is a
+        metric), its cluster's ``Key_q - max_key`` and, when the index
+        holds a sketch tier, the same bound over each stored sketch
+        pivot distance — until the next bound exceeds the k-th
+        distance.  A range query is the same scan with the bound fixed
+        at ``radius``.
 
         ``n_probe`` bounds how many nearest clusters are scanned:
         ``None`` gives exact k-NN; ``1`` is the literal Algorithm 3,

@@ -1,23 +1,23 @@
 """Algorithm 3 — the one exact scan every layer answers k-NN and range
 queries with.
 
-Rank the clusters by ``EGED_M`` from the query to each centroid, prune a
-whole cluster when even its nearest possible member is too far, cut each
-sorted leaf to the window of keys around ``Key_q`` that the bound still
-admits, and evaluate the survivors best-first in kernel-sized windows,
-re-cutting against the k-th distance as it tightens.  Every prune is a
-metric lower bound (Theorem 2), so the answer is exact.
+Every member of every scanned cluster, in every shard at once, gets a
+metric lower bound on its distance to the query (Theorem 2), and the
+members are evaluated in ascending ``(bound, table position)`` order —
+the incremental best-first order of Hjaltason & Samet (*Distance
+Browsing in Spatial Databases*, TODS 1999) — in kernel-sized windows,
+each re-cut against the k-th distance as it tightens.  The first bound
+beyond the k-th distance ends the scan, so the answer is exact.
 
 A leaf key is the member's distance to one reference series, its
-centroid.  A :class:`ClusterView` generalises that to a *table* of
-reference distances per member: column 0 is the leaf key, and an index
-that holds a sketch tier appends one column per sketch pivot — the
-``pivot_dists`` rows the sketch already stores, so building a view
-evaluates only centroids against pivots.  ``|d(Q, R) - d(S, R)| <=
-d(Q, S)`` holds for every column, and the tightest one bounds the
-candidate (:func:`~repro.distance.bounds.pivot_lower_bounds`).  Each
-view names the reference series of its columns; the scan evaluates the
-query against every distinct set in the sweep that ranks the centroids.
+centroid.  :class:`ScanViews` holds one contiguous *table* of reference
+distances per index: column 0 is the leaf key, and an index that holds
+a sketch tier appends one column per sketch pivot — the
+``pivot_dists`` rows the sketch already stores.  ``|d(Q, R) - d(S, R)|
+<= d(Q, S)`` holds for every column, and ``max_R |d(Q, R) - d(C, R)| -
+max_key`` for every member of cluster ``C``; a member's bound is the
+tightest of them.  One ranking sweep measures the query against every
+pivot set and every centroid.
 
 ``STRGIndex.search`` scans its own clusters, ``ShardedIndex.search`` the
 views of every live shard under one bound, and the budgeted rerank of
@@ -28,12 +28,11 @@ shortlist to the same :func:`evaluate_windowed` loop.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.nodes import ClusterRecord, LeafRecord
+from repro.core.nodes import ClusterRecord
 from repro.distance.base import as_series
 from repro.distance.batch import one_vs_many, pairwise_matrix
 from repro.distance.bounds import pivot_lower_bounds
@@ -42,9 +41,8 @@ from repro.search.request import TopK, hit_key
 
 #: Candidates per kernel sweep of the exact scan, and of the budgeted
 #: rerank.  Larger windows amortise the per-sweep overhead; smaller ones
-#: re-cut against a tighter bound more often (window 1 is the paper's
-#: scalar walk).  Both are the values every gated §6.3 count was
-#: measured at — changing either moves those counts.
+#: re-cut against a tighter bound more often.  Both are the values every
+#: gated §6.3 count was measured at — changing either moves those counts.
 EXACT_WINDOW = 32
 RERANK_WINDOW = 64
 
@@ -62,70 +60,68 @@ def slack_at(bound: float) -> float:
 
 
 class ClusterView:
-    """Immutable scan view of one cluster: everything the scan needs
-    without touching the OGs again.
+    """One cluster: rows ``start:stop`` of its :class:`ScanViews` table.
+    ``refs[i]`` is member ``i``'s leaf key (ascending), then its distance
+    to each series of ``pivots``; ``centroid_refs`` is the centroid's
+    row (column 0: ``d(centroid, centroid) = 0``).  Both view the table."""
 
-    ``refs[i, 0]`` is member ``i``'s leaf key (ascending) and ``refs[i,
-    1:]`` its distance to each series of ``pivots``; ``centroid_refs``
-    is the same row for the centroid itself, so its column 0 is
-    ``d(centroid, centroid) = 0``.
-    """
+    __slots__ = ("table", "cluster", "start", "stop", "centroid", "pivots",
+                 "refs", "centroid_refs")
 
-    __slots__ = ("centroid", "records", "members", "pivots", "refs",
-                 "centroid_refs", "max_key")
+    def __init__(self, table: ScanViews, cluster: int, start: int,
+                 stop: int, centroid: np.ndarray):
+        self.table, self.cluster, self.start, self.stop = (
+            table, cluster, start, stop)
+        self.centroid = np.asarray(centroid, dtype=np.float64)
+        self.pivots = table.pivots
+        self.refs = table.refs[start:stop]
+        self.centroid_refs = table.centroid_refs[cluster]
 
-    def __init__(self, record: ClusterRecord,
-                 pivots: Sequence[np.ndarray] = (),
-                 centroid_pd: Sequence[float] = (),
-                 member_pd: np.ndarray | None = None):
-        leaf = record.leaf
-        self.centroid = np.asarray(record.centroid, dtype=np.float64)
-        self.records: list[LeafRecord] = list(leaf.records)
-        self.members = [as_series(r.og) for r in self.records]
-        self.pivots = pivots
-        keys = np.asarray(leaf.keys, dtype=np.float64).reshape(-1, 1)
-        self.refs = (keys if member_pd is None
-                     else np.hstack([keys, member_pd]))
-        self.centroid_refs = np.concatenate([[0.0], centroid_pd])
-        self.max_key = leaf.max_key()
+    @property
+    def records(self) -> list:
+        return self.table.records[self.start:self.stop]
 
 
 class ScanViews:
-    """The :class:`ClusterView` of every cluster of one index, by
-    cluster-record identity; valid while the index's ``mutations``
-    counter still reads :attr:`mutations` and it holds :attr:`sketch`."""
+    """One index's reference table and the :class:`ClusterView` of each
+    cluster by record identity; valid while the index's ``mutations``
+    still reads :attr:`mutations` and it holds :attr:`sketch`."""
 
-    __slots__ = ("mutations", "sketch", "by_record")
+    __slots__ = ("mutations", "sketch", "pivots", "records", "members",
+                 "refs", "centroid_refs", "max_keys", "row_cluster",
+                 "by_record")
 
     def __init__(self, distance, records: Sequence[ClusterRecord],
                  mutations: int, sketch=None):
-        """Views of ``records``, with reference columns from ``sketch``.
-
-        Member rows are the sketch's stored pivot distances, matched to
-        each leaf member by its row; the one kernel sweep is centroids x
-        pivots.  Without a sketch — or one missing a member's row — the
-        views carry the leaf keys alone.
-        """
-        self.mutations = mutations
-        self.sketch = sketch
-        self.by_record: dict[int, ClusterView] = {}
+        """The table of ``records``' members in leaf order.  Pivot
+        columns are the sketch's stored rows, matched by ``row``; the one
+        kernel sweep is centroids x pivots.  Without a sketch — or one
+        missing a member's row — the table holds the leaf keys alone."""
+        self.mutations, self.sketch = mutations, sketch
+        self.records = [r for record in records for r in record.leaf]
+        self.members = [as_series(r.og) for r in self.records]
         rows = None
-        if sketch is not None and sketch.pivots and records:
-            rows = sketch.rows_of(
-                [r.row for record in records for r in record.leaf])
-        if rows is None:
-            for record in records:
-                self.by_record[id(record)] = ClusterView(record)
-            return
-        member_pd, pivots = rows[0], sketch.pivots
-        centroid_pd = np.ascontiguousarray(pairwise_matrix(
-            distance, pivots, [record.centroid for record in records]).T)
-        start = 0
-        for record, pd in zip(records, centroid_pd):
-            stop = start + len(record.leaf)
-            self.by_record[id(record)] = ClusterView(
-                record, pivots, pd, member_pd[start:stop])
-            start = stop
+        if sketch is not None and sketch.pivots and self.records:
+            rows = sketch.rows_of([r.row for r in self.records])
+        self.pivots = () if rows is None else sketch.pivots
+        # Column-major: a bound sweeps each column contiguously.
+        self.refs = np.empty((len(self.records), 1 + len(self.pivots)),
+                             order="F")
+        self.refs[:, 0] = [key for record in records
+                           for key in record.leaf.keys]
+        self.centroid_refs = np.zeros((len(records), self.refs.shape[1]))
+        if rows is not None:
+            self.refs[:, 1:] = rows[0]
+            self.centroid_refs[:, 1:] = pairwise_matrix(
+                distance, self.pivots,
+                [record.centroid for record in records]).T
+        self.max_keys = np.array([record.leaf.max_key() for record in records])
+        sizes = [len(record.leaf) for record in records]
+        self.row_cluster = np.repeat(np.arange(len(records)), sizes)
+        at = np.cumsum([0, *sizes]).tolist()
+        self.by_record = {id(record): ClusterView(
+            self, c, at[c], at[c + 1], record.centroid)
+            for c, record in enumerate(records)}
 
 
 def evaluate_windowed(distance, series: np.ndarray, candidates: Sequence,
@@ -163,67 +159,63 @@ def evaluate_windowed(distance, series: np.ndarray, candidates: Sequence,
     return start
 
 
-def _rank_clusters(distance, series: np.ndarray,
-                   views: Sequence[ClusterView]
-                   ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``Key_q`` per cluster, and the query's reference row per view
-    (``Key_q``, then its distance to each of the view's pivots) — one
-    sweep over every distinct pivot set and every centroid."""
-    start: dict[int, int] = {}
-    pivots: list[np.ndarray] = []
-    for view in views:
-        if id(view.pivots) not in start:
-            start[id(view.pivots)] = len(pivots)
-            pivots.extend(view.pivots)
-    swept = one_vs_many(distance, series,
-                        [*pivots, *(view.centroid for view in views)])
-    key_qs = swept[len(pivots):]
-    q_refs = []
-    for view, key_q in zip(views, key_qs):
-        first = start[id(view.pivots)]
-        q_refs.append(np.concatenate(
-            [[key_q], swept[first:first + len(view.pivots)]]))
-    return key_qs, q_refs
+class _Candidates:
+    """Every member of the scanned views with its lower bound, as
+    parallel arrays (tables in first-view order, rows in table order)."""
 
+    def __init__(self, distance, series: np.ndarray,
+                 views: Sequence[ClusterView]):
+        picked: dict[int, list[int]] = {}
+        for i, view in enumerate(views):
+            picked.setdefault(id(view.table), []).append(i)
+        self.tables = [views[at[0]].table for at in picked.values()]
+        # The one ranking sweep: every table's pivots, every centroid.
+        pivots = [pivot for table in self.tables for pivot in table.pivots]
+        swept = one_vs_many(distance, series,
+                            [*pivots, *(view.centroid for view in views)])
+        key_qs, start, parts = swept[len(pivots):], 0, []
+        for t, (table, at) in enumerate(zip(self.tables, picked.values())):
+            q = swept[start:start + len(table.pivots)]
+            start += len(table.pivots)
+            clusters = [views[i].cluster for i in at]
+            key_q = key_qs[at]
+            # Nearest possible member: d(q, o) >= |d(q, R) - d(R, c)| -
+            # max_key for every reference R (R = c gives key_q - max_key).
+            cluster_lb = np.maximum(key_q, pivot_lower_bounds(
+                q, table.centroid_refs[clusters, 1:])) \
+                - table.max_keys[clusters]
+            # Each row's position in ``at``; rows of clusters not scanned
+            # read -1 (a placeholder), are bounded too and then dropped.
+            of = np.full(len(table.max_keys), -1)
+            of[clusters] = np.arange(len(at))
+            of = of[table.row_cluster]
+            lb = np.abs(table.refs[:, 0] - key_q[of])
+            np.maximum(lb, pivot_lower_bounds(q, table.refs[:, 1:]), out=lb)
+            np.maximum(lb, cluster_lb[of], out=lb)
+            rows = np.flatnonzero(of >= 0)
+            parts.append((lb[rows], np.full(len(rows), t), rows,
+                          np.asarray(at)[of[rows]]))
+        self.lbs, self.tab, self.rows, self.view_of = (
+            np.concatenate(column) for column in zip(*parts))
 
-def _leaf_window(view: ClusterView, q: np.ndarray, bound: float,
-                 layer: str, pending: list) -> None:
-    """Queue the members of one cluster that no reference column rules
-    out at ``bound``, as ``(lower bound, leaf record, series)``; ``q``
-    is the query's reference row for this view."""
-    slack = slack_at(bound)
-    limit = bound + slack
-    # Nearest possible member: d(q, o) >= |d(q, R) - d(R, c)| - max_key
-    # for every reference R (the centroid itself gives key_q - max_key).
-    # Strict >: a candidate whose bound ties the k-th distance can still
-    # win on og_id.
-    if float(np.abs(q - view.centroid_refs).max()) - view.max_key > limit:
-        OBS.count(f"{layer}.clusters_pruned")
-        return
-    OBS.count(f"{layer}.leaf_scans")
-    keys = view.refs[:, 0]
-    lo = int(np.searchsorted(keys, q[0] - bound - slack, side="left"))
-    hi = int(np.searchsorted(keys, q[0] + bound + slack, side="right"))
-    lbs = pivot_lower_bounds(q, view.refs[lo:hi])
-    keep = np.flatnonzero(lbs <= limit)
-    records, members = view.records, view.members
-    pending.extend((lb, records[i], members[i])
-                   for lb, i in zip(lbs[keep].tolist(), (keep + lo).tolist()))
+    def listed(self, order: np.ndarray) -> list[tuple]:
+        """``(bound, table, row)`` of the candidates at ``order``."""
+        return list(zip(self.lbs[order].tolist(), self.tab[order].tolist(),
+                        self.rows[order].tolist()))
 
+    def series_of(self, candidate: tuple) -> np.ndarray:
+        return self.tables[candidate[1]].members[candidate[2]]
 
-def _leaf_hit(candidate: tuple) -> tuple:
-    record = candidate[1]
-    return record.og, record.clip_ref
+    def record_of(self, candidate: tuple) -> tuple:
+        record = self.tables[candidate[1]].records[candidate[2]]
+        return record.og, record.clip_ref
 
-
-def _drain(distance, series: np.ndarray, pending: list, best: TopK,
-           window: int, external: float) -> int:
-    """Evaluate the queued leaf candidates best-first and empty the queue."""
-    pending.sort(key=itemgetter(0))
-    done = evaluate_windowed(distance, series, pending, best, window,
-                             itemgetter(2), _leaf_hit, external)
-    pending.clear()
-    return done
+    def count(self, layer: str, views: int, evaluated: np.ndarray) -> None:
+        """Counters: a cluster with an evaluated member is scanned."""
+        scanned = len(np.unique(self.view_of[evaluated]))
+        OBS.count(f"{layer}.leaf_scans", scanned)
+        OBS.count(f"{layer}.clusters_pruned", views - scanned)
+        OBS.count(f"{layer}.candidates_evaluated", len(evaluated))
 
 
 def probe(distance, query, views: Sequence[ClusterView],
@@ -244,46 +236,54 @@ def knn_scan(distance, series: np.ndarray, views: Sequence[ClusterView],
     """The ``k`` nearest members of ``views`` to ``series``, as sorted
     ``(distance, og, clip_ref)`` hits.
 
-    Clusters are visited in ``Key_q`` order whatever index they belong
-    to: the nearest one anywhere seeds the bound and every later window
-    is cut by it.  Candidates accumulate across clusters until a
-    ``window`` of them is queued.  ``prune_bound`` only ever prunes, so
-    any valid upper bound on the true k-th distance leaves the result
-    exact.  Counters are reported under ``layer``.
-    """
+    Members of every view, whatever index they belong to, are evaluated
+    best-first by their tightest lower bound, ``window`` at a time; only
+    the rows still under the k-th distance after the first window are
+    sorted.  ``prune_bound`` only ever prunes, so any valid upper bound
+    on the true k-th distance leaves the result exact.  Counters are
+    reported under ``layer``."""
     best = TopK(k)
     if not views:
         return best.hits
     external = math.inf if prune_bound is None else float(prune_bound)
-    key_qs, q_refs = _rank_clusters(distance, series, views)
-    pending: list[tuple] = []
-    evaluated = 0
-    for i in np.argsort(key_qs, kind="stable"):
-        if len(pending) >= window:
-            evaluated += _drain(distance, series, pending, best, window,
-                                external)
-        _leaf_window(views[i], q_refs[i], min(best.bound, external), layer,
-                     pending)
-    evaluated += _drain(distance, series, pending, best, window, external)
-    OBS.count(f"{layer}.candidates_evaluated", evaluated)
+    cands = _Candidates(distance, series, views)
+    lbs = cands.lbs
+    # Positions are ascending, so a stable sort orders by (bound, position).
+    first = np.arange(len(lbs))
+    if len(lbs) > window:
+        first = first[lbs <= np.partition(lbs, window - 1)[window - 1]]
+    first = first[np.argsort(lbs[first], kind="stable")][:window]
+    done = evaluate_windowed(distance, series, cands.listed(first), best,
+                             window, cands.series_of, cands.record_of,
+                             external)
+    evaluated = first[:done]
+    if done == len(first) < len(lbs):
+        bound = min(best.bound, external)
+        under = lbs <= bound + slack_at(bound)
+        under[first] = False
+        rest = np.flatnonzero(under)
+        rest = rest[np.argsort(lbs[rest], kind="stable")]
+        done = evaluate_windowed(distance, series, cands.listed(rest), best,
+                                 window, cands.series_of, cands.record_of,
+                                 external)
+        evaluated = np.concatenate([evaluated, rest[:done]])
+    cands.count(layer, len(views), evaluated)
     return best.hits
 
 
 def range_scan(distance, series: np.ndarray, views: Sequence[ClusterView],
                radius: float, *, layer: str = "index") -> list[tuple]:
     """Every member of ``views`` within ``radius`` of ``series``: the
-    bound is known up front, so all windows go through one sweep."""
+    bound is known up front, so every candidate under it goes through
+    one sweep."""
     hits: list[tuple] = []
-    pending: list[tuple] = []
     if views:
-        _, q_refs = _rank_clusters(distance, series, views)
-        for view, q in zip(views, q_refs):
-            _leaf_window(view, q, radius, layer, pending)
-    if pending:
-        dists = one_vs_many(distance, series, [c[2] for c in pending])
-        OBS.count(f"{layer}.candidates_evaluated", len(pending))
-        for candidate, d in zip(pending, dists):
-            if float(d) <= radius:
-                hits.append((float(d), *_leaf_hit(candidate)))
-    hits.sort(key=hit_key)
-    return hits
+        cands = _Candidates(distance, series, views)
+        under = np.flatnonzero(cands.lbs <= radius + slack_at(radius))
+        cands.count(layer, len(views), under)
+        listed = cands.listed(under)
+        dists = one_vs_many(distance, series,
+                            [cands.series_of(c) for c in listed])
+        hits = [(d, *cands.record_of(c))
+                for c, d in zip(listed, dists.tolist()) if d <= radius]
+    return sorted(hits, key=hit_key)

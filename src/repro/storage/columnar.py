@@ -1051,7 +1051,7 @@ class ColumnarStore:
         if sketch_meta is None:
             return None
         base_rows = int(base["rows"])
-        reader = ColumnarRowReader(self, log, mmap, first)
+        reader = ColumnarRowReader(self, log, mmap, first, header)
         # The pivots are a few series: read them, map the per-row columns.
         columns = self._columns(base, header, SKETCH_COLUMNS[:2], mmap=False)
         columns.update(self._columns(base, header, SKETCH_COLUMNS[2:], mmap))
@@ -1353,12 +1353,16 @@ class ColumnarRowReader:
     binary search; series and frames are zero-copy offsets-table slices
     of the (optionally mmap'd) ``og_*`` columns, loaded lazily per
     segment.  Records are ``ObjectGraph``s labelled as by
-    :class:`RowLabels` (``first + row``).
+    :class:`RowLabels` (``first + row``).  ``base_header``, when the
+    caller already verified the base segment's header, spares its
+    first row fetch a second parse.
     """
 
     def __init__(self, store: ColumnarStore, log: _ShardLog,
-                 mmap: bool, first: int):
+                 mmap: bool, first: int,
+                 base_header: dict[str, Any] | None = None):
         self._store = store
+        self._base_header = base_header
         self._mmap = bool(mmap)
         self._first = int(first)
         self._segments = list(log.segments)
@@ -1401,7 +1405,12 @@ class ColumnarRowReader:
         slice itself).
         """
         entry = self._segments[part]
-        header = self._store._header(entry)
+        header = (self._base_header if part == 0 and self._base_header
+                  else self._store._header(entry))
+        if part == 0:
+            # Held only until used: dead readers wait in cycles for the
+            # collector, and a retained header kept ~3 MB more of them.
+            self._base_header = None
         names = ("og_values", "og_offsets", "og_frames", "og_labels")
         loaded = self._store._columns(entry, header, names, self._mmap)
         self._refs[part] = header["meta"].get("refs") or []

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.clustering import em as em_module
 from repro.clustering.base import kmeanspp_init, validate_inputs
-from repro.clustering.centroid import weighted_mean_og
+from repro.clustering.centroid import _weighted_median_length, weighted_mean_og
 from repro.clustering.em import EMClustering, EMConfig
 from repro.clustering.evaluation import clustering_error_rate
 from repro.clustering.khm import KHMClustering, KHMConfig
 from repro.clustering.kmeans import KMeansClustering, KMeansConfig
+from repro.distance.base import as_series, resample_series
 from repro.distance.eged import MetricEGED
 from repro.errors import ClusteringError, EmptySequenceError, InvalidParameterError
 
@@ -63,6 +67,60 @@ class TestWeightedMeanOG:
     def test_weight_count_mismatch(self):
         with pytest.raises(InvalidParameterError):
             weighted_mean_og([np.zeros((2, 1))], weights=[1.0, 2.0])
+
+
+def looped_mean_og(series, weights=None, length=None):
+    """``weighted_mean_og`` as one ``acc += w_i * member_i`` per member,
+    the loop its vectorised form must match bit for bit."""
+    arrays = [as_series(s) for s in series]
+    w = (np.ones(len(arrays)) if weights is None
+         else np.asarray(weights, dtype=np.float64))
+    total = w.sum()
+    if total <= 0:
+        w = np.ones(len(arrays))
+        total = w.sum()
+    if length is None:
+        length = _weighted_median_length(
+            np.array([a.shape[0] for a in arrays]), w)
+    acc = np.zeros((length, arrays[0].shape[1]))
+    for a, wi in zip(arrays, w):
+        if wi == 0.0:
+            continue
+        acc += wi * resample_series(a, length)
+    return acc / total
+
+
+class TestWeightedMeanBits:
+    @given(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 40),
+           weights=st.sampled_from(["random", "with zeros", "uniform",
+                                    "all zero"]),
+           length=st.one_of(st.none(), st.integers(1, 20)))
+    @settings(max_examples=150, deadline=None)
+    def test_bits_equal_the_loop(self, seed, members, weights, length):
+        rng = np.random.default_rng(seed)
+        # Lengths 1-20 cover a member already at the target length and a
+        # one-node member.
+        series = [rng.normal(0, 50, (int(rng.integers(1, 21)), 2))
+                  for _ in range(members)]
+        w = {"random": rng.random(members),
+             "with zeros": rng.random(members) * (rng.random(members) < .5),
+             "uniform": None,
+             "all zero": np.zeros(members)}[weights]
+        want = looped_mean_og(series, w, length)
+        got = weighted_mean_og(series, w, length)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_em_fit_is_unchanged(self, monkeypatch):
+        ogs, _ = two_blob_ogs(n_per=20, rng=np.random.default_rng(4))
+        config = EMConfig(n_clusters=3, seed=2)
+        fitted = EMClustering(config).fit(ogs)
+        monkeypatch.setattr(em_module, "weighted_mean_og", looped_mean_og)
+        looped = EMClustering(config).fit(ogs)
+        assert fitted.n_iterations == looped.n_iterations > 1
+        assert len(fitted.centroids) == len(looped.centroids)
+        for a, b in zip(fitted.centroids, looped.centroids):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBaseHelpers:

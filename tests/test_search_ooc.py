@@ -544,6 +544,30 @@ class TestDatabaseOutOfCore:
                 == db_sig(db.knn(q, 5))
         assert not opened.index_loaded
 
+    def test_cold_open_parses_each_base_header_once(self, tmp_path,
+                                                    monkeypatch):
+        """The header the sketch attach verified is the one the row
+        reader's first fetch reads: a lazy open plus one budgeted k-NN
+        of a 2-shard store parses each base segment header once."""
+        import repro
+
+        _, ogs = self.make_db(tmp_path, shards=2, placement="hash")
+        want = hit_sig(ColumnarStore(tmp_path / "db").load_index(
+            mmap=True).knn(ogs[0], 5, search_budget=30))
+        parsed = []
+        header = ColumnarStore._header
+
+        def counted(store, entry):
+            parsed.append(entry["seg"])
+            return header(store, entry)
+
+        monkeypatch.setattr(ColumnarStore, "_header", counted)
+        opened = repro.open_database(tmp_path / "db", create=False)
+        got = db_sig(opened.knn(ogs[0], 5, search_budget=30))
+        assert not opened.index_loaded
+        assert len(parsed) == len(set(parsed)) == 2
+        assert got == want
+
     def test_cross_shard_tie_resolves_shard_then_row(self, tmp_path):
         """The same trajectory stored in two shards: an exact tie in
         distance, broken by og_id — which out of core is shard-then-row,
