@@ -72,8 +72,7 @@ def evaluations_per_query(index: ShardedIndex, queries,
     """``distance.pairs_computed`` per exact k-NN query: through the
     index, or over the same shards' clusters on their leaf keys alone."""
     views = [view for shard in index.shards
-             for view in ScanViews(index.metric_distance,
-                                   shard.cluster_records(), 0)
+             for view in ScanViews(shard.cluster_records(), 0)
              .by_record.values() if len(view.refs)]
     observability.configure(enabled=True, reset_state=True)
     try:

@@ -81,7 +81,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "17.1.0"
+__version__ = "17.2.0"
 
 __all__ = [
     "EGED",

@@ -467,10 +467,9 @@ class STRGIndex:
         measure the query against every centroid, and evaluate the
         members of every cluster best-first by their tightest lower
         bound — ``|Key - Key_q|`` (valid because ``EGED_M`` is a
-        metric), its cluster's ``Key_q - max_key`` and, when the index
-        holds a sketch tier, the same bound over each stored sketch
-        pivot distance — until the next bound exceeds the k-th
-        distance.  A range query is the same scan with the bound fixed
+        metric) and, when the index holds a sketch tier, the same bound
+        over each stored sketch pivot distance — until the next bound
+        exceeds the k-th distance.  A range query is the same scan with the bound fixed
         at ``radius``.
 
         ``n_probe`` bounds how many nearest clusters are scanned:
@@ -592,8 +591,7 @@ class STRGIndex:
                 views = self._views
                 if stale(views):
                     views = self._views = ScanViews(
-                        self.metric_distance, self.cluster_records(),
-                        self.mutations, sketch)
+                        self.cluster_records(), self.mutations, sketch)
         return [views.by_record[id(record)]
                 for record in self.cluster_records(background)
                 if len(record.leaf)]

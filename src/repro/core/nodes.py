@@ -83,10 +83,6 @@ class LeafNode:
         """Keys in ascending order (parallel to :attr:`records`)."""
         return self._keys
 
-    def max_key(self) -> float:
-        """Largest key (the leaf's covering radius around its centroid)."""
-        return self._keys[-1] if self._keys else 0.0
-
 
 @dataclass
 class ClusterRecord:

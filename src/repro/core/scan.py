@@ -14,10 +14,9 @@ centroid.  :class:`ScanViews` holds one contiguous *table* of reference
 distances per index: column 0 is the leaf key, and an index that holds
 a sketch tier appends one column per sketch pivot — the
 ``pivot_dists`` rows the sketch already stores.  ``|d(Q, R) - d(S, R)|
-<= d(Q, S)`` holds for every column, and ``max_R |d(Q, R) - d(C, R)| -
-max_key`` for every member of cluster ``C``; a member's bound is the
-tightest of them.  One ranking sweep measures the query against every
-pivot set and every centroid.
+<= d(Q, S)`` holds for every column; a member's bound is the tightest
+of them.  One ranking sweep measures the query against every pivot set
+and every centroid.
 
 ``STRGIndex.search`` scans its own clusters, ``ShardedIndex.search`` the
 views of every live shard under one bound, and the budgeted rerank of
@@ -34,7 +33,7 @@ import numpy as np
 
 from repro.core.nodes import ClusterRecord
 from repro.distance.base import as_series
-from repro.distance.batch import one_vs_many, pairwise_matrix
+from repro.distance.batch import one_vs_many
 from repro.distance.bounds import pivot_lower_bounds
 from repro.observability import OBS
 from repro.search.request import TopK, hit_key
@@ -62,11 +61,10 @@ def slack_at(bound: float) -> float:
 class ClusterView:
     """One cluster: rows ``start:stop`` of its :class:`ScanViews` table.
     ``refs[i]`` is member ``i``'s leaf key (ascending), then its distance
-    to each series of ``pivots``; ``centroid_refs`` is the centroid's
-    row (column 0: ``d(centroid, centroid) = 0``).  Both view the table."""
+    to each series of ``pivots``, a view of the table."""
 
     __slots__ = ("table", "cluster", "start", "stop", "centroid", "pivots",
-                 "refs", "centroid_refs")
+                 "refs")
 
     def __init__(self, table: ScanViews, cluster: int, start: int,
                  stop: int, centroid: np.ndarray):
@@ -75,7 +73,6 @@ class ClusterView:
         self.centroid = np.asarray(centroid, dtype=np.float64)
         self.pivots = table.pivots
         self.refs = table.refs[start:stop]
-        self.centroid_refs = table.centroid_refs[cluster]
 
     @property
     def records(self) -> list:
@@ -88,15 +85,14 @@ class ScanViews:
     still reads :attr:`mutations` and it holds :attr:`sketch`."""
 
     __slots__ = ("mutations", "sketch", "pivots", "records", "members",
-                 "refs", "centroid_refs", "max_keys", "row_cluster",
-                 "by_record")
+                 "refs", "row_cluster", "by_record")
 
-    def __init__(self, distance, records: Sequence[ClusterRecord],
-                 mutations: int, sketch=None):
+    def __init__(self, records: Sequence[ClusterRecord], mutations: int,
+                 sketch=None):
         """The table of ``records``' members in leaf order.  Pivot
-        columns are the sketch's stored rows, matched by ``row``; the one
-        kernel sweep is centroids x pivots.  Without a sketch — or one
-        missing a member's row — the table holds the leaf keys alone."""
+        columns are the sketch's stored rows, matched by ``row``, so a
+        build evaluates nothing.  Without a sketch — or one missing a
+        member's row — the table holds the leaf keys alone."""
         self.mutations, self.sketch = mutations, sketch
         self.records = [r for record in records for r in record.leaf]
         self.members = [as_series(r.og) for r in self.records]
@@ -109,13 +105,8 @@ class ScanViews:
                              order="F")
         self.refs[:, 0] = [key for record in records
                            for key in record.leaf.keys]
-        self.centroid_refs = np.zeros((len(records), self.refs.shape[1]))
         if rows is not None:
             self.refs[:, 1:] = rows[0]
-            self.centroid_refs[:, 1:] = pairwise_matrix(
-                distance, self.pivots,
-                [record.centroid for record in records]).T
-        self.max_keys = np.array([record.leaf.max_key() for record in records])
         sizes = [len(record.leaf) for record in records]
         self.row_cluster = np.repeat(np.arange(len(records)), sizes)
         at = np.cumsum([0, *sizes]).tolist()
@@ -128,7 +119,8 @@ def evaluate_windowed(distance, series: np.ndarray, candidates: Sequence,
                       best: TopK, window: int,
                       series_of: Callable[[Any], np.ndarray],
                       record_of: Callable[[Any], tuple],
-                      external: float = math.inf) -> int:
+                      external: float = math.inf,
+                      first: int | None = None) -> int:
     """Offer ``candidates`` to ``best``, nearest lower bound first.
 
     ``candidates`` are ordered by ``candidate[0]``, a lower bound on the
@@ -140,13 +132,22 @@ def evaluate_windowed(distance, series: np.ndarray, candidates: Sequence,
     ends the scan — every later one is provably farther.  ``series_of``
     and ``record_of`` fetch a candidate's series and ``(og, clip_ref)``
     only once it is evaluated.  Returns how many were evaluated.
+
+    ``first`` seeds the bound: the first sweep takes only that many
+    candidates when at least as many again are left of the window
+    (otherwise the seed would leave a sliver sweep for nothing), and
+    every later sweep ends on a multiple of ``window``.  Every cut of
+    the unseeded schedule is kept and the k-th distance only falls as
+    the evaluated prefix grows, so seeding never evaluates more, and
+    the prune is the same bound test, so the hits do not move.
     """
     start = 0
+    end = first if first is not None and 2 * first <= window else window
     while start < len(candidates):
         bound = min(best.bound, external)
         limit = bound + slack_at(bound)
         stop = start
-        end = min(len(candidates), start + window)
+        end = min(len(candidates), end)
         while stop < end and candidates[stop][0] <= limit:
             stop += 1
         if stop == start:
@@ -156,6 +157,7 @@ def evaluate_windowed(distance, series: np.ndarray, candidates: Sequence,
         for candidate, d in zip(chunk, dists):
             best.offer(float(d), *record_of(candidate))
         start = stop
+        end = (stop // window + 1) * window
     return start
 
 
@@ -177,21 +179,14 @@ class _Candidates:
         for t, (table, at) in enumerate(zip(self.tables, picked.values())):
             q = swept[start:start + len(table.pivots)]
             start += len(table.pivots)
-            clusters = [views[i].cluster for i in at]
             key_q = key_qs[at]
-            # Nearest possible member: d(q, o) >= |d(q, R) - d(R, c)| -
-            # max_key for every reference R (R = c gives key_q - max_key).
-            cluster_lb = np.maximum(key_q, pivot_lower_bounds(
-                q, table.centroid_refs[clusters, 1:])) \
-                - table.max_keys[clusters]
             # Each row's position in ``at``; rows of clusters not scanned
             # read -1 (a placeholder), are bounded too and then dropped.
-            of = np.full(len(table.max_keys), -1)
-            of[clusters] = np.arange(len(at))
+            of = np.full(len(table.by_record), -1)
+            of[[views[i].cluster for i in at]] = np.arange(len(at))
             of = of[table.row_cluster]
             lb = np.abs(table.refs[:, 0] - key_q[of])
             np.maximum(lb, pivot_lower_bounds(q, table.refs[:, 1:]), out=lb)
-            np.maximum(lb, cluster_lb[of], out=lb)
             rows = np.flatnonzero(of >= 0)
             parts.append((lb[rows], np.full(len(rows), t), rows,
                           np.asarray(at)[of[rows]]))

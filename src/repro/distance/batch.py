@@ -325,38 +325,33 @@ def _erp_kernel(refs: list[np.ndarray], padded: np.ndarray,
     return out
 
 
-def _gap_states(padded: np.ndarray, lengths: np.ndarray,
-                mode: str) -> np.ndarray:
-    """Batched :func:`repro.distance.eged._gap_values`, ``(M + 1, B, d)``:
-    per-item gap values for alignment states ``0..m_b`` of each series."""
-    from repro.distance.eged import ADAPTIVE
-
+def _gap_states(padded: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Batched adaptive :func:`repro.distance.eged._gap_values`,
+    ``(M + 1, B, d)``: per-item gap values for alignment states
+    ``0..m_b`` of each series."""
     big, batch, dim = padded.shape
     # Zero-init: states past ``m_b`` are never read by the DP, but they do
     # flow through the batched norm, so they must stay finite.
     out = np.zeros((big + 1, batch, dim), dtype=np.float64)
     out[0] = padded[0]
-    if mode == ADAPTIVE:
-        if big > 1:
-            out[1:big] = (padded[:-1] + padded[1:]) / 2.0
-        # State m_b clamps to the last *true* node, not the padding.
-        cols = np.arange(batch)
-        out[lengths, cols] = padded[lengths - 1, cols]
-    else:
-        out[1:] = padded
+    if big > 1:
+        out[1:big] = (padded[:-1] + padded[1:]) / 2.0
+    # State m_b clamps to the last *true* node, not the padding.
+    cols = np.arange(batch)
+    out[lengths, cols] = padded[lengths - 1, cols]
     return out
 
 
-def _eged_kernel(a: np.ndarray, padded: np.ndarray, lengths: np.ndarray,
-                 mode: str) -> np.ndarray:
-    """Non-metric EGED (adaptive or dtw gap policy) over one padded chunk."""
-    from repro.distance.eged import _gap_values
+def _eged_kernel(a: np.ndarray, padded: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """Non-metric EGED (adaptive gap policy) over one padded chunk."""
+    from repro.distance.eged import ADAPTIVE, _gap_values
 
     n = a.shape[0]
     big, batch = padded.shape[0], padded.shape[1]
     sub = _norms_to(padded, a)                       # (n, M, B)
-    mid_a = _gap_values(a, mode)                     # (n + 1, d)
-    mid_b = _gap_states(padded, lengths, mode)       # (M + 1, B, d)
+    mid_a = _gap_values(a, ADAPTIVE)                 # (n + 1, d)
+    mid_b = _gap_states(padded, lengths)             # (M + 1, B, d)
     # del_cost[i, j, b]: gap a[i] while b has consumed j nodes.
     del_cost = _norms_to(mid_b, a)                   # (n, M + 1, B)
     # ins_cost[i, j, b]: gap b[j] while a has consumed i nodes.
@@ -469,7 +464,8 @@ def batch_erp_matrix(refs: Sequence[SeriesLike],
 def batch_eged(query: SeriesLike, items: Sequence[SeriesLike],
                mode: str = "adaptive") -> np.ndarray:
     """Non-metric EGED (``adaptive`` or ``dtw`` gap policy) of ``query``
-    against every item."""
+    against every item.  The ``dtw`` policy (``g_i = v_{i-1}``) is DTW's
+    recurrence, bit for bit, so it runs the one DTW kernel."""
     from repro.distance.eged import ADAPTIVE, DTW_GAP
     from repro.errors import InvalidParameterError
 
@@ -477,7 +473,9 @@ def batch_eged(query: SeriesLike, items: Sequence[SeriesLike],
         raise InvalidParameterError(
             f"mode must be 'adaptive' or 'dtw', got {mode!r}"
         )
-    return _chunked(_eged_kernel, as_series(query), items, mode)
+    if mode == DTW_GAP:
+        return batch_dtw(query, items)
+    return _chunked(_eged_kernel, as_series(query), items)
 
 
 def batch_dtw(query: SeriesLike, items: Sequence[SeriesLike]) -> np.ndarray:

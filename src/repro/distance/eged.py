@@ -17,7 +17,8 @@ Two gap policies are provided, exactly as in the paper:
   the recursion coincides with ERP.
 
 A third policy ``gap="dtw"`` (``g_i = v_{i-1}``) reproduces the paper's
-remark that this choice degenerates to a DTW-style cost.
+remark that this choice degenerates to a DTW-style cost: its recurrence
+is DTW's, so it is computed by the DTW kernel.
 """
 
 from __future__ import annotations
@@ -74,12 +75,14 @@ def _eged_dynamic(a: np.ndarray, b: np.ndarray, mode: str) -> float:
     that motivates the metric specialization.
 
     Delegates to the vectorized batch kernel with a batch of one (no
-    ``.tolist()`` round-trips, no Python-level inner loop); the test
+    ``.tolist()`` round-trips, no Python-level inner loop) — the DTW
+    kernel for the ``dtw`` policy, whose recurrence it is; the test
     suite keeps an independent naive DP as the equivalence reference.
     """
-    from repro.distance.batch import _chunked, _eged_kernel
+    from repro.distance.batch import _chunked, _dtw_kernel, _eged_kernel
 
-    return float(_chunked(_eged_kernel, a, [b], mode)[0])
+    kernel = _dtw_kernel if mode == DTW_GAP else _eged_kernel
+    return float(_chunked(kernel, a, [b])[0])
 
 
 def eged(x, y, gap: GapSpec = ADAPTIVE) -> float:

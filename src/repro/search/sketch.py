@@ -792,10 +792,12 @@ def approx_knn(parts: Sequence[SketchIndex], distance,
                              raw[order].tolist()))
         OBS.count("search.candidates_generated", len(shortlist))
         best = TopK(k)
+        # A first sweep of 2k seeds the k-th bound the rest of the
+        # window is re-cut against.
         evaluated = evaluate_windowed(
             distance, series, shortlist, best, RERANK_WINDOW,
             lambda c: live[c[1]][0].row_series(c[2]),
-            lambda c: live[c[1]][0].row_record(c[2]))
+            lambda c: live[c[1]][0].row_record(c[2]), first=2 * k)
         pruned = len(shortlist) - evaluated
         OBS.count("search.distances_computed", evaluated + pivot_evals)
         OBS.count("search.candidates_pruned", pruned)

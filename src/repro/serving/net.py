@@ -32,7 +32,9 @@ whose late result is dropped.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
+import select
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -530,6 +532,36 @@ class NetFrontend:
 # client helpers
 # ---------------------------------------------------------------------------
 
+class _IdleConnections(dict):
+    """One thread's idle keep-alive connections by ``(host, port)``.
+
+    The thread's slot of :data:`_local` holds the only reference, so
+    when the thread ends the dict is dropped and closes what it holds.
+    """
+
+    def __del__(self) -> None:
+        for conn in self.values():
+            conn.close()
+
+
+_local = threading.local()
+
+
+def _idle_connections() -> _IdleConnections:
+    """This thread's idle connections, less those their server closed:
+    an idle socket that reads ready holds an EOF (or bytes no request
+    asked for), so it is never reused."""
+    idle = getattr(_local, "idle", None)
+    if idle is None:
+        idle = _local.idle = _IdleConnections()
+    elif idle:
+        ready, _, _ = select.select(
+            [conn.sock for conn in idle.values()], [], [], 0)
+        for key in [key for key, conn in idle.items() if conn.sock in ready]:
+            idle.pop(key).close()
+    return idle
+
+
 def request_json(host: str, port: int, method: str, path: str,
                  payload: dict[str, Any] | None = None,
                  timeout: float = 30.0) -> tuple[int, Any]:
@@ -539,10 +571,20 @@ def request_json(host: str, port: int, method: str, path: str,
     response says so, raw text otherwise.  Shared by the tests,
     :class:`HttpSender` and the CLI so none of them grow their own
     client.
-    """
-    import http.client
 
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    The exchange reuses the calling thread's idle HTTP/1.1 connection
+    to ``(host, port)`` when the server has not closed it, and leaves
+    its connection idle for the thread's next call.  A connection is
+    closed instead on any exception (a timeout included) and when the
+    response says the server will close it; the idle ones are closed
+    when their thread ends.
+    """
+    idle = _idle_connections()
+    conn = idle.pop((host, port), None)
+    if conn is None:
+        conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    else:
+        conn.sock.settimeout(timeout)
     try:
         body = None if payload is None else json.dumps(payload)
         headers = {"Content-Type": "application/json"} if body else {}
@@ -551,10 +593,17 @@ def request_json(host: str, port: int, method: str, path: str,
         raw = response.read()
         content_type = response.getheader("Content-Type", "")
         if "json" in content_type:
-            return response.status, json.loads(raw.decode("utf-8"))
-        return response.status, raw.decode("utf-8")
-    finally:
+            answer = response.status, json.loads(raw.decode("utf-8"))
+        else:
+            answer = response.status, raw.decode("utf-8")
+    except BaseException:
         conn.close()
+        raise
+    if response.will_close:
+        conn.close()
+    else:
+        idle[(host, port)] = conn
+    return answer
 
 
 class HttpSender:
@@ -562,7 +611,8 @@ class HttpSender:
     ``sender(request, deadline)`` returns a future of the
     :class:`~repro.search.request.SearchResult` a frontend answered.
 
-    ``connections`` threads each run one blocking exchange at a time; a
+    ``connections`` threads each run one blocking exchange at a time,
+    each over its own keep-alive connection (:func:`request_json`); a
     request waits for a free one inside its future.  A 503 resolves the
     future with :class:`~repro.errors.ServiceOverloadError`, a 504 with
     :class:`~repro.errors.DeadlineExceededError`, so a caller handles
@@ -609,7 +659,8 @@ class HttpSender:
         raise ReproError(f"HTTP {status}: {message}")
 
     def close(self) -> None:
-        """Wait for the exchanges in flight, then stop the threads."""
+        """Wait for the exchanges in flight, then stop the threads;
+        each closes its idle connection as it ends."""
         self._threads.shutdown()
 
     def __enter__(self) -> "HttpSender":

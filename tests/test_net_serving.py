@@ -10,9 +10,11 @@ failure drill short of losing a shard entirely.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -34,7 +36,7 @@ from repro.serving import (
 )
 from repro.serving.net import request_json
 
-from front_contract import FrontContract, HttpFront, StubBackend
+from front_contract import QUERY, FrontContract, HttpFront, StubBackend
 
 K = 5
 RADIUS = 60.0
@@ -654,6 +656,89 @@ class TestFrontendStop:
         assert not frontend._connections and not service_threads()
         assert "Task was destroyed but it is pending" not in caplog.text
         assert not caplog.records
+
+
+def served_connections(monkeypatch) -> list:
+    """Every connection a ``NetFrontend`` started after this call
+    accepts, by the client's address."""
+    opened: list = []
+    serve = NetFrontend._serve_connection
+
+    async def counted(self, reader, writer):
+        opened.append(writer.get_extra_info("peername"))
+        await serve(self, reader, writer)
+
+    monkeypatch.setattr(NetFrontend, "_serve_connection", counted)
+    return opened
+
+
+class TestKeepAliveClient:
+    """``request_json`` keeps one idle connection per thread and server,
+    and never reuses one its server closed or an exchange broke."""
+
+    KNN_BODY = {"query": QUERY.tolist(), "k": 1}
+
+    def test_sequential_calls_share_one_connection(self, monkeypatch):
+        opened = served_connections(monkeypatch)
+        with NetFrontend(StubBackend()) as fe:
+            for _ in range(50):
+                status, _ = request_json("127.0.0.1", fe.port, "POST",
+                                         "/knn", self.KNN_BODY)
+                assert status == 200
+        assert len(opened) == 1
+
+    def test_a_restarted_server_on_the_same_port_answers(self,
+                                                         monkeypatch):
+        opened = served_connections(monkeypatch)
+        with NetFrontend(StubBackend()) as fe:
+            port = fe.port
+            assert request_json("127.0.0.1", port, "GET",
+                                "/health")[0] == 200
+        with NetFrontend(StubBackend(), config=NetConfig(port=port)):
+            assert request_json("127.0.0.1", port, "GET",
+                                "/health")[0] == 200
+        assert len(opened) == 2
+
+    def test_a_timed_out_call_drops_its_socket(self, monkeypatch):
+        opened = served_connections(monkeypatch)
+        backend = StubBackend()
+        with NetFrontend(backend) as fe:
+            assert request_json("127.0.0.1", fe.port, "GET",
+                                "/health")[0] == 200
+            backend.release.clear()
+            with pytest.raises(TimeoutError):
+                request_json("127.0.0.1", fe.port, "POST", "/knn",
+                             self.KNN_BODY, timeout=0.2)
+            backend.release.set()
+            status, body = request_json("127.0.0.1", fe.port, "POST",
+                                        "/knn", self.KNN_BODY)
+            assert status == 200 and len(body["hits"]) == 1
+        assert len(opened) == 2
+
+    def test_sender_close_leaves_no_socket_open(self, monkeypatch):
+        from repro.search.request import SearchRequest
+        from repro.serving import HttpSender
+
+        opened = served_connections(monkeypatch)
+        with NetFrontend(StubBackend()) as fe, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with HttpSender("127.0.0.1", fe.port, connections=2) as send:
+                futures = [send(SearchRequest.knn(QUERY, 1))
+                           for _ in range(8)]
+                assert all(len(f.result(10.0).hits) == 1 for f in futures)
+                assert 1 <= len(fe._connections) <= 2
+            # Each sender thread closed its connection as it ended: the
+            # server reads EOF on every one and ends its handler.
+            deadline = time.monotonic() + 5.0
+            while fe._connections:
+                assert time.monotonic() < deadline, "a socket stayed open"
+                time.sleep(0.01)
+            gc.collect()
+        assert 1 <= len(opened) <= 2
+        # Closed by the client, not left to the garbage collector.
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 class TestServeHttpCli:

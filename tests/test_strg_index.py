@@ -44,12 +44,6 @@ class TestLeafNode:
             leaf.insert(LeafRecord(key, ObjectGraph.from_values([[0.0]])))
         assert leaf.keys == [1.0, 2.0, 3.0]
 
-    def test_max_key(self):
-        leaf = LeafNode()
-        assert leaf.max_key() == 0.0
-        leaf.insert(LeafRecord(5.0, ObjectGraph.from_values([[0.0]])))
-        assert leaf.max_key() == 5.0
-
 
 class TestBuild:
     @pytest.mark.parametrize("sample", [None, 64])
