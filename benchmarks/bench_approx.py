@@ -6,8 +6,8 @@ tier (``repro.search``, see ``docs/SEARCH.md``).  Sweeps the per-query
 each budget:
 
 - **recall@10** against the exact full-scan ground truth, and
-- **exact distance evaluations actually spent** (pivot distances plus
-  rerank, via :class:`~repro.distance.base.CountingDistance`) — the
+- **exact distance evaluations actually spent** (reference distances
+  plus rerank, via :class:`~repro.distance.base.CountingDistance`) — the
   paper's Section 6.3 cost model, where DP distance evaluations dominate
   query cost.
 
@@ -109,7 +109,7 @@ def _curve(n: int) -> dict:
         "num_ogs": n,
         "num_queries": len(queries),
         "k": K,
-        "num_pivots": len(sketch.pivots),
+        "num_references": len(sketch.pivots),
         "sketch_build_seconds": build_seconds,
         "exact_scan_seconds_per_query": scan_seconds,
         "points": points,
@@ -144,9 +144,10 @@ def bench_approx_recall_report():
                     if p["budget_fraction"] == GATE_FRACTION)
         n = curve["num_ogs"]
         # Budgets are hard caps above the documented floor of
-        # num_pivots + k (k results cannot be ranked with fewer evals).
+        # num_references + k (k results cannot be ranked with fewer
+        # evals).
         for p in curve["points"]:
-            cap = max(p["budget"], curve["num_pivots"] + K)
+            cap = max(p["budget"], curve["num_references"] + K)
             assert p["max_evaluations"] <= cap, (
                 f"{n} OGs: spent {p['max_evaluations']} evaluations "
                 f"against a cap of {cap} (budget {p['budget']})"

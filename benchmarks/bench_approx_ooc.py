@@ -1,7 +1,7 @@
 """Out-of-core approximate search benchmark: recall/cost + resident set.
 
 The acceptance benchmark for the store-streamed sketch tier
-(``ColumnarStore.load_sketch`` + the blocked candidate scan, see
+(``ColumnarStore.load_sketch`` + the one-pass candidate scan, see
 ``docs/SEARCH.md``).  For each corpus size and store shape — a
 monolithic store, and the 2-shard store the serving recipes write — it
 builds one columnar snapshot with a persisted sketch, then measures in

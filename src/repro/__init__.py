@@ -37,9 +37,9 @@ The package mirrors the paper's pipeline:
 - :mod:`repro.observability` — tracing spans, a metrics registry
   (JSON / Prometheus exporters) and profiling hooks through every hot
   path, behind one ``configure(enabled=...)`` switch.
-- :mod:`repro.search` — the approximate search tier: quantized trajectory
-  sketches, voting candidate generation and budgeted exact rerank behind
-  ``knn(..., search_budget=)`` (see ``docs/SEARCH.md``).
+- :mod:`repro.search` — the approximate search tier: per-OG reference
+  distances, triangle-bound candidate generation and budgeted exact
+  rerank behind ``knn(..., search_budget=)`` (see ``docs/SEARCH.md``).
 - :mod:`repro.serving` — sharded scatter-gather indexes, copy-on-write
   snapshots with live swaps, a thread-pool query service with admission
   control and deadlines, a crash-safe streaming ingest service,
@@ -81,7 +81,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "17.2.0"
+__version__ = "18.0.0"
 
 __all__ = [
     "EGED",

@@ -48,6 +48,13 @@ def as_series(x: SeriesLike) -> np.ndarray:
     return arr
 
 
+def series_key(x: SeriesLike) -> tuple:
+    """A hashable key two series share when their values are equal bit
+    for bit (a centroid and the reference series it became)."""
+    arr = as_series(x)
+    return arr.shape, arr.tobytes()
+
+
 def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     """Raise :class:`DimensionMismatchError` unless ``a`` and ``b`` share a
     feature dimension."""

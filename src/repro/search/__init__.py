@@ -1,9 +1,9 @@
 """``repro.search`` — the two-stage approximate k-NN tier.
 
-Stage 1 generates candidates from compact per-OG sketches (pivot
-triangle bounds + quantized-trajectory voting); stage 2 reranks the
-shortlist with the exact batched EGED_M kernel under a hard budget of
-distance evaluations.  See ``docs/SEARCH.md`` for the sketch format and
+Stage 1 generates candidates from each OG's distances to the corpus's
+reference series (triangle lower bounds); stage 2 reranks the shortlist
+with the exact batched EGED_M kernel under a hard budget of distance
+evaluations.  See ``docs/SEARCH.md`` for the sketch format and
 budget semantics; the usual entry point is the ``search_budget=``
 parameter of ``db.knn`` / ``STRGIndex.knn`` rather than this module
 directly.  ``repro.search.request`` holds the search contract every

@@ -120,11 +120,12 @@ def _pack_sketch(index: STRGIndex, rows: Sequence[int]
                  ) -> tuple[dict[str, np.ndarray], str | None]:
     """Sketch-tier columns for a snapshot (empty when unbuilt).
 
-    Returns the numeric ``sketch_*`` arrays plus the JSON meta string.
-    Sketch rows are stored in the snapshot's leaf-record order: ``rows``
-    are those records' index rows, each matched to its sketch row.  A
-    sketch that lost sync with the index (should not happen; defensive)
-    is dropped and will be rebuilt on demand.
+    Returns the numeric ``sketch_*`` arrays — the reference series and
+    each row's float32 distance to every one of them — plus the JSON
+    meta string.  Sketch rows are stored in the snapshot's leaf-record
+    order: ``rows`` are those records' index rows, each matched to its
+    sketch row.  A sketch that lost sync with the index (should not
+    happen; defensive) is dropped and will be rebuilt on demand.
     """
     sketch = getattr(index, "_sketches", None)
     if sketch is None or not sketch.pivots or len(sketch) != len(rows):
@@ -144,15 +145,15 @@ def _pack_sketch(index: STRGIndex, rows: Sequence[int]
     return dict(
         sketch_pivot_values=pivot_flat,
         sketch_pivot_offsets=pivot_offsets,
-        sketch_pivot_dists=stored[0],
-        sketch_sig=stored[1],
+        sketch_pivot_dists=stored,
     ), sketch_meta_json(sketch)
 
 
 #: The columns :func:`_pack_sketch` writes (``sketch_meta`` rides in
-#: the segment meta).
+#: the segment meta).  Stores written through 17.x also hold a
+#: ``sketch_sig`` column, which nothing reads.
 SKETCH_COLUMNS = ("sketch_pivot_values", "sketch_pivot_offsets",
-                  "sketch_pivot_dists", "sketch_sig")
+                  "sketch_pivot_dists")
 
 #: What a malformed sketch payload raises from :func:`read_sketch`
 #: (``ValueError`` covers bad JSON and shape mismatches).
@@ -166,9 +167,9 @@ def read_sketch(columns, sketch_meta: str, row_ids: np.ndarray, rows):
     its record at row ``i`` of the ``rows`` provider.
 
     Raises one of :data:`SKETCH_PAYLOAD_ERRORS` when the payload is
-    malformed — a missing column, arrays whose shape does not match
-    the rows, or recorded sketch settings other than this version's
-    constants; each caller applies its own failure policy.
+    malformed — a missing column, or a reference count that does not
+    match the distance columns' shape; each caller applies its own
+    failure policy.
     """
     from repro.search.sketch import sketch_from_meta
 
@@ -178,8 +179,7 @@ def read_sketch(columns, sketch_meta: str, row_ids: np.ndarray, rows):
         for p in _unpack_ragged(columns["sketch_pivot_values"],
                                 columns["sketch_pivot_offsets"])
     ]
-    sketch.attach_rows(row_ids, columns["sketch_pivot_dists"],
-                       columns["sketch_sig"], rows)
+    sketch.attach_rows(row_ids, columns["sketch_pivot_dists"], rows)
     return sketch
 
 

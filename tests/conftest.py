@@ -96,8 +96,8 @@ def attach_lazy_sketch():
         eager = index.sketch_tier()
         pairs = [eager.row_record(row) for row in range(len(eager))]
         lazy = SketchIndex()
-        lazy.pivots, lazy.bbox = eager.pivots, eager.bbox
-        lazy.attach_rows(eager.row_ids, eager.pivot_dists, eager.sig,
+        lazy.pivots = eager.pivots
+        lazy.attach_rows(eager.row_ids, eager.pivot_dists,
                          SketchRows(reader=ListReader(pairs),
                                     n_attached=len(pairs)))
         index._sketches = lazy

@@ -3,7 +3,8 @@
 A prepared batch must be indistinguishable from the list it was built
 from (bit for bit, for every batched kernel), the build stages that
 reuse one must store exactly the numbers a batch-of-one call on plain
-arrays returns, and the vectorised signature pass must reproduce the
+arrays returns — the sketch's reference columns too, whatever the mix
+of series lengths — and the vectorised resample must reproduce the
 per-series ``np.interp`` arithmetic it replaced.
 
 The batch-of-one oracle is platform-independent where a committed hash
@@ -13,7 +14,6 @@ EM's ``exp``/``log`` differ by an ulp across numpy SIMD builds.
 
 from __future__ import annotations
 
-import math
 import pickle
 
 import numpy as np
@@ -123,7 +123,7 @@ class TestPaddedBatch:
             assert np.array_equal(a, one_vs_many(EGED(), q, items))
 
 
-# -- signatures -------------------------------------------------------------
+# -- reference columns and resampling -------------------------------------
 
 def reference_resample(a: np.ndarray, length: int) -> np.ndarray:
     """``resample_series`` as it was: two ``np.linspace`` and one
@@ -138,56 +138,49 @@ def reference_resample(a: np.ndarray, length: int) -> np.ndarray:
                      for k in range(a.shape[1])], axis=1)
 
 
-def reference_signature(sketch: SketchIndex, series: np.ndarray) -> np.ndarray:
-    """The per-series signature body the length-group pass replaced."""
-    lo, hi = sketch.bbox if sketch.bbox is not None else (
-        np.zeros(2), np.ones(2))
-    planar = series[:, :2] if series.shape[1] >= 2 else np.concatenate(
-        [series[:, :1], np.zeros((series.shape[0], 1))], axis=1)
-    pts = reference_resample(planar, sketch_mod.SIG_LENGTH)
-    frac = (pts - lo) / (hi - lo)
-    grid, sectors = sketch_mod.GRID, sketch_mod.HEADING_SECTORS
-    cells = np.clip((frac * grid).astype(np.int64), 0, grid - 1)
-    cell = cells[:, 0] * grid + cells[:, 1]
-    deltas = np.diff(pts, axis=0, prepend=pts[:1])
-    angles = np.arctan2(deltas[:, 1], deltas[:, 0])
-    sector = np.clip(
-        ((angles + math.pi) / (2.0 * math.pi)
-         * sectors).astype(np.int64),
-        0, sectors - 1)
-    return (cell * sectors + sector).astype(np.int16)
-
-
 class TestSignatures:
+    """The sketch's per-OG reference columns (they replaced the
+    quantized signatures): batch-of-one kernel calls, rounded to
+    float32, for any mix of lengths and dimensions."""
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_length_groups_match_per_series_interp(self, dim, monkeypatch):
-        monkeypatch.setattr(sketch_mod, "NUM_PIVOTS", 2)
+        monkeypatch.setattr(sketch_mod, "MIN_REFERENCES", 2)
         rng = np.random.default_rng(17 + dim)
         series = [rng.normal(size=(n, dim)) * 40
                   for n in range(1, 41) for _ in range(3)]
         order = rng.permutation(len(series))
         series = [series[int(i)] for i in order]
+        metric = MetricEGED()
         sketch = SketchIndex()
-        sketch.add(MetricEGED(),            # fits pivots and the bbox
+        sketch.add(metric,                  # fits the references
                    [ObjectGraph.from_values(s) for s in series[:12]])
-        want = np.stack([reference_signature(sketch, s) for s in series])
-        assert np.array_equal(sketch._signatures(series), want)
-        assert np.array_equal(sketch._signatures(PaddedBatch(series)), want)
-        for s, row in zip(series[:10], want):
-            assert np.array_equal(sketch.signature(s), row)
+        sketch.add(metric, [ObjectGraph.from_values(s) for s in series[12:]])
+        assert len(sketch.pivots) == 2
+        want = np.array([[one(metric, ref, s) for ref in sketch.pivots]
+                         for s in series], dtype=np.float32)
+        assert sketch.pivot_dists.dtype == np.float32
+        assert np.array_equal(sketch.pivot_dists, want)
 
     def test_degenerate_bbox_and_unfitted_sketch(self, monkeypatch):
-        monkeypatch.setattr(sketch_mod, "NUM_PIVOTS", 1)
+        monkeypatch.setattr(sketch_mod, "MIN_REFERENCES", 1)
         flat = [np.full((n, 2), 3.0) for n in (1, 2, 5, 16, 23)]
         sketch = SketchIndex()
-        unfitted = np.stack([reference_signature(sketch, s) for s in flat])
-        assert np.array_equal(sketch._signatures(flat), unfitted)
-        # A bbox of span 0 is widened to hi = lo + 1.
+        assert sketch.pivots == [] and sketch.pivot_dists.shape == (0, 0)
+        # An unfitted sketch fits on its first add; with no centroid
+        # the greedy starts at the sample's first member.
         sketch.add(MetricEGED(), [ObjectGraph.from_values(s) for s in flat])
-        assert np.array_equal(sketch.bbox[1] - sketch.bbox[0], np.ones(2))
-        want = np.stack([reference_signature(sketch, s) for s in flat])
-        assert np.array_equal(sketch.sig, want)
-        assert sketch._signatures([]).shape == (0, sketch_mod.SIG_LENGTH)
+        assert len(sketch.pivots) == 1
+        assert np.array_equal(sketch.pivots[0], flat[0])
+        assert sketch.pivot_dists[:, 0].tolist() == [
+            np.float32(one(MetricEGED(), flat[0], s)) for s in flat]
+        # Series that all coincide stop the greedy at one reference.
+        monkeypatch.setattr(sketch_mod, "MIN_REFERENCES", 16)
+        same = SketchIndex.build(
+            MetricEGED(), [ObjectGraph.from_values(flat[2])
+                           for _ in range(6)])
+        assert len(same.pivots) == 1
+        assert same.pivot_dists.tolist() == [[0.0]] * 6
 
     def test_resample_stack_is_np_interp(self):
         rng = np.random.default_rng(23)
@@ -266,9 +259,16 @@ class TestStoredColumnsAgainstOracle:
 
     def test_sketch_rows(self, built):
         metric = built.metric_distance
+        # The one reference set: both shards' 8 centroids.
+        centroids = [record.centroid for shard in built.shards
+                     for record in shard.cluster_records()]
+        pivots = built.shards[0].sketch_tier().pivots
+        assert len(pivots) == len(centroids) == 16
+        assert all(ref is centroid
+                   for ref, centroid in zip(pivots, centroids))
         for shard in built.shards:
             sketch = shard.sketch_tier()
-            assert len(sketch) == len(shard) and len(sketch.pivots) == 8
+            assert len(sketch) == len(shard) and sketch.pivots is pivots
             records = list(shard.leaf_records())
             for row in range(len(sketch)):
                 og, _ = sketch.row_record(row)
@@ -276,9 +276,8 @@ class TestStoredColumnsAgainstOracle:
                 assert og is records[row].og
                 assert sketch.row_ids[row] == records[row].row
                 assert list(sketch.pivot_dists[row]) == [
-                    one(metric, pivot, series) for pivot in sketch.pivots]
-                assert np.array_equal(sketch.sig[row],
-                                      reference_signature(sketch, series))
+                    np.float32(one(metric, pivot, series))
+                    for pivot in sketch.pivots]
 
     def test_shard_bounds(self, built):
         metric = built.metric_distance
@@ -289,14 +288,19 @@ class TestStoredColumnsAgainstOracle:
             assert views.mutations == shard.mutations
             for record in shard.cluster_records():
                 view = views.by_record[id(record)]
-                # Column 0 is the reference the leaf is keyed by (the
-                # centroid); one more column per sketch pivot, read from
-                # the sketch's stored rows.
+                # The leaf keys (distances to the centroid), and one
+                # float32 column per reference, read from the sketch's
+                # stored rows.  The centroid is a reference, so a query
+                # reads its key distance from the reference sweep.
                 assert view.pivots is pivots
-                assert view.refs.shape == (len(record.leaf), 9)
+                assert pivots[view.reference] is record.centroid
+                assert views.keys[view.start:view.stop].tolist() \
+                    == list(record.leaf.keys)
+                assert view.refs.shape == (len(record.leaf), 16)
                 for leaf, row in zip(record.leaf, view.refs):
-                    assert list(row) == [leaf.key] + [
-                        one(metric, pivot, leaf.og) for pivot in pivots]
+                    assert list(row) == [np.float32(one(metric, pivot,
+                                                        leaf.og))
+                                         for pivot in pivots]
 
     def test_no_batch_outlives_its_stage(self, built):
         for shard in built.shards:

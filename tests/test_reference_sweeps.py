@@ -1,10 +1,12 @@
 """Reference-batched sweeps: what a write evaluates, and in how many calls.
 
-Keying an OG against every centroid and sketching it against every pivot
-is one ``pairwise_matrix`` block per write.  The block must charge the
-Section 6.3 cost model exactly what the per-reference loops it replaced
-charged (the totals below were recorded with those loops), and an insert
-must reach the ERP kernel once per reference set, whatever K is.
+Keying an OG against every centroid and sketching it against every
+reference series is one ``pairwise_matrix`` block per write.  The block
+must charge the Section 6.3 cost model exactly what the per-reference
+loops it replaced charged (the totals below were recorded with those
+loops, with the sketch's share moved from 8 pivots to 16 references),
+and an insert must reach the ERP kernel once per reference set,
+whatever K is.
 """
 
 from __future__ import annotations
@@ -62,13 +64,20 @@ def test_write_sequence_spends_the_recorded_evaluations(monkeypatch):
         pairs = observability.metrics()["distance.pairs_computed"]
     finally:
         observability.configure(enabled=False, reset_state=True)
-    assert (metric.calls, cluster.calls, pairs) == (3019, 12263, 15282)
+    # Recorded with 8 farthest-point pivots: fitting them and sweeping
+    # the 120 members cost 2 x 8 x 120.  Fitting 16 references (the
+    # centroids' block over the sample, then the greedy's top-up) and
+    # sweeping them cost 2 x 16 x 120.
+    moved = 2 * (16 - 8) * 120
+    assert (metric.calls, cluster.calls, pairs) \
+        == (3019 + moved, 12263, 15282 + moved)
 
 
 @pytest.mark.parametrize("clusters", [8, 16])
 def test_one_insert_is_one_sweep_per_reference_set(monkeypatch, clusters):
-    """Centroid keys and sketch pivot columns of one insert are one ERP
-    kernel call each, at any K, and the key is the centroid-first one."""
+    """Centroid keys and sketch reference columns of one insert are one
+    ERP kernel call each, at any K, and the key is the centroid-first
+    one."""
     ogs = corpus(12 * clusters + 1, seed=5)
     index = STRGIndex(STRGIndexConfig(n_clusters=clusters, em_iterations=3,
                                       leaf_capacity=64, seed=0))

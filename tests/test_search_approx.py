@@ -1,10 +1,15 @@
 """Tests for the approximate search tier (repro.search).
 
-Covers the sketch index itself (pivot selection, signatures, candidate
-generation), the ``search_budget=`` plumbing through every entry point
-(STRGIndex, ShardedIndex, VideoDatabase, Query, QueryService), the k=0 /
-k>corpus contract, incremental sketch maintenance under writes, snapshot
-persistence, and the pinned recall/cost gate from ``docs/SEARCH.md``.
+Covers the sketch index itself (reference selection, reference columns,
+candidate generation), the ``search_budget=`` plumbing through every
+entry point (STRGIndex, ShardedIndex, VideoDatabase, Query,
+QueryService), the k=0 / k>corpus contract, incremental sketch
+maintenance under writes, snapshot persistence, and the pinned
+recall/cost gate from ``docs/SEARCH.md``.
+
+Each corpus is built once per module (or class): a test that reads it
+shares the build, and one that writes — or builds a sketch tier on it —
+gets its own ``clone()``.
 """
 
 import json
@@ -57,17 +62,25 @@ def built_index(ogs, metric=None):
     return index
 
 
-@pytest.fixture
-def small():
+@pytest.fixture(scope="module")
+def small_built():
     ogs = corpus(120, seed=7)
     return built_index(ogs), ogs
 
 
+@pytest.fixture
+def small(small_built):
+    """The module's ``small`` corpus index, as a clone of its own."""
+    index, ogs = small_built
+    return index.clone(), ogs
+
+
 class TestSketchConfig:
-    """The sketch settings are constants of :mod:`repro.search.sketch`.
-    A sketch meta written through 13.x records them; a recorded value
-    other than the constant (the values the retired ``SketchConfig``
-    refused among them) makes the meta malformed."""
+    """The sketch records no settings.  A sketch meta written through
+    13.x records the settings of its day under ``config``, and one
+    written through 17.x a signature bounding box; any stored reference
+    set still gives valid bounds, so both are ignored — any recorded
+    value, the ones the retired ``SketchConfig`` refused among them."""
 
     RECORDED_13X = {"num_pivots": 8, "sig_length": 16, "grid": 4,
                     "heading_sectors": 8, "vote_share": 0.25,
@@ -79,9 +92,12 @@ class TestSketchConfig:
                            "bbox_hi": [1.0, 1.0]})
 
     def test_defaults_valid(self):
-        # Every 13.x store recorded the defaults: the constants.
+        # Every 13.x store recorded the defaults of its day.
         sketch = sketch_from_meta(self.meta(self.RECORDED_13X))
-        assert list(sketch.bbox[1]) == [1.0, 1.0]
+        assert sketch.pivots == [] and len(sketch) == 0
+        assert not hasattr(sketch, "bbox")
+        with pytest.raises(ValueError):
+            sketch_from_meta("{")
 
     @pytest.mark.parametrize("kwargs", [
         {"num_pivots": 0},
@@ -94,9 +110,8 @@ class TestSketchConfig:
         {"block_rows": 0},
     ])
     def test_invalid_parameters(self, kwargs):
-        [(name, _)] = kwargs.items()
-        with pytest.raises(ValueError, match=name):
-            sketch_from_meta(self.meta({**self.RECORDED_13X, **kwargs}))
+        sketch = sketch_from_meta(self.meta({**self.RECORDED_13X, **kwargs}))
+        assert sketch.pivots == [] and len(sketch) == 0
 
 
 class TestPivotLowerBounds:
@@ -152,30 +167,34 @@ class TestSketchIndex:
         sketch = index.sketch_tier()
         assert len(sketch) == len(ogs)
         assert sketch.pivot_dists.shape == (len(ogs), len(sketch.pivots))
-        assert sketch.sig.shape == (len(ogs), sketch_mod.SIG_LENGTH)
-        assert sketch.sig.dtype == np.int16
-        assert 1 <= len(sketch.pivots) <= sketch_mod.NUM_PIVOTS
+        assert sketch.pivot_dists.dtype == np.float32
+        # Every centroid, then the greedy's top-up.
+        centroids = [record.centroid for record in index.cluster_records()]
+        assert len(sketch.pivots) == max(sketch_mod.MIN_REFERENCES,
+                                         len(centroids))
+        assert all(ref is centroid
+                   for ref, centroid in zip(sketch.pivots, centroids))
 
     def test_sketch_tier_cached(self, small):
         index, _ = small
         assert index.sketch_tier() is index.sketch_tier()
 
     def test_signature_deterministic(self, small):
-        index, ogs = small
-        sketch = index.sketch_tier()
-        sig1 = sketch.signature(ogs[0].values)
-        sig2 = sketch.signature(ogs[0].values)
-        assert np.array_equal(sig1, sig2)
-        assert np.all(sig1 >= 0)
-        assert np.all(sig1 < sketch_mod.GRID ** 2
-                      * sketch_mod.HEADING_SECTORS)
+        """Two tiers of one index store the same references and rows."""
+        index, _ = small
+        first, second = index.clone().sketch_tier(), index.sketch_tier()
+        assert first is not second
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(first.pivots, second.pivots, strict=True))
+        assert first.pivot_dists.tobytes() == second.pivot_dists.tobytes()
+        assert np.all(first.pivot_dists >= 0)
 
     def test_meta_round_trip(self, small):
         index, _ = small
         sketch = index.sketch_tier()
         clone = sketch_from_meta(sketch_meta_json(sketch))
-        assert np.allclose(clone.bbox[0], sketch.bbox[0])
-        assert np.allclose(clone.bbox[1], sketch.bbox[1])
+        assert json.loads(sketch_meta_json(sketch)) == {}
+        assert clone.pivots == [] and len(clone) == 0
 
     def test_remove_keeps_alignment(self, small):
         index, ogs = small
@@ -186,7 +205,6 @@ class TestSketchIndex:
         assert len(sketch) == before - 1
         assert victim not in set(sketch.row_ids.tolist())
         assert sketch.pivot_dists.shape[0] == len(sketch)
-        assert sketch.sig.shape[0] == len(sketch)
 
 
 class TestApproxKnn:
@@ -285,7 +303,6 @@ class TestSketchMaintenance:
         expect_pd = np.array([index.metric_distance(series, p)
                               for p in sketch.pivots])
         assert np.allclose(sketch.pivot_dists[row], expect_pd)
-        assert np.array_equal(sketch.sig[row], sketch.signature(series))
 
     def test_delete_drops_row(self, small):
         index, ogs = small
@@ -337,9 +354,9 @@ class TestSketchPersistence:
     def test_old_archive_without_sketch_falls_back(self, small, tmp_path):
         index, ogs = small
         # Never touch the sketch tier -> the store carries none.
-        fresh = built_index(ogs)
+        assert index._sketches is None
         store = open_store(tmp_path / "plain")
-        store.write_index(fresh)
+        store.write_index(index)
         (loaded,) = store.load_index().shards
         assert loaded._sketches is None
         hits = loaded.knn(ogs[0], 8, search_budget=30)  # lazy rebuild
@@ -348,7 +365,7 @@ class TestSketchPersistence:
 
 
 class TestShardedBudget:
-    @pytest.fixture
+    @pytest.fixture(scope="class")
     def sharded(self):
         ogs = corpus(240, seed=3)
         index = ShardedIndex(ShardedIndexConfig(num_shards=3))
