@@ -15,6 +15,7 @@ import os
 import threading
 import time
 import warnings
+import weakref
 
 import pytest
 
@@ -332,6 +333,39 @@ class TestShardSubset:
         assert combined.num_shards == 2
         shard_set.search(SearchRequest.knn(queries[0], K), {1: None, 3: None})
         assert shard_set._combined[1] is combined
+
+
+class TestTierlessStore:
+    """A worker over a store written without sketch tiers builds its
+    shards' tiers over the reference set of every shard — the one the
+    reopened store fits in process — and keeps only its own shards."""
+
+    def test_worker_fits_the_corpus_references_and_keeps_its_shards(
+            self, store_path, monkeypatch):
+        from repro.distance.bounds import distinct_reference_sets
+        from repro.serving.workers import _ShardSet
+        from repro.storage.columnar import ColumnarStore
+        from repro.storage.store import open_store
+
+        loaded = []
+        load_shard = ColumnarStore.load_shard
+
+        def spy(self, ordinal, *args, **kwargs):
+            index = load_shard(self, ordinal, *args, **kwargs)
+            loaded.append((ordinal, weakref.ref(index)))
+            return index
+
+        monkeypatch.setattr(ColumnarStore, "load_shard", spy)
+        shard_set = _ShardSet(store_path, [1, 3], mmap=True)
+        gc.collect()
+        assert sorted(o for o, _ in loaded) == [0, 1, 2, 3]
+        assert sorted(o for o, ref in loaded if ref() is not None) == [1, 3]
+        in_process = open_store(store_path).load_index(mmap=True)
+        fitted = in_process.shards[0].sketch_tier(in_process.reference_set)
+        sets, _ = distinct_reference_sets(
+            [fitted.pivots,
+             *(shard_set.shards[o].sketch_tier().pivots for o in (1, 3))])
+        assert len(sets) == 1
 
 
 def write_sharded_store(path, ogs, num_shards):

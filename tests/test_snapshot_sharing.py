@@ -10,6 +10,8 @@ write reached and its scan cache — is the same object in both.
 from __future__ import annotations
 
 import copy
+import gc
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro import observability as obs
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.observability import MetricsRegistry, Tracer
+from repro.search.request import SearchRequest
 from repro.serving import LiveIndex, ShardedIndex, ShardedIndexConfig
 
 #: No leaf of the 96-OG indexes overflows, so no commit here re-keys a
@@ -226,3 +229,33 @@ class TestSharded:
         assert rebuild == 0
         assert after.shards[1 - written]._views is views[1 - written]
         assert shard._views is not views[written]
+
+    @pytest.mark.parametrize("tiers", [True, False])
+    def test_superseded_shards_are_collected(self, corpus, tiers):
+        """A frozen shard shared into later snapshots keeps no older
+        version of its siblings alive: after commits that write shard 0
+        and then shard 1, the first snapshot's shards are collected
+        (with and without sketch tiers to fit references for)."""
+        if tiers:
+            index = _sharded(corpus[:96], "hash")
+        else:
+            index = ShardedIndex(ShardedIndexConfig(
+                num_shards=2, placement="hash", index=NO_SPLIT))
+            index.build(corpus[:96])
+        live = LiveIndex(index)
+        first = [weakref.ref(shard) for shard in index.shards]
+        del index
+        for s in (0, 1, 0, 1):
+            shard = live.snapshot.index.shards[s]
+            victim = next(iter(shard.object_graphs())).og_id
+            live.delete(victim)
+            live.compact()
+        del shard
+        gc.collect()
+        assert [ref() for ref in first] == [None, None]
+        # Both shards still fit one reference set for a budgeted read.
+        live.snapshot.index.search(SearchRequest.knn(
+            corpus[0], 3, search_budget=40))
+        latest = live.snapshot.index.shards
+        assert latest[0].sketch_tier().pivots is latest[1].sketch_tier(
+            ).pivots
