@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import format_table, record_result
-from repro.core.scan import EXACT_WINDOW, RERANK_WINDOW
+from repro.core.scan import WINDOW
 
 LENGTHS = (16, 32, 64)
 
@@ -189,19 +189,18 @@ def bench_one_vs_many_prepared(benchmark, series_batch, kernel):
     assert np.array_equal(out, one_vs_many(distance, series_batch[64], items))
 
 
-@pytest.mark.parametrize("window", [EXACT_WINDOW, RERANK_WINDOW])
-def bench_one_vs_many_window(benchmark, window):
-    """One query-path sweep: the metric EGED from a query to one window
-    of 10-20-node candidates handed over as a list — the call shape of
-    the exact scan (``EXACT_WINDOW``) and the budgeted rerank
-    (``RERANK_WINDOW``), preparation included."""
+def bench_one_vs_many_window(benchmark):
+    """One query-path sweep: the metric EGED from a query to one full
+    window of 10-20-node candidates handed over as a list — the call
+    shape of every k-NN scan, exact or budgeted (``WINDOW``),
+    preparation included."""
     from repro.distance.batch import one_vs_many
     from repro.distance.eged import MetricEGED
     from repro.distance.erp import erp
 
     rng = np.random.default_rng(9)
     items = [rng.normal(size=(int(rng.integers(10, 21)), 2)) * 20
-             for _ in range(window)]
+             for _ in range(WINDOW)]
     query = rng.normal(size=(15, 2)) * 20
     out = benchmark(one_vs_many, MetricEGED(), query, items)
     np.testing.assert_allclose(out, [erp(query, b) for b in items],

@@ -185,17 +185,19 @@ class TopK:
             self.bound = keys[-1][0]
 
 
-def split_budget(budget: int, sizes: Sequence[int], k: int) -> list[int]:
+def split_budget(budget: int, sizes: Sequence[int], k: int,
+                 total: int | None = None) -> list[int]:
     """Per-shard evaluation budgets, proportional to shard size.
 
-    A shard holding half the corpus gets half the evaluations; every
-    shard gets at least ``k`` so it can always fill a top-k list (the
-    split can therefore overshoot ``budget`` by at most ``len(sizes) *
-    k``).  The shares bound each shard's shortlist;
+    A shard holding half of the ``total`` rows (``None``: the ``sizes``
+    summed) gets half the evaluations; every shard gets at least ``k``
+    so it can always fill a top-k list (the split can therefore
+    overshoot ``budget`` by at most ``len(sizes) * k``).  The shares
+    bound each shard's shortlist;
     :func:`~repro.search.sketch.approx_knn` reranks all of them under
     one k-th best distance.
     """
-    total = sum(sizes) or 1
+    total = (sum(sizes) if total is None else total) or 1
     return [max(k, math.ceil(budget * size / total)) for size in sizes]
 
 

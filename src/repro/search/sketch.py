@@ -18,16 +18,16 @@ reference ``R``: one vectorized pass turns the query's distance to
 each reference into a lower bound on every row, and each part's
 shortlist is its rows with the smallest ``(bound, row id)``.
 
-**Stage 2 — exact rerank.**  The merged shortlists are evaluated with
-the batched EGED_M kernel in ascending lower-bound order under one k-th
+**Stage 2 — exact rerank.**  The shortlists go through the exact scan's
+best-first loop (:func:`repro.core.scan.best_first`) under one k-th
 best distance; a candidate whose bound exceeds it is pruned without
 touching the kernel (the bound is exact, so pruning never costs recall —
 only the shortlist cut can).
 
 The *total* number of exact distance evaluations per query — one per
 distinct reference plus the rerank — stays within ``search_budget``:
-the references are swept once, and the rest of the budget is split into
-per-part shares that bound each part's shortlist.
+:func:`approx_knn` sweeps the references once and splits the rest of
+the budget into per-part shares that bound each part's shortlist.
 
 Storage
 -------
@@ -70,7 +70,7 @@ from repro.distance.bounds import distinct_reference_sets, pivot_lower_bounds
 from repro.errors import InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
-from repro.search.request import SearchRequest, TopK, split_budget
+from repro.search.request import SearchRequest, split_budget
 
 #: Tombstones before a sketch with no store-read rows is worth
 #: compacting (and the dead fraction that triggers it — mirrors the
@@ -190,13 +190,6 @@ def fit_references(distance, centroids: Sequence[np.ndarray],
         np.minimum(closest, one_vs_many(distance, refs[-1], sample),
                    out=closest)
     return refs
-
-
-def reference_count(parts: Sequence["SketchIndex"]) -> int:
-    """Evaluations one budgeted query spends sweeping the references of
-    ``parts``: each distinct set once."""
-    sets, _ = distinct_reference_sets([part.pivots for part in parts])
-    return sum(len(refs) for refs in sets)
 
 
 # -- top-m selection --------------------------------------------------------
@@ -453,19 +446,6 @@ class SketchIndex:
 
     # -- row-addressed record access ---------------------------------------
 
-    def row_ids_at(self, rows: np.ndarray) -> np.ndarray:
-        """Index rows of raw rows (candidate ``idx`` values)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        n0 = len(self._ids)
-        if n0 == 0 or len(self._tail_ids) == 0:
-            return np.asarray(self._cat(self._ids, self._tail_ids)[rows],
-                              dtype=np.int64)
-        out = np.empty(len(rows), dtype=np.int64)
-        in_base = rows < n0
-        out[in_base] = self._ids[rows[in_base]]
-        out[~in_base] = self._tail_ids[rows[~in_base] - n0]
-        return out
-
     def row_record(self, row: int) -> tuple[ObjectGraph, Any]:
         """``(og, clip_ref)`` of a raw row (lazily materialized)."""
         return self._rows.record(int(row))
@@ -497,42 +477,37 @@ class SketchIndex:
 
 
 def approx_knn(parts: Sequence[SketchIndex], distance,
-               request: SearchRequest, shares: Sequence[int] | None = None
+               request: SearchRequest, total: int | None = None
                ) -> list[tuple[float, ObjectGraph, Any]]:
     """Two-stage approximate k-NN over the sketches of a corpus.
 
     ``parts`` are the sketches of a partitioned corpus — one per shard;
-    a monolithic index is the one-part case — and ``shares`` each
-    part's shortlist size, by default the
-    :func:`~repro.search.request.split_budget` over the parts' sizes of
-    what ``request.search_budget`` leaves after the reference sweep.
-    One kernel sweep measures the query against each distinct reference
-    set of the parts (:func:`reference_count` evaluations), each part
-    shortlists its own rows under its share
-    (:meth:`SketchIndex.candidates`), and the merged shortlists are
-    reranked in one pass, in ascending ``(lower bound, part, row id)``
-    order, under one k-th best distance.
+    a monolithic index is the one-part case — and ``total`` its size
+    (``None``: the parts' sizes summed; a caller holding some of the
+    parts passes the whole corpus's).  The query is measured once
+    against each distinct reference set of the parts (R evaluations),
+    :func:`~repro.search.request.split_budget` splits what is left of
+    ``request.search_budget`` over the corpus, each part shortlists its
+    share (:meth:`SketchIndex.candidates`), and the shortlists go
+    through the exact scan's :func:`~repro.core.scan.best_first` under
+    one k-th best distance.
 
-    With the default shares a query spends at most its budget (each
-    share floored at ``k`` and rounded up), and a budget of at least the
-    corpus size plus the reference count is an exact full scan.  Hits are
-    ``(distance, og, clip_ref)`` sorted by ``(distance, og_id)`` — the
-    exact top-k of the union of the shortlists, the same contract as the
-    exact paths, and bit-identical whether the sketch rows live in RAM
-    or stream from the store's mmap columns.
+    A query spends at most its budget (each share floored at ``k`` and
+    rounded up), and a budget of at least the corpus size plus R is an
+    exact full scan.  Hits are ``(distance, og, clip_ref)`` sorted by
+    ``(distance, og_id)`` — the exact top-k of the union of the
+    shortlists, the same contract as the exact paths, and bit-identical
+    whether the sketch rows live in RAM or stream from the store's
+    mmap columns.
     """
     # Imported here: importing ``repro.core`` imports the index, which
     # imports this module.
-    from repro.core.scan import RERANK_WINDOW, evaluate_windowed
+    from repro.core.scan import best_first
 
     k, search_budget = request.k, request.search_budget
     if k == 0:
         return []
-    if shares is None:
-        shares = split_budget(max(0, search_budget - reference_count(parts)),
-                              [len(sketch) for sketch in parts], k)
-    live = [(sketch, share) for sketch, share in zip(parts, shares)
-            if len(sketch)]
+    live = [sketch for sketch in parts if len(sketch)]
     if not live:
         return []
     series = request.series
@@ -540,44 +515,33 @@ def approx_knn(parts: Sequence[SketchIndex], distance,
                   parts=len(live)) as sp:
         OBS.count("search.knn_queries")
         sets, where = distinct_reference_sets(
-            [sketch.pivots for sketch, _ in live])
+            [sketch.pivots for sketch in live])
         swept = one_vs_many(distance, series,
                             [ref for refs in sets for ref in refs])
         ends = np.cumsum([0] + [len(refs) for refs in sets])
-        lbs, part_of, row_ids, raw = [], [], [], []
-        for part, (sketch, share) in enumerate(live):
-            qd = swept[ends[where[part]]:ends[where[part] + 1]]
-            idx, part_lbs = sketch.candidates(distance, series, share, k,
-                                              qd=qd)
-            lbs.append(part_lbs)
-            part_of.append(np.full(len(idx), part, dtype=np.int64))
-            row_ids.append(sketch.row_ids_at(idx))
-            raw.append(idx)
-        lbs, part_of, raw = (np.concatenate(lbs), np.concatenate(part_of),
-                             np.concatenate(raw))
-        # Rerank in ascending (lower bound, part, row id) order: the most
-        # promising candidates of every part seed the one k-th best
-        # distance early, and the sorted bounds make the prune a single
-        # prefix cut.
-        order = np.lexsort((np.concatenate(row_ids), part_of, lbs))
-        shortlist = list(zip(lbs[order].tolist(), part_of[order].tolist(),
-                             raw[order].tolist()))
-        OBS.count("search.candidates_generated", len(shortlist))
-        best = TopK(k)
-        # A first sweep of 2k seeds the k-th bound the rest of the
-        # window is re-cut against.
-        evaluated = evaluate_windowed(
-            distance, series, shortlist, best, RERANK_WINDOW,
-            lambda c: live[c[1]][0].row_series(c[2]),
-            lambda c: live[c[1]][0].row_record(c[2]), first=2 * k)
-        pruned = len(shortlist) - evaluated
-        OBS.count("search.distances_computed", evaluated + len(swept))
+        shares = split_budget(max(0, search_budget - len(swept)),
+                              [len(sketch) for sketch in live], k, total)
+        idx, lbs = zip(*(
+            sketch.candidates(distance, series, share, k,
+                              qd=swept[ends[at]:ends[at + 1]])
+            for sketch, share, at in zip(live, shares, where)))
+        part_of = np.repeat(np.arange(len(live)), [len(i) for i in idx])
+        raw, lbs = np.concatenate(idx), np.concatenate(lbs)
+        OBS.count("search.candidates_generated", len(lbs))
+        # Each shortlist is in (bound, row id) order, so the loop's
+        # (bound, position) order is (bound, part, row id).
+        hits, evaluated = best_first(
+            distance, series, lbs, k,
+            lambda at: live[part_of[at]].row_series(raw[at]),
+            lambda at: live[part_of[at]].row_record(raw[at]))
+        pruned = len(lbs) - len(evaluated)
+        OBS.count("search.distances_computed", len(evaluated) + len(swept))
         OBS.count("search.candidates_pruned", pruned)
         OBS.count("search.distances_saved",
-                  max(0, sum(len(sketch) for sketch, _ in live)
-                      - evaluated - len(swept)))
-        sp.set(hits=len(best.hits), evaluated=evaluated, pruned=pruned)
-        return best.hits
+                  max(0, sum(len(sketch) for sketch in live)
+                      - len(evaluated) - len(swept)))
+        sp.set(hits=len(hits), evaluated=len(evaluated), pruned=pruned)
+        return hits
 
 
 def sketch_meta_json(sketch: SketchIndex) -> str:

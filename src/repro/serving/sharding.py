@@ -69,8 +69,8 @@ from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.resilience.faults import maybe_fail
-from repro.search.request import SearchRequest, SearchResult, split_budget
-from repro.search.sketch import approx_knn, reference_count
+from repro.search.request import SearchRequest, SearchResult
+from repro.search.sketch import approx_knn
 
 #: Supported placement strategies.
 PLACEMENTS = ("affine", "hash")
@@ -374,12 +374,12 @@ class ShardedIndex:
         is skipped and the result carries the surviving hits with
         ``degraded=True``.
 
-        With ``search_budget`` set, the query is measured once against
-        the shards' shared reference set, each shard's *approximate*
-        sketch tier (see ``docs/SEARCH.md``) shortlists its
-        :func:`~repro.search.request.split_budget` share of the rest of
-        the budget, and one :func:`~repro.search.sketch.approx_knn`
-        rerank ranks every shortlist under one k-th best distance.
+        With ``search_budget`` set, one
+        :func:`~repro.search.sketch.approx_knn` over the live shards'
+        *approximate* sketch tiers (see ``docs/SEARCH.md``) answers: the
+        query is measured once against their shared reference set, each
+        shard shortlists its share of the rest of the budget, and every
+        shortlist is ranked under one k-th best distance.
 
         ``prune_bound`` is an externally-known upper bound on the k-th
         nearest distance (e.g. the k-th hit of another partition of the
@@ -454,18 +454,13 @@ class ShardedIndex:
         return live, failed
 
     def _approx_scatter(self, request: SearchRequest) -> SearchResult:
-        """Budgeted search: every live shard's sketch shortlists its
-        share of what the reference sweep leaves, and one rerank under
-        one bound ranks them all.  A failed shard keeps its share of the
-        split."""
+        """Budgeted search over every live shard's sketch, split over
+        the whole corpus: a failed shard keeps its share of the
+        budget."""
         live, failed = self._live_shards(request.degrade)
         tiers = [self.shards[s].sketch_tier(self.reference_set)
                  for s in live]
-        shares = split_budget(
-            max(0, request.search_budget - reference_count(tiers)),
-            self.shard_sizes(), request.k)
-        hits = approx_knn(tiers, self.metric_distance, request,
-                          [shares[s] for s in live])
+        hits = approx_knn(tiers, self.metric_distance, request, len(self))
         return SearchResult(hits, bool(failed), failed)
 
     def _gather(self, request: SearchRequest

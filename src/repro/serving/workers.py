@@ -25,12 +25,10 @@ shard, row)``.  That reproduces the in-process scatter-gather
 ``RowLabels``, increasing in ``(shard, row)``, so every tie-break —
 worker-local og_id and the coordinator merge — is the same
 ``(shard, row)`` order.  The budgeted approximate path is one
-:func:`~repro.search.sketch.approx_knn` rerank per worker over its
-shards' sketches, each shortlisting the coordinator's
-:func:`~repro.search.request.split_budget` share of what the reference
-sweep leaves (the workers report their reference count when ready) —
-the same split the in-process ``ShardedIndex`` makes; the coordinator
-merges the workers' top-k lists.
+:func:`~repro.search.sketch.approx_knn` per worker over its shards'
+sketches, split over the corpus size the coordinator sends, as the
+in-process ``ShardedIndex`` splits it; the coordinator merges the
+workers' top-k lists.
 
 Failover.  ``replicas=R`` spawns R processes per worker *slot*; a
 request round-robins across a slot's live replicas (spare capacity,
@@ -53,7 +51,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Collection
 
 from repro.errors import (
     IndexStateError,
@@ -62,8 +60,8 @@ from repro.errors import (
     StorageError,
 )
 from repro.observability import OBS
-from repro.search.request import SearchRequest, SearchResult, split_budget
-from repro.search.sketch import approx_knn, reference_count
+from repro.search.request import SearchRequest, SearchResult
+from repro.search.sketch import approx_knn
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +86,8 @@ class _ShardSet:
     therefore contains every globally-ranked hit from its shards.
 
     Budgeted (``search_budget``) requests are one
-    :func:`~repro.search.sketch.approx_knn` rerank over the requested
-    shards' sketches, each shortlisting the share the coordinator's
-    global proportional split gave it (a worker-local re-split over a
-    subset would diverge from it).
+    :func:`~repro.search.sketch.approx_knn` over the requested shards'
+    sketches, its budget split over the coordinator's corpus size.
     """
 
     def __init__(self, store_path: str, assignment: list[int], mmap: bool):
@@ -111,11 +107,10 @@ class _ShardSet:
         """(Re)open every assigned shard from one committed version,
         whose labels locate every hit's ``(shard, row)``.
 
-        Every assigned shard holds a sketch tier once this returns, so
-        its reference count is known before a budgeted request splits
-        the budget.  A tier the store does not hold is built here over
-        the reference set of every shard, as in process: the other
-        shards are loaded for the fit and dropped once it is made.
+        Every assigned shard holds a sketch tier once this returns.  A
+        tier the store does not hold is built here over the reference
+        set of every shard, as in process: the other shards are loaded
+        for the fit and dropped once it is made.
         """
         from repro.serving.sharding import ShardedIndex
 
@@ -139,13 +134,8 @@ class _ShardSet:
 
     def status(self) -> dict[str, Any]:
         """What the coordinator learns on ready, ping and reload: the
-        shard sizes, and the evaluations a budgeted query's reference
-        sweep costs here."""
-        return {
-            "sizes": {o: len(index) for o, index in self.shards.items()},
-            "references": reference_count(
-                [index.sketch_tier() for index in self.shards.values()]),
-        }
+        shard sizes."""
+        return {"sizes": {o: len(index) for o, index in self.shards.items()}}
 
     def _assembled(self, ordinals: list[int]) -> Any:
         """The frozen ``ShardedIndex`` over ``ordinals``.  A worker
@@ -160,12 +150,12 @@ class _ShardSet:
 
     # -- search ---------------------------------------------------------
 
-    def search(self, request: SearchRequest,
-               shares: dict[int, int | None]) -> dict[str, Any]:
-        """Run one request over the shards keyed in ``shares`` (ordinal
-        -> that shard's budget share, ``None`` on the exact path); hits
-        as ``(d, shard, row, ref)``."""
-        requested = list(shares)
+    def search(self, request: SearchRequest, shards: Collection[int],
+               total: int | None = None) -> dict[str, Any]:
+        """Run one request over the ordinals in ``shards``; a budgeted
+        one splits its budget over ``total`` rows (the coordinator's
+        corpus).  Hits as ``(d, shard, row, ref)``."""
+        requested = list(shards)
         missing = [o for o in requested if o not in self.shards]
         if missing:
             raise ShardUnavailableError(
@@ -177,8 +167,7 @@ class _ShardSet:
         if request.search_budget is not None:
             found = approx_knn(
                 [self.shards[o].sketch_tier() for o in live],
-                self.shards[live[0]].metric_distance,
-                request, [shares[o] for o in live])
+                self.shards[live[0]].metric_distance, request, total)
         else:
             found = self._assembled(sorted(live)).search(request).hits
         locate = self.labels.locate
@@ -375,10 +364,6 @@ class WorkerPool:
         self._probe_rr = 0
         self._state_lock = threading.Lock()
         self.shard_sizes: dict[int, int] = {}
-        #: Each slot's reference count: the evaluations its workers
-        #: spend sweeping their shards' reference sets per budgeted
-        #: query.
-        self.slot_references: dict[int, int] = {}
         self.snapshot_version = self.store.version()
 
     # -- lifecycle ------------------------------------------------------------
@@ -431,14 +416,13 @@ class WorkerPool:
             raise payload
         handle.alive = True
         handle.last_seen = time.monotonic()
-        self._learn(handle.slot, payload)
+        self._learn(payload)
 
-    def _learn(self, slot: int, payload: dict[str, Any]) -> None:
-        """Take a worker's shard sizes and reference count."""
+    def _learn(self, payload: dict[str, Any]) -> None:
+        """Take a worker's shard sizes."""
         with self._state_lock:
             for ordinal, size in payload["sizes"].items():
                 self.shard_sizes[int(ordinal)] = int(size)
-            self.slot_references[slot] = int(payload["references"])
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the supervisor, then every worker process.  Idempotent."""
@@ -530,12 +514,14 @@ class WorkerPool:
         the *next* request (or to the supervisor ping), silently
         desynchronizing the protocol.  Kill the process and drop the
         pipe instead — the supervisor respawns the slot on its next
-        sweep when ``restart=True``.
+        sweep when ``restart=True``.  ``SIGKILL``, because a worker too
+        late to answer may be hung or stopped, and a stopped process
+        holds ``SIGTERM`` pending until it is continued.
         """
         handle.alive = False
         handle.poisoned = True
         if handle.process is not None:
-            handle.process.terminate()
+            handle.process.kill()
             handle.process.join(timeout=1.0)
         if handle.conn is not None:
             try:
@@ -597,8 +583,10 @@ class WorkerPool:
                 + [h for h in rotated if not h.alive])
 
     def _exchange(self, slot: int, request: SearchRequest,
-                  shares: dict[int, int | None]) -> dict[str, Any]:
-        """Send one request to a slot, failing over across replicas."""
+                  shards: list[int], total: int | None = None
+                  ) -> dict[str, Any]:
+        """Send one request for ``shards`` (and a budgeted one's corpus
+        size ``total``) to a slot, failing over across replicas."""
         last_error: BaseException | None = None
         for handle in self._live_candidates(slot):
             with handle.lock:
@@ -607,7 +595,7 @@ class WorkerPool:
                     handle.alive = False
                     continue
                 try:
-                    handle.conn.send(("search", request, shares))
+                    handle.conn.send(("search", request, shards, total))
                     if not handle.conn.poll(self.config.request_timeout):
                         # The reply will eventually land on this pipe;
                         # retire the handle so nothing mis-reads it.
@@ -664,7 +652,7 @@ class WorkerPool:
         try:
             payload = self._exchange(
                 slot, replace(request, search_budget=k),
-                {o: k for o in self.assignment[slot] if sizes.get(o, 0) > 0})
+                [o for o in self.assignment[slot] if sizes.get(o, 0) > 0])
         except Exception:  # noqa: BLE001 — probe is best-effort
             OBS.count("net.probe_failures")
             return None
@@ -673,12 +661,11 @@ class WorkerPool:
             return None
         return float(distances[k - 1])
 
-    def _scatter(self, request: SearchRequest,
-                 shares: dict[int, int | None], degrade: bool
-                 ) -> SearchResult:
-        """Fan ``request`` out to the slots owning the shards in
-        ``shares`` and merge their hits by ``(distance, shard, row)``,
-        stamped with the snapshot version published when it started."""
+    def _scatter(self, request: SearchRequest, shards: Collection[int],
+                 degrade: bool, total: int | None = None) -> SearchResult:
+        """Fan ``request`` out to the slots owning ``shards`` and merge
+        their hits by ``(distance, shard, row)``, stamped with the
+        snapshot version published when it started."""
         if self._scatter_pool is None:
             raise IndexStateError(
                 "worker pool is not started (call start() first)")
@@ -687,11 +674,11 @@ class WorkerPool:
         # snapshot than the stamp, never from an older one.
         version = self.snapshot_version
         futures = []
-        for slot, shards in enumerate(self.assignment):
-            part = {o: shares[o] for o in shards if o in shares}
+        for slot, assigned in enumerate(self.assignment):
+            part = [o for o in assigned if o in shards]
             if part:
                 futures.append((part, self._scatter_pool.submit(
-                    self._exchange, slot, request, part)))
+                    self._exchange, slot, request, part, total)))
         hits: list[tuple[float, int, int, Any]] = []
         failed: list[int] = []
         for part, future in futures:
@@ -734,31 +721,28 @@ class WorkerPool:
             return SearchResult([], snapshot_version=self.snapshot_version)
         with self._state_lock:
             sizes = {o: n for o, n in self.shard_sizes.items() if n > 0}
-            references = max(self.slot_references.values(), default=0)
         if not sizes:
             raise IndexStateError("cannot search an empty worker pool")
         # Only the trajectory crosses the pipe, never an OG graph; a
         # lost slot is this coordinator's to degrade, not the worker's.
         wire = replace(request, query=request.series, degrade=False)
-        shares: dict[int, int | None] = dict.fromkeys(sizes)
         if request.kind == "range":
             with OBS.span("net.range_query", radius=request.radius) as sp:
                 OBS.count("net.range_queries")
-                result = self._scatter(wire, shares, request.degrade)
+                result = self._scatter(wire, sizes, request.degrade)
                 sp.set(hits=len(result.hits), degraded=result.degraded)
                 return result
         with OBS.span("net.knn", k=request.k,
                       budget=request.search_budget) as sp:
             OBS.count("net.knn_queries")
+            total = None
             if request.search_budget is None:
                 wire = replace(wire, prune_bound=self._probe_bound(wire))
             else:
-                # What one process would split: each worker sweeps the
-                # shared reference set itself.
-                shares = dict(zip(sizes, split_budget(
-                    max(0, request.search_budget - references),
-                    list(sizes.values()), request.k)))
-            result = self._scatter(wire, shares, request.degrade)
+                # Each worker splits the budget over the whole corpus,
+                # as one process would.
+                total = sum(sizes.values())
+            result = self._scatter(wire, sizes, request.degrade, total)
             result.hits = result.hits[:request.k]
             sp.set(hits=len(result.hits), degraded=result.degraded)
             return result
@@ -817,7 +801,7 @@ class WorkerPool:
                                 kind, payload = handle.conn.recv()
                                 if kind == "error":
                                     raise payload
-                                self._learn(handle.slot, payload)
+                                self._learn(payload)
                             else:
                                 self._poison(handle)
                         except (OSError, EOFError, BrokenPipeError):

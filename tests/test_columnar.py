@@ -19,6 +19,7 @@ import pytest
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.base import CountingDistance
+from repro.distance.bounds import distinct_reference_sets
 from repro.distance.eged import EGED, MetricEGED
 from repro.errors import (
     IndexCorruptionError,
@@ -27,7 +28,6 @@ from repro.errors import (
 )
 from repro.graph.object_graph import ObjectGraph
 from repro.resilience import FaultInjector, injected
-from repro.search.sketch import reference_count
 from repro.serving.sharding import ShardedIndex, ShardedIndexConfig
 from repro.serving.snapshot import LiveIndex, _BufferedWrite
 from repro.storage.columnar import ColumnarStore, is_columnar_store
@@ -259,9 +259,9 @@ class TestRowLabels:
         sketch, rows = {}, {}
         for number, part in enumerate(store.load_sketch()):
             reader = store.row_reader(shard=number)
-            every = np.arange(len(reader))
-            assert part.row_ids_at(every).tolist() == every.tolist()
-            for row in every[reader.alive_mask()].tolist():
+            alive = np.flatnonzero(reader.alive_mask())
+            assert part.row_ids.tolist() == alive.tolist()
+            for row in alive.tolist():
                 sketch[(number, row)] = part.row_record(row)[0].og_id
                 rows[(number, row)] = reader.record(row)[0].og_id
         reads += [sketch, rows]
@@ -698,9 +698,10 @@ class TestConvertV2:
                                          search_budget=budget) \
                 == TestConvertV1.answers(eager, expected,
                                          search_budget=budget)
-            covering = len(index) + reference_count(
-                [shard.sketch_tier() for shard in index.shards
+            sets, _ = distinct_reference_sets(
+                [shard.sketch_tier().pivots for shard in index.shards
                  if len(shard)])
+            covering = len(index) + sum(len(refs) for refs in sets)
             assert TestConvertV1.answers(index, expected,
                                          search_budget=covering) \
                 == expected["answers"][name]
