@@ -6,6 +6,11 @@ OG per cluster, and keys each member by the *metric* EGED to its centroid.
 Because ``EGED_M`` is a metric (Theorem 2), the key difference
 ``|Key_q - Key_o|`` lower-bounds the true distance, which is what lets
 search skip distance evaluations — the effect Figure 7(b) measures.
+
+Once the index holds a reference set (:meth:`STRGIndex.sketch_tier`),
+every leaf record also carries its float32 distance to each reference
+series, and one row table (:class:`~repro.core.scan.ScanViews`) stacks
+the keys and those rows for the exact scan and the budgeted read alike.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.search.request import SearchRequest, SearchResult
-from repro.search.sketch import SketchIndex, approx_knn, fit_references
+from repro.search.sketch import approx_knn, fit_references, reference_rows
 
-#: Guards lazy construction of the sketch tier and of the scan views.
+#: Guards lazy construction of the reference set and of the scan views.
 #: Module-level (not per-index): building is rare, and an index that owns
 #: no lock stays picklable.
 _LAZY_BUILD_LOCK = threading.Lock()
@@ -101,20 +106,19 @@ class STRGIndex:
         #: Set by :meth:`freeze`; frozen indexes reject mutation, which is
         #: what lets published serving snapshots be shared across threads.
         self.frozen = False
-        #: Lazily-built :class:`~repro.search.sketch.SketchIndex` backing
-        #: budgeted (``search_budget=``) queries; maintained incrementally
-        #: by :meth:`insert` / :meth:`delete` once built, persisted in
-        #: snapshots, and rebuilt on demand when absent.
-        self._sketches = None
+        #: The reference series every leaf record's ``refs`` row is
+        #: measured against; ``None`` until :meth:`sketch_tier` fits
+        #: them (or a store load restores them).  Never written in place.
+        self._references: list[np.ndarray] | None = None
         #: Weak handle on ``ShardedIndex.reference_set`` of the index
-        #: that made or adopted this one as a shard: where a sketch tier
-        #: built without a given source takes its references.  Weak, so
-        #: that a shard shared into later snapshots keeps no older
-        #: corpus alive.
+        #: that made or adopted this one as a shard: where a tier built
+        #: without a given source takes its references.  Weak, so that
+        #: a shard shared into later snapshots keeps no older corpus
+        #: alive.
         self._reference_source: weakref.WeakMethod | None = None
-        #: Lazily-built :class:`~repro.core.scan.ScanViews` of the exact
-        #: and range scans, rebuilt when ``mutations`` has moved on or
-        #: another sketch is attached.  Budgeted queries never build it.
+        #: Lazily-built :class:`~repro.core.scan.ScanViews`, the row
+        #: table of the exact, range and budgeted reads, rebuilt when
+        #: ``mutations`` has moved on or the references were attached.
         self._views: ScanViews | None = None
 
     def __getstate__(self) -> dict[str, Any]:
@@ -139,11 +143,12 @@ class STRGIndex:
         """A mutable copy that shares everything a write never touches.
 
         Copied: what insert/delete/split mutate in place — the ``root``
-        list, one wrapper per root and cluster record, each leaf's
-        sorted lists, the sketch tier's mask and row list.  Shared: leaf
-        records, OGs, centroids, clip refs, backgrounds, config and
-        distances, which nothing writes after insertion.  O(clusters +
-        pointer copies); a frozen original is untouched by writes to it.
+        list, one wrapper per root and cluster record and each leaf's
+        sorted lists.  Shared: leaf records (with their reference rows),
+        OGs, centroids, clip refs, backgrounds, the reference set,
+        config and distances, which nothing writes after insertion.
+        O(clusters + pointer copies); a frozen original is untouched by
+        writes to it.
         """
         dup = copy.copy(self)
         dup.root = [RootRecord(r.record_id, r.background,
@@ -152,8 +157,6 @@ class STRGIndex:
         # New record wrappers: scan views are keyed by record identity
         # and must not pass for the clone's.
         dup.mutations += 1
-        if self._sketches is not None:
-            dup._sketches = self._sketches.clone()
         return dup
 
     def _check_mutable(self) -> None:
@@ -231,6 +234,7 @@ class STRGIndex:
         for i, j in enumerate(sample_idx):
             cluster_of[int(j)] = int(result.assignments[i])
         refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
+        table = self._reference_rows(ogs)
         filed: list[LeafRecord] = []
         if supports_batch(self.metric_distance):
             # Batched key computation: one DP sweep per (cluster, member
@@ -264,7 +268,8 @@ class STRGIndex:
                 keys[unassigned] = cols[np.arange(len(unassigned)), best]
                 target[unassigned] = best
             for j, og in enumerate(ogs):
-                filed.append(LeafRecord(float(keys[j]), og, refs[j]))
+                filed.append(LeafRecord(float(keys[j]), og, refs[j],
+                                        refs=table[j]))
                 records[int(target[j])].leaf.insert(filed[-1])
         else:
             # Per-pair fallback preserving the (og, centroid) call order
@@ -280,7 +285,7 @@ class STRGIndex:
                     best = int(np.argmin(pairs))
                     record = records[best]
                     key = pairs[best]
-                filed.append(LeafRecord(key, og, refs[j]))
+                filed.append(LeafRecord(key, og, refs[j], refs=table[j]))
                 record.leaf.insert(filed[-1])
         for record in list(records):
             if len(record.leaf) == 0:
@@ -289,10 +294,17 @@ class STRGIndex:
             for leaf_record in record.leaf:
                 leaf_record.row = self._next_row
                 self._next_row += 1
-        rows = [leaf_record.row for leaf_record in filed]
-        if self._sketches is not None:
-            self._sketches.add(self.metric_distance, list(ogs), refs, rows)
-        return rows
+        return [leaf_record.row for leaf_record in filed]
+
+    def _reference_rows(self, ogs: Sequence[ObjectGraph]) -> list:
+        """The ``refs`` row of each of ``ogs`` being filed: one float32
+        row per OG against the reference set, or ``None`` per OG while
+        the index holds none.  An empty set is fitted on ``ogs``."""
+        if self._references is None:
+            return [None] * len(ogs)
+        self._references, table = reference_rows(
+            self.metric_distance, self._references, list(ogs))
+        return list(table)
 
     # -- maintenance (Section 5.3) -------------------------------------------
 
@@ -326,12 +338,8 @@ class STRGIndex:
                 key = float(dists[best])
             row = self._next_row
             self._next_row += 1
-            record.leaf.insert(LeafRecord(key, og, clip_ref, row))
-            if self._sketches is not None:
-                # Splits never change membership, so appending one
-                # sketch row here keeps row set == leaf set exactly.
-                self._sketches.add(self.metric_distance, [og], [clip_ref],
-                                   [row])
+            (refs,) = self._reference_rows([og])
+            record.leaf.insert(LeafRecord(key, og, clip_ref, row, refs))
             if len(record.leaf) > self.config.leaf_capacity:
                 self._maybe_split(cluster_node, record)
             return row
@@ -392,7 +400,8 @@ class STRGIndex:
 
         Fit EM with K=1 and K=2 on the leaf's OGs; split only when
         ``BIC(K=2) > BIC(K=1)``, replacing the cluster record with two new
-        records (and re-keying the members, who keep their rows).
+        records (and re-keying the members, who keep their rows and
+        reference rows).
         """
         filed = list(record.leaf)
         ogs = [leaf_record.og for leaf_record in filed]
@@ -440,7 +449,7 @@ class STRGIndex:
         return None if record is None else self.delete_row(record.row)
 
     def delete_row(self, row: int) -> LeafRecord | None:
-        """Remove the OG filed under ``row`` from the tree and the sketch.
+        """Remove the OG filed under ``row`` (and its reference row).
 
         Empty cluster records (and then empty root records) are dropped,
         the maintenance counterpart of Section 5.3's note that centroids
@@ -459,8 +468,6 @@ class STRGIndex:
                     cluster_node.remove(record)
                 if len(cluster_node) == 0:
                     self.root.remove(root_record)
-                if self._sketches is not None:
-                    self._sketches.remove(row)
                 return removed
         return None
 
@@ -475,10 +482,10 @@ class STRGIndex:
         measure the query against every centroid, and evaluate the
         members of every cluster best-first by their tightest lower
         bound — ``|Key - Key_q|`` (valid because ``EGED_M`` is a
-        metric) and, when the index holds a sketch tier, the same bound
-        over each stored reference distance — until the next bound
-        exceeds the k-th distance.  A range query is the same scan with the bound fixed
-        at ``radius``.
+        metric) and, when the index holds a reference set, the same
+        bound over each stored reference distance — until the next bound
+        exceeds the k-th distance.  A range query is the same scan with
+        the bound fixed at ``radius``.
 
         ``n_probe`` bounds how many nearest clusters are scanned:
         ``None`` gives exact k-NN; ``1`` is the literal Algorithm 3,
@@ -490,14 +497,13 @@ class STRGIndex:
 
         ``search_budget`` switches to the two-stage *approximate* tier
         (``repro.search``, see ``docs/SEARCH.md``): candidate generation
-        over per-OG reference columns followed by an exact rerank,
-        spending at most ``search_budget`` distance evaluations.  That
-        path searches the whole corpus (background routing and
-        ``n_probe`` apply to the exact path only); a budget of at least
-        ``len(index)`` plus the reference count degenerates to exact
-        results.  A monolithic index
-        has one bound, so ``prune_bound`` and ``degrade`` change nothing
-        here.
+        over the row table's reference columns followed by an exact
+        rerank, spending at most ``search_budget`` distance
+        evaluations.  That path searches the whole corpus (background
+        routing and ``n_probe`` apply to the exact path only); a budget
+        of at least ``len(index)`` plus the reference count degenerates
+        to exact results.  A monolithic index has one bound, so
+        ``prune_bound`` and ``degrade`` change nothing here.
         """
         if request.k == 0:
             return SearchResult([])
@@ -544,72 +550,64 @@ class STRGIndex:
             query, radius, background=background)).hits
 
     def sketch_tier(self, references: Callable[[], list[np.ndarray]]
-                    | None = None):
-        """The :class:`~repro.search.sketch.SketchIndex` for this corpus.
+                    | None = None) -> ScanViews:
+        """The index's row table (:class:`~repro.core.scan.ScanViews`),
+        with its reference columns filled.
 
-        Built lazily on first use — over the list ``references()``
-        returns, else over the reference set of the ``ShardedIndex`` this
-        index is a shard of (one list for every shard), else over
-        :func:`corpus_references` of this index alone — and maintained
-        incrementally afterwards;
-        once held, its reference columns also prune the exact and range
-        scans.  Safe on a frozen index: attaching the sketch is not a
-        structural mutation, and the module-level build lock keeps
-        concurrent readers of a shared serving snapshot from building it
-        twice.
-
-        An index restored from a columnar snapshot gets its sketch
-        re-attached from the store's ``sketch_*`` columns instead
-        (zero-copy views under ``load_index(mmap=True)``), skipping the
-        sweep; fully out-of-core budgeted search — sketch scan and
-        shortlist fetch both streamed from the store, no tree at all, on
-        monolithic and sharded stores alike — lives one layer up, in
-        :meth:`repro.storage.columnar.ColumnarStore.load_sketch` and
-        lazy :func:`repro.open_database` (see ``docs/SEARCH.md``).
+        The first call fits the reference set — the list
+        ``references()`` returns, else the reference set of the
+        ``ShardedIndex`` this index is a shard of, else
+        :func:`corpus_references` of this index alone — and files a copy
+        of every leaf record carrying its row (later builds and inserts
+        fill the row as they file).  Safe on a frozen index: only its
+        own leaf lists are written, never a record a clone may share,
+        and the build lock keeps concurrent readers from attaching
+        twice.  A store load restores the rows from its ``sketch_*``
+        columns instead (``docs/SEARCH.md``).
         """
-        sketch = self._sketches
-        if sketch is not None:
-            return sketch
-        with _LAZY_BUILD_LOCK:
-            if self._sketches is None:
-                source = references or (self._reference_source
-                                        and self._reference_source())
-                records = list(self.leaf_records())
-                with OBS.span("search.sketch_build", ogs=len(records)):
-                    refs = source() if source else corpus_references([self])
-                    self._sketches = SketchIndex.build(
-                        self.metric_distance,
-                        [record.og for record in records],
-                        [record.clip_ref for record in records],
-                        [record.row for record in records],
-                        references=refs,
-                    )
-            return self._sketches
+        if self._references is None:
+            with _LAZY_BUILD_LOCK:
+                if self._references is None:
+                    source = references or (self._reference_source
+                                            and self._reference_source())
+                    leaves = [r.leaf for r in self.cluster_records()]
+                    ogs = [record.og for leaf in leaves for record in leaf]
+                    with OBS.span("search.sketch_build", ogs=len(ogs)):
+                        refs = (source() if source
+                                else corpus_references([self]))
+                        refs, table = reference_rows(
+                            self.metric_distance, refs, ogs)
+                    at = 0
+                    for leaf in leaves:
+                        leaf.refile(table[at:at + len(leaf)])
+                        at += len(leaf)
+                    # Views first: a reader that sees the references
+                    # finds no table without their columns.
+                    self._views = None
+                    self._references = refs
+        return self._table()
+
+    def _table(self) -> ScanViews:
+        """The current :class:`~repro.core.scan.ScanViews`, built on the
+        first read after a mutation or after the references were
+        attached: a frozen serving snapshot builds it once, and
+        concurrent readers of one snapshot do not build it twice."""
+        views = self._views
+        if views is None or views.mutations != self.mutations:
+            with _LAZY_BUILD_LOCK:
+                views = self._views
+                if views is None or views.mutations != self.mutations:
+                    views = self._views = ScanViews(
+                        self.cluster_records(), self.mutations,
+                        self._references)
+        return views
 
     def _cluster_views(self, background: BackgroundGraph | None
                        ) -> list[ClusterView]:
-        """Scan views of the (BG-routed) non-empty clusters.
-
-        Built on the first exact or range read after a mutation, or
-        after a sketch tier was attached: a frozen serving snapshot
-        builds them once, and concurrent readers of one snapshot do not
-        build them twice.  An index holding a sketch prunes with its
-        reference columns too; one without scans on the leaf keys alone
-        (the paper's Algorithm 3).
-        """
-        sketch = self._sketches
-
-        def stale(views: ScanViews | None) -> bool:
-            return (views is None or views.mutations != self.mutations
-                    or views.sketch is not sketch)
-
-        views = self._views
-        if stale(views):
-            with _LAZY_BUILD_LOCK:
-                views = self._views
-                if stale(views):
-                    views = self._views = ScanViews(
-                        self.cluster_records(), self.mutations, sketch)
+        """Scan views of the (BG-routed) non-empty clusters.  An index
+        holding a reference set prunes with its columns too; one without
+        scans on the leaf keys alone (the paper's Algorithm 3)."""
+        views = self._table()
         return [views.by_record[id(record)]
                 for record in self.cluster_records(background)
                 if len(record.leaf)]
@@ -674,13 +672,13 @@ class STRGIndex:
 
 
 def corpus_references(indexes: Sequence[STRGIndex]) -> list[np.ndarray]:
-    """The reference list a new sketch tier of ``indexes`` — the shards
-    of one corpus — takes: the one a tier among them holds, else
+    """The reference list a new tier of ``indexes`` — the shards of one
+    corpus — takes: the one an index among them holds, else
     :func:`~repro.search.sketch.fit_references` over all their
     centroids and members."""
     for index in indexes:
-        if index._sketches is not None:
-            return index._sketches.pivots
+        if index._references is not None:
+            return index._references
     return fit_references(
         indexes[0].metric_distance,
         [record.centroid for index in indexes

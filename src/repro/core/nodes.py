@@ -4,7 +4,9 @@ Each level's record layout mirrors the paper's figures:
 
 - root record:    ``(iD_root, BG_r, ptr)``
 - cluster record: ``(iD_clus, OG_clus, ptr)``
-- leaf record:    ``(Key = EGED_M(OG_mem, OG_clus), OG_mem, ptr)``
+- leaf record:    ``(Key = EGED_M(OG_mem, OG_clus), OG_mem, ptr)``, plus
+  the member's float32 distance to each series of its index's reference
+  set once the index holds one
 
 Leaf records are kept sorted by key so search can expand outward from the
 query's key position and stop at the triangle-inequality bound.
@@ -13,8 +15,9 @@ query's key position and stop at the triangle-inequality bound.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -30,12 +33,24 @@ class LeafRecord:
 
     ``clip_ref`` stands in for the paper's pointer to "the real video clip
     in a disk" — any application-level handle (path, offset, ...).
+    ``refs`` is the OG's float32 distance to each reference series of its
+    index (``None`` while the index holds no reference set); like every
+    field it is never written after the record is filed.
     """
 
     key: float
     og: ObjectGraph
     clip_ref: Any = None
     row: int = -1
+    refs: np.ndarray | None = None
+
+
+def reference_table(records: Sequence[LeafRecord], width: int) -> np.ndarray:
+    """The ``(len(records), width)`` float32 stack of the records' ``refs``
+    rows, in order (no column when ``width`` is 0)."""
+    if not records or not width:
+        return np.empty((len(records), width), dtype=np.float32)
+    return np.stack([record.refs for record in records])
 
 
 class LeafNode:
@@ -57,6 +72,14 @@ class LeafNode:
         dup._records = list(self._records)
         dup._keys = list(self._keys)
         return dup
+
+    def refile(self, refs: Sequence[np.ndarray]) -> None:
+        """File a copy of every record carrying its row of ``refs``
+        (aligned with :attr:`records`).  The records themselves, which a
+        clone may share, are left as they are."""
+        self._records = [dataclasses.replace(record, refs=row)
+                         for record, row in zip(self._records, refs,
+                                                strict=True)]
 
     def remove(self, row: int) -> LeafRecord | None:
         """Remove (and return) the record of ``row``, or ``None``."""

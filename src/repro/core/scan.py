@@ -11,20 +11,23 @@ beyond the k-th distance ends the scan, so the answer is exact.
 
 A leaf key is the member's distance to one reference series, its
 centroid.  :class:`ScanViews` holds one contiguous *table* per index:
-the leaf keys, and — when the index holds a sketch tier — one float32
-column per series of the tier's reference set, the ``pivot_dists``
-rows the sketch already stores.  ``|d(Q, R) - d(S, R)| <= d(Q, S)``
-holds for every column; a member's bound is the tightest of them.  One
+the leaf keys, and — when the index holds a reference set — one
+float32 column per reference series, stacked from the ``refs`` row
+each leaf record carries.  ``|d(Q, R) - d(S, R)| <= d(Q, S)`` holds
+for every column; a member's bound is the tightest of them.  One
 ranking sweep measures the query against each distinct reference set
 once (compared by content: the shards of a corpus hold one) and
 against every centroid that is not itself a reference; a cluster whose
 centroid is a reference reads its ``Key_q`` from the reference sweep.
 
+The same table serves both paths: an exact or range scan bounds every
+member of the scanned clusters, and a budgeted read shortlists the
+table's rows by their reference bound (:meth:`ScanViews.candidates`).
 Every k-NN runs through one loop, :func:`best_first`, on one window
 schedule: ``STRGIndex.search`` over its own clusters,
 ``ShardedIndex.search`` over the views of every live shard under one
-bound, and :func:`~repro.search.sketch.approx_knn` over its parts'
-sketch shortlists.
+bound, and :func:`~repro.search.sketch.approx_knn` over the shortlists
+of its parts' tables.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.nodes import ClusterRecord
-from repro.distance.base import as_series, series_key
+from repro.core.nodes import ClusterRecord, reference_table
+from repro.distance.base import series_key
 from repro.distance.batch import one_vs_many
 from repro.distance.bounds import distinct_reference_sets, pivot_lower_bounds
 from repro.observability import OBS
 from repro.search.request import TopK, hit_key
+from repro.search.sketch import _exact_top
 
 #: Candidates per kernel sweep of every k-NN, exact or budgeted; the
 #: first sweep is 2k when 4k <= WINDOW.  Larger windows amortise the
@@ -87,32 +91,34 @@ class ClusterView:
 
 
 class ScanViews:
-    """One index's reference table and the :class:`ClusterView` of each
+    """One index's row table and the :class:`ClusterView` of each
     cluster by record identity; valid while the index's ``mutations``
-    still reads :attr:`mutations` and it holds :attr:`sketch`."""
+    still reads :attr:`mutations` and its reference set is
+    :attr:`pivots`.
 
-    __slots__ = ("mutations", "sketch", "pivots", "records", "members",
-                 "keys", "refs", "row_cluster", "by_record")
+    Row ``i`` is the ``i``-th member in leaf order: ``records[i]``, its
+    leaf key ``keys[i]``, its index row ``row_ids[i]`` and its reference
+    distances ``refs[i]``."""
+
+    __slots__ = ("mutations", "pivots", "records", "keys", "row_ids",
+                 "refs", "row_cluster", "by_record")
 
     def __init__(self, records: Sequence[ClusterRecord], mutations: int,
-                 sketch=None):
+                 pivots: Sequence[np.ndarray] | None = None):
         """The table of ``records``' members in leaf order.  Reference
-        columns are the sketch's stored rows, matched by ``row``, so a
-        build evaluates nothing.  Without a sketch — or one missing a
-        member's row — the table holds the leaf keys alone."""
-        self.mutations, self.sketch = mutations, sketch
+        columns are the records' stored ``refs`` rows, so a build
+        evaluates nothing; without ``pivots`` the table holds the leaf
+        keys alone."""
+        self.mutations = mutations
+        self.pivots = () if pivots is None else pivots
         self.records = [r for record in records for r in record.leaf]
-        self.members = [as_series(r.og) for r in self.records]
-        rows = None
-        if sketch is not None and sketch.pivots and self.records:
-            rows = sketch.rows_of([r.row for r in self.records])
-        self.pivots = () if rows is None else sketch.pivots
         self.keys = np.array([key for record in records
                               for key in record.leaf.keys], dtype=np.float64)
+        self.row_ids = np.array([r.row for r in self.records],
+                                dtype=np.int64)
         # Column-major: a bound sweeps each column contiguously.
         self.refs = np.asfortranarray(
-            np.empty((len(self.records), 0), dtype=np.float32)
-            if rows is None else rows)
+            reference_table(self.records, len(self.pivots)))
         sizes = [len(record.leaf) for record in records]
         self.row_cluster = np.repeat(np.arange(len(records)), sizes)
         at = np.cumsum([0, *sizes]).tolist()
@@ -121,6 +127,30 @@ class ScanViews:
             self, c, at[c], at[c + 1], record.centroid,
             reference.get(series_key(record.centroid)))
             for c, record in enumerate(records)}
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def candidates(self, distance, series: np.ndarray, budget: int, k: int,
+                   qd: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``max(k, budget)`` rows with the smallest ``(reference
+        bound, row id)``, as ``(rows, bounds)`` in that order.  ``qd``
+        is the query's distance to each reference when the caller
+        already swept them; otherwise they are swept here."""
+        if qd is None:
+            qd = one_vs_many(distance, series, self.pivots)
+        lbs = pivot_lower_bounds(qd, self.refs)
+        top = _exact_top(max(k, budget), (lbs, self.row_ids))
+        return top, lbs[top]
+
+    def row_series(self, row: int) -> np.ndarray:
+        # An OG's values are already its (n, d) float64 series.
+        return self.records[row].og.values
+
+    def row_record(self, row: int) -> tuple:
+        record = self.records[row]
+        return record.og, record.clip_ref
 
 
 def evaluate_windowed(distance, series: np.ndarray, order: np.ndarray,
@@ -216,11 +246,10 @@ class _Candidates:
             np.concatenate(column) for column in zip(*parts))
 
     def series_at(self, at: int) -> np.ndarray:
-        return self.tables[self.tab[at]].members[self.rows[at]]
+        return self.tables[self.tab[at]].row_series(self.rows[at])
 
     def record_at(self, at: int) -> tuple:
-        record = self.tables[self.tab[at]].records[self.rows[at]]
-        return record.og, record.clip_ref
+        return self.tables[self.tab[at]].row_record(self.rows[at])
 
     def count(self, layer: str, views: int, evaluated: np.ndarray) -> None:
         """Counters: a cluster with an evaluated member is scanned."""

@@ -7,16 +7,21 @@ distance evaluations, following the paper's own cost model (Section
 6.3 charges queries per distance computation):
 
 **Stage 1 — candidate generation.**  Every indexed OG carries its
-metric distance to each series of one *reference set*, stored as
-float32 columns in flat numpy arrays.  The set is every leaf centroid
-of the corpus (all shards) when the tier is built, topped up to
+metric distance to each series of one *reference set*, as a float32
+row (:func:`reference_rows`).  The set is every leaf centroid of the
+corpus (all shards) when the tier is built, topped up to
 :data:`MIN_REFERENCES` by continuing a farthest-point greedy from those
-centroids over a sample of the corpus; every shard's tier holds the
-one set, and a query sweeps each distinct set once.  Because EGED_M is
-a metric (Theorem 2), ``|d(Q, R) - d(S, R)| <= d(Q, S)`` for every
-reference ``R``: one vectorized pass turns the query's distance to
-each reference into a lower bound on every row, and each part's
-shortlist is its rows with the smallest ``(bound, row id)``.
+centroids over a sample of the corpus; every shard holds the one set,
+and a query sweeps each distinct set once.  Because EGED_M is a metric
+(Theorem 2), ``|d(Q, R) - d(S, R)| <= d(Q, S)`` for every reference
+``R``: one vectorized pass turns the query's distance to each
+reference into a lower bound on every row, and each part's shortlist
+is its rows with the smallest ``(bound, row id)``.
+
+A part is a table of such rows.  An in-RAM index's is the row table
+its exact scan reads (``repro.core.scan.ScanViews``, stacked from the
+``refs`` row of every leaf record); a store read without the tree is a
+:class:`SketchIndex` over the store's columns.
 
 **Stage 2 — exact rerank.**  The shortlists go through the exact scan's
 best-first loop (:func:`repro.core.scan.best_first`) under one k-th
@@ -34,31 +39,24 @@ Storage
 A reference column holds ``float32(d)``, whose rounding
 :func:`~repro.distance.bounds.pivot_lower_bounds` subtracts; the
 in-memory rows are float32 too, so a live index and its reloaded store
-bound — and answer — bit for bit alike.  Every sketch has one layout:
-*base* arrays (``row_ids``, ``pivot_dists``) that are never written in
-place — bound by :meth:`SketchIndex.attach_rows`, often as zero-copy
-views of a columnar store's mmap'd sketch columns — an owned *tail*
-every :meth:`add` appends to, and a tombstone mask.  One row provider,
+bound — and answer — bit for bit alike.  A :class:`SketchIndex` has
+one layout: *base* arrays (``row_ids``, ``pivot_dists``) that are
+never written in place — bound by :meth:`SketchIndex.attach_rows`,
+often as zero-copy views of a columnar store's mmap'd sketch columns
+— an owned *tail* every :meth:`SketchIndex.add` appends to (the
+store's delta replay), and a tombstone mask its deletes set.  The
+store's segment merge reclaims tombstoned rows.  One row provider,
 :class:`SketchRows`, returns each row's ``(og, clip_ref)`` record: the
 first rows may stream lazily from the store's row-addressed read path
 (see ``ColumnarStore.load_sketch``), the rest are held in memory.
 
-Deletions tombstone rows instead of rewriting the arrays.  A sketch
-none of whose rows comes from a store reader compacts physically past
-a threshold (the surviving rows become its tail); a store-attached
-sketch keeps the mask and leaves compaction to the store's segment
-merge.
-
-Sketches hold no reference to a distance object: the owning index
-passes its metric into every call, so cloned indexes (serving
-snapshots) keep sharing one distance instance and counting wrappers
-count every evaluation in one place.
+Tables hold no reference to a distance object: the caller passes its
+metric into every call, so counting wrappers count every evaluation in
+one place.
 """
 
 from __future__ import annotations
 
-import copy
-import json
 from collections import OrderedDict
 from typing import Any, Sequence
 
@@ -71,12 +69,6 @@ from repro.errors import InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.search.request import SearchRequest, split_budget
-
-#: Tombstones before a sketch with no store-read rows is worth
-#: compacting (and the dead fraction that triggers it — mirrors the
-#: columnar merge policy).
-TOMBSTONE_COMPACT_MIN = 64
-TOMBSTONE_COMPACT_FRACTION = 0.25
 
 #: Store-read rows a sketch keeps materialized (LRU).
 ROW_CACHE_SIZE = 512
@@ -102,8 +94,8 @@ class SketchRows:
     offsets-table slicing, see ``ColumnarStore.row_reader`` — through an
     LRU of :data:`ROW_CACHE_SIZE` rows that keeps hot shortlist rows
     warm across queries.  Every later row (all of them when there is no
-    reader: a built or tree-loaded sketch) sits in an in-memory list,
-    so those paths never touch the LRU.
+    reader: a built sketch) sits in an in-memory list, so those paths
+    never touch the LRU.
     """
 
     def __init__(self, records: Sequence[tuple[ObjectGraph, Any]] = (),
@@ -137,21 +129,6 @@ class SketchRows:
         # store-read OG's are the zero-copy slice the reader cut out of
         # the mmap'd og_values column.
         return self.record(row)[0].values
-
-    def compact(self, keep: np.ndarray) -> None:
-        if self.reader is not None:
-            raise InvalidParameterError(
-                "store-attached sketch rows cannot be compacted in place; "
-                "the owning store's segment merge reclaims tombstones"
-            )
-        self._records = [self._records[int(i)] for i in keep]
-
-    def clone(self) -> "SketchRows":
-        """Own record list; the reader and its row cache (a memo of
-        immutable store rows) stay shared."""
-        dup = copy.copy(self)
-        dup._records = list(self._records)
-        return dup
 
 
 # -- reference sets ---------------------------------------------------------
@@ -192,6 +169,23 @@ def fit_references(distance, centroids: Sequence[np.ndarray],
     return refs
 
 
+def reference_rows(distance, references: list[np.ndarray],
+                   ogs: Sequence[Any]) -> tuple[list[np.ndarray], np.ndarray]:
+    """``(references, rows)``: row ``i`` holds ``float32`` of the
+    distance of ``ogs[i]`` to each reference, from one
+    :func:`~repro.distance.batch.pairwise_matrix` sweep.  An empty
+    ``references`` is first fitted on ``ogs`` alone
+    (:func:`fit_references`)."""
+    if not len(ogs):
+        return references, np.empty((0, len(references)), dtype=np.float32)
+    # Prepared once for the fit and the reference sweep.
+    series = PaddedBatch(ogs)
+    if not references:
+        references = fit_references(distance, (), series)
+    return references, np.ascontiguousarray(
+        pairwise_matrix(distance, references, series).T, dtype=np.float32)
+
+
 # -- top-m selection --------------------------------------------------------
 
 
@@ -202,7 +196,7 @@ def _exact_top(m: int, keys: tuple[np.ndarray, ...]) -> np.ndarray:
     ``argpartition`` on the primary key prunes to at most ``m`` rows
     plus the primary-key ties at the boundary; the full compound sort
     then runs only on that superset.  Every caller ends its key tuple
-    with the row id, unique among a sketch's live rows (an index never
+    with the row id, unique among a table's live rows (an index never
     reuses a row), so the compound order is total — the selected set
     (and its order) is exactly the first ``m`` entries of a global
     lexsort.
@@ -222,7 +216,9 @@ def _exact_top(m: int, keys: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 class SketchIndex:
-    """Flat-array reference columns over a corpus of Object Graphs.
+    """Flat-array reference columns over a corpus of Object Graphs: the
+    table of a store read without the tree (``ColumnarStore.load_sketch``)
+    or of a bare list (:meth:`build`).
 
     Row ``i`` of every array describes the same OG: ``row_ids[i]`` (its
     row in the owning index) and ``pivot_dists[i]`` (its float32
@@ -231,7 +227,7 @@ class SketchIndex:
     Internally rows live in a *base* part that is never written in
     place — RAM arrays or zero-copy mmap views bound by
     :meth:`attach_rows` — then an owned *tail* every :meth:`add`
-    appends to, so incremental adds never force an mmap base into RAM.
+    appends to, so replayed adds never force an mmap base into RAM.
     Raw rows are numbered base then tail.  ``(og, clip_ref)`` records
     come from a :class:`SketchRows` provider and may be materialized
     lazily from the store's row-addressed read path.
@@ -239,8 +235,7 @@ class SketchIndex:
 
     def __init__(self):
         #: The reference series, fixed when the tier is built and equal
-        #: across every shard tier of a corpus: a maintained sketch is
-        #: bit-identical to one rebuilt with them.
+        #: across every shard of a corpus.
         self.pivots: list[np.ndarray] = []
         self._ids, self._pd = self._empty_part(0)
         self._tail_ids, self._tail_pd = self._empty_part(0)
@@ -267,7 +262,7 @@ class SketchIndex:
 
     @property
     def dead_rows(self) -> int:
-        """Tombstoned rows awaiting compaction (0 on the clean path)."""
+        """Tombstoned rows (0 on the clean path)."""
         return self._n_dead
 
     @staticmethod
@@ -311,46 +306,19 @@ class SketchIndex:
 
     def attach_rows(self, row_ids: np.ndarray, pivot_dists: np.ndarray,
                     rows: SketchRows) -> None:
-        """Bind base arrays (possibly zero-copy mmap views) + records.
-
-        ``rows`` is the :class:`SketchRows` provider aligned with the
-        arrays.  Columns stored as float64 (stores written through
-        17.x) are rounded to float32 here, the one precision every
-        bound reads.  The base is never written: later adds go to the
-        tail, and compaction (only without a store reader) rebinds it.
-        """
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        pivot_dists = np.asarray(pivot_dists, dtype=np.float32)
-        n = len(row_ids)
-        if pivot_dists.shape != (n, len(self.pivots)):
-            raise InvalidParameterError(
-                f"pivot_dists shape {pivot_dists.shape} does not match "
-                f"{n} rows x {len(self.pivots)} references"
-            )
-        if len(rows) != n:
-            raise InvalidParameterError(
-                f"row provider has {len(rows)} rows, arrays have {n}"
-            )
-        self._ids, self._pd = row_ids, pivot_dists
+        """Bind base arrays (possibly zero-copy mmap views) + records:
+        ``pivot_dists`` is ``(len(row_ids), len(pivots))`` float32 (what
+        ``repro.storage.serialize.read_references`` checks and returns)
+        and ``rows`` the :class:`SketchRows` provider aligned with it.
+        The base is never written: later adds go to the tail."""
+        self._ids = np.asarray(row_ids, dtype=np.int64)
+        self._pd = pivot_dists
         self._tail_ids, self._tail_pd = self._empty_part(len(self.pivots))
         self._rows = rows
         self._dead = None
         self._n_dead = 0
 
     # -- maintenance -------------------------------------------------------
-
-    def clone(self) -> "SketchIndex":
-        """A sketch that grows and tombstones independently.
-
-        Row arrays and references are shared — :meth:`add` and
-        :meth:`compact_tombstones` rebind them, never write in place;
-        only the mask :meth:`remove` writes and the row list are copied.
-        """
-        dup = copy.copy(self)
-        dup._rows = self._rows.clone()
-        if self._dead is not None:
-            dup._dead = self._dead.copy()
-        return dup
 
     def add(self, distance, ogs: Sequence[ObjectGraph],
             clip_refs: Sequence[Any] | None = None,
@@ -369,14 +337,8 @@ class SketchIndex:
             raise InvalidParameterError(
                 f"{len(ogs)} OGs, {len(refs)} clip refs, {len(rows)} rows"
             )
-        # Prepared once for the fit and the reference sweep.
-        series = PaddedBatch(ogs)
-        if not self.pivots:
-            # First rows of an unfitted sketch: fit on them.
-            self.pivots = fit_references(distance, (), series)
-        new_pd = np.ascontiguousarray(
-            pairwise_matrix(distance, self.pivots, series).T,
-            dtype=np.float32)
+        # The first rows of an unfitted sketch fit its references.
+        self.pivots, new_pd = reference_rows(distance, self.pivots, ogs)
         # The base is never written (often mmap views): growth goes to
         # the owned tail, rebound rather than written in place.
         self._tail_ids = self._cat(self._tail_ids,
@@ -391,11 +353,8 @@ class SketchIndex:
 
     def remove(self, row: int) -> bool:
         """Tombstone the sketch row of index row ``row``; True when it
-        was live.  O(n) to locate the raw row but O(1) to drop it.  Past
-        the tombstone threshold :meth:`compact_tombstones` runs, which a
-        store-attached sketch declines (the store's segment merge
-        reclaims its rows).
-        """
+        was live.  O(n) to locate the raw row but O(1) to drop it; the
+        store's segment merge reclaims it."""
         hits = np.flatnonzero(self._cat(self._ids, self._tail_ids) == row)
         if self._n_dead:
             hits = hits[~self._dead[hits]]
@@ -406,10 +365,6 @@ class SketchIndex:
             self._dead = np.zeros(self._num_raw(), dtype=bool)
         self._dead[raw] = True
         self._n_dead += 1
-        if (self._n_dead >= TOMBSTONE_COMPACT_MIN
-                and self._n_dead >= TOMBSTONE_COMPACT_FRACTION
-                * self._num_raw()):
-            self.compact_tombstones()
         return True
 
     def _live_raw(self) -> np.ndarray:
@@ -417,32 +372,6 @@ class SketchIndex:
         if self._n_dead:
             return np.flatnonzero(~self._dead)
         return np.arange(self._num_raw())
-
-    def rows_of(self, rows: Sequence[int]) -> np.ndarray | None:
-        """Stored reference columns of these index rows, in order, or
-        ``None`` when one of them has no live sketch row."""
-        live = self._live_raw()
-        ids = self._cat(self._ids, self._tail_ids)[live]
-        order = np.argsort(ids, kind="stable")
-        rows = np.asarray(rows, dtype=np.int64)
-        at = np.searchsorted(ids[order], rows)
-        if (at >= len(ids)).any() or (ids[order[at]] != rows).any():
-            return None
-        return self._cat(self._pd, self._tail_pd)[live[order[at]]]
-
-    def compact_tombstones(self) -> bool:
-        """Physically drop tombstoned rows into a fresh tail — only
-        when no row comes from a store reader."""
-        if self._n_dead == 0 or self._rows.reader is not None:
-            return False
-        keep = np.flatnonzero(~self._dead)
-        self._tail_ids = self._cat(self._ids, self._tail_ids)[keep]
-        self._tail_pd = self._cat(self._pd, self._tail_pd)[keep]
-        self._ids, self._pd = self._empty_part(self._tail_pd.shape[1])
-        self._rows.compact(keep)
-        self._dead = None
-        self._n_dead = 0
-        return True
 
     # -- row-addressed record access ---------------------------------------
 
@@ -476,19 +405,21 @@ class SketchIndex:
         return live[top], lbs[top]
 
 
-def approx_knn(parts: Sequence[SketchIndex], distance,
+def approx_knn(parts: Sequence[Any], distance,
                request: SearchRequest, total: int | None = None
                ) -> list[tuple[float, ObjectGraph, Any]]:
-    """Two-stage approximate k-NN over the sketches of a corpus.
+    """Two-stage approximate k-NN over the row tables of a corpus.
 
-    ``parts`` are the sketches of a partitioned corpus — one per shard;
-    a monolithic index is the one-part case — and ``total`` its size
+    ``parts`` are the tables of a partitioned corpus — one per shard; a
+    monolithic index is the one-part case — each an in-RAM index's
+    ``ScanViews`` or a store-attached :class:`SketchIndex`; ``total`` is
+    the corpus size
     (``None``: the parts' sizes summed; a caller holding some of the
     parts passes the whole corpus's).  The query is measured once
     against each distinct reference set of the parts (R evaluations),
     :func:`~repro.search.request.split_budget` splits what is left of
     ``request.search_budget`` over the corpus, each part shortlists its
-    share (:meth:`SketchIndex.candidates`), and the shortlists go
+    share (its ``candidates``), and the shortlists go
     through the exact scan's :func:`~repro.core.scan.best_first` under
     one k-th best distance.
 
@@ -497,8 +428,8 @@ def approx_knn(parts: Sequence[SketchIndex], distance,
     exact full scan.  Hits are ``(distance, og, clip_ref)`` sorted by
     ``(distance, og_id)`` — the exact top-k of the union of the
     shortlists, the same contract as the exact paths, and bit-identical
-    whether the sketch rows live in RAM or stream from the store's
-    mmap columns.
+    whether the rows live in RAM or stream from the store's mmap
+    columns.
     """
     # Imported here: importing ``repro.core`` imports the index, which
     # imports this module.
@@ -507,7 +438,7 @@ def approx_knn(parts: Sequence[SketchIndex], distance,
     k, search_budget = request.k, request.search_budget
     if k == 0:
         return []
-    live = [sketch for sketch in parts if len(sketch)]
+    live = [part for part in parts if len(part)]
     if not live:
         return []
     series = request.series
@@ -515,16 +446,16 @@ def approx_knn(parts: Sequence[SketchIndex], distance,
                   parts=len(live)) as sp:
         OBS.count("search.knn_queries")
         sets, where = distinct_reference_sets(
-            [sketch.pivots for sketch in live])
+            [part.pivots for part in live])
         swept = one_vs_many(distance, series,
                             [ref for refs in sets for ref in refs])
         ends = np.cumsum([0] + [len(refs) for refs in sets])
         shares = split_budget(max(0, search_budget - len(swept)),
-                              [len(sketch) for sketch in live], k, total)
+                              [len(part) for part in live], k, total)
         idx, lbs = zip(*(
-            sketch.candidates(distance, series, share, k,
-                              qd=swept[ends[at]:ends[at + 1]])
-            for sketch, share, at in zip(live, shares, where)))
+            part.candidates(distance, series, share, k,
+                            qd=swept[ends[at]:ends[at + 1]])
+            for part, share, at in zip(live, shares, where)))
         part_of = np.repeat(np.arange(len(live)), [len(i) for i in idx])
         raw, lbs = np.concatenate(idx), np.concatenate(lbs)
         OBS.count("search.candidates_generated", len(lbs))
@@ -538,26 +469,7 @@ def approx_knn(parts: Sequence[SketchIndex], distance,
         OBS.count("search.distances_computed", len(evaluated) + len(swept))
         OBS.count("search.candidates_pruned", pruned)
         OBS.count("search.distances_saved",
-                  max(0, sum(len(sketch) for sketch in live)
+                  max(0, sum(len(part) for part in live)
                       - len(evaluated) - len(swept)))
         sp.set(hits=len(hits), evaluated=len(evaluated), pruned=pruned)
         return hits
-
-
-def sketch_meta_json(sketch: SketchIndex) -> str:
-    """The ``sketch_meta`` a snapshot stores beside the sketch columns:
-    it marks that the segment holds a tier (the columns carry it all)."""
-    return json.dumps({})
-
-
-def sketch_from_meta(meta_json: str) -> SketchIndex:
-    """Empty :class:`SketchIndex` for a stored ``sketch_meta``.
-
-    The caller fills references and rows (see
-    :mod:`repro.storage.serialize`).  Metas written through 17.x record
-    a signature bounding box, and through 13.x the sketch settings under
-    ``config``; any stored reference set still gives valid bounds, so
-    both are ignored.  Malformed JSON raises ``ValueError``.
-    """
-    json.loads(meta_json)
-    return SketchIndex()

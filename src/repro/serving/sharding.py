@@ -15,16 +15,16 @@ shard starts from an infinite bound:
   :class:`~repro.core.index.STRGIndexConfig`, so the fleet's total
   cluster count — and with it the tightness of every leaf window —
   grows with the shard count.
-- **One reference set.**  Every shard's sketch tier — loaded with it,
-  or built by a budgeted read or ``sketch_tier()`` — stores each
+- **One reference set.**  Every shard's leaf records — loaded with it,
+  or filled by a budgeted read or ``sketch_tier()`` — carry each
   record's distance to the corpus's one reference set: every leaf
   centroid of every shard when the first tier is built, topped up by a
   farthest-point greedy to ``MIN_REFERENCES``
   (:meth:`ShardedIndex.reference_set`).  A query sweeps each distinct
-  set once, and the exact scan reads the columns as extra reference
-  columns beside each leaf key.  A shard without a sketch scans on its
-  leaf keys alone, exactly as a sketch-less ``STRGIndex`` does.
-  Placement pivots only place OGs.
+  set once; the exact scan reads the columns beside each leaf key, and
+  a budgeted read shortlists from the same table.  A shard without a
+  reference set scans on its leaf keys alone, exactly as an
+  ``STRGIndex`` without one does.  Placement pivots only place OGs.
 - **One scan.**  The search itself is :mod:`repro.core.scan` — the
   routine the monolithic index runs over its own clusters — handed the
   scan views every live shard keeps of its clusters.  Cluster ranking
@@ -151,7 +151,7 @@ class ShardedIndex:
         :data:`BALANCE_FACTOR`).
         ``pivots`` are the affine placement pivots, kept so that later
         inserts land where a build would put them; nothing is swept
-        here — each shard's scan views come from its own sketch table.
+        here — each shard's scan views come from its own records' rows.
         Shards not yet part of a live sharded index become this one's:
         a tier they build takes its :meth:`reference_set`.
         """
@@ -182,8 +182,8 @@ class ShardedIndex:
         return index
 
     def _adopt(self, shard: STRGIndex) -> STRGIndex:
-        """Make ``shard`` one of this index's: a sketch tier it builds
-        without a given source (``shard.sketch_tier()``) takes
+        """Make ``shard`` one of this index's: a tier it builds without
+        a given source (``shard.sketch_tier()``) takes
         :meth:`reference_set`.  The link is weak, so a frozen shard
         shared into later snapshots keeps no older index — nor its
         shards — alive.  A copy of the shard drops it; this index's own
@@ -192,7 +192,7 @@ class ShardedIndex:
         return shard
 
     def reference_set(self) -> list[np.ndarray]:
-        """The one reference list of the shards' sketch tiers."""
+        """The one reference list of the shards' tiers."""
         return corpus_references(self.shards)
 
     def serving_config(self) -> dict[str, Any]:
@@ -376,7 +376,7 @@ class ShardedIndex:
 
         With ``search_budget`` set, one
         :func:`~repro.search.sketch.approx_knn` over the live shards'
-        *approximate* sketch tiers (see ``docs/SEARCH.md``) answers: the
+        row tables (see ``docs/SEARCH.md``) answers, *approximately*: the
         query is measured once against their shared reference set, each
         shard shortlists its share of the rest of the budget, and every
         shortlist is ranked under one k-th best distance.
@@ -454,8 +454,8 @@ class ShardedIndex:
         return live, failed
 
     def _approx_scatter(self, request: SearchRequest) -> SearchResult:
-        """Budgeted search over every live shard's sketch, split over
-        the whole corpus: a failed shard keeps its share of the
+        """Budgeted search over every live shard's row table, split
+        over the whole corpus: a failed shard keeps its share of the
         budget."""
         live, failed = self._live_shards(request.degrade)
         tiers = [self.shards[s].sketch_tier(self.reference_set)

@@ -26,7 +26,7 @@ shard, row)``.  That reproduces the in-process scatter-gather
 worker-local og_id and the coordinator merge — is the same
 ``(shard, row)`` order.  The budgeted approximate path is one
 :func:`~repro.search.sketch.approx_knn` per worker over its shards'
-sketches, split over the corpus size the coordinator sends, as the
+row tables, split over the corpus size the coordinator sends, as the
 in-process ``ShardedIndex`` splits it; the coordinator merges the
 workers' top-k lists.
 
@@ -87,7 +87,7 @@ class _ShardSet:
 
     Budgeted (``search_budget``) requests are one
     :func:`~repro.search.sketch.approx_knn` over the requested shards'
-    sketches, its budget split over the coordinator's corpus size.
+    row tables, its budget split over the coordinator's corpus size.
     """
 
     def __init__(self, store_path: str, assignment: list[int], mmap: bool):
@@ -107,10 +107,10 @@ class _ShardSet:
         """(Re)open every assigned shard from one committed version,
         whose labels locate every hit's ``(shard, row)``.
 
-        Every assigned shard holds a sketch tier once this returns.  A
-        tier the store does not hold is built here over the reference
-        set of every shard, as in process: the other shards are loaded
-        for the fit and dropped once it is made.
+        Every assigned shard holds a reference set once this returns.
+        A set the store does not hold is fitted here over every shard,
+        as in process: the other shards are loaded for the fit and
+        dropped once it is made.
         """
         from repro.serving.sharding import ShardedIndex
 
@@ -119,7 +119,7 @@ class _ShardSet:
             shards = {o: self.store.load_shard(o, mmap=self.mmap)
                       for o in sorted(self.shards)}
             corpus = None
-            if any(index._sketches is None for index in shards.values()):
+            if any(index._references is None for index in shards.values()):
                 corpus = {o: shards[o] if o in shards
                           else self.store.load_shard(o, mmap=self.mmap)
                           for o in range(self.store.describe()["shards"])}
@@ -229,6 +229,17 @@ def _worker_main(store_path: str, assignment: list[int],
 # ---------------------------------------------------------------------------
 # coordinator
 # ---------------------------------------------------------------------------
+
+def _end_process(process, grace: float) -> None:
+    """End ``process``: let it exit within ``grace`` seconds, then
+    ``SIGKILL`` it and join again.  ``SIGKILL``, because a worker too
+    late to exit may be hung or stopped, and a stopped process holds
+    ``SIGTERM`` pending until it is continued."""
+    process.join(timeout=grace)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=5.0)
+
 
 @dataclass
 class WorkerPoolConfig:
@@ -453,10 +464,7 @@ class WorkerPool:
             except OSError:  # pragma: no cover - already gone
                 pass
         if process is not None:
-            process.join(timeout=2.0 if wait else 0.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
+            _end_process(process, 2.0 if wait else 0.0)
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -514,15 +522,12 @@ class WorkerPool:
         the *next* request (or to the supervisor ping), silently
         desynchronizing the protocol.  Kill the process and drop the
         pipe instead — the supervisor respawns the slot on its next
-        sweep when ``restart=True``.  ``SIGKILL``, because a worker too
-        late to answer may be hung or stopped, and a stopped process
-        holds ``SIGTERM`` pending until it is continued.
+        sweep when ``restart=True``.
         """
         handle.alive = False
         handle.poisoned = True
         if handle.process is not None:
-            handle.process.kill()
-            handle.process.join(timeout=1.0)
+            _end_process(handle.process, 0.0)
         if handle.conn is not None:
             try:
                 handle.conn.close()
@@ -533,11 +538,8 @@ class WorkerPool:
 
     def _respawn(self, handle: _WorkerHandle) -> None:
         with handle.lock:
-            process = handle.process
-            if process is not None:
-                if process.is_alive():  # pragma: no cover - hung worker
-                    process.terminate()
-                process.join(timeout=2.0)
+            if handle.process is not None:
+                _end_process(handle.process, 0.0)
             if handle.conn is not None:
                 try:
                     handle.conn.close()
@@ -558,8 +560,7 @@ class WorkerPool:
         """Hard-kill one worker process (failover drills and tests)."""
         handle = self._handles[slot][replica]
         if handle.process is not None:
-            handle.process.kill()
-            handle.process.join(timeout=5.0)
+            _end_process(handle.process, 0.0)
 
     def await_healthy(self, timeout: float = 60.0) -> bool:
         """Block until every worker is :attr:`~_WorkerHandle.running`

@@ -86,7 +86,7 @@ from repro.storage.serialize import (
     _unpack_ragged,
     index_from_arrays,
     index_to_arrays,
-    read_sketch,
+    read_references,
 )
 
 logger = logging.getLogger(__name__)
@@ -1042,7 +1042,7 @@ class ColumnarStore:
                        first: int) -> Any:
         """The store-attached sketch of one shard (:meth:`load_sketch`)."""
         from repro.distance.eged import MetricEGED
-        from repro.search.sketch import SketchRows
+        from repro.search.sketch import SketchIndex, SketchRows
 
         base = log.segments[0]
         header = self._header(base)
@@ -1057,13 +1057,14 @@ class ColumnarStore:
         columns = self._columns(base, header, SKETCH_COLUMNS[:2], mmap=False)
         columns.update(self._columns(base, header, SKETCH_COLUMNS[2:], mmap))
         try:
-            sketch = read_sketch(
-                columns, sketch_meta,
-                np.arange(base_rows, dtype=np.int64),
-                SketchRows(reader=reader, n_attached=base_rows))
+            pivots, dists = read_references(columns, sketch_meta, base_rows)
         except SKETCH_PAYLOAD_ERRORS as exc:
             raise _corrupt(f"corrupt sketch tier in {self.path}: {exc}", exc,
                            path=self.path, rows=base_rows) from exc
+        sketch = SketchIndex()
+        sketch.pivots = pivots
+        sketch.attach_rows(np.arange(base_rows, dtype=np.int64), dists,
+                           SketchRows(reader=reader, n_attached=base_rows))
         if distance is None:
             distance = MetricEGED(meta["config"]["metric_gap"])
         for ops in self._delta_ops(log):

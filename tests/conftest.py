@@ -71,36 +71,3 @@ def tiny_video():
         make_vehicle((40, 200, 40)), name="car-left",
     ))
     return scene.render(12, fps=10.0, name="tiny")
-
-
-@pytest.fixture(scope="session")
-def attach_lazy_sketch():
-    """Swap an index's sketch tier for a store-style attached one.
-
-    Returns ``attach(index)``: the same rows, but bound the way
-    ``ColumnarStore.load_sketch`` binds them — base arrays plus a
-    :class:`~repro.search.sketch.SketchRows` provider over a
-    row-addressed reader (adds go to the tail, deletes stay
-    tombstones) — without needing a store on disk.
-    """
-    from repro.search.sketch import SketchIndex, SketchRows
-
-    class ListReader:
-        def __init__(self, pairs):
-            self.pairs = pairs
-
-        def record(self, row):
-            return self.pairs[row]
-
-    def attach(index):
-        eager = index.sketch_tier()
-        pairs = [eager.row_record(row) for row in range(len(eager))]
-        lazy = SketchIndex()
-        lazy.pivots = eager.pivots
-        lazy.attach_rows(eager.row_ids, eager.pivot_dists,
-                         SketchRows(reader=ListReader(pairs),
-                                    n_attached=len(pairs)))
-        index._sketches = lazy
-        return index
-
-    return attach

@@ -127,7 +127,7 @@ class TestColumnarRoundTrip:
         store = ColumnarStore(tmp_path / "sk")
         store.write_index(index)
         loaded = store.load_index()
-        assert loaded.shards[0]._sketches is not None
+        assert loaded.shards[0]._references is not None
         want = index.knn(ogs[0], 3, search_budget=8)
         got = loaded.knn(ogs[0], 3, search_budget=8)
         assert [d for d, _, _ in want] == [d for d, _, _ in got]

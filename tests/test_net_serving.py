@@ -336,6 +336,22 @@ class TestTimeoutPoisoning:
                 assert hits_of(again) == expected_knn(reference, query, K)
 
 
+class TestStoppedWorkerEnds:
+    def test_shutdown_ends_a_stopped_worker(self, store_path,
+                                            stopped_workers):
+        """A stopped worker can neither read ``stop`` nor act on
+        ``SIGTERM``; ``shutdown()`` still ends it after its grace
+        period.  (The fixture's teardown kills a survivor, so a failure
+        here ends the run instead of hanging it.)"""
+        config = WorkerPoolConfig(workers=1, restart=False,
+                                  heartbeat_interval=30.0)
+        with WorkerPool(store_path, config) as pool:
+            process = pool._handles[0][0].process
+            with stopped_workers(pool):
+                pool.shutdown()
+                assert not process.is_alive()
+
+
 class TestShardSubset:
     """The coordinator sends a worker only its non-empty shards, so a
     worker whose assigned shards include empty ones is asked for a

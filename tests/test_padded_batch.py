@@ -275,7 +275,7 @@ class TestStoredColumnsAgainstOracle:
                 series = as_series(og)
                 assert og is records[row].og
                 assert sketch.row_ids[row] == records[row].row
-                assert list(sketch.pivot_dists[row]) == [
+                assert list(sketch.refs[row]) == [
                     np.float32(one(metric, pivot, series))
                     for pivot in sketch.pivots]
 

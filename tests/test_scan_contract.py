@@ -10,9 +10,9 @@
   the evaluations recorded when it replaced the cluster-order walk, and
   never more than that walk did (Fig. 7(b): 281.4 / 358.53 / 460.8 /
   547.8).
-- Every shard prunes with its sketch's reference columns, one set
+- Every shard prunes with its records' reference columns, one set
   shared by the shards: at 1, 2 and 4 shards, under either placement,
-  whether the sketch was built, attached the way a store attaches it,
+  whether the rows were built before the writes, attached after them,
   or loaded with the shard (eagerly or memory-mapped), exact k-NN and
   range answers equal a brute-force
   ranking through inserts, deletes, a BIC split and a same-id stranger
@@ -43,9 +43,9 @@ from repro.distance.bounds import distinct_reference_sets
 from repro.distance.eged import EGED, MetricEGED
 from repro.graph.object_graph import ObjectGraph
 from repro.search.request import SearchRequest
-from repro.search.sketch import approx_knn, sketch_from_meta
+from repro.search.sketch import approx_knn
 from repro.serving import LiveIndex, ShardedIndex, ShardedIndexConfig
-from repro.storage.serialize import leaf_ogs
+from repro.storage.serialize import leaf_ogs, read_references
 from repro.storage.store import open_store
 from test_index_properties import random_ogs
 from test_strg_index import make_background
@@ -92,7 +92,7 @@ class TestOneShardIsTheIndex:
         assert (0.0, member.og_id) in [(d, og_id) for d, og_id, _ in itself]
         assert flat(sharded.range_query(member, 0.0)) == itself
         # Exact reads build no sketch: both layers scanned on keys alone.
-        assert index._sketches is None
+        assert index._references is None
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 8),
@@ -242,25 +242,21 @@ class TestOneShardIsTheIndex:
                 assert spent[1] == spent[0] > 0
 
 
-SKETCHES = ["built", "attached", "loaded", "mmap"]
+SKETCHES = ["built", "late", "loaded", "mmap"]
 
 
-def sketched(index: ShardedIndex, how: str, attach_lazy_sketch, workdir: str
-             ) -> ShardedIndex:
-    """``index`` with a sketch tier on every non-empty shard, as ``how``
-    names: built in place, swapped for a store-style attached one, or
-    written to a store under ``workdir`` and loaded back with the
-    shards."""
+def sketched(index: ShardedIndex, how: str, workdir: str) -> ShardedIndex:
+    """``index`` with reference rows on every non-empty shard, as ``how``
+    names: built in place, or written to a store under ``workdir`` and
+    loaded back with the shards."""
     for shard in index.shards:
         if len(shard):
             shard.sketch_tier()
-            if how == "attached":
-                attach_lazy_sketch(shard)
     if how in ("loaded", "mmap"):
         store = open_store(f"{workdir}/corpus")
         store.write_index(index)
         index = store.load_index(mmap=how == "mmap")
-        assert all(shard._sketches is not None
+        assert all(shard._references is not None
                    for shard in index.shards if len(shard))
     return index
 
@@ -304,8 +300,7 @@ class TestPivotTablePruning:
            radius=st.floats(0.0, 400.0))
     @settings(max_examples=3, deadline=None)
     def test_exact_answers_through_writes(self, shards, placement, how,
-                                          attach_lazy_sketch, seed, k,
-                                          radius):
+                                          seed, k, radius):
         rng = np.random.default_rng(seed)
         ogs = random_ogs(rng, 64, n_blobs=6)
         # One cluster per shard over several blobs: a leaf past capacity
@@ -316,7 +311,8 @@ class TestPivotTablePruning:
                                   em_iterations=4, seed=seed)))
         index.build(ogs[:48])
         with tempfile.TemporaryDirectory() as workdir:
-            index = sketched(index, how, attach_lazy_sketch, workdir)
+            if how != "late":
+                index = sketched(index, how, workdir)
             for og in ogs[48:60]:
                 index.insert(og)
             assert index.num_clusters() > len(
@@ -332,12 +328,14 @@ class TestPivotTablePruning:
             if how in ("loaded", "mmap"):
                 # Written while the stranger shares the victim's og_id:
                 # each object must come back with its own stored row.
-                index = sketched(index, how, attach_lazy_sketch,
-                                 f"{workdir}/again")
+                index = sketched(index, how, f"{workdir}/again")
                 members = [og for og in index.object_graphs()
                            if not np.array_equal(og.values, stranger.values)]
                 (victim,) = [og for og in members
                              if np.array_equal(og.values, victim.values)]
+            elif how == "late":
+                # Attached after the inserts, the split and the stranger.
+                index = sketched(index, "built", workdir)
             queries = (ogs[60], ogs[61], stranger, victim)
             answers_exactly(index, queries, k, radius)
             for pick in rng.choice(len(members), size=4, replace=False):
@@ -348,12 +346,12 @@ class TestPivotTablePruning:
         # Every view pruned with the one reference set (a reopened
         # store's shards each hold an equal copy), none on keys alone.
         sets, _ = distinct_reference_sets(
-            [shard._sketches.pivots for shard in index.shards
+            [shard._references for shard in index.shards
              if len(shard)])
         assert len(sets) == 1
         for shard in index.shards:
             if len(shard):
-                pivots = shard._sketches.pivots
+                pivots = shard._references
                 assert all(view.pivots is pivots
                            and view.refs.shape[1] == len(pivots)
                            for view in shard._cluster_views(None))
@@ -425,7 +423,7 @@ class TestPivotTablePruning:
             for shard in loaded.shards:
                 shard._cluster_views(None)
                 assert len(shard._views.pivots) > 0
-                assert shard._views.pivots is shard._sketches.pivots
+                assert shard._views.pivots is shard._references
             assert obs.metrics().get("distance.pairs_computed", 0) == 0
         finally:
             obs.configure(enabled=False, reset_state=True)
@@ -557,8 +555,10 @@ class TestSettingsOfFourPointZeroStillLoad:
         config = {"num_pivots": 8, "sig_length": 16, "grid": 4,
                   "heading_sectors": 8, "vote_share": 0.25,
                   "pivot_sample_size": 256, "seed": 0, "rerank_batch": 16}
-        sketch = sketch_from_meta(json.dumps(
+        columns = {"sketch_pivot_values": np.zeros((0, 2)),
+                   "sketch_pivot_offsets": np.array([0]),
+                   "sketch_pivot_dists": np.zeros((3, 0))}
+        pivots, dists = read_references(columns, json.dumps(
             {"config": config, "bbox_lo": [0.0, 0.0],
-             "bbox_hi": [4.0, 2.0]}))
-        assert sketch.pivots == [] and len(sketch) == 0
-        assert not hasattr(sketch, "bbox")
+             "bbox_hi": [4.0, 2.0]}), 3)
+        assert pivots == [] and dists.shape == (3, 0)

@@ -30,12 +30,7 @@ from repro.errors import IndexStateError, InvalidParameterError
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import MetricsRegistry, Tracer
 from repro.query import Query
-from repro.search import (
-    SearchRequest,
-    approx_knn,
-    sketch_from_meta,
-    sketch_meta_json,
-)
+from repro.search import SearchRequest, approx_knn
 from repro.search import sketch as sketch_mod
 from repro.serving import (
     LiveIndex,
@@ -45,6 +40,7 @@ from repro.serving import (
     ShardedIndexConfig,
 )
 from repro.storage.database import VideoDatabase
+from repro.storage.serialize import index_to_arrays, read_references
 from repro.storage.store import open_store
 
 
@@ -91,13 +87,21 @@ class TestSketchConfig:
         return json.dumps({"config": config, "bbox_lo": [0.0, 0.0],
                            "bbox_hi": [1.0, 1.0]})
 
+    @staticmethod
+    def read(meta):
+        """A one-reference, two-row payload read under ``meta``."""
+        columns = {"sketch_pivot_values": np.ones((3, 2)),
+                   "sketch_pivot_offsets": np.array([0, 3]),
+                   "sketch_pivot_dists": np.array([[1.0], [2.0]])}
+        return read_references(columns, meta, 2)
+
     def test_defaults_valid(self):
         # Every 13.x store recorded the defaults of its day.
-        sketch = sketch_from_meta(self.meta(self.RECORDED_13X))
-        assert sketch.pivots == [] and len(sketch) == 0
-        assert not hasattr(sketch, "bbox")
+        pivots, dists = self.read(self.meta(self.RECORDED_13X))
+        assert len(pivots) == 1 and dists.tolist() == [[1.0], [2.0]]
+        assert dists.dtype == np.float32
         with pytest.raises(ValueError):
-            sketch_from_meta("{")
+            self.read("{")
 
     @pytest.mark.parametrize("kwargs", [
         {"num_pivots": 0},
@@ -110,8 +114,8 @@ class TestSketchConfig:
         {"block_rows": 0},
     ])
     def test_invalid_parameters(self, kwargs):
-        sketch = sketch_from_meta(self.meta({**self.RECORDED_13X, **kwargs}))
-        assert sketch.pivots == [] and len(sketch) == 0
+        pivots, dists = self.read(self.meta({**self.RECORDED_13X, **kwargs}))
+        assert len(pivots) == 1 and dists.shape == (2, 1)
 
 
 class TestPivotLowerBounds:
@@ -166,8 +170,8 @@ class TestSketchIndex:
         index, ogs = small
         sketch = index.sketch_tier()
         assert len(sketch) == len(ogs)
-        assert sketch.pivot_dists.shape == (len(ogs), len(sketch.pivots))
-        assert sketch.pivot_dists.dtype == np.float32
+        assert sketch.refs.shape == (len(ogs), len(sketch.pivots))
+        assert sketch.refs.dtype == np.float32
         # Every centroid, then the greedy's top-up.
         centroids = [record.centroid for record in index.cluster_records()]
         assert len(sketch.pivots) == max(sketch_mod.MIN_REFERENCES,
@@ -186,25 +190,31 @@ class TestSketchIndex:
         assert first is not second
         assert all(np.array_equal(a, b)
                    for a, b in zip(first.pivots, second.pivots, strict=True))
-        assert first.pivot_dists.tobytes() == second.pivot_dists.tobytes()
-        assert np.all(first.pivot_dists >= 0)
+        assert first.refs.tobytes() == second.refs.tobytes()
+        assert np.all(first.refs >= 0)
 
     def test_meta_round_trip(self, small):
+        """A snapshot stores the marker ``"{}"`` beside the columns, and
+        reads back the references and rows the records carry."""
         index, _ = small
         sketch = index.sketch_tier()
-        clone = sketch_from_meta(sketch_meta_json(sketch))
-        assert json.loads(sketch_meta_json(sketch)) == {}
-        assert clone.pivots == [] and len(clone) == 0
+        arrays, meta = index_to_arrays(index)
+        assert json.loads(meta["sketch_meta"]) == {}
+        pivots, dists = read_references(arrays, meta["sketch_meta"],
+                                        len(index))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(pivots, sketch.pivots, strict=True))
+        assert dists.tobytes() == np.ascontiguousarray(sketch.refs).tobytes()
 
     def test_remove_keeps_alignment(self, small):
         index, ogs = small
-        sketch = index.sketch_tier()
+        before = len(index.sketch_tier())
         victim = index.record_of(ogs[5].og_id).row
-        before = len(sketch)
-        sketch.remove(victim)
+        assert index.delete_row(victim) is not None
+        sketch = index.sketch_tier()
         assert len(sketch) == before - 1
         assert victim not in set(sketch.row_ids.tolist())
-        assert sketch.pivot_dists.shape[0] == len(sketch)
+        assert sketch.refs.shape[0] == len(sketch)
 
 
 class TestApproxKnn:
@@ -213,7 +223,7 @@ class TestApproxKnn:
         ever built — the default is bit-identical to before."""
         index, ogs = small
         hits = index.knn(ogs[0], 10)
-        assert index._sketches is None
+        assert index._references is None
         assert hits[0][1].og_id == ogs[0].og_id
 
     def test_large_budget_degenerates_to_exact(self, small):
@@ -293,22 +303,24 @@ class TestApproxKnn:
 class TestSketchMaintenance:
     def test_insert_appends_row(self, small):
         index, ogs = small
-        sketch = index.sketch_tier()
+        index.sketch_tier()
         extra = corpus(5, seed=42)
         rows = [index.insert(og) for og in extra]
+        sketch = index.sketch_tier()
         assert len(sketch) == len(ogs) + len(extra)
         # The maintained row must equal a from-scratch recomputation.
         row = np.where(sketch.row_ids == rows[0])[0][0]
         series = np.asarray(extra[0].values, dtype=np.float64)
         expect_pd = np.array([index.metric_distance(series, p)
                               for p in sketch.pivots])
-        assert np.allclose(sketch.pivot_dists[row], expect_pd)
+        assert np.allclose(sketch.refs[row], expect_pd)
 
     def test_delete_drops_row(self, small):
         index, ogs = small
-        sketch = index.sketch_tier()
+        index.sketch_tier()
         removed = index.delete(ogs[4].og_id)
         assert removed.og is ogs[4]
+        sketch = index.sketch_tier()
         assert removed.row not in set(sketch.row_ids.tolist())
         hits = index.knn(ogs[0], 10, search_budget=40)
         assert ogs[4].og_id not in ids(hits)
@@ -345,7 +357,7 @@ class TestSketchPersistence:
         store = open_store(tmp_path / "index")
         store.write_index(index)
         loaded = store.load_index()
-        assert loaded.shards[0]._sketches is not None  # came from the store
+        assert loaded.shards[0]._references is not None  # from the store
         after = loaded.knn(q, 8, search_budget=30)
         # og_ids are re-minted on load; compare by distance ordering.
         assert [d for d, _, _ in before] \
@@ -354,14 +366,14 @@ class TestSketchPersistence:
     def test_old_archive_without_sketch_falls_back(self, small, tmp_path):
         index, ogs = small
         # Never touch the sketch tier -> the store carries none.
-        assert index._sketches is None
+        assert index._references is None
         store = open_store(tmp_path / "plain")
         store.write_index(index)
         (loaded,) = store.load_index().shards
-        assert loaded._sketches is None
+        assert loaded._references is None
         hits = loaded.knn(ogs[0], 8, search_budget=30)  # lazy rebuild
         assert len(hits) == 8
-        assert loaded._sketches is not None
+        assert loaded._references is not None
 
 
 class TestShardedBudget:

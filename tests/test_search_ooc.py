@@ -12,8 +12,8 @@ with ``==``, orders compared as lists):
   VideoDatabase (sketch-only path, tree never built, monolithic and
   2/4-shard stores under both placements), ShardedIndex at 1/2/4
   shards, and the PR 9 worker pool;
-- tombstoned deletion equals eager physical deletion under interleaved
-  add/remove;
+- tombstoned deletion under interleaved add/remove equals a sketch
+  built from the survivors;
 - the row-addressed reader returns the same records the materialized
   index holds, without loading whole segments.
 """
@@ -139,24 +139,25 @@ class TestBlockedScanParity:
 
 
 class TestTombstoneParity:
-    def interleave(self, sketch, distance, extra, victims, *, eager):
-        """Apply the same add/remove schedule, compacting iff eager."""
-        for i, og in enumerate(extra):
-            sketch.add(distance, [og], [f"extra-{i}"])
-            if i < len(victims):
-                assert sketch.remove(victims[i])
-                if eager:
-                    assert sketch.compact_tombstones()
-
     def test_tombstones_equal_eager_deletion(self):
+        """Rows tombstoned between adds answer like a sketch built from
+        the survivors alone, row for row."""
         distance = MetricEGED(1.0)
         ogs = corpus(80, seed=5)
         extra = corpus(12, seed=55)
         lazy = built_sketch(ogs, distance)
-        eager = built_sketch(ogs, distance)
         victims = [3, 17, 44, 8, 60, 21]     # rows of a built sketch
-        self.interleave(lazy, distance, extra, victims, eager=False)
-        self.interleave(eager, distance, extra, victims, eager=True)
+        for i, og in enumerate(extra):
+            lazy.add(distance, [og], [f"extra-{i}"])
+            if i < len(victims):
+                assert lazy.remove(victims[i])
+        everything = [*ogs, *extra]
+        refs = [*(f"clip-{i}" for i in range(len(ogs))),
+                *(f"extra-{i}" for i in range(len(extra)))]
+        rows = [row for row in range(len(everything)) if row not in victims]
+        eager = SketchIndex.build(
+            distance, [everything[row] for row in rows],
+            [refs[row] for row in rows], rows, references=lazy.pivots)
         assert lazy.dead_rows == len(victims)
         assert eager.dead_rows == 0
         assert len(lazy) == len(eager)
@@ -168,24 +169,6 @@ class TestTombstoneParity:
             assert hit_sig(got) == hit_sig(want)
             assert [og.og_id for _, og, _ in got] \
                 == [og.og_id for _, og, _ in want]
-
-    def test_owned_sketch_autocompacts_past_threshold(self):
-        distance = MetricEGED(1.0)
-        ogs = corpus(24, seed=9)
-        sketch = built_sketch(ogs, distance)
-        threshold = sketch_mod.TOMBSTONE_COMPACT_MIN
-        try:
-            sketch_mod.TOMBSTONE_COMPACT_MIN = 4
-            # Compaction needs both the count floor AND the dead
-            # fraction (25% of 24 rows = 6).
-            for row in range(5):
-                assert sketch.remove(row)
-            assert sketch.dead_rows == 5
-            assert sketch.remove(5)
-            assert sketch.dead_rows == 0  # compacted in place
-            assert len(sketch) == len(ogs) - 6
-        finally:
-            sketch_mod.TOMBSTONE_COMPACT_MIN = threshold
 
     def test_remove_missing_and_double_remove(self):
         distance = MetricEGED(1.0)
@@ -259,9 +242,15 @@ class TestStoreAttachedSketch:
 
     @pytest.mark.parametrize("form", ["load_sketch", "load_index"])
     def test_live_adds_go_to_tail_not_mmap_base(self, tmp_path, form):
-        """Store-attached and tree-loaded sketches share one layout:
-        adds land in the tail, the mapped base stays the same object."""
+        """Adds never copy the mapped rows: a store-attached sketch's go
+        to its tail, a tree-loaded index's to new records, and the
+        stored rows stay views of the mapped column."""
         import mmap as mmap_mod
+
+        def mapped(rows):
+            while getattr(rows, "base", None) is not None:
+                rows = rows.base
+            return isinstance(rows, (np.memmap, mmap_mod.mmap))
 
         ogs = corpus(40, seed=51)
         store, _ = store_with_sketch(tmp_path, ogs, name="tail")
@@ -270,24 +259,25 @@ class TestStoreAttachedSketch:
             [sketch] = store.load_sketch(mmap=True)
             base = sketch._pd
             sketch.add(sketch.replay_distance, extra, refs)
+            assert sketch._pd is base  # mmap base untouched by the adds
 
             def search(q, k, budget):
                 return budgeted_knn(sketch, sketch.replay_distance, q, k,
                                     budget)
         else:
             index = store.load_index(mmap=True)
-            sketch = index.shards[0]._sketches
-            base = sketch._pd
+            shard = index.shards[0]
             for og, ref in zip(extra, refs):
                 index.insert(og, None, ref)
+            stored = [r.refs for r in shard.leaf_records()
+                      if r.row < len(ogs)]
+            assert len(stored) == len(ogs) and all(map(mapped, stored))
+            base = stored[0]
+            sketch = shard.sketch_tier()
 
             def search(q, k, budget):
                 return index.knn(q, k, search_budget=budget)
-        mapped = base
-        while getattr(mapped, "base", None) is not None:
-            mapped = mapped.base
-        assert isinstance(mapped, (np.memmap, mmap_mod.mmap))
-        assert sketch._pd is base  # mmap base untouched by the adds
+        assert mapped(base)
         assert len(sketch) == len(ogs) + 3
         got = search(extra[0], 1, len(sketch) + 20)
         assert got[0][2] == "a"
@@ -295,7 +285,8 @@ class TestStoreAttachedSketch:
     def test_bad_sketch_columns_follow_each_readers_policy(self, tmp_path,
                                                           caplog):
         """One reader of the ``sketch_*`` columns, two policies: a tree
-        load warns and rebuilds the tier, ``load_sketch`` raises."""
+        load warns and fits the references again, ``load_sketch``
+        raises."""
         ogs = corpus(40, seed=53)
         store, index = store_with_sketch(tmp_path, ogs, name="bad")
         def split_rows(header):           # same bytes, twice the rows
@@ -309,7 +300,7 @@ class TestStoreAttachedSketch:
             store.load_sketch()
         with caplog.at_level("WARNING"):
             loaded = store.load_index(mmap=True)
-        assert loaded.shards[0]._sketches is None
+        assert loaded.shards[0]._references is None
         assert "unreadable sketch payload" in caplog.text
         q = corpus(1, seed=54)[0]
         assert hit_sig(loaded.knn(q, 5, search_budget=30)) \
@@ -346,7 +337,7 @@ class TestStoreAttachedSketch:
         [sketch] = store.load_sketch()
         with caplog.at_level("WARNING"):
             loaded = store.load_index(mmap=True)
-        assert loaded.shards[0]._sketches is not None
+        assert loaded.shards[0]._references is not None
         assert "unreadable sketch payload" not in caplog.text
         for q in queries:
             want = hit_sig(index.knn(q, 5, search_budget=30))
@@ -439,8 +430,6 @@ class TestRowReader:
         rows.record(1), rows.record(2)          # evicts row 0
         assert rows.record(0) is not first      # refetched, equal content
         assert np.array_equal(rows.record(0)[0].values, first[0].values)
-        with pytest.raises(InvalidParameterError):
-            rows.compact(np.arange(3))
 
 
 #: Store shapes the database must answer out of core: ``(shards,

@@ -123,10 +123,11 @@ class TestShardedIndexBasics:
         assert len(index) == 33
         hits = index.knn(extra, 1)
         assert hits[0][1].og_id == extra.og_id
-        # The read rebuilt the written shard's views over its sketch.
+        # The read rebuilt the written shard's views over its records'
+        # reference rows.
         for shard in index.shards:
             assert shard._views.mutations == shard.mutations
-            assert shard._views.sketch is shard._sketches is not None
+            assert shard._views.pivots is shard._references is not None
         assert index.delete(extra.og_id)
         assert not index.delete(extra.og_id)
         assert len(index) == 32

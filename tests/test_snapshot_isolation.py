@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core.index import STRGIndex, STRGIndexConfig
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
-from repro.search.sketch import TOMBSTONE_COMPACT_MIN
 from repro.serving import LiveIndex, ShardedIndex, ShardedIndexConfig
 
 K = 3
@@ -30,11 +29,13 @@ BUDGET = 24
 CONFIG = STRGIndexConfig(n_clusters=4, leaf_capacity=24, em_iterations=6)
 BASE = {"mono": 128, "sharded": 160}
 EXTRA = 24
+#: Deletes in one ``purge``: a run of the largest tree's leaf order.
+PURGE = 64
 
 OPS = st.one_of(
     st.tuples(st.just("insert"), st.integers(1, 4)),
     st.tuples(st.just("delete"), st.integers(0, 10_000)),
-    st.tuples(st.just("purge"), st.just(TOMBSTONE_COMPACT_MIN)),
+    st.tuples(st.just("purge"), st.just(PURGE)),
     st.tuples(st.just("compact"), st.just(0)),
 )
 
@@ -51,12 +52,13 @@ def query():
 
 
 @pytest.fixture(scope="module", params=[
-    (shape, rows) for shape in ("mono", "sharded")
-    for rows in ("eager", "lazy")], ids="-".join)
-def seed_index(request, corpus, attach_lazy_sketch):
-    """A built index with its sketch tier, never mutated: every example
-    starts from a deep copy."""
-    shape, rows = request.param
+    (shape, when) for shape in ("mono", "sharded")
+    for when in ("eager", "late")], ids="-".join)
+def seed_index(request, corpus):
+    """A built index, never mutated: every example starts from a deep
+    copy.  ``eager``: it holds its reference rows; ``late``: the first
+    observation attaches them to the published (frozen) snapshot."""
+    shape, when = request.param
     ogs = corpus[:BASE[shape]]
     refs = [{"row": i} for i in range(len(ogs))]
     if shape == "mono":
@@ -68,10 +70,9 @@ def seed_index(request, corpus, attach_lazy_sketch):
             num_shards=2, placement="affine", index=CONFIG))
         index.build(ogs, clip_refs=refs)
         trees = index.shards
-    for tree in trees:
-        tree.sketch_tier()
-        if rows == "lazy":
-            attach_lazy_sketch(tree)
+    if when == "eager":
+        for tree in trees:
+            tree.sketch_tier()
     return index, corpus[-EXTRA:]
 
 
@@ -97,13 +98,17 @@ def _observe(index, query, radius) -> tuple:
     def sig(hits):
         return [(d, og.og_id, ref) for d, og, ref in hits]
 
+    # The budgeted read first: it attaches a late tier over the index's
+    # one reference set.
+    budgeted = sig(index.knn(query, K, search_budget=BUDGET))
     return (
         len(index),
         [(r.key, r.og.og_id, r.clip_ref) for tree in _trees(index)
          for cluster in tree.cluster_records() for r in cluster.leaf],
-        [tree.sketch_tier().row_ids.tolist() for tree in _trees(index)],
+        [(tree.sketch_tier().row_ids.tolist(),
+          tree.sketch_tier().refs.tobytes()) for tree in _trees(index)],
         sig(index.knn(query, K)),
-        sig(index.knn(query, K, search_budget=BUDGET)),
+        budgeted,
         sig(index.range_query(query, radius)),
     )
 
@@ -111,11 +116,11 @@ def _observe(index, query, radius) -> tuple:
 @settings(max_examples=3, deadline=None)
 @given(before=st.lists(OPS, max_size=3),
        after=st.lists(OPS, min_size=1, max_size=5))
-# A split, then a purge that compacts the sketch's tombstones, then
-# inserts over the compacted arrays — all past the held snapshot.
+# A split, then a purge of many rows, then inserts — all past the held
+# snapshot.
 @example(before=[("insert", 4), ("delete", 7)],
          after=[("insert", 4), ("compact", 0),
-                ("purge", TOMBSTONE_COMPACT_MIN), ("insert", 4)])
+                ("purge", PURGE), ("insert", 4)])
 def test_held_snapshot_never_changes(seed_index, query, before, after):
     seed, fresh = seed_index
     live = LiveIndex(_deep(seed))
@@ -134,8 +139,7 @@ def test_held_snapshot_never_changes(seed_index, query, before, after):
             elif op == "compact":
                 live.compact()
             else:
-                # Victims come from the largest tree, so a purge crosses
-                # that tree's tombstone-compaction threshold.
+                # Victims come from the largest tree.
                 pool = list(max(_trees(shadow), key=len).object_graphs())
                 count = 1 if op == "delete" else arg
                 if len(pool) <= count:
@@ -149,6 +153,9 @@ def test_held_snapshot_never_changes(seed_index, query, before, after):
     held = live.compact()
     oracle = _deep(held.index)
     published = _observe(held.index, query, radius)
+    # A late tier is fitted on the state the held snapshot publishes:
+    # the unshared copy takes its own at the same point.
+    shadow.knn(query, K, search_budget=BUDGET)
 
     apply(after)
     newest = live.compact()

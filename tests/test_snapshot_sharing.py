@@ -56,11 +56,14 @@ def _sharded(ogs, placement):
     return index
 
 
-def _two_commits(live, corpus):
-    """Publish two snapshots; the second commit inserts one OG and
-    deletes another, and the first left a tombstone mask behind."""
+def _two_commits(live, corpus, attach=False):
+    """Publish two snapshots; each commit deletes an OG, and the second
+    also inserts one.  ``attach``: a budgeted read of the first snapshot
+    attaches its references before the second commit."""
     live.delete(corpus[3].og_id)
     before = live.compact().index
+    if attach:
+        before.search(SearchRequest.knn(corpus[0], 3, search_budget=40))
     live.insert(corpus[100], clip_ref={"row": 100})
     live.delete(corpus[5].og_id)
     after = live.compact().index
@@ -69,7 +72,7 @@ def _two_commits(live, corpus):
 
 def _assert_tree_forked(before: STRGIndex, after: STRGIndex,
                         deleted: set[int]) -> None:
-    """Own spine and sketch state, shared records, for one index pair."""
+    """Own spine, shared records and references, for one index pair."""
     assert after is not before
     assert after.root is not before.root
     shared = {}
@@ -89,23 +92,25 @@ def _assert_tree_forked(before: STRGIndex, after: STRGIndex,
     assert len(survivors) == len(shared) - len(deleted & set(shared))
     for record in survivors:
         assert record is shared[record.og.og_id]
+        assert record.refs is not None
 
-    sk_a, sk_b = before._sketches, after._sketches
-    assert sk_b is not sk_a and sk_b._rows is not sk_a._rows
-    assert sk_b._dead is not None and sk_b._dead is not sk_a._dead
-    assert sk_b.pivots is sk_a.pivots
-    assert sk_b._rows._records is not sk_a._rows._records
-    assert sk_b._ids is sk_a._ids        # the base: never copied
-
+    assert after._references is before._references
 
 class TestMonolithic:
-    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("when", ["eager", "late"])
     def test_commit_forks_spine_and_shares_records(
-            self, corpus, lazy, attach_lazy_sketch, no_deepcopy):
-        index = _mono(corpus[:96])
-        if lazy:
-            attach_lazy_sketch(index)
-        before, after = _two_commits(LiveIndex(index), corpus)
+            self, corpus, when, no_deepcopy):
+        """``late``: the references are attached to the first published
+        snapshot, between the commits; the next commit shares the
+        records that attach filed."""
+        if when == "eager":
+            index = _mono(corpus[:96])
+        else:
+            index = STRGIndex(NO_SPLIT)
+            index.build(corpus[:96],
+                        clip_refs=[{"row": i} for i in range(96)])
+        before, after = _two_commits(LiveIndex(index), corpus,
+                                     attach=when == "late")
         assert len(before) == 95 and len(after) == 95
         assert before.frozen and after.frozen
         _assert_tree_forked(before, after, {corpus[5].og_id})
@@ -137,20 +142,25 @@ class TestMonolithic:
 
 
 class TestSharded:
-    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("when", ["eager", "late"])
     def test_commit_clones_only_the_written_shard(
-            self, corpus, lazy, attach_lazy_sketch, no_deepcopy):
+            self, corpus, when, no_deepcopy):
         # Hash placement: og_id parity names the shard, so the test can
-        # aim both writes of the second commit at one shard.
-        index = _sharded(corpus[:96], "hash")
-        if lazy:
-            for shard in index.shards:
-                attach_lazy_sketch(shard)
+        # aim both writes of the second commit at one shard.  ``late``:
+        # the references are attached to the first published snapshot.
+        if when == "eager":
+            index = _sharded(corpus[:96], "hash")
+        else:
+            index = ShardedIndex(ShardedIndexConfig(
+                num_shards=2, placement="hash", index=NO_SPLIT))
+            index.build(corpus[:96])
         parity = corpus[100].og_id % 2
         same = [og for og in corpus[:96] if og.og_id % 2 == parity]
         live = LiveIndex(index)
         live.delete(same[0].og_id)
         before = live.compact().index
+        if when == "late":
+            before.search(SearchRequest.knn(corpus[0], 3, search_budget=40))
         before.knn(corpus[0], 3)        # builds every shard's scan views
         views = [shard._views for shard in before.shards]
         live.insert(corpus[100])

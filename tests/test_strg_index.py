@@ -8,6 +8,7 @@ from repro.core.nodes import LeafNode, LeafRecord
 from repro.core.size import index_size_bytes, strg_raw_size_bytes
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.base import CountingDistance
+from repro.distance.batch import pairwise_matrix
 from repro.distance.eged import MetricEGED
 from repro.errors import IndexStateError, InvalidParameterError
 from repro.graph.attributes import NodeAttributes
@@ -320,17 +321,21 @@ class TestInsertAndSplit:
         assert [h[0] for h in hits] == pytest.approx(brute)
 
 
-def live_row_objects(sketch) -> set[int]:
-    """Identities of the OGs behind the sketch's live (untombstoned) rows."""
-    dead = (sketch._dead if sketch._dead is not None
-            else np.zeros(sketch._num_raw(), dtype=bool))
-    return {id(sketch.row_record(row)[0]) for row in np.flatnonzero(~dead)}
+def assert_refs_hold(index) -> None:
+    """Every leaf record's ``refs`` row is its OG's float32 distance to
+    each reference series of the index."""
+    records = list(index.leaf_records())
+    want = pairwise_matrix(index.metric_distance, index._references,
+                           [record.og for record in records]).T
+    for record, row in zip(records, want.astype(np.float32)):
+        assert record.refs.dtype == np.float32
+        assert record.refs.tobytes() == row.tobytes()
 
 
 class TestDeleteWithRepeatedIds:
     def test_tree_and_sketch_drop_the_same_object(self):
-        """A delete by og_id drops one leaf; the sketch must tombstone
-        the row of that very OG, not the first row carrying the id."""
+        """A delete by og_id drops one leaf; its reference row goes with
+        that very OG, not with the first row carrying the id."""
         ogs = blob_ogs(k=4, n_per=40)
         ogs = [ogs[i] for i in np.random.default_rng(0).permutation(160)]
         victims, strangers = ogs[:120], ogs[120:]
@@ -344,10 +349,13 @@ class TestDeleteWithRepeatedIds:
         for victim, stranger in pairs:
             assert index.delete(victim.og_id)
             leaves = {id(og) for og in index.object_graphs()}
-            assert live_row_objects(index._sketches) == leaves
+            table = index.sketch_tier()
+            assert {id(table.row_record(row)[0])
+                    for row in range(len(table))} == leaves
             hits = index.knn(stranger, 1, search_budget=60)
             assert all(id(og) in leaves for _, og, _ in hits)
-        assert len(index) == len(index._sketches) == 120
+        assert len(index) == len(index.sketch_tier()) == 120
+        assert_refs_hold(index)
 
 
 class TestBackgroundRouting:
