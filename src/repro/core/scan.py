@@ -43,7 +43,7 @@ from repro.distance.batch import one_vs_many
 from repro.distance.bounds import distinct_reference_sets, pivot_lower_bounds
 from repro.observability import OBS
 from repro.search.request import TopK, hit_key
-from repro.search.sketch import _exact_top
+from repro.search.sketch import shortlist
 
 #: Candidates per kernel sweep of every k-NN, exact or budgeted; the
 #: first sweep is 2k when 4k <= WINDOW.  Larger windows amortise the
@@ -135,14 +135,14 @@ class ScanViews:
                    qd: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The ``max(k, budget)`` rows with the smallest ``(reference
-        bound, row id)``, as ``(rows, bounds)`` in that order.  ``qd``
-        is the query's distance to each reference when the caller
-        already swept them; otherwise they are swept here."""
+        bound, row id)``, as ``(rows, bounds)`` in that order
+        (:func:`~repro.search.sketch.shortlist`).  ``qd`` is the query's
+        distance to each reference when the caller already swept them;
+        otherwise they are swept here."""
         if qd is None:
             qd = one_vs_many(distance, series, self.pivots)
-        lbs = pivot_lower_bounds(qd, self.refs)
-        top = _exact_top(max(k, budget), (lbs, self.row_ids))
-        return top, lbs[top]
+        return shortlist(qd, ((self.refs, None),), self.row_ids,
+                         max(k, budget))
 
     def row_series(self, row: int) -> np.ndarray:
         # An OG's values are already its (n, d) float64 series.

@@ -39,16 +39,21 @@ Storage
 A reference column holds ``float32(d)``, whose rounding
 :func:`~repro.distance.bounds.pivot_lower_bounds` subtracts; the
 in-memory rows are float32 too, so a live index and its reloaded store
-bound — and answer — bit for bit alike.  A :class:`SketchIndex` has
-one layout: *base* arrays (``row_ids``, ``pivot_dists``) that are
-never written in place — bound by :meth:`SketchIndex.attach_rows`,
-often as zero-copy views of a columnar store's mmap'd sketch columns
-— an owned *tail* every :meth:`SketchIndex.add` appends to (the
-store's delta replay), and a tombstone mask its deletes set.  The
-store's segment merge reclaims tombstoned rows.  One row provider,
-:class:`SketchRows`, returns each row's ``(og, clip_ref)`` record: the
-first rows may stream lazily from the store's row-addressed read path
-(see ``ColumnarStore.load_sketch``), the rest are held in memory.
+bound — and answer — bit for bit alike.  A store's
+:class:`SketchIndex` is opened in one pass and never written after:
+its *base* rows are the base segment's reference column, often a
+zero-copy view of the mmap'd column, under one fixed live mask; its
+delta inserts still live are measured once, by one
+:meth:`SketchIndex.add`, into an owned *tail*.  The store's segment
+merge reclaims dead rows.  One row provider, :class:`SketchRows`,
+returns each row's ``(og, clip_ref)`` record: a store's stream lazily
+from its row-addressed read path (see ``ColumnarStore.load_sketch``),
+a built table's are held in memory.
+
+Both kinds of table — ``ScanViews`` and :class:`SketchIndex` — give
+:func:`approx_knn` the same parts: ``pivots``, ``len``,
+``candidates`` (:func:`shortlist`), ``row_series`` and
+``row_record``.
 
 Tables hold no reference to a distance object: the caller passes its
 metric into every call, so counting wrappers count every evaluation in
@@ -87,48 +92,40 @@ PIVOT_SEED = 0
 
 
 class SketchRows:
-    """The ``(og, clip_ref)`` record of every raw sketch row.
+    """The ``(og, clip_ref)`` record of each row of a table, by index row.
 
-    Rows ``[0, n_attached)`` are read on demand from an optional store
-    ``reader`` — ``record(row) -> (og, clip_ref)`` backed by
-    offsets-table slicing, see ``ColumnarStore.row_reader`` — through an
-    LRU of :data:`ROW_CACHE_SIZE` rows that keeps hot shortlist rows
-    warm across queries.  Every later row (all of them when there is no
-    reader: a built sketch) sits in an in-memory list, so those paths
-    never touch the LRU.
+    A store's table reads every record, base and delta rows alike, on
+    demand from the store's ``reader`` — ``record(row) -> (og,
+    clip_ref)`` backed by offsets-table slicing, see
+    ``ColumnarStore.row_reader`` — through an LRU of
+    :data:`ROW_CACHE_SIZE` rows that keeps hot shortlist rows warm
+    across queries.  A built table (no ``reader``) holds every record
+    it was given.
     """
 
-    def __init__(self, records: Sequence[tuple[ObjectGraph, Any]] = (),
-                 reader: Any = None, n_attached: int = 0):
+    def __init__(self, reader: Any = None):
         self.reader = reader
-        self._attached = int(n_attached)
-        self._cache: OrderedDict[int, tuple[ObjectGraph, Any]] = OrderedDict()
-        self._records: list[tuple[ObjectGraph, Any]] = list(records)
+        self._records: OrderedDict[int, tuple[ObjectGraph, Any]] = \
+            OrderedDict()
 
-    def __len__(self) -> int:
-        return self._attached + len(self._records)
-
-    def append(self, pairs: list[tuple[ObjectGraph, Any]]) -> None:
-        self._records.extend(pairs)
+    def add(self, rows: np.ndarray,
+            pairs: Sequence[tuple[ObjectGraph, Any]]) -> None:
+        """Hold the records of ``rows`` — a built table's only: a
+        store's reader reads its own."""
+        if self.reader is None:
+            self._records.update(zip(rows.tolist(), pairs))
 
     def record(self, row: int) -> tuple[ObjectGraph, Any]:
-        if row >= self._attached:
-            return self._records[row - self._attached]
-        pair = self._cache.get(row)
+        if self.reader is None:
+            return self._records[row]
+        pair = self._records.get(row)
         if pair is not None:
-            self._cache.move_to_end(row)
+            self._records.move_to_end(row)
             return pair
-        pair = self.reader.record(row)
-        self._cache[row] = pair
-        if len(self._cache) > ROW_CACHE_SIZE:
-            self._cache.popitem(last=False)
+        pair = self._records[row] = self.reader.record(row)
+        if len(self._records) > ROW_CACHE_SIZE:
+            self._records.popitem(last=False)
         return pair
-
-    def series_at(self, row: int) -> np.ndarray:
-        # An OG's values are already its (n, d) float64 series; a
-        # store-read OG's are the zero-copy slice the reader cut out of
-        # the mmap'd og_values column.
-        return self.record(row)[0].values
 
 
 # -- reference sets ---------------------------------------------------------
@@ -215,80 +212,78 @@ def _exact_top(m: int, keys: tuple[np.ndarray, ...]) -> np.ndarray:
     return cand[order[:m]]
 
 
+def shortlist(qd: np.ndarray,
+              blocks: Sequence[tuple[np.ndarray, np.ndarray | None]],
+              row_ids: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``m`` rows of a table with the smallest ``(reference bound,
+    row id)``, as ``(positions, bounds)`` in that order — the one
+    selection of every budgeted read.
+
+    ``qd`` is the query's distance to each reference.  The table's
+    float32 reference rows come in ``blocks`` of ``(rows, live)``:
+    ``live`` masks the rows of a block that the table holds (``None``:
+    all of them).  ``row_ids`` are the index rows of the held rows, in
+    block order; a position counts held rows only."""
+    bounds = [pivot_lower_bounds(qd, refs) if live is None
+              else pivot_lower_bounds(qd, refs)[live]
+              for refs, live in blocks]
+    lbs = bounds[0] if len(bounds) == 1 else np.concatenate(bounds)
+    top = _exact_top(m, (lbs, row_ids))
+    return top, lbs[top]
+
+
 class SketchIndex:
     """Flat-array reference columns over a corpus of Object Graphs: the
     table of a store read without the tree (``ColumnarStore.load_sketch``)
     or of a bare list (:meth:`build`).
 
-    Row ``i`` of every array describes the same OG: ``row_ids[i]`` (its
-    row in the owning index) and ``pivot_dists[i]`` (its float32
-    distance to each reference series of :attr:`pivots`).  The public
-    arrays are live views: tombstoned rows are already filtered out.
-    Internally rows live in a *base* part that is never written in
-    place — RAM arrays or zero-copy mmap views bound by
-    :meth:`attach_rows` — then an owned *tail* every :meth:`add`
-    appends to, so replayed adds never force an mmap base into RAM.
-    Raw rows are numbered base then tail.  ``(og, clip_ref)`` records
-    come from a :class:`SketchRows` provider and may be materialized
-    lazily from the store's row-addressed read path.
+    Position ``i`` is the ``i``-th row the table holds: ``row_ids[i]``
+    (its row in the owning index or store) and ``pivot_dists[i]`` (its
+    float32 distance to each reference series of :attr:`pivots`);
+    :meth:`row_record` and :meth:`row_series` take positions, as
+    ``ScanViews``' do.  The reference rows are two blocks: a *base*
+    that is never written — a store's base segment column, often a
+    zero-copy mmap view of it, under one fixed live mask — then the
+    rows :meth:`add` appends.  A store's table is opened in one pass
+    (its live delta inserts are its one :meth:`add`) and never changes
+    after.  ``(og, clip_ref)`` records come from a :class:`SketchRows`
+    provider.
     """
 
-    def __init__(self):
+    def __init__(self, pivots: list[np.ndarray] | None = None,
+                 base: np.ndarray | None = None,
+                 live: np.ndarray | None = None,
+                 rows: SketchRows | None = None):
+        """A table over ``base``, the ``(n, len(pivots))`` float32
+        reference rows of index rows ``0 .. n - 1`` (what
+        ``repro.storage.serialize.read_references`` checks and returns),
+        of which ``live`` masks the rows held (``None``: all of them);
+        ``rows`` gives their records."""
         #: The reference series, fixed when the tier is built and equal
         #: across every shard of a corpus.
-        self.pivots: list[np.ndarray] = []
-        self._ids, self._pd = self._empty_part(0)
-        self._tail_ids, self._tail_pd = self._empty_part(0)
-        self._rows = SketchRows()
-        self._dead: np.ndarray | None = None
-        self._n_dead = 0
-        #: Set by ``ColumnarStore.load_sketch`` to the metric it bound
-        #: for delta replay — a convenience for callers running the
-        #: sketch-only query path without a materialized index.  The
-        #: sketch itself never calls it (see the module docstring).
+        self.pivots: list[np.ndarray] = [] if pivots is None else pivots
+        empty = np.empty((0, len(self.pivots)), dtype=np.float32)
+        self._base = empty if base is None else base
+        self._live = live
+        self._tail = empty
+        held = np.arange(len(self._base), dtype=np.int64)
+        self.row_ids: np.ndarray = held if live is None else held[live]
+        self._rows = SketchRows() if rows is None else rows
+        #: Set by ``ColumnarStore.load_sketch`` to the metric it measured
+        #: the delta inserts with — a convenience for callers running
+        #: the sketch-only query path without a materialized index.
+        #: The sketch itself never calls it (see the module docstring).
         self.replay_distance: Any = None
-
-    # -- public array views ------------------------------------------------
-
-    @property
-    def row_ids(self) -> np.ndarray:
-        """Live index row per raw row (tombstoned rows filtered out)."""
-        return self._live(self._cat(self._ids, self._tail_ids))
 
     @property
     def pivot_dists(self) -> np.ndarray:
-        """Live float32 reference columns, one per reference series."""
-        return self._live(self._cat(self._pd, self._tail_pd))
-
-    @property
-    def dead_rows(self) -> int:
-        """Tombstoned rows (0 on the clean path)."""
-        return self._n_dead
-
-    @staticmethod
-    def _empty_part(num_pivots: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(row_ids, pivot_dists)`` arrays of zero rows."""
-        return (np.empty(0, dtype=np.int64),
-                np.empty((0, num_pivots), dtype=np.float32))
-
-    @staticmethod
-    def _cat(base: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        if len(tail) == 0:
-            return base
-        if len(base) == 0:
-            return tail
-        return np.concatenate([base, tail])
-
-    def _live(self, arr: np.ndarray) -> np.ndarray:
-        if self._n_dead == 0:
-            return arr
-        return arr[~self._dead]
-
-    def _num_raw(self) -> int:
-        return len(self._ids) + len(self._tail_ids)
+        """The held rows' float32 reference columns, by position."""
+        base = self._base if self._live is None else self._base[self._live]
+        return np.concatenate([base, self._tail]) if len(base) \
+            else self._tail
 
     def __len__(self) -> int:
-        return self._num_raw() - self._n_dead
+        return len(self.row_ids)
 
     # -- construction ------------------------------------------------------
 
@@ -299,110 +294,64 @@ class SketchIndex:
               references: list[np.ndarray] | None = None) -> "SketchIndex":
         """Sketch every one of ``ogs`` against ``references`` (``None``:
         :func:`fit_references` over ``ogs`` alone)."""
-        sketch = cls()
-        sketch.pivots = references or []
+        sketch = cls(references or None)
         sketch.add(distance, ogs, clip_refs, rows)  # an unfitted add fits
         return sketch
-
-    def attach_rows(self, row_ids: np.ndarray, pivot_dists: np.ndarray,
-                    rows: SketchRows) -> None:
-        """Bind base arrays (possibly zero-copy mmap views) + records:
-        ``pivot_dists`` is ``(len(row_ids), len(pivots))`` float32 (what
-        ``repro.storage.serialize.read_references`` checks and returns)
-        and ``rows`` the :class:`SketchRows` provider aligned with it.
-        The base is never written: later adds go to the tail."""
-        self._ids = np.asarray(row_ids, dtype=np.int64)
-        self._pd = pivot_dists
-        self._tail_ids, self._tail_pd = self._empty_part(len(self.pivots))
-        self._rows = rows
-        self._dead = None
-        self._n_dead = 0
-
-    # -- maintenance -------------------------------------------------------
 
     def add(self, distance, ogs: Sequence[ObjectGraph],
             clip_refs: Sequence[Any] | None = None,
             rows: Sequence[int] | None = None) -> None:
-        """Append sketch rows for ``ogs`` under their index ``rows``
-        (``None``: the rows after the largest; references stay fixed)."""
+        """Append rows for ``ogs`` under their index ``rows`` (``None``:
+        the rows after the largest; references stay fixed)."""
         ogs = list(ogs)
         if not ogs:
             return
         refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
         if rows is None:
-            first = 1 + int(self._cat(self._ids, self._tail_ids).max(
-                initial=-1))
+            first = 1 + int(self.row_ids.max(initial=len(self._base) - 1))
             rows = range(first, first + len(ogs))
         if not len(refs) == len(rows) == len(ogs):
             raise InvalidParameterError(
                 f"{len(ogs)} OGs, {len(refs)} clip refs, {len(rows)} rows"
             )
         # The first rows of an unfitted sketch fit its references.
-        self.pivots, new_pd = reference_rows(distance, self.pivots, ogs)
+        self.pivots, new = reference_rows(distance, self.pivots, ogs)
         # The base is never written (often mmap views): growth goes to
-        # the owned tail, rebound rather than written in place.
-        self._tail_ids = self._cat(self._tail_ids,
-                                   np.asarray(rows, dtype=np.int64))
-        self._tail_pd = self._cat(self._tail_pd, new_pd)
-        if self._dead is not None:
-            self._dead = np.concatenate(
-                [self._dead, np.zeros(len(ogs), dtype=bool)]
-            )
-        self._rows.append(list(zip(ogs, refs)))
+        # the owned tail.
+        self._tail = np.concatenate([self._tail, new]) if len(self._tail) \
+            else new
+        rows = np.asarray(rows, dtype=np.int64)
+        self.row_ids = np.concatenate([self.row_ids, rows])
+        self._rows.add(rows, list(zip(ogs, refs)))
         OBS.count("search.sketch_rows_added", len(ogs))
 
-    def remove(self, row: int) -> bool:
-        """Tombstone the sketch row of index row ``row``; True when it
-        was live.  O(n) to locate the raw row but O(1) to drop it; the
-        store's segment merge reclaims it."""
-        hits = np.flatnonzero(self._cat(self._ids, self._tail_ids) == row)
-        if self._n_dead:
-            hits = hits[~self._dead[hits]]
-        if not hits.size:
-            return False
-        raw = int(hits[0])
-        if self._dead is None:
-            self._dead = np.zeros(self._num_raw(), dtype=bool)
-        self._dead[raw] = True
-        self._n_dead += 1
-        return True
+    # -- position-addressed record access ----------------------------------
 
-    def _live_raw(self) -> np.ndarray:
-        """Raw row of every live row, ascending."""
-        if self._n_dead:
-            return np.flatnonzero(~self._dead)
-        return np.arange(self._num_raw())
+    def row_record(self, at: int) -> tuple[ObjectGraph, Any]:
+        """``(og, clip_ref)`` of position ``at`` (lazily materialized)."""
+        return self._rows.record(int(self.row_ids[at]))
 
-    # -- row-addressed record access ---------------------------------------
-
-    def row_record(self, row: int) -> tuple[ObjectGraph, Any]:
-        """``(og, clip_ref)`` of a raw row (lazily materialized)."""
-        return self._rows.record(int(row))
-
-    def row_series(self, row: int) -> np.ndarray:
-        """Normalized series of a raw row for the rerank kernel."""
-        return self._rows.series_at(int(row))
+    def row_series(self, at: int) -> np.ndarray:
+        """Normalized series of position ``at`` for the rerank kernel:
+        an OG's values are already its ``(n, d)`` float64 series (a
+        store-read OG's the zero-copy slice of the ``og_values``
+        column)."""
+        return self.row_record(at)[0].values
 
     # -- stage 1: candidate generation -------------------------------------
 
     def candidates(self, distance, series: np.ndarray, budget: int, k: int,
                    qd: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``max(k, budget)`` live rows with the smallest ``(lower
-        bound, row id)``, as ``(idx, lbs)``: raw rows and their bounds,
-        in that order.  ``qd`` is the query's distance to each reference
-        when the caller already swept them (:func:`approx_knn` sweeps
-        each distinct set once); otherwise they are swept here."""
+        """The ``max(k, budget)`` rows with the smallest ``(lower bound,
+        row id)``, as ``(positions, bounds)`` in that order
+        (:func:`shortlist`).  ``qd`` is the query's distance to each
+        reference when the caller already swept them (:func:`approx_knn`
+        sweeps each distinct set once); otherwise they are swept here."""
         if qd is None:
             qd = one_vs_many(distance, series, self.pivots)
-        lbs = self._cat(pivot_lower_bounds(qd, self._pd),
-                        pivot_lower_bounds(qd, self._tail_pd))
-        ids = self._cat(self._ids, self._tail_ids)
-        live = self._live_raw()
-        if self._n_dead:
-            lbs, ids = lbs[live], ids[live]
-        top = _exact_top(max(k, budget), (lbs, ids))
-        return live[top], lbs[top]
+        return shortlist(qd, ((self._base, self._live), (self._tail, None)),
+                         self.row_ids, max(k, budget))
 
 
 def approx_knn(parts: Sequence[Any], distance,
@@ -457,14 +406,14 @@ def approx_knn(parts: Sequence[Any], distance,
                             qd=swept[ends[at]:ends[at + 1]])
             for part, share, at in zip(live, shares, where)))
         part_of = np.repeat(np.arange(len(live)), [len(i) for i in idx])
-        raw, lbs = np.concatenate(idx), np.concatenate(lbs)
+        pos, lbs = np.concatenate(idx), np.concatenate(lbs)
         OBS.count("search.candidates_generated", len(lbs))
         # Each shortlist is in (bound, row id) order, so the loop's
         # (bound, position) order is (bound, part, row id).
         hits, evaluated = best_first(
             distance, series, lbs, k,
-            lambda at: live[part_of[at]].row_series(raw[at]),
-            lambda at: live[part_of[at]].row_record(raw[at]))
+            lambda at: live[part_of[at]].row_series(pos[at]),
+            lambda at: live[part_of[at]].row_record(pos[at]))
         pruned = len(lbs) - len(evaluated)
         OBS.count("search.distances_computed", len(evaluated) + len(swept))
         OBS.count("search.candidates_pruned", pruned)

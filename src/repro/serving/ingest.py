@@ -715,7 +715,7 @@ class IngestService:
             self._indexed_since_checkpoint = self.config.checkpoint_every or 1
             raise
         self._pending_writes = []
-        self._store.maybe_merge(background=True)
+        self._store.maybe_merge()
         self._append_journal({
             "event": "checkpoint", "path": self._store.path,
             "ogs": len(index),

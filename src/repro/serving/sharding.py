@@ -334,7 +334,7 @@ class ShardedIndex:
         was a frozen shard shared with the index this one was cloned
         from.  Shards no write reaches stay shared, scan views too."""
         if self.shards[s].frozen:
-            self.shards[s] = self.shards[s].clone()
+            self.shards[s] = self._adopt(self.shards[s].clone())
         return self.shards[s]
 
     def freeze(self) -> "ShardedIndex":
@@ -353,10 +353,13 @@ class ShardedIndex:
         shard on its first write; a shard no write reaches stays shared
         with its scan views, so the next exact read rebuilds the views
         of written shards only.  (A shard not yet frozen could change
-        under the copy: cloned right away.)
+        under the copy: cloned right away.)  The copy adopts every
+        shard it holds, shared ones included, so a tier a shard builds
+        on its own still takes the corpus's one reference set once this
+        index is gone.
         """
         dup = copy.copy(self)
-        dup.shards = [shard if shard.frozen else shard.clone()
+        dup.shards = [dup._adopt(shard if shard.frozen else shard.clone())
                       for shard in self.shards]
         dup.frozen = False
         return dup

@@ -130,7 +130,7 @@ class LiveIndex:
                        published: IndexSnapshot) -> None:
         try:
             self._store.checkpoint(published.index, batch)
-            self._store.maybe_merge(background=True)
+            self._store.maybe_merge()
         except (StorageError, OSError) as exc:
             OBS.count("serving.persist_failures")
             logger.warning(

@@ -63,7 +63,7 @@ import struct
 import tempfile
 import threading
 from types import SimpleNamespace
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -930,23 +930,13 @@ class ColumnarStore:
         first = self._labels(state).first(shard)
         index = self._materialize_base(log.segments[0], mmap, first)
         reader = ColumnarRowReader(self, log, mmap, first)
-        dead: set[int] = set()
-        for ops in self._delta_ops(log):
-            for code, row, background in ops:
-                if code == "i":
-                    og, ref = reader.record(row)
-                    index.insert(og, background, ref)
-                elif index.delete_row(row) is None:
-                    raise _corrupt(f"a delta of {self.path} deletes dead "
-                                   f"row {row}", path=self.path, row=row)
-                else:
-                    dead.add(row)
-        if dead != log.dead:
-            raise _corrupt(f"dead rows of shard {shard} of {self.path} "
-                           "disagree between the log and the delta ops "
-                           f"({len(log.dead)} logged vs {len(dead)} "
-                           "replayed)", path=self.path, shard=shard,
-                           logged=len(log.dead), replayed=len(dead))
+        ops, _ = self._delta_ops(log)
+        for code, row, background in ops:
+            if code == "i":
+                og, ref = reader.record(row)
+                index.insert(og, background, ref)
+            else:
+                index.delete_row(row)
         return index
 
     def _materialize_base(self, entry: dict[str, Any], mmap: bool,
@@ -966,13 +956,19 @@ class ColumnarStore:
                            f"{self.path}: {exc}", exc, path=self.path,
                            segment=entry["seg"]) from exc
 
-    def _delta_ops(self, log: _ShardLog) -> Iterator[list[tuple]]:
-        """Each delta's validated ops: ``("i", row, background)`` inserts
-        store row ``row``, ``("d", row, None)`` kills it."""
+    def _delta_ops(self, log: _ShardLog) -> tuple[list[tuple], np.ndarray]:
+        """Every delta's ops in log order, and the rows they leave live
+        (a mask over the shard's rows): ``("i", row, background)``
+        inserts store row ``row``, ``("d", row, None)`` kills it.  A
+        malformed delta, a delete of a row that is not live, or a dead
+        set other than the log's raises ``IndexCorruptionError``."""
         row = int(log.segments[0]["rows"])
+        live = np.zeros(log.rows_total, dtype=bool)
+        live[:row] = True
+        ops: list[tuple] = []
         for entry in log.segments[1:]:
             header = self._header(entry)
-            ops, start = [], row
+            start = row
             try:
                 backgrounds = _unpack_backgrounds(self._columns(
                     entry, header, _BG_COLUMNS, mmap=False)) \
@@ -980,13 +976,19 @@ class ColumnarStore:
                 for code, operand in header["meta"]["ops"]:
                     operand = int(operand)
                     if code == "i":
+                        live[row] = True
                         ops.append(("i", row, backgrounds[operand]
                                     if operand >= 0 else None))
                         row += 1
-                    elif code == "d":
+                    elif code != "d":
+                        raise ValueError(f"unknown op code {code!r}")
+                    elif 0 <= operand < row and live[operand]:
+                        live[operand] = False
                         ops.append(("d", operand, None))
                     else:
-                        raise ValueError(f"unknown op code {code!r}")
+                        raise _corrupt(f"a delta of {self.path} deletes "
+                                       f"dead row {operand}",
+                                       path=self.path, row=operand)
                 if row - start != int(entry["rows"]):
                     raise ValueError(f"{row - start} inserts, the log "
                                      f"says {entry['rows']}")
@@ -994,7 +996,15 @@ class ColumnarStore:
                 raise _corrupt(f"cannot replay delta segment "
                                f"{entry['seg']} of {self.path}: {exc}", exc,
                                path=self.path, segment=entry["seg"]) from exc
-            yield ops
+        dead = np.flatnonzero(~live)
+        if set(dead.tolist()) != log.dead:
+            shard = log.segments[0]["shard"]
+            raise _corrupt(f"dead rows of shard {shard} of {self.path} "
+                           "disagree between the log and the delta ops "
+                           f"({len(log.dead)} logged vs {len(dead)} "
+                           "replayed)", path=self.path, shard=shard,
+                           logged=len(log.dead), replayed=len(dead))
+        return ops, live
 
     # -- row-addressed reads + out-of-core sketch --------------------------
 
@@ -1016,14 +1026,16 @@ class ColumnarStore:
 
         The out-of-core approximate search entry point: one
         store-attached ``SketchIndex`` per shard holding live rows, in
-        shard order — base arrays are zero-copy (optionally mmap) views
-        of the base segment's ``sketch_*`` columns, records materialize
-        lazily through the row reader, and deltas replay through
-        ``sketch.add``/``remove`` (reference distances by ``distance``,
-        default the stored ``MetricEGED``) into the in-RAM tail,
-        cross-checked against the log's dead rows.  Records are labelled
-        as :meth:`load_index` labels them.  ``None`` when a part holds no
-        persisted sketch; callers then materialize the index.
+        shard order, each opened in one pass over the shard's delta ops
+        (validated as :meth:`load_index` validates them).  Base rows
+        are zero-copy (optionally mmap) views of the base segment's
+        ``sketch_*`` columns under one fixed live mask; the delta
+        inserts still live are measured once (reference distances by
+        ``distance``, default the stored ``MetricEGED``); records of
+        both materialize lazily through the row reader.  Records are
+        labelled as :meth:`load_index` labels them.  ``None`` when a
+        part holds no persisted sketch; callers then materialize the
+        index.
         """
         with OBS.span("storage.columnar.load_sketch", mmap=mmap):
             state = self._open_checked()
@@ -1061,31 +1073,17 @@ class ColumnarStore:
         except SKETCH_PAYLOAD_ERRORS as exc:
             raise _corrupt(f"corrupt sketch tier in {self.path}: {exc}", exc,
                            path=self.path, rows=base_rows) from exc
-        sketch = SketchIndex()
-        sketch.pivots = pivots
-        sketch.attach_rows(np.arange(base_rows, dtype=np.int64), dists,
-                           SketchRows(reader=reader, n_attached=base_rows))
+        _, live = self._delta_ops(log)
+        sketch = SketchIndex(pivots, dists,
+                             None if live[:base_rows].all()
+                             else live[:base_rows], SketchRows(reader))
         if distance is None:
             distance = MetricEGED(meta["config"]["metric_gap"])
-        for ops in self._delta_ops(log):
-            added = [row for code, row, _ in ops if code == "i"]
-            if added:
-                # Same-batch inserts land before the batch's deletes;
-                # a delete can only name an already-appended row, so
-                # batching per segment preserves the op-order state.
-                pairs = [reader.record(row) for row in added]
-                sketch.add(distance, [og for og, _ in pairs],
-                           [ref for _, ref in pairs], added)
-            for code, row, _ in ops:
-                if code == "d" and not sketch.remove(row):
-                    raise _corrupt(f"a delta of {self.path} deletes "
-                                   f"unknown row {row}", path=self.path,
-                                   row=row)
-        live = log.live_rows()
-        if len(sketch) != live:
-            raise _corrupt(f"sketch replay of {self.path} disagrees with "
-                           f"the log ({len(sketch)} live rows vs {live})",
-                           path=self.path, live=len(sketch), logged=live)
+        inserts = base_rows + np.flatnonzero(live[base_rows:])
+        if len(inserts):
+            pairs = [reader.record(row) for row in inserts.tolist()]
+            sketch.add(distance, [og for og, _ in pairs],
+                       [ref for _, ref in pairs], inserts)
         sketch.replay_distance = distance
         OBS.count("storage.columnar.sketch_loads")
         return sketch
@@ -1210,26 +1208,19 @@ class ColumnarStore:
         return state.rows_dead() / max(state.rows_total(), 1) \
             > self.merge_dead_fraction
 
-    def merge(self, index: Any = None) -> bool:
-        """Fold every segment into fresh bases (O(corpus), amortized).
-
-        ``index`` — when the caller holds the live index the store state
-        replays to (e.g. the snapshot just published by
-        ``LiveIndex.compact``) — is written directly.  Without it the
-        store materializes itself from disk first (offline compaction).
-        """
+    def merge(self) -> bool:
+        """Fold every segment into fresh bases (O(corpus), amortized):
+        the store materializes its committed state from disk and writes
+        it again, so no caller's index — possibly older than the log —
+        is ever written over newer appends."""
         with self._mutate_lock:
             if not self.exists():
                 return False
             with OBS.span("storage.columnar.merge"):
-                if index is not None:
-                    self.write_index(index)
-                    OBS.count("storage.columnar.merges")
-                    return True
-                # Offline fold: materialize committed state (rows = old
-                # store rows), rewrite it as the new bases, then carry a
-                # bound writer's map through (index row -> old store row
-                # -> new store row) so it can keep appending.
+                # Rows of the materialized index are the old store rows;
+                # a bound writer's map is carried through (index row ->
+                # old store row -> new store row) so it can keep
+                # appending.
                 live = self._row_map if self._bound else None
                 materialized = self.load_index(mmap=False)
                 self.write_index(materialized)
@@ -1245,33 +1236,28 @@ class ColumnarStore:
                 OBS.count("storage.columnar.merges")
                 return True
 
-    def maybe_merge(self, index: Any = None,
-                    background: bool = False) -> bool:
-        """Merge if the policy says so; optionally in a daemon thread.
-
-        Returns whether a merge ran (foreground) or was scheduled
-        (background).  Background merges serialize on the store's write
-        lock, so concurrent appends simply wait their turn.
-        """
+    def maybe_merge(self) -> bool:
+        """Schedule a :meth:`merge` in a daemon thread if the policy says
+        so; returns whether one was scheduled.  Merges serialize on the
+        store's write lock, so concurrent appends simply wait their
+        turn."""
         if not self.needs_merge():
             return False
-        if not background:
-            return self.merge(index)
         with self._mutate_lock:
             if self._merge_thread is not None \
                     and self._merge_thread.is_alive():
                 return False
             worker = threading.Thread(
-                target=self._background_merge, args=(index,),
-                name="columnar-merge", daemon=True)
+                target=self._background_merge, name="columnar-merge",
+                daemon=True)
             self._merge_thread = worker
             worker.start()
         return True
 
-    def _background_merge(self, index: Any) -> None:
+    def _background_merge(self) -> None:
         try:
             if self.needs_merge():
-                self.merge(index)
+                self.merge()
         except Exception:  # pragma: no cover - logged, never propagates
             logger.exception("background merge of %s failed", self.path)
 

@@ -132,7 +132,6 @@ def union_oracle(parts, shares, distance, series, k):
     found = []
     for part, share in zip(parts, shares):
         idx, lbs = part.candidates(distance, series, share, k)
-        assert getattr(part, "dead_rows", 0) == 0   # raw rows are live
         assert (np.lexsort((part.row_ids[idx], lbs))
                 == np.arange(len(idx))).all()
         dists = one_vs_many(distance, series,
@@ -151,7 +150,6 @@ def per_part_cost(parts, shares, distance, series, k):
     spent = 0
     for part, share in zip(parts, shares):
         idx, lbs = part.candidates(distance, series, share, k)
-        assert getattr(part, "dead_rows", 0) == 0   # raw rows are live
         order = np.lexsort((part.row_ids[idx], lbs))
         spent += len(part.pivots) + evaluate_windowed(
             distance, series, order, lbs, TopK(k), WINDOW,

@@ -261,8 +261,8 @@ class TestRowLabels:
             reader = store.row_reader(shard=number)
             alive = np.flatnonzero(reader.alive_mask())
             assert part.row_ids.tolist() == alive.tolist()
-            for row in alive.tolist():
-                sketch[(number, row)] = part.row_record(row)[0].og_id
+            for at, row in enumerate(alive.tolist()):
+                sketch[(number, row)] = part.row_record(at)[0].og_id
                 rows[(number, row)] = reader.record(row)[0].og_id
         reads += [sketch, rows]
         assert len(reads[0]) == len(ogs)
@@ -330,7 +330,7 @@ class TestMerge:
             _BufferedWrite("delete", og_id=og.og_id)
             for og in ogs[: len(ogs) // 2]]))
         assert store.needs_merge()
-        assert store.merge(index)
+        assert store.merge()
         manifest = store.manifest()
         assert len(manifest["segments"]) == 1
         assert manifest["rows_dead"] == 0
@@ -344,7 +344,7 @@ class TestMerge:
         store.write_index(index)
         store.append(store_layout.applied(
             index, [_BufferedWrite("delete", og_id=ogs[0].og_id)]))
-        assert store.merge(index=None)  # fold committed state offline
+        assert store.merge()  # fold committed state offline
         # The live row binding must survive the fold: later deletes
         # through the same store still hit the right rows.
         store.append(store_layout.applied(

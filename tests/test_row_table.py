@@ -122,7 +122,7 @@ def test_write_path_keeps_one_table(shards, ops):
             else:       # a checkpoint folds the store into fresh bases
                 live.compact()
                 store.join_merges()
-                store.merge(live.snapshot.index)
+                store.merge()
         index = live.compact().index
         store.join_merges()
         assert_refs_hold(index)

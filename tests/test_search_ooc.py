@@ -5,15 +5,16 @@ The load-bearing claims, each enforced bit-exactly (floats compared
 with ``==``, orders compared as lists):
 
 - a sketch's one-pass candidates equal the global ``(bound, row id)``
-  lexsort shortlist wherever its rows split between the attached base
+  lexsort shortlist wherever its rows split between the store's base
   and the owned tail (property-tested at 1, 7, 64, n base rows);
 - ``knn(search_budget=N)`` is bit-identical between in-RAM and mmap
   sketch modes at every layer — SketchIndex, ColumnarStore.load_sketch,
   VideoDatabase (sketch-only path, tree never built, monolithic and
   2/4-shard stores under both placements), ShardedIndex at 1/2/4
   shards, and the PR 9 worker pool;
-- tombstoned deletion under interleaved add/remove equals a sketch
-  built from the survivors;
+- a store whose deltas insert and delete rows opens as the table built
+  from its survivors, measuring only the delta inserts still live, and
+  a delta deleting a row that is not live is refused;
 - the row-addressed reader returns the same records the materialized
   index holds, without loading whole segments.
 """
@@ -68,10 +69,8 @@ def db_sig(hits):
 
 
 def monolithic_candidates(sketch, distance, series, budget, k):
-    """One global lexsort over the live arrays: the oracle the one-pass
-    scan must match row for row (valid whenever the sketch has no
-    tombstones, so raw rows == live rows)."""
-    assert sketch.dead_rows == 0
+    """One global lexsort over the held rows: the oracle the one-pass
+    scan must match position for position."""
     row_ids = np.asarray(sketch.row_ids)
     qd = one_vs_many(distance, series, sketch.pivots)
     lbs = pivot_lower_bounds(qd, sketch.pivot_dists)
@@ -80,15 +79,14 @@ def monolithic_candidates(sketch, distance, series, budget, k):
 
 
 def split_at(sketch, distance, ogs, base_rows):
-    """The rows of ``sketch`` again, the first ``base_rows`` attached as
-    the base the way a store attaches them and the rest added to the
+    """The rows of ``sketch`` again, the first ``base_rows`` the base the
+    way a store opens its base segment and the rest added to the
     tail."""
-    split = SketchIndex()
-    split.pivots = sketch.pivots
-    records = [sketch.row_record(row) for row in range(base_rows)]
-    split.attach_rows(sketch.row_ids[:base_rows],
-                      sketch.pivot_dists[:base_rows],
-                      sketch_mod.SketchRows(records))
+    records = sketch_mod.SketchRows()
+    records.add(sketch.row_ids[:base_rows],
+                [sketch.row_record(at) for at in range(base_rows)])
+    split = SketchIndex(sketch.pivots, sketch.pivot_dists[:base_rows],
+                        rows=records)
     split.add(distance, ogs[base_rows:],
               [f"clip-{i}" for i in range(base_rows, len(ogs))],
               sketch.row_ids[base_rows:])
@@ -138,48 +136,6 @@ class TestBlockedScanParity:
         assert results[0] == (oracle[0].tolist(), oracle[1].tolist())
 
 
-class TestTombstoneParity:
-    def test_tombstones_equal_eager_deletion(self):
-        """Rows tombstoned between adds answer like a sketch built from
-        the survivors alone, row for row."""
-        distance = MetricEGED(1.0)
-        ogs = corpus(80, seed=5)
-        extra = corpus(12, seed=55)
-        lazy = built_sketch(ogs, distance)
-        victims = [3, 17, 44, 8, 60, 21]     # rows of a built sketch
-        for i, og in enumerate(extra):
-            lazy.add(distance, [og], [f"extra-{i}"])
-            if i < len(victims):
-                assert lazy.remove(victims[i])
-        everything = [*ogs, *extra]
-        refs = [*(f"clip-{i}" for i in range(len(ogs))),
-                *(f"extra-{i}" for i in range(len(extra)))]
-        rows = [row for row in range(len(everything)) if row not in victims]
-        eager = SketchIndex.build(
-            distance, [everything[row] for row in rows],
-            [refs[row] for row in rows], rows, references=lazy.pivots)
-        assert lazy.dead_rows == len(victims)
-        assert eager.dead_rows == 0
-        assert len(lazy) == len(eager)
-        assert lazy.row_ids.tolist() == eager.row_ids.tolist()
-        assert lazy.pivot_dists.tolist() == eager.pivot_dists.tolist()
-        for q in corpus(3, seed=77):
-            got = budgeted_knn(lazy, distance, q, 5, 40)
-            want = budgeted_knn(eager, distance, q, 5, 40)
-            assert hit_sig(got) == hit_sig(want)
-            assert [og.og_id for _, og, _ in got] \
-                == [og.og_id for _, og, _ in want]
-
-    def test_remove_missing_and_double_remove(self):
-        distance = MetricEGED(1.0)
-        ogs = corpus(10, seed=1)
-        sketch = built_sketch(ogs, distance)
-        assert not sketch.remove(10**9)
-        assert sketch.remove(4)
-        assert not sketch.remove(4)
-        assert len(sketch) == len(ogs) - 1
-
-
 def store_with_sketch(tmp_path, ogs, name="corpus", shards=None,
                       placement="affine", sketched=None):
     """Columnar snapshot whose sketch tier was built before saving
@@ -222,6 +178,8 @@ class TestStoreAttachedSketch:
                 == hit_sig(budgeted_knn(ram, ram.replay_distance, q, 5, 28))
 
     def test_delta_replay_and_tombstones(self, tmp_path):
+        """Deleted base rows leave the table (one fixed live mask), the
+        delta inserts join it."""
         from repro.serving.snapshot import _BufferedWrite
 
         ogs = corpus(60, seed=31)
@@ -232,9 +190,11 @@ class TestStoreAttachedSketch:
         writes.append(_BufferedWrite("delete", og_id=ogs[5].og_id))
         writes.append(_BufferedWrite("delete", og_id=ogs[20].og_id))
         assert store.append(store_layout.applied(index, writes)) is not None
+        dead = {write.row for write in writes if write.op == "delete"}
         [sketch] = store.load_sketch(mmap=True)
         assert len(sketch) == len(index)
-        assert sketch.dead_rows == 2
+        assert sketch.row_ids.tolist() == [
+            row for row in range(len(ogs) + len(extra)) if row not in dead]
         for q in extra[:2] + ogs[:2]:
             assert hit_sig(budgeted_knn(sketch, sketch.replay_distance,
                                       q, 5, 30)) \
@@ -242,9 +202,10 @@ class TestStoreAttachedSketch:
 
     @pytest.mark.parametrize("form", ["load_sketch", "load_index"])
     def test_live_adds_go_to_tail_not_mmap_base(self, tmp_path, form):
-        """Adds never copy the mapped rows: a store-attached sketch's go
-        to its tail, a tree-loaded index's to new records, and the
-        stored rows stay views of the mapped column."""
+        """Adds never copy the mapped rows: a store-attached sketch's
+        delta inserts go to its tail, a tree-loaded index's inserts to
+        new records, and the stored rows stay views of the mapped
+        column."""
         import mmap as mmap_mod
 
         def mapped(rows):
@@ -252,14 +213,17 @@ class TestStoreAttachedSketch:
                 rows = rows.base
             return isinstance(rows, (np.memmap, mmap_mod.mmap))
 
+        from repro.serving.snapshot import _BufferedWrite
+
         ogs = corpus(40, seed=51)
-        store, _ = store_with_sketch(tmp_path, ogs, name="tail")
+        store, index = store_with_sketch(tmp_path, ogs, name="tail")
         extra, refs = corpus(3, seed=52), ["a", "b", "c"]
         if form == "load_sketch":
+            store.append(store_layout.applied(index, [
+                _BufferedWrite("insert", og=og, clip_ref=ref)
+                for og, ref in zip(extra, refs)]))
             [sketch] = store.load_sketch(mmap=True)
-            base = sketch._pd
-            sketch.add(sketch.replay_distance, extra, refs)
-            assert sketch._pd is base  # mmap base untouched by the adds
+            base = sketch._base
 
             def search(q, k, budget):
                 return budgeted_knn(sketch, sketch.replay_distance, q, k,
@@ -374,6 +338,98 @@ class TestStoreAttachedSketch:
             == sketches[0].row_record(0)[0].og_id + len(sketches[0])
 
 
+def deleting_store(tmp_path, name="deletes"):
+    """A 60-row store with a sketch, then two deltas: 8 inserts, then the
+    deletes of 3 of those inserts and of 2 base rows."""
+    from repro.serving.snapshot import _BufferedWrite
+
+    ogs = corpus(60, seed=31)
+    store, index = store_with_sketch(tmp_path, ogs, name=name)
+    extra = corpus(8, seed=41)
+    store.append(store_layout.applied(index, [
+        _BufferedWrite("insert", og=og, clip_ref=f"x-{i}")
+        for i, og in enumerate(extra)]))
+    store.append(store_layout.applied(index, [
+        _BufferedWrite("delete", og_id=og.og_id)
+        for og in (extra[1], extra[4], extra[7], ogs[5], ogs[20])]))
+    return store
+
+
+class TestStoreDeletes:
+    def test_deletes_equal_a_table_built_from_the_survivors(self,
+                                                            tmp_path):
+        """A store whose deltas insert rows and then delete some of them,
+        base rows too, opens as the table built from its survivors
+        alone, position for position, and answers alike."""
+        store = deleting_store(tmp_path)
+        [opened] = store.load_sketch(mmap=True)
+        distance = opened.replay_distance
+        records = [opened.row_record(at) for at in range(len(opened))]
+        built = SketchIndex.build(
+            distance, [og for og, _ in records],
+            [ref for _, ref in records], opened.row_ids,
+            references=opened.pivots)
+        assert len(opened) == 60 + 8 - 5
+        assert opened.row_ids.tolist() == built.row_ids.tolist()
+        assert opened.pivot_dists.tolist() == built.pivot_dists.tolist()
+        for q in corpus(3, seed=77):
+            got = budgeted_knn(opened, distance, q, 5, 40)
+            want = budgeted_knn(built, distance, q, 5, 40)
+            assert hit_sig(got) == hit_sig(want)
+            assert [og.og_id for _, og, _ in got] \
+                == [og.og_id for _, og, _ in want]
+
+    def test_open_measures_only_the_live_delta_inserts(self, tmp_path):
+        """The open evaluates (live delta inserts x references) pairs —
+        an insert deleted before the open costs nothing — and the table
+        answers budgeted reads with the hits and the counts of
+        ``load_index(mmap=True)``."""
+        store = deleting_store(tmp_path)
+        opened = []
+        spent = pairs_computed(
+            lambda _: opened.extend(store.load_sketch(mmap=True)), [None])
+        [sketch] = opened
+        assert spent == (8 - 3) * len(sketch.pivots)
+        loaded = store.load_index(mmap=True)
+
+        def ooc(q):
+            return budgeted_knn(sketch, sketch.replay_distance, q, 5, 30)
+
+        def tree(q):
+            return loaded.knn(q, 5, search_budget=30)
+
+        queries = corpus(4, seed=79)
+        for q in queries:
+            assert hit_sig(ooc(q)) == hit_sig(tree(q))
+        assert pairs_computed(ooc, queries) == pairs_computed(tree, queries)
+
+    def test_a_delta_deleting_a_dead_or_unknown_row_is_corrupt(self,
+                                                               tmp_path):
+        """Delta ops that delete a row the store does not hold live —
+        one they already deleted, one past its rows — or that leave
+        other rows dead than the log names make both readers raise."""
+        from repro.serving.snapshot import _BufferedWrite
+
+        ogs = corpus(30, seed=81)
+        for case in ("twice", "unknown", "other"):
+            store, index = store_with_sketch(tmp_path, ogs, name=case)
+            [write] = store_layout.applied(
+                index, [_BufferedWrite("delete", og_id=ogs[3].og_id)])
+            store.append([write])
+            ops = {"twice": [["d", write.row], ["d", write.row]],
+                   "unknown": [["d", 10**6]],
+                   "other": [["d", (write.row + 1) % len(ogs)]]}[case]
+
+            def rewrite(header):
+                header["meta"]["ops"] = ops
+            store_layout.rewrite_segment(store, 1, rewrite)
+            reopened = ColumnarStore(store.path)
+            with pytest.raises(IndexCorruptionError):
+                reopened.load_sketch()
+            with pytest.raises(IndexCorruptionError):
+                reopened.load_index()
+
+
 class TestRowReader:
     def test_records_match_materialized_index(self, tmp_path):
         ogs = corpus(50, seed=91)
@@ -423,8 +479,7 @@ class TestRowReader:
         ogs = corpus(25, seed=94)
         store, _ = store_with_sketch(tmp_path, ogs, name="lru")
         monkeypatch.setattr(sketch_mod, "ROW_CACHE_SIZE", 2)
-        rows = sketch_mod.SketchRows(reader=store.row_reader(),
-                                     n_attached=len(ogs))
+        rows = sketch_mod.SketchRows(store.row_reader())
         first = rows.record(0)
         assert rows.record(0) is first          # cache hit
         rows.record(1), rows.record(2)          # evicts row 0

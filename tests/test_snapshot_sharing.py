@@ -269,3 +269,21 @@ class TestSharded:
         latest = live.snapshot.index.shards
         assert latest[0].sketch_tier().pivots is latest[1].sketch_tier(
             ).pivots
+
+    def test_a_later_snapshot_adopts_its_shared_shards(self, corpus):
+        """The index a commit publishes adopts every shard it holds, the
+        frozen ones it shares included: once the first index is
+        collected, ``sketch_tier()`` with no source on each shard of the
+        new snapshot still fits the corpus's one reference set."""
+        index = ShardedIndex(ShardedIndexConfig(
+            num_shards=2, placement="hash", index=NO_SPLIT))
+        index.build(corpus[:96])
+        live = LiveIndex(index)
+        del index
+        live.insert(corpus[100])
+        live.compact()
+        gc.collect()
+        sets = {tuple((ref.shape, ref.tobytes())
+                      for ref in shard.sketch_tier().pivots)
+                for shard in live.snapshot.index.shards}
+        assert len(sets) == 1

@@ -181,7 +181,7 @@ class TestShardedLiveIndexStore:
         before = rows(live.snapshot.index)
         with injected(killer(where, FULL_WRITE_KILLS)):
             with pytest.raises(SimulatedCrash):
-                store.merge(live.snapshot.index)
+                store.merge()
         assert rows(open_store(tmp_path / "live").load_index()) == before
         assert shards_per_record(tmp_path / "live") == [[0, 1]]
         # The failed write unbound the store: the next commit resyncs it
