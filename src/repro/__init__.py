@@ -81,7 +81,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "21.0.0"
+__version__ = "22.0.0"
 
 __all__ = [
     "EGED",

@@ -7,10 +7,13 @@ Because ``EGED_M`` is a metric (Theorem 2), the key difference
 ``|Key_q - Key_o|`` lower-bounds the true distance, which is what lets
 search skip distance evaluations — the effect Figure 7(b) measures.
 
-Once the index holds a reference set (:meth:`STRGIndex.sketch_tier`),
-every leaf record also carries its float32 distance to each reference
-series, and one row table (:class:`~repro.core.scan.ScanViews`) stacks
-the keys and those rows for the exact scan and the budgeted read alike.
+A first build of at least ``MIN_FIT_OGS`` OGs fits the index's
+reference set in the same distance sweep as the keys
+(:func:`build_shards`); after a smaller one, the first budgeted read or
+:meth:`STRGIndex.sketch_tier` fits it.  From then on every leaf record
+also carries its float32 distance to each reference series, and one row
+table (:class:`~repro.core.scan.ScanViews`) stacks the keys and those
+rows for the exact scan and the budgeted read alike.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import dataclasses
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,20 +36,39 @@ from repro.core.nodes import (
     RootRecord,
 )
 from repro.core.scan import ClusterView, ScanViews, knn_scan, probe, range_scan
-from repro.distance.base import Distance, as_series
-from repro.distance.batch import one_vs_many, pairwise_matrix, supports_batch
+from repro.distance.base import Distance, as_series, series_key
+from repro.distance.batch import (
+    PaddedBatch,
+    one_vs_many,
+    pairwise_matrix,
+    supports_batch,
+)
 from repro.distance.eged import EGED, MetricEGED
 from repro.errors import IndexStateError, InvalidParameterError
 from repro.graph.decomposition import BackgroundGraph
 from repro.graph.object_graph import ObjectGraph
 from repro.observability import OBS
 from repro.search.request import SearchRequest, SearchResult
-from repro.search.sketch import approx_knn, fit_references, reference_rows
+from repro.search.sketch import (
+    MIN_FIT_OGS,
+    approx_knn,
+    fit_references,
+    reference_rows,
+)
 
 #: Guards lazy construction of the reference set and of the scan views.
 #: Module-level (not per-index): building is rare, and an index that owns
 #: no lock stays picklable.
 _LAZY_BUILD_LOCK = threading.Lock()
+
+
+class _Clustering(NamedTuple):
+    """The EM stage of one build batch: the OGs, EM's cluster of each
+    (``None`` outside EM's sample) and the synthesized centroids."""
+
+    ogs: list[ObjectGraph]
+    cluster_of: list[int | None]
+    centroids: list[np.ndarray]
 
 
 @dataclass
@@ -107,8 +129,9 @@ class STRGIndex:
         #: what lets published serving snapshots be shared across threads.
         self.frozen = False
         #: The reference series every leaf record's ``refs`` row is
-        #: measured against; ``None`` until :meth:`sketch_tier` fits
-        #: them (or a store load restores them).  Never written in place.
+        #: measured against; ``None`` until a first build of at least
+        #: ``MIN_FIT_OGS`` OGs or :meth:`sketch_tier` fits them (or a
+        #: store load restores them).  Never written in place.
         self._references: list[np.ndarray] | None = None
         #: Weak handle on ``ShardedIndex.reference_set`` of the index
         #: that made or adopted this one as a shard: where a tier built
@@ -183,6 +206,8 @@ class STRGIndex:
         assigned to the nearest synthesized centroid — the scalable
         build path for large databases (assignment is the O(K M) cost
         the paper's Section 6.3 analysis charges to index construction).
+        A first build of at least ``MIN_FIT_OGS`` OGs also fits the
+        reference set (:func:`build_shards`).
         """
         if not ogs:
             raise IndexStateError("cannot build an index from zero OGs")
@@ -191,13 +216,11 @@ class STRGIndex:
                 f"{len(ogs)} OGs but {len(clip_refs)} clip refs"
             )
         self._check_mutable()
-        self.mutations += 1
-        with OBS.span("index.build", ogs=len(ogs)):
-            return self._build(ogs, background, clip_refs)
+        return build_shards([self], [list(ogs)], background, [clip_refs])[0]
 
-    def _build(self, ogs: Sequence[ObjectGraph],
-               background: BackgroundGraph | None,
-               clip_refs: Sequence[Any] | None) -> list[int]:
+    def _cluster(self, ogs: Sequence[ObjectGraph]) -> _Clustering:
+        """The EM stage of a build: EM-EGED over ``ogs`` (or its
+        configured sample), nothing filed yet."""
         sample_size = self.config.cluster_sample_size
         rng = np.random.default_rng(self.config.seed)
         if sample_size is not None and sample_size < len(ogs):
@@ -220,84 +243,76 @@ class STRGIndex:
             distance=self.cluster_distance,
         )
         result = em.fit(sample)
-
-        root_record = RootRecord(self._next_root_id, background)
-        self._next_root_id += 1
-        self.root.append(root_record)
-        records = [
-            root_record.cluster_node.add(result.centroids[c])
-            for c in range(result.num_clusters)
-        ]
-
-        # EM's cluster per input position; ``None`` outside the sample.
         cluster_of: list[int | None] = [None] * len(ogs)
         for i, j in enumerate(sample_idx):
             cluster_of[int(j)] = int(result.assignments[i])
-        refs = list(clip_refs) if clip_refs is not None else [None] * len(ogs)
-        table = self._reference_rows(ogs)
-        filed: list[LeafRecord] = []
+        return _Clustering(
+            list(ogs), cluster_of,
+            [result.centroids[c] for c in range(result.num_clusters)])
+
+    def _assign(self, plan: _Clustering, items: Any,
+                sweep: list[np.ndarray], own: slice
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(keys, clusters, distances)`` of a build batch's OGs.
+
+        A batched metric measures ``items``, the prepared batch, against
+        ``sweep`` in one centroid-first
+        :func:`~repro.distance.batch.pairwise_matrix` — the O(K M)
+        assignment Section 6.3 charges the build — and ``distances`` is
+        that ``(len(ogs), len(sweep))`` block, the batch's centroids in
+        its columns ``own``.  An EM-sample member keeps EM's cluster;
+        any other OG takes its nearest centroid, the first on a tie.
+        Any other metric keys pair by pair in the ``(og, centroid)``
+        call order (arbitrary, possibly asymmetric callables) and gives
+        no block.
+        """
+        ogs, cluster_of, centroids = plan
+        target = np.array([-1 if c is None else c for c in cluster_of],
+                          dtype=np.int64)
+        out = np.flatnonzero(target < 0)
         if supports_batch(self.metric_distance):
-            # Batched key computation: one DP sweep per (cluster, member
-            # group) for EM-assigned OGs, and one centroids x OGs block
-            # for the out-of-sample OGs (the O(K M) assignment of Section
-            # 6.3's build cost) — the same evaluations as the per-pair
-            # path, so CountingDistance totals are unchanged.
-            og_series = [as_series(og) for og in ogs]
-            keys = np.empty(len(ogs), dtype=np.float64)
-            target = np.empty(len(ogs), dtype=np.int64)
-            grouped: dict[int, list[int]] = {}
-            unassigned: list[int] = []
-            for j, cluster in enumerate(cluster_of):
-                if cluster is None:
-                    unassigned.append(j)
-                else:
-                    grouped.setdefault(cluster, []).append(j)
-            for cluster, members in grouped.items():
-                target[members] = cluster
-                keys[members] = one_vs_many(
-                    self.metric_distance, records[cluster].centroid,
-                    [og_series[j] for j in members],
-                )
-            if unassigned:
-                cols = pairwise_matrix(
-                    self.metric_distance,
-                    [record.centroid for record in records],
-                    [og_series[j] for j in unassigned],
-                ).T
-                best = np.argmin(cols, axis=1)
-                keys[unassigned] = cols[np.arange(len(unassigned)), best]
-                target[unassigned] = best
-            for j, og in enumerate(ogs):
-                filed.append(LeafRecord(float(keys[j]), og, refs[j],
-                                        refs=table[j]))
-                records[int(target[j])].leaf.insert(filed[-1])
-        else:
-            # Per-pair fallback preserving the (og, centroid) call order
-            # for arbitrary (possibly asymmetric) metric callables.
-            for j, og in enumerate(ogs):
-                cluster = cluster_of[j]
-                if cluster is not None:
-                    record = records[cluster]
-                    key = self.metric_distance(og, record.centroid)
-                else:
-                    pairs = [self.metric_distance(og, r.centroid)
-                             for r in records]
-                    best = int(np.argmin(pairs))
-                    record = records[best]
-                    key = pairs[best]
-                filed.append(LeafRecord(key, og, refs[j], refs=table[j]))
-                record.leaf.insert(filed[-1])
-        for record in list(records):
+            cols = pairwise_matrix(self.metric_distance, sweep, items).T
+            mine = cols[:, own]
+            target[out] = np.argmin(mine[out], axis=1)
+            return mine[np.arange(len(ogs)), target], target, cols
+        keys = np.empty(len(ogs), dtype=np.float64)
+        for j, og in enumerate(ogs):
+            if target[j] >= 0:
+                keys[j] = self.metric_distance(og, centroids[target[j]])
+            else:
+                pairs = [self.metric_distance(og, c) for c in centroids]
+                target[j] = int(np.argmin(pairs))
+                keys[j] = pairs[target[j]]
+        return keys, target, None
+
+    def _file(self, plan: _Clustering, background: BackgroundGraph | None,
+              clip_refs: Sequence[Any] | None, keys: np.ndarray,
+              target: np.ndarray) -> list[LeafRecord]:
+        """File a build batch under a new root record: one cluster record
+        per non-empty cluster, each OG under its key and cluster.  Rows
+        are taken in leaf order; returns the records in batch order."""
+        self.mutations += 1
+        root_record = RootRecord(self._next_root_id, background)
+        self._next_root_id += 1
+        self.root.append(root_record)
+        records = [root_record.cluster_node.add(centroid)
+                   for centroid in plan.centroids]
+        refs = [None] * len(plan.ogs) if clip_refs is None else clip_refs
+        filed = [LeafRecord(float(key), og, ref)
+                 for key, og, ref in zip(keys, plan.ogs, refs)]
+        for record, c in zip(filed, target.tolist()):
+            records[c].leaf.insert(record)
+        for record in records:
             if len(record.leaf) == 0:
                 root_record.cluster_node.remove(record)
         for record in root_record.cluster_node:
             for leaf_record in record.leaf:
                 leaf_record.row = self._next_row
                 self._next_row += 1
-        return [leaf_record.row for leaf_record in filed]
+        return filed
 
     def _reference_rows(self, ogs: Sequence[ObjectGraph]) -> list:
-        """The ``refs`` row of each of ``ogs`` being filed: one float32
+        """The ``refs`` row of each of ``ogs`` being inserted: one float32
         row per OG against the reference set, or ``None`` per OG while
         the index holds none.  An empty set is fitted on ``ogs``."""
         if self._references is None:
@@ -554,12 +569,13 @@ class STRGIndex:
         """The index's row table (:class:`~repro.core.scan.ScanViews`),
         with its reference columns filled.
 
-        The first call fits the reference set — the list
-        ``references()`` returns, else the reference set of the
-        ``ShardedIndex`` this index is a shard of, else
-        :func:`corpus_references` of this index alone — and files a copy
-        of every leaf record carrying its row (later builds and inserts
-        fill the row as they file).  Safe on a frozen index: only its
+        An index whose build fitted the set returns its table.  After a
+        first build under ``MIN_FIT_OGS`` OGs, the first call fits the
+        reference set — the list ``references()`` returns, else the
+        reference set of the ``ShardedIndex`` this index is a shard of,
+        else :func:`corpus_references` of this index alone — and files
+        a copy of every leaf record carrying its row (later builds and
+        inserts fill the row as they file).  Safe on a frozen index: only its
         own leaf lists are written, never a record a clone may share,
         and the build lock keeps concurrent readers from attaching
         twice.  A store load restores the rows from its ``sketch_*``
@@ -684,6 +700,105 @@ def corpus_references(indexes: Sequence[STRGIndex]) -> list[np.ndarray]:
         [record.centroid for index in indexes
          for record in index.cluster_records()],
         [record.og for index in indexes for record in index.leaf_records()])
+
+
+def build_shards(indexes: Sequence[STRGIndex],
+                 batches: Sequence[Sequence[ObjectGraph]],
+                 background: BackgroundGraph | None,
+                 clip_refs: Sequence[Sequence[Any] | None]) -> list[list[int]]:
+    """Build ``batches[s]`` into ``indexes[s]`` — the shards of one
+    corpus, or a monolithic index alone — and return each batch's rows.
+
+    Every shard runs its EM first.  A first build — no index holds an
+    OG or a reference set — of at least ``MIN_FIT_OGS`` OGs then fits
+    the corpus's reference set by :func:`corpus_references`' rule, in
+    the same distance sweep as the keys: each shard measures its batch
+    once against every centroid of the corpus.  Its own centroids'
+    columns give the leaf keys; the columns of the distinct centroids
+    of non-empty clusters, cast to float32, are the records' ``refs``
+    rows.  When those centroids are fewer than ``MIN_REFERENCES``, the
+    top-up is fitted on the filed tree, in leaf order, and swept as a
+    second block.  Every index, one with an empty batch too, takes the
+    set.  A later build sweeps its centroids and the set its index
+    holds; an index without one (a smaller first build) files no rows,
+    and its first tier is fitted lazily (:meth:`STRGIndex.sketch_tier`).
+    """
+    with OBS.span("index.build", ogs=sum(len(ogs) for ogs in batches)):
+        plans = [index._cluster(ogs) if len(ogs) else None
+                 for index, ogs in zip(indexes, batches)]
+        fit = (sum(len(ogs) for ogs in batches) >= MIN_FIT_OGS
+               and not any(len(index) or index._references
+                           for index in indexes))
+        corpus = [c for plan in plans if plan is not None
+                  for c in plan.centroids]
+        batched = supports_batch(indexes[0].metric_distance)
+        swept: list[tuple[list[LeafRecord], Any, np.ndarray | None]] = []
+        used: list[int] = []   # corpus positions of non-empty clusters
+        at = 0                 # corpus position of the batch's centroids
+        for index, plan, refs in zip(indexes, plans, clip_refs):
+            if plan is None:
+                swept.append(([], None, None))
+                continue
+            if not index._references:
+                index._references = None   # an empty set holds nothing
+            k = len(plan.centroids)
+            held = index._references or []
+            sweep, own = ((corpus, slice(at, at + k)) if fit
+                          else ([*plan.centroids, *held], slice(0, k)))
+            items = PaddedBatch(plan.ogs) if batched else plan.ogs
+            keys, target, cols = index._assign(plan, items, sweep, own)
+            filed = index._file(plan, background, refs, keys, target)
+            if held:
+                _fill(filed, cols[:, k:] if batched else reference_rows(
+                    index.metric_distance, held, items)[1])
+            swept.append((filed, items, cols))
+            used.extend(at + c for c in sorted(set(target.tolist())))
+            at += k
+        if fit:
+            _fit_at_build(indexes, [corpus[c] for c in used], used, swept)
+    return [[record.row for record in filed] for filed, _, _ in swept]
+
+
+def _fit_at_build(indexes: Sequence[STRGIndex],
+                  centroids: list[np.ndarray], columns: list[int],
+                  swept: list[tuple[list[LeafRecord], Any,
+                                    np.ndarray | None]]) -> None:
+    """Give every index the reference set of a first build and each
+    filed record its row.  ``centroids`` are the corpus's non-empty
+    clusters' centroids, at sweep ``columns``; ``swept`` is each
+    index's filed records, prepared batch and swept block."""
+    metric = indexes[0].metric_distance
+    # The column of each distinct centroid's first copy, in the order
+    # fit_references keeps them.
+    first: dict[tuple, int] = {}
+    for centroid, column in zip(centroids, columns):
+        first.setdefault(series_key(centroid), column)
+    kept = list(first.values())
+    references = fit_references(
+        metric, centroids,
+        [record.og for index in indexes for record in index.leaf_records()])
+    top = references[len(kept):]
+    for index, (filed, items, cols) in zip(indexes, swept):
+        index._references = references
+        index._views = None
+        if not filed:
+            continue
+        if cols is None:
+            rows = reference_rows(metric, references, items)[1]
+        else:
+            rows = cols[:, kept]
+            if top:
+                rows = np.hstack([rows,
+                                  pairwise_matrix(metric, top, items).T])
+        _fill(filed, rows)
+
+
+def _fill(filed: Sequence[LeafRecord], rows: np.ndarray) -> None:
+    """Give each record of a build its float32 ``refs`` row (before the
+    build returns: nothing else holds its records yet)."""
+    for record, row in zip(filed, np.ascontiguousarray(rows,
+                                                       dtype=np.float32)):
+        record.refs = row
 
 
 def extend_index(index, ogs: Sequence[ObjectGraph],

@@ -34,8 +34,8 @@ class LeafRecord:
     ``clip_ref`` stands in for the paper's pointer to "the real video clip
     in a disk" — any application-level handle (path, offset, ...).
     ``refs`` is the OG's float32 distance to each reference series of its
-    index (``None`` while the index holds no reference set); like every
-    field it is never written after the record is filed.
+    index (``None`` while the index holds no reference set).  No field is
+    written once the build or insert that filed the record returns.
     """
 
     key: float

@@ -9,10 +9,12 @@ distance evaluations, following the paper's own cost model (Section
 **Stage 1 — candidate generation.**  Every indexed OG carries its
 metric distance to each series of one *reference set*, as a float32
 row (:func:`reference_rows`).  The set is every leaf centroid of the
-corpus (all shards) when the tier is built, topped up to
-:data:`MIN_REFERENCES` by continuing a farthest-point greedy from those
-centroids over a sample of the corpus; every shard holds the one set,
-and a query sweeps each distinct set once.  Because EGED_M is a metric
+corpus (all shards), topped up to :data:`MIN_REFERENCES` by continuing
+a farthest-point greedy from those centroids over a sample of the
+corpus.  A first build of at least :data:`MIN_FIT_OGS` OGs fits it in
+the sweep that computes the leaf keys; after a smaller one, the first
+budgeted read (or ``sketch_tier()``) does.  Every shard holds the one set, and
+a query sweeps each distinct set once.  Because EGED_M is a metric
 (Theorem 2), ``|d(Q, R) - d(S, R)| <= d(Q, S)`` for every reference
 ``R``: one vectorized pass turns the query's distance to each
 reference into a lower bound on every row, and each part's shortlist
@@ -83,6 +85,10 @@ ROW_CACHE_SIZE = 512
 #: topped up by the farthest-point greedy when they are fewer.  Each
 #: costs one exact distance per query, paid out of the budget (§6.3).
 MIN_REFERENCES = 16
+#: Fewest OGs a first build files for it to fit the reference set: fitted
+#: on 20 OGs, the set matched one fitted on 2 000; a smaller first build
+#: leaves the fit to the first budgeted read (``sketch_tier()``).
+MIN_FIT_OGS = 20
 #: Cap on the greedy top-up's sample, and its seed.
 PIVOT_SAMPLE_SIZE = 256
 PIVOT_SEED = 0

@@ -15,12 +15,14 @@ shard starts from an infinite bound:
   :class:`~repro.core.index.STRGIndexConfig`, so the fleet's total
   cluster count — and with it the tightness of every leaf window —
   grows with the shard count.
-- **One reference set.**  Every shard's leaf records — loaded with it,
-  or filled by a budgeted read or ``sketch_tier()`` — carry each
-  record's distance to the corpus's one reference set: every leaf
-  centroid of every shard when the first tier is built, topped up by a
-  farthest-point greedy to ``MIN_REFERENCES``
-  (:meth:`ShardedIndex.reference_set`).  A query sweeps each distinct
+- **One reference set.**  Every shard's leaf records — filled by the
+  build, loaded with the shard, or filled by a budgeted read or
+  ``sketch_tier()`` after a small first build — carry each record's
+  distance to the corpus's one reference set: every leaf centroid of
+  every shard, topped up by a farthest-point greedy to
+  ``MIN_REFERENCES`` (:meth:`ShardedIndex.reference_set`).  A first
+  build of at least ``MIN_FIT_OGS`` OGs fits it after every shard's EM,
+  in the sweep that keys each shard's members.  A query sweeps each distinct
   set once; the exact scan reads the columns beside each leaf key, and
   a budgeted read shortlists from the same table.  A shard without a
   reference set scans on its leaf keys alone, exactly as an
@@ -56,7 +58,12 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.clustering.em import EMClustering, EMConfig
-from repro.core.index import STRGIndex, STRGIndexConfig, corpus_references
+from repro.core.index import (
+    STRGIndex,
+    STRGIndexConfig,
+    build_shards,
+    corpus_references,
+)
 from repro.core.scan import ClusterView, knn_scan, probe, range_scan
 from repro.distance.base import Distance
 from repro.distance.batch import pairwise_matrix
@@ -217,8 +224,11 @@ class ShardedIndex:
               background: BackgroundGraph | None = None,
               clip_refs: Sequence[Any] | None = None
               ) -> list[tuple[int, int]]:
-        """Partition ``ogs`` across the shards and build each one;
-        returns the ``(shard, row)`` each OG landed in."""
+        """Partition ``ogs`` across the shards and build each one
+        (:func:`~repro.core.index.build_shards`: every shard's EM, then
+        one distance sweep per shard, which also fits the corpus's
+        reference set on a first build); returns the ``(shard, row)``
+        each OG landed in."""
         if not ogs:
             raise IndexStateError("cannot build a sharded index from zero OGs")
         if clip_refs is not None and len(clip_refs) != len(ogs):
@@ -230,13 +240,18 @@ class ShardedIndex:
         rows: dict[int, int] = {}
         with OBS.span("serving.shard_build", ogs=len(ogs),
                       shards=self.num_shards):
+            first = len(self) == 0
             assignment = self._place(ogs)
-            for s in range(self.num_shards):
-                members = [j for j, a in enumerate(assignment) if a == s]
-                if members:
-                    rows.update(zip(members, self._writable(s).build(
-                        [ogs[j] for j in members], background,
-                        [refs[j] for j in members])))
+            parts = [[j for j, a in enumerate(assignment) if a == s]
+                     for s in range(self.num_shards)]
+            # A first build may give every shard the set it fits.
+            shards = [self._writable(s) if members or first
+                      else self.shards[s] for s, members in enumerate(parts)]
+            built = build_shards(shards, [[ogs[j] for j in m] for m in parts],
+                                 background, [[refs[j] for j in m]
+                                              for m in parts])
+            for members, shard_rows in zip(parts, built):
+                rows.update(zip(members, shard_rows))
         return [(s, rows[j]) for j, s in enumerate(assignment)]
 
     def _place(self, ogs: Sequence[ObjectGraph]) -> list[int]:

@@ -168,3 +168,23 @@ def column_digests(path) -> dict[str, str]:
                 digest = hashlib.sha256(fh.read(nbytes)).hexdigest()
             out[f"{entry['seg']}:{column}"] = digest
     return out
+
+
+def without_references(index):
+    """A copy of ``index`` (an ``STRGIndex`` or a ``ShardedIndex``) whose
+    shards hold no reference set and whose records carry no ``refs``
+    row: written, a store with the reference columns left out, as one
+    written before its first tier.  ``index`` itself is left as it is."""
+    from repro.serving.sharding import ShardedIndex
+
+    sharded = isinstance(index, ShardedIndex)
+    shards = [shard.clone() for shard in (index.shards if sharded
+                                          else [index])]
+    for shard in shards:
+        shard._references = None
+        for cluster in shard.cluster_records():
+            cluster.leaf.refile([None] * len(cluster.leaf))
+    if not sharded:
+        return shards[0]
+    return ShardedIndex.from_shards(shards, index.serving_config(),
+                                    index.pivots)

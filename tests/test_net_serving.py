@@ -395,6 +395,23 @@ class TestTierlessStore:
     shards' tiers over the reference set of every shard — the one the
     reopened store fits in process — and keeps only its own shards."""
 
+    @pytest.fixture(scope="class")
+    def store_path(self, tmp_path_factory, corpus):
+        """The module's 4-shard snapshot with its reference columns left
+        out."""
+        from repro.storage.store import open_store
+        from tests.store_layout import without_references
+
+        index = ShardedIndex(ShardedIndexConfig(
+            num_shards=4, placement="affine",
+            index=STRGIndexConfig(n_clusters=4)))
+        index.build(corpus,
+                    clip_refs=[f"clip-{i}" for i in range(len(corpus))])
+        store = open_store(os.path.join(
+            tmp_path_factory.mktemp("tierless"), "corpus.strg"))
+        store.write_index(without_references(index))
+        return store.path
+
     def test_worker_fits_the_corpus_references_and_keeps_its_shards(
             self, store_path, monkeypatch):
         from repro.distance.bounds import distinct_reference_sets

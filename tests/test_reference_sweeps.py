@@ -4,9 +4,9 @@ Keying an OG against every centroid and sketching it against every
 reference series is one ``pairwise_matrix`` block per write.  The block
 must charge the Section 6.3 cost model exactly what the per-reference
 loops it replaced charged (the totals below were recorded with those
-loops, with the sketch's share moved from 8 pivots to 16 references),
-and an insert must reach the ERP kernel once per reference set,
-whatever K is.
+loops, with the sketch's share moved from 8 pivots to 16 references,
+then into the first builds that fit the set), and an insert must reach
+the ERP kernel once per reference set, whatever K is.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ def test_write_sequence_spends_the_recorded_evaluations(monkeypatch):
     """Build with an out-of-sample assignment, 40 inserts, the sketch
     tier, then a 2-shard affine build and inserts: the metric and
     cluster evaluations ``CountingDistance`` sees, and the pairs
-    ``observability`` counts, equal the per-reference loops' totals."""
+    ``observability`` counts, equal the per-reference loops' totals,
+    moved by what fitting the set at build moved."""
     ogs = corpus(160, seed=11)
     monkeypatch.setattr(sharding, "COARSE_SAMPLE_SIZE", 32)
     monkeypatch.setattr(sharding, "COARSE_ITERATIONS", 4)
@@ -69,8 +70,21 @@ def test_write_sequence_spends_the_recorded_evaluations(monkeypatch):
     # centroids' block over the sample, then the greedy's top-up) and
     # sweeping them cost 2 x 16 x 120.
     moved = 2 * (16 - 8) * 120
+    # Then each first build fitted the set in its key sweep (6
+    # centroids, so a top-up of 10, fitted on every member):
+    # - the 80-OG build keyed its 40 EM-sample members once and the 40
+    #   others against 6 centroids (280); it sweeps all 80 against the
+    #   6, fits the top-up (6 x 80 + 10 x 80) and sweeps it (80 x 10):
+    #   2560;
+    # - the 2-shard build keyed its 100 members once (100); it sweeps
+    #   them against both shards' 6 centroids, fits the top-up (6 x 100
+    #   + 10 x 100) and sweeps it (100 x 10): 3200;
+    # - the 80 inserts each fill their row against the 16: 80 x 16;
+    # - the tier fitted the 16 (6 x 120 + 10 x 120) and swept the 120
+    #   members (120 x 16): 3840, now nothing.
+    fitted = (2560 - 280) + (3200 - 100) + 80 * 16 - 3840
     assert (metric.calls, cluster.calls, pairs) \
-        == (3019 + moved, 12263, 15282 + moved)
+        == (3019 + moved + fitted, 12263, 15282 + moved + fitted)
 
 
 @pytest.mark.parametrize("clusters", [8, 16])

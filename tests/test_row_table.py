@@ -34,6 +34,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.base import as_series
 from repro.distance.batch import one_vs_many, pairwise_matrix
 from repro.distance.eged import MetricEGED
+from repro.search.sketch import MIN_FIT_OGS
 from repro.serving import LiveIndex, ShardedIndex, ShardedIndexConfig
 from repro.storage.store import open_store
 from tests import store_layout
@@ -202,8 +203,13 @@ def test_pack_reads_references_before_the_leaf_walk(monkeypatch):
     it collected carry none) instead of failing on them."""
     from repro.storage import serialize
 
+    # A first build under MIN_FIT_OGS holds no set, nor do its inserts.
     index = STRGIndex(CONFIG)
-    index.build(POOL[:BASE], clip_refs=[f"og-{i}" for i in range(BASE)])
+    first = MIN_FIT_OGS - 1
+    index.build(POOL[:first], clip_refs=[f"og-{i}" for i in range(first)])
+    for i in range(first, BASE):
+        index.insert(POOL[i], clip_ref=f"og-{i}")
+    assert index._references is None
     pack_ragged = serialize._pack_ragged
     attached = []
 

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro import observability as obs
 from repro.core.index import STRGIndex, STRGIndexConfig
-from repro.core.scan import knn_scan
+from repro.core.scan import ScanViews, knn_scan
 from repro.datasets.patterns import ALL_PATTERNS
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_ogs
 from repro.distance.base import CountingDistance, as_series
@@ -43,7 +43,7 @@ from repro.distance.bounds import distinct_reference_sets
 from repro.distance.eged import EGED, MetricEGED
 from repro.graph.object_graph import ObjectGraph
 from repro.search.request import SearchRequest
-from repro.search.sketch import approx_knn
+from repro.search.sketch import MIN_FIT_OGS, approx_knn
 from repro.serving import LiveIndex, ShardedIndex, ShardedIndexConfig
 from repro.storage.serialize import leaf_ogs, read_references
 from repro.storage.store import open_store
@@ -77,8 +77,10 @@ class TestOneShardIsTheIndex:
         ogs = random_ogs(rng, 40)
         index = STRGIndex(STRGIndexConfig(n_clusters=4, em_iterations=4,
                                           seed=seed))
-        index.build(ogs[:36], clip_refs=list(range(36)))
-        for og in ogs[36:39]:
+        # A first build under MIN_FIT_OGS holds no reference set.
+        first = MIN_FIT_OGS - 1
+        index.build(ogs[:first], clip_refs=list(range(first)))
+        for og in ogs[first:39]:
             index.insert(og)
         sharded = one_shard(index, placement, ogs)
         outsider, member = ogs[39], ogs[int(rng.integers(0, 39))]
@@ -519,7 +521,10 @@ def test_window_one_best_first_of_fig7b():
         metric_distance=counter, cluster_distance=EGED())
     index.build(fig7_corpus(1200, seed=3))
     queries = fig7_corpus(15, seed=97)
-    views = index._cluster_views(None)
+    # Algorithm 3 on the leaf keys alone: the index's own table also
+    # holds the reference columns its build fitted.
+    views = list(ScanViews(index.cluster_records(),
+                           index.mutations).by_record.values())
     per_query = []
     for k in (5, 10, 20, 30):
         counter.reset()

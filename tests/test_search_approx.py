@@ -42,6 +42,7 @@ from repro.serving import (
 from repro.storage.database import VideoDatabase
 from repro.storage.serialize import index_to_arrays, read_references
 from repro.storage.store import open_store
+from tests import store_layout
 
 
 def corpus(n=120, seed=0):
@@ -221,7 +222,9 @@ class TestApproxKnn:
     def test_default_path_unchanged(self, small):
         """Without search_budget the exact path runs and no sketch is
         ever built — the default is bit-identical to before."""
-        index, ogs = small
+        _, ogs = small
+        # A first build under MIN_FIT_OGS holds no set.
+        index = built_index(ogs[:sketch_mod.MIN_FIT_OGS - 1])
         hits = index.knn(ogs[0], 10)
         assert index._references is None
         assert hits[0][1].og_id == ogs[0].og_id
@@ -365,10 +368,10 @@ class TestSketchPersistence:
 
     def test_old_archive_without_sketch_falls_back(self, small, tmp_path):
         index, ogs = small
-        # Never touch the sketch tier -> the store carries none.
-        assert index._references is None
+        # Written with its reference columns left out, as before its
+        # first tier.
         store = open_store(tmp_path / "plain")
-        store.write_index(index)
+        store.write_index(store_layout.without_references(index))
         (loaded,) = store.load_index().shards
         assert loaded._references is None
         hits = loaded.knn(ogs[0], 8, search_budget=30)  # lazy rebuild

@@ -146,9 +146,17 @@ def store_with_sketch(tmp_path, ogs, name="corpus", shards=None,
         index = ShardedIndex(ShardedIndexConfig(
             num_shards=shards, placement=placement,
             index=STRGIndexConfig(n_clusters=4)))
-    index.build(ogs, clip_refs=[f"clip-{i}" for i in range(len(ogs))])
+    refs = [f"clip-{i}" for i in range(len(ogs))]
     if sketched is None:
+        index.build(ogs, clip_refs=refs)
         index.knn(ogs[0], 3, search_budget=24)  # builds + persists the sketch
+    else:
+        # A first build under MIN_FIT_OGS holds no set, nor do its
+        # inserts: only the listed shards fit one.
+        first = sketch_mod.MIN_FIT_OGS - 1
+        index.build(ogs[:first], clip_refs=refs[:first])
+        for og, ref in zip(ogs[first:], refs[first:]):
+            index.insert(og, clip_ref=ref)
     for s in sketched or ():
         index.shards[s].sketch_tier()
     store = ColumnarStore(tmp_path / name)
@@ -311,7 +319,8 @@ class TestStoreAttachedSketch:
 
     def test_store_without_sketch_returns_none(self, tmp_path):
         index = STRGIndex(STRGIndexConfig(n_clusters=3))
-        index.build(corpus(30, seed=61))  # no budgeted query -> no sketch
+        # A first build under MIN_FIT_OGS, no budgeted query: no sketch.
+        index.build(corpus(sketch_mod.MIN_FIT_OGS - 1, seed=61))
         store = ColumnarStore(tmp_path / "bare")
         store.write_index(index)
         assert store.load_sketch() is None
@@ -521,9 +530,15 @@ class TestDatabaseOutOfCore:
                 placement="affine"):
         ogs = corpus(n, seed=13)
         db = VideoDatabase(shards=shards, placement=placement)
-        db.ingest_object_graphs(ogs)
         if budgeted:
+            db.ingest_object_graphs(ogs)
             db.knn(ogs[0], 3, search_budget=24)  # persistable sketch
+        else:
+            # A first batch under MIN_FIT_OGS holds no set; the next
+            # batch is inserted into it.
+            first = sketch_mod.MIN_FIT_OGS - 1
+            db.ingest_object_graphs(ogs[:first])
+            db.ingest_object_graphs(ogs[first:])
         db.save(tmp_path / "db")
         return db, ogs
 
