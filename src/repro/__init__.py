@@ -33,7 +33,8 @@ The package mirrors the paper's pipeline:
 - :mod:`repro.resilience` — fault injection, retry/backoff policies,
   quarantine, ingest journaling and crash recovery.
 - :mod:`repro.parallel` — ordered frame-parallel ingest over a process
-  pool (:func:`ordered_chunk_map`).
+  pool (:func:`ordered_chunk_map`), and the one fork server every
+  process the package starts is forked from (``process_context``).
 - :mod:`repro.observability` — tracing spans, a metrics registry
   (JSON / Prometheus exporters) and profiling hooks through every hot
   path, behind one ``configure(enabled=...)`` switch.
@@ -81,7 +82,7 @@ from repro.serving import (
 from repro.storage.database import QueryHit, VideoDatabase
 from repro.storage.store import open_store
 
-__version__ = "22.0.0"
+__version__ = "22.1.0"
 
 __all__ = [
     "EGED",

@@ -6,10 +6,16 @@ ingestion pipeline uses it to segment frames and build RAGs in parallel
 while the sequential tracker consumes completed RAGs in frame order
 (``benchmarks/bench_ingest.py`` measures it).
 
-Spawning a pool costs tens of milliseconds and every task pickles its
+Starting a pool costs tens of milliseconds and every task pickles its
 function and chunk, so the pool is only used when more than one core is
 usable; chunking never changes results, because ``fn`` sees the same
 ``(start, chunk)`` slices on the serial path.
+
+Every process the package starts — these pool workers and the shard
+workers of :mod:`repro.serving.workers` — comes from
+:func:`process_context`: one fork server per process that imported the
+package once, so a worker starts in tens of milliseconds and holds no
+lock a thread of its caller held.
 
 Distance sweeps do not come through here: one process runs the batched
 kernels of :mod:`repro.distance.batch` (``one_vs_many`` /
@@ -20,7 +26,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import forkserver
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +40,50 @@ from repro.observability import OBS
 #: Chunks handed to each pool worker: more than one lets a worker that
 #: finishes early take another slice.
 CHUNKS_PER_WORKER = 2
+
+
+#: The module the fork server imports before it forks any worker: it
+#: imports the whole package (numpy, scipy.spatial and networkx too).
+PRELOAD = "repro.serving.workers"
+
+#: The directory ``repro`` was imported from.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_server_lock = threading.Lock()
+
+
+def process_context() -> multiprocessing.context.BaseContext:
+    """The package's one start method: the ``forkserver`` context, its
+    server started and preloading :data:`PRELOAD`.
+
+    The server is a fresh interpreter started on the first call in a
+    process (and again if it died); the first worker waits for its
+    import.  Every worker is forked from it, not from the caller, so
+    it pays no import and inherits no lock another thread of the
+    caller held; it inherits the server's environment, taken when the
+    server started.  The server ends once the process that started it
+    and every worker forked from it have.
+
+    The standard library's server ignores the caller's ``sys.path`` it
+    is handed (3.10.13, 3.11.7, 3.12.1 and 3.13.0 all do), so the
+    preload would fail silently wherever ``repro`` is importable only
+    through ``sys.path``: the directory holding the package is put
+    first on ``PYTHONPATH`` while the server starts.
+    """
+    context = multiprocessing.get_context("forkserver")
+    with _server_lock:
+        context.set_forkserver_preload([PRELOAD])
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            [_PACKAGE_ROOT] + ([saved] if saved else []))
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return context
 
 
 def usable_cpus() -> int:
@@ -107,8 +159,10 @@ def ordered_chunk_map(fn: Callable[[int, list], list], items: Sequence,
         return
     with OBS.span("parallel.map", items=n, mode="pool", workers=effective):
         slices = chunk_bounds(n, effective * CHUNKS_PER_WORKER)
-        abandoned = multiprocessing.Event()
+        context = process_context()
+        abandoned = context.Event()
         pool = ProcessPoolExecutor(max_workers=effective,
+                                   mp_context=context,
                                    initializer=_adopt_flag,
                                    initargs=(abandoned,))
         try:

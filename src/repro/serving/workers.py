@@ -4,15 +4,18 @@ PR 4's :class:`~repro.serving.service.QueryService` fans shard work out
 on *threads*, so every shard shares one GIL and four shards deliver
 well under 4x.  This module promotes shards to worker processes:
 
-- Each worker is spawned with a list of shard assignments and does its
-  own ``open_store(..., mmap=True)`` — the columnar ``.strg/`` layout
-  lets every process map the *same* snapshot read-only with zero
-  copies, so N workers cost one page cache, not N heaps.
+- Each worker is forked with a list of shard assignments from the
+  package's one fork server (:func:`repro.parallel.process_context`),
+  which imported this module once, so a start or respawn pays no
+  import, only the worker's own ``open_store(..., mmap=True)`` — the
+  columnar ``.strg/`` layout lets every process map the *same*
+  snapshot read-only with zero copies, so N workers cost one page
+  cache, not N heaps.
 - Requests and responses crossing the pipe are small: a query
   trajectory array one way, ``(distance, shard, row, clip_ref)``
   tuples the other.  No OG graphs are ever pickled per request.
 - The :class:`WorkerPool` coordinator owns the processes' lifecycle:
-  spawn up front, health-check heartbeats, restart-on-crash, drain on
+  start up front, health-check heartbeats, restart-on-crash, drain on
   shutdown.
 
 Exactness.  Each worker serves its assigned shards through a
@@ -45,7 +48,6 @@ pool is constructed; only a pool restart serves a new layout.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import threading
 import time
@@ -60,6 +62,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.observability import OBS
+from repro.parallel import process_context
 from repro.search.request import SearchRequest, SearchResult
 from repro.search.sketch import approx_knn
 
@@ -67,6 +70,11 @@ from repro.search.sketch import approx_knn
 # ---------------------------------------------------------------------------
 # worker process
 # ---------------------------------------------------------------------------
+
+#: The process that imported this module: a worker forked from the
+#: preloaded fork server finds its server's pid here, not its own.
+_IMPORTED_IN = os.getpid()
+
 
 class _ShardSet:
     """Worker-local view of the assigned shards.
@@ -134,8 +142,10 @@ class _ShardSet:
 
     def status(self) -> dict[str, Any]:
         """What the coordinator learns on ready, ping and reload: the
-        shard sizes."""
-        return {"sizes": {o: len(index) for o, index in self.shards.items()}}
+        process, whether it found this module imported before it
+        started, and the shard sizes."""
+        return {"pid": os.getpid(), "preloaded": _IMPORTED_IN != os.getpid(),
+                "sizes": {o: len(index) for o, index in self.shards.items()}}
 
     def _assembled(self, ordinals: list[int]) -> Any:
         """The frozen ``ShardedIndex`` over ``ordinals``.  A worker
@@ -187,9 +197,7 @@ def _worker_main(store_path: str, assignment: list[int],
     """
     try:
         shard_set = _ShardSet(store_path, assignment, mmap)
-        conn.send(("ready", {
-            "pid": os.getpid(), "name": name, **shard_set.status(),
-        }))
+        conn.send(("ready", {"name": name, **shard_set.status()}))
     except BaseException as exc:  # noqa: BLE001 — relayed to coordinator
         try:
             conn.send(("error", exc))
@@ -208,9 +216,7 @@ def _worker_main(store_path: str, assignment: list[int],
             return
         try:
             if op == "ping":
-                conn.send(("ok", {
-                    "pid": os.getpid(), **shard_set.status(),
-                }))
+                conn.send(("ok", shard_set.status()))
             elif op == "reload":
                 shard_set.reload()
                 conn.send(("ok", shard_set.status()))
@@ -304,7 +310,7 @@ class _WorkerHandle:
     """One live worker process: pipe, lock, and supervision state."""
 
     __slots__ = ("slot", "replica", "name", "process", "conn", "lock",
-                 "alive", "poisoned", "restarts", "last_seen")
+                 "alive", "poisoned", "restarts", "last_seen", "preloaded")
 
     def __init__(self, slot: int, replica: int):
         self.slot = slot
@@ -320,6 +326,9 @@ class _WorkerHandle:
         self.poisoned = False
         self.restarts = 0
         self.last_seen = 0.0
+        #: The worker found this module imported when it started (it
+        #: was forked from the preloaded server), as its ready said.
+        self.preloaded = False
 
     @property
     def running(self) -> bool:
@@ -335,6 +344,11 @@ class WorkerPool:
     ``path`` must hold a written store (``.strg/``), whose segment
     files many processes memory-map read-only; each of its S shards is
     one logical shard of the pool, opened by ordinal.
+
+    Each worker is a process forked from the package's one preloaded
+    fork server, not from this one: it holds no lock a coordinator
+    thread held, finds the package imported, and sees the environment
+    the server started with.
 
     Use as a context manager, or call :meth:`start` / :meth:`shutdown`.
     All search methods are thread-safe and may be called concurrently
@@ -365,8 +379,6 @@ class WorkerPool:
              for replica in range(self.config.replicas)]
             for slot in range(self.num_slots)
         ]
-        # Spawned: a fresh interpreter is clean of coordinator threads.
-        self._ctx = mp.get_context("spawn")
         self._scatter_pool: ThreadPoolExecutor | None = None
         self._supervisor: threading.Thread | None = None
         self._stop = threading.Event()
@@ -380,7 +392,13 @@ class WorkerPool:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "WorkerPool":
-        """Spawn every worker, wait for readiness, start the supervisor."""
+        """Start every worker, wait for readiness, start the supervisor.
+
+        Workers fork from the package's fork server
+        (:func:`repro.parallel.process_context`): the first pool of a
+        process waits for that server to start and import the package
+        once, every later start and respawn only for the fork and the
+        worker's open of its shards."""
         if self._started:
             return self
         with OBS.span("net.pool_start", slots=self.num_slots,
@@ -402,8 +420,9 @@ class WorkerPool:
         return self
 
     def _spawn(self, handle: _WorkerHandle) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
+        context = process_context()
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
             target=_worker_main,
             args=(self.store.path, self.assignment[handle.slot], child_conn,
                   self.config.mmap, handle.name),
@@ -425,6 +444,7 @@ class WorkerPool:
         kind, payload = handle.conn.recv()
         if kind == "error":
             raise payload
+        handle.preloaded = payload["preloaded"]
         handle.alive = True
         handle.last_seen = time.monotonic()
         self._learn(payload)
@@ -824,6 +844,7 @@ class WorkerPool:
                     "replica": handle.replica,
                     "pid": None if process is None else process.pid,
                     "alive": handle.running,
+                    "preloaded": handle.preloaded,
                     "restarts": handle.restarts,
                     "shards": list(self.assignment[handle.slot]),
                 })

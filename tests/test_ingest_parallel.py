@@ -17,6 +17,7 @@ baselines) so the comparison target cannot drift.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -308,6 +309,18 @@ def many_cpus(monkeypatch):
     monkeypatch.setattr(repro.parallel, "usable_cpus", lambda: 8)
 
 
+@pytest.fixture
+def fork_server():
+    """Have the package's fork server ready before a timed map: the
+    first process a process starts waits for the server to start and
+    import the package (~1 s), a one-time cost that is not the map's."""
+    warm_up = repro.parallel.process_context().Process(target=time.sleep,
+                                                        args=(0,))
+    warm_up.start()
+    warm_up.join(timeout=60)
+    assert warm_up.exitcode == 0
+
+
 class TestOrderedChunkMap:
     @staticmethod
     def _double(start, chunk):
@@ -332,7 +345,7 @@ class TestOrderedChunkMap:
                                    workers=2))
 
     def test_worker_error_does_not_wait_for_queued_chunks(
-            self, many_cpus, monkeypatch):
+            self, many_cpus, fork_server, monkeypatch):
         # Chunk 0 fails at once with 7 half-second chunks behind it on 2
         # workers: only the chunk already running may finish first.
         monkeypatch.setattr(repro.parallel, "CHUNKS_PER_WORKER", 4)
@@ -345,7 +358,7 @@ class TestOrderedChunkMap:
             list(ordered_chunk_map(_slow_unless_first, [0], workers=1))
 
     def test_closing_early_does_not_wait_for_queued_chunks(
-            self, many_cpus, monkeypatch):
+            self, many_cpus, fork_server, monkeypatch):
         monkeypatch.setattr(repro.parallel, "CHUNKS_PER_WORKER", 4)
         started = time.monotonic()
         results = ordered_chunk_map(_slow_unless_last, list(range(8)),
@@ -353,6 +366,30 @@ class TestOrderedChunkMap:
         assert next(results) == 0
         results.close()
         assert time.monotonic() - started < 2 * CHUNK_SECONDS
+
+    def test_chunks_do_not_inherit_a_lock_held_by_a_caller_thread(
+            self, many_cpus, monkeypatch):
+        # A pool worker forked from the caller would copy the lock in
+        # its held state, with no thread left to release it: every
+        # chunk would time out (and an untimed acquire would hang).
+        monkeypatch.setattr(repro.parallel, "CHUNKS_PER_WORKER", 4)
+        held, done = threading.Event(), threading.Event()
+
+        def hold():
+            with _HELD:
+                held.set()
+                done.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            held.wait()
+            took = list(ordered_chunk_map(_takes_the_held_lock,
+                                          list(range(8)), workers=2))
+        finally:
+            done.set()
+            holder.join()
+        assert took == [True] * 8
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -389,6 +426,17 @@ def _slow_unless_last(start, chunk):
     if start:
         time.sleep(CHUNK_SECONDS)
     return list(chunk)
+
+
+#: Held by a thread of the calling process while the chunks run.
+_HELD = threading.Lock()
+
+
+def _takes_the_held_lock(start, chunk):
+    took = _HELD.acquire(timeout=1.0)
+    if took:
+        _HELD.release()
+    return [took] * len(chunk)
 
 
 # --------------------------------------------------------------------------

@@ -256,6 +256,78 @@ class TestFailover:
                 assert hits_of(got) == expected_knn(reference, query, K)
 
 
+def _running(pid):
+    """``pid`` names a process that has not ended (a zombie waiting
+    for its reaper has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestPreloadedWorkers:
+    """Every worker forks from the package's one fork server, which
+    imported ``repro.serving.workers`` before the worker started."""
+
+    def test_started_and_respawned_workers_are_preloaded(self, store_path):
+        config = WorkerPoolConfig(workers=2, restart=True,
+                                  heartbeat_interval=0.2)
+        with WorkerPool(store_path, config) as pool:
+            assert [w["preloaded"] for w in pool.health()["workers"]] \
+                == [True, True]
+            handle = pool._handles[0][0]
+            with handle.lock:
+                handle.conn.send(("ping",))
+                assert handle.conn.poll(30.0)
+                kind, payload = handle.conn.recv()
+            assert kind == "ok" and payload["preloaded"]
+            assert payload["pid"] == handle.process.pid
+            killed = handle.process.pid
+            pool.kill_worker(0)
+            assert pool.await_healthy(timeout=30.0)
+            worker = pool.health()["workers"][0]
+            assert worker["pid"] != killed and worker["preloaded"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_preloaded_with_the_package_on_sys_path_only(self, store_path,
+                                                         tmp_path):
+        """No ``PYTHONPATH``: the fork server must still import the
+        package from the coordinator's path, and it must end when the
+        coordinator does."""
+        import json
+        import subprocess
+        import sys
+
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        script = "\n".join([
+            "import json, sys",
+            f"sys.path.insert(0, {src!r})",
+            "from multiprocessing import forkserver",
+            "from repro.serving import WorkerPool, WorkerPoolConfig",
+            f"with WorkerPool({store_path!r},",
+            "                WorkerPoolConfig(workers=1)) as pool:",
+            "    workers = pool.health()['workers']",
+            "print(json.dumps({",
+            "    'preloaded': [w['preloaded'] for w in workers],",
+            "    'pids': [w['pid'] for w in workers]",
+            "            + [forkserver._forkserver._forkserver_pid]}))",
+        ])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["preloaded"] == [True]
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in report["pids"]):
+            assert time.monotonic() < deadline, \
+                "a worker or the fork server outlived its coordinator"
+            time.sleep(0.05)
+
+
 @pytest.fixture
 def stopped_workers():
     """``stopped_workers(pool)``: a context that holds every worker
